@@ -1,0 +1,999 @@
+"""Translation of expanded functions into Python source.
+
+Every non-inline function of a typed, expanded program becomes one
+Python function, compiled on its first call:
+
+    F_<name>(<parameters>, B, T, M, O) -> (B, <results>)
+
+B is the remaining step budget, T the leakage-trace list or None, M the
+run's working Memory and O true in the OpsV vector mode.  Registers are
+Python locals (named v_<register>), register arrays are lists and stack
+arrays StackArray objects.  The names the source refers to besides its
+locals (the run-time helpers of interp, global values G_<name>,
+intrinsic semantics, masks and prebuilt constants) live in one
+namespace per program.
+
+Three devices keep the generated code lean without changing what a run
+observes:
+
+- the step budget is charged once per straight-line segment: statements
+  up to the next branch, loop test, call or block end pay together,
+  before the first of them runs, so a run's step total is unchanged;
+- leakage events of constant array indices are prebuilt tuples, added
+  to the trace in one step before the next dynamic event (a memory
+  address, a computed index, a branch) or at the segment's end;
+- a check is left out only where a must-be-assigned pass over the
+  function proves that it cannot fire: a register or constant-index
+  element written on every path (if branches joined, while loops to
+  their fixpoint, re-declaration resetting), or a constant index below
+  the declared length.
+
+Large functions are compiled in pieces of at most PIECE statements, one
+compile() call each; a piece is a Python function of its own that takes
+the locals it reads and returns the ones it rebinds.
+"""
+
+from __future__ import annotations
+
+import re
+from collections import Counter
+from functools import partial
+
+from .ir import (
+    ArrayTy,
+    BoolTy,
+    EArr,
+    EBin,
+    EBool,
+    ECall,
+    ECast,
+    EInt,
+    EIntr,
+    EMem,
+    EUn,
+    EVar,
+    EVecImm,
+    LArr,
+    LIgnore,
+    LMem,
+    LVar,
+    SAssign,
+    SDecl,
+    SFor,
+    SIf,
+    SReturn,
+    SWhile,
+    WordTy,
+)
+from .isa import OPS, exec_vector_raw, lookup
+from .typecheck import NotConst, const_eval
+
+PIECE = 250  # statements per compile() call, which bounds its peak memory
+
+_SHIFTS = ("<<", ">>", ">>s", "<<r", ">>r")
+_CMP = ("==", "!=", "<", "<=", ">", ">=")
+_REPEATABLE = re.compile(r"\w+$")  # a name or literal, cheap to repeat
+
+
+def _loc(node):
+    return getattr(node, "loc", None)
+
+
+def _lanes(pattern: int, n: int, m: int) -> int:
+    """The n-lane repetition of an m-bit pattern."""
+    return sum(pattern << (m * i) for i in range(n))
+
+
+# ------------------------------------------------------ syntactic facts
+
+
+def _names(node, out: list) -> list:
+    """Append the variable names `node` mentions (expressions, lvalues
+    and statements alike), once per mention."""
+    k = type(node)
+    if k is EVar or k is LVar:
+        out.append(node.name)
+    elif k is EArr or k is LArr:
+        out.append(node.name)
+        _names(node.index, out)
+    elif k is EMem or k is LMem:
+        _names(node.addr, out)
+    elif k is EBin:
+        _names(node.left, out)
+        _names(node.right, out)
+    elif k is EUn or k is ECast:
+        _names(node.arg, out)
+    elif k is EIntr or k is ECall:
+        for a in node.args:
+            _names(a, out)
+    elif k is SAssign:
+        for d in node.dests:
+            _names(d, out)
+        _names(node.rhs, out)
+        if node.cond is not None:
+            _names(node.cond, out)
+    elif k is SDecl:
+        out.extend(node.names)
+        if node.init is not None:
+            _names(node.init, out)
+    elif k is SIf:
+        _names(node.cond, out)
+        for s in node.then + node.els:
+            _names(s, out)
+    elif k is SWhile or k is SFor:
+        if k is SWhile:
+            _names(node.cond, out)
+        for s in node.body:
+            _names(s, out)
+    elif k is SReturn:
+        for v in node.values:
+            _names(v, out)
+    return out
+
+
+def _reads_defs(s, mentioned):
+    """(names s may read before it rebinds anything, names s rebinds
+    unconditionally); `mentioned` lists the names s mentions, as
+    _names gives them.  Compound statements count every name as read."""
+    k = type(s)
+    if k is SDecl:
+        return set(mentioned[len(s.names):]), set(s.names)
+    if k is SAssign and not s.op and s.cond is None:
+        defs = [d.name for d in s.dests if type(d) is LVar]
+        reads = Counter(mentioned)
+        reads.subtract(defs)  # each whole destination is mentioned once
+        return {n for n, c in reads.items() if c > 0}, set(defs)
+    return set(mentioned), set()
+
+
+def _rebinds(stmts, out: set) -> set:
+    """Every local some statement (at any depth) assigns as a whole."""
+    for s in stmts:
+        k = type(s)
+        if k is SDecl:
+            out.update(s.names)
+        elif k is SAssign:
+            out.update(d.name for d in s.dests if type(d) is LVar)
+        elif k is SIf:
+            _rebinds(s.then, out)
+            _rebinds(s.els, out)
+        elif k is SWhile or k is SFor:
+            _rebinds(s.body, out)
+    return out
+
+
+# ------------------------------------------------ must-be-assigned facts
+
+
+class _Facts:
+    """Facts that hold on every path to a program point: the locals bound
+    (`declared`) and the values proven not UNDEF (`defined`: register
+    names and (array, index) pairs).  None stands for an unreachable
+    point."""
+
+    __slots__ = ("declared", "defined")
+
+    def __init__(self, declared, defined):
+        self.declared = set(declared)
+        self.defined = set(defined)
+
+    def copy(self):
+        return _Facts(self.declared, self.defined)
+
+    def same(self, other) -> bool:
+        return self.declared == other.declared and self.defined == other.defined
+
+
+def _join(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    a.declared &= b.declared
+    a.defined &= b.defined
+    return a
+
+
+# ------------------------------------------------------------ generator
+
+
+class _FnGen:
+    def __init__(self, p, fn, ns):
+        self.p, self.fn, self.ns = p, fn, ns
+        self.types = fn.envtypes
+        self.globals = {g.name for g in p.globals}
+        self.locals = {q.name for q in fn.params} | set(self.types)
+        self.mentioned: dict = {}
+        self.counts = Counter()
+        for s in fn.body:
+            self.counts.update(self.mentions(s))
+        self.sizes: dict = {}
+        self.returns: dict = {}
+        self.facts = _Facts((q.name for q in fn.params),
+                            (q.name for q in fn.params if not isinstance(q.ty, ArrayTy)))
+        self.out: list = []
+        self.indent = "    "
+        self.seg = None  # (placeholder index, indentation, locs)
+        self.pending: list = []  # constant-index events not yet in the trace
+        self.events: dict = {}  # index -> its event, shared by all batches
+        self.tmp = 0
+        self.unbound: set = set()  # locals to start as NB in the current function
+        self.piece_locals = None  # locals owned by the piece being emitted
+        self.pieces = 0
+        self.error = None  # the first malformed construct: (message, loc)
+        # a declaration's UNDEF store matters only to reads that check
+        # for it: those of `unproven` locals, and the calls of pieces
+        # that take the local (`passed`)
+        self.ustores: list = []  # (line index, local) in the current function
+        self.unproven: set = set()
+        self.passed: set = set()
+
+    # -- names, constants, lines
+
+    def v(self, name: str) -> str:
+        return "v_" + name
+
+    def const(self, prefix: str, value) -> str:
+        consts = self.ns["__consts__"]
+        key = (prefix, value)
+        name = consts.get(key)
+        if name is None:
+            name = consts[key] = f"{prefix}{len(consts)}"
+            self.ns[name] = value
+        return name
+
+    def mask(self, bits: int) -> str:
+        return hex((1 << bits) - 1) if bits <= 64 else self.const("MASK", (1 << bits) - 1)
+
+    def lit(self, v: int) -> str:
+        if -(1 << 63) <= v < 1 << 64:
+            return str(v) if -65536 < v < 65536 else hex(v)
+        return self.const("C", v)
+
+    def line(self, text: str):
+        self.out.append(self.indent + text)
+
+    def fail(self, message: str, loc) -> str:
+        """Code that raises ContractViolation when it runs."""
+        return f"_contract({message!r}, {loc!r})"
+
+    def malformed(self, message: str, loc) -> str:
+        """Note a construct the function cannot run with: the function
+        then raises ContractViolation as soon as it is called."""
+        if self.error is None:
+            self.error = (message, loc)
+        return "0"
+
+    def fresh(self) -> str:
+        self.tmp += 1
+        return f"_{self.tmp}"
+
+    def keep(self, code: str) -> str:
+        """Evaluate `code` now, in a statement of its own."""
+        if _REPEATABLE.match(code):
+            return code
+        t = self.fresh()
+        self.line(f"{t} = {code}")
+        return t
+
+    def twice(self, code: str):
+        """Two uses of one evaluation of `code`: (first use, second use)."""
+        if _REPEATABLE.match(code):
+            return code, code
+        t = self.fresh()
+        return f"({t} := {code})", t
+
+    # -- budget segments and trace events
+
+    def tick(self, loc):
+        if self.seg is None:
+            self.seg = (len(self.out), self.indent, [])
+            self.out.append(None)
+        self.seg[2].append(loc)
+
+    def end_segment(self):
+        if self.seg is not None:
+            at, indent, locs = self.seg
+            n = len(locs)
+            self.out[at] = (f"{indent}if (B := B - {n}) < 0: "
+                            f"_bx(B + {n}, {self.const('L', tuple(locs))})")
+            self.seg = None
+
+    def event(self, i: int) -> tuple:
+        ev = self.events.get(i)
+        if ev is None:
+            ev = self.events[i] = ("addr", (i,))
+        return ev
+
+    def batch(self) -> str:
+        """The pending constant events, to be added before the next
+        dynamic one."""
+        if not self.pending:
+            return "()"
+        name = self.const("K", tuple(self.pending))
+        self.pending.clear()
+        return name
+
+    def flush(self):
+        if self.pending:
+            self.line(f"if T is not None: T += {self.batch()}")
+
+    def close(self):
+        self.end_segment()
+        self.flush()
+
+    def branch_event(self, cond: str):
+        k = self.batch()
+        add = "" if k == "()" else f"T += {k}; "
+        self.line(f"if T is not None: {add}T.append(BT if {cond} else BF)")
+
+    # -- reads
+
+    def read_var(self, name: str, loc, compound=False) -> str:
+        if name not in self.locals:
+            if name in self.globals:
+                return "G_" + name
+            return f"_unbound({name!r}, {loc!r})"
+        if isinstance(self.types[name][1], ArrayTy):
+            return self.arr_ref(name, loc)
+        v = self.v(name)
+        if name in self.facts.defined:
+            return v
+        self.unproven.add(name)
+        bad = "U" if compound else v
+        if name in self.facts.declared:
+            return f"({v} if {v} is not U else _uu({bad}, {name!r}, {loc!r}))"
+        self.note_unbound(name)
+        return f"({v} if {v} is not U and {v} is not NB else _uu({bad}, {name!r}, {loc!r}))"
+
+    def arr_ref(self, name: str, loc) -> str:
+        if name not in self.locals:
+            if name in self.globals:
+                return "G_" + name
+            return f"_unbound({name!r}, {loc!r})"
+        if name in self.facts.declared:
+            return self.v(name)
+        self.note_unbound(name)
+        return f"_arr({self.v(name)}, {name!r}, {loc!r})"
+
+    def expr(self, e) -> str:
+        k = type(e)
+        if k is EVar:
+            return self.read_var(e.name, _loc(e))
+        if k is EInt:
+            return self.lit(e.value & ((1 << e.ty.bits) - 1) if type(e.ty) is WordTy else e.value)
+        if k is EBin:
+            return self.binary(e)
+        if k is EArr:
+            return self.arr_read(e, _loc(e))
+        if k is ECast:
+            a = self.expr(e.arg)
+            aty = e.arg.ty
+            if type(aty) is WordTy and aty.bits <= e.width:
+                return a
+            return f"({a} & {self.mask(e.width)})"
+        if k is EMem:
+            a = self.expr(e.addr)
+            return f"_ld(M, T, {self.batch()}, {a}, {(e.width or 64) // 8}, {_loc(e)!r})"
+        if k is EIntr:
+            return f"{self.intrinsic(e)}[0]"
+        if k is EUn:
+            a = self.expr(e.arg)
+            if e.op == "!":
+                return f"(not {a})"
+            if type(e.ty) is WordTy:
+                return f"({e.op}{a} & {self.mask(e.ty.bits)})"
+            return f"({e.op}{a})"
+        if k is EBool:
+            return "True" if e.value else "False"
+        if k is EVecImm:
+            try:
+                return self.lit(const_eval(e, {}) & ((1 << e.ty.bits) - 1))
+            except NotConst:
+                return self.malformed("immediate vector with non-constant elements", _loc(e))
+        if k is ECall:
+            return self.malformed("calls only appear as full statements", _loc(e))
+        raise TypeError(f"not an expression: {e!r}")
+
+    def binary(self, e: EBin) -> str:
+        op, loc = e.op, _loc(e)
+        if op in ("/", "%") and not e.lanes and type(e.ty) is WordTy:
+            r = self.expr(e.right)  # the divisor is evaluated, and checked, first
+            helper = "_div" if op == "/" else "_mod"
+            return f"{helper}(_nz({r}, {loc!r}), {self.expr(e.left)})"
+        left = self.expr(e.left)
+        if e.lanes or type(e.ty) is WordTy:
+            return self.word_op(op, e.lanes, e.ty.bits, left, e.right, loc)
+        right = self.expr(e.right)
+        if op in _CMP:
+            return f"({left} {op} {right})"
+        if op == "&&":  # both sides always evaluate: no hidden branch
+            return f"({left} & {right})"
+        if op == "||":
+            return f"({left} | {right})"
+        return self.fail(f"operator {op!r} needs expansion", loc)
+
+    def word_op(self, op, lanes, bits, left, right_node, loc, whole=True) -> str:
+        """`left op right` at `bits` (lane-wise when `lanes`); the right
+        operand is emitted here, after the left.  A constant shift count
+        out of range makes the function malformed, except in a compound
+        assignment (`whole` false), which checks it when it runs."""
+        if lanes:
+            return self.lane_op(op, lanes, left, right_node, loc)
+        m = self.mask(bits)
+        if op in _SHIFTS and type(right_node) is EInt and 0 <= right_node.value <= bits:
+            c = right_node.value
+            if op == "<<":
+                return f"(({left} << {c}) & {m})"
+            if op == ">>":
+                return f"({left} >> {c})"
+            if op == ">>s":
+                top = self.lit(1 << (bits - 1))
+                return f"(((({left} ^ {top}) - {top}) >> {c}) & {m})"
+            c %= bits
+            if c == 0:
+                return left
+            first, again = self.twice(left)
+            a, b = (c, bits - c) if op == "<<r" else (bits - c, c)
+            return f"((({first} << {a}) | ({again} >> {b})) & {m})"
+        if op in _SHIFTS and type(right_node) is EInt and whole:
+            return self.malformed(f"shift count {right_node.value} outside [0, {bits}]", loc)
+        right = self.expr(right_node)
+        if op in ("^", "&", "|"):
+            return f"({left} {op} {right})"
+        if op in ("+", "-", "*"):
+            return f"(({left} {op} {right}) & {m})"
+        return f"_wbin({op!r}, None, {left}, {right}, {bits}, {loc!r})"
+
+    def lane_op(self, op, lanes, left, right_node, loc) -> str:
+        n, w = lanes
+        if op in ("<<", ">>") and type(right_node) is EInt:
+            c = right_node.value
+            if c >= w:
+                return f"({left} & 0)"  # still evaluated for its leakage
+            keep = self.lit(_lanes((1 << (w - c)) - 1, n, w))
+            if op == "<<":
+                return f"(({left} & {keep}) << {c})"
+            return f"(({left} >> {c}) & {keep})"
+        right = self.expr(right_node)
+        if op in ("^", "&", "|"):
+            return f"({left} {op} {right})"
+        if op == "+":
+            high = self.lit(_lanes(1 << (w - 1), n, w))
+            low = self.lit(_lanes((1 << (w - 1)) - 1, n, w))
+            a1, a2 = self.twice(left)
+            b1, b2 = self.twice(right)
+            return f"((({a1} & {low}) + ({b1} & {low})) ^ (({a2} ^ {b2}) & {high}))"
+        return f"_wbin({op!r}, {lanes!r}, {left}, {right}, {n * w}, {loc!r})"
+
+    def arr_read(self, e, loc) -> str:
+        storage = getattr(e, "arr_storage", None)
+        if storage is None:
+            return self.malformed(f"array access to {e.name!r} was not typechecked", loc)
+        name, ty = e.name, e.arr_ty
+        arr = self.arr_ref(name, loc)
+        if storage == "stack":
+            nb = (e.width or ty.bits) // 8
+            scale = 1 if e.byte_mode else nb
+            if type(e.index) is EInt:
+                i = e.index.value
+                off = i * scale
+                if off < 0 or off + nb > ty.length * ty.bits // 8:
+                    return f"_oob({name!r}, {i}, {loc!r})"
+                self.pending.append(self.event(i))
+                return f"_sget({arr}, {off}, {nb}, {name!r}, {loc!r})"
+            i = self.expr(e.index)
+            return f"_sld(T, {self.batch()}, {arr}, {i}, {nb}, {scale}, {name!r}, {loc!r})"
+        if type(e.index) is not EInt:
+            i = self.expr(e.index)
+            return f"_rld(T, {self.batch()}, {arr}, {i}, {name!r}, {loc!r})"
+        i = e.index.value
+        if not 0 <= i < ty.length:
+            return f"_oob({name!r}, {i}, {loc!r})"
+        self.pending.append(self.event(i))
+        if storage == "global" or (name, i) in self.facts.defined:
+            return f"{arr}[{i}]"
+        return f"(_t if (_t := {arr}[{i}]) is not U else _uu(U, '{name}[{i}]', {loc!r}))"
+
+    def intrinsic(self, e: EIntr, count=None, sloc=None) -> str:
+        d = lookup(e.name)
+        sem = "S_" + d.name
+        if sem not in self.ns:
+            self.ns[sem] = d.sem
+            if d.lanes is not None:
+                self.ns["P_" + d.name] = partial(exec_vector_raw, d, OPS)
+        if d.lanes is not None:
+            sem = f"({sem} if O else P_{d.name})"
+        args = ", ".join(self.expr(a) for a in e.args)
+        if count is None:
+            return f"_intr({sem}, [{args}], {_loc(e)!r})"
+        return f"_intrn({sem}, [{args}], {_loc(e)!r}, {count}, {e.name!r}, {sloc!r})"
+
+    # -- writes
+
+    def copy_of(self, name: str, code: str) -> str:
+        storage = self.types[name][0] if name in self.types else None
+        return f"{code}.copy()" if storage == "stack" else f"list({code})"
+
+    def write(self, lv, value: str, bits, kind="word"):
+        """Store `value` (an int of at most `bits` bits when `bits` is
+        known, an UNDEF-able flag for kind "flag", a callee's result for
+        kind "call") into `lv`, and record what the store proves."""
+        k = type(lv)
+        if k is LVar:
+            ty = lv.ty
+            if type(ty) is ArrayTy:
+                value = self.copy_of(lv.name, value)
+            elif type(ty) is WordTy and (bits is None or bits > ty.bits):
+                value = f"{value} & {self.mask(ty.bits)}"
+            self.line(f"{self.v(lv.name)} = {value}")
+        elif k is LArr:
+            self.write_element(lv, value, bits)
+        elif k is LMem:
+            value = self.keep(value)  # the value is evaluated before the address
+            a = self.expr(lv.addr)
+            self.line(f"_st(M, T, {self.batch()}, {value}, {a}, {(lv.width or 64) // 8}, "
+                      f"{_loc(lv)!r})")
+        elif k is LIgnore:
+            if not _REPEATABLE.match(value):
+                self.line(value)
+        else:
+            raise TypeError(f"not an lvalue: {lv!r}")
+        self.flow_dest(self.facts, lv, kind)
+
+    def write_element(self, lv, value: str, bits):
+        storage = getattr(lv, "arr_storage", None)
+        loc = _loc(lv)
+        if storage is None:
+            self.malformed(f"array access to {lv.name!r} was not typechecked", loc)
+            return
+        name, ty = lv.name, lv.arr_ty
+        arr = self.arr_ref(name, loc)
+        if storage == "stack":
+            nb = (lv.width or ty.bits) // 8
+            scale = 1 if lv.byte_mode else nb
+            if type(lv.index) is EInt:
+                i = lv.index.value
+                off = i * scale
+                if off < 0 or off + nb > ty.length * ty.bits // 8:
+                    self.line(f"_oob({name!r}, {i}, {loc!r})")
+                    return
+                self.pending.append(self.event(i))
+                self.line(f"_sput({arr}, {value}, {off}, {nb})")
+                return
+            value = self.keep(value)  # the value is evaluated before the index
+            i = self.expr(lv.index)
+            self.line(f"_sst(T, {self.batch()}, {arr}, {value}, {i}, {nb}, {scale}, "
+                      f"{name!r}, {loc!r})")
+            return
+        if type(lv.index) is not EInt:
+            value = self.keep(value)
+            i = self.expr(lv.index)
+            self.line(f"_rst(T, {self.batch()}, {arr}, {value}, {i}, {ty.bits}, "
+                      f"{name!r}, {loc!r})")
+            return
+        i = lv.index.value
+        if not 0 <= i < ty.length:
+            self.line(f"_oob({name!r}, {i}, {loc!r})")
+            return
+        if bits is None or bits > ty.bits:
+            value = f"{value} & {self.mask(ty.bits)}"
+        self.line(f"{arr}[{i}] = {value}")
+        self.pending.append(self.event(i))
+
+    # -- must-be-assigned transfer (shared by emission and loop analysis)
+
+    def flow_decl(self, f, s):
+        for nm in s.names:
+            f.declared.add(nm)
+            if isinstance(s.ty, ArrayTy):
+                f.defined.difference_update([(nm, i) for i in range(s.ty.length)])
+            else:
+                f.defined.discard(nm)
+
+    def flow_dest(self, f, lv, kind):
+        k = type(lv)
+        if k is LVar:
+            f.declared.add(lv.name)
+            if type(lv.ty) is ArrayTy:
+                f.defined.difference_update([(lv.name, i) for i in range(lv.ty.length)])
+            elif kind == "flag":
+                f.defined.discard(lv.name)
+            else:
+                f.defined.add(lv.name)
+        elif k is LArr and type(lv.index) is EInt and getattr(lv, "arr_storage", None) != "stack":
+            f.defined.add((lv.name, lv.index.value))
+
+    def flow_copy(self, f, dst: str, src: str):
+        n = self.types[dst][1].length
+        f.declared.add(dst)
+        for i in range(n):
+            if src in self.globals or (src, i) in f.defined:
+                f.defined.add((dst, i))
+            else:
+                f.defined.discard((dst, i))
+
+    def flow(self, stmts, f):
+        for s in stmts:
+            if f is None:
+                return None
+            k = type(s)
+            if k is SDecl:
+                self.flow_decl(f, s)
+                if s.init is not None:
+                    self.flow_dest(f, LVar_of(s.names[0], s.ty), self.value_kind(s.init)[1])
+            elif k is SAssign:
+                rhs = s.rhs
+                if type(rhs) is ECall:
+                    for lv in s.dests:
+                        self.flow_dest(f, lv, "call")
+                elif type(rhs) is EIntr and len(s.dests) != 1:
+                    widths = lookup(rhs.name).dst_widths
+                    for lv, w in zip(s.dests, widths):
+                        self.flow_dest(f, lv, "flag" if w == "flag" else "word")
+                elif s.cond is not None or not s.dests:
+                    pass
+                elif self.is_copy(s):
+                    self.flow_copy(f, s.dests[0].name, rhs.name)
+                else:
+                    self.flow_dest(f, s.dests[0], self.value_kind(rhs)[1])
+            elif k is SIf:
+                f = _join(self.flow(s.then, f.copy()), self.flow(s.els, f))
+            elif k is SWhile:
+                f = self.loop_head(s, f)
+            elif k is SReturn or k is SFor:
+                return None
+        return f
+
+    def loop_head(self, s: SWhile, f):
+        """Facts at the loop test: those at entry, joined with those at
+        the end of the body, to the fixpoint."""
+        head = f.copy()
+        while True:
+            new = _join(head.copy(), self.flow(s.body, head.copy()))
+            if new.same(head):
+                return head
+            head = new
+
+    def is_copy(self, s) -> bool:
+        lv = s.dests[0]
+        return type(lv) is LVar and type(lv.ty) is ArrayTy
+
+    # -- statements
+
+    def mentions(self, s) -> list:
+        """_names(s), computed once per statement of the function."""
+        m = self.mentioned.get(id(s))
+        if m is None:
+            k = type(s)
+            if k is SIf:
+                m = _names(s.cond, [])
+                for c in s.then + s.els:
+                    m += self.mentions(c)
+            elif k is SWhile or k is SFor:
+                m = _names(s.cond, []) if k is SWhile else []
+                for c in s.body:
+                    m += self.mentions(c)
+            else:
+                m = _names(s, [])
+            self.mentioned[id(s)] = m
+        return m
+
+    def size(self, s) -> int:
+        n = self.sizes.get(id(s))
+        if n is None:
+            k = type(s)
+            if k is SIf:
+                n = 1 + sum(map(self.size, s.then)) + sum(map(self.size, s.els))
+            elif k is SWhile or k is SFor:
+                n = 1 + sum(map(self.size, s.body))
+            else:
+                n = 1
+            self.sizes[id(s)] = n
+        return n
+
+    def has_return(self, s) -> bool:
+        r = self.returns.get(id(s))
+        if r is None:
+            k = type(s)
+            if k is SIf:
+                r = any(map(self.has_return, s.then + s.els))
+            elif k is SWhile or k is SFor:
+                r = any(map(self.has_return, s.body))
+            else:
+                r = k is SReturn
+            self.returns[id(s)] = r
+        return r
+
+    def block(self, stmts, loop_loc=False):
+        """Emit a block; `loop_loc` (a while loop's location) adds the
+        loop's per-iteration step at its end."""
+        if self.piece_locals is None and sum(map(self.size, stmts)) > PIECE:
+            self.pieced_block(stmts)
+        else:
+            self.stmts(stmts)
+        if self.facts is not None and loop_loc is not False:
+            self.tick(loop_loc)
+        self.close()
+
+    def stmts(self, stmts):
+        for j, s in enumerate(stmts):
+            if self.facts is None:
+                return  # unreachable
+            nxt = stmts[j + 1] if j + 1 < len(stmts) else None
+            self.stmt(s, nxt)
+
+    def pieced_block(self, stmts):
+        run: list = []
+        size = 0
+        for s in stmts:
+            if self.facts is None:
+                break
+            n = self.size(s)
+            if n > PIECE or self.has_return(s):
+                self.piece(run)
+                run, size = [], 0
+                self.stmt(s, None)
+                continue
+            if size + n > PIECE:
+                self.piece(run)
+                run, size = [], 0
+            run.append(s)
+            size += n
+        self.piece(run)
+
+    def piece(self, run):
+        """Emit `run` as a separately compiled function and call it."""
+        if not run or self.facts is None:
+            return
+        self.close()
+        inside = Counter()
+        for s in run:
+            inside.update(self.mentions(s))
+        touched: set = set()
+        live_in: set = set()
+        for s in run:
+            reads, defs = _reads_defs(s, self.mentions(s))
+            live_in |= reads - touched
+            touched |= reads | defs
+        live_in = sorted(n for n in live_in if n in self.locals)
+        shared = {n for n in inside if n in self.locals and self.counts[n] > inside[n]}
+        live_out = sorted(_rebinds(run, set()) & (shared | set(live_in)))
+        for n in live_in:
+            if n not in self.facts.declared:
+                self.note_unbound(n)
+        self.passed.update(live_in)
+        parent = (self.out, self.indent, self.unbound, self.tmp, self.ustores)
+        self.out, self.indent, self.unbound, self.ustores = [], "    ", set(), []
+        self.piece_locals = set(inside) - shared - set(live_in)
+        self.stmts(run)
+        self.close()
+        body, unbound = self.out, self.unbound
+        self.drop_ustores(self.piece_locals - self.unproven)
+        self.out, self.indent, self.unbound, self.tmp, self.ustores = parent
+        self.piece_locals = None
+        self.pieces += 1
+        name = f"Q_{self.fn.name}_{self.pieces}"
+        params = ", ".join([self.v(n) for n in live_in] + ["B, T, M, O"])
+        outs = "".join(f", {self.v(n)}" for n in live_out)
+        head = [f"def {name}({params}):"] + self.nb_lines(unbound)
+        self.define(name, head + body + [f"    return B{outs}"])
+        self.line(f"B{outs} = {name}({params})")
+
+    def note_unbound(self, name: str):
+        if self.piece_locals is not None and name not in self.piece_locals:
+            return  # bound by the caller, which checked it at the call
+        self.unbound.add(name)
+
+    def drop_ustores(self, droppable):
+        for at, name in self.ustores:
+            if name in droppable:
+                self.out[at] = ""
+
+    def nb_lines(self, names) -> list:
+        if not names:
+            return []
+        return ["    " + " = ".join(self.v(n) for n in sorted(names)) + " = NB"]
+
+    def stmt(self, s, nxt):
+        self.tmp = 0
+        k = type(s)
+        loc = _loc(s)
+        if k is SAssign:
+            if type(s.rhs) is ECall:
+                self.call(s)
+            else:
+                self.tick(loc)
+                self.assign(s)
+        elif k is SDecl:
+            self.tick(loc)
+            self.decl(s, nxt)
+        elif k is SIf:
+            self.tick(loc)
+            self.end_segment()
+            self.line(f"_c = {self.expr(s.cond)}")
+            self.branch_event("_c")
+            self.line("if _c:")
+            before = self.facts
+            self.facts = before.copy()
+            self.nested(s.then)
+            then = self.facts
+            if s.els:
+                self.line("else:")
+                self.facts = before
+                self.nested(s.els)
+                self.facts = _join(then, self.facts)
+            else:
+                self.facts = _join(then, before)
+        elif k is SWhile:
+            self.tick(loc)
+            self.close()
+            head = self.loop_head(s, self.facts)
+            self.facts = head.copy()
+            self.line("while True:")
+            self.indent += "    "
+            self.line(f"_c = {self.expr(s.cond)}")
+            self.branch_event("_c")
+            self.line("if not _c: break")
+            self.block(s.body, loop_loc=loc)
+            self.indent = self.indent[:-4]
+            self.facts = head
+        elif k is SReturn:
+            self.tick(loc)
+            vals = [self.expr(v) for v in s.values]
+            self.end_segment()
+            if self.pending:
+                self.line(f"_r = ({''.join(v + ', ' for v in vals)})")
+                self.flush()
+                self.line("return (B, *_r)")
+            else:
+                self.line("return B" + "".join(", " + v for v in vals))
+            self.facts = None
+        elif k is SFor:
+            self.tick(loc)
+            self.line(self.fail("for loops need expansion before running", loc))
+            self.facts = None
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+
+    def nested(self, stmts):
+        self.indent += "    "
+        mark = len(self.out)
+        self.block(stmts)
+        if len(self.out) == mark:
+            self.line("pass")
+        self.indent = self.indent[:-4]
+
+    def decl(self, s: SDecl, nxt):
+        ty = s.ty
+        # a declaration immediately overwritten as a whole stores nothing
+        skip = set()
+        if (type(nxt) is SAssign and not nxt.op and nxt.cond is None and len(nxt.dests) == 1
+                and type(nxt.dests[0]) is LVar):
+            target = nxt.dests[0].name
+            if target not in _names(nxt.rhs, []):
+                skip.add(target)
+        if s.init is not None and s.names[0] not in _names(s.init, []):
+            skip.add(s.names[0])
+        if isinstance(ty, ArrayTy):
+            new = f"SA({ty.bits}, {ty.length})" if s.storage == "stack" else f"[U] * {ty.length}"
+        else:
+            new = "U"
+        for nm in s.names:
+            if nm not in skip:
+                if new == "U":
+                    self.ustores.append((len(self.out), nm))
+                self.line(f"{self.v(nm)} = {new}")
+        self.flow_decl(self.facts, s)
+        if s.init is not None:
+            self.write(LVar_of(s.names[0], ty), self.expr(s.init), *self.value_kind(s.init))
+
+    def assign(self, s: SAssign):
+        rhs, loc = s.rhs, _loc(s)
+        if type(rhs) is EIntr and len(s.dests) != 1:
+            widths = lookup(rhs.name).dst_widths
+            self.line(f"_r = {self.intrinsic(rhs, len(s.dests), loc)}")
+            for i, (lv, w) in enumerate(zip(s.dests, widths)):
+                flag = w == "flag"
+                self.write(lv, f"_r[{i}]", None if flag else w, "flag" if flag else "word")
+            return
+        if s.op:
+            lv = s.dests[0]
+            if type(lv) is LVar:
+                old = self.read_var(lv.name, loc, compound=True)
+            elif type(lv) is LArr:
+                src = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
+                src.loc = loc
+                src.arr_storage = getattr(lv, "arr_storage", None)
+                src.arr_ty = getattr(lv, "arr_ty", None)
+                old = self.arr_read(src, loc)
+            else:
+                self.malformed("compound assignment needs a register destination", loc)
+                return
+            bits = lv.ty.bits
+            if s.op in ("/", "%"):
+                value = f"_wbin({s.op!r}, None, {old}, {self.expr(rhs)}, {bits}, {loc!r})"
+            else:
+                value = self.word_op(s.op, s.lanes, bits, old, rhs, loc, whole=False)
+            self.write(lv, value, bits)
+            return
+        if s.cond is not None:
+            value = self.keep(self.expr(rhs))  # evaluated whatever the guard
+            cond = self.expr(s.cond)
+            lv = s.dests[0]
+            self.line(f"if {cond}: {self.v(lv.name)} = {value}")
+            return
+        if not s.dests:
+            self.line(self.expr(rhs))
+            return
+        lv = s.dests[0]
+        if self.is_copy(s):
+            src = self.arr_ref(rhs.name, _loc(rhs))
+            self.line(f"{self.v(lv.name)} = {self.copy_of(rhs.name, src)}")
+            self.flow_copy(self.facts, lv.name, rhs.name)
+            return
+        self.write(lv, self.expr(rhs), *self.value_kind(rhs))
+
+    def value_kind(self, e):
+        """(bits, kind) of an expression's value for write()."""
+        if type(e) is EIntr and type(e.ty) is BoolTy:
+            return None, "flag"
+        return (e.ty.bits if type(e.ty) is WordTy else None), "word"
+
+    def call(self, s: SAssign):
+        loc = _loc(s)
+        self.tick(loc)
+        callee = self.p.func(s.rhs.name)
+        if callee.inline:
+            self.line(self.fail(f"{callee.name!r} is inline; expand before running", None))
+            self.facts = None
+            return
+        args = []
+        for a in s.rhs.args:
+            code = self.expr(a)
+            if isinstance(a.ty, ArrayTy):
+                code = self.copy_of(a.name, code) if a.name in self.locals else f"list({code})"
+            args.append(code)
+        self.end_segment()
+        if self.pending:
+            self.line(f"_a = ({''.join(a + ', ' for a in args)})")
+            self.flush()
+            args = ["*_a"]
+        self.line(f"_r = F_{callee.name}({''.join(a + ', ' for a in args)}B, T, M, O)")
+        self.line("B = _r[0]")
+        for i, lv in enumerate(s.dests):
+            self.write(lv, f"_r[{i + 1}]", None, "call")
+
+    # -- the function
+
+    def define(self, name: str, lines: list):
+        source = "\n".join(lines) + "\n"
+        exec(compile(source, f"<jamin {name}>", "exec"), self.ns)
+
+    def build(self):
+        fn = self.fn
+        self.block(fn.body)
+        if self.facts is not None and fn.rets:
+            self.line(self.fail(f"{fn.name} ended without returning its values", None))
+        elif self.facts is not None:
+            self.line("return (B,)")
+        self.drop_ustores(set(self.locals) - self.unproven - self.passed)
+        params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
+        name = "F_" + fn.name
+        body = self.nb_lines(self.unbound) + self.out
+        if self.error is not None:
+            body = ["    " + self.fail(*self.error)]
+        self.define(name, [f"def {name}({params}):"] + body)
+        return self.ns[name]
+
+
+def LVar_of(name: str, ty) -> LVar:
+    lv = LVar(name)
+    lv.ty = ty
+    return lv
+
+
+def compile_function(p, fn, ns):
+    """The Python function running `fn` (see the module docstring),
+    defined as F_<name> in `ns`, the namespace of `p`'s generated code."""
+    return _FnGen(p, fn, ns).build()

@@ -13,48 +13,29 @@ have value semantics (copied on function call, return and whole-array
 assignment) and are disjoint from each other by construction.
 
 When a trace list is supplied, execution appends leakage events in
-order: ("addr", (a, ...)) for memory accesses and array indices,
-("branch", b) for if/while conditions and ("for", n) for loop trip
-counts (only reachable on unexpanded programs).
+order: ("addr", (a, ...)) for memory accesses and array indices and
+("branch", b) for if/while conditions.
 
-Statements and expressions are compiled to closures the first time a
-node executes; the closure is cached on the node, so repeated runs of
-the same program skip the dispatch and attribute chasing entirely.
+Each function is translated to Python source by codegen and compiled
+the first time it runs; the module below holds the run-time helpers
+that generated code calls for memory and stack-array accesses,
+intrinsics and faults.  Budget and trace bookkeeping are batched per
+straight-line segment (see codegen); a run that completes observes
+exactly the per-statement semantics above.  A run that faults raises
+the error of the first faulting statement, except that budget
+exhaustion is reported as soon as the segment holding the exhausting
+statement starts, and the trace list then holds a prefix of the events
+up to the fault.
 """
 
 from __future__ import annotations
 
+from . import codegen
 from . import memory as mem_mod
-from .isa import IsaFault, OPS, OPSV, UNDEF, exec_vector_raw, lookup
-from .ir import (
-    ArrayTy,
-    BoolTy,
-    EArr,
-    EBin,
-    EBool,
-    ECall,
-    ECast,
-    EInt,
-    EIntr,
-    EMem,
-    EUn,
-    EVar,
-    EVecImm,
-    LArr,
-    LIgnore,
-    LMem,
-    LVar,
-    Program,
-    SAssign,
-    SDecl,
-    SFor,
-    SIf,
-    SReturn,
-    SWhile,
-    WordTy,
-)
+from .ir import ArrayTy, BoolTy, Program, WordTy
+from .isa import IsaFault, OPS, OPSV, UNDEF
 from .memory import Memory
-from .typecheck import NotConst, const_eval
+from .typecheck import const_eval
 from .words import Word
 
 DEFAULT_BUDGET = 10**8
@@ -103,17 +84,6 @@ class ContractViolation(SafetyError):
     pass
 
 
-class RegArray:
-    __slots__ = ("width", "elems")
-
-    def __init__(self, width: int, elems: list):
-        self.width = width
-        self.elems = elems
-
-    def copy(self):
-        return RegArray(self.width, list(self.elems))
-
-
 class StackArray:
     __slots__ = ("width", "length", "buf", "init")
 
@@ -157,889 +127,242 @@ def get_vector_mode() -> str:
     return _MODE[0]
 
 
-class _Return(Exception):
-    def __init__(self, values):
-        self.values = values
+# ----------------------------------------------------- run-time helpers
+#
+# Generated code calls these; each takes the source location it reports
+# faults at.  T is the trace list or None, K the constant-index events
+# to add to it before the helper's own event.
 
 
-class ExecState:
-    __slots__ = ("program", "env", "mem", "budget", "trace", "mode", "globals", "fn")
+class _Unbound:
+    """A local read before any declaration bound it on this path."""
 
-    def __init__(self, program, env, mem, budget, trace, mode, globals_, fn):
-        self.program = program
-        self.env = env
-        self.mem = mem
-        self.budget = budget
-        self.trace = trace
-        self.mode = mode
-        self.globals = globals_
-        self.fn = fn
+    def __repr__(self):
+        return "NB"
+
+
+NB = _Unbound()
+_ONES = {n: b"\x01" * n for n in (1, 2, 4, 8, 16, 32)}
+
+
+def _uu(value, name, loc):
+    if value is NB:
+        raise ContractViolation(f"unbound variable {name!r}", loc)
+    raise UninitializedUse(name, loc)
+
+
+def _arr(value, name, loc):
+    if value is NB:
+        raise ContractViolation(f"unbound variable {name!r}", loc)
+    return value
+
+
+def _unbound(name, loc):
+    raise ContractViolation(f"unbound variable {name!r}", loc)
+
+
+def _contract(message, loc):
+    raise ContractViolation(message, loc)
+
+
+def _oob(name, index, loc):
+    raise OutOfBoundsArray(name, index, loc)
+
+
+def _bx(i, locs):
+    raise BudgetExhausted("step budget exhausted", locs[i])
+
+
+def _nz(b, loc):
+    if b == 0:
+        raise DivByZero("division by zero", loc)
+    return b
+
+
+def _div(b, a):
+    return a // b
+
+
+def _mod(b, a):
+    return a % b
+
+
+def _wbin(op, lanes, a, b, bits, loc):
+    """The word operators whose checks depend on run-time values: shifts
+    by computed counts and compound division; anything else is malformed."""
+    if lanes:
+        n, lane_w = lanes
+        m = _mask(lane_w)
+        if op in ("<<", ">>"):
+            if b >= lane_w:
+                return 0
+            r = 0
+            for i in range(n):
+                x = (a >> (lane_w * i)) & m
+                r |= ((x << b) & m if op == "<<" else x >> b) << (lane_w * i)
+            return r
+        raise ContractViolation(f"operator {op!r} has no lane form", loc)
+    m = _mask(bits)
+    if op in ("/", "%"):
+        if b == 0:
+            raise DivByZero("division by zero", loc)
+        return a // b if op == "/" else a % b
+    if op in ("<<", ">>", ">>s", "<<r", ">>r"):
+        if not 0 <= b <= bits:
+            raise ContractViolation(f"shift count {b} outside [0, {bits}]", loc)
+        if op == "<<":
+            return (a << b) & m
+        if op == ">>":
+            return a >> b
+        if op == ">>s":
+            return ((a ^ (1 << (bits - 1))) - (1 << (bits - 1)) >> b) & m
+        c = b % bits if op == "<<r" else (bits - b % bits) % bits
+        return ((a << c) | (a >> (bits - c))) & m if c else a
+    raise ContractViolation(f"unknown word operator {op!r}", loc)
+
+
+def _ld(M, T, K, a, nbytes, loc):
+    if T is not None:
+        if K:
+            T += K
+        T.append(("addr", (a,)))
+    try:
+        return M.load_int(a, nbytes * 8)
+    except mem_mod.OutOfRegion as exc:
+        raise OutOfRegion(exc.address, loc) from None
+    except mem_mod.UninitializedRead as exc:
+        raise UninitializedUse(f"memory byte 0x{exc.address:x}", loc) from None
+
+
+def _st(M, T, K, v, a, nbytes, loc):
+    if T is not None:
+        if K:
+            T += K
+        T.append(("addr", (a,)))
+    try:
+        M.store_int_inplace(a, nbytes * 8, v & _MASKS[nbytes * 8])
+    except mem_mod.OutOfRegion as exc:
+        raise OutOfRegion(exc.address, loc) from None
+
+
+def _rld(T, K, arr, i, name, loc):
+    if not 0 <= i < len(arr):
+        raise OutOfBoundsArray(name, i, loc)
+    if T is not None:
+        if K:
+            T += K
+        T.append(("addr", (i,)))
+    v = arr[i]
+    if v is UNDEF:
+        raise UninitializedUse(f"{name}[{i}]", loc)
+    return v
+
+
+def _rst(T, K, arr, v, i, bits, name, loc):
+    if not 0 <= i < len(arr):
+        raise OutOfBoundsArray(name, i, loc)
+    if T is not None:
+        if K:
+            T += K
+        T.append(("addr", (i,)))
+    arr[i] = v & _mask(bits)
+
+
+def _sget(arr, off, nbytes, name, loc):
+    end = off + nbytes
+    if not all(arr.init[off:end]):
+        raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
+    return int.from_bytes(arr.buf[off:end], "little")
+
+
+def _sput(arr, v, off, nbytes):
+    end = off + nbytes
+    arr.buf[off:end] = (v & _MASKS[nbytes * 8]).to_bytes(nbytes, "little")
+    arr.init[off:end] = _ONES[nbytes]
+
+
+def _sld(T, K, arr, i, nbytes, scale, name, loc):
+    off = i * scale
+    if off < 0 or off + nbytes > len(arr.buf):
+        raise OutOfBoundsArray(name, i, loc)
+    if T is not None:
+        if K:
+            T += K
+        T.append(("addr", (i,)))
+    return _sget(arr, off, nbytes, name, loc)
+
+
+def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
+    off = i * scale
+    if off < 0 or off + nbytes > len(arr.buf):
+        raise OutOfBoundsArray(name, i, loc)
+    if T is not None:
+        if K:
+            T += K
+        T.append(("addr", (i,)))
+    _sput(arr, v, off, nbytes)
+
+
+def _intr(sem, args, loc):
+    try:
+        return sem(args)
+    except IsaFault as exc:
+        raise DivByZero(str(exc), loc) from None
+
+
+def _intrn(sem, args, loc, count, name, stmt_loc):
+    outs = _intr(sem, args, loc)
+    if len(outs) != count:
+        raise ContractViolation(
+            f"#{name} produced {len(outs)} values for {count} destinations", stmt_loc
+        )
+    return outs
+
+
+_HELPERS = (_uu, _arr, _unbound, _contract, _oob, _bx, _nz, _div, _mod, _wbin, _ld, _st,
+            _rld, _rst, _sget, _sput, _sld, _sst, _intr, _intrn)
+_RUNTIME = {f.__name__: f for f in _HELPERS}
+_RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch", False))
+
+
+# ------------------------------------------------------------- execution
 
 
 def _global_values(p: Program) -> dict:
-    cached = getattr(p, "_global_values", None)
-    if cached is not None:
-        return cached
     vals: dict[str, object] = {}
     raw: dict[str, object] = {}
     for g in p.globals:
         if isinstance(g.init, tuple):
             elems = [const_eval(v, raw) for v in g.init]
             raw[g.name] = tuple(elems)
-            vals[g.name] = RegArray(g.ty.bits, elems)
+            vals[g.name] = elems
         else:
-            raw[g.name] = const_eval(g.init, raw)
-            vals[g.name] = raw[g.name]
-    p._global_values = vals
+            raw[g.name] = vals[g.name] = const_eval(g.init, raw)
     return vals
 
 
-def _loc(node):
-    return getattr(node, "loc", None)
-
-
-def _word_binop(op, lanes, a, b, bits, node=None):
-    """Apply a word operator to int operands at the given width (the
-    generic path; compiled closures specialize the common cases)."""
-    if lanes:
-        n, lane_w = lanes
-        m = _mask(lane_w)
-        if op == "^":
-            return a ^ b
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        r = 0
-        if op == "+":
-            for i in range(n):
-                sh = lane_w * i
-                r |= (((a >> sh) & m) + ((b >> sh) & m) & m) << sh
-            return r
-        if op == "<<":
-            if b >= lane_w:
-                return 0
-            for i in range(n):
-                sh = lane_w * i
-                r |= (((a >> sh) & m) << b & m) << sh
-            return r
-        if op == ">>":
-            if b >= lane_w:
-                return 0
-            for i in range(n):
-                sh = lane_w * i
-                r |= (((a >> sh) & m) >> b) << sh
-            return r
-        raise ContractViolation(f"operator {op!r} has no lane form", _loc(node))
-    m = _mask(bits)
-    if op == "+":
-        return (a + b) & m
-    if op == "^":
-        return a ^ b
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "-":
-        return (a - b) & m
-    if op == "*":
-        return (a * b) & m
-    if op == "/":
-        if b == 0:
-            raise DivByZero("division by zero", _loc(node))
-        return a // b
-    if op == "%":
-        if b == 0:
-            raise DivByZero("division by zero", _loc(node))
-        return a % b
-    if op in ("<<", ">>", ">>s", "<<r", ">>r"):
-        if not 0 <= b <= bits:
-            raise ContractViolation(f"shift count {b} outside [0, {bits}]", _loc(node))
-        if op == "<<":
-            return (a << b) & m
-        if op == ">>":
-            return a >> b
-        if op == ">>s":
-            if a >> (bits - 1):
-                a -= 1 << bits
-            return (a >> b) & m
-        c = b % bits
-        if op == "<<r":
-            return ((a << c) | (a >> (bits - c))) & m if c else a
-        return ((a >> c) | (a << (bits - c))) & m if c else a
-    raise ContractViolation(f"unknown word operator {op!r}", _loc(node))
-
-
-# --------------------------------------------------------- compilation
-#
-# Every expression compiles to a closure f(ex) -> value, every lvalue
-# to a writer w(ex, v), and every statement to g(ex); ex is the _Exec
-# activation below.
-
-
-def _cached_expr(e):
-    try:
-        return e._c
-    except AttributeError:
-        c = _compile_expr(e)
-        e._c = c
-        return c
-
-
-def _cached_stmt(s):
-    try:
-        return s._c
-    except AttributeError:
-        c = _compile_stmt(s)
-        s._c = c
-        return c
-
-
-def _cached_write(lv):
-    try:
-        return lv._w
-    except AttributeError:
-        g = _compile_write(lv)
-        lv._w = g
-        return g
-
-
-def _compile_block(stmts):
-    return [_cached_stmt(s) for s in stmts]
-
-
-def _compile_expr(e):
-    kind = type(e)
-    loc = _loc(e)
-
-    if kind is EInt:
-        ty = e.ty
-        v = e.value & _mask(ty.bits) if type(ty) is WordTy else e.value
-        return lambda ex: v
-
-    if kind is EBool:
-        v = e.value
-        return lambda ex: v
-
-    if kind is EVar:
-        name = e.name
-
-        def f_var(ex):
-            try:
-                v = ex.env[name]
-            except KeyError:
-                v = ex.lookup_global(name, loc)
-            if v is UNDEF:
-                raise UninitializedUse(name, loc)
-            return v
-
-        return f_var
-
-    if kind is ECast:
-        c = _cached_expr(e.arg)
-        m = _mask(e.width)
-        return lambda ex: c(ex) & m
-
-    if kind is EBin:
-        return _compile_bin(e, loc)
-
-    if kind is EArr:
-        return _arr_read_compiled(e, loc)
-
-    if kind is EMem:
-        ac = _cached_expr(e.addr)
-        w = e.width or 64
-
-        def f_mem(ex):
-            a = ac(ex)
-            t = ex.trace
-            if t is not None:
-                t.append(("addr", (a,)))
-            try:
-                return ex.mem.load_int(a, w)
-            except mem_mod.OutOfRegion as exc:
-                raise OutOfRegion(exc.address, loc) from None
-            except mem_mod.UninitializedRead as exc:
-                raise UninitializedUse(f"memory byte 0x{exc.address:x}", loc) from None
-
-        return f_mem
-
-    if kind is EUn:
-        c = _cached_expr(e.arg)
-        if e.op == "!":
-            return lambda ex: not c(ex)
-        ty = e.ty
-        m = _mask(ty.bits) if type(ty) is WordTy else None
-        if e.op == "~":
-            if m is None:
-                return lambda ex: ~c(ex)
-            return lambda ex: ~c(ex) & m
-        if m is None:
-            return lambda ex: -c(ex)
-        return lambda ex: -c(ex) & m
-
-    if kind is EIntr:
-        runner = _compile_intr(e, loc)
-        return lambda ex: runner(ex)[0]
-
-    if kind is EVecImm:
-        try:
-            v = const_eval(e, {}) & _mask(e.ty.bits)
-        except NotConst:
-            raise ContractViolation(
-                "immediate vector with non-constant elements", loc
-            ) from None
-        return lambda ex: v
-
-    if kind is ECall:
-        raise ContractViolation("calls only appear as full statements", loc)
-
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _compile_bin(e: EBin, loc):
-    op = e.op
-    l = _cached_expr(e.left)
-    r = _cached_expr(e.right)
-    ty = e.ty
-    if e.lanes:
-        n, lane_w = e.lanes
-        if op == "^":
-            return lambda ex: l(ex) ^ r(ex)
-        if op == "&":
-            return lambda ex: l(ex) & r(ex)
-        if op == "|":
-            return lambda ex: l(ex) | r(ex)
-        if op in ("<<", ">>") and type(e.right) is EInt:
-            c = e.right.value
-            if c >= lane_w:
-
-                def f_zero(ex):
-                    l(ex)  # still evaluated for its leakage
-                    return 0
-
-                return f_zero
-            keep = 0
-            for i in range(n):
-                keep |= ((1 << (lane_w - c)) - 1) << (lane_w * i)
-            if op == "<<":
-                return lambda ex: (l(ex) & keep) << c
-            return lambda ex: (l(ex) >> c) & keep
-        if op == "+":
-            high = 0
-            low = 0
-            for i in range(n):
-                high |= (1 << (lane_w - 1)) << (lane_w * i)
-                low |= (_mask(lane_w) >> 1) << (lane_w * i)
-
-            def f_vadd(ex):
-                a = l(ex)
-                b = r(ex)
-                return ((a & low) + (b & low)) ^ ((a ^ b) & high)
-
-            return f_vadd
-        lanes = e.lanes
-        bits = n * lane_w
-        return lambda ex: _word_binop(op, lanes, l(ex), r(ex), bits, e)
-    if type(ty) is WordTy:
-        m = _mask(ty.bits)
-        w = ty.bits
-        if op == "+":
-            return lambda ex: (l(ex) + r(ex)) & m
-        if op == "^":
-            return lambda ex: l(ex) ^ r(ex)
-        if op == "&":
-            return lambda ex: l(ex) & r(ex)
-        if op == "|":
-            return lambda ex: l(ex) | r(ex)
-        if op == "-":
-            return lambda ex: (l(ex) - r(ex)) & m
-        if op == "*":
-            return lambda ex: (l(ex) * r(ex)) & m
-        if op in ("<<", ">>", ">>s", "<<r", ">>r") and type(e.right) is EInt:
-            c = e.right.value
-            if not 0 <= c <= w:
-                raise ContractViolation(f"shift count {c} outside [0, {w}]", loc)
-            if op == "<<":
-                return lambda ex: (l(ex) << c) & m
-            if op == ">>":
-                return lambda ex: l(ex) >> c
-            if op == ">>s":
-                top = 1 << (w - 1)
-
-                def f_sar(ex):
-                    a = l(ex)
-                    if a & top:
-                        a -= 1 << w
-                    return (a >> c) & m
-
-                return f_sar
-            cc = c % w
-            if cc == 0:
-                return lambda ex: l(ex)
-            wc = w - cc
-            if op == "<<r":
-                return lambda ex: ((a := l(ex)) << cc | a >> wc) & m
-            return lambda ex: ((a := l(ex)) >> cc | a << wc) & m
-        if op == "/":
-
-            def f_div(ex):
-                b = r(ex)
-                if b == 0:
-                    raise DivByZero("division by zero", loc)
-                return l(ex) // b
-
-            return f_div
-        if op == "%":
-
-            def f_modop(ex):
-                b = r(ex)
-                if b == 0:
-                    raise DivByZero("division by zero", loc)
-                return l(ex) % b
-
-            return f_modop
-        return lambda ex: _word_binop(op, None, l(ex), r(ex), w, e)
-    # bool-valued operators
-    if op == "==":
-        return lambda ex: l(ex) == r(ex)
-    if op == "!=":
-        return lambda ex: l(ex) != r(ex)
-    if op == "<":
-        return lambda ex: l(ex) < r(ex)
-    if op == "<=":
-        return lambda ex: l(ex) <= r(ex)
-    if op == ">":
-        return lambda ex: l(ex) > r(ex)
-    if op == ">=":
-        return lambda ex: l(ex) >= r(ex)
-    if op == "&&":
-
-        def f_and(ex):
-            a = l(ex)
-            b = r(ex)  # both sides always evaluate: no hidden branch
-            return a and b
-
-        return f_and
-    if op == "||":
-
-        def f_or(ex):
-            a = l(ex)
-            b = r(ex)
-            return a or b
-
-        return f_or
-
-    # compile-time integer arithmetic on an unexpanded program
-    def f_ct(ex):
-        try:
-            return const_eval(e, dict(ex.env))
-        except NotConst:
-            raise ContractViolation(f"operator {op!r} needs expansion", loc) from None
-
-    return f_ct
-
-
-def _arr_read_compiled(e: EArr, loc):
-    storage = getattr(e, "arr_storage", None)
-    if storage is None:
-        raise ContractViolation(f"array access to {e.name!r} was not typechecked", loc)
-    if storage == "stack":
-        return _stack_read(e, loc)
-    return _reg_read(e, loc)  # reg and global arrays read alike
-
-
-def _reg_read(e: EArr, loc):
-    name = e.name
-    if type(e.index) is EInt:
-        i = e.index.value
-        leak = ("addr", (i,))
-
-        def f_reg_const(ex):
-            arr = ex.env.get(name)
-            if arr is None:
-                arr = ex.lookup_global(name, loc)
-            if i >= len(arr.elems):
-                raise OutOfBoundsArray(name, i, loc)
-            t = ex.trace
-            if t is not None:
-                t.append(leak)
-            v = arr.elems[i]
-            if v is UNDEF:
-                raise UninitializedUse(f"{name}[{i}]", loc)
-            return v
-
-        return f_reg_const
-    ic = _cached_expr(e.index)
-
-    def f_reg(ex):
-        arr = ex.env.get(name)
-        if arr is None:
-            arr = ex.lookup_global(name, loc)
-        i = ic(ex)
-        if not 0 <= i < len(arr.elems):
-            raise OutOfBoundsArray(name, i, loc)
-        t = ex.trace
-        if t is not None:
-            t.append(("addr", (i,)))
-        v = arr.elems[i]
-        if v is UNDEF:
-            raise UninitializedUse(f"{name}[{i}]", loc)
-        return v
-
-    return f_reg
-
-
-def _stack_read(e: EArr, loc):
-    name = e.name
-    ic = _cached_expr(e.index)
-    byte_mode = e.byte_mode
-    width = e.width
-
-    def f_stack(ex):
-        arr = ex.env[name]
-        i = ic(ex)
-        nbytes = (width or arr.width) // 8
-        off = i if byte_mode else i * nbytes
-        if off < 0 or off + nbytes > len(arr.buf):
-            raise OutOfBoundsArray(name, i, loc)
-        t = ex.trace
-        if t is not None:
-            t.append(("addr", (i,)))
-        if not all(arr.init[off : off + nbytes]):
-            raise UninitializedUse(f"{name} bytes [{off}, {off + nbytes})", loc)
-        return int.from_bytes(arr.buf[off : off + nbytes], "little")
-
-    return f_stack
-
-
-def _compile_intr(e: EIntr, loc):
-    """Returns a runner producing the full output list."""
-    d = lookup(e.name)
-    args = [_cached_expr(a) for a in e.args]
-    if d.lanes is not None:
-
-        def f_vec(ex):
-            try:
-                return exec_vector_raw(d, ex.mode, [a(ex) for a in args])
-            except IsaFault as exc:
-                raise DivByZero(str(exc), loc) from None
-
-        return f_vec
-    sem = d.sem
-
-    def f_scalar(ex):
-        try:
-            return sem([a(ex) for a in args])
-        except IsaFault as exc:
-            raise DivByZero(str(exc), loc) from None
-
-    return f_scalar
-
-
-# -- lvalues ------------------------------------------------------------
-
-
-def _compile_write(lv):
-    loc = _loc(lv)
-    if isinstance(lv, LIgnore):
-        return lambda ex, v: None
-    if isinstance(lv, LVar):
-        name = lv.name
-        ty = lv.ty
-        if type(ty) is WordTy:
-            m = _mask(ty.bits)
-
-            def w_var(ex, v):
-                ex.env[name] = v & m
-
-            return w_var
-        if type(ty) is ArrayTy:
-
-            def w_arr_copy(ex, v):
-                if isinstance(v, (RegArray, StackArray)):
-                    ex.env[name] = v.copy()
-                else:
-                    raise ContractViolation(
-                        f"cannot assign a scalar to array {name!r}", loc
-                    )
-
-            return w_arr_copy
-
-        def w_bool(ex, v):
-            ex.env[name] = v
-
-        return w_bool
-    if isinstance(lv, LArr):
-        storage = getattr(lv, "arr_storage", None)
-        if storage is None:
-            raise ContractViolation(
-                f"array access to {lv.name!r} was not typechecked", loc
-            )
-        if storage == "stack":
-            return _stack_write(lv, loc)
-        return _reg_write(lv, loc)
-    if isinstance(lv, LMem):
-        ac = _cached_expr(lv.addr)
-        w = lv.width or 64
-        m = _mask(w)
-
-        def w_mem(ex, v):
-            a = ac(ex)
-            t = ex.trace
-            if t is not None:
-                t.append(("addr", (a,)))
-            try:
-                ex.mem.store_int_inplace(a, w, v & m)
-            except mem_mod.OutOfRegion as exc:
-                raise OutOfRegion(exc.address, loc) from None
-
-        return w_mem
-    raise TypeError(f"not an lvalue: {lv!r}")
-
-
-def _reg_write(lv: LArr, loc):
-    name = lv.name
-    const = type(lv.index) is EInt
-    if const:
-        i0 = lv.index.value
-        leak = ("addr", (i0,))
-    ic = None if const else _cached_expr(lv.index)
-
-    def g(ex, v):
-        arr = ex.env[name]
-        i = i0 if const else ic(ex)
-        if not 0 <= i < len(arr.elems):
-            raise OutOfBoundsArray(name, i, loc)
-        t = ex.trace
-        if t is not None:
-            t.append(leak if const else ("addr", (i,)))
-        arr.elems[i] = v & _mask(arr.width)
-
-    return g
-
-
-def _stack_write(lv: LArr, loc):
-    name = lv.name
-    ic = _cached_expr(lv.index)
-    byte_mode = lv.byte_mode
-    width = lv.width
-
-    def g(ex, v):
-        arr = ex.env[name]
-        i = ic(ex)
-        nbytes = (width or arr.width) // 8
-        off = i if byte_mode else i * nbytes
-        if off < 0 or off + nbytes > len(arr.buf):
-            raise OutOfBoundsArray(name, i, loc)
-        t = ex.trace
-        if t is not None:
-            t.append(("addr", (i,)))
-        arr.buf[off : off + nbytes] = (v & _mask(nbytes * 8)).to_bytes(
-            nbytes, "little"
-        )
-        arr.init[off : off + nbytes] = b"\x01" * nbytes
-
-    return g
-
-
-def _read_lval(lv, loc):
-    """Read closure for compound-assignment destinations."""
-    if isinstance(lv, LVar):
-        name = lv.name
-
-        def f(ex):
-            v = ex.env.get(name, UNDEF)
-            if v is UNDEF:
-                raise UninitializedUse(name, loc)
-            return v
-
-        return f
-    if isinstance(lv, LArr):
-        e = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
-        e.ty = lv.ty
-        e.loc = loc
-        e.arr_storage = getattr(lv, "arr_storage", None)
-        e.arr_ty = getattr(lv, "arr_ty", None)
-        return _arr_read_compiled(e, loc)
-    raise ContractViolation("compound assignment needs a register destination", loc)
-
-
-# -- statements ----------------------------------------------------------
-
-
-def _compile_stmt(s):
-    kind = type(s)
-    loc = _loc(s)
-
-    if kind is SAssign:
-        return _compile_assign(s, loc)
-
-    if kind is SDecl:
-        ty = s.ty
-        names = s.names
-        if isinstance(ty, ArrayTy):
-            stack = s.storage == "stack"
-            bits, length = ty.bits, ty.length
-
-            def g_decl_arr(ex):
-                ex.budget_tick(loc)
-                for nm in names:
-                    if stack:
-                        ex.env[nm] = StackArray(bits, length)
-                    else:
-                        ex.env[nm] = RegArray(bits, [UNDEF] * length)
-
-            return g_decl_arr
-        init = _cached_expr(s.init) if s.init is not None else None
-        m = _mask(ty.bits) if isinstance(ty, WordTy) else None
-        first = names[0]
-
-        def g_decl(ex):
-            ex.budget_tick(loc)
-            for nm in names:
-                ex.env[nm] = UNDEF
-            if init is not None:
-                v = init(ex)
-                ex.env[first] = v & m if m is not None else v
-
-        return g_decl
-
-    if kind is SIf:
-        cc = _cached_expr(s.cond)
-        then = _compile_block(s.then)
-        els = _compile_block(s.els)
-
-        def g_if(ex):
-            ex.budget_tick(loc)
-            c = cc(ex)
-            t = ex.trace
-            if t is not None:
-                t.append(("branch", c))
-            for g in then if c else els:
-                g(ex)
-
-        return g_if
-
-    if kind is SWhile:
-        cc = _cached_expr(s.cond)
-        body = _compile_block(s.body)
-
-        def g_while(ex):
-            ex.budget_tick(loc)
-            while True:
-                c = cc(ex)
-                t = ex.trace
-                if t is not None:
-                    t.append(("branch", c))
-                if not c:
-                    return
-                for g in body:
-                    g(ex)
-                ex.budget_tick(loc)
-
-        return g_while
-
-    if kind is SReturn:
-        vals = [_cached_expr(v) for v in s.values]
-
-        def g_ret(ex):
-            ex.budget_tick(loc)
-            raise _Return([v(ex) for v in vals])
-
-        return g_ret
-
-    if kind is SFor:
-        body = _compile_block(s.body)
-        var = s.var
-        lo_e, hi_e = s.lo, s.hi
-
-        def g_for(ex):
-            ex.budget_tick(loc)
-            try:
-                lo = const_eval(lo_e, {})
-                hi = const_eval(hi_e, {})
-            except NotConst:
-                raise ContractViolation(
-                    "for bounds need expansion before running", loc
-                ) from None
-            t = ex.trace
-            if t is not None:
-                t.append(("for", max(0, hi - lo + 1)))
-            for i in range(lo, hi + 1):
-                ex.env[var] = i
-                for g in body:
-                    g(ex)
-            ex.env.pop(var, None)
-
-        return g_for
-
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def _compile_assign(s: SAssign, loc):
-    rhs = s.rhs
-    if isinstance(rhs, ECall):
-        return _compile_call(s, loc)
-
-    if isinstance(rhs, EIntr) and len(s.dests) != 1:
-        runner = _compile_intr(rhs, _loc(rhs))
-        writers = [_cached_write(lv) for lv in s.dests]
-        nd = len(s.dests)
-        iname = rhs.name
-
-        def g_multi(ex):
-            ex.budget_tick(loc)
-            outs = runner(ex)
-            if len(outs) != nd:
-                raise ContractViolation(
-                    f"#{iname} produced {len(outs)} values for {nd} destinations",
-                    loc,
-                )
-            for w, v in zip(writers, outs):
-                w(ex, v)
-
-        return g_multi
-
-    if s.op:
-        lv = s.dests[0]
-        read = _read_lval(lv, loc)
-        write = _cached_write(lv)
-        rc = _cached_expr(rhs)
-        op, lanes = s.op, s.lanes
-        bits = lv.ty.bits
-
-        def g_compound(ex):
-            ex.budget_tick(loc)
-            old = read(ex)
-            write(ex, _word_binop(op, lanes, old, rc(ex), bits, s))
-
-        return g_compound
-
-    rc = _cached_expr(rhs)
-
-    if s.cond is not None:
-        cc = _cached_expr(s.cond)
-        lv = s.dests[0]
-        name = lv.name
-        m = _mask(lv.ty.bits)
-
-        def g_cmov(ex):
-            ex.budget_tick(loc)
-            v = rc(ex)  # the value and the guard always evaluate (no branch)
-            c = cc(ex)
-            if c:
-                ex.env[name] = v & m
-
-        return g_cmov
-
-    if not s.dests:
-
-        def g_drop(ex):
-            ex.budget_tick(loc)
-            rc(ex)
-
-        return g_drop
-
-    write = _cached_write(s.dests[0])
-
-    def g_assign(ex):
-        ex.budget_tick(loc)
-        write(ex, rc(ex))
-
-    return g_assign
-
-
-def _compile_call(s: SAssign, loc):
-    call = s.rhs
-    args = [_cached_expr(a) for a in call.args]
-    writers = [_cached_write(lv) for lv in s.dests]
-    fname = call.name
-    nd = len(s.dests)
-
-    def g_call(ex):
-        ex.budget_tick(loc)
-        fn = ex.program.func(fname)
-        vals = []
-        for a in args:
-            v = a(ex)
-            if isinstance(v, (RegArray, StackArray)):
-                v = v.copy()
-            vals.append(v)
-        results = _call_function(ex, fn, vals)
-        if len(results) != nd:
-            raise ContractViolation(
-                f"{fname} returned {len(results)} values for {nd} destinations", loc
-            )
-        for w, v in zip(writers, results):
-            w(ex, v)
-
-    return g_call
-
-
-# ------------------------------------------------------------- execution
-
-
-class _Exec:
-    __slots__ = ("program", "env", "mem", "budget", "trace", "mode", "globals", "fn")
-
-    def __init__(self, program, env, mem, budget, trace, mode, globals_, fn):
-        self.program = program
-        self.env = env
-        self.mem = mem
-        self.budget = budget
-        self.trace = trace
-        self.mode = mode
-        self.globals = globals_
-        self.fn = fn
-
-    def budget_tick(self, loc):
-        self.budget -= 1
-        if self.budget < 0:
-            raise BudgetExhausted("step budget exhausted", loc)
-
-    def lookup_global(self, name, loc):
-        try:
-            return self.globals[name]
-        except KeyError:
-            raise ContractViolation(f"unbound variable {name!r}", loc) from None
-
-
-def _call_function(parent: _Exec, fn, raw_args):
-    if len(raw_args) != len(fn.params):
-        raise ContractViolation(
-            f"{fn.name} takes {len(fn.params)} arguments, got {len(raw_args)}"
-        )
-    if fn.inline:
-        raise ContractViolation(f"{fn.name!r} is inline; expand before running")
-    env = {}
-    for decl, v in zip(fn.params, raw_args):
-        if isinstance(v, (RegArray, StackArray)) or type(v) in (int, bool):
-            env[decl.name] = v
-        else:
-            env[decl.name] = _bind_param(decl, v)
-    ex = _Exec(
-        parent.program,
-        env,
-        parent.mem,
-        parent.budget,
-        parent.trace,
-        parent.mode,
-        parent.globals,
-        fn,
-    )
-    body = getattr(fn, "_compiled", None)
-    if body is None:
-        body = _compile_block(fn.body)
-        fn._compiled = body
-    try:
-        for g in body:
-            g(ex)
-        results = []
-    except _Return as r:
-        results = r.values
-    parent.budget = ex.budget
-    return results
+def _namespace(p: Program) -> dict:
+    """The globals of a program's generated code, cached on the program:
+    run-time helpers, global values and, per non-inline function, its
+    compiled code (at first a stand-in that compiles it when called)."""
+    ns = getattr(p, "_exec_ns", None)
+    if ns is None:
+        ns = dict(_RUNTIME)
+        ns["__consts__"] = {}
+        for name, value in _global_values(p).items():
+            ns["G_" + name] = value
+        for fn in p.funcs:
+            if not fn.inline:
+                ns["F_" + fn.name] = _first_call(p, fn, ns)
+        p._exec_ns = ns
+    return ns
+
+
+def _first_call(p, fn, ns):
+    def call(*args):
+        return codegen.compile_function(p, fn, ns)(*args)
+
+    return call
 
 
 def _bind_param(decl, value):
@@ -1055,18 +378,13 @@ def _bind_param(decl, value):
             else:
                 raise ContractViolation(f"stack array argument for {decl.name!r}")
             return arr
-        if isinstance(value, RegArray):
-            return value.copy()
         if isinstance(value, (list, tuple)):
             if len(value) != n:
                 raise ContractViolation(
                     f"{decl.name!r} takes {n} elements, got {len(value)}"
                 )
             m = _mask(ty.bits)
-            return RegArray(
-                ty.bits,
-                [v.value if isinstance(v, Word) else (v & m) for v in value],
-            )
+            return [v.value if isinstance(v, Word) else (v & m) for v in value]
         raise ContractViolation(f"array argument expected for {decl.name!r}")
     if isinstance(ty, BoolTy):
         if not isinstance(value, bool):
@@ -1090,9 +408,36 @@ def _to_runtime(v, ty):
     if isinstance(ty, ArrayTy):
         if isinstance(v, StackArray):
             return bytes(v.buf)
-        if isinstance(v, RegArray):
-            return [Word(v.width, x) if x is not UNDEF else UNDEF for x in v.elems]
+        return [Word(ty.bits, x) if x is not UNDEF else UNDEF for x in v]
     return v
+
+
+def _execute(p, entry, args, mem, budget, trace, vector_mode):
+    """Run `entry` with every contract check: (results, memory, steps)."""
+    if not getattr(p, "typed", False):
+        raise ContractViolation("run requires a typechecked program")
+    fn = p.func(entry)
+    if fn.inline:
+        raise ContractViolation(f"{entry!r} is an inline function, not an entry point")
+    if budget <= 0:
+        raise ContractViolation("step budget must be positive")
+    mode = vector_mode if vector_mode is not None else _MODE[0]
+    if mode not in (OPS, OPSV):
+        raise ContractViolation(f"unknown vector mode {mode!r}")
+    if len(args) != len(fn.params):
+        raise ContractViolation(
+            f"{entry} takes {len(fn.params)} arguments, got {len(args)}"
+        )
+    work = mem.thaw()
+    bound = [_bind_param(d, a) for d, a in zip(fn.params, args)]
+    code = _namespace(p)["F_" + fn.name]
+    _ACTIVE_RUNS[0] += 1
+    try:
+        out = code(*bound, budget, trace, work, mode == OPSV)
+    finally:
+        _ACTIVE_RUNS[0] -= 1
+    rets = [_to_runtime(v, ty) for v, (_, ty) in zip(out[1:], fn.rets)]
+    return rets, work, budget - out[0]
 
 
 def run(
@@ -1110,45 +455,11 @@ def run(
     Returns (results, final_memory); raises a SafetyError subclass on
     any dynamic safety violation.
     """
-    if not getattr(p, "typed", False):
-        raise ContractViolation("run requires a typechecked program")
-    fn = p.func(entry)
-    if fn.inline:
-        raise ContractViolation(f"{entry!r} is an inline function, not an entry point")
-    if budget <= 0:
-        raise ContractViolation("step budget must be positive")
-    mode = vector_mode if vector_mode is not None else _MODE[0]
-    if mode not in (OPS, OPSV):
-        raise ContractViolation(f"unknown vector mode {mode!r}")
-    if len(args) != len(fn.params):
-        raise ContractViolation(
-            f"{entry} takes {len(fn.params)} arguments, got {len(args)}"
-        )
-    work = mem.thaw()
-    ex = _Exec(p, {}, work, budget, trace, mode, _global_values(p), fn)
-    bound = [_bind_param(d, a) for d, a in zip(fn.params, args)]
-    _ACTIVE_RUNS[0] += 1
-    try:
-        results = _call_function(ex, fn, bound)
-    finally:
-        _ACTIVE_RUNS[0] -= 1
-    rets = [_to_runtime(v, ty) for v, (_, ty) in zip(results, fn.rets)]
-    return rets, work
+    results, final, _ = _execute(p, entry, args, mem, budget, trace, vector_mode)
+    return results, final
 
 
-def steps_used(p: Program, entry: str, args, mem: Memory, **kw) -> int:
-    """Run and report how many budget steps the execution consumed."""
-    budget = kw.pop("budget", DEFAULT_BUDGET)
-    fn = p.func(entry)
-    mode = kw.pop("vector_mode", None) or _MODE[0]
-    work = mem.thaw()
-    ex = _Exec(p, {}, work, budget, kw.pop("trace", None), mode, _global_values(p), fn)
-    bound = [_bind_param(d, a) for d, a in zip(fn.params, args)]
-    _call_function(ex, fn, bound)
-    return budget - ex.budget
-
-
-def make_state(
+def steps_used(
     p: Program,
     entry: str,
     args,
@@ -1157,26 +468,6 @@ def make_state(
     budget: int = DEFAULT_BUDGET,
     trace: list | None = None,
     vector_mode: str | None = None,
-) -> ExecState:
-    """Build an ExecState positioned at the entry of `entry` (for step())."""
-    fn = p.func(entry)
-    env = {d.name: _bind_param(d, a) for d, a in zip(fn.params, args)}
-    mode = vector_mode if vector_mode is not None else _MODE[0]
-    return ExecState(p, env, mem.thaw(), budget, trace, mode, _global_values(p), fn)
-
-
-def step(state: ExecState, stmt) -> ExecState:
-    """Execute one statement against the state (mutating it)."""
-    ex = _Exec(
-        state.program,
-        state.env,
-        state.mem,
-        state.budget,
-        state.trace,
-        state.mode,
-        state.globals,
-        state.fn,
-    )
-    _cached_stmt(stmt)(ex)
-    state.budget = ex.budget
-    return state
+) -> int:
+    """Run like `run` and report how many budget steps the run consumed."""
+    return _execute(p, entry, args, mem, budget, trace, vector_mode)[2]

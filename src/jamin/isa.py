@@ -190,11 +190,6 @@ def exec_intrinsic(d: Descriptor, args) -> list:
     return _wrap_outputs(d, outs)
 
 
-def exec_raw(d: Descriptor, vals: list) -> list:
-    """Trusting fast path for the interpreter: plain ints/bools in and out."""
-    return d.sem(vals)
-
-
 def _split_int(v: int, n: int, m: int) -> list[int]:
     mask = (1 << m) - 1
     return [(v >> (m * i)) & mask for i in range(n)]

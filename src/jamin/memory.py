@@ -22,6 +22,7 @@ written print as `..`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 
 from .words import Word
 
@@ -130,18 +131,16 @@ class Memory:
     def load_int(self, a: int, width: int) -> int:
         n = width // 8
         if self._check_span(a, n):
-            v = 0
             get = self._bytes.get
-            if self.strict:
+            if not self.strict:
+                return int.from_bytes(bytes(map(get, range(a, a + n), repeat(0, n))), "little")
+            try:
+                return int.from_bytes(bytes(map(get, range(a, a + n))), "little")
+            except TypeError:  # a byte was never written: report the highest
                 for i in range(n - 1, -1, -1):
-                    b = get(a + i)
-                    if b is None:
-                        raise UninitializedRead(a + i)
-                    v = (v << 8) | b
-            else:
-                for i in range(n - 1, -1, -1):
-                    v = (v << 8) | (get(a + i) or 0)
-            return v
+                    if get(a + i) is None:
+                        raise UninitializedRead(a + i) from None
+                raise
         v = 0
         for i in reversed(range(n)):
             v = (v << 8) | self._load8((a + i) & ADDR_MASK)
@@ -150,14 +149,22 @@ class Memory:
     def store_int_inplace(self, a: int, width: int, value: int) -> None:
         n = width // 8
         if self._check_span(a, n):
-            put = self._bytes
-            for i in range(n):
-                put[a + i] = value & 0xFF
-                value >>= 8
+            data = (value & ((1 << width) - 1)).to_bytes(n, "little")
+            self._bytes.update(zip(range(a, a + n), data))
             return
         for i in range(n):
             self._store8_inplace((a + i) & ADDR_MASK, value & 0xFF)
             value >>= 8
+
+    def store_bytes_inplace(self, a: int, data) -> None:
+        """Store `data` at a, a+1, ...; the span is checked once when it
+        lies inside one region, byte by byte otherwise."""
+        n = len(data)
+        if self._check_span(a, n):
+            self._bytes.update(zip(range(a, a + n), data))
+            return
+        for i, b in enumerate(data):
+            self._store8_inplace(a + i, b)
 
     def _loadW(self, a: int, width: int) -> Word:
         return Word(width, self.load_int(a, width))

@@ -104,10 +104,8 @@ class Poly1305Shape(Shape):
         m._add_region_inplace(case["out"], 16)
         m._add_region_inplace(case["in"], len(case["msg"]))
         m._add_region_inplace(case["k"], 32)
-        for i, b in enumerate(case["msg"]):
-            m._store8_inplace(case["in"] + i, b)
-        for i, b in enumerate(case["key"]):
-            m._store8_inplace(case["k"] + i, b)
+        m.store_bytes_inplace(case["in"], case["msg"])
+        m.store_bytes_inplace(case["k"], case["key"])
         args = [case["out"], case["in"], len(case["msg"]), case["k"]]
         return m, args
 
@@ -116,8 +114,7 @@ class Poly1305Shape(Shape):
 
     def expected_memory(self, case, out_bytes):
         m, _ = self.build_memory(case)
-        for i, b in enumerate(out_bytes):
-            m._store8_inplace(case["out"] + i, b)
+        m.store_bytes_inplace(case["out"], out_bytes)
         return m
 
     def read_output(self, case, mem):
@@ -149,12 +146,9 @@ class ChaCha20Shape(Shape):
         L = len(case["msg"])
         m._add_region_inplace(case["plain"], L)
         m._add_region_inplace(case["output"], L)
-        for i, b in enumerate(case["msg"]):
-            m._store8_inplace(case["plain"] + i, b)
-        for i, b in enumerate(case["key"]):
-            m._store8_inplace(case["k"] + i, b)
-        for i, b in enumerate(case["nonce"]):
-            m._store8_inplace(case["n"] + i, b)
+        m.store_bytes_inplace(case["plain"], case["msg"])
+        m.store_bytes_inplace(case["k"], case["key"])
+        m.store_bytes_inplace(case["n"], case["nonce"])
         args = [
             case["output"],
             case["plain"],
@@ -170,8 +164,7 @@ class ChaCha20Shape(Shape):
 
     def expected_memory(self, case, out_bytes):
         m, _ = self.build_memory(case)
-        for i, b in enumerate(out_bytes):
-            m._store8_inplace(case["output"] + i, b)
+        m.store_bytes_inplace(case["output"], out_bytes)
         return m
 
     def read_output(self, case, mem):
@@ -187,8 +180,7 @@ class GimliShape(Shape):
     def build_memory(self, case):
         m = Memory()
         m._add_region_inplace(case["base"], 48)
-        for i, b in enumerate(case["state"]):
-            m._store8_inplace(case["base"] + i, b)
+        m.store_bytes_inplace(case["base"], case["state"])
         return m, [case["base"]]
 
     def spec_output(self, case):
@@ -196,8 +188,7 @@ class GimliShape(Shape):
 
     def expected_memory(self, case, out_bytes):
         m, _ = self.build_memory(case)
-        for i, b in enumerate(out_bytes):
-            m._store8_inplace(case["base"] + i, b)
+        m.store_bytes_inplace(case["base"], out_bytes)
         return m
 
     def read_output(self, case, mem):

@@ -162,18 +162,6 @@ fn f(reg u64 x) -> reg u64 {
     assert run(p, "f", [42])[0][0].value == 42
 
 
-def test_step_api():
-    p = prep("fn f(reg u64 x) { reg u64 y; y = x + 1; [0x100] = y; }")
-    m = memory.add_region(memory.Memory(), 0x100, 8)
-    st = interp.make_state(p, "f", [41], m)
-    body = p.func("f").body
-    interp.step(st, body[0])
-    interp.step(st, body[1])
-    assert st.env["y"] == 42
-    interp.step(st, body[2])
-    assert memory.loadW(st.mem, 0x100, 64).value == 42
-
-
 def test_vector_mode_contract():
     interp.set_vector_mode("Ops")
     assert interp.get_vector_mode() == "Ops"
@@ -236,3 +224,154 @@ def test_memory_unchanged_outside_stores():
     # the input memory object is untouched (stores go to a copy)
     assert memory.load_bytes(m, 100, 16) == bytes(16)
     assert memory.loadW(m2, 100, 64).value == 1
+
+
+def _fault(p, args, mem=None):
+    with pytest.raises(interp.SafetyError) as info:
+        run(p, "f", args, mem)
+    return type(info.value), info.value.loc
+
+
+def test_element_written_only_in_untaken_if_is_uninitialized():
+    p = prep(
+        """fn f(reg u64 c) -> reg u64 {
+  reg u64[2] a;
+  reg u64 t;
+  a[0] = 1;
+  if (c == 1) { a[1] = 2; }
+  t = a[1];
+  return t;
+}"""
+    )
+    assert run(p, "f", [1])[0][0].value == 2
+    assert _fault(p, [0]) == (interp.UninitializedUse, (6, 7))
+
+
+def test_element_written_only_in_zero_trip_while_is_uninitialized():
+    p = prep(
+        """fn f(reg u64 n) -> reg u64 {
+  reg u64[2] a;
+  reg u64 i, t;
+  i = 0;
+  while (i < n) { a[1] = i; i = i + 1; }
+  t = a[1];
+  return t;
+}"""
+    )
+    assert run(p, "f", [2])[0][0].value == 1
+    assert _fault(p, [0]) == (interp.UninitializedUse, (6, 7))
+
+
+def test_scalar_redeclared_in_loop_is_uninitialized_on_second_iteration():
+    p = prep(
+        """fn f() -> reg u64 {
+  reg u64 i, s;
+  i = 0; s = 0;
+  while (i < 2) {
+    reg u64 x;
+    if (i == 0) { x = 5; }
+    s = s + x;
+    i = i + 1;
+  }
+  return s;
+}"""
+    )
+    assert _fault(p, []) == (interp.UninitializedUse, (7, 13))
+
+
+def test_array_redeclared_in_loop_is_uninitialized_on_second_iteration():
+    p = prep(
+        """fn f() -> reg u64 {
+  reg u64 i, s;
+  i = 0; s = 0;
+  while (i < 2) {
+    reg u64[2] a;
+    if (i == 0) { a[0] = 5; }
+    s = s + a[0];
+    i = i + 1;
+  }
+  return s;
+}"""
+    )
+    assert _fault(p, []) == (interp.UninitializedUse, (7, 13))
+
+
+def test_array_copy_carries_uninitialized_elements():
+    p = prep(
+        """fn f() -> reg u64 {
+  reg u64[2] a, b;
+  reg u64 t;
+  a[0] = 1;
+  b = a;
+  t = b[1];
+  return t;
+}"""
+    )
+    assert _fault(p, []) == (interp.UninitializedUse, (6, 7))
+
+
+def test_load_of_unwritten_memory_byte_is_uninitialized():
+    p = prep(
+        """fn f(reg u64 p) -> reg u64 {
+  reg u64 t;
+  t = [p + 0];
+  return t;
+}"""
+    )
+    m = memory.add_region(memory.Memory(), 0x100, 8)
+    m = memory.store_bytes(m, 0x100, bytes(7))
+    assert _fault(p, [0x100], m) == (interp.UninitializedUse, (3, 7))
+
+
+def test_store_past_region_is_out_of_region():
+    p = prep(
+        """fn f(reg u64 p) {
+  reg u64 t;
+  t = 7;
+  [p + 4] = t;
+}"""
+    )
+    m = memory.add_region(memory.Memory(), 0x100, 8)
+    with pytest.raises(interp.OutOfRegion) as info:
+        run(p, "f", [0x100], m)
+    assert (info.value.address, info.value.loc) == (0x108, None)
+
+
+STEPS = prep("fn f(reg u64 x) -> reg u64 { x = x + 1; return x; }")
+
+
+def test_steps_used_counts_budget_steps():
+    assert interp.steps_used(STEPS, "f", [1], memory.Memory()) == 2
+
+
+def test_steps_used_checks_arity():
+    with pytest.raises(interp.ContractViolation):
+        interp.steps_used(STEPS, "f", [1, 2], memory.Memory())
+
+
+def test_steps_used_rejects_non_positive_budget():
+    with pytest.raises(interp.ContractViolation):
+        interp.steps_used(STEPS, "f", [1], memory.Memory(), budget=0)
+
+
+def test_steps_used_requires_typechecked_program():
+    with pytest.raises(interp.ContractViolation):
+        interp.steps_used(parse("fn f() { }"), "f", [], memory.Memory())
+
+
+def test_register_array_index_through_globals():
+    p = prep(
+        """
+global u64 g = 0xffffffffffffffff;
+global u64[4] tab = {1, 2, 3, 4};
+fn f() -> reg u64 {
+  reg u64[4] a;
+  reg u64 t;
+  a[g + 3] = 5;
+  t = a[g + 3] + tab[g + 1];
+  return t;
+}"""
+    )
+    trace = []
+    assert run(p, "f", [], trace=trace)[0][0].value == 6
+    assert trace == [("addr", (2,)), ("addr", (2,)), ("addr", (0,))]
