@@ -194,20 +194,19 @@ def cmd_safety(args) -> int:
         rep = safety.analyze(p, args.entry, pointers, tracked)
     except safety.AnalysisFailure as exc:
         raise CliError(str(exc)) from exc
-    findings = safety.check_safety(p, args.entry, pointers, tracked)
     lines = rep.text_lines() + [""] + rep.machine_lines()
     for f in rep.failures:
         lines.append(f"analysis failure: {f}")
-    for f in findings:
+    for f in rep.findings:
         lines.append(str(f))
     report = {
         "ranges": rep.machine_lines(),
         "failures": list(rep.failures),
-        "findings": [str(f) for f in findings],
+        "findings": [str(f) for f in rep.findings],
         "tracked": tracked,
     }
     _emit(report, args.json, lines)
-    return EXIT_OK if not rep.failures and not findings else EXIT_VERDICT
+    return EXIT_OK if not rep.failures and not rep.findings else EXIT_VERDICT
 
 
 # ------------------------------------------------------------ difftest

@@ -431,7 +431,7 @@ class Parser:
             self.next()
             addr = self.parse_expr()
             self.expect("PUNCT", "]")
-            return LMem(addr, None)
+            return self._loc(LMem(addr, None), t)
         if t.kind == "PUNCT" and t.text == "(":
             width = self.parse_width_annot()
             u = self.peek()
@@ -439,25 +439,25 @@ class Parser:
                 self.next()
                 addr = self.parse_expr()
                 self.expect("PUNCT", "]")
-                return LMem(addr, width)
+                return self._loc(LMem(addr, width), t)
             name = self.expect("IDENT").text
             byte_mode = bool(self.accept("DOTLBRACK"))
             if not byte_mode:
                 self.expect("PUNCT", "[")
             idx = self.parse_expr()
             self.expect("PUNCT", "]")
-            return LArr(name, idx, width, byte_mode)
+            return self._loc(LArr(name, idx, width, byte_mode), t)
         if t.kind == "IDENT" and t.text not in KEYWORDS:
             name = self.next().text
             if self.accept("DOTLBRACK"):
                 idx = self.parse_expr()
                 self.expect("PUNCT", "]")
-                return LArr(name, idx, None, True)
+                return self._loc(LArr(name, idx, None, True), t)
             if self.accept("PUNCT", "["):
                 idx = self.parse_expr()
                 self.expect("PUNCT", "]")
-                return LArr(name, idx, None, False)
-            return LVar(name)
+                return self._loc(LArr(name, idx, None, False), t)
+            return self._loc(LVar(name), t)
         self.error(f"expected assignment destination, found {t.text!r}")
 
     def parse_width_annot(self) -> int:

@@ -24,10 +24,19 @@ iterations (upper bounds drop away, lower bounds fall back to 0).
 Arithmetic is modeled over the integers; 64-bit wraparound is not
 represented.  The dynamic cross-check in the test-suite exercises the
 reported ranges against instrumented executions.
+
+Numbers are exact and integer-first: an affine value's constant and
+coefficients are Python ints, and become `fractions.Fraction`s only
+where a result is non-integral (division and right shifts by a
+constant, their scaled bounds, and the ratio of two lockstep changes at
+a join).  An integral Fraction is always turned back into an int, so
+each value has one representation; no float ever enters.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,23 +81,33 @@ class AnalysisFailure(Exception):
 
 
 class Aff:
-    """Affine expression c0 + sum(ci * sym_i) with rational coefficients.
+    """Affine expression c0 + sum(ci * sym_i) with exact rational coefficients.
 
     Symbols are ("p", name) for the initial value of an entry parameter
     or ("s", k) for a fresh symbol; all symbols denote unsigned values,
     so a combination with nonnegative coefficients and constant is
-    provably nonnegative.
+    provably nonnegative.  The constant and the coefficients are ints,
+    or Fractions when non-integral (see the module docstring); terms
+    are sorted by symbol and carry no zero coefficient.
     """
 
     __slots__ = ("const", "terms")
 
     def __init__(self, const=0, terms=()):
-        self.const = Fraction(const)
-        self.terms = tuple(sorted((s, Fraction(c)) for s, c in terms if c != 0))
+        self.const = _num(const)
+        self.terms = tuple(sorted((s, _num(c)) for s, c in terms if c != 0))
+
+    @classmethod
+    def _canonical(cls, const, terms) -> "Aff":
+        """An Aff from a normalised constant and already canonical terms."""
+        a = object.__new__(cls)
+        a.const = const
+        a.terms = terms
+        return a
 
     @staticmethod
     def of_sym(sym) -> "Aff":
-        return Aff(0, ((sym, 1),))
+        return Aff._canonical(0, ((sym, 1),))
 
     def __eq__(self, other):
         return (
@@ -101,24 +120,40 @@ class Aff:
         return hash((self.const, self.terms))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Aff(self.const + other, self.terms)
+        if type(other) is not Aff:
+            return Aff._canonical(_norm(self.const + _num(other)), self.terms)
+        if not other.terms:
+            return Aff._canonical(_norm(self.const + other.const), self.terms)
+        if not self.terms:
+            return Aff._canonical(_norm(self.const + other.const), other.terms)
         d = dict(self.terms)
         for s, c in other.terms:
             d[s] = d.get(s, 0) + c
-        return Aff(self.const + other.const, d.items())
+        return Aff._canonical(_norm(self.const + other.const), _terms(d))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Aff(self.const - other, self.terms)
+        if type(other) is not Aff:
+            return Aff._canonical(_norm(self.const - _num(other)), self.terms)
+        if not other.terms:
+            return Aff._canonical(_norm(self.const - other.const), self.terms)
         d = dict(self.terms)
         for s, c in other.terms:
             d[s] = d.get(s, 0) - c
-        return Aff(self.const - other.const, d.items())
+        return Aff._canonical(_norm(self.const - other.const), _terms(d))
 
     def scale(self, k) -> "Aff":
-        k = Fraction(k)
-        return Aff(self.const * k, ((s, c * k) for s, c in self.terms))
+        if k == 1:
+            return self
+        if k == 0:
+            return ZERO
+        k = _num(k)
+        return Aff._canonical(
+            _norm(self.const * k), tuple((s, _norm(c * k)) for s, c in self.terms)
+        )
+
+    def without(self, sym) -> "Aff":
+        """This value with the term of `sym` dropped."""
+        return Aff._canonical(self.const, tuple(t for t in self.terms if t[0] != sym))
 
     def is_const(self) -> bool:
         return not self.terms
@@ -126,20 +161,18 @@ class Aff:
     def syms(self):
         return [s for s, _ in self.terms]
 
-    def coeff(self, sym) -> Fraction:
+    def coeff(self, sym):
         for s, c in self.terms:
             if s == sym:
                 return c
-        return Fraction(0)
+        return 0
 
     def nonneg(self) -> bool:
         """Provably >= 0 given that all symbols are >= 0."""
         return self.const >= 0 and all(c >= 0 for _, c in self.terms)
 
     def is_integral(self) -> bool:
-        return self.const.denominator == 1 and all(
-            c.denominator == 1 for _, c in self.terms
-        )
+        return type(self.const) is int and all(type(c) is int for _, c in self.terms)
 
     def __repr__(self):
         return f"Aff({self.render()})"
@@ -147,24 +180,45 @@ class Aff:
     def render(self) -> str:
         parts = []
         if self.const or not self.terms:
-            c = self.const
-            parts.append(str(int(c)) if c.denominator == 1 else str(c))
+            parts.append(str(self.const))
         for s, c in self.terms:
             name = s[1] if s[0] == "p" else f"s{s[1]}"
             if c == 1:
                 parts.append(str(name))
             else:
-                cc = str(int(c)) if c.denominator == 1 else f"({c})"
+                cc = str(c) if type(c) is int else f"({c})"
                 parts.append(f"{cc}*{name}")
         return " + ".join(parts)
+
+
+def _norm(x):
+    """An integral Fraction as an int; other numbers unchanged."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
+def _num(x):
+    """Any exact number in Aff's representation (int, else Fraction)."""
+    return x if type(x) is int else _norm(Fraction(x))
+
+
+def _terms(d: dict) -> tuple:
+    """Canonical terms from a symbol -> coefficient map."""
+    return tuple(sorted((s, _norm(c)) for s, c in d.items() if c != 0))
 
 
 ZERO = Aff(0)
 
 
 def _le(a: Aff, b: Aff) -> bool:
-    """Provably a <= b (symbols unsigned)."""
-    return (b - a).nonneg()
+    """Provably a <= b (symbols unsigned): b - a is nonneg()."""
+    if b.const < a.const:
+        return False
+    d = dict(b.terms)
+    for s, c in a.terms:
+        d[s] = d.get(s, 0) - c
+    return all(c >= 0 for c in d.values())
 
 
 # Bound sets.  Lower bounds: the value is >= every member (tightest is
@@ -267,6 +321,7 @@ class Interval:
 TOP = Interval()
 
 
+@functools.cache
 def _width_interval(bits: int) -> Interval:
     return Interval((ZERO,), (Aff((1 << bits) - 1),))
 
@@ -359,14 +414,17 @@ class AbsState:
         results: tuple = ()
         while frontier:
             x, depth = frontier.pop()
-            sub = next((s for s in x.syms() if s[0] == "s"), None)
-            if sub is None:
+            # terms are sorted, so the first fresh symbol follows the
+            # parameters
+            for sub, c in x.terms:
+                if sub[0] == "s":
+                    break
+            else:
                 results = _add_lo(results, x) if is_lo else _add_hi(results, x)
                 continue
             if depth > 16 or len(frontier) > 64:
                 continue  # drop this candidate (sound: fewer bounds)
-            c = x.coeff(sub)
-            base = x - Aff.of_sym(sub).scale(c)
+            base = x.without(sub)
             iv = self.intervals.get(sub, TOP)
             want_lo = is_lo if c > 0 else not is_lo
             for side in iv.los if want_lo else iv.his:
@@ -374,17 +432,11 @@ class AbsState:
         return results
 
     def interval_of(self, a: Aff) -> Interval:
+        if all(s[0] == "p" for s, _ in a.terms):
+            return Interval((a,), (a,))
         los = self.resolve_bounds(a, True)
         his = self.resolve_bounds(a, False)
         return Interval(los, his)
-
-
-_sym_counter = [0]
-
-
-def _fresh_sym():
-    _sym_counter[0] += 1
-    return ("s", _sym_counter[0])
 
 
 # ------------------------------------------------------------- findings
@@ -416,6 +468,7 @@ class RangeReport:
     order: list
     ranges: dict  # name -> (lo Aff|None, hi Aff|None) or None
     failures: list = field(default_factory=list)
+    findings: list = field(default_factory=list)  # Finding, as check_safety
 
     def machine_lines(self) -> list[str]:
         out = []
@@ -488,6 +541,17 @@ class _Analyzer:
         self.recording = False
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.widen_state: dict[int, int] = {}
+        self.sym_numbers = itertools.count(1)
+
+    def fresh_sym(self):
+        return ("s", next(self.sym_numbers))
+
+    def loop_sym(self, key: int, var: str):
+        """The fresh symbol that stands for `var` at the join `key`."""
+        sym = self.loop_syms.get((key, var))
+        if sym is None:
+            sym = self.loop_syms[(key, var)] = self.fresh_sym()
+        return sym
 
     # ---------------------------------------------------- expressions
 
@@ -666,7 +730,7 @@ class _Analyzer:
                     return None  # the bound escapes to +/- infinity
                 continue  # its minimal contribution is 0
             return None  # leftover fresh symbol: not expressible
-        return Aff(const, terms)
+        return Aff._canonical(const, tuple(terms))
 
     # ------------------------------------------------- index findings
 
@@ -703,7 +767,7 @@ class _Analyzer:
         if aff is not None:
             st.vals[name] = aff
             return
-        sym = _fresh_sym()
+        sym = self.fresh_sym()
         st.intervals[sym] = iv
         st.vals[name] = Aff.of_sym(sym)
 
@@ -920,21 +984,22 @@ class _Analyzer:
         ]
         candidates = (clean or changed)[:8]
         driver = candidates[0]
+        diffs = {n: a.vals[n] - b.vals[n] for n in changed}
         if len(candidates) > 1 and len(changed) > 1:
             best = -1
             for cand in candidates:
-                du_c = a.vals[cand] - b.vals[cand]
+                du_c = diffs[cand]
                 score = 0
                 for n in changed:
                     if n == cand:
                         continue
-                    if _ratio(a.vals[n] - b.vals[n], du_c) is not None:
+                    if _ratio(diffs[n], du_c) is not None:
                         score += 1
                 if score > best:
                     best = score
                     driver = cand
-        du = a.vals[driver] - b.vals[driver]
-        lam = self.loop_syms.setdefault((key, driver), _fresh_sym())
+        du = diffs[driver]
+        lam = self.loop_sym(key, driver)
         ia = _raw_interval(a, a.vals[driver], lam)
         ib = _raw_interval(b, b.vals[driver], lam)
         out.intervals[lam] = ia.join(ib)
@@ -942,15 +1007,14 @@ class _Analyzer:
         for n in changed:
             if n == driver:
                 continue
-            dv = a.vals[n] - b.vals[n]
-            c = _ratio(dv, du)
+            c = _ratio(diffs[n], du)
             if c is not None:
                 r = a.vals[n] - a.vals[driver].scale(c)
                 rb = b.vals[n] - b.vals[driver].scale(c)
                 if r == rb and lam not in r.syms():
                     out.vals[n] = Aff.of_sym(lam).scale(c) + r
                     continue
-            sym = self.loop_syms.setdefault((key, n), _fresh_sym())
+            sym = self.loop_sym(key, n)
             iv = _raw_interval(a, a.vals[n], sym).join(
                 _raw_interval(b, b.vals[n], sym)
             )
@@ -1021,7 +1085,7 @@ class _Analyzer:
         ):
             return  # self-referential bound
         c = a.coeff(sym)
-        rest = a - Aff.of_sym(sym).scale(c)
+        rest = a.without(sym)
         iv = st.intervals.get(sym, TOP)
         rest_iv = st.interval_of(rest)
         # a = c*sym + rest and lo <= a <= hi
@@ -1052,10 +1116,15 @@ class _Analyzer:
                 st.vals[q.name] = Aff.of_sym(self.psym[q.name])
         return st
 
-    def run_ranges(self) -> RangeReport:
-        st = self.initial_state()
+    def run(self) -> RangeReport:
+        """The one recording pass: ranges, failures and findings.
+
+        An AnalysisFailure propagates; the findings recorded before it
+        stay in self.findings.
+        """
         self.recording = True
-        self.transfer_block(st, self.fn.body)
+        self.transfer_block(self.initial_state(), self.fn.body)
+        self.findings.extend(_init_findings(self.fn))
         order = [n for n in self.param_names if n in self.pointers or n in self.tracked]
         ranges = {}
         for n in order:
@@ -1067,7 +1136,9 @@ class _Analyzer:
                 )
             else:
                 ranges[n] = None
-        return RangeReport(order=order, ranges=ranges, failures=self.failures)
+        return RangeReport(
+            order=order, ranges=ranges, failures=self.failures, findings=self.findings
+        )
 
 
 def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
@@ -1077,7 +1148,7 @@ def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
     frees = [s for s in a.syms() if s[0] == "s"]
     if len(frees) == 1 and a.coeff(frees[0]) == 1:
         sym = frees[0]
-        rest = a - Aff.of_sym(sym)
+        rest = a.without(sym)
         if all(s[0] == "p" for s in rest.syms()):
             iv = st.intervals.get(sym, TOP)
             los = tuple(b + rest for b in iv.los if target_sym not in b.syms())
@@ -1119,15 +1190,16 @@ def _excludes_zero(iv: Interval) -> bool:
     )
 
 
-def _ratio(dv: Aff, du: Aff) -> Fraction | None:
-    """The constant c with dv == c*du, if one exists."""
+def _ratio(dv: Aff, du: Aff):
+    """The constant c with dv == c*du, if one exists (an int or a
+    Fraction, never a float)."""
     if du.is_const() and du.const == 0:
         return None
     if du.const != 0:
-        c = dv.const / du.const
+        c = _norm(Fraction(dv.const, du.const))
     else:
         s, k = du.terms[0]
-        c = dv.coeff(s) / k
+        c = _norm(Fraction(dv.coeff(s), k))
     return c if dv == du.scale(c) else None
 
 
@@ -1135,22 +1207,26 @@ def _ratio(dv: Aff, du: Aff) -> Fraction | None:
 
 
 def analyze(p: Program, entry: str, pointers, tracked) -> RangeReport:
-    """Infer per-pointer symbolic access ranges (the calling contract)."""
-    return _Analyzer(p, entry, pointers, tracked).run_ranges()
+    """Infer per-pointer symbolic access ranges (the calling contract),
+    with the static findings of check_safety in the report's `findings`.
+    Raises AnalysisFailure where the program leaves the analyzable
+    fragment."""
+    return _Analyzer(p, entry, pointers, tracked).run()
 
 
 def check_safety(p: Program, entry: str, pointers=(), tracked=()) -> list[Finding]:
     """Static findings: possible division by zero, array indices out of
-    bounds, and scalar variables possibly read before assignment."""
+    bounds, and scalar variables possibly read before assignment.  An
+    AnalysisFailure becomes an `analysis` finding."""
     an = _Analyzer(p, entry, pointers, tracked)
-    st = an.initial_state()
-    an.recording = True
     try:
-        an.transfer_block(st, an.fn.body)
+        return an.run().findings
     except AnalysisFailure as exc:
-        an.findings.append(Finding("analysis", "?", str(exc)))
-    an.findings.extend(_init_findings(p.func(entry)))
-    return an.findings
+        return [
+            *an.findings,
+            Finding("analysis", "?", str(exc)),
+            *_init_findings(an.fn),
+        ]
 
 
 def _init_findings(fn) -> list[Finding]:

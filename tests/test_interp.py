@@ -334,7 +334,17 @@ def test_store_past_region_is_out_of_region():
     m = memory.add_region(memory.Memory(), 0x100, 8)
     with pytest.raises(interp.OutOfRegion) as info:
         run(p, "f", [0x100], m)
-    assert (info.value.address, info.value.loc) == (0x108, None)
+    assert (info.value.address, info.value.loc) == (0x108, (4, 3))
+
+
+def test_stack_array_store_out_of_bounds_is_located():
+    p = prep(
+        """fn f(reg u64 i) {
+  stack u8[4] a;
+  (u8)a[i] = 1;
+}"""
+    )
+    assert _fault(p, [4]) == (interp.OutOfBoundsArray, (3, 3))
 
 
 STEPS = prep("fn f(reg u64 x) -> reg u64 { x = x + 1; return x; }")

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamin import safety
 from jamin.expand import expand
@@ -205,3 +208,103 @@ def test_corpus_analyzes_clean():
         assert rep.failures == [], (name, rep.failures)
         finds = safety.check_safety(p, info.entry, info.pointers, info.tracked)
         assert finds == [], (name, [str(f) for f in finds])
+
+
+# ------------------------------------------- Aff against a Fraction model
+
+SYMS = [("p", "a"), ("p", "b"), ("s", 1), ("s", 2), ("s", 10)]
+NUMS = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=6),
+)
+AFFS = st.builds(
+    lambda c, t: safety.Aff(c, t.items()),
+    NUMS,
+    st.dictionaries(st.sampled_from(SYMS), NUMS, max_size=4),
+)
+AFF_PROPS = settings(max_examples=200, deadline=None)
+
+
+def model(a):
+    """(const, {sym: coeff}) as Fractions, after checking that `a` is
+    canonical: ints where integral, Fractions only where not, no float,
+    terms sorted with no zero coefficient."""
+    for x in [a.const] + [c for _, c in a.terms]:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+    assert [s for s, _ in a.terms] == sorted(s for s, _ in a.terms)
+    assert all(c != 0 for _, c in a.terms)
+    return Fraction(a.const), {s: Fraction(c) for s, c in a.terms}
+
+
+def model_add(x, y, sign=1):
+    terms = dict(x[1])
+    for s, c in y[1].items():
+        terms[s] = terms.get(s, 0) + sign * c
+    return x[0] + sign * y[0], {s: c for s, c in terms.items() if c}
+
+
+def model_render(m):
+    """The rendering of the all-Fraction representation."""
+    const, terms = m
+    parts = []
+    if const or not terms:
+        parts.append(str(int(const)) if const.denominator == 1 else str(const))
+    for s, c in sorted(terms.items()):
+        name = s[1] if s[0] == "p" else f"s{s[1]}"
+        if c == 1:
+            parts.append(str(name))
+        else:
+            cc = str(int(c)) if c.denominator == 1 else f"({c})"
+            parts.append(f"{cc}*{name}")
+    return " + ".join(parts)
+
+
+@AFF_PROPS
+@given(AFFS, AFFS, st.integers(-40, 40))
+def test_aff_add_sub_match_model(a, b, k):
+    assert model(a + b) == model_add(model(a), model(b))
+    assert model(a - b) == model_add(model(a), model(b), -1)
+    assert model(a + k) == (model(a)[0] + k, model(a)[1])
+    assert model(a - k) == (model(a)[0] - k, model(a)[1])
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+
+
+@AFF_PROPS
+@given(AFFS, NUMS)
+def test_aff_scale_matches_model(a, k):
+    const, terms = model(a)
+    expect = (const * k, {s: c * k for s, c in terms.items() if c * k})
+    assert model(a.scale(k)) == expect
+    assert a.scale(1) is a
+
+
+@AFF_PROPS
+@given(AFFS, AFFS)
+def test_aff_order_and_render_match_model(a, b):
+    ma, mb = model(a), model(b)
+    diff = model_add(mb, ma, -1)
+    assert safety._le(a, b) == (diff[0] >= 0 and all(c >= 0 for c in diff[1].values()))
+    assert a.nonneg() == (ma[0] >= 0 and all(c >= 0 for c in ma[1].values()))
+    assert a.render() == model_render(ma)
+
+
+def model_ratio(dv, du):
+    """The c with dv == c*du, or None (also None when du is zero)."""
+    parts = [(du[0], dv[0])] + [(c, dv[1].get(s, 0)) for s, c in du[1].items()]
+    pivot = next(((u, v) for u, v in parts if u != 0), None)
+    if pivot is None:
+        return None
+    c = Fraction(pivot[1]) / pivot[0]
+    scaled = (du[0] * c, {s: x * c for s, x in du[1].items() if x * c})
+    return c if scaled == dv else None
+
+
+@AFF_PROPS
+@given(AFFS, AFFS, NUMS, st.booleans())
+def test_aff_ratio_matches_model(du, other, k, proportional):
+    dv = du.scale(k) if proportional else other
+    c = safety._ratio(dv, du)
+    assert type(c) in (int, Fraction, type(None))
+    assert c == model_ratio(model(dv), model(du))
+    if c is not None:
+        assert type(c) is int or c.denominator != 1
