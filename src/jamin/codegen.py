@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import partial
 
 from .ir import (
     ArrayTy,
@@ -65,7 +64,7 @@ from .ir import (
     SWhile,
     WordTy,
 )
-from .isa import OPS, exec_vector_raw, lookup
+from .isa import lane_adapter, lookup
 from .typecheck import NotConst, const_eval
 
 PIECE = 250  # statements per compile() call, which bounds its peak memory
@@ -501,7 +500,7 @@ class _FnGen:
         if sem not in self.ns:
             self.ns[sem] = d.sem
             if d.lanes is not None:
-                self.ns["P_" + d.name] = partial(exec_vector_raw, d, OPS)
+                self.ns["P_" + d.name] = lane_adapter(d).run
         if d.lanes is not None:
             sem = f"({sem} if O else P_{d.name})"
         args = ", ".join(self.expr(a) for a in e.args)

@@ -14,12 +14,23 @@ Vector instructions carry two semantics: `sem` computes on the packed
 wide word (the OpsV view) while `sem_lanes` computes on the array of
 sub-words (the Ops view).  The two are written independently and are
 required to agree under the word/array bijection; `exec_vector`
-dispatches on the requested mode.
+dispatches on the requested mode.  Neither calls the other.
+
+In OpsV, the selector- and immediate-driven permutes (VPSHUFB, VPSHUFD,
+VPERMQ) stay word formulas: each distinct selector is turned once into a
+plan of (shift distance, destination mask) groups, kept in a bounded LRU
+cache (`_permute_plan`), and applied as a few shifts and masks.  In Ops,
+every vector descriptor has one `LaneAdapter`, built at registration,
+that splits packed sources into lanes, runs `sem_lanes` and joins the
+results; lanes of 8 to 64 bits go through `int.to_bytes` and a `struct`
+format, 128-bit lanes through shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
+from struct import Struct
 from typing import Callable, Optional
 
 from .words import Word
@@ -128,12 +139,15 @@ class Descriptor:
 
 
 _REGISTRY: dict[str, Descriptor] = {}
+_ADAPTERS: dict[str, LaneAdapter] = {}  # Ops-mode adapter per vector descriptor
 
 
 def register(d: Descriptor) -> Descriptor:
     if d.name in _REGISTRY:
         raise IsaError(f"duplicate descriptor {d.name}")
     _REGISTRY[d.name] = d
+    if d.is_vector:
+        _ADAPTERS[d.name] = LaneAdapter(d)
     return d
 
 
@@ -190,28 +204,80 @@ def exec_intrinsic(d: Descriptor, args) -> list:
     return _wrap_outputs(d, outs)
 
 
-def _split_int(v: int, n: int, m: int) -> list[int]:
+# Lanes of 8 to 64 bits convert through one bytes object and a struct
+# format; struct has no 128-bit code, so those lanes use shifts.
+_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+@cache
+def _lane_codec(n: int, m: int):
+    """(split, join) between an int and its n lanes of m bits, lane 0 lowest."""
+    if m in _LANE_CODES:
+        nbytes = n * m // 8
+        st = Struct(f"<{n}{_LANE_CODES[m]}")
+        unpack, pack = st.unpack, st.pack
+        return (lambda v: unpack(v.to_bytes(nbytes, "little")),
+                lambda lanes: int.from_bytes(pack(*lanes), "little"))
     mask = (1 << m) - 1
-    return [(v >> (m * i)) & mask for i in range(n)]
+
+    def join(lanes):
+        v = 0
+        for x in reversed(lanes):
+            v = (v << m) | x
+        return v
+
+    return (lambda v: [(v >> (m * i)) & mask for i in range(n)]), join
+
+
+def _split_int(v: int, n: int, m: int):
+    return _lane_codec(n, m)[0](v)
 
 
 def _join_int(vals, m: int) -> int:
-    v = 0
-    for x in reversed(vals):
-        v = (v << m) | x
-    return v
+    return _lane_codec(len(vals), m)[1](vals)
+
+
+class LaneAdapter:
+    """The Ops view of one vector descriptor, built once: `split` turns
+    its packed sources into lane sequences (other sources pass through),
+    `join` packs its lane results, and `run` is split, `sem_lanes`, join
+    on ints.  Each is compiled for the descriptor's operand shapes: a
+    loop over the shapes on every call made VPSHUFD_256's Ops call about
+    40% slower."""
+
+    __slots__ = ("d", "split", "join", "run")
+
+    def __init__(self, d: Descriptor):
+        ns = {"sem_lanes": d.sem_lanes}
+
+        def convert(shapes, codec, arg):  # "[conv0(arg[0]), arg[1], ...]"
+            items = []
+            for i, shape in enumerate(shapes):
+                if shape:
+                    ns[f"{arg}{i}"] = _lane_codec(*shape)[codec]
+                    items.append(f"{arg}{i}({arg}[{i}])")
+                else:
+                    items.append(f"{arg}[{i}]")
+            return f"[{', '.join(items)}]"
+
+        split = convert(d.src_lanes, 0, "v")
+        self.d = d
+        self.split = eval(f"lambda v: {split}", ns)
+        self.join = ns["join"] = eval(f"lambda o: {convert(d.dst_lanes, 1, 'o')}", ns)
+        self.run = eval(f"lambda v: join(sem_lanes({split}))", ns)
+
+
+def lane_adapter(d: Descriptor) -> LaneAdapter:
+    """The registered descriptor's adapter; a fresh one for any other."""
+    a = _ADAPTERS.get(d.name)
+    return a if a is not None and a.d is d else LaneAdapter(d)
 
 
 def exec_ops(d: Descriptor, args) -> list:
-    """Ops-mode execution: vector operands as lists of sub-word ints."""
+    """Ops-mode execution: vector operands as sequences of sub-word ints."""
     if not d.is_vector:
         raise IsaError(f"{d.name} is not a vector instruction")
-    vals = _coerce_sources(d, args)
-    ins = []
-    for v, shape in zip(vals, d.src_lanes):
-        ins.append(_split_int(v, *shape) if shape else v)
-    outs = d.sem_lanes(ins)
-    return outs
+    return d.sem_lanes(lane_adapter(d).split(_coerce_sources(d, args)))
 
 
 def exec_vector(d: Descriptor, mode: str, args) -> list:
@@ -225,15 +291,7 @@ def exec_vector(d: Descriptor, mode: str, args) -> list:
         return exec_intrinsic(d, args)
     if mode != OPS:
         raise IsaError(f"unknown vector mode {mode!r}")
-    outs = exec_ops(d, args)
-    res = []
-    for o, shape, w in zip(outs, d.dst_lanes, d.dst_widths):
-        if shape:
-            n, m = shape
-            res.append(Word(w, _join_int(o, m)))
-        else:
-            res.append(o if w == "flag" else Word(w, o))
-    return res
+    return _wrap_outputs(d, lane_adapter(d).join(exec_ops(d, args)))
 
 
 def validate_descriptor(d: Descriptor) -> list[str]:
@@ -577,20 +635,43 @@ _build_scalars()
 
 
 def exec_vector_raw(d: Descriptor, mode: str, vals: list) -> list:
-    """Int-level twin of exec_vector for the interpreter's hot path."""
-    if mode == OPSV:
-        return d.sem(vals)
-    ins = []
-    for v, shape in zip(vals, d.src_lanes):
-        ins.append(_split_int(v, *shape) if shape else v)
-    outs = d.sem_lanes(ins)
-    res = []
-    for o, shape in zip(outs, d.dst_lanes):
-        res.append(_join_int(o, shape[1]) if shape else o)
-    return res
+    """Int-level twin of exec_vector: unchecked ints in and out."""
+    return d.sem(vals) if mode == OPSV else lane_adapter(d).run(vals)
 
 
 # ------------------------------------------------- vector definitions
+
+
+@lru_cache(maxsize=256)
+def _permute_plan(width: int, n: int, sel: int) -> tuple:
+    """Shift-and-mask plan of a permute of n elements of `width` bits.
+
+    Width 8 is VPSHUFB: selector byte i picks byte `sel & 15` of the
+    16-byte half holding byte i, or zero when bit 7 is set.  Wider
+    elements are VPSHUFD/VPERMQ: the imm8's four 2-bit fields pick an
+    element of each group of four.  The plan groups the destination
+    elements by the distance their source is moved: one (distance,
+    destination mask) pair per distinct distance.
+    """
+    groups: dict[int, int] = {}
+    for i in range(n):
+        if width == 8:
+            b = (sel >> (8 * i)) & 0xFF
+            if b & 0x80:
+                continue
+            src = (i // 16) * 16 + (b & 0x0F)
+        else:
+            src = (i // 4) * 4 + ((sel >> (2 * (i % 4))) & 3)
+        d = width * (i - src)
+        groups[d] = groups.get(d, 0) | (((1 << width) - 1) << (width * i))
+    return tuple(groups.items())
+
+
+def _permute(x: int, plan: tuple) -> int:
+    r = 0
+    for d, mask in plan:
+        r |= (x << d if d >= 0 else x >> -d) & mask
+    return r
 
 
 def _rep_mask(bits: int, n: int, m: int) -> int:
@@ -764,84 +845,49 @@ def _build_vectors():
 
         _vector(name, n, m, [E(m, 0)], [None], bcast_v, bcast_l, oshape=("oprd",))
 
+    # selector- and immediate-driven permutes: OpsV applies the
+    # selector's shift-and-mask plan, Ops indexes the lane array
+    def permute_v(width, n):
+        def v(a):
+            x, sel = a
+            return [_permute(x, _permute_plan(width, n, sel))]
+
+        return v
+
     # dword shuffles: imm8 is four 2-bit source positions, applied per
     # 128-bit half in the 256-bit form
-    m32 = (1 << 32) - 1
-
-    def shufd128_v(a):
-        x, imm = a
-        r = 0
-        for i in range(4):
-            sel = (imm >> (2 * i)) & 3
-            r |= ((x >> (32 * sel)) & m32) << (32 * i)
-        return [r]
-
     def shufd128_l(a):
         x, imm = a
         return [[x[(imm >> (2 * i)) & 3] for i in range(4)]]
 
     _vector("x86_VPSHUFD_128", 4, 32,
-            [E(128, 0), E(8, 1)], [(4, 32), None], shufd128_v, shufd128_l,
+            [E(128, 0), E(8, 1)], [(4, 32), None], permute_v(32, 4), shufd128_l,
             oshape=("oprd", "imm8"))
-
-    def shufd256_v(a):
-        x, imm = a
-        r = 0
-        for half in (0, 128):
-            for i in range(4):
-                sel = (imm >> (2 * i)) & 3
-                r |= ((x >> (half + 32 * sel)) & m32) << (half + 32 * i)
-        return [r]
 
     def shufd256_l(a):
         x, imm = a
-        out = []
-        for h in (0, 4):
-            out += [x[h + ((imm >> (2 * i)) & 3)] for i in range(4)]
-        return [out]
+        return [[x[h + ((imm >> (2 * i)) & 3)] for h in (0, 4) for i in range(4)]]
 
     _vector("x86_VPSHUFD_256", 8, 32,
-            [E(256, 0), E(8, 1)], [(8, 32), None], shufd256_v, shufd256_l,
+            [E(256, 0), E(8, 1)], [(8, 32), None], permute_v(32, 8), shufd256_l,
             oshape=("oprd", "imm8"))
 
     # byte shuffles: per-byte table lookup within each 128-bit half;
     # a set high bit in the selector byte yields zero
-    def shufb_v_for(nbytes):
-        def shufb_v(a, *, nbytes=nbytes):
-            x, s = a
-            r = 0
-            for i in range(nbytes):
-                sel = (s >> (8 * i)) & 0xFF
-                if not sel & 0x80:
-                    base = (i // 16) * 16
-                    b = (x >> (8 * (base + (sel & 0x0F)))) & 0xFF
-                    r |= b << (8 * i)
-            return [r]
+    half_base = [(i // 16) * 16 for i in range(32)]  # first byte of byte i's half
 
-        return shufb_v
-
-    def shufb_l_for(nbytes):
-        def shufb_l(a, *, nbytes=nbytes):
-            x, s = a
-            out = []
-            for i in range(nbytes):
-                sel = s[i]
-                if sel & 0x80:
-                    out.append(0)
-                else:
-                    out.append(x[(i // 16) * 16 + (sel & 0x0F)])
-            return [out]
-
-        return shufb_l
+    def shufb_l(a):
+        x, s = a
+        return [[0 if sel & 0x80 else x[h + (sel & 0x0F)] for h, sel in zip(half_base, s)]]
 
     _vector("x86_VPSHUFB_128", 16, 8,
-            [E(128, 0), E(128, 1)], [(16, 8), (16, 8)],
-            shufb_v_for(16), shufb_l_for(16))
+            [E(128, 0), E(128, 1)], [(16, 8), (16, 8)], permute_v(8, 16), shufb_l)
     _vector("x86_VPSHUFB_256", 32, 8,
-            [E(256, 0), E(256, 1)], [(32, 8), (32, 8)],
-            shufb_v_for(32), shufb_l_for(32))
+            [E(256, 0), E(256, 1)], [(32, 8), (32, 8)], permute_v(8, 32), shufb_l)
 
     # interleaves (per 128-bit half, AVX2 style)
+    m32 = (1 << 32) - 1
+
     def unpck32(lo):
         off = 0 if lo else 2
 
@@ -917,35 +963,15 @@ def _build_vectors():
         hi = 0 if imm & 0x80 else halves[(imm >> 4) & 3]
         return [[lo, hi]]
 
-    register(
-        Descriptor(
-            name="x86_VPERM2I128",
-            sources=(E(256, 0), E(256, 1), E(8, 2)),
-            destinations=(E(256, 0),),
-            oshape=("oprd", "oprd", "imm8"),
-            mnemonic="VPERM2I128",
-            sem=perm2i_v,
-            size=128,
-            lanes=(2, 128),
-            sem_lanes=perm2i_l,
-            src_lanes=((2, 128), (2, 128), None),
-            dst_lanes=((2, 128),),
-        )
-    )
-
-    def permq_v(a):
-        x, imm = a
-        r = 0
-        for i in range(4):
-            r |= ((x >> (64 * ((imm >> (2 * i)) & 3))) & m64) << (64 * i)
-        return [r]
+    _vector("x86_VPERM2I128", 2, 128, [E(256, 0), E(256, 1), E(8, 2)],
+            [(2, 128), (2, 128), None], perm2i_v, perm2i_l, oshape=("oprd", "oprd", "imm8"))
 
     def permq_l(a):
         x, imm = a
         return [[x[(imm >> (2 * i)) & 3] for i in range(4)]]
 
     _vector("x86_VPERMQ_4u64", 4, 64,
-            [E(256, 0), E(8, 1)], [(4, 64), None], permq_v, permq_l,
+            [E(256, 0), E(8, 1)], [(4, 64), None], permute_v(64, 4), permq_l,
             oshape=("oprd", "imm8"))
 
     def extract_v(a):
@@ -982,21 +1008,8 @@ def _build_vectors():
         x, y, imm = a
         return [[x[0], y] if imm & 1 else [y, x[1]]]
 
-    register(
-        Descriptor(
-            name="x86_VINSERTI128",
-            sources=(E(256, 0), E(128, 1), E(8, 2)),
-            destinations=(E(256, 0),),
-            oshape=("oprd", "oprd", "imm8"),
-            mnemonic="VINSERTI128",
-            sem=insert_v,
-            size=128,
-            lanes=(2, 128),
-            sem_lanes=insert_l,
-            src_lanes=((2, 128), None, None),
-            dst_lanes=((2, 128),),
-        )
-    )
+    _vector("x86_VINSERTI128", 2, 128, [E(256, 0), E(128, 1), E(8, 2)],
+            [(2, 128), None, None], insert_v, insert_l, oshape=("oprd", "oprd", "imm8"))
 
 
 _build_vectors()

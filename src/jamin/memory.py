@@ -217,14 +217,16 @@ def store_bytes(m: Memory, a: int, data: bytes) -> Memory:
 
 
 def dump(m: Memory) -> str:
+    get = m._bytes.get
     lines = []
-    for base, end in m.regions():
+    for base, end in m._regions:
         for row in range(base, end, 16):
-            cells = []
-            for a in range(row, min(row + 16, end)):
-                b = m._bytes.get(a)
-                cells.append(f"{b:02x}" if b is not None else "..")
-            lines.append(f"{row:08x}: " + " ".join(cells))
+            span = range(row, min(row + 16, end))
+            try:
+                cells = bytes(map(get, span)).hex(" ")
+            except TypeError:  # the row holds an unwritten byte
+                cells = " ".join(".." if (b := get(a)) is None else f"{b:02x}" for a in span)
+            lines.append(f"{row:08x}: {cells}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -246,7 +248,10 @@ def parse_dump(text: str, *, strict: bool = True) -> Memory:
         spans.append((addr, len(cells)))
         for i, cell in enumerate(cells):
             if cell != "..":
-                m._bytes[addr + i] = int(cell, 16)
+                b = int(cell, 16)
+                if not 0 <= b <= 0xFF:
+                    raise ValueError(f"dump line {lineno}: {cell!r} is not a byte")
+                m._bytes[addr + i] = b
     for base, n in spans:
         m._add_region_inplace(base, n)
     return m

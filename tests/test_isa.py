@@ -170,3 +170,69 @@ def test_scalar_adc_chain_against_bigint():
 
 def test_variable_time_flag_unused():
     assert not any(d.variable_time for d in isa.registry().values())
+
+
+# Selector- and immediate-driven permutes: OpsV applies a cached
+# shift-and-mask plan per selector, Ops indexes the lane array, so Ops≡OpsV
+# checks each plan against a semantics that has none.
+
+ROT16 = 0x0D0C0F0E09080B0A0504070601000302_0D0C0F0E09080B0A0504070601000302
+ROT8 = 0x0E0D0C0F0A09080B0605040702010003_0E0D0C0F0A09080B0605040702010003
+
+
+def _assert_permute_modes_agree(d, x, sel):
+    words = [Word(w, v) for w, v in zip(d.src_widths, (x, sel))]
+    assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words), (
+        d.name, hex(sel))
+    assert isa.exec_vector_raw(d, isa.OPS, [x, sel]) == isa.exec_vector_raw(
+        d, isa.OPSV, [x, sel]), (d.name, hex(sel))
+
+
+@pytest.mark.parametrize("name", ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64"])
+def test_every_immediate_of_dword_and_qword_permutes(name):
+    d = isa.lookup(name)
+    rng = random.Random(name)
+    for imm in range(256):
+        _assert_permute_modes_agree(d, rng.getrandbits(d.src_widths[0]), imm)
+
+
+def _byte_selector(rng, nbytes, zero_rate=0.0):
+    return int.from_bytes(bytes(0x80 | rng.getrandbits(7) if rng.random() < zero_rate
+                                else rng.getrandbits(4) for _ in range(nbytes)), "little")
+
+
+@pytest.mark.parametrize("name", ["x86_VPSHUFB_128", "x86_VPSHUFB_256"])
+def test_byte_shuffle_plans_reused_and_evicted(name):
+    d = isa.lookup(name)
+    nbytes = d.src_widths[1] // 8
+    bound = isa._permute_plan.cache_info().maxsize
+    rng = random.Random(name)
+    small = [ROT16 & ((1 << (8 * nbytes)) - 1), ROT8 & ((1 << (8 * nbytes)) - 1)]
+    small += [_byte_selector(rng, nbytes) for _ in range(6)]
+    large = [_byte_selector(rng, nbytes) for _ in range(bound + 50)]
+    before = isa._permute_plan.cache_info()
+    for sel in small * 20:
+        _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes), sel)
+    assert isa._permute_plan.cache_info().hits - before.hits >= 19 * len(small)
+    for sel in large * 2:  # the second pass finds the first pass's plans evicted
+        _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes), sel)
+    info = isa._permute_plan.cache_info()
+    assert info.currsize == bound and info.misses - before.misses >= 2 * len(large)
+
+
+@pytest.mark.parametrize("name", ["x86_VPSHUFB_128", "x86_VPSHUFB_256"])
+def test_byte_shuffle_zeroing_selectors(name):
+    d = isa.lookup(name)
+    nbytes = d.src_widths[1] // 8
+    rng = random.Random(name)
+    everything = (1 << (8 * nbytes)) - 1
+    assert isa.exec_vector_raw(d, isa.OPSV, [everything, int("80" * nbytes, 16)]) == [0]
+    for rate in (0.1, 0.5, 0.9):
+        for _ in range(50):
+            _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes),
+                                        _byte_selector(rng, nbytes, rate))
+
+
+def test_chacha_rotations_are_two_shift_groups():
+    assert len(isa._permute_plan(8, 32, ROT16)) == 2
+    assert len(isa._permute_plan(8, 32, ROT8)) == 2

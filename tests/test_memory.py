@@ -123,3 +123,57 @@ def test_dump_format_16_per_line():
         addr, _, rest = line.partition(": ")
         assert len(addr) == 8 and addr == addr.lower()
         assert len(rest.split()) == 16
+
+
+def _reference_dump(m):
+    """The dump format, formatted one cell at a time."""
+    lines = []
+    for base, end in m.regions():
+        for row in range(base, end, 16):
+            cells = [f"{memory.load8(m, a):02x}" if m.is_initialized(a) else ".."
+                     for a in range(row, min(row + 16, end))]
+            lines.append(f"{row:08x}: " + " ".join(cells))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _dump_cases():
+    m = memory.add_region(Memory(), 0x2000, 37)  # a partial last row
+    m = memory.store_bytes(m, 0x2000, bytes(range(37)))
+    yield m
+    yield memory.store8(memory.store8(m, 0x2005, 0xFF), 0x2013, 7)
+    holes = memory.add_region(Memory(), 0x2000, 37)
+    holes = memory.store_bytes(holes, 0x2000, bytes(range(5)))
+    holes = memory.store_bytes(holes, 0x2008, b"\xab" * 20)  # unwritten 5..7 mid-row
+    yield holes
+    adjacent = memory.add_region(holes, 0x2025, 11)  # adjacent: merged with the first
+    yield memory.store8(adjacent, 0x202F, 0x10)
+    apart = memory.add_region(holes, 0x2026, 40)  # one byte apart: a second region
+    yield memory.store_bytes(apart, 0x2030, b"\x01\x02")
+    yield Memory()
+    rng = random.Random(8)
+    for _ in range(20):
+        m = Memory()
+        for _ in range(rng.randrange(1, 4)):
+            m = memory.add_region(m, rng.randrange(0, 200), rng.randrange(1, 50))
+        for base, end in m.regions():
+            for a in range(base, end):
+                if rng.random() < 0.9:
+                    m = memory.store8(m, a, rng.getrandbits(8))
+        yield m
+
+
+def test_dump_matches_per_cell_reference_and_round_trips():
+    for m in _dump_cases():
+        text = memory.dump(m)
+        assert text == _reference_dump(m)
+        back = memory.parse_dump(text)
+        assert back.regions() == m.regions()
+        assert back._bytes == m._bytes
+        assert memory.dump(back) == text
+    assert memory.dump(Memory()) == ""
+
+
+def test_parse_dump_rejects_a_cell_that_is_not_a_byte():
+    for cell in ("1ff", "-1"):
+        with pytest.raises(ValueError, match="not a byte"):
+            memory.parse_dump(f"00001000: 00 {cell}\n")
