@@ -13,7 +13,7 @@ locals (the run-time helpers of interp, global values G_<name>,
 intrinsic semantics, masks and prebuilt constants) live in one
 namespace per program.
 
-Three devices keep the generated code lean without changing what a run
+Four devices keep the generated code lean without changing what a run
 observes:
 
 - the step budget is charged once per straight-line segment: statements
@@ -26,7 +26,10 @@ observes:
   function proves that it cannot fire: a register or constant-index
   element written on every path (if branches joined, while loops to
   their fixpoint, re-declaration resetting), or a constant index below
-  the declared length.
+  the declared length;
+- a multi-destination statement over an instruction with a per-output
+  table (isa.Table) evaluates its operands once, in order, and then
+  computes inline only the destinations that are not `_`.
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
@@ -494,19 +497,55 @@ class _FnGen:
             return f"{arr}[{i}]"
         return f"(_t if (_t := {arr}[{i}]) is not U else _uu(U, '{name}[{i}]', {loc!r}))"
 
-    def intrinsic(self, e: EIntr, count=None, sloc=None) -> str:
+    def intrinsic(self, e: EIntr) -> str:
+        """A call returning the list of all of `e`'s outputs.  Scalar
+        instructions without a table (shifts, rotates, DIV) go through
+        _intr, which reports DIV's IsaFault as DivByZero at the
+        intrinsic's location; no other intrinsic can fault, and those
+        are called directly."""
         d = lookup(e.name)
         sem = "S_" + d.name
         if sem not in self.ns:
             self.ns[sem] = d.sem
             if d.lanes is not None:
                 self.ns["P_" + d.name] = lane_adapter(d).run
-        if d.lanes is not None:
-            sem = f"({sem} if O else P_{d.name})"
         args = ", ".join(self.expr(a) for a in e.args)
-        if count is None:
+        if d.lanes is not None:
+            return f"({sem} if O else P_{d.name})([{args}])"
+        if d.table is None:
             return f"_intr({sem}, [{args}], {_loc(e)!r})"
-        return f"_intrn({sem}, [{args}], {_loc(e)!r}, {count}, {e.name!r}, {sloc!r})"
+        return f"{sem}([{args}])"
+
+    def intrinsic_dests(self, s: SAssign):
+        """A multi-destination intrinsic statement: only the destinations
+        that are not `_` are computed and written, inline from the
+        descriptor's table when it has one."""
+        e = s.rhs
+        d = lookup(e.name)
+        if len(s.dests) != len(d.destinations):
+            for a in e.args:
+                self.keep(self.expr(a))
+            self.line(self.fail(f"#{e.name} produced {len(d.destinations)} values for "
+                                f"{len(s.dests)} destinations", _loc(s)))
+            self.facts = None
+            return
+        keep = [i for i, lv in enumerate(s.dests) if type(lv) is not LIgnore]
+        if d.table is None:
+            call = self.intrinsic(e)
+            self.line(f"_r = {call}" if keep else call)
+            values = {i: f"_r[{i}]" for i in keep}
+        else:
+            args = []
+            for a in e.args:
+                args.append(self.fresh())
+                self.line(f"{args[-1]} = {self.expr(a)}")
+            bindings, values = d.table.inline(keep, args, self.fresh)
+            for t, code in bindings:
+                self.line(f"{t} = {code}")
+        for i in keep:
+            w = d.dst_widths[i]
+            flag = w == "flag"
+            self.write(s.dests[i], values[i], None if flag else w, "flag" if flag else "word")
 
     # -- writes
 
@@ -890,11 +929,7 @@ class _FnGen:
     def assign(self, s: SAssign):
         rhs, loc = s.rhs, _loc(s)
         if type(rhs) is EIntr and len(s.dests) != 1:
-            widths = lookup(rhs.name).dst_widths
-            self.line(f"_r = {self.intrinsic(rhs, len(s.dests), loc)}")
-            for i, (lv, w) in enumerate(zip(s.dests, widths)):
-                flag = w == "flag"
-                self.write(lv, f"_r[{i}]", None if flag else w, "flag" if flag else "word")
+            self.intrinsic_dests(s)
             return
         if s.op:
             lv = s.dests[0]

@@ -310,17 +310,8 @@ def _intr(sem, args, loc):
         raise DivByZero(str(exc), loc) from None
 
 
-def _intrn(sem, args, loc, count, name, stmt_loc):
-    outs = _intr(sem, args, loc)
-    if len(outs) != count:
-        raise ContractViolation(
-            f"#{name} produced {len(outs)} values for {count} destinations", stmt_loc
-        )
-    return outs
-
-
 _HELPERS = (_uu, _arr, _unbound, _contract, _oob, _bx, _nz, _div, _mod, _wbin, _ld, _st,
-            _rld, _rst, _sget, _sput, _sld, _sst, _intr, _intrn)
+            _rld, _rst, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch", False))
 

@@ -10,6 +10,15 @@ returns one value per destination.  Flag results use the five-flag
 order OF, CF, SF, PF, ZF; flags an instruction leaves architecturally
 undefined are returned as UNDEF, which the interpreter treats as poison.
 
+The branch-free scalar instructions (ADD, ADC, SUB, SBB, AND, OR, XOR,
+NOT, NEG, MOV, MUL, IMUL, CMOV and set0, at 8 to 64 bits) are each
+defined once, by a `Table` of one Python expression per destination
+over the operands, plus a prelude of values the outputs share.  The
+descriptor's `sem` is compiled from that table, and codegen inlines the
+part of it that the destinations a statement keeps need, so both read
+the same definition.  Shifts, rotates and DIV are plain functions; only
+DIV raises (IsaFault), and no vector semantics does.
+
 Vector instructions carry two semantics: `sem` computes on the packed
 wide word (the OpsV view) while `sem_lanes` computes on the array of
 sub-words (the Ops view).  The two are written independently and are
@@ -19,15 +28,19 @@ dispatches on the requested mode.  Neither calls the other.
 In OpsV, the selector- and immediate-driven permutes (VPSHUFB, VPSHUFD,
 VPERMQ) stay word formulas: each distinct selector is turned once into a
 plan of (shift distance, destination mask) groups, kept in a bounded LRU
-cache (`_permute_plan`), and applied as a few shifts and masks.  In Ops,
-every vector descriptor has one `LaneAdapter`, built at registration,
-that splits packed sources into lanes, runs `sem_lanes` and joins the
-results; lanes of 8 to 64 bits go through `int.to_bytes` and a `struct`
-format, 128-bit lanes through shifts.
+cache (`_permute_plan`), and applied as a few shifts and masks;
+VPMULUDQ and the interleaves (VPUNPCK*) are unrolled into one expression
+over the whole word.  In Ops, every vector descriptor has one
+`LaneAdapter`, built at registration, that splits packed sources into
+lanes, runs `sem_lanes` and joins the results; lanes of 8 to 64 bits go
+through `int.to_bytes` and a `struct` format, 128-bit lanes through
+shifts.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from struct import Struct
@@ -97,6 +110,62 @@ ArgLoc = object
 
 FLAGS5 = (F("OF"), F("CF"), F("SF"), F("PF"), F("ZF"))
 
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+
+
+@dataclass(frozen=True)
+class Table:
+    """The one definition of a branch-free scalar instruction.
+
+    `args` names the sources in order, `prelude` binds values that
+    several outputs share as (name, expression) pairs, each over the
+    names before it, and `outs` holds one Python expression per
+    destination.  Expressions never raise; flags are bool or U (UNDEF),
+    words ints of the destination width.  `sem` is compiled from the
+    whole table, and codegen inlines the part that the destinations a
+    statement keeps need (`inline`).
+    """
+
+    args: tuple
+    prelude: tuple
+    outs: tuple
+
+    def sem(self) -> Callable:
+        unpack = f"    {', '.join(self.args)}, = a\n" if self.args else ""
+        body = "".join(f"    {n} = {e}\n" for n, e in self.prelude)
+        ns = {"U": UNDEF}
+        exec(f"def sem(a):\n{unpack}{body}    return [{', '.join(self.outs)}]\n", ns)
+        return ns["sem"]
+
+    def inline(self, keep, args, fresh):
+        """Code for the outputs in `keep` (indices) only, given the names
+        `args` holding the source values: ([(temporary, expression)] to
+        bind in order, {index: expression}).  `fresh()` names a new
+        temporary; a prelude value used once is substituted into its user
+        instead."""
+        uses = Counter()
+        needed = set()
+        for i in keep:
+            uses.update(_NAME.findall(self.outs[i]))
+        for n, e in reversed(self.prelude):
+            if uses[n]:
+                needed.add(n)
+                uses.update(_NAME.findall(e))
+        names = dict(zip(self.args, args))
+
+        def rename(e):
+            return _NAME.sub(lambda m: names.get(m[0], m[0]), e)
+
+        bindings = []
+        for n, e in self.prelude:
+            if n in needed:
+                if uses[n] == 1:
+                    names[n] = f"({rename(e)})"
+                else:
+                    names[n] = fresh()
+                    bindings.append((names[n], rename(e)))
+        return bindings, {i: rename(self.outs[i]) for i in keep}
+
 
 @dataclass
 class Descriptor:
@@ -116,6 +185,7 @@ class Descriptor:
     variable_time: bool = False  # extension point; no current instruction sets it
     src_widths: tuple = field(default=(), repr=False)  # int bits or "flag"
     dst_widths: tuple = field(default=(), repr=False)
+    table: Optional[Table] = None  # the definition `sem` is compiled from, if any
 
     def __post_init__(self):
         if not self.src_widths:
@@ -348,290 +418,155 @@ def _msb(v: int, w: int) -> bool:
     return bool((v >> (w - 1)) & 1)
 
 
-def _parity(v: int) -> bool:
-    return bin(v & 0xFF).count("1") % 2 == 0
-
-
 def _szp(r: int, w: int):
-    return _msb(r, w), _parity(r), r == 0
+    return _msb(r, w), bin(r & 0xFF).count("1") % 2 == 0, r == 0
 
 
 # ------------------------------------------------- scalar definitions
 
 
-def _scalar(name, w, nsrc, dests, sem, oshape=("oprd", "oprd"), mnemonic=None):
-    register(
-        Descriptor(
-            name=f"{name}_{w}",
-            sources=tuple(E(w, i) for i in range(nsrc)),
-            destinations=dests,
-            oshape=oshape,
-            mnemonic=mnemonic or name.split("_")[-1],
-            sem=sem,
-            size=w,
-        )
-    )
+def _build_scalars(w: int):
+    """Register the scalar instructions of width w."""
+    mask = (1 << w) - 1
+    top = 1 << (w - 1)
+    M, T = hex(mask), hex(top)
 
+    def table(args, prelude, *outs):
+        return Table(tuple(args.split()), tuple(prelude), outs)
 
-def _build_scalars():
-    for w in (8, 16, 32, 64):
-        mask = (1 << w) - 1
-        top = 1 << (w - 1)
+    # SF, PF (even parity of the low byte) and ZF of a result r
+    szp = (f"r >= {T}", 'bin(r & 0xff).count("1") % 2 == 0', "r == 0")
+    # signed overflow: both operands' signs differ from the result's
+    # (addition), or the operands' signs differ and the result's
+    # differs from the first operand's (subtraction)
+    add_of = f"(x ^ r) & (y ^ r) >= {T}"
+    sub_of = f"(x ^ y) & (x ^ r) >= {T}"
 
-        def add_sem(a, *, w=w, mask=mask):
-            x, y = a
-            s = x + y
-            r = s & mask
-            cf = s > mask
-            of = (_msb(x, w) == _msb(y, w)) and (_msb(r, w) != _msb(x, w))
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
+    def logic(op):
+        return table("x y", [("r", f"x {op} y")], "False", "False", *szp, "r")
 
-        def adc_sem(a, *, w=w, mask=mask):
-            x, y, c = a
-            s = x + y + c
-            r = s & mask
-            cf = s > mask
-            of = (_msb(x, w) == _msb(y, w)) and (_msb(r, w) != _msb(x, w))
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
+    def shl_sem(a):
+        x, cnt = a
+        c = cnt & (w - 1)
+        if c == 0:
+            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
+        r = (x << c) & mask
+        cf = bool((x >> (w - c)) & 1)
+        of = (_msb(r, w) != cf) if c == 1 else UNDEF
+        return [of, cf, *_szp(r, w), r]
 
-        def sub_sem(a, *, w=w, mask=mask):
-            x, y = a
-            r = (x - y) & mask
-            cf = x < y
-            of = (_msb(x, w) != _msb(y, w)) and (_msb(r, w) != _msb(x, w))
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
+    def shr_sem(a):
+        x, cnt = a
+        c = cnt & (w - 1)
+        if c == 0:
+            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
+        r = x >> c
+        cf = bool((x >> (c - 1)) & 1)
+        of = _msb(x, w) if c == 1 else UNDEF
+        return [of, cf, *_szp(r, w), r]
 
-        def sbb_sem(a, *, w=w, mask=mask):
-            x, y, c = a
-            r = (x - y - c) & mask
-            cf = x < y + c
-            of = (_msb(x, w) != _msb(y, w)) and (_msb(r, w) != _msb(x, w))
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
+    def sar_sem(a):
+        x, cnt = a
+        c = cnt & (w - 1)
+        if c == 0:
+            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
+        sx = x - (1 << w) if x & top else x
+        r = (sx >> c) & mask
+        cf = bool((sx >> (c - 1)) & 1)
+        of = False if c == 1 else UNDEF
+        return [of, cf, *_szp(r, w), r]
 
-        def mul_sem(a, *, w=w, mask=mask):
-            x, y = a
-            p = x * y
-            hi, lo = p >> w, p & mask
-            over = hi != 0
-            return [over, over, UNDEF, UNDEF, UNDEF, hi, lo]
+    def rol_sem(a):
+        x, cnt = a
+        c = cnt & (w - 1)
+        if c == 0:
+            return [UNDEF, UNDEF, x]
+        r = ((x << c) | (x >> (w - c))) & mask
+        cf = bool(r & 1)
+        of = (_msb(r, w) != cf) if c == 1 else UNDEF
+        return [of, cf, r]
 
-        def imul_sem(a, *, w=w, mask=mask, top=top):
-            x, y = a
-            sx = x - (1 << w) if x & top else x
-            sy = y - (1 << w) if y & top else y
-            full = sx * sy
-            r = full & mask
-            sr = r - (1 << w) if r & top else r
-            over = full != sr
-            return [over, over, UNDEF, UNDEF, UNDEF, r]
+    def ror_sem(a):
+        x, cnt = a
+        c = cnt & (w - 1)
+        if c == 0:
+            return [UNDEF, UNDEF, x]
+        r = ((x >> c) | (x << (w - c))) & mask
+        cf = _msb(r, w)
+        of = (_msb(r, w) != bool((r >> (w - 2)) & 1)) if c == 1 else UNDEF
+        return [of, cf, r]
 
-        def div_sem(a, *, w=w, mask=mask):
-            hi, lo, dv = a
-            if dv == 0:
-                raise IsaFault("division by zero")
-            num = (hi << w) | lo
-            q, r = divmod(num, dv)
-            if q > mask:
-                raise IsaFault("division overflow")
-            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, q, r]
+    def div_sem(a):
+        hi, lo, dv = a
+        if dv == 0:
+            raise IsaFault("division by zero")
+        q, r = divmod((hi << w) | lo, dv)
+        if q > mask:
+            raise IsaFault("division overflow")
+        return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, q, r]
 
-        def and_sem(a, *, w=w):
-            r = a[0] & a[1]
-            sf, pf, zf = _szp(r, w)
-            return [False, False, sf, pf, zf, r]
-
-        def or_sem(a, *, w=w):
-            r = a[0] | a[1]
-            sf, pf, zf = _szp(r, w)
-            return [False, False, sf, pf, zf, r]
-
-        def xor_sem(a, *, w=w):
-            r = a[0] ^ a[1]
-            sf, pf, zf = _szp(r, w)
-            return [False, False, sf, pf, zf, r]
-
-        def not_sem(a, *, mask=mask):
-            return [a[0] ^ mask]
-
-        def neg_sem(a, *, w=w, mask=mask, top=top):
-            x = a[0]
-            r = (-x) & mask
-            sf, pf, zf = _szp(r, w)
-            return [x == top, x != 0, sf, pf, zf, r]
-
-        def mov_sem(a):
-            return [a[0]]
-
-        def shl_sem(a, *, w=w, mask=mask):
-            x, cnt = a
-            c = cnt & (w - 1)
-            if c == 0:
-                return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
-            r = (x << c) & mask
-            cf = bool((x >> (w - c)) & 1)
-            of = (_msb(r, w) != cf) if c == 1 else UNDEF
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
-
-        def shr_sem(a, *, w=w):
-            x, cnt = a
-            c = cnt & (w - 1)
-            if c == 0:
-                return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
-            r = x >> c
-            cf = bool((x >> (c - 1)) & 1)
-            of = _msb(x, w) if c == 1 else UNDEF
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
-
-        def sar_sem(a, *, w=w, mask=mask, top=top):
-            x, cnt = a
-            c = cnt & (w - 1)
-            if c == 0:
-                return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
-            sx = x - (1 << w) if x & top else x
-            r = (sx >> c) & mask
-            cf = bool((sx >> (c - 1)) & 1)
-            of = False if c == 1 else UNDEF
-            sf, pf, zf = _szp(r, w)
-            return [of, cf, sf, pf, zf, r]
-
-        def rol_sem(a, *, w=w, mask=mask):
-            x, cnt = a
-            c = cnt & (w - 1)
-            if c == 0:
-                return [UNDEF, UNDEF, x]
-            r = ((x << c) | (x >> (w - c))) & mask
-            cf = bool(r & 1)
-            of = (_msb(r, w) != cf) if c == 1 else UNDEF
-            return [of, cf, r]
-
-        def ror_sem(a, *, w=w, mask=mask):
-            x, cnt = a
-            c = cnt & (w - 1)
-            if c == 0:
-                return [UNDEF, UNDEF, x]
-            r = ((x >> c) | (x << (w - c))) & mask
-            cf = _msb(r, w)
-            of = (_msb(r, w) != bool((r >> (w - 2)) & 1)) if c == 1 else UNDEF
-            return [of, cf, r]
-
-        def cmov_sem(a):
-            cond, src, old = a
-            return [src if cond else old]
-
-        def set0_sem(a):
-            return [False, False, False, True, True, 0]
-
-        res = (E(w, 0),)
-        flags_res = FLAGS5 + res
-        _scalar("x86_ADD", w, 2, flags_res, add_sem)
+    res = (E(w, 0),)  # also the one source of NOT, NEG and MOV
+    xy = (E(w, 0), E(w, 1))
+    xyc = xy + (F("CF"),)
+    flags_res = FLAGS5 + res
+    two, one, imm = ("oprd", "oprd"), ("oprd",), ("oprd", "imm8")
+    # name, sources, destinations, oshape, table or plain semantics
+    # [, mnemonic]; registration order is the registry's order
+    for row in (
+        ("x86_ADD", xy, flags_res, two,
+         table("x y", [("s", "x + y"), ("r", f"s & {M}")], add_of, f"s > {M}", *szp, "r")),
+        ("x86_ADC", xyc, flags_res, two,
+         table("x y c", [("s", "x + y + c"), ("r", f"s & {M}")],
+               add_of, f"s > {M}", *szp, "r")),
+        ("x86_SUB", xy, flags_res, two,
+         table("x y", [("r", f"(x - y) & {M}")], sub_of, "x < y", *szp, "r")),
+        ("x86_AND", xy, flags_res, two, logic("&")),
+        ("x86_OR", xy, flags_res, two, logic("|")),
+        ("x86_XOR", xy, flags_res, two, logic("^")),
+        ("x86_SHL", xy, flags_res, imm, shl_sem),
+        ("x86_SHR", xy, flags_res, imm, shr_sem),
+        ("x86_SAR", xy, flags_res, imm, sar_sem),
+        ("x86_NOT", res, res, one, table("x", [], f"x ^ {M}")),
+        ("x86_NEG", res, flags_res, one,
+         table("x", [("r", f"-x & {M}")], f"x == {T}", "x != 0", *szp, "r")),
+        ("x86_MOV", res, res, one, table("x", [], "x")),
+        # the product of the sign-extended operands, and whether it
+        # differs from its own truncation, sign-extended
+        ("x86_IMUL", xy, flags_res, two,
+         table("x y", [("p", f"((x ^ {T}) - {T}) * ((y ^ {T}) - {T})"), ("r", f"p & {M}")],
+               *[f"p != (r ^ {T}) - {T}"] * 2, "U", "U", "U", "r")),
+        ("x86_ROL", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm, rol_sem),
+        ("x86_ROR", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm, ror_sem),
+        ("x86_SBB", xyc, flags_res, two,
+         table("x y c", [("r", f"(x - y - c) & {M}")], sub_of, "x < y + c", *szp, "r")),
+        ("x86_MUL", (R("RAX"), E(w, 0)), FLAGS5 + (R("RDX"), R("RAX")), one,
+         table("x y", [("p", "x * y"), ("h", f"p >> {w}")],
+               "h != 0", "h != 0", "U", "U", "U", "h", f"p & {M}")),
+        ("x86_DIV", (R("RDX"), R("RAX"), E(w, 0)), FLAGS5 + (R("RAX"), R("RDX")), one,
+         div_sem),
+        ("x86_CMOV", (F("cond"), E(w, 0), E(w, 1)), (E(w, 1),), two,
+         table("c x y", [], "x if c else y"), "CMOVcc"),
+        ("set0", (), flags_res, one,  # compiled as r := XOR r r
+         table("", [], "False", "False", "False", "True", "True", "0"), "XOR"),
+    ):
+        name, sources, dests, oshape, how, *mnemonic = row
+        t = how if isinstance(how, Table) else None
         register(
             Descriptor(
-                name=f"x86_ADC_{w}",
-                sources=(E(w, 0), E(w, 1), F("CF")),
-                destinations=flags_res,
-                oshape=("oprd", "oprd"),
-                mnemonic="ADC",
-                sem=adc_sem,
+                name=f"{name}_{w}",
+                sources=sources,
+                destinations=dests,
+                oshape=oshape,
+                mnemonic=mnemonic[0] if mnemonic else name.split("_")[-1],
+                sem=t.sem() if t else how,
                 size=w,
-            )
-        )
-        _scalar("x86_SUB", w, 2, flags_res, sub_sem)
-        _scalar("x86_AND", w, 2, flags_res, and_sem)
-        _scalar("x86_OR", w, 2, flags_res, or_sem)
-        _scalar("x86_XOR", w, 2, flags_res, xor_sem)
-        _scalar("x86_SHL", w, 2, flags_res, shl_sem, ("oprd", "imm8"))
-        _scalar("x86_SHR", w, 2, flags_res, shr_sem, ("oprd", "imm8"))
-        _scalar("x86_SAR", w, 2, flags_res, sar_sem, ("oprd", "imm8"))
-        _scalar("x86_NOT", w, 1, res, not_sem, ("oprd",))
-        _scalar("x86_NEG", w, 1, flags_res, neg_sem, ("oprd",))
-        _scalar("x86_MOV", w, 1, res, mov_sem, ("oprd",))
-        _scalar("x86_IMUL", w, 2, flags_res, imul_sem)
-        register(
-            Descriptor(
-                name=f"x86_ROL_{w}",
-                sources=(E(w, 0), E(8, 1)),
-                destinations=(F("OF"), F("CF"), E(w, 0)),
-                oshape=("oprd", "imm8"),
-                mnemonic="ROL",
-                sem=rol_sem,
-                size=w,
-            )
-        )
-        register(
-            Descriptor(
-                name=f"x86_ROR_{w}",
-                sources=(E(w, 0), E(8, 1)),
-                destinations=(F("OF"), F("CF"), E(w, 0)),
-                oshape=("oprd", "imm8"),
-                mnemonic="ROR",
-                sem=ror_sem,
-                size=w,
-            )
-        )
-        register(
-            Descriptor(
-                name=f"x86_SBB_{w}",
-                sources=(E(w, 0), E(w, 1), F("CF")),
-                destinations=flags_res,
-                oshape=("oprd", "oprd"),
-                mnemonic="SBB",
-                sem=sbb_sem,
-                size=w,
-            )
-        )
-        register(
-            Descriptor(
-                name=f"x86_MUL_{w}",
-                sources=(R("RAX"), E(w, 0)),
-                destinations=FLAGS5 + (R("RDX"), R("RAX")),
-                oshape=("oprd",),
-                mnemonic="MUL",
-                sem=mul_sem,
-                size=w,
-            )
-        )
-        register(
-            Descriptor(
-                name=f"x86_DIV_{w}",
-                sources=(R("RDX"), R("RAX"), E(w, 0)),
-                destinations=FLAGS5 + (R("RAX"), R("RDX")),
-                oshape=("oprd",),
-                mnemonic="DIV",
-                sem=div_sem,
-                size=w,
-            )
-        )
-        register(
-            Descriptor(
-                name=f"x86_CMOV_{w}",
-                sources=(F("cond"), E(w, 0), E(w, 1)),
-                destinations=(E(w, 1),),
-                oshape=("oprd", "oprd"),
-                mnemonic="CMOVcc",
-                sem=cmov_sem,
-                size=w,
-            )
-        )
-        register(
-            Descriptor(
-                name=f"set0_{w}",
-                sources=(),
-                destinations=flags_res,
-                oshape=("oprd",),
-                mnemonic="XOR",  # compiled as r := XOR r r
-                sem=set0_sem,
-                size=w,
+                table=t,
             )
         )
 
 
-_build_scalars()
+for _w in (8, 16, 32, 64):
+    _build_scalars(_w)
 
 
 def exec_vector_raw(d: Descriptor, mode: str, vals: list) -> list:
@@ -721,24 +656,23 @@ def _build_vectors():
         _vector(f"x86_VPADD_{n}u{m}", n, m,
                 [E(total, 0), E(total, 1)], [(n, m), (n, m)], padd_v, padd_l)
 
-        def pmulu_v(a, *, n=n, m=m, lane_mask=lane_mask):
-            x, y = a
-            r = 0
-            m32 = (1 << (m // 2)) - 1
-            for i in range(n):
-                p = ((x >> (m * i)) & m32) * ((y >> (m * i)) & m32)
-                r |= (p & lane_mask) << (m * i)
-            return [r]
+    # VPMULUDQ: the low 32 bits of each 64-bit lane multiplied, unrolled
+    # in OpsV; a 32 x 32-bit product fills its lane exactly
+    m32 = (1 << 32) - 1
 
-        def pmulu_l(a, *, m=m, lane_mask=lane_mask):
-            x, y = a
-            m32 = (1 << (m // 2)) - 1
-            return [[((u & m32) * (v & m32)) & lane_mask for u, v in zip(x, y)]]
+    def pmulu_v(a):
+        x, y = a
+        return [(x & m32) * (y & m32)
+                | (x >> 64 & m32) * (y >> 64 & m32) << 64
+                | (x >> 128 & m32) * (y >> 128 & m32) << 128
+                | (x >> 192 & m32) * (y >> 192 & m32) << 192]
 
-        if (n, m) == (4, 64):
-            _vector("x86_VPMULU_4u64", n, m,
-                    [E(total, 0), E(total, 1)], [(n, m), (n, m)], pmulu_v, pmulu_l,
-                    mnemonic="VPMULUDQ")
+    def pmulu_l(a):
+        x, y = a
+        return [[(u & m32) * (v & m32) for u, v in zip(x, y)]]
+
+    _vector("x86_VPMULU_4u64", 4, 64, [E(256, 0), E(256, 1)], [(4, 64), (4, 64)],
+            pmulu_v, pmulu_l, mnemonic="VPMULUDQ")
 
     # whole-register bitwise operations, viewed as 64-bit lanes in Ops mode
     for total in (128, 256):
@@ -885,66 +819,57 @@ def _build_vectors():
     _vector("x86_VPSHUFB_256", 32, 8,
             [E(256, 0), E(256, 1)], [(32, 8), (32, 8)], permute_v(8, 32), shufb_l)
 
-    # interleaves (per 128-bit half, AVX2 style)
-    m32 = (1 << 32) - 1
+    # interleaves (per 128-bit half, AVX2 style); OpsV moves the chosen
+    # elements of both halves at once, with one mask per element position
+    def half_elements(m):
+        return [_rep_mask(((1 << m) - 1) << (m * k), 2, 128) for k in range(128 // m)]
 
-    def unpck32(lo):
-        off = 0 if lo else 2
+    d0, d1, d2, d3 = half_elements(32)
 
-        def v(a, *, off=off):
-            x, y = a
-            r = 0
-            for h in (0, 128):
-                for i in range(2):
-                    xd = (x >> (h + 32 * (off + i))) & m32
-                    yd = (y >> (h + 32 * (off + i))) & m32
-                    r |= xd << (h + 64 * i)
-                    r |= yd << (h + 64 * i + 32)
-            return [r]
+    def unpckl32_v(a):
+        x, y = a
+        return [(x & d0) | ((x & d1) | (y & d0)) << 32 | (y & d1) << 64]
 
-        def l(a, *, off=off):
+    def unpckh32_v(a):
+        x, y = a
+        return [(x & d2) >> 64 | ((x & d3) | (y & d2)) >> 32 | (y & d3)]
+
+    def unpck32_l(off):
+        def l(a):
             x, y = a
             out = []
             for h in (0, 4):
                 out += [x[h + off], y[h + off], x[h + off + 1], y[h + off + 1]]
             return [out]
 
-        return v, l
+        return l
 
-    v, l = unpck32(True)
     _vector("x86_VPUNPCKL_8u32", 8, 32,
-            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], v, l)
-    v, l = unpck32(False)
+            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckl32_v, unpck32_l(0))
     _vector("x86_VPUNPCKH_8u32", 8, 32,
-            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], v, l)
+            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckh32_v, unpck32_l(2))
 
-    m64 = (1 << 64) - 1
+    q0, q1 = half_elements(64)
 
-    def unpck64(lo):
-        off = 0 if lo else 1
+    def unpckl64_v(a):
+        x, y = a
+        return [(x & q0) | (y & q0) << 64]
 
-        def v(a, *, off=off):
-            x, y = a
-            r = 0
-            for h in (0, 128):
-                xd = (x >> (h + 64 * off)) & m64
-                yd = (y >> (h + 64 * off)) & m64
-                r |= xd << h
-                r |= yd << (h + 64)
-            return [r]
+    def unpckh64_v(a):
+        x, y = a
+        return [(x & q1) >> 64 | (y & q1)]
 
-        def l(a, *, off=off):
+    def unpck64_l(off):
+        def l(a):
             x, y = a
             return [[x[off], y[off], x[2 + off], y[2 + off]]]
 
-        return v, l
+        return l
 
-    v, l = unpck64(True)
     _vector("x86_VPUNPCKL_4u64", 4, 64,
-            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], v, l)
-    v, l = unpck64(False)
+            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckl64_v, unpck64_l(0))
     _vector("x86_VPUNPCKH_4u64", 4, 64,
-            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], v, l)
+            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckh64_v, unpck64_l(1))
 
     # 128-bit-lane permutes / extract / insert
     m128 = (1 << 128) - 1

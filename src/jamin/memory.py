@@ -128,23 +128,31 @@ class Memory:
         base, end = self._regions[i - 1]
         return base <= a and a + n <= end
 
-    def load_int(self, a: int, width: int) -> int:
-        n = width // 8
+    def load_span(self, a: int, n: int, *, highest_first: bool = False) -> bytes:
+        """The n bytes at a, a+1, ... (addresses wrap at 2^64).  A span
+        inside one region is read in one step; otherwise, and to locate a
+        fault, byte by byte from the lowest address (or the highest), so
+        the fault raised is the one that order meets first."""
         if self._check_span(a, n):
             get = self._bytes.get
             if not self.strict:
-                return int.from_bytes(bytes(map(get, range(a, a + n), repeat(0, n))), "little")
+                return bytes(map(get, range(a, a + n), repeat(0, n)))
             try:
-                return int.from_bytes(bytes(map(get, range(a, a + n))), "little")
-            except TypeError:  # a byte was never written: report the highest
-                for i in range(n - 1, -1, -1):
-                    if get(a + i) is None:
-                        raise UninitializedRead(a + i) from None
-                raise
-        v = 0
-        for i in reversed(range(n)):
-            v = (v << 8) | self._load8((a + i) & ADDR_MASK)
-        return v
+                return bytes(map(get, range(a, a + n)))
+            except TypeError:  # a byte was never written: find it below
+                pass
+        order = reversed(range(n)) if highest_first else range(n)
+        got = {i: self._load8((a + i) & ADDR_MASK) for i in order}
+        return bytes(got[i] for i in range(n))
+
+    def load_int(self, a: int, width: int) -> int:
+        n = width // 8
+        if self._check_span(a, n):
+            try:
+                return int.from_bytes(bytes(map(self._bytes.get, range(a, a + n))), "little")
+            except TypeError:  # an unwritten byte: read as 0, or the fault, below
+                pass
+        return int.from_bytes(self.load_span(a, n, highest_first=True), "little")
 
     def store_int_inplace(self, a: int, width: int, value: int) -> None:
         n = width // 8
@@ -203,7 +211,7 @@ def add_region(m: Memory, base: int, length: int) -> Memory:
 
 
 def load_bytes(m: Memory, a: int, n: int) -> bytes:
-    return bytes(m._load8((a + i) & ADDR_MASK) for i in range(n))
+    return m.load_span(a, n)
 
 
 def store_bytes(m: Memory, a: int, data: bytes) -> Memory:

@@ -35,8 +35,9 @@ def test_store2_writes_little_endian_words():
 def test_division_by_zero():
     p = prep("fn f(reg u64 a, reg u64 b) -> reg u64 { a = a / b; return a; }")
     assert run(p, "f", [10, 3])[0][0].value == 3
-    with pytest.raises(interp.DivByZero):
+    with pytest.raises(interp.DivByZero) as exc:
         run(p, "f", [10, 0])
+    assert exc.value.loc == (1, 47)
 
 
 def test_div_intrinsic_fault_maps_to_divbyzero():
@@ -50,8 +51,9 @@ fn f(reg u64 a, reg u64 b) -> reg u64 {
 """
     )
     assert run(p, "f", [10, 3])[0][0].value == 3
-    with pytest.raises(interp.DivByZero):
+    with pytest.raises(interp.DivByZero) as exc:
         run(p, "f", [10, 0])
+    assert exc.value.loc == (4, 25)  # the intrinsic's location
 
 
 def test_uninitialized_register_use():

@@ -236,3 +236,25 @@ def test_byte_shuffle_zeroing_selectors(name):
 def test_chacha_rotations_are_two_shift_groups():
     assert len(isa._permute_plan(8, 32, ROT16)) == 2
     assert len(isa._permute_plan(8, 32, ROT8)) == 2
+
+
+# Interleaves and VPMULUDQ are unrolled word formulas in OpsV; the lane
+# semantics of Ops is the reference.
+
+
+@pytest.mark.parametrize("name", ["x86_VPUNPCKL_8u32", "x86_VPUNPCKH_8u32",
+                                  "x86_VPUNPCKL_4u64", "x86_VPUNPCKH_4u64",
+                                  "x86_VPMULU_4u64"])
+def test_word_formula_interleaves_and_multiply_match_lanes(name):
+    d = isa.lookup(name)
+    rng = random.Random(name)
+    ones = (1 << 256) - 1
+    n, m = d.lanes
+    counting = sum((i + 1) << (m * i) for i in range(n))  # every lane distinct
+    pairs = [(ones, ones), (ones, 0), (0, ones), (counting, ones ^ counting)]
+    pairs += [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(300)]
+    for x, y in pairs:
+        assert isa.exec_vector_raw(d, isa.OPS, [x, y]) == isa.exec_vector_raw(
+            d, isa.OPSV, [x, y]), (name, hex(x), hex(y))
+        words = [Word(256, x), Word(256, y)]
+        assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words)

@@ -177,3 +177,45 @@ def test_parse_dump_rejects_a_cell_that_is_not_a_byte():
     for cell in ("1ff", "-1"):
         with pytest.raises(ValueError, match="not a byte"):
             memory.parse_dump(f"00001000: 00 {cell}\n")
+
+
+def _outcome(f, *args):
+    """What a load returns, or the class and address of its fault."""
+    try:
+        return f(*args)
+    except (OutOfRegion, UninitializedRead) as exc:
+        return type(exc), exc.address
+
+
+def _per_byte(m, a, n):
+    return bytes(memory.load8(m, (a + i) & memory.ADDR_MASK) for i in range(n))
+
+
+def _per_byte_int(m, a, width):
+    v = 0
+    for i in reversed(range(width // 8)):  # highest byte first
+        v = (v << 8) | memory.load8(m, (a + i) & memory.ADDR_MASK)
+    return v
+
+
+def test_span_loads_fault_like_per_byte_loads():
+    top = (1 << 64) - 16
+    for strict in (True, False):
+        m = Memory(strict=strict)
+        for base, length in ((0x100, 40), (0x12A, 20), (top, 16), (0, 8)):
+            m = memory.add_region(m, base, length)
+        # written: 0x100..0x10F and 0x114..0x127 (a hole at 0x110..0x113),
+        # the second region partly, the 16 bytes below 2^64 and 0..7
+        for a, data in ((0x100, bytes(range(16))), (0x114, b"\xee" * 20),
+                        (0x12A, b"\x01" * 6), (top, bytes(range(1, 17))), (0, b"\x07" * 8)):
+            m = memory.store_bytes(m, a, data)
+        spans = [(0x100, 16), (0x104, 8), (0x10C, 8), (0x110, 4), (0x112, 30), (0x120, 16),
+                 (0x126, 8), (0x128, 4), (0x12A, 6), (0x12C, 12), (0x13E, 4), (0xF8, 16),
+                 (top + 8, 16), (top, 16), (top + 12, 8), (0x100, 0), (0x200, 0), (0x200, 1)]
+        rng = random.Random(9)
+        spans += [(rng.randrange(0xF0, 0x150), rng.randrange(0, 40)) for _ in range(200)]
+        for a, n in spans:
+            assert _outcome(memory.load_bytes, m, a, n) == _outcome(_per_byte, m, a, n), (a, n)
+            for width in (8, 16, 32, 64, 128, 256):
+                assert (_outcome(m.load_int, a, width)
+                        == _outcome(_per_byte_int, m, a, width)), (a, width)
