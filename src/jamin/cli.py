@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import interp, leakage, memory, safety
+from . import interp, isa, leakage, memory, safety
 from .expand import ExpandError, expand
 from .parser import ParseError, parse
 from .typecheck import TypecheckError, typecheck
@@ -41,6 +41,29 @@ def _load_program(path: str):
         return expand(typecheck(parse(text)))
     except (ParseError, TypecheckError, ExpandError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _int(text: str, least: int | None = None) -> int:
+    try:
+        n = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if least is not None and n < least:
+        raise argparse.ArgumentTypeError(f"{text} is below {least}")
+    return n
+
+
+def _positive(text: str) -> int:
+    return _int(text, 1)
+
+
+def _sizes(text: str) -> list:
+    return [_int(s, 0) for s in text.split(",")]
+
+
+def _length(text: str) -> tuple:
+    name, _, mx = text.partition(":")
+    return name, _int(mx, 0)
 
 
 def _parse_regions(specs):
@@ -80,9 +103,13 @@ def cmd_run(args) -> int:
     fn = p.func(args.entry) if args.entry in p.func_names() else None
     if fn is None:
         raise CliError(f"no function {args.entry!r} in {args.file}")
-    vals = [int(v, 0) for v in args.u64 or ()]
+    vals = args.u64 or []
+    if len(vals) != len(fn.params):
+        raise CliError(
+            f"{args.entry} takes {len(fn.params)} arguments, got {len(vals)} --u64 values"
+        )
     try:
-        results, final = interp.run(
+        results, final, _ = interp.run(
             p, args.entry, vals, mem, budget=args.budget,
             vector_mode=args.vector_mode,
         )
@@ -121,14 +148,16 @@ def _build_shape(p, args) -> dict:
     for spec in args.ptr or ():
         name, _, size = spec.partition(":")
         ptrs[name] = size
-    lens = {}
-    for spec in args.len or ():
-        name, _, mx = spec.partition(":")
-        lens[name] = int(mx, 0)
+    lens = dict(args.len or ())
     for q in fn.params:
         if q.name in ptrs:
             size = ptrs[q.name]
-            shape[q.name] = leakage.Ptr(int(size, 0) if size.isdigit() else size)
+            if size not in lens:
+                if not size.isdigit():
+                    raise CliError(f"--ptr {q.name}:{size}: LEN must be a byte count "
+                                   "or a --len name")
+                size = int(size)
+            shape[q.name] = leakage.Ptr(size)
         elif q.name in lens:
             shape[q.name] = leakage.Len(max=lens[q.name])
         elif isinstance(q.ty, WordTy):
@@ -247,8 +276,6 @@ def cmd_difftest(args) -> int:
 
 
 def cmd_isa(args) -> int:
-    from . import isa
-
     rows = []
     for name in sorted(isa.registry()):
         d = isa.lookup(name)
@@ -291,19 +318,18 @@ def cmd_bench(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    sizes = [int(s, 0) for s in args.sizes.split(",")] if args.sizes else [0, 64, 256, 1024, 4096]
     rows = []
     lines = [f"interpreted steps per byte for {args.program} (seed {args.seed});"]
     lines.append("this is an interpreter proxy metric, not hardware timing")
     lines.append(f"{'bytes':>8s} {'steps':>12s} {'steps/byte':>12s}")
-    for size in sizes:
+    for size in args.sizes:
         total = 0
         for _ in range(args.repetitions):
             case = shape.sample(rng, 10**6)  # large index: random-length regime
             if "msg" in case:
                 case["msg"] = rng.randbytes(size)
             m, argv = shape.build_memory(case)
-            total += interp.steps_used(p, info.entry, argv, m)
+            total += interp.run(p, info.entry, argv, m).steps
         steps = total / args.repetitions
         per_byte = steps / size if size else float("nan")
         rows.append({"bytes": size, "steps": steps, "steps_per_byte": per_byte})
@@ -326,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("run", help="interpret a program")
     pr.add_argument("file")
     pr.add_argument("--entry", required=True)
-    pr.add_argument("--u64", action="append", metavar="VALUE",
+    pr.add_argument("--u64", action="append", type=_int, metavar="VALUE",
                     help="64-bit argument (repeatable, in order)")
     pr.add_argument("--region", action="append", metavar="BASE:LEN",
                     help="declare a valid memory region")
     pr.add_argument("--mem-in", help="hex dump to preload")
     pr.add_argument("--mem-out", help="write the final memory dump here")
-    pr.add_argument("--budget", type=int, default=interp.DEFAULT_BUDGET)
-    pr.add_argument("--vector-mode", choices=("Ops", "OpsV"), default=None)
+    pr.add_argument("--budget", type=_positive, default=interp.DEFAULT_BUDGET)
+    pr.add_argument("--vector-mode", choices=(isa.OPS, isa.OPSV), default=isa.OPSV)
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(fn=cmd_run)
 
@@ -343,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--public", default="", metavar="a,b,...")
     pc.add_argument("--ptr", action="append", metavar="NAME:LEN",
                     help="pointer parameter; LEN is bytes or a length parameter")
-    pc.add_argument("--len", action="append", metavar="NAME:MAX",
+    pc.add_argument("--len", action="append", type=_length, metavar="NAME:MAX",
                     help="length parameter sampled in [0, MAX]")
     pc.add_argument("--public-region", default="", metavar="a,b",
                     help="pointer parameters whose pointees are public")
     pc.add_argument("--secret-region", action="append", metavar="NAME",
                     help="pointer parameters whose pointees are secret "
                     "(the default for every region)")
-    pc.add_argument("--trials", type=int, default=1000)
+    pc.add_argument("--trials", type=_positive, default=1000)
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(fn=cmd_ct)
@@ -370,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "after the functional specification")
     pd.add_argument("--entry", required=True)
     pd.add_argument("--shape", required=True, choices=("poly1305", "chacha20", "gimli"))
-    pd.add_argument("--runs", type=int, default=100)
+    pd.add_argument("--runs", type=_positive, default=100)
     pd.add_argument("--seed", type=int, default=1)
     pd.add_argument("--json", action="store_true")
     pd.set_defaults(fn=cmd_difftest)
@@ -382,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="interpreted steps-per-byte proxy benchmark")
     pb.add_argument("program", help="corpus program name")
-    pb.add_argument("--sizes", default=None, metavar="N,N,...")
-    pb.add_argument("--repetitions", type=int, default=3)
+    pb.add_argument("--sizes", type=_sizes, default=[0, 64, 256, 1024, 4096],
+                    metavar="N,N,...")
+    pb.add_argument("--repetitions", type=_positive, default=3)
     pb.add_argument("--seed", type=int, default=1)
     pb.add_argument("--json", action="store_true")
     pb.set_defaults(fn=cmd_bench)

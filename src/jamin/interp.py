@@ -1,7 +1,14 @@
 """Executable semantics of expanded programs, with dynamic safety checks.
 
+`run` is the one way to execute a program.  It returns a RunResult of
+(results, memory, steps): the entry's results, the final memory and the
+budget steps consumed.  The vector representation (OPS or OPSV, see
+isa) is an argument of each run, defaulting to OPSV; nothing about a
+run is configured outside its arguments.
+
 Runs are deterministic: the same program, arguments, memory and vector
-mode produce bit-identical results, final memories and leakage traces.
+mode produce bit-identical results, final memories, leakage traces and
+step counts.
 Every statement costs one unit of the step budget (loop iterations pay
 per round), so non-terminating loops abort with BudgetExhausted.
 
@@ -29,6 +36,8 @@ up to the fault.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from . import codegen
 from . import memory as mem_mod
@@ -108,23 +117,6 @@ class StackArray:
             )
         self.buf[:] = data
         self.init[:] = b"\x01" * len(self.buf)
-
-
-_MODE = [OPSV]
-_ACTIVE_RUNS = [0]
-
-
-def set_vector_mode(mode: str) -> None:
-    """Choose the representation used by vector intrinsics (default OpsV)."""
-    if mode not in (OPS, OPSV):
-        raise ContractViolation(f"unknown vector mode {mode!r}")
-    if _ACTIVE_RUNS[0]:
-        raise ContractViolation("vector mode cannot change during a run")
-    _MODE[0] = mode
-
-
-def get_vector_mode() -> str:
-    return _MODE[0]
 
 
 # ----------------------------------------------------- run-time helpers
@@ -403,32 +395,13 @@ def _to_runtime(v, ty):
     return v
 
 
-def _execute(p, entry, args, mem, budget, trace, vector_mode):
-    """Run `entry` with every contract check: (results, memory, steps)."""
-    if not getattr(p, "typed", False):
-        raise ContractViolation("run requires a typechecked program")
-    fn = p.func(entry)
-    if fn.inline:
-        raise ContractViolation(f"{entry!r} is an inline function, not an entry point")
-    if budget <= 0:
-        raise ContractViolation("step budget must be positive")
-    mode = vector_mode if vector_mode is not None else _MODE[0]
-    if mode not in (OPS, OPSV):
-        raise ContractViolation(f"unknown vector mode {mode!r}")
-    if len(args) != len(fn.params):
-        raise ContractViolation(
-            f"{entry} takes {len(fn.params)} arguments, got {len(args)}"
-        )
-    work = mem.thaw()
-    bound = [_bind_param(d, a) for d, a in zip(fn.params, args)]
-    code = _namespace(p)["F_" + fn.name]
-    _ACTIVE_RUNS[0] += 1
-    try:
-        out = code(*bound, budget, trace, work, mode == OPSV)
-    finally:
-        _ACTIVE_RUNS[0] -= 1
-    rets = [_to_runtime(v, ty) for v, (_, ty) in zip(out[1:], fn.rets)]
-    return rets, work, budget - out[0]
+class RunResult(NamedTuple):
+    """What a run produces: the entry's results, the final memory and the
+    number of budget steps the run consumed."""
+
+    results: list
+    memory: Memory
+    steps: int
 
 
 def run(
@@ -439,26 +412,30 @@ def run(
     *,
     budget: int = DEFAULT_BUDGET,
     trace: list | None = None,
-    vector_mode: str | None = None,
-):
-    """Run `entry` on `args` over a private copy of `mem`.
+    vector_mode: str = OPSV,
+) -> RunResult:
+    """Run `entry` on `args` over a private copy of `mem`, with vector
+    intrinsics in `vector_mode` (OPS or OPSV).
 
-    Returns (results, final_memory); raises a SafetyError subclass on
-    any dynamic safety violation.
+    Raises ContractViolation on a malformed call, before anything runs,
+    and a SafetyError subclass on any dynamic safety violation.
     """
-    results, final, _ = _execute(p, entry, args, mem, budget, trace, vector_mode)
-    return results, final
-
-
-def steps_used(
-    p: Program,
-    entry: str,
-    args,
-    mem: Memory,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    trace: list | None = None,
-    vector_mode: str | None = None,
-) -> int:
-    """Run like `run` and report how many budget steps the run consumed."""
-    return _execute(p, entry, args, mem, budget, trace, vector_mode)[2]
+    if not getattr(p, "typed", False):
+        raise ContractViolation("run requires a typechecked program")
+    fn = p.func(entry)
+    if fn.inline:
+        raise ContractViolation(f"{entry!r} is an inline function, not an entry point")
+    if budget <= 0:
+        raise ContractViolation("step budget must be positive")
+    if vector_mode not in (OPS, OPSV):
+        raise ContractViolation(f"unknown vector mode {vector_mode!r}")
+    if len(args) != len(fn.params):
+        raise ContractViolation(
+            f"{entry} takes {len(fn.params)} arguments, got {len(args)}"
+        )
+    work = mem.thaw()
+    bound = [_bind_param(d, a) for d, a in zip(fn.params, args)]
+    code = _namespace(p)["F_" + fn.name]
+    out = code(*bound, budget, trace, work, vector_mode == OPSV)
+    rets = [_to_runtime(v, ty) for v, (_, ty) in zip(out[1:], fn.rets)]
+    return RunResult(rets, work, budget - out[0])

@@ -299,10 +299,6 @@ def _lane_codec(n: int, m: int):
     return (lambda v: [(v >> (m * i)) & mask for i in range(n)]), join
 
 
-def _split_int(v: int, n: int, m: int):
-    return _lane_codec(n, m)[0](v)
-
-
 def _join_int(vals, m: int) -> int:
     return _lane_codec(len(vals), m)[1](vals)
 
@@ -567,11 +563,6 @@ def _build_scalars(w: int):
 
 for _w in (8, 16, 32, 64):
     _build_scalars(_w)
-
-
-def exec_vector_raw(d: Descriptor, mode: str, vals: list) -> list:
-    """Int-level twin of exec_vector: unchecked ints in and out."""
-    return d.sem(vals) if mode == OPSV else lane_adapter(d).run(vals)
 
 
 # ------------------------------------------------- vector definitions

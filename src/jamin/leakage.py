@@ -46,7 +46,6 @@ from .ir import (
     SIf,
     SReturn,
     SWhile,
-    WordTy,
 )
 from .memory import Memory
 
@@ -102,10 +101,10 @@ class LeakTrace:
         return "; ".join(parts)
 
 
-def run_instrumented(p: Program, entry: str, args, mem: Memory, **kw):
+def run_instrumented(p: Program, entry: str, args, mem: Memory):
     """interp.run with leakage collection: (results, memory, LeakTrace)."""
     events: list = []
-    results, final = interp.run(p, entry, args, mem, trace=events, **kw)
+    results, final, _ = interp.run(p, entry, args, mem, trace=events)
     return results, final, LeakTrace(events)
 
 
@@ -192,13 +191,6 @@ def _sample_secret_bytes(rng: random.Random, n: int) -> bytes:
     return rng.randbytes(n)
 
 
-def _param_width(fn, name: str) -> int:
-    for p in fn.params:
-        if p.name == name:
-            return p.ty.bits if isinstance(p.ty, WordTy) else 64
-    raise KeyError(name)
-
-
 def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
                  rng: random.Random):
     """Sample one trial: shared public part plus two secret parts.
@@ -282,7 +274,6 @@ def ct_check(
     trials: int,
     seed: int,
     shape: dict,
-    **run_kw,
 ) -> Verdict:
     """Two-run differential constant-time check."""
     if trials < 1:
@@ -296,7 +287,7 @@ def ct_check(
         for sec in (sec1, sec2):
             args, m = _materialize(p, entry, public, regions, pub_contents, sec)
             try:
-                _, _, tr = run_instrumented(p, entry, args, m, **run_kw)
+                _, _, tr = run_instrumented(p, entry, args, m)
             except interp.SafetyError as exc:
                 return Verdict(
                     kind="error",

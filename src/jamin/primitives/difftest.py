@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .. import interp, memory
+from ..isa import OPSV
 from ..memory import Memory
 from .chacha20 import chacha20_xor
 from .gimli import gimli_bytes
@@ -36,7 +37,7 @@ class DslEntry:
     name: str
     program: object
     entry: str
-    vector_mode: str | None = None
+    vector_mode: str = OPSV
 
 
 @dataclass
@@ -209,13 +210,8 @@ def _execute(entry, shape: Shape, case):
         final = shape.expected_memory(case, out)
         return out, memory.dump(final)
     m, args = shape.build_memory(case)
-    _, final = interp.run(
-        entry.program,
-        entry.entry,
-        args,
-        m,
-        vector_mode=entry.vector_mode,
-    )
+    final = interp.run(entry.program, entry.entry, args, m,
+                       vector_mode=entry.vector_mode).memory
     return shape.read_output(case, final), memory.dump(final)
 
 
@@ -274,7 +270,7 @@ def hop_difftest(
     return DiffReport(shape.name, executed, seed, pairs)
 
 
-def corpus_chain(kind: str, vector_mode: str | None = None) -> list:
+def corpus_chain(kind: str, vector_mode: str = OPSV) -> list:
     """The standard spec -> reference -> optimized chain for a family."""
     from .corpus import PROGRAMS, load_program
 

@@ -181,3 +181,50 @@ def test_bench_size_zero_row_present(capsys):
 def test_bench_unknown_program_exit_2(capsys):
     code, _, err = run_cli(capsys, "bench", "nope")
     assert code == 2
+
+
+GIMLI = str(CORPUS / "gimli_ref.jz")
+POLY = str(CORPUS / "poly1305_ref.jz")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", GIMLI, "--entry", "gimli", "--u64", "zz"),
+    ("run", GIMLI, "--entry", "gimli"),
+    ("run", GIMLI, "--entry", "gimli", "--u64", "1", "--u64", "2"),
+    ("run", GIMLI, "--entry", "gimli", "--u64", "1", "--budget", "0"),
+    ("ct", POLY, "--entry", "poly1305", "--ptr", "out:16", "--ptr", "in:inlen",
+     "--ptr", "k:32", "--len", "inlen:abc"),
+    ("ct", POLY, "--entry", "poly1305", "--ptr", "out", "--ptr", "in:inlen",
+     "--ptr", "k:32", "--len", "inlen:64"),
+    ("ct", POLY, "--entry", "poly1305", "--trials", "0"),
+    ("bench", "poly1305_ref", "--repetitions", "0"),
+    ("bench", "poly1305_ref", "--sizes", "x"),
+    ("difftest", GIMLI, "--entry", "gimli", "--shape", "gimli", "--runs", "0"),
+], ids=["run-u64-zz", "run-too-few-args", "run-too-many-args", "run-budget-0",
+        "ct-len-abc", "ct-ptr-no-len", "ct-trials-0", "bench-repetitions-0", "bench-sizes-x",
+        "difftest-runs-0"])
+def test_malformed_arguments_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+# `bench` step counts at sizes 0, 64 and 1024 (repetitions 1, seed 1),
+# pinned so the counting path through the CLI cannot drift.
+BENCH_STEPS_GOLDEN = {
+    "poly1305_ref": [(0, 31), (64, 279), (1024, 3999)],
+    "chacha20_avx2_big": [(0, 24), (64, 1289), (1024, 3594)],
+}
+
+
+@pytest.mark.parametrize("program", sorted(BENCH_STEPS_GOLDEN))
+def test_bench_steps_golden(capsys, program):
+    code, out, _ = run_cli(
+        capsys, "bench", program, "--sizes", "0,64,1024", "--repetitions", "1",
+        "--seed", "1", "--json",
+    )
+    assert code == 0
+    rows = [(r["bytes"], r["steps"]) for r in json.loads(out)["rows"]]
+    assert rows == BENCH_STEPS_GOLDEN[program]

@@ -66,7 +66,7 @@ def test_inlined_destinations_match_exec_intrinsic(name):
                 with pytest.raises(interp.UninitializedUse):
                     interp.run(p, "f", list(args), memory.Memory())
                 continue
-            got, _ = interp.run(p, "f", list(args), memory.Memory())
+            got = interp.run(p, "f", list(args), memory.Memory()).results
             assert all(_same(g, want[i]) for g, i in zip(got, keep)), (args, keep, got)
 
 
@@ -83,7 +83,7 @@ fn f(reg u64 x, reg u64 y, reg bool c) -> reg u64, reg u64, reg bool {
     x, y, c = (1 << 64) - 1, (1 << 64) - 3, True
     s = x + y + c
     prod = (s & ((1 << 64) - 1)) * y
-    got, _ = interp.run(p, "f", [x, y, c], memory.Memory())
+    got = interp.run(p, "f", [x, y, c], memory.Memory()).results
     assert got == [Word(64, prod & ((1 << 64) - 1)), Word(64, prod >> 64), True]
 
 

@@ -35,14 +35,15 @@ def _sha(text: str) -> str:
 
 def _record(p, entry, args, m, mode) -> dict:
     trace: list = []
-    results, final = interp.run(p, entry, args, m, trace=trace, vector_mode=mode)
-    plain, plain_final = interp.run(p, entry, args, m, vector_mode=mode)
-    assert plain == results and memory.dump(plain_final) == memory.dump(final)
+    results, final, steps = interp.run(p, entry, args, m, trace=trace, vector_mode=mode)
+    plain = interp.run(p, entry, args, m, vector_mode=mode)
+    assert plain.results == results and plain.steps == steps
+    assert memory.dump(plain.memory) == memory.dump(final)
     return {
         "results": repr(results),
         "memory": _sha(memory.dump(final)),
         "trace": _sha(repr(trace)),
-        "steps": interp.steps_used(p, entry, args, m, vector_mode=mode),
+        "steps": steps,
     }
 
 

@@ -51,7 +51,7 @@ fn f() -> reg u64 {
     )
     from jamin import interp, memory
 
-    res, _ = interp.run(p, "f", [], memory.Memory())
+    res = interp.run(p, "f", [], memory.Memory()).results
     assert res[0].value == 202
 
 
@@ -75,7 +75,7 @@ fn f() -> reg u64 {
     assert p.func_names() == ["f"]  # inline helpers are gone
     from jamin import interp, memory
 
-    res, _ = interp.run(p, "f", [], memory.Memory())
+    res = interp.run(p, "f", [], memory.Memory()).results
     assert res[0].value == 16
 
 
@@ -95,7 +95,7 @@ fn f() -> reg u64 {
     assert len(p.globals) == 2
     from jamin import interp, memory
 
-    res, _ = interp.run(p, "f", [], memory.Memory())
+    res = interp.run(p, "f", [], memory.Memory()).results
     assert res[0].value == 0x101 + 0x101 + 3
 
 
@@ -154,6 +154,6 @@ fn f(reg u64 a) -> reg u64 {
 """
     )
     for v in (0, 17, 2**64 - 1):
-        r1, _ = interp.run(unrolled, "f", [v], memory.Memory())
-        r2, _ = interp.run(looped, "f", [v], memory.Memory())
+        r1 = interp.run(unrolled, "f", [v], memory.Memory()).results
+        r2 = interp.run(looped, "f", [v], memory.Memory()).results
         assert r1 == r2

@@ -27,7 +27,7 @@ fn store2(reg u64 p, reg u64[2] x) {
 
 def test_store2_writes_little_endian_words():
     m = memory.add_region(memory.Memory(), 100, 16)
-    _, m2 = run(STORE2, "store2", [100, [7, 9]], m)
+    m2 = run(STORE2, "store2", [100, [7, 9]], m).memory
     assert memory.loadW(m2, 100, 64).value == 7
     assert memory.loadW(m2, 108, 64).value == 9
 
@@ -81,7 +81,7 @@ fn f(reg u64 a, reg u64 b) -> reg u64 {
 
 def test_truncating_assignment():
     p = prep("fn t(reg u64 y) -> reg u32 { reg u32 x; x = y; return x; }")
-    r, _ = run(p, "t", [2**32 + 1])
+    r = run(p, "t", [2**32 + 1]).results
     assert r[0] == Word(32, 1)
 
 
@@ -122,7 +122,7 @@ fn f(reg u64 b) -> reg u64, reg u64 {
 }
 """
     )
-    r, _ = run(p, "f", [0xAB])
+    r = run(p, "f", [0xAB]).results
     expect = bytearray(b"\xee" * 16)
     expect[1] = 0xAB
     assert r[0].value == int.from_bytes(expect[:8], "little")
@@ -148,7 +148,7 @@ fn f() -> reg u64, reg u64 {
 }
 """
     )
-    r, _ = run(p, "f", [])
+    r = run(p, "f", []).results
     assert (r[0].value, r[1].value) == (0xFF, 1)
 
 
@@ -164,24 +164,34 @@ fn f(reg u64 x) -> reg u64 {
     assert run(p, "f", [42])[0][0].value == 42
 
 
-def test_vector_mode_contract():
-    interp.set_vector_mode("Ops")
-    assert interp.get_vector_mode() == "Ops"
-    interp.set_vector_mode("OpsV")
-    assert interp.get_vector_mode() == "OpsV"  # stated default restored
-    with pytest.raises(interp.ContractViolation):
-        interp.set_vector_mode("weird")
+def test_unknown_vector_mode_rejected_before_running():
+    m = memory.add_region(memory.Memory(), 100, 16)
+    trace = []
+    with pytest.raises(interp.ContractViolation, match="unknown vector mode"):
+        run(STORE2, "store2", [100, [7, 9]], m, trace=trace, vector_mode="weird")
+    assert trace == []
 
 
-def test_vector_mode_fixed_during_run():
-    # a run in progress must reject mode switches; simulate by entering
-    # the guard the way run() does
-    interp._ACTIVE_RUNS[0] += 1
-    try:
-        with pytest.raises(interp.ContractViolation):
-            interp.set_vector_mode("Ops")
-    finally:
-        interp._ACTIVE_RUNS[0] -= 1
+@pytest.mark.parametrize("name", ["chacha20_avx2_small", "gimli_sse"])
+def test_vector_mode_is_per_run(name):
+    """One program object (one cached namespace) run Ops, OpsV, Ops
+    matches a freshly loaded program run in each mode."""
+    import random
+
+    from jamin.primitives.corpus import PROGRAMS, load_source
+    from jamin.primitives.difftest import SHAPES
+
+    info = PROGRAMS[name]
+    m, args = SHAPES[info.kind].build_memory(SHAPES[info.kind].sample(random.Random(4), 10))
+    shared = prep(load_source(name))
+
+    def observe(p, mode):
+        trace = []
+        r = interp.run(p, info.entry, args, m, trace=trace, vector_mode=mode)
+        return r.results, memory.dump(r.memory), trace, r.steps
+
+    for mode in ("Ops", "OpsV", "Ops"):
+        assert observe(shared, mode) == observe(prep(load_source(name)), mode), mode
 
 
 def test_ops_opsv_observational_equivalence_on_corpus():
@@ -198,7 +208,7 @@ def test_ops_opsv_observational_equivalence_on_corpus():
         m, args = shape.build_memory(case)
         outs = []
         for mode in ("Ops", "OpsV"):
-            _, final = interp.run(p, "chacha20", args, m, vector_mode=mode)
+            final = interp.run(p, "chacha20", args, m, vector_mode=mode).memory
             outs.append(memory.dump(final))
         assert outs[0] == outs[1]
 
@@ -213,8 +223,8 @@ def test_determinism_bitwise():
     case = SHAPES["poly1305"].sample(random.Random(1), 10**6)
     m, args = shape.build_memory(case)
     t1, t2 = [], []
-    _, m1 = interp.run(p, "poly1305", args, m, trace=t1)
-    _, m2 = interp.run(p, "poly1305", args, m, trace=t2)
+    m1 = interp.run(p, "poly1305", args, m, trace=t1).memory
+    m2 = interp.run(p, "poly1305", args, m, trace=t2).memory
     assert t1 == t2
     assert memory.dump(m1) == memory.dump(m2)
 
@@ -222,7 +232,7 @@ def test_determinism_bitwise():
 def test_memory_unchanged_outside_stores():
     m = memory.add_region(memory.Memory(), 100, 16)
     m = memory.store_bytes(m, 100, bytes(16))
-    _, m2 = run(STORE2, "store2", [100, [1, 2]], m)
+    m2 = run(STORE2, "store2", [100, [1, 2]], m).memory
     # the input memory object is untouched (stores go to a copy)
     assert memory.load_bytes(m, 100, 16) == bytes(16)
     assert memory.loadW(m2, 100, 64).value == 1
@@ -352,23 +362,24 @@ def test_stack_array_store_out_of_bounds_is_located():
 STEPS = prep("fn f(reg u64 x) -> reg u64 { x = x + 1; return x; }")
 
 
-def test_steps_used_counts_budget_steps():
-    assert interp.steps_used(STEPS, "f", [1], memory.Memory()) == 2
+def test_run_counts_budget_steps():
+    assert run(STEPS, "f", [1]).steps == 2
+    assert run(STEPS, "f", [1], trace=[]).steps == 2
 
 
-def test_steps_used_checks_arity():
+def test_run_checks_arity():
     with pytest.raises(interp.ContractViolation):
-        interp.steps_used(STEPS, "f", [1, 2], memory.Memory())
+        run(STEPS, "f", [1, 2])
 
 
-def test_steps_used_rejects_non_positive_budget():
+def test_run_rejects_non_positive_budget():
     with pytest.raises(interp.ContractViolation):
-        interp.steps_used(STEPS, "f", [1], memory.Memory(), budget=0)
+        run(STEPS, "f", [1], budget=0)
 
 
-def test_steps_used_requires_typechecked_program():
+def test_run_requires_typechecked_program():
     with pytest.raises(interp.ContractViolation):
-        interp.steps_used(parse("fn f() { }"), "f", [], memory.Memory())
+        run(parse("fn f() { }"), "f", [])
 
 
 def test_register_array_index_through_globals():

@@ -184,8 +184,7 @@ def _assert_permute_modes_agree(d, x, sel):
     words = [Word(w, v) for w, v in zip(d.src_widths, (x, sel))]
     assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words), (
         d.name, hex(sel))
-    assert isa.exec_vector_raw(d, isa.OPS, [x, sel]) == isa.exec_vector_raw(
-        d, isa.OPSV, [x, sel]), (d.name, hex(sel))
+    assert isa.lane_adapter(d).run([x, sel]) == d.sem([x, sel]), (d.name, hex(sel))
 
 
 @pytest.mark.parametrize("name", ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64"])
@@ -226,7 +225,7 @@ def test_byte_shuffle_zeroing_selectors(name):
     nbytes = d.src_widths[1] // 8
     rng = random.Random(name)
     everything = (1 << (8 * nbytes)) - 1
-    assert isa.exec_vector_raw(d, isa.OPSV, [everything, int("80" * nbytes, 16)]) == [0]
+    assert d.sem([everything, int("80" * nbytes, 16)]) == [0]
     for rate in (0.1, 0.5, 0.9):
         for _ in range(50):
             _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes),
@@ -254,7 +253,6 @@ def test_word_formula_interleaves_and_multiply_match_lanes(name):
     pairs = [(ones, ones), (ones, 0), (0, ones), (counting, ones ^ counting)]
     pairs += [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(300)]
     for x, y in pairs:
-        assert isa.exec_vector_raw(d, isa.OPS, [x, y]) == isa.exec_vector_raw(
-            d, isa.OPSV, [x, y]), (name, hex(x), hex(y))
+        assert isa.lane_adapter(d).run([x, y]) == d.sem([x, y]), (name, hex(x), hex(y))
         words = [Word(256, x), Word(256, y)]
         assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words)
