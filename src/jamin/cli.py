@@ -99,7 +99,10 @@ def cmd_run(args) -> int:
     else:
         mem = memory.Memory()
     for base, length in _parse_regions(args.region):
-        mem = memory.add_region(mem, base, length)
+        try:
+            mem = memory.add_region(mem, base, length)
+        except ValueError as exc:  # negative, past 2^64 or past memory.MAX_BYTES
+            raise CliError(f"bad region 0x{base:x}:{length}: {exc}") from exc
     fn = p.func(args.entry) if args.entry in p.func_names() else None
     if fn is None:
         raise CliError(f"no function {args.entry!r} in {args.file}")
@@ -331,9 +334,10 @@ def cmd_bench(args) -> int:
             m, argv = shape.build_memory(case)
             total += interp.run(p, info.entry, argv, m).steps
         steps = total / args.repetitions
-        per_byte = steps / size if size else float("nan")
+        per_byte = steps / size if size else None  # JSON null, "-" in text
         rows.append({"bytes": size, "steps": steps, "steps_per_byte": per_byte})
-        lines.append(f"{size:8d} {steps:12.0f} {per_byte:12.2f}")
+        lines.append(f"{size:8d} {steps:12.0f} "
+                     + (f"{per_byte:12.2f}" if size else f"{'-':>12s}"))
     _emit({"program": args.program, "seed": args.seed, "rows": rows}, args.json, lines)
     return EXIT_OK
 

@@ -29,7 +29,11 @@ observes:
   the declared length;
 - a multi-destination statement over an instruction with a per-output
   table (isa.Table) evaluates its operands once, in order, and then
-  computes inline only the destinations that are not `_`.
+  computes inline only the destinations that are not `_`;
+- a whole-array copy `dst = src` whose source is dead after it (no path
+  reads it, writes an element of it or passes it on before redefining
+  it as a whole, loops included) is a move: dst takes src's list or
+  StackArray itself, which no live name shares from then on.
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
@@ -229,6 +233,8 @@ class _FnGen:
         self.ustores: list = []  # (line index, local) in the current function
         self.unproven: set = set()
         self.passed: set = set()
+        self.moves = None  # id of an array copy -> its source is dead after it
+        self.arrays = {n for n in self.locals if isinstance(self.types[n][1], ArrayTy)}
 
     # -- names, constants, lines
 
@@ -544,8 +550,7 @@ class _FnGen:
                 self.line(f"{t} = {code}")
         for i in keep:
             w = d.dst_widths[i]
-            flag = w == "flag"
-            self.write(s.dests[i], values[i], None if flag else w, "flag" if flag else "word")
+            self.write(s.dests[i], values[i], None if w == "flag" else w, _dest_kind(d, i))
 
     # -- writes
 
@@ -666,9 +671,9 @@ class _FnGen:
                     for lv in s.dests:
                         self.flow_dest(f, lv, "call")
                 elif type(rhs) is EIntr and len(s.dests) != 1:
-                    widths = lookup(rhs.name).dst_widths
-                    for lv, w in zip(s.dests, widths):
-                        self.flow_dest(f, lv, "flag" if w == "flag" else "word")
+                    d = lookup(rhs.name)
+                    for i, lv in enumerate(s.dests[:len(d.destinations)]):
+                        self.flow_dest(f, lv, _dest_kind(d, i))
                 elif s.cond is not None or not s.dests:
                     pass
                 elif self.is_copy(s):
@@ -696,6 +701,55 @@ class _FnGen:
     def is_copy(self, s) -> bool:
         lv = s.dests[0]
         return type(lv) is LVar and type(lv.ty) is ArrayTy
+
+    # -- liveness (backwards), for moves
+
+    def array_uses(self, s) -> tuple:
+        """(arrays s reads, arrays s rebinds as a whole, the source when s
+        is a whole-array copy); an if or while reads its test's arrays, a
+        return or for loop every array it mentions."""
+        k = type(s)
+        names = _names(s.cond, []) if k is SIf or k is SWhile else self.mentions(s)
+        reads = self.arrays.intersection(names)
+        if reads and (k is SDecl and isinstance(s.ty, ArrayTy) or k is SAssign and s.dests
+                      and (type(s.rhs) is ECall or self.is_copy(s))):
+            reads, defs = _reads_defs(s, names)
+            copy = k is SAssign and type(s.rhs) is EVar and not s.op and s.cond is None
+            return reads & self.arrays, defs & self.arrays, s.rhs.name if copy else None
+        return reads, (), None
+
+    def is_move(self, s) -> bool:
+        """Whether the whole-array copy s may hand its source over: a local
+        dead after s (the liveness pass runs once, at the first copy)."""
+        if self.moves is None:
+            self.moves = {}
+            self.live_before(self.fn.body, set())
+        return self.moves.get(id(s), False) and s.rhs.name in self.locals
+
+    def live_before(self, stmts, live: set) -> set:
+        """The arrays live before `stmts`, given those live after them;
+        records in `moves` whether each whole-array copy's source is dead
+        after it on every pass over it."""
+        for s in reversed(stmts):
+            k = type(s)
+            reads, defs, src = self.array_uses(s)
+            if k is SIf:
+                live = self.live_before(s.then, live) | self.live_before(s.els, live) | reads
+            elif k is SWhile:  # live at the test: the exit's, the test's and the body's
+                head = live | reads
+                while (new := head | self.live_before(s.body, head)) != head:
+                    head = new
+                live = head
+            elif k is SReturn:
+                live = reads
+            elif k is SFor:
+                live = live | reads
+            else:
+                if src is not None:
+                    self.moves[id(s)] = self.moves.get(id(s), True) and src not in live
+                if reads or defs:
+                    live = live.difference(defs).union(reads)
+        return live
 
     # -- statements
 
@@ -963,7 +1017,9 @@ class _FnGen:
         lv = s.dests[0]
         if self.is_copy(s):
             src = self.arr_ref(rhs.name, _loc(rhs))
-            self.line(f"{self.v(lv.name)} = {self.copy_of(rhs.name, src)}")
+            if not self.is_move(s):
+                src = self.copy_of(rhs.name, src)
+            self.line(f"{self.v(lv.name)} = {src}")
             self.flow_copy(self.facts, lv.name, rhs.name)
             return
         self.write(lv, self.expr(rhs), *self.value_kind(rhs))
@@ -971,7 +1027,7 @@ class _FnGen:
     def value_kind(self, e):
         """(bits, kind) of an expression's value for write()."""
         if type(e) is EIntr and type(e.ty) is BoolTy:
-            return None, "flag"
+            return None, _dest_kind(lookup(e.name), 0)
         return (e.ty.bits if type(e.ty) is WordTy else None), "word"
 
     def call(self, s: SAssign):
@@ -1019,6 +1075,14 @@ class _FnGen:
             body = ["    " + self.fail(*self.error)]
         self.define(name, [f"def {name}({params}):"] + body)
         return self.ns[name]
+
+
+def _dest_kind(d, i: int) -> str:
+    """write()'s kind of destination i of instruction d: "flag" for a
+    flag its table does not prove never UNDEF, "word" otherwise."""
+    if d.dst_widths[i] == "flag" and (d.table is None or i not in d.table.never_undef):
+        return "flag"
+    return "word"
 
 
 def LVar_of(name: str, ty) -> LVar:

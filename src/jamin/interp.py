@@ -26,7 +26,9 @@ order: ("addr", (a, ...)) for memory accesses and array indices and
 Each function is translated to Python source by codegen and compiled
 the first time it runs; the module below holds the run-time helpers
 that generated code calls for memory and stack-array accesses,
-intrinsics and faults.  Budget and trace bookkeeping are batched per
+intrinsics and faults; the memory helpers slice the region a line index
+names (see memory) and call Memory's methods only on a miss or to find
+the fault to raise.  Budget and trace bookkeeping are batched per
 straight-line segment (see codegen); a run that completes observes
 exactly the per-statement semantics above.  A run that faults raises
 the error of the first faulting statement, except that budget
@@ -43,7 +45,7 @@ from . import codegen
 from . import memory as mem_mod
 from .ir import ArrayTy, BoolTy, Program, WordTy
 from .isa import IsaFault, OPS, OPSV, UNDEF
-from .memory import Memory
+from .memory import LINE, Memory
 from .typecheck import const_eval
 from .words import Word
 
@@ -218,6 +220,12 @@ def _ld(M, T, K, a, nbytes, loc):
         if K:
             T += K
         T.append(("addr", (a,)))
+    i = M._lines.get(a >> LINE)
+    if i is not None:  # the region touching the line, if the span lies inside it
+        base, end, buf, init = M._regions[i]
+        o = a - base
+        if o >= 0 and a + nbytes <= end and init.find(0, o, o + nbytes) < 0:
+            return int.from_bytes(buf[o:o + nbytes], "little")
     try:
         return M.load_int(a, nbytes * 8)
     except mem_mod.OutOfRegion as exc:
@@ -231,6 +239,14 @@ def _st(M, T, K, v, a, nbytes, loc):
         if K:
             T += K
         T.append(("addr", (a,)))
+    i = M._lines.get(a >> LINE)
+    if i is not None:
+        base, end, buf, init = M._regions[i]
+        o = a - base
+        if o >= 0 and a + nbytes <= end:
+            buf[o:o + nbytes] = (v & _MASKS[nbytes * 8]).to_bytes(nbytes, "little")
+            init[o:o + nbytes] = _ONES[nbytes]
+            return
     try:
         M.store_int_inplace(a, nbytes * 8, v & _MASKS[nbytes * 8])
     except mem_mod.OutOfRegion as exc:
@@ -262,7 +278,7 @@ def _rst(T, K, arr, v, i, bits, name, loc):
 
 def _sget(arr, off, nbytes, name, loc):
     end = off + nbytes
-    if not all(arr.init[off:end]):
+    if arr.init.find(0, off, end) >= 0:
         raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
     return int.from_bytes(arr.buf[off:end], "little")
 
@@ -275,24 +291,29 @@ def _sput(arr, v, off, nbytes):
 
 def _sld(T, K, arr, i, nbytes, scale, name, loc):
     off = i * scale
-    if off < 0 or off + nbytes > len(arr.buf):
+    end = off + nbytes
+    if off < 0 or end > len(arr.buf):
         raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K
         T.append(("addr", (i,)))
-    return _sget(arr, off, nbytes, name, loc)
+    if arr.init.find(0, off, end) >= 0:
+        raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
+    return int.from_bytes(arr.buf[off:end], "little")
 
 
 def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
     off = i * scale
-    if off < 0 or off + nbytes > len(arr.buf):
+    end = off + nbytes
+    if off < 0 or end > len(arr.buf):
         raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K
         T.append(("addr", (i,)))
-    _sput(arr, v, off, nbytes)
+    arr.buf[off:end] = (v & _MASKS[nbytes * 8]).to_bytes(nbytes, "little")
+    arr.init[off:end] = _ONES[nbytes]
 
 
 def _intr(sem, args, loc):

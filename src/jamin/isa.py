@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from struct import Struct
 from typing import Callable, Optional
 
@@ -123,12 +123,24 @@ class Table:
     destination.  Expressions never raise; flags are bool or U (UNDEF),
     words ints of the destination width.  `sem` is compiled from the
     whole table, and codegen inlines the part that the destinations a
-    statement keeps need (`inline`).
+    statement keeps need (`inline`).  `never_undef` marks the outputs
+    that are never UNDEF.
     """
 
     args: tuple
     prelude: tuple
     outs: tuple
+
+    @cached_property
+    def never_undef(self) -> frozenset:
+        """The indices of the outputs that are never UNDEF (sources never
+        are): those naming U neither directly nor through the prelude."""
+        undef = {"U"}
+        for n, e in self.prelude:
+            if undef.intersection(_NAME.findall(e)):
+                undef.add(n)
+        return frozenset(i for i, e in enumerate(self.outs)
+                         if not undef.intersection(_NAME.findall(e)))
 
     def sem(self) -> Callable:
         unpack = f"    {', '.join(self.args)}, = a\n" if self.args else ""

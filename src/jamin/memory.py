@@ -1,32 +1,43 @@
 """Byte-addressed global memory with declared valid regions.
 
-The memory is a partial map from 64-bit addresses to bytes plus a set of
-half-open intervals [base, base+len) that accesses must stay inside (the
-memory calling contract).  Store operations return a new Memory value;
-the interpreter obtains a private copy via `thaw` and mutates that one
-in place, which is observationally the same thing.
+Memory is a set of half-open intervals [base, base+len) of 64-bit
+addresses that accesses must stay inside (the memory calling contract),
+sorted, disjoint and non-adjacent.  Each is materialised as a tuple
+(base, end, buf, init): a bytearray of its bytes and an init map holding
+1 for each byte written.  The regions hold at most MAX_BYTES bytes
+together; a region past that cap, or past 2^64, raises ValueError.
+`_lines` maps each 2^LINE-byte line a region touches to its position
+in `_regions`: the interpreter's load and store helpers slice that
+region themselves and call the methods below only on a miss.
 
-Multi-byte accesses are little-endian compositions of single-byte
-accesses, never primitive, so overlapping accesses of different widths
-("type punning") behave per the byte-level semantics.
+Store operations return a new Memory value; the interpreter obtains a
+private copy via `thaw` and mutates that one in place.  Multi-byte
+accesses are little-endian compositions of single-byte accesses, so
+accesses of different widths ("type punning") overlap per the byte
+semantics.  An access not inside one region goes byte by byte, loads
+from the highest address and stores from the lowest, and faults at the
+first bad byte that order meets.
 
 In strict mode (the default), reading a byte that was never written
 raises UninitializedRead; permissive mode returns 0 instead and exists
 for the differential harness only.
 
 Dump format: one line per 16 bytes, `addr: b0 b1 ...` in lowercase hex,
-rows starting at each region base; in-region bytes that were never
-written print as `..`.
+rows starting at each region base; unwritten bytes print as `..`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
+from operator import itemgetter
 
 from .words import Word
 
 ADDR_MASK = (1 << 64) - 1
+MAX_BYTES = 64 << 20  # the bytes all regions of one Memory hold together
+LINE = 6  # log2 of the line size of the region index
+
+_BASE = itemgetter(0)
 
 
 class MemAccessError(Exception):
@@ -46,39 +57,26 @@ class UninitializedRead(MemAccessError):
 
 
 class Memory:
-    __slots__ = ("_bytes", "_regions", "strict")
+    __slots__ = ("_regions", "_lines", "strict")
 
     def __init__(self, *, strict: bool = True):
-        self._bytes: dict[int, int] = {}
-        # sorted, pairwise disjoint, non-adjacent (base, end) intervals
-        self._regions: list[tuple[int, int]] = []
+        self._regions: list[tuple[int, int, bytearray, bytearray]] = []
+        self._lines: dict[int, int] = {}
         self.strict = strict
 
     # -- construction ------------------------------------------------
 
     def copy(self) -> "Memory":
         m = Memory(strict=self.strict)
-        m._bytes = dict(self._bytes)
-        m._regions = list(self._regions)
+        m._regions = [(b, e, bytearray(buf), bytearray(init))
+                      for b, e, buf, init in self._regions]
+        m._lines = self._lines
         return m
 
     thaw = copy  # the interpreter's private working copy
 
     def regions(self) -> list[tuple[int, int]]:
-        return list(self._regions)
-
-    # -- region contract ----------------------------------------------
-
-    def in_region(self, a: int) -> bool:
-        i = bisect_right(self._regions, (a, 1 << 65))
-        if i == 0:
-            return False
-        base, end = self._regions[i - 1]
-        return base <= a < end
-
-    def _check_region(self, a: int) -> None:
-        if not self.in_region(a):
-            raise OutOfRegion(a)
+        return [(b, e) for b, e, _, _ in self._regions]
 
     def _add_region_inplace(self, base: int, length: int) -> None:
         if length < 0:
@@ -88,97 +86,96 @@ class Memory:
         if length == 0:
             return
         lo, hi = base, base + length
-        merged = []
-        for b, e in self._regions:
-            if e < lo or b > hi:  # disjoint and non-adjacent
-                merged.append((b, e))
+        kept, merged = [], []
+        for r in self._regions:
+            if r[1] < lo or r[0] > hi:  # disjoint and non-adjacent
+                kept.append(r)
             else:
-                lo, hi = min(lo, b), max(hi, e)
-        merged.append((lo, hi))
-        merged.sort()
-        self._regions = merged
+                merged.append(r)
+                lo, hi = min(lo, r[0]), max(hi, r[1])
+        if hi - lo + sum(e - b for b, e, _, _ in kept) > MAX_BYTES:
+            raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
+        buf, init = bytearray(hi - lo), bytearray(hi - lo)
+        for b, e, rbuf, rinit in merged:
+            buf[b - lo:e - lo] = rbuf
+            init[b - lo:e - lo] = rinit
+        kept.append((lo, hi, buf, init))
+        kept.sort(key=_BASE)
+        self._regions = kept
+        self._lines = {}  # a new dict: copies share the old one
+        for i, (b, e, _, _) in enumerate(kept):
+            self._lines.update(dict.fromkeys(range(b >> LINE, ((e - 1) >> LINE) + 1), i))
+
+    def _span(self, a: int, n: int):
+        """(offset, buf, init) of the region holding [a, a+n), or None."""
+        i = bisect_right(self._regions, a, key=_BASE)
+        if i:
+            base, end, buf, init = self._regions[i - 1]
+            if a + n <= end:
+                return a - base, buf, init
+        return None
 
     # -- byte level ----------------------------------------------------
 
     def _load8(self, a: int) -> int:
-        self._check_region(a)
-        v = self._bytes.get(a)
-        if v is None:
-            if self.strict:
-                raise UninitializedRead(a)
-            return 0
-        return v
+        s = self._span(a, 1)
+        if s is None:
+            raise OutOfRegion(a)
+        o, buf, init = s
+        if self.strict and not init[o]:
+            raise UninitializedRead(a)
+        return buf[o]
 
     def _store8_inplace(self, a: int, w: int) -> None:
-        self._check_region(a)
-        self._bytes[a] = w & 0xFF
+        s = self._span(a, 1)
+        if s is None:
+            raise OutOfRegion(a)
+        o, buf, init = s
+        buf[o] = w & 0xFF
+        init[o] = 1
 
     def is_initialized(self, a: int) -> bool:
-        return a in self._bytes
+        s = self._span(a, 1)
+        return s is not None and s[2][s[0]] == 1
 
     # -- multi-byte, little-endian --------------------------------------
 
-    def _check_span(self, a: int, n: int) -> bool:
-        """True when [a, a+n) sits inside one region (no wraparound)."""
-        if a + n > 1 << 64:
-            return False
-        i = bisect_right(self._regions, (a, 1 << 65))
-        if i == 0:
-            return False
-        base, end = self._regions[i - 1]
-        return base <= a and a + n <= end
-
     def load_span(self, a: int, n: int, *, highest_first: bool = False) -> bytes:
-        """The n bytes at a, a+1, ... (addresses wrap at 2^64).  A span
-        inside one region is read in one step; otherwise, and to locate a
-        fault, byte by byte from the lowest address (or the highest), so
-        the fault raised is the one that order meets first."""
-        if self._check_span(a, n):
-            get = self._bytes.get
-            if not self.strict:
-                return bytes(map(get, range(a, a + n), repeat(0, n)))
-            try:
-                return bytes(map(get, range(a, a + n)))
-            except TypeError:  # a byte was never written: find it below
-                pass
+        """The n bytes at a, a+1, ... (addresses wrap at 2^64): one slice
+        when the span is inside one region and, in strict mode, written;
+        otherwise, to locate the fault, byte by byte from the lowest
+        address (or the highest)."""
+        s = self._span(a, n)
+        if s is not None:
+            o, buf, init = s
+            if not self.strict or init.find(0, o, o + n) < 0:
+                return bytes(buf[o:o + n])  # unwritten bytes hold 0
         order = reversed(range(n)) if highest_first else range(n)
         got = {i: self._load8((a + i) & ADDR_MASK) for i in order}
         return bytes(got[i] for i in range(n))
 
     def load_int(self, a: int, width: int) -> int:
-        n = width // 8
-        if self._check_span(a, n):
-            try:
-                return int.from_bytes(bytes(map(self._bytes.get, range(a, a + n))), "little")
-            except TypeError:  # an unwritten byte: read as 0, or the fault, below
-                pass
-        return int.from_bytes(self.load_span(a, n, highest_first=True), "little")
+        return int.from_bytes(self.load_span(a, width // 8, highest_first=True), "little")
 
     def store_int_inplace(self, a: int, width: int, value: int) -> None:
-        n = width // 8
-        if self._check_span(a, n):
-            data = (value & ((1 << width) - 1)).to_bytes(n, "little")
-            self._bytes.update(zip(range(a, a + n), data))
-            return
-        for i in range(n):
-            self._store8_inplace((a + i) & ADDR_MASK, value & 0xFF)
-            value >>= 8
+        data = (value & ((1 << width) - 1)).to_bytes(width // 8, "little")
+        if a + len(data) <= 1 << 64:
+            return self.store_bytes_inplace(a, data)
+        for i, b in enumerate(data):  # the address wraps at 2^64
+            self._store8_inplace((a + i) & ADDR_MASK, b)
 
     def store_bytes_inplace(self, a: int, data) -> None:
-        """Store `data` at a, a+1, ...; the span is checked once when it
-        lies inside one region, byte by byte otherwise."""
+        """Store `data` at a, a+1, ...: one slice when the span lies inside
+        one region, byte by byte otherwise."""
         n = len(data)
-        if self._check_span(a, n):
-            self._bytes.update(zip(range(a, a + n), data))
+        s = self._span(a, n)
+        if s is None:
+            for i, b in enumerate(data):
+                self._store8_inplace(a + i, b)
             return
-        for i, b in enumerate(data):
-            self._store8_inplace(a + i, b)
-
-    def _loadW(self, a: int, width: int) -> Word:
-        return Word(width, self.load_int(a, width))
-
-    def _storeW_inplace(self, a: int, x: Word) -> None:
-        self.store_int_inplace(a, x.width, x.value)
+        o, buf, init = s
+        buf[o:o + n] = data
+        init[o:o + n] = b"\x01" * n
 
 
 # -- functional interface ----------------------------------------------
@@ -195,12 +192,12 @@ def store8(m: Memory, a: int, w: int) -> Memory:
 
 
 def loadW(m: Memory, a: int, width: int) -> Word:
-    return m._loadW(a, width)
+    return Word(width, m.load_int(a, width))
 
 
 def storeW(m: Memory, a: int, x: Word) -> Memory:
     m2 = m.copy()
-    m2._storeW_inplace(a, x)
+    m2.store_int_inplace(a, x.width, x.value)
     return m2
 
 
@@ -225,22 +222,21 @@ def store_bytes(m: Memory, a: int, data: bytes) -> Memory:
 
 
 def dump(m: Memory) -> str:
-    get = m._bytes.get
     lines = []
-    for base, end in m._regions:
-        for row in range(base, end, 16):
-            span = range(row, min(row + 16, end))
-            try:
-                cells = bytes(map(get, span)).hex(" ")
-            except TypeError:  # the row holds an unwritten byte
-                cells = " ".join(".." if (b := get(a)) is None else f"{b:02x}" for a in span)
-            lines.append(f"{row:08x}: {cells}")
+    for base, _, buf, init in m._regions:
+        for o in range(0, len(buf), 16):
+            row, written = buf[o:o + 16], init[o:o + 16]
+            if 0 in written:  # the row holds an unwritten byte
+                cells = " ".join(f"{b:02x}" if w else ".." for b, w in zip(row, written))
+            else:
+                cells = row.hex(" ")
+            lines.append(f"{base + o:08x}: {cells}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_dump(text: str, *, strict: bool = True) -> Memory:
     m = Memory(strict=strict)
-    spans: list[tuple[int, int]] = []
+    rows: list[tuple[int, list]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -253,13 +249,15 @@ def parse_dump(text: str, *, strict: bool = True) -> Memory:
             raise ValueError(f"bad dump line {lineno}: {raw!r}") from exc
         if len(cells) > 16:
             raise ValueError(f"dump line {lineno} has more than 16 bytes")
-        spans.append((addr, len(cells)))
-        for i, cell in enumerate(cells):
-            if cell != "..":
-                b = int(cell, 16)
-                if not 0 <= b <= 0xFF:
-                    raise ValueError(f"dump line {lineno}: {cell!r} is not a byte")
-                m._bytes[addr + i] = b
-    for base, n in spans:
-        m._add_region_inplace(base, n)
+        row = [None if cell == ".." else int(cell, 16) for cell in cells]
+        for cell, b in zip(cells, row):
+            if b is not None and not 0 <= b <= 0xFF:
+                raise ValueError(f"dump line {lineno}: {cell!r} is not a byte")
+        rows.append((addr, row))
+    for addr, row in rows:
+        m._add_region_inplace(addr, len(row))
+    for addr, row in rows:
+        for i, b in enumerate(row):
+            if b is not None:
+                m._store8_inplace(addr + i, b)
     return m

@@ -54,7 +54,7 @@ def test_criterion_2_memory_axiom():
             m2 = memory.store8(seeded, x, w)
             for y in range(64):
                 expect = w if y == x else (y * 37 + 11) & 0xFF
-                assert m2._bytes[y] == expect
+                assert memory.load8(m2, y) == expect
     # multi-width loads equal the byte-join oracle
     rng = random.Random(5)
     m = base.thaw()

@@ -178,6 +178,23 @@ def test_bench_size_zero_row_present(capsys):
     assert json.loads(out)["rows"][0]["bytes"] == 0
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_bench_json_is_valid_json(capsys):
+    """A size-0 row has no steps per byte: null in JSON (never NaN) and
+    "-" in text."""
+    argv = ("bench", "poly1305_ref", "--sizes", "0,64", "--repetitions", "1")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_no_constant)["rows"]
+    assert rows[0]["steps_per_byte"] is None and rows[1]["steps_per_byte"] > 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-2].split()[-1] == "-"
+
+
 def test_bench_unknown_program_exit_2(capsys):
     code, _, err = run_cli(capsys, "bench", "nope")
     assert code == 2
@@ -200,9 +217,13 @@ POLY = str(CORPUS / "poly1305_ref.jz")
     ("bench", "poly1305_ref", "--repetitions", "0"),
     ("bench", "poly1305_ref", "--sizes", "x"),
     ("difftest", GIMLI, "--entry", "gimli", "--shape", "gimli", "--runs", "0"),
+    ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0:-1"),
+    ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0xfffffffffffffff0:0x100"),
+    ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0:0x4000001"),
 ], ids=["run-u64-zz", "run-too-few-args", "run-too-many-args", "run-budget-0",
         "ct-len-abc", "ct-ptr-no-len", "ct-trials-0", "bench-repetitions-0", "bench-sizes-x",
-        "difftest-runs-0"])
+        "difftest-runs-0", "run-region-negative", "run-region-past-2^64",
+        "run-region-past-cap"])
 def test_malformed_arguments_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -131,3 +131,95 @@ fn f(reg u64 a, reg u64 b) -> reg u64 {
                        match="#x86_ADD_64 produced 6 values for 5 destinations") as exc:
         interp.run(p, "f", [1, 2], memory.Memory())
     assert exc.value.loc == s.loc
+
+
+@pytest.mark.parametrize("name", TABLE_BUILT)
+def test_never_undef_outputs_are_defined(name):
+    d = isa.lookup(name)
+    if name.split("_")[1] in ("ADD", "ADC", "SUB", "SBB"):
+        assert 1 in d.table.never_undef  # CF
+    for args in itertools.product(*(_boundary(w, d.size) for w in d.src_widths)):
+        outs = d.sem(list(args))
+        assert all(outs[i] is not isa.UNDEF for i in d.table.never_undef), args
+
+
+@pytest.mark.parametrize("name", ["poly1305_ref", "poly1305_avx2"])
+def test_carries_read_without_undef_checks(name):
+    """The carries of ADD/ADC/SUB/SBB are never UNDEF, so no read of one
+    goes through `_uu` (19 and 42 reads did)."""
+    assert "is not U else _uu" not in _generated_source(name)
+
+
+@pytest.mark.parametrize("name, copies", [("chacha20_scalar", 2), ("chacha20_avx2_big", 3)])
+def test_dead_array_copies_are_moves(name, copies):
+    """Inlining copied an array in and out of every quarter round (327
+    and 487 copies); only the copies whose source stays live remain."""
+    src = _generated_source(name)
+    assert src.count("list(") + src.count(".copy()") == copies
+
+
+LIVE_SOURCES = {
+    "read after": ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  a[0] = x; a[1] = 1;
+  b = a;
+  b[0] = 7;
+  return a[0];
+}""", lambda x: x),
+    "element written after": ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  a[0] = x; a[1] = 1;
+  b = a;
+  a[0] = 7;
+  return b[0];
+}""", lambda x: x),
+    "read in the next iteration": ("""
+fn f(reg u64 n) -> reg u64 {
+  reg u64[2] a, b;
+  reg u64 r;
+  a[0] = 1; a[1] = 1;
+  r = 0;
+  while (0 < n) {
+    r = r + a[0];
+    b = a;
+    b[0] = 7;
+    n = n - 1;
+  }
+  return r;
+}""", lambda n: n),
+    "passed on": ("""
+fn g(reg u64[2] c) -> reg u64 {
+  reg u64 r;
+  r = c[0];
+  return r;
+}
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  reg u64 r;
+  a[0] = x; a[1] = 0;
+  b = a;
+  b[0] = 7;
+  r = g(a);
+  return r;
+}""", lambda x: x),
+    "stack array read after": ("""
+fn f(reg u64 x) -> reg u64 {
+  stack u64[2] s, t;
+  reg u64 r;
+  s[0] = x; s[1] = 0;
+  t = s;
+  t[0] = 7;
+  r = s[0];
+  return r;
+}""", lambda x: x),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIVE_SOURCES))
+def test_copies_of_live_sources_stay_copies(case):
+    text, want = LIVE_SOURCES[case]
+    p = prep(text)
+    for x in (0, 3):
+        assert interp.run(p, "f", [x], memory.Memory()).results == [Word(64, want(x))]

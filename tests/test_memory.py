@@ -1,9 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from jamin import memory
+import memory_ref
+from jamin import interp, memory
 from jamin.memory import Memory, OutOfRegion, UninitializedRead
 from jamin.words import Word
 
@@ -168,7 +170,6 @@ def test_dump_matches_per_cell_reference_and_round_trips():
         assert text == _reference_dump(m)
         back = memory.parse_dump(text)
         assert back.regions() == m.regions()
-        assert back._bytes == m._bytes
         assert memory.dump(back) == text
     assert memory.dump(Memory()) == ""
 
@@ -219,3 +220,192 @@ def test_span_loads_fault_like_per_byte_loads():
             for width in (8, 16, 32, 64, 128, 256):
                 assert (_outcome(m.load_int, a, width)
                         == _outcome(_per_byte_int, m, a, width)), (a, width)
+
+
+# -- differential: the region buffers against the per-byte reference model
+
+TOP = 1 << 64
+# addresses near 0 and in the 40 bytes below 2^64, so that spans straddle
+# regions and wide accesses wrap
+ADDRS = st.one_of(st.integers(0, 160), st.integers(TOP - 40, TOP - 1))
+WIDTHS = st.sampled_from((8, 16, 32, 64, 128, 256))
+
+
+def _result(f, *args, **kw):
+    """What a call returns, or the class and address of its fault."""
+    try:
+        return "ok", f(*args, **kw)
+    except (OutOfRegion, UninitializedRead) as exc:
+        return type(exc), exc.address
+    except ValueError:
+        return ValueError, None
+
+
+def _interp_result(f, *args):
+    """_result for an interpreter helper, its faults named as memory's."""
+    try:
+        return "ok", f(*args)
+    except interp.OutOfRegion as exc:
+        return OutOfRegion, exc.address
+    except interp.UninitializedUse as exc:  # "memory byte 0x..."
+        return UninitializedRead, int(exc.var.split()[-1], 16)
+
+
+class MemoryModel(RuleBasedStateMachine):
+    """The same operations on a jamin Memory and on the reference model
+    give the same values, faults, regions and dumps."""
+
+    @initialize(strict=st.booleans())
+    def start(self, strict):
+        self.m, self.ref = Memory(strict=strict), memory_ref.Memory(strict=strict)
+
+    def addr(self, data):
+        """An address in ADDRS or, as often, near a region's first or
+        last byte."""
+        edges = [x for r in self.m.regions() for x in r]
+        if edges and data.draw(st.booleans()):
+            return (data.draw(st.sampled_from(edges)) + data.draw(st.integers(-33, 8))) % TOP
+        return data.draw(ADDRS)
+
+    def both(self, name, *args, **kw):
+        got = _result(getattr(self.m, name), *args, **kw)
+        want = _result(getattr(self.ref, name), *args, **kw)
+        assert got == want, (name, args, kw)
+
+    @rule(base=ADDRS, length=st.integers(-1, 48))
+    def add_region(self, base, length):
+        self.both("_add_region_inplace", base, length)
+
+    @rule(length=st.integers(1, 24))
+    def add_region_at_the_top(self, length):
+        """The last bytes below 2^64, where wide accesses wrap to 0."""
+        self.both("_add_region_inplace", TOP - length, length)
+
+    @rule(data=st.data(), gap=st.sampled_from((-3, -1, 0, 1)), length=st.integers(1, 24),
+          below=st.booleans())
+    def add_region_near(self, data, gap, length, below):
+        """A region overlapping (gap < 0), adjacent to (0) or one byte
+        apart from (1) an existing one, above or below it."""
+        regions = self.m.regions()
+        if not regions:
+            return
+        b, e = data.draw(st.sampled_from(regions))
+        self.both("_add_region_inplace", b - gap - length if below else e + gap, length)
+
+    @rule(data=st.data())
+    def fill_region(self, data):
+        """Write all of a region, so that accesses at its ends slice it."""
+        regions = self.m.regions()
+        if regions:
+            b, e = data.draw(st.sampled_from(regions))
+            self.both("store_bytes_inplace", b, data.draw(st.binary(min_size=e - b, max_size=e - b)))
+
+    @rule(at=st.data(), w=st.integers(0, 255))
+    def store8(self, at, w):
+        a = self.addr(at)
+        self.both("_store8_inplace", a, w)
+
+    @rule(at=st.data(), width=WIDTHS, value=st.integers(0, (1 << 256) - 1))
+    def store_int(self, at, width, value):
+        a = self.addr(at)
+        self.both("store_int_inplace", a, width, value)
+
+    @rule(at=st.data(), data=st.binary(max_size=40))
+    def store_bytes(self, at, data):
+        a = self.addr(at)
+        self.both("store_bytes_inplace", a, data)
+
+    @rule(at=st.data(), data=st.binary(max_size=40))
+    def store_bytes_functional(self, at, data):
+        a = self.addr(at)
+        got = _result(memory.store_bytes, self.m, a, data)
+        want = _result(memory_ref.store_bytes, self.ref, a, data)
+        if got[0] == "ok" and want[0] == "ok":
+            self.m, self.ref = got[1], want[1]  # compared by the invariant
+        else:
+            assert got == want
+
+    @rule(at=st.data())
+    def load8(self, at):
+        a = self.addr(at)
+        self.both("_load8", a)
+
+    @rule(at=st.data(), width=WIDTHS)
+    def load_int(self, at, width):
+        a = self.addr(at)
+        self.both("load_int", a, width)
+
+    @rule(at=st.data(), n=st.integers(0, 40), highest_first=st.booleans())
+    def load_span(self, at, n, highest_first):
+        a = self.addr(at)
+        self.both("load_span", a, n, highest_first=highest_first)
+
+    @rule(at=st.data(), nbytes=st.sampled_from((1, 2, 4, 8, 16, 32)), value=st.integers(0, 255),
+          store=st.booleans())
+    def interp_access(self, at, nbytes, value, store):
+        """The interpreter's load and store helpers, which slice regions
+        themselves: the model's values and faults, the event first."""
+        a = self.addr(at)
+        trace, pending = [], (("addr", (7,)),)
+        if store:
+            got = _interp_result(interp._st, self.m, trace, pending, value, a, nbytes, None)
+            want = _result(self.ref.store_int_inplace, a, nbytes * 8, value)
+        else:
+            got = _interp_result(interp._ld, self.m, trace, pending, a, nbytes, None)
+            want = _result(self.ref.load_int, a, nbytes * 8)
+        assert got == want
+        assert trace == [*pending, ("addr", (a,))]
+
+    @rule()
+    def toggle_strict(self):
+        self.m.strict = self.ref.strict = not self.m.strict
+
+    @rule(at=st.data(), w=st.integers(0, 255))
+    def thaw_is_isolated(self, at, w):
+        """A store to a thawed copy leaves the original as it was."""
+        a = self.addr(at)
+        before = memory.dump(self.m)
+        work, ref_work = self.m.thaw(), self.ref.thaw()
+        assert _result(work._store8_inplace, a, w) == _result(ref_work._store8_inplace, a, w)
+        assert memory.dump(self.m) == before
+        assert memory.dump(work) == memory_ref.dump(ref_work)
+        self.m, self.ref = work, ref_work
+
+    @rule()
+    def parse_dump(self):
+        text = memory.dump(self.m)
+        back = memory.parse_dump(text, strict=self.m.strict)
+        assert back.regions() == memory_ref.parse_dump(text).regions()
+        assert memory.dump(back) == text
+        self.m = back
+
+    @invariant()
+    def same_state(self):
+        if hasattr(self, "m"):
+            assert self.m.regions() == self.ref.regions()
+            assert memory.dump(self.m) == memory_ref.dump(self.ref)
+
+
+TestMemoryModel = MemoryModel.TestCase
+TestMemoryModel.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+def test_zero_length_spans_and_the_top_of_memory():
+    for m in (Memory(), memory.add_region(Memory(), 0, 4), memory.add_region(Memory(), 1, 4)):
+        assert memory.load_bytes(m, 0, 0) == b""
+        m.store_bytes_inplace(0, b"")
+    top = memory.add_region(memory.add_region(Memory(), TOP - 16, 16), 0, 16)
+    top = memory.storeW(top, TOP - 16, Word(256, (1 << 256) - 1 - 0xAB))
+    assert top.regions() == [(0, 16), (TOP - 16, TOP)]
+    assert memory.load8(top, TOP - 16) == 0x54 and memory.load8(top, 15) == 0xFF
+    assert memory.load_bytes(top, TOP - 8, 16) == b"\xff" * 16
+    with pytest.raises(OutOfRegion) as exc:
+        memory.loadW(top, TOP - 8, 256)  # from the highest address, TOP + 23 wrapped
+    assert exc.value.address == 23
+
+
+def test_regions_past_the_cap_are_rejected():
+    m = memory.add_region(Memory(), 0, memory.MAX_BYTES)
+    with pytest.raises(ValueError, match="MiB"):
+        memory.add_region(m, memory.MAX_BYTES + 1, 1)
+    assert memory.add_region(m, memory.MAX_BYTES, 0).regions() == [(0, memory.MAX_BYTES)]
