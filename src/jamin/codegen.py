@@ -10,8 +10,8 @@ run's working Memory and O true in the OpsV vector mode.  Registers are
 Python locals (named v_<register>), register arrays are lists and stack
 arrays StackArray objects.  The names the source refers to besides its
 locals (the run-time helpers of interp, global values G_<name>,
-intrinsic semantics, masks and prebuilt constants) live in one
-namespace per program.
+intrinsic semantics, word-operator evaluators, masks and prebuilt
+constants) live in one namespace per program.
 
 Four devices keep the generated code lean without changing what a run
 observes:
@@ -70,24 +70,20 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    int_value,
 )
+from . import words
 from .isa import lane_adapter, lookup
-from .typecheck import NotConst, const_eval
+from .typecheck import CMP_OPS, NotConst, const_eval
 
 PIECE = 250  # statements per compile() call, which bounds its peak memory
 
-_SHIFTS = ("<<", ">>", ">>s", "<<r", ">>r")
-_CMP = ("==", "!=", "<", "<=", ">", ">=")
 _REPEATABLE = re.compile(r"\w+$")  # a name or literal, cheap to repeat
+_NAME = re.compile(r"\b([A-Za-z_]\w*)")
 
 
 def _loc(node):
     return getattr(node, "loc", None)
-
-
-def _lanes(pattern: int, n: int, m: int) -> int:
-    """The n-lane repetition of an m-bit pattern."""
-    return sum(pattern << (m * i) for i in range(n))
 
 
 # ------------------------------------------------------ syntactic facts
@@ -234,6 +230,7 @@ class _FnGen:
         self.unproven: set = set()
         self.passed: set = set()
         self.moves = None  # id of an array copy -> its source is dead after it
+        self.forms: dict = {}  # (definition, bits, lanes, count) -> its parts (instantiate)
         self.arrays = {n for n in self.locals if isinstance(self.types[n][1], ArrayTy)}
 
     # -- names, constants, lines
@@ -283,13 +280,6 @@ class _FnGen:
         t = self.fresh()
         self.line(f"{t} = {code}")
         return t
-
-    def twice(self, code: str):
-        """Two uses of one evaluation of `code`: (first use, second use)."""
-        if _REPEATABLE.match(code):
-            return code, code
-        t = self.fresh()
-        return f"({t} := {code})", t
 
     # -- budget segments and trace events
 
@@ -369,7 +359,7 @@ class _FnGen:
         if k is EVar:
             return self.read_var(e.name, _loc(e))
         if k is EInt:
-            return self.lit(e.value & ((1 << e.ty.bits) - 1) if type(e.ty) is WordTy else e.value)
+            return self.lit(int_value(e))
         if k is EBin:
             return self.binary(e)
         if k is EArr:
@@ -390,7 +380,7 @@ class _FnGen:
             if e.op == "!":
                 return f"(not {a})"
             if type(e.ty) is WordTy:
-                return f"({e.op}{a} & {self.mask(e.ty.bits)})"
+                return self.instantiate(words.UNARY[e.op], {"a": a}, e.ty.bits)
             return f"({e.op}{a})"
         if k is EBool:
             return "True" if e.value else "False"
@@ -407,13 +397,13 @@ class _FnGen:
         op, loc = e.op, _loc(e)
         if op in ("/", "%") and not e.lanes and type(e.ty) is WordTy:
             r = self.expr(e.right)  # the divisor is evaluated, and checked, first
-            helper = "_div" if op == "/" else "_mod"
-            return f"{helper}(_nz({r}, {loc!r}), {self.expr(e.left)})"
+            f = self.const("W", words.evaluator(op, e.ty.bits))
+            return f"_wbin({f}, b=_nz({r}, {loc!r}), a={self.expr(e.left)}, loc={loc!r})"
         left = self.expr(e.left)
         if e.lanes or type(e.ty) is WordTy:
             return self.word_op(op, e.lanes, e.ty.bits, left, e.right, loc)
         right = self.expr(e.right)
-        if op in _CMP:
+        if op in CMP_OPS:
             return f"({left} {op} {right})"
         if op == "&&":  # both sides always evaluate: no hidden branch
             return f"({left} & {right})"
@@ -422,57 +412,52 @@ class _FnGen:
         return self.fail(f"operator {op!r} needs expansion", loc)
 
     def word_op(self, op, lanes, bits, left, right_node, loc, whole=True) -> str:
-        """`left op right` at `bits` (lane-wise when `lanes`); the right
-        operand is emitted here, after the left.  A constant shift count
-        out of range makes the function malformed, except in a compound
-        assignment (`whole` false), which checks it when it runs."""
-        if lanes:
-            return self.lane_op(op, lanes, left, right_node, loc)
-        m = self.mask(bits)
-        if op in _SHIFTS and type(right_node) is EInt and 0 <= right_node.value <= bits:
-            c = right_node.value
-            if op == "<<":
-                return f"(({left} << {c}) & {m})"
-            if op == ">>":
-                return f"({left} >> {c})"
-            if op == ">>s":
-                top = self.lit(1 << (bits - 1))
-                return f"(((({left} ^ {top}) - {top}) >> {c}) & {m})"
-            c %= bits
-            if c == 0:
-                return left
-            first, again = self.twice(left)
-            a, b = (c, bits - c) if op == "<<r" else (bits - c, c)
-            return f"((({first} << {a}) | ({again} >> {b})) & {m})"
-        if op in _SHIFTS and type(right_node) is EInt and whole:
-            return self.malformed(f"shift count {right_node.value} outside [0, {bits}]", loc)
-        right = self.expr(right_node)
-        if op in ("^", "&", "|"):
-            return f"({left} {op} {right})"
-        if op in ("+", "-", "*"):
-            return f"(({left} {op} {right}) & {m})"
-        return f"_wbin({op!r}, None, {left}, {right}, {bits}, {loc!r})"
+        """`left op right` at `bits` (lane-wise when `lanes`) from its
+        definition in words; the right operand is emitted here, after the
+        left.  A constant count out of range makes the function malformed,
+        except in a compound assignment (`whole` false), which checks it
+        when it runs, like a computed count and a compound / or %."""
+        n, w = lanes or (1, bits)
+        expr = (words.LANES if lanes else words.BINARY)[op]
+        if op in words.SHIFTS:
+            if type(right_node) is EInt:
+                c = int_value(right_node)
+                error = None if lanes else words.count_error(w, c)
+                if error is None:
+                    return self.instantiate(expr, {"a": left, "b": self.lit(c)}, w, n, c)
+                if whole:
+                    return self.malformed(error, loc)
+        elif op not in ("/", "%"):
+            return self.instantiate(expr, {"a": left, "b": self.expr(right_node)}, w, n)
+        f = self.const("W", words.evaluator(op, w, lanes and n))
+        return f"_wbin({f}, {left}, {self.expr(right_node)}, {loc!r})"
 
-    def lane_op(self, op, lanes, left, right_node, loc) -> str:
-        n, w = lanes
-        if op in ("<<", ">>") and type(right_node) is EInt:
-            c = right_node.value
-            if c >= w:
-                return f"({left} & 0)"  # still evaluated for its leakage
-            keep = self.lit(_lanes((1 << (w - c)) - 1, n, w))
-            if op == "<<":
-                return f"(({left} & {keep}) << {c})"
-            return f"(({left} >> {c}) & {keep})"
-        right = self.expr(right_node)
-        if op in ("^", "&", "|"):
-            return f"({left} {op} {right})"
-        if op == "+":
-            high = self.lit(_lanes(1 << (w - 1), n, w))
-            low = self.lit(_lanes((1 << (w - 1)) - 1, n, w))
-            a1, a2 = self.twice(left)
-            b1, b2 = self.twice(right)
-            return f"((({a1} & {low}) + ({b1} & {low})) ^ (({a2} ^ {b2}) & {high}))"
-        return f"_wbin({op!r}, {lanes!r}, {left}, {right}, {n * w}, {loc!r})"
+    def instantiate(self, expr, operands, bits, n=1, count=None) -> str:
+        """A definition from words with its operands' code (name -> code)
+        put in, and its other names' values at width `bits` over n lanes
+        and for the constant `count`; an operand used more than once is
+        evaluated once, at its first use."""
+        key = (expr, bits, n, count)
+        if key not in self.forms:  # the other names' code, put in once per function
+            values = words.constants(bits, n, count)
+            self.forms[key] = [x if i % 2 == 0 or x in operands else
+                               self.mask(bits) if x == "m" else self.lit(values[x])
+                               for i, x in enumerate(_NAME.split(expr))]
+        parts = list(self.forms[key])  # the names are the odd items
+        temps = {}
+        for i in range(1, len(parts), 2):
+            x = parts[i]
+            code = operands.get(x)
+            if code is None:
+                continue
+            if x in temps:
+                parts[i] = temps[x]
+            elif parts.count(x) == 1 or _REPEATABLE.match(code):
+                parts[i] = code
+            else:
+                temps[x] = self.fresh()
+                parts[i] = f"({temps[x]} := {code})"
+        return "".join(parts)
 
     def arr_read(self, e, loc) -> str:
         storage = getattr(e, "arr_storage", None)
@@ -999,11 +984,7 @@ class _FnGen:
                 self.malformed("compound assignment needs a register destination", loc)
                 return
             bits = lv.ty.bits
-            if s.op in ("/", "%"):
-                value = f"_wbin({s.op!r}, None, {old}, {self.expr(rhs)}, {bits}, {loc!r})"
-            else:
-                value = self.word_op(s.op, s.lanes, bits, old, rhs, loc, whole=False)
-            self.write(lv, value, bits)
+            self.write(lv, self.word_op(s.op, s.lanes, bits, old, rhs, loc, whole=False), bits)
             return
         if s.cond is not None:
             value = self.keep(self.expr(rhs))  # evaluated whatever the guard

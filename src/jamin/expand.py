@@ -7,12 +7,17 @@ constant-condition `if`s are pruned, local `global` declarations are
 hoisted, and globals with equal values are merged.  The result is
 re-typechecked, so downstream passes can rely on literal register-array
 indices and resolved widths.  Expansion is idempotent.
+
+Word operators fold through their one definition in `words`, at their
+width; a node that would fault when run (a shift count out of range, a
+division by zero) is left for the run to report at its location.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from . import words
 from .ir import (
     ArrayTy,
     EArr,
@@ -40,6 +45,8 @@ from .ir import (
     SIf,
     SReturn,
     SWhile,
+    WordTy,
+    int_value,
 )
 from .typecheck import NotConst, TypecheckError, const_eval, typecheck
 
@@ -51,9 +58,12 @@ class ExpandError(Exception):
 
 
 def _copy(node, **changes):
+    """`node` with `changes`, keeping its location and type."""
     new = dataclasses.replace(node, **changes)
     if hasattr(node, "loc"):
         new.loc = node.loc
+    if hasattr(node, "ty") and "ty" not in changes:
+        new.ty = node.ty
     return new
 
 
@@ -76,7 +86,7 @@ class _Expander:
     def subst(self, e, env: dict):
         """Copy an expression, substituting compile-time names and folding."""
         if isinstance(e, EInt) or isinstance(e, EBool):
-            return _copy(e)
+            return _copy(e, value=int_value(e))  # a word literal modulo its width
         if isinstance(e, EVar):
             name = env.get(e.name, e.name)
             if isinstance(name, (int, bool)):
@@ -115,7 +125,8 @@ class _Expander:
         return v
 
     def fold(self, e, env):
-        """Fold a node whose operands are all literal ints."""
+        """Fold a node whose operands are all literals (see the module
+        docstring)."""
         kids: list
         if isinstance(e, EBin):
             kids = [e.left, e.right]
@@ -123,13 +134,19 @@ class _Expander:
             kids = [e.arg]
         else:
             return e
-        if all(isinstance(k, (EInt, EBool)) for k in kids):
-            try:
+        if not all(isinstance(k, (EInt, EBool)) for k in kids):
+            return e
+        ty = getattr(e, "ty", None)
+        try:
+            if isinstance(ty, WordTy) and not isinstance(e, ECast):
+                n, w = e.lanes if isinstance(e, EBin) and e.lanes else (None, ty.bits)
+                f = words.evaluator(e.op, w, n, unary=isinstance(e, EUn))
+                v = f(*(k.value for k in kids))
+            else:
                 v = const_eval(e, {})
-            except NotConst:
-                return e
-            return EBool(v) if isinstance(v, bool) else EInt(v)
-        return e
+        except (NotConst, words.WordError, ZeroDivisionError):
+            return e
+        return EBool(v) if isinstance(v, bool) else EInt(v)
 
     def const(self, e, env, what: str) -> int:
         try:

@@ -47,16 +47,9 @@ from .ir import ArrayTy, BoolTy, Program, WordTy
 from .isa import IsaFault, OPS, OPSV, UNDEF
 from .memory import LINE, Memory
 from .typecheck import const_eval
-from .words import Word
+from .words import MASK, Word, WordError
 
 DEFAULT_BUDGET = 10**8
-
-_MASKS = {w: (1 << w) - 1 for w in (8, 16, 32, 64, 128, 256)}
-
-
-def _mask(bits: int) -> int:
-    m = _MASKS.get(bits)
-    return m if m is not None else (1 << bits) - 1
 
 
 class SafetyError(Exception):
@@ -173,46 +166,16 @@ def _nz(b, loc):
     return b
 
 
-def _div(b, a):
-    return a // b
-
-
-def _mod(b, a):
-    return a % b
-
-
-def _wbin(op, lanes, a, b, bits, loc):
-    """The word operators whose checks depend on run-time values: shifts
-    by computed counts and compound division; anything else is malformed."""
-    if lanes:
-        n, lane_w = lanes
-        m = _mask(lane_w)
-        if op in ("<<", ">>"):
-            if b >= lane_w:
-                return 0
-            r = 0
-            for i in range(n):
-                x = (a >> (lane_w * i)) & m
-                r |= ((x << b) & m if op == "<<" else x >> b) << (lane_w * i)
-            return r
-        raise ContractViolation(f"operator {op!r} has no lane form", loc)
-    m = _mask(bits)
-    if op in ("/", "%"):
-        if b == 0:
-            raise DivByZero("division by zero", loc)
-        return a // b if op == "/" else a % b
-    if op in ("<<", ">>", ">>s", "<<r", ">>r"):
-        if not 0 <= b <= bits:
-            raise ContractViolation(f"shift count {b} outside [0, {bits}]", loc)
-        if op == "<<":
-            return (a << b) & m
-        if op == ">>":
-            return a >> b
-        if op == ">>s":
-            return ((a ^ (1 << (bits - 1))) - (1 << (bits - 1)) >> b) & m
-        c = b % bits if op == "<<r" else (bits - b % bits) % bits
-        return ((a << c) | (a >> (bits - c))) & m if c else a
-    raise ContractViolation(f"unknown word operator {op!r}", loc)
+def _wbin(f, a, b, loc):
+    """f(a, b), a word operator from words.evaluator that codegen does
+    not inline (a shift by a computed count, / and %), with its faults
+    located."""
+    try:
+        return f(a, b)
+    except WordError as exc:
+        raise ContractViolation(str(exc), loc) from None
+    except ZeroDivisionError:
+        raise DivByZero("division by zero", loc) from None
 
 
 def _ld(M, T, K, a, nbytes, loc):
@@ -244,11 +207,11 @@ def _st(M, T, K, v, a, nbytes, loc):
         base, end, buf, init = M._regions[i]
         o = a - base
         if o >= 0 and a + nbytes <= end:
-            buf[o:o + nbytes] = (v & _MASKS[nbytes * 8]).to_bytes(nbytes, "little")
+            buf[o:o + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
             init[o:o + nbytes] = _ONES[nbytes]
             return
     try:
-        M.store_int_inplace(a, nbytes * 8, v & _MASKS[nbytes * 8])
+        M.store_int_inplace(a, nbytes * 8, v & MASK[nbytes * 8])
     except mem_mod.OutOfRegion as exc:
         raise OutOfRegion(exc.address, loc) from None
 
@@ -273,7 +236,7 @@ def _rst(T, K, arr, v, i, bits, name, loc):
         if K:
             T += K
         T.append(("addr", (i,)))
-    arr[i] = v & _mask(bits)
+    arr[i] = v & MASK[bits]
 
 
 def _sget(arr, off, nbytes, name, loc):
@@ -285,7 +248,7 @@ def _sget(arr, off, nbytes, name, loc):
 
 def _sput(arr, v, off, nbytes):
     end = off + nbytes
-    arr.buf[off:end] = (v & _MASKS[nbytes * 8]).to_bytes(nbytes, "little")
+    arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
     arr.init[off:end] = _ONES[nbytes]
 
 
@@ -312,7 +275,7 @@ def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
         if K:
             T += K
         T.append(("addr", (i,)))
-    arr.buf[off:end] = (v & _MASKS[nbytes * 8]).to_bytes(nbytes, "little")
+    arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
     arr.init[off:end] = _ONES[nbytes]
 
 
@@ -323,7 +286,7 @@ def _intr(sem, args, loc):
         raise DivByZero(str(exc), loc) from None
 
 
-_HELPERS = (_uu, _arr, _unbound, _contract, _oob, _bx, _nz, _div, _mod, _wbin, _ld, _st,
+_HELPERS = (_uu, _arr, _unbound, _contract, _oob, _bx, _nz, _wbin, _ld, _st,
             _rld, _rst, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch", False))
@@ -387,7 +350,7 @@ def _bind_param(decl, value):
                 raise ContractViolation(
                     f"{decl.name!r} takes {n} elements, got {len(value)}"
                 )
-            m = _mask(ty.bits)
+            m = MASK[ty.bits]
             return [v.value if isinstance(v, Word) else (v & m) for v in value]
         raise ContractViolation(f"array argument expected for {decl.name!r}")
     if isinstance(ty, BoolTy):
@@ -402,7 +365,7 @@ def _bind_param(decl, value):
                 )
             return value.value
         if isinstance(value, int) and not isinstance(value, bool):
-            return value & _mask(ty.bits)
+            return value & MASK[ty.bits]
     raise ContractViolation(f"cannot bind argument for {decl.name!r}")
 
 

@@ -130,6 +130,12 @@ class ECast:
 
 Expr = Union[EInt, EBool, EVar, EArr, EMem, EUn, EBin, EIntr, ECall, EVecImm, ECast]
 
+
+def int_value(e) -> int:
+    """A literal's value, reduced modulo its width when it is a typed word."""
+    ty = getattr(e, "ty", None)
+    return e.value & ((1 << ty.bits) - 1) if type(ty) is WordTy else e.value
+
 # -------------------------------------------------------------- lvalues
 
 

@@ -46,7 +46,7 @@ from functools import cache, cached_property, lru_cache
 from struct import Struct
 from typing import Callable, Optional
 
-from .words import Word
+from .words import Word, evaluator, lanes
 
 
 class IsaError(Exception):
@@ -612,12 +612,10 @@ def _permute(x: int, plan: tuple) -> int:
     return r
 
 
-def _rep_mask(bits: int, n: int, m: int) -> int:
-    """The n-lane repetition of a per-lane bit pattern."""
-    v = 0
-    for _ in range(n):
-        v = (v << m) | bits
-    return v
+def _lane_form(op: str, n: int, m: int) -> Callable:
+    """The OpsV semantics of the DSL's lane form of `op` (words.LANES)."""
+    f = evaluator(op, m, n)
+    return lambda a: [f(*a)]
 
 
 def _vector(name, n, m, sources, src_lanes, sem, sem_lanes, dst=None, dst_lanes=None,
@@ -645,19 +643,13 @@ def _build_vectors():
     for n, m in ((4, 64), (8, 32)):
         total = n * m
         lane_mask = (1 << m) - 1
-        high = _rep_mask(1 << (m - 1), n, m)
-        low = _rep_mask(lane_mask >> 1, n, m)
-
-        def padd_v(a, *, high=high, low=low):
-            x, y = a
-            return [((x & low) + (y & low)) ^ ((x ^ y) & high)]
 
         def padd_l(a, *, lane_mask=lane_mask):
             x, y = a
             return [[(u + v) & lane_mask for u, v in zip(x, y)]]
 
         _vector(f"x86_VPADD_{n}u{m}", n, m,
-                [E(total, 0), E(total, 1)], [(n, m), (n, m)], padd_v, padd_l)
+                [E(total, 0), E(total, 1)], [(n, m), (n, m)], _lane_form("+", n, m), padd_l)
 
     # VPMULUDQ: the low 32 bits of each 64-bit lane multiplied, unrolled
     # in OpsV; a 32 x 32-bit product fills its lane exactly
@@ -698,25 +690,11 @@ def _build_vectors():
         total = n * m
         lane_mask = (1 << m) - 1
 
-        def psll_v(a, *, n=n, m=m):
-            x, c = a
-            if c >= m:
-                return [0]
-            keep = _rep_mask((1 << (m - c)) - 1, n, m)
-            return [(x & keep) << c]
-
         def psll_l(a, *, m=m, lane_mask=lane_mask):
             x, c = a
             if c >= m:
                 return [[0] * len(x)]
             return [[(u << c) & lane_mask for u in x]]
-
-        def psrl_v(a, *, n=n, m=m):
-            x, c = a
-            if c >= m:
-                return [0]
-            keep = _rep_mask((1 << (m - c)) - 1, n, m)
-            return [(x >> c) & keep]
 
         def psrl_l(a, *, m=m):
             x, c = a
@@ -725,10 +703,10 @@ def _build_vectors():
             return [[u >> c for u in x]]
 
         _vector(f"x86_VPSLL_{n}u{m}", n, m,
-                [E(total, 0), E(8, 1)], [(n, m), None], psll_v, psll_l,
+                [E(total, 0), E(8, 1)], [(n, m), None], _lane_form("<<", n, m), psll_l,
                 oshape=("oprd", "imm8"))
         _vector(f"x86_VPSRL_{n}u{m}", n, m,
-                [E(total, 0), E(8, 1)], [(n, m), None], psrl_v, psrl_l,
+                [E(total, 0), E(8, 1)], [(n, m), None], _lane_form(">>", n, m), psrl_l,
                 oshape=("oprd", "imm8"))
 
     # per-lane variable shifts (vector of counts)
@@ -772,7 +750,7 @@ def _build_vectors():
     for name, n, m in (("x86_VPBROADCAST_4u64", 4, 64),
                        ("x86_VPBROADCAST_8u32", 8, 32),
                        ("x86_VPBROADCAST_4u32", 4, 32)):
-        mult = _rep_mask(1, n, m)
+        mult = lanes(1, n, m)
 
         def bcast_v(a, *, mult=mult):
             return [a[0] * mult]
@@ -825,7 +803,7 @@ def _build_vectors():
     # interleaves (per 128-bit half, AVX2 style); OpsV moves the chosen
     # elements of both halves at once, with one mask per element position
     def half_elements(m):
-        return [_rep_mask(((1 << m) - 1) << (m * k), 2, 128) for k in range(128 // m)]
+        return [lanes(((1 << m) - 1) << (m * k), 2, 128) for k in range(128 // m)]
 
     d0, d1, d2, d3 = half_elements(32)
 

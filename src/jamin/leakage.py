@@ -60,10 +60,6 @@ def LeakBranch(taken: bool) -> tuple:
     return ("branch", taken)
 
 
-def LeakFor(count: int) -> tuple:
-    return ("for", count)
-
-
 @dataclass
 class LeakTrace:
     events: list
@@ -92,10 +88,8 @@ class LeakTrace:
         for kind, payload in self.events[:limit]:
             if kind == "addr":
                 parts.append(f"LeakAddr {list(payload)}")
-            elif kind == "branch":
-                parts.append(f"LeakBranch {payload}")
             else:
-                parts.append(f"LeakFor {payload}")
+                parts.append(f"LeakBranch {payload}")
         if len(self.events) > limit:
             parts.append(f"... {len(self.events) - limit} more")
         return "; ".join(parts)

@@ -158,20 +158,16 @@ class Memory:
         return int.from_bytes(self.load_span(a, width // 8, highest_first=True), "little")
 
     def store_int_inplace(self, a: int, width: int, value: int) -> None:
-        data = (value & ((1 << width) - 1)).to_bytes(width // 8, "little")
-        if a + len(data) <= 1 << 64:
-            return self.store_bytes_inplace(a, data)
-        for i, b in enumerate(data):  # the address wraps at 2^64
-            self._store8_inplace((a + i) & ADDR_MASK, b)
+        self.store_bytes_inplace(a, (value & ((1 << width) - 1)).to_bytes(width // 8, "little"))
 
     def store_bytes_inplace(self, a: int, data) -> None:
-        """Store `data` at a, a+1, ...: one slice when the span lies inside
-        one region, byte by byte otherwise."""
+        """Store `data` at a, a+1, ... (addresses wrap at 2^64): one slice
+        when the span lies inside one region, byte by byte otherwise."""
         n = len(data)
         s = self._span(a, n)
         if s is None:
             for i, b in enumerate(data):
-                self._store8_inplace(a + i, b)
+                self._store8_inplace((a + i) & ADDR_MASK, b)
             return
         o, buf, init = s
         buf[o:o + n] = data
@@ -213,8 +209,7 @@ def load_bytes(m: Memory, a: int, n: int) -> bytes:
 
 def store_bytes(m: Memory, a: int, data: bytes) -> Memory:
     m2 = m.copy()
-    for i, b in enumerate(data):
-        m2._store8_inplace((a + i) & ADDR_MASK, b)
+    m2.store_bytes_inplace(a, data)
     return m2
 
 

@@ -43,6 +43,7 @@ from .ir import (
     VarDecl,
     WordTy,
 )
+from .words import WIDTHS
 
 KEYWORDS = {
     "fn",
@@ -61,7 +62,7 @@ KEYWORDS = {
     "false",
 }
 
-WIDTH_NAMES = {f"u{w}": w for w in (8, 16, 32, 64, 128, 256)}
+WIDTH_NAMES = {f"u{w}": w for w in WIDTHS}
 
 
 class ParseError(SyntaxError):

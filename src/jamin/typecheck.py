@@ -13,7 +13,7 @@ integers.
 
 from __future__ import annotations
 
-from . import isa
+from . import isa, words
 from .ir import (
     ArrayTy,
     BoolTy,
@@ -44,13 +44,13 @@ from .ir import (
     WordTy,
 )
 
-LEGAL_WIDTHS = (8, 16, 32, 64, 128, 256)
+LEGAL_WIDTHS = words.WIDTHS
 
-ARITH_OPS = {"+", "-", "*", "/", "%", "&", "|", "^"}
-SHIFT_OPS = {"<<", ">>", ">>s", "<<r", ">>r"}
+ARITH_OPS = frozenset(words.ARITH)
+SHIFT_OPS = frozenset(words.SHIFTS)
 CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 BOOL_OPS = {"&&", "||"}
-LANE_OPS = {"+", "<<", ">>", "^", "&", "|"}
+LANE_OPS = frozenset(words.LANES)
 
 
 class TypecheckError(Exception):

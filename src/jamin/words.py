@@ -1,16 +1,28 @@
-"""Fixed-width machine words.
+"""Fixed-width machine words, and the one definition of the word operators.
 
 A word is a pair (width, value) with the value always reduced modulo
 2^width.  Widths are restricted to the sizes the instruction set knows
 about; one-bit conditions are plain Python bools, never 1-bit words.
 All operations are pure.
+
+Each word operator of the DSL is defined here once, as one Python
+expression in ARITH, SHIFTS, UNARY or LANES, and every user of an
+operator instantiates that expression.  The generated code (codegen)
+substitutes the operands' code, a constant count and the values of
+NAMES into it.  `evaluator` compiles it once per operator and width;
+constant folding (expand), the run-time helpers for computed counts and
+division (interp._wbin), the OpsV forms of VPADD, VPSLL
+and VPSRL (isa) and the Word functions below call the result.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from typing import Callable
+
 WIDTHS = (8, 16, 32, 64, 128, 256)
 
-_MASK = {w: (1 << w) - 1 for w in WIDTHS}
+MASK = {w: (1 << w) - 1 for w in WIDTHS}
 
 
 class WordError(ValueError):
@@ -21,10 +33,10 @@ class Word:
     __slots__ = ("width", "value")
 
     def __init__(self, width: int, value: int):
-        if width not in _MASK:
+        if width not in MASK:
             raise WordError(f"unsupported word width {width}")
         self.width = width
-        self.value = value & _MASK[width]
+        self.value = value & MASK[width]
 
     def __eq__(self, other):
         return (
@@ -56,76 +68,124 @@ def to_sint(x: Word) -> int:
     return x.value
 
 
-def _check_count(x: Word, i: int) -> None:
-    if not 0 <= i <= x.width:
-        raise WordError(f"shift count {i} outside [0, {x.width}]")
+# ------------------------------------------------------ the operators
+#
+# Each operator is one expression over its operands a and b (b is the
+# count of a shift) at width w, using the names of NAMES.  Operands are
+# ints in [0, 2^w); so is every result.
+
+ARITH = {
+    "+": "((a + b) & m)",
+    "-": "((a - b) & m)",
+    "*": "((a * b) & m)",
+    "/": "(a // b)",  # ZeroDivisionError for a zero divisor
+    "%": "(a % b)",
+    "&": "(a & b)", "|": "(a | b)", "^": "(a ^ b)",
+}
+
+# Defined for counts 0 <= b <= w only (count_error).
+SHIFTS = {
+    "<<": "((a << b) & m)",
+    ">>": "(a >> b)",
+    ">>s": "((((a ^ t) - t) >> b) & m)",
+    "<<r": "(((a << b) | (a >> k)) & m)",
+    ">>r": "(((a << k) | (a >> b)) & m)",
+}
+
+BINARY = {**ARITH, **SHIFTS}
+
+UNARY = {"-": "(-a & m)", "~": "(~a & m)"}
+
+# The lane forms: a and b hold n lanes of w bits each.  + is SWAR
+# addition; a shift moves every lane by the same count b, which may
+# exceed w (the lanes then become 0).
+LANES = {
+    "+": "(((a & L) + (b & L)) ^ ((a ^ b) & H))",
+    "<<": "((a & K) << b)",
+    ">>": "((a >> b) & K)",
+    "&": "(a & b)", "|": "(a | b)", "^": "(a ^ b)",
+}
+
+# The other names the expressions use, each an expression over the
+# width w, the lane count n (1 for a whole word), the count b and the
+# names before it.
+NAMES = (
+    ("m", "(1 << w) - 1"),  # the mask of a word or lane
+    ("t", "1 << (w - 1)"),  # its top bit
+    ("r", "lanes(1, n, w)"),  # 1 in every lane
+    ("H", "t * r"),  # every lane's top bit
+    ("L", "(m >> 1) * r"),  # every lane's bits below its top bit
+)
+COUNT_NAMES = (
+    ("k", "w - b"),  # the other count of a rotate
+    ("K", "(m >> b) * r"),  # every lane's bits that a shift by b keeps in the lane
+)
 
 
-def shl(x: Word, i: int) -> Word:
-    _check_count(x, i)
-    return Word(x.width, x.value << i)
+def lanes(pattern: int, n: int, w: int) -> int:
+    """The n-lane repetition of a w-bit pattern."""
+    return sum(pattern << (w * i) for i in range(n))
 
 
-def shr(x: Word, i: int) -> Word:
-    """Logical right shift."""
-    _check_count(x, i)
-    return Word(x.width, x.value >> i)
+def count_error(w: int, b: int) -> str | None:
+    """What breaks the SHIFTS' precondition on the count b at width w."""
+    return None if 0 <= b <= w else f"shift count {b} outside [0, {w}]"
 
 
-def sar(x: Word, i: int) -> Word:
-    """Arithmetic right shift (sign-filling)."""
-    _check_count(x, i)
-    return Word(x.width, to_sint(x) >> i)
+@cache
+def constants(w: int, n: int = 1, b: int | None = None) -> dict:
+    """The values of the NAMES at width w over n lanes, with those of the
+    COUNT_NAMES for a known count b (a cached dict: read it only)."""
+    env = {"w": w, "n": n, "b": b, "lanes": lanes}
+    for name, expr in NAMES + (COUNT_NAMES if b is not None else ()):
+        env[name] = eval(expr, env)
+    return env
 
 
-def rol(x: Word, i: int) -> Word:
-    _check_count(x, i)
-    i %= x.width
-    return Word(x.width, (x.value << i) | (x.value >> (x.width - i)))
+@cache
+def evaluator(op: str, w: int, n: int | None = None, unary: bool = False) -> Callable:
+    """`op` at width w as a function of (a, b), or of a alone when
+    `unary`, or its lane form over n lanes of w bits when n is given.
+    It raises WordError for a shift count outside [0, w] and
+    ZeroDivisionError for a zero divisor."""
+    expr = (UNARY if unary else LANES if n else BINARY)[op]
+    ns = dict(constants(w, n or 1), count_error=count_error, WordError=WordError)
+    body = "".join(f"    {name} = {e}\n" for name, e in COUNT_NAMES) if op in SHIFTS else ""
+    if op in SHIFTS and not n:
+        body = "    if e := count_error(w, b): raise WordError(e)\n" + body
+    exec(f"def f({'a' if unary else 'a, b'}):\n{body}    return {expr}\n", ns)
+    return ns["f"]
 
 
-def ror(x: Word, i: int) -> Word:
-    _check_count(x, i)
-    return rol(x, (x.width - i) % x.width)
+# -------------------------------------------------- Word operations
+#
+# Thin wrappers of the definitions above: shr is the logical right
+# shift, sar the arithmetic (sign-filling) one, and mul truncates.  A
+# shift count outside [0, width] raises WordError.
 
 
-def add(x: Word, y: Word) -> Word:
-    _check_same(x, y)
-    return Word(x.width, x.value + y.value)
+def _shift(op: str) -> Callable:
+    def f(x: Word, i: int) -> Word:
+        return Word(x.width, evaluator(op, x.width)(x.value, i))
+    return f
 
 
-def sub(x: Word, y: Word) -> Word:
-    _check_same(x, y)
-    return Word(x.width, x.value - y.value)
+def _binary(op: str) -> Callable:
+    def f(x: Word, y: Word) -> Word:
+        _check_same(x, y)
+        return Word(x.width, evaluator(op, x.width)(x.value, y.value))
+    return f
 
 
-def mul(x: Word, y: Word) -> Word:
-    """Truncating product."""
-    _check_same(x, y)
-    return Word(x.width, x.value * y.value)
+def _unary(op: str) -> Callable:
+    def f(x: Word) -> Word:
+        return Word(x.width, evaluator(op, x.width, unary=True)(x.value))
+    return f
 
 
-def and_(x: Word, y: Word) -> Word:
-    _check_same(x, y)
-    return Word(x.width, x.value & y.value)
-
-
-def or_(x: Word, y: Word) -> Word:
-    _check_same(x, y)
-    return Word(x.width, x.value | y.value)
-
-
-def xor(x: Word, y: Word) -> Word:
-    _check_same(x, y)
-    return Word(x.width, x.value ^ y.value)
-
-
-def not_(x: Word) -> Word:
-    return Word(x.width, ~x.value)
-
-
-def neg(x: Word) -> Word:
-    return Word(x.width, -x.value)
+shl, shr, sar, rol, ror = map(_shift, ("<<", ">>", ">>s", "<<r", ">>r"))
+add, sub, mul, and_, or_, xor = map(_binary, ("+", "-", "*", "&", "|", "^"))
+neg, not_ = map(_unary, ("-", "~"))
 
 
 def _check_same(x: Word, y: Word) -> None:
@@ -142,9 +202,9 @@ def mul_wide(x: Word, y: Word) -> tuple[Word, Word]:
 
 def split(x: Word, sub_width: int) -> list[Word]:
     """View a word as an array of sub-words, least significant first."""
-    if sub_width not in _MASK or x.width % sub_width != 0:
+    if sub_width not in MASK or x.width % sub_width != 0:
         raise WordError(f"cannot split width {x.width} into {sub_width}-bit parts")
-    mask = _MASK[sub_width]
+    mask = MASK[sub_width]
     v = x.value
     out = []
     for _ in range(x.width // sub_width):

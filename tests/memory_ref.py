@@ -124,24 +124,18 @@ class Memory:
         return int.from_bytes(self.load_span(a, n, highest_first=True), "little")
 
     def store_int_inplace(self, a: int, width: int, value: int) -> None:
-        n = width // 8
-        if self._check_span(a, n):
-            data = (value & ((1 << width) - 1)).to_bytes(n, "little")
-            self._bytes.update(zip(range(a, a + n), data))
-            return
-        for i in range(n):
-            self._store8_inplace((a + i) & ADDR_MASK, value & 0xFF)
-            value >>= 8
+        self.store_bytes_inplace(a, (value & ((1 << width) - 1)).to_bytes(width // 8, "little"))
 
     def store_bytes_inplace(self, a: int, data) -> None:
-        """Store `data` at a, a+1, ...; the span is checked once when it
-        lies inside one region, byte by byte otherwise."""
+        """Store `data` at a, a+1, ... (addresses wrap at 2^64); the span
+        is checked once when it lies inside one region, byte by byte
+        otherwise."""
         n = len(data)
         if self._check_span(a, n):
             self._bytes.update(zip(range(a, a + n), data))
             return
         for i, b in enumerate(data):
-            self._store8_inplace(a + i, b)
+            self._store8_inplace((a + i) & ADDR_MASK, b)
 
     def _loadW(self, a: int, width: int) -> Word:
         return Word(width, self.load_int(a, width))
@@ -185,8 +179,7 @@ def load_bytes(m: Memory, a: int, n: int) -> bytes:
 
 def store_bytes(m: Memory, a: int, data: bytes) -> Memory:
     m2 = m.copy()
-    for i, b in enumerate(data):
-        m2._store8_inplace((a + i) & ADDR_MASK, b)
+    m2.store_bytes_inplace(a, data)
     return m2
 
 

@@ -104,6 +104,14 @@ def test_address_wrap_in_wide_access():
     assert memory.loadW(m, 2**64 - 4, 64).value == 0x1122334455667788
 
 
+@pytest.mark.parametrize("impl", [memory, memory_ref], ids=["memory", "memory_ref"])
+def test_store_bytes_inplace_wraps_at_the_top_of_memory(impl):
+    m = impl.add_region(impl.add_region(impl.Memory(), 2**64 - 2, 2), 0, 2)
+    m.store_bytes_inplace(2**64 - 2, b"\x01\x02\x03\x04")
+    assert impl.load_bytes(m, 2**64 - 2, 4) == b"\x01\x02\x03\x04"
+    assert impl.load_bytes(m, 0, 2) == b"\x03\x04"
+
+
 def test_dump_and_parse_roundtrip():
     m = fresh(0x1000, 40)
     m = memory.store_bytes(m, 0x1000, bytes(range(20)))
