@@ -1,7 +1,7 @@
 """Translation of expanded functions into Python source.
 
-Every non-inline function of a typed, expanded program becomes one
-Python function, compiled on its first call:
+Every function of a program from expand becomes one Python function,
+compiled on its first call:
 
     F_<name>(<parameters>, B, T, M, O) -> (B, <results>)
 
@@ -58,14 +58,12 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    EVecImm,
     LArr,
     LIgnore,
     LMem,
     LVar,
     SAssign,
     SDecl,
-    SFor,
     SIf,
     SReturn,
     SWhile,
@@ -74,7 +72,7 @@ from .ir import (
 )
 from . import words
 from .isa import lane_adapter, lookup
-from .typecheck import CMP_OPS, NotConst, const_eval
+from .typecheck import CMP_OPS
 
 PIECE = 250  # statements per compile() call, which bounds its peak memory
 
@@ -122,9 +120,8 @@ def _names(node, out: list) -> list:
         _names(node.cond, out)
         for s in node.then + node.els:
             _names(s, out)
-    elif k is SWhile or k is SFor:
-        if k is SWhile:
-            _names(node.cond, out)
+    elif k is SWhile:
+        _names(node.cond, out)
         for s in node.body:
             _names(s, out)
     elif k is SReturn:
@@ -159,7 +156,7 @@ def _rebinds(stmts, out: set) -> set:
         elif k is SIf:
             _rebinds(s.then, out)
             _rebinds(s.els, out)
-        elif k is SWhile or k is SFor:
+        elif k is SWhile:
             _rebinds(s.body, out)
     return out
 
@@ -329,9 +326,7 @@ class _FnGen:
 
     def read_var(self, name: str, loc, compound=False) -> str:
         if name not in self.locals:
-            if name in self.globals:
-                return "G_" + name
-            return f"_unbound({name!r}, {loc!r})"
+            return "G_" + name
         if isinstance(self.types[name][1], ArrayTy):
             return self.arr_ref(name, loc)
         v = self.v(name)
@@ -346,9 +341,7 @@ class _FnGen:
 
     def arr_ref(self, name: str, loc) -> str:
         if name not in self.locals:
-            if name in self.globals:
-                return "G_" + name
-            return f"_unbound({name!r}, {loc!r})"
+            return "G_" + name
         if name in self.facts.declared:
             return self.v(name)
         self.note_unbound(name)
@@ -384,13 +377,6 @@ class _FnGen:
             return f"({e.op}{a})"
         if k is EBool:
             return "True" if e.value else "False"
-        if k is EVecImm:
-            try:
-                return self.lit(const_eval(e, {}) & ((1 << e.ty.bits) - 1))
-            except NotConst:
-                return self.malformed("immediate vector with non-constant elements", _loc(e))
-        if k is ECall:
-            return self.malformed("calls only appear as full statements", _loc(e))
         raise TypeError(f"not an expression: {e!r}")
 
     def binary(self, e: EBin) -> str:
@@ -407,9 +393,7 @@ class _FnGen:
             return f"({left} {op} {right})"
         if op == "&&":  # both sides always evaluate: no hidden branch
             return f"({left} & {right})"
-        if op == "||":
-            return f"({left} | {right})"
-        return self.fail(f"operator {op!r} needs expansion", loc)
+        return f"({left} | {right})"  # ||
 
     def word_op(self, op, lanes, bits, left, right_node, loc, whole=True) -> str:
         """`left op right` at `bits` (lane-wise when `lanes`) from its
@@ -460,10 +444,7 @@ class _FnGen:
         return "".join(parts)
 
     def arr_read(self, e, loc) -> str:
-        storage = getattr(e, "arr_storage", None)
-        if storage is None:
-            return self.malformed(f"array access to {e.name!r} was not typechecked", loc)
-        name, ty = e.name, e.arr_ty
+        storage, name, ty = e.arr_storage, e.name, e.arr_ty
         arr = self.arr_ref(name, loc)
         if storage == "stack":
             nb = (e.width or ty.bits) // 8
@@ -570,12 +551,7 @@ class _FnGen:
         self.flow_dest(self.facts, lv, kind)
 
     def write_element(self, lv, value: str, bits):
-        storage = getattr(lv, "arr_storage", None)
-        loc = _loc(lv)
-        if storage is None:
-            self.malformed(f"array access to {lv.name!r} was not typechecked", loc)
-            return
-        name, ty = lv.name, lv.arr_ty
+        storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, _loc(lv)
         arr = self.arr_ref(name, loc)
         if storage == "stack":
             nb = (lv.width or ty.bits) // 8
@@ -629,7 +605,7 @@ class _FnGen:
                 f.defined.discard(lv.name)
             else:
                 f.defined.add(lv.name)
-        elif k is LArr and type(lv.index) is EInt and getattr(lv, "arr_storage", None) != "stack":
+        elif k is LArr and type(lv.index) is EInt and lv.arr_storage != "stack":
             f.defined.add((lv.name, lv.index.value))
 
     def flow_copy(self, f, dst: str, src: str):
@@ -669,7 +645,7 @@ class _FnGen:
                 f = _join(self.flow(s.then, f.copy()), self.flow(s.els, f))
             elif k is SWhile:
                 f = self.loop_head(s, f)
-            elif k is SReturn or k is SFor:
+            elif k is SReturn:
                 return None
         return f
 
@@ -692,7 +668,7 @@ class _FnGen:
     def array_uses(self, s) -> tuple:
         """(arrays s reads, arrays s rebinds as a whole, the source when s
         is a whole-array copy); an if or while reads its test's arrays, a
-        return or for loop every array it mentions."""
+        return every array it mentions."""
         k = type(s)
         names = _names(s.cond, []) if k is SIf or k is SWhile else self.mentions(s)
         reads = self.arrays.intersection(names)
@@ -727,8 +703,6 @@ class _FnGen:
                 live = head
             elif k is SReturn:
                 live = reads
-            elif k is SFor:
-                live = live | reads
             else:
                 if src is not None:
                     self.moves[id(s)] = self.moves.get(id(s), True) and src not in live
@@ -747,8 +721,8 @@ class _FnGen:
                 m = _names(s.cond, [])
                 for c in s.then + s.els:
                     m += self.mentions(c)
-            elif k is SWhile or k is SFor:
-                m = _names(s.cond, []) if k is SWhile else []
+            elif k is SWhile:
+                m = _names(s.cond, [])
                 for c in s.body:
                     m += self.mentions(c)
             else:
@@ -762,7 +736,7 @@ class _FnGen:
             k = type(s)
             if k is SIf:
                 n = 1 + sum(map(self.size, s.then)) + sum(map(self.size, s.els))
-            elif k is SWhile or k is SFor:
+            elif k is SWhile:
                 n = 1 + sum(map(self.size, s.body))
             else:
                 n = 1
@@ -775,7 +749,7 @@ class _FnGen:
             k = type(s)
             if k is SIf:
                 r = any(map(self.has_return, s.then + s.els))
-            elif k is SWhile or k is SFor:
+            elif k is SWhile:
                 r = any(map(self.has_return, s.body))
             else:
                 r = k is SReturn
@@ -926,10 +900,6 @@ class _FnGen:
             else:
                 self.line("return B" + "".join(", " + v for v in vals))
             self.facts = None
-        elif k is SFor:
-            self.tick(loc)
-            self.line(self.fail("for loops need expansion before running", loc))
-            self.facts = None
         else:
             raise TypeError(f"not a statement: {s!r}")
 
@@ -977,8 +947,7 @@ class _FnGen:
             elif type(lv) is LArr:
                 src = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
                 src.loc = loc
-                src.arr_storage = getattr(lv, "arr_storage", None)
-                src.arr_ty = getattr(lv, "arr_ty", None)
+                src.arr_storage, src.arr_ty = lv.arr_storage, lv.arr_ty
                 old = self.arr_read(src, loc)
             else:
                 self.malformed("compound assignment needs a register destination", loc)
@@ -1015,10 +984,6 @@ class _FnGen:
         loc = _loc(s)
         self.tick(loc)
         callee = self.p.func(s.rhs.name)
-        if callee.inline:
-            self.line(self.fail(f"{callee.name!r} is inline; expand before running", None))
-            self.facts = None
-            return
         args = []
         for a in s.rhs.args:
             code = self.expr(a)
@@ -1044,9 +1009,7 @@ class _FnGen:
     def build(self):
         fn = self.fn
         self.block(fn.body)
-        if self.facts is not None and fn.rets:
-            self.line(self.fail(f"{fn.name} ended without returning its values", None))
-        elif self.facts is not None:
+        if self.facts is not None:  # typecheck: a function with results returns
             self.line("return (B,)")
         self.drop_ustores(set(self.locals) - self.unproven - self.passed)
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])

@@ -3,14 +3,20 @@
 Turns a typed program into its executable core: parameters are
 substituted, unrollable `for` loops are unrolled, calls to inline
 functions are spliced in, compile-time expressions are folded,
-constant-condition `if`s are pruned, local `global` declarations are
-hoisted, and globals with equal values are merged.  The result is
-re-typechecked, so downstream passes can rely on literal register-array
-indices and resolved widths.  Expansion is idempotent.
+constant-condition `if`s are pruned, global initializers are evaluated
+at their width, local `global` declarations are hoisted, and globals
+with equal values are merged.  The result is re-typechecked and marked
+`expanded`; it is the only program the back ends (interp, safety,
+leakage) accept, and they rely on its contract without rechecking it:
+no `for` loop, inline call or immediate vector remains, every
+compile-time (`int`) expression is a literal, every array access is
+typed, and globals are literals.  Expansion is idempotent.
 
 Word operators fold through their one definition in `words`, at their
 width; a node that would fault when run (a shift count out of range, a
-division by zero) is left for the run to report at its location.
+division by zero) is left for the run to report at its location.  A
+compile-time expression that cannot be evaluated is an ExpandError at
+its location.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import dataclasses
 
 from . import words
 from .ir import (
-    ArrayTy,
     EArr,
     EBin,
     EBool,
@@ -67,24 +72,35 @@ def _copy(node, **changes):
     return new
 
 
+class _Values:
+    """An environment (see subst) in which globals read as their values."""
+
+    __slots__ = ("env", "values")
+
+    def __init__(self, env, values: dict):
+        self.env, self.values = env, values
+
+    def get(self, name: str, default):
+        v = self.env.get(name, default)
+        return self.values.get(v, v) if isinstance(v, str) else v
+
+
 class _Expander:
     def __init__(self, p: Program):
         self.p = p
-        self.param_env: dict[str, int] = {}
-        self.old_global_env: dict[str, object] = {}  # source names -> values
+        self.env: dict[str, object] = {}  # parameters and program-level globals
         self.global_vals: dict[str, object] = {}  # merged names -> values
         self.global_decls: list[GlobalDecl] = []
         self.fresh = 0
         self.funcs = {f.name: f for f in p.funcs}
         self.expanded: dict[str, FuncDecl] = {}
 
-    def const_env(self) -> dict:
-        return {**self.param_env, **self.old_global_env, **self.global_vals}
-
     # -------------------------------------------------- expressions
 
-    def subst(self, e, env: dict):
-        """Copy an expression, substituting compile-time names and folding."""
+    def subst(self, e, env):
+        """Copy an expression, substituting compile-time names and folding.
+        `env` maps a source name to its value (an int or bool) or to the
+        name it is renamed to."""
         if isinstance(e, EInt) or isinstance(e, EBool):
             return _copy(e, value=int_value(e))  # a word literal modulo its width
         if isinstance(e, EVar):
@@ -109,11 +125,11 @@ class _Expander:
         if isinstance(e, ECall):
             return _copy(e, args=tuple(self.subst(a, env) for a in e.args))
         if isinstance(e, EVecImm):
-            folded = _copy(e, values=tuple(self.subst(v, env) for v in e.values))
+            values = tuple(EInt(self.const(v, env, "immediate element")) for v in e.values)
             try:
-                return EInt(const_eval(folded, {}))
-            except NotConst:
-                return folded
+                return EInt(const_eval(_copy(e, values=values), {}))
+            except NotConst as exc:
+                raise ExpandError(f"{_at(e)}{exc}") from exc
         if isinstance(e, ECast):
             return self.fold(_copy(e, arg=self.subst(e.arg, env)), env)
         raise TypeError(f"not an expression: {e!r}")
@@ -126,7 +142,7 @@ class _Expander:
 
     def fold(self, e, env):
         """Fold a node whose operands are all literals (see the module
-        docstring)."""
+        docstring); a compile-time (`int`) node must fold."""
         kids: list
         if isinstance(e, EBin):
             kids = [e.left, e.right]
@@ -134,25 +150,30 @@ class _Expander:
             kids = [e.arg]
         else:
             return e
-        if not all(isinstance(k, (EInt, EBool)) for k in kids):
-            return e
         ty = getattr(e, "ty", None)
-        try:
-            if isinstance(ty, WordTy) and not isinstance(e, ECast):
-                n, w = e.lanes if isinstance(e, EBin) and e.lanes else (None, ty.bits)
-                f = words.evaluator(e.op, w, n, unary=isinstance(e, EUn))
-                v = f(*(k.value for k in kids))
-            else:
-                v = const_eval(e, {})
-        except (NotConst, words.WordError, ZeroDivisionError):
-            return e
-        return EBool(v) if isinstance(v, bool) else EInt(v)
+        reason = "an operand is not known"
+        if all(isinstance(k, (EInt, EBool)) for k in kids):
+            try:
+                if isinstance(ty, WordTy) and not isinstance(e, ECast):
+                    n, w = e.lanes if isinstance(e, EBin) and e.lanes else (None, ty.bits)
+                    f = words.evaluator(e.op, w, n, unary=isinstance(e, EUn))
+                    v = f(*(k.value for k in kids))
+                else:
+                    v = const_eval(e, {})
+                return EBool(v) if isinstance(v, bool) else EInt(v)
+            except (NotConst, words.WordError, ZeroDivisionError) as exc:
+                reason = exc
+        if isinstance(ty, IntTy):
+            raise ExpandError(f"{_at(e)}compile-time expression cannot be evaluated ({reason})")
+        return e
 
-    def const(self, e, env, what: str) -> int:
-        try:
-            return const_eval(self.subst(e, env), self.const_env())
-        except NotConst as exc:
-            raise ExpandError(f"{what} is not compile-time ({exc})") from exc
+    def const(self, e, env, what: str):
+        """The value of compile-time `e` under `env`, with globals read as
+        their values and words folded at their width."""
+        v = self.subst(e, _Values(env, self.global_vals))
+        if not isinstance(v, (EInt, EBool)):
+            raise ExpandError(f"{_at(e)}{what} cannot be evaluated at compile time")
+        return v.value
 
     # --------------------------------------------------- statements
 
@@ -180,14 +201,11 @@ class _Expander:
                 for nm in s.names:
                     env[nm] = gname
                 return []
-            ty = s.ty
-            if isinstance(ty, ArrayTy) and not isinstance(ty.length, int):
-                ty = ArrayTy(ty.bits, self.const(ty.length, env, "array length"))
             init = self.subst(s.init, env) if s.init is not None else None
             names = tuple(
                 env[nm] if isinstance(env.get(nm), str) else nm for nm in s.names
             )
-            return [_copy(s, ty=ty, names=names, init=init)]
+            return [_copy(s, names=names, init=init)]
         if isinstance(s, SAssign):
             dests = tuple(self.subst_lval(d, env) for d in s.dests)
             rhs = self.subst(s.rhs, env)
@@ -255,17 +273,11 @@ class _Expander:
             raise ExpandError(f"{_at(s)}inline calls cannot be conditional")
         self.fresh += 1
         tag = f"i{self.fresh}"
-        env2: dict[str, object] = dict(self.param_env)
+        env2: dict[str, object] = dict(self.env)
         out = []
         for p, a in zip(callee.params, call.args):
             if p.storage == "inline":
-                try:
-                    env2[p.name] = const_eval(a, self.const_env())
-                except NotConst as exc:
-                    raise ExpandError(
-                        f"{_at(s)}inline argument {p.name} of {call.name} "
-                        f"is not compile-time ({exc})"
-                    ) from exc
+                env2[p.name] = self.const(a, {}, f"inline argument {p.name} of {call.name}")
             else:
                 nm = f"{p.name}__{tag}"
                 env2[p.name] = nm
@@ -291,46 +303,13 @@ class _Expander:
                 out.append(SAssign((d,), None, v))
         return out
 
-    def rename_block(self, stmts, ren, fresh_name):
-        out = []
-        for s in stmts:
-            out.append(self.rename_stmt(s, ren, fresh_name))
-        return out
-
-    def rename_stmt(self, s, ren, fresh_name):
-        env = ren  # names only; values never enter here
-        if isinstance(s, SDecl):
-            return _copy(s, names=tuple(fresh_name(nm) for nm in s.names),
-                         init=self.subst(s.init, env) if s.init is not None else None)
-        if isinstance(s, SAssign):
-            return _copy(
-                s,
-                dests=tuple(self.subst_lval(d, env) for d in s.dests),
-                rhs=self.subst(s.rhs, env),
-                cond=self.subst(s.cond, env) if s.cond is not None else None,
-            )
-        if isinstance(s, SIf):
-            return _copy(s, cond=self.subst(s.cond, env),
-                         then=tuple(self.rename_block(s.then, ren, fresh_name)),
-                         els=tuple(self.rename_block(s.els, ren, fresh_name)))
-        if isinstance(s, SWhile):
-            return _copy(s, cond=self.subst(s.cond, env),
-                         body=tuple(self.rename_block(s.body, ren, fresh_name)))
-        if isinstance(s, SFor):
-            # keep the loop variable name; it is scoped to the body
-            return _copy(s, lo=self.subst(s.lo, env), hi=self.subst(s.hi, env),
-                         body=tuple(self.rename_block(s.body, ren, fresh_name)))
-        if isinstance(s, SReturn):
-            return _copy(s, values=tuple(self.subst(v, env) for v in s.values))
-        raise TypeError(f"not a statement: {s!r}")
-
     def function_body(self, name: str):
         """Fully expanded body of a non-inline function (memoized);
         inline functions expand per call site instead."""
         if name in self.expanded:
             return self.expanded[name].body
         f = self.funcs[name]
-        body = tuple(self.expand_block(f.body, dict(self.param_env), True, f))
+        body = tuple(self.expand_block(f.body, dict(self.env), True, f))
         self.expanded[name] = _copy(f, body=body)
         return body
 
@@ -354,31 +333,23 @@ class _Expander:
 
     def run(self) -> Program:
         for pd in self.p.params:
-            self.param_env[pd.name] = const_eval(pd.value, self.param_env)
-        # evaluate and merge program-level globals
-        rename: dict[str, str] = {}
-        genv: dict[str, object] = {}
+            self.env[pd.name] = const_eval(pd.value, self.env)
+        # program-level globals first, in order, so merged names are stable
         for g in self.p.globals:
-            ty = g.ty
+            what = f"global {g.name}"
             if isinstance(g.init, tuple):
-                val = tuple(const_eval(v, {**self.param_env, **genv}) for v in g.init)
+                val = tuple(self.const(v, self.env, what) for v in g.init)
             else:
-                val = const_eval(g.init, {**self.param_env, **genv})
-            genv[g.name] = val
-            rename[g.name] = self.fresh_global(ty, val, g.name)
-        self.old_global_env = genv
+                val = self.const(g.init, self.env, what)
+            self.env[g.name] = self.fresh_global(g.ty, val, g.name)
         out_funcs = []
         for f in self.p.funcs:
             if not f.inline:
                 self.function_body(f.name)
-                ef = self.expanded[f.name]
-                if rename:
-                    ef = _copy(ef, body=tuple(
-                        self.rename_stmt(s, dict(rename), lambda nm: nm) for s in ef.body
-                    ))
-                out_funcs.append(ef)
-        newp = Program((), tuple(self.global_decls), tuple(out_funcs))
-        return typecheck(newp)
+                out_funcs.append(self.expanded[f.name])
+        newp = typecheck(Program((), tuple(self.global_decls), tuple(out_funcs)))
+        newp.expanded = True
+        return newp
 
 
 def _decl_names(stmts) -> list[str]:
@@ -406,7 +377,8 @@ def _at(s) -> str:
 
 
 def expand(p: Program) -> Program:
-    """Expand a typed program; the result is typed and expansion-free."""
+    """Expand a typed program; the result is typed, keeps the contract of
+    the module docstring and is marked `expanded`."""
     if not getattr(p, "typed", False):
         raise ExpandError("expand requires a typechecked program")
     return _Expander(p).run()

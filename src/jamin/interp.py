@@ -1,8 +1,10 @@
 """Executable semantics of expanded programs, with dynamic safety checks.
 
-`run` is the one way to execute a program.  It returns a RunResult of
-(results, memory, steps): the entry's results, the final memory and the
-budget steps consumed.  The vector representation (OPS or OPSV, see
+`run` is the one way to execute a program, and it takes only a program
+that `expand` produced (see expand for what that guarantees); any other
+raises ContractViolation.  It returns a RunResult of (results, memory,
+steps): the entry's results, the final memory and the budget steps
+consumed.  The vector representation (OPS or OPSV, see
 isa) is an argument of each run, defaulting to OPSV; nothing about a
 run is configured outside its arguments.
 
@@ -46,7 +48,6 @@ from . import memory as mem_mod
 from .ir import ArrayTy, BoolTy, Program, WordTy
 from .isa import IsaFault, OPS, OPSV, UNDEF
 from .memory import LINE, Memory
-from .typecheck import const_eval
 from .words import MASK, Word, WordError
 
 DEFAULT_BUDGET = 10**8
@@ -142,10 +143,6 @@ def _arr(value, name, loc):
     if value is NB:
         raise ContractViolation(f"unbound variable {name!r}", loc)
     return value
-
-
-def _unbound(name, loc):
-    raise ContractViolation(f"unbound variable {name!r}", loc)
 
 
 def _contract(message, loc):
@@ -286,7 +283,7 @@ def _intr(sem, args, loc):
         raise DivByZero(str(exc), loc) from None
 
 
-_HELPERS = (_uu, _arr, _unbound, _contract, _oob, _bx, _nz, _wbin, _ld, _st,
+_HELPERS = (_uu, _arr, _contract, _oob, _bx, _nz, _wbin, _ld, _st,
             _rld, _rst, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch", False))
@@ -295,17 +292,16 @@ _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch"
 # ------------------------------------------------------------- execution
 
 
+def require_expanded(p: Program, user: str):
+    """Raise ContractViolation unless `p` is a program from expand."""
+    if not getattr(p, "expanded", False):
+        raise ContractViolation(f"{user} requires a program from expand")
+
+
 def _global_values(p: Program) -> dict:
-    vals: dict[str, object] = {}
-    raw: dict[str, object] = {}
-    for g in p.globals:
-        if isinstance(g.init, tuple):
-            elems = [const_eval(v, raw) for v in g.init]
-            raw[g.name] = tuple(elems)
-            vals[g.name] = elems
-        else:
-            raw[g.name] = vals[g.name] = const_eval(g.init, raw)
-    return vals
+    """The literals expand wrote for the globals: a list per array."""
+    return {g.name: [v.value for v in g.init] if isinstance(g.init, tuple) else g.init.value
+            for g in p.globals}
 
 
 def _namespace(p: Program) -> dict:
@@ -401,11 +397,10 @@ def run(
     """Run `entry` on `args` over a private copy of `mem`, with vector
     intrinsics in `vector_mode` (OPS or OPSV).
 
-    Raises ContractViolation on a malformed call, before anything runs,
-    and a SafetyError subclass on any dynamic safety violation.
+    Raises ContractViolation on a malformed call or a program that is
+    not from expand, before anything runs, and a SafetyError subclass on any dynamic safety violation.
     """
-    if not getattr(p, "typed", False):
-        raise ContractViolation("run requires a typechecked program")
+    require_expanded(p, "run")
     fn = p.func(entry)
     if fn.inline:
         raise ContractViolation(f"{entry!r} is an inline function, not an entry point")

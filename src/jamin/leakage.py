@@ -34,7 +34,6 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    EVecImm,
     LArr,
     LIgnore,
     LMem,
@@ -42,7 +41,6 @@ from .ir import (
     Program,
     SAssign,
     SDecl,
-    SFor,
     SIf,
     SReturn,
     SWhile,
@@ -388,7 +386,7 @@ class _FnTaint:
         kind = type(e)
         if kind is EVar:
             return self.var_taint(e.name)
-        if kind in (EInt, EVecImm):
+        if kind is EInt:
             return _EMPTY
         if kind is EBin:
             return self.taint(e.left) | self.taint(e.right)
@@ -414,8 +412,6 @@ class _FnTaint:
             for a in e.args:
                 out |= self.taint(a)
             return out
-        if kind is ECall:
-            raise AssertionError("calls handled at statement level")
         return _EMPTY
 
     def expr_bases(self, e) -> frozenset:
@@ -510,9 +506,6 @@ class _FnTaint:
             self.g.leak(self.taint(s.cond))
             self.walk(s.body)
             return
-        if kind is SFor:
-            self.walk(s.body)
-            return
         if kind is SReturn:
             for v in s.values:
                 self.taint(v)
@@ -572,7 +565,9 @@ def infer_public(p: Program, entry: str) -> frozenset:
     Returns parameter names plus mem[<ptr>] tokens for memory regions
     whose contents can reach leaked expressions.  If the declared
     secrets avoid this set entirely, ct_check cannot find a witness.
+    Raises interp.ContractViolation unless `p` is from expand.
     """
+    interp.require_expanded(p, "infer_public")
     fn = p.func(entry)
     glob = _Taint(p, entry)
     arg_taints = [frozenset((q.name,)) for q in fn.params]

@@ -18,9 +18,7 @@ semantics.  An access not inside one region goes byte by byte, loads
 from the highest address and stores from the lowest, and faults at the
 first bad byte that order meets.
 
-In strict mode (the default), reading a byte that was never written
-raises UninitializedRead; permissive mode returns 0 instead and exists
-for the differential harness only.
+Reading a byte that was never written raises UninitializedRead.
 
 Dump format: one line per 16 bytes, `addr: b0 b1 ...` in lowercase hex,
 rows starting at each region base; unwritten bytes print as `..`.
@@ -57,17 +55,16 @@ class UninitializedRead(MemAccessError):
 
 
 class Memory:
-    __slots__ = ("_regions", "_lines", "strict")
+    __slots__ = ("_regions", "_lines")
 
-    def __init__(self, *, strict: bool = True):
+    def __init__(self):
         self._regions: list[tuple[int, int, bytearray, bytearray]] = []
         self._lines: dict[int, int] = {}
-        self.strict = strict
 
     # -- construction ------------------------------------------------
 
     def copy(self) -> "Memory":
-        m = Memory(strict=self.strict)
+        m = Memory()
         m._regions = [(b, e, bytearray(buf), bytearray(init))
                       for b, e, buf, init in self._regions]
         m._lines = self._lines
@@ -122,7 +119,7 @@ class Memory:
         if s is None:
             raise OutOfRegion(a)
         o, buf, init = s
-        if self.strict and not init[o]:
+        if not init[o]:
             raise UninitializedRead(a)
         return buf[o]
 
@@ -142,14 +139,14 @@ class Memory:
 
     def load_span(self, a: int, n: int, *, highest_first: bool = False) -> bytes:
         """The n bytes at a, a+1, ... (addresses wrap at 2^64): one slice
-        when the span is inside one region and, in strict mode, written;
+        when the span is inside one region and written;
         otherwise, to locate the fault, byte by byte from the lowest
         address (or the highest)."""
         s = self._span(a, n)
         if s is not None:
             o, buf, init = s
-            if not self.strict or init.find(0, o, o + n) < 0:
-                return bytes(buf[o:o + n])  # unwritten bytes hold 0
+            if init.find(0, o, o + n) < 0:
+                return bytes(buf[o:o + n])
         order = reversed(range(n)) if highest_first else range(n)
         got = {i: self._load8((a + i) & ADDR_MASK) for i in order}
         return bytes(got[i] for i in range(n))
@@ -229,8 +226,8 @@ def dump(m: Memory) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_dump(text: str, *, strict: bool = True) -> Memory:
-    m = Memory(strict=strict)
+def parse_dump(text: str) -> Memory:
+    m = Memory()
     rows: list[tuple[int, list]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -21,6 +21,10 @@ inlen0 - inlen survive the fixpoint and produce the paper-style
 [0; inlen) ranges.  Unstable loop bounds are widened after a few
 iterations (upper bounds drop away, lower bounds fall back to 0).
 
+The analyses take only programs from expand, which has removed `for`
+loops and inline calls (see expand); any other program raises
+interp.ContractViolation.
+
 Arithmetic is modeled over the integers; 64-bit wraparound is not
 represented.  The dynamic cross-check in the test-suite exercises the
 reported ranges against instrumented executions.
@@ -40,6 +44,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .interp import require_expanded
 from .ir import (
     ArrayTy,
     EArr,
@@ -52,7 +57,6 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    EVecImm,
     LArr,
     LIgnore,
     LMem,
@@ -60,7 +64,6 @@ from .ir import (
     Program,
     SAssign,
     SDecl,
-    SFor,
     SIf,
     SReturn,
     SWhile,
@@ -525,6 +528,7 @@ def _render_bound(b: Aff | None) -> str:
 
 class _Analyzer:
     def __init__(self, p: Program, entry: str, pointers, tracked):
+        require_expanded(p, "safety analysis")
         self.p = p
         self.fn = p.func(entry)
         param_names = [q.name for q in self.fn.params]
@@ -585,12 +589,8 @@ class _Analyzer:
             return None, _opaque_interval(e)
         if kind is EIntr:
             return self.eval_intr(st, e)
-        if kind is EVecImm or kind is EBool:
+        if kind is EBool:
             return None, TOP
-        if kind is ECall:
-            raise AnalysisFailure(
-                f"{_site(e)}: calls are not analyzable; expand the program first"
-            )
         raise TypeError(f"not an expression: {e!r}")
 
     def eval_bin(self, st: AbsState, e: EBin) -> tuple[Aff | None, Interval]:
@@ -795,10 +795,6 @@ class _Analyzer:
             for v in s.values:
                 self.eval(st, v)
             return st
-        if kind is SFor:
-            raise AnalysisFailure(
-                f"{_site(s)}: for loops must be expanded before analysis"
-            )
         raise TypeError(f"not a statement: {s!r}")
 
     def t_assign(self, st: AbsState, s: SAssign) -> AbsState:
@@ -1281,8 +1277,6 @@ def _init_findings(fn) -> list[Finding]:
             elif isinstance(s, SWhile):
                 reads(s.cond, assigned)
                 walk(s.body, set(assigned))
-            elif isinstance(s, SFor):
-                walk(s.body, set(assigned) | {s.var})
             elif isinstance(s, SReturn):
                 for v in s.values:
                     reads(v, assigned)
@@ -1314,6 +1308,7 @@ def _expr_vars(e):
 def preanalyze(p: Program, entry: str) -> set:
     """Suggest parameters worth tracking: scalars that flow into loop
     bounds (and, through them, into address arithmetic)."""
+    require_expanded(p, "preanalyze")
     fn = p.func(entry)
     seeds: set[str] = set()
     defs: dict[str, set] = {}
@@ -1326,8 +1321,6 @@ def preanalyze(p: Program, entry: str) -> set:
             elif isinstance(s, SIf):
                 collect(s.then)
                 collect(s.els)
-            elif isinstance(s, SFor):
-                collect(s.body)
             elif isinstance(s, SAssign):
                 srcs = set(_expr_vars(s.rhs))
                 if s.cond is not None:

@@ -29,6 +29,7 @@ from .ir import (
     EVar,
     EVecImm,
     FuncDecl,
+    GlobalDecl,
     IntTy,
     LArr,
     LIgnore,
@@ -110,10 +111,10 @@ def const_eval(e, env: dict) -> int:
             return a | b
         if op == "^":
             return a ^ b
-        if op == "<<":
-            return a << b
-        if op == ">>":
-            return a >> b
+        if op in ("<<", ">>"):
+            if b < 0:
+                raise NotConst(f"negative shift count {b} in constant expression")
+            return a << b if op == "<<" else a >> b
         if op == "==":
             return a == b
         if op == "!=":
@@ -474,7 +475,7 @@ class _FnChecker:
                     if not self.is_compile_time(s.init):
                         self.err(s, "inline initializer must be compile-time")
                 else:
-                    self.err(s, "only scalars can be initialized in a declaration")
+                    self.err(s, "only word and inline int declarations take an initializer")
             return
         if isinstance(s, SAssign):
             self.check_assign(s)
@@ -691,8 +692,12 @@ class _Checker:
             if isinstance(ty, ArrayTy):
                 if not isinstance(g.init, tuple) or len(g.init) != ty.length:
                     self.errors.append(f"global {g.name}: initializer arity mismatch")
+                else:
+                    g.init = tuple(self.global_init(g, WordTy(ty.bits), v) for v in g.init)
             elif isinstance(g.init, tuple):
                 self.errors.append(f"global {g.name}: scalar takes a single initializer")
+            else:
+                g.init = self.global_init(g, ty, g.init)
             self.global_tys[g.name] = ty
         self._check_no_recursion()
         for f in self.p.funcs:
@@ -704,6 +709,15 @@ class _Checker:
             raise TypecheckError(self.errors)
         self.p.typed = True
         return self.p
+
+    def global_init(self, g: GlobalDecl, ty, init):
+        """`init` typed as the initializer of a local `global` declaration
+        of type `ty` (an array global's element type) would be, which
+        sees the parameters and the earlier globals."""
+        decl = SDecl("global", ty, (g.name,), init)
+        decl.loc = getattr(g, "loc", None)
+        _FnChecker(self, FuncDecl(f"global {g.name}", False, (), (), ())).check_stmt(decl)
+        return decl.init
 
     def _check_returns(self, f: FuncDecl, fc: _FnChecker):
         has_ret = any(isinstance(s, SReturn) for s in f.body)

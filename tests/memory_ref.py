@@ -8,25 +8,23 @@ two compare by class and address.  It has no size cap.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
 
 from jamin.memory import ADDR_MASK, OutOfRegion, UninitializedRead
 from jamin.words import Word
 
 
 class Memory:
-    __slots__ = ("_bytes", "_regions", "strict")
+    __slots__ = ("_bytes", "_regions")
 
-    def __init__(self, *, strict: bool = True):
+    def __init__(self):
         self._bytes: dict[int, int] = {}
         # sorted, pairwise disjoint, non-adjacent (base, end) intervals
         self._regions: list[tuple[int, int]] = []
-        self.strict = strict
 
     # -- construction ------------------------------------------------
 
     def copy(self) -> "Memory":
-        m = Memory(strict=self.strict)
+        m = Memory()
         m._bytes = dict(self._bytes)
         m._regions = list(self._regions)
         return m
@@ -73,9 +71,7 @@ class Memory:
         self._check_region(a)
         v = self._bytes.get(a)
         if v is None:
-            if self.strict:
-                raise UninitializedRead(a)
-            return 0
+            raise UninitializedRead(a)
         return v
 
     def _store8_inplace(self, a: int, w: int) -> None:
@@ -103,11 +99,8 @@ class Memory:
         fault, byte by byte from the lowest address (or the highest), so
         the fault raised is the one that order meets first."""
         if self._check_span(a, n):
-            get = self._bytes.get
-            if not self.strict:
-                return bytes(map(get, range(a, a + n), repeat(0, n)))
             try:
-                return bytes(map(get, range(a, a + n)))
+                return bytes(map(self._bytes.get, range(a, a + n)))
             except TypeError:  # a byte was never written: find it below
                 pass
         order = reversed(range(n)) if highest_first else range(n)
@@ -119,7 +112,7 @@ class Memory:
         if self._check_span(a, n):
             try:
                 return int.from_bytes(bytes(map(self._bytes.get, range(a, a + n))), "little")
-            except TypeError:  # an unwritten byte: read as 0, or the fault, below
+            except TypeError:  # an unwritten byte: the fault, below
                 pass
         return int.from_bytes(self.load_span(a, n, highest_first=True), "little")
 
@@ -200,8 +193,8 @@ def dump(m: Memory) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_dump(text: str, *, strict: bool = True) -> Memory:
-    m = Memory(strict=strict)
+def parse_dump(text: str) -> Memory:
+    m = Memory()
     spans: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

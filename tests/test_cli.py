@@ -232,6 +232,23 @@ def test_malformed_arguments_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("src, located", [
+    ("fn f() -> reg u64 {\n  inline int n = 1 << (0 - 1);\n  reg u64 x;\n  x = n;\n  return x;\n}",
+     "2:20:"),
+    ("fn f() -> reg u64 {\n  reg u64[4] a;\n  a[1 / 0] = 1;\n  return a[0];\n}", "3:7:"),
+    ("fn f(reg u128 a) -> reg u128 {\n  reg u128 b;\n"
+     "  b = #x86_VPSHUFD_128(a, (4u2)[0, 1, 2, 5]);\n  return b;\n}", "3:27:"),
+], ids=["negative-compile-time-shift", "index-div-by-zero", "vector-lane-overflow"])
+def test_malformed_program_exit_2(tmp_path, capsys, src, located):
+    prog = tmp_path / "bad.jz"
+    prog.write_text(src)
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f")
+    assert code == 2
+    assert f"bad.jz: {located}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # `bench` step counts at sizes 0, 64 and 1024 (repetitions 1, seed 1),
 # pinned so the counting path through the CLI cannot drift.
 BENCH_STEPS_GOLDEN = {

@@ -10,8 +10,8 @@ from jamin.memory import Memory, OutOfRegion, UninitializedRead
 from jamin.words import Word
 
 
-def fresh(base=0, length=64, strict=True):
-    return memory.add_region(Memory(strict=strict), base, length)
+def fresh(base=0, length=64):
+    return memory.add_region(Memory(), base, length)
 
 
 def test_get_set_axiom_small():
@@ -31,12 +31,10 @@ def test_out_of_region():
         memory.store8(m, 16, 1)
 
 
-def test_uninitialized_strict_and_permissive():
+def test_uninitialized_read_faults():
     m = fresh(0, 16)
     with pytest.raises(UninitializedRead):
         memory.load8(m, 3)
-    lax = fresh(0, 16, strict=False)
-    assert memory.load8(lax, 3) == 0
 
 
 def test_region_merge():
@@ -209,25 +207,24 @@ def _per_byte_int(m, a, width):
 
 def test_span_loads_fault_like_per_byte_loads():
     top = (1 << 64) - 16
-    for strict in (True, False):
-        m = Memory(strict=strict)
-        for base, length in ((0x100, 40), (0x12A, 20), (top, 16), (0, 8)):
-            m = memory.add_region(m, base, length)
-        # written: 0x100..0x10F and 0x114..0x127 (a hole at 0x110..0x113),
-        # the second region partly, the 16 bytes below 2^64 and 0..7
-        for a, data in ((0x100, bytes(range(16))), (0x114, b"\xee" * 20),
-                        (0x12A, b"\x01" * 6), (top, bytes(range(1, 17))), (0, b"\x07" * 8)):
-            m = memory.store_bytes(m, a, data)
-        spans = [(0x100, 16), (0x104, 8), (0x10C, 8), (0x110, 4), (0x112, 30), (0x120, 16),
-                 (0x126, 8), (0x128, 4), (0x12A, 6), (0x12C, 12), (0x13E, 4), (0xF8, 16),
-                 (top + 8, 16), (top, 16), (top + 12, 8), (0x100, 0), (0x200, 0), (0x200, 1)]
-        rng = random.Random(9)
-        spans += [(rng.randrange(0xF0, 0x150), rng.randrange(0, 40)) for _ in range(200)]
-        for a, n in spans:
-            assert _outcome(memory.load_bytes, m, a, n) == _outcome(_per_byte, m, a, n), (a, n)
-            for width in (8, 16, 32, 64, 128, 256):
-                assert (_outcome(m.load_int, a, width)
-                        == _outcome(_per_byte_int, m, a, width)), (a, width)
+    m = Memory()
+    for base, length in ((0x100, 40), (0x12A, 20), (top, 16), (0, 8)):
+        m = memory.add_region(m, base, length)
+    # written: 0x100..0x10F and 0x114..0x127 (a hole at 0x110..0x113),
+    # the second region partly, the 16 bytes below 2^64 and 0..7
+    for a, data in ((0x100, bytes(range(16))), (0x114, b"\xee" * 20),
+                    (0x12A, b"\x01" * 6), (top, bytes(range(1, 17))), (0, b"\x07" * 8)):
+        m = memory.store_bytes(m, a, data)
+    spans = [(0x100, 16), (0x104, 8), (0x10C, 8), (0x110, 4), (0x112, 30), (0x120, 16),
+             (0x126, 8), (0x128, 4), (0x12A, 6), (0x12C, 12), (0x13E, 4), (0xF8, 16),
+             (top + 8, 16), (top, 16), (top + 12, 8), (0x100, 0), (0x200, 0), (0x200, 1)]
+    rng = random.Random(9)
+    spans += [(rng.randrange(0xF0, 0x150), rng.randrange(0, 40)) for _ in range(200)]
+    for a, n in spans:
+        assert _outcome(memory.load_bytes, m, a, n) == _outcome(_per_byte, m, a, n), (a, n)
+        for width in (8, 16, 32, 64, 128, 256):
+            assert (_outcome(m.load_int, a, width)
+                    == _outcome(_per_byte_int, m, a, width)), (a, width)
 
 
 # -- differential: the region buffers against the per-byte reference model
@@ -263,9 +260,9 @@ class MemoryModel(RuleBasedStateMachine):
     """The same operations on a jamin Memory and on the reference model
     give the same values, faults, regions and dumps."""
 
-    @initialize(strict=st.booleans())
-    def start(self, strict):
-        self.m, self.ref = Memory(strict=strict), memory_ref.Memory(strict=strict)
+    @initialize()
+    def start(self):
+        self.m, self.ref = Memory(), memory_ref.Memory()
 
     def addr(self, data):
         """An address in ADDRS or, as often, near a region's first or
@@ -364,10 +361,6 @@ class MemoryModel(RuleBasedStateMachine):
         assert got == want
         assert trace == [*pending, ("addr", (a,))]
 
-    @rule()
-    def toggle_strict(self):
-        self.m.strict = self.ref.strict = not self.m.strict
-
     @rule(at=st.data(), w=st.integers(0, 255))
     def thaw_is_isolated(self, at, w):
         """A store to a thawed copy leaves the original as it was."""
@@ -382,7 +375,7 @@ class MemoryModel(RuleBasedStateMachine):
     @rule()
     def parse_dump(self):
         text = memory.dump(self.m)
-        back = memory.parse_dump(text, strict=self.m.strict)
+        back = memory.parse_dump(text)
         assert back.regions() == memory_ref.parse_dump(text).regions()
         assert memory.dump(back) == text
         self.m = back

@@ -170,6 +170,16 @@ def test_typecheck_write_to_global_rejected():
         typecheck(parse(src))
 
 
+@pytest.mark.parametrize("src, error", [
+    ("global bool F = true; fn f() { }", "1:1: global F: only word and inline int"),
+    ("global u64 A = B; global u64 B = 1; fn f() { }", "1:16: global A: unknown variable 'B'"),
+    ("fn f(reg u64 x) { } global u64 A = x; fn g() { }", "global A: unknown variable 'x'"),
+], ids=["bool", "later-global", "local-name"])
+def test_typecheck_global_initializers_like_local_globals(src, error):
+    with pytest.raises(TypecheckError, match=error):
+        typecheck(parse(src))
+
+
 def test_typecheck_recursion_rejected():
     src = """
 fn f(reg u64 x) -> reg u64 { reg u64 r; r = g(x); return r; }
