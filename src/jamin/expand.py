@@ -81,7 +81,9 @@ class _Values:
         self.env, self.values = env, values
 
     def get(self, name: str, default):
-        v = self.env.get(name, default)
+        if name not in self.env:
+            return default
+        v = self.env[name]
         return self.values.get(v, v) if isinstance(v, str) else v
 
 
@@ -103,13 +105,15 @@ class _Expander:
         name it is renamed to."""
         if isinstance(e, EInt) or isinstance(e, EBool):
             return _copy(e, value=int_value(e))  # a word literal modulo its width
+        if isinstance(getattr(e, "ty", None), IntTy) and not isinstance(env, _Values):
+            env = _Values(env, self.global_vals)  # a compile-time node reads globals' values
         if isinstance(e, EVar):
             name = env.get(e.name, e.name)
             if isinstance(name, (int, bool)):
                 return EBool(name) if isinstance(name, bool) else EInt(name)
             return _copy(e, name=name)
         if isinstance(e, EArr):
-            return self.fold(_copy(e, name=self.rename(e.name, env),
+            return self.fold(_copy(e, name=self.rename(e, env),
                                    index=self.subst(e.index, env)), env)
         if isinstance(e, EMem):
             return _copy(e, addr=self.subst(e.addr, env))
@@ -134,10 +138,11 @@ class _Expander:
             return self.fold(_copy(e, arg=self.subst(e.arg, env)), env)
         raise TypeError(f"not an expression: {e!r}")
 
-    def rename(self, name: str, env: dict) -> str:
-        v = env.get(name, name)
+    def rename(self, node, env: dict) -> str:
+        """The name `node` (a variable or array access) refers to."""
+        v = env.get(node.name, node.name)
         if not isinstance(v, str):
-            raise ExpandError(f"{name} is a compile-time value, not a variable")
+            raise ExpandError(f"{_at(node)}{node.name} is a compile-time value, not a variable")
         return v
 
     def fold(self, e, env):
@@ -252,9 +257,9 @@ class _Expander:
 
     def subst_lval(self, lv, env):
         if isinstance(lv, LVar):
-            return _copy(lv, name=self.rename(lv.name, env))
+            return _copy(lv, name=self.rename(lv, env))
         if isinstance(lv, LArr):
-            return _copy(lv, name=self.rename(lv.name, env), index=self.subst(lv.index, env))
+            return _copy(lv, name=self.rename(lv, env), index=self.subst(lv.index, env))
         if isinstance(lv, LMem):
             return _copy(lv, addr=self.subst(lv.addr, env))
         if isinstance(lv, LIgnore):

@@ -181,11 +181,14 @@ def _ld(M, T, K, a, nbytes, loc):
             T += K
         T.append(("addr", (a,)))
     i = M._lines.get(a >> LINE)
-    if i is not None:  # the region touching the line, if the span lies inside it
+    while i is not None:  # the last region touching a's line, then earlier ones
         base, end, buf, init = M._regions[i]
         o = a - base
-        if o >= 0 and a + nbytes <= end and init.find(0, o, o + nbytes) < 0:
-            return int.from_bytes(buf[o:o + nbytes], "little")
+        if o >= 0:
+            if a + nbytes <= end and init.find(0, o, o + nbytes) < 0:
+                return int.from_bytes(buf[o:o + nbytes], "little")
+            break
+        i = i - 1 if i else None
     try:
         return M.load_int(a, nbytes * 8)
     except mem_mod.OutOfRegion as exc:
@@ -200,13 +203,16 @@ def _st(M, T, K, v, a, nbytes, loc):
             T += K
         T.append(("addr", (a,)))
     i = M._lines.get(a >> LINE)
-    if i is not None:
+    while i is not None:  # as in _ld
         base, end, buf, init = M._regions[i]
         o = a - base
-        if o >= 0 and a + nbytes <= end:
-            buf[o:o + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-            init[o:o + nbytes] = _ONES[nbytes]
-            return
+        if o >= 0:
+            if a + nbytes <= end:
+                buf[o:o + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
+                init[o:o + nbytes] = _ONES[nbytes]
+                return
+            break
+        i = i - 1 if i else None
     try:
         M.store_int_inplace(a, nbytes * 8, v & MASK[nbytes * 8])
     except mem_mod.OutOfRegion as exc:

@@ -30,11 +30,24 @@ VPERMQ) stay word formulas: each distinct selector is turned once into a
 plan of (shift distance, destination mask) groups, kept in a bounded LRU
 cache (`_permute_plan`), and applied as a few shifts and masks;
 VPMULUDQ and the interleaves (VPUNPCK*) are unrolled into one expression
-over the whole word.  In Ops, every vector descriptor has one
-`LaneAdapter`, built at registration, that splits packed sources into
-lanes, runs `sem_lanes` and joins the results; lanes of 8 to 64 bits go
-through `int.to_bytes` and a `struct` format, 128-bit lanes through
-shifts.
+over the whole word.
+
+In Ops, every vector descriptor has one `LaneAdapter`, built at
+registration, that splits packed sources into lanes, runs `sem_lanes`
+and joins the results, with the conversions written into its code.
+8-bit lanes are the bytes object itself (`int.to_bytes` and
+`int.from_bytes`, no `struct` round trip); lanes of 16 to 64 bits go
+through a `struct` format, 128-bit lanes through shifts and masks.  The
+data-movement instructions (VPSHUFB, VPSHUFD, VPERMQ, VPERM2I128 and the
+interleaves) are lane-index selections: a table gives, for each
+destination lane, the position of its source lane in the concatenated
+source lane arrays, a lane the instruction zeroes pointing at one zero
+lane appended after them.  `operator.itemgetter` applies it, or, for
+VPSHUFB's byte lanes, `bytes.translate`.  The tables of a selector or
+immediate are built once per value in a bounded LRU cache
+(`_lane_table`), those of the interleaves at registration.  They are
+derived from the Intel lane definitions, not from the OpsV plans, so
+Ops and OpsV remain independent semantics.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
+from operator import itemgetter
 from struct import Struct
 from typing import Callable, Optional
 
@@ -286,29 +300,40 @@ def exec_intrinsic(d: Descriptor, args) -> list:
     return _wrap_outputs(d, outs)
 
 
-# Lanes of 8 to 64 bits convert through one bytes object and a struct
-# format; struct has no 128-bit code, so those lanes use shifts.
-_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# Lanes of 16 to 64 bits convert through one bytes object and a struct
+# format; 8-bit lanes are that bytes object, and struct has no 128-bit
+# code, so those lanes use shifts and masks, unrolled (a loop over the
+# lanes took 3 to 4 times as long).
+_LANE_CODES = {16: "H", 32: "I", 64: "Q"}
+_CODEC_NS: dict = {}  # the struct methods the conversion code names
+
+
+@cache
+def _lane_code(n: int, m: int) -> tuple[str, str]:
+    """Python expressions converting between an int and its n lanes of m
+    bits, lane 0 lowest: (split, join), where `@` stands for the int, or
+    the lane sequence, to convert (a name or subscript, which the
+    expression may repeat)."""
+    nbytes = n * m // 8
+    if m == 8:
+        return f"@.to_bytes({nbytes}, 'little')", "int.from_bytes(@, 'little')"
+    if m in _LANE_CODES:
+        st = Struct(f"<{n}{_LANE_CODES[m]}")
+        unpack, pack = f"unpack_{n}x{m}", f"pack_{n}x{m}"
+        _CODEC_NS[unpack], _CODEC_NS[pack] = st.unpack, st.pack
+        return (f"{unpack}(@.to_bytes({nbytes}, 'little'))",
+                f"int.from_bytes({pack}(*@), 'little')")
+    mask = (1 << m) - 1
+    return ("(" + ", ".join(f"@ >> {m * i} & {mask}" for i in range(n)) + ",)",
+            " | ".join(f"@[{i}] << {m * i}" for i in range(n)))
 
 
 @cache
 def _lane_codec(n: int, m: int):
-    """(split, join) between an int and its n lanes of m bits, lane 0 lowest."""
-    if m in _LANE_CODES:
-        nbytes = n * m // 8
-        st = Struct(f"<{n}{_LANE_CODES[m]}")
-        unpack, pack = st.unpack, st.pack
-        return (lambda v: unpack(v.to_bytes(nbytes, "little")),
-                lambda lanes: int.from_bytes(pack(*lanes), "little"))
-    mask = (1 << m) - 1
-
-    def join(lanes):
-        v = 0
-        for x in reversed(lanes):
-            v = (v << m) | x
-        return v
-
-    return (lambda v: [(v >> (m * i)) & mask for i in range(n)]), join
+    """(split, join) functions of `_lane_code`."""
+    split, join = _lane_code(n, m)
+    return (eval(f"lambda v: {split.replace('@', 'v')}", _CODEC_NS),
+            eval(f"lambda l: {join.replace('@', 'l')}", _CODEC_NS))
 
 
 def _join_int(vals, m: int) -> int:
@@ -319,30 +344,27 @@ class LaneAdapter:
     """The Ops view of one vector descriptor, built once: `split` turns
     its packed sources into lane sequences (other sources pass through),
     `join` packs its lane results, and `run` is split, `sem_lanes`, join
-    on ints.  Each is compiled for the descriptor's operand shapes: a
-    loop over the shapes on every call made VPSHUFD_256's Ops call about
-    40% slower."""
+    on ints.  Each is compiled for the descriptor's operand shapes, with
+    the conversions of `_lane_code` written into it: a loop over the
+    shapes on every call made VPSHUFD_256's Ops call about 40% slower,
+    and a call per conversion made the Ops runs of poly1305_avx2 and
+    chacha20_avx2_big about 5% slower."""
 
     __slots__ = ("d", "split", "join", "run")
 
     def __init__(self, d: Descriptor):
-        ns = {"sem_lanes": d.sem_lanes}
+        def convert(shapes, codec, arg):  # "[conversion of arg[0], arg[1], ...]"
+            return "[" + ", ".join(
+                _lane_code(*shape)[codec].replace("@", f"{arg}[{i}]") if shape else f"{arg}[{i}]"
+                for i, shape in enumerate(shapes)) + "]"
 
-        def convert(shapes, codec, arg):  # "[conv0(arg[0]), arg[1], ...]"
-            items = []
-            for i, shape in enumerate(shapes):
-                if shape:
-                    ns[f"{arg}{i}"] = _lane_codec(*shape)[codec]
-                    items.append(f"{arg}{i}({arg}[{i}])")
-                else:
-                    items.append(f"{arg}[{i}]")
-            return f"[{', '.join(items)}]"
-
-        split = convert(d.src_lanes, 0, "v")
+        split, join = convert(d.src_lanes, 0, "v"), convert(d.dst_lanes, 1, "o")
+        ns = dict(_CODEC_NS, sem_lanes=d.sem_lanes)
+        exec(f"def run(v):\n    o = sem_lanes({split})\n    return {join}\n", ns)
         self.d = d
         self.split = eval(f"lambda v: {split}", ns)
-        self.join = ns["join"] = eval(f"lambda o: {convert(d.dst_lanes, 1, 'o')}", ns)
-        self.run = eval(f"lambda v: join(sem_lanes({split}))", ns)
+        self.join = eval(f"lambda o: {join}", ns)
+        self.run = ns["run"]
 
 
 def lane_adapter(d: Descriptor) -> LaneAdapter:
@@ -352,10 +374,12 @@ def lane_adapter(d: Descriptor) -> LaneAdapter:
 
 
 def exec_ops(d: Descriptor, args) -> list:
-    """Ops-mode execution: vector operands as sequences of sub-word ints."""
+    """Ops-mode execution: vector operands as sequences of sub-word ints,
+    each lane result returned as a list."""
     if not d.is_vector:
         raise IsaError(f"{d.name} is not a vector instruction")
-    return d.sem_lanes(lane_adapter(d).split(_coerce_sources(d, args)))
+    outs = d.sem_lanes(lane_adapter(d).split(_coerce_sources(d, args)))
+    return [list(o) if shape else o for o, shape in zip(outs, d.dst_lanes)]
 
 
 def exec_vector(d: Descriptor, mode: str, args) -> list:
@@ -580,7 +604,10 @@ for _w in (8, 16, 32, 64):
 # ------------------------------------------------- vector definitions
 
 
-@lru_cache(maxsize=256)
+PLAN_CACHE = 256  # entries of the selector caches: OpsV plans, Ops lane tables
+
+
+@lru_cache(maxsize=PLAN_CACHE)
 def _permute_plan(width: int, n: int, sel: int) -> tuple:
     """Shift-and-mask plan of a permute of n elements of `width` bits.
 
@@ -610,6 +637,35 @@ def _permute(x: int, plan: tuple) -> int:
     for d, mask in plan:
         r |= (x << d if d >= 0 else x >> -d) & mask
     return r
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _lane_table(kind: str, n: int, sel) -> Callable:
+    """The Ops lane-index table of a selector- or immediate-driven data
+    movement with n destination lanes: for each destination lane, the
+    position of its source lane in the concatenated source lane arrays,
+    followed by one zero lane for the lanes the instruction zeroes.
+    It is returned as the function that applies it to that sequence.
+
+    Kind "b" is VPSHUFB, `sel` the selector's bytes: destination byte i
+    takes byte `s & 15` of the 16-byte half holding byte i, or zero when
+    bit 7 of its selector byte s is set.  Its table is a bytes object
+    applied with `bytes.translate`, which needs the source bytes padded
+    to 256 (the first pad byte is the zero lane); that is about three
+    times as fast as an itemgetter and a `bytes` of its tuple.
+
+    Kind "d" is VPSHUFD and VPERMQ: field i % 4 of the imm8's four 2-bit
+    fields picks an element of element i's group of four.  Kind "2" is
+    VPERM2I128 over the halves x0, x1, y0, y1: each nibble of the imm8
+    picks a half by its low two bits, or zero when its bit 3 is set.
+    Both are applied with an itemgetter.
+    """
+    if kind == "b":
+        return bytes(n if s & 0x80 else i // 16 * 16 + (s & 15)
+                     for i, s in enumerate(sel)).translate
+    if kind == "d":
+        return itemgetter(*[i // 4 * 4 + (sel >> 2 * (i % 4) & 3) for i in range(n)])
+    return itemgetter(*[4 if f & 8 else f & 3 for f in (sel & 15, sel >> 4 & 15)])
 
 
 def _lane_form(op: str, n: int, m: int) -> Callable:
@@ -761,7 +817,7 @@ def _build_vectors():
         _vector(name, n, m, [E(m, 0)], [None], bcast_v, bcast_l, oshape=("oprd",))
 
     # selector- and immediate-driven permutes: OpsV applies the
-    # selector's shift-and-mask plan, Ops indexes the lane array
+    # selector's shift-and-mask plan, Ops the selector's lane table
     def permute_v(width, n):
         def v(a):
             x, sel = a
@@ -769,41 +825,51 @@ def _build_vectors():
 
         return v
 
+    def imm_l(n):
+        def l(a):
+            x, imm = a
+            return [_lane_table("d", n, imm)(x)]
+
+        return l
+
     # dword shuffles: imm8 is four 2-bit source positions, applied per
     # 128-bit half in the 256-bit form
-    def shufd128_l(a):
-        x, imm = a
-        return [[x[(imm >> (2 * i)) & 3] for i in range(4)]]
-
     _vector("x86_VPSHUFD_128", 4, 32,
-            [E(128, 0), E(8, 1)], [(4, 32), None], permute_v(32, 4), shufd128_l,
+            [E(128, 0), E(8, 1)], [(4, 32), None], permute_v(32, 4), imm_l(4),
             oshape=("oprd", "imm8"))
-
-    def shufd256_l(a):
-        x, imm = a
-        return [[x[h + ((imm >> (2 * i)) & 3)] for h in (0, 4) for i in range(4)]]
-
     _vector("x86_VPSHUFD_256", 8, 32,
-            [E(256, 0), E(8, 1)], [(8, 32), None], permute_v(32, 8), shufd256_l,
+            [E(256, 0), E(8, 1)], [(8, 32), None], permute_v(32, 8), imm_l(8),
             oshape=("oprd", "imm8"))
 
     # byte shuffles: per-byte table lookup within each 128-bit half;
     # a set high bit in the selector byte yields zero
-    half_base = [(i // 16) * 16 for i in range(32)]  # first byte of byte i's half
+    def shufb_l(n):
+        pad = bytes(256 - n)  # the zero lane, then zeros up to translate's 256 entries
 
-    def shufb_l(a):
-        x, s = a
-        return [[0 if sel & 0x80 else x[h + (sel & 0x0F)] for h, sel in zip(half_base, s)]]
+        def l(a):
+            x, s = a
+            return [_lane_table("b", n, s)(x + pad)]
+
+        return l
 
     _vector("x86_VPSHUFB_128", 16, 8,
-            [E(128, 0), E(128, 1)], [(16, 8), (16, 8)], permute_v(8, 16), shufb_l)
+            [E(128, 0), E(128, 1)], [(16, 8), (16, 8)], permute_v(8, 16), shufb_l(16))
     _vector("x86_VPSHUFB_256", 32, 8,
-            [E(256, 0), E(256, 1)], [(32, 8), (32, 8)], permute_v(8, 32), shufb_l)
+            [E(256, 0), E(256, 1)], [(32, 8), (32, 8)], permute_v(8, 32), shufb_l(32))
 
     # interleaves (per 128-bit half, AVX2 style); OpsV moves the chosen
     # elements of both halves at once, with one mask per element position
     def half_elements(m):
         return [lanes(((1 << m) - 1) << (m * k), 2, 128) for k in range(128 // m)]
+
+    def unpck_l(n, high):
+        """Ops: each 128-bit half of k elements interleaves the low (or
+        high) k/2 elements of that half of x (lanes 0..n-1) and y (lanes
+        n..2n-1)."""
+        k = n // 2
+        pick = itemgetter(*[src + h + high * k // 2 + j
+                            for h in (0, k) for j in range(k // 2) for src in (0, n)])
+        return lambda a: [pick(a[0] + a[1])]
 
     d0, d1, d2, d3 = half_elements(32)
 
@@ -815,20 +881,10 @@ def _build_vectors():
         x, y = a
         return [(x & d2) >> 64 | ((x & d3) | (y & d2)) >> 32 | (y & d3)]
 
-    def unpck32_l(off):
-        def l(a):
-            x, y = a
-            out = []
-            for h in (0, 4):
-                out += [x[h + off], y[h + off], x[h + off + 1], y[h + off + 1]]
-            return [out]
-
-        return l
-
     _vector("x86_VPUNPCKL_8u32", 8, 32,
-            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckl32_v, unpck32_l(0))
+            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckl32_v, unpck_l(8, 0))
     _vector("x86_VPUNPCKH_8u32", 8, 32,
-            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckh32_v, unpck32_l(2))
+            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckh32_v, unpck_l(8, 1))
 
     q0, q1 = half_elements(64)
 
@@ -840,17 +896,10 @@ def _build_vectors():
         x, y = a
         return [(x & q1) >> 64 | (y & q1)]
 
-    def unpck64_l(off):
-        def l(a):
-            x, y = a
-            return [[x[off], y[off], x[2 + off], y[2 + off]]]
-
-        return l
-
     _vector("x86_VPUNPCKL_4u64", 4, 64,
-            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckl64_v, unpck64_l(0))
+            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckl64_v, unpck_l(4, 0))
     _vector("x86_VPUNPCKH_4u64", 4, 64,
-            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckh64_v, unpck64_l(1))
+            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckh64_v, unpck_l(4, 1))
 
     # 128-bit-lane permutes / extract / insert
     m128 = (1 << 128) - 1
@@ -864,20 +913,12 @@ def _build_vectors():
 
     def perm2i_l(a):
         x, y, imm = a
-        halves = [x[0], x[1], y[0], y[1]]
-        lo = 0 if imm & 0x08 else halves[imm & 3]
-        hi = 0 if imm & 0x80 else halves[(imm >> 4) & 3]
-        return [[lo, hi]]
+        return [_lane_table("2", 2, imm)((*x, *y, 0))]
 
     _vector("x86_VPERM2I128", 2, 128, [E(256, 0), E(256, 1), E(8, 2)],
             [(2, 128), (2, 128), None], perm2i_v, perm2i_l, oshape=("oprd", "oprd", "imm8"))
-
-    def permq_l(a):
-        x, imm = a
-        return [[x[(imm >> (2 * i)) & 3] for i in range(4)]]
-
     _vector("x86_VPERMQ_4u64", 4, 64,
-            [E(256, 0), E(8, 1)], [(4, 64), None], permute_v(64, 4), permq_l,
+            [E(256, 0), E(8, 1)], [(4, 64), None], permute_v(64, 4), imm_l(4),
             oshape=("oprd", "imm8"))
 
     def extract_v(a):

@@ -6,9 +6,11 @@ sorted, disjoint and non-adjacent.  Each is materialised as a tuple
 (base, end, buf, init): a bytearray of its bytes and an init map holding
 1 for each byte written.  The regions hold at most MAX_BYTES bytes
 together; a region past that cap, or past 2^64, raises ValueError.
-`_lines` maps each 2^LINE-byte line a region touches to its position
-in `_regions`: the interpreter's load and store helpers slice that
-region themselves and call the methods below only on a miss.
+`_lines` maps each 2^LINE-byte line a region touches to the position in
+`_regions` of the last region touching it: the interpreter's load and
+store helpers slice that region, or an earlier one sharing the line,
+themselves and call the methods below only for an access outside every
+region or of an unwritten byte.
 
 Store operations return a new Memory value; the interpreter obtains a
 private copy via `thaw` and mutates that one in place.  Multi-byte

@@ -240,6 +240,26 @@ fn f() -> reg u64 {
     assert interp.run(p, "f", [], memory.Memory()).results[0].value == 0
 
 
+@pytest.mark.parametrize("decl, body", [
+    ("global u64 K = 1;\n", ""),
+    ("", "  global u64 K = 1;\n"),
+    ("global u64 J = 2;\nglobal u64 K = J - 1;\n", ""),
+], ids=["program-level", "local", "from-a-global"])
+def test_globals_read_as_values_in_run_time_compile_time_nodes(decl, body):
+    """`1 << K` in a run-time index is a compile-time node: it folds with
+    K's value, as in an initializer."""
+    p = prep(decl + "fn f(reg u64 v) -> reg u64 {\n" + body + """\
+  stack u64[4] a;
+  reg u64 r;
+  a[1 << K] = v;
+  a[(K + 1) * 2 - 1] = v + 1;
+  r = a[2] + a[3];
+  return r;
+}
+""")
+    assert interp.run(p, "f", [5], memory.Memory()).results[0].value == 11
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_corpus_expansion_keeps_the_contract(name):
     prep(load_source(name))
@@ -286,7 +306,12 @@ def test_back_ends_take_only_expanded_programs(back_end):
     ("fn f(reg u128 a) {\n  a = #x86_VPSHUFD_128(a, (4u2)[0, 1, 2, 5]); }",
      "2:27: immediate element 5 does not fit u2"),
     ("global u64 K = 1 << 65;\nfn f() { }", "1:18: global K cannot be evaluated"),
-], ids=["index-div-by-zero", "negative-shift", "vector-lane", "global-word-fault"])
+    ("global u64[2] T = {1, 2};\nfn f() { stack u64[8] a;\n  a[1 << T[1]] = 1; }",
+     "3:10: T is a compile-time value"),
+    ("fn g() { global u64 M = 2; }\nfn f(reg u64 M) { stack u64[8] a;\n  a[1 << M] = 1; }",
+     "3:7: compile-time expression"),  # f's M is not g's merged global M
+], ids=["index-div-by-zero", "negative-shift", "vector-lane", "global-word-fault",
+        "global-array-element", "local-named-like-a-global"])
 def test_compile_time_faults_are_expansion_errors(src, error):
     with pytest.raises(ExpandError, match=error):
         prep(src)

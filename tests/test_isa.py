@@ -173,26 +173,28 @@ def test_variable_time_flag_unused():
 
 
 # Selector- and immediate-driven permutes: OpsV applies a cached
-# shift-and-mask plan per selector, Ops indexes the lane array, so Ops≡OpsV
-# checks each plan against a semantics that has none.
+# shift-and-mask plan per selector (_permute_plan), Ops a cached lane-index
+# table per selector (_lane_table); the two are derived independently, so
+# Ops≡OpsV checks each against the other.
 
 ROT16 = 0x0D0C0F0E09080B0A0504070601000302_0D0C0F0E09080B0A0504070601000302
 ROT8 = 0x0E0D0C0F0A09080B0605040702010003_0E0D0C0F0A09080B0605040702010003
 
 
-def _assert_permute_modes_agree(d, x, sel):
-    words = [Word(w, v) for w, v in zip(d.src_widths, (x, sel))]
+def _assert_permute_modes_agree(d, *args):
+    words = [Word(w, v) for w, v in zip(d.src_widths, args)]
     assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words), (
-        d.name, hex(sel))
-    assert isa.lane_adapter(d).run([x, sel]) == d.sem([x, sel]), (d.name, hex(sel))
+        d.name, [hex(a) for a in args])
+    assert isa.lane_adapter(d).run(list(args)) == d.sem(list(args)), (d.name, hex(args[-1]))
 
 
-@pytest.mark.parametrize("name", ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64"])
+@pytest.mark.parametrize("name", ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64",
+                                  "x86_VPERM2I128"])
 def test_every_immediate_of_dword_and_qword_permutes(name):
     d = isa.lookup(name)
     rng = random.Random(name)
     for imm in range(256):
-        _assert_permute_modes_agree(d, rng.getrandbits(d.src_widths[0]), imm)
+        _assert_permute_modes_agree(d, *[rng.getrandbits(w) for w in d.src_widths[:-1]], imm)
 
 
 def _byte_selector(rng, nbytes, zero_rate=0.0):
@@ -202,21 +204,29 @@ def _byte_selector(rng, nbytes, zero_rate=0.0):
 
 @pytest.mark.parametrize("name", ["x86_VPSHUFB_128", "x86_VPSHUFB_256"])
 def test_byte_shuffle_plans_reused_and_evicted(name):
+    """Selector pools smaller and larger than both caches, with zeroing
+    (0x80) bytes: each Ops and OpsV call agrees, a small pool hits, and a
+    large pool's second pass finds its first pass's entries evicted."""
     d = isa.lookup(name)
     nbytes = d.src_widths[1] // 8
-    bound = isa._permute_plan.cache_info().maxsize
+    caches = (isa._permute_plan, isa._lane_table)
+    bound = isa.PLAN_CACHE
+    assert all(c.cache_info().maxsize == bound for c in caches)
     rng = random.Random(name)
     small = [ROT16 & ((1 << (8 * nbytes)) - 1), ROT8 & ((1 << (8 * nbytes)) - 1)]
-    small += [_byte_selector(rng, nbytes) for _ in range(6)]
-    large = [_byte_selector(rng, nbytes) for _ in range(bound + 50)]
-    before = isa._permute_plan.cache_info()
+    small += [_byte_selector(rng, nbytes, 0.2) for _ in range(6)]
+    large = [_byte_selector(rng, nbytes, 0.2) for _ in range(bound + 50)]
+    assert any(b & 0x80 for sel in small for b in sel.to_bytes(nbytes, "little"))
+    before = [c.cache_info() for c in caches]
     for sel in small * 20:
         _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes), sel)
-    assert isa._permute_plan.cache_info().hits - before.hits >= 19 * len(small)
-    for sel in large * 2:  # the second pass finds the first pass's plans evicted
+    for c, b in zip(caches, before):
+        assert c.cache_info().hits - b.hits >= 19 * len(small), c
+    for sel in large * 2:
         _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes), sel)
-    info = isa._permute_plan.cache_info()
-    assert info.currsize == bound and info.misses - before.misses >= 2 * len(large)
+    for c, b in zip(caches, before):
+        info = c.cache_info()
+        assert info.currsize == bound and info.misses - b.misses >= 2 * len(large), c
 
 
 @pytest.mark.parametrize("name", ["x86_VPSHUFB_128", "x86_VPSHUFB_256"])
@@ -226,10 +236,26 @@ def test_byte_shuffle_zeroing_selectors(name):
     rng = random.Random(name)
     everything = (1 << (8 * nbytes)) - 1
     assert d.sem([everything, int("80" * nbytes, 16)]) == [0]
+    assert isa.lane_adapter(d).run([everything, int("80" * nbytes, 16)]) == [0]
     for rate in (0.1, 0.5, 0.9):
         for _ in range(50):
             _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes),
                                         _byte_selector(rng, nbytes, rate))
+
+
+def test_exec_ops_returns_lists():
+    rng = random.Random(12)
+    for name, d in isa.registry().items():
+        if not d.is_vector:
+            continue
+        outs = isa.exec_ops(d, _vector_args(d, rng))
+        assert type(outs) is list, name
+        for o, shape in zip(outs, d.dst_lanes):
+            if shape:
+                assert type(o) is list and len(o) == shape[0], name
+                assert all(type(x) is int and 0 <= x < 1 << shape[1] for x in o), name
+            else:
+                assert type(o) is int, name
 
 
 def test_chacha_rotations_are_two_shift_groups():
@@ -237,8 +263,8 @@ def test_chacha_rotations_are_two_shift_groups():
     assert len(isa._permute_plan(8, 32, ROT8)) == 2
 
 
-# Interleaves and VPMULUDQ are unrolled word formulas in OpsV; the lane
-# semantics of Ops is the reference.
+# Interleaves and VPMULUDQ are unrolled word formulas in OpsV; in Ops the
+# interleaves are constant lane-index tables and VPMULUDQ a product per lane.
 
 
 @pytest.mark.parametrize("name", ["x86_VPUNPCKL_8u32", "x86_VPUNPCKH_8u32",

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,3 +411,34 @@ def test_regions_past_the_cap_are_rejected():
     with pytest.raises(ValueError, match="MiB"):
         memory.add_region(m, memory.MAX_BYTES + 1, 1)
     assert memory.add_region(m, memory.MAX_BYTES, 0).regions() == [(0, memory.MAX_BYTES)]
+
+
+def test_corpus_accesses_never_take_the_fallback(monkeypatch):
+    """ct_check places a program's regions 16 to 256 bytes apart, so
+    several share a 64-byte line; every access the corpus makes lies in
+    written bytes of one region and is served by interp's line lookup,
+    never by Memory's fallback methods."""
+    from jamin import leakage
+    from jamin.primitives.corpus import PROGRAMS, load_program
+
+    fallbacks, shared = Counter(), Counter()
+    for method in ("load_int", "store_int_inplace"):
+        def counted(self, *args, _f=getattr(Memory, method), _name=method):
+            fallbacks[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(Memory, method, counted)
+    run = interp.run
+
+    def run_counting_shared_lines(p, entry, args, m, **kw):
+        touched = Counter(line for b, e in m.regions()
+                          for line in range(b >> memory.LINE, ((e - 1) >> memory.LINE) + 1))
+        shared[entry] += sum(n > 1 for n in touched.values())
+        return run(p, entry, args, m, **kw)
+
+    monkeypatch.setattr(interp, "run", run_counting_shared_lines)
+    for name, info in PROGRAMS.items():
+        v = leakage.ct_check(load_program(name), info.entry, info.public,
+                             trials=20, seed=5, shape=info.shape)
+        assert v.secure, name
+    assert shared["poly1305"] and shared["chacha20"]
+    assert fallbacks == Counter()
