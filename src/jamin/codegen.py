@@ -13,7 +13,7 @@ locals (the run-time helpers of interp, global values G_<name>,
 intrinsic semantics, word-operator evaluators, masks and prebuilt
 constants) live in one namespace per program.
 
-Four devices keep the generated code lean without changing what a run
+Six devices keep the generated code lean without changing what a run
 observes:
 
 - the step budget is charged once per straight-line segment: statements
@@ -30,6 +30,11 @@ observes:
 - a multi-destination statement over an instruction with a per-output
   table (isa.Table) evaluates its operands once, in order, and then
   computes inline only the destinations that are not `_`;
+- constant operands of vector instructions are bound at generation: a
+  vector intrinsic is a positional call `(V if O else L)(operands)` of
+  its OpsV and Ops forms, and a selector or imm8 that is a literal or a
+  global's value is bound into the pair (isa.bind), so only the other
+  operands are passed;
 - a whole-array copy `dst = src` whose source is dead after it (no path
   reads it, writes an element of it or passes it on before redefining
   it as a whole, loops included) is a move: dst takes src's list or
@@ -71,7 +76,7 @@ from .ir import (
     int_value,
 )
 from . import words
-from .isa import lane_adapter, lookup
+from .isa import bind, lane_adapter, lookup
 from .typecheck import CMP_OPS
 
 PIECE = 250  # statements per compile() call, which bounds its peak memory
@@ -367,7 +372,8 @@ class _FnGen:
             a = self.expr(e.addr)
             return f"_ld(M, T, {self.batch()}, {a}, {(e.width or 64) // 8}, {_loc(e)!r})"
         if k is EIntr:
-            return f"{self.intrinsic(e)}[0]"
+            d = lookup(e.name)
+            return self.vector(e, d) if d.lanes is not None else f"{self.intrinsic(e)}[0]"
         if k is EUn:
             a = self.expr(e.arg)
             if e.op == "!":
@@ -470,8 +476,8 @@ class _FnGen:
         return f"(_t if (_t := {arr}[{i}]) is not U else _uu(U, '{name}[{i}]', {loc!r}))"
 
     def intrinsic(self, e: EIntr) -> str:
-        """A call returning the list of all of `e`'s outputs.  Scalar
-        instructions without a table (shifts, rotates, DIV) go through
+        """A call returning the list of all of scalar `e`'s outputs.
+        Instructions without a table (shifts, rotates, DIV) go through
         _intr, which reports DIV's IsaFault as DivByZero at the
         intrinsic's location; no other intrinsic can fault, and those
         are called directly."""
@@ -479,14 +485,32 @@ class _FnGen:
         sem = "S_" + d.name
         if sem not in self.ns:
             self.ns[sem] = d.sem
-            if d.lanes is not None:
-                self.ns["P_" + d.name] = lane_adapter(d).run
         args = ", ".join(self.expr(a) for a in e.args)
-        if d.lanes is not None:
-            return f"({sem} if O else P_{d.name})([{args}])"
         if d.table is None:
             return f"_intr({sem}, [{args}], {_loc(e)!r})"
         return f"{sem}([{args}])"
+
+    def vector(self, e: EIntr, d) -> str:
+        """`(V if O else L)(operands)`, the value of vector intrinsic e:
+        its OpsV and Ops forms called positionally.  A selector or imm8
+        that is a literal or a global's value is bound when the function
+        is translated (isa.bind), and only the other operands are passed;
+        otherwise the forms are the generic pair S_<name>, P_<name>."""
+        last, sel = e.args[-1], None
+        if type(last) is EInt:
+            sel = int_value(last)
+        elif type(last) is EVar and last.name not in self.locals:
+            sel = self.ns["G_" + last.name]  # globals are never written
+        pair = bind(d, (sel,)) if type(sel) is int else None
+        if pair is None:
+            v, o, args = "S_" + d.name, "P_" + d.name, e.args
+            if v not in self.ns:
+                self.ns[v], self.ns[o] = d.vsem, lane_adapter(d).call
+        else:
+            k = self.const(f"_{d.name}_", pair)
+            v, o, args = "S" + k, "P" + k, e.args[:-1]
+            self.ns[v], self.ns[o] = pair
+        return f"({v} if O else {o})({', '.join(self.expr(a) for a in args)})"
 
     def intrinsic_dests(self, s: SAssign):
         """A multi-destination intrinsic statement: only the destinations

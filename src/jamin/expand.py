@@ -96,6 +96,11 @@ class _Expander:
         self.fresh = 0
         self.funcs = {f.name: f for f in p.funcs}
         self.expanded: dict[str, FuncDecl] = {}
+        # the names a hoisted local `global` must not take: every name the
+        # source declares otherwise, which re-typechecking would see shadow it
+        self.taken = {q.name for f in p.funcs for q in f.params} | {
+            nm for f in p.funcs for d in _decls(f.body) if d.storage != "global"
+            for nm in d.names}
 
     # -------------------------------------------------- expressions
 
@@ -325,9 +330,9 @@ class _Expander:
             if g.ty == ty and self.global_vals[g.name] == value:
                 return g.name
         name = hint
-        existing = {g.name for g in self.global_decls}
+        taken = self.taken.union(g.name for g in self.global_decls)
         i = 0
-        while name in existing:
+        while name in taken:
             i += 1
             name = f"{hint}_{i}"
         self.global_decls.append(GlobalDecl(name, ty, _value_expr(ty, value)))
@@ -357,17 +362,20 @@ class _Expander:
         return newp
 
 
-def _decl_names(stmts) -> list[str]:
-    out = []
+def _decls(stmts):
+    """The declarations in `stmts`, nested blocks included, in order."""
     for s in stmts:
         if isinstance(s, SDecl):
-            out.extend(s.names)
+            yield s
         elif isinstance(s, SIf):
-            out.extend(_decl_names(s.then))
-            out.extend(_decl_names(s.els))
+            yield from _decls(s.then)
+            yield from _decls(s.els)
         elif isinstance(s, (SWhile, SFor)):
-            out.extend(_decl_names(s.body))
-    return out
+            yield from _decls(s.body)
+
+
+def _decl_names(stmts) -> list[str]:
+    return [nm for d in _decls(stmts) for nm in d.names]
 
 
 def _value_expr(ty, value):

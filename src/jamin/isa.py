@@ -19,27 +19,35 @@ part of it that the destinations a statement keeps need, so both read
 the same definition.  Shifts, rotates and DIV are plain functions; only
 DIV raises (IsaFault), and no vector semantics does.
 
-Vector instructions carry two semantics: `sem` computes on the packed
-wide word (the OpsV view) while `sem_lanes` computes on the array of
-sub-words (the Ops view).  The two are written independently and are
-required to agree under the word/array bijection; `exec_vector`
-dispatches on the requested mode.  Neither calls the other.
+Vector instructions carry two semantics, each written once as a
+positional function: `vsem(x, y, ...)` computes on the packed wide words
+(the OpsV view) and returns the one result int, `lsem(x, y, ...)`
+computes on the operands' lane sequences (the Ops view; a source without
+lanes, such as an imm8, passes through as its int) and returns the
+result lanes.  The two are written independently and are required to
+agree under the word/array bijection; neither calls the other.  The
+list interfaces derive from them: `sem(list) -> [int]` wraps `vsem`,
+`LaneAdapter.run` the adapter's positional Ops form (below), and
+`exec_vector` dispatches on the requested mode.  An element-wise
+instruction is defined by one lane expression (`lane_expr`), which
+`lsem` and the Ops form unroll over its lanes.
 
-In OpsV, the selector- and immediate-driven permutes (VPSHUFB, VPSHUFD,
-VPERMQ) stay word formulas: each distinct selector is turned once into a
-plan of (shift distance, destination mask) groups, kept in a bounded LRU
-cache (`_permute_plan`), and applied as a few shifts and masks;
-VPMULUDQ and the interleaves (VPUNPCK*) are unrolled into one expression
-over the whole word.
+In OpsV, the selector- and immediate-driven data movements (VPSHUFB,
+VPSHUFD, VPERMQ, VPERM2I128, VEXTRACTI128, VINSERTI128) turn each
+distinct selector once into a plan of (operand, shift distance,
+destination mask) groups, kept in a bounded LRU cache (`_permute_plan`,
+`_half_plan`), and apply it as a few shifts and masks; VPMULUDQ and the
+interleaves (VPUNPCK*) are unrolled into one expression over the whole
+word.
 
 In Ops, every vector descriptor has one `LaneAdapter`, built at
-registration, that splits packed sources into lanes, runs `sem_lanes`
-and joins the results, with the conversions written into its code.
+registration: `call` is its positional Ops form, one compiled function
+that splits the packed sources into lanes, applies the lane semantics
+(the lane expression inlined, or `lsem`) and joins the result lanes.
 8-bit lanes are the bytes object itself (`int.to_bytes` and
 `int.from_bytes`, no `struct` round trip); lanes of 16 to 64 bits go
 through a `struct` format, 128-bit lanes through shifts and masks.  The
-data-movement instructions (VPSHUFB, VPSHUFD, VPERMQ, VPERM2I128 and the
-interleaves) are lane-index selections: a table gives, for each
+data movements are lane-index selections: a table gives, for each
 destination lane, the position of its source lane in the concatenated
 source lane arrays, a lane the instruction zeroes pointing at one zero
 lane appended after them.  `operator.itemgetter` applies it, or, for
@@ -48,6 +56,13 @@ immediate are built once per value in a bounded LRU cache
 (`_lane_table`), those of the interleaves at registration.  They are
 derived from the Intel lane definitions, not from the OpsV plans, so
 Ops and OpsV remain independent semantics.
+
+`bind(d, consts)` partially evaluates a data movement whose selector or
+immediate is known: it returns the (OpsV, Ops) pair of positional
+functions of the remaining operands, the OpsV one the plan compiled into
+one shift-and-mask expression, the Ops one the table applied between
+the split and the join.  Generated code calls these for a constant
+selector, and the generic pair (`vsem`, `LaneAdapter.call`) otherwise.
 """
 
 from __future__ import annotations
@@ -55,8 +70,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
-from operator import itemgetter
+from functools import cache, cached_property, lru_cache, partial
+from operator import and_, itemgetter, mul, or_, xor
 from struct import Struct
 from typing import Callable, Optional
 
@@ -203,7 +218,9 @@ class Descriptor:
     sem: Callable  # list of values -> list of values
     size: int  # operation width in bits (lane width for vector ops)
     lanes: Optional[tuple[int, int]] = None  # (n, m) when this is a vector op
-    sem_lanes: Optional[Callable] = None  # Ops-mode semantics
+    vsem: Optional[Callable] = None  # vector: OpsV semantics, operands -> result int
+    lsem: Optional[Callable] = None  # vector: Ops semantics, lane operands -> result lanes
+    lane_expr: Optional[str] = None  # element-wise lsem: one lane, over u and v
     src_lanes: tuple = ()  # per-source lane shape or None
     dst_lanes: tuple = ()
     reads_memory: bool = False
@@ -340,17 +357,55 @@ def _join_int(vals, m: int) -> int:
     return _lane_codec(len(vals), m)[1](vals)
 
 
-class LaneAdapter:
-    """The Ops view of one vector descriptor, built once: `split` turns
-    its packed sources into lane sequences (other sources pass through),
-    `join` packs its lane results, and `run` is split, `sem_lanes`, join
-    on ints.  Each is compiled for the descriptor's operand shapes, with
-    the conversions of `_lane_code` written into it: a loop over the
-    shapes on every call made VPSHUFD_256's Ops call about 40% slower,
-    and a call per conversion made the Ops runs of poly1305_avx2 and
-    chacha20_avx2_big about 5% slower."""
+def _params(k: int) -> str:
+    return ", ".join(f"a{i}" for i in range(k))
 
-    __slots__ = ("d", "split", "join", "run")
+
+def _lanewise(expr: str, src_lanes, n: int) -> str:
+    """The result lanes of an element-wise instruction as one tuple
+    expression over its lane operands a0, a1: `expr` once per lane, with
+    u and v standing for lane i of sources 0 and 1, or for the source
+    itself when it has no lanes (a shared shift count, a broadcast
+    scalar)."""
+    def lane(i):
+        def operand(mo):
+            k = "uv".index(mo[0])
+            return f"a{k}[{i}]" if src_lanes[k] else f"a{k}"
+
+        return re.sub(r"\b[uv]\b", operand, expr)
+
+    return "(" + ", ".join(lane(i) for i in range(n)) + ",)"
+
+
+def _ops_form(src_lanes, dst_lanes, body: str, ns: dict) -> Callable:
+    """A positional Ops form f(a0, a1, ...) -> int, compiled: each lane
+    operand split in place by `_lane_code`, `body` (an expression over
+    a0, a1, ...) evaluated to the result lanes, and those joined."""
+    lines = "".join(f"    a{i} = {_lane_code(*shape)[0].replace('@', f'a{i}')}\n"
+                    for i, shape in enumerate(src_lanes) if shape)
+    join = _lane_code(*dst_lanes)[1] if dst_lanes else "@"
+    if join.count("@") > 1:
+        lines += f"    o = {body}\n"
+        body = "o"
+    env = dict(_CODEC_NS, **ns)
+    exec(f"def f({_params(len(src_lanes))}):\n{lines}    return {join.replace('@', body)}\n", env)
+    return env["f"]
+
+
+class LaneAdapter:
+    """The Ops view of one vector descriptor, built once: `call` is its
+    positional Ops form (the packed sources in, the result int out) and
+    `run` the same over a list of sources, returning a list; `split`
+    turns a list of packed sources into lane sequences (other sources
+    pass through) and `join` packs a list of lane results.  Each is
+    compiled for the descriptor's operand shapes, with the conversions
+    of `_lane_code` written into it: a loop over the shapes on every call
+    made VPSHUFD_256's Ops call about 40% slower, and a call per
+    conversion made the Ops runs of poly1305_avx2 and chacha20_avx2_big
+    about 5% slower.  An element-wise instruction's lane expression is
+    unrolled into `call` itself."""
+
+    __slots__ = ("d", "split", "join", "call", "run")
 
     def __init__(self, d: Descriptor):
         def convert(shapes, codec, arg):  # "[conversion of arg[0], arg[1], ...]"
@@ -358,13 +413,13 @@ class LaneAdapter:
                 _lane_code(*shape)[codec].replace("@", f"{arg}[{i}]") if shape else f"{arg}[{i}]"
                 for i, shape in enumerate(shapes)) + "]"
 
-        split, join = convert(d.src_lanes, 0, "v"), convert(d.dst_lanes, 1, "o")
-        ns = dict(_CODEC_NS, sem_lanes=d.sem_lanes)
-        exec(f"def run(v):\n    o = sem_lanes({split})\n    return {join}\n", ns)
         self.d = d
-        self.split = eval(f"lambda v: {split}", ns)
-        self.join = eval(f"lambda o: {join}", ns)
-        self.run = ns["run"]
+        self.split = eval(f"lambda v: {convert(d.src_lanes, 0, 'v')}", _CODEC_NS)
+        self.join = eval(f"lambda o: {convert(d.dst_lanes, 1, 'o')}", _CODEC_NS)
+        body = (_lanewise(d.lane_expr, d.src_lanes, d.dst_lanes[0][0]) if d.lane_expr
+                else f"lsem({_params(len(d.sources))})")
+        self.call = call = _ops_form(d.src_lanes, d.dst_lanes[0], body, {"lsem": d.lsem})
+        self.run = lambda v: [call(*v)]
 
 
 def lane_adapter(d: Descriptor) -> LaneAdapter:
@@ -378,7 +433,7 @@ def exec_ops(d: Descriptor, args) -> list:
     each lane result returned as a list."""
     if not d.is_vector:
         raise IsaError(f"{d.name} is not a vector instruction")
-    outs = d.sem_lanes(lane_adapter(d).split(_coerce_sources(d, args)))
+    outs = [d.lsem(*lane_adapter(d).split(_coerce_sources(d, args)))]
     return [list(o) if shape else o for o, shape in zip(outs, d.dst_lanes)]
 
 
@@ -412,7 +467,7 @@ def validate_descriptor(d: Descriptor) -> list[str]:
     for w in d.src_widths + d.dst_widths:
         if w != "flag" and w not in (8, 16, 32, 64, 128, 256):
             problems.append(f"illegal operand width {w}")
-    if d.is_vector and d.sem_lanes is None:
+    if d.is_vector and (d.vsem is None or d.lsem is None):
         problems.append("vector descriptor without lane semantics")
     # probe the semantics with benign inputs
     probe = [False if w == "flag" else 1 for w in d.src_widths]
@@ -604,7 +659,8 @@ for _w in (8, 16, 32, 64):
 # ------------------------------------------------- vector definitions
 
 
-PLAN_CACHE = 256  # entries of the selector caches: OpsV plans, Ops lane tables
+PLAN_CACHE = 256  # entries of the selector caches: OpsV plans, Ops lane tables, bound forms
+_M128 = (1 << 128) - 1
 
 
 @lru_cache(maxsize=PLAN_CACHE)
@@ -615,8 +671,8 @@ def _permute_plan(width: int, n: int, sel: int) -> tuple:
     16-byte half holding byte i, or zero when bit 7 is set.  Wider
     elements are VPSHUFD/VPERMQ: the imm8's four 2-bit fields pick an
     element of each group of four.  The plan groups the destination
-    elements by the distance their source is moved: one (distance,
-    destination mask) pair per distinct distance.
+    elements by the distance their source is moved: one (operand 0,
+    distance, destination mask) group per distinct distance.
     """
     groups: dict[int, int] = {}
     for i in range(n):
@@ -629,14 +685,40 @@ def _permute_plan(width: int, n: int, sel: int) -> tuple:
             src = (i // 4) * 4 + ((sel >> (2 * (i % 4))) & 3)
         d = width * (i - src)
         groups[d] = groups.get(d, 0) | (((1 << width) - 1) << (width * i))
-    return tuple(groups.items())
+    return tuple((0, d, mask) for d, mask in groups.items())
 
 
-def _permute(x: int, plan: tuple) -> int:
+@lru_cache(maxsize=PLAN_CACHE)
+def _half_plan(kind: str, imm: int) -> tuple:
+    """Shift-and-mask plan, in `_permute_plan`'s form, of a selection of
+    128-bit halves: destination half j takes half s % 2 of operand
+    s // 2, or is zero.  Kind "2" is VPERM2I128: nibble j of the imm8
+    picks a half of x, y by its low two bits, or zero when its bit 3 is
+    set.  Kind "e" is VEXTRACTI128: the one destination half is half
+    `imm & 1` of x.  Kind "i" is VINSERTI128: y replaces half `imm & 1`
+    of x."""
+    if kind == "2":
+        srcs = [None if f & 8 else f & 3 for f in (imm & 15, imm >> 4 & 15)]
+    elif kind == "e":
+        srcs = [imm & 1]
+    else:
+        srcs = [0, 2] if imm & 1 else [2, 1]
+    return tuple((s // 2, 128 * (j - s % 2), _M128 << 128 * j)
+                 for j, s in enumerate(srcs) if s is not None)
+
+
+def _permute(plan: tuple, *xs) -> int:
     r = 0
-    for d, mask in plan:
-        r |= (x << d if d >= 0 else x >> -d) & mask
+    for k, d, mask in plan:
+        r |= (xs[k] << d if d >= 0 else xs[k] >> -d) & mask
     return r
+
+
+def _plan_code(plan: tuple) -> str:
+    """`_permute` of `plan` as one expression over the operands a0, a1."""
+    return " | ".join(f"(a{k} & {mask:#x})" if d == 0 else
+                      f"(a{k} {'<<' if d > 0 else '>>'} {abs(d)} & {mask:#x})"
+                      for k, d, mask in plan) or "0"
 
 
 @lru_cache(maxsize=PLAN_CACHE)
@@ -658,204 +740,156 @@ def _lane_table(kind: str, n: int, sel) -> Callable:
     fields picks an element of element i's group of four.  Kind "2" is
     VPERM2I128 over the halves x0, x1, y0, y1: each nibble of the imm8
     picks a half by its low two bits, or zero when its bit 3 is set.
-    Both are applied with an itemgetter.
+    Kind "e" is VEXTRACTI128, which takes half `imm & 1` of x0, x1, and
+    kind "i" VINSERTI128, which puts y in place of that half of x0, x1, y.
+    These are applied with an itemgetter.
     """
     if kind == "b":
         return bytes(n if s & 0x80 else i // 16 * 16 + (s & 15)
                      for i, s in enumerate(sel)).translate
     if kind == "d":
         return itemgetter(*[i // 4 * 4 + (sel >> 2 * (i % 4) & 3) for i in range(n)])
+    if kind == "e":
+        return itemgetter(sel & 1)
+    if kind == "i":
+        return itemgetter(*((0, 2) if sel & 1 else (2, 1)))
     return itemgetter(*[4 if f & 8 else f & 3 for f in (sel & 15, sel >> 4 & 15)])
 
 
-def _lane_form(op: str, n: int, m: int) -> Callable:
-    """The OpsV semantics of the DSL's lane form of `op` (words.LANES)."""
-    f = evaluator(op, m, n)
-    return lambda a: [f(*a)]
+_MOVES: dict[str, tuple] = {}  # data movement -> (OpsV plan, Ops table kind, lanes, concat, names)
 
 
-def _vector(name, n, m, sources, src_lanes, sem, sem_lanes, dst=None, dst_lanes=None,
+def bind(d: Descriptor, consts: tuple):
+    """The (OpsV, Ops) pair of positional functions of d's operands
+    before `consts`, the values of its trailing selector or imm8, for
+    a registered data movement (VPSHUFB, VPSHUFD, VPERMQ, VPERM2I128,
+    VEXTRACTI128, VINSERTI128); None for any other instruction.  The
+    OpsV function is the selector's plan compiled into one shift-and-mask
+    expression, the Ops one its lane table applied between the split and
+    the join.  Cached per (instruction, constant)."""
+    if len(consts) != 1 or d.name not in _MOVES or _REGISTRY.get(d.name) is not d:
+        return None
+    return _bound(d.name, consts[0] & (1 << d.src_widths[-1]) - 1)
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _bound(name: str, sel: int) -> tuple:
+    d = _REGISTRY[name]
+    vplan, kind, n, concat, ns = _MOVES[name]
+    k = len(d.sources) - 1
+    shape = d.src_lanes[-1]
+    table = _lane_table(kind, n, _lane_codec(*shape)[0](sel) if shape else sel)
+    return (eval(f"lambda {_params(k)}: {_plan_code(vplan(sel))}"),
+            _ops_form(d.src_lanes[:k], d.dst_lanes[0], f"t({concat})", dict(ns, t=table)))
+
+
+def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None,
             oshape=("oprd", "oprd"), mnemonic=None):
-    total = n * m
+    """Register a vector instruction over n lanes of m bits.  `lsem` is
+    its Ops function, or the lane expression of an element-wise one;
+    `dst` is (destination, its lane shape) when that is not n lanes of
+    m bits."""
+    expr = lsem if isinstance(lsem, str) else None
+    if expr is not None:
+        lsem = eval(f"lambda {_params(len(sources))}: {_lanewise(expr, src_lanes, n)}")
+    loc, shape = dst or (E(n * m, 0), (n, m))
     register(
         Descriptor(
             name=name,
             sources=tuple(sources),
-            destinations=(dst if dst is not None else E(total, 0),),
+            destinations=(loc,),
             oshape=oshape,
             mnemonic=mnemonic or name.replace("x86_", ""),
-            sem=sem,
+            sem=lambda a: [vsem(*a)],
             size=m,
             lanes=(n, m),
-            sem_lanes=sem_lanes,
+            vsem=vsem,
+            lsem=lsem,
+            lane_expr=expr,
             src_lanes=tuple(src_lanes),
-            dst_lanes=(dst_lanes if dst_lanes is not None else (n, m),),
+            dst_lanes=(shape,),
         )
     )
 
 
+def _movement(name, n, m, sources, src_lanes, vplan, kind, concat, ns=None, **kw):
+    """Register a data movement driven by its last source, a selector or
+    imm8: OpsV applies the shift-and-mask plan `vplan(sel)`, Ops the lane
+    table `_lane_table(kind, n, sel)` to `concat`, an expression joining
+    the lane operands a0, a1, ... (`ns` holds the other names it uses)."""
+    ps = _params(len(sources) - 1)
+    env = dict(ns or {}, _permute=_permute, vplan=vplan, _lane_table=_lane_table)
+    exec(f"def vsem({ps}, s):\n    return _permute(vplan(s), {ps})\n"
+         f"def lsem({ps}, s):\n    return _lane_table({kind!r}, {n}, s)({concat})\n", env)
+    _MOVES[name] = (vplan, kind, n, concat, ns or {})
+    _vector(name, n, m, sources, src_lanes, env["vsem"], env["lsem"], **kw)
+
+
 def _build_vectors():
+    imm = ("oprd", "imm8")
+
     # lane-wise addition (SWAR on the packed word in OpsV mode)
     for n, m in ((4, 64), (8, 32)):
-        total = n * m
-        lane_mask = (1 << m) - 1
-
-        def padd_l(a, *, lane_mask=lane_mask):
-            x, y = a
-            return [[(u + v) & lane_mask for u, v in zip(x, y)]]
-
-        _vector(f"x86_VPADD_{n}u{m}", n, m,
-                [E(total, 0), E(total, 1)], [(n, m), (n, m)], _lane_form("+", n, m), padd_l)
+        _vector(f"x86_VPADD_{n}u{m}", n, m, [E(n * m, 0), E(n * m, 1)], [(n, m), (n, m)],
+                evaluator("+", m, n), f"u + v & {(1 << m) - 1:#x}")
 
     # VPMULUDQ: the low 32 bits of each 64-bit lane multiplied, unrolled
     # in OpsV; a 32 x 32-bit product fills its lane exactly
     m32 = (1 << 32) - 1
 
-    def pmulu_v(a):
-        x, y = a
-        return [(x & m32) * (y & m32)
+    def pmulu_v(x, y):
+        return ((x & m32) * (y & m32)
                 | (x >> 64 & m32) * (y >> 64 & m32) << 64
                 | (x >> 128 & m32) * (y >> 128 & m32) << 128
-                | (x >> 192 & m32) * (y >> 192 & m32) << 192]
-
-    def pmulu_l(a):
-        x, y = a
-        return [[(u & m32) * (v & m32) for u, v in zip(x, y)]]
+                | (x >> 192 & m32) * (y >> 192 & m32) << 192)
 
     _vector("x86_VPMULU_4u64", 4, 64, [E(256, 0), E(256, 1)], [(4, 64), (4, 64)],
-            pmulu_v, pmulu_l, mnemonic="VPMULUDQ")
+            pmulu_v, f"(u & {m32:#x}) * (v & {m32:#x})", mnemonic="VPMULUDQ")
 
     # whole-register bitwise operations, viewed as 64-bit lanes in Ops mode
     for total in (128, 256):
         n = total // 64
-        for nm, pyop in (("VPXOR", "^"), ("VPAND", "&"), ("VPOR", "|")):
-            if pyop == "^":
-                sem = lambda a: [a[0] ^ a[1]]
-                sem_l = lambda a: [[u ^ v for u, v in zip(a[0], a[1])]]
-            elif pyop == "&":
-                sem = lambda a: [a[0] & a[1]]
-                sem_l = lambda a: [[u & v for u, v in zip(a[0], a[1])]]
-            else:
-                sem = lambda a: [a[0] | a[1]]
-                sem_l = lambda a: [[u | v for u, v in zip(a[0], a[1])]]
-            _vector(f"x86_{nm}_{total}", n, 64,
-                    [E(total, 0), E(total, 1)], [(n, 64), (n, 64)], sem, sem_l)
+        for nm, f, pyop in (("VPXOR", xor, "^"), ("VPAND", and_, "&"), ("VPOR", or_, "|")):
+            _vector(f"x86_{nm}_{total}", n, 64, [E(total, 0), E(total, 1)],
+                    [(n, 64), (n, 64)], f, f"u {pyop} v")
 
-    # lane shifts by a shared count
+    # lane shifts by a shared count (VPSLL, VPSRL) and by a count per
+    # lane (VPSLLV, VPSRLV): a count of m or more clears the lane
+    def shifts(m):
+        return (("VPSLL", "<<", f"u << v & {(1 << m) - 1:#x} if v < {m} else 0"),
+                ("VPSRL", ">>", f"u >> v if v < {m} else 0"))
+
     for n, m in ((4, 64), (8, 32), (4, 32)):
-        total = n * m
-        lane_mask = (1 << m) - 1
-
-        def psll_l(a, *, m=m, lane_mask=lane_mask):
-            x, c = a
-            if c >= m:
-                return [[0] * len(x)]
-            return [[(u << c) & lane_mask for u in x]]
-
-        def psrl_l(a, *, m=m):
-            x, c = a
-            if c >= m:
-                return [[0] * len(x)]
-            return [[u >> c for u in x]]
-
-        _vector(f"x86_VPSLL_{n}u{m}", n, m,
-                [E(total, 0), E(8, 1)], [(n, m), None], _lane_form("<<", n, m), psll_l,
-                oshape=("oprd", "imm8"))
-        _vector(f"x86_VPSRL_{n}u{m}", n, m,
-                [E(total, 0), E(8, 1)], [(n, m), None], _lane_form(">>", n, m), psrl_l,
-                oshape=("oprd", "imm8"))
-
-    # per-lane variable shifts (vector of counts)
-    for nm in ("4u64", "8u32"):
-        n, m = (4, 64) if nm == "4u64" else (8, 32)
-        total = n * m
-        lane_mask = (1 << m) - 1
-
-        def psllv_v(a, *, n=n, m=m, lane_mask=lane_mask):
-            x, cs = a
-            r = 0
-            for i in range(n):
-                c = (cs >> (m * i)) & lane_mask
-                if c < m:
-                    r |= (((x >> (m * i)) & lane_mask) << c & lane_mask) << (m * i)
-            return [r]
-
-        def psllv_l(a, *, m=m, lane_mask=lane_mask):
-            x, cs = a
-            return [[(u << c) & lane_mask if c < m else 0 for u, c in zip(x, cs)]]
-
-        def psrlv_v(a, *, n=n, m=m, lane_mask=lane_mask):
-            x, cs = a
-            r = 0
-            for i in range(n):
-                c = (cs >> (m * i)) & lane_mask
-                if c < m:
-                    r |= (((x >> (m * i)) & lane_mask) >> c) << (m * i)
-            return [r]
-
-        def psrlv_l(a, *, m=m, lane_mask=lane_mask):
-            x, cs = a
-            return [[u >> c if c < m else 0 for u, c in zip(x, cs)]]
-
-        _vector(f"x86_VPSLLV_{nm}", n, m,
-                [E(total, 0), E(total, 1)], [(n, m), (n, m)], psllv_v, psllv_l)
-        _vector(f"x86_VPSRLV_{nm}", n, m,
-                [E(total, 0), E(total, 1)], [(n, m), (n, m)], psrlv_v, psrlv_l)
+        for nm, op, lane in shifts(m):
+            _vector(f"x86_{nm}_{n}u{m}", n, m, [E(n * m, 0), E(8, 1)], [(n, m), None],
+                    evaluator(op, m, n), lane, oshape=imm)
+    for n, m in ((4, 64), (8, 32)):
+        for nm, op, lane in shifts(m):
+            _vector(f"x86_{nm}V_{n}u{m}", n, m, [E(n * m, 0), E(n * m, 1)], [(n, m), (n, m)],
+                    _variable_shift(op, n, m), lane)
 
     # broadcasts: multiplication by the all-lanes-one pattern in OpsV mode
     for name, n, m in (("x86_VPBROADCAST_4u64", 4, 64),
                        ("x86_VPBROADCAST_8u32", 8, 32),
                        ("x86_VPBROADCAST_4u32", 4, 32)):
-        mult = lanes(1, n, m)
+        _vector(name, n, m, [E(m, 0)], [None], partial(mul, lanes(1, n, m)), "u",
+                oshape=("oprd",))
 
-        def bcast_v(a, *, mult=mult):
-            return [a[0] * mult]
+    # dword and qword shuffles (VPSHUFD, VPERMQ): the imm8 is four 2-bit
+    # source positions, applied per group of four elements
+    def shuffle(name, n, m):
+        _movement(name, n, m, [E(n * m, 0), E(8, 1)], [(n, m), None],
+                  partial(_permute_plan, m, n), "d", "a0", oshape=imm)
 
-        def bcast_l(a, *, n=n):
-            return [[a[0]] * n]
-
-        _vector(name, n, m, [E(m, 0)], [None], bcast_v, bcast_l, oshape=("oprd",))
-
-    # selector- and immediate-driven permutes: OpsV applies the
-    # selector's shift-and-mask plan, Ops the selector's lane table
-    def permute_v(width, n):
-        def v(a):
-            x, sel = a
-            return [_permute(x, _permute_plan(width, n, sel))]
-
-        return v
-
-    def imm_l(n):
-        def l(a):
-            x, imm = a
-            return [_lane_table("d", n, imm)(x)]
-
-        return l
-
-    # dword shuffles: imm8 is four 2-bit source positions, applied per
-    # 128-bit half in the 256-bit form
-    _vector("x86_VPSHUFD_128", 4, 32,
-            [E(128, 0), E(8, 1)], [(4, 32), None], permute_v(32, 4), imm_l(4),
-            oshape=("oprd", "imm8"))
-    _vector("x86_VPSHUFD_256", 8, 32,
-            [E(256, 0), E(8, 1)], [(8, 32), None], permute_v(32, 8), imm_l(8),
-            oshape=("oprd", "imm8"))
+    shuffle("x86_VPSHUFD_128", 4, 32)
+    shuffle("x86_VPSHUFD_256", 8, 32)
 
     # byte shuffles: per-byte table lookup within each 128-bit half;
     # a set high bit in the selector byte yields zero
-    def shufb_l(n):
-        pad = bytes(256 - n)  # the zero lane, then zeros up to translate's 256 entries
-
-        def l(a):
-            x, s = a
-            return [_lane_table("b", n, s)(x + pad)]
-
-        return l
-
-    _vector("x86_VPSHUFB_128", 16, 8,
-            [E(128, 0), E(128, 1)], [(16, 8), (16, 8)], permute_v(8, 16), shufb_l(16))
-    _vector("x86_VPSHUFB_256", 32, 8,
-            [E(256, 0), E(256, 1)], [(32, 8), (32, 8)], permute_v(8, 32), shufb_l(32))
+    for n in (16, 32):
+        _movement(f"x86_VPSHUFB_{8 * n}", n, 8, [E(8 * n, 0), E(8 * n, 1)], [(n, 8), (n, 8)],
+                  partial(_permute_plan, 8, n), "b", "a0 + pad",
+                  {"pad": bytes(256 - n)})  # the zero lane, then zeros up to 256 entries
 
     # interleaves (per 128-bit half, AVX2 style); OpsV moves the chosen
     # elements of both halves at once, with one mask per element position
@@ -869,94 +903,47 @@ def _build_vectors():
         k = n // 2
         pick = itemgetter(*[src + h + high * k // 2 + j
                             for h in (0, k) for j in range(k // 2) for src in (0, n)])
-        return lambda a: [pick(a[0] + a[1])]
+        return lambda x, y: pick(x + y)
 
     d0, d1, d2, d3 = half_elements(32)
-
-    def unpckl32_v(a):
-        x, y = a
-        return [(x & d0) | ((x & d1) | (y & d0)) << 32 | (y & d1) << 64]
-
-    def unpckh32_v(a):
-        x, y = a
-        return [(x & d2) >> 64 | ((x & d3) | (y & d2)) >> 32 | (y & d3)]
-
-    _vector("x86_VPUNPCKL_8u32", 8, 32,
-            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckl32_v, unpck_l(8, 0))
-    _vector("x86_VPUNPCKH_8u32", 8, 32,
-            [E(256, 0), E(256, 1)], [(8, 32), (8, 32)], unpckh32_v, unpck_l(8, 1))
-
     q0, q1 = half_elements(64)
+    for name, n, m, high, v in (
+        ("x86_VPUNPCKL_8u32", 8, 32, 0,
+         lambda x, y: (x & d0) | ((x & d1) | (y & d0)) << 32 | (y & d1) << 64),
+        ("x86_VPUNPCKH_8u32", 8, 32, 1,
+         lambda x, y: (x & d2) >> 64 | ((x & d3) | (y & d2)) >> 32 | (y & d3)),
+        ("x86_VPUNPCKL_4u64", 4, 64, 0, lambda x, y: (x & q0) | (y & q0) << 64),
+        ("x86_VPUNPCKH_4u64", 4, 64, 1, lambda x, y: (x & q1) >> 64 | (y & q1)),
+    ):
+        _vector(name, n, m, [E(256, 0), E(256, 1)], [(n, m), (n, m)], v, unpck_l(n, high))
 
-    def unpckl64_v(a):
-        x, y = a
-        return [(x & q0) | (y & q0) << 64]
+    # 128-bit-half permutes, extract and insert
+    _movement("x86_VPERM2I128", 2, 128, [E(256, 0), E(256, 1), E(8, 2)],
+              [(2, 128), (2, 128), None], partial(_half_plan, "2"), "2", "(*a0, *a1, 0)",
+              oshape=("oprd", "oprd", "imm8"))
+    shuffle("x86_VPERMQ_4u64", 4, 64)
+    _movement("x86_VEXTRACTI128", 2, 128, [E(256, 0), E(8, 1)], [(2, 128), None],
+              partial(_half_plan, "e"), "e", "a0", dst=(E(128, 0), None), oshape=imm)
+    _movement("x86_VINSERTI128", 2, 128, [E(256, 0), E(128, 1), E(8, 2)],
+              [(2, 128), None, None], partial(_half_plan, "i"), "i", "(*a0, a1)",
+              oshape=("oprd", "oprd", "imm8"))
 
-    def unpckh64_v(a):
-        x, y = a
-        return [(x & q1) >> 64 | (y & q1)]
 
-    _vector("x86_VPUNPCKL_4u64", 4, 64,
-            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckl64_v, unpck_l(4, 0))
-    _vector("x86_VPUNPCKH_4u64", 4, 64,
-            [E(256, 0), E(256, 1)], [(4, 64), (4, 64)], unpckh64_v, unpck_l(4, 1))
+def _variable_shift(op: str, n: int, m: int) -> Callable:
+    """OpsV of VPSLLV/VPSRLV: each lane of x shifted by its own count,
+    a count of m or more clearing it."""
+    mask = (1 << m) - 1
 
-    # 128-bit-lane permutes / extract / insert
-    m128 = (1 << 128) - 1
+    def f(x, cs):
+        r = 0
+        for i in range(n):
+            c = (cs >> (m * i)) & mask
+            if c < m:
+                u = (x >> (m * i)) & mask
+                r |= ((u << c & mask) if op == "<<" else u >> c) << (m * i)
+        return r
 
-    def perm2i_v(a):
-        x, y, imm = a
-        halves = [x & m128, x >> 128, y & m128, y >> 128]
-        lo = 0 if imm & 0x08 else halves[imm & 3]
-        hi = 0 if imm & 0x80 else halves[(imm >> 4) & 3]
-        return [lo | (hi << 128)]
-
-    def perm2i_l(a):
-        x, y, imm = a
-        return [_lane_table("2", 2, imm)((*x, *y, 0))]
-
-    _vector("x86_VPERM2I128", 2, 128, [E(256, 0), E(256, 1), E(8, 2)],
-            [(2, 128), (2, 128), None], perm2i_v, perm2i_l, oshape=("oprd", "oprd", "imm8"))
-    _vector("x86_VPERMQ_4u64", 4, 64,
-            [E(256, 0), E(8, 1)], [(4, 64), None], permute_v(64, 4), imm_l(4),
-            oshape=("oprd", "imm8"))
-
-    def extract_v(a):
-        x, imm = a
-        return [(x >> 128) & m128 if imm & 1 else x & m128]
-
-    def extract_l(a):
-        x, imm = a
-        return [x[imm & 1]]
-
-    register(
-        Descriptor(
-            name="x86_VEXTRACTI128",
-            sources=(E(256, 0), E(8, 1)),
-            destinations=(E(128, 0),),
-            oshape=("oprd", "imm8"),
-            mnemonic="VEXTRACTI128",
-            sem=extract_v,
-            size=128,
-            lanes=(2, 128),
-            sem_lanes=extract_l,
-            src_lanes=((2, 128), None),
-            dst_lanes=(None,),
-        )
-    )
-
-    def insert_v(a):
-        x, y, imm = a
-        if imm & 1:
-            return [(x & m128) | (y << 128)]
-        return [(x & (m128 << 128)) | y]
-
-    def insert_l(a):
-        x, y, imm = a
-        return [[x[0], y] if imm & 1 else [y, x[1]]]
-
-    _vector("x86_VINSERTI128", 2, 128, [E(256, 0), E(128, 1), E(8, 2)],
-            [(2, 128), None, None], insert_v, insert_l, oshape=("oprd", "oprd", "imm8"))
+    return f
 
 
 _build_vectors()

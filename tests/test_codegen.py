@@ -2,6 +2,7 @@
 and only the destinations a statement keeps are computed."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from jamin import codegen, interp, isa, memory
 from jamin.expand import expand
 from jamin.ir import SAssign
 from jamin.parser import parse
-from jamin.primitives.corpus import load_program
+from jamin.primitives.corpus import PROGRAMS, load_program
 from jamin.typecheck import typecheck
 from jamin.words import Word
 
@@ -88,7 +89,10 @@ fn f(reg u64 x, reg u64 y, reg bool c) -> reg u64, reg u64, reg bool {
 
 
 def _generated_source(name) -> str:
-    p = load_program(name)
+    return "\n".join(_source_lines(load_program(name)))
+
+
+def _source_lines(p) -> list:
     lines = []
     define = codegen._FnGen.define
 
@@ -104,7 +108,7 @@ def _generated_source(name) -> str:
                 codegen.compile_function(p, fn, ns)
     finally:
         codegen._FnGen.define = define
-    return "\n".join(lines)
+    return lines
 
 
 @pytest.mark.parametrize("name", ["poly1305_ref", "poly1305_avx2"])
@@ -223,3 +227,57 @@ def test_copies_of_live_sources_stay_copies(case):
     p = prep(text)
     for x in (0, 3):
         assert interp.run(p, "f", [x], memory.Memory()).results == [Word(64, want(x))]
+
+
+BOUND = ("x86_VPSHUFB_128", "x86_VPSHUFB_256", "x86_VPSHUFD_128", "x86_VPSHUFD_256",
+         "x86_VPERMQ_4u64", "x86_VPERM2I128", "x86_VEXTRACTI128", "x86_VINSERTI128")
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_vector_intrinsics_are_positional_calls(name):
+    """Every vector intrinsic is `(V if O else L)(operands)`: none is
+    called through an argument list, and the corpus's selectors and
+    imm8s (literals and globals) are all bound, so no generic pair of a
+    data movement is called."""
+    src = _generated_source(name)
+    assert not re.search(r"x86_V\w*\)\(\[", src)
+    assert not re.search(r"x86_V.*\]\)\[0\]", src)
+    assert not any(f"(S_{n} if O" in src for n in BOUND)
+
+
+ROT16_G = "0x0d0c0f0e09080b0a0504070601000302_0d0c0f0e09080b0a0504070601000302"
+
+
+def test_constant_and_register_selectors_agree():
+    """A literal or global selector is bound, a register one is passed to
+    the generic pair; in both modes each gives exec_vector's result."""
+    p = prep(f"""
+global u256 ROT = {ROT16_G};
+fn f(reg u256 x, reg u256 y, reg u256 s, reg u8 k)
+  -> reg u256, reg u256, reg u256, reg u256, reg u256, reg u128 {{
+  reg u256 a, b, c, e, g;
+  reg u128 h;
+  a = #x86_VPSHUFB_256(x, s);
+  b = #x86_VPSHUFB_256(x, ROT);
+  c = #x86_VPERM2I128(x, y, k);
+  e = #x86_VPERM2I128(x, y, 0x21);
+  g = #x86_VPSHUFD_256(x, 0x1b);
+  h = #x86_VEXTRACTI128(y, 1);
+  return a, b, c, e, g, h;
+}}
+""")
+    src = "\n".join(_source_lines(p))
+    assert "(S_x86_VPSHUFB_256 if O" in src and "(S_x86_VPERM2I128 if O" in src
+    assert src.count(" if O else ") == 6 and "G_ROT" not in src
+    rot = int(ROT16_G.replace("_", ""), 16)
+    rng = random.Random(11)
+    for _ in range(20):
+        x, y, s = (rng.getrandbits(256) for _ in range(3))
+        k = rng.getrandbits(8)
+        calls = [("x86_VPSHUFB_256", [x, s]), ("x86_VPSHUFB_256", [x, rot]),
+                 ("x86_VPERM2I128", [x, y, k]), ("x86_VPERM2I128", [x, y, 0x21]),
+                 ("x86_VPSHUFD_256", [x, 0x1B]), ("x86_VEXTRACTI128", [y, 1])]
+        for mode in (isa.OPSV, isa.OPS):
+            want = [isa.exec_vector(isa.lookup(n), mode, a)[0] for n, a in calls]
+            got = interp.run(p, "f", [x, y, s, k], memory.Memory(), vector_mode=mode).results
+            assert got == want, (mode, hex(x), hex(y), hex(s), k)

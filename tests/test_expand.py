@@ -240,6 +240,39 @@ fn f() -> reg u64 {
     assert interp.run(p, "f", [], memory.Memory()).results[0].value == 0
 
 
+def test_hoisted_local_global_takes_a_fresh_name():
+    """A local `global` is hoisted under a name that no other declaration
+    uses: another function's local or parameter of that name made the
+    expanded program fail its re-typecheck, "'M' shadows a program-level
+    name", although the source typechecks."""
+    p = prep(
+        """
+fn g() -> reg u64 {
+  global u64 M = 2;
+  reg u64 r;
+  r = M;
+  return r;
+}
+
+fn h(reg u64 x) -> reg u64 {
+  reg u64 M;
+  M = x + 1;
+  return M;
+}
+
+fn k(reg u64 M_1) -> reg u64 {
+  global u64 M = 3;
+  M_1 += M;
+  return M_1;
+}
+"""
+    )
+    assert len(p.globals) == 2 and not {g.name for g in p.globals} & {"M", "M_1"}
+    results = [interp.run(p, f, args, memory.Memory()).results[0].value
+               for f, args in (("g", []), ("h", [5]), ("k", [4]))]
+    assert results == [2, 6, 7]
+
+
 @pytest.mark.parametrize("decl, body", [
     ("global u64 K = 1;\n", ""),
     ("", "  global u64 K = 1;\n"),

@@ -282,3 +282,72 @@ def test_word_formula_interleaves_and_multiply_match_lanes(name):
         assert isa.lane_adapter(d).run([x, y]) == d.sem([x, y]), (name, hex(x), hex(y))
         words = [Word(256, x), Word(256, y)]
         assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words)
+
+
+# Positional forms and bound forms.  Every vector instruction's OpsV
+# semantics is `vsem(x, y, ...)` and its Ops form `LaneAdapter.call`;
+# `bind` partially evaluates a data movement for a known selector or
+# imm8.  All of them must equal the list interfaces they derive from.
+
+VECTORS = sorted(n for n, d in isa.registry().items() if d.is_vector)
+BINDABLE = ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64", "x86_VPERM2I128",
+            "x86_VEXTRACTI128", "x86_VINSERTI128", "x86_VPSHUFB_128", "x86_VPSHUFB_256"]
+ROT24 = 0x0C0F0E0D080B0A090407060500030201  # gimli_sse's 128-bit rotation
+
+
+def _operand(w):
+    """A w-bit operand, biased to the values at the edges of a lane."""
+    edges = [0, 1, (1 << w) - 1, 1 << (w - 1)] + ([31, 32, 63, 64, 65] if w == 8 else [])
+    return st.one_of(st.integers(0, (1 << w) - 1), st.sampled_from(edges))
+
+
+@pytest.mark.parametrize("name", VECTORS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_positional_forms_equal_exec_vector(name, data):
+    d = isa.lookup(name)
+    args = [data.draw(_operand(w)) for w in d.src_widths]
+    words = [Word(w, a) for w, a in zip(d.src_widths, args)]
+    want = isa.exec_vector(d, isa.OPSV, words)
+    assert want == isa.exec_vector(d, isa.OPS, words)
+    assert [Word(d.dst_widths[0], d.vsem(*args))] == want
+    assert [Word(d.dst_widths[0], isa.lane_adapter(d).call(*args))] == want
+
+
+def _assert_bound_forms_agree(d, rng, sel):
+    opsv, ops = isa.bind(d, (sel,))
+    assert isa.bind(d, (sel,)) == (opsv, ops)  # cached per (instruction, constant)
+    for _ in range(4):
+        rest = [rng.getrandbits(w) for w in d.src_widths[:-1]]
+        words = [Word(w, a) for w, a in zip(d.src_widths, rest + [sel])]
+        want = isa.exec_vector(d, isa.OPSV, words)[0].value
+        assert isa.exec_vector(d, isa.OPS, words)[0].value == want
+        assert opsv(*rest) == want and ops(*rest) == want, (d.name, hex(sel), hex(want))
+
+
+@pytest.mark.parametrize("name", [n for n in BINDABLE if "VPSHUFB" not in n])
+def test_every_immediate_binds(name):
+    d = isa.lookup(name)
+    rng = random.Random(name)
+    for imm in range(256):
+        _assert_bound_forms_agree(d, rng, imm)
+
+
+@pytest.mark.parametrize("name", ["x86_VPSHUFB_128", "x86_VPSHUFB_256"])
+def test_byte_shuffle_selectors_bind(name):
+    d = isa.lookup(name)
+    nbytes = d.src_widths[1] // 8
+    rng = random.Random(name)
+    mask = (1 << (8 * nbytes)) - 1
+    corpus = [ROT16 & mask, ROT8 & mask, ROT24 | ROT24 << 128 & mask, int("80" * nbytes, 16)]
+    for sel in corpus + [_byte_selector(rng, nbytes, rate) for rate in (0, 0.2, 0.9)
+                         for _ in range(30)]:
+        _assert_bound_forms_agree(d, rng, sel)
+
+
+def test_bind_covers_the_data_movements_only():
+    assert isa._bound.cache_info().maxsize == isa.PLAN_CACHE
+    for name in VECTORS:
+        d = isa.lookup(name)
+        assert (isa.bind(d, (0,)) is not None) == (name in BINDABLE), name
+    assert isa.bind(isa.lookup("x86_ADD_64"), (0,)) is None
