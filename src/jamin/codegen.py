@@ -48,7 +48,7 @@ the locals it reads and returns the ones it rebinds.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .ir import (
     ArrayTy,
@@ -75,7 +75,7 @@ from .ir import (
     WordTy,
     int_value,
 )
-from . import words
+from . import flow, words
 from .isa import bind, lane_adapter, lookup
 from .typecheck import CMP_OPS
 
@@ -89,132 +89,120 @@ def _loc(node):
     return getattr(node, "loc", None)
 
 
-# ------------------------------------------------------ syntactic facts
-
-
-def _names(node, out: list) -> list:
-    """Append the variable names `node` mentions (expressions, lvalues
-    and statements alike), once per mention."""
-    k = type(node)
-    if k is EVar or k is LVar:
-        out.append(node.name)
-    elif k is EArr or k is LArr:
-        out.append(node.name)
-        _names(node.index, out)
-    elif k is EMem or k is LMem:
-        _names(node.addr, out)
-    elif k is EBin:
-        _names(node.left, out)
-        _names(node.right, out)
-    elif k is EUn or k is ECast:
-        _names(node.arg, out)
-    elif k is EIntr or k is ECall:
-        for a in node.args:
-            _names(a, out)
-    elif k is SAssign:
-        for d in node.dests:
-            _names(d, out)
-        _names(node.rhs, out)
-        if node.cond is not None:
-            _names(node.cond, out)
-    elif k is SDecl:
-        out.extend(node.names)
-        if node.init is not None:
-            _names(node.init, out)
-    elif k is SIf:
-        _names(node.cond, out)
-        for s in node.then + node.els:
-            _names(s, out)
-    elif k is SWhile:
-        _names(node.cond, out)
-        for s in node.body:
-            _names(s, out)
-    elif k is SReturn:
-        for v in node.values:
-            _names(v, out)
-    return out
-
-
-def _reads_defs(s, mentioned):
-    """(names s may read before it rebinds anything, names s rebinds
-    unconditionally); `mentioned` lists the names s mentions, as
-    _names gives them.  Compound statements count every name as read."""
-    k = type(s)
-    if k is SDecl:
-        return set(mentioned[len(s.names):]), set(s.names)
-    if k is SAssign and not s.op and s.cond is None:
-        defs = [d.name for d in s.dests if type(d) is LVar]
-        reads = Counter(mentioned)
-        reads.subtract(defs)  # each whole destination is mentioned once
-        return {n for n, c in reads.items() if c > 0}, set(defs)
-    return set(mentioned), set()
-
-
-def _rebinds(stmts, out: set) -> set:
-    """Every local some statement (at any depth) assigns as a whole."""
-    for s in stmts:
-        k = type(s)
-        if k is SDecl:
-            out.update(s.names)
-        elif k is SAssign:
-            out.update(d.name for d in s.dests if type(d) is LVar)
-        elif k is SIf:
-            _rebinds(s.then, out)
-            _rebinds(s.els, out)
-        elif k is SWhile:
-            _rebinds(s.body, out)
-    return out
-
-
 # ------------------------------------------------ must-be-assigned facts
 
 
-class _Facts:
-    """Facts that hold on every path to a program point: the locals bound
-    (`declared`) and the values proven not UNDEF (`defined`: register
-    names and (array, index) pairs).  None stands for an unreachable
-    point."""
-
-    __slots__ = ("declared", "defined")
-
-    def __init__(self, declared, defined):
-        self.declared = set(declared)
-        self.defined = set(defined)
-
-    def copy(self):
-        return _Facts(self.declared, self.defined)
-
-    def same(self, other) -> bool:
-        return self.declared == other.declared and self.defined == other.defined
+# Facts that hold on every path to a program point: the locals bound
+# (`declared`) and the values proven not UNDEF (`defined`: register names
+# and (array, index) pairs).
+_Facts = namedtuple("_Facts", "declared defined")
 
 
-def _join(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    a.declared &= b.declared
-    a.defined &= b.defined
-    return a
+class Assigned:
+    """The must-be-assigned analysis of function `fn`, a forward domain
+    of jamin.flow over _Facts: if branches are joined, while loops taken
+    to their fixpoint, and a re-declaration resets its names.  Codegen
+    leaves out the check of a read that the facts prove defined, and
+    safety reports maybe-uninit where they do not."""
+
+    recording = False
+
+    def __init__(self, p, fn):
+        self.fn = fn
+        self.types = fn.envtypes
+        self.globals = {g.name for g in p.globals}
+
+    def entry(self) -> _Facts:
+        params = self.fn.params
+        return _Facts({q.name for q in params},
+                      {q.name for q in params if not isinstance(q.ty, ArrayTy)})
+
+    def copy(self, f):
+        return _Facts(set(f.declared), set(f.defined))
+
+    def refine(self, f, cond, taken):
+        return f
+
+    def join(self, key, a, b):
+        return _Facts(a.declared & b.declared, a.defined & b.defined)
+
+    def transfer(self, f, s, done=None):
+        """The facts after s, updated in f (None: s never completes).
+        With `done`, only a declaration's reset and the first `done`
+        destinations of s are applied: the facts at a read that s makes
+        after writing those.  Applying all of s afterwards gives the
+        same facts as applying it at once."""
+        k = type(s)
+        if k is SDecl:
+            for nm in s.names:  # bound, to UNDEF
+                self.dest(f, LVar_of(nm, s.ty), True)
+            if s.init is not None and done is None:
+                self.dest(f, LVar_of(s.names[0], s.ty), self.value_kind(s.init)[1])
+            return f
+        if k is not SAssign:
+            return f
+        rhs, dests = s.rhs, s.dests
+        if type(rhs) is ECall:
+            undef = [False] * len(dests)
+        elif type(rhs) is EIntr and len(dests) != 1:
+            d = lookup(rhs.name)
+            if len(dests) != len(d.destinations):
+                return None  # the statement raises
+            undef = [_maybe_undef(d, i) for i in range(len(dests))]
+        elif s.cond is not None or not dests:
+            return f
+        elif self.is_copy(s):
+            dst = dests[0].name
+            kept = [(dst, i) for i in range(self.types[dst][1].length)
+                    if rhs.name in self.globals or (rhs.name, i) in f.defined]
+            self.dest(f, dests[0])
+            f.defined.update(kept)
+            return f
+        else:
+            undef = [self.value_kind(rhs)[1]]
+        for lv, u in zip(dests[:done], undef):
+            self.dest(f, lv, u)
+        return f
+
+    def dest(self, f, lv, undef=False):
+        """Destination lv written, with a value that may be UNDEF when
+        `undef`."""
+        k = type(lv)
+        if k is LVar:
+            f.declared.add(lv.name)
+            if type(lv.ty) is ArrayTy:
+                f.defined.difference_update([(lv.name, i) for i in range(lv.ty.length)])
+            elif undef:
+                f.defined.discard(lv.name)
+            else:
+                f.defined.add(lv.name)
+        elif k is LArr and type(lv.index) is EInt and lv.arr_storage != "stack":
+            f.defined.add((lv.name, lv.index.value))
+
+    def is_copy(self, s) -> bool:
+        lv = s.dests[0]
+        return type(lv) is LVar and type(lv.ty) is ArrayTy
+
+    def value_kind(self, e):
+        """(bits, undef) of an expression's value: its width when known,
+        and whether it may be UNDEF (a flag of some instructions)."""
+        if type(e) is EIntr and type(e.ty) is BoolTy:
+            return None, _maybe_undef(lookup(e.name), 0)
+        return (e.ty.bits if type(e.ty) is WordTy else None), False
 
 
 # ------------------------------------------------------------ generator
 
 
-class _FnGen:
+class _FnGen(Assigned):
     def __init__(self, p, fn, ns):
-        self.p, self.fn, self.ns = p, fn, ns
-        self.types = fn.envtypes
-        self.globals = {g.name for g in p.globals}
+        super().__init__(p, fn)
+        self.p, self.ns = p, ns
         self.locals = {q.name for q in fn.params} | set(self.types)
-        self.mentioned: dict = {}
         self.counts = Counter()
         for s in fn.body:
             self.counts.update(self.mentions(s))
-        self.sizes: dict = {}
-        self.returns: dict = {}
-        self.facts = _Facts((q.name for q in fn.params),
-                            (q.name for q in fn.params if not isinstance(q.ty, ArrayTy)))
+        self.facts = self.entry()
         self.out: list = []
         self.indent = "    "
         self.seg = None  # (placeholder index, indentation, locs)
@@ -523,7 +511,6 @@ class _FnGen:
                 self.keep(self.expr(a))
             self.line(self.fail(f"#{e.name} produced {len(d.destinations)} values for "
                                 f"{len(s.dests)} destinations", _loc(s)))
-            self.facts = None
             return
         keep = [i for i, lv in enumerate(s.dests) if type(lv) is not LIgnore]
         if d.table is None:
@@ -540,7 +527,7 @@ class _FnGen:
                 self.line(f"{t} = {code}")
         for i in keep:
             w = d.dst_widths[i]
-            self.write(s.dests[i], values[i], None if w == "flag" else w, _dest_kind(d, i))
+            self.write_dest(s, i, values[i], None if w == "flag" else w)
 
     # -- writes
 
@@ -548,10 +535,16 @@ class _FnGen:
         storage = self.types[name][0] if name in self.types else None
         return f"{code}.copy()" if storage == "stack" else f"list({code})"
 
-    def write(self, lv, value: str, bits, kind="word"):
+    def write_dest(self, s, i: int, value: str, bits):
+        """Write destination i of s, whose index or address is read
+        after the destinations before it are written."""
+        if i:
+            self.transfer(self.facts, s, i)
+        self.write(s.dests[i], value, bits)
+
+    def write(self, lv, value: str, bits):
         """Store `value` (an int of at most `bits` bits when `bits` is
-        known, an UNDEF-able flag for kind "flag", a callee's result for
-        kind "call") into `lv`, and record what the store proves."""
+        known) into `lv`."""
         k = type(lv)
         if k is LVar:
             ty = lv.ty
@@ -572,7 +565,6 @@ class _FnGen:
                 self.line(value)
         else:
             raise TypeError(f"not an lvalue: {lv!r}")
-        self.flow_dest(self.facts, lv, kind)
 
     def write_element(self, lv, value: str, bits):
         storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, _loc(lv)
@@ -609,176 +601,49 @@ class _FnGen:
         self.line(f"{arr}[{i}] = {value}")
         self.pending.append(self.event(i))
 
-    # -- must-be-assigned transfer (shared by emission and loop analysis)
-
-    def flow_decl(self, f, s):
-        for nm in s.names:
-            f.declared.add(nm)
-            if isinstance(s.ty, ArrayTy):
-                f.defined.difference_update([(nm, i) for i in range(s.ty.length)])
-            else:
-                f.defined.discard(nm)
-
-    def flow_dest(self, f, lv, kind):
-        k = type(lv)
-        if k is LVar:
-            f.declared.add(lv.name)
-            if type(lv.ty) is ArrayTy:
-                f.defined.difference_update([(lv.name, i) for i in range(lv.ty.length)])
-            elif kind == "flag":
-                f.defined.discard(lv.name)
-            else:
-                f.defined.add(lv.name)
-        elif k is LArr and type(lv.index) is EInt and lv.arr_storage != "stack":
-            f.defined.add((lv.name, lv.index.value))
-
-    def flow_copy(self, f, dst: str, src: str):
-        n = self.types[dst][1].length
-        f.declared.add(dst)
-        for i in range(n):
-            if src in self.globals or (src, i) in f.defined:
-                f.defined.add((dst, i))
-            else:
-                f.defined.discard((dst, i))
-
-    def flow(self, stmts, f):
-        for s in stmts:
-            if f is None:
-                return None
-            k = type(s)
-            if k is SDecl:
-                self.flow_decl(f, s)
-                if s.init is not None:
-                    self.flow_dest(f, LVar_of(s.names[0], s.ty), self.value_kind(s.init)[1])
-            elif k is SAssign:
-                rhs = s.rhs
-                if type(rhs) is ECall:
-                    for lv in s.dests:
-                        self.flow_dest(f, lv, "call")
-                elif type(rhs) is EIntr and len(s.dests) != 1:
-                    d = lookup(rhs.name)
-                    for i, lv in enumerate(s.dests[:len(d.destinations)]):
-                        self.flow_dest(f, lv, _dest_kind(d, i))
-                elif s.cond is not None or not s.dests:
-                    pass
-                elif self.is_copy(s):
-                    self.flow_copy(f, s.dests[0].name, rhs.name)
-                else:
-                    self.flow_dest(f, s.dests[0], self.value_kind(rhs)[1])
-            elif k is SIf:
-                f = _join(self.flow(s.then, f.copy()), self.flow(s.els, f))
-            elif k is SWhile:
-                f = self.loop_head(s, f)
-            elif k is SReturn:
-                return None
-        return f
-
-    def loop_head(self, s: SWhile, f):
-        """Facts at the loop test: those at entry, joined with those at
-        the end of the body, to the fixpoint."""
-        head = f.copy()
-        while True:
-            new = _join(head.copy(), self.flow(s.body, head.copy()))
-            if new.same(head):
-                return head
-            head = new
-
-    def is_copy(self, s) -> bool:
-        lv = s.dests[0]
-        return type(lv) is LVar and type(lv.ty) is ArrayTy
-
     # -- liveness (backwards), for moves
 
-    def array_uses(self, s) -> tuple:
-        """(arrays s reads, arrays s rebinds as a whole, the source when s
-        is a whole-array copy); an if or while reads its test's arrays, a
-        return every array it mentions."""
+    def live(self, live: set, s) -> set:
+        """The local arrays live before s (or before its test), from those
+        live after it; records in `moves` whether a whole-array copy's
+        source is dead after it on every pass over it."""
         k = type(s)
-        names = _names(s.cond, []) if k is SIf or k is SWhile else self.mentions(s)
-        reads = self.arrays.intersection(names)
-        if reads and (k is SDecl and isinstance(s.ty, ArrayTy) or k is SAssign and s.dests
-                      and (type(s.rhs) is ECall or self.is_copy(s))):
-            reads, defs = _reads_defs(s, names)
-            copy = k is SAssign and type(s.rhs) is EVar and not s.op and s.cond is None
-            return reads & self.arrays, defs & self.arrays, s.rhs.name if copy else None
-        return reads, (), None
+        if k is SIf or k is SWhile:
+            return live | self.arrays.intersection(flow.reads(s.cond))
+        r, w = flow.summary(s)
+        reads = self.arrays.intersection(r)
+        if k is SReturn:
+            return reads
+        if k is SAssign and type(s.rhs) is EVar and s.cond is None and s.dests and self.is_copy(s):
+            self.moves[id(s)] = self.moves.get(id(s), True) and s.rhs.name not in live
+        return (live - self.arrays.intersection(w)) | reads
 
     def is_move(self, s) -> bool:
         """Whether the whole-array copy s may hand its source over: a local
         dead after s (the liveness pass runs once, at the first copy)."""
         if self.moves is None:
             self.moves = {}
-            self.live_before(self.fn.body, set())
+            flow.backward(self.fn.body, set(), self.live)
         return self.moves.get(id(s), False) and s.rhs.name in self.locals
-
-    def live_before(self, stmts, live: set) -> set:
-        """The arrays live before `stmts`, given those live after them;
-        records in `moves` whether each whole-array copy's source is dead
-        after it on every pass over it."""
-        for s in reversed(stmts):
-            k = type(s)
-            reads, defs, src = self.array_uses(s)
-            if k is SIf:
-                live = self.live_before(s.then, live) | self.live_before(s.els, live) | reads
-            elif k is SWhile:  # live at the test: the exit's, the test's and the body's
-                head = live | reads
-                while (new := head | self.live_before(s.body, head)) != head:
-                    head = new
-                live = head
-            elif k is SReturn:
-                live = reads
-            else:
-                if src is not None:
-                    self.moves[id(s)] = self.moves.get(id(s), True) and src not in live
-                if reads or defs:
-                    live = live.difference(defs).union(reads)
-        return live
 
     # -- statements
 
     def mentions(self, s) -> list:
-        """_names(s), computed once per statement of the function."""
-        m = self.mentioned.get(id(s))
-        if m is None:
-            k = type(s)
-            if k is SIf:
-                m = _names(s.cond, [])
-                for c in s.then + s.els:
-                    m += self.mentions(c)
-            elif k is SWhile:
-                m = _names(s.cond, [])
-                for c in s.body:
-                    m += self.mentions(c)
-            else:
-                m = _names(s, [])
-            self.mentioned[id(s)] = m
-        return m
+        """The names s mentions, as many times as its summary has them."""
+        r, w = flow.summary(s)
+        return r if type(s) is SIf or type(s) is SWhile else r + w
 
     def size(self, s) -> int:
-        n = self.sizes.get(id(s))
-        if n is None:
-            k = type(s)
-            if k is SIf:
-                n = 1 + sum(map(self.size, s.then)) + sum(map(self.size, s.els))
-            elif k is SWhile:
-                n = 1 + sum(map(self.size, s.body))
-            else:
-                n = 1
-            self.sizes[id(s)] = n
-        return n
+        k = type(s)
+        if k is SIf:
+            return 1 + sum(map(self.size, s.then)) + sum(map(self.size, s.els))
+        return 1 + sum(map(self.size, s.body)) if k is SWhile else 1
 
     def has_return(self, s) -> bool:
-        r = self.returns.get(id(s))
-        if r is None:
-            k = type(s)
-            if k is SIf:
-                r = any(map(self.has_return, s.then + s.els))
-            elif k is SWhile:
-                r = any(map(self.has_return, s.body))
-            else:
-                r = k is SReturn
-            self.returns[id(s)] = r
-        return r
+        k = type(s)
+        if k is SIf:
+            return any(map(self.has_return, s.then + s.els))
+        return any(map(self.has_return, s.body)) if k is SWhile else k is SReturn
 
     def block(self, stmts, loop_loc=False):
         """Emit a block; `loop_loc` (a while loop's location) adds the
@@ -823,17 +688,16 @@ class _FnGen:
             return
         self.close()
         inside = Counter()
+        touched, live_in, rebinds = set(), set(), set()
         for s in run:
             inside.update(self.mentions(s))
-        touched: set = set()
-        live_in: set = set()
-        for s in run:
-            reads, defs = _reads_defs(s, self.mentions(s))
+            reads, defs = map(set, flow.summary(s))
             live_in |= reads - touched
             touched |= reads | defs
+            rebinds |= defs
         live_in = sorted(n for n in live_in if n in self.locals)
         shared = {n for n in inside if n in self.locals and self.counts[n] > inside[n]}
-        live_out = sorted(_rebinds(run, set()) & (shared | set(live_in)))
+        live_out = sorted(rebinds & (shared | set(live_in)))
         for n in live_in:
             if n not in self.facts.declared:
                 self.note_unbound(n)
@@ -880,9 +744,11 @@ class _FnGen:
             else:
                 self.tick(loc)
                 self.assign(s)
+            self.facts = self.transfer(self.facts, s)
         elif k is SDecl:
             self.tick(loc)
             self.decl(s, nxt)
+            self.facts = self.transfer(self.facts, s)
         elif k is SIf:
             self.tick(loc)
             self.end_segment()
@@ -890,21 +756,21 @@ class _FnGen:
             self.branch_event("_c")
             self.line("if _c:")
             before = self.facts
-            self.facts = before.copy()
+            self.facts = self.copy(before)
             self.nested(s.then)
             then = self.facts
             if s.els:
                 self.line("else:")
                 self.facts = before
                 self.nested(s.els)
-                self.facts = _join(then, self.facts)
+                self.facts = flow.join(self, id(s), then, self.facts)
             else:
-                self.facts = _join(then, before)
+                self.facts = flow.join(self, id(s), then, before)
         elif k is SWhile:
             self.tick(loc)
             self.close()
-            head = self.loop_head(s, self.facts)
-            self.facts = head.copy()
+            head = flow.loop(s, self.facts, self)
+            self.facts = self.copy(head)
             self.line("while True:")
             self.indent += "    "
             self.line(f"_c = {self.expr(s.cond)}")
@@ -942,9 +808,9 @@ class _FnGen:
         if (type(nxt) is SAssign and not nxt.op and nxt.cond is None and len(nxt.dests) == 1
                 and type(nxt.dests[0]) is LVar):
             target = nxt.dests[0].name
-            if target not in _names(nxt.rhs, []):
+            if target not in flow.reads(nxt.rhs):
                 skip.add(target)
-        if s.init is not None and s.names[0] not in _names(s.init, []):
+        if s.init is not None and s.names[0] not in flow.reads(s.init):
             skip.add(s.names[0])
         if isinstance(ty, ArrayTy):
             new = f"SA({ty.bits}, {ty.length})" if s.storage == "stack" else f"[U] * {ty.length}"
@@ -955,9 +821,9 @@ class _FnGen:
                 if new == "U":
                     self.ustores.append((len(self.out), nm))
                 self.line(f"{self.v(nm)} = {new}")
-        self.flow_decl(self.facts, s)
-        if s.init is not None:
-            self.write(LVar_of(s.names[0], ty), self.expr(s.init), *self.value_kind(s.init))
+        if s.init is not None:  # read after the declaration resets its names
+            self.transfer(self.facts, s, 0)
+            self.write(LVar_of(s.names[0], ty), self.expr(s.init), self.value_kind(s.init)[0])
 
     def assign(self, s: SAssign):
         rhs, loc = s.rhs, _loc(s)
@@ -994,15 +860,8 @@ class _FnGen:
             if not self.is_move(s):
                 src = self.copy_of(rhs.name, src)
             self.line(f"{self.v(lv.name)} = {src}")
-            self.flow_copy(self.facts, lv.name, rhs.name)
             return
-        self.write(lv, self.expr(rhs), *self.value_kind(rhs))
-
-    def value_kind(self, e):
-        """(bits, kind) of an expression's value for write()."""
-        if type(e) is EIntr and type(e.ty) is BoolTy:
-            return None, _dest_kind(lookup(e.name), 0)
-        return (e.ty.bits if type(e.ty) is WordTy else None), "word"
+        self.write(lv, self.expr(rhs), self.value_kind(rhs)[0])
 
     def call(self, s: SAssign):
         loc = _loc(s)
@@ -1021,8 +880,8 @@ class _FnGen:
             args = ["*_a"]
         self.line(f"_r = F_{callee.name}({''.join(a + ', ' for a in args)}B, T, M, O)")
         self.line("B = _r[0]")
-        for i, lv in enumerate(s.dests):
-            self.write(lv, f"_r[{i + 1}]", None, "call")
+        for i in range(len(s.dests)):
+            self.write_dest(s, i, f"_r[{i + 1}]", None)
 
     # -- the function
 
@@ -1045,12 +904,10 @@ class _FnGen:
         return self.ns[name]
 
 
-def _dest_kind(d, i: int) -> str:
-    """write()'s kind of destination i of instruction d: "flag" for a
-    flag its table does not prove never UNDEF, "word" otherwise."""
-    if d.dst_widths[i] == "flag" and (d.table is None or i not in d.table.never_undef):
-        return "flag"
-    return "word"
+def _maybe_undef(d, i: int) -> bool:
+    """Whether destination i of instruction d is a flag its table does
+    not prove never UNDEF."""
+    return d.dst_widths[i] == "flag" and (d.table is None or i not in d.table.never_undef)
 
 
 def LVar_of(name: str, ty) -> LVar:

@@ -13,8 +13,9 @@ are drawn independently for the two runs with adversarial corners
 (zero, all-ones, random), and the traces are compared event by event.
 
 `infer_public` computes a sound over-approximation of the inputs that
-can influence the trace, by a flow-insensitive taint fixpoint over the
-expanded program: if the secrets are disjoint from the returned set,
+can influence the trace, by a taint analysis of the expanded program on
+the forward driver of jamin.flow, flow-sensitive for locals with a
+fixpoint per loop: if the secrets are disjoint from the returned set,
 no witness can exist.
 """
 
@@ -23,19 +24,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import interp
+from . import flow, interp
 from .ir import (
     EArr,
     EBin,
     ECall,
     ECast,
-    EInt,
     EIntr,
     EMem,
     EUn,
     EVar,
     LArr,
-    LIgnore,
     LMem,
     LVar,
     Program,
@@ -315,15 +314,16 @@ _EMPTY = frozenset()
 
 
 class _Taint:
-    def __init__(self, p: Program, entry: str):
+    """What the taint analysis of a program keeps whole-program: the
+    leaked tokens, and the taint stored into each memory region.  Taints
+    are frozensets of source tokens (entry parameter names and mem[<ptr>]
+    region tokens)."""
+
+    def __init__(self, p: Program):
         self.p = p
-        self.entry = entry
         self.leaked: set = set()
         self.mem_stored: dict[str, frozenset] = {}
-        self.version = 0
-
-    # taint environments map variable names to frozensets of source
-    # tokens (entry parameter names and mem[<ptr>] region tokens)
+        self.version = 0  # counts the changes of mem_stored and of any bases
 
     def region_tokens(self, bases: frozenset) -> frozenset:
         if not bases or "?" in bases:
@@ -343,81 +343,69 @@ class _Taint:
         keys = bases if bases and "?" not in bases else {"?"}
         for b in keys:
             old = self.mem_stored.get(b, _EMPTY)
-            new = old | taint
-            if new != old:
-                self.mem_stored[b] = new
+            if not taint <= old:
+                self.mem_stored[b] = old | taint
                 self.version += 1
-
-    def leak(self, taint: frozenset):
-        if not taint <= self.leaked:
-            self.leaked.update(taint)
-            self.version += 1
 
 
 class _FnTaint:
-    """Per-function taint environment; arrays are element-sensitive for
-    compile-time indices and collapse to a single bucket otherwise."""
+    """The taint analysis of one function called with the given argument
+    taints and bases, a forward domain of jamin.flow.  Its state maps a
+    local to its taint (an array's: any element's), and None to the
+    version of the whole-program part it has seen, so that a loop storing
+    new taint to memory is iterated again.  The pointer parameters a
+    local may be offset from (`bases`) grow over the whole function."""
+
+    recording = False  # a leak only grows with the state, so every pass may leak
 
     def __init__(self, glob: _Taint, fn, arg_taints, arg_bases):
         self.g = glob
         self.fn = fn
-        self.vars: dict[str, frozenset] = {}
-        self.bases: dict[str, frozenset] = {}
-        self.arrays: dict[str, dict] = {}
-        for p, t, b in zip(fn.params, arg_taints, arg_bases):
-            self.vars[p.name] = t
-            self.bases[p.name] = b
+        names = [q.name for q in fn.params]
+        self.entry = {None: glob.version, **dict(zip(names, arg_taints))}
+        self.bases = dict(zip(names, arg_bases))
+        self.results = None  # per result, its (taint, bases) joined over every return
 
-    def var_taint(self, name) -> frozenset:
-        return self.vars.get(name, _EMPTY)
+    def run(self) -> list:
+        """(taint, bases) of each result, empty when nothing returns."""
+        flow.forward(self.fn.body, self.entry, self)
+        return self.results or [(_EMPTY, _EMPTY)] * len(self.fn.rets)
 
-    def var_bases(self, name) -> frozenset:
-        return self.bases.get(name, _EMPTY)
+    copy = staticmethod(dict)
 
-    def arr(self, name) -> dict:
-        a = self.arrays.get(name)
-        if a is None:
-            a = self.arrays[name] = {"elems": {}, "rest": _EMPTY}
+    def refine(self, env: dict, cond, taken) -> dict:
+        return env
+
+    def join(self, key, a: dict, b: dict) -> dict:
+        a = dict(a)
+        for name, t in b.items():
+            a[name] = max(a[name], t) if name is None else a.get(name, _EMPTY) | t
         return a
 
-    # -- expression taint
-
-    def taint(self, e) -> frozenset:
+    def taint(self, env: dict, e) -> frozenset:
         kind = type(e)
         if kind is EVar:
-            return self.var_taint(e.name)
-        if kind is EInt:
-            return _EMPTY
+            return env.get(e.name, _EMPTY)
         if kind is EBin:
-            return self.taint(e.left) | self.taint(e.right)
+            return self.taint(env, e.left) | self.taint(env, e.right)
         if kind is ECast or kind is EUn:
-            return self.taint(e.arg)
+            return self.taint(env, e.arg)
         if kind is EArr:
-            a = self.arr(e.name)
-            idx_t = self.taint(e.index)
-            self.g.leak(idx_t)
-            if isinstance(e.index, EInt) and not e.byte_mode and e.width is None:
-                elem = a["elems"].get(e.index.value, _EMPTY)
-                return elem | a["rest"] | idx_t
-            out = a["rest"] | idx_t
-            for t in a["elems"].values():
-                out |= t
-            return out
+            idx_t = self.taint(env, e.index)
+            self.g.leaked.update(idx_t)
+            return env.get(e.name, _EMPTY) | idx_t
         if kind is EMem:
-            at = self.taint(e.addr)
-            self.g.leak(at)
+            at = self.taint(env, e.addr)
+            self.g.leaked.update(at)
             return self.g.region_tokens(self.expr_bases(e.addr)) | at
         if kind is EIntr:
-            out = _EMPTY
-            for a in e.args:
-                out |= self.taint(a)
-            return out
+            return _EMPTY.union(*(self.taint(env, a) for a in e.args))
         return _EMPTY
 
     def expr_bases(self, e) -> frozenset:
         kind = type(e)
         if kind is EVar:
-            return self.var_bases(e.name)
+            return self.bases.get(e.name, _EMPTY)
         if kind is EBin and e.op in ("+", "-"):
             lb = self.expr_bases(e.left)
             rb = self.expr_bases(e.right)
@@ -428,135 +416,56 @@ class _FnTaint:
             return self.expr_bases(e.arg)
         return _EMPTY
 
-    def set_var(self, name, taint, bases=_EMPTY):
-        old = self.vars.get(name, _EMPTY)
-        new = old | taint
-        if new != old:
-            self.vars[name] = new
-            self.g.version += 1
-        oldb = self.bases.get(name, _EMPTY)
-        newb = oldb | bases
-        if newb != oldb:
-            self.bases[name] = newb
-            self.g.version += 1
-
-    def set_arr(self, name, index, byte_mode, width, taint):
-        a = self.arr(name)
-        idx_t = self.taint(index)
-        self.g.leak(idx_t)
-        taint = taint | idx_t
-        if isinstance(index, EInt) and not byte_mode and width is None:
-            i = index.value
-            old = a["elems"].get(i, _EMPTY)
-            if not taint <= old:
-                a["elems"][i] = old | taint
-                self.g.version += 1
-        else:
-            old = a["rest"]
-            if not taint <= old:
-                a["rest"] = old | taint
-                self.g.version += 1
-
-    # -- statements
-
-    def walk(self, stmts):
-        for s in stmts:
-            self.stmt(s)
-
-    def stmt(self, s):
+    def transfer(self, env: dict, s) -> dict:
+        """The flow transfer (see jamin.flow)."""
         kind = type(s)
         if kind is SAssign:
-            if isinstance(s.rhs, ECall):
-                self.call(s)
-                return
-            if isinstance(s.rhs, EIntr) and len(s.dests) != 1:
-                t = self.taint(s.rhs)
-                for lv in s.dests:
-                    self.assign(lv, t)
-                return
-            t = self.taint(s.rhs)
-            if s.op:
-                lv = s.dests[0]
-                if isinstance(lv, LVar):
-                    t |= self.var_taint(lv.name)
-                elif isinstance(lv, LArr):
-                    src = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
-                    t |= self.taint(src)
-            if s.cond is not None:
-                t |= self.taint(s.cond)  # selection is data flow, not a branch
-            bases = (
-                self.expr_bases(s.rhs)
-                if isinstance(s.rhs, (EVar, EBin, ECast))
-                else _EMPTY
-            )
-            for lv in s.dests:
-                self.assign(lv, t, bases)
-            return
-        if kind is SDecl:
+            if type(s.rhs) is ECall:
+                callee = self.g.p.func(s.rhs.name)
+                args = s.rhs.args
+                results = _FnTaint(self.g, callee, [self.taint(env, a) for a in args],
+                                   [self.expr_bases(a) for a in args]).run()
+            else:
+                t = self.taint(env, s.rhs)
+                if (s.op or s.cond is not None) and type(s.dests[0]) is LVar:
+                    t |= env.get(s.dests[0].name, _EMPTY)  # the old value may survive
+                if s.cond is not None:
+                    t |= self.taint(env, s.cond)  # selection is data flow, not a branch
+                results = [(t, self.expr_bases(s.rhs))] * len(s.dests)
+            for lv, (t, b) in zip(s.dests, results):
+                self.assign(env, lv, t, b)
+        elif kind is SDecl:
+            for nm in s.names:
+                env.pop(nm, None)
             if s.init is not None:
-                for nm in s.names:
-                    self.set_var(nm, self.taint(s.init), self.expr_bases(s.init))
-            return
-        if kind is SIf:
-            self.g.leak(self.taint(s.cond))
-            self.walk(s.then)
-            self.walk(s.els)
-            return
-        if kind is SWhile:
-            self.g.leak(self.taint(s.cond))
-            self.walk(s.body)
-            return
-        if kind is SReturn:
-            for v in s.values:
-                self.taint(v)
-            return
-        raise TypeError(f"not a statement: {s!r}")
+                self.assign(env, LVar(s.names[0]), self.taint(env, s.init),
+                            self.expr_bases(s.init))
+        elif kind is SIf or kind is SWhile:
+            self.g.leaked.update(self.taint(env, s.cond))
+        elif kind is SReturn:
+            out = [(self.taint(env, v), self.expr_bases(v)) for v in s.values]
+            if self.results is not None:
+                out = [(t | t0, b | b0) for (t, b), (t0, b0) in zip(out, self.results)]
+            self.results = out
+        env[None] = self.g.version
+        return env
 
-    def assign(self, lv, taint, bases=_EMPTY):
-        if isinstance(lv, LIgnore):
-            return
-        if isinstance(lv, LVar):
-            self.set_var(lv.name, taint, bases)
-            return
-        if isinstance(lv, LArr):
-            self.set_arr(lv.name, lv.index, lv.byte_mode, lv.width, taint)
-            return
-        if isinstance(lv, LMem):
-            at = self.taint(lv.addr)
-            self.g.leak(at)
+    def assign(self, env: dict, lv, taint, bases):
+        kind = type(lv)
+        if kind is LVar:
+            env[lv.name] = taint
+            old = self.bases.get(lv.name, _EMPTY)
+            if not bases <= old:
+                self.bases[lv.name] = old | bases
+                self.g.version += 1
+        elif kind is LArr:  # an element: the array's other elements keep their taint
+            idx_t = self.taint(env, lv.index)
+            self.g.leaked.update(idx_t)
+            env[lv.name] = env.get(lv.name, _EMPTY) | taint | idx_t
+        elif kind is LMem:
+            at = self.taint(env, lv.addr)
+            self.g.leaked.update(at)
             self.g.store_region(self.expr_bases(lv.addr), taint)
-            return
-        raise TypeError(f"not an lvalue: {lv!r}")
-
-    def call(self, s: SAssign):
-        callee = self.g.p.func(s.rhs.name)
-        arg_taints = [self.taint(a) for a in s.rhs.args]
-        arg_bases = [self.expr_bases(a) for a in s.rhs.args]
-        sub = _FnTaint(self.g, callee, arg_taints, arg_bases)
-        ret_t, ret_b = sub.run()
-        if ret_t is None:
-            ret_t = [_EMPTY] * len(s.dests)
-            ret_b = [_EMPTY] * len(s.dests)
-        for lv, t, b in zip(s.dests, ret_t, ret_b):
-            self.assign(lv, t, b)
-
-    def run(self):
-        # iterate to a fixpoint so loop-carried flows through variables
-        # propagate regardless of statement order
-        for _ in range(256):
-            v0 = self.g.version
-            self.walk(self.fn.body)
-            if self.g.version == v0:
-                break
-        else:
-            raise RuntimeError("taint analysis did not stabilize")
-        for s in self.fn.body:
-            if isinstance(s, SReturn):
-                return (
-                    [self.taint(v) for v in s.values],
-                    [self.expr_bases(v) for v in s.values],
-                )
-        return None, None
 
 
 def infer_public(p: Program, entry: str) -> frozenset:
@@ -569,17 +478,11 @@ def infer_public(p: Program, entry: str) -> frozenset:
     """
     interp.require_expanded(p, "infer_public")
     fn = p.func(entry)
-    glob = _Taint(p, entry)
+    glob = _Taint(p)
     arg_taints = [frozenset((q.name,)) for q in fn.params]
     arg_bases = [frozenset((q.name,)) for q in fn.params]
-    ft = _FnTaint(glob, fn, arg_taints, arg_bases)
-    ft.run()
-    tokens = set()
-    param_names = {q.name for q in fn.params}
-    for t in glob.leaked:
-        if t in param_names or t.startswith("mem["):
-            tokens.add(t)
-    return frozenset(tokens)
+    _FnTaint(glob, fn, arg_taints, arg_bases).run()
+    return frozenset(glob.leaked)
 
 
 def covered_by(inferred: frozenset, spec: PublicSpec) -> bool:

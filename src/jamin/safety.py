@@ -21,6 +21,13 @@ inlen0 - inlen survive the fixpoint and produce the paper-style
 [0; inlen) ranges.  Unstable loop bounds are widened after a few
 iterations (upper bounds drop away, lower bounds fall back to 0).
 
+This range domain runs on the forward driver of jamin.flow: a loop is
+iterated to its fixpoint recording nothing, then walked once more to
+record accesses and findings, and the code after a `return` is
+unreachable.  The maybe-uninit findings come from the must-be-assigned
+facts of codegen (codegen.Assigned) on the same driver, so they name
+exactly the reads that a run checks for an unassigned value.
+
 The analyses take only programs from expand, which has removed `for`
 loops and inline calls (see expand); any other program raises
 interp.ContractViolation.
@@ -44,6 +51,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import flow
+from .codegen import Assigned
 from .interp import require_expanded
 from .ir import (
     ArrayTy,
@@ -668,18 +677,6 @@ class _Analyzer:
                 )
         return None, _opaque_interval(e)
 
-    def _eval_cond(self, st: AbsState, cond):
-        """Evaluate a condition's operands for their side findings."""
-        if isinstance(cond, EBin):
-            if cond.op in ("&&", "||"):
-                self._eval_cond(st, cond.left)
-                self._eval_cond(st, cond.right)
-            else:
-                self.eval(st, cond.left)
-                self.eval(st, cond.right)
-        elif isinstance(cond, EUn):
-            self._eval_cond(st, cond.arg)
-
     # ------------------------------------------------- access recording
 
     def record_access(self, st: AbsState, node, addr: Aff | None, nbytes: int):
@@ -758,10 +755,7 @@ class _Analyzer:
 
     # ------------------------------------------------------ statements
 
-    def transfer_block(self, st: AbsState, stmts) -> AbsState:
-        for s in stmts:
-            st = self.transfer(st, s)
-        return st
+    copy = staticmethod(AbsState.copy)
 
     def assign_var(self, st: AbsState, name, aff: Aff | None, iv: Interval):
         if aff is not None:
@@ -772,6 +766,7 @@ class _Analyzer:
         st.vals[name] = Aff.of_sym(sym)
 
     def transfer(self, st: AbsState, s) -> AbsState:
+        """The flow transfer (see jamin.flow)."""
         kind = type(s)
         if kind is SAssign:
             return self.t_assign(st, s)
@@ -782,15 +777,9 @@ class _Analyzer:
                 a, iv = self.eval(st, s.init)
                 self.assign_var(st, s.names[0], a, iv)
             return st
-        if kind is SIf:
-            self._eval_cond(st, s.cond)
-            then_st = self.refine(st.copy(), s.cond, True)
-            else_st = self.refine(st.copy(), s.cond, False)
-            then_out = self.transfer_block(then_st, s.then)
-            else_out = self.transfer_block(else_st, s.els)
-            return self.join(id(s), then_out, else_out)
-        if kind is SWhile:
-            return self.t_while(st, s)
+        if kind is SIf or kind is SWhile:
+            self.eval(st, s.cond)  # for the findings in its operands
+            return st
         if kind is SReturn:
             for v in s.values:
                 self.eval(st, v)
@@ -831,7 +820,7 @@ class _Analyzer:
             return st
         a, iv = self.eval(st, s.rhs)
         if s.cond is not None:
-            self._eval_cond(st, s.cond)
+            self.eval(st, s.cond)
             lv = s.dests[0]
             if isinstance(lv, LVar):
                 taken = st.copy()
@@ -862,56 +851,38 @@ class _Analyzer:
 
     # -------------------------------------------------------- loops
 
-    def t_while(self, st: AbsState, s: SWhile) -> AbsState:
-        entry = st.copy()
-        head = st
+    def widen(self, s: SWhile, n: int, old: AbsState, new: AbsState, entry: AbsState,
+              body_out: AbsState) -> AbsState:
+        """The flow widening (see jamin.flow): from the
+        UNROLL_BEFORE_WIDEN-th pass over the body of loop s, once the
+        loop has been unstable UNSTABLE_BEFORE_WIDEN times; the loop
+        fails after MAX_ITERATIONS passes."""
+        if n >= MAX_ITERATIONS:
+            raise AnalysisFailure(f"{_site(s)}: loop analysis did not stabilize")
+        if n < UNROLL_BEFORE_WIDEN:
+            return new
         key = id(s)
-        was_recording = self.recording
-        self.recording = False  # fixpoint iterations see transient bounds
-        try:
-            for it in range(MAX_ITERATIONS):
-                body_in = self.refine(head.copy(), s.cond, True)
-                body_out = self.transfer_block(body_in, s.body)
-                new_head = self.join(key, head, body_out)
-                if it >= UNROLL_BEFORE_WIDEN:
-                    if self.widen_state.get(key, 0) >= UNSTABLE_BEFORE_WIDEN:
-                        new_head = self.widen(
-                            key, head, new_head, entry, body_out, s.cond
-                        )
-                if new_head == head:
-                    break
-                if it >= UNROLL_BEFORE_WIDEN:
-                    self.widen_state[key] = self.widen_state.get(key, 0) + 1
-                head = new_head
-            else:
-                raise AnalysisFailure(f"{_site(s)}: loop analysis did not stabilize")
-        finally:
-            self.recording = was_recording
-        if self.recording:
-            self._eval_cond(head, s.cond)
-            body_in = self.refine(head.copy(), s.cond, True)
-            self.transfer_block(body_in, s.body)
-        return self.refine(head.copy(), s.cond, False)
-
-    def widen(self, key, old: AbsState, new: AbsState, entry: AbsState,
-              body_out: AbsState, cond) -> AbsState:
-        out = new.copy()
-        rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
-        candidates = self._guard_thresholds(new, cond)
-        for sym, iv in new.intervals.items():
-            o = old.intervals.get(sym)
-            if o is None or o == iv:
-                continue
-            ths: tuple = ()
-            var = rev.get(sym)
-            if var is not None:
-                for t in candidates:
-                    if sym in t.syms():
-                        continue
-                    if self._inductive_hi(t, var, entry, body_out):
-                        ths = ths + (t,)
-            out.intervals[sym] = iv.widen_from(o, ths)
-        return out
+        if self.widen_state.get(key, 0) >= UNSTABLE_BEFORE_WIDEN:
+            out = new.copy()
+            rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
+            candidates = self._guard_thresholds(new, s.cond)
+            for sym, iv in new.intervals.items():
+                o = old.intervals.get(sym)
+                if o is None or o == iv:
+                    continue
+                ths: tuple = ()
+                var = rev.get(sym)
+                if var is not None:
+                    for t in candidates:
+                        if sym in t.syms():
+                            continue
+                        if self._inductive_hi(t, var, entry, body_out):
+                            ths = ths + (t,)
+                out.intervals[sym] = iv.widen_from(o, ths)
+            new = out
+        if new != old:
+            self.widen_state[key] = self.widen_state.get(key, 0) + 1
+        return new
 
     def _inductive_hi(self, t: Aff, var: str, entry: AbsState,
                       body_out: AbsState) -> bool:
@@ -1119,8 +1090,8 @@ class _Analyzer:
         stay in self.findings.
         """
         self.recording = True
-        self.transfer_block(self.initial_state(), self.fn.body)
-        self.findings.extend(_init_findings(self.fn))
+        flow.forward(self.fn.body, self.initial_state(), self)
+        self.findings.extend(_uninit_findings(self.p, self.fn))
         order = [n for n in self.param_names if n in self.pointers or n in self.tracked]
         ranges = {}
         for n in order:
@@ -1221,88 +1192,61 @@ def check_safety(p: Program, entry: str, pointers=(), tracked=()) -> list[Findin
         return [
             *an.findings,
             Finding("analysis", "?", str(exc)),
-            *_init_findings(an.fn),
+            *_uninit_findings(an.p, an.fn),
         ]
 
 
-def _init_findings(fn) -> list[Finding]:
-    findings = []
-    reported = set()
-    envtypes = getattr(fn, "envtypes", {})
+class _Uninit(Assigned):
+    """The maybe-uninit findings of a function: a read of each scalar
+    local that codegen checks at run time, its must-be-assigned facts not
+    proving the local defined there.  The facts only shrink while a loop
+    is iterated to its fixpoint, so every pass may record."""
 
-    def reads(e, assigned):
-        for v in _expr_vars(e):
-            if v not in envtypes:
-                continue  # globals are always defined
-            if isinstance(envtypes.get(v, (None, None))[1], ArrayTy):
-                continue  # arrays are checked per element at run time
-            if v not in assigned and v not in reported:
-                reported.add(v)
-                findings.append(
-                    Finding(
-                        "maybe-uninit",
-                        _site(e),
-                        f"{v} may be read before assignment",
-                    )
-                )
+    def __init__(self, p, fn):
+        super().__init__(p, fn)
+        self.findings: list[Finding] = []
+        # the scalar locals not reported yet (arrays are checked per element)
+        self.unreported = {n for n, (_, ty) in self.types.items() if not isinstance(ty, ArrayTy)}
 
-    def walk(stmts, assigned: set) -> set:
-        for s in stmts:
-            if isinstance(s, SDecl):
-                if s.init is not None:
-                    reads(s.init, assigned)
-                    assigned |= set(s.names)
-                else:
-                    assigned -= set(s.names)
-            elif isinstance(s, SAssign):
-                reads(s.rhs, assigned)
-                if s.cond is not None:
-                    reads(s.cond, assigned)
-                for lv in s.dests:
-                    if isinstance(lv, LArr):
-                        reads(lv.index, assigned)
-                    elif isinstance(lv, LMem):
-                        reads(lv.addr, assigned)
-                    if s.op and isinstance(lv, LVar):
-                        reads(EVar(lv.name), assigned)
-                for lv in s.dests:
-                    if isinstance(lv, LVar):
-                        assigned.add(lv.name)
-            elif isinstance(s, SIf):
-                reads(s.cond, assigned)
-                a = walk(s.then, set(assigned))
-                b = walk(s.els, set(assigned))
-                assigned.clear()
-                assigned.update(a & b)
-            elif isinstance(s, SWhile):
-                reads(s.cond, assigned)
-                walk(s.body, set(assigned))
-            elif isinstance(s, SReturn):
-                for v in s.values:
-                    reads(v, assigned)
-        return assigned
+    def check(self, f, e, names=None):
+        """Report the reads of e (or of `names`, at e) that the facts f do
+        not prove defined."""
+        if e is None or f is None:
+            return
+        for v in flow.reads(e) if names is None else names:
+            if v not in self.unreported or v in f.defined:
+                continue
+            self.unreported.discard(v)
+            self.findings.append(Finding("maybe-uninit", _site(e),
+                                         f"{v} may be read before assignment"))
 
-    params = {q.name for q in fn.params}
-    walk(fn.body, set(params))
-    return findings
+    def transfer(self, f, s):
+        """The reads of s, in the order and with the facts codegen emits
+        them, checked; then Assigned's transfer."""
+        k = type(s)
+        if k is SDecl:
+            self.check(super().transfer(f, s, 0), s.init)
+        elif k is SAssign:
+            if s.op and type(s.dests[0]) is LVar:
+                self.check(f, s, [s.dests[0].name])
+            self.check(f, s.rhs)
+            self.check(f, s.cond)
+            for i, lv in enumerate(s.dests):
+                if type(lv) is LArr or type(lv) is LMem:
+                    e = lv.index if type(lv) is LArr else lv.addr
+                    self.check(super().transfer(f, s, i), e)
+        elif k is SReturn:
+            for v in s.values:
+                self.check(f, v)
+        else:
+            self.check(f, s.cond)
+        return super().transfer(f, s)
 
 
-def _expr_vars(e):
-    kind = type(e)
-    if kind is EVar:
-        yield e.name
-    elif kind is EBin:
-        yield from _expr_vars(e.left)
-        yield from _expr_vars(e.right)
-    elif kind in (EUn, ECast):
-        yield from _expr_vars(e.arg)
-    elif kind is EArr:
-        yield from _expr_vars(e.index)
-    elif kind is EMem:
-        yield from _expr_vars(e.addr)
-    elif kind in (EIntr, ECall):
-        for a in e.args:
-            yield from _expr_vars(a)
+def _uninit_findings(p, fn) -> list[Finding]:
+    d = _Uninit(p, fn)
+    flow.forward(fn.body, d.entry(), d)
+    return d.findings
 
 
 def preanalyze(p: Program, entry: str) -> set:
@@ -1316,21 +1260,15 @@ def preanalyze(p: Program, entry: str) -> set:
     def collect(stmts):
         for s in stmts:
             if isinstance(s, SWhile):
-                seeds.update(_expr_vars(s.cond))
+                seeds.update(flow.reads(s.cond))
                 collect(s.body)
             elif isinstance(s, SIf):
                 collect(s.then)
                 collect(s.els)
-            elif isinstance(s, SAssign):
-                srcs = set(_expr_vars(s.rhs))
-                if s.cond is not None:
-                    srcs.update(_expr_vars(s.cond))
-                for lv in s.dests:
-                    if isinstance(lv, LVar):
-                        defs.setdefault(lv.name, set()).update(srcs)
-            elif isinstance(s, SDecl) and s.init is not None:
-                for nm in s.names:
-                    defs.setdefault(nm, set()).update(_expr_vars(s.init))
+            else:
+                reads, rebinds = flow.summary(s)
+                for nm in rebinds:
+                    defs.setdefault(nm, set()).update(reads)
 
     collect(fn.body)
     closure = set(seeds)

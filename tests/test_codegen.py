@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from jamin import codegen, interp, isa, memory
+from gensrc import function_sources
+from jamin import interp, isa, memory
 from jamin.expand import expand
 from jamin.ir import SAssign
 from jamin.parser import parse
@@ -71,16 +72,17 @@ def test_inlined_destinations_match_exec_intrinsic(name):
             assert all(_same(g, want[i]) for g, i in zip(got, keep)), (args, keep, got)
 
 
-def test_destinations_may_name_the_sources():
-    p = prep(
-        """
+NAMING = """
 fn f(reg u64 x, reg u64 y, reg bool c) -> reg u64, reg u64, reg bool {
   _, c, _, _, _, x = #x86_ADC_64(x, y, c);
   _, _, _, _, _, y, x = #x86_MUL_64(x, y);
   return x, y, c;
 }
 """
-    )
+
+
+def test_destinations_may_name_the_sources():
+    p = prep(NAMING)
     x, y, c = (1 << 64) - 1, (1 << 64) - 3, True
     s = x + y + c
     prod = (s & ((1 << 64) - 1)) * y
@@ -89,26 +91,7 @@ fn f(reg u64 x, reg u64 y, reg bool c) -> reg u64, reg u64, reg bool {
 
 
 def _generated_source(name) -> str:
-    return "\n".join(_source_lines(load_program(name)))
-
-
-def _source_lines(p) -> list:
-    lines = []
-    define = codegen._FnGen.define
-
-    def record(self, fname, body):
-        lines.extend(body)
-        return define(self, fname, body)
-
-    ns = interp._namespace(p)
-    codegen._FnGen.define = record
-    try:
-        for fn in p.funcs:
-            if not fn.inline:
-                codegen.compile_function(p, fn, ns)
-    finally:
-        codegen._FnGen.define = define
-    return lines
+    return "".join(function_sources(load_program(name)).values())
 
 
 @pytest.mark.parametrize("name", ["poly1305_ref", "poly1305_avx2"])
@@ -246,12 +229,7 @@ def test_vector_intrinsics_are_positional_calls(name):
 
 
 ROT16_G = "0x0d0c0f0e09080b0a0504070601000302_0d0c0f0e09080b0a0504070601000302"
-
-
-def test_constant_and_register_selectors_agree():
-    """A literal or global selector is bound, a register one is passed to
-    the generic pair; in both modes each gives exec_vector's result."""
-    p = prep(f"""
+SELECTORS = f"""
 global u256 ROT = {ROT16_G};
 fn f(reg u256 x, reg u256 y, reg u256 s, reg u8 k)
   -> reg u256, reg u256, reg u256, reg u256, reg u256, reg u128 {{
@@ -265,8 +243,14 @@ fn f(reg u256 x, reg u256 y, reg u256 s, reg u8 k)
   h = #x86_VEXTRACTI128(y, 1);
   return a, b, c, e, g, h;
 }}
-""")
-    src = "\n".join(_source_lines(p))
+"""
+
+
+def test_constant_and_register_selectors_agree():
+    """A literal or global selector is bound, a register one is passed to
+    the generic pair; in both modes each gives exec_vector's result."""
+    p = prep(SELECTORS)
+    src = "".join(function_sources(p).values())
     assert "(S_x86_VPSHUFB_256 if O" in src and "(S_x86_VPERM2I128 if O" in src
     assert src.count(" if O else ") == 6 and "G_ROT" not in src
     rot = int(ROT16_G.replace("_", ""), 16)

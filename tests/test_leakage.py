@@ -238,3 +238,32 @@ def test_corpus_declared_specs_inferred_and_covered():
         assert covered_by(inferred, info.public), (name, inferred)
         # key and message bytes never reach the trace
         assert not any(t.startswith("mem[") for t in inferred), (name, inferred)
+
+
+CALLEE_RETURNS = """
+fn g(reg u64 k, reg u64 c) -> reg u64 {
+  if (c < 0x8000000000000000) { return FIRST; }
+  return SECOND;
+}
+fn f(reg u64 p, reg u64 k, reg u64 c) -> reg u64 {
+  reg u64 y, z;
+  y = g(k, c);
+  y = y & 15;
+  z = (u8)[p + y];
+  return z;
+}
+"""
+
+
+@pytest.mark.parametrize("first, second", [("k", "c"), ("c", "k")])
+def test_infer_public_joins_every_return_of_a_callee(first, second):
+    """Whichever return of g gives k, k indexes memory in f, so it
+    reaches the trace, and ct_check finds the leak when only p and c
+    are public."""
+    p = prep(CALLEE_RETURNS.replace("FIRST", first).replace("SECOND", second))
+    inferred = infer_public(p, "f")
+    assert inferred == frozenset({"p", "k", "c"})
+    spec = PublicSpec.of(["p", "c"])
+    assert not covered_by(inferred, spec)
+    shape = {"p": Ptr(16), "k": Val(64), "c": Val(64)}
+    assert ct_check(p, "f", spec, trials=100, seed=1, shape=shape).kind == "insecure"

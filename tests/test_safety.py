@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jamin import safety
+from gensrc import function_sources
+from jamin import interp, isa, memory, safety
 from jamin.expand import expand
 from jamin.parser import parse
 from jamin.typecheck import typecheck
@@ -125,34 +127,102 @@ fn f() -> reg u64 {
     assert any(f.kind == "array-bounds" for f in finds)
 
 
-def test_findings_maybe_uninit():
-    p = prep(
-        """
+UNINIT = [
+    """
 fn f(reg u64 x) -> reg u64 {
   reg u64 y;
   if (x == 0) { y = 1; }
   x = x + y;
   return x;
 }
-"""
-    )
-    finds = safety.check_safety(p, "f")
-    assert any(f.kind == "maybe-uninit" and "y" in f.detail for f in finds)
+""",
+    """
+fn f(reg u64 x) -> reg u64 {
+  reg u64 y;
+  y = x if x == 0;
+  x = x + y;
+  return x;
+}
+""",
+    """
+fn f(reg u64 x) -> reg u64 {
+  reg u64 y;
+  x = 1 if y == 0;
+  return x;
+}
+""",
+]
 
-
-def test_findings_clean_when_both_branches_assign():
-    p = prep(
-        """
+CLEAN = [
+    """
 fn f(reg u64 x) -> reg u64 {
   reg u64 y;
   if (x == 0) { y = 1; } else { y = 2; }
   x = x + y;
   return x;
 }
-"""
-    )
-    finds = safety.check_safety(p, "f")
-    assert not any(f.kind == "maybe-uninit" for f in finds)
+""",
+    """
+fn f(reg u64 x) -> reg u64 {
+  reg u64 y;
+  if (x == 0) { return x; } else { y = 2; }
+  x = x + y;
+  return x;
+}
+""",
+]
+
+
+def test_findings_maybe_uninit():
+    for src in UNINIT:
+        p = prep(src)
+        finds = safety.check_safety(p, "f")
+        assert any(f.kind == "maybe-uninit" and "y" in f.detail for f in finds), src
+        with pytest.raises(interp.UninitializedUse):
+            interp.run(p, "f", [1], memory.Memory())
+
+
+def test_findings_clean_when_both_branches_assign():
+    for src in CLEAN:
+        finds = safety.check_safety(prep(src), "f")
+        assert not any(f.kind == "maybe-uninit" for f in finds), src
+
+
+def _agreement_cases():
+    """(name, program, entry): the corpus, the safety_golden probes, the
+    maybe-uninit inputs above and the programs of test_codegen."""
+    import test_codegen as tc
+    from test_safety_golden import PROBES
+
+    from jamin.primitives.corpus import PROGRAMS, load_program
+
+    for name, info in PROGRAMS.items():
+        yield name, load_program(name), info.entry
+    for name, (src, entry, _, _) in PROBES.items():
+        yield name, prep(src), entry
+    for i, src in enumerate(UNINIT + CLEAN):
+        yield f"input {i}", prep(src), "f"
+    for name in tc.TABLE_BUILT:
+        d = isa.lookup(name)
+        yield name, tc._program(d, list(range(len(d.destinations)))), "f"
+    for name, (src, _) in tc.LIVE_SOURCES.items():
+        yield name, prep(src), "f"
+    yield "naming", prep(tc.NAMING), "f"
+    yield "selectors", prep(tc.SELECTORS), "f"
+
+
+def test_maybe_uninit_findings_are_the_reads_codegen_checks():
+    """A scalar local has a maybe-uninit finding exactly when the
+    generated code of its function checks one of its reads for UNDEF:
+    both come from codegen's must-be-assigned facts."""
+    flagged = 0
+    for name, p, entry in _agreement_cases():
+        checked = set(re.findall(r"_uu\([^,]+, '(\w+)', ", function_sources(p)[entry]))
+        finds = safety.check_safety(p, entry)
+        found = {f.detail.split()[0] for f in finds if f.kind == "maybe-uninit"}
+        assert found == checked, name
+        flagged += bool(found)
+    assert flagged >= 10
 
 
 def test_preanalyze_examples():
