@@ -113,6 +113,133 @@ PROBES = {
 }""",
         "f", ("p",), ("x",),
     ),
+    # In each probe below one local matters to the analysis only through
+    # a single kind of use; the other locals are data.
+    "probe_rel_while": (
+        """fn f(reg u64 p, reg u64 n, reg u64 x) -> reg u64 {
+  reg u64 i, m, y;
+  m = n & 15;
+  y = x;
+  i = 0;
+  while (i < m) {
+    (u8)[p + i] = 0;
+    y = y * 3;
+    i = i + 1;
+  }
+  return y;
+}""",
+        "f", ("p",), ("n",),
+    ),
+    "probe_rel_divisors": (
+        """fn f(reg u64 x, reg u64 y) -> reg u64 {
+  reg u64 a, b, c, q, r;
+  a = (x & 7) + 1;
+  b = (y & 3) + 2;
+  c = (x & 1) + 1;
+  q = x / a;
+  r = y % b;
+  _, _, _, _, _, q, r = #x86_DIV_64(0, q, c);
+  q = q + r;
+  return q;
+}""",
+        "f", (), ("x", "y"),
+    ),
+    "probe_rel_guarded": (
+        """fn f(reg u64 p, reg u64 x) -> reg u64 {
+  reg u64 i, t, c, y;
+  t = x & 7;
+  c = x >> 3;
+  y = x ^ 5;
+  i = 2;
+  i = t if c == 0;
+  y = i if y == 0;
+  (u8)[p + i] = 0;
+  return y;
+}""",
+        "f", ("p",), ("x",),
+    ),
+    "probe_rel_compound": (
+        """fn f(reg u64 p, reg u64 x) -> reg u64 {
+  reg u64 i, t, y;
+  t = x & 7;
+  y = x;
+  i = 4;
+  i += t;
+  y ^= i;
+  (u8)[p + i] = 0;
+  return y;
+}""",
+        "f", ("p",), ("x",),
+    ),
+    "probe_rel_index": (
+        """fn f(reg u64 x) -> reg u64 {
+  stack u64[4] a;
+  reg u64 j, y;
+  a[0] = x;
+  a[1] = x ^ 1;
+  a[2] = x ^ 2;
+  a[3] = x ^ 3;
+  j = x & 3;
+  y = a[j] ^ x;
+  y = y + a[3];
+  return y;
+}""",
+        "f", (), ("x",),
+    ),
+    "probe_data_load": (
+        """fn f(reg u64 p, reg u64 x) -> reg u64 {
+  reg u64 y, z;
+  y = (u64)[p + 8];
+  z = y ^ x;
+  z = z + (u8)[p + 3];
+  return z;
+}""",
+        "f", ("p",), ("x",),
+    ),
+    # A counter that only counts, joined at a loop head beside the
+    # offset or the pointer that an access uses.
+    "probe_lockstep_data": (
+        """fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 c, j, t;
+  c = 0;
+  j = 0;
+  while (j < n) {
+    t = (u8)[p + j];
+    c = c + 1;
+    j = j + 1;
+  }
+  return c;
+}""",
+        "f", ("p",), ("n",),
+    ),
+    "probe_lockstep_ratio": (
+        """fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 c, j, t;
+  c = 0;
+  j = 0;
+  while (j < n) {
+    t = (u8)[p + j];
+    c = c + 2;
+    j = j + 1;
+  }
+  return c;
+}""",
+        "f", ("p",), ("n",),
+    ),
+    "probe_lockstep_pointer": (
+        """fn f(reg u64 q) -> reg u64 {
+  reg u64 c, t;
+  c = 0;
+  t = (u8)[q + 0];
+  while (t != 0) {
+    q = q + 1;
+    c = c + 1;
+    t = (u8)[q + 0];
+  }
+  return c;
+}""",
+        "f", ("q",), (),
+    ),
 }
 
 
