@@ -3,9 +3,25 @@
 For each pointer-typed input the analyzer infers a symbolic range of
 byte offsets the program may access relative to that input, producing
 the memory calling contract (`range(in) = in + [0; inlen)` style).
-Scalars are tracked as affine expressions over symbols: the initial
-values of the entry parameters plus fresh symbols introduced at join
-points.  Every symbol denotes an unsigned quantity.
+The relevant scalars of the entry function are tracked as affine
+expressions over symbols: the initial values of the entry parameters
+plus fresh symbols introduced at join points.  Every symbol denotes an
+unsigned quantity.
+
+A scalar is relevant when its value can reach a memory address, an
+array index, the test of an `if` or `while`, or a divisor (of `/`, `%`
+or the divisor operand of DIV), through the assignments and
+declarations that define it (a guarded or compound assignment also
+reads its destination).  The counters and pointers stepped by constants
+are relevant too: a loop's join may relate the others through one of
+them.  A statement that writes only irrelevant scalars, `_` or array
+elements at constant indices, and holds no memory access, no computed
+index and no division, is inert: it is not evaluated, and only forgets
+the scalars it writes, which then read as opaque values of their type.
+This is a sparse analysis in the sense of Oh et al. (PLDI 2012): its
+ranges and findings are those of tracking every scalar, and unrolled
+cipher rounds, whose values reach none of these uses, cost next to
+nothing.
 
 A symbol's interval keeps small *sets* of lower and upper bounds, each
 affine in the parameters: a loop guard often supplies a symbolic bound
@@ -24,9 +40,11 @@ iterations (upper bounds drop away, lower bounds fall back to 0).
 This range domain runs on the forward driver of jamin.flow: a loop is
 iterated to its fixpoint recording nothing, then walked once more to
 record accesses and findings, and the code after a `return` is
-unreachable.  The maybe-uninit findings come from the must-be-assigned
-facts of codegen (codegen.Assigned) on the same driver, so they name
-exactly the reads that a run checks for an unassigned value.
+unreachable.  The test of an `if` or `while` records once, when it is
+evaluated; refining a branch by it records nothing.  The maybe-uninit
+findings come from the must-be-assigned facts of codegen
+(codegen.Assigned) on the same driver, so they name exactly the reads
+that a run checks for an unassigned value.
 
 The analyses take only programs from expand, which has removed `for`
 loops and inline calls (see expand); any other program raises
@@ -51,7 +69,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import flow
+from . import flow, isa
 from .codegen import Assigned
 from .interp import require_expanded
 from .ir import (
@@ -555,6 +573,71 @@ class _Analyzer:
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.widen_state: dict[int, int] = {}
         self.sym_numbers = itertools.count(1)
+        self.limits: dict[tuple, int | None] = {}
+        # id of an inert statement -> the scalars it rebinds (see _scan)
+        self.inert: dict[int, tuple] = {}
+        seeds, defs = _definitions(self.fn.body, self._scan)
+        self.relevant = _closure(seeds, defs) | _counters(self.fn, defs)
+        self.inert = {k: v for k, v in self.inert.items() if self.relevant.isdisjoint(v)}
+
+    def _scan(self, s) -> list:
+        """The names whose values the analysis uses at s: those read by
+        the test of an `if` or `while`, or by a memory address, an array
+        index or a divisor (of `/`, `%` or DIV) in a straight-line s.
+        Notes a straight-line s in self.inert when it holds no memory
+        access, no index that is computed or out of bounds, no `/`, `%`
+        or DIV, and writes no array element at such an index."""
+        k = type(s)
+        if k is SIf or k is SWhile:
+            return flow.reads(s.cond)
+        out: list = []
+        if k is SDecl:
+            ok, rebinds = self._scan_expr(s.init, out), s.names
+        elif k is SAssign:
+            ok = s.op != "/" and s.op != "%"
+            if not ok:
+                flow.reads(s.rhs, out)
+            for e in (s.rhs, s.cond, *s.dests):
+                ok = self._scan_expr(e, out) and ok
+            rebinds = tuple(lv.name for lv in s.dests if type(lv) is LVar)
+        else:
+            ok, rebinds = True, ()
+            for e in s.values:
+                ok = self._scan_expr(e, out) and ok
+        if ok:
+            self.inert[id(s)] = rebinds
+        return out
+
+    def _scan_expr(self, e, out: list) -> bool:
+        """Append to `out` the names that expression or lvalue e reads in
+        an address, an index or a divisor; whether e has none of them
+        and no index out of bounds or call."""
+        k = type(e)
+        if k is EMem or k is LMem:
+            flow.reads(e.addr, out)
+            return False
+        if k is EArr or k is LArr:
+            if type(e.index) is EInt:
+                return self._in_bounds(e)
+            flow.reads(e.index, out)
+            return False
+        if k is EBin:
+            if e.op == "/" or e.op == "%":
+                flow.reads(e.right, out)
+                self._scan_expr(e.left, out)
+                self._scan_expr(e.right, out)
+                return False
+            return self._scan_expr(e.left, out) & self._scan_expr(e.right, out)
+        if k is EUn or k is ECast:
+            return self._scan_expr(e.arg, out)
+        if k is EIntr:
+            ok = isa.lookup(e.name).mnemonic != "DIV"
+            if not ok:
+                flow.reads(e.args[2], out)
+            for a in e.args:
+                ok = self._scan_expr(a, out) and ok
+            return ok
+        return k is not ECall  # a name, a constant, `_` or no expression
 
     def fresh_sym(self):
         return ("s", next(self.sym_numbers))
@@ -568,7 +651,9 @@ class _Analyzer:
 
     # ---------------------------------------------------- expressions
 
-    def eval(self, st: AbsState, e) -> tuple[Aff | None, Interval]:
+    def eval(self, st: AbsState, e) -> tuple[Aff | None, Interval | None]:
+        """(the affine value of e or None, its interval).  The interval
+        of an affine value is None until a caller needs it (_ival)."""
         kind = type(e)
         if kind is EInt:
             a = Aff(e.value)
@@ -577,11 +662,11 @@ class _Analyzer:
             a = st.vals.get(e.name)
             if a is None:
                 return None, _opaque_interval(e)
-            return a, st.interval_of(a)
+            return a, None
         if kind is ECast:
             a, iv = self.eval(st, e.arg)
             wiv = _width_interval(e.width)
-            if a is not None and _contained(iv, wiv):
+            if a is not None and _contained(_ival(st, a, iv), wiv):
                 return a, iv
             return None, wiv
         if kind is EBin:
@@ -594,7 +679,7 @@ class _Analyzer:
             self.record_access(st, e, a, (e.width or 64) // 8)
             return None, _width_interval(e.width or 64)
         if kind is EArr:
-            self.check_index(st, e, e.name, e.index, e.width, e.byte_mode)
+            self.check_index(st, e)
             return None, _opaque_interval(e)
         if kind is EIntr:
             return self.eval_intr(st, e)
@@ -602,10 +687,23 @@ class _Analyzer:
             return None, TOP
         raise TypeError(f"not an expression: {e!r}")
 
-    def eval_bin(self, st: AbsState, e: EBin) -> tuple[Aff | None, Interval]:
+    def eval_bin(self, st: AbsState, e: EBin) -> tuple[Aff | None, Interval | None]:
         op = e.op
         la, liv = self.eval(st, e.left)
         ra, riv = self.eval(st, e.right)
+        if la is not None and ra is not None and not e.lanes:
+            if op == "+":
+                return la + ra, None
+            if op == "-":
+                return la - ra, None
+            if op == "*" and la.is_const():
+                return ra.scale(la.const), None
+            if op == "*" and ra.is_const():
+                return la.scale(ra.const), None
+            if op == "<<" and ra.is_const():
+                return la.scale(1 << int(ra.const)), None
+        liv = _ival(st, la, liv)
+        riv = _ival(st, ra, riv)
         if op == "/" or op == "%":
             if self.recording and not _excludes_zero(riv):
                 self.findings.append(
@@ -623,28 +721,11 @@ class _Analyzer:
         if e.lanes:
             return None, _width_interval(e.lanes[0] * e.lanes[1])
         if op == "+":
-            if la is not None and ra is not None:
-                a = la + ra
-                return a, st.interval_of(a)
             return None, _iv_add(liv, riv)
         if op == "-":
-            if la is not None and ra is not None:
-                a = la - ra
-                return a, st.interval_of(a)
             return None, _iv_sub(liv, riv)
         if op == "*":
-            if la is not None and la.is_const() and ra is not None:
-                a = ra.scale(la.const)
-                return a, st.interval_of(a)
-            if ra is not None and ra.is_const() and la is not None:
-                a = la.scale(ra.const)
-                return a, st.interval_of(a)
             return None, _iv_mul(liv, riv)
-        if op == "<<":
-            if ra is not None and ra.is_const() and la is not None:
-                a = la.scale(1 << int(ra.const))
-                return a, st.interval_of(a)
-            return None, _opaque_interval(e)
         if op == ">>":
             if ra is not None and ra.is_const():
                 k = Fraction(1, 1 << int(ra.const))
@@ -664,14 +745,11 @@ class _Analyzer:
         return None, _opaque_interval(e)
 
     def eval_intr(self, st: AbsState, e: EIntr):
-        from . import isa
-
         d = isa.lookup(e.name)
         for a in e.args:
             self.eval(st, a)
         if d.mnemonic == "DIV" and self.recording:
-            _, div_iv = self.eval(st, e.args[2])
-            if not _excludes_zero(div_iv):
+            if not _excludes_zero(_ival(st, *self.eval(st, e.args[2]))):
                 self.findings.append(
                     Finding("div-by-zero", _site(e), "divisor may be zero")
                 )
@@ -731,25 +809,40 @@ class _Analyzer:
 
     # ------------------------------------------------- index findings
 
-    def check_index(self, st: AbsState, node, name, index, width, byte_mode):
-        _, iv = self.eval(st, index)
-        if not self.recording:
-            return
-        ty = self.fn.envtypes.get(name, (None, None))[1]
-        if not isinstance(ty, ArrayTy):
-            return
-        elem_bytes = (width or ty.bits) // 8
-        total = ty.length * ty.bits // 8
-        step = 1 if byte_mode else elem_bytes
-        limit = (total - elem_bytes) // step if step else 0
-        ok_lo = any(b.nonneg() for b in iv.los)
-        ok_hi = any(_le(b, Aff(limit)) for b in iv.his)
-        if not (ok_lo and ok_hi):
+    def _in_bounds(self, node, iv: Interval | None = None) -> bool | None:
+        """Whether the index of array access `node` (an EArr or an LArr)
+        stays in the array's bounds: decided for a constant index, else
+        from the index's interval `iv` when given, else None."""
+        key = (node.name, node.width, node.byte_mode)
+        if key not in self.limits:
+            ty = self.fn.envtypes.get(node.name, (None, None))[1]
+            limit = None
+            if isinstance(ty, ArrayTy):
+                elem_bytes = (node.width or ty.bits) // 8
+                step = 1 if node.byte_mode else elem_bytes
+                limit = (ty.length * ty.bits // 8 - elem_bytes) // step if step else 0
+            self.limits[key] = limit
+        limit = self.limits[key]
+        if limit is None:
+            return True
+        if type(node.index) is EInt:
+            return 0 <= node.index.value <= limit
+        if iv is None:
+            return None
+        return any(b.nonneg() for b in iv.los) and any(_le(b, Aff(limit)) for b in iv.his)
+
+    def check_index(self, st: AbsState, node):
+        iv = None
+        if type(node.index) is not EInt:
+            a, iv = self.eval(st, node.index)
+            if self.recording:
+                iv = _ival(st, a, iv)
+        if self.recording and not self._in_bounds(node, iv):
             self.findings.append(
                 Finding(
                     "array-bounds",
                     _site(node),
-                    f"index into {name} may leave its bounds",
+                    f"index into {node.name} may leave its bounds",
                 )
             )
 
@@ -758,6 +851,9 @@ class _Analyzer:
     copy = staticmethod(AbsState.copy)
 
     def assign_var(self, st: AbsState, name, aff: Aff | None, iv: Interval):
+        if name not in self.relevant:
+            st.vals.pop(name, None)
+            return
         if aff is not None:
             st.vals[name] = aff
             return
@@ -766,8 +862,17 @@ class _Analyzer:
         st.vals[name] = Aff.of_sym(sym)
 
     def transfer(self, st: AbsState, s) -> AbsState:
-        """The flow transfer (see jamin.flow)."""
+        """The flow transfer (see jamin.flow).  An inert statement only
+        forgets the scalars it rebinds."""
         kind = type(s)
+        if kind is SIf or kind is SWhile:
+            self.eval(st, s.cond)  # for the findings in its operands
+            return st
+        dropped = self.inert.get(id(s))
+        if dropped is not None:
+            for nm in dropped:
+                st.vals.pop(nm, None)
+            return st
         if kind is SAssign:
             return self.t_assign(st, s)
         if kind is SDecl:
@@ -776,9 +881,6 @@ class _Analyzer:
             if s.init is not None and isinstance(s.ty, WordTy):
                 a, iv = self.eval(st, s.init)
                 self.assign_var(st, s.names[0], a, iv)
-            return st
-        if kind is SIf or kind is SWhile:
-            self.eval(st, s.cond)  # for the findings in its operands
             return st
         if kind is SReturn:
             for v in s.values:
@@ -792,8 +894,6 @@ class _Analyzer:
                 f"{_site(s)}: calls are not analyzable; expand the program first"
             )
         if isinstance(s.rhs, EIntr) and len(s.dests) != 1:
-            from . import isa
-
             self.eval_intr(st, s.rhs)
             d = isa.lookup(s.rhs.name)
             for lv, w in zip(s.dests, d.dst_widths):
@@ -845,7 +945,7 @@ class _Analyzer:
             self.record_access(st, lv, aa, (lv.width or 64) // 8)
             return
         if isinstance(lv, LArr):
-            self.check_index(st, lv, lv.name, lv.index, lv.width, lv.byte_mode)
+            self.check_index(st, lv)
             return
         raise TypeError(f"not an lvalue: {lv!r}")
 
@@ -992,15 +1092,24 @@ class _Analyzer:
     # --------------------------------------------------- refinement
 
     def refine(self, st: AbsState, cond, taken: bool) -> AbsState:
+        """The flow refinement.  It records nothing: the test's transfer
+        has recorded its findings."""
+        recording, self.recording = self.recording, False
+        try:
+            return self._refine(st, cond, taken)
+        finally:
+            self.recording = recording
+
+    def _refine(self, st: AbsState, cond, taken: bool) -> AbsState:
         kind = type(cond)
         if kind is EUn and cond.op == "!":
-            return self.refine(st, cond.arg, not taken)
+            return self._refine(st, cond.arg, not taken)
         if kind is EBin and cond.op == "&&" and taken:
-            st = self.refine(st, cond.left, True)
-            return self.refine(st, cond.right, True)
+            st = self._refine(st, cond.left, True)
+            return self._refine(st, cond.right, True)
         if kind is EBin and cond.op == "||" and not taken:
-            st = self.refine(st, cond.left, False)
-            return self.refine(st, cond.right, False)
+            st = self._refine(st, cond.left, False)
+            return self._refine(st, cond.right, False)
         if kind is not EBin or cond.op not in ("<", "<=", ">", ">=", "=="):
             return st
         op = cond.op
@@ -1126,6 +1235,12 @@ def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
     return st.interval_of(a)
 
 
+def _ival(st: AbsState, a: Aff | None, iv: Interval | None) -> Interval:
+    """iv, or the interval of the affine value a in st when eval left it
+    to be computed."""
+    return st.interval_of(a) if iv is None else iv
+
+
 def _arr_read(lv: LArr) -> EArr:
     e = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
     e.ty = getattr(lv, "ty", None)
@@ -1249,34 +1364,103 @@ def _uninit_findings(p, fn) -> list[Finding]:
     return d.findings
 
 
+# ------------------------------------------------------------ relevance
+
+
+def _definitions(stmts, seeds_of) -> tuple[set, dict]:
+    """(the names seeds_of(s) gives for the statements s in stmts, the
+    straight-line ones and the tests of `if` and `while`; each name ->
+    the straight-line statements that rebind it)."""
+    seeds: set = set()
+    defs: dict[str, list] = {}
+
+    def walk(stmts):
+        for s in stmts:
+            seeds.update(seeds_of(s))
+            k = type(s)
+            if k is SIf:
+                walk(s.then)
+                walk(s.els)
+            elif k is SWhile:
+                walk(s.body)
+            elif k is SDecl:
+                for nm in s.names:
+                    defs.setdefault(nm, []).append(s)
+            elif k is SAssign:
+                for lv in s.dests:
+                    if type(lv) is LVar:
+                        defs.setdefault(lv.name, []).append(s)
+
+    walk(stmts)
+    return seeds, defs
+
+
+def _closure(seeds, defs: dict) -> set:
+    """The seeds closed backward through their definitions: a statement
+    that rebinds a name of the set adds the names it reads (flow.summary:
+    a guarded or compound destination reads itself)."""
+    closure, frontier, done = set(seeds), list(seeds), set()
+    while frontier:
+        for s in defs.get(frontier.pop(), ()):
+            if id(s) in done:
+                continue
+            done.add(id(s))
+            for src in flow.summary(s)[0]:
+                if src not in closure:
+                    closure.add(src)
+                    frontier.append(src)
+    return closure
+
+
+def _counters(fn, defs: dict) -> set:
+    """The largest set of scalars each definition of which is affine in
+    constants and scalars of the set (built with `+`, `-`, and `*` or
+    `<<` by a constant): counters and pointers stepped by constants,
+    whatever their use.  Their values stay affine, and at a loop head
+    the join may pick one of them to relate the scalars that change in
+    lockstep, so the range analysis tracks them all."""
+    out = {n for n, (_, ty) in fn.envtypes.items() if isinstance(ty, WordTy)}
+    while True:
+        keep = {n for n in out if all(_affine_def(s, out) for s in defs.get(n, ()))}
+        if keep == out:
+            return out
+        out = keep
+
+
+def _affine_def(s, names) -> bool:
+    """Whether statement s, which rebinds a scalar of `names`, gives it
+    a value affine in constants and `names`."""
+    if type(s) is SDecl:
+        return s.init is None or _affine_in(s.init, names)
+    if len(s.dests) != 1:
+        return False
+    if s.op == "+" or s.op == "-" or s.op is None:
+        return _affine_in(s.rhs, names)
+    return (s.op == "*" or s.op == "<<") and type(s.rhs) is EInt
+
+
+def _affine_in(e, names) -> bool:
+    k = type(e)
+    if k is EInt:
+        return True
+    if k is EVar:
+        return e.name in names
+    if k is ECast:
+        return _affine_in(e.arg, names)
+    if k is EBin and not e.lanes:
+        if e.op == "+" or e.op == "-":
+            return _affine_in(e.left, names) and _affine_in(e.right, names)
+        if e.op == "*" and type(e.left) is EInt:
+            return _affine_in(e.right, names)
+        if e.op == "*" or e.op == "<<":
+            return type(e.right) is EInt and _affine_in(e.left, names)
+    return False
+
+
 def preanalyze(p: Program, entry: str) -> set:
     """Suggest parameters worth tracking: scalars that flow into loop
     bounds (and, through them, into address arithmetic)."""
     require_expanded(p, "preanalyze")
     fn = p.func(entry)
-    seeds: set[str] = set()
-    defs: dict[str, set] = {}
-
-    def collect(stmts):
-        for s in stmts:
-            if isinstance(s, SWhile):
-                seeds.update(flow.reads(s.cond))
-                collect(s.body)
-            elif isinstance(s, SIf):
-                collect(s.then)
-                collect(s.els)
-            else:
-                reads, rebinds = flow.summary(s)
-                for nm in rebinds:
-                    defs.setdefault(nm, set()).update(reads)
-
-    collect(fn.body)
-    closure = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        v = frontier.pop()
-        for src in defs.get(v, ()):
-            if src not in closure:
-                closure.add(src)
-                frontier.append(src)
-    return {q.name for q in fn.params} & closure
+    seeds, defs = _definitions(fn.body, lambda s: flow.reads(s.cond) if type(s) is SWhile else ())
+    return {q.name for q in fn.params} & _closure(seeds, defs)

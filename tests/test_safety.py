@@ -127,6 +127,46 @@ fn f() -> reg u64 {
     assert any(f.kind == "array-bounds" for f in finds)
 
 
+TESTED = """
+fn f(reg u64 p, reg u64 i) -> reg u64 {
+  stack u64[4] a;
+  reg u64 t;
+  a[0] = 0; a[1] = 1; a[2] = 2; a[3] = 3;
+  t = 0;
+  %s
+  return t;
+}
+"""
+
+
+@pytest.mark.parametrize("test, col", [
+    ("if (a[i] < (u64)(u8)[p + (i ^ 1)]) { t = 1; }", 7),
+    ("while (a[i] < (u64)(u8)[p + (i ^ 1)]) { t = t + 1; }", 10),
+], ids=["if", "while"])
+def test_test_of_if_and_while_records_once(test, col):
+    """The test's own evaluation records its finding and failure; the
+    refinement of each branch records nothing again."""
+    p = prep(TESTED % test)
+    rep = safety.analyze(p, "f", ["p"], ["i"])
+    assert [str(f) for f in rep.findings] == [
+        f"array-bounds at 7:{col}: index into a may leave its bounds"]
+    assert rep.failures == [
+        f"7:{col + 12}: unresolvable address (not affine in tracked inputs)"]
+    assert safety.check_safety(p, "f", ["p"], ["i"]) == rep.findings
+
+
+def test_relevant_scalars_of_chacha20_scalar():
+    """The pointers, the length and the tail's counter reach an address,
+    an index or a test; the keystream words and block bytes do not."""
+    from jamin.primitives.corpus import PROGRAMS, load_program
+
+    info = PROGRAMS["chacha20_scalar"]
+    an = safety._Analyzer(load_program("chacha20_scalar"), info.entry, info.pointers,
+                          info.tracked)
+    assert {"len", "plain", "output", "j"} <= an.relevant
+    assert not an.relevant & {"lo", "hi", "ks", "pt", "k32", "p32", "b"}
+
+
 UNINIT = [
     """
 fn f(reg u64 x) -> reg u64 {

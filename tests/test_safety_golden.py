@@ -3,7 +3,9 @@
 tests/data/safety_golden.json holds what safety.analyze and
 safety.check_safety report on every corpus program, and on a few small
 probe programs that reach failures, findings on stores and rational
-bounds, which the corpus does not.  Each program is analyzed under
+bounds, which the corpus does not, and scalars that matter to the
+analysis through one kind of use only (an address, an index, a test, a
+divisor, a guarded or compound assignment) beside data-only ones.  Each program is analyzed under
 three choices of tracked parameters: the declared set, preanalyze's
 suggestion and none at all.  An entry records the machine and text
 range lines, the analysis failures and the findings (or the
@@ -195,6 +197,18 @@ PROBES = {
   return z;
 }""",
         "f", ("p",), ("x",),
+    ),
+    "probe_data_divisions": (
+        """fn f(reg u64 x, reg u64 n) -> reg u64 {
+  reg u64 y, z;
+  y = x / n;
+  z = x % n;
+  y = y ^ z;
+  _, _, _, _, _, z, x = #x86_DIV_64(0, y, n);
+  y = y + z;
+  return y;
+}""",
+        "f", (), ("n",),
     ),
     # A counter that only counts, joined at a loop head beside the
     # offset or the pointer that an access uses.
