@@ -1440,6 +1440,8 @@ def _affine_def(s, names) -> bool:
 
 
 def _affine_in(e, names) -> bool:
+    """Whether e is built from constants and `names` with `+`, `-`, and
+    `*` or `<<` by a constant."""
     k = type(e)
     if k is EInt:
         return True
