@@ -573,8 +573,8 @@ class _Analyzer:
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.widen_state: dict[int, int] = {}
         self.sym_numbers = itertools.count(1)
-        self.limits: dict[tuple, int | None] = {}
-        # id of an inert statement -> the scalars it rebinds (see _scan)
+        # id of an inert statement -> the scalars it rebinds: _scan notes
+        # the candidates, those that rebind a relevant scalar are dropped
         self.inert: dict[int, tuple] = {}
         seeds, defs = _definitions(self.fn.body, self._scan)
         self.relevant = _closure(seeds, defs) | _counters(self.fn, defs)
@@ -625,7 +625,6 @@ class _Analyzer:
             if e.op == "/" or e.op == "%":
                 flow.reads(e.right, out)
                 self._scan_expr(e.left, out)
-                self._scan_expr(e.right, out)
                 return False
             return self._scan_expr(e.left, out) & self._scan_expr(e.right, out)
         if k is EUn or k is ECast:
@@ -809,26 +808,18 @@ class _Analyzer:
 
     # ------------------------------------------------- index findings
 
-    def _in_bounds(self, node, iv: Interval | None = None) -> bool | None:
+    def _in_bounds(self, node, iv: Interval | None = None) -> bool:
         """Whether the index of array access `node` (an EArr or an LArr)
         stays in the array's bounds: decided for a constant index, else
-        from the index's interval `iv` when given, else None."""
-        key = (node.name, node.width, node.byte_mode)
-        if key not in self.limits:
-            ty = self.fn.envtypes.get(node.name, (None, None))[1]
-            limit = None
-            if isinstance(ty, ArrayTy):
-                elem_bytes = (node.width or ty.bits) // 8
-                step = 1 if node.byte_mode else elem_bytes
-                limit = (ty.length * ty.bits // 8 - elem_bytes) // step if step else 0
-            self.limits[key] = limit
-        limit = self.limits[key]
-        if limit is None:
+        from the index's interval `iv`."""
+        ty = self.fn.envtypes.get(node.name, (None, None))[1]
+        if not isinstance(ty, ArrayTy):
             return True
+        elem_bytes = (node.width or ty.bits) // 8
+        step = 1 if node.byte_mode else elem_bytes
+        limit = (ty.length * ty.bits // 8 - elem_bytes) // step if step else 0
         if type(node.index) is EInt:
             return 0 <= node.index.value <= limit
-        if iv is None:
-            return None
         return any(b.nonneg() for b in iv.los) and any(_le(b, Aff(limit)) for b in iv.his)
 
     def check_index(self, st: AbsState, node):
