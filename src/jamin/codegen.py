@@ -465,10 +465,10 @@ class _FnGen(Assigned):
 
     def intrinsic(self, e: EIntr) -> str:
         """A call returning the list of all of scalar `e`'s outputs.
-        Instructions without a table (shifts, rotates, DIV) go through
-        _intr, which reports DIV's IsaFault as DivByZero at the
-        intrinsic's location; no other intrinsic can fault, and those
-        are called directly."""
+        DIV, the one instruction without a table, goes through _intr,
+        which reports its IsaFault as DivByZero at the intrinsic's
+        location; no other intrinsic can fault, and those are called
+        directly."""
         d = lookup(e.name)
         sem = "S_" + d.name
         if sem not in self.ns:

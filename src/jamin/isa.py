@@ -11,13 +11,14 @@ order OF, CF, SF, PF, ZF; flags an instruction leaves architecturally
 undefined are returned as UNDEF, which the interpreter treats as poison.
 
 The branch-free scalar instructions (ADD, ADC, SUB, SBB, AND, OR, XOR,
-NOT, NEG, MOV, MUL, IMUL, CMOV and set0, at 8 to 64 bits) are each
-defined once, by a `Table` of one Python expression per destination
-over the operands, plus a prelude of values the outputs share.  The
-descriptor's `sem` is compiled from that table, and codegen inlines the
-part of it that the destinations a statement keeps need, so both read
-the same definition.  Shifts, rotates and DIV are plain functions; only
-DIV raises (IsaFault), and no vector semantics does.
+SHL, SHR, SAR, ROL, ROR, NOT, NEG, MOV, MUL, IMUL, CMOV and set0, at 8
+to 64 bits) are each defined once, by a `Table` of one Python
+expression per destination over the operands, plus a prelude of values
+the outputs share.  The descriptor's `sem` is compiled from that table,
+and codegen inlines the part of it that the destinations a statement
+keeps need, so both read the same definition.  DIV is the one plain
+function, because it faults (IsaFault); no table and no vector
+semantics raises.
 
 Vector instructions carry two semantics, each written once as a
 positional function: `vsem(x, y, ...)` computes on the packed wide words
@@ -498,25 +499,13 @@ def validate_descriptor(d: Descriptor) -> list[str]:
     return problems
 
 
-# ------------------------------------------------------- flag helpers
-
-
-def _msb(v: int, w: int) -> bool:
-    return bool((v >> (w - 1)) & 1)
-
-
-def _szp(r: int, w: int):
-    return _msb(r, w), bin(r & 0xFF).count("1") % 2 == 0, r == 0
-
-
 # ------------------------------------------------- scalar definitions
 
 
 def _build_scalars(w: int):
     """Register the scalar instructions of width w."""
     mask = (1 << w) - 1
-    top = 1 << (w - 1)
-    M, T = hex(mask), hex(top)
+    M, T = hex(mask), hex(1 << (w - 1))
 
     def table(args, prelude, *outs):
         return Table(tuple(args.split()), tuple(prelude), outs)
@@ -532,56 +521,14 @@ def _build_scalars(w: int):
     def logic(op):
         return table("x y", [("r", f"x {op} y")], "False", "False", *szp, "r")
 
-    def shl_sem(a):
-        x, cnt = a
-        c = cnt & (w - 1)
-        if c == 0:
-            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
-        r = (x << c) & mask
-        cf = bool((x >> (w - c)) & 1)
-        of = (_msb(r, w) != cf) if c == 1 else UNDEF
-        return [of, cf, *_szp(r, w), r]
-
-    def shr_sem(a):
-        x, cnt = a
-        c = cnt & (w - 1)
-        if c == 0:
-            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
-        r = x >> c
-        cf = bool((x >> (c - 1)) & 1)
-        of = _msb(x, w) if c == 1 else UNDEF
-        return [of, cf, *_szp(r, w), r]
-
-    def sar_sem(a):
-        x, cnt = a
-        c = cnt & (w - 1)
-        if c == 0:
-            return [UNDEF, UNDEF, UNDEF, UNDEF, UNDEF, x]
-        sx = x - (1 << w) if x & top else x
-        r = (sx >> c) & mask
-        cf = bool((sx >> (c - 1)) & 1)
-        of = False if c == 1 else UNDEF
-        return [of, cf, *_szp(r, w), r]
-
-    def rol_sem(a):
-        x, cnt = a
-        c = cnt & (w - 1)
-        if c == 0:
-            return [UNDEF, UNDEF, x]
-        r = ((x << c) | (x >> (w - c))) & mask
-        cf = bool(r & 1)
-        of = (_msb(r, w) != cf) if c == 1 else UNDEF
-        return [of, cf, r]
-
-    def ror_sem(a):
-        x, cnt = a
-        c = cnt & (w - 1)
-        if c == 0:
-            return [UNDEF, UNDEF, x]
-        r = ((x >> c) | (x << (w - c))) & mask
-        cf = _msb(r, w)
-        of = (_msb(r, w) != bool((r >> (w - 2)) & 1)) if c == 1 else UNDEF
-        return [of, cf, r]
+    def shift(r, f, of, *flags):
+        """SHL, SHR, SAR, ROL or ROR: the count c is y modulo w, r the
+        result and f the carry out for a count above 0.  A count of 0
+        leaves x and makes every flag U; OF is defined for a count of 1
+        only."""
+        return table("x y", [("c", f"y & {w - 1}"), ("r", r), ("f", f)],
+                     f"{of} if c == 1 else U", *[f"{e} if c else U" for e in ("f", *flags)],
+                     "r")
 
     def div_sem(a):
         hi, lo, dv = a
@@ -610,9 +557,13 @@ def _build_scalars(w: int):
         ("x86_AND", xy, flags_res, two, logic("&")),
         ("x86_OR", xy, flags_res, two, logic("|")),
         ("x86_XOR", xy, flags_res, two, logic("^")),
-        ("x86_SHL", xy, flags_res, imm, shl_sem),
-        ("x86_SHR", xy, flags_res, imm, shr_sem),
-        ("x86_SAR", xy, flags_res, imm, sar_sem),
+        ("x86_SHL", xy, flags_res, imm,
+         shift(f"x << c & {M}", f"x >> {w} - c & 1 == 1", f"(r >= {T}) != f", *szp)),
+        ("x86_SHR", xy, flags_res, imm,
+         shift("x >> c", "x << 1 >> c & 1 == 1", f"x >= {T}", *szp)),
+        # the carry is bit c - 1 of x, also that of its sign extension (c < w)
+        ("x86_SAR", xy, flags_res, imm,
+         shift(f"((x ^ {T}) - {T}) >> c & {M}", "x << 1 >> c & 1 == 1", "False", *szp)),
         ("x86_NOT", res, res, one, table("x", [], f"x ^ {M}")),
         ("x86_NEG", res, flags_res, one,
          table("x", [("r", f"-x & {M}")], f"x == {T}", "x != 0", *szp, "r")),
@@ -622,8 +573,10 @@ def _build_scalars(w: int):
         ("x86_IMUL", xy, flags_res, two,
          table("x y", [("p", f"((x ^ {T}) - {T}) * ((y ^ {T}) - {T})"), ("r", f"p & {M}")],
                *[f"p != (r ^ {T}) - {T}"] * 2, "U", "U", "U", "r")),
-        ("x86_ROL", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm, rol_sem),
-        ("x86_ROR", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm, ror_sem),
+        ("x86_ROL", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm,
+         shift(f"(x << c | x >> {w} - c) & {M}", "r & 1 == 1", f"(r >= {T}) != f")),
+        ("x86_ROR", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm,
+         shift(f"(x >> c | x << {w} - c) & {M}", f"r >= {T}", f"f != (r >> {w - 2} & 1 == 1)")),
         ("x86_SBB", xyc, flags_res, two,
          table("x y c", [("r", f"(x - y - c) & {M}")], sub_of, "x < y + c", *szp, "r")),
         ("x86_MUL", (R("RAX"), E(w, 0)), FLAGS5 + (R("RDX"), R("RAX")), one,

@@ -252,60 +252,52 @@ def _le(a: Aff, b: Aff) -> bool:
 
 
 # Bound sets.  Lower bounds: the value is >= every member (tightest is
-# the max).  Upper bounds: the value is <= every member; an empty upper
-# set means unbounded above.
+# the max).  Upper bounds (`upper`): the value is <= every member; an
+# empty upper set means unbounded above.
 
 
-def _add_lo(bounds: tuple, a: Aff) -> tuple:
+def _tighter(a: Aff, b: Aff, upper: bool) -> bool:
+    """Provably a is a bound at least as tight as b."""
+    return _le(a, b) if upper else _le(b, a)
+
+
+def _add(bounds: tuple, a: Aff, upper: bool) -> tuple:
+    """The bound set with a added; past MAX_BOUNDS the constant bounds
+    are kept first, and a lower set keeps one (0 if need be)."""
     kept = []
     for b in bounds:
-        if _le(a, b):
-            return bounds  # an existing bound is at least as tight
-        if not _le(b, a):
+        if _tighter(b, a, upper):
+            return bounds
+        if not _tighter(a, b, upper):
             kept.append(b)
     kept.append(a)
     if len(kept) > MAX_BOUNDS:
         kept = sorted(kept, key=lambda x: (not x.is_const(), x.render()))[:MAX_BOUNDS]
-        if not any(x.is_const() for x in kept):
+        if not upper and not any(x.is_const() for x in kept):
             kept[-1] = ZERO
     return tuple(kept)
 
 
-def _add_hi(bounds: tuple, a: Aff) -> tuple:
-    kept = []
+def _join(A: tuple, B: tuple, upper: bool) -> tuple:
+    """The bounds of A or B that hold on both sides."""
+    out: tuple = ()
+    for X, Y in ((A, B), (B, A)):
+        for x in X:
+            if any(_tighter(y, x, upper) for y in Y):
+                out = _add(out, x, upper)
+    return out
+
+
+def _best(bounds: tuple, upper: bool):
+    """The tightest bound for display, or None for an empty set; of
+    incomparable ones, a constant lower bound or a parameter-bearing
+    (relational) upper bound."""
+    if not bounds:
+        return None
     for b in bounds:
-        if _le(b, a):
-            return bounds
-        if not _le(a, b):
-            kept.append(b)
-    kept.append(a)
-    if len(kept) > MAX_BOUNDS:
-        kept = sorted(kept, key=lambda x: (not x.is_const(), x.render()))[:MAX_BOUNDS]
-    return tuple(kept)
-
-
-def _join_los(A: tuple, B: tuple) -> tuple:
-    out: tuple = ()
-    for a in A:
-        if any(_le(a, b) for b in B):  # valid on the B side too
-            out = _add_lo(out, a)
-    for b in B:
-        if any(_le(b, a) for a in A):
-            out = _add_lo(out, b)
-    if not out:
-        out = (ZERO,)  # unsigned floor always holds
-    return out
-
-
-def _join_his(A: tuple, B: tuple) -> tuple:
-    out: tuple = ()
-    for a in A:
-        if any(_le(b, a) for b in B):
-            out = _add_hi(out, a)
-    for b in B:
-        if any(_le(a, b) for a in A):
-            out = _add_hi(out, b)
-    return out
+        if all(_tighter(b, o, upper) for o in bounds):
+            return b
+    return sorted(bounds, key=lambda x: (x.is_const() == upper, x.render()))[0]
 
 
 @dataclass(frozen=True)
@@ -314,38 +306,25 @@ class Interval:
     his: tuple = ()
 
     def join(self, other: "Interval") -> "Interval":
-        return Interval(_join_los(self.los, other.los), _join_his(self.his, other.his))
+        """The bounds that hold on both sides; a value is unsigned, so its
+        lower bounds keep 0 when nothing else holds."""
+        return Interval(_join(self.los, other.los, False) or (ZERO,),
+                        _join(self.his, other.his, True))
 
-    def meet_lo(self, bound: Aff) -> "Interval":
-        return Interval(_add_lo(self.los, bound), self.his)
-
-    def meet_hi(self, bound: Aff) -> "Interval":
-        return Interval(self.los, _add_hi(self.his, bound))
+    def meet(self, bound: Aff, upper: bool) -> "Interval":
+        if upper:
+            return Interval(self.los, _add(self.his, bound, True))
+        return Interval(_add(self.los, bound, False), self.his)
 
     def widen_from(self, old: "Interval", thresholds: tuple = ()) -> "Interval":
         los = tuple(a for a in self.los if any(_le(o, a) for o in old.los))
         his = tuple(a for a in self.his if any(_le(a, o) for o in old.his))
         for t in thresholds:
-            his = _add_hi(his, t)
+            his = _add(his, t, True)
         return Interval(los if los else (ZERO,), his)
 
-    def lo_best(self):
-        """Tightest (largest) lower bound for display, preferring 0/const."""
-        if not self.los:
-            return None
-        for b in self.los:
-            if all(_le(o, b) for o in self.los):
-                return b
-        return sorted(self.los, key=lambda x: (not x.is_const(), x.render()))[0]
-
-    def hi_best(self):
-        if not self.his:
-            return None
-        for b in self.his:
-            if all(_le(b, o) for o in self.his):
-                return b
-        # incomparable: prefer a parameter-bearing (relational) bound
-        return sorted(self.his, key=lambda x: (x.is_const(), x.render()))[0]
+    def negated(self) -> "Interval":
+        return Interval(tuple(b.scale(-1) for b in self.his), tuple(b.scale(-1) for b in self.los))
 
 
 TOP = Interval()
@@ -357,31 +336,18 @@ def _width_interval(bits: int) -> Interval:
 
 
 def _iv_add(a: Interval, b: Interval) -> Interval:
-    los: tuple = ()
-    for x in a.los:
-        for y in b.los:
-            los = _add_lo(los, x + y)
-    his: tuple = ()
-    for x in a.his:
-        for y in b.his:
-            his = _add_hi(his, x + y)
-    return Interval(los, his)
-
-
-def _iv_sub(a: Interval, b: Interval) -> Interval:
-    los: tuple = ()
-    for x in a.los:
-        for y in b.his:
-            los = _add_lo(los, x - y)
-    his: tuple = ()
-    for x in a.his:
-        for y in b.los:
-            his = _add_hi(his, x - y)
-    return Interval(los, his)
+    sides = []
+    for upper, xs, ys in ((False, a.los, b.los), (True, a.his, b.his)):
+        out: tuple = ()
+        for x in xs:
+            for y in ys:
+                out = _add(out, x + y, upper)
+        sides.append(out)
+    return Interval(*sides)
 
 
 def _iv_mul(a: Interval, b: Interval) -> Interval:
-    ah, bh = a.hi_best(), b.hi_best()
+    ah, bh = _best(a.his, True), _best(b.his, True)
     if (
         all(x.nonneg() for x in a.los)
         and all(x.nonneg() for x in b.los)
@@ -394,12 +360,11 @@ def _iv_mul(a: Interval, b: Interval) -> Interval:
     return Interval((ZERO,), ())
 
 
-def _scaled_bound(b: Aff, k: Fraction, is_lo: bool) -> Aff:
-    """Sound bound for floor(x * k) given a bound for x (k > 0)."""
-    a = b.scale(k)
-    if a.is_integral():
-        return a
-    return a - 1 if is_lo else a
+def _scaled(iv: Interval, k: Fraction) -> Interval:
+    """Sound bounds for floor(x * k) given those of x (k > 0): a
+    non-integral lower bound drops by 1."""
+    los = tuple(a if a.is_integral() else a - 1 for a in (b.scale(k) for b in iv.los))
+    return Interval(los, tuple(b.scale(k) for b in iv.his))
 
 
 # ---------------------------------------------------------------- state
@@ -432,7 +397,7 @@ class AbsState:
             and self.intervals == other.intervals
         )
 
-    def resolve_bounds(self, a: Aff, is_lo: bool) -> tuple:
+    def resolve_bounds(self, a: Aff, upper: bool) -> tuple:
         """Parameter-affine bounds for an affine value.
 
         Fresh symbols are substituted by their stored bounds whole, so
@@ -450,23 +415,20 @@ class AbsState:
                 if sub[0] == "s":
                     break
             else:
-                results = _add_lo(results, x) if is_lo else _add_hi(results, x)
+                results = _add(results, x, upper)
                 continue
             if depth > 16 or len(frontier) > 64:
                 continue  # drop this candidate (sound: fewer bounds)
             base = x.without(sub)
             iv = self.intervals.get(sub, TOP)
-            want_lo = is_lo if c > 0 else not is_lo
-            for side in iv.los if want_lo else iv.his:
+            for side in iv.his if upper == (c > 0) else iv.los:
                 frontier.append((base + side.scale(c), depth + 1))
         return results
 
     def interval_of(self, a: Aff) -> Interval:
         if all(s[0] == "p" for s, _ in a.terms):
             return Interval((a,), (a,))
-        los = self.resolve_bounds(a, True)
-        his = self.resolve_bounds(a, False)
-        return Interval(los, his)
+        return Interval(self.resolve_bounds(a, False), self.resolve_bounds(a, True))
 
 
 # ------------------------------------------------------------- findings
@@ -501,29 +463,18 @@ class RangeReport:
     findings: list = field(default_factory=list)  # Finding, as check_safety
 
     def machine_lines(self) -> list[str]:
-        out = []
-        for name in self.order:
-            r = self.ranges.get(name)
-            if r is None:
-                out.append(f"range({name}) = empty")
-            else:
-                lo, hi = r
-                out.append(
-                    f"range({name}) = {name} + [{_render_bound(lo)}; {_render_bound(hi)})"
-                )
-        return out
+        return self._lines("=", "empty", ")")
 
     def text_lines(self) -> list[str]:
+        return self._lines(":", "∅", "[")
+
+    def _lines(self, sep: str, empty: str, close: str) -> list[str]:
         out = []
         for name in self.order:
             r = self.ranges.get(name)
-            if r is None:
-                out.append(f"range({name}) : ∅")
-            else:
-                lo, hi = r
-                out.append(
-                    f"range({name}) : {name} + [{_render_bound(lo)}; {_render_bound(hi)}["
-                )
+            shown = empty if r is None else (
+                f"{name} + [{_render_bound(r[0])}; {_render_bound(r[1])}{close}")
+            out.append(f"range({name}) {sep} {shown}")
         return out
 
     def bound_range(self, base: str, params: dict):
@@ -566,7 +517,7 @@ class _Analyzer:
         self.tracked = set(tracked)
         self.param_names = param_names
         self.psym = {n: ("p", n) for n in param_names}
-        self.accesses: dict[str, tuple[tuple, tuple]] = {}  # base -> (los, his)
+        self.accesses: dict[str, Interval] = {}  # base -> its offsets
         self.failures: list[str] = []
         self.findings: list[Finding] = []
         self.recording = False
@@ -711,32 +662,24 @@ class _Analyzer:
             if op == "%" and ra is not None and ra.is_const() and ra.const > 0:
                 return None, Interval((ZERO,), (Aff(ra.const - 1),))
             if op == "/" and ra is not None and ra.is_const() and ra.const > 0:
-                k = Fraction(1, int(ra.const))
-                return None, Interval(
-                    tuple(_scaled_bound(b, k, True) for b in liv.los),
-                    tuple(_scaled_bound(b, k, False) for b in liv.his),
-                )
+                return None, _scaled(liv, Fraction(1, int(ra.const)))
             return None, Interval((ZERO,), liv.his)
         if e.lanes:
             return None, _width_interval(e.lanes[0] * e.lanes[1])
         if op == "+":
             return None, _iv_add(liv, riv)
         if op == "-":
-            return None, _iv_sub(liv, riv)
+            return None, _iv_add(liv, riv.negated())
         if op == "*":
             return None, _iv_mul(liv, riv)
         if op == ">>":
             if ra is not None and ra.is_const():
-                k = Fraction(1, 1 << int(ra.const))
-                return None, Interval(
-                    tuple(_scaled_bound(b, k, True) for b in liv.los),
-                    tuple(_scaled_bound(b, k, False) for b in liv.his),
-                )
+                return None, _scaled(liv, Fraction(1, 1 << int(ra.const)))
             return None, _opaque_interval(e)
         if op == "&":
             his: tuple = ()
             for b in liv.his + riv.his:
-                his = _add_hi(his, b)
+                his = _add(his, b, True)
             if not his:
                 his = _opaque_interval(e).his
             return None, Interval((ZERO,), his)
@@ -774,23 +717,18 @@ class _Analyzer:
         base = bases[0][1]
         off = addr - Aff.of_sym(bases[0])
         iv = st.interval_of(off)
-        los: tuple = ()
-        for b in iv.los:
-            sb = self._sanitize(b, is_lo=True)
-            if sb is not None:
-                los = _add_lo(los, sb)
-        his: tuple = ()
-        for b in iv.his:
-            sb = self._sanitize(b + nbytes, is_lo=False)
-            if sb is not None:
-                his = _add_hi(his, sb)
-        old = self.accesses.get(base)
-        if old is None:
-            self.accesses[base] = (los, his)
-        else:
-            self.accesses[base] = (_join_los(old[0], los), _join_his(old[1], his))
+        sides = []
+        for upper, bounds in ((False, iv.los), (True, tuple(b + nbytes for b in iv.his))):
+            out: tuple = ()
+            for b in bounds:
+                sb = self._sanitize(b, upper)
+                if sb is not None:
+                    out = _add(out, sb, upper)
+            sides.append(out)
+        old, new = self.accesses.get(base), Interval(*sides)
+        self.accesses[base] = new if old is None else old.join(new)
 
-    def _sanitize(self, b: Aff, is_lo: bool) -> Aff | None:
+    def _sanitize(self, b: Aff, upper: bool) -> Aff | None:
         """Keep only tracked-parameter symbols in a reported bound."""
         const = b.const
         terms = []
@@ -800,7 +738,7 @@ class _Analyzer:
                 continue
             if s[0] == "p":
                 # untracked parameter, known range [0, inf)
-                if (c > 0) == (not is_lo):
+                if (c > 0) == upper:
                     return None  # the bound escapes to +/- infinity
                 continue  # its minimal contribution is 0
             return None  # leftover fresh symbol: not expressible
@@ -1159,17 +1097,17 @@ class _Analyzer:
         if c == 1:
             if lo is not None:
                 for rb in rest_iv.his:
-                    iv = iv.meet_lo(lo - rb)
+                    iv = iv.meet(lo - rb, False)
             if hi is not None:
                 for rb in rest_iv.los:
-                    iv = iv.meet_hi(hi - rb)
+                    iv = iv.meet(hi - rb, True)
         elif c == -1:
             if hi is not None:
                 for rb in rest_iv.los:
-                    iv = iv.meet_lo(rb - hi)
+                    iv = iv.meet(rb - hi, False)
             if lo is not None:
                 for rb in rest_iv.his:
-                    iv = iv.meet_hi(rb - lo)
+                    iv = iv.meet(rb - lo, True)
         else:
             return
         st.intervals[sym] = iv
@@ -1196,11 +1134,8 @@ class _Analyzer:
         ranges = {}
         for n in order:
             if n in self.pointers and n in self.accesses:
-                los, his = self.accesses[n]
-                ranges[n] = (
-                    Interval(los, ()).lo_best(),
-                    Interval((), his).hi_best(),
-                )
+                iv = self.accesses[n]
+                ranges[n] = (_best(iv.los, False), _best(iv.his, True))
             else:
                 ranges[n] = None
         return RangeReport(

@@ -70,7 +70,8 @@ def _loc(node) -> str:
 
 
 def const_eval(e, env: dict) -> int:
-    """Evaluate a compile-time expression to a Python int/bool."""
+    """Evaluate a compile-time expression to a Python int/bool: each
+    word operator is that of jamin.words at the unbounded width."""
     if isinstance(e, EInt):
         return e.value
     if isinstance(e, EBool):
@@ -81,40 +82,21 @@ def const_eval(e, env: dict) -> int:
         raise NotConst(e.name)
     if isinstance(e, EUn):
         v = const_eval(e.arg, env)
-        if e.op == "-":
-            return -v
-        if e.op == "~":
-            return ~v
         if e.op == "!":
             return not v
+        if e.op in words.UNARY:
+            return words.evaluator(e.op, None, unary=True)(v)
     if isinstance(e, EBin):
         a = const_eval(e.left, env)
         b = const_eval(e.right, env)
         op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise NotConst("division by zero in constant expression")
-            return a // b
-        if op == "%":
-            if b == 0:
-                raise NotConst("division by zero in constant expression")
-            return a % b
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op in ("<<", ">>"):
-            if b < 0:
-                raise NotConst(f"negative shift count {b} in constant expression")
-            return a << b if op == "<<" else a >> b
+        if op in ARITH_OPS or op == "<<" or op == ">>":
+            try:
+                return words.evaluator(op, None)(a, b)
+            except ZeroDivisionError:
+                raise NotConst("division by zero in constant expression") from None
+            except words.WordError as exc:
+                raise NotConst(f"{exc} in constant expression") from None
         if op == "==":
             return a == b
         if op == "!=":

@@ -12,11 +12,14 @@ substitutes the operands' code, a constant count and the values of
 NAMES into it.  `evaluator` compiles it once per operator and width;
 constant folding (expand), the run-time helpers for computed counts and
 division (interp._wbin), the OpsV forms of VPADD, VPSLL
-and VPSRL (isa) and the Word functions below call the result.
+and VPSRL (isa) and the Word functions below call the result.  At the
+unbounded width (w None) an arithmetic operator, `<<`, `>>` or a unary
+one is the operator on compile-time `int`s (typecheck.const_eval).
 """
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from typing import Callable
 
@@ -72,7 +75,8 @@ def to_sint(x: Word) -> int:
 #
 # Each operator is one expression over its operands a and b (b is the
 # count of a shift) at width w, using the names of NAMES.  Operands are
-# ints in [0, 2^w); so is every result.
+# ints in [0, 2^w); so is every result.  At the unbounded width the mask
+# m is -1 and operands and results are any ints.
 
 ARITH = {
     "+": "((a + b) & m)",
@@ -83,7 +87,8 @@ ARITH = {
     "&": "(a & b)", "|": "(a | b)", "^": "(a ^ b)",
 }
 
-# Defined for counts 0 <= b <= w only (count_error).
+# Defined for counts 0 <= b <= w only, any b >= 0 at the unbounded
+# width (count_error).
 SHIFTS = {
     "<<": "((a << b) & m)",
     ">>": "(a >> b)",
@@ -127,30 +132,38 @@ def lanes(pattern: int, n: int, w: int) -> int:
     return sum(pattern << (w * i) for i in range(n))
 
 
-def count_error(w: int, b: int) -> str | None:
+def count_error(w: int | None, b: int) -> str | None:
     """What breaks the SHIFTS' precondition on the count b at width w."""
+    if w is None:
+        return None if b >= 0 else f"negative shift count {b}"
     return None if 0 <= b <= w else f"shift count {b} outside [0, {w}]"
 
 
 @cache
-def constants(w: int, n: int = 1, b: int | None = None) -> dict:
+def constants(w: int | None, n: int = 1, b: int | None = None) -> dict:
     """The values of the NAMES at width w over n lanes, with those of the
-    COUNT_NAMES for a known count b (a cached dict: read it only)."""
+    COUNT_NAMES for a known count b (a cached dict: read it only).  The
+    unbounded width has the mask m = -1 only."""
     env = {"w": w, "n": n, "b": b, "lanes": lanes}
+    if w is None:
+        env["m"] = -1
+        return env
     for name, expr in NAMES + (COUNT_NAMES if b is not None else ()):
         env[name] = eval(expr, env)
     return env
 
 
 @cache
-def evaluator(op: str, w: int, n: int | None = None, unary: bool = False) -> Callable:
+def evaluator(op: str, w: int | None, n: int | None = None, unary: bool = False) -> Callable:
     """`op` at width w as a function of (a, b), or of a alone when
     `unary`, or its lane form over n lanes of w bits when n is given.
-    It raises WordError for a shift count outside [0, w] and
-    ZeroDivisionError for a zero divisor."""
+    It raises WordError for a shift count outside [0, w] (a negative one
+    at the unbounded width w None) and ZeroDivisionError for a zero
+    divisor."""
     expr = (UNARY if unary else LANES if n else BINARY)[op]
     ns = dict(constants(w, n or 1), count_error=count_error, WordError=WordError)
-    body = "".join(f"    {name} = {e}\n" for name, e in COUNT_NAMES) if op in SHIFTS else ""
+    body = "".join(f"    {name} = {e}\n" for name, e in COUNT_NAMES
+                   if re.search(rf"\b{name}\b", expr))
     if op in SHIFTS and not n:
         body = "    if e := count_error(w, b): raise WordError(e)\n" + body
     exec(f"def f({'a' if unary else 'a, b'}):\n{body}    return {expr}\n", ns)
