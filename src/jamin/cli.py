@@ -377,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="length parameter sampled in [0, MAX]")
     pc.add_argument("--public-region", default="", metavar="a,b",
                     help="pointer parameters whose pointees are public")
-    pc.add_argument("--secret-region", action="append", metavar="NAME",
-                    help="pointer parameters whose pointees are secret "
-                    "(the default for every region)")
     pc.add_argument("--trials", type=_positive, default=1000)
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--json", action="store_true")
@@ -406,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(fn=cmd_difftest)
 
     pi = sub.add_parser("isa", help="dump the instruction registry")
-    pi.add_argument("--list", action="store_true", default=True)
     pi.add_argument("--json", action="store_true")
     pi.set_defaults(fn=cmd_isa)
 

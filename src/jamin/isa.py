@@ -28,8 +28,7 @@ lanes, such as an imm8, passes through as its int) and returns the
 result lanes.  The two are written independently and are required to
 agree under the word/array bijection; neither calls the other.  The
 list interfaces derive from them: `sem(list) -> [int]` wraps `vsem`,
-`LaneAdapter.run` the adapter's positional Ops form (below), and
-`exec_vector` dispatches on the requested mode.  An element-wise
+and `exec_vector` dispatches on the requested mode.  An element-wise
 instruction is defined by one lane expression (`lane_expr`), which
 `lsem` and the Ops form unroll over its lanes.
 
@@ -217,16 +216,12 @@ class Descriptor:
     oshape: tuple  # operand kinds of the emitted instruction
     mnemonic: str
     sem: Callable  # list of values -> list of values
-    size: int  # operation width in bits (lane width for vector ops)
     lanes: Optional[tuple[int, int]] = None  # (n, m) when this is a vector op
     vsem: Optional[Callable] = None  # vector: OpsV semantics, operands -> result int
     lsem: Optional[Callable] = None  # vector: Ops semantics, lane operands -> result lanes
     lane_expr: Optional[str] = None  # element-wise lsem: one lane, over u and v
     src_lanes: tuple = ()  # per-source lane shape or None
     dst_lanes: tuple = ()
-    reads_memory: bool = False
-    writes_memory: bool = False
-    variable_time: bool = False  # extension point; no current instruction sets it
     src_widths: tuple = field(default=(), repr=False)  # int bits or "flag"
     dst_widths: tuple = field(default=(), repr=False)
     table: Optional[Table] = None  # the definition `sem` is compiled from, if any
@@ -395,8 +390,7 @@ def _ops_form(src_lanes, dst_lanes, body: str, ns: dict) -> Callable:
 
 class LaneAdapter:
     """The Ops view of one vector descriptor, built once: `call` is its
-    positional Ops form (the packed sources in, the result int out) and
-    `run` the same over a list of sources, returning a list; `split`
+    positional Ops form (the packed sources in, the result int out); `split`
     turns a list of packed sources into lane sequences (other sources
     pass through) and `join` packs a list of lane results.  Each is
     compiled for the descriptor's operand shapes, with the conversions
@@ -406,7 +400,7 @@ class LaneAdapter:
     about 5% slower.  An element-wise instruction's lane expression is
     unrolled into `call` itself."""
 
-    __slots__ = ("d", "split", "join", "call", "run")
+    __slots__ = ("d", "split", "join", "call")
 
     def __init__(self, d: Descriptor):
         def convert(shapes, codec, arg):  # "[conversion of arg[0], arg[1], ...]"
@@ -419,8 +413,7 @@ class LaneAdapter:
         self.join = eval(f"lambda o: {convert(d.dst_lanes, 1, 'o')}", _CODEC_NS)
         body = (_lanewise(d.lane_expr, d.src_lanes, d.dst_lanes[0][0]) if d.lane_expr
                 else f"lsem({_params(len(d.sources))})")
-        self.call = call = _ops_form(d.src_lanes, d.dst_lanes[0], body, {"lsem": d.lsem})
-        self.run = lambda v: [call(*v)]
+        self.call = _ops_form(d.src_lanes, d.dst_lanes[0], body, {"lsem": d.lsem})
 
 
 def lane_adapter(d: Descriptor) -> LaneAdapter:
@@ -599,7 +592,6 @@ def _build_scalars(w: int):
                 oshape=oshape,
                 mnemonic=mnemonic[0] if mnemonic else name.split("_")[-1],
                 sem=t.sem() if t else how,
-                size=w,
                 table=t,
             )
         )
@@ -754,7 +746,6 @@ def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None,
             oshape=oshape,
             mnemonic=mnemonic or name.replace("x86_", ""),
             sem=lambda a: [vsem(*a)],
-            size=m,
             lanes=(n, m),
             vsem=vsem,
             lsem=lsem,

@@ -33,6 +33,11 @@ def _boundary(width, op_width):
     return list(dict.fromkeys(v & mask for v in vals))
 
 
+def _op_width(d) -> int:
+    """The operation width: that of the descriptor's explicit operands."""
+    return next(loc.width for loc in d.sources + d.destinations if isinstance(loc, isa.E))
+
+
 def _ty(width):
     return "bool" if width == "flag" else f"u{width}"
 
@@ -59,7 +64,7 @@ def test_inlined_destinations_match_exec_intrinsic(name):
     n = len(d.destinations)
     variants = [list(range(n))] + ([[i] for i in range(n)] if n > 1 else [])
     programs = [(keep, _program(d, keep)) for keep in variants]
-    grid = itertools.product(*(_boundary(w, d.size) for w in d.src_widths))
+    grid = itertools.product(*(_boundary(w, _op_width(d)) for w in d.src_widths))
     for args in grid:
         want = isa.exec_intrinsic(
             d, [a if w == "flag" else Word(w, a) for a, w in zip(args, d.src_widths)])
@@ -125,7 +130,7 @@ def test_never_undef_outputs_are_defined(name):
     d = isa.lookup(name)
     if name.split("_")[1] in ("ADD", "ADC", "SUB", "SBB"):
         assert 1 in d.table.never_undef  # CF
-    for args in itertools.product(*(_boundary(w, d.size) for w in d.src_widths)):
+    for args in itertools.product(*(_boundary(w, _op_width(d)) for w in d.src_widths)):
         outs = d.sem(list(args))
         assert all(outs[i] is not isa.UNDEF for i in d.table.never_undef), args
 

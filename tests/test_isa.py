@@ -114,7 +114,6 @@ def test_validate_catches_duplicate_destination():
         oshape=("oprd",),
         mnemonic="BOGUS",
         sem=lambda a: [a[0], a[0]],
-        size=64,
     )
     assert any("duplicate" in p for p in isa.validate_descriptor(d))
 
@@ -127,7 +126,6 @@ def test_validate_catches_wrong_arity():
         oshape=("oprd",),
         mnemonic="BOGUS",
         sem=lambda a: [a[0], a[0]],
-        size=64,
     )
     assert any("returns" in p for p in isa.validate_descriptor(d))
 
@@ -168,10 +166,6 @@ def test_scalar_adc_chain_against_bigint():
         assert got == x + y
 
 
-def test_variable_time_flag_unused():
-    assert not any(d.variable_time for d in isa.registry().values())
-
-
 # Selector- and immediate-driven permutes: OpsV applies a cached
 # shift-and-mask plan per selector (_permute_plan), Ops a cached lane-index
 # table per selector (_lane_table); the two are derived independently, so
@@ -185,7 +179,7 @@ def _assert_permute_modes_agree(d, *args):
     words = [Word(w, v) for w, v in zip(d.src_widths, args)]
     assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words), (
         d.name, [hex(a) for a in args])
-    assert isa.lane_adapter(d).run(list(args)) == d.sem(list(args)), (d.name, hex(args[-1]))
+    assert [isa.lane_adapter(d).call(*args)] == d.sem(list(args)), (d.name, hex(args[-1]))
 
 
 @pytest.mark.parametrize("name", ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64",
@@ -236,7 +230,7 @@ def test_byte_shuffle_zeroing_selectors(name):
     rng = random.Random(name)
     everything = (1 << (8 * nbytes)) - 1
     assert d.sem([everything, int("80" * nbytes, 16)]) == [0]
-    assert isa.lane_adapter(d).run([everything, int("80" * nbytes, 16)]) == [0]
+    assert isa.lane_adapter(d).call(everything, int("80" * nbytes, 16)) == 0
     for rate in (0.1, 0.5, 0.9):
         for _ in range(50):
             _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes),
@@ -279,7 +273,7 @@ def test_word_formula_interleaves_and_multiply_match_lanes(name):
     pairs = [(ones, ones), (ones, 0), (0, ones), (counting, ones ^ counting)]
     pairs += [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(300)]
     for x, y in pairs:
-        assert isa.lane_adapter(d).run([x, y]) == d.sem([x, y]), (name, hex(x), hex(y))
+        assert [isa.lane_adapter(d).call(x, y)] == d.sem([x, y]), (name, hex(x), hex(y))
         words = [Word(256, x), Word(256, y)]
         assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words)
 

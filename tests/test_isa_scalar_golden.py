@@ -58,8 +58,13 @@ def scalar_descriptors():
     return {n: d for n, d in sorted(isa.registry().items()) if not d.is_vector}
 
 
+def _op_width(d) -> int:
+    """The operation width: that of the descriptor's explicit operands."""
+    return next(loc.width for loc in d.sources + d.destinations if isinstance(loc, isa.E))
+
+
 def record(d) -> dict:
-    grid = list(itertools.product(*(_grid_values(w, d.size) for w in d.src_widths)))
+    grid = list(itertools.product(*(_grid_values(w, _op_width(d)) for w in d.src_widths)))
     rng = random.Random(d.name)
     rand = [tuple(_random_value(rng, w) for w in d.src_widths) for _ in range(RANDOM_TUPLES)]
     h = hashlib.sha256()
