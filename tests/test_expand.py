@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import pytest
 
@@ -7,7 +8,7 @@ from jamin.expand import ExpandError, expand
 from jamin.ir import EArr, ECall, EInt, EVecImm, IntTy, LArr, SAssign, SFor, print_program
 from jamin.parser import parse
 from jamin.primitives.corpus import PROGRAMS, load_source
-from jamin.typecheck import typecheck
+from jamin.typecheck import TypecheckError, typecheck
 
 
 def contract_breaches(p) -> list:
@@ -348,3 +349,58 @@ def test_back_ends_take_only_expanded_programs(back_end):
 def test_compile_time_faults_are_expansion_errors(src, error):
     with pytest.raises(ExpandError, match=error):
         prep(src)
+
+
+# Compile-time ints are unbounded: operands below 0 and beyond 64 bits.
+INT_OPERANDS = [(2**70 + 3, -5), (-(2**65) - 1, 7), (-17, -3), (12345, 2**66 + 9)]
+INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.floordiv,
+           "%": operator.mod, "&": operator.and_, "|": operator.or_, "^": operator.xor,
+           "<<": operator.lshift, ">>": operator.rshift}
+COUNTS = [(2**70 + 3, 5), (-(2**65) - 1, 67), (-17, 0), (12345, 130)]
+UNARY_OPS = {"-": operator.neg, "~": operator.invert}
+
+
+def _lit(v: int) -> str:
+    return str(v) if v >= 0 else f"(0 - {-v})"
+
+
+def _int_cases(op):
+    """(compile-time expression, its value as a Python int) per operand."""
+    if op in UNARY_OPS:
+        return [(f"{op}{_lit(a)}", UNARY_OPS[op](a)) for a in (2**70 + 3, -(2**65) - 1, 0)]
+    pairs = COUNTS if op in ("<<", ">>") else INT_OPERANDS
+    return [(f"{_lit(a)} {op} {_lit(b)}", INT_OPS[op](a, b)) for a, b in pairs]
+
+
+def _int_program(kind, exprs, rets="", checks=""):
+    """fn f binding the `kind` (param or inline) ints N0, N1, ... to
+    `exprs`, then running `checks`."""
+    decls = [f"{kind} int N{i} = {e};\n" for i, e in enumerate(exprs)]
+    top, local = ("".join(decls), "") if kind == "param" else ("", "  " + "  ".join(decls))
+    return f"{top}fn f() {rets}{{\n{local}{checks}}}\n"
+
+
+@pytest.mark.parametrize("kind", ["param", "inline"])
+@pytest.mark.parametrize("op", [*INT_OPS, "unary -", "unary ~"])
+def test_int_operators_fold_as_python_ints(op, kind):
+    cases = _int_cases(op.removeprefix("unary "))
+    names = ", ".join(f"b{i}" for i in range(len(cases)))
+    checks = "".join(f"  b{i} = N{i} == {_lit(want)};\n" for i, (_, want) in enumerate(cases))
+    rets = "-> " + ", ".join(["reg bool"] * len(cases)) + " "
+    src = _int_program(kind, [e for e, _ in cases], rets,
+                       f"  reg bool {names};\n{checks}  return {names};\n")
+    results = interp.run(prep(src), "f", [], memory.Memory()).results
+    assert results == [True] * len(cases), [e for (e, _), r in zip(cases, results) if not r]
+
+
+@pytest.mark.parametrize("kind", ["param", "inline"])
+@pytest.mark.parametrize("expr, message", [
+    ("7 / 0", "division by zero in constant expression"),
+    ("7 % 0", "division by zero in constant expression"),
+    ("1 << (0 - 3)", "negative shift count -3 in constant expression"),
+    ("1 >> (0 - 3)", "negative shift count -3 in constant expression"),
+])
+def test_int_operator_faults_keep_their_messages(expr, message, kind):
+    with pytest.raises((TypecheckError, ExpandError)) as exc:
+        prep(_int_program(kind, [expr]))
+    assert f"({message})" in str(exc.value)
