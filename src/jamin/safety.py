@@ -27,8 +27,10 @@ A symbol's interval keeps small *sets* of lower and upper bounds, each
 affine in the parameters: a loop guard often supplies a symbolic bound
 (j < inlen) while an enclosing test supplies a constant one (j < 16),
 and both are needed, one for the access ranges and one for array
-bounds.  An empty upper set means unbounded; lower sets always contain
-0.
+bounds.  An empty set means unbounded on its side.  A value is
+unsigned, so a join keeps 0 as its lower bound when no other holds on
+both sides; an access's offset is signed, and its range may have no
+lower bound (printed -inf).
 
 Joins look for affine relations between variables that changed on the
 two sides (a lightweight affine-hull step): when variables move in
@@ -473,7 +475,7 @@ class RangeReport:
         for name in self.order:
             r = self.ranges.get(name)
             shown = empty if r is None else (
-                f"{name} + [{_render_bound(r[0])}; {_render_bound(r[1])}{close}")
+                f"{name} + [{_render_bound(r[0], '-inf')}; {_render_bound(r[1], 'inf')}{close}")
             out.append(f"range({name}) {sep} {shown}")
         return out
 
@@ -497,8 +499,8 @@ def _eval_bound(b: Aff | None, params: dict, inf_sign: int):
     return v
 
 
-def _render_bound(b: Aff | None) -> str:
-    return "inf" if b is None else b.render()
+def _render_bound(b: Aff | None, missing: str) -> str:
+    return missing if b is None else b.render()
 
 
 # ------------------------------------------------------------- analyzer
@@ -517,7 +519,7 @@ class _Analyzer:
         self.tracked = set(tracked)
         self.param_names = param_names
         self.psym = {n: ("p", n) for n in param_names}
-        self.accesses: dict[str, Interval] = {}  # base -> its offsets
+        self.accesses: dict[str, tuple[tuple, tuple]] = {}  # base -> (los, his)
         self.failures: list[str] = []
         self.findings: list[Finding] = []
         self.recording = False
@@ -717,6 +719,7 @@ class _Analyzer:
         base = bases[0][1]
         off = addr - Aff.of_sym(bases[0])
         iv = st.interval_of(off)
+        old = self.accesses.get(base)
         sides = []
         for upper, bounds in ((False, iv.los), (True, tuple(b + nbytes for b in iv.his))):
             out: tuple = ()
@@ -724,9 +727,9 @@ class _Analyzer:
                 sb = self._sanitize(b, upper)
                 if sb is not None:
                     out = _add(out, sb, upper)
-            sides.append(out)
-        old, new = self.accesses.get(base), Interval(*sides)
-        self.accesses[base] = new if old is None else old.join(new)
+            # an offset is signed, so no floor at 0 as in Interval.join
+            sides.append(out if old is None else _join(old[upper], out, upper))
+        self.accesses[base] = tuple(sides)
 
     def _sanitize(self, b: Aff, upper: bool) -> Aff | None:
         """Keep only tracked-parameter symbols in a reported bound."""
@@ -1134,8 +1137,8 @@ class _Analyzer:
         ranges = {}
         for n in order:
             if n in self.pointers and n in self.accesses:
-                iv = self.accesses[n]
-                ranges[n] = (_best(iv.los, False), _best(iv.his, True))
+                los, his = self.accesses[n]
+                ranges[n] = (_best(los, False), _best(his, True))
             else:
                 ranges[n] = None
         return RangeReport(

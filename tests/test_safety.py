@@ -76,6 +76,19 @@ fn f(reg u64 a, reg u64 b) -> reg u64 {
     assert rep.failures and "mixes bases" in rep.failures[0]
 
 
+@pytest.mark.parametrize("loads", [1, 2])
+def test_an_offset_without_lower_bound_keeps_none(loads):
+    """q - n, n untracked, may lie anywhere below q: the range has no
+    lower bound, printed -inf, whether one access records it or two
+    join it."""
+    body = "  t = (u8)[q + (0 - n)];\n" * loads
+    p = prep(f"fn f(reg u64 q, reg u64 n) -> reg u64 {{\n  reg u64 t;\n{body}  return t;\n}}")
+    rep = safety.analyze(p, "f", ["q"], [])
+    assert rep.machine_lines() == ["range(q) = q + [-inf; 1)"]
+    assert rep.text_lines() == ["range(q) : q + [-inf; 1["]
+    assert rep.bound_range("q", {}) == (float("-inf"), 1)
+
+
 def test_findings_div_by_zero():
     p = prep(
         """
