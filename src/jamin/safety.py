@@ -66,6 +66,7 @@ each value has one representation; no float ever enters.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -1254,14 +1255,14 @@ class _Uninit(Assigned):
 
     def check(self, f, e, names=None):
         """Report the reads of e (or of `names`, at e) that the facts f do
-        not prove defined."""
+        not prove defined, each at the site a run reports: its own."""
         if e is None or f is None:
             return
         for v in flow.reads(e) if names is None else names:
             if v not in self.unreported or v in f.defined:
                 continue
             self.unreported.discard(v)
-            self.findings.append(Finding("maybe-uninit", _site(e),
+            self.findings.append(Finding("maybe-uninit", _site(e if names else _read_of(e, v)),
                                          f"{v} may be read before assignment"))
 
     def transfer(self, f, s):
@@ -1285,6 +1286,19 @@ class _Uninit(Assigned):
         else:
             self.check(f, s.cond)
         return super().transfer(f, s)
+
+
+def _read_of(e, name: str):
+    """The first EVar of expression e that reads `name`, in the order of
+    flow.reads."""
+    if type(e) is EVar:
+        return e if e.name == name else None
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        for x in v if type(v) is tuple else (v,):
+            if dataclasses.is_dataclass(x) and (r := _read_of(x, name)) is not None:
+                return r
+    return None
 
 
 def _uninit_findings(p, fn) -> list[Finding]:

@@ -235,6 +235,15 @@ def test_findings_maybe_uninit():
             interp.run(p, "f", [1], memory.Memory())
 
 
+@pytest.mark.parametrize("src", UNINIT, ids=["if", "guarded", "guard"])
+def test_maybe_uninit_site_is_the_read_a_run_reports(src):
+    p = prep(src)
+    [finding] = [f for f in safety.check_safety(p, "f") if f.kind == "maybe-uninit"]
+    with pytest.raises(interp.UninitializedUse) as exc:
+        interp.run(p, "f", [1], memory.Memory())
+    assert finding.where == "{}:{}".format(*exc.value.loc)
+
+
 def test_findings_clean_when_both_branches_assign():
     for src in CLEAN:
         finds = safety.check_safety(prep(src), "f")
