@@ -66,10 +66,9 @@ each value has one representation; no float ever enters.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 from . import flow, isa
@@ -1293,10 +1292,10 @@ def _read_of(e, name: str):
     flow.reads."""
     if type(e) is EVar:
         return e if e.name == name else None
-    for f in dataclasses.fields(e):
+    for f in fields(e):
         v = getattr(e, f.name)
         for x in v if type(v) is tuple else (v,):
-            if dataclasses.is_dataclass(x) and (r := _read_of(x, name)) is not None:
+            if is_dataclass(x) and (r := _read_of(x, name)) is not None:
                 return r
     return None
 

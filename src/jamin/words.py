@@ -19,7 +19,6 @@ one is the operator on compile-time `int`s (typecheck.const_eval).
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from typing import Callable
 
@@ -87,8 +86,7 @@ ARITH = {
     "&": "(a & b)", "|": "(a | b)", "^": "(a ^ b)",
 }
 
-# Defined for counts 0 <= b <= w only, any b >= 0 at the unbounded
-# width (count_error).
+# Defined for counts 0 <= b <= w only, b >= 0 if unbounded (count_error).
 SHIFTS = {
     "<<": "((a << b) & m)",
     ">>": "(a >> b)",
@@ -157,13 +155,11 @@ def constants(w: int | None, n: int = 1, b: int | None = None) -> dict:
 def evaluator(op: str, w: int | None, n: int | None = None, unary: bool = False) -> Callable:
     """`op` at width w as a function of (a, b), or of a alone when
     `unary`, or its lane form over n lanes of w bits when n is given.
-    It raises WordError for a shift count outside [0, w] (a negative one
-    at the unbounded width w None) and ZeroDivisionError for a zero
-    divisor."""
+    It raises WordError for a shift count outside [0, w] (below 0 when
+    w is None) and ZeroDivisionError for a zero divisor."""
     expr = (UNARY if unary else LANES if n else BINARY)[op]
     ns = dict(constants(w, n or 1), count_error=count_error, WordError=WordError)
-    body = "".join(f"    {name} = {e}\n" for name, e in COUNT_NAMES
-                   if re.search(rf"\b{name}\b", expr))
+    body = "".join(f"    {name} = {e}\n" for name, e in COUNT_NAMES) if op in SHIFTS and w else ""
     if op in SHIFTS and not n:
         body = "    if e := count_error(w, b): raise WordError(e)\n" + body
     exec(f"def f({'a' if unary else 'a, b'}):\n{body}    return {expr}\n", ns)
