@@ -8,6 +8,7 @@ import re
 import pytest
 
 from gensrc import function_sources
+from test_isa_scalar_golden import _op_width
 from jamin import interp, isa, memory
 from jamin.expand import expand
 from jamin.ir import SAssign
@@ -31,11 +32,6 @@ def _boundary(width, op_width):
     mask = (1 << width) - 1
     vals = [0, 1, 1 << (width - 1), mask, mask - 1, op_width - 1, op_width]
     return list(dict.fromkeys(v & mask for v in vals))
-
-
-def _op_width(d) -> int:
-    """The operation width: that of the descriptor's explicit operands."""
-    return next(loc.width for loc in d.sources + d.destinations if isinstance(loc, isa.E))
 
 
 def _ty(width):
