@@ -85,10 +85,6 @@ _REPEATABLE = re.compile(r"\w+$")  # a name or literal, cheap to repeat
 _NAME = re.compile(r"\b([A-Za-z_]\w*)")
 
 
-def _loc(node):
-    return getattr(node, "loc", None)
-
-
 # ------------------------------------------------ must-be-assigned facts
 
 
@@ -343,13 +339,13 @@ class _FnGen(Assigned):
     def expr(self, e) -> str:
         k = type(e)
         if k is EVar:
-            return self.read_var(e.name, _loc(e))
+            return self.read_var(e.name, e.loc)
         if k is EInt:
             return self.lit(int_value(e))
         if k is EBin:
             return self.binary(e)
         if k is EArr:
-            return self.arr_read(e, _loc(e))
+            return self.arr_read(e, e.loc)
         if k is ECast:
             a = self.expr(e.arg)
             aty = e.arg.ty
@@ -358,7 +354,7 @@ class _FnGen(Assigned):
             return f"({a} & {self.mask(e.width)})"
         if k is EMem:
             a = self.expr(e.addr)
-            return f"_ld(M, T, {self.batch()}, {a}, {(e.width or 64) // 8}, {_loc(e)!r})"
+            return f"_ld(M, T, {self.batch()}, {a}, {(e.width or 64) // 8}, {e.loc!r})"
         if k is EIntr:
             d = lookup(e.name)
             return self.vector(e, d) if d.lanes is not None else f"{self.intrinsic(e)}[0]"
@@ -374,7 +370,7 @@ class _FnGen(Assigned):
         raise TypeError(f"not an expression: {e!r}")
 
     def binary(self, e: EBin) -> str:
-        op, loc = e.op, _loc(e)
+        op, loc = e.op, e.loc
         if op in ("/", "%") and not e.lanes and type(e.ty) is WordTy:
             r = self.expr(e.right)  # the divisor is evaluated, and checked, first
             f = self.const("W", words.evaluator(op, e.ty.bits))
@@ -475,7 +471,7 @@ class _FnGen(Assigned):
             self.ns[sem] = d.sem
         args = ", ".join(self.expr(a) for a in e.args)
         if d.table is None:
-            return f"_intr({sem}, [{args}], {_loc(e)!r})"
+            return f"_intr({sem}, [{args}], {e.loc!r})"
         return f"{sem}([{args}])"
 
     def vector(self, e: EIntr, d) -> str:
@@ -510,7 +506,7 @@ class _FnGen(Assigned):
             for a in e.args:
                 self.keep(self.expr(a))
             self.line(self.fail(f"#{e.name} produced {len(d.destinations)} values for "
-                                f"{len(s.dests)} destinations", _loc(s)))
+                                f"{len(s.dests)} destinations", s.loc))
             return
         keep = [i for i, lv in enumerate(s.dests) if type(lv) is not LIgnore]
         if d.table is None:
@@ -559,7 +555,7 @@ class _FnGen(Assigned):
             value = self.keep(value)  # the value is evaluated before the address
             a = self.expr(lv.addr)
             self.line(f"_st(M, T, {self.batch()}, {value}, {a}, {(lv.width or 64) // 8}, "
-                      f"{_loc(lv)!r})")
+                      f"{lv.loc!r})")
         elif k is LIgnore:
             if not _REPEATABLE.match(value):
                 self.line(value)
@@ -567,7 +563,7 @@ class _FnGen(Assigned):
             raise TypeError(f"not an lvalue: {lv!r}")
 
     def write_element(self, lv, value: str, bits):
-        storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, _loc(lv)
+        storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, lv.loc
         arr = self.arr_ref(name, loc)
         if storage == "stack":
             nb = (lv.width or ty.bits) // 8
@@ -737,7 +733,7 @@ class _FnGen(Assigned):
     def stmt(self, s, nxt):
         self.tmp = 0
         k = type(s)
-        loc = _loc(s)
+        loc = s.loc
         if k is SAssign:
             if type(s.rhs) is ECall:
                 self.call(s)
@@ -826,7 +822,7 @@ class _FnGen(Assigned):
             self.write(LVar_of(s.names[0], ty), self.expr(s.init), self.value_kind(s.init)[0])
 
     def assign(self, s: SAssign):
-        rhs, loc = s.rhs, _loc(s)
+        rhs, loc = s.rhs, s.loc
         if type(rhs) is EIntr and len(s.dests) != 1:
             self.intrinsic_dests(s)
             return
@@ -856,7 +852,7 @@ class _FnGen(Assigned):
             return
         lv = s.dests[0]
         if self.is_copy(s):
-            src = self.arr_ref(rhs.name, _loc(rhs))
+            src = self.arr_ref(rhs.name, rhs.loc)
             if not self.is_move(s):
                 src = self.copy_of(rhs.name, src)
             self.line(f"{self.v(lv.name)} = {src}")
@@ -864,7 +860,7 @@ class _FnGen(Assigned):
         self.write(lv, self.expr(rhs), self.value_kind(rhs)[0])
 
     def call(self, s: SAssign):
-        loc = _loc(s)
+        loc = s.loc
         self.tick(loc)
         callee = self.p.func(s.rhs.name)
         args = []

@@ -5,12 +5,19 @@ substituted, unrollable `for` loops are unrolled, calls to inline
 functions are spliced in, compile-time expressions are folded,
 constant-condition `if`s are pruned, global initializers are evaluated
 at their width, local `global` declarations are hoisted, and globals
-with equal values are merged.  The result is re-typechecked and marked
-`expanded`; it is the only program the back ends (interp, safety,
-leakage) accept, and they rely on its contract without rechecking it:
-no `for` loop, inline call or immediate vector remains, every
-compile-time (`int`) expression is a literal, every array access is
-typed, and globals are literals.  Expansion is idempotent.
+with equal values are merged.  The result is typed as typecheck would
+type it, without running typecheck again: a copied node keeps every
+annotation, a folded literal takes the type of the node it replaces,
+the moves that bind an inline call's arguments and results take the
+parameter's and the destination's type, and each function's `envtypes`
+come from its expanded declarations.  A constant index that unrolling
+or inlining makes out of bounds is an ExpandError naming the array as
+the source does.  The result is marked `expanded`; it is the only
+program the back ends (interp, safety, leakage) accept, and they rely
+on its contract without rechecking it: no `for` loop, inline call or
+immediate vector remains, every compile-time (`int`) expression is a
+literal, every array access is typed, and globals are literals.
+Expansion is idempotent.
 
 Word operators fold through their one definition in `words`, at their
 width; a node that would fault when run (a shift count out of range, a
@@ -22,9 +29,11 @@ its location.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from . import words
 from .ir import (
+    BOOL,
     EArr,
     EBin,
     EBool,
@@ -52,8 +61,9 @@ from .ir import (
     SWhile,
     WordTy,
     int_value,
+    word_ty,
 )
-from .typecheck import NotConst, TypecheckError, const_eval, typecheck
+from .typecheck import NotConst, const_eval, index_error
 
 MAX_UNROLL = 1 << 16
 
@@ -62,14 +72,26 @@ class ExpandError(Exception):
     pass
 
 
+@functools.cache
+def _fields(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _copy(node, **changes):
-    """`node` with `changes`, keeping its location and type."""
-    new = dataclasses.replace(node, **changes)
-    if hasattr(node, "loc"):
-        new.loc = node.loc
-    if hasattr(node, "ty") and "ty" not in changes:
-        new.ty = node.ty
+    """`node` with `changes`, keeping its side attributes (location, type,
+    array storage)."""
+    new = object.__new__(type(node))
+    for name in _fields(type(node)):
+        setattr(new, name, changes[name] if name in changes else getattr(node, name))
     return new
+
+
+def _lit(v, like):
+    """The literal of value `v` that replaces node `like`: it has like's
+    type (a bool's is bool) and no location."""
+    e = EBool(v) if isinstance(v, bool) else EInt(v)
+    e.ty = BOOL if isinstance(v, bool) else like.ty
+    return e
 
 
 class _Values:
@@ -97,7 +119,7 @@ class _Expander:
         self.funcs = {f.name: f for f in p.funcs}
         self.expanded: dict[str, FuncDecl] = {}
         # the names a hoisted local `global` must not take: every name the
-        # source declares otherwise, which re-typechecking would see shadow it
+        # source declares otherwise, which would shadow it in the result
         self.taken = {q.name for f in p.funcs for q in f.params} | {
             nm for f in p.funcs for d in _decls(f.body) if d.storage != "global"
             for nm in d.names}
@@ -110,16 +132,16 @@ class _Expander:
         name it is renamed to."""
         if isinstance(e, EInt) or isinstance(e, EBool):
             return _copy(e, value=int_value(e))  # a word literal modulo its width
-        if isinstance(getattr(e, "ty", None), IntTy) and not isinstance(env, _Values):
+        if isinstance(e.ty, IntTy) and not isinstance(env, _Values):
             env = _Values(env, self.global_vals)  # a compile-time node reads globals' values
         if isinstance(e, EVar):
             name = env.get(e.name, e.name)
             if isinstance(name, (int, bool)):
-                return EBool(name) if isinstance(name, bool) else EInt(name)
+                return _lit(name, e)
             return _copy(e, name=name)
         if isinstance(e, EArr):
-            return self.fold(_copy(e, name=self.rename(e, env),
-                                   index=self.subst(e.index, env)), env)
+            return _checked(_copy(e, name=self.rename(e, env), index=self.subst(e.index, env)),
+                            e.name)
         if isinstance(e, EMem):
             return _copy(e, addr=self.subst(e.addr, env))
         if isinstance(e, EUn):
@@ -136,7 +158,7 @@ class _Expander:
         if isinstance(e, EVecImm):
             values = tuple(EInt(self.const(v, env, "immediate element")) for v in e.values)
             try:
-                return EInt(const_eval(_copy(e, values=values), {}))
+                return _lit(const_eval(_copy(e, values=values), {}), e)
             except NotConst as exc:
                 raise ExpandError(f"{_at(e)}{exc}") from exc
         if isinstance(e, ECast):
@@ -160,7 +182,7 @@ class _Expander:
             kids = [e.arg]
         else:
             return e
-        ty = getattr(e, "ty", None)
+        ty = e.ty
         reason = "an operand is not known"
         if all(isinstance(k, (EInt, EBool)) for k in kids):
             try:
@@ -170,7 +192,7 @@ class _Expander:
                     v = f(*(k.value for k in kids))
                 else:
                     v = const_eval(e, {})
-                return EBool(v) if isinstance(v, bool) else EInt(v)
+                return _lit(v, e)
             except (NotConst, words.WordError, ZeroDivisionError) as exc:
                 reason = exc
         if isinstance(ty, IntTy):
@@ -264,7 +286,8 @@ class _Expander:
         if isinstance(lv, LVar):
             return _copy(lv, name=self.rename(lv, env))
         if isinstance(lv, LArr):
-            return _copy(lv, name=self.rename(lv, env), index=self.subst(lv.index, env))
+            return _checked(_copy(lv, name=self.rename(lv, env), index=self.subst(lv.index, env)),
+                            lv.name)
         if isinstance(lv, LMem):
             return _copy(lv, addr=self.subst(lv.addr, env))
         if isinstance(lv, LIgnore):
@@ -291,8 +314,10 @@ class _Expander:
             else:
                 nm = f"{p.name}__{tag}"
                 env2[p.name] = nm
+                dest = LVar(nm)
+                dest.ty = p.ty
                 out.append(SDecl(p.storage, p.ty, (nm,), None))
-                out.append(SAssign((LVar(nm),), None, a))
+                out.append(SAssign((dest,), None, a))
         # every declared local gets a call-site-unique name
         for nm in _decl_names(callee.body):
             env2[nm] = f"{nm}__{tag}"
@@ -310,7 +335,7 @@ class _Expander:
             if ret_values is None or len(ret_values) != len(dests):
                 raise ExpandError(f"{_at(s)}inline call result arity mismatch")
             for d, v in zip(dests, ret_values):
-                out.append(SAssign((d,), None, v))
+                out.append(SAssign((d,), None, _resized(v, d.ty)))
         return out
 
     def function_body(self, name: str):
@@ -320,7 +345,9 @@ class _Expander:
             return self.expanded[name].body
         f = self.funcs[name]
         body = tuple(self.expand_block(f.body, dict(self.env), True, f))
-        self.expanded[name] = _copy(f, body=body)
+        new = self.expanded[name] = _copy(f, body=body)
+        new.envtypes = {q.name: (q.storage, q.ty) for q in f.params}
+        new.envtypes.update((nm, (d.storage, d.ty)) for d in _decls(body) for nm in d.names)
         return body
 
     # ------------------------------------------------------ globals
@@ -357,8 +384,8 @@ class _Expander:
             if not f.inline:
                 self.function_body(f.name)
                 out_funcs.append(self.expanded[f.name])
-        newp = typecheck(Program((), tuple(self.global_decls), tuple(out_funcs)))
-        newp.expanded = True
+        newp = Program((), tuple(self.global_decls), tuple(out_funcs))
+        newp.typed = newp.expanded = True
         return newp
 
 
@@ -379,19 +406,42 @@ def _decl_names(stmts) -> list[str]:
 
 
 def _value_expr(ty, value):
+    """The literals of a global of type `ty` (an array's: one per element)."""
     if isinstance(value, tuple):
-        return tuple(EInt(v) for v in value)
-    return EInt(value)
+        return tuple(_value_expr(ty, v) for v in value)
+    e = EInt(value)
+    e.ty = word_ty(ty.bits)
+    return e
+
+
+def _resized(v, ty):
+    """Value `v` moved into a destination of type `ty`: a word of another
+    width is resized, as an assignment's right-hand side is."""
+    if isinstance(ty, WordTy) and isinstance(v.ty, WordTy) and v.ty is not ty:
+        v = ECast(ty.bits, v)
+        v.ty = ty
+    return v
+
+
+def _checked(access, name: str):
+    """`access` (an EArr or LArr of source name `name`), unless its index
+    is a literal outside the array."""
+    if isinstance(access.index, EInt):
+        msg = index_error(name, access.arr_ty, access.index.value, access.width,
+                          access.byte_mode)
+        if msg:
+            raise ExpandError(f"{_at(access)}{msg}")
+    return access
 
 
 def _at(s) -> str:
-    loc = getattr(s, "loc", None)
+    loc = s.loc
     return f"{loc[0]}:{loc[1]}: " if loc else ""
 
 
 def expand(p: Program) -> Program:
     """Expand a typed program; the result is typed, keeps the contract of
     the module docstring and is marked `expanded`."""
-    if not getattr(p, "typed", False):
+    if not p.typed:
         raise ExpandError("expand requires a typechecked program")
     return _Expander(p).run()

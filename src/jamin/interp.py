@@ -300,7 +300,7 @@ _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch"
 
 def require_expanded(p: Program, user: str):
     """Raise ContractViolation unless `p` is a program from expand."""
-    if not getattr(p, "expanded", False):
+    if not p.expanded:
         raise ContractViolation(f"{user} requires a program from expand")
 
 
@@ -314,7 +314,7 @@ def _namespace(p: Program) -> dict:
     """The globals of a program's generated code, cached on the program:
     run-time helpers, global values and, per non-inline function, its
     compiled code (at first a stand-in that compiles it when called)."""
-    ns = getattr(p, "_exec_ns", None)
+    ns = p._exec_ns
     if ns is None:
         ns = dict(_RUNTIME)
         ns["__consts__"] = {}

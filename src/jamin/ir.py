@@ -1,14 +1,26 @@
 """Typed AST of the DSL.
 
-Nodes are plain dataclasses compared structurally; source locations and
-type annotations are attached as non-field attributes (`loc`, `ty`) so
-they never participate in equality.  `print_program` is the canonical
-formatter: parse(print_program(parse(text))) equals parse(text).
+Nodes are slotted dataclasses compared structurally.  Their side
+attributes are slots outside the constructor, equality and repr, and
+every node has them (None until set): the source location `loc`, the
+static type `ty` of an expression or lvalue, the storage and type of
+the array an access names (`arr_storage`, `arr_ty`), a function's
+`envtypes`, a program's `typed`/`expanded` marks and the code interp
+compiled for it (`_exec_ns`).  No node carries a `__dict__`.
+
+Types are immutable values shared by every node: one WordTy per width
+(`word_ty`), one BoolTy (`BOOL`) and one IntTy (`INT`), as in
+hash-consing (Filliatre and Conchon, ML Workshop 2006); `==` and
+`isinstance` work on them as on any value.
+
+`print_program` is the canonical formatter: parse(print_program(parse(text)))
+equals parse(text).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 # ---------------------------------------------------------------- types
@@ -19,6 +31,9 @@ class BoolTy:
     def __str__(self):
         return "bool"
 
+    def __reduce__(self):  # copies and pickles are the shared value
+        return "BOOL"
+
 
 @dataclass(frozen=True)
 class IntTy:
@@ -27,6 +42,9 @@ class IntTy:
     def __str__(self):
         return "int"
 
+    def __reduce__(self):
+        return "INT"
+
 
 @dataclass(frozen=True)
 class WordTy:
@@ -34,6 +52,9 @@ class WordTy:
 
     def __str__(self):
         return f"u{self.bits}"
+
+    def __reduce__(self):
+        return word_ty, (self.bits,)
 
 
 @dataclass(frozen=True)
@@ -47,28 +68,65 @@ class ArrayTy:
 
 Ty = Union[BoolTy, IntTy, WordTy, ArrayTy]
 
+BOOL = BoolTy()
+INT = IntTy()
+
+
+@functools.cache
+def word_ty(bits: int) -> WordTy:
+    """The one WordTy of `bits` bits."""
+    return WordTy(bits)
+
+
 STORAGE_CLASSES = ("reg", "stack", "inline", "global")
+
+# ---------------------------------------------------------------- nodes
+
+
+def _side(default=None):
+    """A side attribute: a slot outside the constructor, equality and repr."""
+    return field(default=default, init=False, repr=False, compare=False)
+
+
+@dataclass(slots=True)
+class _Node:
+    loc: Optional[tuple] = _side()  # (line, column) in the source
+
+
+@dataclass(slots=True)
+class _Typed(_Node):
+    """An expression or lvalue: typecheck sets `ty` (None on a call)."""
+
+    ty: Optional[Ty] = _side()
+
+
+@dataclass(slots=True)
+class _Access(_Typed):
+    """An array access: typecheck sets the storage and type of the array."""
+
+    arr_storage: Optional[str] = _side()
+    arr_ty: Optional[ArrayTy] = _side()
 
 # ----------------------------------------------------------- expressions
 
 
-@dataclass
-class EInt:
+@dataclass(slots=True)
+class EInt(_Typed):
     value: int
 
 
-@dataclass
-class EBool:
+@dataclass(slots=True)
+class EBool(_Typed):
     value: bool
 
 
-@dataclass
-class EVar:
+@dataclass(slots=True)
+class EVar(_Typed):
     name: str
 
 
-@dataclass
-class EArr:
+@dataclass(slots=True)
+class EArr(_Access):
     """Array read: x[i], (uW)x[i] (element view) or (uW)x.[i] (byte view)."""
 
     name: str
@@ -77,42 +135,42 @@ class EArr:
     byte_mode: bool = False
 
 
-@dataclass
-class EMem:
+@dataclass(slots=True)
+class EMem(_Typed):
     """Memory load [addr]; width defaults to 64 when not annotated."""
 
     addr: "Expr"
     width: Optional[int] = None
 
 
-@dataclass
-class EUn:
+@dataclass(slots=True)
+class EUn(_Typed):
     op: str  # ! ~ -
     arg: "Expr"
 
 
-@dataclass
-class EBin:
+@dataclass(slots=True)
+class EBin(_Typed):
     op: str
     left: "Expr"
     right: "Expr"
     lanes: Optional[tuple[int, int]] = None  # (n, m) for e.g. +4u64
 
 
-@dataclass
-class EIntr:
+@dataclass(slots=True)
+class EIntr(_Typed):
     name: str  # without the leading '#'
     args: tuple
 
 
-@dataclass
-class ECall:
+@dataclass(slots=True)
+class ECall(_Typed):
     name: str
     args: tuple
 
 
-@dataclass
-class EVecImm:
+@dataclass(slots=True)
+class EVecImm(_Typed):
     """Immediate vector (NuM)[v0, ...]: v0 in the least significant bits."""
 
     n: int
@@ -120,8 +178,8 @@ class EVecImm:
     values: tuple
 
 
-@dataclass
-class ECast:
+@dataclass(slots=True)
+class ECast(_Typed):
     """Zero-extending / truncating resize to `width` bits."""
 
     width: int
@@ -133,33 +191,33 @@ Expr = Union[EInt, EBool, EVar, EArr, EMem, EUn, EBin, EIntr, ECall, EVecImm, EC
 
 def int_value(e) -> int:
     """A literal's value, reduced modulo its width when it is a typed word."""
-    ty = getattr(e, "ty", None)
+    ty = e.ty
     return e.value & ((1 << ty.bits) - 1) if type(ty) is WordTy else e.value
 
 # -------------------------------------------------------------- lvalues
 
 
-@dataclass
-class LVar:
+@dataclass(slots=True)
+class LVar(_Typed):
     name: str
 
 
-@dataclass
-class LArr:
+@dataclass(slots=True)
+class LArr(_Access):
     name: str
     index: Expr
     width: Optional[int] = None
     byte_mode: bool = False
 
 
-@dataclass
-class LMem:
+@dataclass(slots=True)
+class LMem(_Typed):
     addr: Expr
     width: Optional[int] = None
 
 
-@dataclass
-class LIgnore:
+@dataclass(slots=True)
+class LIgnore(_Typed):
     pass
 
 
@@ -168,23 +226,23 @@ Lval = Union[LVar, LArr, LMem, LIgnore]
 # ------------------------------------------------------------ statements
 
 
-@dataclass
-class VarDecl:
+@dataclass(slots=True)
+class VarDecl(_Node):
     storage: str
     ty: Ty
     name: str
 
 
-@dataclass
-class SDecl:
+@dataclass(slots=True)
+class SDecl(_Node):
     storage: str
     ty: Ty
     names: tuple
     init: Optional[Expr] = None
 
 
-@dataclass
-class SAssign:
+@dataclass(slots=True)
+class SAssign(_Node):
     dests: tuple  # of Lval; empty for a bare call statement
     op: Optional[str]  # compound-assignment operator, None for plain '='
     rhs: Expr
@@ -192,21 +250,21 @@ class SAssign:
     cond: Optional[Expr] = None  # `x = e if c;`
 
 
-@dataclass
-class SIf:
+@dataclass(slots=True)
+class SIf(_Node):
     cond: Expr
     then: tuple
     els: tuple
 
 
-@dataclass
-class SWhile:
+@dataclass(slots=True)
+class SWhile(_Node):
     cond: Expr
     body: tuple
 
 
-@dataclass
-class SFor:
+@dataclass(slots=True)
+class SFor(_Node):
     """Unrollable loop; iterates var = lo, lo+1, ..., hi (inclusive)."""
 
     var: str
@@ -215,8 +273,8 @@ class SFor:
     body: tuple
 
 
-@dataclass
-class SReturn:
+@dataclass(slots=True)
+class SReturn(_Node):
     values: tuple
 
 
@@ -225,33 +283,37 @@ Stmt = Union[SDecl, SAssign, SIf, SWhile, SFor, SReturn]
 # ------------------------------------------------------------- toplevel
 
 
-@dataclass
-class ParamDecl:
+@dataclass(slots=True)
+class ParamDecl(_Node):
     name: str
     value: Expr
 
 
-@dataclass
-class GlobalDecl:
+@dataclass(slots=True)
+class GlobalDecl(_Node):
     name: str
     ty: Ty
     init: object  # Expr, or tuple of Expr for arrays
 
 
-@dataclass
-class FuncDecl:
+@dataclass(slots=True)
+class FuncDecl(_Node):
     name: str
     inline: bool
     params: tuple  # of VarDecl
     rets: tuple  # of (storage, Ty)
     body: tuple
+    envtypes: Optional[dict] = _side()  # every local and parameter -> (storage, Ty)
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     params: tuple  # of ParamDecl
     globals: tuple  # of GlobalDecl
     funcs: tuple  # of FuncDecl
+    typed: bool = _side(False)
+    expanded: bool = _side(False)
+    _exec_ns: Optional[dict] = _side()  # interp's compiled functions
 
     def func(self, name: str) -> FuncDecl:
         for f in self.funcs:

@@ -12,8 +12,9 @@ import re
 
 from . import ir
 from .ir import (
+    BOOL,
+    INT,
     ArrayTy,
-    BoolTy,
     EArr,
     EBin,
     EBool,
@@ -27,7 +28,6 @@ from .ir import (
     EVecImm,
     FuncDecl,
     GlobalDecl,
-    IntTy,
     LArr,
     LIgnore,
     LMem,
@@ -41,7 +41,7 @@ from .ir import (
     SReturn,
     SWhile,
     VarDecl,
-    WordTy,
+    word_ty,
 )
 from .words import WIDTHS
 
@@ -310,16 +310,16 @@ class Parser:
     def parse_type(self):
         t = self.expect("IDENT")
         if t.text == "bool":
-            return BoolTy()
+            return BOOL
         if t.text == "int":
-            return IntTy()
+            return INT
         if t.text in WIDTH_NAMES:
             bits = WIDTH_NAMES[t.text]
             if self.accept("PUNCT", "["):
                 length = self.parse_expr()
                 self.expect("PUNCT", "]")
                 return ArrayTy(bits, length)
-            return WordTy(bits)
+            return word_ty(bits)
         self.error(f"unknown type {t.text!r}", t)
 
     # ---------------------------------------------------- statements

@@ -842,8 +842,8 @@ class _Analyzer:
             else:
                 cur = _arr_read(lv)
             expr = EBin(s.op, cur, s.rhs, s.lanes)
-            expr.ty = getattr(lv, "ty", None)
-            expr.loc = getattr(s, "loc", None)
+            expr.ty = lv.ty
+            expr.loc = s.loc
             a, iv = self.eval_bin(st, expr)
             if isinstance(lv, LVar):
                 self.assign_var(st, lv.name, a, iv)
@@ -861,7 +861,7 @@ class _Analyzer:
             return st
         for lv in s.dests:
             if isinstance(lv, LVar):
-                if isinstance(getattr(lv, "ty", None), WordTy):
+                if isinstance(lv.ty, WordTy):
                     self.assign_var(st, lv.name, a, iv)
                 else:
                     st.vals.pop(lv.name, None)
@@ -1172,13 +1172,13 @@ def _ival(st: AbsState, a: Aff | None, iv: Interval | None) -> Interval:
 
 def _arr_read(lv: LArr) -> EArr:
     e = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
-    e.ty = getattr(lv, "ty", None)
-    e.loc = getattr(lv, "loc", None)
+    e.ty = lv.ty
+    e.loc = lv.loc
     return e
 
 
 def _expr_bits(e) -> int | None:
-    ty = getattr(e, "ty", None)
+    ty = e.ty
     if isinstance(ty, WordTy):
         return ty.bits
     return None

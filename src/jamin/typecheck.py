@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from . import isa, words
 from .ir import (
+    BOOL,
+    INT,
     ArrayTy,
     BoolTy,
     EArr,
@@ -43,6 +45,8 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    _op_text,
+    word_ty,
 )
 
 LEGAL_WIDTHS = words.WIDTHS
@@ -65,7 +69,7 @@ class NotConst(Exception):
 
 
 def _loc(node) -> str:
-    loc = getattr(node, "loc", None)
+    loc = node.loc
     return f"{loc[0]}:{loc[1]}: " if loc else ""
 
 
@@ -87,9 +91,11 @@ def const_eval(e, env: dict) -> int:
         if e.op in words.UNARY:
             return words.evaluator(e.op, None, unary=True)(v)
     if isinstance(e, EBin):
+        op = e.op
+        if e.lanes:
+            raise NotConst(f"lane operator {_op_text(op, e.lanes)} on compile-time ints")
         a = const_eval(e.left, env)
         b = const_eval(e.right, env)
-        op = e.op
         if op in ARITH_OPS or op == "<<" or op == ">>":
             try:
                 return words.evaluator(op, None)(a, b)
@@ -113,6 +119,7 @@ def const_eval(e, env: dict) -> int:
             return bool(a) and bool(b)
         if op == "||":
             return bool(a) or bool(b)
+        raise NotConst(f"operator {op} is not defined on compile-time ints")
     if isinstance(e, EVecImm):
         v = 0
         for i, x in enumerate(e.values):
@@ -124,6 +131,16 @@ def const_eval(e, env: dict) -> int:
     if isinstance(e, ECast):
         return const_eval(e.arg, env) & ((1 << e.width) - 1)
     raise NotConst(type(e).__name__)
+
+
+def index_error(name: str, ty: ArrayTy, i: int, width, byte_mode: bool) -> str | None:
+    """Why constant index `i` of an access to array `name` of type `ty`
+    (a `width`-bit view, a byte view) is out of bounds, or None."""
+    w = width or ty.bits
+    off = i if byte_mode else i * (w // 8)
+    if off < 0 or off + w // 8 > ty.length * (ty.bits // 8):
+        return f"index {i} outside {name}: u{ty.bits}[{ty.length}]"
+    return None
 
 
 def _vecimm_width(n: int, m: int) -> int:
@@ -173,6 +190,18 @@ class _FnChecker:
             return self.is_compile_time(e.arg)
         return False
 
+    def check_no_lanes(self, e):
+        """A compile-time int is computed at the unbounded width, where a
+        lane operator has no meaning."""
+        if isinstance(e, EBin):
+            if e.lanes:
+                self.err(e, f"lane operator {_op_text(e.op, e.lanes)} on compile-time ints")
+            else:
+                self.check_no_lanes(e.left)
+                self.check_no_lanes(e.right)
+        elif isinstance(e, (EUn, ECast)):
+            self.check_no_lanes(e.arg)
+
     # ----------------------------------------------------- lookups
 
     def var_ty(self, node, name):
@@ -181,11 +210,11 @@ class _FnChecker:
         if name in self.tc.global_tys:
             return ("global", self.tc.global_tys[name])
         if name in self.tc.param_values:
-            return ("inline", IntTy())
+            return ("inline", INT)
         if name in self.for_vars:
-            return ("inline", IntTy())
+            return ("inline", INT)
         self.err(node, f"unknown variable {name!r}")
-        return ("reg", WordTy(64))
+        return ("reg", word_ty(64))
 
     # ---------------------------------------------------- coercion
 
@@ -193,19 +222,19 @@ class _FnChecker:
         ty = e.ty
         if isinstance(ty, IntTy):
             if isinstance(e, EInt):
-                e.ty = WordTy(width)
+                e.ty = word_ty(width)
                 return e
             c = ECast(width, e)
-            c.ty = WordTy(width)
+            c.ty = word_ty(width)
             return c
         if isinstance(ty, WordTy):
             if ty.bits == width:
                 return e
             c = ECast(width, e)
-            c.ty = WordTy(width)
+            c.ty = word_ty(width)
             return c
         self.err(e, f"expected a u{width} value, found {ty}")
-        e.ty = WordTy(width)
+        e.ty = word_ty(width)
         return e
 
     def infer_word(self, e, width: int | None):
@@ -225,10 +254,10 @@ class _FnChecker:
     def infer(self, e, expect: int | None = None):
         """Annotate e.ty; `expect` is the surrounding operator width."""
         if isinstance(e, EInt):
-            e.ty = WordTy(expect) if expect else IntTy()
+            e.ty = word_ty(expect) if expect else INT
             return
         if isinstance(e, EBool):
-            e.ty = BoolTy()
+            e.ty = BOOL
             return
         if isinstance(e, EVar):
             st, ty = self.var_ty(e, e.name)
@@ -244,7 +273,7 @@ class _FnChecker:
                 self.infer(v)
                 if not self.is_compile_time(v):
                     self.err(v, "immediate vector elements must be compile-time")
-            e.ty = WordTy(w)
+            e.ty = word_ty(w)
             return
         if isinstance(e, ECast):
             if e.width not in LEGAL_WIDTHS:
@@ -252,39 +281,39 @@ class _FnChecker:
             self.infer(e.arg)
             if not isinstance(e.arg.ty, (WordTy, IntTy)):
                 self.err(e, f"cannot cast {e.arg.ty} to u{e.width}")
-            e.ty = WordTy(e.width)
+            e.ty = word_ty(e.width)
             return
         if isinstance(e, EArr):
             self.check_array_access(e, e.name, e.index, e.width, e.byte_mode, write=False)
             st, ty = self.var_ty(e, e.name)
             if isinstance(ty, ArrayTy):
-                e.ty = WordTy(e.width or ty.bits)
+                e.ty = word_ty(e.width or ty.bits)
             else:
-                e.ty = WordTy(64)
+                e.ty = word_ty(64)
             return
         if isinstance(e, EMem):
             w = e.width or 64
             if w not in LEGAL_WIDTHS:
                 self.err(e, f"illegal access width {w}")
             e.addr = self.infer_word(e.addr, 64)
-            e.ty = WordTy(w)
+            e.ty = word_ty(w)
             return
         if isinstance(e, EUn):
             if e.op == "!":
                 self.infer(e.arg)
                 if not isinstance(e.arg.ty, BoolTy):
                     self.err(e, "! expects a bool")
-                e.ty = BoolTy()
+                e.ty = BOOL
                 return
             # ~ and unary - are word operators
             self.infer(e.arg, expect)
             if isinstance(e.arg.ty, IntTy):
-                e.ty = IntTy()
+                e.ty = INT
             elif isinstance(e.arg.ty, WordTy):
                 e.ty = e.arg.ty
             else:
                 self.err(e, f"{e.op} expects a word")
-                e.ty = WordTy(expect or 64)
+                e.ty = word_ty(expect or 64)
             return
         if isinstance(e, EBin):
             self.infer_bin(e, expect)
@@ -294,7 +323,7 @@ class _FnChecker:
             return
         if isinstance(e, ECall):
             self.err(e, "function calls are statements, not sub-expressions")
-            e.ty = WordTy(64)
+            e.ty = word_ty(64)
             return
         raise TypeError(f"not an expression: {e!r}")
 
@@ -312,14 +341,14 @@ class _FnChecker:
                 e.right = self.infer_word(e.right, 8)
             else:
                 e.right = self.infer_word(e.right, total)
-            e.ty = WordTy(total)
+            e.ty = word_ty(total)
             return
         if op in BOOL_OPS:
             self.infer(e.left)
             self.infer(e.right)
             if not isinstance(e.left.ty, BoolTy) or not isinstance(e.right.ty, BoolTy):
                 self.err(e, f"{op} expects bools")
-            e.ty = BoolTy()
+            e.ty = BOOL
             return
         if op in CMP_OPS:
             self.infer(e.left)
@@ -334,16 +363,16 @@ class _FnChecker:
                         self.err(e, f"{op} not defined on bools")
                 else:
                     self.err(e, f"cannot compare {e.left.ty} with {e.right.ty}")
-            e.ty = BoolTy()
+            e.ty = BOOL
             return
         if op in SHIFT_OPS:
             self.infer(e.left, expect)
             w = self.natural_width(e.left) or expect
             if w is not None:
                 e.left = self.coerce(e.left, w)
-                e.ty = WordTy(w)
+                e.ty = word_ty(w)
             else:
-                e.ty = IntTy()  # compile-time shift
+                e.ty = INT  # compile-time shift
             self.infer(e.right)
             if not isinstance(e.right.ty, IntTy):
                 e.right = self.coerce(e.right, 8)
@@ -353,25 +382,25 @@ class _FnChecker:
             self.infer(e.right, expect)
             w = expect or self.natural_width(e.left) or self.natural_width(e.right)
             if w is None:
-                e.ty = IntTy()  # both compile-time
+                e.ty = INT  # both compile-time
                 return
             e.left = self.coerce(e.left, w)
             e.right = self.coerce(e.right, w)
-            e.ty = WordTy(w)
+            e.ty = word_ty(w)
             return
         self.err(e, f"unknown operator {op!r}")
-        e.ty = WordTy(64)
+        e.ty = word_ty(64)
 
     def infer_intrinsic(self, e: EIntr, stmt_dests=None):
         try:
             d = isa.lookup(e.name)
         except isa.UnknownInstruction:
             self.err(e, f"unknown intrinsic #{e.name}")
-            e.ty = WordTy(64)
+            e.ty = word_ty(64)
             return None
         if len(e.args) != len(d.sources):
             self.err(e, f"#{e.name} expects {len(d.sources)} arguments, got {len(e.args)}")
-            e.ty = WordTy(64)
+            e.ty = word_ty(64)
             return d
         args = []
         for a, w in zip(e.args, d.src_widths):
@@ -391,7 +420,7 @@ class _FnChecker:
                     f"in a multi-destination assignment",
                 )
             w = d.dst_widths[0]
-            e.ty = BoolTy() if w == "flag" else WordTy(w)
+            e.ty = BOOL if w == "flag" else word_ty(w)
         return d
 
     def check_array_access(self, node, name, index, width, byte_mode, write):
@@ -422,12 +451,9 @@ class _FnChecker:
                 i = const_eval(index, self.tc.param_values)
             except NotConst:
                 return
-            eb = ty.bits // 8
-            total = ty.length * eb
-            w = width or ty.bits
-            off = i if byte_mode else i * (w // 8)
-            if off < 0 or off + w // 8 > total:
-                self.err(node, f"index {i} outside {name}: u{ty.bits}[{ty.length}]")
+            msg = index_error(name, ty, i, width, byte_mode)
+            if msg:
+                self.err(node, msg)
 
     # --------------------------------------------------- statements
 
@@ -456,6 +482,7 @@ class _FnChecker:
                     self.infer(s.init)
                     if not self.is_compile_time(s.init):
                         self.err(s, "inline initializer must be compile-time")
+                    self.check_no_lanes(s.init)
                 else:
                     self.err(s, "only word and inline int declarations take an initializer")
             return
@@ -480,6 +507,8 @@ class _FnChecker:
             self.infer(s.hi)
             if not (self.is_compile_time(s.lo) and self.is_compile_time(s.hi)):
                 self.err(s, "for bounds must be compile-time")
+            self.check_no_lanes(s.lo)
+            self.check_no_lanes(s.hi)
             self.for_vars.append(s.var)
             self.check_block(s.body)
             self.for_vars.pop()
@@ -522,14 +551,14 @@ class _FnChecker:
             self.check_array_access(lv, lv.name, lv.index, lv.width, lv.byte_mode, write)
             st, ty = self.var_ty(lv, lv.name)
             if isinstance(ty, ArrayTy):
-                return WordTy(lv.width or ty.bits)
-            return WordTy(64)
+                return word_ty(lv.width or ty.bits)
+            return word_ty(64)
         if isinstance(lv, LMem):
             w = lv.width or 64
             if w not in LEGAL_WIDTHS:
                 self.err(lv, f"illegal access width {w}")
             lv.addr = self.infer_word(lv.addr, 64)
-            return WordTy(w)
+            return word_ty(w)
         raise TypeError(f"not an lvalue: {lv!r}")
 
     def check_assign(self, s: SAssign):
@@ -667,7 +696,7 @@ class _Checker:
             try:
                 self.param_values[pd.name] = const_eval(pd.value, self.param_values)
             except NotConst as exc:
-                self.errors.append(f"param {pd.name}: not compile-time ({exc})")
+                self.errors.append(f"{_loc(pd)}param {pd.name}: not compile-time ({exc})")
         for g in self.p.globals:
             ty = self.resolve_ty(g.ty, None)
             g.ty = ty
@@ -675,7 +704,7 @@ class _Checker:
                 if not isinstance(g.init, tuple) or len(g.init) != ty.length:
                     self.errors.append(f"global {g.name}: initializer arity mismatch")
                 else:
-                    g.init = tuple(self.global_init(g, WordTy(ty.bits), v) for v in g.init)
+                    g.init = tuple(self.global_init(g, word_ty(ty.bits), v) for v in g.init)
             elif isinstance(g.init, tuple):
                 self.errors.append(f"global {g.name}: scalar takes a single initializer")
             else:
@@ -697,7 +726,7 @@ class _Checker:
         of type `ty` (an array global's element type) would be, which
         sees the parameters and the earlier globals."""
         decl = SDecl("global", ty, (g.name,), init)
-        decl.loc = getattr(g, "loc", None)
+        decl.loc = g.loc
         _FnChecker(self, FuncDecl(f"global {g.name}", False, (), (), ())).check_stmt(decl)
         return decl.init
 
