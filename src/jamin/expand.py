@@ -33,7 +33,6 @@ import functools
 
 from . import words
 from .ir import (
-    BOOL,
     EArr,
     EBin,
     EBool,
@@ -88,9 +87,9 @@ def _copy(node, **changes):
 
 def _lit(v, like):
     """The literal of value `v` that replaces node `like`: it has like's
-    type (a bool's is bool) and no location."""
+    type and no location."""
     e = EBool(v) if isinstance(v, bool) else EInt(v)
-    e.ty = BOOL if isinstance(v, bool) else like.ty
+    e.ty = like.ty
     return e
 
 

@@ -356,7 +356,7 @@ def _fmt_int(v: int) -> str:
     return str(v) if -65536 < v < 65536 else hex(v)
 
 
-def _op_text(op: str, lanes) -> str:
+def op_text(op: str, lanes) -> str:
     return f"{op}{lanes[0]}u{lanes[1]}" if lanes else op
 
 
@@ -380,7 +380,7 @@ def fmt_expr(e: Expr, prec: int = 0) -> str:
         return f"{e.op}{fmt_expr(e.arg, 99)}"
     if isinstance(e, EBin):
         p = _PREC[e.op]
-        s = f"{fmt_expr(e.left, p)} {_op_text(e.op, e.lanes)} {fmt_expr(e.right, p + 1)}"
+        s = f"{fmt_expr(e.left, p)} {op_text(e.op, e.lanes)} {fmt_expr(e.right, p + 1)}"
         return f"({s})" if p < prec else s
     if isinstance(e, EIntr):
         return f"#{e.name}(" + ", ".join(fmt_expr(a) for a in e.args) + ")"
@@ -427,7 +427,7 @@ def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
         if not s.dests:
             return [f"{pad}{rhs};"]
         dests = ", ".join(fmt_lval(d) for d in s.dests)
-        eq = f"{_op_text(s.op, s.lanes)}=" if s.op else "="
+        eq = f"{op_text(s.op, s.lanes)}=" if s.op else "="
         return [f"{pad}{dests} {eq} {rhs}{guard};"]
     if isinstance(s, SIf):
         out = [f"{pad}if ({fmt_expr(s.cond)}) {{"]

@@ -8,7 +8,11 @@ right-hand side, which is how assignment truncation becomes explicit.
 Storage rules enforced here: register arrays are indexed only by
 compile-time expressions, views and byte views exist only on stack
 arrays, globals are never written, inline variables are compile-time
-integers.
+integers, computed at the unbounded width, so without lane operators.
+
+Types are the shared values of `ir` (`word_ty`, `BOOL`, `INT`).  A
+build typechecks once, the source program: expand types the nodes it
+creates itself (see its docstring).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
-    _op_text,
+    op_text,
     word_ty,
 )
 
@@ -93,7 +97,7 @@ def const_eval(e, env: dict) -> int:
     if isinstance(e, EBin):
         op = e.op
         if e.lanes:
-            raise NotConst(f"lane operator {_op_text(op, e.lanes)} on compile-time ints")
+            raise NotConst(f"lane operator {op_text(op, e.lanes)} on compile-time ints")
         a = const_eval(e.left, env)
         b = const_eval(e.right, env)
         if op in ARITH_OPS or op == "<<" or op == ">>":
@@ -195,7 +199,7 @@ class _FnChecker:
         lane operator has no meaning."""
         if isinstance(e, EBin):
             if e.lanes:
-                self.err(e, f"lane operator {_op_text(e.op, e.lanes)} on compile-time ints")
+                self.err(e, f"lane operator {op_text(e.op, e.lanes)} on compile-time ints")
             else:
                 self.check_no_lanes(e.left)
                 self.check_no_lanes(e.right)

@@ -238,7 +238,18 @@ def test_malformed_arguments_exit_2(capsys, argv):
     ("fn f() -> reg u64 {\n  reg u64[4] a;\n  a[1 / 0] = 1;\n  return a[0];\n}", "3:7:"),
     ("fn f(reg u128 a) -> reg u128 {\n  reg u128 b;\n"
      "  b = #x86_VPSHUFD_128(a, (4u2)[0, 1, 2, 5]);\n  return b;\n}", "3:27:"),
-], ids=["negative-compile-time-shift", "index-div-by-zero", "vector-lane-overflow"])
+    ("fn f() {\n  inline int n = 5 +4u64 1;\n}", "2:20: f: lane operator +4u64"),
+    ("fn f() {\n  reg u32[16] x;\n  for i = 0 to 16 { x[i] = 0; }\n}",
+     "3:21: index 16 outside x: u32[16]"),
+    ("inline fn g(reg u32[4] a, inline int k) -> reg u32 {\n  reg u32 t;\n  t = a[k];\n"
+     "  return t;\n}\nfn f() -> reg u32 {\n  reg u32[4] x;\n  reg u32 r;\n"
+     "  for i = 0 to 3 { x[i] = i; }\n  r = g(x, 7);\n  return r;\n}",
+     "3:7: index 7 outside a: u32[4]"),
+    ("fn f() -> reg u64 {\n  stack u8[8] b;\n  reg u64 t;\n  for i = 0 to 7 { (u8)b.[i] = 0; }\n"
+     "  for i = 0 to 1 {\n    t = (u64)b.[i * 4];\n  }\n  return t;\n}",
+     "6:9: index 4 outside b: u8[8]"),
+], ids=["negative-compile-time-shift", "index-div-by-zero", "vector-lane-overflow",
+        "lane-operator-on-ints", "unrolled-index", "inlined-index", "unrolled-byte-view"])
 def test_malformed_program_exit_2(tmp_path, capsys, src, located):
     prog = tmp_path / "bad.jz"
     prog.write_text(src)

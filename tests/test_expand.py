@@ -1,5 +1,6 @@
 import dataclasses
 import operator
+import re
 
 import pytest
 
@@ -344,8 +345,20 @@ def test_back_ends_take_only_expanded_programs(back_end):
      "3:10: T is a compile-time value"),
     ("fn g() { global u64 M = 2; }\nfn f(reg u64 M) { stack u64[8] a;\n  a[1 << M] = 1; }",
      "3:7: compile-time expression"),  # f's M is not g's merged global M
+    # constant indices that only unrolling and inlining make out of bounds,
+    # reported with the array's name in the source
+    ("fn f() { reg u32[16] x;\n  for i = 0 to 16 { x[i] = 0; } }",
+     r"2:21: index 16 outside x: u32\[16\]"),
+    ("inline fn g(reg u32[4] a, inline int k) -> reg u32 {\n  reg u32 t;\n  t = a[k];\n"
+     "  return t;\n}\nfn f() -> reg u32 {\n  reg u32[4] x;\n  reg u32 r;\n"
+     "  for i = 0 to 3 { x[i] = i; }\n  r = g(x, 7);\n  return r;\n}",
+     r"3:7: index 7 outside a: u32\[4\]"),
+    ("fn f() -> reg u64 {\n  stack u8[8] b;\n  reg u64 t;\n  for i = 0 to 7 { (u8)b.[i] = 0; }\n"
+     "  for i = 0 to 1 {\n    t = (u64)b.[i * 4];\n  }\n  return t;\n}",
+     r"6:9: index 4 outside b: u8\[8\]"),
 ], ids=["index-div-by-zero", "negative-shift", "vector-lane", "global-word-fault",
-        "global-array-element", "local-named-like-a-global"])
+        "global-array-element", "local-named-like-a-global", "unrolled-index",
+        "inlined-index", "unrolled-byte-view"])
 def test_compile_time_faults_are_expansion_errors(src, error):
     with pytest.raises(ExpandError, match=error):
         prep(src)
@@ -399,8 +412,32 @@ def test_int_operators_fold_as_python_ints(op, kind):
     ("7 % 0", "division by zero in constant expression"),
     ("1 << (0 - 3)", "negative shift count -3 in constant expression"),
     ("1 >> (0 - 3)", "negative shift count -3 in constant expression"),
+    ("5 >>s 1", "operator >>s is not defined on compile-time ints"),
+    ("5 <<r 1", "operator <<r is not defined on compile-time ints"),
+    ("5 >>r 1", "operator >>r is not defined on compile-time ints"),
 ])
 def test_int_operator_faults_keep_their_messages(expr, message, kind):
     with pytest.raises((TypecheckError, ExpandError)) as exc:
         prep(_int_program(kind, [expr]))
     assert f"({message})" in str(exc.value)
+    assert re.match(r"\d+:\d+: ", str(exc.value))  # located
+
+
+@pytest.mark.parametrize("src, error", [
+    ("param int N = 5 +4u64 1;\nfn f() { }", "1:1: param N: not compile-time ("),
+    ("fn f() {\n  inline int n = 5 +4u64 1;\n}", "2:20: f: "),
+    ("fn f() {\n  inline int n = 2 * (5 +4u64 1);\n}", "2:25: f: "),
+    ("fn f() {\n  for i = 0 to 5 +4u64 1 { }\n}", "2:18: f: "),
+], ids=["param", "inline", "nested", "for-bound"])
+def test_lane_operator_on_compile_time_ints_is_rejected(src, error):
+    with pytest.raises(TypecheckError) as exc:
+        prep(src)
+    assert str(exc.value).startswith(f"{error}lane operator +4u64 on compile-time ints")
+
+
+def test_inline_result_is_resized_to_its_destination():
+    """A u32 result moved into a u64 is computed at 32 bits, then zero-extended."""
+    p = prep("inline fn g(reg u32 a) -> reg u32 {\n  return a + 1;\n}\n"
+             "fn f(reg u64 x) -> reg u64 {\n  reg u64 r;\n  r = g(x);\n  return r;\n}")
+    assert "r = (u64)(a__i1 + 1);" in print_program(p)
+    assert [w.value for w in interp.run(p, "f", [0xFFFFFFFF], memory.Memory()).results] == [0]
