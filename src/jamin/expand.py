@@ -416,7 +416,7 @@ def _value_expr(ty, value):
 def _resized(v, ty):
     """Value `v` moved into a destination of type `ty`: a word of another
     width is resized, as an assignment's right-hand side is."""
-    if isinstance(ty, WordTy) and isinstance(v.ty, WordTy) and v.ty is not ty:
+    if isinstance(ty, WordTy) and isinstance(v.ty, WordTy) and v.ty.bits != ty.bits:
         v = ECast(ty.bits, v)
         v.ty = ty
     return v
