@@ -34,9 +34,11 @@ class CliError(Exception):
 
 def _load_program(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from None
     try:
         return expand(typecheck(parse(text)))
     except (ParseError, TypecheckError, ExpandError) as exc:

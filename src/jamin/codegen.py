@@ -197,7 +197,7 @@ class _FnGen(Assigned):
         self.locals = {q.name for q in fn.params} | set(self.types)
         self.counts = Counter()
         for s in fn.body:
-            self.counts.update(self.mentions(s))
+            self.counts.update(self.mentions(s, *flow.summary(s)))
         self.facts = self.entry()
         self.out: list = []
         self.indent = "    "
@@ -624,9 +624,8 @@ class _FnGen(Assigned):
 
     # -- statements
 
-    def mentions(self, s) -> list:
-        """The names s mentions, as many times as its summary has them."""
-        r, w = flow.summary(s)
+    def mentions(self, s, r, w) -> list:
+        """The names s mentions, as many times as its summary (r, w) has them."""
         return r if type(s) is SIf or type(s) is SWhile else r + w
 
     def size(self, s) -> int:
@@ -686,8 +685,9 @@ class _FnGen(Assigned):
         inside = Counter()
         touched, live_in, rebinds = set(), set(), set()
         for s in run:
-            inside.update(self.mentions(s))
-            reads, defs = map(set, flow.summary(s))
+            r, w = flow.summary(s)
+            inside.update(self.mentions(s, r, w))
+            reads, defs = set(r), set(w)
             live_in |= reads - touched
             touched |= reads | defs
             rebinds |= defs

@@ -19,6 +19,13 @@ immediate vector remains, every compile-time (`int`) expression is a
 literal, every array access is typed, and globals are literals.
 Expansion is idempotent.
 
+Expansion never updates its input: every node it returns is a copy or
+a new node, and nothing updates the result afterwards (the back ends
+only read it).  A copy is made by the copier of its node class
+(`_copier`): a function, compiled once per class from the class's
+fields, that assigns each field, side attributes included, from the
+original or from the changes it is given.
+
 Word operators fold through their one definition in `words`, at their
 width; a node that would fault when run (a shift count out of range, a
 division by zero) is left for the run to report at its location.  A
@@ -76,13 +83,26 @@ def _fields(cls) -> tuple:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
+_KEEP = object()  # a field a copy keeps
+
+
+@functools.cache
+def _copier(cls):
+    """The function that copies a node of class `cls` with keyword
+    changes: one assignment per field, side attributes included,
+    compiled once from `_fields(cls)`."""
+    names = _fields(cls)
+    params = "".join(f", {n}=_KEEP" for n in names)
+    body = "".join(f"    _new.{n} = _old.{n} if {n} is _KEEP else {n}\n" for n in names)
+    ns = {"_KEEP": _KEEP, "_make": object.__new__, "_cls": cls}
+    exec(f"def copy(_old, *{params}):\n    _new = _make(_cls)\n{body}    return _new\n", ns)
+    return ns["copy"]
+
+
 def _copy(node, **changes):
     """`node` with `changes`, keeping its side attributes (location, type,
     array storage)."""
-    new = object.__new__(type(node))
-    for name in _fields(type(node)):
-        setattr(new, name, changes[name] if name in changes else getattr(node, name))
-    return new
+    return _copier(type(node))(node, **changes)
 
 
 def _lit(v, like):
@@ -129,39 +149,37 @@ class _Expander:
         """Copy an expression, substituting compile-time names and folding.
         `env` maps a source name to its value (an int or bool) or to the
         name it is renamed to."""
-        if isinstance(e, EInt) or isinstance(e, EBool):
-            return _copy(e, value=int_value(e))  # a word literal modulo its width
-        if isinstance(e.ty, IntTy) and not isinstance(env, _Values):
+        k = type(e)
+        copy = _copier(k)  # _copy without its repacking of the changes
+        if k is EInt or k is EBool:
+            return copy(e, value=int_value(e))  # a word literal modulo its width
+        if type(e.ty) is IntTy and type(env) is not _Values:
             env = _Values(env, self.global_vals)  # a compile-time node reads globals' values
-        if isinstance(e, EVar):
+        if k is EVar:
             name = env.get(e.name, e.name)
             if isinstance(name, (int, bool)):
                 return _lit(name, e)
-            return _copy(e, name=name)
-        if isinstance(e, EArr):
-            return _checked(_copy(e, name=self.rename(e, env), index=self.subst(e.index, env)),
-                            e.name)
-        if isinstance(e, EMem):
-            return _copy(e, addr=self.subst(e.addr, env))
-        if isinstance(e, EUn):
-            return self.fold(_copy(e, arg=self.subst(e.arg, env)), env)
-        if isinstance(e, EBin):
+            return copy(e, name=name)
+        if k is EBin:
             return self.fold(
-                _copy(e, left=self.subst(e.left, env), right=self.subst(e.right, env)),
+                copy(e, left=self.subst(e.left, env), right=self.subst(e.right, env)),
                 env,
             )
-        if isinstance(e, EIntr):
-            return _copy(e, args=tuple(self.subst(a, env) for a in e.args))
-        if isinstance(e, ECall):
-            return _copy(e, args=tuple(self.subst(a, env) for a in e.args))
-        if isinstance(e, EVecImm):
+        if k is EArr:
+            return _checked(copy(e, name=self.rename(e, env), index=self.subst(e.index, env)),
+                            e.name)
+        if k is EMem:
+            return copy(e, addr=self.subst(e.addr, env))
+        if k is EUn or k is ECast:
+            return self.fold(copy(e, arg=self.subst(e.arg, env)), env)
+        if k is EIntr or k is ECall:
+            return copy(e, args=tuple([self.subst(a, env) for a in e.args]))
+        if k is EVecImm:
             values = tuple(EInt(self.const(v, env, "immediate element")) for v in e.values)
             try:
-                return _lit(const_eval(_copy(e, values=values), {}), e)
+                return _lit(const_eval(copy(e, values=values), {}), e)
             except NotConst as exc:
                 raise ExpandError(f"{_at(e)}{exc}") from exc
-        if isinstance(e, ECast):
-            return self.fold(_copy(e, arg=self.subst(e.arg, env)), env)
         raise TypeError(f"not an expression: {e!r}")
 
     def rename(self, node, env: dict) -> str:
@@ -174,16 +192,10 @@ class _Expander:
     def fold(self, e, env):
         """Fold a node whose operands are all literals (see the module
         docstring); a compile-time (`int`) node must fold."""
-        kids: list
-        if isinstance(e, EBin):
-            kids = [e.left, e.right]
-        elif isinstance(e, (EUn, ECast)):
-            kids = [e.arg]
-        else:
-            return e
+        kids = (e.left, e.right) if type(e) is EBin else (e.arg,)
         ty = e.ty
         reason = "an operand is not known"
-        if all(isinstance(k, (EInt, EBool)) for k in kids):
+        if all(type(k) is EInt or type(k) is EBool for k in kids):
             try:
                 if isinstance(ty, WordTy) and not isinstance(e, ECast):
                     n, w = e.lanes if isinstance(e, EBin) and e.lanes else (None, ty.bits)
@@ -215,7 +227,15 @@ class _Expander:
         return out
 
     def expand_stmt(self, s, env: dict, inline_ok: bool, fn: FuncDecl):
-        if isinstance(s, SDecl):
+        k = type(s)
+        if k is SAssign:
+            dests = tuple([self.subst_lval(d, env) for d in s.dests])
+            rhs = self.subst(s.rhs, env)
+            cond = self.subst(s.cond, env) if s.cond is not None else None
+            if type(rhs) is ECall:
+                return self.maybe_inline(s, dests, rhs, cond, env, fn)
+            return [_copy(s, dests=dests, rhs=rhs, cond=cond)]
+        if k is SDecl:
             if s.storage == "inline":
                 if not inline_ok:
                     raise ExpandError(
@@ -237,14 +257,7 @@ class _Expander:
                 env[nm] if isinstance(env.get(nm), str) else nm for nm in s.names
             )
             return [_copy(s, names=names, init=init)]
-        if isinstance(s, SAssign):
-            dests = tuple(self.subst_lval(d, env) for d in s.dests)
-            rhs = self.subst(s.rhs, env)
-            cond = self.subst(s.cond, env) if s.cond is not None else None
-            if isinstance(rhs, ECall):
-                return self.maybe_inline(s, dests, rhs, cond, env, fn)
-            return [_copy(s, dests=dests, rhs=rhs, cond=cond)]
-        if isinstance(s, SIf):
+        if k is SIf:
             cond = self.subst(s.cond, env)
             if isinstance(cond, (EInt, EBool)):
                 taken = s.then if cond.value else s.els
@@ -257,7 +270,7 @@ class _Expander:
                     els=tuple(self.expand_block(s.els, dict(env), False, fn)),
                 )
             ]
-        if isinstance(s, SWhile):
+        if k is SWhile:
             return [
                 _copy(
                     s,
@@ -265,7 +278,7 @@ class _Expander:
                     body=tuple(self.expand_block(s.body, dict(env), False, fn)),
                 )
             ]
-        if isinstance(s, SFor):
+        if k is SFor:
             lo = self.const(s.lo, env, "for lower bound")
             hi = self.const(s.hi, env, "for upper bound")
             count = hi - lo + 1
@@ -277,20 +290,22 @@ class _Expander:
                 out.extend(self.expand_block(s.body, env, inline_ok, fn))
             env.pop(s.var, None)
             return out
-        if isinstance(s, SReturn):
+        if k is SReturn:
             return [_copy(s, values=tuple(self.subst(v, env) for v in s.values))]
         raise TypeError(f"not a statement: {s!r}")
 
     def subst_lval(self, lv, env):
-        if isinstance(lv, LVar):
-            return _copy(lv, name=self.rename(lv, env))
-        if isinstance(lv, LArr):
-            return _checked(_copy(lv, name=self.rename(lv, env), index=self.subst(lv.index, env)),
+        k = type(lv)
+        copy = _copier(k)
+        if k is LVar:
+            return copy(lv, name=self.rename(lv, env))
+        if k is LArr:
+            return _checked(copy(lv, name=self.rename(lv, env), index=self.subst(lv.index, env)),
                             lv.name)
-        if isinstance(lv, LMem):
-            return _copy(lv, addr=self.subst(lv.addr, env))
-        if isinstance(lv, LIgnore):
-            return _copy(lv)
+        if k is LMem:
+            return copy(lv, addr=self.subst(lv.addr, env))
+        if k is LIgnore:
+            return copy(lv)
         raise TypeError(f"not an lvalue: {lv!r}")
 
     # ----------------------------------------------------- inlining

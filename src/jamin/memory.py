@@ -228,6 +228,17 @@ def dump(m: Memory) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _byte(cell: str, lineno: int) -> int:
+    """The value of hex byte `cell` on dump line `lineno`."""
+    try:
+        b = int(cell, 16)
+    except ValueError:
+        b = -1
+    if not 0 <= b <= 0xFF:
+        raise ValueError(f"dump line {lineno}: {cell!r} is not a byte")
+    return b
+
+
 def parse_dump(text: str) -> Memory:
     m = Memory()
     rows: list[tuple[int, list]] = []
@@ -243,11 +254,7 @@ def parse_dump(text: str) -> Memory:
             raise ValueError(f"bad dump line {lineno}: {raw!r}") from exc
         if len(cells) > 16:
             raise ValueError(f"dump line {lineno} has more than 16 bytes")
-        row = [None if cell == ".." else int(cell, 16) for cell in cells]
-        for cell, b in zip(cells, row):
-            if b is not None and not 0 <= b <= 0xFF:
-                raise ValueError(f"dump line {lineno}: {cell!r} is not a byte")
-        rows.append((addr, row))
+        rows.append((addr, [None if cell == ".." else _byte(cell, lineno) for cell in cells]))
     for addr, row in rows:
         m._add_region_inplace(addr, len(row))
     for addr, row in rows:

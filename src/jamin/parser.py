@@ -72,27 +72,28 @@ class ParseError(SyntaxError):
         self.col = col
 
 
-_TOKEN_RES = [
-    ("WS", re.compile(r"[ \t\r\n]+")),
-    ("COMMENT", re.compile(r"//[^\n]*|/\*.*?\*/", re.S)),
-    ("ARROW", re.compile(r"->")),
-    ("DOTLBRACK", re.compile(r"\.\[")),
-    ("LANES", re.compile(r"\d+u\d+")),
-    ("INT", re.compile(r"0x[0-9a-fA-F_]+|0b[01_]+|\d+")),
-    ("IDENT", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
-    (
-        "OP",
-        re.compile(
-            r"(?P<op><<r|<<|>>s|>>r|>>|\+|-|\*|/|%|&&|\|\||&|\||\^)"
-            r"(?P<lanes>\d+u\d+)?(?P<assign>=(?!=))?"
-        ),
-    ),
-    ("CMP", re.compile(r"==|!=|<=|>=|<|>")),
-    ("EQUALS", re.compile(r"=")),
-    ("BANG", re.compile(r"!")),
-    ("TILDE", re.compile(r"~")),
-    ("PUNCT", re.compile(r"[()\[\]{},;#_]")),
+# The token patterns, tried in this order at each position: the first
+# that matches is the token.  "OPEN_COMMENT" is a `/*` that no `*/`
+# closes and "CHAR" any other character; both are errors.
+_TOKENS = [
+    ("WS", r"[ \t\r\n]+"),
+    ("COMMENT", r"//[^\n]*|(?s:/\*.*?\*/)"),
+    ("OPEN_COMMENT", r"/\*"),
+    ("ARROW", r"->"),
+    ("DOTLBRACK", r"\.\["),
+    ("LANES", r"\d+u\d+"),
+    ("INT", r"0x[0-9a-fA-F_]+|0b[01_]+|\d+"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("OP", r"(?P<op><<r|<<|>>s|>>r|>>|\+|-|\*|/|%|&&|\|\||&|\||\^)"
+           r"(?P<lanes>\d+u\d+)?(?P<assign>=(?!=))?"),
+    ("CMP", r"==|!=|<=|>=|<|>"),
+    ("EQUALS", r"="),
+    ("BANG", r"!"),
+    ("TILDE", r"~"),
+    ("PUNCT", r"[()\[\]{},;#_]"),
+    ("CHAR", r"(?s:.)"),
 ]
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in _TOKENS))
 
 
 class Token:
@@ -117,41 +118,31 @@ def _parse_lanes(text: str) -> tuple[int, int]:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, from one scan with _TOKEN_RE, then EOF."""
     toks = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        for kind, rx in _TOKEN_RES:
-            m = rx.match(text, pos)
-            if not m:
-                continue
-            lexeme = m.group(0)
-            if kind == "OP":
-                tok = Token(
-                    "OP",
-                    lexeme,
-                    line,
-                    col,
-                    op=m.group("op"),
-                    lanes=_parse_lanes(m.group("lanes")) if m.group("lanes") else None,
-                    assign=bool(m.group("assign")),
-                )
-                toks.append(tok)
-            elif kind == "CMP":
-                toks.append(Token("OP", lexeme, line, col, op=lexeme))
-            elif kind not in ("WS", "COMMENT"):
-                toks.append(Token(kind, lexeme, line, col))
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - start + 1
+        if kind == "WS" or kind == "COMMENT":
             nl = lexeme.count("\n")
             if nl:
                 line += nl
-                col = len(lexeme) - lexeme.rfind("\n")
-            else:
-                col += len(lexeme)
-            pos = m.end()
-            break
+                start = m.start() + lexeme.rfind("\n") + 1
+        elif kind == "OP":
+            lanes = m.group("lanes")
+            toks.append(Token("OP", lexeme, line, col, op=m.group("op"),
+                              lanes=_parse_lanes(lanes) if lanes else None,
+                              assign=m.group("assign") is not None))
+        elif kind == "CMP":
+            toks.append(Token("OP", lexeme, line, col, op=lexeme))
+        elif kind == "OPEN_COMMENT":
+            raise ParseError("unterminated comment", line, col)
+        elif kind == "CHAR":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
         else:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            toks.append(Token(kind, lexeme, line, col))
+    toks.append(Token("EOF", "", line, len(text) - start + 1))
     return toks
 
 

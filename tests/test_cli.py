@@ -54,6 +54,17 @@ def test_run_mem_in_roundtrip(tmp_path, capsys):
     assert dump.read_text().startswith("00000040: 2a")
 
 
+def test_run_mem_in_cell_not_hex_exit_2(tmp_path, capsys):
+    prog = tmp_path / "f.jz"
+    prog.write_text("fn f() { }")
+    src = tmp_path / "in.hex"
+    src.write_text("00001000: zz 11\n")
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--mem-in", str(src))
+    assert code == 2
+    assert "cannot load memory dump: dump line 1: 'zz' is not a byte" in err
+    assert out == ""
+
+
 def test_run_safety_error_exit_1(tmp_path, capsys):
     prog = tmp_path / "oops.jz"
     prog.write_text("fn f(reg u64 p) { [p + 0] = 1; }")
@@ -248,11 +259,16 @@ def test_malformed_arguments_exit_2(capsys, argv):
     ("fn f() -> reg u64 {\n  stack u8[8] b;\n  reg u64 t;\n  for i = 0 to 7 { (u8)b.[i] = 0; }\n"
      "  for i = 0 to 1 {\n    t = (u64)b.[i * 4];\n  }\n  return t;\n}",
      "6:9: index 4 outside b: u8[8]"),
+    (b"\xff\xfe\x00bad", "not UTF-8 text"),
 ], ids=["negative-compile-time-shift", "index-div-by-zero", "vector-lane-overflow",
-        "lane-operator-on-ints", "unrolled-index", "inlined-index", "unrolled-byte-view"])
+        "lane-operator-on-ints", "unrolled-index", "inlined-index", "unrolled-byte-view",
+        "not-utf-8"])
 def test_malformed_program_exit_2(tmp_path, capsys, src, located):
     prog = tmp_path / "bad.jz"
-    prog.write_text(src)
+    if isinstance(src, bytes):
+        prog.write_bytes(src)
+    else:
+        prog.write_text(src)
     code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f")
     assert code == 2
     assert f"bad.jz: {located}" in err

@@ -187,6 +187,12 @@ def test_parse_dump_rejects_a_cell_that_is_not_a_byte():
             memory.parse_dump(f"00001000: 00 {cell}\n")
 
 
+def test_parse_dump_names_the_line_of_a_cell_that_is_not_hex():
+    for cell in ("zz", "0g", "1.5"):
+        with pytest.raises(ValueError, match=f"^dump line 2: '{cell}' is not a byte$"):
+            memory.parse_dump(f"00001000: 00\n00002000: 11 {cell}\n")
+
+
 def _outcome(f, *args):
     """What a load returns, or the class and address of its fault."""
     try:

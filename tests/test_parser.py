@@ -2,7 +2,7 @@ import pytest
 
 from jamin import ir
 from jamin.ir import print_program
-from jamin.parser import ParseError, parse
+from jamin.parser import ParseError, parse, tokenize
 from jamin.typecheck import TypecheckError, typecheck
 
 SHUFFLE_FIG = """
@@ -208,3 +208,60 @@ def test_corpus_roundtrips():
 
     for name in PROGRAMS:
         roundtrip(load_source(name))
+
+
+# Every field of every token of one text, from the first tokenizer (one
+# regex per kind, tried in turn); positions after the two-line comment
+# count its lines.
+TOKEN_TEXT = "/* two\n   lines */ a >>s b <<r c >>r d;\nx +4u64= y == z = (4u64)[1, 0x1_f] .[ -> w"
+TOKENS = [
+    ("IDENT", "a", 2, 13, None, None, False),
+    ("OP", ">>s", 2, 15, ">>s", None, False),
+    ("IDENT", "b", 2, 19, None, None, False),
+    ("OP", "<<r", 2, 21, "<<r", None, False),
+    ("IDENT", "c", 2, 25, None, None, False),
+    ("OP", ">>r", 2, 27, ">>r", None, False),
+    ("IDENT", "d", 2, 31, None, None, False),
+    ("PUNCT", ";", 2, 32, None, None, False),
+    ("IDENT", "x", 3, 1, None, None, False),
+    ("OP", "+4u64=", 3, 3, "+", (4, 64), True),
+    ("IDENT", "y", 3, 10, None, None, False),
+    ("OP", "==", 3, 12, "==", None, False),
+    ("IDENT", "z", 3, 15, None, None, False),
+    ("EQUALS", "=", 3, 17, None, None, False),
+    ("PUNCT", "(", 3, 19, None, None, False),
+    ("LANES", "4u64", 3, 20, None, None, False),
+    ("PUNCT", ")", 3, 24, None, None, False),
+    ("PUNCT", "[", 3, 25, None, None, False),
+    ("INT", "1", 3, 26, None, None, False),
+    ("PUNCT", ",", 3, 27, None, None, False),
+    ("INT", "0x1_f", 3, 29, None, None, False),
+    ("PUNCT", "]", 3, 34, None, None, False),
+    ("DOTLBRACK", ".[", 3, 36, None, None, False),
+    ("ARROW", "->", 3, 39, None, None, False),
+    ("IDENT", "w", 3, 42, None, None, False),
+    ("EOF", "", 3, 43, None, None, False),
+]
+
+
+def test_tokens_pinned():
+    got = [(t.kind, t.text, t.line, t.col, t.op, t.lanes, t.assign)
+           for t in tokenize(TOKEN_TEXT)]
+    assert got == TOKENS
+
+
+@pytest.mark.parametrize("src, line, col", [
+    ("fn f() {\n  /* open\n}\n", 2, 3),
+    ("fn f() { /* closed */ /* open", 1, 23),
+    ("/* a */ x = 1; /*/", 1, 16),
+])
+def test_unterminated_comment(src, line, col):
+    with pytest.raises(ParseError, match="unterminated comment") as info:
+        parse(src)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_unexpected_character_located():
+    with pytest.raises(ParseError, match="unexpected character '@'") as info:
+        parse("fn f() {\n  x @ 1;\n}")
+    assert (info.value.line, info.value.col) == (2, 5)
