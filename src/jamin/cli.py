@@ -95,8 +95,14 @@ def cmd_run(args) -> int:
     p = _load_program(args.file)
     if args.mem_in:
         try:
-            mem = memory.parse_dump(Path(args.mem_in).read_text())
-        except (OSError, ValueError) as exc:
+            text = Path(args.mem_in).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise CliError(f"cannot read {args.mem_in}: not UTF-8 text") from None
+        except OSError as exc:
+            raise CliError(f"cannot load memory dump: {exc}") from exc
+        try:
+            mem = memory.parse_dump(text)
+        except ValueError as exc:
             raise CliError(f"cannot load memory dump: {exc}") from exc
     else:
         mem = memory.Memory()

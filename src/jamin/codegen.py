@@ -13,7 +13,7 @@ locals (the run-time helpers of interp, global values G_<name>,
 intrinsic semantics, word-operator evaluators, masks and prebuilt
 constants) live in one namespace per program.
 
-Six devices keep the generated code lean without changing what a run
+Seven devices keep the generated code lean without changing what a run
 observes:
 
 - the step budget is charged once per straight-line segment: statements
@@ -38,7 +38,20 @@ observes:
 - a whole-array copy `dst = src` whose source is dead after it (no path
   reads it, writes an element of it or passes it on before redefining
   it as a whole, loops included) is a move: dst takes src's list or
-  StackArray itself, which no live name shares from then on.
+  StackArray itself, which no live name shares from then on;
+- a `for` loop that expand unrolled and recorded (its body does not
+  mention its variable) is rolled back: its iteration 0 is emitted once,
+  in `for _k in range(count):`, when every later iteration equals it up
+  to a renaming of locals that nothing outside that iteration mentions
+  (an inline call's locals); otherwise every copy is emitted.  The
+  rolled body is translated as a loop: from the must-be-assigned facts
+  at its head taken to their fixpoint, with liveness across its back
+  edge, pieced when it is longer than PIECE, charging its statements'
+  steps and adding its constant events in every iteration.  A check
+  that names a renamed local names the running iteration's, from a
+  prebuilt tuple indexed by _k, and a renamed local that may be read
+  unbound is unbound again at each iteration's start.  Loops inside a
+  rolled body stay unrolled.
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
@@ -47,8 +60,11 @@ the locals it reads and returns the ones it rebinds.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import re
 from collections import Counter, namedtuple
+from itertools import repeat
 
 from .ir import (
     ArrayTy,
@@ -187,6 +203,55 @@ class Assigned:
         return (e.ty.bits if type(e.ty) is WordTy else None), False
 
 
+# ---------------------------------------------------------- rolled loops
+
+
+_ROLLED = EBool(True)  # the test of a rolled loop, never evaluated
+_KIDS = {"index", "addr", "arg", "left", "right", "args", "values", "dests", "rhs", "cond",
+         "init", "then", "els", "body"}  # the fields that hold nodes
+# a name pair: later name b stands for iteration 0's a in every place
+_PAIR = "(to0.setdefault({b}, {a}) == {a} and back.setdefault({a}, {b}) == {b})"
+_Roll = namedtuple("_Roll", "node count names tests key span")
+
+
+def _same(a, b, ren) -> bool:
+    """Whether node (or tuple of nodes, or None) a of iteration 0 equals b
+    of a later iteration, side attributes included, with b's names
+    renamed by `ren`: a pair of dicts, from later names to iteration 0's
+    and back, which it extends with every name pair it meets."""
+    return type(a) is type(b) and _MATCH[type(a)](a, b, ren)
+
+
+class _Matchers(dict):
+    """Class -> _same for two of its instances, compiled on first use
+    from the class's fields: one test per field, cheap ones first."""
+
+    def __missing__(self, cls):
+        plain, tests = [], []
+        for f in dataclasses.fields(cls):
+            n = f.name
+            if n == "name" and cls in (EVar, EArr, LVar, LArr):
+                tests.append(_PAIR.format(a="a.name", b="b.name"))
+            elif n == "names":
+                tests.append(f"len(a.names) == len(b.names) and "
+                             f"all({_PAIR.format(a='x', b='y')} for x, y in zip(a.names, b.names))")
+            elif n in _KIDS:
+                tests.append(f"type(x := a.{n}) is type(y := b.{n}) and M[type(x)](x, y, ren)")
+            else:
+                plain.append(f"(a.{n} is b.{n} or a.{n} == b.{n})")
+        ns = {"M": self}
+        exec(f"def match(a, b, ren):\n    to0, back = ren\n"
+             f"    return {' and '.join(plain + tests)}\n", ns)
+        m = self[cls] = ns["match"]
+        return m
+
+
+_MATCH = _Matchers({
+    tuple: lambda a, b, ren: len(a) == len(b) and all(map(_same, a, b, repeat(ren))),
+    type(None): lambda a, b, ren: True,
+})
+
+
 # ------------------------------------------------------------ generator
 
 
@@ -195,9 +260,9 @@ class _FnGen(Assigned):
         super().__init__(p, fn)
         self.p, self.ns = p, ns
         self.locals = {q.name for q in fn.params} | set(self.types)
-        self.counts = Counter()
-        for s in fn.body:
-            self.counts.update(self.mentions(s, *flow.summary(s)))
+        self.sizes: dict = {}  # id of an if or while -> its size
+        self.labels: dict = {}  # in a rolled body: private local -> its name per iteration
+        self.body = self.roll_loops(fn)  # sets counts and rolls
         self.facts = self.entry()
         self.out: list = []
         self.indent = "    "
@@ -254,6 +319,15 @@ class _FnGen(Assigned):
         if self.error is None:
             self.error = (message, loc)
         return "0"
+
+    def label(self, name: str, suffix: str = "") -> str:
+        """The code of the string naming local `name` (with `suffix`) in a
+        fault: in a rolled body, an iteration-private local is named as
+        the running iteration names it."""
+        names = self.labels.get(name)
+        if names is None:
+            return repr(name + suffix)
+        return f"{self.const('N', tuple(n + suffix for n in names))}[_k]"
 
     def fresh(self) -> str:
         self.tmp += 1
@@ -324,9 +398,10 @@ class _FnGen(Assigned):
         self.unproven.add(name)
         bad = "U" if compound else v
         if name in self.facts.declared:
-            return f"({v} if {v} is not U else _uu({bad}, {name!r}, {loc!r}))"
+            return f"({v} if {v} is not U else _uu({bad}, {self.label(name)}, {loc!r}))"
         self.note_unbound(name)
-        return f"({v} if {v} is not U and {v} is not NB else _uu({bad}, {name!r}, {loc!r}))"
+        label = self.label(name)
+        return f"({v} if {v} is not U and {v} is not NB else _uu({bad}, {label}, {loc!r}))"
 
     def arr_ref(self, name: str, loc) -> str:
         if name not in self.locals:
@@ -334,7 +409,7 @@ class _FnGen(Assigned):
         if name in self.facts.declared:
             return self.v(name)
         self.note_unbound(name)
-        return f"_arr({self.v(name)}, {name!r}, {loc!r})"
+        return f"_arr({self.v(name)}, {self.label(name)}, {loc!r})"
 
     def expr(self, e) -> str:
         k = type(e)
@@ -443,21 +518,23 @@ class _FnGen(Assigned):
                 i = e.index.value
                 off = i * scale
                 if off < 0 or off + nb > ty.length * ty.bits // 8:
-                    return f"_oob({name!r}, {i}, {loc!r})"
+                    return f"_oob({self.label(name)}, {i}, {loc!r})"
                 self.pending.append(self.event(i))
-                return f"_sget({arr}, {off}, {nb}, {name!r}, {loc!r})"
+                return f"_sget({arr}, {off}, {nb}, {self.label(name)}, {loc!r})"
             i = self.expr(e.index)
-            return f"_sld(T, {self.batch()}, {arr}, {i}, {nb}, {scale}, {name!r}, {loc!r})"
+            label = self.label(name)
+            return f"_sld(T, {self.batch()}, {arr}, {i}, {nb}, {scale}, {label}, {loc!r})"
         if type(e.index) is not EInt:
             i = self.expr(e.index)
-            return f"_rld(T, {self.batch()}, {arr}, {i}, {name!r}, {loc!r})"
+            return f"_rld(T, {self.batch()}, {arr}, {i}, {self.label(name)}, {loc!r})"
         i = e.index.value
         if not 0 <= i < ty.length:
-            return f"_oob({name!r}, {i}, {loc!r})"
+            return f"_oob({self.label(name)}, {i}, {loc!r})"
         self.pending.append(self.event(i))
         if storage == "global" or (name, i) in self.facts.defined:
             return f"{arr}[{i}]"
-        return f"(_t if (_t := {arr}[{i}]) is not U else _uu(U, '{name}[{i}]', {loc!r}))"
+        label = self.label(name, f"[{i}]")
+        return f"(_t if (_t := {arr}[{i}]) is not U else _uu(U, {label}, {loc!r}))"
 
     def intrinsic(self, e: EIntr) -> str:
         """A call returning the list of all of scalar `e`'s outputs.
@@ -572,7 +649,7 @@ class _FnGen(Assigned):
                 i = lv.index.value
                 off = i * scale
                 if off < 0 or off + nb > ty.length * ty.bits // 8:
-                    self.line(f"_oob({name!r}, {i}, {loc!r})")
+                    self.line(f"_oob({self.label(name)}, {i}, {loc!r})")
                     return
                 self.pending.append(self.event(i))
                 self.line(f"_sput({arr}, {value}, {off}, {nb})")
@@ -580,17 +657,17 @@ class _FnGen(Assigned):
             value = self.keep(value)  # the value is evaluated before the index
             i = self.expr(lv.index)
             self.line(f"_sst(T, {self.batch()}, {arr}, {value}, {i}, {nb}, {scale}, "
-                      f"{name!r}, {loc!r})")
+                      f"{self.label(name)}, {loc!r})")
             return
         if type(lv.index) is not EInt:
             value = self.keep(value)
             i = self.expr(lv.index)
             self.line(f"_rst(T, {self.batch()}, {arr}, {value}, {i}, {ty.bits}, "
-                      f"{name!r}, {loc!r})")
+                      f"{self.label(name)}, {loc!r})")
             return
         i = lv.index.value
         if not 0 <= i < ty.length:
-            self.line(f"_oob({name!r}, {i}, {loc!r})")
+            self.line(f"_oob({self.label(name)}, {i}, {loc!r})")
             return
         if bits is None or bits > ty.bits:
             value = f"{value} & {self.mask(ty.bits)}"
@@ -619,8 +696,106 @@ class _FnGen(Assigned):
         dead after s (the liveness pass runs once, at the first copy)."""
         if self.moves is None:
             self.moves = {}
-            flow.backward(self.fn.body, set(), self.live)
+            flow.backward(self.body, set(), self.live)
         return self.moves.get(id(s), False) and s.rhs.name in self.locals
+
+    # -- rolled loops
+
+    def roll_loops(self, fn) -> tuple:
+        """fn's body with each loop of the program's `unrolled` record that
+        passes the check (roll) as one rolled loop, the largest first; sets
+        `rolls` and `counts`, the mentions of each name in the result."""
+        spans: dict = {}
+        for first, n, k in sorted((self.p.unrolled or {}).get(fn.name, ()),
+                                  key=lambda loop: -loop[1] * loop[2]):
+            spans.setdefault(id(first), []).append((n, k))
+        while True:
+            self.counts, self.hidden, self.rolls = Counter(), Counter(), {}
+            body = self.rolled(fn.body, self.counts, spans)
+            total = self.counts + self.hidden  # the mentions in the unrolled body
+            bad = [r for r in self.rolls.values() if any(total[x] != n for x, n in r.tests)]
+            if not bad:
+                return body
+            for r in bad:  # a renamed local is mentioned outside its loop
+                spans[r.key] = [span for span in spans[r.key] if span != r.span]
+
+    def rolled(self, stmts, into: Counter, spans) -> tuple:
+        """`stmts` with every loop of `spans` (id of its first statement ->
+        (statements per iteration, iterations)) that rolls replaced by its
+        rolled loop; the mentions of each name in the result are counted
+        into `into`."""
+        out, i, same = [], 0, True
+        while i < len(stmts):
+            s = stmts[i]
+            for n, k in spans.get(id(s), ()):
+                node = self.roll(stmts[i:i + n * k], n, k, into)
+                if node is not None:
+                    out.append(node)
+                    i += n * k
+                    same = False
+                    break
+            else:
+                t = self.counted(s, into, spans)
+                same = same and t is s
+                out.append(t)
+                i += 1
+        return stmts if same else tuple(out)
+
+    def counted(self, s, into: Counter, spans):
+        """s, its blocks rolled (rolled); its mentions counted into `into`."""
+        k = type(s)
+        if k is SIf:
+            into.update(flow.reads(s.cond))
+            then, els = self.rolled(s.then, into, spans), self.rolled(s.els, into, spans)
+            if then is s.then and els is s.els:
+                return s
+            new = SIf(s.cond, then, els)
+        elif k is SWhile:
+            into.update(flow.reads(s.cond))
+            body = self.rolled(s.body, into, spans)
+            if body is s.body:
+                return s
+            new = SWhile(s.cond, body)
+        else:
+            into.update(self.mentions(s, *flow.summary(s)))
+            return s
+        new.loc = s.loc
+        return new
+
+    def roll(self, span, n: int, k: int, into: Counter):
+        """The rolled loop of `span`, k iterations of n statements: an
+        SWhile of iteration 0 with test _ROLLED, or None unless every later
+        iteration equals iteration 0 up to a renaming of locals (_same).
+        The later iterations' mentions are counted, renamed, into
+        `hidden`; the roll's `tests` (name, mentions) check, once the whole
+        function is counted (roll_loops), that each renamed local is
+        mentioned by its own iteration alone.  Loops inside the body are
+        not rolled."""
+        if len(span) < n * k:  # a record that does not fit this block
+            return None
+        first, backs = span[:n], []
+        for j in range(n, n * k, n):
+            ren = ({}, {})
+            if not all(map(_same, first, span[j:j + n], repeat(ren))):
+                return None
+            backs.append(ren[1])
+        params = {q.name for q in self.fn.params}
+        names = {a: [a] for back in backs for a, b in back.items() if a != b}
+        for a, v in names.items():
+            v += [back[a] for back in backs]
+            if any(b in params or b not in self.types or self.types[b] != self.types[a]
+                   for b in v):
+                return None
+        body = self.rolled(first, c0 := Counter(), {})
+        into.update(c0)
+        for back in backs:
+            for a, m in c0.items():
+                self.hidden[back.get(a, a)] += m
+        node = SWhile(_ROLLED, body)
+        tests = [(b, c0[a]) for a, v in names.items() for b in v]
+        self.rolls[id(node)] = _Roll(node, k, {a: tuple(v) for a, v in names.items()}, tests,
+                                     id(span[0]), (n, k))
+        return node
 
     # -- statements
 
@@ -630,9 +805,13 @@ class _FnGen(Assigned):
 
     def size(self, s) -> int:
         k = type(s)
-        if k is SIf:
-            return 1 + sum(map(self.size, s.then)) + sum(map(self.size, s.els))
-        return 1 + sum(map(self.size, s.body)) if k is SWhile else 1
+        if k is not SIf and k is not SWhile:
+            return 1
+        n = self.sizes.get(id(s))
+        if n is None:
+            blocks = (s.then, s.els) if k is SIf else (s.body,)
+            n = self.sizes[id(s)] = 1 + sum(self.size(c) for b in blocks for c in b)
+        return n
 
     def has_return(self, s) -> bool:
         k = type(s)
@@ -684,7 +863,11 @@ class _FnGen(Assigned):
         self.close()
         inside = Counter()
         touched, live_in, rebinds = set(), set(), set()
-        for s in run:
+        flat = []
+        for s in run:  # a rolled loop runs its body at least once, unlike a while loop
+            roll = self.rolls.get(id(s))
+            flat.extend((s,) if roll is None else roll.node.body)
+        for s in flat:
             r, w = flow.summary(s)
             inside.update(self.mentions(s, r, w))
             reads, defs = set(r), set(w)
@@ -709,7 +892,8 @@ class _FnGen(Assigned):
         self.piece_locals = None
         self.pieces += 1
         name = f"Q_{self.fn.name}_{self.pieces}"
-        params = ", ".join([self.v(n) for n in live_in] + ["B, T, M, O"])
+        k = ["_k"] if self.labels else []  # a piece of a rolled body (label)
+        params = ", ".join([self.v(n) for n in live_in] + k + ["B, T, M, O"])
         outs = "".join(f", {self.v(n)}" for n in live_out)
         head = [f"def {name}({params}):"] + self.nb_lines(unbound)
         self.define(name, head + body + [f"    return B{outs}"])
@@ -725,10 +909,10 @@ class _FnGen(Assigned):
             if name in droppable:
                 self.out[at] = ""
 
-    def nb_lines(self, names) -> list:
+    def nb_lines(self, names, indent="    ") -> list:
         if not names:
             return []
-        return ["    " + " = ".join(self.v(n) for n in sorted(names)) + " = NB"]
+        return [indent + " = ".join(self.v(n) for n in sorted(names)) + " = NB"]
 
     def stmt(self, s, nxt):
         self.tmp = 0
@@ -762,6 +946,8 @@ class _FnGen(Assigned):
                 self.facts = flow.join(self, id(s), then, self.facts)
             else:
                 self.facts = flow.join(self, id(s), then, before)
+        elif k is SWhile and id(s) in self.rolls:
+            self.emit_roll(self.rolls[id(s)])
         elif k is SWhile:
             self.tick(loc)
             self.close()
@@ -788,6 +974,29 @@ class _FnGen(Assigned):
             self.facts = None
         else:
             raise TypeError(f"not a statement: {s!r}")
+
+    def emit_roll(self, roll):
+        """A rolled loop: its body once, run `count` times by a Python
+        loop over _k from the facts at its head, taken to their fixpoint.
+        It costs no step of its own; a check naming an iteration-private
+        local names the running iteration's (label), and such a local
+        read where it may be unbound is unbound again at each
+        iteration's start, as each iteration's own local is."""
+        self.close()
+        self.facts = self.copy(flow.loop(roll.node, self.facts, self))
+        # the body runs at least once: the facts after the loop are
+        # those at the end of the body
+        self.line(f"for _k in range({roll.count}):")
+        self.indent += "    "
+        at = len(self.out)
+        self.out.append("")
+        self.labels = roll.names
+        self.block(roll.node.body)
+        self.labels = {}
+        unbound = self.unbound.intersection(roll.names)
+        if unbound:
+            self.out[at] = self.nb_lines(unbound, self.indent)[0]
+        self.indent = self.indent[:-4]
 
     def nested(self, stmts):
         self.indent += "    "
@@ -887,7 +1096,7 @@ class _FnGen(Assigned):
 
     def build(self):
         fn = self.fn
-        self.block(fn.body)
+        self.block(self.body)
         if self.facts is not None:  # typecheck: a function with results returns
             self.line("return (B,)")
         self.drop_ustores(set(self.locals) - self.unproven - self.passed)

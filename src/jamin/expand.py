@@ -19,6 +19,17 @@ immediate vector remains, every compile-time (`int`) expression is a
 literal, every array access is typed, and globals are literals.
 Expansion is idempotent.
 
+Unrolling keeps every copy of a loop body: the analyses and the step
+count are defined on the unrolled statements.  Beside them, the result
+records in `unrolled` each loop of at least two iterations whose body
+does not mention its variable and expands to the same number of
+statements in every iteration: per non-inline function, the first
+statement of iteration 0, the statements per iteration and the number
+of iterations, inner loops before the loops holding them.  The
+iterations of such a loop differ at most in the names inlining gave
+each call's locals; codegen checks that before it emits the body once,
+as a loop (see codegen).  Nothing else reads the record.
+
 Expansion never updates its input: every node it returns is a copy or
 a new node, and nothing updates the result afterwards (the back ends
 only read it).  A copy is made by the copier of its node class
@@ -40,6 +51,7 @@ import functools
 
 from . import words
 from .ir import (
+    ArrayTy,
     EArr,
     EBin,
     EBool,
@@ -137,6 +149,8 @@ class _Expander:
         self.fresh = 0
         self.funcs = {f.name: f for f in p.funcs}
         self.expanded: dict[str, FuncDecl] = {}
+        self.current = None  # the non-inline function being expanded
+        self.unrolled: dict[str, list] = {}  # the result's `unrolled`
         # the names a hoisted local `global` must not take: every name the
         # source declares otherwise, which would shadow it in the result
         self.taken = {q.name for f in p.funcs for q in f.params} | {
@@ -284,11 +298,15 @@ class _Expander:
             count = hi - lo + 1
             if count > MAX_UNROLL:
                 raise ExpandError(f"{_at(s)}unrolling {count} iterations exceeds {MAX_UNROLL}")
-            out = []
+            out, starts = [], []
             for i in range(lo, hi + 1):
                 env[s.var] = i
+                starts.append(len(out))
                 out.extend(self.expand_block(s.body, env, inline_ok, fn))
             env.pop(s.var, None)
+            n = len(out) // count if count > 1 else 0
+            if n and starts == list(range(0, len(out), n)) and not _mentions(s.body, s.var):
+                self.unrolled.setdefault(self.current, []).append((out[0], n, count))
             return out
         if k is SReturn:
             return [_copy(s, values=tuple(self.subst(v, env) for v in s.values))]
@@ -358,6 +376,7 @@ class _Expander:
         if name in self.expanded:
             return self.expanded[name].body
         f = self.funcs[name]
+        self.current = name
         body = tuple(self.expand_block(f.body, dict(self.env), True, f))
         new = self.expanded[name] = _copy(f, body=body)
         new.envtypes = {q.name: (q.storage, q.ty) for q in f.params}
@@ -400,6 +419,7 @@ class _Expander:
                 out_funcs.append(self.expanded[f.name])
         newp = Program((), tuple(self.global_decls), tuple(out_funcs))
         newp.typed = newp.expanded = True
+        newp.unrolled = {name: tuple(loops) for name, loops in self.unrolled.items()}
         return newp
 
 
@@ -413,6 +433,18 @@ def _decls(stmts):
             yield from _decls(s.els)
         elif isinstance(s, (SWhile, SFor)):
             yield from _decls(s.body)
+
+
+def _mentions(node, name: str) -> bool:
+    """Whether source `node` (or a tuple of nodes) mentions `name`: as a
+    field, a string in a tuple field or a name in an array length."""
+    if isinstance(node, tuple):
+        return any(_mentions(x, name) for x in node)
+    if isinstance(node, ArrayTy):
+        return _mentions(node.length, name)
+    if not dataclasses.is_dataclass(node) or isinstance(node, type):
+        return node == name
+    return any(_mentions(getattr(node, f), name) for f in _fields(type(node)))
 
 
 def _decl_names(stmts) -> list[str]:

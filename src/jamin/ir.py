@@ -5,8 +5,9 @@ attributes are slots outside the constructor, equality and repr, and
 every node has them (None until set): the source location `loc`, the
 static type `ty` of an expression or lvalue, the storage and type of
 the array an access names (`arr_storage`, `arr_ty`), a function's
-`envtypes`, a program's `typed`/`expanded` marks and the code interp
-compiled for it (`_exec_ns`).  No node carries a `__dict__`.
+`envtypes`, a program's `typed`/`expanded` marks, the loops expand
+unrolled (`unrolled`) and the code interp compiled for it
+(`_exec_ns`).  No node carries a `__dict__`.
 
 Types are immutable values shared by every node: one WordTy per width
 (`word_ty`), one BoolTy (`BOOL`) and one IntTy (`INT`), as in
@@ -313,6 +314,9 @@ class Program:
     funcs: tuple  # of FuncDecl
     typed: bool = _side(False)
     expanded: bool = _side(False)
+    # expand's variable-free `for` loops: function name -> tuple of
+    # (first statement of iteration 0, statements per iteration, iterations)
+    unrolled: Optional[dict] = _side()
     _exec_ns: Optional[dict] = _side()  # interp's compiled functions
 
     def func(self, name: str) -> FuncDecl:

@@ -504,7 +504,11 @@ class Parser:
         t = self.peek()
         if t.kind == "INT":
             self.next()
-            return self._loc(EInt(int(t.text.replace("_", ""), 0)), t)
+            try:
+                value = int(t.text.replace("_", ""), 0)
+            except ValueError:  # 010, 0x_, 0b_: the token pattern is looser
+                self.error(f"invalid integer literal {t.text!r}", t)
+            return self._loc(EInt(value), t)
         if t.kind == "IDENT" and t.text in ("true", "false"):
             self.next()
             return self._loc(EBool(t.text == "true"), t)

@@ -2,9 +2,10 @@
 
 `function_sources(p)` compiles every non-inline function of expanded
 program p, as a run would, and returns what each one's compile() calls
-were given.  Tests use it to inspect the generated code; run as a
-script, it writes the source of every corpus program to a directory,
-so that two versions of codegen can be diffed byte for byte:
+were given; `line_count(p)` is the number of lines in all of it.  Tests
+use them to inspect the generated code; run as a script, it writes the
+source of every corpus program to a directory, so that two versions of
+codegen can be diffed byte for byte, and prints each one's line count:
 
     PYTHONPATH=src python tests/gensrc.py OUTDIR
 """
@@ -36,6 +37,11 @@ def function_sources(p) -> dict:
     return {name: "\n".join(body) + "\n" for name, body in lines.items()}
 
 
+def line_count(p) -> int:
+    """The lines of Python source generated for program p."""
+    return sum(len(src.splitlines()) for src in function_sources(p).values())
+
+
 if __name__ == "__main__":
     from jamin.primitives.corpus import PROGRAMS, load_program
 
@@ -44,3 +50,4 @@ if __name__ == "__main__":
     for name in sorted(PROGRAMS):
         text = "".join(function_sources(load_program(name)).values())
         (out / f"{name}.py").write_text(text)
+        print(f"{name}: {len(text.splitlines())} lines")

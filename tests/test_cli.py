@@ -65,6 +65,18 @@ def test_run_mem_in_cell_not_hex_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+def test_run_mem_in_not_utf8_exit_2(tmp_path, capsys):
+    prog = tmp_path / "f.jz"
+    prog.write_text("fn f() { }")
+    src = tmp_path / "in.hex"
+    src.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--mem-in", str(src))
+    assert code == 2
+    assert f"cannot read {src}: not UTF-8 text" in err
+    assert "codec" not in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_run_safety_error_exit_1(tmp_path, capsys):
     prog = tmp_path / "oops.jz"
     prog.write_text("fn f(reg u64 p) { [p + 0] = 1; }")
@@ -260,9 +272,15 @@ def test_malformed_arguments_exit_2(capsys, argv):
      "  for i = 0 to 1 {\n    t = (u64)b.[i * 4];\n  }\n  return t;\n}",
      "6:9: index 4 outside b: u8[8]"),
     (b"\xff\xfe\x00bad", "not UTF-8 text"),
+    ("fn f() -> reg u64 {\n  reg u64 x;\n  x = 010;\n  return x;\n}",
+     "3:7: invalid integer literal '010'"),
+    ("fn f() -> reg u64 {\n  reg u64 x;\n  x = 0x_;\n  return x;\n}",
+     "3:7: invalid integer literal '0x_'"),
+    ("fn f() -> reg u64 {\n  reg u64 x;\n  x = 0b_;\n  return x;\n}",
+     "3:7: invalid integer literal '0b_'"),
 ], ids=["negative-compile-time-shift", "index-div-by-zero", "vector-lane-overflow",
         "lane-operator-on-ints", "unrolled-index", "inlined-index", "unrolled-byte-view",
-        "not-utf-8"])
+        "not-utf-8", "leading-zero-literal", "empty-hex-literal", "empty-binary-literal"])
 def test_malformed_program_exit_2(tmp_path, capsys, src, located):
     prog = tmp_path / "bad.jz"
     if isinstance(src, bytes):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from gensrc import function_sources
+from gensrc import function_sources, line_count
 from test_isa_scalar_golden import _op_width
 from jamin import interp, isa, memory
 from jamin.expand import expand
@@ -146,6 +146,19 @@ def test_dead_array_copies_are_moves(name, copies):
     assert src.count("list(") + src.count(".copy()") == copies
 
 
+# generated lines per program when each round-loop iteration was emitted
+UNROLLED_LINES = {"chacha20_scalar": 2510, "chacha20_avx2_small": 1494,
+                  "chacha20_avx2_big": 4390}
+
+
+@pytest.mark.parametrize("name", sorted(UNROLLED_LINES))
+def test_chacha20_round_loops_are_rolled(name):
+    """The ten iterations of each `for r = 0 to 9` round loop are emitted
+    once, inside a Python loop, so the generated source is at most 40%
+    of its lines with every iteration emitted."""
+    assert line_count(load_program(name)) <= 0.4 * UNROLLED_LINES[name]
+
+
 LIVE_SOURCES = {
     "read after": ("""
 fn f(reg u64 x) -> reg u64 {
@@ -203,6 +216,21 @@ fn f(reg u64 x) -> reg u64 {
   return r;
 }""", lambda x: x),
 }
+
+
+LIVE_SOURCES["read in the next iteration of a rolled loop"] = ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  reg u64 r;
+  a[0] = x; a[1] = 1;
+  r = 0;
+  for i = 0 to 2 {
+    r = r + a[0];
+    b = a;
+    b[0] = 7;
+  }
+  return r;
+}""", lambda x: 3 * x)
 
 
 @pytest.mark.parametrize("case", sorted(LIVE_SOURCES))

@@ -265,3 +265,15 @@ def test_unexpected_character_located():
     with pytest.raises(ParseError, match="unexpected character '@'") as info:
         parse("fn f() {\n  x @ 1;\n}")
     assert (info.value.line, info.value.col) == (2, 5)
+
+
+@pytest.mark.parametrize("literal", ["010", "0x_", "0b_", "0x__"])
+def test_malformed_integer_literal_located(literal):
+    with pytest.raises(ParseError, match=f"invalid integer literal '{literal}'") as info:
+        parse(f"fn f() -> reg u64 {{\n  reg u64 x;\n  x = {literal};\n  return x;\n}}")
+    assert (info.value.line, info.value.col) == (3, 7)
+
+
+def test_integer_literal_forms():
+    p = parse("fn f() { reg u64 x; x = 0x1_0; x = 0b1_1; x = 1000; x = 0; }")
+    assert [s.rhs.value for s in p.funcs[0].body[1:]] == [16, 3, 1000, 0]
