@@ -151,6 +151,7 @@ class _Expander:
         self.expanded: dict[str, FuncDecl] = {}
         self.current = None  # the non-inline function being expanded
         self.unrolled: dict[str, list] = {}  # the result's `unrolled`
+        self.free: dict[int, bool] = {}  # id of a source `for` -> var_free
         # the names a hoisted local `global` must not take: every name the
         # source declares otherwise, which would shadow it in the result
         self.taken = {q.name for f in p.funcs for q in f.params} | {
@@ -305,12 +306,20 @@ class _Expander:
                 out.extend(self.expand_block(s.body, env, inline_ok, fn))
             env.pop(s.var, None)
             n = len(out) // count if count > 1 else 0
-            if n and starts == list(range(0, len(out), n)) and not _mentions(s.body, s.var):
+            if n and starts == list(range(0, len(out), n)) and self.var_free(s):
                 self.unrolled.setdefault(self.current, []).append((out[0], n, count))
             return out
         if k is SReturn:
             return [_copy(s, values=tuple(self.subst(v, env) for v in s.values))]
         raise TypeError(f"not a statement: {s!r}")
+
+    def var_free(self, s: SFor) -> bool:
+        """Whether the body of `for` loop s does not mention its variable
+        (memoized: an inline function's loop unrolls at every call)."""
+        free = self.free.get(id(s))
+        if free is None:
+            free = self.free[id(s)] = not _mentions(s.body, s.var)
+        return free
 
     def subst_lval(self, lv, env):
         k = type(lv)
@@ -437,14 +446,20 @@ def _decls(stmts):
 
 def _mentions(node, name: str) -> bool:
     """Whether source `node` (or a tuple of nodes) mentions `name`: as a
-    field, a string in a tuple field or a name in an array length."""
-    if isinstance(node, tuple):
-        return any(_mentions(x, name) for x in node)
-    if isinstance(node, ArrayTy):
-        return _mentions(node.length, name)
-    if not dataclasses.is_dataclass(node) or isinstance(node, type):
-        return node == name
-    return any(_mentions(getattr(node, f), name) for f in _fields(type(node)))
+    field or in an array length."""
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        k = type(x)
+        if k is tuple:
+            todo.extend(x)
+        elif k is ArrayTy:
+            todo.append(x.length)
+        elif hasattr(k, "__dataclass_fields__"):
+            todo.extend(getattr(x, f) for f in _fields(k) if f != "loc")
+        elif x == name:
+            return True
+    return False
 
 
 def _decl_names(stmts) -> list[str]:
