@@ -51,7 +51,10 @@ observes:
   that names a renamed local names the running iteration's, from a
   prebuilt tuple indexed by _k, and a renamed local that may be read
   unbound is unbound again at each iteration's start.  Loops inside a
-  rolled body stay unrolled.
+  rolled body stay unrolled.  An iteration is a block: its segments
+  and event batches end with it, so a budget that runs out in a later
+  iteration than another fault does not hide that fault, as it can in
+  the unrolled code.
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
@@ -61,7 +64,6 @@ the locals it reads and returns the ones it rebinds.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
 from collections import Counter, namedtuple
 from itertools import repeat

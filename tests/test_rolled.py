@@ -13,7 +13,7 @@ from jamin.codegen import PIECE
 from jamin.expand import _copy, _fields, expand
 from jamin.ir import EArr, EBin, EVar, LArr, LVar, SAssign, SDecl, word_ty
 from jamin.parser import parse
-from jamin.primitives.corpus import PROGRAMS, load_program
+from jamin.primitives.corpus import load_program
 from jamin.typecheck import typecheck
 
 ROLLED = "for _k in range("
@@ -220,6 +220,21 @@ def test_budget_exhausted_in_every_iteration():
         got = same_runs(p, "f", args, m, budget=budget)
         assert got[0] == ("ok" if budget == steps else "fault")
         assert budget == steps or got[1] == "BudgetExhausted"
+
+
+def test_earlier_fault_is_not_hidden_by_a_later_iterations_budget():
+    """The documented difference: c is read uninitialized in iteration 0
+    and the budget runs out in iteration 2.  The unrolled code charges
+    all five iterations in one segment and reports the budget; a rolled
+    iteration is a segment of its own."""
+    p = prep("fn f(reg u64 a) -> reg u64 {\n  reg u64 b, c, x;\n  b = 1;\n  x = 0;\n"
+             "  for r = 0 to 4 { x = x + a; a = b; b = c; }\n  return x;\n}")
+    assert ROLLED in source(p)
+    got = observe(p, "f", [5], memory.Memory(), budget=10)[0]
+    want = observe(unrolled(p), "f", [5], memory.Memory(), budget=10)[0]
+    assert got[1:] == ("UninitializedUse", "5:42: use of uninitialized c", (5, 42))
+    assert want[1:] == ("BudgetExhausted", "5:31: step budget exhausted", (5, 31))
+    assert same_runs(p, "f", [5], memory.Memory(), budget=100)[1] == "UninitializedUse"
 
 
 # -------------------------------------------------- what must not roll
