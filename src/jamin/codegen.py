@@ -39,22 +39,22 @@ observes:
   reads it, writes an element of it or passes it on before redefining
   it as a whole, loops included) is a move: dst takes src's list or
   StackArray itself, which no live name shares from then on;
-- a `for` loop that expand unrolled and recorded (its body does not
-  mention its variable) is rolled back: its iteration 0 is emitted once,
-  in `for _k in range(count):`, when every later iteration equals it up
-  to a renaming of locals that nothing outside that iteration mentions
-  (an inline call's locals); otherwise every copy is emitted.  The
-  rolled body is translated as a loop: from the must-be-assigned facts
-  at its head taken to their fixpoint, with liveness across its back
-  edge, pieced when it is longer than PIECE, charging its statements'
-  steps and adding its constant events in every iteration.  A check
-  that names a renamed local names the running iteration's, from a
-  prebuilt tuple indexed by _k, and a renamed local that may be read
-  unbound is unbound again at each iteration's start.  Loops inside a
-  rolled body stay unrolled.  An iteration is a block: its segments
-  and event batches end with it, so a budget that runs out in a later
-  iteration than another fault does not hide that fault, as it can in
-  the unrolled code.
+- a `for` loop that expand recorded as unrolled (see expand) is rolled
+  back: its iteration 0 is emitted once, in `for _k in range(count):`.
+  Codegen relies on the record as on the rest of expand's contract and
+  does not compare the iterations; by construction the later ones are
+  iteration 0 with its inline locals renamed, as the record's `names`
+  gives them.  The rolled body is translated as a loop: from the
+  must-be-assigned facts at its head taken to their fixpoint, with
+  liveness across its back edge, pieced when it is longer than PIECE,
+  charging its statements' steps and adding its constant events in
+  every iteration.  A check that names a renamed local names the
+  running iteration's, from a prebuilt tuple indexed by _k, and a
+  renamed local that may be read unbound is unbound again at each
+  iteration's start.  No recorded loop holds another.  An iteration is
+  a block: its segments and event batches end with it, so a budget that
+  runs out in a later iteration than another fault does not hide that
+  fault, as it can in the unrolled code.
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
@@ -63,10 +63,8 @@ the locals it reads and returns the ones it rebinds.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import Counter, namedtuple
-from itertools import repeat
 
 from .ir import (
     ArrayTy,
@@ -209,49 +207,7 @@ class Assigned:
 
 
 _ROLLED = EBool(True)  # the test of a rolled loop, never evaluated
-_KIDS = {"index", "addr", "arg", "left", "right", "args", "values", "dests", "rhs", "cond",
-         "init", "then", "els", "body"}  # the fields that hold nodes
-# a name pair: later name b stands for iteration 0's a in every place
-_PAIR = "(to0.setdefault({b}, {a}) == {a} and back.setdefault({a}, {b}) == {b})"
-_Roll = namedtuple("_Roll", "node count names tests key span")
-
-
-def _same(a, b, ren) -> bool:
-    """Whether node (or tuple of nodes, or None) a of iteration 0 equals b
-    of a later iteration, side attributes included, with b's names
-    renamed by `ren`: a pair of dicts, from later names to iteration 0's
-    and back, which it extends with every name pair it meets."""
-    return type(a) is type(b) and _MATCH[type(a)](a, b, ren)
-
-
-class _Matchers(dict):
-    """Class -> _same for two of its instances, compiled on first use
-    from the class's fields: one test per field, cheap ones first."""
-
-    def __missing__(self, cls):
-        plain, tests = [], []
-        for f in dataclasses.fields(cls):
-            n = f.name
-            if n == "name" and cls in (EVar, EArr, LVar, LArr):
-                tests.append(_PAIR.format(a="a.name", b="b.name"))
-            elif n == "names":
-                tests.append(f"len(a.names) == len(b.names) and "
-                             f"all({_PAIR.format(a='x', b='y')} for x, y in zip(a.names, b.names))")
-            elif n in _KIDS:
-                tests.append(f"type(x := a.{n}) is type(y := b.{n}) and M[type(x)](x, y, ren)")
-            else:
-                plain.append(f"(a.{n} is b.{n} or a.{n} == b.{n})")
-        ns = {"M": self}
-        exec(f"def match(a, b, ren):\n    to0, back = ren\n"
-             f"    return {' and '.join(plain + tests)}\n", ns)
-        m = self[cls] = ns["match"]
-        return m
-
-
-_MATCH = _Matchers({
-    tuple: lambda a, b, ren: len(a) == len(b) and all(map(_same, a, b, repeat(ren))),
-    type(None): lambda a, b, ren: True,
-})
+_Roll = namedtuple("_Roll", "node count names")
 
 
 # ------------------------------------------------------------ generator
@@ -704,100 +660,56 @@ class _FnGen(Assigned):
     # -- rolled loops
 
     def roll_loops(self, fn) -> tuple:
-        """fn's body with each loop of the program's `unrolled` record that
-        passes the check (roll) as one rolled loop, the largest first; sets
-        `rolls` and `counts`, the mentions of each name in the result."""
-        spans: dict = {}
-        for first, n, k in sorted((self.p.unrolled or {}).get(fn.name, ()),
-                                  key=lambda loop: -loop[1] * loop[2]):
-            spans.setdefault(id(first), []).append((n, k))
-        while True:
-            self.counts, self.hidden, self.rolls = Counter(), Counter(), {}
-            body = self.rolled(fn.body, self.counts, spans)
-            total = self.counts + self.hidden  # the mentions in the unrolled body
-            bad = [r for r in self.rolls.values() if any(total[x] != n for x, n in r.tests)]
-            if not bad:
-                return body
-            for r in bad:  # a renamed local is mentioned outside its loop
-                spans[r.key] = [span for span in spans[r.key] if span != r.span]
+        """fn's body with each loop of the program's `unrolled` record as one
+        rolled loop; sets `rolls` and `counts`, the mentions of each name in
+        the result."""
+        spans = {id(first): loop for first, *loop in (self.p.unrolled or {}).get(fn.name, ())}
+        self.counts, self.rolls = Counter(), {}
+        return self.rolled(fn.body, spans)
 
-    def rolled(self, stmts, into: Counter, spans) -> tuple:
+    def rolled(self, stmts, spans) -> tuple:
         """`stmts` with every loop of `spans` (id of its first statement ->
-        (statements per iteration, iterations)) that rolls replaced by its
-        rolled loop; the mentions of each name in the result are counted
-        into `into`."""
+        (statements per iteration, iterations, names)) replaced by its
+        rolled loop, an SWhile of iteration 0 with test _ROLLED; the
+        mentions of each name in the result are counted into `counts`."""
         out, i, same = [], 0, True
         while i < len(stmts):
             s = stmts[i]
-            for n, k in spans.get(id(s), ()):
-                node = self.roll(stmts[i:i + n * k], n, k, into)
-                if node is not None:
-                    out.append(node)
-                    i += n * k
-                    same = False
-                    break
+            loop = spans.get(id(s))
+            if loop is not None:
+                n, k, names = loop
+                node = SWhile(_ROLLED, self.rolled(stmts[i:i + n], {}))  # no record nests
+                self.rolls[id(node)] = _Roll(node, k, names)
+                out.append(node)
+                i += n * k
+                same = False
             else:
-                t = self.counted(s, into, spans)
+                t = self.counted(s, spans)
                 same = same and t is s
                 out.append(t)
                 i += 1
         return stmts if same else tuple(out)
 
-    def counted(self, s, into: Counter, spans):
-        """s, its blocks rolled (rolled); its mentions counted into `into`."""
+    def counted(self, s, spans):
+        """s, its blocks rolled (rolled); its mentions counted into `counts`."""
         k = type(s)
         if k is SIf:
-            into.update(flow.reads(s.cond))
-            then, els = self.rolled(s.then, into, spans), self.rolled(s.els, into, spans)
+            self.counts.update(flow.reads(s.cond))
+            then, els = self.rolled(s.then, spans), self.rolled(s.els, spans)
             if then is s.then and els is s.els:
                 return s
             new = SIf(s.cond, then, els)
         elif k is SWhile:
-            into.update(flow.reads(s.cond))
-            body = self.rolled(s.body, into, spans)
+            self.counts.update(flow.reads(s.cond))
+            body = self.rolled(s.body, spans)
             if body is s.body:
                 return s
             new = SWhile(s.cond, body)
         else:
-            into.update(self.mentions(s, *flow.summary(s)))
+            self.counts.update(self.mentions(s, *flow.summary(s)))
             return s
         new.loc = s.loc
         return new
-
-    def roll(self, span, n: int, k: int, into: Counter):
-        """The rolled loop of `span`, k iterations of n statements: an
-        SWhile of iteration 0 with test _ROLLED, or None unless every later
-        iteration equals iteration 0 up to a renaming of locals (_same).
-        The later iterations' mentions are counted, renamed, into
-        `hidden`; the roll's `tests` (name, mentions) check, once the whole
-        function is counted (roll_loops), that each renamed local is
-        mentioned by its own iteration alone.  Loops inside the body are
-        not rolled."""
-        if len(span) < n * k:  # a record that does not fit this block
-            return None
-        first, backs = span[:n], []
-        for j in range(n, n * k, n):
-            ren = ({}, {})
-            if not all(map(_same, first, span[j:j + n], repeat(ren))):
-                return None
-            backs.append(ren[1])
-        params = {q.name for q in self.fn.params}
-        names = {a: [a] for back in backs for a, b in back.items() if a != b}
-        for a, v in names.items():
-            v += [back[a] for back in backs]
-            if any(b in params or b not in self.types or self.types[b] != self.types[a]
-                   for b in v):
-                return None
-        body = self.rolled(first, c0 := Counter(), {})
-        into.update(c0)
-        for back in backs:
-            for a, m in c0.items():
-                self.hidden[back.get(a, a)] += m
-        node = SWhile(_ROLLED, body)
-        tests = [(b, c0[a]) for a, v in names.items() for b in v]
-        self.rolls[id(node)] = _Roll(node, k, {a: tuple(v) for a, v in names.items()}, tests,
-                                     id(span[0]), (n, k))
-        return node
 
     # -- statements
 

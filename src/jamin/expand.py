@@ -20,15 +20,25 @@ literal, every array access is typed, and globals are literals.
 Expansion is idempotent.
 
 Unrolling keeps every copy of a loop body: the analyses and the step
-count are defined on the unrolled statements.  Beside them, the result
-records in `unrolled` each loop of at least two iterations whose body
-does not mention its variable and expands to the same number of
-statements in every iteration: per non-inline function, the first
-statement of iteration 0, the statements per iteration and the number
-of iterations, inner loops before the loops holding them.  The
-iterations of such a loop differ at most in the names inlining gave
-each call's locals; codegen checks that before it emits the body once,
-as a loop (see codegen).  Nothing else reads the record.
+count are defined on the unrolled statements.  A loop of at least two
+iterations whose body does not mention its variable is expanded from
+the source once: when that first iteration leaves the compile-time
+environment as it found it (an `inline` or `global` declaration in the
+body does not), each later iteration is the first one expanded again with the
+names inlining made in it renamed to those it would have made in that
+iteration (`nm__i{t}` becomes `nm__i{t + j*m}` in iteration j, where
+the first iteration made m inline calls), and the loop is recorded in
+the result's `unrolled`: per non-inline function, a tuple of
+(first statement of iteration 0, statements per iteration, iterations,
+names), where `names` maps each local that inlining declared in
+iteration 0 to its name in every iteration, in order.  Every name and
+tag after the loop is the one expanding each iteration from the source
+gives.  A recorded loop holds no other recorded loop (the loops inside
+it are dropped from the record), and a loop of no statements is not
+recorded.  Any other loop is expanded from the source per iteration.
+Codegen emits a recorded loop's iteration 0 once, as a loop (see
+codegen), and relies on the record without checking it; nothing else
+reads it.
 
 Expansion never updates its input: every node it returns is a copy or
 a new node, and nothing updates the result afterwards (the back ends
@@ -152,6 +162,7 @@ class _Expander:
         self.current = None  # the non-inline function being expanded
         self.unrolled: dict[str, list] = {}  # the result's `unrolled`
         self.free: dict[int, bool] = {}  # id of a source `for` -> var_free
+        self.made: list = []  # (stem, t) of each name nm__i{t} inlining made
         # the names a hoisted local `global` must not take: every name the
         # source declares otherwise, which would shadow it in the result
         self.taken = {q.name for f in p.funcs for q in f.params} | {
@@ -299,15 +310,19 @@ class _Expander:
             count = hi - lo + 1
             if count > MAX_UNROLL:
                 raise ExpandError(f"{_at(s)}unrolling {count} iterations exceeds {MAX_UNROLL}")
-            out, starts = [], []
-            for i in range(lo, hi + 1):
-                env[s.var] = i
-                starts.append(len(out))
-                out.extend(self.expand_block(s.body, env, inline_ok, fn))
+            out = []
+            if count > 0:
+                env[s.var] = lo
+                before = dict(env) if count > 1 and self.var_free(s) else None
+                mark = (len(self.unrolled.get(self.current, ())), len(self.made), self.fresh)
+                out = self.expand_block(s.body, env, inline_ok, fn)
+                if env == before:
+                    out = self.copies(out, count, mark, fn)
+                else:
+                    for i in range(lo + 1, hi + 1):
+                        env[s.var] = i
+                        out.extend(self.expand_block(s.body, env, inline_ok, fn))
             env.pop(s.var, None)
-            n = len(out) // count if count > 1 else 0
-            if n and starts == list(range(0, len(out), n)) and self.var_free(s):
-                self.unrolled.setdefault(self.current, []).append((out[0], n, count))
             return out
         if k is SReturn:
             return [_copy(s, values=tuple(self.subst(v, env) for v in s.values))]
@@ -320,6 +335,30 @@ class _Expander:
         if free is None:
             free = self.free[id(s)] = not _mentions(s.body, s.var)
         return free
+
+    def copies(self, first: list, count: int, mark: tuple, fn: FuncDecl) -> list:
+        """All `count` iterations of a loop whose iteration 0, `first`, left
+        the environment as it found it: iterations 1.. are `first`
+        expanded again (expansion is idempotent) with the names inlining
+        made in it renamed to those it would make in that iteration, and
+        the loop is recorded in place of the loops inside it.  `mark` is
+        (records, names made, fresh) before iteration 0."""
+        records, made, fresh = mark
+        m = self.fresh - fresh  # iteration 0's inline calls
+        made = self.made[made:]
+        out = list(first)
+        for j in range(1, count):
+            out.extend(self.expand_block(
+                first, {f"{stem}__i{t}": f"{stem}__i{t + j * m}" for stem, t in made}, True, fn))
+        self.made.extend((stem, t + j * m) for j in range(1, count) for stem, t in made)
+        self.fresh += (count - 1) * m
+        if first:
+            declared = {nm for d in _decls(first) for nm in d.names}
+            names = {f"{stem}__i{t}": tuple(f"{stem}__i{t + j * m}" for j in range(count))
+                     for stem, t in made if f"{stem}__i{t}" in declared}
+            loops = self.unrolled.setdefault(self.current, [])
+            loops[records:] = [(first[0], len(first), count, names)]
+        return out
 
     def subst_lval(self, lv, env):
         k = type(lv)
@@ -355,6 +394,7 @@ class _Expander:
             else:
                 nm = f"{p.name}__{tag}"
                 env2[p.name] = nm
+                self.made.append((p.name, self.fresh))
                 dest = LVar(nm)
                 dest.ty = p.ty
                 out.append(SDecl(p.storage, p.ty, (nm,), None))
@@ -362,6 +402,7 @@ class _Expander:
         # every declared local gets a call-site-unique name
         for nm in _decl_names(callee.body):
             env2[nm] = f"{nm}__{tag}"
+            self.made.append((nm, self.fresh))
         body = self.expand_block(list(callee.body), env2, True, callee)
         ret_values = None
         if body and isinstance(body[-1], SReturn):
@@ -376,7 +417,8 @@ class _Expander:
             if ret_values is None or len(ret_values) != len(dests):
                 raise ExpandError(f"{_at(s)}inline call result arity mismatch")
             for d, v in zip(dests, ret_values):
-                out.append(SAssign((d,), None, _resized(v, d.ty)))
+                r = _resized(v, d.ty)  # a literal resized is folded, as expanding it again would
+                out.append(SAssign((d,), None, r if r is v else self.fold(r, env2)))
         return out
 
     def function_body(self, name: str):

@@ -314,8 +314,9 @@ class Program:
     funcs: tuple  # of FuncDecl
     typed: bool = _side(False)
     expanded: bool = _side(False)
-    # expand's variable-free `for` loops: function name -> tuple of
-    # (first statement of iteration 0, statements per iteration, iterations)
+    # expand's record of `for` loops unrolled as copies: function name ->
+    # tuple of (first statement of iteration 0, statements per iteration,
+    # iterations, inline local of iteration 0 -> its name per iteration)
     unrolled: Optional[dict] = _side()
     _exec_ns: Optional[dict] = _side()  # interp's compiled functions
 

@@ -2,25 +2,80 @@
 does not mention its variable as one Python loop (see codegen).  Each
 test runs a program as built and as a copy without expand's record of
 its unrolled loops, whose generated code is the unrolled form, and
-compares what the two runs observe."""
+compares what the two runs observe.  Codegen trusts the record, so every
+program built here, the corpus and the planted programs have each of
+theirs checked against the expanded statements (records_hold)."""
+
+import re
 
 import pytest
 
 from gensrc import function_sources
+from test_acceptance import PLANTED
 from test_exec_golden import _inputs, _runs
 from jamin import interp, memory
 from jamin.codegen import PIECE
-from jamin.expand import _copy, _fields, expand
-from jamin.ir import EArr, EBin, EVar, LArr, LVar, SAssign, SDecl, word_ty
+from jamin.expand import _copy, expand
+from jamin.ir import FuncDecl, Program, SAssign, SDecl, SIf, SWhile, print_program
 from jamin.parser import parse
-from jamin.primitives.corpus import load_program
+from jamin.primitives.corpus import PROGRAMS, load_program
 from jamin.typecheck import typecheck
 
 ROLLED = "for _k in range("
 
 
 def prep(text):
-    return expand(typecheck(parse(text)))
+    p = expand(typecheck(parse(text)))
+    records_hold(p)
+    return p
+
+
+def printed(stmts) -> str:
+    """Statements as ir's printer prints them."""
+    return print_program(Program((), (), (FuncDecl("f", False, (), (), tuple(stmts)),)))
+
+
+def where(stmts, first):
+    """(block, index) of statement `first` in `stmts` or a block inside them."""
+    for i, s in enumerate(stmts):
+        if s is first:
+            return stmts, i
+        blocks = (s.then, s.els) if type(s) is SIf else (s.body,) if type(s) is SWhile else ()
+        for b in blocks:
+            found = where(b, first)
+            if found is not None:
+                return found
+    return None
+
+
+def iterations(p, fname, record) -> list:
+    """The k iterations, n statements each, of a record of function fname."""
+    first, n, k, _ = record
+    block, i = where(p.func(fname).body, first)
+    assert len(block) >= i + n * k
+    return [block[i + j * n:i + (j + 1) * n] for j in range(k)]
+
+
+def records_hold(p):
+    """Check expand's record of p: iteration j of each recorded loop,
+    printed, is iteration 0 printed with its inline locals renamed to
+    iteration j's, as `names` gives them."""
+    for fname, loops in (p.unrolled or {}).items():
+        for record in loops:
+            names = record[3]
+            its = iterations(p, fname, record)
+            assert all(len(v) == len(its) and v[0] == a for a, v in names.items())
+            first = printed(its[0])
+            for j, it in enumerate(its[1:], 1):
+                want = re.sub(r"\w+", lambda m: names.get(m[0], (m[0],) * len(its))[j], first)
+                assert printed(it) == want
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS) + [f"planted-{i}" for i in range(len(PLANTED))])
+def test_records_are_true(name):
+    p = load_program(name) if name in PROGRAMS else prep(PLANTED[int(name[8:])][1])
+    records_hold(p)
+    assert bool(p.unrolled) == name.startswith("chacha20")
 
 
 def unrolled(p):
@@ -248,54 +303,24 @@ def test_body_mentioning_its_variable_stays_unrolled():
 
 
 def test_global_declared_in_the_body_names_one_global():
-    """Every iteration's `global` names the same hoisted global, so the
-    iterations are equal and the loop rolls."""
+    """Every iteration's `global` names the same hoisted global, but the
+    first iteration binds the name K, so expand expands each iteration
+    from the source and records no loop: it stays unrolled."""
     p = prep("fn f(reg u64 x) -> reg u64 {\n"
              "  for r = 0 to 2 { global u64 K = 5; x = x + K; }\n  return x;\n}")
-    assert ROLLED + "3)" in source(p)
+    assert p.unrolled == {} and ROLLED not in source(p)
     assert value(same_runs(p, "f", [1], memory.Memory())) == 16
 
 
 def test_iterations_that_differ_stay_unrolled():
-    p = prep("fn f(reg u64 x) -> reg u64 {\n  x = x + 1;\n  x = x + 2;\n  return x;\n}")
-    f = p.func("f")
-    p = _copy(p, unrolled={"f": ((f.body[0], 1, 2),)}, _exec_ns=None)  # a false record
-    assert source(p) == source(unrolled(p))
-    assert value(same_runs(p, "f", [1], memory.Memory())) == 4
-
-
-def renamed(node, old: str, new: str):
-    """A copy of IR `node` (or a tuple of nodes) with name `old` replaced
-    by `new` wherever a variable or array is named."""
-    if isinstance(node, tuple):
-        return tuple(renamed(x, old, new) for x in node)
-    if not hasattr(node, "loc"):
-        return node
-    changes = {f: renamed(getattr(node, f), old, new) for f in _fields(type(node))
-               if f not in ("loc", "ty", "arr_ty")}
-    if getattr(node, "name", None) == old and type(node) in (EVar, EArr, LVar, LArr):
-        changes["name"] = new
-    return _copy(node, **changes)
-
-
-@pytest.mark.parametrize("text, old, new, want", [
-    ("global u64 K = 1;\nglobal u64 J = 2;\n"
-     "fn f(reg u64 x) -> reg u64 {\n  for r = 0 to 1 { x = x + K; }\n  return x;\n}",
-     "K", "J", 1 + 1 + 2),
-    ("fn f(reg u64 x, reg u64 p, reg u64 q) -> reg u64 {\n"
-     "  for r = 0 to 1 { x = x + p; }\n  return x;\n}",
-     "p", "q", 1 + 2 + 3),
-], ids=["global", "parameter"])
-def test_renamed_globals_and_parameters_stay_unrolled(text, old, new, want):
-    """Iteration 1 reads another global or parameter than iteration 0
-    (a record no expansion makes): the loop must not roll."""
-    p = prep(text)
-    f = p.func("f")
-    body = (f.body[0], renamed(f.body[1], old, new)) + f.body[2:]
-    p = _copy(p, funcs=(_copy(f, body=body),), unrolled={"f": ((body[0], 1, 2),)},
-              _exec_ns=None)
-    assert ROLLED not in source(p)
-    assert value(same_runs(p, "f", [1, 2, 3][:len(f.params)], memory.Memory())) == want
+    """A body whose first iteration changes the compile-time environment
+    (here it binds the inline c) could expand to other statements in a
+    later iteration, as far as expand knows: each is expanded from the
+    source and the loop is not recorded."""
+    p = prep("fn f(reg u64 x) -> reg u64 {\n"
+             "  for r = 0 to 2 { inline int c = 2; x = x + c; }\n  return x;\n}")
+    assert p.unrolled == {} and source(p) == source(unrolled(p))
+    assert value(same_runs(p, "f", [1], memory.Memory())) == 7
 
 
 INC = """
@@ -311,35 +336,46 @@ fn f(reg u64 x) -> reg u64 {
 """
 
 
-def mention_after(p, name):
-    """p with `x = x + name;` added before f's final return."""
-    def u64(node):
-        node.ty = word_ty(64)
-        return node
-
-    f = p.func("f")
-    s = SAssign((u64(LVar("x")),), None, u64(EBin("+", u64(EVar("x")), u64(EVar(name)))))
-    return _copy(p, funcs=(_copy(f, body=f.body[:-1] + (s, f.body[-1])),), _exec_ns=None)
+def mentioned(stmts) -> set:
+    """The names printed statements mention."""
+    return set(re.findall(r"\w+", printed(stmts)))
 
 
 @pytest.mark.parametrize("iteration", [None, 0, 1, 2])
 def test_renamed_locals_must_be_private(iteration):
-    """The iterations differ in inc's locals; they roll unless a statement
-    after the loop mentions one of them."""
+    """The iterations differ in inc's locals, which the record names per
+    iteration: each iteration's are mentioned by that iteration alone."""
     p = prep(INC)
     ts = [nm for s in p.func("f").body if type(s) is SDecl for nm in s.names
           if nm.startswith("t__")]
     assert len(ts) == 3
-    if iteration is not None:
-        p = mention_after(p, ts[iteration])
-    assert (ROLLED in source(p)) == (iteration is None)
-    extra = 0 if iteration is None else 2 + iteration
-    assert value(same_runs(p, "f", [1], memory.Memory())) == 4 + extra
+    (record,) = p.unrolled["f"]
+    assert record[3]["t__i1"] == tuple(ts)
+    if iteration is None:
+        assert ROLLED in source(p)
+        assert value(same_runs(p, "f", [1], memory.Memory())) == 4
+        return
+    its = iterations(p, "f", record)
+    rest = [s for s in p.func("f").body if not any(s is x for it in its for x in it)]
+    assert len(rest) == len(p.func("f").body) - 3 * len(its[0])
+    assert [ts[iteration] in mentioned(it) for it in its + [rest]] == [
+        j == iteration for j in range(4)]
 
 
 def test_nested_loops_roll_the_outer_one():
     p = prep("fn f(reg u64 x) -> reg u64 {\n"
              "  for a = 0 to 1 { for b = 0 to 2 { x = x + 1; } x = x * 3; }\n  return x;\n}")
-    assert [(n, k) for _, n, k in p.unrolled["f"]] == [(1, 3), (1, 3), (4, 2)]
+    assert [(n, k) for _, n, k, _ in p.unrolled["f"]] == [(4, 2)]  # the inner ones are copies
     assert source(p).count(ROLLED) == 1 and ROLLED + "2)" in source(p)
     assert value(same_runs(p, "f", [1], memory.Memory())) == 45
+
+
+def test_resized_literal_result_copies_as_expanded():
+    """h's literal result moved to a narrower destination is folded when
+    it is first expanded, as expanding that iteration again folds it, so
+    every copy prints as iteration 0 does (records_hold)."""
+    p = prep("inline fn h(reg u64 a) -> reg u64 {\n  return 7;\n}\n"
+             "fn f(reg u32 y) -> reg u32 {\n  for r = 0 to 2 { y = h(y); }\n  return y;\n}")
+    assert ROLLED in source(p)
+    assert expand(p) == p
+    assert value(same_runs(p, "f", [1], memory.Memory())) == 7
