@@ -58,7 +58,11 @@ observes:
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
-the locals it reads and returns the ones it rebinds.
+the locals it may read before writing them and returns the ones it
+rebinds that it takes or that code outside it mentions.  A local that an
+`if` or `while` of the piece writes is taken when code outside the piece
+mentions it, since the block may not run; a block does not read a local
+that a straight-line statement at its top level writes before any read.
 """
 
 from __future__ import annotations
@@ -777,19 +781,22 @@ class _FnGen(Assigned):
         self.close()
         inside = Counter()
         touched, live_in, rebinds = set(), set(), set()
-        flat = []
-        for s in run:  # a rolled loop runs its body at least once, unlike a while loop
-            roll = self.rolls.get(id(s))
-            flat.extend((s,) if roll is None else roll.node.body)
-        for s in flat:
+        for s in self.flat(run):
             r, w = flow.summary(s)
             inside.update(self.mentions(s, r, w))
-            reads, defs = set(r), set(w)
-            live_in |= reads - touched
-            touched |= reads | defs
+            defs = set(w)
+            if type(s) is SIf or type(s) is SWhile:  # its blocks may not run
+                reads = self.exposed(s)
+                live_in |= reads - touched
+                touched |= reads
+            else:
+                reads = set(r)
+                live_in |= reads - touched
+                touched |= reads | defs
             rebinds |= defs
-        live_in = sorted(n for n in live_in if n in self.locals)
         shared = {n for n in inside if n in self.locals and self.counts[n] > inside[n]}
+        live_in |= (rebinds - touched) & shared  # their value is kept if the loop does not run
+        live_in = sorted(n for n in live_in if n in self.locals)
         live_out = sorted(rebinds & (shared | set(live_in)))
         for n in live_in:
             if n not in self.facts.declared:
@@ -812,6 +819,32 @@ class _FnGen(Assigned):
         head = [f"def {name}({params}):"] + self.nb_lines(unbound)
         self.define(name, head + body + [f"    return B{outs}"])
         self.line(f"B{outs} = {name}({params})")
+
+    def flat(self, stmts) -> list:
+        """`stmts` with each rolled loop replaced by its body, which runs at
+        least once, unlike a while loop's."""
+        out = []
+        for s in stmts:
+            roll = self.rolls.get(id(s))
+            out.extend((s,) if roll is None else roll.node.body)
+        return out
+
+    def exposed(self, s) -> set:
+        """The names `if` or `while` statement s may read before writing
+        them: those its test reads, and in each of its blocks those read
+        before a straight-line statement at the block's top level (or a
+        rolled loop's) writes them as a whole."""
+        reads = set(flow.reads(s.cond))
+        for block in (s.then, s.els) if type(s) is SIf else (s.body,):
+            written = set()
+            for c in self.flat(block):
+                if type(c) is SIf or type(c) is SWhile:
+                    reads.update(self.exposed(c) - written)
+                else:
+                    r, w = flow.summary(c)
+                    reads.update(n for n in r if n not in written)
+                    written.update(w)
+        return reads
 
     def note_unbound(self, name: str):
         if self.piece_locals is not None and name not in self.piece_locals:

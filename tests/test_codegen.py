@@ -9,7 +9,8 @@ import pytest
 
 from gensrc import function_sources, line_count
 from test_isa_scalar_golden import _op_width
-from jamin import interp, isa, memory
+from jamin import codegen, interp, isa, memory
+from jamin.codegen import PIECE
 from jamin.expand import expand
 from jamin.ir import SAssign
 from jamin.parser import parse
@@ -157,6 +158,49 @@ def test_chacha20_round_loops_are_rolled(name):
     once, inside a Python loop, so the generated source is at most 40%
     of its lines with every iteration emitted."""
     assert line_count(load_program(name)) <= 0.4 * UNROLLED_LINES[name]
+
+
+def test_pieces_take_no_round_loop_arrays():
+    """The quarter rounds' arrays (v_w__i...) are written as a whole before
+    they are read in every block that mentions them, and nothing outside
+    the piece holding the block does, so no piece takes or returns one
+    and none is bound to NB."""
+    src = _generated_source("chacha20_scalar")
+    pieces = re.findall(r"^def Q_\w+\((.*)\):$", src, re.M)
+    assert len(pieces) == 2 and not any("v_w__i" in params for params in pieces)
+    assert "v_w__i" not in "".join(re.findall(r"^    return B.*$", src, re.M))
+    assert " = NB" not in src
+
+
+AFTER_LOOP = """
+fn f(reg u64 n) -> reg u64 {
+  reg u64 w, x;
+  w = 7;
+  x = 0;
+@PAD@
+  while (x < n) { w = x + 1; x = x + w; }
+@PAD2@
+  x = x + w;
+  return x;
+}"""
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["same-piece", "later-piece"])
+def test_name_written_in_a_loop_read_after_it(monkeypatch, later):
+    """w is written before it is read in the loop body, which may not run,
+    and read after the loop: in the loop's piece or in a later one.  The
+    pieced function keeps w's value from before the loop as the unpieced
+    one does."""
+    pad = "  x = x + 1;\n" * (PIECE - 3)
+    text = AFTER_LOOP.replace("@PAD@", pad).replace("@PAD2@", pad if later else "")
+    pieced = prep(text)
+    assert "def Q_f_2" in "".join(function_sources(pieced).values())
+    monkeypatch.setattr(codegen, "PIECE", 10 * PIECE)
+    whole = prep(text)
+    assert "def Q_" not in "".join(function_sources(whole).values())
+    for n in (0, PIECE, 2 * PIECE):
+        got = interp.run(pieced, "f", [n], memory.Memory())
+        assert got.results == interp.run(whole, "f", [n], memory.Memory()).results
 
 
 LIVE_SOURCES = {
