@@ -64,6 +64,12 @@ KEYWORDS = {
 
 WIDTH_NAMES = {f"u{w}": w for w in WIDTHS}
 
+# How deep a program may nest (docs/lang.md): past either limit, the later
+# passes, which recurse over the tree, or the Python compiler of the
+# generated code (20 nested loop blocks, 200 nested parentheses) would fail.
+MAX_EXPR_DEPTH = 32  # levels of an expression tree, a parenthesis counting as one
+MAX_NESTING = 20  # blocks inside a function body, an `else if` counting as one
+
 
 class ParseError(SyntaxError):
     def __init__(self, message: str, line: int, col: int):
@@ -150,6 +156,8 @@ class Parser:
     def __init__(self, text: str, known_intrinsics=None):
         self.toks = tokenize(text)
         self.pos = 0
+        self.level = 0  # the depth of the expression being parsed
+        self.blocks = -1  # the blocks open inside a function body
         if known_intrinsics is None:
             from . import isa
 
@@ -186,6 +194,18 @@ class Parser:
     def at_ident(self, *names: str) -> bool:
         t = self.peek()
         return t.kind == "IDENT" and t.text in names
+
+    def deeper(self, tok):
+        """One more level in the expression being parsed, starting at `tok`."""
+        self.level += 1
+        if self.level > MAX_EXPR_DEPTH:
+            self.error(f"expression nested more than {MAX_EXPR_DEPTH} deep", tok)
+
+    def open_block(self, tok):
+        """One more block open in the function being parsed, starting at `tok`."""
+        self.blocks += 1
+        if self.blocks > MAX_NESTING:
+            self.error(f"blocks nested more than {MAX_NESTING} deep", tok)
 
     def _loc(self, node, tok):
         node.loc = (tok.line, tok.col)
@@ -316,10 +336,11 @@ class Parser:
     # ---------------------------------------------------- statements
 
     def parse_block(self) -> tuple:
-        self.expect("PUNCT", "{")
+        self.open_block(self.expect("PUNCT", "{"))
         stmts = []
         while not self.accept("PUNCT", "}"):
             stmts.append(self.parse_stmt())
+        self.blocks -= 1
         return tuple(stmts)
 
     def parse_stmt(self):
@@ -376,8 +397,10 @@ class Parser:
         then = self.parse_block()
         els: tuple = ()
         if self.accept("IDENT", "else"):
-            if self.at_ident("if"):
+            if self.at_ident("if"):  # an if inside the else block
+                self.open_block(self.peek())
                 els = (self.parse_if(),)
+                self.blocks -= 1
             else:
                 els = self.parse_block()
         return self._loc(SIf(cond, then, els), tok)
@@ -475,19 +498,25 @@ class Parser:
     # --------------------------------------------------- expressions
 
     def parse_expr(self, min_prec: int = 1):
+        level = self.level
         lhs = self.parse_unary()
         while True:
             t = self.peek()
-            if t.kind != "OP" or t.assign or t.op not in ir._PREC:
-                return lhs
-            prec = ir._PREC[t.op]
-            if prec < min_prec:
+            if t.kind != "OP" or t.assign or ir._PREC.get(t.op, 0) < min_prec:
+                self.level = level
                 return lhs
             self.next()
-            rhs = self.parse_expr(prec + 1)
+            self.deeper(t)  # the operands so far are one level deeper
+            rhs = self.parse_expr(ir._PREC[t.op] + 1)
             lhs = self._loc(EBin(t.op, lhs, rhs, t.lanes), t)
 
     def parse_unary(self):
+        self.deeper(self.peek())
+        e = self.parse_operand()
+        self.level -= 1
+        return e
+
+    def parse_operand(self):
         t = self.peek()
         if t.kind == "BANG":
             self.next()

@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from test_parser import DEEP, deep, limit, past_limit
 from jamin.cli import main
 from jamin.primitives.corpus import corpus_dir
 
@@ -311,3 +313,27 @@ def test_bench_steps_golden(capsys, program):
     assert code == 0
     rows = [(r["bytes"], r["steps"]) for r in json.loads(out)["rows"]]
     assert rows == BENCH_STEPS_GOLDEN[program]
+
+
+@pytest.mark.parametrize("form", sorted(DEEP))
+def test_deepest_program_runs_and_one_level_more_exits_2(tmp_path, capsys, form):
+    """The deepest nesting the parser accepts compiles to Python that runs
+    (Python allows 20 nested loop blocks and 200 nested parentheses);
+    one level more is a located parse error."""
+    prog = tmp_path / "deep.jz"
+    prog.write_text(deep(form, limit(form)))
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert (code, err) == (0, "")
+    text, located = past_limit(form)
+    prog.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert code == 2 and f"deep.jz: {located} " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form, n", [("sum", 500), ("parens", 400), ("while", 25), ("if", 150)])
+def test_very_deep_program_exit_2(tmp_path, capsys, form, n):
+    prog = tmp_path / "deep.jz"
+    prog.write_text(deep(form, n))
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert code == 2 and "Traceback" not in err
+    assert re.search(r"deep\.jz: \d+:\d+: (expression|blocks) nested more than \d+ deep", err)

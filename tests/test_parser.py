@@ -2,7 +2,7 @@ import pytest
 
 from jamin import ir
 from jamin.ir import print_program
-from jamin.parser import ParseError, parse, tokenize
+from jamin.parser import MAX_EXPR_DEPTH, MAX_NESTING, ParseError, parse, tokenize
 from jamin.typecheck import TypecheckError, typecheck
 
 SHUFFLE_FIG = """
@@ -277,3 +277,48 @@ def test_malformed_integer_literal_located(literal):
 def test_integer_literal_forms():
     p = parse("fn f() { reg u64 x; x = 0x1_0; x = 0b1_1; x = 1000; x = 0; }")
     assert [s.rhs.value for s in p.funcs[0].body[1:]] == [16, 3, 1000, 0]
+
+
+# Forms that nest an expression or the blocks of fn f(reg u64 x) n levels
+# deep (docs/lang.md), each with the substring whose last occurrence before
+# the `return` starts the first token past the limit when n is one more
+# than it allows.
+DEEP = {
+    "sum": (lambda n: "  x = x" + " + x" * (n - 1) + ";\n", "x;"),
+    "shift": (lambda n: "  x = x" + " >>s 1" * (n - 1) + ";\n", "1;"),
+    "parens": (lambda n: "  x = " + "(" * (n - 1) + "x" + ")" * (n - 1) + ";\n", "x"),
+    "unary": (lambda n: "  x = " + "~" * (n - 1) + "x;\n", "x;"),
+    "while": (lambda n: "  while (x < 1) {\n" * n + "  x = x + 1;\n" + "  }\n" * n, "{"),
+    "while-for": (lambda n: "  while (x < 1) {\n" * (n - 1) + "  for r = 0 to 1 { x = x + 1; }\n"
+                  + "  }\n" * (n - 1), "{"),
+    "if": (lambda n: "  if (x < 9) {\n" * n + "  x = x + 1;\n" + "  }\n" * n, "{"),
+    "else-if": (lambda n: "  if (x == 0) { x = 1; }"
+                + "".join(f" else if (x == {i}) {{ x = {i + 1}; }}" for i in range(1, n)) + "\n",
+                "{"),
+}
+EXPR_FORMS = ("sum", "shift", "parens", "unary")
+
+
+def deep(form: str, n: int) -> str:
+    return "fn f(reg u64 x) -> reg u64 {\n" + DEEP[form][0](n) + "  return x;\n}\n"
+
+
+def limit(form: str) -> int:
+    return MAX_EXPR_DEPTH if form in EXPR_FORMS else MAX_NESTING
+
+
+def past_limit(form: str) -> tuple:
+    """(source one level past the limit of `form`, the line:col it fails at)."""
+    text = deep(form, limit(form) + 1)
+    at = text.rindex(DEEP[form][1], 0, text.index("  return"))
+    return text, f"{text.count(chr(10), 0, at) + 1}:{at - text.rfind(chr(10), 0, at)}:"
+
+
+@pytest.mark.parametrize("form", sorted(DEEP))
+def test_nesting_limits(form):
+    parse(deep(form, limit(form)))
+    text, located = past_limit(form)
+    what = "expression" if form in EXPR_FORMS else "blocks"
+    with pytest.raises(ParseError, match=f"{what} nested more than {limit(form)} deep") as info:
+        parse(text)
+    assert f"{info.value.line}:{info.value.col}:" == located
