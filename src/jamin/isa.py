@@ -135,8 +135,6 @@ class E:
     index: int
 
 
-ArgLoc = object
-
 FLAGS5 = (F("OF"), F("CF"), F("SF"), F("PF"), F("ZF"))
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*")

@@ -105,20 +105,6 @@ def add_generic(a: LimbNum, b: LimbNum) -> LimbNum:
     return LimbNum(limbs, a.radix, tuple(bounds))
 
 
-def scale_small(a: LimbNum, k: int) -> LimbNum:
-    """Multiply every limb by a small non-negative constant."""
-    if k < 0:
-        raise ValueError("negative scale")
-    extra = k.bit_length()
-    bounds = []
-    for b in a.bounds:
-        nb = b + extra
-        if nb > LIMB_BITS:
-            raise BoundError("scaling could overflow 64 bits")
-        bounds.append(nb)
-    return LimbNum(tuple(v * k for v in a.limbs), a.radix, tuple(bounds))
-
-
 def mul_schoolbook(a: LimbNum, b: LimbNum) -> LimbNum:
     """Double-length schoolbook product at the shared radix.
 
