@@ -4,12 +4,15 @@
 program p, as a run would, and returns what each one's compile() calls
 were given; `line_count(p)` is the number of lines in all of it.  Tests
 use them to inspect the generated code; run as a script, it writes the
-source of every corpus program to a directory, so that two versions of
-codegen can be diffed byte for byte, and prints each one's line count:
+source of every corpus program and every planted program of
+test_acceptance to a directory, so that two versions of codegen can be
+diffed byte for byte, and prints each one's line count and sha256, then
+one sha256 over all of them in the order printed:
 
     PYTHONPATH=src python tests/gensrc.py OUTDIR
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -43,11 +46,22 @@ def line_count(p) -> int:
 
 
 if __name__ == "__main__":
+    from test_acceptance import PLANTED
+    from jamin.expand import expand
+    from jamin.parser import parse
     from jamin.primitives.corpus import PROGRAMS, load_program
+    from jamin.typecheck import typecheck
 
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
-    for name in sorted(PROGRAMS):
-        text = "".join(function_sources(load_program(name)).values())
+    programs = {name: load_program(name) for name in PROGRAMS}
+    programs.update((f"planted-{i}", expand(typecheck(parse(src))))
+                    for i, (_, src, _, _) in enumerate(PLANTED))
+    whole = hashlib.sha256()
+    for name in sorted(programs):
+        text = "".join(function_sources(programs[name]).values())
         (out / f"{name}.py").write_text(text)
-        print(f"{name}: {len(text.splitlines())} lines")
+        whole.update(text.encode())
+        print(f"{name}: {len(text.splitlines())} lines, "
+              f"sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"all: sha256 {whole.hexdigest()}")
