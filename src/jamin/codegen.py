@@ -211,7 +211,6 @@ class Assigned:
 
 
 _ROLLED = EBool(True)  # the test of a rolled loop, never evaluated
-_Roll = namedtuple("_Roll", "node count names")
 
 
 # ------------------------------------------------------------ generator
@@ -665,8 +664,8 @@ class _FnGen(Assigned):
 
     def roll_loops(self, fn) -> tuple:
         """fn's body with each loop of the program's `unrolled` record as one
-        rolled loop; sets `rolls` and `counts`, the mentions of each name in
-        the result."""
+        rolled loop; sets `rolls` (id of a rolled loop -> (iterations,
+        names)) and `counts`, the mentions of each name in the result."""
         spans = {id(first): loop for first, *loop in (self.p.unrolled or {}).get(fn.name, ())}
         self.counts, self.rolls = Counter(), {}
         return self.rolled(fn.body, spans)
@@ -683,7 +682,7 @@ class _FnGen(Assigned):
             if loop is not None:
                 n, k, names = loop
                 node = SWhile(_ROLLED, self.rolled(stmts[i:i + n], {}))  # no record nests
-                self.rolls[id(node)] = _Roll(node, k, names)
+                self.rolls[id(node)] = k, names
                 out.append(node)
                 i += n * k
                 same = False
@@ -779,24 +778,17 @@ class _FnGen(Assigned):
         if not run or self.facts is None:
             return
         self.close()
-        inside = Counter()
-        touched, live_in, rebinds = set(), set(), set()
+        inside, rebinds, surely = Counter(), set(), set()
         for s in self.flat(run):
             r, w = flow.summary(s)
             inside.update(self.mentions(s, r, w))
-            defs = set(w)
-            if type(s) is SIf or type(s) is SWhile:  # its blocks may not run
-                reads = self.exposed(s)
-                live_in |= reads - touched
-                touched |= reads
-            else:
-                reads = set(r)
-                live_in |= reads - touched
-                touched |= reads | defs
-            rebinds |= defs
+            rebinds.update(w)
+            if type(s) is not SIf and type(s) is not SWhile:
+                surely.update(w)
         shared = {n for n in inside if n in self.locals and self.counts[n] > inside[n]}
-        live_in |= (rebinds - touched) & shared  # their value is kept if the loop does not run
-        live_in = sorted(n for n in live_in if n in self.locals)
+        # a name only an if or while writes keeps its value when the block does not run
+        live_in = sorted(n for n in self.exposed(run) | (rebinds - surely) & shared
+                         if n in self.locals)
         live_out = sorted(rebinds & (shared | set(live_in)))
         for n in live_in:
             if n not in self.facts.declared:
@@ -823,27 +815,21 @@ class _FnGen(Assigned):
     def flat(self, stmts) -> list:
         """`stmts` with each rolled loop replaced by its body, which runs at
         least once, unlike a while loop's."""
-        out = []
-        for s in stmts:
-            roll = self.rolls.get(id(s))
-            out.extend((s,) if roll is None else roll.node.body)
-        return out
+        return [c for s in stmts for c in (s.body if id(s) in self.rolls else (s,))]
 
-    def exposed(self, s) -> set:
-        """The names `if` or `while` statement s may read before writing
-        them: those its test reads, and in each of its blocks those read
-        before a straight-line statement at the block's top level (or a
-        rolled loop's) writes them as a whole."""
-        reads = set(flow.reads(s.cond))
-        for block in (s.then, s.els) if type(s) is SIf else (s.body,):
-            written = set()
-            for c in self.flat(block):
-                if type(c) is SIf or type(c) is SWhile:
-                    reads.update(self.exposed(c) - written)
-                else:
-                    r, w = flow.summary(c)
-                    reads.update(n for n in r if n not in written)
-                    written.update(w)
+    def exposed(self, stmts) -> set:
+        """The names `stmts` may read before writing them: those read before
+        a straight-line statement of `stmts` (or of a rolled loop's body)
+        writes them as a whole, an if's or while's test and blocks read."""
+        reads, written = set(), set()
+        for s in self.flat(stmts):
+            if type(s) is SIf or type(s) is SWhile:
+                blocks = (s.then, s.els) if type(s) is SIf else (s.body,)
+                reads |= set(flow.reads(s.cond)).union(*map(self.exposed, blocks)) - written
+            else:
+                r, w = flow.summary(s)
+                reads.update(n for n in r if n not in written)
+                written.update(w)
         return reads
 
     def note_unbound(self, name: str):
@@ -894,7 +880,7 @@ class _FnGen(Assigned):
             else:
                 self.facts = flow.join(self, id(s), then, before)
         elif k is SWhile and id(s) in self.rolls:
-            self.emit_roll(self.rolls[id(s)])
+            self.emit_roll(s, *self.rolls[id(s)])
         elif k is SWhile:
             self.tick(loc)
             self.close()
@@ -922,25 +908,25 @@ class _FnGen(Assigned):
         else:
             raise TypeError(f"not a statement: {s!r}")
 
-    def emit_roll(self, roll):
+    def emit_roll(self, s, count: int, names: dict):
         """A rolled loop: its body once, run `count` times by a Python
         loop over _k from the facts at its head, taken to their fixpoint.
-        It costs no step of its own; a check naming an iteration-private
-        local names the running iteration's (label), and such a local
-        read where it may be unbound is unbound again at each
-        iteration's start, as each iteration's own local is."""
+        It costs no step of its own; a check naming one of `names`, the
+        record's iteration-private locals, names the running iteration's
+        (label), and such a local read where it may be unbound is unbound
+        again at each iteration's start, as each iteration's own local is."""
         self.close()
-        self.facts = self.copy(flow.loop(roll.node, self.facts, self))
+        self.facts = self.copy(flow.loop(s, self.facts, self))
         # the body runs at least once: the facts after the loop are
         # those at the end of the body
-        self.line(f"for _k in range({roll.count}):")
+        self.line(f"for _k in range({count}):")
         self.indent += "    "
         at = len(self.out)
         self.out.append("")
-        self.labels = roll.names
-        self.block(roll.node.body)
+        self.labels = names
+        self.block(s.body)
         self.labels = {}
-        unbound = self.unbound.intersection(roll.names)
+        unbound = self.unbound.intersection(names)
         if unbound:
             self.out[at] = self.nb_lines(unbound, self.indent)[0]
         self.indent = self.indent[:-4]

@@ -20,25 +20,22 @@ literal, every array access is typed, and globals are literals.
 Expansion is idempotent.
 
 Unrolling keeps every copy of a loop body: the analyses and the step
-count are defined on the unrolled statements.  A loop of at least two
-iterations whose body does not mention its variable is expanded from
-the source once: when that first iteration leaves the compile-time
-environment as it found it (an `inline` or `global` declaration in the
-body does not), each later iteration is the first one expanded again with the
-names inlining made in it renamed to those it would have made in that
-iteration (`nm__i{t}` becomes `nm__i{t + j*m}` in iteration j, where
-the first iteration made m inline calls), and the loop is recorded in
-the result's `unrolled`: per non-inline function, a tuple of
-(first statement of iteration 0, statements per iteration, iterations,
-names), where `names` maps each local that inlining declared in
-iteration 0 to its name in every iteration, in order.  Every name and
-tag after the loop is the one expanding each iteration from the source
-gives.  A recorded loop holds no other recorded loop (the loops inside
-it are dropped from the record), and a loop of no statements is not
-recorded.  Any other loop is expanded from the source per iteration.
-Codegen emits a recorded loop's iteration 0 once, as a loop (see
-codegen), and relies on the record without checking it; nothing else
-reads it.
+count are defined on the unrolled statements.  A loop of two or more
+iterations whose body does not mention its variable, and whose first
+iteration leaves the compile-time environment as it found it (an
+`inline` or `global` declaration in the body does not), is expanded
+from the source once: iteration j is the first one expanded again with
+each name inlining made in it, nm__i{t}, renamed to nm__i{t + j*m},
+where m is the first iteration's count of inline calls, so names and
+tags are those of expanding every iteration from the source.  Unless
+it has no statements, such a loop is recorded in the result's
+`unrolled`, per non-inline function, as (first statement of iteration
+0, statements per iteration, iterations, names), where `names` maps
+each local that inlining declared in iteration 0 to its name in every
+iteration; the loops inside it are not recorded.  Codegen emits a
+recorded loop once, as a loop, and relies on the record (see codegen);
+nothing else reads it.  Any other loop is expanded from the source per
+iteration.
 
 Expansion never updates its input: every node it returns is a copy or
 a new node, and nothing updates the result afterwards (the back ends
