@@ -45,6 +45,14 @@ def _load_program(path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _entry(p, entry: str, path: str):
+    """The function `entry` of expanded program p, read from `path`; an
+    inline function, which expansion leaves out, is absent too."""
+    if entry not in p.func_names():
+        raise CliError(f"no function {entry!r} in {path}")
+    return p.func(entry)
+
+
 def _int(text: str, least: int | None = None) -> int:
     try:
         n = int(text, 0)
@@ -111,9 +119,7 @@ def cmd_run(args) -> int:
             mem = memory.add_region(mem, base, length)
         except ValueError as exc:  # negative, past 2^64 or past memory.MAX_BYTES
             raise CliError(f"bad region 0x{base:x}:{length}: {exc}") from exc
-    fn = p.func(args.entry) if args.entry in p.func_names() else None
-    if fn is None:
-        raise CliError(f"no function {args.entry!r} in {args.file}")
+    fn = _entry(p, args.entry, args.file)
     vals = args.u64 or []
     if len(vals) != len(fn.params):
         raise CliError(
@@ -150,16 +156,21 @@ def cmd_run(args) -> int:
 # ------------------------------------------------------------------ ct
 
 
-def _build_shape(p, args) -> dict:
+def _build_shape(fn, args, public, public_regions) -> dict:
+    """The input shape of entry fn from --ptr and --len, after checking
+    that every name these and the public sets give is a parameter."""
     from .ir import WordTy
 
-    fn = p.func(args.entry)
     shape: dict = {}
     ptrs = {}
     for spec in args.ptr or ():
         name, _, size = spec.partition(":")
         ptrs[name] = size
     lens = dict(args.len or ())
+    params = {q.name for q in fn.params}
+    for name in [*ptrs, *lens, *sorted(public), *sorted(public_regions)]:
+        if name not in params:
+            raise CliError(f"{name!r} is not a parameter of {fn.name}")
     for q in fn.params:
         if q.name in ptrs:
             size = ptrs[q.name]
@@ -180,10 +191,11 @@ def _build_shape(p, args) -> dict:
 
 def cmd_ct(args) -> int:
     p = _load_program(args.file)
-    public = frozenset(args.public.split(",")) if args.public else frozenset()
+    fn = _entry(p, args.entry, args.file)
+    public = frozenset(args.public.split(",")) - {""}
     public_regions = frozenset((args.public_region or "").split(",")) - {""}
     spec = leakage.PublicSpec(public, public_regions)
-    shape = _build_shape(p, args)
+    shape = _build_shape(fn, args, public, public_regions)
     inferred = sorted(leakage.infer_public(p, args.entry))
     verdict = leakage.ct_check(
         p, args.entry, spec, trials=args.trials, seed=args.seed, shape=shape
@@ -226,6 +238,7 @@ def cmd_ct(args) -> int:
 
 def cmd_safety(args) -> int:
     p = _load_program(args.file)
+    _entry(p, args.entry, args.file)
     pointers = [s for s in (args.pointer or "").split(",") if s]
     tracked = [s for s in (args.track or "").split(",") if s]
     if not tracked and args.suggest:
@@ -260,7 +273,9 @@ def cmd_difftest(args) -> int:
     shape = SHAPES[args.shape]
     chain = [SpecEntry(f"{args.shape}_spec", shape.spec_output)]
     for path in args.files:
-        chain.append(DslEntry(Path(path).stem, _load_program(path), args.entry))
+        p = _load_program(path)
+        _entry(p, args.entry, path)
+        chain.append(DslEntry(Path(path).stem, p, args.entry))
     rep = hop_difftest(chain, runs=args.runs, seed=args.seed, input_shape=args.shape)
     lines = [f"difftest shape={rep.shape} runs={rep.runs} seed={rep.seed}"]
     pair_rows = []

@@ -34,7 +34,8 @@ it has no statements, such a loop is recorded in the result's
 each local that inlining declared in iteration 0 to its name in every
 iteration; the loops inside it are not recorded.  Codegen emits a
 recorded loop once, as a loop, and relies on the record (see codegen);
-nothing else reads it.  Any other loop is expanded from the source per
+the analyses read it too, to skip the iterations that change nothing
+they observe (see flow).  Any other loop is expanded from the source per
 iteration.
 
 Expansion never updates its input: every node it returns is a copy or

@@ -18,7 +18,23 @@ each with a lattice of its own.  A forward domain d provides:
   the join `new` of `head` and the body's `end`; it may raise;
 - d.recording: whether d records findings.  The driver then walks a
   loop body once more at its fixpoint, and d records nothing while the
-  driver iterates to it.
+  driver iterates to it;
+- optionally d.unrolled, the loops that expand recorded in the function
+  (records), and d.observable(state, private): a snapshot, compared with
+  ==, of `state` without the locals in `private` and of every table that
+  d records into or reads back, which later updates of either leave
+  unchanged.
+
+A domain with `unrolled` has each recorded loop walked one iteration at
+a time, and the rest of it skipped as soon as an iteration leaves
+observable(state, private) as it found it, where `private` is every
+iteration's renamed locals.  This is exact: iteration j+1 is iteration j
+with only its private locals renamed, and no statement outside
+iteration j mentions iteration j's, so from an equal observable state it
+reads, does and records the same, and so does every later iteration.
+The state after a skipped loop lacks only the skipped iterations'
+private locals, which nothing reads.  A domain without `unrolled` walks
+every copy.
 
 transfer and refine may update the state they are given.  None is the
 state of an unreachable point, such as after a `return`; domains never
@@ -58,8 +74,44 @@ def join(d, key, a, b):
     return d.join(key, a, b)
 
 
+def records(p, fn) -> dict:
+    """expand's record of the loops of function fn of program p unrolled
+    as copies (see expand), by the id of the block that holds them: for
+    each, in order, (the index of its first statement in the block,
+    statements per iteration, iterations, each renamed local of
+    iteration 0 -> its name in every iteration)."""
+    first = {id(s): loop for s, *loop in (p.unrolled or {}).get(fn.name, ())}
+    out: dict = {}
+
+    def walk(stmts):
+        for i, s in enumerate(stmts):
+            loop = first.get(id(s))
+            if loop is not None:
+                out.setdefault(id(stmts), []).append((i, *loop))
+            elif type(s) is SIf:
+                walk(s.then)
+                walk(s.els)
+            elif type(s) is SWhile:
+                walk(s.body)
+
+    if first:
+        walk(fn.body)
+    return out
+
+
 def forward(stmts, state, d):
     """The state after `stmts` run from `state` in domain d."""
+    recorded = getattr(d, "unrolled", None)
+    loops = recorded.get(id(stmts)) if recorded else None
+    if loops:  # the statements before each recorded loop, then its iterations
+        i = 0
+        for at, n, count, names in loops:
+            state = forward(stmts[i:at], state, d)
+            if state is None:
+                return None
+            state = iterations(stmts[at:at + n * count], n, names, state, d)
+            i = at + n * count
+        stmts = stmts[i:]
     for s in stmts:
         if state is None:
             return None
@@ -77,6 +129,25 @@ def forward(stmts, state, d):
             state = d.transfer(state, s)
             if k is SReturn:
                 return None
+    return state
+
+
+def iterations(stmts, n: int, names: dict, state, d):
+    """The state after `stmts`, the iterations of a recorded loop (n
+    statements each, their renamed locals `names`), run from `state`:
+    each iteration is walked, as a block of its own, until one leaves
+    d.observable as it found it, and the rest are skipped (see the
+    module docstring)."""
+    private = frozenset(nm for per in names.values() for nm in per)
+    seen = d.observable(state, private)
+    for j in range(0, len(stmts), n):
+        state = forward(stmts[j:j + n], state, d)
+        if state is None:
+            return None
+        now = d.observable(state, private)
+        if now == seen:
+            break
+        seen = now
     return state
 
 

@@ -365,6 +365,7 @@ class _FnTaint:
         self.entry = {None: glob.version, **dict(zip(names, arg_taints))}
         self.bases = dict(zip(names, arg_bases))
         self.results = None  # per result, its (taint, bases) joined over every return
+        self.unrolled = flow.records(glob.p, fn)
 
     def run(self) -> list:
         """(taint, bases) of each result, empty when nothing returns."""
@@ -372,6 +373,12 @@ class _FnTaint:
         return self.results or [(_EMPTY, _EMPTY)] * len(self.fn.rets)
 
     copy = staticmethod(dict)
+
+    def observable(self, env: dict, private) -> tuple:
+        """The flow hook (see jamin.flow): the taints of the locals not in
+        `private` with the whole-program version (of the stored taints and
+        every local's bases) at None, the leaked tokens and the results."""
+        return {n: t for n, t in env.items() if n not in private}, len(self.g.leaked), self.results
 
     def refine(self, env: dict, cond, taken) -> dict:
         return env

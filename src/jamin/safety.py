@@ -21,7 +21,12 @@ the scalars it writes, which then read as opaque values of their type.
 This is a sparse analysis in the sense of Oh et al. (PLDI 2012): its
 ranges and findings are those of tracking every scalar, and unrolled
 cipher rounds, whose values reach none of these uses, cost next to
-nothing.
+nothing.  Of a loop that expand recorded as unrolled copies, the
+relevance pass visits iteration 0 only, and a later iteration's renamed
+local is relevant when its iteration-0 name is; the range and
+maybe-uninit passes walk the iterations until one changes nothing they
+observe (jamin.flow), and a later iteration's statement is told inert
+when it is first walked.
 
 A symbol's interval keeps small *sets* of lower and upper bounds, each
 affine in the parameters: a loop guard often supplies a symbolic bound
@@ -67,7 +72,6 @@ each value has one representation; no float ever enters.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
@@ -103,6 +107,8 @@ UNROLL_BEFORE_WIDEN = 4
 UNSTABLE_BEFORE_WIDEN = 3
 MAX_ITERATIONS = 64
 MAX_BOUNDS = 3
+
+_UNSCANNED = object()  # of _Analyzer.inert: a statement not scanned yet
 
 
 class AnalysisFailure(Exception):
@@ -525,19 +531,25 @@ class _Analyzer:
         self.recording = False
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.widen_state: dict[int, int] = {}
-        self.sym_numbers = itertools.count(1)
-        # id of an inert statement -> the scalars it rebinds: _scan notes
-        # the candidates, those that rebind a relevant scalar are dropped
-        self.inert: dict[int, tuple] = {}
-        seeds, defs = _definitions(self.fn.body, self._scan)
-        self.relevant = _closure(seeds, defs) | _counters(self.fn, defs)
-        self.inert = {k: v for k, v in self.inert.items() if self.relevant.isdisjoint(v)}
+        self.minted = 0  # fresh symbols made
+        self.unrolled = flow.records(p, self.fn)
+        # id of a scanned straight-line statement -> the scalars it
+        # rebinds if it is inert, else None: _scan notes the candidates,
+        # those that rebind a relevant scalar are dropped
+        self.inert: dict[int, tuple | None] = {}
+        seeds, defs = _definitions(self.fn.body, self._scan, self.unrolled)
+        later = {nm: first for loops in self.unrolled.values() for *_, names in loops
+                 for first, per in names.items() for nm in per[1:]}
+        relevant = _closure(seeds, defs) | _counters(self.fn, defs, later)
+        self.relevant = relevant | {nm for nm, first in later.items() if first in relevant}
+        self.inert = {k: v if v is not None and self.relevant.isdisjoint(v) else None
+                      for k, v in self.inert.items()}
 
     def _scan(self, s) -> list:
         """The names whose values the analysis uses at s: those read by
         the test of an `if` or `while`, or by a memory address, an array
         index or a divisor (of `/`, `%` or DIV) in a straight-line s.
-        Notes a straight-line s in self.inert when it holds no memory
+        Notes in self.inert whether a straight-line s holds no memory
         access, no index that is computed or out of bounds, no `/`, `%`
         or DIV, and writes no array element at such an index."""
         k = type(s)
@@ -557,9 +569,18 @@ class _Analyzer:
             ok, rebinds = True, ()
             for e in s.values:
                 ok = self._scan_expr(e, out) and ok
-        if ok:
-            self.inert[id(s)] = rebinds
+        self.inert[id(s)] = rebinds if ok else None
         return out
+
+    def scan_late(self, s):
+        """self.inert's entry for straight-line statement s, which the
+        relevance pass did not visit (it is in a later iteration of a
+        recorded loop): the scalars s rebinds if it is inert, else None."""
+        self._scan(s)
+        dropped = self.inert[id(s)]
+        if dropped is not None and not self.relevant.isdisjoint(dropped):
+            dropped = self.inert[id(s)] = None
+        return dropped
 
     def _scan_expr(self, e, out: list) -> bool:
         """Append to `out` the names that expression or lvalue e reads in
@@ -592,7 +613,8 @@ class _Analyzer:
         return k is not ECall  # a name, a constant, `_` or no expression
 
     def fresh_sym(self):
-        return ("s", next(self.sym_numbers))
+        self.minted += 1
+        return ("s", self.minted)
 
     def loop_sym(self, key: int, var: str):
         """The fresh symbol that stands for `var` at the join `key`."""
@@ -782,6 +804,15 @@ class _Analyzer:
 
     copy = staticmethod(AbsState.copy)
 
+    def observable(self, st: AbsState, private) -> tuple:
+        """The flow hook (see jamin.flow): the values of the scalars not
+        in `private`, the symbols' intervals, and what the analysis has
+        recorded: accesses, failures, findings, the symbols made (a loop
+        symbol among them) and the widening steps taken."""
+        return ({n: a for n, a in st.vals.items() if n not in private}, dict(st.intervals),
+                dict(self.accesses), len(self.failures), len(self.findings), self.minted,
+                sum(self.widen_state.values()))
+
     def assign_var(self, st: AbsState, name, aff: Aff | None, iv: Interval):
         if name not in self.relevant:
             st.vals.pop(name, None)
@@ -800,7 +831,9 @@ class _Analyzer:
         if kind is SIf or kind is SWhile:
             self.eval(st, s.cond)  # for the findings in its operands
             return st
-        dropped = self.inert.get(id(s))
+        dropped = self.inert.get(id(s), _UNSCANNED)
+        if dropped is _UNSCANNED:
+            dropped = self.scan_late(s)
         if dropped is not None:
             for nm in dropped:
                 st.vals.pop(nm, None)
@@ -1248,9 +1281,17 @@ class _Uninit(Assigned):
 
     def __init__(self, p, fn):
         super().__init__(p, fn)
+        self.unrolled = flow.records(p, fn)
         self.findings: list[Finding] = []
         # the scalar locals not reported yet (arrays are checked per element)
         self.unreported = {n for n, (_, ty) in self.types.items() if not isinstance(ty, ArrayTy)}
+
+    def observable(self, f, private) -> tuple:
+        """The flow hook (see jamin.flow): the facts of the locals not in
+        `private`, an array's by element, and the findings."""
+        return (f.declared - private,
+                {x for x in f.defined if (x if type(x) is str else x[0]) not in private},
+                len(self.findings))
 
     def check(self, f, e, names=None):
         """Report the reads of e (or of `names`, at e) that the facts f do
@@ -1309,14 +1350,23 @@ def _uninit_findings(p, fn) -> list[Finding]:
 # ------------------------------------------------------------ relevance
 
 
-def _definitions(stmts, seeds_of) -> tuple[set, dict]:
+def _definitions(stmts, seeds_of, recorded) -> tuple[set, dict]:
     """(the names seeds_of(s) gives for the statements s in stmts, the
     straight-line ones and the tests of `if` and `while`; each name ->
-    the straight-line statements that rebind it)."""
+    the straight-line statements that rebind it).  Of a loop in
+    `recorded` (flow.records) only iteration 0 is visited: the others
+    give the same with its private locals renamed."""
     seeds: set = set()
     defs: dict[str, list] = {}
 
     def walk(stmts):
+        loops = recorded.get(id(stmts))
+        if loops:
+            kept, i = [], 0
+            for at, n, count, _ in loops:
+                kept += stmts[i:at + n]
+                i = at + n * count
+            stmts = kept + list(stmts[i:])
         for s in stmts:
             seeds.update(seeds_of(s))
             k = type(s)
@@ -1354,14 +1404,16 @@ def _closure(seeds, defs: dict) -> set:
     return closure
 
 
-def _counters(fn, defs: dict) -> set:
+def _counters(fn, defs: dict, unvisited) -> set:
     """The largest set of scalars each definition of which is affine in
     constants and scalars of the set (built with `+`, `-`, and `*` or
     `<<` by a constant): counters and pointers stepped by constants,
     whatever their use.  Their values stay affine, and at a loop head
     the join may pick one of them to relate the scalars that change in
-    lockstep, so the range analysis tracks them all."""
-    out = {n for n, (_, ty) in fn.envtypes.items() if isinstance(ty, WordTy)}
+    lockstep, so the range analysis tracks them all.  The `unvisited`
+    scalars, whose definitions `defs` leaves out, are left out too."""
+    out = {n for n, (_, ty) in fn.envtypes.items()
+           if isinstance(ty, WordTy) and n not in unvisited}
     while True:
         keep = {n for n in out if all(_affine_def(s, out) for s in defs.get(n, ()))}
         if keep == out:
@@ -1406,5 +1458,6 @@ def preanalyze(p: Program, entry: str) -> set:
     bounds (and, through them, into address arithmetic)."""
     require_expanded(p, "preanalyze")
     fn = p.func(entry)
-    seeds, defs = _definitions(fn.body, lambda s: flow.reads(s.cond) if type(s) is SWhile else ())
+    seeds, defs = _definitions(fn.body, lambda s: flow.reads(s.cond) if type(s) is SWhile else (),
+                               flow.records(p, fn))
     return {q.name for q in fn.params} & _closure(seeds, defs)

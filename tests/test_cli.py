@@ -257,6 +257,33 @@ def test_malformed_arguments_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", POLY, "--entry", "nope"), f"no function 'nope' in {POLY}"),
+    (("ct", POLY, "--entry", "nope"), f"no function 'nope' in {POLY}"),
+    (("ct", POLY, "--entry", "load_clamp"), f"no function 'load_clamp' in {POLY}"),
+    (("safety", POLY, "--entry", "nope"), f"no function 'nope' in {POLY}"),
+    (("safety", POLY, "--entry", "nope", "--suggest"), f"no function 'nope' in {POLY}"),
+    (("safety", POLY, "--entry", "load_clamp", "--suggest"),
+     f"no function 'load_clamp' in {POLY}"),
+    (("difftest", GIMLI, POLY, "--entry", "gimli", "--shape", "gimli", "--runs", "1"),
+     f"no function 'gimli' in {POLY}"),
+    (("ct", GIMLI, "--entry", "gimli", "--ptr", "zz:4"), "'zz' is not a parameter of gimli"),
+    (("ct", GIMLI, "--entry", "gimli", "--len", "zz:8"), "'zz' is not a parameter of gimli"),
+    (("ct", GIMLI, "--entry", "gimli", "--public", "state,zz"),
+     "'zz' is not a parameter of gimli"),
+    (("ct", GIMLI, "--entry", "gimli", "--public-region", "zz"),
+     "'zz' is not a parameter of gimli"),
+], ids=["run-entry", "ct-entry", "ct-inline-entry", "safety-entry", "safety-suggest-entry",
+        "safety-suggest-inline-entry", "difftest-entry", "ct-ptr", "ct-len", "ct-public",
+        "ct-public-region"])
+def test_unknown_entry_or_parameter_exit_2(capsys, argv, message):
+    """An --entry that names no non-inline function, or a ct shape or
+    public name that is not a parameter of the entry, exits 2 before
+    anything runs."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("src, located", [
     ("fn f() -> reg u64 {\n  inline int n = 1 << (0 - 1);\n  reg u64 x;\n  x = n;\n  return x;\n}",
      "2:20:"),

@@ -5,7 +5,7 @@ import pytest
 
 from jamin import cli, flow, safety
 from jamin.expand import expand
-from jamin.ir import SIf, SReturn, SWhile
+from jamin.ir import SAssign, SIf, SReturn, SWhile
 from jamin.parser import parse
 from jamin.typecheck import typecheck
 
@@ -118,6 +118,52 @@ fn f(reg u64 n, reg u64 a, reg u64 x, reg u64 y, reg u64 z) -> reg u64 {
         return (after - set(rebinds)) | set(reads)
 
     assert flow.backward(stmts, set(), live) == {"x", "n", "a", "y", "z"}
+
+
+SHIFT = """
+inline fn inc(reg u64 v) -> reg u64 {
+  reg u64 t;
+  t = v + 1;
+  return t;
+}
+fn f(reg u64 n) -> reg u64 {
+  reg u64 a, b, c;
+  a = 0; b = 0; c = 0;
+  for r = 0 to 5 { c = b; b = a; a = inc(n); }
+  return c;
+}
+"""
+
+
+class RecordedDeps(Deps):
+    """Deps with the driver's hook for the loops expand recorded: all it
+    observes is its state."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.unrolled = flow.records(p, p.func("f"))
+
+    def observable(self, st, private):
+        return st - private
+
+
+def test_recorded_loop_is_walked_until_an_iteration_changes_nothing():
+    """n reaches a in iteration 0, b in 1 and c in 2, and iteration 3
+    changes nothing: the last two of the six are skipped, which a domain
+    without the hook walks, and the state at the return differs only in
+    the skipped iterations' copies of inc's locals."""
+    p = expand(typecheck(parse(SHIFT)))
+    ((_, n, k, names),) = p.unrolled["f"]
+    assert (n, k) == (7, 6)  # c = b; b = a; v and t declared and assigned; a = t
+    private = {nm for per in names.values() for nm in per}
+    walked = {}  # iterations walked: assignments to c but c = 0
+    for d in (Deps(), RecordedDeps(p)):
+        assert flow.forward(p.func("f").body, {"n"}, d) is None
+        walked[type(d)] = sum(type(s) is SAssign and s.dests[0].name == "c" for s in d.seen) - 1
+        (returned,) = d.returned
+        assert returned - private == {"n", "a", "b", "c"}
+    assert walked == {Deps: 6, RecordedDeps: 4}
+    assert returned & private == {nm for per in names.values() for nm in per[:4]}
 
 
 COPY_SRC = """
