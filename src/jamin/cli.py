@@ -158,15 +158,20 @@ def cmd_run(args) -> int:
 
 def _build_shape(fn, args, public, public_regions) -> dict:
     """The input shape of entry fn from --ptr and --len, after checking
-    that every name these and the public sets give is a parameter."""
+    that every name these and the public sets give is a parameter, and
+    that no parameter is given two different shapes."""
     from .ir import WordTy
 
     shape: dict = {}
-    ptrs = {}
-    for spec in args.ptr or ():
-        name, _, size = spec.partition(":")
-        ptrs[name] = size
-    lens = dict(args.len or ())
+    ptrs, lens, given = {}, {}, {}  # given: parameter -> the first option naming it
+    for opt, into, specs in (("--ptr", ptrs, [s.partition(":")[::2] for s in args.ptr or ()]),
+                             ("--len", lens, args.len or ())):
+        for name, value in specs:
+            text = f"{opt} {name}:{value}"
+            if given.setdefault(name, text) != text:
+                raise CliError(f"conflicting shapes for parameter {name!r}: "
+                               f"{given[name]} and {text}")
+            into[name] = value
     params = {q.name for q in fn.params}
     for name in [*ptrs, *lens, *sorted(public), *sorted(public_regions)]:
         if name not in params:

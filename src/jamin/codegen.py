@@ -25,8 +25,9 @@ observes:
 - a check is left out only where a must-be-assigned pass over the
   function proves that it cannot fire: a register or constant-index
   element written on every path (if branches joined, while loops to
-  their fixpoint, re-declaration resetting), or a constant index below
-  the declared length;
+  their fixpoint, repeat nodes walked as flow walks them,
+  re-declaration resetting), or a constant index below the declared
+  length;
 - a multi-destination statement over an instruction with a per-output
   table (isa.Table) evaluates its operands once, in order, and then
   computes inline only the destinations that are not `_`;
@@ -39,20 +40,17 @@ observes:
   reads it, writes an element of it or passes it on before redefining
   it as a whole, loops included) is a move: dst takes src's list or
   StackArray itself, which no live name shares from then on;
-- a `for` loop that expand recorded as unrolled (see expand) is rolled
-  back: its iteration 0 is emitted once, in `for _k in range(count):`.
-  Codegen relies on the record as on the rest of expand's contract and
-  does not compare the iterations; by construction the later ones are
-  iteration 0 with its inline locals renamed, as the record's `names`
-  gives them.  The rolled body is translated as a loop: from the
-  must-be-assigned facts at its head taken to their fixpoint, with
-  liveness across its back edge, pieced when it is longer than PIECE,
-  charging its statements' steps and adding its constant events in
-  every iteration.  A check that names a renamed local names the
-  running iteration's, from a prebuilt tuple indexed by _k, and a
-  renamed local that may be read unbound is unbound again at each
-  iteration's start.  No recorded loop holds another.  An iteration is
-  a block: its segments and event batches end with it, so a budget that
+- a repeat node (ir.SRepeat, see expand) is emitted once, in
+  `for _k in range(count):`.  Its body is translated as a loop: from
+  the must-be-assigned facts at the start of every iteration that
+  flow.repeat walks, joined, with liveness across its back edge,
+  pieced when it is longer than PIECE, charging its statements' steps
+  and adding its constant events in every iteration.  A check that
+  names one of the node's private locals names the running iteration's
+  (the node's `names`), from a prebuilt tuple indexed by _k, and a
+  private local that may be read unbound is unbound again at each
+  iteration's start.  No repeat node holds another.  An iteration is a
+  block: its segments and event batches end with it, so a budget that
   runs out in a later iteration than another fault does not hide that
   fault, as it can in the unrolled code.
 
@@ -90,6 +88,7 @@ from .ir import (
     SAssign,
     SDecl,
     SIf,
+    SRepeat,
     SReturn,
     SWhile,
     WordTy,
@@ -117,9 +116,10 @@ _Facts = namedtuple("_Facts", "declared defined")
 class Assigned:
     """The must-be-assigned analysis of function `fn`, a forward domain
     of jamin.flow over _Facts: if branches are joined, while loops taken
-    to their fixpoint, and a re-declaration resets its names.  Codegen
-    leaves out the check of a read that the facts prove defined, and
-    safety reports maybe-uninit where they do not."""
+    to their fixpoint, repeat nodes walked by flow's rule, and a
+    re-declaration resets its names.  Codegen leaves out the check of a
+    read that the facts prove defined, and safety reports maybe-uninit
+    where they do not."""
 
     recording = False
 
@@ -141,6 +141,14 @@ class Assigned:
 
     def join(self, key, a, b):
         return _Facts(a.declared & b.declared, a.defined & b.defined)
+
+    def forget(self, f, private):
+        """The flow hook (see jamin.flow): f without the facts of the
+        locals in `private`, an array's by element."""
+        return _Facts(f.declared - private,
+                      {x for x in f.defined if (x if type(x) is str else x[0]) not in private})
+
+    observable = forget  # the facts are all the domain has
 
     def transfer(self, f, s, done=None):
         """The facts after s, updated in f (None: s never completes).
@@ -207,12 +215,6 @@ class Assigned:
         return (e.ty.bits if type(e.ty) is WordTy else None), False
 
 
-# ---------------------------------------------------------- rolled loops
-
-
-_ROLLED = EBool(True)  # the test of a rolled loop, never evaluated
-
-
 # ------------------------------------------------------------ generator
 
 
@@ -221,9 +223,11 @@ class _FnGen(Assigned):
         super().__init__(p, fn)
         self.p, self.ns = p, ns
         self.locals = {q.name for q in fn.params} | set(self.types)
-        self.sizes: dict = {}  # id of an if or while -> its size
-        self.labels: dict = {}  # in a rolled body: private local -> its name per iteration
-        self.body = self.roll_loops(fn)  # sets counts and rolls
+        self.sizes: dict = {}  # id of an if, while or repeat node -> its size
+        self.labels: dict = {}  # in a repeat body: private local -> its name per iteration
+        self.counts = Counter()  # the mentions of each name in the function
+        for s in fn.body:
+            self.counts.update(self.mentions(s, *flow.summary(s)))
         self.facts = self.entry()
         self.out: list = []
         self.indent = "    "
@@ -283,7 +287,7 @@ class _FnGen(Assigned):
 
     def label(self, name: str, suffix: str = "") -> str:
         """The code of the string naming local `name` (with `suffix`) in a
-        fault: in a rolled body, an iteration-private local is named as
+        fault: in a repeat body, an iteration-private local is named as
         the running iteration names it."""
         names = self.labels.get(name)
         if names is None:
@@ -657,72 +661,18 @@ class _FnGen(Assigned):
         dead after s (the liveness pass runs once, at the first copy)."""
         if self.moves is None:
             self.moves = {}
-            flow.backward(self.body, set(), self.live)
+            flow.backward(self.fn.body, set(), self.live)
         return self.moves.get(id(s), False) and s.rhs.name in self.locals
-
-    # -- rolled loops
-
-    def roll_loops(self, fn) -> tuple:
-        """fn's body with each loop of the program's `unrolled` record as one
-        rolled loop; sets `rolls` (id of a rolled loop -> (iterations,
-        names)) and `counts`, the mentions of each name in the result."""
-        spans = {id(first): loop for first, *loop in (self.p.unrolled or {}).get(fn.name, ())}
-        self.counts, self.rolls = Counter(), {}
-        return self.rolled(fn.body, spans)
-
-    def rolled(self, stmts, spans) -> tuple:
-        """`stmts` with every loop of `spans` (id of its first statement ->
-        (statements per iteration, iterations, names)) replaced by its
-        rolled loop, an SWhile of iteration 0 with test _ROLLED; the
-        mentions of each name in the result are counted into `counts`."""
-        out, i, same = [], 0, True
-        while i < len(stmts):
-            s = stmts[i]
-            loop = spans.get(id(s))
-            if loop is not None:
-                n, k, names = loop
-                node = SWhile(_ROLLED, self.rolled(stmts[i:i + n], {}))  # no record nests
-                self.rolls[id(node)] = k, names
-                out.append(node)
-                i += n * k
-                same = False
-            else:
-                t = self.counted(s, spans)
-                same = same and t is s
-                out.append(t)
-                i += 1
-        return stmts if same else tuple(out)
-
-    def counted(self, s, spans):
-        """s, its blocks rolled (rolled); its mentions counted into `counts`."""
-        k = type(s)
-        if k is SIf:
-            self.counts.update(flow.reads(s.cond))
-            then, els = self.rolled(s.then, spans), self.rolled(s.els, spans)
-            if then is s.then and els is s.els:
-                return s
-            new = SIf(s.cond, then, els)
-        elif k is SWhile:
-            self.counts.update(flow.reads(s.cond))
-            body = self.rolled(s.body, spans)
-            if body is s.body:
-                return s
-            new = SWhile(s.cond, body)
-        else:
-            self.counts.update(self.mentions(s, *flow.summary(s)))
-            return s
-        new.loc = s.loc
-        return new
 
     # -- statements
 
     def mentions(self, s, r, w) -> list:
         """The names s mentions, as many times as its summary (r, w) has them."""
-        return r if type(s) is SIf or type(s) is SWhile else r + w
+        return r if type(s) in flow.BLOCKS else r + w
 
     def size(self, s) -> int:
         k = type(s)
-        if k is not SIf and k is not SWhile:
+        if k not in flow.BLOCKS:
             return 1
         n = self.sizes.get(id(s))
         if n is None:
@@ -734,7 +684,7 @@ class _FnGen(Assigned):
         k = type(s)
         if k is SIf:
             return any(map(self.has_return, s.then + s.els))
-        return any(map(self.has_return, s.body)) if k is SWhile else k is SReturn
+        return any(map(self.has_return, s.body)) if k in flow.BLOCKS else k is SReturn
 
     def block(self, stmts, loop_loc=False):
         """Emit a block; `loop_loc` (a while loop's location) adds the
@@ -805,7 +755,7 @@ class _FnGen(Assigned):
         self.piece_locals = None
         self.pieces += 1
         name = f"Q_{self.fn.name}_{self.pieces}"
-        k = ["_k"] if self.labels else []  # a piece of a rolled body (label)
+        k = ["_k"] if self.labels else []  # a piece of a repeat body (label)
         params = ", ".join([self.v(n) for n in live_in] + k + ["B, T, M, O"])
         outs = "".join(f", {self.v(n)}" for n in live_out)
         head = [f"def {name}({params}):"] + self.nb_lines(unbound)
@@ -813,13 +763,13 @@ class _FnGen(Assigned):
         self.line(f"B{outs} = {name}({params})")
 
     def flat(self, stmts) -> list:
-        """`stmts` with each rolled loop replaced by its body, which runs at
+        """`stmts` with each repeat node replaced by its body, which runs at
         least once, unlike a while loop's."""
-        return [c for s in stmts for c in (s.body if id(s) in self.rolls else (s,))]
+        return [c for s in stmts for c in (s.body if type(s) is SRepeat else (s,))]
 
     def exposed(self, stmts) -> set:
         """The names `stmts` may read before writing them: those read before
-        a straight-line statement of `stmts` (or of a rolled loop's body)
+        a straight-line statement of `stmts` (or of a repeat node's body)
         writes them as a whole, an if's or while's test and blocks read."""
         reads, written = set(), set()
         for s in self.flat(stmts):
@@ -879,8 +829,8 @@ class _FnGen(Assigned):
                 self.facts = flow.join(self, id(s), then, self.facts)
             else:
                 self.facts = flow.join(self, id(s), then, before)
-        elif k is SWhile and id(s) in self.rolls:
-            self.emit_roll(s, *self.rolls[id(s)])
+        elif k is SRepeat:
+            self.emit_roll(s)
         elif k is SWhile:
             self.tick(loc)
             self.close()
@@ -908,28 +858,32 @@ class _FnGen(Assigned):
         else:
             raise TypeError(f"not a statement: {s!r}")
 
-    def emit_roll(self, s, count: int, names: dict):
-        """A rolled loop: its body once, run `count` times by a Python
-        loop over _k from the facts at its head, taken to their fixpoint.
-        It costs no step of its own; a check naming one of `names`, the
-        record's iteration-private locals, names the running iteration's
-        (label), and such a local read where it may be unbound is unbound
-        again at each iteration's start, as each iteration's own local is."""
+    def emit_roll(self, s):
+        """Repeat node s: its body once, run s.count times by a Python loop
+        over _k, from the facts at the start of each iteration that
+        flow.repeat walks, joined; the facts after it are flow.repeat's.
+        It costs no step of its own; a check naming one of s.names, the
+        iteration-private locals, names the running iteration's (label),
+        and such a local read where it may be unbound is unbound again at
+        each iteration's start, as each iteration's own local is."""
         self.close()
-        self.facts = self.copy(flow.loop(s, self.facts, self))
-        # the body runs at least once: the facts after the loop are
-        # those at the end of the body
-        self.line(f"for _k in range({count}):")
+        starts: list = []
+        after = flow.repeat(s, self.facts, self, starts)
+        self.facts = starts[0]
+        for f in starts[1:]:
+            self.facts = self.join(None, self.facts, f)
+        self.line(f"for _k in range({s.count}):")
         self.indent += "    "
         at = len(self.out)
         self.out.append("")
-        self.labels = names
+        self.labels = s.names
         self.block(s.body)
         self.labels = {}
-        unbound = self.unbound.intersection(names)
+        unbound = self.unbound.intersection(s.names)
         if unbound:
             self.out[at] = self.nb_lines(unbound, self.indent)[0]
         self.indent = self.indent[:-4]
+        self.facts = after
 
     def nested(self, stmts):
         self.indent += "    "
@@ -1029,7 +983,7 @@ class _FnGen(Assigned):
 
     def build(self):
         fn = self.fn
-        self.block(self.body)
+        self.block(fn.body)
         if self.facts is not None:  # typecheck: a function with results returns
             self.line("return (B,)")
         self.drop_ustores(set(self.locals) - self.unproven - self.passed)

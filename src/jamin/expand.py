@@ -1,8 +1,8 @@
 """Compile-time expansion.
 
 Turns a typed program into its executable core: parameters are
-substituted, unrollable `for` loops are unrolled, calls to inline
-functions are spliced in, compile-time expressions are folded,
+substituted, `for` loops are kept as repeat nodes or unrolled, calls to
+inline functions are spliced in, compile-time expressions are folded,
 constant-condition `if`s are pruned, global initializers are evaluated
 at their width, local `global` declarations are hoisted, and globals
 with equal values are merged.  The result is typed as typecheck would
@@ -14,29 +14,27 @@ come from its expanded declarations.  A constant index that unrolling
 or inlining makes out of bounds is an ExpandError naming the array as
 the source does.  The result is marked `expanded`; it is the only
 program the back ends (interp, safety, leakage) accept, and they rely
-on its contract without rechecking it: no `for` loop, inline call or
-immediate vector remains, every compile-time (`int`) expression is a
-literal, every array access is typed, and globals are literals.
+on its contract without rechecking it: no `for` loop (only repeat
+nodes), inline call or immediate vector remains, every compile-time
+(`int`) expression is a literal, every array access is typed, and
+globals are literals.
 Expansion is idempotent.
 
-Unrolling keeps every copy of a loop body: the analyses and the step
-count are defined on the unrolled statements.  A loop of two or more
-iterations whose body does not mention its variable, and whose first
-iteration leaves the compile-time environment as it found it (an
-`inline` or `global` declaration in the body does not), is expanded
-from the source once: iteration j is the first one expanded again with
+A `for` loop of two or more iterations whose body does not mention its
+variable, and whose first iteration leaves the compile-time environment
+as it found it (an `inline` or `global` declaration in the body does
+not), is expanded from the source once and kept as one repeat node
+(ir.SRepeat) of that first iteration: iteration j is the first one with
 each name inlining made in it, nm__i{t}, renamed to nm__i{t + j*m},
-where m is the first iteration's count of inline calls, so names and
-tags are those of expanding every iteration from the source.  Unless
-it has no statements, such a loop is recorded in the result's
-`unrolled`, per non-inline function, as (first statement of iteration
-0, statements per iteration, iterations, names), where `names` maps
-each local that inlining declared in iteration 0 to its name in every
-iteration; the loops inside it are not recorded.  Codegen emits a
-recorded loop once, as a loop, and relies on the record (see codegen);
-the analyses read it too, to skip the iterations that change nothing
-they observe (see flow).  Any other loop is expanded from the source per
-iteration.
+where m is the first iteration's count of inline calls.  The node's
+`names` maps each local that inlining declared in iteration 0 to its
+name in every iteration, and the names and tags after the loop are
+those of expanding every iteration from the source.  A repeat node
+holds no other: a loop inside one is unrolled in it.  Any other loop is
+unrolled, each iteration expanded from the source.  The step count and
+the analyses are defined on the unrolled statements: codegen runs a
+repeat node as a Python loop (see codegen), and the analyses walk it
+one iteration at a time (see flow).
 
 Expansion never updates its input: every node it returns is a copy or
 a new node, and nothing updates the result afterwards (the back ends
@@ -83,6 +81,7 @@ from .ir import (
     SDecl,
     SFor,
     SIf,
+    SRepeat,
     SReturn,
     SWhile,
     WordTy,
@@ -157,8 +156,6 @@ class _Expander:
         self.fresh = 0
         self.funcs = {f.name: f for f in p.funcs}
         self.expanded: dict[str, FuncDecl] = {}
-        self.current = None  # the non-inline function being expanded
-        self.unrolled: dict[str, list] = {}  # the result's `unrolled`
         self.free: dict[int, bool] = {}  # id of a source `for` -> var_free
         self.made: list = []  # (stem, t) of each name nm__i{t} inlining made
         # the names a hoisted local `global` must not take: every name the
@@ -312,16 +309,18 @@ class _Expander:
             if count > 0:
                 env[s.var] = lo
                 before = dict(env) if count > 1 and self.var_free(s) else None
-                mark = (len(self.unrolled.get(self.current, ())), len(self.made), self.fresh)
+                mark = (len(self.made), self.fresh)
                 out = self.expand_block(s.body, env, inline_ok, fn)
                 if env == before:
-                    out = self.copies(out, count, mark, fn)
+                    out = self.repeat(s, out, count, mark, fn)
                 else:
                     for i in range(lo + 1, hi + 1):
                         env[s.var] = i
                         out.extend(self.expand_block(s.body, env, inline_ok, fn))
             env.pop(s.var, None)
             return out
+        if k is SRepeat:
+            return [_copy(s, body=tuple(self.expand_block(s.body, env, inline_ok, fn)))]
         if k is SReturn:
             return [_copy(s, values=tuple(self.subst(v, env) for v in s.values))]
         raise TypeError(f"not a statement: {s!r}")
@@ -334,28 +333,46 @@ class _Expander:
             free = self.free[id(s)] = not _mentions(s.body, s.var)
         return free
 
-    def copies(self, first: list, count: int, mark: tuple, fn: FuncDecl) -> list:
-        """All `count` iterations of a loop whose iteration 0, `first`, left
-        the environment as it found it: iterations 1.. are `first`
-        expanded again (expansion is idempotent) with the names inlining
-        made in it renamed to those it would make in that iteration, and
-        the loop is recorded in place of the loops inside it.  `mark` is
-        (records, names made, fresh) before iteration 0."""
-        records, made, fresh = mark
+    def repeat(self, s: SFor, first: list, count: int, mark: tuple, fn: FuncDecl) -> list:
+        """Loop s, whose iteration 0, `first`, left the environment as it
+        found it, as a repeat node of `first` (none when `first` is
+        empty), with the names the later iterations would make accounted
+        for in `made` and `fresh`; a repeat node in `first` is unrolled.
+        `mark` is (names made, fresh) before iteration 0."""
+        made, fresh = mark
         m = self.fresh - fresh  # iteration 0's inline calls
         made = self.made[made:]
-        out = list(first)
-        for j in range(1, count):
-            out.extend(self.expand_block(
-                first, {f"{stem}__i{t}": f"{stem}__i{t + j * m}" for stem, t in made}, True, fn))
         self.made.extend((stem, t + j * m) for j in range(1, count) for stem, t in made)
         self.fresh += (count - 1) * m
-        if first:
-            declared = {nm for d in _decls(first) for nm in d.names}
-            names = {f"{stem}__i{t}": tuple(f"{stem}__i{t + j * m}" for j in range(count))
-                     for stem, t in made if f"{stem}__i{t}" in declared}
-            loops = self.unrolled.setdefault(self.current, [])
-            loops[records:] = [(first[0], len(first), count, names)]
+        if not first:
+            return []
+        body = tuple(self.unrolled(first, fn))
+        declared = {nm for d in _decls(body) for nm in d.names}
+        names = {f"{stem}__i{t}": tuple(f"{stem}__i{t + j * m}" for j in range(count))
+                 for stem, t in made if f"{stem}__i{t}" in declared}
+        node = SRepeat(count, body, names)
+        node.loc = s.loc
+        return [node]
+
+    def unrolled(self, stmts, fn: FuncDecl) -> list:
+        """`stmts` with every repeat node in them replaced by its
+        iterations, each iteration after the first expanded again (which
+        only renames) under its names."""
+        out = []
+        for s in stmts:
+            k = type(s)
+            if k is SRepeat:
+                out += s.body
+                for j in range(1, s.count):
+                    out += self.expand_block(
+                        s.body, {nm: per[j] for nm, per in s.names.items()}, True, fn)
+            elif k is SIf:
+                out.append(_copy(s, then=tuple(self.unrolled(s.then, fn)),
+                                 els=tuple(self.unrolled(s.els, fn))))
+            elif k is SWhile:
+                out.append(_copy(s, body=tuple(self.unrolled(s.body, fn))))
+            else:
+                out.append(s)
         return out
 
     def subst_lval(self, lv, env):
@@ -425,7 +442,6 @@ class _Expander:
         if name in self.expanded:
             return self.expanded[name].body
         f = self.funcs[name]
-        self.current = name
         body = tuple(self.expand_block(f.body, dict(self.env), True, f))
         new = self.expanded[name] = _copy(f, body=body)
         new.envtypes = {q.name: (q.storage, q.ty) for q in f.params}
@@ -468,7 +484,6 @@ class _Expander:
                 out_funcs.append(self.expanded[f.name])
         newp = Program((), tuple(self.global_decls), tuple(out_funcs))
         newp.typed = newp.expanded = True
-        newp.unrolled = {name: tuple(loops) for name, loops in self.unrolled.items()}
         return newp
 
 
@@ -480,7 +495,7 @@ def _decls(stmts):
         elif isinstance(s, SIf):
             yield from _decls(s.then)
             yield from _decls(s.els)
-        elif isinstance(s, (SWhile, SFor)):
+        elif isinstance(s, (SWhile, SFor, SRepeat)):
             yield from _decls(s.body)
 
 

@@ -5,9 +5,8 @@ attributes are slots outside the constructor, equality and repr, and
 every node has them (None until set): the source location `loc`, the
 static type `ty` of an expression or lvalue, the storage and type of
 the array an access names (`arr_storage`, `arr_ty`), a function's
-`envtypes`, a program's `typed`/`expanded` marks, the loops expand
-unrolled (`unrolled`) and the code interp compiled for it
-(`_exec_ns`).  No node carries a `__dict__`.
+`envtypes`, a program's `typed`/`expanded` marks and the code interp
+compiled for it (`_exec_ns`).  No node carries a `__dict__`.
 
 Types are immutable values shared by every node: one WordTy per width
 (`word_ty`), one BoolTy (`BOOL`) and one IntTy (`INT`), as in
@@ -275,11 +274,22 @@ class SFor(_Node):
 
 
 @dataclass(slots=True)
+class SRepeat(_Node):
+    """The loop of the expanded language: `body` run `count` times, where
+    iteration j is `body` with each local of `names` renamed to
+    names[local][j] (see expand).  Printed `repeat <count> { ... }`."""
+
+    count: int
+    body: tuple
+    names: dict  # local inlining declared in the body -> its name per iteration
+
+
+@dataclass(slots=True)
 class SReturn(_Node):
     values: tuple
 
 
-Stmt = Union[SDecl, SAssign, SIf, SWhile, SFor, SReturn]
+Stmt = Union[SDecl, SAssign, SIf, SWhile, SFor, SRepeat, SReturn]
 
 # ------------------------------------------------------------- toplevel
 
@@ -314,10 +324,6 @@ class Program:
     funcs: tuple  # of FuncDecl
     typed: bool = _side(False)
     expanded: bool = _side(False)
-    # expand's record of `for` loops unrolled as copies: function name ->
-    # tuple of (first statement of iteration 0, statements per iteration,
-    # iterations, inline local of iteration 0 -> its name per iteration)
-    unrolled: Optional[dict] = _side()
     _exec_ns: Optional[dict] = _side()  # interp's compiled functions
 
     def func(self, name: str) -> FuncDecl:
@@ -449,6 +455,11 @@ def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
         return out
     if isinstance(s, SFor):
         out = [f"{pad}for {s.var} = {fmt_expr(s.lo)} to {fmt_expr(s.hi)} {{"]
+        out += _fmt_block(s.body, indent + 1)
+        out.append(f"{pad}}}")
+        return out
+    if isinstance(s, SRepeat):
+        out = [f"{pad}repeat {s.count} {{"]
         out += _fmt_block(s.body, indent + 1)
         out.append(f"{pad}}}")
         return out

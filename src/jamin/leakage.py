@@ -365,7 +365,6 @@ class _FnTaint:
         self.entry = {None: glob.version, **dict(zip(names, arg_taints))}
         self.bases = dict(zip(names, arg_bases))
         self.results = None  # per result, its (taint, bases) joined over every return
-        self.unrolled = flow.records(glob.p, fn)
 
     def run(self) -> list:
         """(taint, bases) of each result, empty when nothing returns."""
@@ -373,6 +372,13 @@ class _FnTaint:
         return self.results or [(_EMPTY, _EMPTY)] * len(self.fn.rets)
 
     copy = staticmethod(dict)
+
+    def forget(self, env: dict, private) -> dict:
+        """The flow hook (see jamin.flow): env without the taints of the
+        locals in `private`."""
+        for n in private:
+            env.pop(n, None)
+        return env
 
     def observable(self, env: dict, private) -> tuple:
         """The flow hook (see jamin.flow): the taints of the locals not in

@@ -21,12 +21,13 @@ the scalars it writes, which then read as opaque values of their type.
 This is a sparse analysis in the sense of Oh et al. (PLDI 2012): its
 ranges and findings are those of tracking every scalar, and unrolled
 cipher rounds, whose values reach none of these uses, cost next to
-nothing.  Of a loop that expand recorded as unrolled copies, the
-relevance pass visits iteration 0 only, and a later iteration's renamed
-local is relevant when its iteration-0 name is; the range and
-maybe-uninit passes walk the iterations until one changes nothing they
-observe (jamin.flow), and a later iteration's statement is told inert
-when it is first walked.
+nothing.  The relevance pass visits the body of a repeat node (a `for`
+loop expand kept whole) once, and its iterations share their private
+locals' relevance; the range and maybe-uninit passes walk its
+iterations until one changes nothing they observe (jamin.flow).  A
+failure or finding identical to one already recorded (same kind, site
+and message), as every iteration of a loop records it, is recorded
+once.
 
 A symbol's interval keeps small *sets* of lower and upper bounds, each
 affine in the parameters: a loop guard often supplies a symbolic bound
@@ -53,9 +54,9 @@ findings come from the must-be-assigned facts of codegen
 (codegen.Assigned) on the same driver, so they name exactly the reads
 that a run checks for an unassigned value.
 
-The analyses take only programs from expand, which has removed `for`
-loops and inline calls (see expand); any other program raises
-interp.ContractViolation.
+The analyses take only programs from expand, which has replaced `for`
+loops by repeat nodes and unrolled statements and removed inline calls
+(see expand); any other program raises interp.ContractViolation.
 
 Arithmetic is modeled over the integers; 64-bit wraparound is not
 represented.  The dynamic cross-check in the test-suite exercises the
@@ -98,6 +99,7 @@ from .ir import (
     SAssign,
     SDecl,
     SIf,
+    SRepeat,
     SReturn,
     SWhile,
     WordTy,
@@ -107,8 +109,6 @@ UNROLL_BEFORE_WIDEN = 4
 UNSTABLE_BEFORE_WIDEN = 3
 MAX_ITERATIONS = 64
 MAX_BOUNDS = 3
-
-_UNSCANNED = object()  # of _Analyzer.inert: a statement not scanned yet
 
 
 class AnalysisFailure(Exception):
@@ -532,16 +532,12 @@ class _Analyzer:
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.widen_state: dict[int, int] = {}
         self.minted = 0  # fresh symbols made
-        self.unrolled = flow.records(p, self.fn)
-        # id of a scanned straight-line statement -> the scalars it
-        # rebinds if it is inert, else None: _scan notes the candidates,
-        # those that rebind a relevant scalar are dropped
+        # id of a straight-line statement -> the scalars it rebinds if it
+        # is inert, else None: _scan notes the candidates, those that
+        # rebind a relevant scalar are dropped
         self.inert: dict[int, tuple | None] = {}
-        seeds, defs = _definitions(self.fn.body, self._scan, self.unrolled)
-        later = {nm: first for loops in self.unrolled.values() for *_, names in loops
-                 for first, per in names.items() for nm in per[1:]}
-        relevant = _closure(seeds, defs) | _counters(self.fn, defs, later)
-        self.relevant = relevant | {nm for nm, first in later.items() if first in relevant}
+        seeds, defs = _definitions(self.fn.body, self._scan)
+        self.relevant = _closure(seeds, defs) | _counters(self.fn, defs)
         self.inert = {k: v if v is not None and self.relevant.isdisjoint(v) else None
                       for k, v in self.inert.items()}
 
@@ -571,16 +567,6 @@ class _Analyzer:
                 ok = self._scan_expr(e, out) and ok
         self.inert[id(s)] = rebinds if ok else None
         return out
-
-    def scan_late(self, s):
-        """self.inert's entry for straight-line statement s, which the
-        relevance pass did not visit (it is in a later iteration of a
-        recorded loop): the scalars s rebinds if it is inert, else None."""
-        self._scan(s)
-        dropped = self.inert[id(s)]
-        if dropped is not None and not self.relevant.isdisjoint(dropped):
-            dropped = self.inert[id(s)] = None
-        return dropped
 
     def _scan_expr(self, e, out: list) -> bool:
         """Append to `out` the names that expression or lvalue e reads in
@@ -680,9 +666,7 @@ class _Analyzer:
         riv = _ival(st, ra, riv)
         if op == "/" or op == "%":
             if self.recording and not _excludes_zero(riv):
-                self.findings.append(
-                    Finding("div-by-zero", _site(e), "divisor may be zero")
-                )
+                self.note(self.findings, Finding("div-by-zero", _site(e), "divisor may be zero"))
             if op == "%" and ra is not None and ra.is_const() and ra.const > 0:
                 return None, Interval((ZERO,), (Aff(ra.const - 1),))
             if op == "/" and ra is not None and ra.is_const() and ra.const > 0:
@@ -716,9 +700,7 @@ class _Analyzer:
             self.eval(st, a)
         if d.mnemonic == "DIV" and self.recording:
             if not _excludes_zero(_ival(st, *self.eval(st, e.args[2]))):
-                self.findings.append(
-                    Finding("div-by-zero", _site(e), "divisor may be zero")
-                )
+                self.note(self.findings, Finding("div-by-zero", _site(e), "divisor may be zero"))
         return None, _opaque_interval(e)
 
     # ------------------------------------------------- access recording
@@ -727,16 +709,13 @@ class _Analyzer:
         if not self.recording:
             return
         if addr is None:
-            self.failures.append(
-                f"{_site(node)}: unresolvable address (not affine in tracked inputs)"
-            )
+            self.note(self.failures,
+                      f"{_site(node)}: unresolvable address (not affine in tracked inputs)")
             return
         bases = [s for s in addr.syms() if s[0] == "p" and s[1] in self.pointers]
         if len(bases) != 1 or addr.coeff(bases[0]) != 1:
-            self.failures.append(
-                f"{_site(node)}: address mixes bases or has no pointer base "
-                f"({addr.render()})"
-            )
+            self.note(self.failures, f"{_site(node)}: address mixes bases or has no pointer "
+                                     f"base ({addr.render()})")
             return
         base = bases[0][1]
         off = addr - Aff.of_sym(bases[0])
@@ -792,17 +771,26 @@ class _Analyzer:
             if self.recording:
                 iv = _ival(st, a, iv)
         if self.recording and not self._in_bounds(node, iv):
-            self.findings.append(
-                Finding(
-                    "array-bounds",
-                    _site(node),
-                    f"index into {node.name} may leave its bounds",
-                )
-            )
+            self.note(self.findings, Finding("array-bounds", _site(node),
+                                             f"index into {node.name} may leave its bounds"))
+
+    @staticmethod
+    def note(into: list, item):
+        """Record failure or finding `item` in `into`, unless an identical
+        one (same kind, site and message) is recorded already."""
+        if item not in into:
+            into.append(item)
 
     # ------------------------------------------------------ statements
 
     copy = staticmethod(AbsState.copy)
+
+    def forget(self, st: AbsState, private) -> AbsState:
+        """The flow hook (see jamin.flow): st without the values of the
+        scalars in `private`."""
+        for nm in private:
+            st.vals.pop(nm, None)
+        return st
 
     def observable(self, st: AbsState, private) -> tuple:
         """The flow hook (see jamin.flow): the values of the scalars not
@@ -831,9 +819,7 @@ class _Analyzer:
         if kind is SIf or kind is SWhile:
             self.eval(st, s.cond)  # for the findings in its operands
             return st
-        dropped = self.inert.get(id(s), _UNSCANNED)
-        if dropped is _UNSCANNED:
-            dropped = self.scan_late(s)
+        dropped = self.inert[id(s)]
         if dropped is not None:
             for nm in dropped:
                 st.vals.pop(nm, None)
@@ -916,7 +902,7 @@ class _Analyzer:
 
     # -------------------------------------------------------- loops
 
-    def widen(self, s: SWhile, n: int, old: AbsState, new: AbsState, entry: AbsState,
+    def widen(self, s: SWhile, key, n: int, old: AbsState, new: AbsState, entry: AbsState,
               body_out: AbsState) -> AbsState:
         """The flow widening (see jamin.flow): from the
         UNROLL_BEFORE_WIDEN-th pass over the body of loop s, once the
@@ -926,7 +912,6 @@ class _Analyzer:
             raise AnalysisFailure(f"{_site(s)}: loop analysis did not stabilize")
         if n < UNROLL_BEFORE_WIDEN:
             return new
-        key = id(s)
         if self.widen_state.get(key, 0) >= UNSTABLE_BEFORE_WIDEN:
             out = new.copy()
             rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
@@ -1281,17 +1266,14 @@ class _Uninit(Assigned):
 
     def __init__(self, p, fn):
         super().__init__(p, fn)
-        self.unrolled = flow.records(p, fn)
         self.findings: list[Finding] = []
         # the scalar locals not reported yet (arrays are checked per element)
         self.unreported = {n for n, (_, ty) in self.types.items() if not isinstance(ty, ArrayTy)}
 
     def observable(self, f, private) -> tuple:
         """The flow hook (see jamin.flow): the facts of the locals not in
-        `private`, an array's by element, and the findings."""
-        return (f.declared - private,
-                {x for x in f.defined if (x if type(x) is str else x[0]) not in private},
-                len(self.findings))
+        `private` and the findings."""
+        return super().observable(f, private), len(self.findings)
 
     def check(self, f, e, names=None):
         """Report the reads of e (or of `names`, at e) that the facts f do
@@ -1350,26 +1332,22 @@ def _uninit_findings(p, fn) -> list[Finding]:
 # ------------------------------------------------------------ relevance
 
 
-def _definitions(stmts, seeds_of, recorded) -> tuple[set, dict]:
+def _definitions(stmts, seeds_of) -> tuple[set, dict]:
     """(the names seeds_of(s) gives for the statements s in stmts, the
     straight-line ones and the tests of `if` and `while`; each name ->
-    the straight-line statements that rebind it).  Of a loop in
-    `recorded` (flow.records) only iteration 0 is visited: the others
-    give the same with its private locals renamed."""
+    the straight-line statements that rebind it).  The body of a repeat
+    node is visited once, as its iterations give the same with their
+    private locals renamed."""
     seeds: set = set()
     defs: dict[str, list] = {}
 
     def walk(stmts):
-        loops = recorded.get(id(stmts))
-        if loops:
-            kept, i = [], 0
-            for at, n, count, _ in loops:
-                kept += stmts[i:at + n]
-                i = at + n * count
-            stmts = kept + list(stmts[i:])
         for s in stmts:
-            seeds.update(seeds_of(s))
             k = type(s)
+            if k is SRepeat:
+                walk(s.body)
+                continue
+            seeds.update(seeds_of(s))
             if k is SIf:
                 walk(s.then)
                 walk(s.els)
@@ -1404,16 +1382,14 @@ def _closure(seeds, defs: dict) -> set:
     return closure
 
 
-def _counters(fn, defs: dict, unvisited) -> set:
+def _counters(fn, defs: dict) -> set:
     """The largest set of scalars each definition of which is affine in
     constants and scalars of the set (built with `+`, `-`, and `*` or
     `<<` by a constant): counters and pointers stepped by constants,
     whatever their use.  Their values stay affine, and at a loop head
     the join may pick one of them to relate the scalars that change in
-    lockstep, so the range analysis tracks them all.  The `unvisited`
-    scalars, whose definitions `defs` leaves out, are left out too."""
-    out = {n for n, (_, ty) in fn.envtypes.items()
-           if isinstance(ty, WordTy) and n not in unvisited}
+    lockstep, so the range analysis tracks them all."""
+    out = {n for n, (_, ty) in fn.envtypes.items() if isinstance(ty, WordTy)}
     while True:
         keep = {n for n in out if all(_affine_def(s, out) for s in defs.get(n, ()))}
         if keep == out:
@@ -1458,6 +1434,5 @@ def preanalyze(p: Program, entry: str) -> set:
     bounds (and, through them, into address arithmetic)."""
     require_expanded(p, "preanalyze")
     fn = p.func(entry)
-    seeds, defs = _definitions(fn.body, lambda s: flow.reads(s.cond) if type(s) is SWhile else (),
-                               flow.records(p, fn))
+    seeds, defs = _definitions(fn.body, lambda s: flow.reads(s.cond) if type(s) is SWhile else ())
     return {q.name for q in fn.params} & _closure(seeds, defs)

@@ -46,6 +46,7 @@ from .ir import (
     SDecl,
     SFor,
     SIf,
+    SRepeat,
     SReturn,
     SWhile,
     WordTy,
@@ -506,6 +507,9 @@ class _FnChecker:
                 self.err(s, "while condition must be a bool")
             self.check_block(s.body)
             return
+        if isinstance(s, SRepeat):  # expand's output typed again
+            self.check_block(s.body)
+            return
         if isinstance(s, SFor):
             self.infer(s.lo)
             self.infer(s.hi)
@@ -749,7 +753,7 @@ class _Checker:
                 elif isinstance(s, SIf):
                     scan(s.then, into)
                     scan(s.els, into)
-                elif isinstance(s, (SWhile, SFor)):
+                elif isinstance(s, (SWhile, SFor, SRepeat)):
                     scan(s.body, into)
 
         for f in self.p.funcs:

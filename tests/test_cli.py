@@ -273,15 +273,27 @@ def test_malformed_arguments_exit_2(capsys, argv):
      "'zz' is not a parameter of gimli"),
     (("ct", GIMLI, "--entry", "gimli", "--public-region", "zz"),
      "'zz' is not a parameter of gimli"),
+    (("ct", GIMLI, "--entry", "gimli", "--ptr", "state:4", "--ptr", "state:8"),
+     "conflicting shapes for parameter 'state': --ptr state:4 and --ptr state:8"),
+    (("ct", POLY, "--entry", "poly1305", "--len", "inlen:8", "--len", "inlen:0"),
+     "conflicting shapes for parameter 'inlen': --len inlen:8 and --len inlen:0"),
+    (("ct", POLY, "--entry", "poly1305", "--ptr", "k:4", "--len", "k:8"),
+     "conflicting shapes for parameter 'k': --ptr k:4 and --len k:8"),
 ], ids=["run-entry", "ct-entry", "ct-inline-entry", "safety-entry", "safety-suggest-entry",
         "safety-suggest-inline-entry", "difftest-entry", "ct-ptr", "ct-len", "ct-public",
-        "ct-public-region"])
+        "ct-public-region", "ct-ptr-twice", "ct-len-twice", "ct-ptr-and-len"])
 def test_unknown_entry_or_parameter_exit_2(capsys, argv, message):
-    """An --entry that names no non-inline function, or a ct shape or
-    public name that is not a parameter of the entry, exits 2 before
-    anything runs."""
+    """An --entry that names no non-inline function, a ct shape or public
+    name that is not a parameter of the entry, or a parameter given two
+    shapes, exits 2 before anything runs."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_repeated_shape_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "ct", GIMLI, "--entry", "gimli", "--ptr", "state:48",
+                           "--ptr", "state:48", "--trials", "2")
+    assert code == 0 and "secure" in out
 
 
 @pytest.mark.parametrize("src, located", [

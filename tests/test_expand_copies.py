@@ -18,8 +18,8 @@ NODE_CLASSES = [c for c in vars(ir).values()
 
 
 def test_node_classes_found():
-    assert {ir.EBin, ir.LArr, ir.SAssign, ir.FuncDecl, ir.Program} <= set(NODE_CLASSES)
-    assert len(NODE_CLASSES) == 26
+    assert {ir.EBin, ir.LArr, ir.SAssign, ir.SRepeat, ir.FuncDecl, ir.Program} <= set(NODE_CLASSES)
+    assert len(NODE_CLASSES) == 27
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
@@ -87,6 +87,7 @@ def test_back_ends_leave_expanded_ir_unchanged(name):
     p = expand(typecheck(parse(load_source(name))))
     before = snapshot(p)
     assert len(before) > 100
+    assert any(type(x) is ir.SRepeat for x, _ in before.values()) == name.startswith("chacha20")
     assert function_sources(p)  # codegen, every function
     safety.analyze(p, info.entry, info.pointers, info.tracked)
     safety.check_safety(p, info.entry, info.pointers, info.tracked)

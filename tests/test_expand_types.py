@@ -162,6 +162,13 @@ def test_retypechecking_expand_changes_nothing(name):
         assert list(f.envtypes.items()) == list(g.envtypes.items()), f.name
 
 
+def test_repeat_nodes_are_retypechecked():
+    held = {name for name, p in PROGS.items()
+            if any(type(n) is ir.SRepeat for n in _nodes(expand(p)))}
+    assert {n for n in PROGRAMS if n.startswith("chacha20")} <= held
+    assert any(n.startswith("suite-") for n in held)
+
+
 @pytest.mark.parametrize("name", [*PROGRAMS, "sample-0", "sample-1"])
 def test_nodes_have_no_dict_and_word_types_are_shared(name):
     for p in (PROGS[name], expand(PROGS[name])):

@@ -3,9 +3,10 @@ that the range analysis keeps through it."""
 
 import pytest
 
+from unroll import private_names, unroll
 from jamin import cli, flow, safety
 from jamin.expand import expand
-from jamin.ir import SAssign, SIf, SReturn, SWhile
+from jamin.ir import SAssign, SIf, SRepeat, SReturn, SWhile
 from jamin.parser import parse
 from jamin.typecheck import typecheck
 
@@ -135,35 +136,35 @@ fn f(reg u64 n) -> reg u64 {
 """
 
 
-class RecordedDeps(Deps):
-    """Deps with the driver's hook for the loops expand recorded: all it
-    observes is its state."""
+class RepeatDeps(Deps):
+    """Deps with flow's hooks for repeat nodes: all it observes is
+    its state."""
 
-    def __init__(self, p):
-        super().__init__()
-        self.unrolled = flow.records(p, p.func("f"))
-
-    def observable(self, st, private):
+    def forget(self, st, private):
         return st - private
+
+    observable = forget
 
 
 def test_recorded_loop_is_walked_until_an_iteration_changes_nothing():
     """n reaches a in iteration 0, b in 1 and c in 2, and iteration 3
-    changes nothing: the last two of the six are skipped, which a domain
-    without the hook walks, and the state at the return differs only in
-    the skipped iterations' copies of inc's locals."""
+    changes nothing: the last two of the six are skipped, which the walk
+    of the unrolled form goes through, and the states at the return
+    differ only in inc's locals: every iteration's unrolled, the last
+    walked iteration's in the repeat node."""
     p = expand(typecheck(parse(SHIFT)))
-    ((_, n, k, names),) = p.unrolled["f"]
-    assert (n, k) == (7, 6)  # c = b; b = a; v and t declared and assigned; a = t
-    private = {nm for per in names.values() for nm in per}
-    walked = {}  # iterations walked: assignments to c but c = 0
-    for d in (Deps(), RecordedDeps(p)):
-        assert flow.forward(p.func("f").body, {"n"}, d) is None
+    (node,) = [s for s in p.func("f").body if type(s) is SRepeat]
+    assert (len(node.body), node.count) == (7, 6)  # c = b; b = a; v and t declared and set; a = t
+    private = set(private_names(p))
+    walked, returned = {}, {}  # iterations walked: assignments to c but c = 0
+    for q, d in ((unroll(p), Deps()), (p, RepeatDeps())):
+        assert flow.forward(q.func("f").body, {"n"}, d) is None
         walked[type(d)] = sum(type(s) is SAssign and s.dests[0].name == "c" for s in d.seen) - 1
-        (returned,) = d.returned
-        assert returned - private == {"n", "a", "b", "c"}
-    assert walked == {Deps: 6, RecordedDeps: 4}
-    assert returned & private == {nm for per in names.values() for nm in per[:4]}
+        (returned[type(d)],) = d.returned
+    assert walked == {Deps: 6, RepeatDeps: 4}
+    assert returned[Deps] - private == returned[RepeatDeps] - private == {"n", "a", "b", "c"}
+    assert returned[Deps] & private == private
+    assert returned[RepeatDeps] & private == set(node.names) == {"v__i1", "t__i1"}
 
 
 COPY_SRC = """

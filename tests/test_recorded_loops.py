@@ -1,16 +1,22 @@
-"""The analyses on the loops that expand records as unrolled copies (see
-jamin.flow): safety's ranges and maybe-uninit findings and leakage's
-taint walk such a loop one iteration at a time and skip the rest once
-an iteration changes nothing they observe.  Each test analyzes a
-program as built and as a copy without expand's record, whose every
-copy is walked, and requires the same reports; the new programs here
-are loops that must be walked to their last iteration."""
+"""The analyses on repeat nodes (see jamin.flow): safety's ranges and
+maybe-uninit findings and leakage's taint walk a repeat node one
+iteration at a time and skip the rest once an iteration changes nothing
+they observe, and so do codegen's must-be-assigned facts.  Each test
+analyzes a program as built and unrolled (unroll.unroll), whose every
+copy is walked, and requires the same reports, once each private local
+of the unrolled form is named as in iteration 0 and the findings and
+failures that this makes identical are dropped; the programs here pin
+how many iterations of each loop are walked."""
+
+import re
 
 import pytest
 
+from gensrc import function_sources
 from reports import cases, report
-from test_rolled import CHASE, HALF, INC, PICK, SCOPED, unrolled
-from jamin import flow, leakage, safety
+from test_rolled import HALF, ROLLING, SCOPED, SOURCES, observe, repeats
+from unroll import private_names, unroll
+from jamin import cli, flow, leakage, memory, safety
 from jamin.expand import expand
 from jamin.parser import parse
 from jamin.primitives.corpus import PROGRAMS, load_program
@@ -19,12 +25,12 @@ from jamin.typecheck import typecheck
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The recorded loops flow visits, as they are walked: a list of
+    """The repeat nodes flow visits, as they are walked: a list of
     (domain class name, iterations walked, iterations)."""
     out = []
-    real = flow.iterations
+    real = flow.repeat
 
-    def iterations(stmts, n, names, state, d):
+    def repeat(s, state, d, starts=None):
         observable, calls = d.observable, []
 
         def counted(*args):
@@ -33,38 +39,57 @@ def walks(monkeypatch):
 
         d.observable = counted
         try:
-            return real(stmts, n, names, state, d)
+            return real(s, state, d, starts)
         finally:
             del d.observable
-            out.append((type(d).__name__, len(calls) - 1, len(stmts) // n))
+            out.append((type(d).__name__, len(calls) - 1, s.count))
 
-    monkeypatch.setattr(flow, "iterations", iterations)
+    monkeypatch.setattr(flow, "repeat", repeat)
     return out
 
 
-def analyzer_after(p, entry, pointers, tracked) -> tuple:
+def analyzer_after(p, entry, pointers, tracked, first=None) -> tuple:
     """What the range analysis leaves besides its report: the relevant
-    scalars and the number of symbols made, on which the numbers of
-    later ones depend."""
+    scalars (each named as `first` maps it) and the number of symbols
+    made, on which the numbers of later ones depend."""
     an = safety._Analyzer(p, entry, pointers, tracked)
     try:
         an.run()
     except safety.AnalysisFailure:
         pass
-    return an.relevant, an.minted
+    return {(first or {}).get(n, n) for n in an.relevant}, an.minted
+
+
+def as_repeated(p, text: str) -> str:
+    """The report `text` of unroll(p) with each private local named as
+    in iteration 0, and a failure or finding line so made identical to
+    an earlier one of its section dropped."""
+    first = private_names(p)
+    out, seen = [], set()
+    for line in text.splitlines(keepends=True):
+        line = re.sub(r"\w+", lambda m: first.get(m[0], m[0]), line)
+        if line.startswith("["):
+            seen = set()
+        elif line.startswith(("failure:", "finding:", "check_safety:")):
+            if line in seen:
+                continue
+            seen.add(line)
+        out.append(line)
+    return "".join(out)
 
 
 def same_reports(p, entry, pointers=(), tracked=()):
-    """p and its copy without the record report the same, and leave the
-    range analysis as each other."""
-    assert report(p, entry, pointers, tracked) == report(unrolled(p), entry, pointers, tracked)
+    """p and its unrolled form report the same, and leave the range
+    analysis as each other."""
+    assert report(p, entry, pointers, tracked) == as_repeated(
+        p, report(unroll(p), entry, pointers, tracked))
     assert analyzer_after(p, entry, pointers, tracked) == analyzer_after(
-        unrolled(p), entry, pointers, tracked)
+        unroll(p), entry, pointers, tracked, private_names(p))
 
 
 def prep(text):
     p = expand(typecheck(parse(text)))
-    assert p.unrolled
+    assert repeats(p.func("f").body)
     return p
 
 
@@ -76,22 +101,22 @@ def test_corpus_planted_and_probes_report_as_unrolled(name):
     same_reports(*CASES[name]())
 
 
-@pytest.mark.parametrize("src, pointers", [
-    (CHASE, ("p",)), (PICK, ()), (HALF.replace("@PAD@", ""), ()), (SCOPED, ()), (INC, ())],
-    ids=["chase", "pick", "half", "scoped", "inc"])
-def test_rolled_programs_report_as_unrolled(src, pointers):
-    same_reports(prep(src), "f", pointers, ())
+@pytest.mark.parametrize("name", sorted(ROLLING))
+def test_rolled_programs_report_as_unrolled(name):
+    same_reports(prep(SOURCES[name]), "f", ("p",) if name in ("chase", "sums") else (), ())
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(PROGRAMS) if n.startswith("chacha20")])
 def test_chacha20_rounds_walk_at_most_two_iterations(name, walks):
-    """Each round loop is ten copies; from the second iteration on, an
-    iteration changes nothing that the analyses observe."""
+    """Each round loop is a repeat node of ten iterations; from the
+    second iteration on, an iteration changes nothing that the analyses
+    or codegen's facts observe."""
     info = PROGRAMS[name]
     p = load_program(name)
     leakage.infer_public(p, info.entry)
     safety.check_safety(p, info.entry, info.pointers, info.tracked)
-    assert {d for d, _, _ in walks} == {"_Analyzer", "_Uninit", "_FnTaint"}
+    function_sources(p)
+    assert {d for d, _, _ in walks} == {"_Analyzer", "_Uninit", "_FnTaint", "_FnGen"}
     assert all(k == 10 and 1 <= w <= 2 for _, w, k in walks), walks
 
 
@@ -128,7 +153,8 @@ def test_stepped_pointer_walks_every_iteration(walks):
 
 
 # t is assigned only when c != 2: each iteration reads its own t, which
-# may be unassigned, so each iteration adds a finding.
+# may be unassigned, and each would add a finding about its own t; named
+# as in iteration 0, they are one.
 UNSET = """
 inline fn half(reg u64 c) -> reg u64 {
   reg u64 t;
@@ -147,17 +173,19 @@ fn f(reg u64 i) -> reg u64 {
 """
 
 
-def test_maybe_uninit_renamed_local_walks_every_iteration(walks):
+def test_maybe_uninit_private_local_is_reported_once(walks):
     p = prep(UNSET)
     found = [str(f) for f in safety.check_safety(p, "f")]
-    assert len(found) == 4 and len(set(found)) == 4
-    assert all(f.startswith("maybe-uninit at 5:10: t__i") for f in found)
-    assert walked(walks, "_Uninit") == [(4, 4)]
+    assert found == ["maybe-uninit at 5:10: t__i1 may be read before assignment"]
+    assert walked(walks, "_Uninit") == [(2, 4)]
+    unrolled = [str(f) for f in safety.check_safety(unroll(p), "f")]
+    assert len(set(unrolled)) == 4 and all(f.startswith("maybe-uninit at 5:10: t__i")
+                                           for f in unrolled)
     same_reports(p, "f")
 
 
-# The divisor d may be zero: every copy of the division is a finding at
-# the same site, and nothing else changes.
+# The divisor d may be zero: every copy of the division finds the same
+# at the same site, and nothing else changes.
 DIVIDE = """
 inline fn div(reg u64 a, reg u64 b) -> reg u64 {
   reg u64 q;
@@ -173,16 +201,17 @@ fn f(reg u64 x, reg u64 d) -> reg u64 {
 """
 
 
-def test_divisor_that_may_be_zero_walks_every_iteration(walks):
+def test_divisor_that_may_be_zero_is_reported_once(walks):
     p = prep(DIVIDE)
-    rep = safety.analyze(p, "f", [], ["x", "d"])
-    assert [str(f) for f in rep.findings] == ["div-by-zero at 4:9: divisor may be zero"] * 4
-    assert walked(walks, "_Analyzer") == [(4, 4)]
+    for q in (p, unroll(p)):
+        rep = safety.analyze(q, "f", [], ["x", "d"])
+        assert [str(f) for f in rep.findings] == ["div-by-zero at 4:9: divisor may be zero"]
+    assert walked(walks, "_Analyzer") == [(2, 4)]
     same_reports(p, "f", (), ("x", "d"))
 
 
 # The address mixes p with a value the analysis cannot follow: every copy
-# of the store is a failure at the same site, and nothing else changes.
+# of the store fails the same at the same site, and nothing else changes.
 UNRESOLVED = """
 fn f(reg u64 p, reg u64 v) {
   for r = 0 to 3 { [p + (v ^ 3)] = v; }
@@ -190,11 +219,12 @@ fn f(reg u64 p, reg u64 v) {
 """
 
 
-def test_unresolvable_address_walks_every_iteration(walks):
+def test_unresolvable_address_is_reported_once(walks):
     p = prep(UNRESOLVED)
-    rep = safety.analyze(p, "f", ["p"], ["v"])
-    assert rep.failures == ["3:20: unresolvable address (not affine in tracked inputs)"] * 4
-    assert walked(walks, "_Analyzer") == [(4, 4)]
+    for q in (p, unroll(p)):
+        rep = safety.analyze(q, "f", ["p"], ["v"])
+        assert rep.failures == ["3:20: unresolvable address (not affine in tracked inputs)"]
+    assert walked(walks, "_Analyzer") == [(2, 4)]
     same_reports(p, "f", ("p",), ("v",))
 
 
@@ -243,4 +273,53 @@ def test_symbol_made_and_dropped_walks_every_iteration(walks):
     p = prep(PRUNED)
     safety.analyze(p, "f", ["p"], [])
     assert walked(walks, "_Analyzer") == [(4, 4)]
+    same_reports(p, "f", ("p",), ())
+
+
+@pytest.mark.parametrize("src, label", [
+    (UNSET, "maybe-uninit at 5:10: t__i1 may be read before assignment"),
+    (DIVIDE, "div-by-zero at 4:9: divisor may be zero"),
+    (UNRESOLVED, "failure: 3:20: unresolvable address (not affine in tracked inputs)")],
+    ids=["uninit", "divide", "unresolved"])
+def test_safety_prints_a_repeated_line_once(src, label, tmp_path, capsys):
+    path = tmp_path / "loop.jz"
+    path.write_text(src)
+    args = ["--pointer", "p", "--track", "v"] if "unresolvable" in label else []
+    assert cli.main(["safety", str(path), "--entry", "f", *args]) == 1
+    assert capsys.readouterr().out.count(label) == 1
+
+
+@pytest.mark.parametrize("src", [HALF.replace("@PAD@", ""), SCOPED], ids=["half", "scoped"])
+def test_private_local_read_unassigned_faults_and_is_found_as_unrolled(src):
+    """t may be read before the body assigns it: the run faults as the
+    unrolled one does, and maybe-uninit names t at the faulting read."""
+    p = prep(src)
+    got = observe(p, "f", [0], memory.Memory())[0]
+    assert got == observe(unroll(p), "f", [0], memory.Memory())[0] and got[0] == "fault"
+    (found,) = safety.check_safety(p, "f")
+    assert (found.kind, found.where) == ("maybe-uninit", "%d:%d" % got[3])
+    assert found.detail == "t__i1 may be read before assignment"
+    same_reports(p, "f")
+
+
+# t is bound only where k != 2: on the other path, each iteration reads
+# its own t unbound, never the t of the iteration before, which holds
+# x's taint; so x reaches no address.
+STALE = """
+inline fn g(reg u64 c, reg u64 k) -> reg u64 {
+  if (k != 2) { reg u64 t; t = c; }
+  return t;
+}
+fn f(reg u64 x, reg u64 s, reg u64 k, reg u64 p) -> reg u64 {
+  reg u64 y;
+  for r = 0 to 1 { y = g(x, k); x = s; }
+  y = [p + y];
+  return y;
+}
+"""
+
+
+def test_private_local_is_unbound_at_every_iterations_start():
+    p = prep(STALE)
+    assert leakage.infer_public(p, "f") == {"k", "p", "s"}
     same_reports(p, "f", ("p",), ())

@@ -1,33 +1,32 @@
-"""Rolled loops: codegen runs the iterations of a `for` loop whose body
-does not mention its variable as one Python loop (see codegen).  Each
-test runs a program as built and as a copy without expand's record of
-its unrolled loops, whose generated code is the unrolled form, and
-compares what the two runs observe.  Codegen trusts the record, so every
-program built here, the corpus and the planted programs have each of
-theirs checked against the expanded statements (records_hold)."""
+"""Repeat nodes: codegen runs the iterations of a `for` loop that expand
+keeps as one repeat node (ir.SRepeat, see expand) as one Python loop.
+Each test runs a program as built and unrolled (unroll.unroll), whose
+generated code is the unrolled form, and compares what the two runs
+observe.  The unrolled IR of the corpus, the planted programs and every
+program here is the one expand built when it unrolled every `for` loop
+(UNROLLED)."""
 
+import hashlib
 import re
 
 import pytest
 
 from gensrc import function_sources
-from test_acceptance import PLANTED
 from test_exec_golden import _inputs, _runs
+from unroll import cases, unroll, unrolled_ir
 from jamin import interp, memory
 from jamin.codegen import PIECE
 from jamin.expand import _copy, expand
-from jamin.ir import FuncDecl, Program, SAssign, SDecl, SIf, SWhile, print_program
+from jamin.ir import FuncDecl, Program, SAssign, SIf, SRepeat, SWhile, print_program
 from jamin.parser import parse
-from jamin.primitives.corpus import PROGRAMS, load_program
+from jamin.primitives.corpus import load_program
 from jamin.typecheck import typecheck
 
 ROLLED = "for _k in range("
 
 
 def prep(text):
-    p = expand(typecheck(parse(text)))
-    records_hold(p)
-    return p
+    return expand(typecheck(parse(text)))
 
 
 def printed(stmts) -> str:
@@ -35,52 +34,17 @@ def printed(stmts) -> str:
     return print_program(Program((), (), (FuncDecl("f", False, (), (), tuple(stmts)),)))
 
 
-def where(stmts, first):
-    """(block, index) of statement `first` in `stmts` or a block inside them."""
-    for i, s in enumerate(stmts):
-        if s is first:
-            return stmts, i
-        blocks = (s.then, s.els) if type(s) is SIf else (s.body,) if type(s) is SWhile else ()
-        for b in blocks:
-            found = where(b, first)
-            if found is not None:
-                return found
-    return None
-
-
-def iterations(p, fname, record) -> list:
-    """The k iterations, n statements each, of a record of function fname."""
-    first, n, k, _ = record
-    block, i = where(p.func(fname).body, first)
-    assert len(block) >= i + n * k
-    return [block[i + j * n:i + (j + 1) * n] for j in range(k)]
-
-
-def records_hold(p):
-    """Check expand's record of p: iteration j of each recorded loop,
-    printed, is iteration 0 printed with its inline locals renamed to
-    iteration j's, as `names` gives them."""
-    for fname, loops in (p.unrolled or {}).items():
-        for record in loops:
-            names = record[3]
-            its = iterations(p, fname, record)
-            assert all(len(v) == len(its) and v[0] == a for a, v in names.items())
-            first = printed(its[0])
-            for j, it in enumerate(its[1:], 1):
-                want = re.sub(r"\w+", lambda m: names.get(m[0], (m[0],) * len(its))[j], first)
-                assert printed(it) == want
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS) + [f"planted-{i}" for i in range(len(PLANTED))])
-def test_records_are_true(name):
-    p = load_program(name) if name in PROGRAMS else prep(PLANTED[int(name[8:])][1])
-    records_hold(p)
-    assert bool(p.unrolled) == name.startswith("chacha20")
-
-
-def unrolled(p):
-    """p without expand's record: codegen unrolls every loop."""
-    return _copy(p, unrolled=None, _exec_ns=None)
+def repeats(stmts) -> list:
+    """The repeat nodes in `stmts`, in blocks included."""
+    out = []
+    for s in stmts:
+        if type(s) is SRepeat:
+            out += [s] + repeats(s.body)
+        elif type(s) is SIf:
+            out += repeats(s.then) + repeats(s.els)
+        elif type(s) is SWhile:
+            out += repeats(s.body)
+    return out
 
 
 def source(p) -> str:
@@ -102,7 +66,7 @@ def same_runs(p, entry, args, m, **kw):
     (class, message, location), with traces one a prefix of the other.
     Returns the outcome."""
     got, got_trace = observe(p, entry, args, m, **kw)
-    want, want_trace = observe(unrolled(p), entry, args, m, **kw)
+    want, want_trace = observe(unroll(p), entry, args, m, **kw)
     assert got == want
     if got[0] == "ok":
         assert got_trace == want_trace
@@ -126,9 +90,9 @@ def value(outcome) -> int:
 def test_corpus_runs_match_unrolled(name, mode, entry):
     p = load_program(name)
     code = source(p)
-    assert ROLLED not in source(unrolled(p))
+    assert ROLLED not in source(unroll(p))
     if not name.startswith("chacha20"):  # no variable-free loop: the same code
-        assert code == source(unrolled(p))
+        assert code == source(unroll(p))
         return
     assert ROLLED in code
     for label, m, args in _inputs(name):
@@ -166,8 +130,8 @@ def chain(*pointers):
 def test_rolled_form_is_emitted():
     p = prep(CHASE)
     assert ROLLED + "5)" in source(p)
-    assert ROLLED not in source(unrolled(p))
-    assert len(source(p).splitlines()) < len(source(unrolled(p)).splitlines())
+    assert ROLLED not in source(unroll(p))
+    assert len(source(p).splitlines()) < len(source(unroll(p)).splitlines())
 
 
 def test_data_dependent_load_out_of_region_in_iteration_3():
@@ -203,7 +167,7 @@ def test_out_of_bounds_names_the_iterations_local():
     assert ROLLED in source(p)
     got = same_runs(p, "f", [1], memory.Memory())
     assert got[1] == "OutOfBoundsArray"
-    names = [s.dests[0].name for s in p.func("f").body
+    names = [s.dests[0].name for s in unroll(p).func("f").body
              if type(s) is SAssign and s.dests and s.dests[0].name.startswith("a__")]
     assert got[2] == f"4:7: index 4 out of bounds for {names[3]}" and names[3] != names[0]
 
@@ -277,16 +241,24 @@ def test_budget_exhausted_in_every_iteration():
         assert budget == steps or got[1] == "BudgetExhausted"
 
 
+LATE = """fn f(reg u64 a) -> reg u64 {
+  reg u64 b, c, x;
+  b = 1;
+  x = 0;
+  for r = 0 to 4 { x = x + a; a = b; b = c; }
+  return x;
+}"""
+
+
 def test_earlier_fault_is_not_hidden_by_a_later_iterations_budget():
     """The documented difference: c is read uninitialized in iteration 0
     and the budget runs out in iteration 2.  The unrolled code charges
     all five iterations in one segment and reports the budget; a rolled
     iteration is a segment of its own."""
-    p = prep("fn f(reg u64 a) -> reg u64 {\n  reg u64 b, c, x;\n  b = 1;\n  x = 0;\n"
-             "  for r = 0 to 4 { x = x + a; a = b; b = c; }\n  return x;\n}")
+    p = prep(LATE)
     assert ROLLED in source(p)
     got = observe(p, "f", [5], memory.Memory(), budget=10)[0]
-    want = observe(unrolled(p), "f", [5], memory.Memory(), budget=10)[0]
+    want = observe(unroll(p), "f", [5], memory.Memory(), budget=10)[0]
     assert got[1:] == ("UninitializedUse", "5:42: use of uninitialized c", (5, 42))
     assert want[1:] == ("BudgetExhausted", "5:31: step budget exhausted", (5, 31))
     assert same_runs(p, "f", [5], memory.Memory(), budget=100)[1] == "UninitializedUse"
@@ -294,32 +266,46 @@ def test_earlier_fault_is_not_hidden_by_a_later_iterations_budget():
 
 # -------------------------------------------------- what must not roll
 
+MENTIONS = "fn f(reg u64 x) -> reg u64 {\n  for r = 0 to 3 { x = x + r; }\n  return x;\n}"
+
 
 def test_body_mentioning_its_variable_stays_unrolled():
-    p = prep("fn f(reg u64 x) -> reg u64 {\n  for r = 0 to 3 { x = x + r; }\n  return x;\n}")
-    assert p.unrolled == {}
-    assert source(p) == source(unrolled(p))
+    p = prep(MENTIONS)
+    assert repeats(p.func("f").body) == []
+    assert source(p) == source(unroll(p))
     assert value(same_runs(p, "f", [5], memory.Memory())) == 11
+
+
+GLOBAL = """
+fn f(reg u64 x) -> reg u64 {
+  for r = 0 to 2 { global u64 K = 5; x = x + K; }
+  return x;
+}"""
 
 
 def test_global_declared_in_the_body_names_one_global():
     """Every iteration's `global` names the same hoisted global, but the
     first iteration binds the name K, so expand expands each iteration
-    from the source and records no loop: it stays unrolled."""
-    p = prep("fn f(reg u64 x) -> reg u64 {\n"
-             "  for r = 0 to 2 { global u64 K = 5; x = x + K; }\n  return x;\n}")
-    assert p.unrolled == {} and ROLLED not in source(p)
+    from the source and makes no repeat node: it stays unrolled."""
+    p = prep(GLOBAL)
+    assert repeats(p.func("f").body) == [] and ROLLED not in source(p)
     assert value(same_runs(p, "f", [1], memory.Memory())) == 16
+
+
+INLINE = """
+fn f(reg u64 x) -> reg u64 {
+  for r = 0 to 2 { inline int c = 2; x = x + c; }
+  return x;
+}"""
 
 
 def test_iterations_that_differ_stay_unrolled():
     """A body whose first iteration changes the compile-time environment
     (here it binds the inline c) could expand to other statements in a
     later iteration, as far as expand knows: each is expanded from the
-    source and the loop is not recorded."""
-    p = prep("fn f(reg u64 x) -> reg u64 {\n"
-             "  for r = 0 to 2 { inline int c = 2; x = x + c; }\n  return x;\n}")
-    assert p.unrolled == {} and source(p) == source(unrolled(p))
+    source and no repeat node is made."""
+    p = prep(INLINE)
+    assert repeats(p.func("f").body) == [] and source(p) == source(unroll(p))
     assert value(same_runs(p, "f", [1], memory.Memory())) == 7
 
 
@@ -343,39 +329,169 @@ def mentioned(stmts) -> set:
 
 @pytest.mark.parametrize("iteration", [None, 0, 1, 2])
 def test_renamed_locals_must_be_private(iteration):
-    """The iterations differ in inc's locals, which the record names per
-    iteration: each iteration's are mentioned by that iteration alone."""
+    """The iterations differ in inc's locals, which the node names per
+    iteration: unrolled, each iteration's are mentioned by that iteration
+    alone, and nothing outside the node mentions any of them."""
     p = prep(INC)
-    ts = [nm for s in p.func("f").body if type(s) is SDecl for nm in s.names
-          if nm.startswith("t__")]
-    assert len(ts) == 3
-    (record,) = p.unrolled["f"]
-    assert record[3]["t__i1"] == tuple(ts)
+    body = p.func("f").body
+    (node,) = repeats(body)
+    ts = node.names["t__i1"]
+    assert len(set(ts)) == 3 and ts[0] == "t__i1"
     if iteration is None:
         assert ROLLED in source(p)
         assert value(same_runs(p, "f", [1], memory.Memory())) == 4
         return
-    its = iterations(p, "f", record)
-    rest = [s for s in p.func("f").body if not any(s is x for it in its for x in it)]
-    assert len(rest) == len(p.func("f").body) - 3 * len(its[0])
+    i, n = body.index(node), len(node.body)
+    flat = unroll(p).func("f").body
+    its = [flat[i + j * n:i + (j + 1) * n] for j in range(3)]
+    rest = [s for s in body if s is not node]
     assert [ts[iteration] in mentioned(it) for it in its + [rest]] == [
         j == iteration for j in range(4)]
 
 
+NESTED = """
+fn f(reg u64 x) -> reg u64 {
+  for a = 0 to 1 { for b = 0 to 2 { x = x + 1; } x = x * 3; }
+  return x;
+}"""
+
+
 def test_nested_loops_roll_the_outer_one():
-    p = prep("fn f(reg u64 x) -> reg u64 {\n"
-             "  for a = 0 to 1 { for b = 0 to 2 { x = x + 1; } x = x * 3; }\n  return x;\n}")
-    assert [(n, k) for _, n, k, _ in p.unrolled["f"]] == [(4, 2)]  # the inner ones are copies
+    p = prep(NESTED)
+    (node,) = repeats(p.func("f").body)  # the inner loop is unrolled in it
+    assert (len(node.body), node.count) == (4, 2)
     assert source(p).count(ROLLED) == 1 and ROLLED + "2)" in source(p)
     assert value(same_runs(p, "f", [1], memory.Memory())) == 45
 
 
+RESIZED = """
+inline fn h(reg u64 a) -> reg u64 {
+  return 7;
+}
+fn f(reg u32 y) -> reg u32 {
+  for r = 0 to 2 { y = h(y); }
+  return y;
+}"""
+
+
 def test_resized_literal_result_copies_as_expanded():
     """h's literal result moved to a narrower destination is folded when
-    it is first expanded, as expanding that iteration again folds it, so
-    every copy prints as iteration 0 does (records_hold)."""
-    p = prep("inline fn h(reg u64 a) -> reg u64 {\n  return 7;\n}\n"
-             "fn f(reg u32 y) -> reg u32 {\n  for r = 0 to 2 { y = h(y); }\n  return y;\n}")
+    it is first expanded, as expanding it again folds it."""
+    p = prep(RESIZED)
     assert ROLLED in source(p)
     assert expand(p) == p
     assert value(same_runs(p, "f", [1], memory.Memory())) == 7
+
+
+SUMS = """
+inline fn g(reg u64 a) -> reg u64 {
+  reg u64 t, i;
+  t = 0;
+  i = 0;
+  while (i < a) { t = t + i; i = i + 1; }
+  return t;
+}
+fn f(reg u64 x, reg u64 p) -> reg u64 {
+  reg u64 y, z;
+  y = 0;
+  for r = 0 to 2 { z = g(x); y = y + z; [p + y] = x; }
+  return y;
+}
+"""
+
+
+def test_while_loop_in_the_body_runs_in_every_iteration():
+    p = prep(SUMS)
+    assert ROLLED in source(p)
+    m = memory.add_region(memory.Memory(), 0x100, 24)
+    assert value(same_runs(p, "f", [3, 0x100], m)) == 3 + 3 + 3
+    assert same_runs(p, "f", [4, 0x100], m)[1] == "OutOfRegion"  # [p + 18] spills over
+
+
+KILLED = """fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  a[0] = 1;
+  a[1] = 1;
+  for r = 0 to 2 { x = x + a[0]; a = b; }
+  return x;
+}"""
+
+
+def test_fact_that_iteration_0_kills_is_checked_in_every_iteration():
+    """a[0] is assigned before the loop, but iteration 0 copies the
+    unassigned b over a: the read of a[0] is checked in the loop's
+    body, whose facts are those of every iteration's start joined."""
+    p = prep(KILLED)
+    assert ROLLED in source(p)
+    got = same_runs(p, "f", [5], memory.Memory())
+    assert got[1:3] == ("UninitializedUse", "5:28: use of uninitialized a[0]")
+
+
+# ------------------------------------------------------ the oracle
+
+SOURCES = {
+    "chase": CHASE, "pick": PICK, "half": HALF.replace("@PAD@", ""),
+    "half-pieced": HALF.replace("@PAD@", "x = x + 1;\n" * (PIECE + 10)), "scoped": SCOPED,
+    "late": LATE, "mentions": MENTIONS, "global": GLOBAL, "inline": INLINE, "inc": INC,
+    "nested": NESTED, "resized": RESIZED, "sums": SUMS, "killed": KILLED,
+}
+
+# The programs here that hold a repeat node.
+ROLLING = {"chase", "pick", "half", "half-pieced", "scoped", "late", "inc", "nested",
+           "resized", "sums", "killed"}
+
+# The sha256 of each program's printed IR with every `for` loop expanded
+# per iteration from the source (first 16 hex digits; tests/unroll.py
+# prints the whole digests).
+UNROLLED = {
+    "chacha20_avx2_big": "e0fab9a2a5b357a9",
+    "chacha20_avx2_small": "6293c9c6499b3999",
+    "chacha20_scalar": "686371e44adde60e",
+    "gimli_ref": "2672e9862fdc77c1",
+    "gimli_sse": "15d1e67939287347",
+    "planted-0": "5cbddb663183c91d",
+    "planted-1": "f1d77ec0bf7872f6",
+    "planted-2": "f43187de1f1bc92b",
+    "planted-3": "ad73c490fd4dac65",
+    "planted-4": "d77e849b34989baf",
+    "planted-5": "02b6f071a06b2cf1",
+    "poly1305_avx2": "e95f49a38474fe66",
+    "poly1305_ref": "b80f5437077b6311",
+    "rolled-chase": "9078c6443bb2ba89",
+    "rolled-global": "a9196eb84d9f3795",
+    "rolled-half": "c51963edca1aa777",
+    "rolled-half-pieced": "db7f8467d239e08b",
+    "rolled-inc": "e37fbda3f15cdabe",
+    "rolled-killed": "04ef5e4167024986",
+    "rolled-inline": "b9a48d761e0945b5",
+    "rolled-late": "3f8540dae9efe72a",
+    "rolled-mentions": "10390dedb01fdd88",
+    "rolled-nested": "bba5c80926330fcd",
+    "rolled-pick": "bce2ef423b8f3c0d",
+    "rolled-resized": "1a551ca996925ce7",
+    "rolled-scoped": "366a4a67960cae3c",
+    "rolled-sums": "214e8e7a96dbb8df",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNROLLED))
+def test_records_are_true(name):
+    """A repeat node records its iterations (its body and names): the
+    program unrolled by them is the expansion of every iteration from
+    the source.  Only ChaCha20 and the programs here that roll have
+    repeat nodes."""
+    src = cases()[name]
+    assert hashlib.sha256(unrolled_ir(src).encode()).hexdigest()[:16] == UNROLLED[name]
+    holds = any(repeats(f.body) for f in prep(src).funcs)
+    assert holds == (name.startswith("chacha20") or name.removeprefix("rolled-") in ROLLING)
+
+
+def test_every_program_is_checked():
+    assert set(UNROLLED) == set(cases())
+
+
+@pytest.mark.parametrize("name", sorted(ROLLING))
+def test_expand_is_idempotent_on_repeat_nodes(name):
+    p = prep(SOURCES[name])
+    assert repeats(p.func("f").body)
+    assert expand(p) == p
