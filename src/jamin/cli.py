@@ -159,12 +159,17 @@ def cmd_run(args) -> int:
 def _build_shape(fn, args, public, public_regions) -> dict:
     """The input shape of entry fn from --ptr and --len, after checking
     that every name these and the public sets give is a parameter, and
-    that no parameter is given two different shapes."""
+    that no parameter is given two different shapes (a --ptr LEN is
+    compared as a byte count or a --len name, a --len MAX as a count)."""
     from .ir import WordTy
+
+    def ptr(spec):
+        name, _, size = spec.partition(":")
+        return name, int(size) if size.isdecimal() else size
 
     shape: dict = {}
     ptrs, lens, given = {}, {}, {}  # given: parameter -> the first option naming it
-    for opt, into, specs in (("--ptr", ptrs, [s.partition(":")[::2] for s in args.ptr or ()]),
+    for opt, into, specs in (("--ptr", ptrs, [ptr(s) for s in args.ptr or ()]),
                              ("--len", lens, args.len or ())):
         for name, value in specs:
             text = f"{opt} {name}:{value}"
@@ -179,11 +184,9 @@ def _build_shape(fn, args, public, public_regions) -> dict:
     for q in fn.params:
         if q.name in ptrs:
             size = ptrs[q.name]
-            if size not in lens:
-                if not size.isdigit():
-                    raise CliError(f"--ptr {q.name}:{size}: LEN must be a byte count "
-                                   "or a --len name")
-                size = int(size)
+            if type(size) is str and size not in lens:
+                raise CliError(f"--ptr {q.name}:{size}: LEN must be a byte count "
+                               "or a --len name")
             shape[q.name] = leakage.Ptr(size)
         elif q.name in lens:
             shape[q.name] = leakage.Len(max=lens[q.name])

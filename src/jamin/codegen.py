@@ -122,6 +122,7 @@ class Assigned:
     where they do not."""
 
     recording = False
+    at = None
 
     def __init__(self, p, fn):
         self.fn = fn

@@ -25,10 +25,14 @@ forward domain d provides:
   are before their declaration; it may update `state`;
 - d.observable(state, private): a snapshot, compared with ==, of `state`
   without the locals in `private` and of every table that d records
-  into or reads back, which later updates of either leave unchanged.
+  into or reads back, which later updates of either leave unchanged;
+- d.at: None, set by the driver to j while it walks iteration j of a
+  repeat node.
 
-The key of an `if` or `while` s is id(s), or (id(s), j) in iteration j
-of a repeat node, whose iterations stand for distinct copies.
+The key of an `if` or `while` s is key(s, d): id(s), or (id(s), j) in
+iteration j of a repeat node, whose iterations stand for distinct
+copies.  A domain that joins within a straight-line statement s (such
+as safety's guarded assignment) keys that join key(s, d) too.
 
 A repeat node is walked one iteration at a time, each iteration its
 body walked with its private locals (the node's `names`) forgotten, as
@@ -82,22 +86,21 @@ def join(d, key, a, b):
     return d.join(key, a, b)
 
 
-def forward(stmts, state, d, at=None):
-    """The state after `stmts` run from `state` in domain d, in iteration
-    `at` of a repeat node (None: outside one)."""
+def forward(stmts, state, d):
+    """The state after `stmts` run from `state` in domain d."""
     for s in stmts:
         if state is None:
             return None
         k = type(s)
         if k is SIf:
             state = d.transfer(state, s)
-            then = forward(s.then, d.refine(d.copy(state), s.cond, True), d, at)
-            els = forward(s.els, d.refine(state, s.cond, False), d, at)
-            state = join(d, _key(s, at), then, els)
+            then = forward(s.then, d.refine(d.copy(state), s.cond, True), d)
+            els = forward(s.els, d.refine(state, s.cond, False), d)
+            state = join(d, key(s, d), then, els)
         elif k is SWhile:
-            state = d.transfer(loop(s, state, d, at), s)
+            state = d.transfer(loop(s, state, d), s)
             if d.recording:
-                forward(s.body, d.refine(d.copy(state), s.cond, True), d, at)
+                forward(s.body, d.refine(d.copy(state), s.cond, True), d)
             state = d.refine(state, s.cond, False)
         elif k is SRepeat:
             state = repeat(s, state, d)
@@ -108,8 +111,9 @@ def forward(stmts, state, d, at=None):
     return state
 
 
-def _key(s, at):
-    return id(s) if at is None else (id(s), at)
+def key(s, d):
+    """The key of the joins at s in domain d (see the module docstring)."""
+    return id(s) if d.at is None else (id(s), d.at)
 
 
 def repeat(s, state, d, starts=None):
@@ -119,33 +123,37 @@ def repeat(s, state, d, starts=None):
     appended to `starts` when given."""
     private = frozenset(s.names)
     seen = d.observable(state, private)
-    for j in range(s.count):
-        state = d.forget(state, private)
-        if starts is not None:
-            starts.append(d.copy(state))
-        state = forward(s.body, state, d, j)
-        if state is None:
-            return None
-        now = d.observable(state, private)
-        if now == seen:
-            break
-        seen = now
+    try:
+        for j in range(s.count):
+            state = d.forget(state, private)
+            if starts is not None:
+                starts.append(d.copy(state))
+            d.at = j
+            state = forward(s.body, state, d)
+            if state is None:
+                return None
+            now = d.observable(state, private)
+            if now == seen:
+                break
+            seen = now
+    finally:
+        d.at = None
     return state
 
 
-def loop(s, state, d, at=None):
+def loop(s, state, d):
     """The state at the test of while loop s entered with `state`: the
     entry state joined with the state at the end of every pass over the
     body, to the fixpoint.  Nothing is recorded meanwhile."""
     recording, d.recording = d.recording, False
-    key = _key(s, at)
+    k = key(s, d)
     try:
         head = state
         for n in count():
-            end = forward(s.body, d.refine(d.copy(head), s.cond, True), d, at)
-            new = join(d, key, head, end)
+            end = forward(s.body, d.refine(d.copy(head), s.cond, True), d)
+            new = join(d, k, head, end)
             if getattr(d, "widen", None) is not None:
-                new = d.widen(s, key, n, head, new, state, end)
+                new = d.widen(s, k, n, head, new, state, end)
             if new == head:
                 return head
             head = new

@@ -357,6 +357,7 @@ class _FnTaint:
     local may be offset from (`bases`) grow over the whole function."""
 
     recording = False  # a leak only grows with the state, so every pass may leak
+    at = None
 
     def __init__(self, glob: _Taint, fn, arg_taints, arg_bases):
         self.g = glob

@@ -529,6 +529,7 @@ class _Analyzer:
         self.failures: list[str] = []
         self.findings: list[Finding] = []
         self.recording = False
+        self.at = None
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.widen_state: dict[int, int] = {}
         self.minted = 0  # fresh symbols made
@@ -602,7 +603,7 @@ class _Analyzer:
         self.minted += 1
         return ("s", self.minted)
 
-    def loop_sym(self, key: int, var: str):
+    def loop_sym(self, key, var: str):
         """The fresh symbol that stands for `var` at the join `key`."""
         sym = self.loop_syms.get((key, var))
         if sym is None:
@@ -876,7 +877,7 @@ class _Analyzer:
             if isinstance(lv, LVar):
                 taken = st.copy()
                 self.assign_var(taken, lv.name, a, iv)
-                return self.join(id(s), st, taken)
+                return self.join(flow.key(s, self), st, taken)
             return st
         for lv in s.dests:
             if isinstance(lv, LVar):
@@ -968,7 +969,7 @@ class _Analyzer:
 
     # --------------------------------------------------------- joins
 
-    def join(self, key: int, a: AbsState, b: AbsState) -> AbsState:
+    def join(self, key, a: AbsState, b: AbsState) -> AbsState:
         if a == b:
             return a.copy()
         out = AbsState()

@@ -290,9 +290,11 @@ def test_unknown_entry_or_parameter_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_repeated_shape_is_accepted(capsys):
+@pytest.mark.parametrize("size", ["48", "048"])
+def test_repeated_shape_is_accepted(capsys, size):
+    """The same shape given twice, in the same or another spelling."""
     code, out, _ = run_cli(capsys, "ct", GIMLI, "--entry", "gimli", "--ptr", "state:48",
-                           "--ptr", "state:48", "--trials", "2")
+                           "--ptr", f"state:{size}", "--trials", "2")
     assert code == 0 and "secure" in out
 
 

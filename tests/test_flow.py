@@ -20,6 +20,7 @@ class Deps:
     forward domain with strong updates, joined by union."""
 
     recording = False
+    at = None
 
     def __init__(self):
         self.seen = []  # every statement transferred

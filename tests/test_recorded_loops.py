@@ -14,7 +14,7 @@ import pytest
 
 from gensrc import function_sources
 from reports import cases, report
-from test_rolled import HALF, ROLLING, SCOPED, SOURCES, observe, repeats
+from test_rolled import GUARDED, HALF, ROLLING, SCOPED, SOURCES, observe, repeats
 from unroll import private_names, unroll
 from jamin import cli, flow, leakage, memory, safety
 from jamin.expand import expand
@@ -103,7 +103,8 @@ def test_corpus_planted_and_probes_report_as_unrolled(name):
 
 @pytest.mark.parametrize("name", sorted(ROLLING))
 def test_rolled_programs_report_as_unrolled(name):
-    same_reports(prep(SOURCES[name]), "f", ("p",) if name in ("chase", "sums") else (), ())
+    pointers = ("p",) if name in ("chase", "sums", "guarded") else ()
+    same_reports(prep(SOURCES[name]), "f", pointers, ())
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(PROGRAMS) if n.startswith("chacha20")])
@@ -267,6 +268,19 @@ fn f(reg u64 p) -> reg u64 {
   return x;
 }
 """
+
+
+def test_guarded_assignment_joins_per_iteration(walks):
+    """The join of `x = x + 8 if c > 0` in iteration 1 makes a symbol of
+    its own, as the unrolled copy's join does: x - y may be 8, so the
+    store may write up to p + 16, and both iterations are walked."""
+    p = prep(GUARDED)
+    rep = safety.analyze(p, "f", ["p"], [])
+    assert rep.machine_lines() == safety.analyze(unroll(p), "f", ["p"], []).machine_lines()
+    (line,) = rep.machine_lines()
+    assert line.startswith("range(p) = p + [") and int(line.split("; ")[1].rstrip(")")) >= 16
+    assert walked(walks, "_Analyzer") == [(2, 2)]
+    same_reports(p, "f", ("p",), ())
 
 
 def test_symbol_made_and_dropped_walks_every_iteration(walks):

@@ -427,18 +427,40 @@ def test_fact_that_iteration_0_kills_is_checked_in_every_iteration():
     assert got[1:3] == ("UninitializedUse", "5:28: use of uninitialized a[0]")
 
 
+# y is iteration 1's x before its guarded add; x - y is 0 or 8, as the
+# join of iteration 1 is its own, not iteration 0's.
+GUARDED = """fn f(reg u64 p, reg u64 x, reg u64 c) -> reg u64 {
+  reg u64 y;
+  y = x;
+  for r = 0 to 1 { y = x; x = x + 8 if c > 0; }
+  [p + (x - y)] = x;
+  return x;
+}"""
+
+
+def test_guarded_assignment_in_the_body_runs_in_every_iteration():
+    p = prep(GUARDED)
+    assert ROLLED in source(p)
+    for size, c, want in [(16, 1, "ok"), (8, 1, "fault"), (8, 0, "ok")]:
+        m = memory.add_region(memory.Memory(), 0x100, size)
+        got = same_runs(p, "f", [0x100, 5, c], m)
+        assert got[0] == want
+        if want == "ok":
+            assert value(got) == 5 + 16 * c
+
+
 # ------------------------------------------------------ the oracle
 
 SOURCES = {
     "chase": CHASE, "pick": PICK, "half": HALF.replace("@PAD@", ""),
     "half-pieced": HALF.replace("@PAD@", "x = x + 1;\n" * (PIECE + 10)), "scoped": SCOPED,
     "late": LATE, "mentions": MENTIONS, "global": GLOBAL, "inline": INLINE, "inc": INC,
-    "nested": NESTED, "resized": RESIZED, "sums": SUMS, "killed": KILLED,
+    "nested": NESTED, "resized": RESIZED, "sums": SUMS, "killed": KILLED, "guarded": GUARDED,
 }
 
 # The programs here that hold a repeat node.
 ROLLING = {"chase", "pick", "half", "half-pieced", "scoped", "late", "inc", "nested",
-           "resized", "sums", "killed"}
+           "resized", "sums", "killed", "guarded"}
 
 # The sha256 of each program's printed IR with every `for` loop expanded
 # per iteration from the source (first 16 hex digits; tests/unroll.py
@@ -459,6 +481,7 @@ UNROLLED = {
     "poly1305_ref": "b80f5437077b6311",
     "rolled-chase": "9078c6443bb2ba89",
     "rolled-global": "a9196eb84d9f3795",
+    "rolled-guarded": "f0aa9b969281f8b6",
     "rolled-half": "c51963edca1aa777",
     "rolled-half-pieced": "db7f8467d239e08b",
     "rolled-inc": "e37fbda3f15cdabe",
