@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import interp, isa, leakage, memory, safety
 from .expand import ExpandError, expand
+from .ir import WordTy
 from .parser import ParseError, parse
 from .typecheck import TypecheckError, typecheck
 from .words import Word
@@ -120,6 +121,10 @@ def cmd_run(args) -> int:
         except ValueError as exc:  # negative, past 2^64 or past memory.MAX_BYTES
             raise CliError(f"bad region 0x{base:x}:{length}: {exc}") from exc
     fn = _entry(p, args.entry, args.file)
+    for q in fn.params:
+        if not isinstance(q.ty, WordTy):
+            raise CliError(f"parameter {q.name!r} of {args.entry} is {q.storage} {q.ty}; "
+                           "run takes word parameters only (--u64)")
     vals = args.u64 or []
     if len(vals) != len(fn.params):
         raise CliError(
@@ -161,8 +166,6 @@ def _build_shape(fn, args, public, public_regions) -> dict:
     that every name these and the public sets give is a parameter, and
     that no parameter is given two different shapes (a --ptr LEN is
     compared as a byte count or a --len name, a --len MAX as a count)."""
-    from .ir import WordTy
-
     def ptr(spec):
         name, _, size = spec.partition(":")
         return name, int(size) if size.isdecimal() else size

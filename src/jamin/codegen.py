@@ -54,6 +54,13 @@ observes:
   runs out in a later iteration than another fault does not hide that
   fault, as it can in the unrolled code.
 
+An else-if chain is one Python `if` with an `elif` per arm, so it nests
+no deeper than its first `if` (Python allows 20 nested loop blocks, and
+the parser's nesting limit does not count the arms): an arm's test is
+one expression that charges the arm's step, evaluates the test and
+records its branch event with interp._br, in the order the statements
+of an `if` in the else block would.
+
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
 the locals it may read before writing them and returns the ones it
@@ -95,7 +102,7 @@ from .ir import (
     int_value,
 )
 from . import flow, words
-from .isa import bind, lane_adapter, lookup
+from .isa import bind, lookup
 from .typecheck import CMP_OPS
 
 PIECE = 250  # statements per compile() call, which bounds its peak memory
@@ -532,7 +539,7 @@ class _FnGen(Assigned):
         if pair is None:
             v, o, args = "S_" + d.name, "P_" + d.name, e.args
             if v not in self.ns:
-                self.ns[v], self.ns[o] = d.vsem, lane_adapter(d).call
+                self.ns[v], self.ns[o] = d.vsem, d.ops
         else:
             k = self.const(f"_{d.name}_", pair)
             v, o, args = "S" + k, "P" + k, e.args[:-1]
@@ -818,18 +825,7 @@ class _FnGen(Assigned):
             self.end_segment()
             self.line(f"_c = {self.expr(s.cond)}")
             self.branch_event("_c")
-            self.line("if _c:")
-            before = self.facts
-            self.facts = self.copy(before)
-            self.nested(s.then)
-            then = self.facts
-            if s.els:
-                self.line("else:")
-                self.facts = before
-                self.nested(s.els)
-                self.facts = flow.join(self, id(s), then, self.facts)
-            else:
-                self.facts = flow.join(self, id(s), then, before)
+            self.arms(s, "if _c:")
         elif k is SRepeat:
             self.emit_roll(s)
         elif k is SWhile:
@@ -858,6 +854,30 @@ class _FnGen(Assigned):
             self.facts = None
         else:
             raise TypeError(f"not a statement: {s!r}")
+
+    def arms(self, s, head):
+        """`head`, the `if` or `elif` line of if s, whose test has run, and
+        s's blocks.  An else block that is exactly one if is an `elif` arm
+        of the same chain, so an else-if chain nests no deeper than its
+        first if: the arm's test is one expression that charges the arm's
+        step, evaluates the test and records its branch event, in the
+        order the statements of a nested if do."""
+        self.line(head)
+        before = self.facts
+        self.facts = self.copy(before)
+        self.nested(s.then)
+        then = self.facts
+        self.facts = before
+        if len(s.els) == 1 and type(s.els[0]) is SIf:
+            arm = s.els[0]
+            self.tmp = 0
+            step = f"(B := B - 1) < 0 and _bx(B + 1, {self.const('L', (arm.loc,))})"
+            test = self.expr(arm.cond)
+            self.arms(arm, f"elif {step} or _br(T, {self.batch()}, {test}):")
+        elif s.els:
+            self.line("else:")
+            self.nested(s.els)
+        self.facts = flow.join(self, id(s), then, self.facts)
 
     def emit_roll(self, s):
         """Repeat node s: its body once, run s.count times by a Python loop

@@ -157,6 +157,14 @@ def _bx(i, locs):
     raise BudgetExhausted("step budget exhausted", locs[i])
 
 
+def _br(T, K, c):
+    """Test value c of an else-if arm, its branch event recorded."""
+    if T is not None:
+        T += K
+        T.append(_BT if c else _BF)
+    return c
+
+
 def _nz(b, loc):
     if b == 0:
         raise DivByZero("division by zero", loc)
@@ -289,10 +297,11 @@ def _intr(sem, args, loc):
         raise DivByZero(str(exc), loc) from None
 
 
-_HELPERS = (_uu, _arr, _contract, _oob, _bx, _nz, _wbin, _ld, _st,
+_BT, _BF = ("branch", True), ("branch", False)
+_HELPERS = (_uu, _arr, _contract, _oob, _bx, _br, _nz, _wbin, _ld, _st,
             _rld, _rst, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
-_RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=("branch", True), BF=("branch", False))
+_RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=_BT, BF=_BF)
 
 
 # ------------------------------------------------------------- execution

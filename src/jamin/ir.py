@@ -443,6 +443,9 @@ def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
     if isinstance(s, SIf):
         out = [f"{pad}if ({fmt_expr(s.cond)}) {{"]
         out += _fmt_block(s.then, indent + 1)
+        if len(s.els) == 1 and isinstance(s.els[0], SIf):  # an else-if arm
+            arm = _fmt_stmt(s.els[0], indent, pad)
+            return out + [f"{pad}}} else {arm[0].lstrip()}"] + arm[1:]
         if s.els:
             out.append(f"{pad}}} else {{")
             out += _fmt_block(s.els, indent + 1)

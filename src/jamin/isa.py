@@ -27,8 +27,7 @@ computes on the operands' lane sequences (the Ops view; a source without
 lanes, such as an imm8, passes through as its int) and returns the
 result lanes.  The two are written independently and are required to
 agree under the word/array bijection; neither calls the other.  The
-list interfaces derive from them: `sem(list) -> [int]` wraps `vsem`,
-and `exec_vector` dispatches on the requested mode.  An element-wise
+list interface `sem(list) -> [int]` wraps `vsem`.  An element-wise
 instruction is defined by one lane expression (`lane_expr`), which
 `lsem` and the Ops form unroll over its lanes.
 
@@ -40,10 +39,14 @@ destination mask) groups, kept in a bounded LRU cache (`_permute_plan`,
 interleaves (VPUNPCK*) are unrolled into one expression over the whole
 word.
 
-In Ops, every vector descriptor has one `LaneAdapter`, built at
-registration: `call` is its positional Ops form, one compiled function
+In Ops, every vector descriptor's `ops`, built when the descriptor is
+made, is its positional Ops form, one compiled function
 that splits the packed sources into lanes, applies the lane semantics
-(the lane expression inlined, or `lsem`) and joins the result lanes.
+(the lane expression inlined, or `lsem`) and joins the result lanes,
+with the conversions of `_lane_code` written into it: a loop over the
+operand shapes on every call made VPSHUFD_256's Ops call about 40%
+slower, and a call per conversion made the Ops runs of poly1305_avx2
+and chacha20_avx2_big about 5% slower.
 8-bit lanes are the bytes object itself (`int.to_bytes` and
 `int.from_bytes`, no `struct` round trip); lanes of 16 to 64 bits go
 through a `struct` format, 128-bit lanes through shifts and masks.  The
@@ -62,7 +65,13 @@ immediate is known: it returns the (OpsV, Ops) pair of positional
 functions of the remaining operands, the OpsV one the plan compiled into
 one shift-and-mask expression, the Ops one the table applied between
 the split and the join.  Generated code calls these for a constant
-selector, and the generic pair (`vsem`, `LaneAdapter.call`) otherwise.
+selector, and the generic pair (`vsem`, `ops`) otherwise.
+
+`exec_intrinsic` is the Word-level boundary of the instruction set: Word
+(or int) sources in, Word and flag results out.  The system runs the
+positional forms above; `exec_intrinsic` is the specification layer
+that the tests check them against (docs/lang.md, "Specification
+layers").
 """
 
 from __future__ import annotations
@@ -223,12 +232,17 @@ class Descriptor:
     src_widths: tuple = field(default=(), repr=False)  # int bits or "flag"
     dst_widths: tuple = field(default=(), repr=False)
     table: Optional[Table] = None  # the definition `sem` is compiled from, if any
+    ops: Optional[Callable] = field(default=None, init=False, repr=False)  # vector: Ops form
 
     def __post_init__(self):
         if not self.src_widths:
             self.src_widths = tuple(self._loc_width(s) for s in self.sources)
         if not self.dst_widths:
             self.dst_widths = tuple(self._loc_width(d) for d in self.destinations)
+        if self.is_vector:
+            body = (_lanewise(self.lane_expr, self.src_lanes, self.dst_lanes[0][0])
+                    if self.lane_expr else f"lsem({_params(len(self.sources))})")
+            self.ops = _ops_form(self.src_lanes, self.dst_lanes[0], body, {"lsem": self.lsem})
 
     def _loc_width(self, loc):
         if isinstance(loc, F):
@@ -246,15 +260,12 @@ class Descriptor:
 
 
 _REGISTRY: dict[str, Descriptor] = {}
-_ADAPTERS: dict[str, LaneAdapter] = {}  # Ops-mode adapter per vector descriptor
 
 
 def register(d: Descriptor) -> Descriptor:
     if d.name in _REGISTRY:
         raise IsaError(f"duplicate descriptor {d.name}")
     _REGISTRY[d.name] = d
-    if d.is_vector:
-        _ADAPTERS[d.name] = LaneAdapter(d)
     return d
 
 
@@ -347,10 +358,6 @@ def _lane_codec(n: int, m: int):
             eval(f"lambda l: {join.replace('@', 'l')}", _CODEC_NS))
 
 
-def _join_int(vals, m: int) -> int:
-    return _lane_codec(len(vals), m)[1](vals)
-
-
 def _params(k: int) -> str:
     return ", ".join(f"a{i}" for i in range(k))
 
@@ -384,110 +391,6 @@ def _ops_form(src_lanes, dst_lanes, body: str, ns: dict) -> Callable:
     env = dict(_CODEC_NS, **ns)
     exec(f"def f({_params(len(src_lanes))}):\n{lines}    return {join.replace('@', body)}\n", env)
     return env["f"]
-
-
-class LaneAdapter:
-    """The Ops view of one vector descriptor, built once: `call` is its
-    positional Ops form (the packed sources in, the result int out); `split`
-    turns a list of packed sources into lane sequences (other sources
-    pass through) and `join` packs a list of lane results.  Each is
-    compiled for the descriptor's operand shapes, with the conversions
-    of `_lane_code` written into it: a loop over the shapes on every call
-    made VPSHUFD_256's Ops call about 40% slower, and a call per
-    conversion made the Ops runs of poly1305_avx2 and chacha20_avx2_big
-    about 5% slower.  An element-wise instruction's lane expression is
-    unrolled into `call` itself."""
-
-    __slots__ = ("d", "split", "join", "call")
-
-    def __init__(self, d: Descriptor):
-        def convert(shapes, codec, arg):  # "[conversion of arg[0], arg[1], ...]"
-            return "[" + ", ".join(
-                _lane_code(*shape)[codec].replace("@", f"{arg}[{i}]") if shape else f"{arg}[{i}]"
-                for i, shape in enumerate(shapes)) + "]"
-
-        self.d = d
-        self.split = eval(f"lambda v: {convert(d.src_lanes, 0, 'v')}", _CODEC_NS)
-        self.join = eval(f"lambda o: {convert(d.dst_lanes, 1, 'o')}", _CODEC_NS)
-        body = (_lanewise(d.lane_expr, d.src_lanes, d.dst_lanes[0][0]) if d.lane_expr
-                else f"lsem({_params(len(d.sources))})")
-        self.call = _ops_form(d.src_lanes, d.dst_lanes[0], body, {"lsem": d.lsem})
-
-
-def lane_adapter(d: Descriptor) -> LaneAdapter:
-    """The registered descriptor's adapter; a fresh one for any other."""
-    a = _ADAPTERS.get(d.name)
-    return a if a is not None and a.d is d else LaneAdapter(d)
-
-
-def exec_ops(d: Descriptor, args) -> list:
-    """Ops-mode execution: vector operands as sequences of sub-word ints,
-    each lane result returned as a list."""
-    if not d.is_vector:
-        raise IsaError(f"{d.name} is not a vector instruction")
-    outs = [d.lsem(*lane_adapter(d).split(_coerce_sources(d, args)))]
-    return [list(o) if shape else o for o, shape in zip(outs, d.dst_lanes)]
-
-
-def exec_vector(d: Descriptor, mode: str, args) -> list:
-    """Execute a vector intrinsic in the chosen representation.
-
-    Both modes return packed Words so callers can store results
-    uniformly; in Ops mode the lane results are joined through the
-    word/array bijection.
-    """
-    if mode == OPSV:
-        return exec_intrinsic(d, args)
-    if mode != OPS:
-        raise IsaError(f"unknown vector mode {mode!r}")
-    return _wrap_outputs(d, lane_adapter(d).join(exec_ops(d, args)))
-
-
-def validate_descriptor(d: Descriptor) -> list[str]:
-    """Well-formedness checks, established by computation."""
-    problems = []
-    if len(d.sources) != len(d.src_widths):
-        problems.append("source width list out of sync")
-    seen = set()
-    for loc in d.destinations:
-        if loc in seen:
-            problems.append(f"duplicate destination {loc!r}")
-        seen.add(loc)
-    e_idx = sorted(loc.index for loc in d.sources if isinstance(loc, E))
-    if e_idx != list(range(len(e_idx))):
-        problems.append("explicit-argument indices are not dense from 0")
-    for w in d.src_widths + d.dst_widths:
-        if w != "flag" and w not in (8, 16, 32, 64, 128, 256):
-            problems.append(f"illegal operand width {w}")
-    if d.is_vector and (d.vsem is None or d.lsem is None):
-        problems.append("vector descriptor without lane semantics")
-    # probe the semantics with benign inputs
-    probe = [False if w == "flag" else 1 for w in d.src_widths]
-    try:
-        outs = d.sem(probe)
-    except IsaFault:
-        outs = None
-    except Exception as exc:  # noqa: BLE001 - report, do not crash
-        problems.append(f"semantics raised {exc!r} on probe input")
-        outs = None
-    if outs is not None:
-        if len(outs) != len(d.destinations):
-            problems.append(
-                f"semantics returns {len(outs)} values for {len(d.destinations)} destinations"
-            )
-        else:
-            for o, w in zip(outs, d.dst_widths):
-                if w == "flag":
-                    if not (isinstance(o, bool) or o is UNDEF):
-                        problems.append(f"flag output is {o!r}")
-                elif not isinstance(o, int) or o < 0 or o >> w:
-                    problems.append(f"word output {o!r} does not fit {w} bits")
-    if d.is_vector and not problems:
-        vec = exec_vector(d, OPS, probe)
-        vecv = exec_vector(d, OPSV, probe)
-        if vec != vecv:
-            problems.append("Ops and OpsV disagree on probe input")
-    return problems
 
 
 # ------------------------------------------------- scalar definitions

@@ -12,8 +12,13 @@ store helpers slice that region, or an earlier one sharing the line,
 themselves and call the methods below only for an access outside every
 region or of an unwritten byte.
 
-Store operations return a new Memory value; the interpreter obtains a
-private copy via `thaw` and mutates that one in place.  Multi-byte
+The persistent functions at the end of the module (load8, store8,
+loadW, storeW, add_region, load_bytes, store_bytes) return a new Memory
+value for a store; they, with `Memory.is_initialized`, are the
+specification layer that criterion 2 and tests/test_memory.py check
+against tests/memory_ref.py (docs/lang.md, "Specification layers").  The
+system mostly runs the in-place methods: the interpreter obtains a
+private copy via `thaw` and mutates that one.  Multi-byte
 accesses are little-endian compositions of single-byte accesses, so
 accesses of different widths ("type punning") overlap per the byte
 semantics.  An access not inside one region goes byte by byte, loads
@@ -173,7 +178,7 @@ class Memory:
         init[o:o + n] = b"\x01" * n
 
 
-# -- functional interface ----------------------------------------------
+# -- functional interface: the specification layer ----------------------
 
 
 def load8(m: Memory, a: int) -> int:

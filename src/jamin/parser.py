@@ -64,11 +64,13 @@ KEYWORDS = {
 
 WIDTH_NAMES = {f"u{w}": w for w in WIDTHS}
 
-# How deep a program may nest (docs/lang.md): past either limit, the later
-# passes, which recurse over the tree, or the Python compiler of the
+# How deep a program may nest (docs/lang.md): past any of these limits, the
+# later passes, which recurse over the tree (an `else if` arm is an if in
+# the else block of the one before it), or the Python compiler of the
 # generated code (20 nested loop blocks, 200 nested parentheses) would fail.
 MAX_EXPR_DEPTH = 32  # levels of an expression tree, a parenthesis counting as one
-MAX_NESTING = 20  # blocks inside a function body, an `else if` counting as one
+MAX_NESTING = 20  # blocks inside a function body; an `else if` arm opens none
+MAX_ARMS = 128  # `else if` arms around a statement, of its chain and those around it
 
 
 class ParseError(SyntaxError):
@@ -158,6 +160,7 @@ class Parser:
         self.pos = 0
         self.level = 0  # the depth of the expression being parsed
         self.blocks = -1  # the blocks open inside a function body
+        self.arms = 0  # the `else if` arms open around the statement being parsed
         if known_intrinsics is None:
             from . import isa
 
@@ -397,10 +400,12 @@ class Parser:
         then = self.parse_block()
         els: tuple = ()
         if self.accept("IDENT", "else"):
-            if self.at_ident("if"):  # an if inside the else block
-                self.open_block(self.peek())
+            if self.at_ident("if"):  # an arm of the same chain, at the same level
+                self.arms += 1
+                if self.arms > MAX_ARMS:
+                    self.error(f"else-if arms nested more than {MAX_ARMS} deep", self.peek())
                 els = (self.parse_if(),)
-                self.blocks -= 1
+                self.arms -= 1
             else:
                 els = self.parse_block()
         return self._loc(SIf(cond, then, els), tok)

@@ -108,15 +108,10 @@ def load_program(name: str):
     """Parse, typecheck and expand one corpus program (cached)."""
     key = (str(corpus_dir()), name)
     if key not in _cache:
-        path = corpus_dir() / f"{name}.jz"
-        _cache[key] = expand(typecheck(parse(path.read_text())))
+        _cache[key] = expand(typecheck(parse(load_source(name))))
     return _cache[key]
 
 
 def load_source(name: str) -> str:
+    """The text of one corpus program."""
     return (corpus_dir() / f"{name}.jz").read_text()
-
-
-def load_dsl_corpus() -> dict:
-    """All corpus programs, parsed/typechecked/expanded."""
-    return {name: load_program(name) for name in PROGRAMS}

@@ -269,19 +269,3 @@ def hop_difftest(
             break
     return DiffReport(shape.name, executed, seed, pairs)
 
-
-def corpus_chain(kind: str, vector_mode: str = OPSV) -> list:
-    """The standard spec -> reference -> optimized chain for a family."""
-    from .corpus import PROGRAMS, load_program
-
-    shape = SHAPES[kind]
-    chain: list = [SpecEntry(f"{kind}_spec", shape.spec_output)]
-    order = {
-        "poly1305": ("poly1305_ref", "poly1305_avx2"),
-        "chacha20": ("chacha20_scalar", "chacha20_avx2_small", "chacha20_avx2_big"),
-        "gimli": ("gimli_ref", "gimli_sse"),
-    }[kind]
-    for name in order:
-        info = PROGRAMS[name]
-        chain.append(DslEntry(name, load_program(name), info.entry, vector_mode))
-    return chain

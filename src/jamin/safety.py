@@ -485,26 +485,6 @@ class RangeReport:
             out.append(f"range({name}) {sep} {shown}")
         return out
 
-    def bound_range(self, base: str, params: dict):
-        """Concretize the range for `base` under parameter values."""
-        r = self.ranges.get(base)
-        if r is None:
-            return None
-        lo, hi = r
-        return (_eval_bound(lo, params, -1), _eval_bound(hi, params, +1))
-
-
-def _eval_bound(b: Aff | None, params: dict, inf_sign: int):
-    if b is None:
-        return inf_sign * float("inf")
-    v = b.const
-    for s, c in b.terms:
-        if s[0] != "p":
-            return inf_sign * float("inf")
-        v += c * params[s[1]]
-    return v
-
-
 def _render_bound(b: Aff | None, missing: str) -> str:
     return missing if b is None else b.render()
 

@@ -54,15 +54,6 @@ class Word:
         return f"Word({self.width}, 0x{self.value:0{self.width // 4}x})"
 
 
-def of_uint(width: int, n: int) -> Word:
-    """Inject an arbitrary integer, reducing modulo 2^width."""
-    return Word(width, n)
-
-
-def to_uint(x: Word) -> int:
-    return x.value
-
-
 def to_sint(x: Word) -> int:
     """Two's-complement reading of the value."""
     if x.value >> (x.width - 1):
@@ -170,7 +161,10 @@ def evaluator(op: str, w: int | None, n: int | None = None, unary: bool = False)
 #
 # Thin wrappers of the definitions above: shr is the logical right
 # shift, sar the arithmetic (sign-filling) one, and mul truncates.  A
-# shift count outside [0, width] raises WordError.
+# shift count outside [0, width] raises WordError.  Nothing on the run
+# path calls them: they are the specification layer of the word laws
+# (criterion 1, tests/test_words.py and tests/test_word_ops.py; see
+# docs/lang.md, "Specification layers").
 
 
 def _shift(op: str) -> Callable:

@@ -9,12 +9,14 @@ import time
 
 import pytest
 
+import lanes
+from harness import bound_range, corpus_chain
 from jamin import interp, isa, leakage, memory, mplimb as mp, safety, words
 from jamin.expand import expand
 from jamin.leakage import PublicSpec, Ptr, Val
 from jamin.parser import parse
 from jamin.primitives.corpus import PROGRAMS, load_program
-from jamin.primitives.difftest import SHAPES, corpus_chain, hop_difftest
+from jamin.primitives.difftest import SHAPES, hop_difftest
 from jamin.typecheck import typecheck
 from jamin.words import Word
 
@@ -83,10 +85,10 @@ def test_criterion_3_ops_opsv_equivalence():
                 else rng.getrandbits(w)
                 for w in src_widths
             ]
-            lanes_out = isa.exec_ops(d, args)
+            lanes_out = lanes.exec_ops(d, args)
             wide_out = d.sem(list(args))
             for o, shape, wide in zip(lanes_out, d.dst_lanes, wide_out):
-                joined = isa._join_int(o, shape[1]) if shape else o
+                joined = lanes.join_int(o, shape[1]) if shape else o
                 assert joined == wide, name
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -247,7 +249,7 @@ def test_criterion_7_soundness_cross_check():
             regions, params = _region_map(info, case, len(case.get("msg", b"")))
             bounds = {}
             for (base, size), param in regions.items():
-                br = rep.bound_range(param, params)
+                br = bound_range(rep, param, params)
                 assert br is not None, (name, param)
                 bounds[base] = br
             for kind, payload in events:

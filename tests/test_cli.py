@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from test_parser import DEEP, deep, limit, past_limit
+from test_parser import DEEP, deep, limit, past_limit, roundtrip
 from jamin.cli import main
 from jamin.primitives.corpus import corpus_dir
 
@@ -378,3 +378,51 @@ def test_very_deep_program_exit_2(tmp_path, capsys, form, n):
     code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
     assert code == 2 and "Traceback" not in err
     assert re.search(r"deep\.jz: \d+:\d+: (expression|blocks) nested more than \d+ deep", err)
+
+
+def test_very_long_else_if_chain_exit_2(tmp_path, capsys):
+    prog = tmp_path / "deep.jz"
+    prog.write_text(deep("else-if", 1000))
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert code == 2 and "Traceback" not in err
+    assert re.search(r"deep\.jz: \d+:\d+: else-if arms nested more than \d+ deep", err)
+
+
+def test_else_if_chain_of_99_arms_runs_and_analyses(tmp_path, capsys):
+    """An else-if chain is one level deep: 99 arms parse, print and parse
+    back to the same tree, run with equal results in both vector modes, and
+    complete the safety analysis and the constant-time check."""
+    src = deep("else-if", 98)
+    roundtrip(src)
+    prog = tmp_path / "chain.jz"
+    prog.write_text(src)
+    for x in (0, 1, 50, 98, 99, 2**64 - 1):
+        outs = []
+        for mode in ("OpsV", "Ops"):
+            code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f",
+                                     "--u64", str(x), "--vector-mode", mode)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1] == f"result[0] = 0x{x + 1 if x < 99 else x:016x}\n"
+    code, out, _ = run_cli(capsys, "safety", str(prog), "--entry", "f", "--track", "x")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "ct", str(prog), "--entry", "f", "--public", "x",
+                           "--trials", "20")
+    assert code == 0 and "secure" in out
+
+
+@pytest.mark.parametrize("param, shown", [
+    ("reg u64[2] x, reg u64 n", "'x' of f is reg u64[2]"),
+    ("stack u64[2] s", "'s' of f is stack u64[2]"),
+    ("reg bool b", "'b' of f is reg bool"),
+], ids=["reg-array", "stack-array", "bool"])
+def test_run_non_word_parameter_exit_2(tmp_path, capsys, param, shown):
+    """run passes --u64 words only: an entry parameter of any other type
+    is an input error before anything runs, not a safety error."""
+    prog = tmp_path / "params.jz"
+    prog.write_text(f"fn f({param}) -> reg u64 {{\n  reg u64 r;\n  r = 1;\n  return r;\n}}\n")
+    count = param.count(",") + 1
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f",
+                             *[a for i in range(count) for a in ("--u64", str(i + 1))])
+    assert (code, out) == (2, "")
+    assert err == f"error: parameter {shown}; run takes word parameters only (--u64)\n"

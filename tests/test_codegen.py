@@ -1,6 +1,7 @@
 """Generated code for intrinsics: table-built descriptors are inlined,
 and only the destinations a statement keeps are computed."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -8,6 +9,7 @@ import re
 import pytest
 
 from gensrc import function_sources, line_count
+from lanes import exec_vector
 from test_isa_scalar_golden import _op_width
 from jamin import codegen, interp, isa, memory
 from jamin.codegen import PIECE
@@ -335,6 +337,94 @@ def test_constant_and_register_selectors_agree():
                  ("x86_VPERM2I128", [x, y, k]), ("x86_VPERM2I128", [x, y, 0x21]),
                  ("x86_VPSHUFD_256", [x, 0x1B]), ("x86_VEXTRACTI128", [y, 1])]
         for mode in (isa.OPSV, isa.OPS):
-            want = [isa.exec_vector(isa.lookup(n), mode, a)[0] for n, a in calls]
+            want = [exec_vector(isa.lookup(n), mode, a)[0] for n, a in calls]
             got = interp.run(p, "f", [x, y, s, k], memory.Memory(), vector_mode=mode).results
             assert got == want, (mode, hex(x), hex(y), hex(s), k)
+
+
+# Else-if chains are emitted as `elif` arms.  What a run observes is what
+# the former emission, an `if` inside each `else:` block, gave: the digest
+# below was recorded with it, over every budget that ends a run early.
+
+ELSE_IF = {
+    "arrays": """
+fn f(reg u64 x, reg u64 p) -> reg u64 {
+  reg u64 r;
+  reg u64[3] a;
+  a[0] = 1; a[1] = 2; a[2] = 3;
+  r = 0;
+  if (x == a[0]) { r = a[1]; } else if (x == a[1] + a[2]) { r = a[2]; a[0] = 5; }
+  else if (a[0] == x - 3) { r = 7; }
+  r = r + a[0];
+  return r;
+}""",
+    "uninit": """
+fn f(reg u64 x, reg u64 p) -> reg u64 {
+  reg u64 r, u;
+  r = 0;
+  if (x == 0) { u = 1; } else if (x == u) { r = 2; } else { r = 3; }
+  return r;
+}""",
+    "memory": """
+fn f(reg u64 x, reg u64 p) -> reg u64 {
+  reg u64 r;
+  r = 0;
+  if (x == 0) { r = 1; } else if ([p] == x) { r = 2; [p + 8] = r; }
+  else if ((u8)[p + 15] == 3) { r = 4; } else { r = [p + x]; }
+  return r;
+}""",
+    "stack": """
+fn f(reg u64 x, reg u64 p) -> reg u64 {
+  stack u64[2] s;
+  reg u64 r;
+  s[0] = 5;
+  r = 1;
+  if (x == 0) { r = 1; } else if (s[0] == x) { r = 2; } else if (s[x & 1] == 9) { r = 3; }
+  else { s[1] = 9; r = s[1]; }
+  return r;
+}""",
+    "nested": """
+fn f(reg u64 x, reg u64 p) -> reg u64 {
+  reg u64 r, y;
+  r = 0;
+  y = 4;
+  while (y > 0) {
+    if (x == y) { r = r + 1; } else if (x < y) { if (y == 3) { r = r + 5; } else if (y == 2) {
+    r = r + 7; } } else if (x > 6) { return r; } else if (x / (y - 1) == 2) { r = r + 2; }
+    y = y - 1;
+  }
+  return r;
+}""",
+}
+
+
+def else_if_runs() -> list:
+    """What every run of the ELSE_IF programs observes, x in 0..7 in both
+    modes, under each budget up to 24 and the default one."""
+    seen = []
+    for name, src in ELSE_IF.items():
+        p = prep(src)
+        for x in range(8):
+            for mode in ("OpsV", "Ops"):
+                for budget in [*range(1, 25), interp.DEFAULT_BUDGET]:
+                    m = memory.add_region(memory.Memory(), 0x100, 16)
+                    m = memory.store_bytes(m, 0x100, bytes([x % 4] * 15 + [3]))
+                    trace: list = []
+                    try:
+                        r = interp.run(p, "f", [x, 0x100], m, budget=budget, trace=trace,
+                                       vector_mode=mode)
+                        got = ("ok", repr(r.results), memory.dump(r.memory), r.steps)
+                    except interp.SafetyError as exc:
+                        got = ("fault", type(exc).__name__, str(exc), exc.loc)
+                    seen.append((name, x, mode, budget, got, trace))
+    return seen
+
+
+ELSE_IF_RUNS = "7f3a8cb6aee3721a"
+
+
+def test_else_if_chains_run_as_nested_ifs():
+    for src in ELSE_IF.values():
+        assert "    elif " in "".join(function_sources(prep(src)).values())
+    digest = hashlib.sha256(repr(else_if_runs()).encode()).hexdigest()
+    assert digest[:16] == ELSE_IF_RUNS

@@ -7,6 +7,7 @@ each mutant must be caught by the differential harness quickly.
 
 import pytest
 
+from harness import corpus_chain
 from jamin.expand import expand
 from jamin.parser import parse
 from jamin.typecheck import typecheck
@@ -15,7 +16,6 @@ from jamin.primitives.difftest import (
     DslEntry,
     SHAPES,
     SpecEntry,
-    corpus_chain,
     hop_difftest,
 )
 

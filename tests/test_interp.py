@@ -406,3 +406,58 @@ fn f() -> reg u64 {
     trace = []
     assert run(p, "f", [], trace=trace)[0][0].value == 6
     assert trace == [("addr", (2,)), ("addr", (2,)), ("addr", (0,))]
+
+
+# Word only at the boundaries: a run computes on ints, and builds a Word
+# for each word result it returns and for nothing else.
+
+RESULTS = """
+global u256 sel = 0x0e0d0c0f0a09080b0605040702010003_0e0d0c0f0a09080b0605040702010003;
+fn f(reg u64 x, reg u256 v) -> reg u64, reg u256, reg bool {
+  reg u64 h;
+  reg bool c;
+  reg u256 w;
+  w = #x86_VPSHUFB_256(v, sel);
+  w = #x86_VPADD_4u64(w, v);
+  _, c, _, _, _, h = #x86_ADD_64(x, x);
+  return h, w, c;
+}
+"""
+
+
+def _run_inputs():
+    from itertools import islice
+
+    from test_exec_golden import _inputs
+    from jamin.primitives.corpus import PROGRAMS, load_program
+
+    for name, info in PROGRAMS.items():
+        for mode in ("OpsV", "Ops"):
+            for label, m, args in islice(_inputs(name), 4):
+                yield f"{name}/{mode}/{label}", load_program(name), info.entry, args, m, mode
+
+
+def test_run_path_builds_a_word_per_word_result_only(monkeypatch):
+    from jamin.expand import _copy
+
+    built = []
+    init = Word.__init__
+
+    def counting(self, width, value):
+        built.append(width)
+        init(self, width, value)
+
+    monkeypatch.setattr(Word, "__init__", counting)
+    cases = list(_run_inputs())
+    p = prep(RESULTS)
+    cases += [(f"results/{mode}", p, "f", [3, 2**200 + 5], memory.Memory(), mode)
+              for mode in ("OpsV", "Ops")]
+    seen = set()
+    for label, p, entry, args, m, mode in cases:
+        if id(p) not in seen:  # the first run of a program compiles a fresh copy
+            seen.add(id(p))
+            p = _copy(p, _exec_ns=None)
+        built.clear()
+        r = interp.run(p, entry, args, m, vector_mode=mode)
+        assert len(built) == sum(isinstance(v, Word) for v in r.results), label
+    assert [type(v) for v in r.results] == [Word, Word, bool]

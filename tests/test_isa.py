@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jamin import isa
 from jamin.words import Word
+from lanes import exec_ops, exec_vector, validate_descriptor
 
 
 def test_lookup_mul_descriptor():
@@ -87,7 +88,7 @@ def test_vpshufb_high_bit_zeroes():
 def test_vpbroadcast_ops_mode_lanes():
     d = isa.lookup("x86_VPBROADCAST_4u64")
     v = Word(64, 0x1234)
-    lanes = isa.exec_ops(d, [v])[0]
+    lanes = exec_ops(d, [v])[0]
     assert lanes == [0x1234] * 4
 
 
@@ -103,7 +104,7 @@ def test_vpadd_lanewise():
 
 def test_validate_all_registered():
     for name, d in isa.registry().items():
-        assert isa.validate_descriptor(d) == [], name
+        assert validate_descriptor(d) == [], name
 
 
 def test_validate_catches_duplicate_destination():
@@ -115,7 +116,7 @@ def test_validate_catches_duplicate_destination():
         mnemonic="BOGUS",
         sem=lambda a: [a[0], a[0]],
     )
-    assert any("duplicate" in p for p in isa.validate_descriptor(d))
+    assert any("duplicate" in p for p in validate_descriptor(d))
 
 
 def test_validate_catches_wrong_arity():
@@ -127,7 +128,7 @@ def test_validate_catches_wrong_arity():
         mnemonic="BOGUS",
         sem=lambda a: [a[0], a[0]],
     )
-    assert any("returns" in p for p in isa.validate_descriptor(d))
+    assert any("returns" in p for p in validate_descriptor(d))
 
 
 def _vector_args(d, rng):
@@ -144,7 +145,7 @@ def test_ops_opsv_equivalence_randomized():
             continue
         for _ in range(200):
             args = _vector_args(d, rng)
-            assert isa.exec_vector(d, isa.OPS, args) == isa.exec_vector(
+            assert exec_vector(d, isa.OPS, args) == exec_vector(
                 d, isa.OPSV, args
             ), name
 
@@ -177,9 +178,9 @@ ROT8 = 0x0E0D0C0F0A09080B0605040702010003_0E0D0C0F0A09080B0605040702010003
 
 def _assert_permute_modes_agree(d, *args):
     words = [Word(w, v) for w, v in zip(d.src_widths, args)]
-    assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words), (
+    assert exec_vector(d, isa.OPS, words) == exec_vector(d, isa.OPSV, words), (
         d.name, [hex(a) for a in args])
-    assert [isa.lane_adapter(d).call(*args)] == d.sem(list(args)), (d.name, hex(args[-1]))
+    assert [d.ops(*args)] == d.sem(list(args)), (d.name, hex(args[-1]))
 
 
 @pytest.mark.parametrize("name", ["x86_VPSHUFD_128", "x86_VPSHUFD_256", "x86_VPERMQ_4u64",
@@ -230,7 +231,7 @@ def test_byte_shuffle_zeroing_selectors(name):
     rng = random.Random(name)
     everything = (1 << (8 * nbytes)) - 1
     assert d.sem([everything, int("80" * nbytes, 16)]) == [0]
-    assert isa.lane_adapter(d).call(everything, int("80" * nbytes, 16)) == 0
+    assert d.ops(everything, int("80" * nbytes, 16)) == 0
     for rate in (0.1, 0.5, 0.9):
         for _ in range(50):
             _assert_permute_modes_agree(d, rng.getrandbits(8 * nbytes),
@@ -242,7 +243,7 @@ def test_exec_ops_returns_lists():
     for name, d in isa.registry().items():
         if not d.is_vector:
             continue
-        outs = isa.exec_ops(d, _vector_args(d, rng))
+        outs = exec_ops(d, _vector_args(d, rng))
         assert type(outs) is list, name
         for o, shape in zip(outs, d.dst_lanes):
             if shape:
@@ -273,13 +274,13 @@ def test_word_formula_interleaves_and_multiply_match_lanes(name):
     pairs = [(ones, ones), (ones, 0), (0, ones), (counting, ones ^ counting)]
     pairs += [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(300)]
     for x, y in pairs:
-        assert [isa.lane_adapter(d).call(x, y)] == d.sem([x, y]), (name, hex(x), hex(y))
+        assert [d.ops(x, y)] == d.sem([x, y]), (name, hex(x), hex(y))
         words = [Word(256, x), Word(256, y)]
-        assert isa.exec_vector(d, isa.OPS, words) == isa.exec_vector(d, isa.OPSV, words)
+        assert exec_vector(d, isa.OPS, words) == exec_vector(d, isa.OPSV, words)
 
 
 # Positional forms and bound forms.  Every vector instruction's OpsV
-# semantics is `vsem(x, y, ...)` and its Ops form `LaneAdapter.call`;
+# semantics is `vsem(x, y, ...)` and its Ops form `ops`;
 # `bind` partially evaluates a data movement for a known selector or
 # imm8.  All of them must equal the list interfaces they derive from.
 
@@ -302,10 +303,10 @@ def test_positional_forms_equal_exec_vector(name, data):
     d = isa.lookup(name)
     args = [data.draw(_operand(w)) for w in d.src_widths]
     words = [Word(w, a) for w, a in zip(d.src_widths, args)]
-    want = isa.exec_vector(d, isa.OPSV, words)
-    assert want == isa.exec_vector(d, isa.OPS, words)
+    want = exec_vector(d, isa.OPSV, words)
+    assert want == exec_vector(d, isa.OPS, words)
     assert [Word(d.dst_widths[0], d.vsem(*args))] == want
-    assert [Word(d.dst_widths[0], isa.lane_adapter(d).call(*args))] == want
+    assert [Word(d.dst_widths[0], d.ops(*args))] == want
 
 
 def _assert_bound_forms_agree(d, rng, sel):
@@ -314,8 +315,8 @@ def _assert_bound_forms_agree(d, rng, sel):
     for _ in range(4):
         rest = [rng.getrandbits(w) for w in d.src_widths[:-1]]
         words = [Word(w, a) for w, a in zip(d.src_widths, rest + [sel])]
-        want = isa.exec_vector(d, isa.OPSV, words)[0].value
-        assert isa.exec_vector(d, isa.OPS, words)[0].value == want
+        want = exec_vector(d, isa.OPSV, words)[0].value
+        assert exec_vector(d, isa.OPS, words)[0].value == want
         assert opsv(*rest) == want and ops(*rest) == want, (d.name, hex(sel), hex(want))
 
 

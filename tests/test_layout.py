@@ -1,0 +1,129 @@
+"""`src/jamin` holds what the system runs.
+
+Every public top-level function and class of `src/jamin` must be
+referenced in `src/jamin` outside its own definition, be used by
+`perfbench/`, or be named in the "Specification layers" section of
+`docs/lang.md` (a specification layer that a named test checks).  The
+test reads that section, so the document and this check cannot drift.
+A definition that only tests call belongs in `tests/`.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "jamin"
+BENCH = ROOT / "perfbench"
+
+
+def _module(path: Path, base: Path, package: str) -> str:
+    parts = [package, *path.relative_to(base).with_suffix("").parts]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _absolute(module: str, is_package: bool, level: int, name: str | None) -> str:
+    """The module that `from <level dots><name> import ...` names."""
+    if not level:
+        return name or ""
+    parts = module.split(".")[: len(module.split(".")) - level + is_package]
+    return ".".join(parts + ([name] if name else []))
+
+
+def _uses(path: Path, module: str, is_package: bool):
+    """(module, name) pairs that the file reads, with the source line of
+    each: a bare name bound by `from m import name` or defined in the file
+    itself, and `alias.name` where `alias` is bound to module m."""
+    tree = ast.parse(path.read_text())
+    modules, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                modules[a.asname or a.name.split(".")[0]] = a.name if a.asname else a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            base = _absolute(module, is_package, node.level, node.module)
+            for a in node.names:
+                imported[a.asname or a.name] = (base, a.name)
+                modules[a.asname or a.name] = f"{base}.{a.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield imported.get(node.id, (module, node.id)), node.lineno
+        elif isinstance(node, ast.Attribute):
+            chain = []
+            value = node
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                # a.b.c: the module a.b (or a) and the name that follows it
+                mod = modules[value.id]
+                for attr in reversed(chain):
+                    yield (mod, attr), node.lineno
+                    mod = f"{mod}.{attr}"
+
+
+def _definitions():
+    """{(module, name): (first line, last line)} of the public top-level
+    functions and classes of src/jamin."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module(path, SRC, "jamin")
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out[module, node.name] = (node.lineno, node.end_lineno)
+    return out
+
+
+def _used(defs) -> set:
+    """The definitions referenced in src/jamin outside their own body, or
+    anywhere in perfbench/."""
+    used = set()
+    for base, package in ((SRC, "jamin"), (BENCH, "perfbench")):
+        for path in sorted(base.rglob("*.py")):
+            module = _module(path, base, package)
+            for key, line in _uses(path, module, path.name == "__init__.py"):
+                if key not in defs:
+                    continue
+                first, last = defs[key]
+                if base is BENCH or key[0] != module or not first <= line <= last:
+                    used.add(key)
+    return used
+
+
+def specification_layers() -> set:
+    """The entries of docs/lang.md's "Specification layers" section: every
+    backquoted dotted name in it, a module (all its definitions), a
+    `module.name` or a `module.Class.method`."""
+    text = (ROOT / "docs" / "lang.md").read_text()
+    section = text.partition("\n## Specification layers\n")[2].split("\n## ", 1)[0]
+    return set(re.findall(r"`(jamin(?:\.\w+)+)`", section))
+
+
+def test_every_public_definition_is_run_or_named():
+    defs = _definitions()
+    named = specification_layers()
+    unused = sorted(f"{m}.{n}" for m, n in set(defs) - _used(defs)
+                    if m not in named and f"{m}.{n}" not in named)
+    assert not unused, f"used by neither src/jamin nor perfbench/, and no named layer: {unused}"
+
+
+def test_named_layers_exist():
+    """Each entry of the section is a module of src/jamin, or a name in
+    one, or an attribute of such a name."""
+    assert specification_layers()
+    for dotted in specification_layers():
+        parts = dotted.split(".")
+        for i in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                continue
+            for attr in parts[i:]:
+                obj = getattr(obj, attr)
+            break
+        else:
+            raise AssertionError(dotted)

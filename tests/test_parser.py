@@ -2,7 +2,7 @@ import pytest
 
 from jamin import ir
 from jamin.ir import print_program
-from jamin.parser import MAX_EXPR_DEPTH, MAX_NESTING, ParseError, parse, tokenize
+from jamin.parser import MAX_ARMS, MAX_EXPR_DEPTH, MAX_NESTING, ParseError, parse, tokenize
 from jamin.typecheck import TypecheckError, typecheck
 
 SHUFFLE_FIG = """
@@ -292,9 +292,10 @@ DEEP = {
     "while-for": (lambda n: "  while (x < 1) {\n" * (n - 1) + "  for r = 0 to 1 { x = x + 1; }\n"
                   + "  }\n" * (n - 1), "{"),
     "if": (lambda n: "  if (x < 9) {\n" * n + "  x = x + 1;\n" + "  }\n" * n, "{"),
+    # n `else if` arms: they open no block, and have a limit of their own
     "else-if": (lambda n: "  if (x == 0) { x = 1; }"
-                + "".join(f" else if (x == {i}) {{ x = {i + 1}; }}" for i in range(1, n)) + "\n",
-                "{"),
+                + "".join(f" else if (x == {i}) {{ x = {i + 1}; }}" for i in range(1, n + 1)) + "\n",
+                "if"),
 }
 EXPR_FORMS = ("sum", "shift", "parens", "unary")
 
@@ -304,7 +305,7 @@ def deep(form: str, n: int) -> str:
 
 
 def limit(form: str) -> int:
-    return MAX_EXPR_DEPTH if form in EXPR_FORMS else MAX_NESTING
+    return MAX_EXPR_DEPTH if form in EXPR_FORMS else MAX_ARMS if form == "else-if" else MAX_NESTING
 
 
 def past_limit(form: str) -> tuple:
@@ -318,7 +319,7 @@ def past_limit(form: str) -> tuple:
 def test_nesting_limits(form):
     parse(deep(form, limit(form)))
     text, located = past_limit(form)
-    what = "expression" if form in EXPR_FORMS else "blocks"
+    what = "expression" if form in EXPR_FORMS else "else-if arms" if form == "else-if" else "blocks"
     with pytest.raises(ParseError, match=f"{what} nested more than {limit(form)} deep") as info:
         parse(text)
     assert f"{info.value.line}:{info.value.col}:" == located

@@ -198,9 +198,9 @@ def test_gimli_bytes_little_endian():
 
 
 def test_corpus_loads_and_enumerates():
-    from jamin.primitives.corpus import PROGRAMS, load_dsl_corpus
+    from jamin.primitives.corpus import PROGRAMS, load_program
 
-    corpus = load_dsl_corpus()
+    corpus = {name: load_program(name) for name in PROGRAMS}
     assert len(corpus) >= 7
     assert set(corpus) == set(PROGRAMS)
 

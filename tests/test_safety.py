@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gensrc import function_sources
+from harness import bound_range
 from jamin import interp, isa, memory, safety
 from jamin.expand import expand
 from jamin.parser import parse
@@ -86,7 +87,7 @@ def test_an_offset_without_lower_bound_keeps_none(loads):
     rep = safety.analyze(p, "f", ["q"], [])
     assert rep.machine_lines() == ["range(q) = q + [-inf; 1)"]
     assert rep.text_lines() == ["range(q) : q + [-inf; 1["]
-    assert rep.bound_range("q", {}) == (float("-inf"), 1)
+    assert bound_range(rep, "q", {}) == (float("-inf"), 1)
 
 
 def test_findings_div_by_zero():

@@ -8,9 +8,9 @@ from jamin.words import Word
 
 
 def test_of_uint_reduces():
-    assert words.of_uint(32, 0).value == 0
-    assert words.of_uint(32, 2**32).value == 0
-    assert words.of_uint(8, -1).value == 255
+    assert Word(32, 0).value == 0
+    assert Word(32, 2**32).value == 0
+    assert Word(8, -1).value == 255
 
 
 def test_to_sint():
@@ -68,7 +68,7 @@ def test_shl_shr_rol_identity_w64(x, i):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 31))
 def test_shl_is_multiplication(x, i):
-    assert words.to_uint(words.shl(Word(32, x), i)) == (x * 2**i) % 2**32
+    assert words.shl(Word(32, x), i).value == (x * 2**i) % 2**32
 
 
 def test_split_examples():
