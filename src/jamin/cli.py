@@ -163,9 +163,10 @@ def cmd_run(args) -> int:
 
 def _build_shape(fn, args, public, public_regions) -> dict:
     """The input shape of entry fn from --ptr and --len, after checking
-    that every name these and the public sets give is a parameter, and
-    that no parameter is given two different shapes (a --ptr LEN is
-    compared as a byte count or a --len name, a --len MAX as a count)."""
+    that every name these and the public sets give is a parameter, that
+    no parameter is given two different shapes (a --ptr LEN is compared
+    as a byte count or a --len name, a --len MAX as a count), and that
+    the regions fit in memory.MAX_BYTES at their largest."""
     def ptr(spec):
         name, _, size = spec.partition(":")
         return name, int(size) if size.isdecimal() else size
@@ -197,6 +198,10 @@ def _build_shape(fn, args, public, public_regions) -> dict:
             shape[q.name] = leakage.Val(q.ty.bits)
         else:
             raise CliError(f"parameter {q.name!r} needs a --ptr or --len shape")
+    total = sum(lens[size] if type(size) is str else size for size in ptrs.values())
+    if total > memory.MAX_BYTES:
+        raise CliError(f"--ptr regions of up to {total} bytes exceed "
+                       f"{memory.MAX_BYTES >> 20} MiB together")
     return shape
 
 
@@ -331,7 +336,7 @@ def cmd_isa(args) -> int:
 
 
 def _argloc(a) -> str:
-    from .isa import E, F, R
+    from .isa import F, R
 
     if isinstance(a, F):
         return f"F:{a.flag}"

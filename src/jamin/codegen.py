@@ -22,12 +22,12 @@ observes:
 - leakage events of constant array indices are prebuilt tuples, added
   to the trace in one step before the next dynamic event (a memory
   address, a computed index, a branch) or at the segment's end;
-- a check is left out only where a must-be-assigned pass over the
-  function proves that it cannot fire: a register or constant-index
-  element written on every path (if branches joined, while loops to
-  their fixpoint, repeat nodes walked as flow walks them,
-  re-declaration resetting), or a constant index below the declared
-  length;
+- a check is left out only where it cannot fire: the unassigned-value
+  check of a register or constant-index element that a must-be-assigned
+  pass over the function proves written on every path (if branches
+  joined, while loops to their fixpoint, repeat nodes walked as flow
+  walks them, re-declaration resetting), and the bounds check of every
+  constant index, which expand keeps in bounds;
 - a multi-destination statement over an instruction with a per-output
   table (isa.Table) evaluates its operands once, in order, and then
   computes inline only the destinations that are not `_`;
@@ -39,7 +39,9 @@ observes:
 - a whole-array copy `dst = src` whose source is dead after it (no path
   reads it, writes an element of it or passes it on before redefining
   it as a whole, loops included) is a move: dst takes src's list or
-  StackArray itself, which no live name shares from then on;
+  StackArray itself, which no live name shares from then on.  The
+  locals live after each statement come from one flow.backward pass
+  over the function, which moves and pieces both read;
 - a repeat node (ir.SRepeat, see expand) is emitted once, in
   `for _k in range(count):`.  Its body is translated as a loop: from
   the must-be-assigned facts at the start of every iteration that
@@ -63,17 +65,16 @@ of an `if` in the else block would.
 
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
-the locals it may read before writing them and returns the ones it
-rebinds that it takes or that code outside it mentions.  A local that an
-`if` or `while` of the piece writes is taken when code outside the piece
-mentions it, since the block may not run; a block does not read a local
-that a straight-line statement at its top level writes before any read.
+exactly the locals it mentions that are live into it, and returns
+exactly the ones it rebinds that are live after it.  Every other local
+it mentions is its own: a declaration's UNDEF store to one is left out
+unless a read in the function may find it unassigned.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .ir import (
     ArrayTy,
@@ -134,6 +135,7 @@ class Assigned:
     def __init__(self, p, fn):
         self.fn = fn
         self.types = fn.envtypes
+        self.heads: dict = {}
         self.globals = {g.name for g in p.globals}
 
     def entry(self) -> _Facts:
@@ -233,9 +235,6 @@ class _FnGen(Assigned):
         self.locals = {q.name for q in fn.params} | set(self.types)
         self.sizes: dict = {}  # id of an if, while or repeat node -> its size
         self.labels: dict = {}  # in a repeat body: private local -> its name per iteration
-        self.counts = Counter()  # the mentions of each name in the function
-        for s in fn.body:
-            self.counts.update(self.mentions(s, *flow.summary(s)))
         self.facts = self.entry()
         self.out: list = []
         self.indent = "    "
@@ -253,9 +252,8 @@ class _FnGen(Assigned):
         self.ustores: list = []  # (line index, local) in the current function
         self.unproven: set = set()
         self.passed: set = set()
-        self.moves = None  # id of an array copy -> its source is dead after it
+        self.after = None  # id of a statement -> the locals live after it (live_after)
         self.forms: dict = {}  # (definition, bits, lanes, count) -> its parts (instantiate)
-        self.arrays = {n for n in self.locals if isinstance(self.types[n][1], ArrayTy)}
 
     # -- names, constants, lines
 
@@ -489,11 +487,8 @@ class _FnGen(Assigned):
             scale = 1 if e.byte_mode else nb
             if type(e.index) is EInt:
                 i = e.index.value
-                off = i * scale
-                if off < 0 or off + nb > ty.length * ty.bits // 8:
-                    return f"_oob({self.label(name)}, {i}, {loc!r})"
                 self.pending.append(self.event(i))
-                return f"_sget({arr}, {off}, {nb}, {self.label(name)}, {loc!r})"
+                return f"_sget({arr}, {i * scale}, {nb}, {self.label(name)}, {loc!r})"
             i = self.expr(e.index)
             label = self.label(name)
             return f"_sld(T, {self.batch()}, {arr}, {i}, {nb}, {scale}, {label}, {loc!r})"
@@ -501,8 +496,6 @@ class _FnGen(Assigned):
             i = self.expr(e.index)
             return f"_rld(T, {self.batch()}, {arr}, {i}, {self.label(name)}, {loc!r})"
         i = e.index.value
-        if not 0 <= i < ty.length:
-            return f"_oob({self.label(name)}, {i}, {loc!r})"
         self.pending.append(self.event(i))
         if storage == "global" or (name, i) in self.facts.defined:
             return f"{arr}[{i}]"
@@ -620,12 +613,8 @@ class _FnGen(Assigned):
             scale = 1 if lv.byte_mode else nb
             if type(lv.index) is EInt:
                 i = lv.index.value
-                off = i * scale
-                if off < 0 or off + nb > ty.length * ty.bits // 8:
-                    self.line(f"_oob({self.label(name)}, {i}, {loc!r})")
-                    return
                 self.pending.append(self.event(i))
-                self.line(f"_sput({arr}, {value}, {off}, {nb})")
+                self.line(f"_sput({arr}, {value}, {i * scale}, {nb})")
                 return
             value = self.keep(value)  # the value is evaluated before the index
             i = self.expr(lv.index)
@@ -639,44 +628,38 @@ class _FnGen(Assigned):
                       f"{self.label(name)}, {loc!r})")
             return
         i = lv.index.value
-        if not 0 <= i < ty.length:
-            self.line(f"_oob({self.label(name)}, {i}, {loc!r})")
-            return
         if bits is None or bits > ty.bits:
             value = f"{value} & {self.mask(ty.bits)}"
         self.line(f"{arr}[{i}] = {value}")
         self.pending.append(self.event(i))
 
-    # -- liveness (backwards), for moves
+    # -- liveness (backwards), for moves and pieces
 
     def live(self, live: set, s) -> set:
-        """The local arrays live before s (or before its test), from those
-        live after it; records in `moves` whether a whole-array copy's
-        source is dead after it on every pass over it."""
+        """The names live before s (or before its test), from those live
+        after it."""
         k = type(s)
         if k is SIf or k is SWhile:
-            return live | self.arrays.intersection(flow.reads(s.cond))
+            return live.union(flow.reads(s.cond))
         r, w = flow.summary(s)
-        reads = self.arrays.intersection(r)
         if k is SReturn:
-            return reads
-        if k is SAssign and type(s.rhs) is EVar and s.cond is None and s.dests and self.is_copy(s):
-            self.moves[id(s)] = self.moves.get(id(s), True) and s.rhs.name not in live
-        return (live - self.arrays.intersection(w)) | reads
+            return set(r)
+        return live.difference(w).union(r)
+
+    def live_after(self, s) -> set:
+        """The names live after s (flow.backward runs once, at the first
+        need)."""
+        if self.after is None:
+            self.after = {}
+            flow.backward(self.fn.body, set(), self.live, self.after)
+        return self.after[id(s)]
 
     def is_move(self, s) -> bool:
         """Whether the whole-array copy s may hand its source over: a local
-        dead after s (the liveness pass runs once, at the first copy)."""
-        if self.moves is None:
-            self.moves = {}
-            flow.backward(self.fn.body, set(), self.live)
-        return self.moves.get(id(s), False) and s.rhs.name in self.locals
+        dead after s."""
+        return s.rhs.name in self.locals and s.rhs.name not in self.live_after(s)
 
     # -- statements
-
-    def mentions(self, s, r, w) -> list:
-        """The names s mentions, as many times as its summary (r, w) has them."""
-        return r if type(s) in flow.BLOCKS else r + w
 
     def size(self, s) -> int:
         k = type(s)
@@ -736,25 +719,21 @@ class _FnGen(Assigned):
         if not run or self.facts is None:
             return
         self.close()
-        inside, rebinds, surely = Counter(), set(), set()
-        for s in self.flat(run):
+        mentioned, rebinds = set(), set()
+        for s in run:
             r, w = flow.summary(s)
-            inside.update(self.mentions(s, r, w))
+            mentioned.update(r, w)
             rebinds.update(w)
-            if type(s) is not SIf and type(s) is not SWhile:
-                surely.update(w)
-        shared = {n for n in inside if n in self.locals and self.counts[n] > inside[n]}
-        # a name only an if or while writes keeps its value when the block does not run
-        live_in = sorted(n for n in self.exposed(run) | (rebinds - surely) & shared
-                         if n in self.locals)
-        live_out = sorted(rebinds & (shared | set(live_in)))
+        after = self.live_after(run[-1])
+        live_in = sorted(self.locals.intersection(mentioned, flow.backward(run, after, self.live)))
+        live_out = sorted(self.locals.intersection(rebinds, after))
         for n in live_in:
             if n not in self.facts.declared:
                 self.note_unbound(n)
         self.passed.update(live_in)
         parent = (self.out, self.indent, self.unbound, self.tmp, self.ustores)
         self.out, self.indent, self.unbound, self.ustores = [], "    ", set(), []
-        self.piece_locals = set(inside) - shared - set(live_in)
+        self.piece_locals = mentioned.difference(live_in, live_out)
         self.stmts(run)
         self.close()
         body, unbound = self.out, self.unbound
@@ -769,26 +748,6 @@ class _FnGen(Assigned):
         head = [f"def {name}({params}):"] + self.nb_lines(unbound)
         self.define(name, head + body + [f"    return B{outs}"])
         self.line(f"B{outs} = {name}({params})")
-
-    def flat(self, stmts) -> list:
-        """`stmts` with each repeat node replaced by its body, which runs at
-        least once, unlike a while loop's."""
-        return [c for s in stmts for c in (s.body if type(s) is SRepeat else (s,))]
-
-    def exposed(self, stmts) -> set:
-        """The names `stmts` may read before writing them: those read before
-        a straight-line statement of `stmts` (or of a repeat node's body)
-        writes them as a whole, an if's or while's test and blocks read."""
-        reads, written = set(), set()
-        for s in self.flat(stmts):
-            if type(s) is SIf or type(s) is SWhile:
-                blocks = (s.then, s.els) if type(s) is SIf else (s.body,)
-                reads |= set(flow.reads(s.cond)).union(*map(self.exposed, blocks)) - written
-            else:
-                r, w = flow.summary(s)
-                reads.update(n for n in r if n not in written)
-                written.update(w)
-        return reads
 
     def note_unbound(self, name: str):
         if self.piece_locals is not None and name not in self.piece_locals:
@@ -947,14 +906,11 @@ class _FnGen(Assigned):
             lv = s.dests[0]
             if type(lv) is LVar:
                 old = self.read_var(lv.name, loc, compound=True)
-            elif type(lv) is LArr:
+            else:  # an element: typecheck rejects a compound store to memory
                 src = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
                 src.loc = loc
                 src.arr_storage, src.arr_ty = lv.arr_storage, lv.arr_ty
                 old = self.arr_read(src, loc)
-            else:
-                self.malformed("compound assignment needs a register destination", loc)
-                return
             bits = lv.ty.bits
             self.write(lv, self.word_op(s.op, s.lanes, bits, old, rhs, loc, whole=False), bits)
             return

@@ -16,8 +16,8 @@ the source does.  The result is marked `expanded`; it is the only
 program the back ends (interp, safety, leakage) accept, and they rely
 on its contract without rechecking it: no `for` loop (only repeat
 nodes), inline call or immediate vector remains, every compile-time
-(`int`) expression is a literal, every array access is typed, and
-globals are literals.
+(`int`) expression is a literal, every array access is typed, every
+constant array index is in bounds, and globals are literals.
 Expansion is idempotent.
 
 A `for` loop of two or more iterations whose body does not mention its

@@ -4,7 +4,7 @@ Kildall (POPL 1973) over structured code.
 An expanded function has straight-line statements (declarations,
 assignments, calls, `return`), `if`, `while` and repeat nodes
 (ir.SRepeat).  Codegen's must-be-assigned facts (which also give
-safety's maybe-uninit findings) and array liveness, safety's ranges and
+safety's maybe-uninit findings) and liveness, safety's ranges and
 leakage's taint all walk them here, each with a lattice of its own.  A
 forward domain d provides:
 
@@ -27,12 +27,32 @@ forward domain d provides:
   without the locals in `private` and of every table that d records
   into or reads back, which later updates of either leave unchanged;
 - d.at: None, set by the driver to j while it walks iteration j of a
-  repeat node.
+  repeat node;
+- d.heads: a dict, empty at first, in which the driver keeps the head
+  state of each while loop (by its key) at its last fixpoint.
 
 The key of an `if` or `while` s is key(s, d): id(s), or (id(s), j) in
 iteration j of a repeat node, whose iterations stand for distinct
 copies.  A domain that joins within a straight-line statement s (such
 as safety's guarded assignment) keys that join key(s, d) too.
+
+A while loop's fixpoint is resumed, not recomputed, on each pass over
+the loops around it: it starts from the head that d.heads keeps for the
+loop's key joined with the new entry state, as Bourdoncle's recursive
+strategy (FMPA 1993) resumes an inner component from its last stable
+head.  This is sound: a fixpoint reached from a larger start still
+covers the least one, so it can only lose precision.  It loses none
+where the entry states only grow, as over the passes of the loops
+around it, and d does not widen: the kept head is then below the least
+fixpoint from the new entry, which the iteration reaches.  A loop nest
+costs about the sum of its loops' passes, not their product.  A loop
+in iteration j of a repeat node has a key of its own, and so a kept
+head of its own, as each unrolled copy of the loop would.
+
+flow.backward, the one backward analysis, records in a dict the set
+after each statement, at the fixpoint where the statement is in a loop:
+codegen runs it once per function over all locals, and its moves and
+the locals its pieces return read those sets.
 
 A repeat node is walked one iteration at a time, each iteration its
 body walked with its private locals (the node's `names`) forgotten, as
@@ -41,8 +61,10 @@ iteration leaves observable(state, private) as it found it.  This is
 exact: iteration j+1 is iteration j with only its private locals
 renamed, and no statement outside iteration j mentions iteration j's,
 so from an equal observable state it reads, does and records the same,
-and so does every later iteration.  The state after the node holds the
-private locals of the last iteration walked, which nothing reads.
+and so does every later iteration (a later iteration's loops have kept
+heads of their own, which lie below its fixpoints where d does not
+widen, as above).  The state after the node holds the private locals
+of the last iteration walked, which nothing reads.
 
 transfer and refine may update the state they are given.  None is the
 state of an unreachable point, such as after a `return`; domains never
@@ -143,37 +165,46 @@ def repeat(s, state, d, starts=None):
 
 def loop(s, state, d):
     """The state at the test of while loop s entered with `state`: the
-    entry state joined with the state at the end of every pass over the
-    body, to the fixpoint.  Nothing is recorded meanwhile."""
+    entry state joined with the head at which d last stabilised s (of
+    the same key), then with the state at the end of every pass over the
+    body, to the fixpoint, which d.heads keeps.  Nothing is recorded
+    meanwhile."""
     recording, d.recording = d.recording, False
     k = key(s, d)
     try:
-        head = state
+        head = join(d, k, d.heads.get(k), state)
         for n in count():
             end = forward(s.body, d.refine(d.copy(head), s.cond, True), d)
             new = join(d, k, head, end)
             if getattr(d, "widen", None) is not None:
                 new = d.widen(s, k, n, head, new, state, end)
             if new == head:
+                d.heads[k] = d.copy(head)
                 return head
             head = new
     finally:
         d.recording = recording
 
 
-def backward(stmts, live: set, transfer) -> set:
+def backward(stmts, live: set, transfer, after: dict | None = None) -> set:
     """A liveness-style analysis: the set before `stmts` from the set
     after them.  transfer(after, s) gives the set before straight-line
     statement s, or before the test of an `if` or `while` s; paths meet
     in a union, and the head of a while loop or a repeat node takes its
-    fixpoint."""
+    fixpoint.  after[id(s)], when `after` is given, is the set after each
+    statement s, at the fixpoint in a loop (its last pass, whose sets
+    hold those of every pass)."""
+    if after is None:
+        after = {}
     for s in reversed(stmts):
+        after[id(s)] = live
         k = type(s)
         if k is SIf:
-            live = transfer(backward(s.then, live, transfer) | backward(s.els, live, transfer), s)
+            live = transfer(backward(s.then, live, transfer, after)
+                            | backward(s.els, live, transfer, after), s)
         elif k is SWhile or k is SRepeat:
             head = transfer(live, s) if k is SWhile else live
-            while (new := head | backward(s.body, head, transfer)) != head:
+            while (new := head | backward(s.body, head, transfer, after)) != head:
                 head = new
             live = head
         else:

@@ -149,10 +149,6 @@ def _contract(message, loc):
     raise ContractViolation(message, loc)
 
 
-def _oob(name, index, loc):
-    raise OutOfBoundsArray(name, index, loc)
-
-
 def _bx(i, locs):
     raise BudgetExhausted("step budget exhausted", locs[i])
 
@@ -298,7 +294,7 @@ def _intr(sem, args, loc):
 
 
 _BT, _BF = ("branch", True), ("branch", False)
-_HELPERS = (_uu, _arr, _contract, _oob, _bx, _br, _nz, _wbin, _ld, _st,
+_HELPERS = (_uu, _arr, _contract, _bx, _br, _nz, _wbin, _ld, _st,
             _rld, _rst, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=_BT, BF=_BF)

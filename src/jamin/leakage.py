@@ -22,7 +22,7 @@ no witness can exist.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import flow, interp
 from .ir import (
@@ -80,17 +80,6 @@ class LeakTrace:
             return min(len(a), len(b))
         return None
 
-    def format(self, limit: int = 20) -> str:
-        parts = []
-        for kind, payload in self.events[:limit]:
-            if kind == "addr":
-                parts.append(f"LeakAddr {list(payload)}")
-            else:
-                parts.append(f"LeakBranch {payload}")
-        if len(self.events) > limit:
-            parts.append(f"... {len(self.events) - limit} more")
-        return "; ".join(parts)
-
 
 def run_instrumented(p: Program, entry: str, args, mem: Memory):
     """interp.run with leakage collection: (results, memory, LeakTrace)."""
@@ -101,21 +90,24 @@ def run_instrumented(p: Program, entry: str, args, mem: Memory):
 
 # --------------------------------------------------------------- inputs
 
+# lengths at which buffer handling changes (16- and 64-byte blocks, 256):
+# ct_check draws one half the time, difftest's first cases take each in turn
+BOUNDARY_LENGTHS = (0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257)
+
 
 @dataclass(frozen=True)
 class Ptr:
     """Pointer parameter; `size` is a byte count or a length-param name."""
 
     size: object
-    align: int = 1
 
 
 @dataclass(frozen=True)
 class Len:
-    """Byte-length parameter, sampled in [0, max] with boundary corners."""
+    """Byte-length parameter, sampled in [0, max], half the time from
+    the BOUNDARY_LENGTHS up to max."""
 
     max: int
-    corners: tuple = (0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257)
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class Verdict:
 
 
 def _sample_len(rng: random.Random, spec: Len) -> int:
-    corners = [c for c in spec.corners if c <= spec.max]
+    corners = [c for c in BOUNDARY_LENGTHS if c <= spec.max]
     if corners and rng.random() < 0.5:
         return rng.choice(corners)
     return rng.randrange(spec.max + 1)
@@ -210,7 +202,6 @@ def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
         s = shape.get(name)
         if isinstance(s, Ptr):
             size = s.size if isinstance(s.size, int) else lens[s.size]
-            base += -base % s.align
             regions[name] = (base, size)
             public[name] = base
             base += size + rng.randrange(16, 256)
@@ -366,6 +357,7 @@ class _FnTaint:
         self.entry = {None: glob.version, **dict(zip(names, arg_taints))}
         self.bases = dict(zip(names, arg_bases))
         self.results = None  # per result, its (taint, bases) joined over every return
+        self.heads: dict = {}
 
     def run(self) -> list:
         """(taint, bases) of each result, empty when nothing returns."""

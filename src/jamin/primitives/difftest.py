@@ -13,16 +13,16 @@ allow.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import interp, memory
 from ..isa import OPSV
+from ..leakage import BOUNDARY_LENGTHS
 from ..memory import Memory
 from .chacha20 import chacha20_xor
 from .gimli import gimli_bytes
 from .poly1305 import poly1305_mac
 
-BOUNDARY_LENGTHS = (0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257)
 MAX_RANDOM_LENGTH = 4096
 
 

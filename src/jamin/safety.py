@@ -42,8 +42,11 @@ Joins look for affine relations between variables that changed on the
 two sides (a lightweight affine-hull step): when variables move in
 lockstep through a loop, relations such as pointer offset =
 inlen0 - inlen survive the fixpoint and produce the paper-style
-[0; inlen) ranges.  Unstable loop bounds are widened after a few
-iterations (upper bounds drop away, lower bounds fall back to 0).
+[0; inlen) ranges.  Loop bounds still unstable at pass WIDEN_FROM of a
+loop's fixpoint are widened (upper bounds drop away, lower bounds fall
+back to 0).  The pass count is that of one fixpoint: flow resumes a
+loop from its kept head on each pass over the loops around it, which
+then mostly stabilises at once, so no count is kept across them.
 
 This range domain runs on the forward driver of jamin.flow: a loop is
 iterated to its fixpoint recording nothing, then walked once more to
@@ -105,8 +108,7 @@ from .ir import (
     WordTy,
 )
 
-UNROLL_BEFORE_WIDEN = 4
-UNSTABLE_BEFORE_WIDEN = 3
+WIDEN_FROM = 7  # the first pass over a loop body whose result is widened
 MAX_ITERATIONS = 64
 MAX_BOUNDS = 3
 
@@ -511,7 +513,7 @@ class _Analyzer:
         self.recording = False
         self.at = None
         self.loop_syms: dict[tuple[int, str], object] = {}
-        self.widen_state: dict[int, int] = {}
+        self.heads: dict = {}
         self.minted = 0  # fresh symbols made
         # id of a straight-line statement -> the scalars it rebinds if it
         # is inert, else None: _scan notes the candidates, those that
@@ -776,11 +778,10 @@ class _Analyzer:
     def observable(self, st: AbsState, private) -> tuple:
         """The flow hook (see jamin.flow): the values of the scalars not
         in `private`, the symbols' intervals, and what the analysis has
-        recorded: accesses, failures, findings, the symbols made (a loop
-        symbol among them) and the widening steps taken."""
+        recorded: accesses, failures, findings and the symbols made (a
+        loop symbol among them)."""
         return ({n: a for n, a in st.vals.items() if n not in private}, dict(st.intervals),
-                dict(self.accesses), len(self.failures), len(self.findings), self.minted,
-                sum(self.widen_state.values()))
+                dict(self.accesses), len(self.failures), len(self.findings), self.minted)
 
     def assign_var(self, st: AbsState, name, aff: Aff | None, iv: Interval):
         if name not in self.relevant:
@@ -885,35 +886,30 @@ class _Analyzer:
 
     def widen(self, s: SWhile, key, n: int, old: AbsState, new: AbsState, entry: AbsState,
               body_out: AbsState) -> AbsState:
-        """The flow widening (see jamin.flow): from the
-        UNROLL_BEFORE_WIDEN-th pass over the body of loop s, once the
-        loop has been unstable UNSTABLE_BEFORE_WIDEN times; the loop
-        fails after MAX_ITERATIONS passes."""
+        """The flow widening (see jamin.flow): from the WIDEN_FROM-th pass
+        over the body of loop s in one fixpoint; the loop fails after
+        MAX_ITERATIONS passes."""
         if n >= MAX_ITERATIONS:
             raise AnalysisFailure(f"{_site(s)}: loop analysis did not stabilize")
-        if n < UNROLL_BEFORE_WIDEN:
+        if n < WIDEN_FROM:
             return new
-        if self.widen_state.get(key, 0) >= UNSTABLE_BEFORE_WIDEN:
-            out = new.copy()
-            rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
-            candidates = self._guard_thresholds(new, s.cond)
-            for sym, iv in new.intervals.items():
-                o = old.intervals.get(sym)
-                if o is None or o == iv:
-                    continue
-                ths: tuple = ()
-                var = rev.get(sym)
-                if var is not None:
-                    for t in candidates:
-                        if sym in t.syms():
-                            continue
-                        if self._inductive_hi(t, var, entry, body_out):
-                            ths = ths + (t,)
-                out.intervals[sym] = iv.widen_from(o, ths)
-            new = out
-        if new != old:
-            self.widen_state[key] = self.widen_state.get(key, 0) + 1
-        return new
+        out = new.copy()
+        rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
+        candidates = self._guard_thresholds(new, s.cond)
+        for sym, iv in new.intervals.items():
+            o = old.intervals.get(sym)
+            if o is None or o == iv:
+                continue
+            ths: tuple = ()
+            var = rev.get(sym)
+            if var is not None:
+                for t in candidates:
+                    if sym in t.syms():
+                        continue
+                    if self._inductive_hi(t, var, entry, body_out):
+                        ths = ths + (t,)
+            out.intervals[sym] = iv.widen_from(o, ths)
+        return out
 
     def _inductive_hi(self, t: Aff, var: str, entry: AbsState,
                       body_out: AbsState) -> bool:

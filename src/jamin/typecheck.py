@@ -610,6 +610,10 @@ class _FnChecker:
             if not isinstance(ty, WordTy):
                 self.err(s, "compound assignment needs a word destination")
                 return
+            if isinstance(lv, LMem):
+                self.err(s, "compound assignment needs a register or an array element "
+                            "as destination")
+                return
             if s.lanes and s.lanes[0] * s.lanes[1] != ty.bits:
                 self.err(s, f"lane shape {s.lanes[0]}u{s.lanes[1]} does not fit u{ty.bits}")
             if s.op in ("<<", ">>") and s.lanes:

@@ -337,6 +337,41 @@ def test_malformed_program_exit_2(tmp_path, capsys, src, located):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--entry", "f", "--u64", "0x100", "--region", "0x100:8"),
+    ("safety", "--entry", "f", "--pointer", "p"),
+    ("ct", "--entry", "f", "--ptr", "p:8", "--trials", "2"),
+], ids=["run", "safety", "ct"])
+def test_compound_store_to_memory_exit_2(tmp_path, capsys, argv):
+    """A compound assignment to memory is a typecheck error at its
+    statement, whichever command loads the program."""
+    prog = tmp_path / "bad.jz"
+    prog.write_text("fn f(reg u64 p) {\n  reg u64 t;\n  [p] += 1;\n}\n")
+    code, out, err = run_cli(capsys, argv[0], str(prog), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {prog}: 3:3: f: compound assignment needs a register or an "
+                   "array element as destination\n")
+
+
+@pytest.mark.parametrize("shape", [("--ptr", "p:67108865", "--len", "n:4"),
+                                   ("--ptr", "p:n", "--len", "n:67108865"),
+                                   ("--ptr", "p:n", "--len", "n:99999999999"),
+                                   ("--ptr", "p:99999999999", "--len", "n:4"),
+                                   ("--ptr", "p:n", "--ptr", "q:n", "--len", "n:33554433")],
+                         ids=["ptr", "len", "len-past-int64", "ptr-past-int64", "two-ptrs"])
+def test_ct_oversized_regions_exit_2(tmp_path, capsys, shape):
+    """--ptr regions that may hold more than memory.MAX_BYTES together
+    (a --len maximum counted once per --ptr it sizes) exit 2 before any
+    trial runs."""
+    prog = tmp_path / "big.jz"
+    prog.write_text("fn f(reg u64 p, reg u64 q, reg u64 n) {\n  reg u64 t;\n  t = [p];\n}\n")
+    if "q:n" not in shape:
+        shape += ("--ptr", "q:0")
+    code, out, err = run_cli(capsys, "ct", str(prog), "--entry", "f", *shape)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: --ptr regions of up to \d+ bytes exceed 64 MiB together\n", err)
+
+
 # `bench` step counts at sizes 0, 64 and 1024 (repetitions 1, seed 1),
 # pinned so the counting path through the CLI cannot drift.
 BENCH_STEPS_GOLDEN = {

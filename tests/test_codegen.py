@@ -11,10 +11,10 @@ import pytest
 from gensrc import function_sources, line_count
 from lanes import exec_vector
 from test_isa_scalar_golden import _op_width
-from jamin import codegen, interp, isa, memory
+from jamin import codegen, flow, interp, isa, memory
 from jamin.codegen import PIECE
 from jamin.expand import expand
-from jamin.ir import SAssign
+from jamin.ir import SAssign, SIf, SRepeat, SReturn, SWhile
 from jamin.parser import parse
 from jamin.primitives.corpus import PROGRAMS, load_program
 from jamin.typecheck import typecheck
@@ -172,6 +172,73 @@ def test_pieces_take_no_round_loop_arrays():
     assert len(pieces) == 2 and not any("v_w__i" in params for params in pieces)
     assert "v_w__i" not in "".join(re.findall(r"^    return B.*$", src, re.M))
     assert " = NB" not in src
+
+
+def _live_before(stmts, live: set, after: dict) -> set:
+    """The locals live before `stmts` from those live after them, written
+    out here apart from codegen: a name is live where some path reads it
+    before rebinding it as a whole (flow.summary), the loops at their
+    fixpoints.  after[id(s)] is set to the names live after each s."""
+    for s in reversed(stmts):
+        after[id(s)] = live
+        if type(s) is SIf:
+            live = (_live_before(s.then, live, after) | _live_before(s.els, live, after)
+                    | set(flow.reads(s.cond)))
+        elif type(s) in (SWhile, SRepeat):
+            head = set(live)
+            if type(s) is SWhile:
+                head |= set(flow.reads(s.cond))
+            while not (new := _live_before(s.body, head, after)) <= head:
+                head |= new
+            _live_before(s.body, head, after)
+            live = head
+        elif type(s) is SReturn:
+            live = set(flow.summary(s)[0])
+        else:
+            reads, rebinds = flow.summary(s)
+            live = (live - set(rebinds)) | set(reads)
+    return live
+
+
+def test_pieces_take_and_return_their_live_locals(monkeypatch):
+    """Each piece of a corpus function takes exactly the locals it mentions
+    that are live into it, and returns exactly the ones it rebinds that
+    are live after it."""
+    runs, defined = [], {}
+    piece, define = codegen._FnGen.piece, codegen._FnGen.define
+
+    def record_piece(self, run):
+        before = self.pieces
+        piece(self, run)
+        if self.pieces > before:
+            runs.append((self.fn, list(run), defined[id(self.fn)]))
+
+    def record_define(self, name, lines):
+        defined[id(self.fn)] = lines  # the last definition: the piece's
+        return define(self, name, lines)
+
+    monkeypatch.setattr(codegen._FnGen, "piece", record_piece)
+    monkeypatch.setattr(codegen._FnGen, "define", record_define)
+    for name in PROGRAMS:
+        function_sources(load_program(name))
+    assert len(runs) == 20
+    after_of = {}
+    for fn, run, lines in runs:
+        if id(fn) not in after_of:  # several programs define a chacha20
+            after_of[id(fn)] = {}
+            _live_before(fn.body, set(), after_of[id(fn)])
+        after = after_of[id(fn)][id(run[-1])]
+        locals_ = {q.name for q in fn.params} | set(fn.envtypes)
+        mentioned, rebinds = set(), set()
+        for s in run:
+            reads, rebound = flow.summary(s)
+            mentioned.update(reads, rebound)
+            rebinds.update(rebound)
+        live_in = _live_before(run, after, {})
+        params = re.findall(r"\bv_(\w+)", lines[0])
+        results = re.findall(r"\bv_(\w+)", lines[-1])
+        assert params == sorted(locals_ & mentioned & live_in), lines[0]
+        assert results == sorted(locals_ & rebinds & after), lines[0]
 
 
 AFTER_LOOP = """

@@ -356,9 +356,12 @@ def test_back_ends_take_only_expanded_programs(back_end):
     ("fn f() -> reg u64 {\n  stack u8[8] b;\n  reg u64 t;\n  for i = 0 to 7 { (u8)b.[i] = 0; }\n"
      "  for i = 0 to 1 {\n    t = (u64)b.[i * 4];\n  }\n  return t;\n}",
      r"6:9: index 4 outside b: u8\[8\]"),
+    ("fn f() -> reg u32 {\n  stack u8[8] b;\n  reg u32 t;\n  for i = 0 to 7 { (u8)b.[i] = 0; }\n"
+     "  for i = 1 to 2 {\n    t = (u32)b[i];\n  }\n  return t;\n}",
+     r"6:9: index 2 outside b: u8\[8\]"),
 ], ids=["index-div-by-zero", "negative-shift", "vector-lane", "global-word-fault",
         "global-array-element", "local-named-like-a-global", "unrolled-index",
-        "inlined-index", "unrolled-byte-view"])
+        "inlined-index", "unrolled-byte-view", "unrolled-element-view"])
 def test_compile_time_faults_are_expansion_errors(src, error):
     with pytest.raises(ExpandError, match=error):
         prep(src)

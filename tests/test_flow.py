@@ -1,10 +1,13 @@
 """The dataflow engine (jamin.flow) on toy domains, and the loop bound
 that the range analysis keeps through it."""
 
+import time
+from collections import Counter
+
 import pytest
 
 from unroll import private_names, unroll
-from jamin import cli, flow, safety
+from jamin import cli, codegen, flow, interp, leakage, safety
 from jamin.expand import expand
 from jamin.ir import SAssign, SIf, SRepeat, SReturn, SWhile
 from jamin.parser import parse
@@ -25,6 +28,7 @@ class Deps:
     def __init__(self):
         self.seen = []  # every statement transferred
         self.returned = []  # the state at each return
+        self.heads = {}  # flow's kept loop heads
 
     def copy(self, st):
         return set(st)
@@ -194,3 +198,46 @@ def test_unstable_loop_fails_the_analysis(monkeypatch, tmp_path, capsys):
     assert cli.main(["safety", str(src), "--entry", "copy", "--pointer", "src,dst",
                      "--track", "len"]) == cli.EXIT_USAGE
     assert "did not stabilize" in capsys.readouterr().err
+
+
+def nested_whiles(k: int) -> str:
+    return ("fn f(reg u64 x) {\n" + "while (x < 1) {\n" * k + "x = x + 1;\n" + "}\n" * k
+            + "}\n")
+
+
+def test_nested_loops_cost_linear_walks(monkeypatch):
+    """With k while loops nested around x = x + 1, the innermost body is
+    walked a number of times linear in k by every domain: safety's
+    ranges and maybe-uninit facts, leakage's taint and codegen's facts.
+    Each loop resumes from the head it last stabilised at, so it does not
+    iterate again from scratch on each pass over the loops around it."""
+    walks = {}
+    forward = flow.forward
+    for k in range(1, 21):
+        p = expand(typecheck(parse(nested_whiles(k))))
+        inner = p.func("f").body
+        for _ in range(k):
+            inner = inner[0].body
+        count = walks[k] = Counter()
+
+        def counted(stmts, state, d):
+            if stmts is inner:
+                count[type(d).__name__] += 1
+            return forward(stmts, state, d)
+
+        monkeypatch.setattr(flow, "forward", counted)
+        safety.analyze(p, "f", [], ["x"])
+        leakage.infer_public(p, "f")
+        codegen.compile_function(p, p.func("f"), interp._namespace(p))
+        assert set(count) == {"_Analyzer", "_Uninit", "_FnTaint", "_FnGen"}
+        if k > 2:  # checked as k grows, so that a faster growth fails early
+            assert count == {d: n + (k - 1) * (walks[2][d] - n) for d, n in walks[1].items()}, k
+
+
+def test_twenty_nested_loops_analyse_in_under_a_second(tmp_path, capsys):
+    src = tmp_path / "nest.jz"
+    src.write_text(nested_whiles(20))
+    start = time.perf_counter()
+    assert cli.main(["safety", str(src), "--entry", "f", "--track", "x"]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 1
+    assert "range(x) = empty" in capsys.readouterr().out

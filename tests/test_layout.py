@@ -5,7 +5,8 @@ referenced in `src/jamin` outside its own definition, be used by
 `perfbench/`, or be named in the "Specification layers" section of
 `docs/lang.md` (a specification layer that a named test checks).  The
 test reads that section, so the document and this check cannot drift.
-A definition that only tests call belongs in `tests/`.
+A definition that only tests call belongs in `tests/`.  Every name a
+module of `src/jamin` imports is read in the scope that imports it.
 """
 
 from __future__ import annotations
@@ -127,3 +128,31 @@ def test_named_layers_exist():
             break
         else:
             raise AssertionError(dotted)
+
+
+def _unused_imports(path: Path) -> list:
+    """(line, name) of each name that an import in file `path` binds and
+    the module, or the function holding the import, never reads.
+    `__future__` imports are exempt."""
+    tree = ast.parse(path.read_text())
+    out = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.FunctionDef):
+                continue  # a scope of its own
+            todo.extend(ast.iter_child_nodes(node))
+            future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+                names = (a.asname or a.name.split(".")[0] for a in node.names)
+                out += [(node.lineno, name) for name in names if name not in read]
+    return sorted(out)
+
+
+def test_every_import_is_read():
+    """An `__init__` module may import names to re-export them."""
+    unused = {str(path.relative_to(SRC)): found for path in sorted(SRC.rglob("*.py"))
+              if path.name != "__init__.py" and (found := _unused_imports(path))}
+    assert not unused, f"imported and never read: {unused}"
