@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 
+BENCH_SIZES = [0, 64, 256, 1024, 4096]  # bench's default message sizes
+GIMLI_BYTES = 48  # Gimli's state, which bench runs at every size
+
 
 class CliError(Exception):
     pass
@@ -355,6 +358,13 @@ def cmd_bench(args) -> int:
     if args.program not in PROGRAMS:
         raise CliError(f"unknown corpus program {args.program!r}")
     info = PROGRAMS[args.program]
+    if info.kind == "gimli":
+        sizes = args.sizes or [GIMLI_BYTES]
+        if set(sizes) != {GIMLI_BYTES}:
+            raise CliError(f"{args.program} permutes a {GIMLI_BYTES}-byte state; "
+                           f"--sizes takes {GIMLI_BYTES} only")
+    else:
+        sizes = args.sizes or BENCH_SIZES
     p = load_program(args.program)
     shape = SHAPES[info.kind]
     import random
@@ -364,7 +374,7 @@ def cmd_bench(args) -> int:
     lines = [f"interpreted steps per byte for {args.program} (seed {args.seed});"]
     lines.append("this is an interpreter proxy metric, not hardware timing")
     lines.append(f"{'bytes':>8s} {'steps':>12s} {'steps/byte':>12s}")
-    for size in args.sizes:
+    for size in sizes:
         total = 0
         for _ in range(args.repetitions):
             case = shape.sample(rng, 10**6)  # large index: random-length regime
@@ -447,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="interpreted steps-per-byte proxy benchmark")
     pb.add_argument("program", help="corpus program name")
-    pb.add_argument("--sizes", type=_sizes, default=[0, 64, 256, 1024, 4096],
-                    metavar="N,N,...")
+    pb.add_argument("--sizes", type=_sizes, metavar="N,N,...",
+                    help=f"message sizes in bytes (default {','.join(map(str, BENCH_SIZES))}; "
+                    f"{GIMLI_BYTES} only for Gimli)")
     pb.add_argument("--repetitions", type=_positive, default=3)
     pb.add_argument("--seed", type=int, default=1)
     pb.add_argument("--json", action="store_true")

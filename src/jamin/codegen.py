@@ -9,7 +9,7 @@ B is the remaining step budget, T the leakage-trace list or None, M the
 run's working Memory and O true in the OpsV vector mode.  Registers are
 Python locals (named v_<register>), register arrays are lists and stack
 arrays StackArray objects.  The names the source refers to besides its
-locals (the run-time helpers of interp, global values G_<name>,
+locals (the run-time helpers of interp, global arrays G_<name>,
 intrinsic semantics, word-operator evaluators, masks and prebuilt
 constants) live in one namespace per program.
 
@@ -33,9 +33,9 @@ observes:
   computes inline only the destinations that are not `_`;
 - constant operands of vector instructions are bound at generation: a
   vector intrinsic is a positional call `(V if O else L)(operands)` of
-  its OpsV and Ops forms, and a selector or imm8 that is a literal or a
-  global's value is bound into the pair (isa.bind), so only the other
-  operands are passed;
+  its OpsV and Ops forms, and a selector or imm8 that is a literal (expand
+  substitutes a global's value) is bound into the pair (isa.bind), so
+  only the other operands are passed;
 - a whole-array copy `dst = src` whose source is dead after it (no path
   reads it, writes an element of it or passes it on before redefining
   it as a whole, loops included) is a move: dst takes src's list or
@@ -161,11 +161,11 @@ class Assigned:
     observable = forget  # the facts are all the domain has
 
     def transfer(self, f, s, done=None):
-        """The facts after s, updated in f (None: s never completes).
-        With `done`, only a declaration's reset and the first `done`
-        destinations of s are applied: the facts at a read that s makes
-        after writing those.  Applying all of s afterwards gives the
-        same facts as applying it at once."""
+        """The facts after s, updated in f.  With `done`, only a
+        declaration's reset and the first `done` destinations of s are
+        applied: the facts at a read that s makes after writing those.
+        Applying all of s afterwards gives the same facts as applying it
+        at once."""
         k = type(s)
         if k is SDecl:
             for nm in s.names:  # bound, to UNDEF
@@ -180,8 +180,6 @@ class Assigned:
             undef = [False] * len(dests)
         elif type(rhs) is EIntr and len(dests) != 1:
             d = lookup(rhs.name)
-            if len(dests) != len(d.destinations):
-                return None  # the statement raises
             undef = [_maybe_undef(d, i) for i in range(len(dests))]
         elif s.cond is not None or not dests:
             return f
@@ -245,7 +243,6 @@ class _FnGen(Assigned):
         self.unbound: set = set()  # locals to start as NB in the current function
         self.piece_locals = None  # locals owned by the piece being emitted
         self.pieces = 0
-        self.error = None  # the first malformed construct: (message, loc)
         # a declaration's UNDEF store matters only to reads that check
         # for it: those of `unproven` locals, and the calls of pieces
         # that take the local (`passed`)
@@ -279,17 +276,6 @@ class _FnGen(Assigned):
 
     def line(self, text: str):
         self.out.append(self.indent + text)
-
-    def fail(self, message: str, loc) -> str:
-        """Code that raises ContractViolation when it runs."""
-        return f"_contract({message!r}, {loc!r})"
-
-    def malformed(self, message: str, loc) -> str:
-        """Note a construct the function cannot run with: the function
-        then raises ContractViolation as soon as it is called."""
-        if self.error is None:
-            self.error = (message, loc)
-        return "0"
 
     def label(self, name: str, suffix: str = "") -> str:
         """The code of the string naming local `name` (with `suffix`) in a
@@ -359,10 +345,8 @@ class _FnGen(Assigned):
     # -- reads
 
     def read_var(self, name: str, loc, compound=False) -> str:
-        if name not in self.locals:
-            return "G_" + name
-        if isinstance(self.types[name][1], ArrayTy):
-            return self.arr_ref(name, loc)
+        if name not in self.locals or isinstance(self.types[name][1], ArrayTy):
+            return self.arr_ref(name, loc)  # a whole array (a global is one)
         v = self.v(name)
         if name in self.facts.defined:
             return v
@@ -431,22 +415,17 @@ class _FnGen(Assigned):
             return f"({left} & {right})"
         return f"({left} | {right})"  # ||
 
-    def word_op(self, op, lanes, bits, left, right_node, loc, whole=True) -> str:
+    def word_op(self, op, lanes, bits, left, right_node, loc) -> str:
         """`left op right` at `bits` (lane-wise when `lanes`) from its
         definition in words; the right operand is emitted here, after the
-        left.  A constant count out of range makes the function malformed,
-        except in a compound assignment (`whole` false), which checks it
-        when it runs, like a computed count and a compound / or %."""
+        left.  A literal count is in range (expand checks it); a computed
+        count and a compound / or % are checked when they run."""
         n, w = lanes or (1, bits)
         expr = (words.LANES if lanes else words.BINARY)[op]
         if op in words.SHIFTS:
             if type(right_node) is EInt:
                 c = int_value(right_node)
-                error = None if lanes else words.count_error(w, c)
-                if error is None:
-                    return self.instantiate(expr, {"a": left, "b": self.lit(c)}, w, n, c)
-                if whole:
-                    return self.malformed(error, loc)
+                return self.instantiate(expr, {"a": left, "b": self.lit(c)}, w, n, c)
         elif op not in ("/", "%"):
             return self.instantiate(expr, {"a": left, "b": self.expr(right_node)}, w, n)
         f = self.const("W", words.evaluator(op, w, lanes and n))
@@ -492,10 +471,7 @@ class _FnGen(Assigned):
             i = self.expr(e.index)
             label = self.label(name)
             return f"_sld(T, {self.batch()}, {arr}, {i}, {nb}, {scale}, {label}, {loc!r})"
-        if type(e.index) is not EInt:
-            i = self.expr(e.index)
-            return f"_rld(T, {self.batch()}, {arr}, {i}, {self.label(name)}, {loc!r})"
-        i = e.index.value
+        i = e.index.value  # a literal, in bounds (expand)
         self.pending.append(self.event(i))
         if storage == "global" or (name, i) in self.facts.defined:
             return f"{arr}[{i}]"
@@ -520,15 +496,11 @@ class _FnGen(Assigned):
     def vector(self, e: EIntr, d) -> str:
         """`(V if O else L)(operands)`, the value of vector intrinsic e:
         its OpsV and Ops forms called positionally.  A selector or imm8
-        that is a literal or a global's value is bound when the function
-        is translated (isa.bind), and only the other operands are passed;
-        otherwise the forms are the generic pair S_<name>, P_<name>."""
-        last, sel = e.args[-1], None
-        if type(last) is EInt:
-            sel = int_value(last)
-        elif type(last) is EVar and last.name not in self.locals:
-            sel = self.ns["G_" + last.name]  # globals are never written
-        pair = bind(d, (sel,)) if type(sel) is int else None
+        that is a literal is bound when the function is translated
+        (isa.bind), and only the other operands are passed; otherwise the
+        forms are the generic pair S_<name>, P_<name>."""
+        last = e.args[-1]
+        pair = bind(d, (int_value(last),)) if type(last) is EInt else None
         if pair is None:
             v, o, args = "S_" + d.name, "P_" + d.name, e.args
             if v not in self.ns:
@@ -545,12 +517,6 @@ class _FnGen(Assigned):
         descriptor's table when it has one."""
         e = s.rhs
         d = lookup(e.name)
-        if len(s.dests) != len(d.destinations):
-            for a in e.args:
-                self.keep(self.expr(a))
-            self.line(self.fail(f"#{e.name} produced {len(d.destinations)} values for "
-                                f"{len(s.dests)} destinations", s.loc))
-            return
         keep = [i for i, lv in enumerate(s.dests) if type(lv) is not LIgnore]
         if d.table is None:
             call = self.intrinsic(e)
@@ -621,13 +587,7 @@ class _FnGen(Assigned):
             self.line(f"_sst(T, {self.batch()}, {arr}, {value}, {i}, {nb}, {scale}, "
                       f"{self.label(name)}, {loc!r})")
             return
-        if type(lv.index) is not EInt:
-            value = self.keep(value)
-            i = self.expr(lv.index)
-            self.line(f"_rst(T, {self.batch()}, {arr}, {value}, {i}, {ty.bits}, "
-                      f"{self.label(name)}, {loc!r})")
-            return
-        i = lv.index.value
+        i = lv.index.value  # a literal, in bounds (expand)
         if bits is None or bits > ty.bits:
             value = f"{value} & {self.mask(ty.bits)}"
         self.line(f"{arr}[{i}] = {value}")
@@ -912,7 +872,7 @@ class _FnGen(Assigned):
                 src.arr_storage, src.arr_ty = lv.arr_storage, lv.arr_ty
                 old = self.arr_read(src, loc)
             bits = lv.ty.bits
-            self.write(lv, self.word_op(s.op, s.lanes, bits, old, rhs, loc, whole=False), bits)
+            self.write(lv, self.word_op(s.op, s.lanes, bits, old, rhs, loc), bits)
             return
         if s.cond is not None:
             value = self.keep(self.expr(rhs))  # evaluated whatever the guard
@@ -967,8 +927,6 @@ class _FnGen(Assigned):
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
         name = "F_" + fn.name
         body = self.nb_lines(self.unbound) + self.out
-        if self.error is not None:
-            body = ["    " + self.fail(*self.error)]
         self.define(name, [f"def {name}({params}):"] + body)
         return self.ns[name]
 

@@ -1,23 +1,34 @@
 """Compile-time expansion.
 
-Turns a typed program into its executable core: parameters are
-substituted, `for` loops are kept as repeat nodes or unrolled, calls to
-inline functions are spliced in, compile-time expressions are folded,
-constant-condition `if`s are pruned, global initializers are evaluated
-at their width, local `global` declarations are hoisted, and globals
-with equal values are merged.  The result is typed as typecheck would
-type it, without running typecheck again: a copied node keeps every
-annotation, a folded literal takes the type of the node it replaces,
-the moves that bind an inline call's arguments and results take the
+Turns a typed program into its executable core: every value known
+before the run is settled.  Parameters and scalar globals (program-level
+or local `global` declarations) are substituted at every read, `for`
+loops are kept as repeat nodes or unrolled, calls to inline functions
+are spliced in, compile-time expressions are folded, and
+constant-condition `if`s are pruned.  A global's initializer is
+evaluated at its width; only array globals stay in the result, each
+under its own name with literal elements.  A local `global` or `inline`
+declaration binds its name from there to the end of its function, as
+typecheck scopes it.  The result is typed as typecheck would type it,
+without running typecheck again: a copied node keeps every annotation,
+a folded or substituted literal takes the type of the node it replaces
+(but is an `int` as an array index or the count of a shift that is not
+lane-wise, as typecheck types a literal there), the moves that bind an inline call's arguments and results take the
 parameter's and the destination's type, and each function's `envtypes`
-come from its expanded declarations.  A constant index that unrolling
-or inlining makes out of bounds is an ExpandError naming the array as
-the source does.  The result is marked `expanded`; it is the only
-program the back ends (interp, safety, leakage) accept, and they rely
-on its contract without rechecking it: no `for` loop (only repeat
-nodes), inline call or immediate vector remains, every compile-time
-(`int`) expression is a literal, every array access is typed, every
-constant array index is in bounds, and globals are literals.
+come from its expanded declarations.
+
+The result is marked `expanded`; it is the only program the back ends
+(interp, safety, leakage) accept, and they rely on its contract without
+rechecking it: no `for` loop (only repeat nodes), inline call or
+immediate vector remains; every compile-time (`int`) expression is a
+literal; no scalar global is read (a read is its value) and `globals`
+holds arrays only; every array access is typed; every register-array
+and global-array index is a literal in bounds, and so is every other
+constant index; and every literal count of a shift that is not
+lane-wise lies in [0, w] at the shift's width w.  An index or count
+that unrolling, inlining or a global's value puts out of range, and a
+register-array or global-array index that does not fold, is an
+ExpandError at its location, naming the array as the source does.
 Expansion is idempotent.
 
 A `for` loop of two or more iterations whose body does not mention its
@@ -44,10 +55,9 @@ fields, that assigns each field, side attributes included, from the
 original or from the changes it is given.
 
 Word operators fold through their one definition in `words`, at their
-width; a node that would fault when run (a shift count out of range, a
-division by zero) is left for the run to report at its location.  A
-compile-time expression that cannot be evaluated is an ExpandError at
-its location.
+width; a division by a constant zero is left for the run to report at
+its location.  A compile-time expression that cannot be evaluated is an
+ExpandError at its location.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ import functools
 
 from . import words
 from .ir import (
+    INT,
     ArrayTy,
     EArr,
     EBin,
@@ -86,7 +97,6 @@ from .ir import (
     SWhile,
     WordTy,
     int_value,
-    word_ty,
 )
 from .typecheck import NotConst, const_eval, index_error
 
@@ -132,50 +142,28 @@ def _lit(v, like):
     return e
 
 
-class _Values:
-    """An environment (see subst) in which globals read as their values."""
-
-    __slots__ = ("env", "values")
-
-    def __init__(self, env, values: dict):
-        self.env, self.values = env, values
-
-    def get(self, name: str, default):
-        if name not in self.env:
-            return default
-        v = self.env[name]
-        return self.values.get(v, v) if isinstance(v, str) else v
-
-
 class _Expander:
     def __init__(self, p: Program):
         self.p = p
         self.env: dict[str, object] = {}  # parameters and program-level globals
-        self.global_vals: dict[str, object] = {}  # merged names -> values
-        self.global_decls: list[GlobalDecl] = []
+        self.arrays: list[GlobalDecl] = []  # the array globals, their elements literals
         self.fresh = 0
         self.funcs = {f.name: f for f in p.funcs}
         self.expanded: dict[str, FuncDecl] = {}
         self.free: dict[int, bool] = {}  # id of a source `for` -> var_free
         self.made: list = []  # (stem, t) of each name nm__i{t} inlining made
-        # the names a hoisted local `global` must not take: every name the
-        # source declares otherwise, which would shadow it in the result
-        self.taken = {q.name for f in p.funcs for q in f.params} | {
-            nm for f in p.funcs for d in _decls(f.body) if d.storage != "global"
-            for nm in d.names}
 
     # -------------------------------------------------- expressions
 
     def subst(self, e, env):
         """Copy an expression, substituting compile-time names and folding.
-        `env` maps a source name to its value (an int or bool) or to the
-        name it is renamed to."""
+        `env` maps a source name to its value (an int or bool: a
+        parameter, scalar global, inline variable or loop counter) or to
+        the name it is renamed to."""
         k = type(e)
         copy = _copier(k)  # _copy without its repacking of the changes
         if k is EInt or k is EBool:
             return copy(e, value=int_value(e))  # a word literal modulo its width
-        if type(e.ty) is IntTy and type(env) is not _Values:
-            env = _Values(env, self.global_vals)  # a compile-time node reads globals' values
         if k is EVar:
             name = env.get(e.name, e.name)
             if isinstance(name, (int, bool)):
@@ -187,8 +175,8 @@ class _Expander:
                 env,
             )
         if k is EArr:
-            return _checked(copy(e, name=self.rename(e, env), index=self.subst(e.index, env)),
-                            e.name)
+            index = _int_literal(self.subst(e.index, env))
+            return _checked(copy(e, name=self.rename(e, env), index=index), e.name)
         if k is EMem:
             return copy(e, addr=self.subst(e.addr, env))
         if k is EUn or k is ECast:
@@ -212,9 +200,12 @@ class _Expander:
 
     def fold(self, e, env):
         """Fold a node whose operands are all literals (see the module
-        docstring); a compile-time (`int`) node must fold."""
-        kids = (e.left, e.right) if type(e) is EBin else (e.arg,)
+        docstring); a compile-time (`int`) node must fold, and a literal
+        shift count must be in range."""
         ty = e.ty
+        if type(e) is EBin and e.op in words.SHIFTS and type(ty) is WordTy and not e.lanes:
+            e.right = _count(e.right, ty.bits, e)
+        kids = (e.left, e.right) if type(e) is EBin else (e.arg,)
         reason = "an operand is not known"
         if all(type(k) is EInt or type(k) is EBool for k in kids):
             try:
@@ -232,9 +223,9 @@ class _Expander:
         return e
 
     def const(self, e, env, what: str):
-        """The value of compile-time `e` under `env`, with globals read as
-        their values and words folded at their width."""
-        v = self.subst(e, _Values(env, self.global_vals))
+        """The value of compile-time `e` under `env`, with words folded at
+        their width."""
+        v = self.subst(e, env)
         if not isinstance(v, (EInt, EBool)):
             raise ExpandError(f"{_at(e)}{what} cannot be evaluated at compile time")
         return v.value
@@ -255,6 +246,8 @@ class _Expander:
             cond = self.subst(s.cond, env) if s.cond is not None else None
             if type(rhs) is ECall:
                 return self.maybe_inline(s, dests, rhs, cond, env, fn)
+            if s.op in words.SHIFTS and not s.lanes:
+                rhs = _count(rhs, dests[0].ty.bits, s)
             return [_copy(s, dests=dests, rhs=rhs, cond=cond)]
         if k is SDecl:
             if s.storage == "inline":
@@ -269,9 +262,8 @@ class _Expander:
                 return []
             if s.storage == "global":
                 val = self.const(s.init, env, f"global {s.names[0]}")
-                gname = self.fresh_global(s.ty, val, hint=s.names[0])
                 for nm in s.names:
-                    env[nm] = gname
+                    env[nm] = val
                 return []
             init = self.subst(s.init, env) if s.init is not None else None
             names = tuple(
@@ -287,8 +279,8 @@ class _Expander:
                 _copy(
                     s,
                     cond=cond,
-                    then=tuple(self.expand_block(s.then, dict(env), False, fn)),
-                    els=tuple(self.expand_block(s.els, dict(env), False, fn)),
+                    then=tuple(self.expand_block(s.then, env, False, fn)),
+                    els=tuple(self.expand_block(s.els, env, False, fn)),
                 )
             ]
         if k is SWhile:
@@ -296,7 +288,7 @@ class _Expander:
                 _copy(
                     s,
                     cond=self.subst(s.cond, env),
-                    body=tuple(self.expand_block(s.body, dict(env), False, fn)),
+                    body=tuple(self.expand_block(s.body, env, False, fn)),
                 )
             ]
         if k is SFor:
@@ -381,8 +373,8 @@ class _Expander:
         if k is LVar:
             return copy(lv, name=self.rename(lv, env))
         if k is LArr:
-            return _checked(copy(lv, name=self.rename(lv, env), index=self.subst(lv.index, env)),
-                            lv.name)
+            index = _int_literal(self.subst(lv.index, env))
+            return _checked(copy(lv, name=self.rename(lv, env), index=index), lv.name)
         if k is LMem:
             return copy(lv, addr=self.subst(lv.addr, env))
         if k is LIgnore:
@@ -448,41 +440,25 @@ class _Expander:
         new.envtypes.update((nm, (d.storage, d.ty)) for d in _decls(body) for nm in d.names)
         return body
 
-    # ------------------------------------------------------ globals
-
-    def fresh_global(self, ty, value, hint: str) -> str:
-        for g in self.global_decls:
-            if g.ty == ty and self.global_vals[g.name] == value:
-                return g.name
-        name = hint
-        taken = self.taken.union(g.name for g in self.global_decls)
-        i = 0
-        while name in taken:
-            i += 1
-            name = f"{hint}_{i}"
-        self.global_decls.append(GlobalDecl(name, ty, _value_expr(ty, value)))
-        self.global_vals[name] = value
-        return name
-
     # --------------------------------------------------------- main
 
     def run(self) -> Program:
         for pd in self.p.params:
             self.env[pd.name] = const_eval(pd.value, self.env)
-        # program-level globals first, in order, so merged names are stable
-        for g in self.p.globals:
+        for g in self.p.globals:  # in order: an initializer reads the earlier ones
             what = f"global {g.name}"
             if isinstance(g.init, tuple):
-                val = tuple(self.const(v, self.env, what) for v in g.init)
+                init = tuple(_lit(self.const(v, self.env, what), v) for v in g.init)
+                self.arrays.append(_copy(g, init=init))
+                self.env[g.name] = g.name
             else:
-                val = self.const(g.init, self.env, what)
-            self.env[g.name] = self.fresh_global(g.ty, val, g.name)
+                self.env[g.name] = self.const(g.init, self.env, what)
         out_funcs = []
         for f in self.p.funcs:
             if not f.inline:
                 self.function_body(f.name)
                 out_funcs.append(self.expanded[f.name])
-        newp = Program((), tuple(self.global_decls), tuple(out_funcs))
+        newp = Program((), tuple(self.arrays), tuple(out_funcs))
         newp.typed = newp.expanded = True
         return newp
 
@@ -521,15 +497,6 @@ def _decl_names(stmts) -> list[str]:
     return [nm for d in _decls(stmts) for nm in d.names]
 
 
-def _value_expr(ty, value):
-    """The literals of a global of type `ty` (an array's: one per element)."""
-    if isinstance(value, tuple):
-        return tuple(_value_expr(ty, v) for v in value)
-    e = EInt(value)
-    e.ty = word_ty(ty.bits)
-    return e
-
-
 def _resized(v, ty):
     """Value `v` moved into a destination of type `ty`: a word of another
     width is resized, as an assignment's right-hand side is."""
@@ -541,13 +508,33 @@ def _resized(v, ty):
 
 def _checked(access, name: str):
     """`access` (an EArr or LArr of source name `name`), unless its index
-    is a literal outside the array."""
-    if isinstance(access.index, EInt):
-        msg = index_error(name, access.arr_ty, access.index.value, access.width,
-                          access.byte_mode)
-        if msg:
-            raise ExpandError(f"{_at(access)}{msg}")
+    is a literal outside the array or the index of a register or global
+    array is not a literal."""
+    if type(access.index) is not EInt:
+        if access.arr_storage != "stack":
+            raise ExpandError(f"{_at(access)}index of {name} cannot be evaluated at compile time")
+        return access
+    msg = index_error(name, access.arr_ty, access.index.value, access.width, access.byte_mode)
+    if msg:
+        raise ExpandError(f"{_at(access)}{msg}")
     return access
+
+
+def _count(count, bits: int, node):
+    """`count`, the count of `node`, a shift at width `bits` that is not
+    lane-wise: a literal must lie in [0, bits] (an ExpandError at `node`
+    otherwise) and is typed int."""
+    if type(count) is EInt:
+        msg = words.count_error(bits, int_value(count))
+        if msg:
+            raise ExpandError(f"{_at(node)}{msg}")
+    return _int_literal(count)
+
+
+def _int_literal(e):
+    """`e`, an array index or a shift count that is not lane-wise, typed
+    int if it is a literal, as typecheck types a literal there."""
+    return _copy(e, ty=INT) if type(e) is EInt and e.ty is not INT else e
 
 
 def _at(s) -> str:

@@ -26,9 +26,14 @@ order: ("addr", (a, ...)) for memory accesses and array indices and
 ("branch", b) for if/while conditions.
 
 Each function is translated to Python source by codegen and compiled
-the first time it runs; the module below holds the run-time helpers
-that generated code calls for memory and stack-array accesses,
-intrinsics and faults; the memory helpers slice the region a line index
+the first time it runs.  The module below holds the run-time helpers
+that generated code calls: memory accesses (_ld, _st), stack-array
+accesses (_sget, _sput, _sld, _sst), reads that may find a value
+unassigned or unbound (_uu, _arr), budget exhaustion (_bx), an else-if
+arm's branch event (_br), the word operators it does not inline (_wbin
+for a computed shift count, / and %; _nz for a divisor) and DIV
+(_intr).  Register arrays need none: expand makes every index of one a
+literal in bounds.  The memory helpers slice the region a line index
 names (see memory) and call Memory's methods only on a miss or to find
 the fault to raise.  Budget and trace bookkeeping are batched per
 straight-line segment (see codegen); a run that completes observes
@@ -145,10 +150,6 @@ def _arr(value, name, loc):
     return value
 
 
-def _contract(message, loc):
-    raise ContractViolation(message, loc)
-
-
 def _bx(i, locs):
     raise BudgetExhausted("step budget exhausted", locs[i])
 
@@ -223,29 +224,6 @@ def _st(M, T, K, v, a, nbytes, loc):
         raise OutOfRegion(exc.address, loc) from None
 
 
-def _rld(T, K, arr, i, name, loc):
-    if not 0 <= i < len(arr):
-        raise OutOfBoundsArray(name, i, loc)
-    if T is not None:
-        if K:
-            T += K
-        T.append(("addr", (i,)))
-    v = arr[i]
-    if v is UNDEF:
-        raise UninitializedUse(f"{name}[{i}]", loc)
-    return v
-
-
-def _rst(T, K, arr, v, i, bits, name, loc):
-    if not 0 <= i < len(arr):
-        raise OutOfBoundsArray(name, i, loc)
-    if T is not None:
-        if K:
-            T += K
-        T.append(("addr", (i,)))
-    arr[i] = v & MASK[bits]
-
-
 def _sget(arr, off, nbytes, name, loc):
     end = off + nbytes
     if arr.init.find(0, off, end) >= 0:
@@ -294,8 +272,7 @@ def _intr(sem, args, loc):
 
 
 _BT, _BF = ("branch", True), ("branch", False)
-_HELPERS = (_uu, _arr, _contract, _bx, _br, _nz, _wbin, _ld, _st,
-            _rld, _rst, _sget, _sput, _sld, _sst, _intr)
+_HELPERS = (_uu, _arr, _bx, _br, _nz, _wbin, _ld, _st, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=_BT, BF=_BF)
 
@@ -309,22 +286,17 @@ def require_expanded(p: Program, user: str):
         raise ContractViolation(f"{user} requires a program from expand")
 
 
-def _global_values(p: Program) -> dict:
-    """The literals expand wrote for the globals: a list per array."""
-    return {g.name: [v.value for v in g.init] if isinstance(g.init, tuple) else g.init.value
-            for g in p.globals}
-
-
 def _namespace(p: Program) -> dict:
     """The globals of a program's generated code, cached on the program:
-    run-time helpers, global values and, per non-inline function, its
-    compiled code (at first a stand-in that compiles it when called)."""
+    run-time helpers, global arrays (lists of the literals expand wrote)
+    and, per non-inline function, its compiled code (at first a stand-in
+    that compiles it when called)."""
     ns = p._exec_ns
     if ns is None:
         ns = dict(_RUNTIME)
         ns["__consts__"] = {}
-        for name, value in _global_values(p).items():
-            ns["G_" + name] = value
+        for g in p.globals:
+            ns["G_" + g.name] = [v.value for v in g.init]
         for fn in p.funcs:
             if not fn.inline:
                 ns["F_" + fn.name] = _first_call(p, fn, ns)

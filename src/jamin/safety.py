@@ -824,7 +824,7 @@ class _Analyzer:
     def t_assign(self, st: AbsState, s: SAssign) -> AbsState:
         if isinstance(s.rhs, ECall):
             raise AnalysisFailure(
-                f"{_site(s)}: calls are not analyzable; expand the program first"
+                f"{_site(s)}: call to non-inline function {s.rhs.name!r} is not analyzable"
             )
         if isinstance(s.rhs, EIntr) and len(s.dests) != 1:
             self.eval_intr(st, s.rhs)

@@ -2,12 +2,13 @@
 
 `function_sources(p)` compiles every non-inline function of expanded
 program p, as a run would, and returns what each one's compile() calls
-were given; `line_count(p)` is the number of lines in all of it.  Tests
-use them to inspect the generated code; run as a script, it writes the
-source of every corpus program and every planted program of
-test_acceptance to a directory, so that two versions of codegen can be
-diffed byte for byte, and prints each one's line count and sha256, then
-one sha256 over all of them in the order printed:
+were given; `line_count(p)` is the number of lines in all of it, and
+`corpus_sources()` the source of every corpus program and every planted
+program of test_acceptance.  Tests use them to inspect the generated
+code (test_digests pins the sha256 of all of it); run as a script, it
+writes the corpus sources to a directory, so that two versions of
+codegen can be diffed byte for byte, and prints each one's line count
+and sha256, then one sha256 over all of them in the order printed:
 
     PYTHONPATH=src python tests/gensrc.py OUTDIR
 """
@@ -45,21 +46,27 @@ def line_count(p) -> int:
     return sum(len(src.splitlines()) for src in function_sources(p).values())
 
 
-if __name__ == "__main__":
+def corpus_sources() -> dict:
+    """{name: generated source} of every corpus program and every planted
+    program of test_acceptance, in name order, each built afresh so that
+    its prebuilt constants are numbered as in a new process."""
     from test_acceptance import PLANTED
     from jamin.expand import expand
     from jamin.parser import parse
-    from jamin.primitives.corpus import PROGRAMS, load_program
+    from jamin.primitives.corpus import PROGRAMS, load_source
     from jamin.typecheck import typecheck
 
+    texts = {name: load_source(name) for name in PROGRAMS}
+    texts.update((f"planted-{i}", src) for i, (_, src, _, _) in enumerate(PLANTED))
+    return {name: "".join(function_sources(expand(typecheck(parse(texts[name])))).values())
+            for name in sorted(texts)}
+
+
+if __name__ == "__main__":
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
-    programs = {name: load_program(name) for name in PROGRAMS}
-    programs.update((f"planted-{i}", expand(typecheck(parse(src))))
-                    for i, (_, src, _, _) in enumerate(PLANTED))
     whole = hashlib.sha256()
-    for name in sorted(programs):
-        text = "".join(function_sources(programs[name]).values())
+    for name, text in corpus_sources().items():
         (out / f"{name}.py").write_text(text)
         whole.update(text.encode())
         print(f"{name}: {len(text.splitlines())} lines, "

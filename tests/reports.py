@@ -7,7 +7,8 @@ preanalyze suggests and none, the range lines (text and machine), the
 failures and the findings of analyze (or the AnalysisFailure that ended
 it) and the findings of check_safety; then the preanalyze and
 infer_public sets.  Tests use it to compare two ways of analyzing one
-program; run as a script, it writes the report of every corpus program,
+program, and `reports()`, the report of every case, to pin the sha256
+of all of them (test_digests); run as a script, it writes the report of every corpus program,
 every planted program of test_acceptance and every probe of
 test_safety_golden to a directory, so that two versions of the analyses
 can be diffed byte for byte, and prints each one's sha256, then one
@@ -69,13 +70,17 @@ def cases() -> dict:
     return out
 
 
+def reports() -> dict:
+    """{name: report} of every case, in name order."""
+    programs = cases()
+    return {name: report(*programs[name]()) for name in sorted(programs)}
+
+
 if __name__ == "__main__":
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
-    programs = cases()
     whole = hashlib.sha256()
-    for name in sorted(programs):
-        text = report(*programs[name]())
+    for name, text in reports().items():
         (out / f"{name}.txt").write_text(text)
         whole.update(text.encode())
         print(f"{name}: sha256 {hashlib.sha256(text.encode()).hexdigest()}")

@@ -461,3 +461,56 @@ def test_run_non_word_parameter_exit_2(tmp_path, capsys, param, shown):
                              *[a for i in range(count) for a in ("--u64", str(i + 1))])
     assert (code, out) == (2, "")
     assert err == f"error: parameter {shown}; run takes word parameters only (--u64)\n"
+
+
+@pytest.mark.parametrize("argv", [("run", "--u64", "5"), ("safety",), ("ct", "--trials", "2")],
+                         ids=["run", "safety", "ct"])
+@pytest.mark.parametrize("src, located", [
+    ("global u64 g = 4;\nfn f(reg u64 a) -> reg u64 {\n  reg u64[4] x;\n"
+     "  x[0] = a;\n  if (a == 3) { x[g] = a; }\n  a = x[0];\n  return a;\n}\n",
+     "5:17: index 4 outside x: u64[4]"),
+    ("fn f(reg u64 a) -> reg u64 {\n  reg u64 b;\n  b = a;\n"
+     "  if (a == 3) { b = a << 70; }\n  return b;\n}\n",
+     "4:23: shift count 70 outside [0, 64]"),
+], ids=["global-index", "literal-count"])
+def test_out_of_range_settled_value_exit_2(tmp_path, capsys, src, located, argv):
+    """Expand settles every value known before the run, so an index or a
+    shift count that one of them puts out of range is a located input
+    error under every command, even where the run never reaches it."""
+    prog = tmp_path / "settled.jz"
+    prog.write_text(src)
+    code, out, err = run_cli(capsys, argv[0], str(prog), "--entry", "f", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {prog}: {located}\n"
+
+
+def test_safety_reads_a_global_in_an_address_as_its_value(tmp_path, capsys):
+    prog = tmp_path / "k.jz"
+    prog.write_text("global u64 K = 8;\nfn f(reg u64 p) -> reg u64 {\n  reg u64 x;\n"
+                    "  x = [p + K];\n  return x;\n}\n")
+    code, out, _ = run_cli(capsys, "safety", str(prog), "--entry", "f", "--pointer", "p")
+    assert code == 0
+    assert "range(p) = p + [8; 16)" in out.splitlines()
+
+
+def test_safety_on_a_call_names_the_callee_exit_2(tmp_path, capsys):
+    prog = tmp_path / "call.jz"
+    prog.write_text("fn g(reg u64 a) -> reg u64 {\n  a = a + 1;\n  return a;\n}\n"
+                    "fn f(reg u64 a) -> reg u64 {\n  reg u64 b;\n  b = g(a);\n  return b;\n}\n")
+    code, out, err = run_cli(capsys, "safety", str(prog), "--entry", "f")
+    assert (code, out) == (2, "")
+    assert err == "error: 7:3: call to non-inline function 'g' is not analyzable\n"
+
+
+@pytest.mark.parametrize("program", ["gimli_ref", "gimli_sse"])
+def test_bench_gimli_runs_its_48_byte_state_only(capsys, program):
+    """The permutation processes 48 bytes whatever the size asked for, so
+    48 is the default and the only size taken."""
+    code, out, _ = run_cli(capsys, "bench", program, "--repetitions", "1", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["bytes"] for r in rows] == [48]
+    assert rows[0]["steps_per_byte"] == rows[0]["steps"] / 48
+    code, out, err = run_cli(capsys, "bench", program, "--sizes", "0,48,4096")
+    assert (code, out) == (2, "")
+    assert err == f"error: {program} permutes a 48-byte state; --sizes takes 48 only\n"

@@ -1,0 +1,28 @@
+"""The whole outputs of tests/gensrc.py (the generated code of the corpus
+and the planted programs) and tests/reports.py (every analysis report of
+those and of the safety probes), pinned by their "all" sha256.  A change
+that moves either digest changes what codegen emits or what an analysis
+reports: see what moved, and record the new digest only for a change
+that means to move it."""
+
+import hashlib
+
+import pytest
+
+from gensrc import corpus_sources
+from reports import reports
+
+DIGESTS = {
+    "gensrc": (corpus_sources, "c6e95be01681a9a78e3985c9ac7106e14f458e97f5167a361d353e8b1dd7e47d"),
+    "reports": (reports, "66413b4e07d19a47865beb79452cf3481e923dbc4c1b0169b9569b19d22c18c4"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(DIGESTS))
+def test_whole_output_keeps_its_digest(script):
+    texts, digest = DIGESTS[script]
+    got = hashlib.sha256("".join(texts().values()).encode()).hexdigest()
+    assert got == digest, (
+        f"tests/{script}.py prints 'all: sha256 {got}', not {digest}: run "
+        f"`PYTHONPATH=src python tests/{script}.py OUTDIR` at the parent commit and at this "
+        f"change, each into its own OUTDIR, and diff the two OUTDIRs to see what changed")

@@ -4,11 +4,12 @@ import re
 
 import pytest
 
+from unroll import cases
 from jamin import interp, leakage, memory, safety
 from jamin.expand import ExpandError, expand
-from jamin.ir import EArr, ECall, EInt, EVecImm, IntTy, LArr, SAssign, SFor, print_program
+from jamin.ir import (ArrayTy, EArr, ECall, EInt, EVar, EVecImm, IntTy, LArr, SAssign, SFor,
+                      print_program)
 from jamin.parser import parse
-from jamin.primitives.corpus import PROGRAMS, load_source
 from jamin.typecheck import TypecheckError, typecheck
 
 
@@ -44,9 +45,39 @@ def contract_breaches(p) -> list:
     return found
 
 
+def value_breaches(p) -> list:
+    """What expand's output must not hold of the values known before the
+    run: a scalar global, in `globals` or read by a variable (any read of
+    a name that is neither a register or stack local of its function nor
+    an array global), and a register-array or global-array index that is
+    not a literal."""
+    found = [f"scalar global {g.name}" for g in p.globals if not isinstance(g.ty, ArrayTy)]
+    arrays = {g.name for g in p.globals if isinstance(g.ty, ArrayTy)}
+
+    def walk(node, names):
+        if isinstance(node, tuple):
+            for x in node:
+                walk(x, names)
+            return
+        if not dataclasses.is_dataclass(node):
+            return
+        k = type(node)
+        if k is EVar and node.name not in names:
+            found.append(f"read of {node.name}")
+        elif (k is EArr or k is LArr) and node.arr_storage != "stack" and type(node.index) is not EInt:
+            found.append(f"index of {node.name}")
+        for f in dataclasses.fields(node):
+            walk(getattr(node, f.name), names)
+
+    for f in p.funcs:
+        walk(f.body, arrays | {n for n, (st, _) in f.envtypes.items() if st in ("reg", "stack")})
+    return found
+
+
 def prep(text):
     p = expand(typecheck(parse(text)))
     assert contract_breaches(p) == []
+    assert value_breaches(p) == []
     return p
 
 
@@ -120,6 +151,8 @@ fn f() -> reg u64 {
 
 
 def test_globals_with_equal_values_merged():
+    """Scalar globals are values: equal ones are no longer merged, as
+    none stays in the expanded program; each read is its value."""
     p = prep(
         """
 global u64 rot_a = (1 << 8) | 1;
@@ -134,12 +167,14 @@ fn f() -> reg u64 {
 }
 """
     )
-    assert len(p.globals) == 3
+    assert p.globals == ()
     res = interp.run(p, "f", [], memory.Memory()).results
     assert res[0].value == (0x101 + 0x101 + 3 - 2) % 2**64
 
 
 def test_local_global_hoisted_and_merged():
+    """A local `global` is not hoisted: like a program-level one, it is
+    substituted at its reads."""
     p = prep(
         """
 global u64 mask = 0xff;
@@ -151,7 +186,8 @@ fn f() -> reg u64 {
 }
 """
     )
-    assert len(p.globals) == 1
+    assert p.globals == ()
+    assert interp.run(p, "f", [], memory.Memory()).results[0].value == 0x1FE
 
 
 def test_expand_idempotent():
@@ -227,6 +263,8 @@ fn f() -> reg u64 {
 
 
 def test_local_global_merges_with_program_level_one():
+    """A local `global` and a program-level one of equal value are both
+    substituted; neither stays in the expanded program."""
     p = prep(
         """
 global u64 M = 0xffffffffffffffff;
@@ -238,15 +276,16 @@ fn f() -> reg u64 {
 }
 """
     )
-    assert [g.name for g in p.globals] == ["M"]
+    assert p.globals == ()
     assert interp.run(p, "f", [], memory.Memory()).results[0].value == 0
 
 
 def test_hoisted_local_global_takes_a_fresh_name():
-    """A local `global` is hoisted under a name that no other declaration
-    uses: another function's local or parameter of that name made the
-    expanded program fail its re-typecheck, "'M' shadows a program-level
-    name", although the source typechecks."""
+    """A local `global` is substituted at its reads, not hoisted, so
+    another function's local or parameter of the same name is
+    untouched: a hoisted M once made the expanded program fail its
+    re-typecheck, "'M' shadows a program-level name", although the
+    source typechecks."""
     p = prep(
         """
 fn g() -> reg u64 {
@@ -269,7 +308,7 @@ fn k(reg u64 M_1) -> reg u64 {
 }
 """
     )
-    assert len(p.globals) == 2 and not {g.name for g in p.globals} & {"M", "M_1"}
+    assert p.globals == ()
     results = [interp.run(p, f, args, memory.Memory()).results[0].value
                for f, args in (("g", []), ("h", [5]), ("k", [4]))]
     assert results == [2, 6, 7]
@@ -295,9 +334,13 @@ def test_globals_read_as_values_in_run_time_compile_time_nodes(decl, body):
     assert interp.run(p, "f", [5], memory.Memory()).results[0].value == 11
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("name", sorted(cases()))
 def test_corpus_expansion_keeps_the_contract(name):
-    prep(load_source(name))
+    """The corpus, the planted programs and the programs of test_rolled
+    expand to the contract: no scalar global is read, `globals` holds
+    arrays only, and every register-array and global-array index is a
+    literal (prep checks them all)."""
+    prep(cases()[name])
 
 
 def test_contract_breaches_are_seen():
@@ -315,6 +358,20 @@ fn f(reg u128 a) -> reg u64 {
     assert set(contract_breaches(typecheck(parse(src)))) == {
         "SFor", "EVecImm", "inline call id", "int EVar", "int EBin"}
     assert "untyped access to x" in contract_breaches(parse(src))
+    src = """
+global u64 K = 2;
+global u64[2] T = {1, K};
+fn f() -> reg u64 {
+  global u64 L = 1;
+  reg u64[4] x;
+  reg u64 y;
+  for i = 0 to 1 { x[i + L] = T[K - 1]; }
+  y = x[K] + L;
+  return y;
+}
+"""
+    assert set(value_breaches(typecheck(parse(src)))) == {
+        "scalar global K", "read of K", "read of L", "read of i", "index of x", "index of T"}
 
 
 UNEXPANDED = "fn f(reg u64 p) -> reg u64 { reg u64 x; x = 0; for i = 0 to 3 { x = x + i; } return x; }"
@@ -340,11 +397,11 @@ def test_back_ends_take_only_expanded_programs(back_end):
     ("fn f() { inline int n = 1 << (0 - 1); }", "1:27: compile-time expression"),
     ("fn f(reg u128 a) {\n  a = #x86_VPSHUFD_128(a, (4u2)[0, 1, 2, 5]); }",
      "2:27: immediate element 5 does not fit u2"),
-    ("global u64 K = 1 << 65;\nfn f() { }", "1:18: global K cannot be evaluated"),
+    ("global u64 K = 1 << 65;\nfn f() { }", r"1:18: shift count 65 outside \[0, 64\]"),
     ("global u64[2] T = {1, 2};\nfn f() { stack u64[8] a;\n  a[1 << T[1]] = 1; }",
-     "3:10: T is a compile-time value"),
+     "3:7: compile-time expression cannot be evaluated"),  # T[1] is read when it runs
     ("fn g() { global u64 M = 2; }\nfn f(reg u64 M) { stack u64[8] a;\n  a[1 << M] = 1; }",
-     "3:7: compile-time expression"),  # f's M is not g's merged global M
+     "3:7: compile-time expression"),  # f's M is a register, not g's global M
     # constant indices that only unrolling and inlining make out of bounds,
     # reported with the array's name in the source
     ("fn f() { reg u32[16] x;\n  for i = 0 to 16 { x[i] = 0; } }",
@@ -359,9 +416,13 @@ def test_back_ends_take_only_expanded_programs(back_end):
     ("fn f() -> reg u32 {\n  stack u8[8] b;\n  reg u32 t;\n  for i = 0 to 7 { (u8)b.[i] = 0; }\n"
      "  for i = 1 to 2 {\n    t = (u32)b[i];\n  }\n  return t;\n}",
      r"6:9: index 2 outside b: u8\[8\]"),
+    # a register-array index that does not fold
+    ("global u64 g = 4;\nfn f() { reg u64[4] x;\n  x[g / 0] = 1; }",
+     "3:3: index of x cannot be evaluated at compile time"),
 ], ids=["index-div-by-zero", "negative-shift", "vector-lane", "global-word-fault",
         "global-array-element", "local-named-like-a-global", "unrolled-index",
-        "inlined-index", "unrolled-byte-view", "unrolled-element-view"])
+        "inlined-index", "unrolled-byte-view", "unrolled-element-view",
+        "register-index-not-folded"])
 def test_compile_time_faults_are_expansion_errors(src, error):
     with pytest.raises(ExpandError, match=error):
         prep(src)

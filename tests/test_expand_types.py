@@ -28,7 +28,8 @@ SIDE = ("ty", "arr_storage", "arr_ty")
 
 # Programs in which expand creates nodes of every kind it types itself:
 # folded literals, inline argument bindings and result moves (results
-# of another width, results dropped), hoisted and merged globals.
+# of another width, results dropped), globals substituted at their reads
+# (as indices and shift counts too).
 SAMPLES = [
     """
 param int N = 3;
@@ -69,6 +70,28 @@ fn f(reg u256 v, reg u64 p) -> reg u256 {
   [p + 0] = h(v);
   r = v +4u64 (1 + 2);
   r = r +8u32 #x86_VPSHUFD_256(r, (4u2)[1, 0, 3, 2]);
+  return r;
+}
+""",
+    """
+global u64 G = 3;
+global u8 S = 4;
+global u64[2] T = {1, G};
+fn f(reg u64 x, reg u256 v) -> reg u64 {
+  global u64 L = 1;
+  reg u64[4] a;
+  stack u64[4] s;
+  reg u64 r;
+  a[G] = x;
+  a[(u64)0] = x << G;
+  a[L] = T[L] >> S;
+  a[2] = x;
+  a[2] <<= S;
+  s[G] = a[L];
+  r = s[G] + a[0] + a[2] + a[3];
+  r >>= L;
+  v = v <<4u64 S;
+  r = r + (u64)v;
   return r;
 }
 """,

@@ -7,7 +7,7 @@ the checked _wbin), and the Word function of words."""
 import pytest
 
 from jamin import interp, memory, words
-from jamin.expand import expand
+from jamin.expand import ExpandError, expand
 from jamin.ir import EInt, SAssign
 from jamin.parser import parse
 from jamin.typecheck import typecheck
@@ -177,22 +177,25 @@ def test_division_by_zero_is_not_folded(op, w):
 @pytest.mark.parametrize("w", words.WIDTHS)
 @pytest.mark.parametrize("op", SHIFTS)
 def test_count_out_of_range_is_not_folded(op, w):
-    """A constant count above the width is reported when the function is
-    called (expand keeps the node and codegen marks the function
-    malformed); a computed count, and a count in a compound assignment,
-    when the shift runs."""
+    """A literal count above the width is an expansion error at its node:
+    the shift, or the statement of a compound assignment.  A computed
+    count faults when the shift runs."""
     c = w + 1
-    texts = [f"x = 1 {op} {c};", f"x = a {op} {c};", f"x = a; x {op}= {c};"]
-    if c < 256:  # a computed count is a u8
-        texts.append(f"x = a {op} c;")
-    for text in texts:
-        p = expand(typecheck(parse(
+
+    def build(text):
+        return expand(typecheck(parse(
             f"fn f(reg u{w} a, reg u8 c) -> reg u{w} {{\n  reg u{w} x;\n  {text}\n"
             f"  return x;\n}}\n")))
+
+    for text, col in [(f"x = 1 {op} {c};", 9), (f"x = a {op} {c};", 9),
+                      (f"x = a; x {op}= {c};", 10)]:
+        with pytest.raises(ExpandError, match=rf"^3:{col}: shift count {c} outside \[0, {w}\]$"):
+            build(text)
+    if c < 256:  # a computed count is a u8
         with pytest.raises(interp.ContractViolation,
                            match=rf"shift count {c} outside \[0, {w}\]") as exc:
-            interp.run(p, "f", [1, c], memory.Memory())
-        assert exc.value.loc is not None, text
+            interp.run(build(f"x = a {op} c;"), "f", [1, c], memory.Memory())
+        assert exc.value.loc == (3, 9)
     with pytest.raises(words.WordError):
         words.evaluator(op, w)(1, c)
 
@@ -220,11 +223,11 @@ def test_the_divisor_is_evaluated_and_checked_first():
 
 
 def test_folding_keeps_an_out_of_range_count_for_the_run():
-    p = expand(typecheck(parse(
-        "fn f() -> reg u32 {\n  reg u32 x;\n  x = (1 << 40) >> 20;\n  return x;\n}\n")))
-    with pytest.raises(interp.ContractViolation, match=r"shift count 40 outside \[0, 32\]") as exc:
-        interp.run(p, "f", [], memory.Memory())
-    assert exc.value.loc == (3, 10)
+    """A count out of range inside a folded expression is an expansion
+    error at the shift that has it, not a fault left for the run."""
+    with pytest.raises(ExpandError, match=r"^3:10: shift count 40 outside \[0, 32\]$"):
+        expand(typecheck(parse(
+            "fn f() -> reg u32 {\n  reg u32 x;\n  x = (1 << 40) >> 20;\n  return x;\n}\n")))
 
 
 def test_the_grid_covers_every_definition():
