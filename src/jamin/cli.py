@@ -155,7 +155,10 @@ def cmd_run(args) -> int:
             lines.append(f"result[{i}] = {r}")
             out_words.append({"value": str(r)})
     if args.mem_out:
-        Path(args.mem_out).write_text(memory.dump(final))
+        try:
+            Path(args.mem_out).write_text(memory.dump(final))
+        except OSError as exc:
+            raise CliError(f"cannot write memory dump: {exc}") from exc
         lines.append(f"memory written to {args.mem_out}")
     _emit({"verdict": "ok", "results": out_words}, args.json, lines)
     return EXIT_OK

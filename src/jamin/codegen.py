@@ -89,10 +89,7 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    LArr,
     LIgnore,
-    LMem,
-    LVar,
     SAssign,
     SDecl,
     SIf,
@@ -169,9 +166,9 @@ class Assigned:
         k = type(s)
         if k is SDecl:
             for nm in s.names:  # bound, to UNDEF
-                self.dest(f, LVar_of(nm, s.ty), True)
+                self.dest(f, typed_var(nm, s.ty), True)
             if s.init is not None and done is None:
-                self.dest(f, LVar_of(s.names[0], s.ty), self.value_kind(s.init)[1])
+                self.dest(f, typed_var(s.names[0], s.ty), self.value_kind(s.init)[1])
             return f
         if k is not SAssign:
             return f
@@ -181,7 +178,7 @@ class Assigned:
         elif type(rhs) is EIntr and len(dests) != 1:
             d = lookup(rhs.name)
             undef = [_maybe_undef(d, i) for i in range(len(dests))]
-        elif s.cond is not None or not dests:
+        elif s.cond is not None:
             return f
         elif self.is_copy(s):
             dst = dests[0].name
@@ -200,7 +197,7 @@ class Assigned:
         """Destination lv written, with a value that may be UNDEF when
         `undef`."""
         k = type(lv)
-        if k is LVar:
+        if k is EVar:
             f.declared.add(lv.name)
             if type(lv.ty) is ArrayTy:
                 f.defined.difference_update([(lv.name, i) for i in range(lv.ty.length)])
@@ -208,12 +205,12 @@ class Assigned:
                 f.defined.discard(lv.name)
             else:
                 f.defined.add(lv.name)
-        elif k is LArr and type(lv.index) is EInt and lv.arr_storage != "stack":
+        elif k is EArr and type(lv.index) is EInt and lv.arr_storage != "stack":
             f.defined.add((lv.name, lv.index.value))
 
     def is_copy(self, s) -> bool:
         lv = s.dests[0]
-        return type(lv) is LVar and type(lv.ty) is ArrayTy
+        return type(lv) is EVar and type(lv.ty) is ArrayTy
 
     def value_kind(self, e):
         """(bits, undef) of an expression's value: its width when known,
@@ -551,16 +548,16 @@ class _FnGen(Assigned):
         """Store `value` (an int of at most `bits` bits when `bits` is
         known) into `lv`."""
         k = type(lv)
-        if k is LVar:
+        if k is EVar:
             ty = lv.ty
             if type(ty) is ArrayTy:
                 value = self.copy_of(lv.name, value)
             elif type(ty) is WordTy and (bits is None or bits > ty.bits):
                 value = f"{value} & {self.mask(ty.bits)}"
             self.line(f"{self.v(lv.name)} = {value}")
-        elif k is LArr:
+        elif k is EArr:
             self.write_element(lv, value, bits)
-        elif k is LMem:
+        elif k is EMem:
             value = self.keep(value)  # the value is evaluated before the address
             a = self.expr(lv.addr)
             self.line(f"_st(M, T, {self.batch()}, {value}, {a}, {(lv.width or 64) // 8}, "
@@ -838,7 +835,7 @@ class _FnGen(Assigned):
         # a declaration immediately overwritten as a whole stores nothing
         skip = set()
         if (type(nxt) is SAssign and not nxt.op and nxt.cond is None and len(nxt.dests) == 1
-                and type(nxt.dests[0]) is LVar):
+                and type(nxt.dests[0]) is EVar):
             target = nxt.dests[0].name
             if target not in flow.reads(nxt.rhs):
                 skip.add(target)
@@ -855,7 +852,7 @@ class _FnGen(Assigned):
                 self.line(f"{self.v(nm)} = {new}")
         if s.init is not None:  # read after the declaration resets its names
             self.transfer(self.facts, s, 0)
-            self.write(LVar_of(s.names[0], ty), self.expr(s.init), self.value_kind(s.init)[0])
+            self.write(typed_var(s.names[0], ty), self.expr(s.init), self.value_kind(s.init)[0])
 
     def assign(self, s: SAssign):
         rhs, loc = s.rhs, s.loc
@@ -864,13 +861,10 @@ class _FnGen(Assigned):
             return
         if s.op:
             lv = s.dests[0]
-            if type(lv) is LVar:
+            if type(lv) is EVar:
                 old = self.read_var(lv.name, loc, compound=True)
             else:  # an element: typecheck rejects a compound store to memory
-                src = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
-                src.loc = loc
-                src.arr_storage, src.arr_ty = lv.arr_storage, lv.arr_ty
-                old = self.arr_read(src, loc)
+                old = self.arr_read(lv, loc)
             bits = lv.ty.bits
             self.write(lv, self.word_op(s.op, s.lanes, bits, old, rhs, loc), bits)
             return
@@ -879,9 +873,6 @@ class _FnGen(Assigned):
             cond = self.expr(s.cond)
             lv = s.dests[0]
             self.line(f"if {cond}: {self.v(lv.name)} = {value}")
-            return
-        if not s.dests:
-            self.line(self.expr(rhs))
             return
         lv = s.dests[0]
         if self.is_copy(s):
@@ -937,8 +928,9 @@ def _maybe_undef(d, i: int) -> bool:
     return d.dst_widths[i] == "flag" and (d.table is None or i not in d.table.never_undef)
 
 
-def LVar_of(name: str, ty) -> LVar:
-    lv = LVar(name)
+def typed_var(name: str, ty) -> EVar:
+    """Variable `name` of type `ty`, as a declaration writes it."""
+    lv = EVar(name)
     lv.ty = ty
     return lv
 

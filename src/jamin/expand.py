@@ -83,10 +83,7 @@ from .ir import (
     FuncDecl,
     GlobalDecl,
     IntTy,
-    LArr,
     LIgnore,
-    LMem,
-    LVar,
     Program,
     SAssign,
     SDecl,
@@ -241,7 +238,7 @@ class _Expander:
     def expand_stmt(self, s, env: dict, inline_ok: bool, fn: FuncDecl):
         k = type(s)
         if k is SAssign:
-            dests = tuple([self.subst_lval(d, env) for d in s.dests])
+            dests = tuple([self.dest(d, env) for d in s.dests])
             rhs = self.subst(s.rhs, env)
             cond = self.subst(s.cond, env) if s.cond is not None else None
             if type(rhs) is ECall:
@@ -367,19 +364,12 @@ class _Expander:
                 out.append(s)
         return out
 
-    def subst_lval(self, lv, env):
-        k = type(lv)
-        copy = _copier(k)
-        if k is LVar:
-            return copy(lv, name=self.rename(lv, env))
-        if k is LArr:
-            index = _int_literal(self.subst(lv.index, env))
-            return _checked(copy(lv, name=self.rename(lv, env), index=index), lv.name)
-        if k is LMem:
-            return copy(lv, addr=self.subst(lv.addr, env))
-        if k is LIgnore:
-            return copy(lv)
-        raise TypeError(f"not an lvalue: {lv!r}")
+    def dest(self, d, env):
+        """Copy destination `d` as subst copies the access, except that a
+        variable is only renamed."""
+        if type(d) is EVar:
+            return _copy(d, name=self.rename(d, env))
+        return _copy(d) if type(d) is LIgnore else self.subst(d, env)
 
     # ----------------------------------------------------- inlining
 
@@ -402,7 +392,7 @@ class _Expander:
                 nm = f"{p.name}__{tag}"
                 env2[p.name] = nm
                 self.made.append((p.name, self.fresh))
-                dest = LVar(nm)
+                dest = EVar(nm)
                 dest.ty = p.ty
                 out.append(SDecl(p.storage, p.ty, (nm,), None))
                 out.append(SAssign((dest,), None, a))
@@ -507,7 +497,7 @@ def _resized(v, ty):
 
 
 def _checked(access, name: str):
-    """`access` (an EArr or LArr of source name `name`), unless its index
+    """`access` (an EArr of source name `name`), unless its index
     is a literal outside the array or the index of a register or global
     array is not a literal."""
     if type(access.index) is not EInt:

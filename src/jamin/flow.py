@@ -84,9 +84,6 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    LArr,
-    LMem,
-    LVar,
     SAssign,
     SDecl,
     SIf,
@@ -251,14 +248,10 @@ def summary(s) -> tuple:
         r = reads(s.rhs)
         whole = []
         for lv in s.dests:
-            t = type(lv)
-            if t is LVar:
+            if type(lv) is EVar:
                 whole.append(lv.name)
-            elif t is LArr:
-                r.append(lv.name)
-                reads(lv.index, r)
-            elif t is LMem:
-                reads(lv.addr, r)
+            else:  # an element store reads its array; `_` reads nothing
+                reads(lv, r)
         if s.cond is not None:
             reads(s.cond, r)
         return (r + whole if s.op or s.cond is not None else r), whole

@@ -3,10 +3,14 @@
 Nodes are slotted dataclasses compared structurally.  Their side
 attributes are slots outside the constructor, equality and repr, and
 every node has them (None until set): the source location `loc`, the
-static type `ty` of an expression or lvalue, the storage and type of
+static type `ty` of an expression or destination, the storage and type of
 the array an access names (`arr_storage`, `arr_ty`), a function's
 `envtypes`, a program's `typed`/`expanded` marks and the code interp
 compiled for it (`_exec_ns`).  No node carries a `__dict__`.
+
+A destination (`Lval`) is the node of the access that reads the place
+it writes, as in the source: an EVar, an EArr or an EMem, or LIgnore
+for `_`.
 
 Types are immutable values shared by every node: one WordTy per width
 (`word_ty`), one BoolTy (`BOOL`) and one IntTy (`INT`), as in
@@ -95,7 +99,7 @@ class _Node:
 
 @dataclass(slots=True)
 class _Typed(_Node):
-    """An expression or lvalue: typecheck sets `ty` (None on a call)."""
+    """An expression or destination: typecheck sets `ty` (None on a call)."""
 
     ty: Optional[Ty] = _side()
 
@@ -194,34 +198,15 @@ def int_value(e) -> int:
     ty = e.ty
     return e.value & ((1 << ty.bits) - 1) if type(ty) is WordTy else e.value
 
-# -------------------------------------------------------------- lvalues
-
-
-@dataclass(slots=True)
-class LVar(_Typed):
-    name: str
-
-
-@dataclass(slots=True)
-class LArr(_Access):
-    name: str
-    index: Expr
-    width: Optional[int] = None
-    byte_mode: bool = False
-
-
-@dataclass(slots=True)
-class LMem(_Typed):
-    addr: Expr
-    width: Optional[int] = None
+# ---------------------------------------------------------- destinations
 
 
 @dataclass(slots=True)
 class LIgnore(_Typed):
-    pass
+    """The destination `_`: the value is computed and dropped."""
 
 
-Lval = Union[LVar, LArr, LMem, LIgnore]
+Lval = Union[EVar, EArr, EMem, LIgnore]
 
 # ------------------------------------------------------------ statements
 
@@ -404,18 +389,6 @@ def fmt_expr(e: Expr, prec: int = 0) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def fmt_lval(lv: Lval) -> str:
-    if isinstance(lv, LVar):
-        return lv.name
-    if isinstance(lv, LArr):
-        return fmt_expr(EArr(lv.name, lv.index, lv.width, lv.byte_mode))
-    if isinstance(lv, LMem):
-        return fmt_expr(EMem(lv.addr, lv.width))
-    if isinstance(lv, LIgnore):
-        return "_"
-    raise TypeError(f"not an lvalue: {lv!r}")
-
-
 def _fmt_ty(ty: Ty) -> str:
     return str(ty)
 
@@ -437,7 +410,7 @@ def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
         guard = f" if {fmt_expr(s.cond)}" if s.cond is not None else ""
         if not s.dests:
             return [f"{pad}{rhs};"]
-        dests = ", ".join(fmt_lval(d) for d in s.dests)
+        dests = ", ".join("_" if type(d) is LIgnore else fmt_expr(d) for d in s.dests)
         eq = f"{op_text(s.op, s.lanes)}=" if s.op else "="
         return [f"{pad}{dests} {eq} {rhs}{guard};"]
     if isinstance(s, SIf):

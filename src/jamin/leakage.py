@@ -34,9 +34,6 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    LArr,
-    LMem,
-    LVar,
     Program,
     SAssign,
     SDecl,
@@ -433,7 +430,7 @@ class _FnTaint:
                                    [self.expr_bases(a) for a in args]).run()
             else:
                 t = self.taint(env, s.rhs)
-                if (s.op or s.cond is not None) and type(s.dests[0]) is LVar:
+                if (s.op or s.cond is not None) and type(s.dests[0]) is EVar:
                     t |= env.get(s.dests[0].name, _EMPTY)  # the old value may survive
                 if s.cond is not None:
                     t |= self.taint(env, s.cond)  # selection is data flow, not a branch
@@ -444,7 +441,7 @@ class _FnTaint:
             for nm in s.names:
                 env.pop(nm, None)
             if s.init is not None:
-                self.assign(env, LVar(s.names[0]), self.taint(env, s.init),
+                self.assign(env, EVar(s.names[0]), self.taint(env, s.init),
                             self.expr_bases(s.init))
         elif kind is SIf or kind is SWhile:
             self.g.leaked.update(self.taint(env, s.cond))
@@ -458,17 +455,15 @@ class _FnTaint:
 
     def assign(self, env: dict, lv, taint, bases):
         kind = type(lv)
-        if kind is LVar:
+        if kind is EVar:
             env[lv.name] = taint
             old = self.bases.get(lv.name, _EMPTY)
             if not bases <= old:
                 self.bases[lv.name] = old | bases
                 self.g.version += 1
-        elif kind is LArr:  # an element: the array's other elements keep their taint
-            idx_t = self.taint(env, lv.index)
-            self.g.leaked.update(idx_t)
-            env[lv.name] = env.get(lv.name, _EMPTY) | taint | idx_t
-        elif kind is LMem:
+        elif kind is EArr:  # as its read: the index leaks, the other elements keep their taint
+            env[lv.name] = self.taint(env, lv) | taint
+        elif kind is EMem:
             at = self.taint(env, lv.addr)
             self.g.leaked.update(at)
             self.g.store_region(self.expr_bases(lv.addr), taint)

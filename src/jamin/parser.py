@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from . import ir
+from . import ir, isa
 from .ir import (
     BOOL,
     INT,
@@ -28,10 +28,7 @@ from .ir import (
     EVecImm,
     FuncDecl,
     GlobalDecl,
-    LArr,
     LIgnore,
-    LMem,
-    LVar,
     ParamDecl,
     Program,
     SAssign,
@@ -155,17 +152,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 class Parser:
-    def __init__(self, text: str, known_intrinsics=None):
+    def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
         self.level = 0  # the depth of the expression being parsed
         self.blocks = -1  # the blocks open inside a function body
         self.arms = 0  # the `else if` arms open around the statement being parsed
-        if known_intrinsics is None:
-            from . import isa
-
-            known_intrinsics = set(isa.registry())
-        self.known_intrinsics = known_intrinsics
 
     # ------------------------------------------------- token plumbing
 
@@ -424,9 +416,9 @@ class Parser:
             self.expect("PUNCT", ";")
             return self._loc(SAssign((), None, ECall(name, args)), tok)
 
-        dests = [self.parse_lval()]
+        dests = [self.parse_dest()]
         while self.accept("PUNCT", ","):
-            dests.append(self.parse_lval())
+            dests.append(self.parse_dest())
         op_tok = self.peek()
         op = None
         lanes = None
@@ -442,43 +434,19 @@ class Parser:
         self.expect("PUNCT", ";")
         return self._loc(SAssign(tuple(dests), op, rhs, lanes, cond), tok)
 
-    def parse_lval(self):
+    def parse_dest(self):
+        """`_`, or the variable, element or memory access a destination
+        writes, parsed as the expression that reads it; a parenthesized
+        access is not one."""
         t = self.peek()
-        if t.kind == "IDENT" and t.text == "_":
-            self.next()
+        if self.accept("IDENT", "_"):
             return LIgnore()
-        if t.kind == "PUNCT" and t.text == "[":
-            self.next()
-            addr = self.parse_expr()
-            self.expect("PUNCT", "]")
-            return self._loc(LMem(addr, None), t)
-        if t.kind == "PUNCT" and t.text == "(":
-            width = self.parse_width_annot()
-            u = self.peek()
-            if u.kind == "PUNCT" and u.text == "[":
-                self.next()
-                addr = self.parse_expr()
-                self.expect("PUNCT", "]")
-                return self._loc(LMem(addr, width), t)
-            name = self.expect("IDENT").text
-            byte_mode = bool(self.accept("DOTLBRACK"))
-            if not byte_mode:
-                self.expect("PUNCT", "[")
-            idx = self.parse_expr()
-            self.expect("PUNCT", "]")
-            return self._loc(LArr(name, idx, width, byte_mode), t)
-        if t.kind == "IDENT" and t.text not in KEYWORDS:
-            name = self.next().text
-            if self.accept("DOTLBRACK"):
-                idx = self.parse_expr()
-                self.expect("PUNCT", "]")
-                return self._loc(LArr(name, idx, None, True), t)
-            if self.accept("PUNCT", "["):
-                idx = self.parse_expr()
-                self.expect("PUNCT", "]")
-                return self._loc(LArr(name, idx, None, False), t)
-            return self._loc(LVar(name), t)
-        self.error(f"expected assignment destination, found {t.text!r}")
+        d = None
+        if t.text in ("(", "[") or (t.kind == "IDENT" and t.text not in KEYWORDS):
+            d = self.parse_primary()
+        if type(d) not in (EVar, EArr, EMem) or d.loc != (t.line, t.col):
+            self.error(f"expected assignment destination, found {t.text!r}", t)
+        return d
 
     def parse_width_annot(self) -> int:
         """Consume `(uW)`; the caller has seen the `(` but not taken it."""
@@ -549,7 +517,9 @@ class Parser:
         if t.kind == "PUNCT" and t.text == "#":
             self.next()
             name = self.expect("IDENT").text
-            if name not in self.known_intrinsics:
+            try:
+                isa.lookup(name)
+            except isa.UnknownInstruction:
                 self.error(f"unknown intrinsic #{name}", t)
             args = self.parse_call_args()
             return self._loc(EIntr(name, args), t)
@@ -616,6 +586,6 @@ class Parser:
         self.error(f"expected expression, found {t.text!r}")
 
 
-def parse(text: str, known_intrinsics=None) -> Program:
+def parse(text: str) -> Program:
     """Parse DSL source text into an untyped Program."""
-    return Parser(text, known_intrinsics).parse_program()
+    return Parser(text).parse_program()

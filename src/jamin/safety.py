@@ -94,10 +94,7 @@ from .ir import (
     EMem,
     EUn,
     EVar,
-    LArr,
     LIgnore,
-    LMem,
-    LVar,
     Program,
     SAssign,
     SDecl,
@@ -543,7 +540,7 @@ class _Analyzer:
                 flow.reads(s.rhs, out)
             for e in (s.rhs, s.cond, *s.dests):
                 ok = self._scan_expr(e, out) and ok
-            rebinds = tuple(lv.name for lv in s.dests if type(lv) is LVar)
+            rebinds = tuple(lv.name for lv in s.dests if type(lv) is EVar)
         else:
             ok, rebinds = True, ()
             for e in s.values:
@@ -552,14 +549,14 @@ class _Analyzer:
         return out
 
     def _scan_expr(self, e, out: list) -> bool:
-        """Append to `out` the names that expression or lvalue e reads in
-        an address, an index or a divisor; whether e has none of them
-        and no index out of bounds or call."""
+        """Append to `out` the names that expression or destination e
+        reads in an address, an index or a divisor; whether e has none of
+        them and no index out of bounds or call."""
         k = type(e)
-        if k is EMem or k is LMem:
+        if k is EMem:
             flow.reads(e.addr, out)
             return False
-        if k is EArr or k is LArr:
+        if k is EArr:
             if type(e.index) is EInt:
                 return self._in_bounds(e)
             flow.reads(e.index, out)
@@ -734,9 +731,9 @@ class _Analyzer:
     # ------------------------------------------------- index findings
 
     def _in_bounds(self, node, iv: Interval | None = None) -> bool:
-        """Whether the index of array access `node` (an EArr or an LArr)
-        stays in the array's bounds: decided for a constant index, else
-        from the index's interval `iv`."""
+        """Whether the index of array access `node` stays in the array's
+        bounds: decided for a constant index, else from the index's
+        interval `iv`."""
         ty = self.fn.envtypes.get(node.name, (None, None))[1]
         if not isinstance(ty, ArrayTy):
             return True
@@ -830,57 +827,37 @@ class _Analyzer:
             self.eval_intr(st, s.rhs)
             d = isa.lookup(s.rhs.name)
             for lv, w in zip(s.dests, d.dst_widths):
-                if isinstance(lv, LVar) and w != "flag":
-                    self.assign_var(st, lv.name, None, _width_interval(w))
-                elif not isinstance(lv, (LIgnore, LVar)):
-                    self.write_other(st, lv)
+                if type(lv) is EVar:
+                    if w != "flag":
+                        self.assign_var(st, lv.name, None, _width_interval(w))
+                elif type(lv) is not LIgnore:
+                    self.eval(st, lv)  # the access written, checked as its read
             return st
-        if s.op:
-            lv = s.dests[0]
-            if isinstance(lv, LVar):
-                cur = EVar(lv.name)
-                cur.ty = lv.ty
-            else:
-                cur = _arr_read(lv)
-            expr = EBin(s.op, cur, s.rhs, s.lanes)
+        lv = s.dests[0]
+        if s.op:  # the destination is read as the left operand
+            expr = EBin(s.op, lv, s.rhs, s.lanes)
             expr.ty = lv.ty
             expr.loc = s.loc
             a, iv = self.eval_bin(st, expr)
-            if isinstance(lv, LVar):
+            if type(lv) is EVar:
                 self.assign_var(st, lv.name, a, iv)
-            else:
-                self.write_other(st, lv)
             return st
         a, iv = self.eval(st, s.rhs)
         if s.cond is not None:
             self.eval(st, s.cond)
-            lv = s.dests[0]
-            if isinstance(lv, LVar):
+            if type(lv) is EVar:
                 taken = st.copy()
                 self.assign_var(taken, lv.name, a, iv)
                 return self.join(flow.key(s, self), st, taken)
             return st
-        for lv in s.dests:
-            if isinstance(lv, LVar):
-                if isinstance(lv.ty, WordTy):
-                    self.assign_var(st, lv.name, a, iv)
-                else:
-                    st.vals.pop(lv.name, None)
+        if type(lv) is EVar:
+            if isinstance(lv.ty, WordTy):
+                self.assign_var(st, lv.name, a, iv)
             else:
-                self.write_other(st, lv)
+                st.vals.pop(lv.name, None)
+        elif type(lv) is not LIgnore:
+            self.eval(st, lv)
         return st
-
-    def write_other(self, st: AbsState, lv):
-        if isinstance(lv, LIgnore):
-            return
-        if isinstance(lv, LMem):
-            aa, _ = self.eval(st, lv.addr)
-            self.record_access(st, lv, aa, (lv.width or 64) // 8)
-            return
-        if isinstance(lv, LArr):
-            self.check_index(st, lv)
-            return
-        raise TypeError(f"not an lvalue: {lv!r}")
 
     # -------------------------------------------------------- loops
 
@@ -1165,13 +1142,6 @@ def _ival(st: AbsState, a: Aff | None, iv: Interval | None) -> Interval:
     return st.interval_of(a) if iv is None else iv
 
 
-def _arr_read(lv: LArr) -> EArr:
-    e = EArr(lv.name, lv.index, lv.width, lv.byte_mode)
-    e.ty = lv.ty
-    e.loc = lv.loc
-    return e
-
-
 def _expr_bits(e) -> int | None:
     ty = e.ty
     if isinstance(ty, WordTy):
@@ -1271,14 +1241,13 @@ class _Uninit(Assigned):
         if k is SDecl:
             self.check(super().transfer(f, s, 0), s.init)
         elif k is SAssign:
-            if s.op and type(s.dests[0]) is LVar:
+            if s.op and type(s.dests[0]) is EVar:
                 self.check(f, s, [s.dests[0].name])
             self.check(f, s.rhs)
             self.check(f, s.cond)
             for i, lv in enumerate(s.dests):
-                if type(lv) is LArr or type(lv) is LMem:
-                    e = lv.index if type(lv) is LArr else lv.addr
-                    self.check(super().transfer(f, s, i), e)
+                if type(lv) is EArr or type(lv) is EMem:
+                    self.check(super().transfer(f, s, i), lv)
         elif k is SReturn:
             for v in s.values:
                 self.check(f, v)
@@ -1335,7 +1304,7 @@ def _definitions(stmts, seeds_of) -> tuple[set, dict]:
                     defs.setdefault(nm, []).append(s)
             elif k is SAssign:
                 for lv in s.dests:
-                    if type(lv) is LVar:
+                    if type(lv) is EVar:
                         defs.setdefault(lv.name, []).append(s)
 
     walk(stmts)

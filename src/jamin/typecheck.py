@@ -37,10 +37,7 @@ from .ir import (
     FuncDecl,
     GlobalDecl,
     IntTy,
-    LArr,
     LIgnore,
-    LMem,
-    LVar,
     Program,
     SAssign,
     SDecl,
@@ -289,7 +286,7 @@ class _FnChecker:
             e.ty = word_ty(e.width)
             return
         if isinstance(e, EArr):
-            self.check_array_access(e, e.name, e.index, e.width, e.byte_mode, write=False)
+            self.check_array_access(e, e.name, e.index, e.width, e.byte_mode)
             st, ty = self.var_ty(e, e.name)
             if isinstance(ty, ArrayTy):
                 e.ty = word_ty(e.width or ty.bits)
@@ -428,15 +425,13 @@ class _FnChecker:
             e.ty = BOOL if w == "flag" else word_ty(w)
         return d
 
-    def check_array_access(self, node, name, index, width, byte_mode, write):
+    def check_array_access(self, node, name, index, width, byte_mode):
         st, ty = self.var_ty(node, name)
         if not isinstance(ty, ArrayTy):
             self.err(node, f"{name!r} is not an array")
             return
         node.arr_storage = st
         node.arr_ty = ty
-        if write and st == "global":
-            self.err(node, f"cannot write to global {name!r}")
         if st == "reg" or st == "global":
             if width is not None or byte_mode:
                 self.err(node, "sub-word views exist only on stack arrays")
@@ -540,34 +535,24 @@ class _FnChecker:
             return
         raise TypeError(f"not a statement: {s!r}")
 
-    def lval_ty(self, lv, write=True):
-        ty = self._lval_ty(lv, write)
-        lv.ty = ty
-        return ty
-
-    def _lval_ty(self, lv, write):
-        if isinstance(lv, LIgnore):
+    def lval_ty(self, lv):
+        """The type of destination lv, typed as the access that reads the
+        place it writes; None for `_` and for a place that cannot be
+        written, which is an error."""
+        if type(lv) is LIgnore:
             return None
-        if isinstance(lv, LVar):
-            st, ty = self.var_ty(lv, lv.name)
-            if st == "global":
-                self.err(lv, f"cannot write to global {lv.name!r}")
-            if st == "inline":
-                self.err(lv, "inline variables are fixed by expansion")
-            return ty
-        if isinstance(lv, LArr):
-            self.check_array_access(lv, lv.name, lv.index, lv.width, lv.byte_mode, write)
-            st, ty = self.var_ty(lv, lv.name)
-            if isinstance(ty, ArrayTy):
-                return word_ty(lv.width or ty.bits)
-            return word_ty(64)
-        if isinstance(lv, LMem):
-            w = lv.width or 64
-            if w not in LEGAL_WIDTHS:
-                self.err(lv, f"illegal access width {w}")
-            lv.addr = self.infer_word(lv.addr, 64)
-            return word_ty(w)
-        raise TypeError(f"not an lvalue: {lv!r}")
+        if type(lv) is EVar:
+            st, lv.ty = self.var_ty(lv, lv.name)
+        else:
+            self.infer(lv)
+            st = lv.arr_storage if type(lv) is EArr else None
+        if st == "global":
+            self.err(lv, f"cannot write to global {lv.name!r}")
+            return None
+        if st == "inline":
+            self.err(lv, "inline variables are fixed by expansion")
+            return None
+        return lv.ty
 
     def check_assign(self, s: SAssign):
         if isinstance(s.rhs, ECall):
@@ -610,7 +595,7 @@ class _FnChecker:
             if not isinstance(ty, WordTy):
                 self.err(s, "compound assignment needs a word destination")
                 return
-            if isinstance(lv, LMem):
+            if isinstance(lv, EMem):
                 self.err(s, "compound assignment needs a register or an array element "
                             "as destination")
                 return
@@ -641,7 +626,7 @@ class _FnChecker:
             self.infer(s.cond)
             if not isinstance(s.cond.ty, BoolTy):
                 self.err(s, "assignment guard must be a bool")
-            if not isinstance(lv, LVar) or not isinstance(ty, WordTy):
+            if not isinstance(lv, EVar) or not isinstance(ty, WordTy):
                 self.err(s, "conditional assignment writes a scalar register")
 
     def check_call(self, s: SAssign):

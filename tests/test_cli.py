@@ -79,6 +79,16 @@ def test_run_mem_in_not_utf8_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+def test_run_mem_out_not_writable_exit_2(tmp_path, capsys):
+    prog = tmp_path / "f.jz"
+    prog.write_text("fn f() { }")
+    dump = tmp_path / "missing" / "out.hex"
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--mem-out", str(dump))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write memory dump: ") and str(dump) in err
+    assert "Traceback" not in err
+
+
 def test_run_safety_error_exit_1(tmp_path, capsys):
     prog = tmp_path / "oops.jz"
     prog.write_text("fn f(reg u64 p) { [p + 0] = 1; }")
@@ -480,6 +490,42 @@ def test_out_of_range_settled_value_exit_2(tmp_path, capsys, src, located, argv)
     prog = tmp_path / "settled.jz"
     prog.write_text(src)
     code, out, err = run_cli(capsys, argv[0], str(prog), "--entry", "f", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {prog}: {located}\n"
+
+
+@pytest.mark.parametrize("argv", [("run", "--u64", "5"), ("safety",), ("ct", "--trials", "2")],
+                         ids=["run", "safety", "ct"])
+@pytest.mark.parametrize("src, located", [
+    ("fn f(reg u64 a) -> reg u64 {\n  inline int n = 1;\n  n = 2;\n  return a;\n}\n",
+     "3:3: f: inline variables are fixed by expansion"),
+    ("fn f(reg u64 a) -> reg u64 {\n  for i = 0 to 3 {\n    i = 2;\n    a = a + 1;\n  }\n"
+     "  return a;\n}\n", "3:5: f: inline variables are fixed by expansion"),
+    ("inline fn g(inline int k) -> reg u64 {\n  reg u64 x;\n  k = 3;\n  x = 1;\n  return x;\n}\n"
+     "fn f(reg u64 a) -> reg u64 {\n  a = g(1);\n  return a;\n}\n",
+     "3:3: g: inline variables are fixed by expansion"),
+], ids=["inline-variable", "for-counter", "inline-parameter"])
+def test_assignment_to_compile_time_name_exit_2(tmp_path, capsys, src, located, argv):
+    prog = tmp_path / "fixed.jz"
+    prog.write_text(src)
+    code, out, err = run_cli(capsys, argv[0], str(prog), "--entry", "f", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {prog}: {located}\n"
+
+
+@pytest.mark.parametrize("stmt, located", [
+    ("(x) = 1;", "3:3: expected assignment destination, found '('"),
+    ("(u64)x = 1;", "3:3: expected assignment destination, found '('"),
+    ("1 = x;", "3:3: expected assignment destination, found '1'"),
+    ("true = x;", "3:3: expected assignment destination, found 'true'"),
+    ("#x86_MOV_64(x) = 1;", "3:3: expected assignment destination, found '#'"),
+    ("x, (x) = 1;", "3:6: expected assignment destination, found '('"),
+    ("f(x) = 1;", "3:8: expected ';', found '='"),
+], ids=["parenthesized", "cast", "literal", "bool", "intrinsic", "second", "call"])
+def test_invalid_destination_exit_2(tmp_path, capsys, stmt, located):
+    prog = tmp_path / "dest.jz"
+    prog.write_text(f"fn f() {{\n  reg u64 x;\n  {stmt}\n}}\n")
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f")
     assert (code, out) == (2, "")
     assert err == f"error: {prog}: {located}\n"
 

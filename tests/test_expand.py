@@ -7,7 +7,7 @@ import pytest
 from unroll import cases
 from jamin import interp, leakage, memory, safety
 from jamin.expand import ExpandError, expand
-from jamin.ir import (ArrayTy, EArr, ECall, EInt, EVar, EVecImm, IntTy, LArr, SAssign, SFor,
+from jamin.ir import (ArrayTy, EArr, ECall, EInt, EVar, EVecImm, IntTy, SAssign, SFor,
                       print_program)
 from jamin.parser import parse
 from jamin.typecheck import TypecheckError, typecheck
@@ -33,7 +33,7 @@ def contract_breaches(p) -> list:
             found.append(f"inline call {node.name}")
         elif k is not EInt and isinstance(getattr(node, "ty", None), IntTy):
             found.append(f"int {k.__name__}")
-        elif (k is EArr or k is LArr) and getattr(node, "arr_storage", None) is None:
+        elif k is EArr and getattr(node, "arr_storage", None) is None:
             found.append(f"untyped access to {node.name}")
         for f in dataclasses.fields(node):
             walk(getattr(node, f.name))
@@ -64,7 +64,7 @@ def value_breaches(p) -> list:
         k = type(node)
         if k is EVar and node.name not in names:
             found.append(f"read of {node.name}")
-        elif (k is EArr or k is LArr) and node.arr_storage != "stack" and type(node.index) is not EInt:
+        elif k is EArr and node.arr_storage != "stack" and type(node.index) is not EInt:
             found.append(f"index of {node.name}")
         for f in dataclasses.fields(node):
             walk(getattr(node, f.name), names)

@@ -18,8 +18,8 @@ NODE_CLASSES = [c for c in vars(ir).values()
 
 
 def test_node_classes_found():
-    assert {ir.EBin, ir.LArr, ir.SAssign, ir.SRepeat, ir.FuncDecl, ir.Program} <= set(NODE_CLASSES)
-    assert len(NODE_CLASSES) == 27
+    assert {ir.EBin, ir.EArr, ir.SAssign, ir.SRepeat, ir.FuncDecl, ir.Program} <= set(NODE_CLASSES)
+    assert len(NODE_CLASSES) == 24
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)

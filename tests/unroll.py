@@ -17,11 +17,11 @@ import dataclasses
 import hashlib
 
 from jamin.expand import _copy, expand
-from jamin.ir import EArr, EVar, LArr, LVar, SDecl, SIf, SRepeat, SWhile, print_program
+from jamin.ir import EArr, EVar, SDecl, SIf, SRepeat, SWhile, print_program
 from jamin.parser import parse
 from jamin.typecheck import typecheck
 
-_VARIABLES = (EVar, EArr, LVar, LArr)
+_VARIABLES = (EVar, EArr)
 
 
 def unroll(p):
