@@ -566,7 +566,7 @@ class _FnGen(Assigned):
             if not _REPEATABLE.match(value):
                 self.line(value)
         else:
-            raise TypeError(f"not an lvalue: {lv!r}")
+            raise TypeError(f"not a destination: {lv!r}")
 
     def write_element(self, lv, value: str, bits):
         storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, lv.loc
