@@ -33,19 +33,26 @@ unassigned or unbound (_uu, _arr), budget exhaustion (_bx), an else-if
 arm's branch event (_br), the word operators it does not inline (_wbin
 for a computed shift count, / and %; _nz for a divisor) and DIV
 (_intr).  Register arrays need none: expand makes every index of one a
-literal in bounds.  The memory helpers slice the region a line index
-names (see memory) and call Memory's methods only on a miss or to find
-the fault to raise.  Budget and trace bookkeeping are batched per
-straight-line segment (see codegen); a run that completes observes
-exactly the per-statement semantics above.  A run that faults raises
-the error of the first faulting statement, except that budget
-exhaustion is reported as soon as the segment holding the exhausting
-statement starts, and the trace list then holds a prefix of the events
-up to the fault.
+literal in bounds.  The memory helpers read and write the region a line
+index names (see memory) and call Memory's methods only on a miss or to
+find the fault to raise.  A 1-, 2-, 4- or 8-byte access, to memory or to
+a stack array, goes through a precompiled struct codec (_CODECS): one
+unpack_from or pack_into on the bytes and one on the init map, whose
+written bytes hold 1, so that a span is written when its init word
+unpacks to the all-ones constant; a region without an init map (every
+byte written) skips the init step.  16- and 32-byte accesses slice the
+bytes and search the init map for a 0.  Budget and trace bookkeeping
+are batched per straight-line segment (see codegen); a run that
+completes observes exactly the per-statement semantics above.  A run
+that faults raises the error of the first faulting statement, except
+that budget exhaustion is reported as soon as the segment holding the
+exhausting statement starts, and the trace list then holds a prefix of
+the events up to the fault.
 """
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import NamedTuple
 
 from . import codegen
@@ -135,7 +142,17 @@ class _Unbound:
 
 
 NB = _Unbound()
-_ONES = {n: b"\x01" * n for n in (1, 2, 4, 8, 16, 32)}
+_ONES = {n: b"\x01" * n for n in (16, 32)}
+
+
+def _codec(n: int, code: str) -> tuple:
+    """(unpack_from, pack_into, the word an all-written init map unpacks
+    to, the value mask) of n-byte little-endian accesses."""
+    s = Struct("<" + code)
+    return s.unpack_from, s.pack_into, int.from_bytes(b"\x01" * n, "little"), MASK[8 * n]
+
+
+_CODECS = {n: _codec(n, code) for n, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
 
 
 def _uu(value, name, loc):
@@ -190,8 +207,13 @@ def _ld(M, T, K, a, nbytes, loc):
         base, end, buf, init = M._regions[i]
         o = a - base
         if o >= 0:
-            if a + nbytes <= end and init.find(0, o, o + nbytes) < 0:
-                return int.from_bytes(buf[o:o + nbytes], "little")
+            if a + nbytes <= end:
+                c = _CODECS.get(nbytes)
+                if c is None:
+                    if init is None or init.find(0, o, o + nbytes) < 0:
+                        return int.from_bytes(buf[o:o + nbytes], "little")
+                elif init is None or c[0](init, o)[0] == c[2]:
+                    return c[0](buf, o)[0]
             break
         i = i - 1 if i else None
     try:
@@ -213,8 +235,15 @@ def _st(M, T, K, v, a, nbytes, loc):
         o = a - base
         if o >= 0:
             if a + nbytes <= end:
-                buf[o:o + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-                init[o:o + nbytes] = _ONES[nbytes]
+                c = _CODECS.get(nbytes)
+                if c is None:
+                    buf[o:o + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
+                    if init is not None:
+                        init[o:o + nbytes] = _ONES[nbytes]
+                else:
+                    c[1](buf, o, v & c[3])
+                    if init is not None:
+                        c[1](init, o, c[2])
                 return
             break
         i = i - 1 if i else None
@@ -225,16 +254,23 @@ def _st(M, T, K, v, a, nbytes, loc):
 
 
 def _sget(arr, off, nbytes, name, loc):
-    end = off + nbytes
-    if arr.init.find(0, off, end) >= 0:
-        raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
-    return int.from_bytes(arr.buf[off:end], "little")
+    c = _CODECS.get(nbytes)
+    if c is None:
+        if arr.init.find(0, off, off + nbytes) < 0:
+            return int.from_bytes(arr.buf[off:off + nbytes], "little")
+    elif c[0](arr.init, off)[0] == c[2]:
+        return c[0](arr.buf, off)[0]
+    raise UninitializedUse(f"{name} bytes [{off}, {off + nbytes})", loc)
 
 
 def _sput(arr, v, off, nbytes):
-    end = off + nbytes
-    arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-    arr.init[off:end] = _ONES[nbytes]
+    c = _CODECS.get(nbytes)
+    if c is None:
+        arr.buf[off:off + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
+        arr.init[off:off + nbytes] = _ONES[nbytes]
+    else:
+        c[1](arr.buf, off, v & c[3])
+        c[1](arr.init, off, c[2])
 
 
 def _sld(T, K, arr, i, nbytes, scale, name, loc):
@@ -246,9 +282,13 @@ def _sld(T, K, arr, i, nbytes, scale, name, loc):
         if K:
             T += K
         T.append(("addr", (i,)))
-    if arr.init.find(0, off, end) >= 0:
-        raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
-    return int.from_bytes(arr.buf[off:end], "little")
+    c = _CODECS.get(nbytes)
+    if c is None:
+        if arr.init.find(0, off, end) < 0:
+            return int.from_bytes(arr.buf[off:end], "little")
+    elif c[0](arr.init, off)[0] == c[2]:
+        return c[0](arr.buf, off)[0]
+    raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
 
 
 def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
@@ -260,8 +300,13 @@ def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
         if K:
             T += K
         T.append(("addr", (i,)))
-    arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-    arr.init[off:end] = _ONES[nbytes]
+    c = _CODECS.get(nbytes)
+    if c is None:
+        arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
+        arr.init[off:end] = _ONES[nbytes]
+    else:
+        c[1](arr.buf, off, v & c[3])
+        c[1](arr.init, off, c[2])
 
 
 def _intr(sem, args, loc):

@@ -229,14 +229,16 @@ def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
 
 
 def _materialize(p: Program, entry: str, public, regions, pub_contents, secret):
+    """One run's arguments and memory: each region holds its public or
+    secret bytes, so the memory is built whole (Memory.from_spans)."""
     fn = p.func(entry)
-    m = Memory()
+    spans = []
     for name, (addr, size) in regions.items():
-        m._add_region_inplace(addr, size)
         data = pub_contents.get(name)
         if data is None:
             data = secret.get(f"mem[{name}]", bytes(size))
-        m.store_bytes_inplace(addr, data)
+        spans.append((addr, data))
+    m = Memory.from_spans(spans)
     args = []
     for q in fn.params:
         if q.name in public:

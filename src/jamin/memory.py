@@ -3,14 +3,18 @@
 Memory is a set of half-open intervals [base, base+len) of 64-bit
 addresses that accesses must stay inside (the memory calling contract),
 sorted, disjoint and non-adjacent.  Each is materialised as a tuple
-(base, end, buf, init): a bytearray of its bytes and an init map holding
-1 for each byte written.  The regions hold at most MAX_BYTES bytes
-together; a region past that cap, or past 2^64, raises ValueError.
-`_lines` maps each 2^LINE-byte line a region touches to the position in
-`_regions` of the last region touching it: the interpreter's load and
-store helpers slice that region, or an earlier one sharing the line,
-themselves and call the methods below only for an access outside every
-region or of an unwritten byte.
+(base, end, buf, init): a bytearray of its bytes and an optional init
+map, a bytearray holding 1 for each byte written, or None when every
+byte of the region is written.  `Memory.from_spans`, which builds a
+memory from its full contents, gives each region it makes no init map;
+a region made by add_region (and so by parse_dump) has one, as has a
+region that add_region merges with another.  The regions hold at most
+MAX_BYTES bytes together; a region past that cap, or past 2^64, raises
+ValueError.  `_lines` maps each 2^LINE-byte line a region touches to
+the position in `_regions` of the last region touching it: the
+interpreter's load and store helpers read that region, or an earlier
+one sharing the line, themselves and call the methods below only for an
+access outside every region or of an unwritten byte.
 
 The persistent functions at the end of the module (load8, store8,
 loadW, storeW, add_region, load_bytes, store_bytes) return a new Memory
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
+from typing import Iterable
 
 from .words import Word
 
@@ -65,14 +70,46 @@ class Memory:
     __slots__ = ("_regions", "_lines")
 
     def __init__(self):
-        self._regions: list[tuple[int, int, bytearray, bytearray]] = []
+        self._regions: list[tuple[int, int, bytearray, bytearray | None]] = []
         self._lines: dict[int, int] = {}
 
     # -- construction ------------------------------------------------
 
+    @classmethod
+    def from_spans(cls, spans: Iterable[tuple[int, bytes]]) -> "Memory":
+        """The memory that add_region and then store_bytes of each (base,
+        data) span in turn build.  When the spans are disjoint and not
+        adjacent, each becomes a region of its own, fully written and so
+        without an init map, in one pass."""
+        spans = list(spans)
+        m = cls()
+        lines, end, total = m._lines, -1, 0
+        for base, data in sorted(spans, key=_BASE):
+            n = len(data)
+            if base < 0 or base + n > 1 << 64:
+                raise ValueError("region overflows the 64-bit address space")
+            if not n:
+                continue
+            if base <= end:  # overlapping or adjacent: merged below
+                break
+            end = base + n
+            total += n
+            if total > MAX_BYTES:
+                raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
+            lines.update(dict.fromkeys(range(base >> LINE, ((end - 1) >> LINE) + 1),
+                                       len(m._regions)))
+            m._regions.append((base, end, bytearray(data), None))
+        else:
+            return m
+        m = cls()
+        for base, data in spans:
+            m._add_region_inplace(base, len(data))
+            m.store_bytes_inplace(base, data)
+        return m
+
     def copy(self) -> "Memory":
         m = Memory()
-        m._regions = [(b, e, bytearray(buf), bytearray(init))
+        m._regions = [(b, e, bytearray(buf), None if init is None else bytearray(init))
                       for b, e, buf, init in self._regions]
         m._lines = self._lines
         return m
@@ -97,12 +134,14 @@ class Memory:
             else:
                 merged.append(r)
                 lo, hi = min(lo, r[0]), max(hi, r[1])
+        if len(merged) == 1 and (lo, hi) == merged[0][:2]:
+            return  # inside one region: nothing changes
         if hi - lo + sum(e - b for b, e, _, _ in kept) > MAX_BYTES:
             raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
         buf, init = bytearray(hi - lo), bytearray(hi - lo)
         for b, e, rbuf, rinit in merged:
             buf[b - lo:e - lo] = rbuf
-            init[b - lo:e - lo] = rinit
+            init[b - lo:e - lo] = b"\x01" * (e - b) if rinit is None else rinit
         kept.append((lo, hi, buf, init))
         kept.sort(key=_BASE)
         self._regions = kept
@@ -126,7 +165,7 @@ class Memory:
         if s is None:
             raise OutOfRegion(a)
         o, buf, init = s
-        if not init[o]:
+        if init is not None and not init[o]:
             raise UninitializedRead(a)
         return buf[o]
 
@@ -136,11 +175,12 @@ class Memory:
             raise OutOfRegion(a)
         o, buf, init = s
         buf[o] = w & 0xFF
-        init[o] = 1
+        if init is not None:
+            init[o] = 1
 
     def is_initialized(self, a: int) -> bool:
         s = self._span(a, 1)
-        return s is not None and s[2][s[0]] == 1
+        return s is not None and (s[2] is None or s[2][s[0]] == 1)
 
     # -- multi-byte, little-endian --------------------------------------
 
@@ -152,7 +192,7 @@ class Memory:
         s = self._span(a, n)
         if s is not None:
             o, buf, init = s
-            if init.find(0, o, o + n) < 0:
+            if init is None or init.find(0, o, o + n) < 0:
                 return bytes(buf[o:o + n])
         order = reversed(range(n)) if highest_first else range(n)
         got = {i: self._load8((a + i) & ADDR_MASK) for i in order}
@@ -175,7 +215,8 @@ class Memory:
             return
         o, buf, init = s
         buf[o:o + n] = data
-        init[o:o + n] = b"\x01" * n
+        if init is not None:
+            init[o:o + n] = b"\x01" * n
 
 
 # -- functional interface: the specification layer ----------------------
@@ -223,6 +264,11 @@ def store_bytes(m: Memory, a: int, data: bytes) -> Memory:
 def dump(m: Memory) -> str:
     lines = []
     for base, _, buf, init in m._regions:
+        if init is None or 0 not in init:  # every byte written: rows of one hex string
+            cells = buf.hex(" ")  # three characters a byte
+            lines += [f"{base + o:08x}: {cells[3 * o:3 * o + 47]}"
+                      for o in range(0, len(buf), 16)]
+            continue
         for o in range(0, len(buf), 16):
             row, written = buf[o:o + 16], init[o:o + 16]
             if 0 in written:  # the row holds an unwritten byte

@@ -70,6 +70,9 @@ class Shape:
         raise NotImplementedError
 
     def build_memory(self, case) -> tuple[Memory, list]:
+        """The case's initial memory, its input regions built whole
+        (Memory.from_spans) and its output regions added unwritten, and
+        the entry's arguments."""
         raise NotImplementedError
 
     def expected_memory(self, case, out_bytes: bytes) -> Memory:
@@ -101,12 +104,8 @@ class Poly1305Shape(Shape):
         }
 
     def build_memory(self, case):
-        m = Memory()
+        m = Memory.from_spans(((case["in"], case["msg"]), (case["k"], case["key"])))
         m._add_region_inplace(case["out"], 16)
-        m._add_region_inplace(case["in"], len(case["msg"]))
-        m._add_region_inplace(case["k"], 32)
-        m.store_bytes_inplace(case["in"], case["msg"])
-        m.store_bytes_inplace(case["k"], case["key"])
         args = [case["out"], case["in"], len(case["msg"]), case["k"]]
         return m, args
 
@@ -141,15 +140,10 @@ class ChaCha20Shape(Shape):
         }
 
     def build_memory(self, case):
-        m = Memory()
-        m._add_region_inplace(case["k"], 32)
-        m._add_region_inplace(case["n"], 12)
+        m = Memory.from_spans(((case["k"], case["key"]), (case["n"], case["nonce"]),
+                               (case["plain"], case["msg"])))
         L = len(case["msg"])
-        m._add_region_inplace(case["plain"], L)
-        m._add_region_inplace(case["output"], L)
-        m.store_bytes_inplace(case["plain"], case["msg"])
-        m.store_bytes_inplace(case["k"], case["key"])
-        m.store_bytes_inplace(case["n"], case["nonce"])
+        m._add_region_inplace(case["output"], L)  # inside plain when aliased
         args = [
             case["output"],
             case["plain"],
@@ -179,10 +173,7 @@ class GimliShape(Shape):
         return {"state": rng.randbytes(48), "base": 0x1000}
 
     def build_memory(self, case):
-        m = Memory()
-        m._add_region_inplace(case["base"], 48)
-        m.store_bytes_inplace(case["base"], case["state"])
-        return m, [case["base"]]
+        return Memory.from_spans(((case["base"], case["state"]),)), [case["base"]]
 
     def spec_output(self, case):
         return gimli_bytes(case["state"])

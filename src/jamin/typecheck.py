@@ -206,17 +206,23 @@ class _FnChecker:
 
     # ----------------------------------------------------- lookups
 
-    def var_ty(self, node, name):
+    def lookup(self, name):
+        """(storage, type) of the variable `name`, or None when nothing
+        in scope declares it."""
         if name in self.env:
             return self.env[name]
         if name in self.tc.global_tys:
             return ("global", self.tc.global_tys[name])
-        if name in self.tc.param_values:
+        if name in self.tc.param_values or name in self.for_vars:
             return ("inline", INT)
-        if name in self.for_vars:
-            return ("inline", INT)
-        self.err(node, f"unknown variable {name!r}")
-        return ("reg", word_ty(64))
+        return None
+
+    def var_ty(self, node, name):
+        found = self.lookup(name)
+        if found is None:
+            self.err(node, f"unknown variable {name!r}")
+            return ("reg", word_ty(64))
+        return found
 
     # ---------------------------------------------------- coercion
 
@@ -287,11 +293,6 @@ class _FnChecker:
             return
         if isinstance(e, EArr):
             self.check_array_access(e, e.name, e.index, e.width, e.byte_mode)
-            st, ty = self.var_ty(e, e.name)
-            if isinstance(ty, ArrayTy):
-                e.ty = word_ty(e.width or ty.bits)
-            else:
-                e.ty = word_ty(64)
             return
         if isinstance(e, EMem):
             w = e.width or 64
@@ -426,12 +427,20 @@ class _FnChecker:
         return d
 
     def check_array_access(self, node, name, index, width, byte_mode):
-        st, ty = self.var_ty(node, name)
+        """Type the access `node`; an error about its array name is
+        reported once."""
+        node.ty = word_ty(64)  # unless name is an array
+        found = self.lookup(name)
+        if found is None:
+            self.err(node, f"unknown variable {name!r}")
+            return
+        st, ty = found
         if not isinstance(ty, ArrayTy):
             self.err(node, f"{name!r} is not an array")
             return
         node.arr_storage = st
         node.arr_ty = ty
+        node.ty = word_ty(width or ty.bits)
         if st == "reg" or st == "global":
             if width is not None or byte_mode:
                 self.err(node, "sub-word views exist only on stack arrays")

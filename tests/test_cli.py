@@ -530,6 +530,17 @@ def test_invalid_destination_exit_2(tmp_path, capsys, stmt, located):
     assert err == f"error: {prog}: {located}\n"
 
 
+@pytest.mark.parametrize("stmt, col", [("zz[0] = a;", 3), ("a = zz[0];", 7),
+                                       ("a = (u32)zz.[a];", 7)],
+                         ids=["write", "read", "byte-view"])
+def test_unknown_array_is_reported_once_exit_2(tmp_path, capsys, stmt, col):
+    prog = tmp_path / "zz.jz"
+    prog.write_text(f"fn f(reg u64 a) -> reg u64 {{\n  {stmt}\n  return a;\n}}\n")
+    code, out, err = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {prog}: 2:{col}: f: unknown variable 'zz'\n"
+
+
 def test_safety_reads_a_global_in_an_address_as_its_value(tmp_path, capsys):
     prog = tmp_path / "k.jz"
     prog.write_text("global u64 K = 8;\nfn f(reg u64 p) -> reg u64 {\n  reg u64 x;\n"

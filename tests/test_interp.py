@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jamin import interp, memory
 from jamin.expand import expand
@@ -461,3 +462,86 @@ def test_run_path_builds_a_word_per_word_result_only(monkeypatch):
         r = interp.run(p, entry, args, m, vector_mode=mode)
         assert len(built) == sum(isinstance(v, Word) for v in r.results), label
     assert [type(v) for v in r.results] == [Word, Word, bool]
+
+
+# -- the stack-array helpers against a byte-level reference
+
+NBYTES = (1, 2, 4, 8, 16, 32)
+LOC = (4, 2)
+PENDING = (("addr", (7,)),)  # constant-index events batched before the helper's own
+
+
+def _ref_load(ref, off, nbytes):
+    """What reading [off, off + nbytes) of a byte list gives: the value,
+    or the message of the uninitialized read."""
+    span = ref[off:off + nbytes]
+    if None in span:
+        return f"a bytes [{off}, {off + nbytes})"
+    return int.from_bytes(bytes(span), "little")
+
+
+def _helper(f, *args):
+    """What a helper returns, or its fault as (class, message, loc)."""
+    try:
+        return f(*args)
+    except interp.UninitializedUse as exc:
+        return exc.var, exc.loc
+    except interp.OutOfBoundsArray as exc:
+        return "oob", exc.var, exc.index, exc.loc
+
+
+# (load or store, constant or computed index, nbytes, byte view, index, value)
+ACCESS = st.tuples(st.booleans(), st.booleans(), st.sampled_from(NBYTES), st.booleans(),
+                   st.one_of(st.integers(-1, 9), st.integers(-2, 130)),
+                   st.integers(0, (1 << 256) - 1))
+# one byte written, then a wider span over it read, by each helper
+PARTIAL = [((False, c, 1, True, 9, 0xAB), (True, c, n, True, 8, 0)) for c in (False, True)
+           for n in (2, 4, 8, 16, 32)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(width=64, length=4, fill=None, accesses=[a for pair in PARTIAL for a in pair])
+@given(width=st.sampled_from((8, 16, 32, 64, 128, 256)), length=st.integers(1, 4),
+       fill=st.one_of(st.none(), st.binary(min_size=128, max_size=128)),
+       accesses=st.lists(ACCESS, max_size=12))
+def test_stack_array_helpers_match_a_byte_reference(width, length, fill, accesses):
+    """_sget, _sput, _sld and _sst at every access width read and write
+    an array as a per-byte model does: a partly written span faults with
+    its byte range, an index out of bounds faults before its event, and
+    a computed index's event follows the batched ones even when the read
+    then faults."""
+    arr = interp.StackArray(width, length)
+    size = len(arr.buf)
+    ref = [None] * size
+    if fill is not None:
+        arr.fill(fill[:size])
+        ref = list(fill[:size])
+    for load, computed, nbytes, byte_view, i, v in accesses:
+        scale = 1 if byte_view else nbytes
+        off = i * scale
+        inside = 0 <= off and off + nbytes <= size
+        if not computed and not inside:
+            continue  # expand makes a constant index a literal in bounds
+        trace = []
+        if load:
+            want = _ref_load(ref, off, nbytes)
+            if isinstance(want, str):
+                want = (want, LOC)
+            if not computed:
+                got = _helper(interp._sget, arr, off, nbytes, "a", LOC)
+            else:
+                got = _helper(interp._sld, trace, PENDING, arr, i, nbytes, scale, "a", LOC)
+        else:
+            want = None
+            if not computed:
+                got = _helper(interp._sput, arr, v, off, nbytes)
+            else:
+                got = _helper(interp._sst, trace, PENDING, arr, v, i, nbytes, scale, "a", LOC)
+            if inside:
+                ref[off:off + nbytes] = (v & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
+        if not inside:
+            want = ("oob", "a", i, LOC)
+        assert got == want, (load, computed, nbytes, off)
+        assert trace == ([*PENDING, ("addr", (i,))] if computed and inside else [])
+        assert [b is not None for b in ref] == [bool(b) for b in arr.init]
+        assert [b for b in ref if b is not None] == [b for b, w in zip(arr.buf, arr.init) if w]

@@ -159,6 +159,7 @@ def _dump_cases():
     apart = memory.add_region(holes, 0x2026, 40)  # one byte apart: a second region
     yield memory.store_bytes(apart, 0x2030, b"\x01\x02")
     yield Memory()
+    yield from _whole_cases()
     rng = random.Random(8)
     for _ in range(20):
         m = Memory()
@@ -171,6 +172,19 @@ def _dump_cases():
         yield m
 
 
+def _whole_cases():
+    """Memories holding regions built whole (no init map) next to
+    regions with one, partly written or not."""
+    whole = Memory.from_spans([(0x3000, bytes(range(256)) * 8), (0x2000, bytes(range(37))),
+                               (0x2030, b"\xee")])
+    yield whole
+    mixed = memory.add_region(whole, 0x4000, 40)  # unwritten
+    mixed = memory.store_bytes(mixed, 0x4003, b"\x05" * 20)
+    yield mixed
+    yield memory.add_region(mixed, 0x2025, 3)  # adjacent: merged into an init map
+    yield memory.store8(mixed, 0x2010, 0xAA)
+
+
 def test_dump_matches_per_cell_reference_and_round_trips():
     for m in _dump_cases():
         text = memory.dump(m)
@@ -179,6 +193,49 @@ def test_dump_matches_per_cell_reference_and_round_trips():
         assert back.regions() == m.regions()
         assert memory.dump(back) == text
     assert memory.dump(Memory()) == ""
+
+
+def test_dump_is_the_same_with_or_without_an_init_map():
+    """A region built whole prints the rows the same region built by
+    add_region and store_bytes prints, next to regions with holes."""
+    for m in _whole_cases():
+        built = Memory()
+        for base, end in m.regions():
+            built = memory.add_region(built, base, end - base)
+            for a in range(base, end):
+                if m.is_initialized(a):
+                    built = memory.store8(built, a, memory.load8(m, a))
+        assert memory.dump(m) == memory.dump(built) == _reference_dump(m)
+        assert [r[3] is None for r in m._regions] != [r[3] is None for r in built._regions]
+
+
+def test_from_spans_builds_regions_without_an_init_map():
+    m = Memory.from_spans([(0x100, b"\x01\x02"), (0x80, bytes(3)), (0x103, b""), (0x200, b"")])
+    assert m.regions() == [(0x80, 0x83), (0x100, 0x102)]
+    assert [r[3] for r in m._regions] == [None, None]
+    assert memory.load_bytes(m, 0x100, 2) == b"\x01\x02" and m.is_initialized(0x82)
+    assert m._lines == {0x80 >> memory.LINE: 0, 0x100 >> memory.LINE: 1}
+    inside = memory.add_region(m, 0x100, 1)  # a region inside one changes nothing
+    assert inside._regions == m._regions
+    grown = memory.add_region(m, 0x102, 2)  # adjacent: merged, written bytes kept
+    assert grown.regions() == [(0x80, 0x83), (0x100, 0x104)]
+    assert memory.load_bytes(grown, 0x100, 2) == b"\x01\x02"
+    with pytest.raises(UninitializedRead):
+        memory.load8(grown, 0x102)
+    assert m._regions[1][3] is None  # the copy's merge leaves the original as it was
+
+
+def test_from_spans_merges_touching_spans_as_add_region_and_store_bytes_do():
+    m = Memory.from_spans([(0x10, b"\x01" * 4), (0x14, b"\x02" * 2), (0x12, b"\x03")])
+    assert m.regions() == [(0x10, 0x16)]
+    assert memory.load_bytes(m, 0x10, 6) == b"\x01\x01\x03\x01\x02\x02"
+    with pytest.raises(ValueError, match="64-bit"):
+        Memory.from_spans([(0, b"\x00"), (TOP - 1, b"\x00\x00")])
+    with pytest.raises(ValueError, match="64-bit"):
+        Memory.from_spans([(TOP + 1, b"")])
+    half = bytes(memory.MAX_BYTES // 2)
+    with pytest.raises(ValueError, match="MiB"):
+        Memory.from_spans([(0, half), (memory.MAX_BYTES, half + b"\x00")])
 
 
 def test_parse_dump_rejects_a_cell_that_is_not_a_byte():
@@ -311,6 +368,37 @@ class MemoryModel(RuleBasedStateMachine):
         if regions:
             b, e = data.draw(st.sampled_from(regions))
             self.both("store_bytes_inplace", b, data.draw(st.binary(min_size=e - b, max_size=e - b)))
+
+    @rule(data=st.data(), spaced=st.booleans())
+    def from_spans(self, data, spaced):
+        """A memory built whole from (base, bytes) spans, which the model
+        builds by add_region and store_bytes of each span in turn.  Spans
+        at least one byte apart (`spaced`) become regions without an init
+        map, which the other rules then load, store, thaw and dump."""
+        chunks = st.binary(min_size=1, max_size=24)
+        if spaced:
+            spans, base = [], data.draw(ADDRS)
+            for chunk in data.draw(st.lists(chunks, min_size=1, max_size=4)):
+                spans.append((base, chunk))
+                base += len(chunk) + data.draw(st.integers(1, 9))
+            spans = data.draw(st.permutations(spans))
+        else:
+            spans = data.draw(st.lists(st.tuples(ADDRS, st.binary(max_size=24)), max_size=4))
+        got = _result(Memory.from_spans, spans)
+        ref = memory_ref.Memory()
+
+        def add_and_store():
+            for base, chunk in spans:
+                ref._add_region_inplace(base, len(chunk))
+                ref.store_bytes_inplace(base, chunk)
+            return ref
+
+        want = _result(add_and_store)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            self.m, self.ref = got[1], want[1]
+            if spaced:
+                assert all(init is None for _, _, _, init in self.m._regions)
 
     @rule(at=st.data(), w=st.integers(0, 255))
     def store8(self, at, w):
