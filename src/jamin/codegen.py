@@ -13,7 +13,7 @@ locals (the run-time helpers of interp, global arrays G_<name>,
 intrinsic semantics, word-operator evaluators, masks and prebuilt
 constants) live in one namespace per program.
 
-Seven devices keep the generated code lean without changing what a run
+Eight devices keep the generated code lean without changing what a run
 observes:
 
 - the step budget is charged once per straight-line segment: statements
@@ -54,7 +54,28 @@ observes:
   iteration's start.  No repeat node holds another.  An iteration is a
   block: its segments and event batches end with it, so a budget that
   runs out in a later iteration than another fault does not hide that
-  fault, as it can in the unrolled code.
+  fault, as it can in the unrolled code;
+- the hit path of a memory or stack-array access of 1, 2, 4 or 8 bytes
+  is emitted inline, and the helper of interp (_ld, _st, _sget, _sld,
+  _sst) is called, with the arguments it always took, only when a test
+  of the hit fails: a memory access tests that its bytes lie in the
+  region the line index names (memory._lines) and, for a load, that
+  they are written (a region without an init map is all written); a
+  stack-array access that its index is in bounds (a literal one is)
+  and, for a load, that its bytes are written.  A hit reads or writes
+  through a struct codec (LD<n>, ST<n>), or a byte subscript at 1 byte,
+  and marks its bytes written; a store's value is cut to the access's
+  width unless its type already fits.  Its event goes to the trace
+  after these tests, which neither fault nor change anything, so that
+  it is added once, by the hit or by the helper, where the helper adds
+  it: after the bounds check of a stack-array access, before the region
+  is looked up for a memory access.  An access outside every region,
+  in an earlier region sharing the line, straddling two regions or of
+  an unwritten byte, an index past the end, a 16- or 32-byte access and
+  an access to a stack array that may be unbound go to the helper,
+  which makes the access or raises its fault.  A constant-index access
+  is one line; a computed-index store or a memory store is an `if` on
+  the hit with the helper call as its `else`.
 
 An else-if chain is one Python `if` with an `elif` per arm, so it nests
 no deeper than its first `if` (Python allows 20 nested loop blocks, and
@@ -101,6 +122,7 @@ from .ir import (
 )
 from . import flow, words
 from .isa import bind, lookup
+from .memory import LINE
 from .typecheck import CMP_OPS
 
 PIECE = 250  # statements per compile() call, which bounds its peak memory
@@ -380,8 +402,7 @@ class _FnGen(Assigned):
                 return a
             return f"({a} & {self.mask(e.width)})"
         if k is EMem:
-            a = self.expr(e.addr)
-            return f"_ld(M, T, {self.batch()}, {a}, {(e.width or 64) // 8}, {e.loc!r})"
+            return self.mem_load(e)
         if k is EIntr:
             d = lookup(e.name)
             return self.vector(e, d) if d.lanes is not None else f"{self.intrinsic(e)}[0]"
@@ -459,15 +480,7 @@ class _FnGen(Assigned):
         storage, name, ty = e.arr_storage, e.name, e.arr_ty
         arr = self.arr_ref(name, loc)
         if storage == "stack":
-            nb = (e.width or ty.bits) // 8
-            scale = 1 if e.byte_mode else nb
-            if type(e.index) is EInt:
-                i = e.index.value
-                self.pending.append(self.event(i))
-                return f"_sget({arr}, {i * scale}, {nb}, {self.label(name)}, {loc!r})"
-            i = self.expr(e.index)
-            label = self.label(name)
-            return f"_sld(T, {self.batch()}, {arr}, {i}, {nb}, {scale}, {label}, {loc!r})"
+            return self.stack_load(e, arr, loc)
         i = e.index.value  # a literal, in bounds (expand)
         self.pending.append(self.event(i))
         if storage == "global" or (name, i) in self.facts.defined:
@@ -558,10 +571,7 @@ class _FnGen(Assigned):
         elif k is EArr:
             self.write_element(lv, value, bits)
         elif k is EMem:
-            value = self.keep(value)  # the value is evaluated before the address
-            a = self.expr(lv.addr)
-            self.line(f"_st(M, T, {self.batch()}, {value}, {a}, {(lv.width or 64) // 8}, "
-                      f"{lv.loc!r})")
+            self.mem_store(lv, value, bits)
         elif k is LIgnore:
             if not _REPEATABLE.match(value):
                 self.line(value)
@@ -572,23 +582,142 @@ class _FnGen(Assigned):
         storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, lv.loc
         arr = self.arr_ref(name, loc)
         if storage == "stack":
-            nb = (lv.width or ty.bits) // 8
-            scale = 1 if lv.byte_mode else nb
-            if type(lv.index) is EInt:
-                i = lv.index.value
-                self.pending.append(self.event(i))
-                self.line(f"_sput({arr}, {value}, {i * scale}, {nb})")
-                return
-            value = self.keep(value)  # the value is evaluated before the index
-            i = self.expr(lv.index)
-            self.line(f"_sst(T, {self.batch()}, {arr}, {value}, {i}, {nb}, {scale}, "
-                      f"{self.label(name)}, {loc!r})")
+            self.stack_store(lv, arr, value, bits)
             return
         i = lv.index.value  # a literal, in bounds (expand)
         if bits is None or bits > ty.bits:
             value = f"{value} & {self.mask(ty.bits)}"
         self.line(f"{arr}[{i}] = {value}")
         self.pending.append(self.event(i))
+
+    # -- memory and stack-array accesses: the hit path inline, a miss
+    #    through the helper of interp (see the module docstring)
+
+    def traced(self, i: str, k: str) -> str:
+        """A true operand that adds the batch k and then index or address
+        i's event to the trace."""
+        extend = "" if k == "()" else f"T.extend({k}) or "
+        return f'(T is None or {extend}T.append(("addr", ({i},))) or 1)'
+
+    def masked(self, value: str, bits, nb: int) -> str:
+        """`value`, of at most `bits` bits when `bits` is known, cut to an
+        nb-byte access."""
+        return value if bits is not None and bits <= 8 * nb else f"{value} & {self.mask(8 * nb)}"
+
+    def bound(self, code: str) -> tuple:
+        """(name, first): `code` evaluated once, as `first` where it is
+        first used and as `name` after that."""
+        if _REPEATABLE.match(code):
+            return code, code
+        t = self.fresh()
+        return t, f"({t} := {code})"
+
+    def mem_hit(self, code: str, nb: int) -> tuple:
+        """(a, x, o, the test): the test binds a to the address `code`
+        and, when the nb bytes at a lie in the region the line index
+        names, x to that region and o to a's offset in it."""
+        a, first = self.bound(code)
+        x, o = self.fresh(), self.fresh()
+        end = f"{a} < {x}[1]" if nb == 1 else f"{a} + {nb} <= {x}[1]"
+        return a, x, o, (f"({x} := M._lines.get({first} >> {LINE})) is not None"
+                         f" and ({o} := {a} - ({x} := M._regions[{x}])[0]) >= 0 and {end}")
+
+    def mem_load(self, e) -> str:
+        nb, loc = (e.width or 64) // 8, e.loc
+        code = self.expr(e.addr)
+        k = self.batch()
+        if nb > 8:
+            return f"_ld(M, T, {k}, {code}, {nb}, {loc!r})"
+        a, x, o, hit = self.mem_hit(code, nb)
+        if nb == 1:
+            get, written = f"{x}[2][{o}]", f"{x}[3][{o}]"
+        else:
+            get, written = f"LD{nb}({x}[2], {o})[0]", f"LD{nb}({x}[3], {o})[0] == {_ones(nb)}"
+        return (f"({get} if {hit} and ({x}[3] is None or {written}) and {self.traced(a, k)}"
+                f" else _ld(M, T, {k}, {a}, {nb}, {loc!r}))")
+
+    def mem_store(self, lv, value: str, bits):
+        nb, loc = (lv.width or 64) // 8, lv.loc
+        if nb <= 8:
+            value = self.masked(value, bits, nb)
+        value = self.keep(value)  # the value is evaluated before the address
+        code = self.expr(lv.addr)
+        k = self.batch()
+        if nb > 8:
+            self.line(f"_st(M, T, {k}, {value}, {code}, {nb}, {loc!r})")
+            return
+        a, x, o, hit = self.mem_hit(code, nb)
+        self.line(f"if {hit} and {self.traced(a, k)}:")
+        if nb == 1:
+            self.line(f"    {x}[2][{o}] = {value}")
+            self.line(f"    if {x}[3] is not None: {x}[3][{o}] = 1")
+        else:
+            self.line(f"    ST{nb}({x}[2], {o}, {value})")
+            self.line(f"    if {x}[3] is not None: ST{nb}({x}[3], {o}, {_ones(nb)})")
+        self.line(f"else: _st(M, T, {k}, {value}, {a}, {nb}, {loc!r})")
+
+    def stack_load(self, e, s: str, loc) -> str:
+        """Element e of stack array s (its code); the helper alone reads
+        a 16- or 32-byte span, or an array that may be unbound (s is a
+        call to interp._arr, evaluated once)."""
+        ty, label = e.arr_ty, self.label(e.name)
+        nb = (e.width or ty.bits) // 8
+        scale = 1 if e.byte_mode else nb
+        inline = nb <= 8 and _REPEATABLE.match(s)
+        if type(e.index) is EInt:
+            i = e.index.value
+            self.pending.append(self.event(i))
+            miss = f"_sget({s}, {i * scale}, {nb}, {label}, {loc!r})"
+            if not inline:
+                return miss
+            get, written = _stack_access(s, str(i * scale), nb)
+            return f"({get} if {written} else {miss})"
+        code = self.expr(e.index)
+        k = self.batch()
+        if not inline:
+            return f"_sld(T, {k}, {s}, {code}, {nb}, {scale}, {label}, {loc!r})"
+        i, first = self.bound(code)
+        if scale == 1:
+            get, written = _stack_access(s, i, nb)
+        else:
+            off = self.fresh()
+            get, written = _stack_access(s, off, nb, f"({off} := {i} * {scale})")
+        return (f"({get} if {first} <= {_last(ty, nb, scale)} and {written}"
+                f" and {self.traced(i, k)}"
+                f" else _sld(T, {k}, {s}, {i}, {nb}, {scale}, {label}, {loc!r}))")
+
+    def stack_store(self, lv, s: str, value: str, bits):
+        """Store `value` to element lv of stack array s, as stack_load
+        reads one."""
+        ty, loc, label = lv.arr_ty, lv.loc, self.label(lv.name)
+        nb = (lv.width or ty.bits) // 8
+        scale = 1 if lv.byte_mode else nb
+        inline = nb <= 8 and _REPEATABLE.match(s)
+        if inline:
+            value = self.masked(value, bits, nb)
+        if type(lv.index) is EInt:
+            i = lv.index.value
+            self.pending.append(self.event(i))
+            if inline:
+                self.line(_stack_put(s, str(i * scale), nb, value))
+            else:
+                self.line(f"_sput({s}, {value}, {i * scale}, {nb})")
+            return
+        value = self.keep(value)  # the value is evaluated before the index
+        code = self.expr(lv.index)
+        k = self.batch()
+        if not inline:
+            self.line(f"_sst(T, {k}, {s}, {value}, {code}, {nb}, {scale}, {label}, {loc!r})")
+            return
+        i, first = self.bound(code)
+        if scale == 1:
+            put = _stack_put(s, i, nb, value)
+        else:
+            off = self.fresh()
+            put = _stack_put(s, off, nb, value, f"({off} := {i} * {scale})")
+        self.line(f"if {first} <= {_last(ty, nb, scale)} and {self.traced(i, k)}:")
+        self.line(f"    {put}")
+        self.line(f"else: _sst(T, {k}, {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
 
     # -- liveness (backwards), for moves and pieces
 
@@ -920,6 +1049,38 @@ class _FnGen(Assigned):
         body = self.nb_lines(self.unbound) + self.out
         self.define(name, [f"def {name}({params}):"] + body)
         return self.ns[name]
+
+
+def _ones(nb: int) -> str:
+    """The word an nb-byte span of an init map holds when every byte of
+    it is written."""
+    return hex(int.from_bytes(b"\x01" * nb, "little"))
+
+
+def _last(ty, nb: int, scale: int) -> int:
+    """The last index at which an nb-byte access, scaled by `scale`,
+    lies inside an array of type ty (negative when none does)."""
+    return (ty.length * ty.bits // 8 - nb) // scale
+
+
+def _stack_access(s: str, off: str, nb: int, first=None) -> tuple:
+    """(the value, the test that its bytes are written) of the nb bytes
+    at offset off of stack array s; the test, which runs first, writes
+    the offset as `first` when given (an assignment expression)."""
+    first = first or off
+    if nb == 1:
+        return f"{s}.buf[{off}]", f"{s}.init[{first}]"
+    return f"LD{nb}({s}.buf, {off})[0]", f"LD{nb}({s}.init, {first})[0] == {_ones(nb)}"
+
+
+def _stack_put(s: str, off: str, nb: int, value: str, first=None) -> str:
+    """The line storing `value` to the nb bytes at offset off of stack
+    array s and marking them written (the offset written as `first` at
+    its first use, when given)."""
+    first = first or off
+    if nb == 1:
+        return f"{s}.buf[{first}] = {value}; {s}.init[{off}] = 1"
+    return f"ST{nb}({s}.buf, {first}, {value}); ST{nb}({s}.init, {off}, {_ones(nb)})"
 
 
 def _maybe_undef(d, i: int) -> bool:

@@ -33,15 +33,16 @@ unassigned or unbound (_uu, _arr), budget exhaustion (_bx), an else-if
 arm's branch event (_br), the word operators it does not inline (_wbin
 for a computed shift count, / and %; _nz for a divisor) and DIV
 (_intr).  Register arrays need none: expand makes every index of one a
-literal in bounds.  The memory helpers read and write the region a line
-index names (see memory) and call Memory's methods only on a miss or to
-find the fault to raise.  A 1-, 2-, 4- or 8-byte access, to memory or to
-a stack array, goes through a precompiled struct codec (_CODECS): one
-unpack_from or pack_into on the bytes and one on the init map, whose
-written bytes hold 1, so that a span is written when its init word
-unpacks to the all-ones constant; a region without an init map (every
-byte written) skips the init step.  16- and 32-byte accesses slice the
-bytes and search the init map for a 0.  Budget and trace bookkeeping
+literal in bounds.  Generated code makes the hit of each memory or
+stack-array access of 1, 2, 4 or 8 bytes itself (see codegen), through
+the struct codecs of _CODECS, named LD<n> and ST<n> in its namespace,
+or a byte subscript; the access helpers are its miss path and the
+whole of every 16- or 32-byte access, and each is a complete access,
+which slices the bytes and searches the init map for a 0.  The memory
+helpers read and write the region a line index names, or an earlier
+one sharing the line (see memory), and call Memory's methods only for
+an access outside every region or of an unwritten byte, which finds
+the fault to raise.  Budget and trace bookkeeping
 are batched per straight-line segment (see codegen); a run that
 completes observes exactly the per-statement semantics above.  A run
 that faults raises the error of the first faulting statement, except
@@ -142,17 +143,11 @@ class _Unbound:
 
 
 NB = _Unbound()
-_ONES = {n: b"\x01" * n for n in (16, 32)}
+_ONES = {n: b"\x01" * n for n in (1, 2, 4, 8, 16, 32)}
 
-
-def _codec(n: int, code: str) -> tuple:
-    """(unpack_from, pack_into, the word an all-written init map unpacks
-    to, the value mask) of n-byte little-endian accesses."""
-    s = Struct("<" + code)
-    return s.unpack_from, s.pack_into, int.from_bytes(b"\x01" * n, "little"), MASK[8 * n]
-
-
-_CODECS = {n: _codec(n, code) for n, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+# The struct codecs of the 2-, 4- and 8-byte hit paths codegen emits,
+# named LD<n> (unpack_from) and ST<n> (pack_into) in generated code
+_CODECS = {n: Struct("<" + code) for n, code in ((2, "H"), (4, "I"), (8, "Q"))}
 
 
 def _uu(value, name, loc):
@@ -207,13 +202,8 @@ def _ld(M, T, K, a, nbytes, loc):
         base, end, buf, init = M._regions[i]
         o = a - base
         if o >= 0:
-            if a + nbytes <= end:
-                c = _CODECS.get(nbytes)
-                if c is None:
-                    if init is None or init.find(0, o, o + nbytes) < 0:
-                        return int.from_bytes(buf[o:o + nbytes], "little")
-                elif init is None or c[0](init, o)[0] == c[2]:
-                    return c[0](buf, o)[0]
+            if a + nbytes <= end and (init is None or init.find(0, o, o + nbytes) < 0):
+                return int.from_bytes(buf[o:o + nbytes], "little")
             break
         i = i - 1 if i else None
     try:
@@ -229,84 +219,57 @@ def _st(M, T, K, v, a, nbytes, loc):
         if K:
             T += K
         T.append(("addr", (a,)))
+    v &= MASK[nbytes * 8]
     i = M._lines.get(a >> LINE)
     while i is not None:  # as in _ld
         base, end, buf, init = M._regions[i]
         o = a - base
         if o >= 0:
             if a + nbytes <= end:
-                c = _CODECS.get(nbytes)
-                if c is None:
-                    buf[o:o + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-                    if init is not None:
-                        init[o:o + nbytes] = _ONES[nbytes]
-                else:
-                    c[1](buf, o, v & c[3])
-                    if init is not None:
-                        c[1](init, o, c[2])
+                buf[o:o + nbytes] = v.to_bytes(nbytes, "little")
+                if init is not None:
+                    init[o:o + nbytes] = _ONES[nbytes]
                 return
             break
         i = i - 1 if i else None
     try:
-        M.store_int_inplace(a, nbytes * 8, v & MASK[nbytes * 8])
+        M.store_int_inplace(a, nbytes * 8, v)
     except mem_mod.OutOfRegion as exc:
         raise OutOfRegion(exc.address, loc) from None
 
 
 def _sget(arr, off, nbytes, name, loc):
-    c = _CODECS.get(nbytes)
-    if c is None:
-        if arr.init.find(0, off, off + nbytes) < 0:
-            return int.from_bytes(arr.buf[off:off + nbytes], "little")
-    elif c[0](arr.init, off)[0] == c[2]:
-        return c[0](arr.buf, off)[0]
-    raise UninitializedUse(f"{name} bytes [{off}, {off + nbytes})", loc)
+    end = off + nbytes
+    if arr.init.find(0, off, end) < 0:
+        return int.from_bytes(arr.buf[off:end], "little")
+    raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
 
 
 def _sput(arr, v, off, nbytes):
-    c = _CODECS.get(nbytes)
-    if c is None:
-        arr.buf[off:off + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-        arr.init[off:off + nbytes] = _ONES[nbytes]
-    else:
-        c[1](arr.buf, off, v & c[3])
-        c[1](arr.init, off, c[2])
+    arr.buf[off:off + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
+    arr.init[off:off + nbytes] = _ONES[nbytes]
 
 
 def _sld(T, K, arr, i, nbytes, scale, name, loc):
     off = i * scale
-    end = off + nbytes
-    if off < 0 or end > len(arr.buf):
+    if off < 0 or off + nbytes > len(arr.buf):
         raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K
         T.append(("addr", (i,)))
-    c = _CODECS.get(nbytes)
-    if c is None:
-        if arr.init.find(0, off, end) < 0:
-            return int.from_bytes(arr.buf[off:end], "little")
-    elif c[0](arr.init, off)[0] == c[2]:
-        return c[0](arr.buf, off)[0]
-    raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
+    return _sget(arr, off, nbytes, name, loc)
 
 
 def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
     off = i * scale
-    end = off + nbytes
-    if off < 0 or end > len(arr.buf):
+    if off < 0 or off + nbytes > len(arr.buf):
         raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K
         T.append(("addr", (i,)))
-    c = _CODECS.get(nbytes)
-    if c is None:
-        arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-        arr.init[off:end] = _ONES[nbytes]
-    else:
-        c[1](arr.buf, off, v & c[3])
-        c[1](arr.init, off, c[2])
+    _sput(arr, v, off, nbytes)
 
 
 def _intr(sem, args, loc):
@@ -320,6 +283,8 @@ _BT, _BF = ("branch", True), ("branch", False)
 _HELPERS = (_uu, _arr, _bx, _br, _nz, _wbin, _ld, _st, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=_BT, BF=_BF)
+for _n, _codec in _CODECS.items():
+    _RUNTIME[f"LD{_n}"], _RUNTIME[f"ST{_n}"] = _codec.unpack_from, _codec.pack_into
 
 
 # ------------------------------------------------------------- execution
@@ -362,6 +327,8 @@ def _bind_param(decl, value):
         n = ty.length
         if decl.storage == "stack":
             if isinstance(value, StackArray):
+                if (value.width, value.length) != (ty.bits, n):
+                    raise ContractViolation(f"{decl.name!r} takes a u{ty.bits}[{n}] stack array")
                 return value.copy()
             arr = StackArray(ty.bits, n)
             if isinstance(value, (bytes, bytearray)):

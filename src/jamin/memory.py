@@ -6,15 +6,17 @@ sorted, disjoint and non-adjacent.  Each is materialised as a tuple
 (base, end, buf, init): a bytearray of its bytes and an optional init
 map, a bytearray holding 1 for each byte written, or None when every
 byte of the region is written.  `Memory.from_spans`, which builds a
-memory from its full contents, gives each region it makes no init map;
-a region made by add_region (and so by parse_dump) has one, as has a
-region that add_region merges with another.  The regions hold at most
-MAX_BYTES bytes together; a region past that cap, or past 2^64, raises
-ValueError.  `_lines` maps each 2^LINE-byte line a region touches to
-the position in `_regions` of the last region touching it: the
-interpreter's load and store helpers read that region, or an earlier
-one sharing the line, themselves and call the methods below only for an
-access outside every region or of an unwritten byte.
+memory from its full contents, gives each region it makes no init map,
+and so does parse_dump to a region whose dump has no `..` byte; a
+region made by add_region has one, as has a region that add_region
+merges with another.  The regions hold at most MAX_BYTES bytes
+together; a region past that cap, or past 2^64, raises ValueError.
+`_lines` maps each 2^LINE-byte line a region touches to the position in
+`_regions` of the last region touching it: the code generated for an
+access reads that region itself, the interpreter's load and store
+helpers that one or an earlier one sharing the line, and the methods
+below serve only an access outside every region or of an unwritten
+byte.
 
 The persistent functions at the end of the module (load8, store8,
 loadW, storeW, add_region, load_bytes, store_bytes) return a new Memory
@@ -33,6 +35,9 @@ Reading a byte that was never written raises UninitializedRead.
 
 Dump format: one line per 16 bytes, `addr: b0 b1 ...` in lowercase hex,
 rows starting at each region base; unwritten bytes print as `..`.
+parse_dump gathers rows that each start where the last ended into one
+region, built once; rows that overlap or go back are merged as
+add_region merges regions, a later row's byte winning.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ class Memory:
         adjacent, each becomes a region of its own, fully written and so
         without an init map, in one pass."""
         spans = list(spans)
-        m = cls()
-        lines, end, total = m._lines, -1, 0
+        regions, end, total = [], -1, 0
         for base, data in sorted(spans, key=_BASE):
             n = len(data)
             if base < 0 or base + n > 1 << 64:
@@ -96,15 +100,23 @@ class Memory:
             total += n
             if total > MAX_BYTES:
                 raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
-            lines.update(dict.fromkeys(range(base >> LINE, ((end - 1) >> LINE) + 1),
-                                       len(m._regions)))
-            m._regions.append((base, end, bytearray(data), None))
+            regions.append((base, end, bytearray(data), None))
         else:
-            return m
+            return cls._of_regions(regions)
         m = cls()
         for base, data in spans:
             m._add_region_inplace(base, len(data))
             m.store_bytes_inplace(base, data)
+        return m
+
+    @classmethod
+    def _of_regions(cls, regions: list) -> "Memory":
+        """The memory holding `regions`, (base, end, buf, init) tuples that
+        are sorted, disjoint, not adjacent and within MAX_BYTES together."""
+        m = cls()
+        m._regions = regions
+        for i, (b, e, _, _) in enumerate(regions):
+            m._lines.update(dict.fromkeys(range(b >> LINE, ((e - 1) >> LINE) + 1), i))
         return m
 
     def copy(self) -> "Memory":
@@ -291,7 +303,6 @@ def _byte(cell: str, lineno: int) -> int:
 
 
 def parse_dump(text: str) -> Memory:
-    m = Memory()
     rows: list[tuple[int, list]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -306,10 +317,36 @@ def parse_dump(text: str) -> Memory:
         if len(cells) > 16:
             raise ValueError(f"dump line {lineno} has more than 16 bytes")
         rows.append((addr, [None if cell == ".." else _byte(cell, lineno) for cell in cells]))
+    # runs of rows each starting where the last ended, as [base, bytes,
+    # init map]; `ordered` while each run starts past the end of the last
+    spans: list = []
+    ordered, total = True, 0
     for addr, row in rows:
-        m._add_region_inplace(addr, len(row))
-    for addr, row in rows:
-        for i, b in enumerate(row):
-            if b is not None:
-                m._store8_inplace(addr + i, b)
+        n = len(row)
+        if addr < 0 or addr + n > 1 << 64:
+            raise ValueError("region overflows the 64-bit address space")
+        if not n:
+            continue
+        total += n
+        if ordered and total > MAX_BYTES:
+            raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
+        buf = bytearray(0 if b is None else b for b in row)
+        init = bytearray(b is not None for b in row)
+        if spans and addr == spans[-1][0] + len(spans[-1][1]):
+            spans[-1][1] += buf
+            spans[-1][2] += init
+            continue
+        if spans and addr < spans[-1][0] + len(spans[-1][1]):
+            ordered = False
+        spans.append([addr, buf, init])
+    if ordered:
+        return Memory._of_regions([(base, base + len(buf), buf, init if 0 in init else None)
+                                   for base, buf, init in spans])
+    m = Memory()  # rows that overlap or go back: merged as add_region merges them
+    for base, buf, _ in spans:
+        m._add_region_inplace(base, len(buf))
+    for base, buf, init in spans:
+        for i, w in enumerate(init):
+            if w:
+                m._store8_inplace(base + i, buf[i])
     return m

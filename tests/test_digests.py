@@ -13,7 +13,7 @@ from gensrc import corpus_sources
 from reports import reports
 
 DIGESTS = {
-    "gensrc": (corpus_sources, "c6e95be01681a9a78e3985c9ac7106e14f458e97f5167a361d353e8b1dd7e47d"),
+    "gensrc": (corpus_sources, "f82006cde0ef22f49c5f875ee911c8143e787b87cef98d168bb73bf45677005c"),
     "reports": (reports, "66413b4e07d19a47865beb79452cf3481e923dbc4c1b0169b9569b19d22c18c4"),
 }
 
