@@ -283,8 +283,8 @@ _BT, _BF = ("branch", True), ("branch", False)
 _HELPERS = (_uu, _arr, _bx, _br, _nz, _wbin, _ld, _st, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=_BT, BF=_BF)
-for _n, _codec in _CODECS.items():
-    _RUNTIME[f"LD{_n}"], _RUNTIME[f"ST{_n}"] = _codec.unpack_from, _codec.pack_into
+_RUNTIME.update({f"LD{n}": c.unpack_from for n, c in _CODECS.items()})
+_RUNTIME.update({f"ST{n}": c.pack_into for n, c in _CODECS.items()})
 
 
 # ------------------------------------------------------------- execution
