@@ -37,18 +37,18 @@ literal in bounds.  Generated code makes the hit of each memory or
 stack-array access of 1, 2, 4 or 8 bytes itself (see codegen), through
 the struct codecs of _CODECS, named LD<n> and ST<n> in its namespace,
 or a byte subscript; the access helpers are its miss path and the
-whole of every 16- or 32-byte access, and each is a complete access,
-which slices the bytes and searches the init map for a 0.  The memory
-helpers read and write the region a line index names, or an earlier
-one sharing the line (see memory), and call Memory's methods only for
-an access outside every region or of an unwritten byte, which finds
-the fault to raise.  Budget and trace bookkeeping
-are batched per straight-line segment (see codegen); a run that
-completes observes exactly the per-statement semantics above.  A run
-that faults raises the error of the first faulting statement, except
-that budget exhaustion is reported as soon as the segment holding the
-exhausting statement starts, and the trace list then holds a prefix of
-the events up to the fault.
+whole of every 16- or 32-byte access, and each is a complete access.
+The stack-array helpers slice the bytes and search the init map for a
+0.  The memory helpers record the event and access through Memory's
+load_span and store_bytes_inplace, which alone find the region (see
+memory) and raise the fault of an access outside every region or of
+an unwritten byte; the helpers locate that fault.  Budget and trace
+bookkeeping are batched per straight-line segment (see codegen); a run
+that completes observes exactly the per-statement semantics above.  A
+run that faults raises the error of the first faulting statement,
+except that budget exhaustion is reported as soon as the segment
+holding the exhausting statement starts, and the trace list then holds
+a prefix of the events up to the fault.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from . import codegen
 from . import memory as mem_mod
 from .ir import ArrayTy, BoolTy, Program, WordTy
 from .isa import IsaFault, OPS, OPSV, UNDEF
-from .memory import LINE, Memory
+from .memory import Memory
 from .words import MASK, Word, WordError
 
 DEFAULT_BUDGET = 10**8
@@ -197,17 +197,8 @@ def _ld(M, T, K, a, nbytes, loc):
         if K:
             T += K
         T.append(("addr", (a,)))
-    i = M._lines.get(a >> LINE)
-    while i is not None:  # the last region touching a's line, then earlier ones
-        base, end, buf, init = M._regions[i]
-        o = a - base
-        if o >= 0:
-            if a + nbytes <= end and (init is None or init.find(0, o, o + nbytes) < 0):
-                return int.from_bytes(buf[o:o + nbytes], "little")
-            break
-        i = i - 1 if i else None
     try:
-        return M.load_int(a, nbytes * 8)
+        return int.from_bytes(M.load_span(a, nbytes, highest_first=True), "little")
     except mem_mod.OutOfRegion as exc:
         raise OutOfRegion(exc.address, loc) from None
     except mem_mod.UninitializedRead as exc:
@@ -219,21 +210,8 @@ def _st(M, T, K, v, a, nbytes, loc):
         if K:
             T += K
         T.append(("addr", (a,)))
-    v &= MASK[nbytes * 8]
-    i = M._lines.get(a >> LINE)
-    while i is not None:  # as in _ld
-        base, end, buf, init = M._regions[i]
-        o = a - base
-        if o >= 0:
-            if a + nbytes <= end:
-                buf[o:o + nbytes] = v.to_bytes(nbytes, "little")
-                if init is not None:
-                    init[o:o + nbytes] = _ONES[nbytes]
-                return
-            break
-        i = i - 1 if i else None
     try:
-        M.store_int_inplace(a, nbytes * 8, v)
+        M.store_bytes_inplace(a, (v & MASK[nbytes * 8]).to_bytes(nbytes, "little"))
     except mem_mod.OutOfRegion as exc:
         raise OutOfRegion(exc.address, loc) from None
 

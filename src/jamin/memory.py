@@ -5,18 +5,20 @@ addresses that accesses must stay inside (the memory calling contract),
 sorted, disjoint and non-adjacent.  Each is materialised as a tuple
 (base, end, buf, init): a bytearray of its bytes and an optional init
 map, a bytearray holding 1 for each byte written, or None when every
-byte of the region is written.  `Memory.from_spans`, which builds a
-memory from its full contents, gives each region it makes no init map,
-and so does parse_dump to a region whose dump has no `..` byte; a
-region made by add_region has one, as has a region that add_region
-merges with another.  The regions hold at most MAX_BYTES bytes
-together; a region past that cap, or past 2^64, raises ValueError.
-`_lines` maps each 2^LINE-byte line a region touches to the position in
-`_regions` of the last region touching it: the code generated for an
-access reads that region itself, the interpreter's load and store
-helpers that one or an earlier one sharing the line, and the methods
-below serve only an access outside every region or of an unwritten
-byte.
+byte of the region is written.  This module alone builds and searches
+that table.  One constructor, `Memory.from_spans`, builds every table:
+of a memory's contents, of a dump's rows (parse_dump) and of a memory's
+regions plus an added one (add_region); spans that overlap or touch
+merge, a later span's written byte winning.  A region of one span keeps
+that span's init map (add_region's span is unwritten, so a region it
+adds alone has one), and a merged region has none when all its bytes
+are written.  The regions hold at most MAX_BYTES bytes together; a
+region past that cap, or past 2^64, raises ValueError.  `_lines` maps
+each 2^LINE-byte line a region touches to the position in `_regions`
+of the last region touching it.  One lookup, `_span`, walks from there
+to earlier regions; the code generated for an access reads the region
+`_lines` names itself (see codegen) and on a miss calls the
+interpreter's helpers, which call the methods below.
 
 The persistent functions at the end of the module (load8, store8,
 loadW, storeW, add_region, load_bytes, store_bytes) return a new Memory
@@ -35,15 +37,12 @@ Reading a byte that was never written raises UninitializedRead.
 
 Dump format: one line per 16 bytes, `addr: b0 b1 ...` in lowercase hex,
 rows starting at each region base; unwritten bytes print as `..`.
-parse_dump gathers rows that each start where the last ended into one
-region, built once; rows that overlap or go back are merged as
+parse_dump makes each row a span, so rows in any order are merged as
 add_region merges regions, a later row's byte winning.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import itemgetter
 from typing import Iterable
 
 from .words import Word
@@ -52,7 +51,25 @@ ADDR_MASK = (1 << 64) - 1
 MAX_BYTES = 64 << 20  # the bytes all regions of one Memory hold together
 LINE = 6  # log2 of the line size of the region index
 
-_BASE = itemgetter(0)
+
+def _merge(base: int, end: int, pieces) -> tuple:
+    """The bytes and init map (None when all are written) of the region
+    [base, end) that the (position, base, data, init) pieces write in
+    turn: each written byte of a piece replaces what is there, and each
+    unwritten one leaves it."""
+    buf, init = bytearray(end - base), bytearray(end - base)
+    for _, b, data, written in pieces:
+        o, n = b - base, len(data)
+        if written is None:
+            buf[o:o + n] = data
+            init[o:o + n] = b"\x01" * n
+            continue
+        w = int.from_bytes(written, "little")
+        mask = w * 0xFF  # init maps hold 0 and 1: 0xff at each written byte
+        kept = int.from_bytes(buf[o:o + n], "little") & ~mask
+        buf[o:o + n] = (kept | int.from_bytes(data, "little") & mask).to_bytes(n, "little")
+        init[o:o + n] = (int.from_bytes(init[o:o + n], "little") | w).to_bytes(n, "little")
+    return buf, None if init.find(0) < 0 else init
 
 
 class MemAccessError(Exception):
@@ -81,42 +98,46 @@ class Memory:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_spans(cls, spans: Iterable[tuple[int, bytes]]) -> "Memory":
-        """The memory that add_region and then store_bytes of each (base,
-        data) span in turn build.  When the spans are disjoint and not
-        adjacent, each becomes a region of its own, fully written and so
-        without an init map, in one pass."""
-        spans = list(spans)
-        regions, end, total = [], -1, 0
-        for base, data in sorted(spans, key=_BASE):
-            n = len(data)
-            if base < 0 or base + n > 1 << 64:
+    def from_spans(cls, spans: Iterable[tuple]) -> "Memory":
+        """The memory whose regions are the (base, data) or (base, data,
+        init) spans, init a 0/1 map of the bytes of data that are written
+        (no init: all are).  Spans that overlap or touch merge into one
+        region, in the order given: a later span's written byte wins, and
+        its unwritten byte leaves an earlier one as it was.  A region of
+        one span keeps that span's init; a merged region gets none when
+        all its bytes are written.  The address and size limits are
+        checked before anything is allocated."""
+        runs: list[list] = []  # per region: its base, its end and its spans as pieces
+        total = 0
+        for k, span in sorted(enumerate(spans), key=lambda ks: ks[1][0]):
+            base, data = span[0], span[1]
+            end = base + len(data)
+            if base < 0 or end > 1 << 64:
                 raise ValueError("region overflows the 64-bit address space")
-            if not n:
+            if base == end:
                 continue
-            if base <= end:  # overlapping or adjacent: merged below
-                break
-            end = base + n
-            total += n
-            if total > MAX_BYTES:
-                raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
-            regions.append((base, end, bytearray(data), None))
-        else:
-            return cls._of_regions(regions)
+            piece = (k, base, data, span[2] if len(span) > 2 else None)
+            if runs and base <= runs[-1][1]:  # overlapping or touching the last run
+                run = runs[-1]
+                if end > run[1]:
+                    total += end - run[1]
+                    run[1] = end
+                run[2].append(piece)
+            else:
+                total += end - base
+                runs.append([base, end, [piece]])
+        if total > MAX_BYTES:
+            raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
         m = cls()
-        for base, data in spans:
-            m._add_region_inplace(base, len(data))
-            m.store_bytes_inplace(base, data)
-        return m
-
-    @classmethod
-    def _of_regions(cls, regions: list) -> "Memory":
-        """The memory holding `regions`, (base, end, buf, init) tuples that
-        are sorted, disjoint, not adjacent and within MAX_BYTES together."""
-        m = cls()
-        m._regions = regions
-        for i, (b, e, _, _) in enumerate(regions):
-            m._lines.update(dict.fromkeys(range(b >> LINE, ((e - 1) >> LINE) + 1), i))
+        for base, end, pieces in runs:
+            if len(pieces) == 1:
+                _, _, data, init = pieces[0]
+                buf, init = bytearray(data), None if init is None else bytearray(init)
+            else:
+                buf, init = _merge(base, end, sorted(pieces))  # in the order given
+            lines = range(base >> LINE, ((end - 1) >> LINE) + 1)
+            m._lines.update(dict.fromkeys(lines, len(m._regions)))
+            m._regions.append((base, end, buf, init))
         return m
 
     def copy(self) -> "Memory":
@@ -134,40 +155,21 @@ class Memory:
     def _add_region_inplace(self, base: int, length: int) -> None:
         if length < 0:
             raise ValueError("region length must be non-negative")
-        if base < 0 or base + length > 1 << 64:
-            raise ValueError("region overflows the 64-bit address space")
-        if length == 0:
-            return
-        lo, hi = base, base + length
-        kept, merged = [], []
-        for r in self._regions:
-            if r[1] < lo or r[0] > hi:  # disjoint and non-adjacent
-                kept.append(r)
-            else:
-                merged.append(r)
-                lo, hi = min(lo, r[0]), max(hi, r[1])
-        if len(merged) == 1 and (lo, hi) == merged[0][:2]:
-            return  # inside one region: nothing changes
-        if hi - lo + sum(e - b for b, e, _, _ in kept) > MAX_BYTES:
+        if length > MAX_BYTES:  # refused before its span is allocated
             raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
-        buf, init = bytearray(hi - lo), bytearray(hi - lo)
-        for b, e, rbuf, rinit in merged:
-            buf[b - lo:e - lo] = rbuf
-            init[b - lo:e - lo] = b"\x01" * (e - b) if rinit is None else rinit
-        kept.append((lo, hi, buf, init))
-        kept.sort(key=_BASE)
-        self._regions = kept
-        self._lines = {}  # a new dict: copies share the old one
-        for i, (b, e, _, _) in enumerate(kept):
-            self._lines.update(dict.fromkeys(range(b >> LINE, ((e - 1) >> LINE) + 1), i))
+        unwritten = bytes(length)
+        m = Memory.from_spans([*((b, buf, init) for b, _, buf, init in self._regions),
+                               (base, unwritten, unwritten)])
+        self._regions, self._lines = m._regions, m._lines  # a new dict: copies share the old one
 
     def _span(self, a: int, n: int):
         """(offset, buf, init) of the region holding [a, a+n), or None."""
-        i = bisect_right(self._regions, a, key=_BASE)
-        if i:
-            base, end, buf, init = self._regions[i - 1]
-            if a + n <= end:
-                return a - base, buf, init
+        i = self._lines.get(a >> LINE)
+        while i is not None:  # the last region touching a's line, then earlier ones
+            base, end, buf, init = self._regions[i]
+            if a >= base:
+                return (a - base, buf, init) if a + n <= end else None
+            i = i - 1 if i else None
         return None
 
     # -- byte level ----------------------------------------------------
@@ -303,7 +305,7 @@ def _byte(cell: str, lineno: int) -> int:
 
 
 def parse_dump(text: str) -> Memory:
-    rows: list[tuple[int, list]] = []
+    spans = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,37 +318,7 @@ def parse_dump(text: str) -> Memory:
             raise ValueError(f"bad dump line {lineno}: {raw!r}") from exc
         if len(cells) > 16:
             raise ValueError(f"dump line {lineno} has more than 16 bytes")
-        rows.append((addr, [None if cell == ".." else _byte(cell, lineno) for cell in cells]))
-    # runs of rows each starting where the last ended, as [base, bytes,
-    # init map]; `ordered` while each run starts past the end of the last
-    spans: list = []
-    ordered, total = True, 0
-    for addr, row in rows:
-        n = len(row)
-        if addr < 0 or addr + n > 1 << 64:
-            raise ValueError("region overflows the 64-bit address space")
-        if not n:
-            continue
-        total += n
-        if ordered and total > MAX_BYTES:
-            raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
-        buf = bytearray(0 if b is None else b for b in row)
-        init = bytearray(b is not None for b in row)
-        if spans and addr == spans[-1][0] + len(spans[-1][1]):
-            spans[-1][1] += buf
-            spans[-1][2] += init
-            continue
-        if spans and addr < spans[-1][0] + len(spans[-1][1]):
-            ordered = False
-        spans.append([addr, buf, init])
-    if ordered:
-        return Memory._of_regions([(base, base + len(buf), buf, init if 0 in init else None)
-                                   for base, buf, init in spans])
-    m = Memory()  # rows that overlap or go back: merged as add_region merges them
-    for base, buf, _ in spans:
-        m._add_region_inplace(base, len(buf))
-    for base, buf, init in spans:
-        for i, w in enumerate(init):
-            if w:
-                m._store8_inplace(base + i, buf[i])
-    return m
+        row = [None if cell == ".." else _byte(cell, lineno) for cell in cells]
+        written = bytes(b is not None for b in row) if None in row else None
+        spans.append((addr, bytes(b or 0 for b in row), written))
+    return Memory.from_spans(spans)

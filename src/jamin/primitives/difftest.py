@@ -62,7 +62,11 @@ class DiffReport:
 
 
 class Shape:
-    """Input sampler plus memory layout for one primitive family."""
+    """Input sampler plus memory layout for one primitive family.
+
+    perfbench's span tracer wraps build_memory, expected_memory and
+    spec_output in each family's own class namespace, so each family
+    holds all three itself."""
 
     name = "?"
 
@@ -70,16 +74,27 @@ class Shape:
         raise NotImplementedError
 
     def build_memory(self, case) -> tuple[Memory, list]:
-        """The case's initial memory, its input regions built whole
-        (Memory.from_spans) and its output regions added unwritten, and
-        the entry's arguments."""
+        """The case's initial memory, built in one Memory.from_spans call
+        of its input spans and, unless the output is an input updated in
+        place, its output span unwritten; and the entry's arguments."""
         raise NotImplementedError
+
+    def output(self, case) -> tuple[int, int]:
+        """The address and length of the case's output."""
+        raise NotImplementedError
+
+    def unwritten_output(self, case) -> tuple:
+        """The case's output as an unwritten span of Memory.from_spans."""
+        base, n = self.output(case)
+        return base, bytes(n), bytes(n)
 
     def expected_memory(self, case, out_bytes: bytes) -> Memory:
-        raise NotImplementedError
+        m, _ = self.build_memory(case)
+        m.store_bytes_inplace(self.output(case)[0], out_bytes)
+        return m
 
     def read_output(self, case, mem: Memory) -> bytes:
-        raise NotImplementedError
+        return memory.load_bytes(mem, *self.output(case))
 
     def spec_output(self, case) -> bytes:
         raise NotImplementedError
@@ -92,6 +107,7 @@ class Shape:
 
 class Poly1305Shape(Shape):
     name = "poly1305"
+    expected_memory = Shape.expected_memory
 
     def sample(self, rng, index):
         L = self._length(rng, index)
@@ -103,26 +119,21 @@ class Poly1305Shape(Shape):
             "k": 0x3000,
         }
 
+    def output(self, case):
+        return case["out"], 16
+
     def build_memory(self, case):
-        m = Memory.from_spans(((case["in"], case["msg"]), (case["k"], case["key"])))
-        m._add_region_inplace(case["out"], 16)
-        args = [case["out"], case["in"], len(case["msg"]), case["k"]]
-        return m, args
+        m = Memory.from_spans(((case["in"], case["msg"]), (case["k"], case["key"]),
+                               self.unwritten_output(case)))
+        return m, [case["out"], case["in"], len(case["msg"]), case["k"]]
 
     def spec_output(self, case):
         return poly1305_mac(case["key"], case["msg"])
 
-    def expected_memory(self, case, out_bytes):
-        m, _ = self.build_memory(case)
-        m.store_bytes_inplace(case["out"], out_bytes)
-        return m
-
-    def read_output(self, case, mem):
-        return memory.load_bytes(mem, case["out"], 16)
-
 
 class ChaCha20Shape(Shape):
     name = "chacha20"
+    expected_memory = Shape.expected_memory
 
     def sample(self, rng, index):
         L = self._length(rng, index)
@@ -139,52 +150,36 @@ class ChaCha20Shape(Shape):
             "n": 0x2000,
         }
 
+    def output(self, case):
+        return case["output"], len(case["msg"])
+
     def build_memory(self, case):
+        # when aliased, the output lies in plain: its unwritten span,
+        # the later, leaves the message's bytes written
         m = Memory.from_spans(((case["k"], case["key"]), (case["n"], case["nonce"]),
-                               (case["plain"], case["msg"])))
-        L = len(case["msg"])
-        m._add_region_inplace(case["output"], L)  # inside plain when aliased
-        args = [
-            case["output"],
-            case["plain"],
-            L,
-            case["k"],
-            case["n"],
-            case["counter"],
-        ]
-        return m, args
+                               (case["plain"], case["msg"]), self.unwritten_output(case)))
+        return m, [case["output"], case["plain"], len(case["msg"]), case["k"], case["n"],
+                   case["counter"]]
 
     def spec_output(self, case):
         return chacha20_xor(case["key"], case["nonce"], case["counter"], case["msg"])
 
-    def expected_memory(self, case, out_bytes):
-        m, _ = self.build_memory(case)
-        m.store_bytes_inplace(case["output"], out_bytes)
-        return m
-
-    def read_output(self, case, mem):
-        return memory.load_bytes(mem, case["output"], len(case["msg"]))
-
 
 class GimliShape(Shape):
     name = "gimli"
+    expected_memory = Shape.expected_memory
 
     def sample(self, rng, index):
         return {"state": rng.randbytes(48), "base": 0x1000}
+
+    def output(self, case):
+        return case["base"], 48  # the state, permuted in place
 
     def build_memory(self, case):
         return Memory.from_spans(((case["base"], case["state"]),)), [case["base"]]
 
     def spec_output(self, case):
         return gimli_bytes(case["state"])
-
-    def expected_memory(self, case, out_bytes):
-        m, _ = self.build_memory(case)
-        m.store_bytes_inplace(case["base"], out_bytes)
-        return m
-
-    def read_output(self, case, mem):
-        return memory.load_bytes(mem, case["base"], 48)
 
 
 SHAPES = {

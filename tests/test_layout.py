@@ -156,3 +156,27 @@ def test_every_import_is_read():
     unused = {str(path.relative_to(SRC)): found for path in sorted(SRC.rglob("*.py"))
               if path.name != "__init__.py" and (found := _unused_imports(path))}
     assert not unused, f"imported and never read: {unused}"
+
+
+def _region_table_reads(path: Path) -> list:
+    """(line, attribute) of each read of an attribute `_regions` or
+    `_lines` in file `path`, except `self.<name>` in a class that defines
+    a method <name> itself.  Source text that a module emits is a string,
+    not a read."""
+    tree = ast.parse(path.read_text())
+    own = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        own |= {id(n) for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "self" and n.attr in methods}
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and n.attr in ("_regions", "_lines") and id(n) not in own)
+
+
+def test_only_memory_reads_the_region_table():
+    """A Memory's `_regions` and `_lines` are read by memory.py alone;
+    codegen names them only in the source it emits."""
+    reads = {str(path.relative_to(SRC)): found for path in sorted(SRC.rglob("*.py"))
+             if path.name != "memory.py" and (found := _region_table_reads(path))}
+    assert not reads, f"reads a Memory's region table outside memory.py: {reads}"
+    assert _region_table_reads(SRC / "memory.py")

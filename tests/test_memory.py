@@ -242,6 +242,18 @@ def test_from_spans_merges_touching_spans_as_add_region_and_store_bytes_do():
         Memory.from_spans([(0, half), (memory.MAX_BYTES, half + b"\x00")])
 
 
+def test_from_spans_takes_init_maps():
+    """A span's init map marks its written bytes: a region of one span
+    keeps the map, and a merged region drops it once all is written."""
+    m = Memory.from_spans([(0x10, b"\x01\x02", b"\x01\x00"), (0x20, b"\x03", b"\x01")])
+    assert [r[3] for r in m._regions] == [bytearray(b"\x01\x00"), bytearray(b"\x01")]
+    assert memory.load8(m, 0x10) == 1 and not m.is_initialized(0x11)
+    merged = Memory.from_spans([(0x10, b"\x01\x02", b"\x01\x00"), (0x11, b"\x05", b"\x01"),
+                                (0x10, b"\x09\x09", b"\x00\x00")])
+    assert merged.regions() == [(0x10, 0x12)] and merged._regions[0][3] is None
+    assert memory.load_bytes(merged, 0x10, 2) == b"\x01\x05"
+
+
 def test_parse_dump_rejects_a_cell_that_is_not_a_byte():
     for cell in ("1ff", "-1"):
         with pytest.raises(ValueError, match="not a byte"):
@@ -261,10 +273,10 @@ def _parse_timed(text: str):
 
 
 def test_large_dumps_parse_in_linear_time():
-    """A dump's rows are gathered into runs and each region is built
-    once: 256 KiB parse in well under a second (about 0.15 s), where
-    merging row by row took about 3 s.  A fully written region gets no
-    init map; one with unwritten (`..`) bytes keeps one."""
+    """A dump's rows are the spans of one Memory.from_spans call, which
+    builds each region once: 256 KiB parse in well under a second (about
+    0.15 s), where merging row by row took about 3 s.  A fully written
+    region gets no init map; one with unwritten (`..`) bytes keeps one."""
     whole = Memory.from_spans([(0x10000, bytes(range(256)) * 1024)])
     holes = memory.add_region(Memory.from_spans([(0x1000, b"\x07" * 40)]), 0x100000, 1 << 18)
     for a in range(0x100000, 0x140000, 0x1000):
@@ -392,6 +404,13 @@ class MemoryModel(RuleBasedStateMachine):
             return (data.draw(st.sampled_from(edges)) + data.draw(st.integers(-33, 8))) % TOP
         return data.draw(ADDRS)
 
+    def unwritten(self, data, nbytes):
+        """An address whose nbytes bytes lie in one region and start at an
+        unwritten byte, or None when there is none."""
+        spots = [a for b, e in self.m.regions() for a in range(b, e - nbytes + 1)
+                 if not self.m.is_initialized(a)]
+        return data.draw(st.sampled_from(spots)) if spots else None
+
     def both(self, name, *args, **kw):
         got = _result(getattr(self.m, name), *args, **kw)
         want = _result(getattr(self.ref, name), *args, **kw)
@@ -428,7 +447,7 @@ class MemoryModel(RuleBasedStateMachine):
     @rule(data=st.data(), spaced=st.booleans())
     def from_spans(self, data, spaced):
         """A memory built whole from (base, bytes) spans, which the model
-        builds by add_region and store_bytes of each span in turn.  Spans
+        builds by add_region and a store of each span's bytes in turn.  Spans
         at least one byte apart (`spaced`) become regions without an init
         map, which the other rules then load, store, thaw and dump."""
         chunks = st.binary(min_size=1, max_size=24)
@@ -438,15 +457,20 @@ class MemoryModel(RuleBasedStateMachine):
                 spans.append((base, chunk))
                 base += len(chunk) + data.draw(st.integers(1, 9))
             spans = data.draw(st.permutations(spans))
-        else:
+        else:  # some spans with an init map: the model stores their written bytes only
             spans = data.draw(st.lists(st.tuples(ADDRS, st.binary(max_size=24)), max_size=4))
+            spans = [(b, d, bytes(data.draw(st.lists(st.integers(0, 1), min_size=len(d),
+                                                     max_size=len(d)))))
+                     if data.draw(st.booleans()) else (b, d) for b, d in spans]
         got = _result(Memory.from_spans, spans)
         ref = memory_ref.Memory()
 
         def add_and_store():
-            for base, chunk in spans:
+            for base, chunk, *init in spans:
                 ref._add_region_inplace(base, len(chunk))
-                ref.store_bytes_inplace(base, chunk)
+                for i, byte in enumerate(chunk):
+                    if not init or init[0][i]:
+                        ref._store8_inplace(base + i, byte)
             return ref
 
         want = _result(add_and_store)
@@ -499,11 +523,16 @@ class MemoryModel(RuleBasedStateMachine):
     @rule(at=st.data(), nbytes=st.sampled_from((1, 2, 4, 8, 16, 32)), value=st.integers(0, 255),
           store=st.booleans())
     def interp_access(self, at, nbytes, value, store):
-        """The interpreter's load and store helpers, which slice regions
-        themselves, and the code generated for the same access, which
-        tests a hit itself and calls the helper on a miss: the model's
-        values and faults, the event first, and the model's memory."""
-        a = self.addr(at)
+        """The interpreter's load and store helpers, which access through
+        Memory's load_span and store_bytes_inplace, and the code generated
+        for the same access, which tests a hit itself and calls the
+        helper on a miss: the model's values and faults, the event first,
+        and the model's memory.  Half the accesses start at an unwritten
+        byte inside a region, where a store hits and must mark its bytes
+        written."""
+        a = self.unwritten(at, nbytes) if at.draw(st.booleans()) else None
+        if a is None:
+            a = self.addr(at)
         trace, pending, run_trace = [], (("addr", (7,)),), []
         program = ONE_ACCESS[nbytes, store]
         ran = _interp_result(lambda: interp.run(program, "f", [a, value] if store else [a],
@@ -542,6 +571,24 @@ class MemoryModel(RuleBasedStateMachine):
         assert memory.dump(back) == text
         self.m = back
 
+    @rule(data=st.data())
+    def parse_shuffled_dump(self, data):
+        """The memory's dump with its rows shuffled, some repeated and some
+        cells of the rows blanked to `..`: rows that overlap, touch or go
+        back merge into the model's regions and bytes, a later row's byte
+        winning and its `..` leaving an earlier byte as it was."""
+        rows = memory.dump(self.m).splitlines()
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        rows = data.draw(st.permutations(rows))
+        for i, row in enumerate(rows):
+            addr, _, cells = row.partition(": ")
+            cells = cells.split()
+            for j in data.draw(st.sets(st.integers(0, len(cells) - 1), max_size=3)):
+                cells[j] = ".."
+            rows[i] = f"{addr}: {' '.join(cells)}"
+        text = "".join(row + "\n" for row in rows)
+        self.m, self.ref = memory.parse_dump(text), memory_ref.parse_dump(text)
+
     @invariant()
     def same_state(self):
         if hasattr(self, "m"):
@@ -577,13 +624,14 @@ def test_regions_past_the_cap_are_rejected():
 def test_corpus_accesses_never_take_the_fallback(monkeypatch):
     """ct_check places a program's regions 16 to 256 bytes apart, so
     several share a 64-byte line; every access the corpus makes lies in
-    written bytes of one region and is served by interp's line lookup,
-    never by Memory's fallback methods."""
+    written bytes of one region, which generated code or, on a miss of
+    its line lookup, Memory's line walk finds, never Memory's byte-by-byte
+    fault path."""
     from jamin import leakage
     from jamin.primitives.corpus import PROGRAMS, load_program
 
     fallbacks, shared = Counter(), Counter()
-    for method in ("load_int", "store_int_inplace"):
+    for method in ("_load8", "_store8_inplace"):
         def counted(self, *args, _f=getattr(Memory, method), _name=method):
             fallbacks[_name] += 1
             return _f(self, *args)
