@@ -41,7 +41,7 @@ observes:
   it as a whole, loops included) is a move: dst takes src's list or
   StackArray itself, which no live name shares from then on.  The
   locals live after each statement come from one flow.backward pass
-  over the function, which moves and pieces both read;
+  over the function, which moves, pieces and declarations all read;
 - a repeat node (ir.SRepeat, see expand) is emitted once, in
   `for _k in range(count):`.  Its body is translated as a loop: from
   the must-be-assigned facts at the start of every iteration that
@@ -88,8 +88,13 @@ Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
 exactly the locals it mentions that are live into it, and returns
 exactly the ones it rebinds that are live after it.  Every other local
-it mentions is its own: a declaration's UNDEF store to one is left out
-unless a read in the function may find it unassigned.
+it mentions is its own.
+
+A declaration stores UNDEF (a fresh array) into a name only where the
+name is live after it, by the same liveness: a dead name is rebound as
+a whole before any read, any piece call that takes it and any element
+access on every path, so nothing can find it unassigned.  The name that
+an initializer writes stores only when the initializer reads it.
 """
 
 from __future__ import annotations
@@ -262,12 +267,6 @@ class _FnGen(Assigned):
         self.unbound: set = set()  # locals to start as NB in the current function
         self.piece_locals = None  # locals owned by the piece being emitted
         self.pieces = 0
-        # a declaration's UNDEF store matters only to reads that check
-        # for it: those of `unproven` locals, and the calls of pieces
-        # that take the local (`passed`)
-        self.ustores: list = []  # (line index, local) in the current function
-        self.unproven: set = set()
-        self.passed: set = set()
         self.after = None  # id of a statement -> the locals live after it (live_after)
         self.forms: dict = {}  # (definition, bits, lanes, count) -> its parts (instantiate)
 
@@ -369,7 +368,6 @@ class _FnGen(Assigned):
         v = self.v(name)
         if name in self.facts.defined:
             return v
-        self.unproven.add(name)
         bad = "U" if compound else v
         if name in self.facts.declared:
             return f"({v} if {v} is not U else _uu({bad}, {self.label(name)}, {loc!r}))"
@@ -629,10 +627,7 @@ class _FnGen(Assigned):
         if nb > 8:
             return f"_ld(M, T, {k}, {code}, {nb}, {loc!r})"
         a, x, o, hit = self.mem_hit(code, nb)
-        if nb == 1:
-            get, written = f"{x}[2][{o}]", f"{x}[3][{o}]"
-        else:
-            get, written = f"LD{nb}({x}[2], {o})[0]", f"LD{nb}({x}[3], {o})[0] == {_ones(nb)}"
+        get, written = _span_access(f"{x}[2]", f"{x}[3]", o, nb)
         return (f"({get} if {hit} and ({x}[3] is None or {written}) and {self.traced(a, k)}"
                 f" else _ld(M, T, {k}, {a}, {nb}, {loc!r}))")
 
@@ -647,13 +642,10 @@ class _FnGen(Assigned):
             self.line(f"_st(M, T, {k}, {value}, {code}, {nb}, {loc!r})")
             return
         a, x, o, hit = self.mem_hit(code, nb)
+        store, mark = _span_put(f"{x}[2]", f"{x}[3]", o, nb, value)
         self.line(f"if {hit} and {self.traced(a, k)}:")
-        if nb == 1:
-            self.line(f"    {x}[2][{o}] = {value}")
-            self.line(f"    if {x}[3] is not None: {x}[3][{o}] = 1")
-        else:
-            self.line(f"    ST{nb}({x}[2], {o}, {value})")
-            self.line(f"    if {x}[3] is not None: ST{nb}({x}[3], {o}, {_ones(nb)})")
+        self.line(f"    {store}")
+        self.line(f"    if {x}[3] is not None: {mark}")
         self.line(f"else: _st(M, T, {k}, {value}, {a}, {nb}, {loc!r})")
 
     def stack_load(self, e, s: str, loc) -> str:
@@ -670,18 +662,16 @@ class _FnGen(Assigned):
             miss = f"_sget({s}, {i * scale}, {nb}, {label}, {loc!r})"
             if not inline:
                 return miss
-            get, written = _stack_access(s, str(i * scale), nb)
+            get, written = _span_access(f"{s}.buf", f"{s}.init", str(i * scale), nb)
             return f"({get} if {written} else {miss})"
         code = self.expr(e.index)
         k = self.batch()
         if not inline:
             return f"_sld(T, {k}, {s}, {code}, {nb}, {scale}, {label}, {loc!r})"
         i, first = self.bound(code)
-        if scale == 1:
-            get, written = _stack_access(s, i, nb)
-        else:
-            off = self.fresh()
-            get, written = _stack_access(s, off, nb, f"({off} := {i} * {scale})")
+        off = i if scale == 1 else self.fresh()  # bound at its first use, `at`
+        at = None if scale == 1 else f"({off} := {i} * {scale})"
+        get, written = _span_access(f"{s}.buf", f"{s}.init", off, nb, at)
         return (f"({get} if {first} <= {_last(ty, nb, scale)} and {written}"
                 f" and {self.traced(i, k)}"
                 f" else _sld(T, {k}, {s}, {i}, {nb}, {scale}, {label}, {loc!r}))")
@@ -699,7 +689,7 @@ class _FnGen(Assigned):
             i = lv.index.value
             self.pending.append(self.event(i))
             if inline:
-                self.line(_stack_put(s, str(i * scale), nb, value))
+                self.line("; ".join(_span_put(f"{s}.buf", f"{s}.init", str(i * scale), nb, value)))
             else:
                 self.line(f"_sput({s}, {value}, {i * scale}, {nb})")
             return
@@ -710,16 +700,14 @@ class _FnGen(Assigned):
             self.line(f"_sst(T, {k}, {s}, {value}, {code}, {nb}, {scale}, {label}, {loc!r})")
             return
         i, first = self.bound(code)
-        if scale == 1:
-            put = _stack_put(s, i, nb, value)
-        else:
-            off = self.fresh()
-            put = _stack_put(s, off, nb, value, f"({off} := {i} * {scale})")
+        off = i if scale == 1 else self.fresh()  # bound at its first use, `at`
+        at = None if scale == 1 else f"({off} := {i} * {scale})"
+        put = "; ".join(_span_put(f"{s}.buf", f"{s}.init", off, nb, value, at))
         self.line(f"if {first} <= {_last(ty, nb, scale)} and {self.traced(i, k)}:")
         self.line(f"    {put}")
         self.line(f"else: _sst(T, {k}, {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
 
-    # -- liveness (backwards), for moves and pieces
+    # -- liveness (backwards), for moves, pieces and declarations
 
     def live(self, live: set, s) -> set:
         """The names live before s (or before its test), from those live
@@ -775,11 +763,10 @@ class _FnGen(Assigned):
         self.close()
 
     def stmts(self, stmts):
-        for j, s in enumerate(stmts):
+        for s in stmts:
             if self.facts is None:
                 return  # unreachable
-            nxt = stmts[j + 1] if j + 1 < len(stmts) else None
-            self.stmt(s, nxt)
+            self.stmt(s)
 
     def pieced_block(self, stmts):
         run: list = []
@@ -791,7 +778,7 @@ class _FnGen(Assigned):
             if n > PIECE or self.has_return(s):
                 self.piece(run)
                 run, size = [], 0
-                self.stmt(s, None)
+                self.stmt(s)
                 continue
             if size + n > PIECE:
                 self.piece(run)
@@ -816,15 +803,13 @@ class _FnGen(Assigned):
         for n in live_in:
             if n not in self.facts.declared:
                 self.note_unbound(n)
-        self.passed.update(live_in)
-        parent = (self.out, self.indent, self.unbound, self.tmp, self.ustores)
-        self.out, self.indent, self.unbound, self.ustores = [], "    ", set(), []
+        parent = (self.out, self.indent, self.unbound, self.tmp)
+        self.out, self.indent, self.unbound = [], "    ", set()
         self.piece_locals = mentioned.difference(live_in, live_out)
         self.stmts(run)
         self.close()
         body, unbound = self.out, self.unbound
-        self.drop_ustores(self.piece_locals - self.unproven)
-        self.out, self.indent, self.unbound, self.tmp, self.ustores = parent
+        self.out, self.indent, self.unbound, self.tmp = parent
         self.piece_locals = None
         self.pieces += 1
         name = f"Q_{self.fn.name}_{self.pieces}"
@@ -840,17 +825,12 @@ class _FnGen(Assigned):
             return  # bound by the caller, which checked it at the call
         self.unbound.add(name)
 
-    def drop_ustores(self, droppable):
-        for at, name in self.ustores:
-            if name in droppable:
-                self.out[at] = ""
-
     def nb_lines(self, names, indent="    ") -> list:
         if not names:
             return []
         return [indent + " = ".join(self.v(n) for n in sorted(names)) + " = NB"]
 
-    def stmt(self, s, nxt):
+    def stmt(self, s):
         self.tmp = 0
         k = type(s)
         loc = s.loc
@@ -863,7 +843,7 @@ class _FnGen(Assigned):
             self.facts = self.transfer(self.facts, s)
         elif k is SDecl:
             self.tick(loc)
-            self.decl(s, nxt)
+            self.decl(s)
             self.facts = self.transfer(self.facts, s)
         elif k is SIf:
             self.tick(loc)
@@ -941,13 +921,10 @@ class _FnGen(Assigned):
         self.line(f"for _k in range({s.count}):")
         self.indent += "    "
         at = len(self.out)
-        self.out.append("")
         self.labels = s.names
         self.block(s.body)
         self.labels = {}
-        unbound = self.unbound.intersection(s.names)
-        if unbound:
-            self.out[at] = self.nb_lines(unbound, self.indent)[0]
+        self.out[at:at] = self.nb_lines(self.unbound.intersection(s.names), self.indent)
         self.indent = self.indent[:-4]
         self.facts = after
 
@@ -959,25 +936,20 @@ class _FnGen(Assigned):
             self.line("pass")
         self.indent = self.indent[:-4]
 
-    def decl(self, s: SDecl, nxt):
+    def decl(self, s: SDecl):
+        """Declaration s: each of its names that is live after it is set
+        to UNDEF (a fresh array), which a later read may find; a dead one
+        is written before any read on every path, so it stores nothing.
+        The initializer's write follows at once: its name stores only when
+        the initializer reads it."""
         ty = s.ty
-        # a declaration immediately overwritten as a whole stores nothing
-        skip = set()
-        if (type(nxt) is SAssign and not nxt.op and nxt.cond is None and len(nxt.dests) == 1
-                and type(nxt.dests[0]) is EVar):
-            target = nxt.dests[0].name
-            if target not in flow.reads(nxt.rhs):
-                skip.add(target)
-        if s.init is not None and s.names[0] not in flow.reads(s.init):
-            skip.add(s.names[0])
         if isinstance(ty, ArrayTy):
             new = f"SA({ty.bits}, {ty.length})" if s.storage == "stack" else f"[U] * {ty.length}"
         else:
             new = "U"
-        for nm in s.names:
-            if nm not in skip:
-                if new == "U":
-                    self.ustores.append((len(self.out), nm))
+        live = self.live_after(s)
+        for i, nm in enumerate(s.names):
+            if nm in (live if i or s.init is None else flow.reads(s.init)):
                 self.line(f"{self.v(nm)} = {new}")
         if s.init is not None:  # read after the declaration resets its names
             self.transfer(self.facts, s, 0)
@@ -1043,7 +1015,6 @@ class _FnGen(Assigned):
         self.block(fn.body)
         if self.facts is not None:  # typecheck: a function with results returns
             self.line("return (B,)")
-        self.drop_ustores(set(self.locals) - self.unproven - self.passed)
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
         name = "F_" + fn.name
         body = self.nb_lines(self.unbound) + self.out
@@ -1063,24 +1034,26 @@ def _last(ty, nb: int, scale: int) -> int:
     return (ty.length * ty.bits // 8 - nb) // scale
 
 
-def _stack_access(s: str, off: str, nb: int, first=None) -> tuple:
+def _span_access(buf: str, init: str, off: str, nb: int, first=None) -> tuple:
     """(the value, the test that its bytes are written) of the nb bytes
-    at offset off of stack array s; the test, which runs first, writes
-    the offset as `first` when given (an assignment expression)."""
+    at offset off of byte buffer `buf`, whose init map is `init` (the
+    code of each: a stack array's or a memory region's); the test, which
+    runs first, writes the offset as `first` when given (an assignment
+    expression)."""
     first = first or off
     if nb == 1:
-        return f"{s}.buf[{off}]", f"{s}.init[{first}]"
-    return f"LD{nb}({s}.buf, {off})[0]", f"LD{nb}({s}.init, {first})[0] == {_ones(nb)}"
+        return f"{buf}[{off}]", f"{init}[{first}]"
+    return f"LD{nb}({buf}, {off})[0]", f"LD{nb}({init}, {first})[0] == {_ones(nb)}"
 
 
-def _stack_put(s: str, off: str, nb: int, value: str, first=None) -> str:
-    """The line storing `value` to the nb bytes at offset off of stack
-    array s and marking them written (the offset written as `first` at
-    its first use, when given)."""
+def _span_put(buf: str, init: str, off: str, nb: int, value: str, first=None) -> tuple:
+    """(the statement storing `value` to the nb bytes at offset off of
+    `buf`, the one marking them written in `init`), as _span_access reads
+    them; the offset is written as `first` at its first use, when given."""
     first = first or off
     if nb == 1:
-        return f"{s}.buf[{first}] = {value}; {s}.init[{off}] = 1"
-    return f"ST{nb}({s}.buf, {first}, {value}); ST{nb}({s}.init, {off}, {_ones(nb)})"
+        return f"{buf}[{first}] = {value}", f"{init}[{off}] = 1"
+    return f"ST{nb}({buf}, {first}, {value})", f"ST{nb}({init}, {off}, {_ones(nb)})"
 
 
 def _maybe_undef(d, i: int) -> bool:

@@ -55,9 +55,10 @@ fields, that assigns each field, side attributes included, from the
 original or from the changes it is given.
 
 Word operators fold through their one definition in `words`, at their
-width; a division by a constant zero is left for the run to report at
-its location.  A compile-time expression that cannot be evaluated is an
-ExpandError at its location.
+width, and a word `x + 0` or `x - 0` that is not lane-wise folds to x
+when x has its type; a division by a constant zero is left for the run
+to report at its location.  A compile-time expression that cannot be
+evaluated is an ExpandError at its location.
 """
 
 from __future__ import annotations
@@ -215,6 +216,9 @@ class _Expander:
                 return _lit(v, e)
             except (NotConst, words.WordError, ZeroDivisionError) as exc:
                 reason = exc
+        elif (type(e) is EBin and e.op in ("+", "-") and not e.lanes and type(ty) is WordTy
+              and type(e.right) is EInt and e.right.value == 0 and e.left.ty == ty):
+            return e.left  # x + 0, x - 0
         if isinstance(ty, IntTy):
             raise ExpandError(f"{_at(e)}compile-time expression cannot be evaluated ({reason})")
         return e

@@ -103,18 +103,15 @@ class ContractViolation(SafetyError):
 
 
 class StackArray:
-    __slots__ = ("width", "length", "buf", "init")
+    __slots__ = ("buf", "init")
 
     def __init__(self, width: int, length: int):
-        self.width = width
-        self.length = length
         nbytes = length * (width // 8)
         self.buf = bytearray(nbytes)
         self.init = bytearray(nbytes)
 
     def copy(self):
         c = StackArray.__new__(StackArray)
-        c.width, c.length = self.width, self.length
         c.buf = bytearray(self.buf)
         c.init = bytearray(self.init)
         return c
@@ -304,15 +301,10 @@ def _bind_param(decl, value):
     if isinstance(ty, ArrayTy):
         n = ty.length
         if decl.storage == "stack":
-            if isinstance(value, StackArray):
-                if (value.width, value.length) != (ty.bits, n):
-                    raise ContractViolation(f"{decl.name!r} takes a u{ty.bits}[{n}] stack array")
-                return value.copy()
-            arr = StackArray(ty.bits, n)
-            if isinstance(value, (bytes, bytearray)):
-                arr.fill(bytes(value))
-            else:
+            if not isinstance(value, (bytes, bytearray)):
                 raise ContractViolation(f"stack array argument for {decl.name!r}")
+            arr = StackArray(ty.bits, n)
+            arr.fill(bytes(value))
             return arr
         if isinstance(value, (list, tuple)):
             if len(value) != n:

@@ -220,7 +220,6 @@ class Descriptor:
     name: str
     sources: tuple
     destinations: tuple
-    oshape: tuple  # operand kinds of the emitted instruction
     mnemonic: str
     sem: Callable  # list of values -> list of values
     lanes: Optional[tuple[int, int]] = None  # (n, m) when this is a vector op
@@ -437,60 +436,58 @@ def _build_scalars(w: int):
     xy = (E(w, 0), E(w, 1))
     xyc = xy + (F("CF"),)
     flags_res = FLAGS5 + res
-    two, one, imm = ("oprd", "oprd"), ("oprd",), ("oprd", "imm8")
-    # name, sources, destinations, oshape, table or plain semantics
+    # name, sources, destinations, table or plain semantics
     # [, mnemonic]; registration order is the registry's order
     for row in (
-        ("x86_ADD", xy, flags_res, two,
+        ("x86_ADD", xy, flags_res,
          table("x y", [("s", "x + y"), ("r", f"s & {M}")], add_of, f"s > {M}", *szp, "r")),
-        ("x86_ADC", xyc, flags_res, two,
+        ("x86_ADC", xyc, flags_res,
          table("x y c", [("s", "x + y + c"), ("r", f"s & {M}")],
                add_of, f"s > {M}", *szp, "r")),
-        ("x86_SUB", xy, flags_res, two,
+        ("x86_SUB", xy, flags_res,
          table("x y", [("r", f"(x - y) & {M}")], sub_of, "x < y", *szp, "r")),
-        ("x86_AND", xy, flags_res, two, logic("&")),
-        ("x86_OR", xy, flags_res, two, logic("|")),
-        ("x86_XOR", xy, flags_res, two, logic("^")),
-        ("x86_SHL", xy, flags_res, imm,
+        ("x86_AND", xy, flags_res, logic("&")),
+        ("x86_OR", xy, flags_res, logic("|")),
+        ("x86_XOR", xy, flags_res, logic("^")),
+        ("x86_SHL", xy, flags_res,
          shift(f"x << c & {M}", f"x >> {w} - c & 1 == 1", f"(r >= {T}) != f", *szp)),
-        ("x86_SHR", xy, flags_res, imm,
+        ("x86_SHR", xy, flags_res,
          shift("x >> c", "x << 1 >> c & 1 == 1", f"x >= {T}", *szp)),
         # the carry is bit c - 1 of x, also that of its sign extension (c < w)
-        ("x86_SAR", xy, flags_res, imm,
+        ("x86_SAR", xy, flags_res,
          shift(f"((x ^ {T}) - {T}) >> c & {M}", "x << 1 >> c & 1 == 1", "False", *szp)),
-        ("x86_NOT", res, res, one, table("x", [], f"x ^ {M}")),
-        ("x86_NEG", res, flags_res, one,
+        ("x86_NOT", res, res, table("x", [], f"x ^ {M}")),
+        ("x86_NEG", res, flags_res,
          table("x", [("r", f"-x & {M}")], f"x == {T}", "x != 0", *szp, "r")),
-        ("x86_MOV", res, res, one, table("x", [], "x")),
+        ("x86_MOV", res, res, table("x", [], "x")),
         # the product of the sign-extended operands, and whether it
         # differs from its own truncation, sign-extended
-        ("x86_IMUL", xy, flags_res, two,
+        ("x86_IMUL", xy, flags_res,
          table("x y", [("p", f"((x ^ {T}) - {T}) * ((y ^ {T}) - {T})"), ("r", f"p & {M}")],
                *[f"p != (r ^ {T}) - {T}"] * 2, "U", "U", "U", "r")),
-        ("x86_ROL", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm,
+        ("x86_ROL", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)),
          shift(f"(x << c | x >> {w} - c) & {M}", "r & 1 == 1", f"(r >= {T}) != f")),
-        ("x86_ROR", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)), imm,
+        ("x86_ROR", (E(w, 0), E(8, 1)), (F("OF"), F("CF"), E(w, 0)),
          shift(f"(x >> c | x << {w} - c) & {M}", f"r >= {T}", f"f != (r >> {w - 2} & 1 == 1)")),
-        ("x86_SBB", xyc, flags_res, two,
+        ("x86_SBB", xyc, flags_res,
          table("x y c", [("r", f"(x - y - c) & {M}")], sub_of, "x < y + c", *szp, "r")),
-        ("x86_MUL", (R("RAX"), E(w, 0)), FLAGS5 + (R("RDX"), R("RAX")), one,
+        ("x86_MUL", (R("RAX"), E(w, 0)), FLAGS5 + (R("RDX"), R("RAX")),
          table("x y", [("p", "x * y"), ("h", f"p >> {w}")],
                "h != 0", "h != 0", "U", "U", "U", "h", f"p & {M}")),
-        ("x86_DIV", (R("RDX"), R("RAX"), E(w, 0)), FLAGS5 + (R("RAX"), R("RDX")), one,
+        ("x86_DIV", (R("RDX"), R("RAX"), E(w, 0)), FLAGS5 + (R("RAX"), R("RDX")),
          div_sem),
-        ("x86_CMOV", (F("cond"), E(w, 0), E(w, 1)), (E(w, 1),), two,
+        ("x86_CMOV", (F("cond"), E(w, 0), E(w, 1)), (E(w, 1),),
          table("c x y", [], "x if c else y"), "CMOVcc"),
-        ("set0", (), flags_res, one,  # compiled as r := XOR r r
+        ("set0", (), flags_res,  # compiled as r := XOR r r
          table("", [], "False", "False", "False", "True", "True", "0"), "XOR"),
     ):
-        name, sources, dests, oshape, how, *mnemonic = row
+        name, sources, dests, how, *mnemonic = row
         t = how if isinstance(how, Table) else None
         register(
             Descriptor(
                 name=f"{name}_{w}",
                 sources=sources,
                 destinations=dests,
-                oshape=oshape,
                 mnemonic=mnemonic[0] if mnemonic else name.split("_")[-1],
                 sem=t.sem() if t else how,
                 table=t,
@@ -629,8 +626,7 @@ def _bound(name: str, sel: int) -> tuple:
             _ops_form(d.src_lanes[:k], d.dst_lanes[0], f"t({concat})", dict(ns, t=table)))
 
 
-def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None,
-            oshape=("oprd", "oprd"), mnemonic=None):
+def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None, mnemonic=None):
     """Register a vector instruction over n lanes of m bits.  `lsem` is
     its Ops function, or the lane expression of an element-wise one;
     `dst` is (destination, its lane shape) when that is not n lanes of
@@ -644,7 +640,6 @@ def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None,
             name=name,
             sources=tuple(sources),
             destinations=(loc,),
-            oshape=oshape,
             mnemonic=mnemonic or name.replace("x86_", ""),
             sem=lambda a: [vsem(*a)],
             lanes=(n, m),
@@ -671,8 +666,6 @@ def _movement(name, n, m, sources, src_lanes, vplan, kind, concat, ns=None, **kw
 
 
 def _build_vectors():
-    imm = ("oprd", "imm8")
-
     # lane-wise addition (SWAR on the packed word in OpsV mode)
     for n, m in ((4, 64), (8, 32)):
         _vector(f"x86_VPADD_{n}u{m}", n, m, [E(n * m, 0), E(n * m, 1)], [(n, m), (n, m)],
@@ -707,7 +700,7 @@ def _build_vectors():
     for n, m in ((4, 64), (8, 32), (4, 32)):
         for nm, op, lane in shifts(m):
             _vector(f"x86_{nm}_{n}u{m}", n, m, [E(n * m, 0), E(8, 1)], [(n, m), None],
-                    evaluator(op, m, n), lane, oshape=imm)
+                    evaluator(op, m, n), lane)
     for n, m in ((4, 64), (8, 32)):
         for nm, op, lane in shifts(m):
             _vector(f"x86_{nm}V_{n}u{m}", n, m, [E(n * m, 0), E(n * m, 1)], [(n, m), (n, m)],
@@ -717,14 +710,13 @@ def _build_vectors():
     for name, n, m in (("x86_VPBROADCAST_4u64", 4, 64),
                        ("x86_VPBROADCAST_8u32", 8, 32),
                        ("x86_VPBROADCAST_4u32", 4, 32)):
-        _vector(name, n, m, [E(m, 0)], [None], partial(mul, lanes(1, n, m)), "u",
-                oshape=("oprd",))
+        _vector(name, n, m, [E(m, 0)], [None], partial(mul, lanes(1, n, m)), "u")
 
     # dword and qword shuffles (VPSHUFD, VPERMQ): the imm8 is four 2-bit
     # source positions, applied per group of four elements
     def shuffle(name, n, m):
         _movement(name, n, m, [E(n * m, 0), E(8, 1)], [(n, m), None],
-                  partial(_permute_plan, m, n), "d", "a0", oshape=imm)
+                  partial(_permute_plan, m, n), "d", "a0")
 
     shuffle("x86_VPSHUFD_128", 4, 32)
     shuffle("x86_VPSHUFD_256", 8, 32)
@@ -764,14 +756,12 @@ def _build_vectors():
 
     # 128-bit-half permutes, extract and insert
     _movement("x86_VPERM2I128", 2, 128, [E(256, 0), E(256, 1), E(8, 2)],
-              [(2, 128), (2, 128), None], partial(_half_plan, "2"), "2", "(*a0, *a1, 0)",
-              oshape=("oprd", "oprd", "imm8"))
+              [(2, 128), (2, 128), None], partial(_half_plan, "2"), "2", "(*a0, *a1, 0)")
     shuffle("x86_VPERMQ_4u64", 4, 64)
     _movement("x86_VEXTRACTI128", 2, 128, [E(256, 0), E(8, 1)], [(2, 128), None],
-              partial(_half_plan, "e"), "e", "a0", dst=(E(128, 0), None), oshape=imm)
+              partial(_half_plan, "e"), "e", "a0", dst=(E(128, 0), None))
     _movement("x86_VINSERTI128", 2, 128, [E(256, 0), E(128, 1), E(8, 2)],
-              [(2, 128), None, None], partial(_half_plan, "i"), "i", "(*a0, a1)",
-              oshape=("oprd", "oprd", "imm8"))
+              [(2, 128), None, None], partial(_half_plan, "i"), "i", "(*a0, a1)")
 
 
 def _variable_shift(op: str, n: int, m: int) -> Callable:

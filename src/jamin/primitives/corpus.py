@@ -35,7 +35,6 @@ class ProgramInfo:
     shape: dict
     pointers: tuple
     tracked: tuple
-    ct_max_len: int = 320
 
 
 def _poly_info(name, in_name, len_name, max_len):
@@ -52,7 +51,6 @@ def _poly_info(name, in_name, len_name, max_len):
         },
         pointers=("out", in_name, "k"),
         tracked=(len_name,),
-        ct_max_len=max_len,
     )
 
 
@@ -72,7 +70,6 @@ def _chacha_info(name, max_len):
         },
         pointers=("output", "plain", "key", "nonce"),
         tracked=("len",),
-        ct_max_len=max_len,
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 from gensrc import function_sources, line_count
 from lanes import exec_vector
 from test_isa_scalar_golden import _op_width
+from test_rolled import observe
 from jamin import codegen, flow, interp, isa, memory
 from jamin.codegen import PIECE
 from jamin.expand import expand
@@ -493,3 +494,100 @@ def test_else_if_chains_run_as_nested_ifs():
         assert "    elif " in "".join(function_sources(prep(src)).values())
     digest = hashlib.sha256(repr(else_if_runs()).encode()).hexdigest()
     assert digest[:16] == ELSE_IF_RUNS
+
+
+# Declarations: a name stores UNDEF (a fresh array) only where it is live
+# after its declaration.  Each case: its source, the declaration stores
+# its generated code holds, and runs as ((a, c), the result, or the
+# location of the UninitializedUse the run raises).
+DECLS = {
+    "assigned first": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64 x, y;
+  y = a;
+  if (c == 0) { x = y; } else { x = y + 1; }
+  return x;
+}""", set(), [((5, 0), 5), ((5, 1), 6)]),
+    "one arm": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64 x;
+  if (c == 0) { x = a; }
+  x = x + 1;
+  return x;
+}""", {"v_x = U"}, [((5, 0), 6), ((5, 1), (5, 7))]),
+    "arrays": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64[2] s, t;
+  s[0] = a;
+  s[1] = c;
+  t = s;
+  t[0] = t[0] + t[1];
+  return t[0];
+}""", {"v_s = [U] * 2"}, [((5, 0), 5), ((5, 2), 7)]),
+    "guarded": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64 x;
+  x = a if c > 0;
+  x = x + 1;
+  return x;
+}""", {"v_x = U"}, [((5, 1), 6), ((5, 0), (5, 7))]),
+    "redeclared in a loop": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64 i, s;
+  i = 0; s = 0;
+  while (i < 2) {
+    reg u64 x, y;
+    y = i;
+    if (y <= c) { x = a; }
+    s = s + x + y;
+    i = i + 1;
+  }
+  return s;
+}""", {"v_x = U"}, [((5, 1), 11), ((5, 0), (9, 13))]),
+    "redeclared in a rolled loop": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64 s;
+  s = 0;
+  for r = 0 to 3 {
+    reg u64 x, y;
+    y = s;
+    if (y == c) { x = a; }
+    s = y + x;
+  }
+  return s;
+}""", {"v_x = U"}, [((0, 0), 0), ((5, 0), (9, 13)), ((5, 1), (9, 13))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECLS))
+def test_declarations_store_only_live_names(case):
+    text, stores, runs = DECLS[case]
+    p = prep(text)
+    src = "".join(function_sources(p).values())
+    assert set(re.findall(r"^\s*(v_\w+ = (?:U|\[U\] \* \d+|SA\(.*\)))$", src, re.M)) == stores
+    for args, want in runs:
+        if type(want) is tuple:
+            with pytest.raises(interp.UninitializedUse) as info:
+                interp.run(p, "f", list(args), memory.Memory())
+            assert info.value.loc == want
+        else:
+            assert interp.run(p, "f", list(args), memory.Memory()).results == [Word(64, want)]
+
+
+@pytest.mark.parametrize("case", sorted(DECLS))
+def test_declaration_stores_do_not_depend_on_pieces(monkeypatch, case):
+    """A function compiled in pieces of 1 or 3 statements observes what
+    the whole one does: results, steps, trace and fault."""
+    text, _, runs = DECLS[case]
+    seen = []
+    for piece in (1, 3, 250):
+        monkeypatch.setattr(codegen, "PIECE", piece)
+        p = prep(text)  # compiled at its first run, under this PIECE
+        seen.append([observe(p, "f", list(args), memory.Memory()) for args, _ in runs])
+        assert ("def Q_" in "".join(function_sources(p).values())) == (piece < 250)
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_generated_code_has_no_blank_lines(name):
+    assert "\n\n" not in _generated_source(name)

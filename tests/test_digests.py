@@ -13,7 +13,7 @@ from gensrc import corpus_sources
 from reports import reports
 
 DIGESTS = {
-    "gensrc": (corpus_sources, "f82006cde0ef22f49c5f875ee911c8143e787b87cef98d168bb73bf45677005c"),
+    "gensrc": (corpus_sources, "b6011c3c5a47d28756dcbb6c98b484986be243b9e3305de1a77558af0ef6c37a"),
     "reports": (reports, "66413b4e07d19a47865beb79452cf3481e923dbc4c1b0169b9569b19d22c18c4"),
 }
 

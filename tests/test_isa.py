@@ -112,7 +112,6 @@ def test_validate_catches_duplicate_destination():
         name="bogus_dup",
         sources=(isa.E(64, 0),),
         destinations=(isa.E(64, 0), isa.E(64, 0)),
-        oshape=("oprd",),
         mnemonic="BOGUS",
         sem=lambda a: [a[0], a[0]],
     )
@@ -124,7 +123,6 @@ def test_validate_catches_wrong_arity():
         name="bogus_arity",
         sources=(isa.E(64, 0),),
         destinations=(isa.E(64, 0),),
-        oshape=("oprd",),
         mnemonic="BOGUS",
         sem=lambda a: [a[0], a[0]],
     )

@@ -6,7 +6,9 @@ referenced in `src/jamin` outside its own definition, be used by
 `docs/lang.md` (a specification layer that a named test checks).  The
 test reads that section, so the document and this check cannot drift.
 A definition that only tests call belongs in `tests/`.  Every name a
-module of `src/jamin` imports is read in the scope that imports it.
+module of `src/jamin` imports is read in the scope that imports it, and
+every field of a dataclass of `src/jamin` is read as an attribute in
+`src/jamin` or `perfbench/`.
 """
 
 from __future__ import annotations
@@ -128,6 +130,28 @@ def test_named_layers_exist():
             break
         else:
             raise AssertionError(dotted)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list))
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing reads is state that nothing needs."""
+    fields, read = [], set()
+    for base in (SRC, BENCH):
+        for path in sorted(base.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif base is SRC and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                    fields += [f"{path.relative_to(SRC)}: {node.name}.{a.target.id}"
+                               for a in node.body
+                               if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
+    assert fields
+    unread = [f for f in fields if f.rpartition(".")[2] not in read]
+    assert not unread, f"dataclass fields never read as an attribute: {unread}"
 
 
 def _unused_imports(path: Path) -> list:
