@@ -362,18 +362,17 @@ class _FnGen(Assigned):
 
     # -- reads
 
-    def read_var(self, name: str, loc, compound=False) -> str:
+    def read_var(self, name: str, loc) -> str:
         if name not in self.locals or isinstance(self.types[name][1], ArrayTy):
             return self.arr_ref(name, loc)  # a whole array (a global is one)
         v = self.v(name)
         if name in self.facts.defined:
             return v
-        bad = "U" if compound else v
         if name in self.facts.declared:
-            return f"({v} if {v} is not U else _uu({bad}, {self.label(name)}, {loc!r}))"
+            return f"({v} if {v} is not U else _uu({v}, {self.label(name)}, {loc!r}))"
         self.note_unbound(name)
         label = self.label(name)
-        return f"({v} if {v} is not U and {v} is not NB else _uu({bad}, {label}, {loc!r}))"
+        return f"({v} if {v} is not U and {v} is not NB else _uu({v}, {label}, {loc!r}))"
 
     def arr_ref(self, name: str, loc) -> str:
         if name not in self.locals:
@@ -392,7 +391,7 @@ class _FnGen(Assigned):
         if k is EBin:
             return self.binary(e)
         if k is EArr:
-            return self.arr_read(e, e.loc)
+            return self.arr_read(e)
         if k is ECast:
             a = self.expr(e.arg)
             aty = e.arg.ty
@@ -423,7 +422,7 @@ class _FnGen(Assigned):
             return f"_wbin({f}, b=_nz({r}, {loc!r}), a={self.expr(e.left)}, loc={loc!r})"
         left = self.expr(e.left)
         if e.lanes or type(e.ty) is WordTy:
-            return self.word_op(op, e.lanes, e.ty.bits, left, e.right, loc)
+            return self.word_op(e, left)
         right = self.expr(e.right)
         if op in CMP_OPS:
             return f"({left} {op} {right})"
@@ -431,21 +430,22 @@ class _FnGen(Assigned):
             return f"({left} & {right})"
         return f"({left} | {right})"  # ||
 
-    def word_op(self, op, lanes, bits, left, right_node, loc) -> str:
-        """`left op right` at `bits` (lane-wise when `lanes`) from its
-        definition in words; the right operand is emitted here, after the
-        left.  A literal count is in range (expand checks it); a computed
-        count and a compound / or % are checked when they run."""
-        n, w = lanes or (1, bits)
+    def word_op(self, e: EBin, left: str) -> str:
+        """Word or lane-wise e, not a word / or %, from its operator's
+        definition in words, `left` being its left operand's code; the
+        right operand is emitted here, after the left.  A literal count is
+        in range (expand checks it); a computed count is checked when it
+        runs."""
+        op, lanes, right = e.op, e.lanes, e.right
+        n, w = lanes or (1, e.ty.bits)
         expr = (words.LANES if lanes else words.BINARY)[op]
-        if op in words.SHIFTS:
-            if type(right_node) is EInt:
-                c = int_value(right_node)
-                return self.instantiate(expr, {"a": left, "b": self.lit(c)}, w, n, c)
-        elif op not in ("/", "%"):
-            return self.instantiate(expr, {"a": left, "b": self.expr(right_node)}, w, n)
+        if op not in words.SHIFTS:
+            return self.instantiate(expr, {"a": left, "b": self.expr(right)}, w, n)
+        if type(right) is EInt:
+            c = int_value(right)
+            return self.instantiate(expr, {"a": left, "b": self.lit(c)}, w, n, c)
         f = self.const("W", words.evaluator(op, w, lanes and n))
-        return f"_wbin({f}, {left}, {self.expr(right_node)}, {loc!r})"
+        return f"_wbin({f}, {left}, {self.expr(right)}, {e.loc!r})"
 
     def instantiate(self, expr, operands, bits, n=1, count=None) -> str:
         """A definition from words with its operands' code (name -> code)
@@ -474,8 +474,8 @@ class _FnGen(Assigned):
                 parts[i] = f"({temps[x]} := {code})"
         return "".join(parts)
 
-    def arr_read(self, e, loc) -> str:
-        storage, name, ty = e.arr_storage, e.name, e.arr_ty
+    def arr_read(self, e) -> str:
+        storage, name, ty, loc = e.arr_storage, e.name, e.arr_ty, e.loc
         arr = self.arr_ref(name, loc)
         if storage == "stack":
             return self.stack_load(e, arr, loc)
@@ -711,10 +711,14 @@ class _FnGen(Assigned):
 
     def live(self, live: set, s) -> set:
         """The names live before s (or before its test), from those live
-        after it."""
+        after it.  A guarded assignment neither kills its destination (an
+        untaken guard keeps the old value) nor reads it: the old value is
+        needed only where a later read finds it, live after s."""
         k = type(s)
         if k is SIf or k is SWhile:
             return live.union(flow.reads(s.cond))
+        if k is SAssign and s.cond is not None:
+            return live.union(flow.reads(s.rhs), flow.reads(s.cond))
         r, w = flow.summary(s)
         if k is SReturn:
             return set(r)
@@ -956,18 +960,9 @@ class _FnGen(Assigned):
             self.write(typed_var(s.names[0], ty), self.expr(s.init), self.value_kind(s.init)[0])
 
     def assign(self, s: SAssign):
-        rhs, loc = s.rhs, s.loc
+        rhs = s.rhs
         if type(rhs) is EIntr and len(s.dests) != 1:
             self.intrinsic_dests(s)
-            return
-        if s.op:
-            lv = s.dests[0]
-            if type(lv) is EVar:
-                old = self.read_var(lv.name, loc, compound=True)
-            else:  # an element: typecheck rejects a compound store to memory
-                old = self.arr_read(lv, loc)
-            bits = lv.ty.bits
-            self.write(lv, self.word_op(s.op, s.lanes, bits, old, rhs, loc), bits)
             return
         if s.cond is not None:
             value = self.keep(self.expr(rhs))  # evaluated whatever the guard

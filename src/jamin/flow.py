@@ -237,10 +237,10 @@ def summary(s) -> tuple:
     """(the names statement s may read before it rebinds them, the names
     it may rebind as a whole), each once per mention.  A name that s
     rebinds on some paths only is among the reads too: the destination
-    of a guarded or compound assignment, and every name in an `if`,
-    `while` or repeat node, whose reads are its test's and, for each
-    statement in it, a straight-line one's reads and rebinds or a nested
-    one's reads.  An element store reads its array."""
+    of a guarded assignment, and every name in an `if`, `while` or
+    repeat node, whose reads are its test's and, for each statement in
+    it, a straight-line one's reads and rebinds or a nested one's reads.
+    An element store reads its array."""
     k = type(s)
     if k is SDecl:
         return (reads(s.init) if s.init is not None else []), list(s.names)
@@ -254,7 +254,7 @@ def summary(s) -> tuple:
                 reads(lv, r)
         if s.cond is not None:
             reads(s.cond, r)
-        return (r + whole if s.op or s.cond is not None else r), whole
+        return (r + whole if s.cond is not None else r), whole
     if k is SReturn:
         return [n for v in s.values for n in reads(v)], []
     r, w = ([] if k is SRepeat else reads(s.cond)), []

@@ -229,7 +229,7 @@ class SDecl(_Node):
 @dataclass(slots=True)
 class SAssign(_Node):
     dests: tuple  # of Lval; empty for a bare call statement
-    op: Optional[str]  # compound-assignment operator, None for plain '='
+    op: Optional[str]  # compound-assignment operator, None for plain '=' (and after expand)
     rhs: Expr
     lanes: Optional[tuple[int, int]] = None
     cond: Optional[Expr] = None  # `x = e if c;`

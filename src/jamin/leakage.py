@@ -432,9 +432,8 @@ class _FnTaint:
                                    [self.expr_bases(a) for a in args]).run()
             else:
                 t = self.taint(env, s.rhs)
-                if (s.op or s.cond is not None) and type(s.dests[0]) is EVar:
-                    t |= env.get(s.dests[0].name, _EMPTY)  # the old value may survive
-                if s.cond is not None:
+                if s.cond is not None:  # the old value may survive
+                    t |= env.get(s.dests[0].name, _EMPTY)
                     t |= self.taint(env, s.cond)  # selection is data flow, not a branch
                 results = [(t, self.expr_bases(s.rhs))] * len(s.dests)
             for lv, (t, b) in zip(s.dests, results):

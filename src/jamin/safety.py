@@ -11,9 +11,9 @@ unsigned quantity.
 A scalar is relevant when its value can reach a memory address, an
 array index, the test of an `if` or `while`, or a divisor (of `/`, `%`
 or the divisor operand of DIV), through the assignments and
-declarations that define it (a guarded or compound assignment also
-reads its destination).  The counters and pointers stepped by constants
-are relevant too: a loop's join may relate the others through one of
+declarations that define it (a guarded assignment also reads its
+destination).  The counters and pointers stepped by constants are
+relevant too: a loop's join may relate the others through one of
 them.  A statement that writes only irrelevant scalars, `_` or array
 elements at constant indices, and holds no memory access, no computed
 index and no division, is inert: it is not evaluated, and only forgets
@@ -535,9 +535,7 @@ class _Analyzer:
         if k is SDecl:
             ok, rebinds = self._scan_expr(s.init, out), s.names
         elif k is SAssign:
-            ok = s.op != "/" and s.op != "%"
-            if not ok:
-                flow.reads(s.rhs, out)
+            ok = True
             for e in (s.rhs, s.cond, *s.dests):
                 ok = self._scan_expr(e, out) and ok
             rebinds = tuple(lv.name for lv in s.dests if type(lv) is EVar)
@@ -834,14 +832,6 @@ class _Analyzer:
                     self.eval(st, lv)  # the access written, checked as its read
             return st
         lv = s.dests[0]
-        if s.op:  # the destination is read as the left operand
-            expr = EBin(s.op, lv, s.rhs, s.lanes)
-            expr.ty = lv.ty
-            expr.loc = s.loc
-            a, iv = self.eval_bin(st, expr)
-            if type(lv) is EVar:
-                self.assign_var(st, lv.name, a, iv)
-            return st
         a, iv = self.eval(st, s.rhs)
         if s.cond is not None:
             self.eval(st, s.cond)
@@ -1222,16 +1212,16 @@ class _Uninit(Assigned):
         `private` and the findings."""
         return super().observable(f, private), len(self.findings)
 
-    def check(self, f, e, names=None):
-        """Report the reads of e (or of `names`, at e) that the facts f do
-        not prove defined, each at the site a run reports: its own."""
+    def check(self, f, e):
+        """Report the reads of e that the facts f do not prove defined,
+        each at the site a run reports: its own."""
         if e is None or f is None:
             return
-        for v in flow.reads(e) if names is None else names:
+        for v in flow.reads(e):
             if v not in self.unreported or v in f.defined:
                 continue
             self.unreported.discard(v)
-            self.findings.append(Finding("maybe-uninit", _site(e if names else _read_of(e, v)),
+            self.findings.append(Finding("maybe-uninit", _site(_read_of(e, v)),
                                          f"{v} may be read before assignment"))
 
     def transfer(self, f, s):
@@ -1241,8 +1231,6 @@ class _Uninit(Assigned):
         if k is SDecl:
             self.check(super().transfer(f, s, 0), s.init)
         elif k is SAssign:
-            if s.op and type(s.dests[0]) is EVar:
-                self.check(f, s, [s.dests[0].name])
             self.check(f, s.rhs)
             self.check(f, s.cond)
             for i, lv in enumerate(s.dests):
@@ -1314,7 +1302,7 @@ def _definitions(stmts, seeds_of) -> tuple[set, dict]:
 def _closure(seeds, defs: dict) -> set:
     """The seeds closed backward through their definitions: a statement
     that rebinds a name of the set adds the names it reads (flow.summary:
-    a guarded or compound destination reads itself)."""
+    a guarded destination reads itself)."""
     closure, frontier, done = set(seeds), list(seeds), set()
     while frontier:
         for s in defs.get(frontier.pop(), ()):
@@ -1348,11 +1336,7 @@ def _affine_def(s, names) -> bool:
     a value affine in constants and `names`."""
     if type(s) is SDecl:
         return s.init is None or _affine_in(s.init, names)
-    if len(s.dests) != 1:
-        return False
-    if s.op == "+" or s.op == "-" or s.op is None:
-        return _affine_in(s.rhs, names)
-    return (s.op == "*" or s.op == "<<") and type(s.rhs) is EInt
+    return len(s.dests) == 1 and _affine_in(s.rhs, names)
 
 
 def _affine_in(e, names) -> bool:

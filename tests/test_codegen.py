@@ -531,6 +531,13 @@ fn f(reg u64 a, reg u64 c) -> reg u64 {
   x = x + 1;
   return x;
 }""", {"v_x = U"}, [((5, 1), 6), ((5, 0), (5, 7))]),
+    "dead guarded": ("""
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  reg u64 x;
+  x = a if c > 0;
+  a = a + c;
+  return a;
+}""", set(), [((5, 1), 6), ((5, 0), 5)]),
     "redeclared in a loop": ("""
 fn f(reg u64 a, reg u64 c) -> reg u64 {
   reg u64 i, s;
@@ -565,13 +572,14 @@ def test_declarations_store_only_live_names(case):
     p = prep(text)
     src = "".join(function_sources(p).values())
     assert set(re.findall(r"^\s*(v_\w+ = (?:U|\[U\] \* \d+|SA\(.*\)))$", src, re.M)) == stores
-    for args, want in runs:
+    for (args, want), mode in itertools.product(runs, (interp.OPSV, interp.OPS)):
         if type(want) is tuple:
             with pytest.raises(interp.UninitializedUse) as info:
-                interp.run(p, "f", list(args), memory.Memory())
+                interp.run(p, "f", list(args), memory.Memory(), vector_mode=mode)
             assert info.value.loc == want
         else:
-            assert interp.run(p, "f", list(args), memory.Memory()).results == [Word(64, want)]
+            got = interp.run(p, "f", list(args), memory.Memory(), vector_mode=mode)
+            assert got.results == [Word(64, want)]
 
 
 @pytest.mark.parametrize("case", sorted(DECLS))

@@ -20,6 +20,7 @@ from jamin.parser import parse
 from jamin.typecheck import TypecheckError, typecheck
 
 from test_parser import roundtrip
+from test_rolled import observe
 
 MODES = (interp.OPSV, interp.OPS)
 
@@ -134,6 +135,84 @@ def test_compound_element_store_runs_and_is_bounds_checked():
     # the store in the loop stays in bounds; the one at s[n] may not
     assert [str(f) for f in safety.check_safety(p, "f")] == [
         "array-bounds at 6:3: index into s may leave its bounds"]
+
+
+def test_compound_element_store_runs_as_written_out():
+    """`s[n] += 10` runs as `s[n] = s[n] + 10`: the same results, memory,
+    steps and trace, or the same fault and trace, the compound form's at
+    the statement, which reads the element."""
+    p = prep(ELEMENT)
+    q = prep(ELEMENT.replace("s[n] += 10", "s[n] = s[n] + 10")
+             .replace("s[i] ^= 1", "s[i] = s[i] ^ 1"))
+    for mode in MODES:
+        for n in range(5):
+            (got, trace), (want, want_trace) = (observe(x, "f", [n], memory.Memory(), mode)
+                                                for x in (p, q))
+            assert trace == want_trace
+            if n < 4:
+                assert got == want
+            else:
+                assert got[:2] == want[:2] == ("fault", "OutOfBoundsArray")
+                assert (got[3], want[3]) == ((6, 3), (6, 10))
+
+
+# A compound assignment is its written-out form, guard included:
+# `d op= e if c` is `d = d op e if c`.
+GUARDED = """
+fn f(reg u64 a, reg u64 c) -> reg u64 {
+  stack u64[4] s;
+  reg u64 x, i;
+  x = 1;
+  x += a if c > 0;
+  i = 4;
+  i -= 1 if c > 0;
+  s[i] = x;
+  return x;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_guarded_compound_assignment_honours_its_guard(mode):
+    p = prep(GUARDED.replace("  s[i] = x;\n", ""))
+    assert [run(p, [5, c], mode=mode).results[0].value for c in (0, 1)] == [1, 6]
+    p = prep(GUARDED)
+    assert run(p, [5, 1], mode=mode).results[0].value == 6
+    with pytest.raises(interp.OutOfBoundsArray):
+        run(p, [5, 0], mode=mode)
+
+
+def test_guarded_compound_assignment_is_analyzed_as_written_out():
+    p = prep(GUARDED)
+    q = prep(GUARDED.replace("x += a", "x = x + a").replace("i -= 1", "i = i - 1"))
+    findings = safety.check_safety(p, "f")
+    assert [str(f) for f in findings] == ["array-bounds at 9:3: index into s may leave its bounds"]
+    assert findings == safety.check_safety(q, "f")
+    assert leakage.infer_public(p, "f") == leakage.infer_public(q, "f") == {"c"}
+
+
+UNBOUND = """
+fn f(reg u64 c) -> reg u64 {
+  if (c != 2) { reg u64 t; t = c; }
+  t += 1;
+  return t;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_compound_assignment_reads_its_destination_at_the_statement(mode):
+    """The destination of a compound assignment is read first, where the
+    statement is: one that may be unbound is a ContractViolation there,
+    as any read of it is, and its maybe-uninit finding is at the
+    statement."""
+    p = prep(UNBOUND)
+    assert run(p, [3], mode=mode).results[0].value == 4
+    with pytest.raises(interp.ContractViolation, match="unbound variable 't'") as exc:
+        run(p, [2], mode=mode)
+    assert exc.value.loc == (4, 3)
+    assert [str(f) for f in safety.check_safety(p, "f")] == [
+        "maybe-uninit at 4:3: t may be read before assignment"]
 
 
 # ------------------------------ a multi-destination intrinsic writing an element and memory

@@ -15,8 +15,9 @@ from jamin.typecheck import TypecheckError, typecheck
 
 def contract_breaches(p) -> list:
     """What expand's output must not hold, and the back ends no longer
-    handle: a for loop or inline call, an immediate vector, a compile-time
-    (int) node other than a literal, an array access without its storage."""
+    handle: a for loop or inline call, a compound assignment (`d op= e`,
+    its `op` or `lanes` set), an immediate vector, a compile-time (int)
+    node other than a literal, an array access without its storage."""
     found = []
 
     def walk(node):
@@ -35,6 +36,8 @@ def contract_breaches(p) -> list:
             found.append(f"int {k.__name__}")
         elif k is EArr and getattr(node, "arr_storage", None) is None:
             found.append(f"untyped access to {node.name}")
+        elif k is SAssign and (node.op is not None or node.lanes is not None):
+            found.append("compound assignment")
         for f in dataclasses.fields(node):
             walk(getattr(node, f.name))
 
@@ -337,9 +340,10 @@ def test_globals_read_as_values_in_run_time_compile_time_nodes(decl, body):
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_corpus_expansion_keeps_the_contract(name):
     """The corpus, the planted programs and the programs of test_rolled
-    expand to the contract: no scalar global is read, `globals` holds
-    arrays only, and every register-array and global-array index is a
-    literal (prep checks them all)."""
+    expand to the contract, repeat-node bodies included: no compound
+    assignment remains, no scalar global is read, `globals` holds arrays
+    only, and every register-array and global-array index is a literal
+    (prep checks them all)."""
     prep(cases()[name])
 
 
@@ -352,11 +356,12 @@ fn f(reg u128 a) -> reg u64 {
   for i = 0 to 3 { x[i + 0] = 0; }
   y = id(1);
   a = #x86_VPSHUFD_128(a, (4u2)[0, 1, 2, 3]);
+  a +4u32= a;
   return y;
 }
 """
     assert set(contract_breaches(typecheck(parse(src)))) == {
-        "SFor", "EVecImm", "inline call id", "int EVar", "int EBin"}
+        "SFor", "EVecImm", "inline call id", "int EVar", "int EBin", "compound assignment"}
     assert "untyped access to x" in contract_breaches(parse(src))
     src = """
 global u64 K = 2;
