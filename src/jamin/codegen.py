@@ -49,12 +49,11 @@ observes:
   pieced when it is longer than PIECE, charging its statements' steps
   and adding its constant events in every iteration.  A check that
   names one of the node's private locals names the running iteration's
-  (the node's `names`), from a prebuilt tuple indexed by _k, and a
-  private local that may be read unbound is unbound again at each
-  iteration's start.  No repeat node holds another.  An iteration is a
-  block: its segments and event batches end with it, so a budget that
-  runs out in a later iteration than another fault does not hide that
-  fault, as it can in the unrolled code;
+  (the node's `names`), from a prebuilt tuple indexed by _k.  No repeat
+  node holds another.  An iteration is a block: its segments and event
+  batches end with it, so a budget that runs out in a later iteration
+  than another fault does not hide that fault, as it can in the
+  unrolled code;
 - the hit path of a memory or stack-array access of 1, 2, 4 or 8 bytes
   is emitted inline, and the helper of interp (_ld, _st, _sget, _sld,
   _sst) is called, with the arguments it always took, only when a test
@@ -71,11 +70,10 @@ observes:
   it: after the bounds check of a stack-array access, before the region
   is looked up for a memory access.  An access outside every region,
   in an earlier region sharing the line, straddling two regions or of
-  an unwritten byte, an index past the end, a 16- or 32-byte access and
-  an access to a stack array that may be unbound go to the helper,
-  which makes the access or raises its fault.  A constant-index access
-  is one line; a computed-index store or a memory store is an `if` on
-  the hit with the helper call as its `else`.
+  an unwritten byte, an index past the end and a 16- or 32-byte access
+  go to the helper, which makes the access or raises its fault.  A
+  constant-index access is one line; a computed-index store or a memory
+  store is an `if` on the hit with the helper call as its `else`.
 
 An else-if chain is one Python `if` with an `elif` per arm, so it nests
 no deeper than its first `if` (Python allows 20 nested loop blocks, and
@@ -90,6 +88,10 @@ exactly the locals it mentions that are live into it, and returns
 exactly the ones it rebinds that are live after it.  Every other local
 it mentions is its own.
 
+Typecheck scopes every register and stack local to the block that
+declares it, so each read of a local follows its declaration on every
+path: a local is always bound when it is read, and the only poison it
+can hold is UNDEF.
 A declaration stores UNDEF (a fresh array) into a name only where the
 name is live after it, by the same liveness: a dead name is rebound as
 a whole before any read, any piece call that takes it and any element
@@ -100,7 +102,6 @@ an initializer writes stores only when the initializer reads it.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .ir import (
     ArrayTy,
@@ -139,19 +140,14 @@ _NAME = re.compile(r"\b([A-Za-z_]\w*)")
 # ------------------------------------------------ must-be-assigned facts
 
 
-# Facts that hold on every path to a program point: the locals bound
-# (`declared`) and the values proven not UNDEF (`defined`: register names
-# and (array, index) pairs).
-_Facts = namedtuple("_Facts", "declared defined")
-
-
 class Assigned:
     """The must-be-assigned analysis of function `fn`, a forward domain
-    of jamin.flow over _Facts: if branches are joined, while loops taken
-    to their fixpoint, repeat nodes walked by flow's rule, and a
-    re-declaration resets its names.  Codegen leaves out the check of a
-    read that the facts prove defined, and safety reports maybe-uninit
-    where they do not."""
+    of jamin.flow whose facts are the set of values proven not UNDEF on
+    every path to a program point: register names and (array, index)
+    pairs.  If branches are joined, while loops taken to their fixpoint,
+    repeat nodes walked by flow's rule, and a re-declaration resets its
+    names.  Codegen leaves out the check of a read that the facts prove
+    defined, and safety reports maybe-uninit where they do not."""
 
     recording = False
     at = None
@@ -162,25 +158,22 @@ class Assigned:
         self.heads: dict = {}
         self.globals = {g.name for g in p.globals}
 
-    def entry(self) -> _Facts:
-        params = self.fn.params
-        return _Facts({q.name for q in params},
-                      {q.name for q in params if not isinstance(q.ty, ArrayTy)})
+    def entry(self) -> set:
+        return {q.name for q in self.fn.params if not isinstance(q.ty, ArrayTy)}
 
     def copy(self, f):
-        return _Facts(set(f.declared), set(f.defined))
+        return set(f)
 
     def refine(self, f, cond, taken):
         return f
 
     def join(self, key, a, b):
-        return _Facts(a.declared & b.declared, a.defined & b.defined)
+        return a & b
 
     def forget(self, f, private):
         """The flow hook (see jamin.flow): f without the facts of the
         locals in `private`, an array's by element."""
-        return _Facts(f.declared - private,
-                      {x for x in f.defined if (x if type(x) is str else x[0]) not in private})
+        return {x for x in f if (x if type(x) is str else x[0]) not in private}
 
     observable = forget  # the facts are all the domain has
 
@@ -192,7 +185,7 @@ class Assigned:
         at once."""
         k = type(s)
         if k is SDecl:
-            for nm in s.names:  # bound, to UNDEF
+            for nm in s.names:  # reset, to UNDEF
                 self.dest(f, typed_var(nm, s.ty), True)
             if s.init is not None and done is None:
                 self.dest(f, typed_var(s.names[0], s.ty), self.value_kind(s.init)[1])
@@ -210,9 +203,9 @@ class Assigned:
         elif self.is_copy(s):
             dst = dests[0].name
             kept = [(dst, i) for i in range(self.types[dst][1].length)
-                    if rhs.name in self.globals or (rhs.name, i) in f.defined]
+                    if rhs.name in self.globals or (rhs.name, i) in f]
             self.dest(f, dests[0])
-            f.defined.update(kept)
+            f.update(kept)
             return f
         else:
             undef = [self.value_kind(rhs)[1]]
@@ -225,15 +218,14 @@ class Assigned:
         `undef`."""
         k = type(lv)
         if k is EVar:
-            f.declared.add(lv.name)
             if type(lv.ty) is ArrayTy:
-                f.defined.difference_update([(lv.name, i) for i in range(lv.ty.length)])
+                f.difference_update([(lv.name, i) for i in range(lv.ty.length)])
             elif undef:
-                f.defined.discard(lv.name)
+                f.discard(lv.name)
             else:
-                f.defined.add(lv.name)
+                f.add(lv.name)
         elif k is EArr and type(lv.index) is EInt and lv.arr_storage != "stack":
-            f.defined.add((lv.name, lv.index.value))
+            f.add((lv.name, lv.index.value))
 
     def is_copy(self, s) -> bool:
         lv = s.dests[0]
@@ -264,8 +256,7 @@ class _FnGen(Assigned):
         self.pending: list = []  # constant-index events not yet in the trace
         self.events: dict = {}  # index -> its event, shared by all batches
         self.tmp = 0
-        self.unbound: set = set()  # locals to start as NB in the current function
-        self.piece_locals = None  # locals owned by the piece being emitted
+        self.in_piece = False  # whether a piece is being emitted
         self.pieces = 0
         self.after = None  # id of a statement -> the locals live after it (live_after)
         self.forms: dict = {}  # (definition, bits, lanes, count) -> its parts (instantiate)
@@ -364,23 +355,14 @@ class _FnGen(Assigned):
 
     def read_var(self, name: str, loc) -> str:
         if name not in self.locals or isinstance(self.types[name][1], ArrayTy):
-            return self.arr_ref(name, loc)  # a whole array (a global is one)
+            return self.arr_ref(name)  # a whole array (a global is one)
         v = self.v(name)
-        if name in self.facts.defined:
+        if name in self.facts:
             return v
-        if name in self.facts.declared:
-            return f"({v} if {v} is not U else _uu({v}, {self.label(name)}, {loc!r}))"
-        self.note_unbound(name)
-        label = self.label(name)
-        return f"({v} if {v} is not U and {v} is not NB else _uu({v}, {label}, {loc!r}))"
+        return f"({v} if {v} is not U else _uu({self.label(name)}, {loc!r}))"
 
-    def arr_ref(self, name: str, loc) -> str:
-        if name not in self.locals:
-            return "G_" + name
-        if name in self.facts.declared:
-            return self.v(name)
-        self.note_unbound(name)
-        return f"_arr({self.v(name)}, {self.label(name)}, {loc!r})"
+    def arr_ref(self, name: str) -> str:
+        return self.v(name) if name in self.locals else "G_" + name
 
     def expr(self, e) -> str:
         k = type(e)
@@ -476,15 +458,15 @@ class _FnGen(Assigned):
 
     def arr_read(self, e) -> str:
         storage, name, ty, loc = e.arr_storage, e.name, e.arr_ty, e.loc
-        arr = self.arr_ref(name, loc)
+        arr = self.arr_ref(name)
         if storage == "stack":
             return self.stack_load(e, arr, loc)
         i = e.index.value  # a literal, in bounds (expand)
         self.pending.append(self.event(i))
-        if storage == "global" or (name, i) in self.facts.defined:
+        if storage == "global" or (name, i) in self.facts:
             return f"{arr}[{i}]"
         label = self.label(name, f"[{i}]")
-        return f"(_t if (_t := {arr}[{i}]) is not U else _uu(U, {label}, {loc!r}))"
+        return f"(_t if (_t := {arr}[{i}]) is not U else _uu({label}, {loc!r}))"
 
     def intrinsic(self, e: EIntr) -> str:
         """A call returning the list of all of scalar `e`'s outputs.
@@ -577,8 +559,8 @@ class _FnGen(Assigned):
             raise TypeError(f"not a destination: {lv!r}")
 
     def write_element(self, lv, value: str, bits):
-        storage, name, ty, loc = lv.arr_storage, lv.name, lv.arr_ty, lv.loc
-        arr = self.arr_ref(name, loc)
+        storage, name, ty = lv.arr_storage, lv.name, lv.arr_ty
+        arr = self.arr_ref(name)
         if storage == "stack":
             self.stack_store(lv, arr, value, bits)
             return
@@ -649,13 +631,12 @@ class _FnGen(Assigned):
         self.line(f"else: _st(M, T, {k}, {value}, {a}, {nb}, {loc!r})")
 
     def stack_load(self, e, s: str, loc) -> str:
-        """Element e of stack array s (its code); the helper alone reads
-        a 16- or 32-byte span, or an array that may be unbound (s is a
-        call to interp._arr, evaluated once)."""
+        """Element e of stack array s (its name); the helper alone reads
+        a 16- or 32-byte span."""
         ty, label = e.arr_ty, self.label(e.name)
         nb = (e.width or ty.bits) // 8
         scale = 1 if e.byte_mode else nb
-        inline = nb <= 8 and _REPEATABLE.match(s)
+        inline = nb <= 8
         if type(e.index) is EInt:
             i = e.index.value
             self.pending.append(self.event(i))
@@ -682,7 +663,7 @@ class _FnGen(Assigned):
         ty, loc, label = lv.arr_ty, lv.loc, self.label(lv.name)
         nb = (lv.width or ty.bits) // 8
         scale = 1 if lv.byte_mode else nb
-        inline = nb <= 8 and _REPEATABLE.match(s)
+        inline = nb <= 8
         if inline:
             value = self.masked(value, bits, nb)
         if type(lv.index) is EInt:
@@ -758,7 +739,7 @@ class _FnGen(Assigned):
     def block(self, stmts, loop_loc=False):
         """Emit a block; `loop_loc` (a while loop's location) adds the
         loop's per-iteration step at its end."""
-        if self.piece_locals is None and sum(map(self.size, stmts)) > PIECE:
+        if not self.in_piece and sum(map(self.size, stmts)) > PIECE:
             self.pieced_block(stmts)
         else:
             self.stmts(stmts)
@@ -804,35 +785,20 @@ class _FnGen(Assigned):
         after = self.live_after(run[-1])
         live_in = sorted(self.locals.intersection(mentioned, flow.backward(run, after, self.live)))
         live_out = sorted(self.locals.intersection(rebinds, after))
-        for n in live_in:
-            if n not in self.facts.declared:
-                self.note_unbound(n)
-        parent = (self.out, self.indent, self.unbound, self.tmp)
-        self.out, self.indent, self.unbound = [], "    ", set()
-        self.piece_locals = mentioned.difference(live_in, live_out)
+        parent = (self.out, self.indent, self.tmp)
+        self.out, self.indent, self.in_piece = [], "    ", True
         self.stmts(run)
         self.close()
-        body, unbound = self.out, self.unbound
-        self.out, self.indent, self.unbound, self.tmp = parent
-        self.piece_locals = None
+        body = self.out
+        self.out, self.indent, self.tmp = parent
+        self.in_piece = False
         self.pieces += 1
         name = f"Q_{self.fn.name}_{self.pieces}"
         k = ["_k"] if self.labels else []  # a piece of a repeat body (label)
         params = ", ".join([self.v(n) for n in live_in] + k + ["B, T, M, O"])
         outs = "".join(f", {self.v(n)}" for n in live_out)
-        head = [f"def {name}({params}):"] + self.nb_lines(unbound)
-        self.define(name, head + body + [f"    return B{outs}"])
+        self.define(name, [f"def {name}({params}):"] + body + [f"    return B{outs}"])
         self.line(f"B{outs} = {name}({params})")
-
-    def note_unbound(self, name: str):
-        if self.piece_locals is not None and name not in self.piece_locals:
-            return  # bound by the caller, which checked it at the call
-        self.unbound.add(name)
-
-    def nb_lines(self, names, indent="    ") -> list:
-        if not names:
-            return []
-        return [indent + " = ".join(self.v(n) for n in sorted(names)) + " = NB"]
 
     def stmt(self, s):
         self.tmp = 0
@@ -913,9 +879,7 @@ class _FnGen(Assigned):
         over _k, from the facts at the start of each iteration that
         flow.repeat walks, joined; the facts after it are flow.repeat's.
         It costs no step of its own; a check naming one of s.names, the
-        iteration-private locals, names the running iteration's (label),
-        and such a local read where it may be unbound is unbound again at
-        each iteration's start, as each iteration's own local is."""
+        iteration-private locals, names the running iteration's (label)."""
         self.close()
         starts: list = []
         after = flow.repeat(s, self.facts, self, starts)
@@ -924,11 +888,9 @@ class _FnGen(Assigned):
             self.facts = self.join(None, self.facts, f)
         self.line(f"for _k in range({s.count}):")
         self.indent += "    "
-        at = len(self.out)
         self.labels = s.names
         self.block(s.body)
         self.labels = {}
-        self.out[at:at] = self.nb_lines(self.unbound.intersection(s.names), self.indent)
         self.indent = self.indent[:-4]
         self.facts = after
 
@@ -972,7 +934,7 @@ class _FnGen(Assigned):
             return
         lv = s.dests[0]
         if self.is_copy(s):
-            src = self.arr_ref(rhs.name, rhs.loc)
+            src = self.arr_ref(rhs.name)
             if not self.is_move(s):
                 src = self.copy_of(rhs.name, src)
             self.line(f"{self.v(lv.name)} = {src}")
@@ -1012,8 +974,7 @@ class _FnGen(Assigned):
             self.line("return (B,)")
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
         name = "F_" + fn.name
-        body = self.nb_lines(self.unbound) + self.out
-        self.define(name, [f"def {name}({params}):"] + body)
+        self.define(name, [f"def {name}({params}):"] + self.out)
         return self.ns[name]
 
 

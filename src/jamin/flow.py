@@ -56,7 +56,7 @@ the locals its pieces return read those sets.
 
 A repeat node is walked one iteration at a time, each iteration its
 body walked with its private locals (the node's `names`) forgotten, as
-a fresh copy's are unbound, and the rest of it skipped as soon as an
+a fresh copy's are before their declaration, and the rest of it skipped as soon as an
 iteration leaves observable(state, private) as it found it.  This is
 exact: iteration j+1 is iteration j with only its private locals
 renamed, and no statement outside iteration j mentions iteration j's,

@@ -15,7 +15,9 @@ Every statement costs one unit of the step budget (loop iterations pay
 per round), so non-terminating loops abort with BudgetExhausted.
 
 Undefined values (never-assigned registers, architecturally undefined
-flags) are poison: any use aborts with UninitializedUse.
+flags) are poison: any use aborts with UninitializedUse.  Typecheck
+scopes each local to its block, so every read of a local follows its
+declaration and finds a value or that poison.
 
 Stack arrays live in the activation, never in the global memory; they
 have value semantics (copied on function call, return and whole-array
@@ -28,12 +30,12 @@ order: ("addr", (a, ...)) for memory accesses and array indices and
 Each function is translated to Python source by codegen and compiled
 the first time it runs.  The module below holds the run-time helpers
 that generated code calls: memory accesses (_ld, _st), stack-array
-accesses (_sget, _sput, _sld, _sst), reads that may find a value
-unassigned or unbound (_uu, _arr), budget exhaustion (_bx), an else-if
-arm's branch event (_br), the word operators it does not inline (_wbin
-for a computed shift count, / and %; _nz for a divisor) and DIV
-(_intr).  Register arrays need none: expand makes every index of one a
-literal in bounds.  Generated code makes the hit of each memory or
+accesses (_sget, _sput, _sld, _sst), the fault of a read that finds
+a value unassigned (_uu), budget exhaustion (_bx), an else-if arm's
+branch event (_br), the word operators it does not inline (_wbin for a
+computed shift count, / and %; _nz for a divisor) and DIV (_intr).
+Register arrays need none: expand makes every index of one a literal
+in bounds.  Generated code makes the hit of each memory or
 stack-array access of 1, 2, 4 or 8 bytes itself (see codegen), through
 the struct codecs of _CODECS, named LD<n> and ST<n> in its namespace,
 or a byte subscript; the access helpers are its miss path and the
@@ -132,14 +134,6 @@ class StackArray:
 # to add to it before the helper's own event.
 
 
-class _Unbound:
-    """A local read before any declaration bound it on this path."""
-
-    def __repr__(self):
-        return "NB"
-
-
-NB = _Unbound()
 _ONES = {n: b"\x01" * n for n in (1, 2, 4, 8, 16, 32)}
 
 # The struct codecs of the 2-, 4- and 8-byte hit paths codegen emits,
@@ -147,16 +141,8 @@ _ONES = {n: b"\x01" * n for n in (1, 2, 4, 8, 16, 32)}
 _CODECS = {n: Struct("<" + code) for n, code in ((2, "H"), (4, "I"), (8, "Q"))}
 
 
-def _uu(value, name, loc):
-    if value is NB:
-        raise ContractViolation(f"unbound variable {name!r}", loc)
+def _uu(name, loc):
     raise UninitializedUse(name, loc)
-
-
-def _arr(value, name, loc):
-    if value is NB:
-        raise ContractViolation(f"unbound variable {name!r}", loc)
-    return value
 
 
 def _bx(i, locs):
@@ -255,9 +241,9 @@ def _intr(sem, args, loc):
 
 
 _BT, _BF = ("branch", True), ("branch", False)
-_HELPERS = (_uu, _arr, _bx, _br, _nz, _wbin, _ld, _st, _sget, _sput, _sld, _sst, _intr)
+_HELPERS = (_uu, _bx, _br, _nz, _wbin, _ld, _st, _sget, _sput, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
-_RUNTIME.update(U=UNDEF, NB=NB, SA=StackArray, BT=_BT, BF=_BF)
+_RUNTIME.update(U=UNDEF, SA=StackArray, BT=_BT, BF=_BF)
 _RUNTIME.update({f"LD{n}": c.unpack_from for n, c in _CODECS.items()})
 _RUNTIME.update({f"ST{n}": c.pack_into for n, c in _CODECS.items()})
 
@@ -366,9 +352,9 @@ def run(
     not from expand, before anything runs, and a SafetyError subclass on any dynamic safety violation.
     """
     require_expanded(p, "run")
+    if entry not in p.func_names():  # expand leaves out every inline function
+        raise ContractViolation(f"no entry function {entry!r} (inline functions are expanded away)")
     fn = p.func(entry)
-    if fn.inline:
-        raise ContractViolation(f"{entry!r} is an inline function, not an entry point")
     if budget <= 0:
         raise ContractViolation("step budget must be positive")
     if vector_mode not in (OPS, OPSV):

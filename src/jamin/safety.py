@@ -1218,7 +1218,7 @@ class _Uninit(Assigned):
         if e is None or f is None:
             return
         for v in flow.reads(e):
-            if v not in self.unreported or v in f.defined:
+            if v not in self.unreported or v in f:
                 continue
             self.unreported.discard(v)
             self.findings.append(Finding("maybe-uninit", _site(_read_of(e, v)),

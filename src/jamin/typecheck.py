@@ -10,6 +10,13 @@ compile-time expressions, views and byte views exist only on stack
 arrays, globals are never written, inline variables are compile-time
 integers, computed at the unbounded width, so without lane operators.
 
+Scopes: a `reg` or `stack` local is in scope from its declaration to
+the end of the block that holds it (a function body, an `if` or `else`
+arm, a `while`, `for` or repeat body); an `inline` or `global` local to
+the end of the function.  A use out of scope is an error that names the
+declaration, so every read of a local at run time follows its
+declaration on every path.
+
 Types are the shared values of `ir` (`word_ty`, `BOOL`, `INT`).  A
 build typechecks once, the source program: expand types the nodes it
 creates itself (see its docstring).
@@ -157,12 +164,15 @@ class _FnChecker:
     def __init__(self, tc: "_Checker", fn: FuncDecl):
         self.tc = tc
         self.fn = fn
-        self.env: dict[str, tuple[str, object]] = {}
+        self.env: dict[str, tuple[str, object]] = {}  # in scope: name -> (storage, type)
         for p in fn.params:
             self.check_shadow(fn, p.name)
             p.ty = tc.resolve_ty(p.ty, fn)
             self.env[p.name] = (p.storage, p.ty)
         fn.rets = tuple((st, tc.resolve_ty(t, fn)) for st, t in fn.rets)
+        self.locals = dict(self.env)  # every parameter and local: FuncDecl.envtypes
+        self.scoped: list = []  # (name, declaration) of the block-scoped locals in scope
+        self.ended: dict = {}  # a local whose block has ended -> its declaration
         self.for_vars: list[str] = []
 
     def check_shadow(self, node, name: str):
@@ -217,10 +227,19 @@ class _FnChecker:
             return ("inline", INT)
         return None
 
+    def unknown(self, node, name):
+        """Report `name`, which nothing in scope declares, at `node`."""
+        decl = self.ended.get(name)
+        if decl is None:
+            self.err(node, f"unknown variable {name!r}")
+        else:
+            at = " at %d:%d" % decl.loc if decl.loc else ""
+            self.err(node, f"{name!r} is used outside the block of its declaration{at}")
+
     def var_ty(self, node, name):
         found = self.lookup(name)
         if found is None:
-            self.err(node, f"unknown variable {name!r}")
+            self.unknown(node, name)
             return ("reg", word_ty(64))
         return found
 
@@ -330,15 +349,21 @@ class _FnChecker:
             return
         raise TypeError(f"not an expression: {e!r}")
 
+    def check_lanes(self, node, op, lanes):
+        """Report, at `node`, a lane annotation (n, m) of operator op that
+        names no lane operator: op has no lane form, or the shape is not
+        n lanes of a legal width m filling 128 or 256 bits."""
+        n, m = lanes
+        if op not in LANE_OPS:
+            self.err(node, f"operator {op!r} takes no lane annotation")
+        if n * m not in (128, 256) or m not in LEGAL_WIDTHS:
+            self.err(node, f"illegal lane shape {n}u{m}")
+
     def infer_bin(self, e: EBin, expect):
         op = e.op
         if e.lanes:
-            n, m = e.lanes
-            total = n * m
-            if op not in LANE_OPS:
-                self.err(e, f"operator {op!r} takes no lane annotation")
-            if total not in (128, 256) or m not in LEGAL_WIDTHS:
-                self.err(e, f"illegal lane shape {n}u{m}")
+            self.check_lanes(e, op, e.lanes)
+            total = e.lanes[0] * e.lanes[1]
             e.left = self.infer_word(e.left, total)
             if op in ("<<", ">>"):
                 e.right = self.infer_word(e.right, 8)
@@ -432,7 +457,7 @@ class _FnChecker:
         node.ty = word_ty(64)  # unless name is an array
         found = self.lookup(name)
         if found is None:
-            self.err(node, f"unknown variable {name!r}")
+            self.unknown(node, name)
             return
         st, ty = found
         if not isinstance(ty, ArrayTy):
@@ -467,8 +492,15 @@ class _FnChecker:
     # --------------------------------------------------- statements
 
     def check_block(self, stmts):
+        """Check a block; the reg and stack locals it declares go out of
+        scope at its end."""
+        mark = len(self.scoped)
         for s in stmts:
             self.check_stmt(s)
+        for nm, decl in self.scoped[mark:]:
+            self.env.pop(nm, None)
+            self.ended[nm] = decl
+        del self.scoped[mark:]
 
     def check_stmt(self, s):
         if isinstance(s, SDecl):
@@ -483,7 +515,9 @@ class _FnChecker:
                 self.err(s, "global initializer must be compile-time")
             for nm in s.names:
                 self.check_shadow(s, nm)
-                self.env[nm] = (s.storage, ty)
+                self.env[nm] = self.locals[nm] = (s.storage, ty)
+                if s.storage in ("reg", "stack"):
+                    self.scoped.append((nm, s))
             if s.init is not None:
                 if isinstance(ty, WordTy):
                     s.init = self.infer_word(s.init, ty.bits)
@@ -608,8 +642,10 @@ class _FnChecker:
                 self.err(s, "compound assignment needs a register or an array element "
                             "as destination")
                 return
-            if s.lanes and s.lanes[0] * s.lanes[1] != ty.bits:
-                self.err(s, f"lane shape {s.lanes[0]}u{s.lanes[1]} does not fit u{ty.bits}")
+            if s.lanes:
+                self.check_lanes(s, s.op, s.lanes)
+                if s.lanes[0] * s.lanes[1] != ty.bits:
+                    self.err(s, f"lane shape {s.lanes[0]}u{s.lanes[1]} does not fit u{ty.bits}")
             if s.op in ("<<", ">>") and s.lanes:
                 s.rhs = self.infer_word(s.rhs, 8)
             elif s.op in SHIFT_OPS:
@@ -721,7 +757,7 @@ class _Checker:
             fc = _FnChecker(self, f)
             fc.check_block(f.body)
             self._check_returns(f, fc)
-            f.envtypes = dict(fc.env)
+            f.envtypes = fc.locals
         if self.errors:
             raise TypecheckError(self.errors)
         self.p.typed = True

@@ -191,9 +191,9 @@ def test_guarded_compound_assignment_is_analyzed_as_written_out():
     assert leakage.infer_public(p, "f") == leakage.infer_public(q, "f") == {"c"}
 
 
-UNBOUND = """
-fn f(reg u64 c) -> reg u64 {
-  if (c != 2) { reg u64 t; t = c; }
+UNASSIGNED = """fn f(reg u64 c) -> reg u64 {
+  reg u64 t;
+  if (c != 2) { t = c; }
   t += 1;
   return t;
 }
@@ -203,12 +203,12 @@ fn f(reg u64 c) -> reg u64 {
 @pytest.mark.parametrize("mode", MODES)
 def test_compound_assignment_reads_its_destination_at_the_statement(mode):
     """The destination of a compound assignment is read first, where the
-    statement is: one that may be unbound is a ContractViolation there,
-    as any read of it is, and its maybe-uninit finding is at the
+    statement is: one that may be unassigned is an UninitializedUse
+    there, as any read of it is, and its maybe-uninit finding is at the
     statement."""
-    p = prep(UNBOUND)
+    p = prep(UNASSIGNED)
     assert run(p, [3], mode=mode).results[0].value == 4
-    with pytest.raises(interp.ContractViolation, match="unbound variable 't'") as exc:
+    with pytest.raises(interp.UninitializedUse, match="use of uninitialized t$") as exc:
         run(p, [2], mode=mode)
     assert exc.value.loc == (4, 3)
     assert [str(f) for f in safety.check_safety(p, "f")] == [
@@ -335,6 +335,10 @@ ERRORS = {
     "compound-memory": ("", "", "[p] += 1;", "3:3: f: compound assignment needs a register "
                                              "or an array element as destination"),
     "lane-shape": ("", "reg u128 v;", "v +4u64= v;", "3:3: f: lane shape 4u64 does not fit u128"),
+    "lane-minus": ("", "reg u256 v;", "v -4u64= v;",
+                   "3:3: f: operator '-' takes no lane annotation"),
+    "lane-times": ("", "reg u256 v;", "v *4u64= v;",
+                   "3:3: f: operator '*' takes no lane annotation"),
     "bool-from-word": ("", "reg bool b;", "b = a;", "3:3: f: cannot assign u64 to a bool"),
     "array-from-expression": ("", "reg u64[2] r;", "r = a + a;",
                               "3:3: f: arrays can only be copied whole from another array"),

@@ -391,6 +391,33 @@ def test_run_requires_typechecked_program():
         run(parse("fn f() { }"), "f", [])
 
 
+BINDS = prep("""
+inline fn g(reg u64 x) -> reg u64 { return x; }
+fn f(reg u64 x, reg bool b, reg u64[2] r) -> reg u64 { x = g(x); return x; }
+""")
+
+
+def test_run_refuses_an_inline_entry():
+    """Expand leaves out every inline function, so none is an entry."""
+    with pytest.raises(interp.ContractViolation, match="no entry function 'g'"):
+        run(BINDS, "g", [1])
+
+
+@pytest.mark.parametrize("args, message", [
+    ([1, True, [1, 2, 3]], "'r' takes 2 elements, got 3"),
+    ([1, True, 5], "array argument expected for 'r'"),
+    ([1, 1, [1, 2]], "bool argument expected for 'b'"),
+    ([Word(32, 1), True, [1, 2]], "'x' is u64, got a u32"),
+    ([True, True, [1, 2]], "cannot bind argument for 'x'"),
+    (["1", True, [1, 2]], "cannot bind argument for 'x'"),
+], ids=["array-length", "not-an-array", "not-a-bool", "word-width", "bool-for-word",
+        "unbindable"])
+def test_run_refuses_an_argument_of_the_wrong_kind(args, message):
+    assert run(BINDS, "f", [Word(64, 7), False, [1, 2]]).results == [Word(64, 7)]
+    with pytest.raises(interp.ContractViolation, match=message):
+        run(BINDS, "f", args)
+
+
 def test_register_array_index_through_globals():
     p = prep(
         """

@@ -316,12 +316,13 @@ def test_private_local_read_unassigned_faults_and_is_found_as_unrolled(src):
     same_reports(p, "f")
 
 
-# t is bound only where k != 2: on the other path, each iteration reads
-# its own t unbound, never the t of the iteration before, which holds
-# x's taint; so x reaches no address.
+# t is assigned only where k != 2: on the other path, each iteration
+# reads its own t unassigned, never the t of the iteration before, which
+# holds x's taint; so x reaches no address.
 STALE = """
 inline fn g(reg u64 c, reg u64 k) -> reg u64 {
-  if (k != 2) { reg u64 t; t = c; }
+  reg u64 t;
+  if (k != 2) { t = c; }
   return t;
 }
 fn f(reg u64 x, reg u64 s, reg u64 k, reg u64 p) -> reg u64 {
@@ -333,7 +334,7 @@ fn f(reg u64 x, reg u64 s, reg u64 k, reg u64 p) -> reg u64 {
 """
 
 
-def test_private_local_is_unbound_at_every_iterations_start():
+def test_private_local_is_unassigned_at_every_iterations_start():
     p = prep(STALE)
     assert leakage.infer_public(p, "f") == {"k", "p", "s"}
     same_reports(p, "f", ("p",), ())

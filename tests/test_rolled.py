@@ -217,7 +217,8 @@ def test_uninitialized_use_names_the_iterations_local(pad):
 
 SCOPED = """
 inline fn g(reg u64 c) -> reg u64 {
-  if (c != 2) { reg u64 t; t = c; }
+  reg u64 t;
+  if (c != 2) { t = c; }
   return t;
 }
 fn f(reg u64 i) -> reg u64 {
@@ -229,14 +230,15 @@ fn f(reg u64 i) -> reg u64 {
 """
 
 
-def test_unbound_local_is_unbound_in_every_iteration():
-    """g's t is bound only when its `if` is taken: in the iteration where
-    it is not, t is unbound, not the previous iteration's value."""
+def test_unassigned_local_is_unassigned_in_every_iteration():
+    """g's t is assigned only when its `if` is taken: in the iteration
+    where it is not, t is that iteration's own unassigned local, not the
+    previous iteration's value."""
     p = prep(SCOPED)
     assert ROLLED in source(p)
     got = same_runs(p, "f", [0], memory.Memory())
-    assert got[1] == "ContractViolation"
-    assert got[2].startswith("4:10: unbound variable 't__i")
+    assert got[1] == "UninitializedUse"
+    assert got[2].startswith("5:10: use of uninitialized t__i")
     assert got[2] != same_runs(p, "f", [1], memory.Memory())[2]
     assert value(same_runs(p, "f", [3], memory.Memory())) == 3 + 4 + 5 + 6 + 7
 
@@ -503,7 +505,7 @@ UNROLLED = {
     "rolled-nested": "bba5c80926330fcd",
     "rolled-pick": "bce2ef423b8f3c0d",
     "rolled-resized": "1a551ca996925ce7",
-    "rolled-scoped": "366a4a67960cae3c",
+    "rolled-scoped": "c51963edca1aa777",
     "rolled-sums": "214e8e7a96dbb8df",
 }
 

@@ -1,0 +1,181 @@
+"""Typecheck errors as `jamin` reports them: exit code 2, each message at
+its line:col, and no traceback.
+
+The first tables are the scope rule (docs/lang.md, "Types and storage
+classes"): a `reg` or `stack` local is in scope from its declaration to
+the end of its block, so a read or a write after the block is an error
+that names the declaration.  The last has a row for each located
+typecheck message that the other tests leave unreached.
+"""
+
+import pytest
+
+from jamin.cli import main
+
+
+def errors(tmp_path, capsys, text) -> list:
+    """The error lines `jamin run` prints for program `text` (entry f),
+    which must exit 2 without a traceback."""
+    path = tmp_path / "p.jz"
+    path.write_text(text)
+    assert main(["run", str(path), "--entry", "f"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    head = f"error: {path}: "
+    assert err.startswith(head)
+    return err[len(head):].splitlines()
+
+
+# (the block declaring t, on line 2): the statement after it is on line 3
+BLOCKS = {
+    "if": "if (a > 0) { reg u64 t; t = a; }",
+    "else": "if (a > 0) { a = 1; } else { reg u64 t; t = a; }",
+    "while": "while (a > 0) { reg u64 t; t = a; a = a - 1; }",
+    "for": "for i = 0 to 1 { reg u64 t; t = a; }",
+    "nested": "if (a > 0) { while (a > 1) { reg u64 t; t = a; a = a - 1; } a = a + 1; }",
+}
+
+# a use of t after the block (on line 3) -> the column of t in it
+USES = {"read": ("a = t;", 7), "write": ("t = a;", 3), "compound": ("t += 1;", 3)}
+
+
+@pytest.mark.parametrize("use", sorted(USES))
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_a_local_is_out_of_scope_after_its_block(tmp_path, capsys, block, use):
+    decl = BLOCKS[block]
+    stmt, col = USES[use]
+    text = f"fn f(reg u64 a) {{\n  {decl}\n  {stmt}\n}}\n"
+    at = decl.index("reg u64 t") + 3
+    assert errors(tmp_path, capsys, text) == [
+        f"3:{col}: f: 't' is used outside the block of its declaration at 2:{at}"]
+
+
+def test_an_element_access_is_out_of_scope_after_its_block(tmp_path, capsys):
+    text = ("fn f(reg u64 a) {\n  if (a > 0) { stack u64[2] s; s[0] = a; }\n"
+            "  s[1] = a;\n  a = s[0];\n}\n")
+    assert errors(tmp_path, capsys, text) == [
+        "3:3: f: 's' is used outside the block of its declaration at 2:16",
+        "4:7: f: 's' is used outside the block of its declaration at 2:16"]
+
+
+@pytest.mark.parametrize("use, where", [
+    ("return t;", "4:10"), ("t = c;\n  return c;", "4:3")], ids=["read", "write"])
+def test_an_inline_functions_local_is_out_of_scope_after_its_block(tmp_path, capsys, use, where):
+    text = (f"inline fn g(reg u64 c) -> reg u64 {{\n  reg u64 u;\n"
+            f"  if (c != 2) {{ reg u64 t; t = c; }}\n  {use}\n}}\n"
+            "fn f(reg u64 a) -> reg u64 {\n  a = g(a);\n  return a;\n}\n")
+    assert errors(tmp_path, capsys, text) == [
+        f"{where}: g: 't' is used outside the block of its declaration at 3:17"]
+
+
+# The probe programs of test_destinations (UNASSIGNED), test_rolled
+# (SCOPED) and test_recorded_loops (STALE) with t declared in the `if`
+# arm that assigns it: each reads t after the arm.
+ORIGINALS = {
+    "destinations": ("""
+fn f(reg u64 c) -> reg u64 {
+  if (c != 2) { reg u64 t; t = c; }
+  t += 1;
+  return t;
+}
+""", ["4:3: f: 't' is used outside the block of its declaration at 3:17",
+      "5:10: f: 't' is used outside the block of its declaration at 3:17"]),
+    "rolled": ("""
+inline fn g(reg u64 c) -> reg u64 {
+  if (c != 2) { reg u64 t; t = c; }
+  return t;
+}
+fn f(reg u64 i) -> reg u64 {
+  reg u64 x, y;
+  x = 0;
+  for r = 0 to 4 { y = g(i); x = x + y; i = i + 1; }
+  return x;
+}
+""", ["4:10: g: 't' is used outside the block of its declaration at 3:17"]),
+    "recorded-loops": ("""
+inline fn g(reg u64 c, reg u64 k) -> reg u64 {
+  if (k != 2) { reg u64 t; t = c; }
+  return t;
+}
+fn f(reg u64 x, reg u64 s, reg u64 k, reg u64 p) -> reg u64 {
+  reg u64 y;
+  for r = 0 to 1 { y = g(x, k); x = s; }
+  y = [p + y];
+  return y;
+}
+""", ["4:10: g: 't' is used outside the block of its declaration at 3:17"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORIGINALS))
+def test_the_original_probe_programs_are_rejected(tmp_path, capsys, name):
+    text, want = ORIGINALS[name]
+    assert errors(tmp_path, capsys, text) == want
+
+
+def test_inline_and_global_locals_keep_function_scope(tmp_path, capsys):
+    """An `inline` or `global` local is in scope to the end of the
+    function, whatever block declares it."""
+    path = tmp_path / "p.jz"
+    path.write_text("fn f(reg u64 a) -> reg u64 {\n"
+                    "  for i = 0 to 1 { inline int n = 2; }\n"
+                    "  if (a > 0) { global u64 g = 5; }\n"
+                    "  a = a + n + g;\n  return a;\n}\n")
+    assert main(["run", str(path), "--entry", "f", "--u64", "1"]) == 0
+    assert "0x0000000000000008" in capsys.readouterr().out
+
+
+def body(text: str) -> str:
+    """A program whose function f holds `text` from line 2 on, with a
+    callee h and a program-level name N after it."""
+    return (f"fn f(reg u64 a, reg bool c) {{\n  {text}\n}}\n"
+            "fn h(reg u64 y) -> reg u64 {\n  return y;\n}\nparam int N = 1;\n")
+
+
+# name -> (program, its one message).  Two messages of typecheck have no
+# row, since no source reaches them: `illegal cast width` (the parser
+# takes only the widths of words.WIDTHS in a cast) and `unknown
+# intrinsic` (the parser rejects an unknown intrinsic first, in the same
+# words, as the last row shows).
+MESSAGES = {
+    "not-a-bool": (body("reg bool b;\n  b = !a;"), "3:7: f: ! expects a bool"),
+    "not-a-word": (body("reg u64 x;\n  x = ~c;"), "3:7: f: ~ expects a word"),
+    "bool-for-word": (body("reg u64 x;\n  x = c;"), "3:7: f: expected a u64 value, found bool"),
+    "cannot-cast": (body("reg u64 x;\n  x = (u64)c;"), "3:7: f: cannot cast bool to u64"),
+    "and-of-words": (body("reg bool b;\n  b = a && c;"), "3:9: f: && expects bools"),
+    "bool-order": (body("reg bool b;\n  b = c < c;"), "3:9: f: < not defined on bools"),
+    "compare": (body("reg bool b;\n  b = c == 1;"), "3:9: f: cannot compare bool with int"),
+    "call-in-expression": (body("reg u64 x;\n  x = h(a) + 1;"),
+                           "3:7: f: function calls are statements, not sub-expressions"),
+    "intrinsic-arity": (body("reg u64 x;\n  x = #x86_MOV_64(a, a);"),
+                        "3:7: f: #x86_MOV_64 expects 1 arguments, got 2"),
+    "intrinsic-values": (body("reg bool b;\n  b = #x86_ADD_64(a, a);"),
+                         "3:7: f: #x86_ADD_64 produces 6 values; bind them all in a "
+                         "multi-destination assignment"),
+    "flag-argument": (body("reg u64 x;\n  reg bool b;\n  b, b, b, b, b, x = #x86_ADC_64(a, a, a);"),
+                      "4:40: f: #x86_ADC_64: flag argument must be a bool"),
+    "inline-type": (body("inline u64 n = 1;"), "2:3: f: inline variables have type int"),
+    "inline-initializer": (body("inline int n = a;"),
+                           "2:3: f: inline initializer must be compile-time"),
+    "int-storage": (body("reg int n;"), "2:3: f: type int requires inline storage"),
+    "global-initializer": (body("global u64 g;"),
+                           "2:3: f: global declarations need an initializer"),
+    "if-condition": (body("if (a) { }"), "2:3: f: if condition must be a bool"),
+    "while-condition": (body("while (a) { }"), "2:3: f: while condition must be a bool"),
+    "return-arity": (body("return a, a;"), "2:3: f: return arity 2 != 0"),
+    "return-type": ("fn f(reg u64 a) -> reg bool {\n  return a;\n}\n",
+                    "2:10: f: return value has type u64, expected bool"),
+    "shadow": (body("reg u64 N;"), "2:3: f: 'N' shadows a program-level name"),
+    "lane-shape": (body("reg u256 x, y;\n  x = y +3u64 y;"), "3:9: f: illegal lane shape 3u64"),
+    "wide-immediate": (body("reg u256 x, y;\n  y = 0;\n  x = #x86_VPSHUFD_256(y, (4u16)[1, 2, 3, 4]);"),
+                       "4:27: f: immediate vector wider than 32 bits"),
+    "immediate-element": (body("reg u256 x, y;\n  y = 0;\n  x = #x86_VPSHUFD_256(y, (4u2)[a, 0, 1, 2]);"),
+                          "4:33: f: immediate vector elements must be compile-time"),
+    "unknown-intrinsic": (body("reg u64 x;\n  x = #FOO(a);"), "3:7: unknown intrinsic #FOO"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_typecheck_message(tmp_path, capsys, name):
+    text, message = MESSAGES[name]
+    assert errors(tmp_path, capsys, text) == [message]
