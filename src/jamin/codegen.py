@@ -86,7 +86,8 @@ Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
 exactly the locals it mentions that are live into it, and returns
 exactly the ones it rebinds that are live after it.  Every other local
-it mentions is its own.
+it mentions is its own.  The function's `return`, the last statement
+of its body (typecheck), is never in a piece.
 
 Typecheck scopes every register and stack local to the block that
 declares it, so each read of a local follows its declaration on every
@@ -730,12 +731,6 @@ class _FnGen(Assigned):
             n = self.sizes[id(s)] = 1 + sum(self.size(c) for b in blocks for c in b)
         return n
 
-    def has_return(self, s) -> bool:
-        k = type(s)
-        if k is SIf:
-            return any(map(self.has_return, s.then + s.els))
-        return any(map(self.has_return, s.body)) if k in flow.BLOCKS else k is SReturn
-
     def block(self, stmts, loop_loc=False):
         """Emit a block; `loop_loc` (a while loop's location) adds the
         loop's per-iteration step at its end."""
@@ -743,24 +738,20 @@ class _FnGen(Assigned):
             self.pieced_block(stmts)
         else:
             self.stmts(stmts)
-        if self.facts is not None and loop_loc is not False:
+        if loop_loc is not False:
             self.tick(loop_loc)
         self.close()
 
     def stmts(self, stmts):
         for s in stmts:
-            if self.facts is None:
-                return  # unreachable
             self.stmt(s)
 
     def pieced_block(self, stmts):
         run: list = []
         size = 0
         for s in stmts:
-            if self.facts is None:
-                break
             n = self.size(s)
-            if n > PIECE or self.has_return(s):
+            if n > PIECE or type(s) is SReturn:  # a return in a piece would end only the piece
                 self.piece(run)
                 run, size = [], 0
                 self.stmt(s)
@@ -774,7 +765,7 @@ class _FnGen(Assigned):
 
     def piece(self, run):
         """Emit `run` as a separately compiled function and call it."""
-        if not run or self.facts is None:
+        if not run:
             return
         self.close()
         mentioned, rebinds = set(), set()
@@ -846,7 +837,6 @@ class _FnGen(Assigned):
                 self.line("return (B, *_r)")
             else:
                 self.line("return B" + "".join(", " + v for v in vals))
-            self.facts = None
         else:
             raise TypeError(f"not a statement: {s!r}")
 
@@ -872,7 +862,7 @@ class _FnGen(Assigned):
         elif s.els:
             self.line("else:")
             self.nested(s.els)
-        self.facts = flow.join(self, id(s), then, self.facts)
+        self.facts = self.join(id(s), then, self.facts)
 
     def emit_roll(self, s):
         """Repeat node s: its body once, run s.count times by a Python loop
@@ -970,7 +960,7 @@ class _FnGen(Assigned):
     def build(self):
         fn = self.fn
         self.block(fn.body)
-        if self.facts is not None:  # typecheck: a function with results returns
+        if not fn.body or type(fn.body[-1]) is not SReturn:
             self.line("return (B,)")
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
         name = "F_" + fn.name

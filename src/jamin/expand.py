@@ -149,7 +149,6 @@ class _Expander:
         self.arrays: list[GlobalDecl] = []  # the array globals, their elements literals
         self.fresh = 0
         self.funcs = {f.name: f for f in p.funcs}
-        self.expanded: dict[str, FuncDecl] = {}
         self.free: dict[int, bool] = {}  # id of a source `for` -> var_free
         self.made: list = []  # (stem, t) of each name nm__i{t} inlining made
 
@@ -192,11 +191,9 @@ class _Expander:
         raise TypeError(f"not an expression: {e!r}")
 
     def rename(self, node, env: dict) -> str:
-        """The name `node` (a variable or array access) refers to."""
-        v = env.get(node.name, node.name)
-        if not isinstance(v, str):
-            raise ExpandError(f"{_at(node)}{node.name} is a compile-time value, not a variable")
-        return v
+        """The name `node` (a variable or array access) refers to: typecheck
+        lets no compile-time name stand where a variable does."""
+        return env.get(node.name, node.name)
 
     def fold(self, e, env):
         """Fold a node whose operands are all literals (see the module
@@ -235,13 +232,13 @@ class _Expander:
 
     # --------------------------------------------------- statements
 
-    def expand_block(self, stmts, env: dict, inline_ok: bool, fn: FuncDecl):
+    def expand_block(self, stmts, env: dict):
         out = []
         for s in stmts:
-            out.extend(self.expand_stmt(s, env, inline_ok, fn))
+            out.extend(self.expand_stmt(s, env))
         return out
 
-    def expand_stmt(self, s, env: dict, inline_ok: bool, fn: FuncDecl):
+    def expand_stmt(self, s, env: dict):
         k = type(s)
         if k is SAssign:
             rhs = s.rhs
@@ -252,16 +249,10 @@ class _Expander:
             rhs = self.subst(rhs, env)
             cond = self.subst(s.cond, env) if s.cond is not None else None
             if type(rhs) is ECall:
-                return self.maybe_inline(s, dests, rhs, cond, env, fn)
+                return self.maybe_inline(s, dests, rhs, cond, env)
             return [_copy(s, dests=dests, op=None, rhs=rhs, lanes=None, cond=cond)]
         if k is SDecl:
             if s.storage == "inline":
-                if not inline_ok:
-                    raise ExpandError(
-                        f"{_at(s)}inline declarations cannot sit under runtime control flow"
-                    )
-                if s.init is None:
-                    raise ExpandError(f"{_at(s)}inline variables need an initializer")
                 for nm in s.names:
                     env[nm] = self.const(s.init, env, f"inline {nm}")
                 return []
@@ -279,13 +270,13 @@ class _Expander:
             cond = self.subst(s.cond, env)
             if isinstance(cond, (EInt, EBool)):
                 taken = s.then if cond.value else s.els
-                return self.expand_block(taken, env, inline_ok, fn)
+                return self.expand_block(taken, env)
             return [
                 _copy(
                     s,
                     cond=cond,
-                    then=tuple(self.expand_block(s.then, env, False, fn)),
-                    els=tuple(self.expand_block(s.els, env, False, fn)),
+                    then=tuple(self.expand_block(s.then, env)),
+                    els=tuple(self.expand_block(s.els, env)),
                 )
             ]
         if k is SWhile:
@@ -293,7 +284,7 @@ class _Expander:
                 _copy(
                     s,
                     cond=self.subst(s.cond, env),
-                    body=tuple(self.expand_block(s.body, env, False, fn)),
+                    body=tuple(self.expand_block(s.body, env)),
                 )
             ]
         if k is SFor:
@@ -307,17 +298,17 @@ class _Expander:
                 env[s.var] = lo
                 before = dict(env) if count > 1 and self.var_free(s) else None
                 mark = (len(self.made), self.fresh)
-                out = self.expand_block(s.body, env, inline_ok, fn)
+                out = self.expand_block(s.body, env)
                 if env == before:
-                    out = self.repeat(s, out, count, mark, fn)
+                    out = self.repeat(s, out, count, mark)
                 else:
                     for i in range(lo + 1, hi + 1):
                         env[s.var] = i
-                        out.extend(self.expand_block(s.body, env, inline_ok, fn))
+                        out.extend(self.expand_block(s.body, env))
             env.pop(s.var, None)
             return out
         if k is SRepeat:
-            return [_copy(s, body=tuple(self.expand_block(s.body, env, inline_ok, fn)))]
+            return [_copy(s, body=tuple(self.expand_block(s.body, env)))]
         if k is SReturn:
             return [_copy(s, values=tuple(self.subst(v, env) for v in s.values))]
         raise TypeError(f"not a statement: {s!r}")
@@ -330,7 +321,7 @@ class _Expander:
             free = self.free[id(s)] = not _mentions(s.body, s.var)
         return free
 
-    def repeat(self, s: SFor, first: list, count: int, mark: tuple, fn: FuncDecl) -> list:
+    def repeat(self, s: SFor, first: list, count: int, mark: tuple) -> list:
         """Loop s, whose iteration 0, `first`, left the environment as it
         found it, as a repeat node of `first` (none when `first` is
         empty), with the names the later iterations would make accounted
@@ -343,7 +334,7 @@ class _Expander:
         self.fresh += (count - 1) * m
         if not first:
             return []
-        body = tuple(self.unrolled(first, fn))
+        body = tuple(self.unrolled(first))
         declared = {nm for d in _decls(body) for nm in d.names}
         names = {f"{stem}__i{t}": tuple(f"{stem}__i{t + j * m}" for j in range(count))
                  for stem, t in made if f"{stem}__i{t}" in declared}
@@ -351,7 +342,7 @@ class _Expander:
         node.loc = s.loc
         return [node]
 
-    def unrolled(self, stmts, fn: FuncDecl) -> list:
+    def unrolled(self, stmts) -> list:
         """`stmts` with every repeat node in them replaced by its
         iterations, each iteration after the first expanded again (which
         only renames) under its names."""
@@ -362,12 +353,12 @@ class _Expander:
                 out += s.body
                 for j in range(1, s.count):
                     out += self.expand_block(
-                        s.body, {nm: per[j] for nm, per in s.names.items()}, True, fn)
+                        s.body, {nm: per[j] for nm, per in s.names.items()})
             elif k is SIf:
-                out.append(_copy(s, then=tuple(self.unrolled(s.then, fn)),
-                                 els=tuple(self.unrolled(s.els, fn))))
+                out.append(_copy(s, then=tuple(self.unrolled(s.then)),
+                                 els=tuple(self.unrolled(s.els))))
             elif k is SWhile:
-                out.append(_copy(s, body=tuple(self.unrolled(s.body, fn))))
+                out.append(_copy(s, body=tuple(self.unrolled(s.body))))
             else:
                 out.append(s)
         return out
@@ -381,14 +372,10 @@ class _Expander:
 
     # ----------------------------------------------------- inlining
 
-    def maybe_inline(self, s, dests, call: ECall, cond, env, fn: FuncDecl):
-        callee = self.funcs.get(call.name)
-        if callee is None:
-            raise ExpandError(f"{_at(s)}unknown function {call.name!r}")
+    def maybe_inline(self, s, dests, call: ECall, cond, env):
+        callee = self.funcs[call.name]
         if not callee.inline:
             return [_copy(s, dests=dests, rhs=call, cond=cond)]
-        if cond is not None:
-            raise ExpandError(f"{_at(s)}inline calls cannot be conditional")
         self.fresh += 1
         tag = f"i{self.fresh}"
         env2: dict[str, object] = dict(self.env)
@@ -408,35 +395,23 @@ class _Expander:
         for nm in _decl_names(callee.body):
             env2[nm] = f"{nm}__{tag}"
             self.made.append((nm, self.fresh))
-        body = self.expand_block(list(callee.body), env2, True, callee)
-        ret_values = None
-        if body and isinstance(body[-1], SReturn):
-            ret_values = body[-1].values
-            body = body[:-1]
-        if any(isinstance(x, SReturn) for x in body):
-            raise ExpandError(
-                f"{_at(s)}inline function {call.name!r} must return only at the end"
-            )
+        body = self.expand_block(callee.body, env2)
+        # the callee's last statement is its one return, if it has one (typecheck)
+        values = body.pop().values if body and type(body[-1]) is SReturn else ()
         out.extend(body)
-        if callee.rets:
-            if ret_values is None or len(ret_values) != len(dests):
-                raise ExpandError(f"{_at(s)}inline call result arity mismatch")
-            for d, v in zip(dests, ret_values):
-                r = _resized(v, d.ty)  # a literal resized is folded, as expanding it again would
-                out.append(SAssign((d,), None, r if r is v else self.fold(r, env2)))
+        for d, v in zip(dests, values):
+            r = _resized(v, d.ty)  # a literal resized is folded, as expanding it again would
+            out.append(SAssign((d,), None, r if r is v else self.fold(r, env2)))
         return out
 
-    def function_body(self, name: str):
-        """Fully expanded body of a non-inline function (memoized);
-        inline functions expand per call site instead."""
-        if name in self.expanded:
-            return self.expanded[name].body
-        f = self.funcs[name]
-        body = tuple(self.expand_block(f.body, dict(self.env), True, f))
-        new = self.expanded[name] = _copy(f, body=body)
+    def function(self, f: FuncDecl) -> FuncDecl:
+        """Non-inline function f expanded; inline functions expand per
+        call site instead."""
+        body = tuple(self.expand_block(f.body, dict(self.env)))
+        new = _copy(f, body=body)
         new.envtypes = {q.name: (q.storage, q.ty) for q in f.params}
         new.envtypes.update((nm, (d.storage, d.ty)) for d in _decls(body) for nm in d.names)
-        return body
+        return new
 
     # --------------------------------------------------------- main
 
@@ -451,12 +426,8 @@ class _Expander:
                 self.env[g.name] = g.name
             else:
                 self.env[g.name] = self.const(g.init, self.env, what)
-        out_funcs = []
-        for f in self.p.funcs:
-            if not f.inline:
-                self.function_body(f.name)
-                out_funcs.append(self.expanded[f.name])
-        newp = Program((), tuple(self.arrays), tuple(out_funcs))
+        out_funcs = tuple(self.function(f) for f in self.p.funcs if not f.inline)
+        newp = Program((), tuple(self.arrays), out_funcs)
         newp.typed = newp.expanded = True
         return newp
 

@@ -2,11 +2,11 @@
 Kildall (POPL 1973) over structured code.
 
 An expanded function has straight-line statements (declarations,
-assignments, calls, `return`), `if`, `while` and repeat nodes
-(ir.SRepeat).  Codegen's must-be-assigned facts (which also give
-safety's maybe-uninit findings) and liveness, safety's ranges and
-leakage's taint all walk them here, each with a lattice of its own.  A
-forward domain d provides:
+assignments, calls, and a `return` as its last statement, if any),
+`if`, `while` and repeat nodes (ir.SRepeat).  Codegen's
+must-be-assigned facts (which also give safety's maybe-uninit findings)
+and liveness, safety's ranges and leakage's taint all walk them here,
+each with a lattice of its own.  A forward domain d provides:
 
 - d.copy(state): a state the driver may update in place;
 - d.transfer(state, s): the state after straight-line statement s, or
@@ -66,9 +66,8 @@ heads of their own, which lie below its fixpoints where d does not
 widen, as above).  The state after the node holds the private locals
 of the last iteration walked, which nothing reads.
 
-transfer and refine may update the state they are given.  None is the
-state of an unreachable point, such as after a `return`; domains never
-see it.  States are compared with ==.
+transfer and refine may update the state they are given.  States are
+compared with ==.
 """
 
 from __future__ import annotations
@@ -96,26 +95,15 @@ from .ir import (
 BLOCKS = (SIf, SWhile, SRepeat)  # the statements that hold blocks
 
 
-def join(d, key, a, b):
-    """d.join(key, a, b), where either side may be unreachable (None)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return d.join(key, a, b)
-
-
 def forward(stmts, state, d):
     """The state after `stmts` run from `state` in domain d."""
     for s in stmts:
-        if state is None:
-            return None
         k = type(s)
         if k is SIf:
             state = d.transfer(state, s)
             then = forward(s.then, d.refine(d.copy(state), s.cond, True), d)
             els = forward(s.els, d.refine(state, s.cond, False), d)
-            state = join(d, key(s, d), then, els)
+            state = d.join(key(s, d), then, els)
         elif k is SWhile:
             state = d.transfer(loop(s, state, d), s)
             if d.recording:
@@ -125,8 +113,6 @@ def forward(stmts, state, d):
             state = repeat(s, state, d)
         else:
             state = d.transfer(state, s)
-            if k is SReturn:
-                return None
     return state
 
 
@@ -149,8 +135,6 @@ def repeat(s, state, d, starts=None):
                 starts.append(d.copy(state))
             d.at = j
             state = forward(s.body, state, d)
-            if state is None:
-                return None
             now = d.observable(state, private)
             if now == seen:
                 break
@@ -169,10 +153,11 @@ def loop(s, state, d):
     recording, d.recording = d.recording, False
     k = key(s, d)
     try:
-        head = join(d, k, d.heads.get(k), state)
+        head = d.heads.get(k)
+        head = state if head is None else d.join(k, head, state)
         for n in count():
             end = forward(s.body, d.refine(d.copy(head), s.cond, True), d)
-            new = join(d, k, head, end)
+            new = d.join(k, head, end)
             if getattr(d, "widen", None) is not None:
                 new = d.widen(s, k, n, head, new, state, end)
             if new == head:

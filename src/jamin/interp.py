@@ -166,13 +166,11 @@ def _nz(b, loc):
 def _wbin(f, a, b, loc):
     """f(a, b), a word operator from words.evaluator that codegen does
     not inline (a shift by a computed count, / and %), with its faults
-    located."""
+    located; a divisor has passed _nz."""
     try:
         return f(a, b)
     except WordError as exc:
         raise ContractViolation(str(exc), loc) from None
-    except ZeroDivisionError:
-        raise DivByZero("division by zero", loc) from None
 
 
 def _ld(M, T, K, a, nbytes, loc):

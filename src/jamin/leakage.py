@@ -58,14 +58,6 @@ def LeakBranch(taken: bool) -> tuple:
 class LeakTrace:
     events: list
 
-    def __len__(self):
-        return len(self.events)
-
-    def __eq__(self, other):
-        if isinstance(other, LeakTrace):
-            return self.events == other.events
-        return self.events == other
-
     def first_divergence(self, other: "LeakTrace") -> int | None:
         a, b = self.events, other.events
         if a == b:  # every trial of a constant-time program
@@ -355,13 +347,13 @@ class _FnTaint:
         names = [q.name for q in fn.params]
         self.entry = {None: glob.version, **dict(zip(names, arg_taints))}
         self.bases = dict(zip(names, arg_bases))
-        self.results = None  # per result, its (taint, bases) joined over every return
+        self.results: list = []  # per result, its (taint, bases) at the return
         self.heads: dict = {}
 
     def run(self) -> list:
-        """(taint, bases) of each result, empty when nothing returns."""
+        """(taint, bases) of each result."""
         flow.forward(self.fn.body, self.entry, self)
-        return self.results or [(_EMPTY, _EMPTY)] * len(self.fn.rets)
+        return self.results
 
     copy = staticmethod(dict)
 
@@ -375,8 +367,8 @@ class _FnTaint:
     def observable(self, env: dict, private) -> tuple:
         """The flow hook (see jamin.flow): the taints of the locals not in
         `private` with the whole-program version (of the stored taints and
-        every local's bases) at None, the leaked tokens and the results."""
-        return {n: t for n, t in env.items() if n not in private}, len(self.g.leaked), self.results
+        every local's bases) at None and the leaked tokens."""
+        return {n: t for n, t in env.items() if n not in private}, len(self.g.leaked)
 
     def refine(self, env: dict, cond, taken) -> dict:
         return env
@@ -447,10 +439,7 @@ class _FnTaint:
         elif kind is SIf or kind is SWhile:
             self.g.leaked.update(self.taint(env, s.cond))
         elif kind is SReturn:
-            out = [(self.taint(env, v), self.expr_bases(v)) for v in s.values]
-            if self.results is not None:
-                out = [(t | t0, b | b0) for (t, b), (t0, b0) in zip(out, self.results)]
-            self.results = out
+            self.results = [(self.taint(env, v), self.expr_bases(v)) for v in s.values]
         env[None] = self.g.version
         return env
 

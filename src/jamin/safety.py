@@ -50,8 +50,7 @@ then mostly stabilises at once, so no count is kept across them.
 
 This range domain runs on the forward driver of jamin.flow: a loop is
 iterated to its fixpoint recording nothing, then walked once more to
-record accesses and findings, and the code after a `return` is
-unreachable.  The test of an `if` or `while` records once, when it is
+record accesses and findings.  The test of an `if` or `while` records once, when it is
 evaluated; refining a branch by it records nothing.  The maybe-uninit
 findings come from the must-be-assigned facts of codegen
 (codegen.Assigned) on the same driver, so they name exactly the reads
@@ -1215,7 +1214,7 @@ class _Uninit(Assigned):
     def check(self, f, e):
         """Report the reads of e that the facts f do not prove defined,
         each at the site a run reports: its own."""
-        if e is None or f is None:
+        if e is None:
             return
         for v in flow.reads(e):
             if v not in self.unreported or v in f:

@@ -8,7 +8,13 @@ right-hand side, which is how assignment truncation becomes explicit.
 Storage rules enforced here: register arrays are indexed only by
 compile-time expressions, views and byte views exist only on stack
 arrays, globals are never written, inline variables are compile-time
-integers, computed at the unbounded width, so without lane operators.
+integers, computed at the unbounded width, so without lane operators,
+each declared with an initializer and outside every `while` body and
+every `if` arm whose test is not compile-time.
+
+A function returns only at its end, as in Jasmin: a `return` is the
+last statement of its function's body, and a function with results
+ends in one.  Every later pass relies on it: each function has one exit.
 
 Scopes: a `reg` or `stack` local is in scope from its declaration to
 the end of the block that holds it (a function body, an `if` or `else`
@@ -167,13 +173,14 @@ class _FnChecker:
         self.env: dict[str, tuple[str, object]] = {}  # in scope: name -> (storage, type)
         for p in fn.params:
             self.check_shadow(fn, p.name)
-            p.ty = tc.resolve_ty(p.ty, fn)
+            p.ty = tc.resolve_ty(p.ty)
             self.env[p.name] = (p.storage, p.ty)
-        fn.rets = tuple((st, tc.resolve_ty(t, fn)) for st, t in fn.rets)
+        fn.rets = tuple((st, tc.resolve_ty(t)) for st, t in fn.rets)
         self.locals = dict(self.env)  # every parameter and local: FuncDecl.envtypes
         self.scoped: list = []  # (name, declaration) of the block-scoped locals in scope
         self.ended: dict = {}  # a local whose block has ended -> its declaration
         self.for_vars: list[str] = []
+        self.at_run_time = False  # whether a run-time test decides if the statement runs
 
     def check_shadow(self, node, name: str):
         if name in self.tc.global_tys or name in self.tc.param_values:
@@ -502,11 +509,24 @@ class _FnChecker:
             self.ended[nm] = decl
         del self.scoped[mark:]
 
+    def check_arms(self, *blocks, at_run_time: bool):
+        """Check the blocks of an `if` or `while`, which run under
+        run-time control flow if `at_run_time` or already under it."""
+        outer = self.at_run_time
+        self.at_run_time = outer or at_run_time
+        for b in blocks:
+            self.check_block(b)
+        self.at_run_time = outer
+
     def check_stmt(self, s):
         if isinstance(s, SDecl):
-            ty = s.ty = self.tc.resolve_ty(s.ty, self.fn)
+            ty = s.ty = self.tc.resolve_ty(s.ty)
             if s.storage == "inline" and not isinstance(ty, IntTy):
                 self.err(s, "inline variables have type int")
+            if s.storage == "inline" and s.init is None:
+                self.err(s, "inline variables need an initializer")
+            if s.storage == "inline" and self.at_run_time:
+                self.err(s, "inline declarations cannot sit under runtime control flow")
             if s.storage != "inline" and isinstance(ty, IntTy):
                 self.err(s, "type int requires inline storage")
             if s.storage == "global" and s.init is None:
@@ -536,14 +556,13 @@ class _FnChecker:
             self.infer(s.cond)
             if not isinstance(s.cond.ty, BoolTy):
                 self.err(s, "if condition must be a bool")
-            self.check_block(s.then)
-            self.check_block(s.els)
+            self.check_arms(s.then, s.els, at_run_time=not self.is_compile_time(s.cond))
             return
         if isinstance(s, SWhile):
             self.infer(s.cond)
             if not isinstance(s.cond.ty, BoolTy):
                 self.err(s, "while condition must be a bool")
-            self.check_block(s.body)
+            self.check_arms(s.body, at_run_time=True)
             return
         if isinstance(s, SRepeat):  # expand's output typed again
             self.check_block(s.body)
@@ -560,13 +579,14 @@ class _FnChecker:
             self.for_vars.pop()
             return
         if isinstance(s, SReturn):
+            if s is not self.fn.body[-1]:
+                self.err(s, "return must be the last statement of the function body")
             rets = self.fn.rets
             if len(s.values) != len(rets):
                 self.err(s, f"return arity {len(s.values)} != {len(rets)}")
                 return
             vals = []
             for v, (_, ty) in zip(s.values, rets):
-                ty = self.tc.resolve_ty(ty, self.fn)
                 if isinstance(ty, WordTy):
                     vals.append(self.infer_word(v, ty.bits))
                 else:
@@ -685,7 +705,7 @@ class _FnChecker:
             return
         args = []
         for a, p in zip(call.args, callee.params):
-            ty = self.tc.resolve_ty(p.ty, callee)
+            ty = self.tc.resolve_ty(p.ty)
             if isinstance(ty, WordTy):
                 args.append(self.infer_word(a, ty.bits))
             else:
@@ -700,7 +720,7 @@ class _FnChecker:
             return
         for lv, (_, rty) in zip(s.dests, callee.rets):
             ty = self.lval_ty(lv)
-            rty = self.tc.resolve_ty(rty, callee)
+            rty = self.tc.resolve_ty(rty)
             if ty is None:
                 continue
             if isinstance(rty, ArrayTy) and ty != rty:
@@ -723,12 +743,12 @@ class _Checker:
         self.global_tys: dict[str, object] = {}
         self.funcs = {f.name: f for f in p.funcs}
 
-    def resolve_ty(self, ty, fn):
+    def resolve_ty(self, ty):
         if isinstance(ty, ArrayTy) and not isinstance(ty.length, int):
             try:
                 n = const_eval(ty.length, self.param_values)
             except NotConst as exc:
-                self.errors.append(f"array length is not compile-time ({exc})")
+                self.errors.append(f"{_loc(ty.length)}array length is not compile-time ({exc})")
                 n = 1
             return ArrayTy(ty.bits, n)
         return ty
@@ -740,15 +760,15 @@ class _Checker:
             except NotConst as exc:
                 self.errors.append(f"{_loc(pd)}param {pd.name}: not compile-time ({exc})")
         for g in self.p.globals:
-            ty = self.resolve_ty(g.ty, None)
+            ty = self.resolve_ty(g.ty)
             g.ty = ty
             if isinstance(ty, ArrayTy):
                 if not isinstance(g.init, tuple) or len(g.init) != ty.length:
-                    self.errors.append(f"global {g.name}: initializer arity mismatch")
+                    self.errors.append(f"{_loc(g)}global {g.name}: initializer arity mismatch")
                 else:
                     g.init = tuple(self.global_init(g, word_ty(ty.bits), v) for v in g.init)
             elif isinstance(g.init, tuple):
-                self.errors.append(f"global {g.name}: scalar takes a single initializer")
+                self.errors.append(f"{_loc(g)}global {g.name}: scalar takes a single initializer")
             else:
                 g.init = self.global_init(g, ty, g.init)
             self.global_tys[g.name] = ty
@@ -756,7 +776,8 @@ class _Checker:
         for f in self.p.funcs:
             fc = _FnChecker(self, f)
             fc.check_block(f.body)
-            self._check_returns(f, fc)
+            if f.rets and not (f.body and isinstance(f.body[-1], SReturn)):
+                self.errors.append(f"{_loc(f)}{f.name}: missing return")
             f.envtypes = fc.locals
         if self.errors:
             raise TypecheckError(self.errors)
@@ -771,11 +792,6 @@ class _Checker:
         decl.loc = g.loc
         _FnChecker(self, FuncDecl(f"global {g.name}", False, (), (), ())).check_stmt(decl)
         return decl.init
-
-    def _check_returns(self, f: FuncDecl, fc: _FnChecker):
-        has_ret = any(isinstance(s, SReturn) for s in f.body)
-        if f.rets and not has_ret:
-            self.errors.append(f"{f.name}: missing return")
 
     def _check_no_recursion(self):
         calls: dict[str, set[str]] = {f.name: set() for f in self.p.funcs}

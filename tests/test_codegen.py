@@ -454,7 +454,7 @@ fn f(reg u64 x, reg u64 p) -> reg u64 {
   y = 4;
   while (y > 0) {
     if (x == y) { r = r + 1; } else if (x < y) { if (y == 3) { r = r + 5; } else if (y == 2) {
-    r = r + 7; } } else if (x > 6) { return r; } else if (x / (y - 1) == 2) { r = r + 2; }
+    r = r + 7; } } else if (x > 6) { r = r + 3; } else if (x / (y - 1) == 2) { r = r + 2; }
     y = y - 1;
   }
   return r;
@@ -484,7 +484,7 @@ def else_if_runs() -> list:
     return seen
 
 
-ELSE_IF_RUNS = "7f3a8cb6aee3721a"
+ELSE_IF_RUNS = "65d63126637554fa"
 
 
 def test_else_if_chains_run_as_nested_ifs():

@@ -8,7 +8,7 @@ from unroll import cases
 from jamin import interp, leakage, memory, safety
 from jamin.expand import ExpandError, expand
 from jamin.ir import (ArrayTy, EArr, ECall, EInt, EVar, EVecImm, IntTy, SAssign, SFor,
-                      print_program)
+                      SReturn, print_program)
 from jamin.parser import parse
 from jamin.typecheck import TypecheckError, typecheck
 
@@ -17,8 +17,11 @@ def contract_breaches(p) -> list:
     """What expand's output must not hold, and the back ends no longer
     handle: a for loop or inline call, a compound assignment (`d op= e`,
     its `op` or `lanes` set), an immediate vector, a compile-time (int)
-    node other than a literal, an array access without its storage."""
+    node other than a literal, an array access without its storage, a
+    `return` that is not the last statement of its function's body and
+    a function with results whose body does not end in a `return`."""
     found = []
+    returns = []
 
     def walk(node):
         if isinstance(node, tuple):
@@ -38,13 +41,20 @@ def contract_breaches(p) -> list:
             found.append(f"untyped access to {node.name}")
         elif k is SAssign and (node.op is not None or node.lanes is not None):
             found.append("compound assignment")
+        elif k is SReturn:
+            returns.append(node)
         for f in dataclasses.fields(node):
             walk(getattr(node, f.name))
 
     for g in p.globals:
         walk(g.init)
     for f in p.funcs:
+        returns.clear()
         walk(f.body)
+        if any(r is not f.body[-1] for r in returns):
+            found.append(f"return before the end of {f.name}")
+        if f.rets and not (f.body and type(f.body[-1]) is SReturn):
+            found.append(f"missing return in {f.name}")
     return found
 
 
@@ -363,6 +373,13 @@ fn f(reg u128 a) -> reg u64 {
     assert set(contract_breaches(typecheck(parse(src)))) == {
         "SFor", "EVecImm", "inline call id", "int EVar", "int EBin", "compound assignment"}
     assert "untyped access to x" in contract_breaches(parse(src))
+    src = """
+fn g(reg u64 a) -> reg u64 {
+  while (a > 1) { return a; }
+  a = a + 1;
+}
+"""
+    assert set(contract_breaches(parse(src))) == {"return before the end of g", "missing return in g"}
     src = """
 global u64 K = 2;
 global u64[2] T = {1, K};

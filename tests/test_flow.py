@@ -11,7 +11,7 @@ from jamin import cli, codegen, flow, interp, leakage, safety
 from jamin.expand import expand
 from jamin.ir import SAssign, SIf, SRepeat, SReturn, SWhile
 from jamin.parser import parse
-from jamin.typecheck import typecheck
+from jamin.typecheck import TypecheckError, typecheck
 
 
 def body(text, name="f"):
@@ -74,30 +74,26 @@ fn f(reg u64 n) -> reg u64 {
   return c;
 }
 """), {"n"}, d)
-    assert out is None  # the function returns
-    assert d.returned == [{"n", "a", "b", "c"}]
+    assert out == {"n", "a", "b", "c"}  # the exit state: the return's
+    assert d.returned == [out]
 
 
 def test_code_after_a_return_is_unreachable():
-    """y = n follows a return: it is never transferred, and y reaches x
-    without n's dependence."""
-    d = Deps()
-    stmts = body("""
+    """y = n would follow a return, which no path reaches: typecheck
+    rejects a return that does not end its function's body, so every
+    point of an expanded function is reachable."""
+    with pytest.raises(TypecheckError, match="6:5: f: return must be the last statement"):
+        body("""
 fn f(reg u64 n) -> reg u64 {
   reg u64 x, y;
   x = 0;
-  y = 0;
   if (n == 0) {
     return x;
     y = n;
   }
-  x = y;
   return x;
 }
 """)
-    assert flow.forward(stmts, {"n"}, d) is None
-    assert stmts[3].then[1] not in d.seen
-    assert d.returned == [{"n"}, {"n"}]
 
 
 def test_backward_liveness_at_a_while_test():
@@ -163,9 +159,9 @@ def test_recorded_loop_is_walked_until_an_iteration_changes_nothing():
     private = set(private_names(p))
     walked, returned = {}, {}  # iterations walked: assignments to c but c = 0
     for q, d in ((unroll(p), Deps()), (p, RepeatDeps())):
-        assert flow.forward(q.func("f").body, {"n"}, d) is None
+        returned[type(d)] = flow.forward(q.func("f").body, {"n"}, d)  # the exit state
         walked[type(d)] = sum(type(s) is SAssign and s.dests[0].name == "c" for s in d.seen) - 1
-        (returned[type(d)],) = d.returned
+        assert d.returned == [returned[type(d)]]
     assert walked == {Deps: 6, RepeatDeps: 4}
     assert returned[Deps] - private == returned[RepeatDeps] - private == {"n", "a", "b", "c"}
     assert returned[Deps] & private == private

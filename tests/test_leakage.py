@@ -240,10 +240,11 @@ def test_corpus_declared_specs_inferred_and_covered():
         assert not any(t.startswith("mem[") for t in inferred), (name, inferred)
 
 
-CALLEE_RETURNS = """
+CALLEE_ARMS = """
 fn g(reg u64 k, reg u64 c) -> reg u64 {
-  if (c < 0x8000000000000000) { return FIRST; }
-  return SECOND;
+  reg u64 r;
+  if (c < 0x8000000000000000) { r = FIRST; } else { r = SECOND; }
+  return r;
 }
 fn f(reg u64 p, reg u64 k, reg u64 c) -> reg u64 {
   reg u64 y, z;
@@ -256,11 +257,11 @@ fn f(reg u64 p, reg u64 k, reg u64 c) -> reg u64 {
 
 
 @pytest.mark.parametrize("first, second", [("k", "c"), ("c", "k")])
-def test_infer_public_joins_every_return_of_a_callee(first, second):
-    """Whichever return of g gives k, k indexes memory in f, so it
+def test_infer_public_joins_both_arms_of_a_callee(first, second):
+    """Whichever arm of g's `if` returns k, k indexes memory in f, so it
     reaches the trace, and ct_check finds the leak when only p and c
     are public."""
-    p = prep(CALLEE_RETURNS.replace("FIRST", first).replace("SECOND", second))
+    p = prep(CALLEE_ARMS.replace("FIRST", first).replace("SECOND", second))
     inferred = infer_public(p, "f")
     assert inferred == frozenset({"p", "k", "c"})
     spec = PublicSpec.of(["p", "c"])

@@ -216,14 +216,6 @@ fn f(reg u64 x) -> reg u64 {
   return x;
 }
 """,
-    """
-fn f(reg u64 x) -> reg u64 {
-  reg u64 y;
-  if (x == 0) { return x; } else { y = 2; }
-  x = x + y;
-  return x;
-}
-""",
 ]
 
 

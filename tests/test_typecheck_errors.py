@@ -4,7 +4,8 @@ its line:col, and no traceback.
 The first tables are the scope rule (docs/lang.md, "Types and storage
 classes"): a `reg` or `stack` local is in scope from its declaration to
 the end of its block, so a read or a write after the block is an error
-that names the declaration.  The last has a row for each located
+that names the declaration.  The next is the return rule: a `return`
+ends its function's body.  The last has a row for each located
 typecheck message that the other tests leave unreached.
 """
 
@@ -125,6 +126,42 @@ def test_inline_and_global_locals_keep_function_scope(tmp_path, capsys):
     assert "0x0000000000000008" in capsys.readouterr().out
 
 
+# A `return` ends its function's body, as in Jasmin (docs/lang.md,
+# "Statements").  Each block below holds a `return` of g.  Accepted with
+# g inline, such a return ended f instead of g: at a = 0, f printed 7, 1
+# and 1 where the source means 107, 101 and 101.
+EARLY = {
+    "if": "if (a == 0) { b = 7; return b; }",
+    "while": "while (b < 9) { b = 1; return b; }",
+    "for-if": "for i = 0 to 1 { if (a == i) { b = 1; return b; } }",
+}
+
+
+@pytest.mark.parametrize("inline", ["inline ", ""], ids=["inline", "not-inline"])
+@pytest.mark.parametrize("name", sorted(EARLY))
+def test_a_return_inside_a_block_is_rejected(tmp_path, capsys, name, inline):
+    block = EARLY[name]
+    text = (f"{inline}fn g(reg u64 a) -> reg u64 {{\n  reg u64 b;\n  b = a;\n  {block}\n"
+            "  b = b + 1;\n  return b;\n}\n"
+            "fn f(reg u64 a) -> reg u64 {\n  reg u64 r;\n  r = g(a);\n  r = r + 100;\n"
+            "  return r;\n}\n")
+    assert errors(tmp_path, capsys, text) == [
+        f"4:{block.index('return') + 3}: g: return must be the last statement of the function body"]
+
+
+def test_a_compile_time_test_may_guard_an_inline_declaration(tmp_path, capsys):
+    """Only a run-time test keeps an `inline` declaration out of its
+    arms: one under a test of a `param` or a `for` counter is expanded
+    like any other."""
+    path = tmp_path / "p.jz"
+    path.write_text("param int N = 1;\nfn f(reg u64 a) -> reg u64 {\n"
+                    "  if (N == 1) { inline int n = 2; a = a + n; }\n"
+                    "  for i = 0 to 1 { if (i == 1) { inline int m = 3; a = a + m; } }\n"
+                    "  return a;\n}\n")
+    assert main(["run", str(path), "--entry", "f", "--u64", "1"]) == 0
+    assert "0x0000000000000006" in capsys.readouterr().out
+
+
 def body(text: str) -> str:
     """A program whose function f holds `text` from line 2 on, with a
     callee h and a program-level name N after it."""
@@ -172,6 +209,18 @@ MESSAGES = {
     "immediate-element": (body("reg u256 x, y;\n  y = 0;\n  x = #x86_VPSHUFD_256(y, (4u2)[a, 0, 1, 2]);"),
                           "4:33: f: immediate vector elements must be compile-time"),
     "unknown-intrinsic": (body("reg u64 x;\n  x = #FOO(a);"), "3:7: unknown intrinsic #FOO"),
+    "after-return": (body("return;\n  a = 1;"),
+                     "2:3: f: return must be the last statement of the function body"),
+    "missing-return": ("fn f(reg u64 a) -> reg u64 {\n  a = a + 1;\n}\n", "1:1: f: missing return"),
+    "inline-at-run-time": (body("while (a > 0) { inline int n = 1; a = a - 1; }"),
+                           "2:19: f: inline declarations cannot sit under runtime control flow"),
+    "inline-without-initializer": (body("inline int n;"),
+                                   "2:3: f: inline variables need an initializer"),
+    "array-length": (body("reg u64[a] x;"), "2:11: array length is not compile-time (a)"),
+    "global-arity": ("global u64[2] g = {1, 2, 3};\n" + body("a = 1;"),
+                     "1:1: global g: initializer arity mismatch"),
+    "global-scalar": ("global u64 g = {1, 2};\n" + body("a = 1;"),
+                      "1:1: global g: scalar takes a single initializer"),
 }
 
 
