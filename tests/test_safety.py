@@ -216,6 +216,13 @@ fn f(reg u64 x) -> reg u64 {
   return x;
 }
 """,
+    """
+fn f(reg u64 x) -> reg u64 {
+  reg u64 y;
+  if (x != 0) { y = 2; x = x + y; }
+  return x;
+}
+""",
 ]
 
 
