@@ -290,9 +290,7 @@ def cmd_safety(args) -> int:
 def cmd_difftest(args) -> int:
     from .primitives.difftest import DslEntry, SHAPES, SpecEntry, hop_difftest
 
-    if args.shape not in SHAPES:
-        raise CliError(f"unknown shape {args.shape!r}")
-    shape = SHAPES[args.shape]
+    shape = SHAPES[args.shape]  # one of the choices of --shape
     chain = [SpecEntry(f"{args.shape}_spec", shape.spec_output)]
     for path in args.files:
         p = _load_program(path)

@@ -106,7 +106,6 @@ import re
 
 from .ir import (
     ArrayTy,
-    BoolTy,
     EArr,
     EBin,
     EBool,
@@ -189,7 +188,7 @@ class Assigned:
             for nm in s.names:  # reset, to UNDEF
                 self.dest(f, typed_var(nm, s.ty), True)
             if s.init is not None and done is None:
-                self.dest(f, typed_var(s.names[0], s.ty), self.value_kind(s.init)[1])
+                self.dest(f, typed_var(s.names[0], s.ty))
             return f
         if k is not SAssign:
             return f
@@ -209,7 +208,7 @@ class Assigned:
             f.update(kept)
             return f
         else:
-            undef = [self.value_kind(rhs)[1]]
+            undef = [False]  # no expression's one value is UNDEF
         for lv, u in zip(dests[:done], undef):
             self.dest(f, lv, u)
         return f
@@ -231,13 +230,6 @@ class Assigned:
     def is_copy(self, s) -> bool:
         lv = s.dests[0]
         return type(lv) is EVar and type(lv.ty) is ArrayTy
-
-    def value_kind(self, e):
-        """(bits, undef) of an expression's value: its width when known,
-        and whether it may be UNDEF (a flag of some instructions)."""
-        if type(e) is EIntr and type(e.ty) is BoolTy:
-            return None, _maybe_undef(lookup(e.name), 0)
-        return (e.ty.bits if type(e.ty) is WordTy else None), False
 
 
 # ------------------------------------------------------------ generator
@@ -390,9 +382,8 @@ class _FnGen(Assigned):
             a = self.expr(e.arg)
             if e.op == "!":
                 return f"(not {a})"
-            if type(e.ty) is WordTy:
-                return self.instantiate(words.UNARY[e.op], {"a": a}, e.ty.bits)
-            return f"({e.op}{a})"
+            # a word operator: expand folds every compile-time int
+            return self.instantiate(words.UNARY[e.op], {"a": a}, e.ty.bits)
         if k is EBool:
             return "True" if e.value else "False"
         raise TypeError(f"not an expression: {e!r}")
@@ -909,7 +900,7 @@ class _FnGen(Assigned):
                 self.line(f"{self.v(nm)} = {new}")
         if s.init is not None:  # read after the declaration resets its names
             self.transfer(self.facts, s, 0)
-            self.write(typed_var(s.names[0], ty), self.expr(s.init), self.value_kind(s.init)[0])
+            self.write(typed_var(s.names[0], ty), self.expr(s.init), _bits(s.init))
 
     def assign(self, s: SAssign):
         rhs = s.rhs
@@ -929,7 +920,7 @@ class _FnGen(Assigned):
                 src = self.copy_of(rhs.name, src)
             self.line(f"{self.v(lv.name)} = {src}")
             return
-        self.write(lv, self.expr(rhs), self.value_kind(rhs)[0])
+        self.write(lv, self.expr(rhs), _bits(rhs))
 
     def call(self, s: SAssign):
         loc = s.loc
@@ -1000,6 +991,11 @@ def _span_put(buf: str, init: str, off: str, nb: int, value: str, first=None) ->
     if nb == 1:
         return f"{buf}[{first}] = {value}", f"{init}[{off}] = 1"
     return f"ST{nb}({buf}, {first}, {value})", f"ST{nb}({init}, {off}, {_ones(nb)})"
+
+
+def _bits(e) -> int | None:
+    """The width of the value of expression e, None for a bool."""
+    return e.ty.bits if type(e.ty) is WordTy else None
 
 
 def _maybe_undef(d, i: int) -> bool:

@@ -100,18 +100,9 @@ class IsaFault(IsaError):
 
 
 class _FlagUndef:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNDEF"
-
-    def __bool__(self):
-        raise IsaError("undefined flag used in a computation")
+    """The value of a flag that an instruction leaves undefined.  It is
+    only ever compared by identity: generated code checks every read
+    that may find it, which raises UninitializedUse (codegen)."""
 
 
 UNDEF = _FlagUndef()
@@ -170,13 +161,9 @@ class Table:
     @cached_property
     def never_undef(self) -> frozenset:
         """The indices of the outputs that are never UNDEF (sources never
-        are): those naming U neither directly nor through the prelude."""
-        undef = {"U"}
-        for n, e in self.prelude:
-            if undef.intersection(_NAME.findall(e)):
-                undef.add(n)
-        return frozenset(i for i, e in enumerate(self.outs)
-                         if not undef.intersection(_NAME.findall(e)))
+        are): those not naming U.  No prelude value names U
+        (tests/test_isa.py checks every table)."""
+        return frozenset(i for i, e in enumerate(self.outs) if "U" not in _NAME.findall(e))
 
     def sem(self) -> Callable:
         unpack = f"    {', '.join(self.args)}, = a\n" if self.args else ""
@@ -314,11 +301,10 @@ def _wrap_outputs(d: Descriptor, outs):
 
 
 def exec_intrinsic(d: Descriptor, args) -> list:
-    """Run a descriptor's pure semantics; Word in, Word out."""
-    outs = d.sem(_coerce_sources(d, args))
-    if len(outs) != len(d.destinations):
-        raise IsaError(f"{d.name}: semantics returned {len(outs)} values")
-    return _wrap_outputs(d, outs)
+    """Run a descriptor's pure semantics, which give one value per
+    destination (tests/test_isa.py validates every descriptor); Word in,
+    Word out."""
+    return _wrap_outputs(d, d.sem(_coerce_sources(d, args)))
 
 
 # Lanes of 16 to 64 bits convert through one bytes object and a struct

@@ -59,15 +59,16 @@ class LeakTrace:
     events: list
 
     def first_divergence(self, other: "LeakTrace") -> int | None:
+        """The index of the first event in which two runs of one program
+        differ, None if they do not.  Runs that take the same branches
+        emit as many events, so neither trace is a strict prefix of the
+        other (zip's `strict` would raise)."""
         a, b = self.events, other.events
         if a == b:  # every trial of a constant-time program
             return None
-        for i, (x, y) in enumerate(zip(a, b)):
+        for i, (x, y) in enumerate(zip(a, b, strict=True)):
             if x != y:
                 return i
-        if len(a) != len(b):
-            return min(len(a), len(b))
-        return None
 
 
 def run_instrumented(p: Program, entry: str, args, mem: Memory):
@@ -271,10 +272,7 @@ def ct_check(
             traces.append(tr)
         pos = traces[0].first_divergence(traces[1])
         if pos is not None:
-            ev = (
-                traces[0].events[pos] if pos < len(traces[0].events) else None,
-                traces[1].events[pos] if pos < len(traces[1].events) else None,
-            )
+            ev = (traces[0].events[pos], traces[1].events[pos])
             return Verdict(
                 kind="insecure",
                 trials=t + 1,

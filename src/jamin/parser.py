@@ -113,9 +113,6 @@ class Token:
         self.lanes = lanes
         self.assign = assign
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
-
 
 def _parse_lanes(text: str) -> tuple[int, int]:
     n, m = text.split("u")
@@ -275,14 +272,14 @@ class Parser:
                 if not self.accept("PUNCT", ","):
                     break
         body = self.parse_block()
-        f = FuncDecl(name, inline, tuple(params), tuple(rets), body)
+        f = self._loc(FuncDecl(name, inline, tuple(params), tuple(rets), body), tok)
         self._check_local_dups(f)
-        return self._loc(f, tok)
+        return f
 
     def _check_local_dups(self, f: FuncDecl):
         seen = {p.name for p in f.params}
         if len(seen) != len(f.params):
-            self.error(f"duplicate parameter name in {f.name!r}")
+            raise ParseError(f"duplicate parameter name in {f.name!r}", *f.loc)
 
         def walk(stmts):
             for s in stmts:
@@ -448,15 +445,6 @@ class Parser:
             self.error(f"expected assignment destination, found {t.text!r}", t)
         return d
 
-    def parse_width_annot(self) -> int:
-        """Consume `(uW)`; the caller has seen the `(` but not taken it."""
-        self.expect("PUNCT", "(")
-        t = self.expect("IDENT")
-        if t.text not in WIDTH_NAMES:
-            self.error(f"expected a width, found {t.text!r}", t)
-        self.expect("PUNCT", ")")
-        return WIDTH_NAMES[t.text]
-
     def parse_call_args(self) -> tuple:
         self.expect("PUNCT", "(")
         args = []
@@ -544,7 +532,8 @@ class Parser:
                 and nxt.text in WIDTH_NAMES
                 and self.peek(2).text == ")"
             ):
-                width = self.parse_width_annot()
+                self.next(), self.next(), self.next()
+                width = WIDTH_NAMES[nxt.text]
                 u = self.peek()
                 if u.kind == "PUNCT" and u.text == "[":
                     self.next()

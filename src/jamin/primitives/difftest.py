@@ -64,24 +64,14 @@ class DiffReport:
 class Shape:
     """Input sampler plus memory layout for one primitive family.
 
-    perfbench's span tracer wraps build_memory, expected_memory and
-    spec_output in each family's own class namespace, so each family
-    holds all three itself."""
-
-    name = "?"
-
-    def sample(self, rng: random.Random, index: int) -> dict:
-        raise NotImplementedError
-
-    def build_memory(self, case) -> tuple[Memory, list]:
-        """The case's initial memory, built in one Memory.from_spans call
-        of its input spans and, unless the output is an input updated in
-        place, its output span unwritten; and the entry's arguments."""
-        raise NotImplementedError
-
-    def output(self, case) -> tuple[int, int]:
-        """The address and length of the case's output."""
-        raise NotImplementedError
+    Each family defines `sample(rng, index)`, a case; `build_memory(case)`,
+    the case's initial memory, built in one Memory.from_spans call of its
+    input spans and, unless the output is an input updated in place, its
+    output span unwritten, and the entry's arguments; `output(case)`, the
+    address and length of the case's output; and `spec_output(case)`,
+    the output the specification computes.  perfbench's span tracer
+    wraps build_memory, expected_memory and spec_output in each family's
+    own class namespace, so each family holds all three itself."""
 
     def unwritten_output(self, case) -> tuple:
         """The case's output as an unwritten span of Memory.from_spans."""
@@ -95,9 +85,6 @@ class Shape:
 
     def read_output(self, case, mem: Memory) -> bytes:
         return memory.load_bytes(mem, *self.output(case))
-
-    def spec_output(self, case) -> bytes:
-        raise NotImplementedError
 
     def _length(self, rng, index):
         if index < len(BOUNDARY_LENGTHS):
@@ -213,8 +200,6 @@ def hop_difftest(
 ) -> DiffReport:
     """Check that adjacent chain entries agree on outputs and final
     memories for boundary and random inputs."""
-    if not chain:
-        raise ValueError("empty hop chain")
     shape = SHAPES[input_shape]
     rng = random.Random(seed)
     pairs = [

@@ -710,20 +710,17 @@ class _Analyzer:
         self.accesses[base] = tuple(sides)
 
     def _sanitize(self, b: Aff, upper: bool) -> Aff | None:
-        """Keep only tracked-parameter symbols in a reported bound."""
-        const = b.const
+        """Keep only tracked-parameter symbols in a reported bound.  The
+        others are untracked parameters (AbsState.interval_of leaves no
+        fresh symbol), each in [0, inf)."""
         terms = []
         for s, c in b.terms:
-            if s[0] == "p" and s[1] in self.tracked:
+            if s[1] in self.tracked:
                 terms.append((s, c))
-                continue
-            if s[0] == "p":
-                # untracked parameter, known range [0, inf)
-                if (c > 0) == upper:
-                    return None  # the bound escapes to +/- infinity
-                continue  # its minimal contribution is 0
-            return None  # leftover fresh symbol: not expressible
-        return Aff._canonical(const, tuple(terms))
+            elif (c > 0) == upper:
+                return None  # the bound escapes to +/- infinity
+            # else its minimal contribution is 0
+        return Aff._canonical(b.const, tuple(terms))
 
     # ------------------------------------------------- index findings
 
@@ -832,13 +829,11 @@ class _Analyzer:
             return st
         lv = s.dests[0]
         a, iv = self.eval(st, s.rhs)
-        if s.cond is not None:
+        if s.cond is not None:  # on a scalar register (typecheck)
             self.eval(st, s.cond)
-            if type(lv) is EVar:
-                taken = st.copy()
-                self.assign_var(taken, lv.name, a, iv)
-                return self.join(flow.key(s, self), st, taken)
-            return st
+            taken = st.copy()
+            self.assign_var(taken, lv.name, a, iv)
+            return self.join(flow.key(s, self), st, taken)
         if type(lv) is EVar:
             if isinstance(lv.ty, WordTy):
                 self.assign_var(st, lv.name, a, iv)
@@ -879,11 +874,12 @@ class _Analyzer:
 
     def _inductive_hi(self, t: Aff, var: str, entry: AbsState,
                       body_out: AbsState) -> bool:
-        """Does `var <= t` hold at loop entry and after the body?"""
+        """Does `var <= t` hold at loop entry and after the body?  Both
+        hold a value of `var`: a join makes a loop symbol only for a
+        scalar both its sides hold, and a relevant scalar loses its value
+        only at its declaration, in the same place on every pass."""
         for st in (entry, body_out):
-            a = st.vals.get(var)
-            if a is None:
-                return False
+            a = st.vals[var]
             iv = _raw_interval(st, a, None)
             if not any(_le(h, t) for h in iv.his + st.interval_of(a).his):
                 return False
@@ -1110,7 +1106,10 @@ class _Analyzer:
 def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
     """Interval of an affine value that preserves symbolic bounds when
     the value is a single fresh symbol plus a parameter-affine offset
-    (resolution would erase relations needed for join stability)."""
+    (resolution would erase relations needed for join stability).  The
+    bounds that mention `target_sym` are dropped, and no lower bound may
+    remain: every caller joins the result (Interval.join floors it at 0)
+    or reads its upper bounds only."""
     frees = [s for s in a.syms() if s[0] == "s"]
     if len(frees) == 1 and a.coeff(frees[0]) == 1:
         sym = frees[0]
@@ -1119,8 +1118,6 @@ def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
             iv = st.intervals.get(sym, TOP)
             los = tuple(b + rest for b in iv.los if target_sym not in b.syms())
             his = tuple(b + rest for b in iv.his if target_sym not in b.syms())
-            if not los and rest.nonneg():
-                los = (ZERO,)
             return Interval(los, his)
     return st.interval_of(a)
 

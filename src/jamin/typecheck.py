@@ -60,6 +60,7 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    fmt_expr,
     op_text,
     word_ty,
 )
@@ -145,7 +146,7 @@ def const_eval(e, env: dict) -> int:
         return v
     if isinstance(e, ECast):
         return const_eval(e.arg, env) & ((1 << e.width) - 1)
-    raise NotConst(type(e).__name__)
+    raise NotConst(fmt_expr(e))
 
 
 def index_error(name: str, ty: ArrayTy, i: int, width, byte_mode: bool) -> str | None:
@@ -166,6 +167,15 @@ def _vecimm_width(n: int, m: int) -> int:
     raise NotConst("immediate vector wider than 32 bits")
 
 
+def _agree(a, b) -> bool:
+    """Whether types a and b agree; an array length that is not
+    compile-time, reported where it is written, agrees with any."""
+    if isinstance(a, ArrayTy) and isinstance(b, ArrayTy):
+        unknown = not (isinstance(a.length, int) and isinstance(b.length, int))
+        return a.bits == b.bits and (unknown or a.length == b.length)
+    return a == b
+
+
 class _FnChecker:
     def __init__(self, tc: "_Checker", fn: FuncDecl):
         self.tc = tc
@@ -173,9 +183,7 @@ class _FnChecker:
         self.env: dict[str, tuple[str, object]] = {}  # in scope: name -> (storage, type)
         for p in fn.params:
             self.check_shadow(fn, p.name)
-            p.ty = tc.resolve_ty(p.ty)
             self.env[p.name] = (p.storage, p.ty)
-        fn.rets = tuple((st, tc.resolve_ty(t)) for st, t in fn.rets)
         self.locals = dict(self.env)  # every parameter and local: FuncDecl.envtypes
         self.scoped: list = []  # (name, declaration) of the block-scoped locals in scope
         self.ended: dict = {}  # a local whose block has ended -> its declaration
@@ -271,11 +279,9 @@ class _FnChecker:
         e.ty = word_ty(width)
         return e
 
-    def infer_word(self, e, width: int | None):
-        """Infer `e` then coerce it to `width` bits (if given)."""
+    def infer_word(self, e, width: int):
+        """Infer `e` then coerce it to `width` bits."""
         self.infer(e, width)
-        if width is None:
-            return e
         return self.coerce(e, width)
 
     def natural_width(self, e) -> int | None:
@@ -309,9 +315,7 @@ class _FnChecker:
                     self.err(v, "immediate vector elements must be compile-time")
             e.ty = word_ty(w)
             return
-        if isinstance(e, ECast):
-            if e.width not in LEGAL_WIDTHS:
-                self.err(e, f"illegal cast width {e.width}")
+        if isinstance(e, ECast):  # of a width the parser takes: LEGAL_WIDTHS
             self.infer(e.arg)
             if not isinstance(e.arg.ty, (WordTy, IntTy)):
                 self.err(e, f"cannot cast {e.arg.ty} to u{e.width}")
@@ -412,27 +416,20 @@ class _FnChecker:
             if not isinstance(e.right.ty, IntTy):
                 e.right = self.coerce(e.right, 8)
             return
-        if op in ARITH_OPS:
-            self.infer(e.left, expect)
-            self.infer(e.right, expect)
-            w = expect or self.natural_width(e.left) or self.natural_width(e.right)
-            if w is None:
-                e.ty = INT  # both compile-time
-                return
-            e.left = self.coerce(e.left, w)
-            e.right = self.coerce(e.right, w)
-            e.ty = word_ty(w)
+        # an arithmetic operator: the parser builds only the operators of
+        # ir._PREC, each in one of these four sets
+        self.infer(e.left, expect)
+        self.infer(e.right, expect)
+        w = expect or self.natural_width(e.left) or self.natural_width(e.right)
+        if w is None:
+            e.ty = INT  # both compile-time
             return
-        self.err(e, f"unknown operator {op!r}")
-        e.ty = word_ty(64)
+        e.left = self.coerce(e.left, w)
+        e.right = self.coerce(e.right, w)
+        e.ty = word_ty(w)
 
     def infer_intrinsic(self, e: EIntr, stmt_dests=None):
-        try:
-            d = isa.lookup(e.name)
-        except isa.UnknownInstruction:
-            self.err(e, f"unknown intrinsic #{e.name}")
-            e.ty = word_ty(64)
-            return None
+        d = isa.lookup(e.name)  # the parser rejects an unknown intrinsic
         if len(e.args) != len(d.sources):
             self.err(e, f"#{e.name} expects {len(d.sources)} arguments, got {len(e.args)}")
             e.ty = word_ty(64)
@@ -591,7 +588,7 @@ class _FnChecker:
                     vals.append(self.infer_word(v, ty.bits))
                 else:
                     self.infer(v)
-                    if ty != v.ty:
+                    if not _agree(v.ty, ty):
                         self.err(v, f"return value has type {v.ty}, expected {ty}")
                     vals.append(v)
             s.values = tuple(vals)
@@ -623,8 +620,6 @@ class _FnChecker:
             return
         if isinstance(s.rhs, EIntr) and (len(s.dests) != 1 or s.op):
             d = self.infer_intrinsic(s.rhs, stmt_dests=s.dests)
-            if d is None:
-                return
             if s.op:
                 self.err(s, "compound assignment cannot receive an intrinsic")
             if len(s.dests) != len(d.destinations):
@@ -683,7 +678,7 @@ class _FnChecker:
                 self.err(s, "arrays can only be copied whole from another array")
                 return
             self.infer(s.rhs)
-            if s.rhs.ty != ty:
+            if not _agree(s.rhs.ty, ty):
                 self.err(s, f"array copy type mismatch: {s.rhs.ty} vs {ty}")
         else:
             s.rhs = self.infer_word(s.rhs, ty.bits)
@@ -705,13 +700,12 @@ class _FnChecker:
             return
         args = []
         for a, p in zip(call.args, callee.params):
-            ty = self.tc.resolve_ty(p.ty)
-            if isinstance(ty, WordTy):
-                args.append(self.infer_word(a, ty.bits))
+            if isinstance(p.ty, WordTy):
+                args.append(self.infer_word(a, p.ty.bits))
             else:
                 self.infer(a)
-                if a.ty != ty:
-                    self.err(a, f"argument has type {a.ty}, expected {ty}")
+                if not _agree(a.ty, p.ty):
+                    self.err(a, f"argument has type {a.ty}, expected {p.ty}")
                 args.append(a)
         call.args = tuple(args)
         call.ty = None
@@ -720,10 +714,9 @@ class _FnChecker:
             return
         for lv, (_, rty) in zip(s.dests, callee.rets):
             ty = self.lval_ty(lv)
-            rty = self.tc.resolve_ty(rty)
             if ty is None:
                 continue
-            if isinstance(rty, ArrayTy) and ty != rty:
+            if isinstance(rty, ArrayTy) and not _agree(ty, rty):
                 self.err(s, f"array result type mismatch: {ty} vs {rty}")
             if isinstance(rty, WordTy) and not isinstance(ty, WordTy):
                 self.err(s, "word result needs a word destination")
@@ -744,13 +737,13 @@ class _Checker:
         self.funcs = {f.name: f for f in p.funcs}
 
     def resolve_ty(self, ty):
+        """`ty` with its array length evaluated; a length that is not
+        compile-time is reported, and stays as written."""
         if isinstance(ty, ArrayTy) and not isinstance(ty.length, int):
             try:
-                n = const_eval(ty.length, self.param_values)
+                return ArrayTy(ty.bits, const_eval(ty.length, self.param_values))
             except NotConst as exc:
                 self.errors.append(f"{_loc(ty.length)}array length is not compile-time ({exc})")
-                n = 1
-            return ArrayTy(ty.bits, n)
         return ty
 
     def run(self) -> Program:
@@ -772,6 +765,10 @@ class _Checker:
             else:
                 g.init = self.global_init(g, ty, g.init)
             self.global_tys[g.name] = ty
+        for f in self.p.funcs:  # every signature, before any call is checked
+            for q in f.params:
+                q.ty = self.resolve_ty(q.ty)
+            f.rets = tuple((st, self.resolve_ty(t)) for st, t in f.rets)
         self._check_no_recursion()
         for f in self.p.funcs:
             fc = _FnChecker(self, f)
@@ -794,12 +791,14 @@ class _Checker:
         return decl.init
 
     def _check_no_recursion(self):
-        calls: dict[str, set[str]] = {f.name: set() for f in self.p.funcs}
+        """Report each call that closes a cycle of the call graph, at
+        the call."""
+        calls: dict[str, dict] = {f.name: {} for f in self.p.funcs}  # callee -> first call
 
         def scan(stmts, into):
             for s in stmts:
                 if isinstance(s, SAssign) and isinstance(s.rhs, ECall):
-                    into.add(s.rhs.name)
+                    into.setdefault(s.rhs.name, s.rhs)
                 elif isinstance(s, SIf):
                     scan(s.then, into)
                     scan(s.els, into)
@@ -808,22 +807,21 @@ class _Checker:
 
         for f in self.p.funcs:
             scan(f.body, calls[f.name])
-        state: dict[str, int] = {}
+        done: set = set()
 
         def visit(name, trail):
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                self.errors.append(f"recursive call cycle: {' -> '.join(trail + [name])}")
-                return
-            state[name] = 1
-            for callee in sorted(calls.get(name, ())):
-                if callee in calls:
-                    visit(callee, trail + [name])
-            state[name] = 2
+            trail = trail + [name]
+            for callee, call in sorted(calls[name].items()):
+                if callee in trail:
+                    cycle = " -> ".join(trail[trail.index(callee):] + [callee])
+                    self.errors.append(f"{_loc(call)}{name}: recursive call cycle: {cycle}")
+                elif callee in calls and callee not in done:
+                    visit(callee, trail)
+            done.add(name)
 
         for f in self.p.funcs:
-            visit(f.name, [])
+            if f.name not in done:
+                visit(f.name, [])
 
 
 def typecheck(p: Program) -> Program:

@@ -47,9 +47,6 @@ class Word:
             and self.value == other.value
         )
 
-    def __hash__(self):
-        return hash((self.width, self.value))
-
     def __repr__(self):
         return f"Word({self.width}, 0x{self.value:0{self.width // 4}x})"
 

@@ -25,6 +25,7 @@ def _report(n, text):
     print(f"\nACCEPTANCE {n}: PASS - {text}")
 
 
+@pytest.mark.wallclock
 def test_criterion_1_word_laws():
     t0 = time.monotonic()
     for x in range(256):
@@ -71,6 +72,7 @@ def test_criterion_2_memory_axiom():
                "1e4 multi-width loads match the byte join")
 
 
+@pytest.mark.wallclock
 def test_criterion_3_ops_opsv_equivalence():
     t0 = time.monotonic()
     rng = random.Random(77)
@@ -314,6 +316,7 @@ def test_criterion_8_mplimb_oracles():
                f"structured extremes")
 
 
+@pytest.mark.wallclock
 def test_criterion_9_primitive_correctness():
     t0 = time.monotonic()
     # the sampler visits every boundary length first, then random <= 4096

@@ -1,5 +1,7 @@
 import json
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,10 +257,14 @@ POLY = str(CORPUS / "poly1305_ref.jz")
     ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0:-1"),
     ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0xfffffffffffffff0:0x100"),
     ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0:0x4000001"),
+    ("run", GIMLI, "--entry", "gimli", "--u64", "0", "--region", "0x10"),
+    ("difftest", GIMLI, "--entry", "gimli", "--shape", "sha256"),
+    ("difftest", "--entry", "gimli", "--shape", "gimli"),
 ], ids=["run-u64-zz", "run-too-few-args", "run-too-many-args", "run-budget-0",
         "ct-len-abc", "ct-ptr-no-len", "ct-trials-0", "bench-repetitions-0", "bench-sizes-x",
         "difftest-runs-0", "run-region-negative", "run-region-past-2^64",
-        "run-region-past-cap"])
+        "run-region-past-cap", "run-region-no-length", "difftest-unknown-shape",
+        "difftest-no-program"])
 def test_malformed_arguments_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -331,9 +337,12 @@ def test_repeated_shape_is_accepted(capsys, size):
      "3:7: invalid integer literal '0x_'"),
     ("fn f() -> reg u64 {\n  reg u64 x;\n  x = 0b_;\n  return x;\n}",
      "3:7: invalid integer literal '0b_'"),
+    ("global u64 g = 1 / 0;\nfn f() -> reg u64 {\n  reg u64 x;\n  x = g;\n  return x;\n}",
+     "1:18: global g cannot be evaluated at compile time"),
 ], ids=["negative-compile-time-shift", "index-div-by-zero", "vector-lane-overflow",
         "lane-operator-on-ints", "unrolled-index", "inlined-index", "unrolled-byte-view",
-        "not-utf-8", "leading-zero-literal", "empty-hex-literal", "empty-binary-literal"])
+        "not-utf-8", "leading-zero-literal", "empty-hex-literal", "empty-binary-literal",
+        "global-division-by-zero"])
 def test_malformed_program_exit_2(tmp_path, capsys, src, located):
     prog = tmp_path / "bad.jz"
     if isinstance(src, bytes):
@@ -571,3 +580,89 @@ def test_bench_gimli_runs_its_48_byte_state_only(capsys, program):
     code, out, err = run_cli(capsys, "bench", program, "--sizes", "0,48,4096")
     assert (code, out) == (2, "")
     assert err == f"error: {program} permutes a 48-byte state; --sizes takes 48 only\n"
+
+
+@pytest.mark.parametrize("ret, shown", [
+    ("reg u64[2]", "[Word(64, 0x0000000000000005), Word(64, 0x0000000000000006)]"),
+    ("reg bool", "False"),
+], ids=["array", "bool"])
+def test_run_prints_a_result_that_is_not_a_word(tmp_path, capsys, ret, shown):
+    """A register-array or bool result is printed as its value."""
+    prog = tmp_path / "r.jz"
+    body = ("reg u64[2] x;\n  x[0] = a;\n  x[1] = a + 1;\n  return x;" if "[" in ret
+            else "reg bool b;\n  b = a == 0;\n  return b;")
+    prog.write_text(f"fn f(reg u64 a) -> {ret} {{\n  {body}\n}}\n")
+    code, out, _ = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert (code, out) == (0, f"result[0] = {shown}\n")
+    code, out, _ = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5", "--json")
+    assert code == 0 and json.loads(out)["results"] == [{"value": shown}]
+
+
+def test_run_mem_in_that_cannot_be_read_exit_2(tmp_path, capsys):
+    missing = tmp_path / "none.hex"
+    code, out, err = run_cli(capsys, "run", GIMLI, "--entry", "gimli", "--u64", "0",
+                             "--mem-in", str(missing))
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot load memory dump: [Errno 2] No such file or directory: "
+                   f"'{missing}'\n")
+
+
+def test_ct_entry_with_an_array_parameter_exit_2(tmp_path, capsys):
+    prog = tmp_path / "a.jz"
+    prog.write_text("fn f(reg u64[2] x) {\n}\n")
+    code, out, err = run_cli(capsys, "ct", str(prog), "--entry", "f")
+    assert (code, out, err) == (2, "", "error: parameter 'x' needs a --ptr or --len shape\n")
+
+
+def test_ct_run_that_faults_is_an_error_verdict(capsys):
+    """A 4-byte region for Gimli's 48-byte state: the first trial faults."""
+    argv = ("ct", GIMLI, "--entry", "gimli", "--ptr", "state:4", "--trials", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "constant-time verdict: error (1 trials, seed 1)"
+    assert re.fullmatch(r"error: trial 0: OutOfRegion: \d+:\d+: access at 0x[0-9a-f]+ "
+                        r"outside declared regions", lines[2])
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert (code, report["verdict"], report["trials"]) == (1, "error", 1)
+    assert report["error"] == lines[2][len("error: "):]
+
+
+def test_difftest_counts_a_crash_as_a_mismatch(tmp_path, capsys):
+    """An entry that faults yields `<error>` where the others yield
+    output, and the first counterexample names it."""
+    prog = tmp_path / "crash.jz"
+    prog.write_text("fn gimli(reg u64 state) {\n  reg u64 x;\n  x = [0];\n}\n")
+    argv = ("difftest", str(prog), "--entry", "gimli", "--shape", "gimli", "--runs", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert (code, lines[1]) == (1, "  gimli_spec vs crash: 0/2 matching")
+    assert lines[2].startswith("    first counterexample: {'run': 0,")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    pair = json.loads(out)["pairs"][0]
+    assert (code, pair["failures"]) == (1, 2)
+    example = pair["counterexample"]
+    assert (example["right_output"], example["crashed"]) == ("<error>", "crash")
+    assert len(bytes.fromhex(example["left_output"])) == 48
+
+
+def test_a_closed_stdout_ends_the_command_quietly(monkeypatch):
+    """A reader that closes the pipe (`jamin isa | head -1`) ends the
+    command with exit 0, not a traceback."""
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["isa"]) == 0
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    """`python -m jamin.cli` exits with main's code."""
+    monkeypatch.setattr(sys, "argv", ["jamin", "isa", "--json"])
+    monkeypatch.delitem(sys.modules, "jamin.cli")  # run afresh, as `-m` does
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("jamin.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["instructions"]

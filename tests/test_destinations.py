@@ -156,6 +156,23 @@ def test_compound_element_store_runs_as_written_out():
                 assert (got[3], want[3]) == ((6, 3), (6, 10))
 
 
+@pytest.mark.parametrize("op", ["<<", ">>"])
+def test_a_lane_shift_compound_runs_as_written_out(op):
+    """`v <<4u64= 3` shifts each 64-bit lane of v by the u8 count 3, as
+    `v = v <<4u64 3` does."""
+    text = f"fn f(reg u256 v) -> reg u256 {{\n  v {op}4u64= 3;\n  return v;\n}}\n"
+    p = prep(text)
+    q = prep(text.replace(f"v {op}4u64= 3", f"v = v {op}4u64 3"))
+    lanes = [0x10, 0xFFFFFFFFFFFFFFFF, 0x0123456789ABCDEF, 0x8000000000000001]
+    v = sum(x << (64 * i) for i, x in enumerate(lanes))
+    mask = (1 << 64) - 1
+    want = sum(((x << 3 if op == "<<" else x >> 3) & mask) << (64 * i)
+               for i, x in enumerate(lanes))
+    for mode in MODES:
+        assert run(p, [v], mode=mode).results == run(q, [v], mode=mode).results
+        assert run(p, [v], mode=mode).results[0].value == want
+
+
 # A compound assignment is its written-out form, guard included:
 # `d op= e if c` is `d = d op e if c`.
 GUARDED = """
@@ -284,6 +301,16 @@ fn f(reg u64 a) -> reg u64 {
 @pytest.mark.parametrize("mode", MODES)
 def test_register_and_stack_array_results(mode):
     assert run(prep(ARRAYS), [10], mode=mode).results[0].value == 10 + 11 + 12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_wider_call_result_is_truncated_to_its_element(mode):
+    """A u64 result stored into a u32 register-array element keeps its
+    low 32 bits, as a u32 register does."""
+    p = prep("fn g(reg u64 a) -> reg u64 {\n  a = a + 0x500000000;\n  return a;\n}\n"
+             "fn f(reg u64 a) -> reg u64 {\n  reg u32[2] x;\n  reg u32 y;\n  reg u64 r;\n"
+             "  x[1] = g(a);\n  y = g(a);\n  r = (u64)(x[1]) + (u64)y;\n  return r;\n}\n")
+    assert run(p, [3], mode=mode).results[0].value == 3 + 3
 
 
 # ------------------------------------------- typecheck's destination errors

@@ -139,6 +139,35 @@ fn f() -> reg u64 {
     assert res[0].value == 202
 
 
+def test_compile_time_tests_fold_with_every_operator():
+    """A test of compile-time values folds (typecheck.const_eval) with
+    each comparison and bool operator, so each arm is kept or pruned."""
+    p = prep(
+        """
+param int N = 3;
+fn f(reg u64 a) -> reg u64 {
+  if (N != 3) { a = a + 1; }
+  if (N < 3) { a = a + 2; }
+  if (N <= 3) { a = a + 4; }
+  if (N > 3) { a = a + 8; }
+  if (N >= 3) { a = a + 16; }
+  if (N == 3 && N == 2) { a = a + 32; }
+  if (N == 2 || N == 3) { a = a + 64; }
+  if (!true) { a = a + 128; }
+  return a;
+}
+"""
+    )
+    assert print_program(p).splitlines()[1:-1] == [
+        "  a = a + 4;", "  a = a + 16;", "  a = a + 64;", "  return a;"]
+    assert interp.run(p, "f", [0], memory.Memory()).results[0].value == 84
+
+
+def test_an_empty_for_loop_expands_to_nothing():
+    p = prep("fn f(reg u64 a) -> reg u64 {\n  for i = 0 to 3 { }\n  return a;\n}\n")
+    assert print_program(p).splitlines()[1:-1] == ["  return a;"]
+
+
 def test_inline_call_with_compile_time_args():
     p = prep(
         """

@@ -230,6 +230,7 @@ def test_nested_loops_cost_linear_walks(monkeypatch):
             assert count == {d: n + (k - 1) * (walks[2][d] - n) for d, n in walks[1].items()}, k
 
 
+@pytest.mark.wallclock
 def test_twenty_nested_loops_analyse_in_under_a_second(tmp_path, capsys):
     src = tmp_path / "nest.jz"
     src.write_text(nested_whiles(20))

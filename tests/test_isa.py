@@ -107,6 +107,39 @@ def test_validate_all_registered():
         assert validate_descriptor(d) == [], name
 
 
+@pytest.mark.parametrize("args, message", [
+    ([Word(64, 1)], "x86_ADC_64 expects 3 arguments, got 1"),
+    ([Word(64, 1), Word(64, 2), 1], "x86_ADC_64: flag argument must be a bool, got 1"),
+    ([True, Word(64, 2), False], "x86_ADC_64: word argument expected, got True"),
+    (["1", Word(64, 2), False], "x86_ADC_64: word argument expected, got '1'"),
+], ids=["arity", "flag", "bool-for-word", "text-for-word"])
+def test_exec_intrinsic_rejects_malformed_arguments(args, message):
+    with pytest.raises(isa.IsaError) as err:
+        isa.exec_intrinsic(isa.lookup("x86_ADC_64"), args)
+    assert str(err.value) == message
+
+
+def test_a_name_is_registered_once():
+    d = isa.lookup("x86_ADD_64")
+    with pytest.raises(isa.IsaError, match="^duplicate descriptor x86_ADD_64$"):
+        isa.register(d)
+    assert isa.lookup("x86_ADD_64") is d
+
+
+def test_no_prelude_value_names_undef():
+    """Table.never_undef reads only the outputs' own expressions."""
+    for name, d in isa.registry().items():
+        if d.table is not None:
+            assert not any("U" in isa._NAME.findall(e) for _, e in d.table.prelude), name
+
+
+def test_no_instruction_has_a_flag_as_its_one_destination():
+    """An intrinsic in an expression has one destination (typecheck), so
+    its value is a word, never an UNDEF flag (codegen.Assigned)."""
+    assert not [name for name, d in isa.registry().items()
+                if len(d.destinations) == 1 and d.dst_widths[0] == "flag"]
+
+
 def test_validate_catches_duplicate_destination():
     d = isa.Descriptor(
         name="bogus_dup",

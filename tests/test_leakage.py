@@ -125,6 +125,76 @@ def test_ct_check_catches_secret_branch():
     assert "s" in infer_public(SECRET_BRANCH, "f")
 
 
+def test_runs_of_different_lengths_part_at_a_branch():
+    """With a secret loop count neither trace is a prefix of the other:
+    they part at the test that ends the shorter run's loop."""
+    p = prep("""
+fn f(reg u64 s) -> reg u64 {
+  reg u64 i;
+  i = 0;
+  while (i < (s & 3)) { i = i + 1; }
+  return i;
+}
+""")
+    v = ct_check(p, "f", PublicSpec.of([]), trials=100, seed=1, shape={"s": Val(64)})
+    assert v.kind == "insecure"
+    assert sorted(v.witness.events) == [("branch", False), ("branch", True)]
+
+
+def test_a_secret_length_takes_one_value_per_trial():
+    """A length left out of the public set is sampled once per trial, so
+    a loop it bounds is no witness; infer_public still names it."""
+    p = prep("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, s;
+  i = 0;
+  s = 0;
+  while (i < n) { s = s + (u64)(u8)[p + i]; i = i + 1; }
+  return s;
+}
+""")
+    spec = PublicSpec.of(["p"])
+    v = ct_check(p, "f", spec, trials=200, seed=1, shape={"p": Ptr("n"), "n": Len(max=16)})
+    assert v.secure and v.trials == 200
+    assert infer_public(p, "f") == {"p", "n"}
+    assert not covered_by(infer_public(p, "f"), spec)
+
+
+def test_ct_check_needs_a_trial():
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        ct_check(SECRET_BRANCH, "f", PublicSpec.of(["p"]), trials=0, seed=1,
+                 shape={"s": Val(64), "p": Val(64)})
+
+
+def test_a_load_through_an_unknown_pointer_may_read_every_region():
+    """`[a]`, with a loaded, may read any region: what was stored into p
+    (k) leaks with it.  A load from a public region leaks nothing secret."""
+    p = prep("""
+fn f(reg u64 p, reg u64 q, reg u64 k) -> reg u64 {
+  reg u64 a, r;
+  [p] = k;
+  a = [q];
+  r = [a];
+  if (r == 0) { r = 1; }
+  return r;
+}
+""")
+    assert infer_public(p, "f") == {"k", "mem[?]", "mem[p]", "mem[q]", "p", "q"}
+    known = prep("""
+fn f(reg u64 p, reg u64 q, reg u64 k) -> reg u64 {
+  reg u64 r;
+  [p] = k;
+  r = [q];
+  if (r == 0) { r = 1; }
+  return r;
+}
+""")
+    inferred = infer_public(known, "f")
+    assert inferred == {"mem[q]", "p", "q"}
+    assert covered_by(inferred, PublicSpec.of(["p", "q"], public_regions=["q"]))
+    assert not covered_by(inferred, PublicSpec.of(["p", "q"]))
+
+
 def test_ct_check_catches_secret_address():
     p = prep(
         """

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 
@@ -260,6 +261,20 @@ def test_parse_dump_rejects_a_cell_that_is_not_a_byte():
             memory.parse_dump(f"00001000: 00 {cell}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("zz: 00\n", "bad dump line 1: 'zz: 00'"),
+    ("# a comment\n\n00001000:" + " 00" * 17 + "\n", "dump line 3 has more than 16 bytes"),
+], ids=["address", "long-row"])
+def test_parse_dump_rejects_a_malformed_line(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        memory.parse_dump(text)
+
+
+def test_parse_dump_skips_blank_and_comment_lines():
+    m = memory.parse_dump("# written by hand\n\n  \n00001000: 07 ..\n# end\n")
+    assert memory.dump(m) == "00001000: 07 ..\n"
+
+
 def test_parse_dump_names_the_line_of_a_cell_that_is_not_hex():
     for cell in ("zz", "0g", "1.5"):
         with pytest.raises(ValueError, match=f"^dump line 2: '{cell}' is not a byte$"):
@@ -272,6 +287,7 @@ def _parse_timed(text: str):
     return m, time.perf_counter() - start
 
 
+@pytest.mark.wallclock
 def test_large_dumps_parse_in_linear_time():
     """A dump's rows are the spans of one Memory.from_spans call, which
     builds each region once: 256 KiB parse in well under a second (about

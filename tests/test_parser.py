@@ -116,6 +116,50 @@ def test_unknown_intrinsic_rejected():
         parse("fn f(reg u64 x) { x = #nope(x); }")
 
 
+def body(text: str) -> str:
+    return f"fn f(reg u64 a, reg u64 p) {{\n  reg u64 r;\n  {text}\n}}\n"
+
+
+# name -> (source, the ParseError).  `cast-width` and `view-width` show
+# that the parser builds no access or cast of a width outside
+# words.WIDTHS, and `unknown-operator` no operator outside ir._PREC, so
+# typecheck checks neither.
+PARSE_ERRORS = {
+    "top-level-statement": ("x = 1;\n", "1:1: expected declaration, found 'x'"),
+    "duplicate-parameter": ("fn f(reg u64 a, reg u64 a) {\n}\n",
+                            "1:1: duplicate parameter name in 'f'"),
+    "unknown-type": ("fn f(reg u99 a) {\n}\n", "1:10: unknown type 'u99'"),
+    "initializer-names": (body("reg u64 x, y = 1;"),
+                          "3:3: an initializer requires a single declared name"),
+    "no-expression": (body("r = ;"), "3:7: expected expression, found ';'"),
+    "cast-width": (body("r = (u7)a;"), "3:11: expected ';', found 'a'"),
+    "view-width": (body("r = (u7)[p];"), "3:11: expected ';', found '['"),
+    "unknown-operator": (body("r = a ** a;"), "3:10: expected expression, found '*'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_ERRORS))
+def test_parse_error_message(name):
+    text, message = PARSE_ERRORS[name]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_typecheck_types_every_operator_the_parser_builds():
+    from jamin import typecheck as tc
+
+    assert set(ir._PREC) <= tc.ARITH_OPS | tc.SHIFT_OPS | tc.CMP_OPS | tc.BOOL_OPS
+
+
+def test_bool_literals_and_call_statements_print_back():
+    p = roundtrip("fn g(reg u64 x) {\n  x = x;\n}\n"
+                  "fn f(reg u64 x) {\n  reg bool b;\n  b = true;\n  b = false;\n  g(x);\n}\n")
+    assert ["  b = true;", "  b = false;", "  g(x);"] == print_program(p).splitlines()[-4:-1]
+    with pytest.raises(KeyError, match="no function named 'h'"):
+        p.func("h")
+
+
 def test_comments_and_hex():
     p = parse(
         """

@@ -224,3 +224,15 @@ def test_poly1305_avx2_branches_on_256():
     from jamin.primitives.corpus import load_source
 
     assert "256 <= inl" in load_source("poly1305_avx2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chacha20_block(bytes(31), bytes(12), 0), "key must be exactly 32 bytes"),
+    (lambda: chacha20_block(bytes(32), bytes(8), 0), "nonce must be exactly 12 bytes"),
+    (lambda: gimli([0] * 11), "state must be 12 words"),
+    (lambda: gimli_bytes(bytes(47)), "state must be 48 bytes"),
+    (lambda: poly1305_mac(bytes(16), b""), "key must be exactly 32 bytes"),
+], ids=["chacha20-key", "chacha20-nonce", "gimli-words", "gimli-bytes", "poly1305-key"])
+def test_specifications_reject_inputs_of_the_wrong_size(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -440,3 +440,163 @@ def test_aff_ratio_matches_model(du, other, k, proportional):
     assert c == model_ratio(model(dv), model(du))
     if c is not None:
         assert type(c) is int or c.denominator != 1
+
+
+# Rules of the range analysis that the corpus leaves unreached, the
+# non-affine ones first: each of those programs reads the byte at p + t
+# for a t that no affine value gives.  Every run of a program must read
+# only inside the range the analysis reports for p, under that run's
+# parameters (the containment of criterion 7, on small programs).
+# name -> (source, tracked, the reported range, runs: each the arguments
+# after p and the byte at q).  The runs reach every rule's extremes.
+P, Q = 0x10000, 0x20000
+
+RULES = {
+    # interval subtraction: 15 - [0; 7] is [8; 15]
+    "subtract": ("""
+fn f(reg u64 p, reg u64 x) -> reg u64 {
+  reg u64 t, r;
+  t = 15 - (x & 7);
+  r = (u64)(u8)[p + t];
+  return r;
+}""", [], "p + [8; 16)", [([x], 0) for x in range(10)]),
+    # _iv_mul of two constant ranges: [0; 3] * [0; 3] is [0; 9]
+    "multiply": ("""
+fn f(reg u64 p, reg u64 x, reg u64 y) -> reg u64 {
+  reg u64 t, r;
+  t = ((u64)(u8)x & 3) * ((u64)(u8)y & 3);
+  r = (u64)(u8)[p + t];
+  return r;
+}""", [], "p + [0; 10)", [([x, y], 0) for x in range(5) for y in range(5)]),
+    # _iv_mul by a range without a constant upper bound: unbounded above;
+    # `&` of two such ranges is bounded by its width
+    "multiply-symbolic": ("""
+fn f(reg u64 p, reg u64 x, reg u64 n) -> reg u64 {
+  reg u64 t, u, r;
+  t = (x & 3) * n;
+  u = t & t;
+  r = (u64)(u8)[p + u];
+  return r;
+}""", ["n"], "p + [0; 18446744073709551616)", [([x, n], 0) for x in range(4) for n in range(4)]),
+    # a lane operator's value: the lanes' whole width
+    "lanes": ("""
+fn f(reg u64 p, reg u256 v) -> reg u64 {
+  reg u256 w;
+  reg u64 t, r;
+  w = v +4u64 v;
+  t = (u64)w & 15;
+  r = (u64)(u8)[p + t];
+  return r;
+}""", [], "p + [0; 16)", [([v], 0) for v in (0, 7, 1 << 63, (1 << 256) - 1, 0x0f0e << 100)]),
+    # a shift by a count that is not constant: the width of its value
+    "shift": ("""
+fn f(reg u64 p, reg u64 x, reg u64 y) -> reg u64 {
+  reg u64 t, r;
+  t = (x >> y) & 15;
+  r = (u64)(u8)[p + t];
+  return r;
+}""", [], "p + [0; 16)", [([x, y], 0) for x in (0, 15, 255, 1 << 63) for y in (0, 1, 4, 63)]),
+    # a single-destination intrinsic: the width of its destination
+    "intrinsic": ("""
+fn f(reg u64 p, reg u64 x) -> reg u64 {
+  reg u64 t, u, r;
+  t = #x86_MOV_64(x);
+  u = t & 15;
+  r = (u64)(u8)[p + u];
+  return r;
+}""", [], "p + [0; 16)", [([x], 0) for x in (0, 9, 15, 16, 1 << 63)]),
+    # four incomparable lower bounds: a bound set keeps three, 0 among them
+    "lower-bounds": ("""
+fn f(reg u64 p, reg u64 q, reg u64 a, reg u64 b, reg u64 c, reg u64 d) -> reg u64 {
+  reg u64 i, r;
+  r = 0;
+  i = (u64)(u8)[q];
+  if (i >= a) { if (i >= b) { if (i >= c) { if (i >= d) { if (i < 16) {
+    r = (u64)(u8)[p + i];
+  } } } } }
+  return r;
+}""", ["a", "b", "c", "d"], "p + [a; 16)",
+        [([Q, a, b, c, d], i) for a, b, c, d in ((0, 1, 2, 3), (3, 2, 1, 0), (5, 0, 9, 2))
+         for i in (0, 4, 9, 15, 16)]),
+    # `<<` and `*` by a constant keep an offset affine in the counter
+    "shift-left": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, s;
+  i = 0;
+  s = 0;
+  while (i < n) { s = s + (u64)(u8)[p + (i << 3)]; i = i + 1; }
+  return s;
+}""", ["n"], "p + [0; -7 + 8*n)", [([n], 0) for n in range(5)]),
+    "times-constant": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, j, s;
+  i = 0;
+  s = 0;
+  while (i < n) { j = 8 * i; s = s + (u64)(u8)[p + j]; i = i + 1; }
+  return s;
+}""", ["n"], "p + [0; -7 + 8*n)", [([n], 0) for n in range(5)]),
+    # a join whose driver's new value is bounded below only by the
+    # driver's own loop symbol, a bound the join drops
+    "self-bounded-driver": ("""
+fn f(reg u64 p) -> reg u64 {
+  reg u64 j, k, s;
+  j = 0;
+  k = 0;
+  s = 0;
+  while (j == k) { s = s + (u64)(u8)[p + k]; j = k + 3; k = j + k; }
+  return s;
+}""", [], "p + [-inf; inf)", [([], 0)]),
+    # a return value, a bool destination and a bool literal that the
+    # analysis evaluates, and a global array's element
+    "return": ("""
+fn f(reg u64 p) -> reg u64 {
+  return (u64)(u8)[p + 2];
+}""", [], "p + [2; 3)", [([], 0)] * 2),
+    "bool-destination": ("""
+fn f(reg u64 p, reg u64 x) -> reg u64 {
+  reg bool c;
+  reg u64 r;
+  r = 0;
+  c = (u64)(u8)[p + x] == 1;
+  if (c) { r = (u64)(u8)[p + x + 1]; }
+  return r;
+}""", ["x"], "p + [x; 2 + x)", [([x], 0) for x in range(8)]),
+    "bool-literal": ("""
+fn f(reg u64 p) -> reg u64 {
+  reg bool c;
+  reg u64 r;
+  r = 0;
+  c = true;
+  if (c) { r = (u64)(u8)[p + 1]; }
+  return r;
+}""", [], "p + [1; 2)", [([], 0)] * 2),
+    "global-array": ("""
+global u64[2] G = {1, 2};
+fn f(reg u64 p) -> reg u64 {
+  reg u64 r;
+  r = G[1] + (u64)(u8)[p + 3];
+  return r;
+}""", [], "p + [3; 4)", [([], 0)] * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_reported_ranges_contain_every_run(name):
+    text, tracked, want, runs = RULES[name]
+    p = prep(text)
+    pointers = ["p", "q"] if "reg u64 q" in text else ["p"]
+    rep = safety.analyze(p, "f", pointers, tracked)
+    assert (rep.failures, rep.findings) == ([], [])
+    assert rep.machine_lines()[0] == f"range(p) = {want}"
+    params = [q.name for q in p.func("f").params]
+    data = bytes(range(1, 65))
+    seen = set()
+    for args, byte in runs:
+        m = memory.Memory.from_spans([(P, data), (Q, bytes([byte]))])
+        lo, hi = bound_range(rep, "p", dict(zip(params[1:], args)))
+        trace: list = []
+        interp.run(p, "f", [P, *args], m, trace=trace)
+        offsets = [ev[1][0] - P for ev in trace if ev[0] == "addr" and P <= ev[1][0] < Q]
+        assert all(lo <= o < hi for o in offsets), (args, byte, lo, hi, offsets)
+        seen.update(offsets)
+    assert seen

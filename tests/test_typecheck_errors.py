@@ -169,11 +169,8 @@ def body(text: str) -> str:
             "fn h(reg u64 y) -> reg u64 {\n  return y;\n}\nparam int N = 1;\n")
 
 
-# name -> (program, its one message).  Two messages of typecheck have no
-# row, since no source reaches them: `illegal cast width` (the parser
-# takes only the widths of words.WIDTHS in a cast) and `unknown
-# intrinsic` (the parser rejects an unknown intrinsic first, in the same
-# words, as the last row shows).
+# name -> (program, its one message).  `unknown-intrinsic` is the
+# parser's message: typecheck relies on it and checks no intrinsic name.
 MESSAGES = {
     "not-a-bool": (body("reg bool b;\n  b = !a;"), "3:7: f: ! expects a bool"),
     "not-a-word": (body("reg u64 x;\n  x = ~c;"), "3:7: f: ~ expects a word"),
@@ -217,10 +214,22 @@ MESSAGES = {
     "inline-without-initializer": (body("inline int n;"),
                                    "2:3: f: inline variables need an initializer"),
     "array-length": (body("reg u64[a] x;"), "2:11: array length is not compile-time (a)"),
+    "array-length-access": (body("reg u64[a[0]] x;"),
+                            "2:11: array length is not compile-time (a[0])"),
     "global-arity": ("global u64[2] g = {1, 2, 3};\n" + body("a = 1;"),
                      "1:1: global g: initializer arity mismatch"),
     "global-scalar": ("global u64 g = {1, 2};\n" + body("a = 1;"),
                       "1:1: global g: scalar takes a single initializer"),
+    # g's signature is resolved once, before f's calls: one report, and
+    # no argument error against a made-up length
+    "signature-once": ("fn f(reg u64 a) {\n  reg u64[2] x;\n  x[0] = a;\n  g(x);\n  g(x);\n}\n"
+                       "fn g(reg u64[b] y) {\n  y[0] = 1;\n}\n",
+                       "7:14: array length is not compile-time (b)"),
+    "copy-of-unknown-length": (body("reg u64[b] x;\n  reg u64[2] y;\n  x = y;"),
+                               "2:11: array length is not compile-time (b)"),
+    "recursion": ("fn f(reg u64 a) -> reg u64 {\n  a = g(a);\n  return a;\n}\n"
+                  "fn g(reg u64 a) -> reg u64 {\n  a = f(a);\n  return a;\n}\n",
+                  "6:7: g: recursive call cycle: f -> g -> f"),
 }
 
 

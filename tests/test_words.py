@@ -126,3 +126,13 @@ def test_arithmetic_matches_bigint(x, y):
 def test_sar():
     assert words.sar(Word(8, 0x80), 1).value == 0xC0
     assert words.sar(Word(8, 0x40), 1).value == 0x20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Word(7, 0), "unsupported word width 7"),
+    (lambda: words.join([], 64), "cannot join an empty list"),
+    (lambda: words.join([Word(32, 1), Word(16, 2)], 48), "join requires uniform sub-word width"),
+], ids=["width", "join-empty", "join-mixed"])
+def test_word_layer_rejects_malformed_words(call, message):
+    with pytest.raises(words.WordError, match=f"^{message}$"):
+        call()

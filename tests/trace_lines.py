@@ -8,14 +8,23 @@ strings) is not traced.  Pytest's arguments follow the script's; by
 default it runs the whole suite:
 
     PYTHONPATH=src python tests/trace_lines.py [PYTEST ARGS...]
+    PYTHONPATH=src python tests/trace_lines.py --check tests/trace_allowlist.txt
+
+With `--check ALLOWLIST` it then compares the report with the allowlist
+(see `read_allowlist`) and exits 1 on a statement not run that no entry
+names, or an entry that names no such statement, else with pytest's
+status.  Over the whole suite
+that takes 4 to 5 minutes on 2 CPUs of a shared host, about four times
+a plain run, which is why it is no tier-1 test.
 
 A statement is counted when a line of its own code ran: for a compound
 statement (if, while, for, def, ...) its header, up to its first nested
 statement.  Lines that hold no code (a `try:`, an `else:`) are never
 counted, and a module no test imports is reported whole.  Tracing makes
-the run several times slower than a plain pytest run, so a test that
-times itself may fail under it; the report still covers every test
-that ran.  The exit status is pytest's.
+the run several times slower, so the tests marked `wallclock`, which
+assert a wall-clock bound, are deselected (`-m "not wallclock"`; a
+`-m` among the pytest arguments replaces it).  Without `--check` the
+exit status is pytest's.
 """
 
 import ast
@@ -68,7 +77,51 @@ def missed(path: Path, ran: set) -> list:
     return out
 
 
+def read_allowlist(path: Path) -> list:
+    """The entries of allowlist `path`: (module path, statement text or
+    "*", reason) of each line `<module path> | <text> | <reason>`, where
+    <text> is the first line of a statement, stripped, and "*" stands for
+    every statement of the module.  Blank lines and `#` lines are
+    comments; a line without a reason is an error."""
+    out = []
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        module, sep, rest = line.partition(" | ")
+        text, sep2, reason = rest.rpartition(" | ")
+        if not (sep and sep2 and text.strip() and reason.strip()):
+            raise SystemExit(f"{path}:{n}: expected '<module> | <statement> | <reason>'")
+        out.append((module.strip(), text.strip(), reason.strip()))
+    return out
+
+
+def check(report: dict, entries: list) -> int:
+    """Print each statement of `report` (module path -> [(line, text)]
+    not run) that no allowlist entry names, and each entry that names no
+    such statement; 1 if there is any, else 0."""
+    used = set()
+    bad = 0
+    for module, stmts in report.items():
+        for line, text in stmts:
+            hits = [e for e in entries if e[0] == module and e[1] in ("*", text)]
+            used.update(hits)
+            if not hits:
+                bad += 1
+                print(f"not run and not allowlisted: {module}:{line}: {text}")
+    for e in entries:
+        if e not in used:
+            bad += 1
+            print(f"allowlisted but run (or gone): {e[0]} | {e[1]}")
+    print(f"check: {bad} problem(s)")
+    return int(bad > 0)
+
+
 def main(argv) -> int:
+    allowlist = None
+    if argv[:1] == ["--check"]:
+        if len(argv) < 2:
+            raise SystemExit("usage: trace_lines.py --check ALLOWLIST [PYTEST ARGS...]")
+        allowlist, argv = read_allowlist(Path(argv[1])), argv[2:]
     ran: dict = {}  # filename -> the lines that ran
 
     def local(frame, event, arg):
@@ -86,18 +139,22 @@ def main(argv) -> int:
     sys.settrace(tracer)
     threading.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "-m", "not wallclock", *argv])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = 0
+    report = {}
     for path in sorted(SRC.rglob("*.py")):
         lines = missed(path, ran.get(str(path), set()))
-        total += len(lines)
         if lines:
-            print(f"{path.relative_to(ROOT)}: {len(lines)} statements not run")
-            print("  lines " + ", ".join(map(str, lines)))
-    print(f"total: {total} statements not run")
+            text = path.read_text().splitlines()
+            report[str(path.relative_to(ROOT))] = [(n, text[n - 1].strip()) for n in lines]
+    for module, stmts in report.items():
+        print(f"{module}: {len(stmts)} statements not run")
+        print("  lines " + ", ".join(str(n) for n, _ in stmts))
+    print(f"total: {sum(map(len, report.values()))} statements not run")
+    if allowlist is not None:
+        return check(report, allowlist) or int(status)
     return int(status)
 
 
