@@ -19,15 +19,13 @@ come from its expanded declarations.
 
 The result is marked `expanded`; it is the only program the back ends
 (interp, safety, leakage) accept, and they rely on its contract without
-rechecking it: no `for` loop (only repeat nodes), inline call,
-compound assignment or immediate vector remains (`d op= e [if c]` is
-`d = d op e [if c]`, its `d op e` at the statement's location); every
-compile-time (`int`) expression is a literal; no scalar global is
-read (a read is its value) and `globals` holds arrays only; every array
-access is typed; every register-array and global-array index is a
-literal in bounds, and so is every other constant index; and every
-literal count of a shift that is not lane-wise lies in [0, w] at the
-shift's width w.  An index or count
+rechecking it: no `for` loop (only repeat nodes), inline call or
+immediate vector remains; every compile-time (`int`) expression is a
+literal; no scalar global is read (a read is its value) and `globals`
+holds arrays only; every array access is typed; every register-array
+and global-array index is a literal in bounds, and so is every other
+constant index; and every literal count of a shift that is not
+lane-wise lies in [0, w] at the shift's width w.  An index or count
 that unrolling, inlining or a global's value puts out of range, and a
 register-array or global-array index that does not fold, is an
 ExpandError at its location, naming the array as the source does.
@@ -241,16 +239,12 @@ class _Expander:
     def expand_stmt(self, s, env: dict):
         k = type(s)
         if k is SAssign:
-            rhs = s.rhs
-            if s.op:  # d op= e is d = d op e, typed and located as typecheck types d op e
-                rhs = EBin(s.op, s.dests[0], rhs, s.lanes)
-                rhs.ty, rhs.loc = s.dests[0].ty, s.loc
             dests = tuple([self.dest(d, env) for d in s.dests])
-            rhs = self.subst(rhs, env)
+            rhs = self.subst(s.rhs, env)
             cond = self.subst(s.cond, env) if s.cond is not None else None
             if type(rhs) is ECall:
                 return self.maybe_inline(s, dests, rhs, cond, env)
-            return [_copy(s, dests=dests, op=None, rhs=rhs, lanes=None, cond=cond)]
+            return [_copy(s, dests=dests, rhs=rhs, cond=cond)]
         if k is SDecl:
             if s.storage == "inline":
                 for nm in s.names:
@@ -390,7 +384,7 @@ class _Expander:
                 dest = EVar(nm)
                 dest.ty = p.ty
                 out.append(SDecl(p.storage, p.ty, (nm,), None))
-                out.append(SAssign((dest,), None, a))
+                out.append(SAssign((dest,), a))
         # every declared local gets a call-site-unique name
         for nm in _decl_names(callee.body):
             env2[nm] = f"{nm}__{tag}"
@@ -401,7 +395,7 @@ class _Expander:
         out.extend(body)
         for d, v in zip(dests, values):
             r = _resized(v, d.ty)  # a literal resized is folded, as expanding it again would
-            out.append(SAssign((d,), None, r if r is v else self.fold(r, env2)))
+            out.append(SAssign((d,), r if r is v else self.fold(r, env2)))
         return out
 
     def function(self, f: FuncDecl) -> FuncDecl:

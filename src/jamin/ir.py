@@ -229,9 +229,7 @@ class SDecl(_Node):
 @dataclass(slots=True)
 class SAssign(_Node):
     dests: tuple  # of Lval; empty for a bare call statement
-    op: Optional[str]  # compound-assignment operator, None for plain '=' (and after expand)
-    rhs: Expr
-    lanes: Optional[tuple[int, int]] = None
+    rhs: Expr  # the parser writes `d op= e` as `d = d op e`
     cond: Optional[Expr] = None  # `x = e if c;`
 
 
@@ -411,8 +409,7 @@ def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
         if not s.dests:
             return [f"{pad}{rhs};"]
         dests = ", ".join("_" if type(d) is LIgnore else fmt_expr(d) for d in s.dests)
-        eq = f"{op_text(s.op, s.lanes)}=" if s.op else "="
-        return [f"{pad}{dests} {eq} {rhs}{guard};"]
+        return [f"{pad}{dests} = {rhs}{guard};"]
     if isinstance(s, SIf):
         out = [f"{pad}if ({fmt_expr(s.cond)}) {{"]
         out += _fmt_block(s.then, indent + 1)

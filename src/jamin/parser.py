@@ -411,25 +411,37 @@ class Parser:
             name = self.next().text
             args = self.parse_call_args()
             self.expect("PUNCT", ";")
-            return self._loc(SAssign((), None, ECall(name, args)), tok)
+            return self._loc(SAssign((), ECall(name, args)), tok)
 
+        start = self.pos
         dests = [self.parse_dest()]
         while self.accept("PUNCT", ","):
             dests.append(self.parse_dest())
-        op_tok = self.peek()
-        op = None
-        lanes = None
-        if op_tok.kind == "OP" and op_tok.assign:
+        op = self.peek()
+        if op.kind == "OP" and op.assign:
             self.next()
-            op, lanes = op_tok.op, op_tok.lanes
         else:
-            self.expect("EQUALS")
+            op = self.expect("EQUALS")
         rhs = self.parse_expr()
         cond = None
         if self.accept("IDENT", "if"):
             cond = self.parse_expr()
         self.expect("PUNCT", ";")
-        return self._loc(SAssign(tuple(dests), op, rhs, lanes, cond), tok)
+        if op.kind == "OP":  # d op= e [if c] is d = d op e [if c]
+            if type(rhs) is ECall:
+                self.error("calls cannot use compound assignment", tok)
+            if type(rhs) is EIntr:
+                self.error("compound assignment cannot receive an intrinsic", tok)
+            if len(dests) != 1:
+                self.error("multi-destination assignment requires an intrinsic or call", tok)
+            if type(dests[0]) not in (EVar, EArr):
+                self.error("compound assignment needs a register or an array element "
+                           "as destination", tok)
+            end, self.pos = self.pos, start
+            read = self.parse_dest()  # a fresh node for d, at d's location
+            self.pos = end
+            rhs = self._loc(EBin(op.op, read, rhs, op.lanes), tok)
+        return self._loc(SAssign(tuple(dests), rhs, cond), tok)
 
     def parse_dest(self):
         """`_`, or the variable, element or memory access a destination

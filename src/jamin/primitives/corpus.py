@@ -2,14 +2,12 @@
 
 Each program carries the metadata the tools need: entry point, the
 constant-time public specification, sampling shapes for the checker,
-and the pointer/tracked sets for the range analysis.  The corpus
-directory can be overridden with the JAMIN_CORPUS environment
-variable.
+and the pointer/tracked sets for the range analysis.  The programs
+are the `.jz` files of the package's `corpus` directory.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,12 +16,7 @@ from ..leakage import Len, Ptr, PublicSpec, Val
 from ..parser import parse
 from ..typecheck import typecheck
 
-_DEFAULT_DIR = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def corpus_dir() -> Path:
-    override = os.environ.get("JAMIN_CORPUS")
-    return Path(override) if override else _DEFAULT_DIR
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 @dataclass(frozen=True)
@@ -103,12 +96,11 @@ _cache: dict[str, object] = {}
 
 def load_program(name: str):
     """Parse, typecheck and expand one corpus program (cached)."""
-    key = (str(corpus_dir()), name)
-    if key not in _cache:
-        _cache[key] = expand(typecheck(parse(load_source(name))))
-    return _cache[key]
+    if name not in _cache:
+        _cache[name] = expand(typecheck(parse(load_source(name))))
+    return _cache[name]
 
 
 def load_source(name: str) -> str:
     """The text of one corpus program."""
-    return (corpus_dir() / f"{name}.jz").read_text()
+    return (CORPUS_DIR / f"{name}.jz").read_text()

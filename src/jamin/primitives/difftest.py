@@ -199,7 +199,10 @@ def hop_difftest(
     chain, runs: int, seed: int, input_shape: str, stop_on_failure: bool = False
 ) -> DiffReport:
     """Check that adjacent chain entries agree on outputs and final
-    memories for boundary and random inputs."""
+    memories for boundary and random inputs; a chain of fewer than two
+    entries, which compares nothing, is a ValueError."""
+    if len(chain) < 2:
+        raise ValueError(f"a hop chain needs two or more entries, got {len(chain)}")
     shape = SHAPES[input_shape]
     rng = random.Random(seed)
     pairs = [

@@ -76,7 +76,7 @@ LANE_OPS = frozenset(words.LANES)
 
 class TypecheckError(Exception):
     def __init__(self, errors):
-        self.errors = list(errors)
+        self.errors = list(dict.fromkeys(errors))  # an error repeated, same text and place, once
         super().__init__("\n".join(self.errors))
 
 
@@ -360,26 +360,28 @@ class _FnChecker:
             return
         raise TypeError(f"not an expression: {e!r}")
 
-    def check_lanes(self, node, op, lanes):
-        """Report, at `node`, a lane annotation (n, m) of operator op that
-        names no lane operator: op has no lane form, or the shape is not
-        n lanes of a legal width m filling 128 or 256 bits."""
-        n, m = lanes
-        if op not in LANE_OPS:
-            self.err(node, f"operator {op!r} takes no lane annotation")
-        if n * m not in (128, 256) or m not in LEGAL_WIDTHS:
-            self.err(node, f"illegal lane shape {n}u{m}")
-
     def infer_bin(self, e: EBin, expect):
         op = e.op
-        if e.lanes:
-            self.check_lanes(e, op, e.lanes)
-            total = e.lanes[0] * e.lanes[1]
-            e.left = self.infer_word(e.left, total)
-            if op in ("<<", ">>"):
+        if e.lanes:  # n lanes of a legal width m filling 128 or 256 bits
+            n, m = e.lanes
+            total = n * m
+            if op not in LANE_OPS:
+                self.err(e, f"operator {op!r} takes no lane annotation")
+            legal = total in (128, 256) and m in LEGAL_WIDTHS
+            if not legal:
+                self.err(e, f"illegal lane shape {n}u{m}")
+            shift = op in ("<<", ">>")
+            operands = (e.left,) if shift else (e.left, e.right)  # a lane shift's count is a u8
+            for a in operands:
+                self.infer(a, total)
+            bits = [a.ty.bits for a in operands if isinstance(a.ty, WordTy) and a.ty.bits != total]
+            if legal and bits:  # each word operand has the shape's width
+                self.err(e, f"lane shape {n}u{m} does not fit u{bits[0]}")
+            e.left = self.coerce(e.left, total)
+            if shift:
                 e.right = self.infer_word(e.right, 8)
             else:
-                e.right = self.infer_word(e.right, total)
+                e.right = self.coerce(e.right, total)
             e.ty = word_ty(total)
             return
         if op in BOOL_OPS:
@@ -618,10 +620,8 @@ class _FnChecker:
         if isinstance(s.rhs, ECall):
             self.check_call(s)
             return
-        if isinstance(s.rhs, EIntr) and (len(s.dests) != 1 or s.op):
+        if isinstance(s.rhs, EIntr) and len(s.dests) != 1:
             d = self.infer_intrinsic(s.rhs, stmt_dests=s.dests)
-            if s.op:
-                self.err(s, "compound assignment cannot receive an intrinsic")
             if len(s.dests) != len(d.destinations):
                 self.err(
                     s,
@@ -648,28 +648,7 @@ class _FnChecker:
         if ty is None:
             self.infer(s.rhs)
             return
-        if s.op:
-            # x op= e  behaves as  x = x op e  at the destination width
-            if not isinstance(ty, WordTy):
-                self.err(s, "compound assignment needs a word destination")
-                return
-            if isinstance(lv, EMem):
-                self.err(s, "compound assignment needs a register or an array element "
-                            "as destination")
-                return
-            if s.lanes:
-                self.check_lanes(s, s.op, s.lanes)
-                if s.lanes[0] * s.lanes[1] != ty.bits:
-                    self.err(s, f"lane shape {s.lanes[0]}u{s.lanes[1]} does not fit u{ty.bits}")
-            if s.op in ("<<", ">>") and s.lanes:
-                s.rhs = self.infer_word(s.rhs, 8)
-            elif s.op in SHIFT_OPS:
-                self.infer(s.rhs)
-                if not isinstance(s.rhs.ty, IntTy):
-                    s.rhs = self.coerce(s.rhs, 8)
-            else:
-                s.rhs = self.infer_word(s.rhs, ty.bits)
-        elif isinstance(ty, BoolTy):
+        if isinstance(ty, BoolTy):
             self.infer(s.rhs)
             if not isinstance(s.rhs.ty, BoolTy):
                 self.err(s, f"cannot assign {s.rhs.ty} to a bool")
@@ -724,8 +703,6 @@ class _FnChecker:
                 self.err(s, "bool result needs a bool destination")
         if s.cond is not None:
             self.err(s, "calls cannot be conditional")
-        if s.op:
-            self.err(s, "calls cannot use compound assignment")
 
 
 class _Checker:
@@ -757,7 +734,8 @@ class _Checker:
             g.ty = ty
             if isinstance(ty, ArrayTy):
                 if not isinstance(g.init, tuple) or len(g.init) != ty.length:
-                    self.errors.append(f"{_loc(g)}global {g.name}: initializer arity mismatch")
+                    if isinstance(ty.length, int):  # else resolve_ty reported the length
+                        self.errors.append(f"{_loc(g)}global {g.name}: initializer arity mismatch")
                 else:
                     g.init = tuple(self.global_init(g, word_ty(ty.bits), v) for v in g.init)
             elif isinstance(g.init, tuple):

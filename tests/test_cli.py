@@ -8,9 +8,7 @@ import pytest
 
 from test_parser import DEEP, deep, limit, past_limit, roundtrip
 from jamin.cli import main
-from jamin.primitives.corpus import corpus_dir
-
-CORPUS = corpus_dir()
+from jamin.primitives.corpus import CORPUS_DIR as CORPUS
 
 
 def run_cli(capsys, *argv):
@@ -362,13 +360,13 @@ def test_malformed_program_exit_2(tmp_path, capsys, src, located):
     ("ct", "--entry", "f", "--ptr", "p:8", "--trials", "2"),
 ], ids=["run", "safety", "ct"])
 def test_compound_store_to_memory_exit_2(tmp_path, capsys, argv):
-    """A compound assignment to memory is a typecheck error at its
+    """A compound assignment to memory is a parse error at its
     statement, whichever command loads the program."""
     prog = tmp_path / "bad.jz"
     prog.write_text("fn f(reg u64 p) {\n  reg u64 t;\n  [p] += 1;\n}\n")
     code, out, err = run_cli(capsys, argv[0], str(prog), *argv[1:])
     assert (code, out) == (2, "")
-    assert err == (f"error: {prog}: 3:3: f: compound assignment needs a register or an "
+    assert err == (f"error: {prog}: 3:3: compound assignment needs a register or an "
                    "array element as destination\n")
 
 

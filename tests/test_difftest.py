@@ -26,6 +26,15 @@ def test_chains_boundary_lengths():
         assert rep.ok, [p.first_counterexample for p in rep.pairs if p.failures]
 
 
+@pytest.mark.parametrize("entries", [0, 1])
+def test_a_chain_of_fewer_than_two_entries_is_refused(entries):
+    """A chain of one entry, or none, has no pair to compare: it is an
+    error before any case is sampled, not a match."""
+    chain = [SpecEntry("gimli_spec", SHAPES["gimli"].spec_output)][:entries]
+    with pytest.raises(ValueError, match=f"two or more entries, got {entries}$"):
+        hop_difftest(chain, runs=3, seed=0, input_shape="gimli")
+
+
 def test_length_zero_tag_everywhere():
     import random
 

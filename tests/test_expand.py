@@ -7,7 +7,7 @@ import pytest
 from unroll import cases
 from jamin import interp, leakage, memory, safety
 from jamin.expand import ExpandError, expand
-from jamin.ir import (ArrayTy, EArr, ECall, EInt, EVar, EVecImm, IntTy, SAssign, SFor,
+from jamin.ir import (ArrayTy, EArr, ECall, EInt, EVar, EVecImm, IntTy, SFor,
                       SReturn, print_program)
 from jamin.parser import parse
 from jamin.typecheck import TypecheckError, typecheck
@@ -15,11 +15,11 @@ from jamin.typecheck import TypecheckError, typecheck
 
 def contract_breaches(p) -> list:
     """What expand's output must not hold, and the back ends no longer
-    handle: a for loop or inline call, a compound assignment (`d op= e`,
-    its `op` or `lanes` set), an immediate vector, a compile-time (int)
-    node other than a literal, an array access without its storage, a
-    `return` that is not the last statement of its function's body and
-    a function with results whose body does not end in a `return`."""
+    handle: a for loop or inline call, an immediate vector, a
+    compile-time (int) node other than a literal, an array access
+    without its storage, a `return` that is not the last statement of
+    its function's body and a function with results whose body does not
+    end in a `return`."""
     found = []
     returns = []
 
@@ -39,8 +39,6 @@ def contract_breaches(p) -> list:
             found.append(f"int {k.__name__}")
         elif k is EArr and getattr(node, "arr_storage", None) is None:
             found.append(f"untyped access to {node.name}")
-        elif k is SAssign and (node.op is not None or node.lanes is not None):
-            found.append("compound assignment")
         elif k is SReturn:
             returns.append(node)
         for f in dataclasses.fields(node):
@@ -379,8 +377,8 @@ def test_globals_read_as_values_in_run_time_compile_time_nodes(decl, body):
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_corpus_expansion_keeps_the_contract(name):
     """The corpus, the planted programs and the programs of test_rolled
-    expand to the contract, repeat-node bodies included: no compound
-    assignment remains, no scalar global is read, `globals` holds arrays
+    expand to the contract, repeat-node bodies included: no scalar
+    global is read, `globals` holds arrays
     only, and every register-array and global-array index is a literal
     (prep checks them all)."""
     prep(cases()[name])
@@ -395,12 +393,11 @@ fn f(reg u128 a) -> reg u64 {
   for i = 0 to 3 { x[i + 0] = 0; }
   y = id(1);
   a = #x86_VPSHUFD_128(a, (4u2)[0, 1, 2, 3]);
-  a +4u32= a;
   return y;
 }
 """
     assert set(contract_breaches(typecheck(parse(src)))) == {
-        "SFor", "EVecImm", "inline call id", "int EVar", "int EBin", "compound assignment"}
+        "SFor", "EVecImm", "inline call id", "int EVar", "int EBin"}
     assert "untyped access to x" in contract_breaches(parse(src))
     src = """
 fn g(reg u64 a) -> reg u64 {

@@ -37,10 +37,32 @@ def test_shuffle_figure_parses():
 
 
 def test_vector_assignment_sugar():
+    """`x +4u64= z` is written out as `x = x +4u64 z`, the operator at
+    the statement and the read of x a node of its own at x."""
     p = roundtrip("fn g(reg u256 x, reg u256 z) { x +4u64= z; }")
     s = p.func("g").body[0]
-    assert s.op == "+" and s.lanes == (4, 64)
+    assert s.rhs == ir.EBin("+", ir.EVar("x"), ir.EVar("z"), (4, 64))
+    assert s.rhs.loc == s.loc == (1, 32)
+    assert s.rhs.left.loc == s.dests[0].loc and s.rhs.left is not s.dests[0]
     typecheck(p)
+
+
+@pytest.mark.parametrize("compound, written_out", [
+    ("r += a;", "r = r + a;"),
+    ("r <<= 3 if a > 1;", "r = r << 3 if a > 1;"),
+    ("s[a + 1] ^= s[0] * 2;", "s[a + 1] = s[a + 1] ^ s[0] * 2;"),
+    ("(u32)s.[4] -= a;", "(u32)s.[4] = (u32)s.[4] - a;"),
+])
+def test_compound_assignment_is_written_out(compound, written_out):
+    """The parser writes `d op= e [if c]` as `d = d op e [if c]`; the
+    destination and its read share no node."""
+    src = "fn f(reg u64 a) {{\n  reg u64 r;\n  stack u64[4] s;\n  {}\n}}\n"
+    s = parse(src.format(compound)).funcs[0].body[2]
+    assert s == parse(src.format(written_out)).funcs[0].body[2]
+    read = s.rhs.left
+    assert read is not s.dests[0]
+    if isinstance(read, ir.EArr):
+        assert read.index is not s.dests[0].index
 
 
 def test_lane_annotated_infix():
@@ -135,6 +157,15 @@ PARSE_ERRORS = {
     "cast-width": (body("r = (u7)a;"), "3:11: expected ';', found 'a'"),
     "view-width": (body("r = (u7)[p];"), "3:11: expected ';', found '['"),
     "unknown-operator": (body("r = a ** a;"), "3:10: expected expression, found '*'"),
+    "compound-ignore": (body("_ += 5;"), "3:3: compound assignment needs a register or an "
+                                         "array element as destination"),
+    "compound-memory": (body("[p] += 1;"), "3:3: compound assignment needs a register or an "
+                                           "array element as destination"),
+    "compound-destinations": (body("r, a += 1;"),
+                              "3:3: multi-destination assignment requires an intrinsic or call"),
+    "compound-intrinsic": (body("r += #x86_MOV_64(a);"),
+                           "3:3: compound assignment cannot receive an intrinsic"),
+    "compound-call": (body("r += g(a);"), "3:3: calls cannot use compound assignment"),
 }
 
 

@@ -205,15 +205,6 @@ def test_corpus_loads_and_enumerates():
     assert set(corpus) == set(PROGRAMS)
 
 
-def test_corpus_env_override(tmp_path, monkeypatch):
-    from jamin.primitives import corpus as corpus_mod
-
-    (tmp_path / "tiny.jz").write_text("fn f() { reg u64 x; x = 1; }\n")
-    monkeypatch.setenv("JAMIN_CORPUS", str(tmp_path))
-    p = corpus_mod.load_program("tiny")
-    assert p.func_names() == ["f"]
-
-
 def test_gimli_sse_uses_vpshufb():
     from jamin.primitives.corpus import load_source
 

@@ -218,6 +218,8 @@ MESSAGES = {
                             "2:11: array length is not compile-time (a[0])"),
     "global-arity": ("global u64[2] g = {1, 2, 3};\n" + body("a = 1;"),
                      "1:1: global g: initializer arity mismatch"),
+    "global-length": ("global u64[b] g = {1, 2};\n" + body("a = 1;"),
+                      "1:12: array length is not compile-time (b)"),
     "global-scalar": ("global u64 g = {1, 2};\n" + body("a = 1;"),
                       "1:1: global g: scalar takes a single initializer"),
     # g's signature is resolved once, before f's calls: one report, and
