@@ -211,6 +211,12 @@ def _build_shape(fn, args, public, public_regions) -> dict:
     return shape
 
 
+def _event_kind(e) -> str:
+    """The kind of leakage event e: a branch outcome is a bool, an address
+    or an index an int (see leakage)."""
+    return "branch" if type(e) is bool else "addr"
+
+
 def cmd_ct(args) -> int:
     p = _load_program(args.file)
     fn = _entry(p, args.entry, args.file)
@@ -237,6 +243,7 @@ def cmd_ct(args) -> int:
         report["witness"] = {
             "trial": w.trial,
             "position": w.position,
+            "kind": _event_kind(w.events[0]),
             "events": [str(e) for e in w.events],
             "public_inputs": {k: str(v) for k, v in w.public_inputs.items()},
             "secret_inputs": [
@@ -245,8 +252,8 @@ def cmd_ct(args) -> int:
             ],
         }
         lines.append(
-            f"witness: trial {w.trial}, first divergence at event {w.position}: "
-            f"{w.events[0]} vs {w.events[1]}"
+            f"witness: trial {w.trial}, first divergence at event {w.position} "
+            f"({_event_kind(w.events[0])}): {w.events[0]} vs {w.events[1]}"
         )
     if verdict.error:
         report["error"] = verdict.error

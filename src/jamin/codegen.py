@@ -19,9 +19,10 @@ observes:
 - the step budget is charged once per straight-line segment: statements
   up to the next branch, loop test, call or block end pay together,
   before the first of them runs, so a run's step total is unchanged;
-- leakage events of constant array indices are prebuilt tuples, added
-  to the trace in one step before the next dynamic event (a memory
-  address, a computed index, a branch) or at the segment's end;
+- constant array indices, each its own leakage event, are added to the
+  trace as prebuilt tuples of ints, in one step before the next dynamic
+  event (a memory address, a computed index, a branch outcome) or at
+  the segment's end;
 - a check is left out only where it cannot fire: the unassigned-value
   check of a register or constant-index element that a must-be-assigned
   pass over the function proves written on every path (if branches
@@ -55,9 +56,10 @@ observes:
   than another fault does not hide that fault, as it can in the
   unrolled code;
 - the hit path of a memory or stack-array access of 1, 2, 4 or 8 bytes
-  is emitted inline, and the helper of interp (_ld, _st, _sget, _sld,
-  _sst) is called, with the arguments it always took, only when a test
-  of the hit fails: a memory access tests that its bytes lie in the
+  is emitted inline, and the helper of interp (_ld, _st, _sld, _sst) is
+  called, with the arguments it always took, only when a test of the
+  hit fails (a constant-index miss passes no trace, its event being in
+  the batch already): a memory access tests that its bytes lie in the
   region the line index names (memory._lines) and, for a load, that
   they are written (a region without an init map is all written); a
   stack-array access that its index is in bounds (a literal one is)
@@ -246,8 +248,7 @@ class _FnGen(Assigned):
         self.out: list = []
         self.indent = "    "
         self.seg = None  # (placeholder index, indentation, locs)
-        self.pending: list = []  # constant-index events not yet in the trace
-        self.events: dict = {}  # index -> its event, shared by all batches
+        self.pending: list = []  # constant indices not yet in the trace
         self.tmp = 0
         self.in_piece = False  # whether a piece is being emitted
         self.pieces = 0
@@ -316,12 +317,6 @@ class _FnGen(Assigned):
                             f"_bx(B + {n}, {self.const('L', tuple(locs))})")
             self.seg = None
 
-    def event(self, i: int) -> tuple:
-        ev = self.events.get(i)
-        if ev is None:
-            ev = self.events[i] = ("addr", (i,))
-        return ev
-
     def batch(self) -> str:
         """The pending constant events, to be added before the next
         dynamic one."""
@@ -342,7 +337,7 @@ class _FnGen(Assigned):
     def branch_event(self, cond: str):
         k = self.batch()
         add = "" if k == "()" else f"T += {k}; "
-        self.line(f"if T is not None: {add}T.append(BT if {cond} else BF)")
+        self.line(f"if T is not None: {add}T.append({cond})")
 
     # -- reads
 
@@ -454,7 +449,7 @@ class _FnGen(Assigned):
         if storage == "stack":
             return self.stack_load(e, arr, loc)
         i = e.index.value  # a literal, in bounds (expand)
-        self.pending.append(self.event(i))
+        self.pending.append(i)
         if storage == "global" or (name, i) in self.facts:
             return f"{arr}[{i}]"
         label = self.label(name, f"[{i}]")
@@ -560,16 +555,16 @@ class _FnGen(Assigned):
         if bits is None or bits > ty.bits:
             value = f"{value} & {self.mask(ty.bits)}"
         self.line(f"{arr}[{i}] = {value}")
-        self.pending.append(self.event(i))
+        self.pending.append(i)
 
     # -- memory and stack-array accesses: the hit path inline, a miss
     #    through the helper of interp (see the module docstring)
 
     def traced(self, i: str, k: str) -> str:
-        """A true operand that adds the batch k and then index or address
-        i's event to the trace."""
+        """A true operand that adds the batch k and then i, an index or an
+        address, to the trace."""
         extend = "" if k == "()" else f"T.extend({k}) or "
-        return f'(T is None or {extend}T.append(("addr", ({i},))) or 1)'
+        return f"(T is None or {extend}T.append({i}) or 1)"
 
     def masked(self, value: str, bits, nb: int) -> str:
         """`value`, of at most `bits` bits when `bits` is known, cut to an
@@ -631,8 +626,8 @@ class _FnGen(Assigned):
         inline = nb <= 8
         if type(e.index) is EInt:
             i = e.index.value
-            self.pending.append(self.event(i))
-            miss = f"_sget({s}, {i * scale}, {nb}, {label}, {loc!r})"
+            self.pending.append(i)
+            miss = f"_sld(None, (), {s}, {i}, {nb}, {scale}, {label}, {loc!r})"
             if not inline:
                 return miss
             get, written = _span_access(f"{s}.buf", f"{s}.init", str(i * scale), nb)
@@ -660,11 +655,11 @@ class _FnGen(Assigned):
             value = self.masked(value, bits, nb)
         if type(lv.index) is EInt:
             i = lv.index.value
-            self.pending.append(self.event(i))
+            self.pending.append(i)
             if inline:
                 self.line("; ".join(_span_put(f"{s}.buf", f"{s}.init", str(i * scale), nb, value)))
             else:
-                self.line(f"_sput({s}, {value}, {i * scale}, {nb})")
+                self.line(f"_sst(None, (), {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
             return
         value = self.keep(value)  # the value is evaluated before the index
         code = self.expr(lv.index)

@@ -24,15 +24,16 @@ have value semantics (copied on function call, return and whole-array
 assignment) and are disjoint from each other by construction.
 
 When a trace list is supplied, execution appends leakage events in
-order: ("addr", (a, ...)) for memory accesses and array indices and
-("branch", b) for if/while conditions.
+order, each the value observed: the address of a memory access and the
+index of an array access, as an int, and the outcome of an if, while or
+else-if test, as a bool (see leakage for why they need no tag).
 
 Each function is translated to Python source by codegen and compiled
 the first time it runs.  The module below holds the run-time helpers
 that generated code calls: memory accesses (_ld, _st), stack-array
-accesses (_sget, _sput, _sld, _sst), the fault of a read that finds
-a value unassigned (_uu), budget exhaustion (_bx), an else-if arm's
-branch event (_br), the word operators it does not inline (_wbin for a
+accesses (_sld, _sst), the fault of a read that finds a value
+unassigned (_uu), budget exhaustion (_bx), an else-if arm's branch
+event (_br), the word operators it does not inline (_wbin for a
 computed shift count, / and %; _nz for a divisor) and DIV (_intr).
 Register arrays need none: expand makes every index of one a literal
 in bounds.  Generated code makes the hit of each memory or
@@ -40,17 +41,19 @@ stack-array access of 1, 2, 4 or 8 bytes itself (see codegen), through
 the struct codecs of _CODECS, named LD<n> and ST<n> in its namespace,
 or a byte subscript; the access helpers are its miss path and the
 whole of every 16- or 32-byte access, and each is a complete access.
-The stack-array helpers slice the bytes and search the init map for a
-0.  The memory helpers record the event and access through Memory's
-load_span and store_bytes_inplace, which alone find the region (see
-memory) and raise the fault of an access outside every region or of
-an unwritten byte; the helpers locate that fault.  Budget and trace
-bookkeeping are batched per straight-line segment (see codegen); a run
-that completes observes exactly the per-statement semantics above.  A
-run that faults raises the error of the first faulting statement,
-except that budget exhaustion is reported as soon as the segment
-holding the exhausting statement starts, and the trace list then holds
-a prefix of the events up to the fault.
+The stack-array helpers check the index, slice the bytes and search
+the init map for a 0; a constant-index miss calls them with no trace,
+its event being in the batch already.  The memory helpers record the
+event and access through Memory's load_span and store_bytes_inplace,
+which alone find the region (see memory) and raise the fault of an
+access outside every region or of an unwritten byte; the helpers
+locate that fault.  Budget and trace bookkeeping are batched per
+straight-line segment (see codegen); a run that completes observes
+exactly the per-statement semantics above.  A run that faults raises
+the error of the first faulting statement, except that budget
+exhaustion is reported as soon as the segment holding the exhausting
+statement starts, and the trace list then holds a prefix of the events
+up to the fault.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ def _br(T, K, c):
     """Test value c of an else-if arm, its branch event recorded."""
     if T is not None:
         T += K
-        T.append(_BT if c else _BF)
+        T.append(c)
     return c
 
 
@@ -177,7 +180,7 @@ def _ld(M, T, K, a, nbytes, loc):
     if T is not None:
         if K:
             T += K
-        T.append(("addr", (a,)))
+        T.append(a)
     try:
         return int.from_bytes(M.load_span(a, nbytes, highest_first=True), "little")
     except mem_mod.OutOfRegion as exc:
@@ -190,45 +193,38 @@ def _st(M, T, K, v, a, nbytes, loc):
     if T is not None:
         if K:
             T += K
-        T.append(("addr", (a,)))
+        T.append(a)
     try:
         M.store_bytes_inplace(a, (v & MASK[nbytes * 8]).to_bytes(nbytes, "little"))
     except mem_mod.OutOfRegion as exc:
         raise OutOfRegion(exc.address, loc) from None
 
 
-def _sget(arr, off, nbytes, name, loc):
+def _sld(T, K, arr, i, nbytes, scale, name, loc):
+    off = i * scale
     end = off + nbytes
+    if off < 0 or end > len(arr.buf):
+        raise OutOfBoundsArray(name, i, loc)
+    if T is not None:
+        if K:
+            T += K
+        T.append(i)
     if arr.init.find(0, off, end) < 0:
         return int.from_bytes(arr.buf[off:end], "little")
     raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
 
 
-def _sput(arr, v, off, nbytes):
-    arr.buf[off:off + nbytes] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
-    arr.init[off:off + nbytes] = _ONES[nbytes]
-
-
-def _sld(T, K, arr, i, nbytes, scale, name, loc):
-    off = i * scale
-    if off < 0 or off + nbytes > len(arr.buf):
-        raise OutOfBoundsArray(name, i, loc)
-    if T is not None:
-        if K:
-            T += K
-        T.append(("addr", (i,)))
-    return _sget(arr, off, nbytes, name, loc)
-
-
 def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
     off = i * scale
-    if off < 0 or off + nbytes > len(arr.buf):
+    end = off + nbytes
+    if off < 0 or end > len(arr.buf):
         raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K
-        T.append(("addr", (i,)))
-    _sput(arr, v, off, nbytes)
+        T.append(i)
+    arr.buf[off:end] = (v & MASK[nbytes * 8]).to_bytes(nbytes, "little")
+    arr.init[off:end] = _ONES[nbytes]
 
 
 def _intr(sem, args, loc):
@@ -238,10 +234,9 @@ def _intr(sem, args, loc):
         raise DivByZero(str(exc), loc) from None
 
 
-_BT, _BF = ("branch", True), ("branch", False)
-_HELPERS = (_uu, _bx, _br, _nz, _wbin, _ld, _st, _sget, _sput, _sld, _sst, _intr)
+_HELPERS = (_uu, _bx, _br, _nz, _wbin, _ld, _st, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
-_RUNTIME.update(U=UNDEF, SA=StackArray, BT=_BT, BF=_BF)
+_RUNTIME.update(U=UNDEF, SA=StackArray)
 _RUNTIME.update({f"LD{n}": c.unpack_from for n, c in _CODECS.items()})
 _RUNTIME.update({f"ST{n}": c.pack_into for n, c in _CODECS.items()})
 

@@ -7,6 +7,16 @@ instrumented-semantics reading), and every branch outcome.  A program
 is constant-time for a given split of its inputs into public and secret
 when any two runs that agree on the public part produce equal traces.
 
+Each event is the value observed and nothing else: an address or an
+index is an int, a branch outcome a bool.  That is exact, as a tag of
+the event's kind would add nothing to a comparison of two runs of one
+program.  A run changes path only at an if, while or else-if test, and
+each such test records its bool; a guarded assignment, `&&`, `||` and
+CMOV evaluate every operand and record no branch.  So two runs whose
+traces agree before event p have run the same statements, and their
+p-th events are of one kind: a bool is only ever compared with a bool,
+and an int with an int (Python holds True == 1).
+
 `ct_check` tests that property by paired sampling: per trial the public
 inputs (and public memory) are drawn once and shared, the secret inputs
 are drawn independently for the two runs with adversarial corners
@@ -42,16 +52,6 @@ from .ir import (
     SWhile,
 )
 from .memory import Memory
-
-
-# Leakage events are plain tuples for speed; these constructors give
-# them stable names matching the instrumented-semantics reading.
-def LeakAddr(*values: int) -> tuple:
-    return ("addr", tuple(values))
-
-
-def LeakBranch(taken: bool) -> tuple:
-    return ("branch", taken)
 
 
 @dataclass
@@ -475,13 +475,8 @@ def infer_public(p: Program, entry: str) -> frozenset:
 
 
 def covered_by(inferred: frozenset, spec: PublicSpec) -> bool:
-    """True when every leaking input is declared public."""
-    for t in inferred:
-        if t.startswith("mem["):
-            name = t[4:-1]
-            if name != "?" and name in spec.public_regions:
-                continue
-            return False
-        if t not in spec.public:
-            return False
-    return True
+    """True when every leaking input is declared public: a parameter
+    name in spec.public, a mem[<ptr>] token with <ptr> in
+    spec.public_regions (no parameter name holds a `[`, and mem[?], an
+    unknown region, is never covered)."""
+    return inferred <= spec.public | {f"mem[{r}]" for r in spec.public_regions}

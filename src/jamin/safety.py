@@ -353,17 +353,11 @@ def _iv_add(a: Interval, b: Interval) -> Interval:
 
 
 def _iv_mul(a: Interval, b: Interval) -> Interval:
-    ah, bh = _best(a.his, True), _best(b.his, True)
-    if (
-        all(x.nonneg() for x in a.los)
-        and all(x.nonneg() for x in b.los)
-        and ah is not None
-        and bh is not None
-        and ah.is_const()
-        and bh.is_const()
-    ):
-        return Interval((ZERO,), (Aff(ah.const * bh.const),))
-    return Interval((ZERO,), ())
+    """Nonnegative sides bound a product by their least constant upper bounds."""
+    ah, bh = (min((x.const for x in iv.his if x.is_const()), default=None) for iv in (a, b))
+    if ah is None or bh is None or not all(x.nonneg() for x in a.los + b.los):
+        return Interval((ZERO,), ())
+    return Interval((ZERO,), (Aff(ah * bh),))
 
 
 def _scaled(iv: Interval, k: Fraction) -> Interval:

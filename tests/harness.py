@@ -3,7 +3,9 @@
 `bound_range` reads a safety report's symbolic range under concrete
 parameter values (criterion 7 checks every traced address against it);
 `corpus_chain` is the spec -> reference -> vectorized difftest chain of
-one family, the corpus programs in the order they refine each other.
+one family, the corpus programs in the order they refine each other;
+`tagged` is a leakage trace with each event's kind spelled out, the form
+in which the recorded trace digests were taken.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ def bound_range(report, base: str, params: dict):
         return None
     lo, hi = r
     return (_eval_bound(lo, params, -1), _eval_bound(hi, params, +1))
+
+
+def tagged(trace: list) -> list:
+    """Trace with each event as ("branch", b) for a branch outcome b (a
+    bool) and ("addr", (a,)) for an address or index a (an int)."""
+    return [("branch", e) if type(e) is bool else ("addr", (e,)) for e in trace]
 
 
 def corpus_chain(kind: str, vector_mode: str = OPSV) -> list:

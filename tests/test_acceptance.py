@@ -114,12 +114,7 @@ fn store2(reg u64 p, reg u64[2] x) {
         _, _, tr = leakage.run_instrumented(
             p, "store2", [base, [rng.getrandbits(64), rng.getrandbits(64)]], m
         )
-        assert tr.events == [
-            leakage.LeakAddr(0),
-            leakage.LeakAddr(base + 0),
-            leakage.LeakAddr(1),
-            leakage.LeakAddr(base + 8),
-        ]
+        assert tr.events == [0, base + 0, 1, base + 8]
     _report(4, "store2 reproduces the instrumented event sequence "
                "(indices 0, 1; addresses p+0, p+8) for 100 random p")
 
@@ -255,10 +250,9 @@ def test_criterion_7_soundness_cross_check():
                 br = bound_range(rep, param, params)
                 assert br is not None, (name, param)
                 bounds[base] = br
-            for kind, payload in events:
-                if kind != "addr":
+            for a in events:
+                if type(a) is not int:  # a branch outcome
                     continue
-                a = payload[0]
                 for (base, size), param in regions.items():
                     if base <= a < base + max(size, 1):
                         lo, hi = bounds[base]

@@ -167,7 +167,38 @@ fn f(reg u64 s) -> reg u64 {
     )
     assert code == 1
     assert "insecure" in out
-    assert "witness" in out
+    assert "first divergence at event 0 (branch): " in out
+    code, out, _ = run_cli(
+        capsys, "ct", str(prog), "--entry", "f", "--public", "",
+        "--trials", "200", "--seed", "3", "--json",
+    )
+    w = json.loads(out)["witness"]
+    assert w["kind"] == "branch" and sorted(w["events"]) == ["False", "True"]
+
+
+def test_ct_witness_names_the_event_kind(tmp_path, capsys):
+    """The witness's kind follows from its values: addresses are ints,
+    branch outcomes bools."""
+    prog = tmp_path / "lookup.jz"
+    prog.write_text("""
+fn f(reg u64 p, reg u64 s) -> reg u64 {
+  reg u64 r;
+  r = (u64)(u8)[p + (s & 7)];
+  return r;
+}
+""")
+    code, out, _ = run_cli(capsys, "ct", str(prog), "--entry", "f", "--public", "p",
+                           "--ptr", "p:8", "--public-region", "p", "--trials", "50",
+                           "--seed", "1", "--json")
+    assert code == 1
+    w = json.loads(out)["witness"]
+    assert w["kind"] == "addr" and w["position"] == 0
+    a, b = (int(e) for e in w["events"])
+    assert a != b and {a - b, b - a} & set(range(1, 8))
+    code, out, _ = run_cli(capsys, "ct", str(prog), "--entry", "f", "--public", "p",
+                           "--ptr", "p:8", "--public-region", "p", "--trials", "50",
+                           "--seed", "1")
+    assert f"first divergence at event 0 (addr): {a} vs {b}" in out
 
 
 def test_difftest_cli(capsys):

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from gensrc import function_sources, line_count
+from harness import tagged
 from lanes import exec_vector
 from test_isa_scalar_golden import _op_width
 from test_rolled import observe
@@ -464,7 +465,8 @@ fn f(reg u64 x, reg u64 p) -> reg u64 {
 
 def else_if_runs() -> list:
     """What every run of the ELSE_IF programs observes, x in 0..7 in both
-    modes, under each budget up to 24 and the default one."""
+    modes, under each budget up to 24 and the default one; each trace in
+    its tagged view (harness.tagged), in which the digest was recorded."""
     seen = []
     for name, src in ELSE_IF.items():
         p = prep(src)
@@ -480,7 +482,7 @@ def else_if_runs() -> list:
                         got = ("ok", repr(r.results), memory.dump(r.memory), r.steps)
                     except interp.SafetyError as exc:
                         got = ("fault", type(exc).__name__, str(exc), exc.loc)
-                    seen.append((name, x, mode, budget, got, trace))
+                    seen.append((name, x, mode, budget, got, tagged(trace)))
     return seen
 
 

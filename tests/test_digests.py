@@ -13,7 +13,7 @@ from gensrc import corpus_sources
 from reports import reports
 
 DIGESTS = {
-    "gensrc": (corpus_sources, "b6011c3c5a47d28756dcbb6c98b484986be243b9e3305de1a77558af0ef6c37a"),
+    "gensrc": (corpus_sources, "deedf20cece6bc455694ea0ad5de9fdb8d6d0d11c1bb85c6b5b42ec0a62fc1a0"),
     "reports": (reports, "66413b4e07d19a47865beb79452cf3481e923dbc4c1b0169b9569b19d22c18c4"),
 }
 

@@ -2,8 +2,8 @@
 
 tests/data/exec_golden.json holds, for every corpus program, what the
 original closure interpreter produced on fixed inputs: the results, the
-sha256 of the final memory dump, the sha256 of repr(trace) and the step
-count.  Each program runs in OpsV; the vectorized ones also in Ops.
+sha256 of the final memory dump, the sha256 of repr(trace) (of its
+tagged view, harness.tagged) and the step count.  Each program runs in OpsV; the vectorized ones also in Ops.
 The inputs are the 11 boundary lengths plus 4 seeded random cases of
 the program's difftest shape, and 8 traced trials drawn by
 leakage.build_inputs (two runs each).
@@ -17,6 +17,7 @@ import json
 import random
 from pathlib import Path
 
+from harness import tagged
 from jamin import interp, isa, leakage, memory
 from jamin.primitives.corpus import PROGRAMS, load_program
 from jamin.primitives.difftest import BOUNDARY_LENGTHS, SHAPES
@@ -42,7 +43,7 @@ def _record(p, entry, args, m, mode) -> dict:
     return {
         "results": repr(results),
         "memory": _sha(memory.dump(final)),
-        "trace": _sha(repr(trace)),
+        "trace": _sha(repr(tagged(trace))),
         "steps": steps,
     }
 

@@ -6,8 +6,6 @@ from jamin import interp, leakage, memory
 from jamin.expand import expand
 from jamin.leakage import (
     Len,
-    LeakAddr,
-    LeakBranch,
     PublicSpec,
     Ptr,
     Val,
@@ -40,12 +38,7 @@ def test_store2_trace_matches_instrumented_semantics():
         p = rng.randrange(0x1000, 0xFFFF) & ~0xF
         m = memory.add_region(memory.Memory(), p, 16)
         _, _, tr = run_instrumented(STORE2, "store2", [p, [7, 9]], m)
-        assert tr.events == [
-            LeakAddr(0),
-            LeakAddr(p + 0),
-            LeakAddr(1),
-            LeakAddr(p + 8),
-        ]
+        assert tr.events == [0, p + 0, 1, p + 8]
 
 
 def test_branch_events():
@@ -60,9 +53,9 @@ fn f(reg u64 x) -> reg u64 {
 """
     )
     _, _, tr = run_instrumented(p, "f", [0], memory.Memory())
-    assert LeakBranch(True) in tr.events
+    assert len(tr.events) == 1 and tr.events[0] is True
     _, _, tr = run_instrumented(p, "f", [5], memory.Memory())
-    assert LeakBranch(False) in tr.events
+    assert len(tr.events) == 1 and tr.events[0] is False
 
 
 def test_straight_line_trace_is_input_independent():
@@ -138,7 +131,8 @@ fn f(reg u64 s) -> reg u64 {
 """)
     v = ct_check(p, "f", PublicSpec.of([]), trials=100, seed=1, shape={"s": Val(64)})
     assert v.kind == "insecure"
-    assert sorted(v.witness.events) == [("branch", False), ("branch", True)]
+    assert sorted(v.witness.events) == [False, True]
+    assert all(type(e) is bool for e in v.witness.events)
 
 
 def test_a_secret_length_takes_one_value_per_trial():
@@ -338,3 +332,59 @@ def test_infer_public_joins_both_arms_of_a_callee(first, second):
     assert not covered_by(inferred, spec)
     shape = {"p": Ptr(16), "k": Val(64), "c": Val(64)}
     assert ct_check(p, "f", spec, trials=100, seed=1, shape=shape).kind == "insecure"
+
+
+BRANCHY = prep("""
+fn g(reg u64 x) -> reg bool {
+  reg bool c;
+  c = x < 5;
+  return c;
+}
+
+fn f(reg u64 x, reg u64 y, reg bool b) -> reg u64 {
+  reg u64 r, i, t;
+  reg bool of, cf, sf, pf, zf, c;
+  r = 0;
+  if (x == y) { r = r + 1; }
+  of, cf, sf, pf, zf, t = #x86_ADD_64(x, y);
+  if (of) { r = r + 1; }
+  if (cf) { r = r + 1; } else if (sf) { r = r + 2; } else if (pf) { r = r + 3; }
+  if (zf) { r = r + 1; }
+  of, cf, sf, pf, zf, t = #x86_SUB_64(x, y);
+  if (of) { r = r + 1; } else if (cf) { r = r + 2; } else if (zf) { r = r + 3; }
+  of, cf, sf, pf, zf, t = #x86_AND_64(x, y);
+  if (zf) { r = r + 1; } else if (b) { r = r + 2; } else if (!b) { r = r + 3; }
+  if (b) { r = r + 1; }
+  c = true;
+  if (c) { r = r + 1; }
+  c = false;
+  if (c) { r = r + 1; } else if (!(x < y)) { r = r + 2; }
+  if (b && x < y) { r = r + 1; }
+  if (b || zf) { r = r + 1; } else if (zf && !b) { r = r + 2; }
+  c = g(x);
+  if (c) { r = r + 1; }
+  i = 0;
+  while (i < (x & 3)) { i = i + 1; }
+  while (!(i == 5) && b) { i = i + 1; }
+  for t = 0 to 2 { if (t == y) { r = r + 1; } }
+  return r;
+}
+""")
+
+
+@pytest.mark.parametrize("mode", [interp.OPSV, interp.OPS])
+def test_every_branch_event_is_a_bool(mode):
+    """An event is the value observed, told apart only by its type, so
+    each branch outcome must be a bool: an int 0 or 1 would read as an
+    address.  Tests of every kind of bool value, in if, while and
+    else-if, on inputs that take many paths."""
+    seen = set()
+    for x in (0, 1, 2, 5, 7, (1 << 63) - 1, 1 << 63, (1 << 64) - 1):
+        for y in (0, 1, 7, 1 << 63, (1 << 64) - 1):
+            for b in (False, True):
+                trace: list = []
+                interp.run(BRANCHY, "f", [x, y, b], memory.Memory(), trace=trace,
+                           vector_mode=mode)
+                assert trace and all(type(e) is bool for e in trace), (x, y, b, trace)
+                seen.add(tuple(trace))
+    assert len(seen) > 20

@@ -549,7 +549,7 @@ class MemoryModel(RuleBasedStateMachine):
         a = self.unwritten(at, nbytes) if at.draw(st.booleans()) else None
         if a is None:
             a = self.addr(at)
-        trace, pending, run_trace = [], (("addr", (7,)),), []
+        trace, pending, run_trace = [], (7,), []
         program = ONE_ACCESS[nbytes, store]
         ran = _interp_result(lambda: interp.run(program, "f", [a, value] if store else [a],
                                                 self.m, trace=run_trace))
@@ -560,8 +560,8 @@ class MemoryModel(RuleBasedStateMachine):
             got = _interp_result(interp._ld, self.m, trace, pending, a, nbytes, None)
             want = _result(self.ref.load_int, a, nbytes * 8)
         assert got == want
-        assert trace == [*pending, ("addr", (a,))]
-        assert run_trace == [("addr", (a,))]
+        assert trace == [*pending, a]
+        assert run_trace == [a]
         if ran[0] == "ok":  # a faulting run's memory is not returned
             results, after = ran[1].results, ran[1].memory
             ran = "ok", results[0].value if results else None

@@ -468,6 +468,15 @@ fn f(reg u64 p, reg u64 x, reg u64 y) -> reg u64 {
   r = (u64)(u8)[p + t];
   return r;
 }""", [], "p + [0; 10)", [([x, y], 0) for x in range(5) for y in range(5)]),
+    # the same with x and y tracked: `&` keeps 3 among the upper bounds of
+    # each side, next to the parameter, and _iv_mul takes the least constant
+    "multiply-tracked": ("""
+fn f(reg u64 p, reg u64 x, reg u64 y) -> reg u64 {
+  reg u64 t, r;
+  t = (x & 3) * (y & 3);
+  r = (u64)(u8)[p + t];
+  return r;
+}""", ["x", "y"], "p + [0; 10)", [([x, y], 0) for x in range(5) for y in range(5)]),
     # _iv_mul by a range without a constant upper bound: unbounded above;
     # `&` of two such ranges is bounded by its width
     "multiply-symbolic": ("""
@@ -596,7 +605,7 @@ def test_reported_ranges_contain_every_run(name):
         lo, hi = bound_range(rep, "p", dict(zip(params[1:], args)))
         trace: list = []
         interp.run(p, "f", [P, *args], m, trace=trace)
-        offsets = [ev[1][0] - P for ev in trace if ev[0] == "addr" and P <= ev[1][0] < Q]
+        offsets = [e - P for e in trace if type(e) is int and P <= e < Q]
         assert all(lo <= o < hi for o in offsets), (args, byte, lo, hi, offsets)
         seen.update(offsets)
     assert seen

@@ -219,7 +219,7 @@ def test_the_divisor_is_evaluated_and_checked_first():
     trace = []
     with pytest.raises(interp.DivByZero):
         interp.run(p, "f", [100, 8], m, trace=trace)  # [p] is outside the region
-    assert trace == [("addr", (8,))]
+    assert trace == [8]
 
 
 def test_folding_keeps_an_out_of_range_count_for_the_run():
