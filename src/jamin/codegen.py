@@ -7,8 +7,13 @@ compiled on its first call:
 
 B is the remaining step budget, T the leakage-trace list or None, M the
 run's working Memory and O true in the OpsV vector mode.  Registers are
-Python locals (named v_<register>), register arrays are lists and stack
-arrays StackArray objects.  The names the source refers to besides its
+Python locals (named v_<register>), and so is each element of a
+register array (e_<root>_<k>, see the element view below); stack arrays
+are StackArray objects.  A register array is a list only at a boundary:
+a non-inline call packs its arguments into fresh lists and unpacks its
+array results, a `return` packs its arrays, and a function unpacks each
+array parameter live at its entry (interp.run's arguments and results
+are these lists).  The names the source refers to besides its
 locals (the run-time helpers of interp, global arrays G_<name>,
 intrinsic semantics, word-operator evaluators, masks and prebuilt
 constants) live in one namespace per program.
@@ -37,12 +42,24 @@ observes:
   its OpsV and Ops forms, and a selector or imm8 that is a literal (expand
   substitutes a global's value) is bound into the pair (isa.bind), so
   only the other operands are passed;
-- a whole-array copy `dst = src` whose source is dead after it (no path
-  reads it, writes an element of it or passes it on before redefining
-  it as a whole, loops included) is a move: dst takes src's list or
-  StackArray itself, which no live name shares from then on.  The
-  locals live after each statement come from one flow.backward pass
-  over the function, which moves, pieces and declarations all read;
+- the element view (coalesce): the register-array locals of a
+  function fall into classes, and element k of every local of class r
+  is the one Python local e_<r>_<k>.  A copy `x = y` of register
+  arrays merges the classes of x and y, and emits nothing, when no
+  local of one interferes with a local of the other, a local
+  interfering with every other one live after one of its definitions
+  (a declaration that stores, a whole or element write, a parameter at
+  entry), as a register allocator coalesces moves (Chaitin; George and
+  Appel).  So a copy whose source is live after it, or from a global,
+  is one parallel assignment of the elements, charged as the one
+  statement it is, and the copies inlining makes in and out of each
+  call mostly vanish.  A
+  stack-array copy whose source is dead after it (no path reads it,
+  writes an element of it or passes it on before redefining it as a
+  whole, loops included) is a move: dst takes src's StackArray itself.
+  The locals live after each statement come from one flow.backward
+  pass over the function, which the view, moves, pieces and
+  declarations all read;
 - a repeat node (ir.SRepeat, see expand) is emitted once, in
   `for _k in range(count):`.  Its body is translated as a loop: from
   the must-be-assigned facts at the start of every iteration that
@@ -87,16 +104,18 @@ of an `if` in the else block would.
 Large functions are compiled in pieces of at most PIECE statements, one
 compile() call each; a piece is a Python function of its own that takes
 exactly the locals it mentions that are live into it, and returns
-exactly the ones it rebinds that are live after it.  Every other local
-it mentions is its own.  The function's `return`, the last statement
+exactly the ones it rebinds that are live after it, a register array
+as the elements of its class and an element store rebinding its
+array.  Every other local it mentions is its own.  The function's `return`, the last statement
 of its body (typecheck), is never in a piece.
 
 Typecheck scopes every register and stack local to the block that
 declares it, so each read of a local follows its declaration on every
 path: a local is always bound when it is read, and the only poison it
 can hold is UNDEF.
-A declaration stores UNDEF (a fresh array) into a name only where the
-name is live after it, by the same liveness: a dead name is rebound as
+A declaration stores UNDEF (into each element of a register array, a
+fresh StackArray for a stack array) into a name only where the name is
+live after it, by the same liveness: a dead name is rebound as
 a whole before any read, any piece call that takes it and any element
 access on every path, so nothing can find it unassigned.  The name that
 an initializer writes stores only when the initializer reads it.
@@ -252,7 +271,9 @@ class _FnGen(Assigned):
         self.tmp = 0
         self.in_piece = False  # whether a piece is being emitted
         self.pieces = 0
-        self.after = None  # id of a statement -> the locals live after it (live_after)
+        self.after = None  # id of a statement -> the locals live after it (liveness)
+        self.entry = None  # the locals live at the function's entry (liveness)
+        self.root: dict = {}  # register-array local -> the root of its class (coalesce)
         self.forms: dict = {}  # (definition, bits, lanes, count) -> its parts (instantiate)
 
     # -- names, constants, lines
@@ -343,14 +364,32 @@ class _FnGen(Assigned):
 
     def read_var(self, name: str, loc) -> str:
         if name not in self.locals or isinstance(self.types[name][1], ArrayTy):
-            return self.arr_ref(name)  # a whole array (a global is one)
+            return self.whole(name)  # a whole array (a global is one)
         v = self.v(name)
         if name in self.facts:
             return v
         return f"({v} if {v} is not U else _uu({self.label(name)}, {loc!r}))"
 
-    def arr_ref(self, name: str) -> str:
+    def elements(self, name: str) -> list:
+        """The Python locals of register array `name`'s elements: those of
+        the root of its class in the element view."""
+        root = self.root[name]
+        return [f"e_{root}_{i}" for i in range(self.types[name][1].length)]
+
+    def whole(self, name: str) -> str:
+        """Array `name` as one value: a fresh list of a register array's
+        elements, a global's list or a stack array's StackArray."""
+        if name in self.root:
+            return f"[{', '.join(self.elements(name))}]"
         return self.v(name) if name in self.locals else "G_" + name
+
+    def py(self, name: str) -> list:
+        """The Python locals of local `name`."""
+        return self.elements(name) if name in self.root else [self.v(name)]
+
+    def names(self, locals_) -> list:
+        """The Python locals of `locals_` (sorted), each once."""
+        return list(dict.fromkeys(x for n in sorted(locals_) for x in self.py(n)))
 
     def expr(self, e) -> str:
         k = type(e)
@@ -444,16 +483,17 @@ class _FnGen(Assigned):
         return "".join(parts)
 
     def arr_read(self, e) -> str:
-        storage, name, ty, loc = e.arr_storage, e.name, e.arr_ty, e.loc
-        arr = self.arr_ref(name)
+        storage, name, loc = e.arr_storage, e.name, e.loc
         if storage == "stack":
-            return self.stack_load(e, arr, loc)
+            return self.stack_load(e, self.v(name), loc)
         i = e.index.value  # a literal, in bounds (expand)
         self.pending.append(i)
-        if storage == "global" or (name, i) in self.facts:
-            return f"{arr}[{i}]"
-        label = self.label(name, f"[{i}]")
-        return f"(_t if (_t := {arr}[{i}]) is not U else _uu({label}, {loc!r}))"
+        if storage == "global":
+            return f"G_{name}[{i}]"
+        x = self.elements(name)[i]
+        if (name, i) in self.facts:
+            return x
+        return f"({x} if {x} is not U else _uu({self.label(name, f'[{i}]')}, {loc!r}))"
 
     def intrinsic(self, e: EIntr) -> str:
         """A call returning the list of all of scalar `e`'s outputs.
@@ -513,10 +553,6 @@ class _FnGen(Assigned):
 
     # -- writes
 
-    def copy_of(self, name: str, code: str) -> str:
-        storage = self.types[name][0] if name in self.types else None
-        return f"{code}.copy()" if storage == "stack" else f"list({code})"
-
     def write_dest(self, s, i: int, value: str, bits):
         """Write destination i of s, whose index or address is read
         after the destinations before it are written."""
@@ -530,8 +566,11 @@ class _FnGen(Assigned):
         k = type(lv)
         if k is EVar:
             ty = lv.ty
+            if lv.name in self.root:
+                self.line(f"{_targets(self.elements(lv.name))} = {value}")
+                return
             if type(ty) is ArrayTy:
-                value = self.copy_of(lv.name, value)
+                value = f"{value}.copy()"
             elif type(ty) is WordTy and (bits is None or bits > ty.bits):
                 value = f"{value} & {self.mask(ty.bits)}"
             self.line(f"{self.v(lv.name)} = {value}")
@@ -547,14 +586,13 @@ class _FnGen(Assigned):
 
     def write_element(self, lv, value: str, bits):
         storage, name, ty = lv.arr_storage, lv.name, lv.arr_ty
-        arr = self.arr_ref(name)
         if storage == "stack":
-            self.stack_store(lv, arr, value, bits)
+            self.stack_store(lv, self.v(name), value, bits)
             return
         i = lv.index.value  # a literal, in bounds (expand)
         if bits is None or bits > ty.bits:
             value = f"{value} & {self.mask(ty.bits)}"
-        self.line(f"{arr}[{i}] = {value}")
+        self.line(f"{self.elements(name)[i]} = {value}")
         self.pending.append(i)
 
     # -- memory and stack-array accesses: the hit path inline, a miss
@@ -675,7 +713,8 @@ class _FnGen(Assigned):
         self.line(f"    {put}")
         self.line(f"else: _sst(T, {k}, {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
 
-    # -- liveness (backwards), for moves, pieces and declarations
+    # -- liveness (backwards), for the element view, moves, pieces and
+    #    declarations
 
     def live(self, live: set, s) -> set:
         """The names live before s (or before its test), from those live
@@ -693,17 +732,61 @@ class _FnGen(Assigned):
         return live.difference(w).union(r)
 
     def live_after(self, s) -> set:
-        """The names live after s (flow.backward runs once, at the first
-        need)."""
+        """The names live after s."""
+        return self.liveness()[1][id(s)]
+
+    def liveness(self) -> tuple:
+        """(the names live at the function's entry, {id of a statement:
+        the names live after it}), from one flow.backward pass at the
+        first need."""
         if self.after is None:
             self.after = {}
-            flow.backward(self.fn.body, set(), self.live, self.after)
-        return self.after[id(s)]
+            self.entry = flow.backward(self.fn.body, set(), self.live, self.after)
+        return self.entry, self.after
 
     def is_move(self, s) -> bool:
-        """Whether the whole-array copy s may hand its source over: a local
-        dead after s."""
-        return s.rhs.name in self.locals and s.rhs.name not in self.live_after(s)
+        """Whether the stack-array copy s may hand its source over: a local
+        dead after s (typecheck copies a stack array from one only)."""
+        return s.rhs.name not in self.live_after(s)
+
+    def coalesce(self, regs: set) -> dict:
+        """The element view of the function over its register-array
+        locals `regs`: each one -> the root of its class, whose elements
+        all its locals share.  Each definition of one (its parameter at
+        entry, a declaration that stores, a whole or element write)
+        interferes with every other one live after it; the copies
+        `x = y` are then taken in order, and each merges the classes of
+        x and y when no local of one interferes with a local of the
+        other (Chaitin's rule, with George and Appel's merged classes).
+        So a copy whose source is live after it never merges."""
+        edges = {x: set() for x in regs}  # per class: the locals live at a definition in it
+        entry = self.liveness()[0]
+        for q in self.fn.params:
+            if q.name in regs and q.name in entry:
+                edges[q.name] |= regs.intersection(entry)
+        copies = []
+        for s in _walk(self.fn.body):
+            k = type(s)
+            if k is SDecl:
+                live = self.live_after(s)
+                for nm in regs.intersection(s.names, live):
+                    edges[nm] |= regs.intersection(live)
+            elif k is SAssign:
+                for lv in s.dests:
+                    if type(lv) in (EVar, EArr) and lv.name in regs:
+                        edges[lv.name] |= regs.intersection(self.live_after(s))
+                if self.is_copy(s) and s.rhs.name in regs:
+                    copies.append((s.dests[0].name, s.rhs.name))
+        root = {x: x for x in regs}
+        members = {x: {x} for x in regs}
+        for x, y in copies:
+            a, b = root[x], root[y]
+            if a != b and not (edges[a] & members[b] or edges[b] & members[a]):
+                for z in members[a]:
+                    root[z] = b
+                members[b] |= members.pop(a)
+                edges[b] |= edges.pop(a)
+        return root
 
     # -- statements
 
@@ -759,9 +842,12 @@ class _FnGen(Assigned):
             r, w = flow.summary(s)
             mentioned.update(r, w)
             rebinds.update(w)
+            rebinds.update(lv.name for c in _walk([s]) if type(c) is SAssign
+                           for lv in c.dests if type(lv) is EArr and lv.name in self.root)
         after = self.live_after(run[-1])
-        live_in = sorted(self.locals.intersection(mentioned, flow.backward(run, after, self.live)))
-        live_out = sorted(self.locals.intersection(rebinds, after))
+        live_in = flow.backward(run, after, self.live)
+        live_in = self.names(self.locals.intersection(mentioned, live_in))
+        live_out = self.names(self.locals.intersection(rebinds, after))
         parent = (self.out, self.indent, self.tmp)
         self.out, self.indent, self.in_piece = [], "    ", True
         self.stmts(run)
@@ -772,8 +858,8 @@ class _FnGen(Assigned):
         self.pieces += 1
         name = f"Q_{self.fn.name}_{self.pieces}"
         k = ["_k"] if self.labels else []  # a piece of a repeat body (label)
-        params = ", ".join([self.v(n) for n in live_in] + k + ["B, T, M, O"])
-        outs = "".join(f", {self.v(n)}" for n in live_out)
+        params = ", ".join(live_in + k + ["B, T, M, O"])
+        outs = "".join(f", {n}" for n in live_out)
         self.define(name, [f"def {name}({params}):"] + body + [f"    return B{outs}"])
         self.line(f"B{outs} = {name}({params})")
 
@@ -885,14 +971,11 @@ class _FnGen(Assigned):
         The initializer's write follows at once: its name stores only when
         the initializer reads it."""
         ty = s.ty
-        if isinstance(ty, ArrayTy):
-            new = f"SA({ty.bits}, {ty.length})" if s.storage == "stack" else f"[U] * {ty.length}"
-        else:
-            new = "U"
+        new = f"SA({ty.bits}, {ty.length})" if s.storage == "stack" else "U"
         live = self.live_after(s)
         for i, nm in enumerate(s.names):
             if nm in (live if i or s.init is None else flow.reads(s.init)):
-                self.line(f"{self.v(nm)} = {new}")
+                self.line(" = ".join(self.py(nm) + [new]))
         if s.init is not None:  # read after the declaration resets its names
             self.transfer(self.facts, s, 0)
             self.write(typed_var(s.names[0], ty), self.expr(s.init), _bits(s.init))
@@ -910,10 +993,13 @@ class _FnGen(Assigned):
             return
         lv = s.dests[0]
         if self.is_copy(s):
-            src = self.arr_ref(rhs.name)
-            if not self.is_move(s):
-                src = self.copy_of(rhs.name, src)
-            self.line(f"{self.v(lv.name)} = {src}")
+            if lv.name not in self.root:  # a stack array, from a stack array
+                src = self.v(rhs.name)
+                self.line(f"{self.v(lv.name)} = {src if self.is_move(s) else src + '.copy()'}")
+            elif self.root.get(rhs.name) != self.root[lv.name]:  # one parallel assignment
+                src = (_targets(self.elements(rhs.name)) if rhs.name in self.root
+                       else "G_" + rhs.name)
+                self.line(f"{_targets(self.elements(lv.name))} = {src}")
             return
         self.write(lv, self.expr(rhs), _bits(rhs))
 
@@ -924,8 +1010,8 @@ class _FnGen(Assigned):
         args = []
         for a in s.rhs.args:
             code = self.expr(a)
-            if isinstance(a.ty, ArrayTy):
-                code = self.copy_of(a.name, code) if a.name in self.locals else f"list({code})"
+            if isinstance(a.ty, ArrayTy) and a.name in self.locals and a.name not in self.root:
+                code += ".copy()"  # a stack array
             args.append(code)
         self.end_segment()
         if self.pending:
@@ -945,13 +1031,32 @@ class _FnGen(Assigned):
 
     def build(self):
         fn = self.fn
+        regs = {n for n, (storage, ty) in self.types.items()
+                if storage == "reg" and type(ty) is ArrayTy}
+        self.root = self.coalesce(regs) if regs else {}
         self.block(fn.body)
         if not fn.body or type(fn.body[-1]) is not SReturn:
             self.line("return (B,)")
+        self.out[:0] = [f"    {_targets(self.elements(q.name))} = {self.v(q.name)}"
+                        for q in fn.params if q.name in self.root and q.name in self.entry]
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
         name = "F_" + fn.name
         self.define(name, [f"def {name}({params}):"] + self.out)
         return self.ns[name]
+
+
+def _walk(stmts):
+    """Every statement of `stmts`, those in blocks included, in order."""
+    for s in stmts:
+        yield s
+        k = type(s)
+        if k in flow.BLOCKS:
+            yield from _walk(s.then + s.els if k is SIf else s.body)
+
+
+def _targets(names: list) -> str:
+    """The names as the targets of one assignment of a sequence."""
+    return ", ".join(names) + ("," if len(names) == 1 else "")
 
 
 def _ones(nb: int) -> str:

@@ -36,11 +36,12 @@ unassigned (_uu), budget exhaustion (_bx), an else-if arm's branch
 event (_br), the word operators it does not inline (_wbin for a
 computed shift count, / and %; _nz for a divisor) and DIV (_intr).
 Register arrays need none: expand makes every index of one a literal
-in bounds.  Generated code makes the hit of each memory or
-stack-array access of 1, 2, 4 or 8 bytes itself (see codegen), through
-the struct codecs of _CODECS, named LD<n> and ST<n> in its namespace,
-or a byte subscript; the access helpers are its miss path and the
-whole of every 16- or 32-byte access, and each is a complete access.
+in bounds, and codegen makes each element a Python local.  Generated
+code makes the hit of each memory or stack-array access of 1, 2, 4 or
+8 bytes itself (see codegen), through the struct codecs of _CODECS,
+named LD<n> and ST<n> in its namespace, or a byte subscript; the
+access helpers are its miss path and the whole of every 16- or 32-byte
+access, and each is a complete access.
 The stack-array helpers check the index, slice the bytes and search
 the init map for a 0; a constant-index miss calls them with no trace,
 its event being in the batch already.  The memory helpers record the

@@ -176,6 +176,14 @@ def _agree(a, b) -> bool:
     return a == b
 
 
+def _copies(dst, src) -> bool:
+    """Whether an array of storage `src` can be copied into one of storage
+    `dst`: a register array's elements are registers and a stack array
+    is stack bytes, so each is copied only into its own kind, and a
+    global's constants only into a register array."""
+    return dst == src or (dst, src) == ("reg", "global")
+
+
 class _FnChecker:
     def __init__(self, tc: "_Checker", fn: FuncDecl):
         self.tc = tc
@@ -250,6 +258,11 @@ class _FnChecker:
         else:
             at = " at %d:%d" % decl.loc if decl.loc else ""
             self.err(node, f"{name!r} is used outside the block of its declaration{at}")
+
+    def storage(self, e) -> str:
+        """The storage of array e, a variable (no other expression is an
+        array)."""
+        return self.var_ty(e, e.name)[0]
 
     def var_ty(self, node, name):
         found = self.lookup(name)
@@ -585,13 +598,15 @@ class _FnChecker:
                 self.err(s, f"return arity {len(s.values)} != {len(rets)}")
                 return
             vals = []
-            for v, (_, ty) in zip(s.values, rets):
+            for v, (st, ty) in zip(s.values, rets):
                 if isinstance(ty, WordTy):
                     vals.append(self.infer_word(v, ty.bits))
                 else:
                     self.infer(v)
                     if not _agree(v.ty, ty):
                         self.err(v, f"return value has type {v.ty}, expected {ty}")
+                    elif isinstance(ty, ArrayTy) and not _copies(st, self.storage(v)):
+                        self.err(v, f"return value is a {self.storage(v)} array, expected {st}")
                     vals.append(v)
             s.values = tuple(vals)
             return
@@ -659,6 +674,9 @@ class _FnChecker:
             self.infer(s.rhs)
             if not _agree(s.rhs.ty, ty):
                 self.err(s, f"array copy type mismatch: {s.rhs.ty} vs {ty}")
+            elif not _copies(self.storage(lv), self.storage(s.rhs)):
+                self.err(s, f"array copy storage mismatch: {self.storage(s.rhs)} vs "
+                            f"{self.storage(lv)}")
         else:
             s.rhs = self.infer_word(s.rhs, ty.bits)
         if s.cond is not None:
@@ -685,18 +703,22 @@ class _FnChecker:
                 self.infer(a)
                 if not _agree(a.ty, p.ty):
                     self.err(a, f"argument has type {a.ty}, expected {p.ty}")
+                elif isinstance(p.ty, ArrayTy) and not _copies(p.storage, self.storage(a)):
+                    self.err(a, f"argument is a {self.storage(a)} array, expected {p.storage}")
                 args.append(a)
         call.args = tuple(args)
         call.ty = None
         if len(s.dests) != len(callee.rets):
             self.err(s, f"{call.name} returns {len(callee.rets)} values")
             return
-        for lv, (_, rty) in zip(s.dests, callee.rets):
+        for lv, (rst, rty) in zip(s.dests, callee.rets):
             ty = self.lval_ty(lv)
             if ty is None:
                 continue
             if isinstance(rty, ArrayTy) and not _agree(ty, rty):
                 self.err(s, f"array result type mismatch: {ty} vs {rty}")
+            elif isinstance(rty, ArrayTy) and not _copies(self.storage(lv), rst):
+                self.err(s, f"array result storage mismatch: {self.storage(lv)} vs {rst}")
             if isinstance(rty, WordTy) and not isinstance(ty, WordTy):
                 self.err(s, "word result needs a word destination")
             if isinstance(rty, BoolTy) and not isinstance(ty, BoolTy):

@@ -79,8 +79,8 @@ SHIFTS = {
     "<<": "((a << b) & m)",
     ">>": "(a >> b)",
     ">>s": "((((a ^ t) - t) >> b) & m)",
-    "<<r": "(((a << b) | (a >> k)) & m)",
-    ">>r": "(((a << k) | (a >> b)) & m)",
+    "<<r": "(((a * d) >> k) & m)",
+    ">>r": "(((a * d) >> b) & m)",
 }
 
 BINARY = {**ARITH, **SHIFTS}
@@ -102,6 +102,7 @@ LANES = {
 # names before it.
 NAMES = (
     ("m", "(1 << w) - 1"),  # the mask of a word or lane
+    ("d", "(1 << w) + 1"),  # a * d is two copies of a side by side; a rotate shifts it
     ("t", "1 << (w - 1)"),  # its top bit
     ("r", "lanes(1, n, w)"),  # 1 in every lane
     ("H", "t * r"),  # every lane's top bit

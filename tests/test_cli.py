@@ -97,6 +97,25 @@ def test_run_safety_error_exit_1(tmp_path, capsys):
     assert "safety error" in out
 
 
+RUN_FAULTS = {
+    "unassigned element": ("x[0] = a;\n  r = x[1];", "5:7: use of uninitialized x[1]"),
+    "unassigned element of a copy": ("x[0] = a;\n  y = x;\n  r = y[1];",
+                                     "6:7: use of uninitialized y[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_FAULTS))
+def test_run_located_fault_exit_1(tmp_path, capsys, case):
+    """A read of an element no path assigned is located at the read and
+    names the array it reads, a copy's name included."""
+    body, message = RUN_FAULTS[case]
+    prog = tmp_path / "u.jz"
+    prog.write_text("fn f(reg u64 a) -> reg u64 {\n  reg u64[2] x, y;\n  reg u64 r;\n"
+                    f"  {body}\n  return r;\n}}\n")
+    code, out, _ = run_cli(capsys, "run", str(prog), "--entry", "f", "--u64", "5")
+    assert (code, out) == (1, f"safety error: {message}\n")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent.jz", "--entry", "f")
     assert code == 2

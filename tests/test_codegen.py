@@ -16,7 +16,7 @@ from test_rolled import observe
 from jamin import codegen, flow, interp, isa, memory
 from jamin.codegen import PIECE
 from jamin.expand import expand
-from jamin.ir import SAssign, SIf, SRepeat, SReturn, SWhile
+from jamin.ir import ArrayTy, EArr, EVar, SAssign, SIf, SRepeat, SReturn, SWhile
 from jamin.parser import parse
 from jamin.primitives.corpus import PROGRAMS, load_program
 from jamin.typecheck import TypecheckError, typecheck
@@ -141,12 +141,44 @@ def test_carries_read_without_undef_checks(name):
     assert "is not U else _uu" not in _generated_source(name)
 
 
-@pytest.mark.parametrize("name, copies", [("chacha20_scalar", 2), ("chacha20_avx2_big", 3)])
-def test_dead_array_copies_are_moves(name, copies):
-    """Inlining copied an array in and out of every quarter round (327
-    and 487 copies); only the copies whose source stays live remain."""
-    src = _generated_source(name)
-    assert src.count("list(") + src.count(".copy()") == copies
+def _register_arrays(fn) -> set:
+    return {n for n, (storage, ty) in fn.envtypes.items()
+            if storage == "reg" and isinstance(ty, ArrayTy)}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_no_register_array_is_a_list(name):
+    """Every element of a register array is a Python local (e_<root>_<k>):
+    no list is built or copied for one, and no register-array local
+    (v_<name>) is named, as no corpus function takes one as a parameter."""
+    p = load_program(name)
+    sources = function_sources(p)
+    for fn in p.funcs:
+        if fn.inline:
+            continue
+        regs = _register_arrays(fn)
+        assert not regs & {q.name for q in fn.params}
+        src = sources[fn.name]
+        assert "[U] *" not in src and "list(" not in src
+        assert not {n for n in re.findall(r"\bv_(\w+)", src)} & regs, fn.name
+        assert bool(regs) == bool(re.search(r"\be_\w+_\d+\b", src)), fn.name
+
+
+def test_copies_of_stack_arrays_stay_copies():
+    """A copy of a live stack array copies its StackArray, and a copy of
+    a dead one takes it over."""
+    live = "".join(function_sources(prep(LIVE_SOURCES["stack array read after"][0])).values())
+    assert "v_t = v_s.copy()" in live
+    dead = "".join(function_sources(prep("""
+fn f(reg u64 x) -> reg u64 {
+  stack u64[2] s, t;
+  reg u64 r;
+  s[0] = x; s[1] = 0;
+  t = s;
+  r = t[0];
+  return r;
+}""")).values())
+    assert "v_t = v_s\n" in dead and ".copy()" not in dead
 
 
 # generated lines per program when each round-loop iteration was emitted
@@ -163,13 +195,15 @@ def test_chacha20_round_loops_are_rolled(name):
 
 
 def test_pieces_take_no_round_loop_arrays():
-    """The quarter rounds' arrays (v_w__i...) are written as a whole before
+    """The quarter rounds' arrays (w and its inline copies w__i..., one
+    class of the element view, e_w_<k>) are written as a whole before
     they are read in every block that mentions them, and nothing outside
     the piece holding the block does, so no piece takes or returns one."""
     src = _generated_source("chacha20_scalar")
+    assert "e_w_0 = " in src and "e_w__i" not in src
     pieces = re.findall(r"^def Q_\w+\((.*)\):$", src, re.M)
-    assert len(pieces) == 2 and not any("v_w__i" in params for params in pieces)
-    assert "v_w__i" not in "".join(re.findall(r"^    return B.*$", src, re.M))
+    assert len(pieces) == 2 and not any("e_w_" in params for params in pieces)
+    assert "e_w_" not in "".join(re.findall(r"^    return B.*$", src, re.M))
 
 
 def _live_before(stmts, live: set, after: dict) -> set:
@@ -198,10 +232,24 @@ def _live_before(stmts, live: set, after: dict) -> set:
     return live
 
 
+def _element_stores(stmts) -> set:
+    """The register arrays `stmts` store an element of."""
+    out = set()
+    for s in stmts:
+        if type(s) is SIf:
+            out |= _element_stores(s.then) | _element_stores(s.els)
+        elif type(s) in (SWhile, SRepeat):
+            out |= _element_stores(s.body)
+        elif type(s) is SAssign:
+            out.update(lv.name for lv in s.dests if type(lv) is EArr and lv.arr_storage == "reg")
+    return out
+
+
 def test_pieces_take_and_return_their_live_locals(monkeypatch):
     """Each piece of a corpus function takes exactly the locals it mentions
     that are live into it, and returns exactly the ones it rebinds that
-    are live after it."""
+    are live after it, a register array as the elements of its class in
+    the element view; an element store rebinds one."""
     runs, defined = [], {}
     piece, define = codegen._FnGen.piece, codegen._FnGen.define
 
@@ -209,7 +257,7 @@ def test_pieces_take_and_return_their_live_locals(monkeypatch):
         before = self.pieces
         piece(self, run)
         if self.pieces > before:
-            runs.append((self.fn, list(run), defined[id(self.fn)]))
+            runs.append((self.fn, list(run), defined[id(self.fn)], self.root))
 
     def record_define(self, name, lines):
         defined[id(self.fn)] = lines  # the last definition: the piece's
@@ -221,7 +269,7 @@ def test_pieces_take_and_return_their_live_locals(monkeypatch):
         function_sources(load_program(name))
     assert len(runs) == 20
     after_of = {}
-    for fn, run, lines in runs:
+    for fn, run, lines, root in runs:
         if id(fn) not in after_of:  # several programs define a chacha20
             after_of[id(fn)] = {}
             _live_before(fn.body, set(), after_of[id(fn)])
@@ -232,11 +280,19 @@ def test_pieces_take_and_return_their_live_locals(monkeypatch):
             reads, rebound = flow.summary(s)
             mentioned.update(reads, rebound)
             rebinds.update(rebound)
+        rebinds |= _element_stores(run)
         live_in = _live_before(run, after, {})
-        params = re.findall(r"\bv_(\w+)", lines[0])
-        results = re.findall(r"\bv_(\w+)", lines[-1])
-        assert params == sorted(locals_ & mentioned & live_in), lines[0]
-        assert results == sorted(locals_ & rebinds & after), lines[0]
+        regs = _register_arrays(fn)
+
+        def names(live):
+            out = [[f"e_{root[n]}_{k}" for k in range(fn.envtypes[n][1].length)]
+                   if n in regs else [f"v_{n}"] for n in sorted(live)]
+            return list(dict.fromkeys(x for xs in out for x in xs))
+
+        params = re.findall(r"\b[ve]_\w+", lines[0])
+        results = re.findall(r"\b[ve]_\w+", lines[-1])
+        assert params == names(locals_ & mentioned & live_in), lines[0]
+        assert results == names(locals_ & rebinds & after), lines[0]
 
 
 AFTER_LOOP = """
@@ -348,8 +404,155 @@ fn f(reg u64 x) -> reg u64 {
 def test_copies_of_live_sources_stay_copies(case):
     text, want = LIVE_SOURCES[case]
     p = prep(text)
-    for x in (0, 3):
-        assert interp.run(p, "f", [x], memory.Memory()).results == [Word(64, want(x))]
+    for x, mode in itertools.product((0, 3), (interp.OPSV, interp.OPS)):
+        got = interp.run(p, "f", [x], memory.Memory(), vector_mode=mode).results
+        assert got == [Word(64, want(x))]
+
+
+# Register-array copies under the element view: a copy whose source is
+# dead after it shares one set of element locals with it only where
+# their live ranges do not interfere (codegen's coalesce).  Each case:
+# its source, the result at x = 5, and whether the copy the case is
+# about coalesces.  A coalescing that ignored interference gets every
+# case whose copy does not coalesce wrong.
+COPIES = {
+    "source written after": ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  reg u64 r;
+  a[0] = x; a[1] = 0;
+  b = a;
+  a[0] = 7;
+  r = b[0] + a[0];
+  return r;
+}""", 12, False),
+    "one element, and a global": ("""
+global u64[1] G = {9};
+fn f(reg u64 x) -> reg u64 {
+  reg u64[1] a, b, c;
+  reg u64 r;
+  a[0] = x;
+  b = a;
+  c = G;
+  r = a[0] + b[0] + c[0];
+  return r;
+}""", 19, False),
+    "inline parameter returned": ("""
+inline fn g(reg u64[2] c) -> reg u64[2] {
+  c[1] = c[0] + 6;
+  return c;
+}
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b;
+  reg u64 r;
+  a[0] = x; a[1] = 0;
+  b = g(a);
+  r = b[1] + a[1];
+  return r;
+}""", 11, True),
+    "source rebound while the destination is live": ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] a, b, c;
+  reg u64 r;
+  a[0] = x; a[1] = 1;
+  c[0] = 100; c[1] = 2;
+  b = a;
+  a = c;
+  r = b[0] + a[0];
+  return r;
+}""", 105, False),
+    "read in the next iteration": ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] b;
+  reg u64 r;
+  b[0] = 0; b[1] = 0;
+  r = 0;
+  for i = 0 to 2 {
+    reg u64[2] a;
+    x = x + 1;
+    a[0] = x; a[1] = 0;
+    r = r + b[0];
+    b = a;
+  }
+  r = r + b[0];
+  return r;
+}""", 21, False),
+    "read in the next iteration before the source is written": ("""
+fn f(reg u64 x) -> reg u64 {
+  reg u64[2] b;
+  reg u64 r;
+  b[0] = 0; b[1] = 0;
+  r = 0;
+  for i = 0 to 2 {
+    r = r + b[0];
+    reg u64[2] a;
+    x = x + 1;
+    a[0] = x; a[1] = 0;
+    b = a;
+  }
+  r = r + b[0];
+  return r;
+}""", 21, True),
+}
+
+
+def _coalesced(p) -> dict:
+    """{the destination of each register-array copy of f: whether it
+    shares its source's class}."""
+    roots = []
+    coalesce = codegen._FnGen.coalesce
+
+    def record(self, regs):
+        roots.append(coalesce(self, regs))
+        return roots[-1]
+
+    codegen._FnGen.coalesce = record
+    try:
+        function_sources(p)
+    finally:
+        codegen._FnGen.coalesce = coalesce
+    [root] = roots
+    return {s.dests[0].name: root[s.dests[0].name] == root[s.rhs.name]
+            for s in codegen._walk(p.func("f").body) if type(s) is SAssign and type(s.rhs) is EVar
+            and isinstance(s.rhs.ty, ArrayTy) and s.rhs.name in root}
+
+
+@pytest.mark.parametrize("case", sorted(COPIES))
+def test_array_copies_keep_their_values(case):
+    text, want, merged = COPIES[case]
+    p = prep(text)
+    assert _coalesced(p).get("b", False) == merged
+    for mode in (interp.OPSV, interp.OPS):
+        got = interp.run(p, "f", [5], memory.Memory(), vector_mode=mode).results
+        assert got == [Word(64, want)], mode
+
+
+PASSED = """
+fn g(reg u64[2] c) -> reg u64[2] {
+  c[1] = c[0] + c[1];
+  return c;
+}
+fn f(reg u64[2] a) -> reg u64[2], reg u64 {
+  reg u64[2] b;
+  reg u64 r;
+  b = g(a);
+  r = a[1] + b[1];
+  return b, r;
+}"""
+
+
+def test_arrays_are_lists_at_calls_and_runs():
+    """A register array is packed into a list at a non-inline call, a
+    return and interp.run's results, and unpacked from one at a
+    function's entry, so neither side shares the other's elements."""
+    p = prep(PASSED)
+    src = function_sources(p)
+    assert "_r = F_g([e_a_0, e_a_1], B, T, M, O)" in src["f"]
+    assert "e_c_0, e_c_1 = v_c" in src["g"] and "_r = ([e_c_0, e_c_1], )" in src["g"]
+    arg = [5, 1]
+    for mode in (interp.OPSV, interp.OPS):
+        got = interp.run(p, "f", [arg], memory.Memory(), vector_mode=mode).results
+        assert got == [[Word(64, 5), Word(64, 6)], Word(64, 7)] and arg == [5, 1]
 
 
 BOUND = ("x86_VPSHUFB_128", "x86_VPSHUFB_256", "x86_VPSHUFD_128", "x86_VPSHUFD_256",
@@ -496,8 +699,9 @@ def test_else_if_chains_run_as_nested_ifs():
     assert digest[:16] == ELSE_IF_RUNS
 
 
-# Declarations: a name stores UNDEF (a fresh array) only where it is live
-# after its declaration.  Each case: its source, the declaration stores
+# Declarations: a name stores UNDEF (in each element of a register array,
+# a fresh StackArray for a stack array) only where it is live after its
+# declaration.  Each case: its source, the declaration stores
 # its generated code holds, and runs as ((a, c), the result, or the
 # location of the UninitializedUse the run raises).
 DECLS = {
@@ -523,7 +727,7 @@ fn f(reg u64 a, reg u64 c) -> reg u64 {
   t = s;
   t[0] = t[0] + t[1];
   return t[0];
-}""", {"v_s = [U] * 2"}, [((5, 0), 5), ((5, 2), 7)]),
+}""", {"e_s_0 = e_s_1 = U"}, [((5, 0), 5), ((5, 2), 7)]),
     "guarded": ("""
 fn f(reg u64 a, reg u64 c) -> reg u64 {
   reg u64 x;
@@ -571,7 +775,7 @@ def test_declarations_store_only_live_names(case):
     text, stores, runs = DECLS[case]
     p = prep(text)
     src = "".join(function_sources(p).values())
-    assert set(re.findall(r"^\s*(v_\w+ = (?:U|\[U\] \* \d+|SA\(.*\)))$", src, re.M)) == stores
+    assert set(re.findall(r"^\s*((?:[ve]_\w+ = )+(?:U|SA\(.*\)))$", src, re.M)) == stores
     for (args, want), mode in itertools.product(runs, (interp.OPSV, interp.OPS)):
         if type(want) is tuple:
             with pytest.raises(interp.UninitializedUse) as info:

@@ -13,7 +13,7 @@ from gensrc import corpus_sources
 from reports import reports
 
 DIGESTS = {
-    "gensrc": (corpus_sources, "deedf20cece6bc455694ea0ad5de9fdb8d6d0d11c1bb85c6b5b42ec0a62fc1a0"),
+    "gensrc": (corpus_sources, "54434c862ed2cd91c08b232b2cddd0bd6b02b4181db5b1dda439974532bba50b"),
     "reports": (reports, "66413b4e07d19a47865beb79452cf3481e923dbc4c1b0169b9569b19d22c18c4"),
 }
 

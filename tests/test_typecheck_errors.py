@@ -229,6 +229,20 @@ MESSAGES = {
                        "7:14: array length is not compile-time (b)"),
     "copy-of-unknown-length": (body("reg u64[b] x;\n  reg u64[2] y;\n  x = y;"),
                                "2:11: array length is not compile-time (b)"),
+    # a register array is registers and a stack array stack bytes: an
+    # array is copied, passed and returned only into its own storage
+    "copy-storage": (body("reg u64[2] x;\n  stack u64[2] y;\n  x = y;"),
+                     "4:3: f: array copy storage mismatch: stack vs reg"),
+    "argument-storage": ("fn f(reg u64 a) {\n  stack u64[2] x;\n  x[0] = a;\n  g(x);\n}\n"
+                         "fn g(reg u64[2] y) {\n  y[0] = 1;\n}\n",
+                         "4:5: f: argument is a stack array, expected reg"),
+    "result-storage": ("fn f(reg u64 a) {\n  stack u64[2] x;\n  x = g(a);\n}\n"
+                       "fn g(reg u64 a) -> reg u64[2] {\n  reg u64[2] y;\n  y[0] = a;\n"
+                       "  y[1] = a;\n  return y;\n}\n",
+                       "3:3: f: array result storage mismatch: stack vs reg"),
+    "return-storage": ("fn f(reg u64 a) -> reg u64[1] {\n  stack u64[1] x;\n  x[0] = a;\n"
+                       "  return x;\n}\n",
+                       "4:10: f: return value is a stack array, expected reg"),
     "recursion": ("fn f(reg u64 a) -> reg u64 {\n  a = g(a);\n  return a;\n}\n"
                   "fn g(reg u64 a) -> reg u64 {\n  a = f(a);\n  return a;\n}\n",
                   "6:7: g: recursive call cycle: f -> g -> f"),

@@ -4,8 +4,11 @@ shape: all operands literal (folded by expand), a constant right operand
 or count (inlined by codegen), all operands parameters (inline code or
 the checked _wbin), and the Word function of words."""
 
+import random
+
 import pytest
 
+from gensrc import function_sources
 from jamin import interp, memory, words
 from jamin.expand import ExpandError, expand
 from jamin.ir import EInt, SAssign
@@ -117,6 +120,30 @@ def test_binary_operator_agrees(op, w):
            _counts(w) if shift else _boundary(w), want, "u8" if shift else f"u{w}")
 
 
+def _rotated(op, w, a, b):
+    """a rotated by b at width w, written out here as two shifts or'd."""
+    m = (1 << w) - 1
+    if op == "<<r":
+        return ((a << b) | (a >> (w - b))) & m
+    return ((a >> b) | (a << (w - b))) & m
+
+
+@pytest.mark.parametrize("w", words.WIDTHS)
+@pytest.mark.parametrize("op", ["<<r", ">>r"])
+def test_rotate_is_two_shifts_ored(op, w):
+    """Folding, generated code (a literal count and a computed one) and
+    words.evaluator each rotate as two shifts or'd do, at every count
+    0..w; test_binary_operator_agrees compares instantiations of one
+    definition, so it cannot find that definition wrong."""
+    rng = random.Random(w)
+    vals = _boundary(w) + [rng.getrandbits(w) for _ in range(3)]
+    counts = range(w + 1)
+    want = lambda a, b: _rotated(op, w, a, b)  # noqa: E731
+    f = words.evaluator(op, w)
+    assert [f(a, b) for a in vals for b in counts] == [want(a, b) for a in vals for b in counts]
+    _check(f"({{a}} {op} {{b}})", f"u{w}", vals, counts, want, "u8")
+
+
 @pytest.mark.parametrize("w", words.WIDTHS)
 @pytest.mark.parametrize("inner, outer", COMPOSED)
 def test_composed_operators_agree(inner, outer, w):
@@ -157,6 +184,19 @@ def test_lane_operator_agrees(op, n, w):
     _check(f"({{a}} {op}{n}u{w} {{b}})", f"u{n * w}", operands,
            _counts(w) if shift else operands,
            lambda a, b: _lane_want(op, n, w, a, b), "u8" if shift else f"u{n * w}")
+
+
+@pytest.mark.parametrize("n, w", LANE_SHAPES)
+def test_lane_sum_of_computed_operands_agrees(n, w):
+    """Lane-wise + reads each operand twice: an operand that is computed,
+    not a name or a literal, is evaluated once, into a temporary that
+    its second read takes."""
+    ops = _lane_operands(n, w)
+    grid = [(a, b) for a in ops for b in ops]
+    p, got = _run(f"u{n * w}", [f"((a ^ b) +{n}u{w} (a | b))"],
+                  f"reg u{n * w} a, reg u{n * w} b", grid)
+    assert ":= (v_a ^ v_b)" in function_sources(p)["f"]
+    assert got == [[_lane_want("+", n, w, a ^ b, a | b)] for a, b in grid]
 
 
 @pytest.mark.parametrize("w", words.WIDTHS)
