@@ -255,16 +255,20 @@ def _namespace(p: Program) -> dict:
     """The globals of a program's generated code, cached on the program:
     run-time helpers, global arrays (lists of the literals expand wrote)
     and, per non-inline function, its compiled code (at first a stand-in
-    that compiles it when called)."""
+    that compiles it when called).  Beside them, `__entries__` maps the
+    name of each non-inline function to its declaration, which `run`
+    looks its entry up in."""
     ns = p._exec_ns
     if ns is None:
         ns = dict(_RUNTIME)
         ns["__consts__"] = {}
+        ns["__entries__"] = entries = {}
         for g in p.globals:
             ns["G_" + g.name] = [v.value for v in g.init]
         for fn in p.funcs:
             if not fn.inline:
                 ns["F_" + fn.name] = _first_call(p, fn, ns)
+                entries[fn.name] = fn
         p._exec_ns = ns
     return ns
 
@@ -278,6 +282,8 @@ def _first_call(p, fn, ns):
 
 def _bind_param(decl, value):
     ty = decl.ty
+    if type(value) is int and type(ty) is WordTy:  # the common case: a word from an int
+        return value & MASK[ty.bits]
     if isinstance(ty, ArrayTy):
         n = ty.length
         if decl.storage == "stack":
@@ -346,9 +352,10 @@ def run(
     not from expand, before anything runs, and a SafetyError subclass on any dynamic safety violation.
     """
     require_expanded(p, "run")
-    if entry not in p.func_names():  # expand leaves out every inline function
+    ns = _namespace(p)
+    fn = ns["__entries__"].get(entry)
+    if fn is None:  # expand leaves out every inline function
         raise ContractViolation(f"no entry function {entry!r} (inline functions are expanded away)")
-    fn = p.func(entry)
     if budget <= 0:
         raise ContractViolation("step budget must be positive")
     if vector_mode not in (OPS, OPSV):
@@ -359,7 +366,7 @@ def run(
         )
     work = mem.thaw()
     bound = [_bind_param(d, a) for d, a in zip(fn.params, args)]
-    code = _namespace(p)["F_" + fn.name]
+    code = ns["F_" + entry]
     out = code(*bound, budget, trace, work, vector_mode == OPSV)
     rets = [_to_runtime(v, ty) for v, (_, ty) in zip(out[1:], fn.rets)]
     return RunResult(rets, work, budget - out[0])

@@ -139,13 +139,6 @@ class Verdict:
         return self.kind == "secure"
 
 
-def _sample_len(rng: random.Random, spec: Len) -> int:
-    corners = [c for c in BOUNDARY_LENGTHS if c <= spec.max]
-    if corners and rng.random() < 0.5:
-        return rng.choice(corners)
-    return rng.randrange(spec.max + 1)
-
-
 def _sample_secret_word(rng: random.Random, width: int) -> int:
     r = rng.random()
     if r < 0.25:
@@ -164,81 +157,116 @@ def _sample_secret_bytes(rng: random.Random, n: int) -> bytes:
     return rng.randbytes(n)
 
 
+class _Plan:
+    """What build_inputs and _materialize derive from an entry's
+    parameters, their shape and the public spec, in parameter order:
+    - `drawn`: each Len parameter as (name, its boundary lengths, max + 1,
+      public?) and each public Val as (name, None, width, True);
+    - `ptrs`: each Ptr parameter as (name, size), its size a byte count or
+      a Len parameter's name;
+    - `shown`: the Ptr parameters whose region is public;
+    - `hidden`: each parameter not public as (name, its shape's class,
+      Val width);
+    - `mem`: the secret regions as (name, mem[<name>] key);
+    - `names`: every parameter's name, and `keys` the mem[<name>] key of
+      each.
+    A plan holds the program it was made for, not its id, and copies of
+    the shape and spec, so no later program or changed shape matches it."""
+
+    __slots__ = ("program", "entry", "shape", "spec", "drawn", "ptrs", "shown", "hidden",
+                 "mem", "names", "keys")
+
+    def __init__(self, p: Program, entry: str, shape: dict, spec: PublicSpec):
+        self.program, self.entry, self.shape, self.spec = p, entry, dict(shape), spec
+        params = [(q.name, shape[q.name]) for q in p.func(entry).params]
+        self.names = [name for name, _ in params]
+        self.drawn = [(n, tuple(c for c in BOUNDARY_LENGTHS if c <= s.max), s.max + 1,
+                       n in spec.public) if isinstance(s, Len) else (n, None, s.width, True)
+                      for n, s in params
+                      if isinstance(s, Len) or isinstance(s, Val) and n in spec.public]
+        self.ptrs = [(n, s.size) for n, s in params if isinstance(s, Ptr)]
+        self.keys = {n: f"mem[{n}]" for n in self.names}
+        self.shown = [n for n, _ in self.ptrs if n in spec.public_regions]
+        self.hidden = [(n, kind, getattr(s, "width", None)) for n, s in params
+                       if n not in spec.public for kind in (Len, Val, Ptr) if isinstance(s, kind)]
+        self.mem = [(n, self.keys[n]) for n, _ in self.ptrs if n not in spec.public_regions]
+
+
+_last_plan: _Plan | None = None  # build_inputs' latest, which _materialize then reads
+
+
+def _plan(p: Program, entry: str, shape: dict, spec: PublicSpec) -> _Plan:
+    """The plan of (entry, shape, spec) on p: the latest one when it
+    matches, as it does on every trial of a ct_check after the first."""
+    global _last_plan
+    plan = _last_plan
+    if (plan is None or plan.program is not p or plan.entry != entry
+            or plan.shape != shape or plan.spec is not spec and plan.spec != spec):
+        plan = _last_plan = _Plan(p, entry, shape, spec)
+    return plan
+
+
 def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
                  rng: random.Random):
     """Sample one trial: shared public part plus two secret parts.
 
-    Returns (public_env, secrets1, secrets2) where each secrets dict
-    maps parameter names to values and pointer names to region bytes.
+    Returns (public_env, regions, public region contents, secrets1,
+    secrets2) where each secrets dict maps parameter names to values and
+    mem[<pointer>] to region bytes.  A Len is drawn half the time from the
+    BOUNDARY_LENGTHS up to its max, else uniformly in [0, max]; regions
+    follow each other from a random base, 16 to 255 bytes apart.
     """
-    fn = p.func(entry)
+    plan = _plan(p, entry, shape, spec)
     public: dict = {}
     lens: dict = {}
     base = 0x10000 + rng.randrange(0, 1 << 20)
-    for name in (q.name for q in fn.params):
-        s = shape[name]
-        if isinstance(s, Len):
-            v = _sample_len(rng, s)
-            lens[name] = v
-            if name in spec.public:
-                public[name] = v
-        elif isinstance(s, Ptr):
-            pass
-        elif isinstance(s, Val):
-            if name in spec.public:
-                public[name] = rng.getrandbits(s.width)
+    for name, corners, n, shown in plan.drawn:
+        if corners is None:  # a public Val of n bits
+            public[name] = rng.getrandbits(n)
+            continue
+        v = rng.choice(corners) if corners and rng.random() < 0.5 else rng.randrange(n)
+        lens[name] = v
+        if shown:
+            public[name] = v
     regions: dict = {}
-    for name in (q.name for q in fn.params):
-        s = shape.get(name)
-        if isinstance(s, Ptr):
-            size = s.size if isinstance(s.size, int) else lens[s.size]
-            regions[name] = (base, size)
-            public[name] = base
-            base += size + rng.randrange(16, 256)
-    pub_contents = {
-        name: rng.randbytes(size)
-        for name, (addr, size) in regions.items()
-        if name in spec.public_regions
-    }
+    for name, size in plan.ptrs:
+        if not isinstance(size, int):
+            size = lens[size]
+        regions[name] = (base, size)
+        public[name] = base
+        base += size + rng.randrange(16, 256)
+    pub_contents = {name: rng.randbytes(regions[name][1]) for name in plan.shown}
 
     def secrets():
         out = {}
-        for q in fn.params:
-            s = shape[q.name]
-            if q.name in spec.public:
-                continue
-            if isinstance(s, Len):
-                out[q.name] = lens[q.name]  # lengths are shared even when secret
-            elif isinstance(s, Val):
-                out[q.name] = _sample_secret_word(rng, s.width)
-            elif isinstance(s, Ptr):
-                out[q.name] = public.get(q.name)
-        for name, (addr, size) in regions.items():
-            if name not in spec.public_regions:
-                out[f"mem[{name}]"] = _sample_secret_bytes(rng, size)
+        for name, kind, width in plan.hidden:
+            if kind is Val:
+                out[name] = _sample_secret_word(rng, width)
+            elif kind is Len:
+                out[name] = lens[name]  # lengths are shared even when secret
+            else:
+                out[name] = public.get(name)
+        for name, key in plan.mem:
+            out[key] = _sample_secret_bytes(rng, regions[name][1])
         return out
 
     return public, regions, pub_contents, secrets(), secrets()
 
 
 def _materialize(p: Program, entry: str, public, regions, pub_contents, secret):
-    """One run's arguments and memory: each region holds its public or
-    secret bytes, so the memory is built whole (Memory.from_spans)."""
-    fn = p.func(entry)
-    spans = []
-    for name, (addr, size) in regions.items():
-        data = pub_contents.get(name)
-        if data is None:
-            data = secret.get(f"mem[{name}]", bytes(size))
-        spans.append((addr, data))
-    m = Memory.from_spans(spans)
-    args = []
-    for q in fn.params:
-        if q.name in public:
-            args.append(public[q.name])
-        else:
-            args.append(secret[q.name])
-    return args, m
+    """One run's arguments and memory from build_inputs' output: each
+    region holds its public or secret bytes, so the memory is built whole
+    (Memory.from_spans)."""
+    plan = _last_plan
+    if plan is None or plan.program is not p or plan.entry != entry:
+        names = [q.name for q in p.func(entry).params]
+        keys = {name: f"mem[{name}]" for name in regions}
+    else:
+        names, keys = plan.names, plan.keys
+    spans = [(addr, pub_contents[name] if name in pub_contents else secret[keys[name]])
+             for name, (addr, _) in regions.items()]
+    args = [public[name] if name in public else secret[name] for name in names]
+    return args, Memory.from_spans(spans)
 
 
 def ct_check(

@@ -16,9 +16,10 @@ are written.  The regions hold at most MAX_BYTES bytes together; a
 region past that cap, or past 2^64, raises ValueError.  `_lines` maps
 each 2^LINE-byte line a region touches to the position in `_regions`
 of the last region touching it.  One lookup, `_span`, walks from there
-to earlier regions; the code generated for an access reads the region
-`_lines` names itself (see codegen) and on a miss calls the
-interpreter's helpers, which call the methods below.
+to earlier regions (load_span, the path of every 16- and 32-byte load,
+writes that walk out and slices its hit once); the code generated for
+an access reads the region `_lines` names itself (see codegen) and on a
+miss calls the interpreter's helpers, which call the methods below.
 
 The persistent functions at the end of the module (load8, store8,
 loadW, storeW, add_region, load_bytes, store_bytes) return a new Memory
@@ -106,7 +107,43 @@ class Memory:
         its unwritten byte leaves an earlier one as it was.  A region of
         one span keeps that span's init; a merged region gets none when
         all its bytes are written.  The address and size limits are
-        checked before anything is allocated."""
+        checked before anything is allocated.
+
+        Spans given in address order, each at least a byte past the last
+        (empty ones aside, which make no region), are each a region as
+        they stand, which is every trial layout of leakage.build_inputs:
+        they are copied in without the sort and the merge pieces
+        (`_merged`) that any other list takes."""
+        spans = spans if type(spans) is list else list(spans)
+        last, total = -1, 0
+        for span in spans:
+            base = span[0]
+            end = base + len(span[1])
+            if not last < base < end <= 1 << 64:
+                if base == end and 0 <= base <= 1 << 64:
+                    continue
+                return cls._merged(spans)
+            total += end - base
+            last = end
+        if total > MAX_BYTES:
+            raise ValueError(f"regions exceed {MAX_BYTES >> 20} MiB together")
+        m = cls()
+        regions, lines = m._regions, m._lines
+        for span in spans:
+            base, data = span[0], span[1]
+            end = base + len(data)
+            if base == end:
+                continue
+            init = span[2] if len(span) > 2 else None
+            for line in range(base >> LINE, ((end - 1) >> LINE) + 1):
+                lines[line] = len(regions)
+            regions.append((base, end, bytearray(data), None if init is None else bytearray(init)))
+        return m
+
+    @classmethod
+    def _merged(cls, spans: list) -> "Memory":
+        """from_spans on any list of spans: sorted by base, and those that
+        overlap or touch merged."""
         runs: list[list] = []  # per region: its base, its end and its spans as pieces
         total = 0
         for k, span in sorted(enumerate(spans), key=lambda ks: ks[1][0]):
@@ -198,19 +235,24 @@ class Memory:
 
     # -- multi-byte, little-endian --------------------------------------
 
-    def load_span(self, a: int, n: int, *, highest_first: bool = False) -> bytes:
-        """The n bytes at a, a+1, ... (addresses wrap at 2^64): one slice
-        when the span is inside one region and written;
+    def load_span(self, a: int, n: int, *, highest_first: bool = False) -> bytearray:
+        """A new bytearray of the n bytes at a, a+1, ... (addresses wrap
+        at 2^64): one slice of the region when the span is inside one
+        region and written (the line walk of `_span`, written out);
         otherwise, to locate the fault, byte by byte from the lowest
         address (or the highest)."""
-        s = self._span(a, n)
-        if s is not None:
-            o, buf, init = s
-            if init is None or init.find(0, o, o + n) < 0:
-                return bytes(buf[o:o + n])
+        i = self._lines.get(a >> LINE)
+        while i is not None:
+            base, end, buf, init = self._regions[i]
+            if a >= base:
+                o = a - base
+                if a + n <= end and (init is None or init.find(0, o, o + n) < 0):
+                    return buf[o:o + n]
+                break
+            i = i - 1 if i else None
         order = reversed(range(n)) if highest_first else range(n)
         got = {i: self._load8((a + i) & ADDR_MASK) for i in order}
-        return bytes(got[i] for i in range(n))
+        return bytearray(got[i] for i in range(n))
 
     def load_int(self, a: int, width: int) -> int:
         return int.from_bytes(self.load_span(a, width // 8, highest_first=True), "little")
@@ -263,7 +305,7 @@ def add_region(m: Memory, base: int, length: int) -> Memory:
 
 
 def load_bytes(m: Memory, a: int, n: int) -> bytes:
-    return m.load_span(a, n)
+    return bytes(m.load_span(a, n))
 
 
 def store_bytes(m: Memory, a: int, data: bytes) -> Memory:

@@ -92,15 +92,38 @@ class Shape:
         return rng.randrange(MAX_RANDOM_LENGTH + 1)
 
 
+def _poly1305_edges() -> list:
+    """(message, key) of the inputs on which Poly1305's final conditional
+    subtraction of p = 2^130 - 5 decides the tag: the accumulator ends at
+    h = p - 6, p - 1, p, p + 1 and 2^130 - 1.  With r = 1 and s = 0, which
+    the clamp leaves as they are, and three full blocks (m, 0, 0), each
+    block adds its 2^128 pad bit and a product by r changes nothing below
+    2^130, so h = m + 3 * 2^128."""
+    p = (1 << 130) - 5
+    key = (1).to_bytes(16, "little") + bytes(16)
+    return [((h - (3 << 128)).to_bytes(16, "little") + bytes(32), key)
+            for h in (p - 6, p - 1, p, p + 1, (1 << 130) - 1)]
+
+
 class Poly1305Shape(Shape):
+    """Cases from EDGE_START on are the edge inputs of _poly1305_edges;
+    they follow the boundary lengths and as many random cases, so no
+    case before them moves."""
+
     name = "poly1305"
     expected_memory = Shape.expected_memory
+    EDGES = _poly1305_edges()
+    EDGE_START = 2 * len(BOUNDARY_LENGTHS)
 
     def sample(self, rng, index):
-        L = self._length(rng, index)
+        if 0 <= index - self.EDGE_START < len(self.EDGES):
+            msg, key = self.EDGES[index - self.EDGE_START]
+        else:
+            msg = rng.randbytes(self._length(rng, index))
+            key = rng.randbytes(32)
         return {
-            "msg": rng.randbytes(L),
-            "key": rng.randbytes(32),
+            "msg": msg,
+            "key": key,
             "out": 0x1000,
             "in": 0x10000,
             "k": 0x3000,

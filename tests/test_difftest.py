@@ -65,8 +65,20 @@ MUTATIONS = [
      "c = c + (d2 & 0xfffffffffffffff8);", "reduction multiple"),
     ("poly1305_ref", "s1 = r1 >> 2;", "s1 = r1 >> 3;", "folded s1 shift"),
     ("poly1305_ref", "(u8)last.[j] = 1;", "(u8)last.[j] = 2;", "padding byte"),
+    # the final conditional subtraction of p (four rows here, four for poly1305_avx2):
+    # random cases never reach it, the shape's edge cases do
+    ("poly1305_ref", "g0 = #x86_ADD_64(h0, 5);", "g0 = #x86_ADD_64(h0, 6);", "final addend 6"),
+    ("poly1305_ref", "g0 = #x86_ADD_64(h0, 5);", "g0 = #x86_ADD_64(h0, 4);", "final addend 4"),
+    ("poly1305_ref", "g1 = #x86_ADC_64(h1, 0, cf);", "g1 = #x86_ADC_64(h1, 1, cf);",
+     "final carry addend"),
+    ("poly1305_ref", "c = g2 >> 2;", "c = g2 >> 3;", "final select shift"),
     ("poly1305_avx2", "w = q41 * 5;", "w = q41 * 4;", "folded limb factor"),
     ("poly1305_avx2", "c5 = c <<4u64 2;", "c5 = c <<4u64 3;", "vector carry fold"),
+    ("poly1305_avx2", "g0 = #x86_ADD_64(h0, 5);", "g0 = #x86_ADD_64(h0, 6);", "final addend 6"),
+    ("poly1305_avx2", "g0 = #x86_ADD_64(h0, 5);", "g0 = #x86_ADD_64(h0, 4);", "final addend 4"),
+    ("poly1305_avx2", "g1 = #x86_ADC_64(h1, 0, cf);", "g1 = #x86_ADC_64(h1, 1, cf);",
+     "final carry addend"),
+    ("poly1305_avx2", "c = g2 >> 2;", "c = g2 >> 3;", "final select shift"),
     ("chacha20_scalar", "w[d] = w[d] <<r 16;", "w[d] = w[d] <<r 15;",
      "rotation constant"),
     ("chacha20_scalar", "st[12] = st[12] + 1;", "st[12] = st[12] + 2;",

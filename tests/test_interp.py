@@ -418,6 +418,17 @@ def test_run_refuses_an_argument_of_the_wrong_kind(args, message):
         run(BINDS, "f", args)
 
 
+def test_run_binds_any_int_to_a_word_parameter():
+    """A plain int binds on run's fast path, an int subclass (bool aside)
+    on the isinstance chain, each masked to the parameter's width."""
+
+    class Small(int):
+        pass
+
+    for x in (2**64 + 7, Small(2**64 + 7), -1):
+        assert run(BINDS, "f", [x, False, [1, 2]]).results == [Word(64, x % 2**64)]
+
+
 def test_register_array_index_through_globals():
     p = prep(
         """

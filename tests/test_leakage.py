@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -388,3 +389,86 @@ def test_every_branch_event_is_a_bool(mode):
                 assert trace and all(type(e) is bool for e in trace), (x, y, b, trace)
                 seen.add(tuple(trace))
     assert len(seen) > 20
+
+
+@pytest.mark.parametrize("secure", [True, False])
+def test_ct_check_calls_per_trial(monkeypatch, secure):
+    """Per trial ct_check calls build_inputs once, through the module
+    attribute, run_instrumented twice, each making one interp.run, and
+    LeakTrace.first_divergence once: perfbench's traced run wraps these
+    names and checks its span counts against the trials."""
+    calls = Counter()
+
+    def count(owner, name, inner=None):
+        f = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            before = calls[inner]
+            out = f(*args, **kw)
+            if inner:
+                calls[name, inner] += calls[inner] - before == 1
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(interp, "run")
+    count(leakage, "build_inputs")
+    count(leakage, "run_instrumented", inner="run")
+    count(leakage.LeakTrace, "first_divergence")
+    spec = PublicSpec.of(["p", "s"] if secure else ["p"])
+    v = ct_check(SECRET_BRANCH, "f", spec, trials=50, seed=11, shape={"s": Val(64), "p": Val(64)})
+    assert v.secure == secure
+    n = v.trials
+    assert n == (50 if secure else 4)  # seed 11 finds the witness at trial 3
+    assert calls == Counter({"build_inputs": n, "run_instrumented": 2 * n, "run": 2 * n,
+                             ("run_instrumented", "run"): 2 * n, "first_divergence": n})
+
+
+def test_build_inputs_follows_a_changed_shape():
+    """build_inputs derives its parameter plan once per entry, shape and
+    spec; a shape dict changed in place, another spec or another program
+    gets a plan of its own, and the draws are those of a fresh plan."""
+    p = prep("""
+fn f(reg u64 p, reg u64 n, reg u64 w) -> reg u64 {
+  reg u64 x;
+  x = w;
+  if (n > 0) { x = (u64)(u8)[p + 0]; }
+  return x;
+}
+""")
+    shape = {"p": Ptr("n"), "n": Len(max=300), "w": Val(64)}
+    spec = PublicSpec.of(["p", "n"])
+
+    def fresh(shape, spec, seed):
+        leakage._last_plan = None
+        return leakage.build_inputs(p, "f", shape, spec, random.Random(seed))
+
+    for seed in range(20):
+        want = fresh(shape, spec, seed)
+        assert leakage.build_inputs(p, "f", shape, spec, random.Random(seed)) == want
+        assert leakage.build_inputs(p, "f", dict(shape), spec, random.Random(seed)) == want
+    shape["n"] = Len(max=3)
+    for seed in range(20):
+        got = leakage.build_inputs(p, "f", shape, spec, random.Random(seed))
+        assert got[0]["n"] <= 3 and got == fresh(shape, spec, seed)
+    other = PublicSpec.of(["p", "n", "w"])
+    got = leakage.build_inputs(p, "f", shape, other, random.Random(1))
+    assert "w" in got[0] and "w" not in got[3]
+    leakage.build_inputs(SECRET_BRANCH, "f", {"s": Val(64), "p": Val(64)}, PublicSpec.of(["p"]),
+                         random.Random(1))
+    # _materialize on an entry other than the latest plan's looks its parameters up itself
+    public, regions, pub, sec1, _ = got
+    args, m = leakage._materialize(p, "f", public, regions, pub, sec1)
+    assert args == [public["p"], public["n"], public["w"]]
+    assert m.regions() == ([(public["p"], public["p"] + public["n"])] if public["n"] else [])
+
+
+def test_run_refuses_an_unknown_entry_with_its_message():
+    with pytest.raises(interp.ContractViolation) as exc:
+        interp.run(SECRET_BRANCH, "g", [1, 2], memory.Memory())
+    assert str(exc.value) == "no entry function 'g' (inline functions are expanded away)"
+    p = prep("inline fn g(reg u64 x) -> reg u64 { return x; }\n"
+             "fn f(reg u64 x) -> reg u64 { x = g(x); return x; }")
+    with pytest.raises(interp.ContractViolation) as exc:
+        interp.run(p, "g", [1], memory.Memory())
+    assert str(exc.value) == "no entry function 'g' (inline functions are expanded away)"

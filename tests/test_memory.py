@@ -479,17 +479,7 @@ class MemoryModel(RuleBasedStateMachine):
                                                      max_size=len(d)))))
                      if data.draw(st.booleans()) else (b, d) for b, d in spans]
         got = _result(Memory.from_spans, spans)
-        ref = memory_ref.Memory()
-
-        def add_and_store():
-            for base, chunk, *init in spans:
-                ref._add_region_inplace(base, len(chunk))
-                for i, byte in enumerate(chunk):
-                    if not init or init[0][i]:
-                        ref._store8_inplace(base + i, byte)
-            return ref
-
-        want = _result(add_and_store)
+        want = _result(_ref_from_spans, spans)
         assert got[0] == want[0]
         if got[0] == "ok":
             self.m, self.ref = got[1], want[1]
@@ -667,3 +657,104 @@ def test_corpus_accesses_never_take_the_fallback(monkeypatch):
         assert v.secure, name
     assert shared["poly1305"] and shared["chacha20"]
     assert fallbacks == Counter()
+
+
+def _ref_from_spans(spans):
+    """memory_ref's memory of from_spans' spans: each span's region
+    added, then its written bytes stored, span by span."""
+    ref = memory_ref.Memory()
+    for base, chunk, *init in spans:
+        ref._add_region_inplace(base, len(chunk))
+        for i, byte in enumerate(chunk):
+            if not init or init[0] is None or init[0][i]:
+                ref._store8_inplace(base + i, byte)
+    return ref
+
+
+@st.composite
+def _span_lists(draw):
+    """Span lists of every kind from_spans takes: in address order and
+    apart (its direct path), or unordered, touching, overlapping, empty,
+    with init maps, at 0 or past 2^64."""
+    spans, base = [], draw(st.one_of(st.integers(0, 3), st.integers(0, 300),
+                                     st.integers(TOP - 80, TOP)))
+    for _ in range(draw(st.integers(0, 5))):
+        data = draw(st.binary(max_size=70))
+        if draw(st.integers(0, 3)) == 0:
+            init = bytes(draw(st.lists(st.integers(0, 1), min_size=len(data), max_size=len(data))))
+            spans.append((base, data, draw(st.sampled_from((init, None)))))
+        else:
+            spans.append((base, data))
+        base += len(data) + draw(st.sampled_from((1, 1, 2, 17, 64, 0, -3)))
+    return draw(st.permutations(spans)) if draw(st.booleans()) else spans
+
+
+@settings(max_examples=400, deadline=None)
+@given(spans=_span_lists(), cap=st.sampled_from((memory.MAX_BYTES, 0, 1, 40, 150)))
+def test_from_spans_direct_path_is_the_merge(spans, cap):
+    """from_spans' direct path gives the table, line index and dump that
+    the general merge gives, and the same ValueError past MAX_BYTES (cut
+    to `cap` here) or past 2^64; both agree with memory_ref."""
+    saved = memory.MAX_BYTES
+    memory.MAX_BYTES = cap
+    try:
+        got, want = _result(Memory.from_spans, spans), _result(Memory._merged, list(spans))
+    finally:
+        memory.MAX_BYTES = saved
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        m, w = got[1], want[1]
+        assert m._regions == w._regions and m._lines == w._lines
+        assert memory.dump(m) == memory.dump(w) == memory_ref.dump(_ref_from_spans(spans))
+        assert m.regions() == _ref_from_spans(spans).regions()
+    elif cap == saved:
+        assert _result(_ref_from_spans, spans)[0] is ValueError
+
+
+def test_ct_trials_build_memories_without_the_merge(monkeypatch):
+    """Every ct trial's regions are in address order and apart, so no
+    trial memory takes from_spans' merge path, not even one with an
+    empty region (a length drawn as 0)."""
+    from jamin import leakage
+    from jamin.primitives.corpus import PROGRAMS, load_program
+
+    merged, empty = [], 0
+    monkeypatch.setattr(Memory, "_merged", classmethod(lambda cls, spans: merged.append(spans)))
+    for name, info in PROGRAMS.items():
+        rng = random.Random(3)
+        for _ in range(50):
+            public, regions, pub, sec, _ = leakage.build_inputs(
+                load_program(name), info.entry, info.shape, info.public, rng)
+            empty += not all(size for _, size in regions.values())
+            leakage._materialize(load_program(name), info.entry, public, regions, pub, sec)
+    assert merged == [] and empty  # empty regions included
+
+
+def test_wide_misses_fault_where_per_byte_accesses_do():
+    """A 16- or 32-byte access that misses goes byte by byte: a load from
+    the highest address, a store from the lowest, and the interpreter's
+    helper reports the first bad byte that order meets at its `loc`."""
+    m = memory.add_region(Memory(), 0x100, 16)
+    m.store_bytes_inplace(0x100, bytes(range(8)))  # 0x108..0x10f stay unwritten
+    loc = (3, 7)
+    for a, n, fault, at in ((0x108, 16, interp.OutOfRegion, 0x117),
+                            (0x100, 16, interp.UninitializedUse, 0x10F),
+                            (0xF0, 32, interp.UninitializedUse, 0x10F),
+                            (0xF8, 16, interp.OutOfRegion, 0xFF)):
+        with pytest.raises(fault) as exc:
+            interp._ld(m, None, (), a, n, loc)
+        assert exc.value.loc == loc
+        assert str(exc.value).startswith(f"{loc[0]}:{loc[1]}: ")
+        assert f"0x{at:x}" in str(exc.value)
+    with pytest.raises(interp.OutOfRegion) as exc:
+        interp._st(m.thaw(), None, (), 1, 0xF8, 16, loc)
+    assert exc.value.address == 0xF8 and exc.value.loc == loc  # the lowest bad byte
+    work = m.thaw()
+    with pytest.raises(interp.OutOfRegion) as exc:
+        interp._st(work, None, (), (1 << 128) - 1, 0x108, 16, loc)
+    assert exc.value.address == 0x110 and exc.value.loc == loc
+    assert memory.load_bytes(work, 0x108, 8) == b"\xff" * 8  # stored up to the fault
+    program = _one_access(16, False)
+    with pytest.raises(interp.OutOfRegion) as exc:
+        interp.run(program, "f", [0x108], m)
+    assert exc.value.address == 0x117 and exc.value.loc == (1, 47)  # the load's statement
