@@ -22,14 +22,20 @@ semantics raises.
 
 Vector instructions carry two semantics, each written once as a
 positional function: `vsem(x, y, ...)` computes on the packed wide words
-(the OpsV view) and returns the one result int, `lsem(x, y, ...)`
-computes on the operands' lane sequences (the Ops view; a source without
-lanes, such as an imm8, passes through as its int) and returns the
-result lanes.  The two are written independently and are required to
-agree under the word/array bijection; neither calls the other.  The
-list interface `sem(list) -> [int]` wraps `vsem`.  An element-wise
-instruction is defined by one lane expression (`lane_expr`), which
-`lsem` and the Ops form unroll over its lanes.
+(the OpsV view) and returns the one result int, `ops(x, y, ...)` on the
+operands' lanes (the Ops view) and returns the result int as well.  The
+two are written independently and are required to agree under the
+word/array bijection; neither calls the other.  The list interface
+`sem(list) -> [int]` wraps `vsem`; the tests' list views derive from
+both (tests/lanes.py).
+
+An element-wise instruction is defined by one lane expression
+(`lane_expr`), which its Ops form unrolls over its lanes, each operand
+lane a local of its own.  The form converts all its lane sources at
+once, in one `to_bytes` of their joined int and one `struct` unpack,
+and packs the result lanes; converting each source on its own and
+reading its lanes by subscript took 1.2 to 1.4 times as long per
+VPMULUDQ call.
 
 In OpsV, the selector- and immediate-driven data movements (VPSHUFB,
 VPSHUFD, VPERMQ, VPERM2I128, VEXTRACTI128, VINSERTI128) turn each
@@ -39,33 +45,26 @@ destination mask) groups, kept in a bounded LRU cache (`_permute_plan`,
 interleaves (VPUNPCK*) are unrolled into one expression over the whole
 word.
 
-In Ops, every vector descriptor's `ops`, built when the descriptor is
-made, is its positional Ops form, one compiled function
-that splits the packed sources into lanes, applies the lane semantics
-(the lane expression inlined, or `lsem`) and joins the result lanes,
-with the conversions of `_lane_code` written into it: a loop over the
-operand shapes on every call made VPSHUFD_256's Ops call about 40%
-slower, and a call per conversion made the Ops runs of poly1305_avx2
-and chacha20_avx2_big about 5% slower.
-8-bit lanes are the bytes object itself (`int.to_bytes` and
-`int.from_bytes`, no `struct` round trip); lanes of 16 to 64 bits go
-through a `struct` format, 128-bit lanes through shifts and masks.  The
-data movements are lane-index selections: a table gives, for each
-destination lane, the position of its source lane in the concatenated
-source lane arrays, a lane the instruction zeroes pointing at one zero
-lane appended after them.  `operator.itemgetter` applies it, or, for
-VPSHUFB's byte lanes, `bytes.translate`.  The tables of a selector or
-immediate are built once per value in a bounded LRU cache
-(`_lane_table`), those of the interleaves at registration.  They are
-derived from the Intel lane definitions, not from the OpsV plans, so
-Ops and OpsV remain independent semantics.
+In Ops, every data movement, these and the interleaves, is one byte
+gather: the bytes of its operands joined, with zeros after them, then
+`bytes.translate` through a byte table, then `int.from_bytes`.  The
+byte table is expanded from a lane table, which gives for each
+destination lane the position of its source lane in the concatenated
+source lanes, or None for a lane the instruction zeroes, which takes a
+zero byte.  The lane tables are derived from the Intel lane
+definitions (`_lane_positions`, `_interleave`), not from the OpsV
+plans, so Ops and OpsV remain independent semantics.  The gather of a
+selector or immediate is built once per value in a bounded LRU cache
+(`_lane_table`), those of the interleaves at registration.  Splitting
+the operands into lanes, selecting lanes by an itemgetter and joining
+them took about twice as long per VPSHUFD, VPERMQ or interleave call.
 
 `bind(d, consts)` partially evaluates a data movement whose selector or
 immediate is known: it returns the (OpsV, Ops) pair of positional
 functions of the remaining operands, the OpsV one the plan compiled into
-one shift-and-mask expression, the Ops one the table applied between
-the split and the join.  Generated code calls these for a constant
-selector, and the generic pair (`vsem`, `ops`) otherwise.
+one shift-and-mask expression, the Ops one the gather of its table.
+Generated code calls these for a constant selector, and the generic
+pair (`vsem`, `ops`) otherwise.
 
 `exec_intrinsic` is the Word-level boundary of the instruction set: Word
 (or int) sources in, Word and flag results out.  The system runs the
@@ -79,8 +78,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
-from operator import and_, itemgetter, mul, or_, xor
+from functools import cached_property, lru_cache, partial
+from operator import and_, mul, or_, xor
 from struct import Struct
 from typing import Callable, Optional
 
@@ -211,24 +210,21 @@ class Descriptor:
     sem: Callable  # list of values -> list of values
     lanes: Optional[tuple[int, int]] = None  # (n, m) when this is a vector op
     vsem: Optional[Callable] = None  # vector: OpsV semantics, operands -> result int
-    lsem: Optional[Callable] = None  # vector: Ops semantics, lane operands -> result lanes
-    lane_expr: Optional[str] = None  # element-wise lsem: one lane, over u and v
+    lane_expr: Optional[str] = None  # element-wise vector: one lane, over u and v; `ops` from it
     src_lanes: tuple = ()  # per-source lane shape or None
     dst_lanes: tuple = ()
     src_widths: tuple = field(default=(), repr=False)  # int bits or "flag"
     dst_widths: tuple = field(default=(), repr=False)
     table: Optional[Table] = None  # the definition `sem` is compiled from, if any
-    ops: Optional[Callable] = field(default=None, init=False, repr=False)  # vector: Ops form
+    ops: Optional[Callable] = field(default=None, repr=False)  # vector: Ops, operands -> result int
 
     def __post_init__(self):
         if not self.src_widths:
             self.src_widths = tuple(self._loc_width(s) for s in self.sources)
         if not self.dst_widths:
             self.dst_widths = tuple(self._loc_width(d) for d in self.destinations)
-        if self.is_vector:
-            body = (_lanewise(self.lane_expr, self.src_lanes, self.dst_lanes[0][0])
-                    if self.lane_expr else f"lsem({_params(len(self.sources))})")
-            self.ops = _ops_form(self.src_lanes, self.dst_lanes[0], body, {"lsem": self.lsem})
+        if self.lane_expr is not None:
+            self.ops = _elementwise(self.lane_expr, self.src_lanes, *self.dst_lanes[0])
 
     def _loc_width(self, loc):
         if isinstance(loc, F):
@@ -307,75 +303,53 @@ def exec_intrinsic(d: Descriptor, args) -> list:
     return _wrap_outputs(d, d.sem(_coerce_sources(d, args)))
 
 
-# Lanes of 16 to 64 bits convert through one bytes object and a struct
-# format; 8-bit lanes are that bytes object, and struct has no 128-bit
-# code, so those lanes use shifts and masks, unrolled (a loop over the
-# lanes took 3 to 4 times as long).
-_LANE_CODES = {16: "H", 32: "I", 64: "Q"}
-_CODEC_NS: dict = {}  # the struct methods the conversion code names
-
-
-@cache
-def _lane_code(n: int, m: int) -> tuple[str, str]:
-    """Python expressions converting between an int and its n lanes of m
-    bits, lane 0 lowest: (split, join), where `@` stands for the int, or
-    the lane sequence, to convert (a name or subscript, which the
-    expression may repeat)."""
-    nbytes = n * m // 8
-    if m == 8:
-        return f"@.to_bytes({nbytes}, 'little')", "int.from_bytes(@, 'little')"
-    if m in _LANE_CODES:
-        st = Struct(f"<{n}{_LANE_CODES[m]}")
-        unpack, pack = f"unpack_{n}x{m}", f"pack_{n}x{m}"
-        _CODEC_NS[unpack], _CODEC_NS[pack] = st.unpack, st.pack
-        return (f"{unpack}(@.to_bytes({nbytes}, 'little'))",
-                f"int.from_bytes({pack}(*@), 'little')")
-    mask = (1 << m) - 1
-    return ("(" + ", ".join(f"@ >> {m * i} & {mask}" for i in range(n)) + ",)",
-            " | ".join(f"@[{i}] << {m * i}" for i in range(n)))
-
-
-@cache
-def _lane_codec(n: int, m: int):
-    """(split, join) functions of `_lane_code`."""
-    split, join = _lane_code(n, m)
-    return (eval(f"lambda v: {split.replace('@', 'v')}", _CODEC_NS),
-            eval(f"lambda l: {join.replace('@', 'l')}", _CODEC_NS))
+_LANE_CODES = {16: "H", 32: "I", 64: "Q"}  # struct codes of the element-wise lane widths
 
 
 def _params(k: int) -> str:
     return ", ".join(f"a{i}" for i in range(k))
 
 
-def _lanewise(expr: str, src_lanes, n: int) -> str:
-    """The result lanes of an element-wise instruction as one tuple
-    expression over its lane operands a0, a1: `expr` once per lane, with
-    u and v standing for lane i of sources 0 and 1, or for the source
-    itself when it has no lanes (a shared shift count, a broadcast
-    scalar)."""
+def _joined(operands) -> str:
+    """The operands, (index k of a<k>, width in bits) pairs, as one int
+    expression whose bytes are theirs concatenated, the first lowest."""
+    parts, offset = [], 0
+    for k, w in operands:
+        parts.append(f"a{k} << {offset}" if offset else f"a{k}")
+        offset += w
+    return " | ".join(parts)
+
+
+def _elementwise(expr: str, src_lanes, n: int, m: int) -> Callable:
+    """The positional Ops form of an element-wise instruction with n
+    result lanes of m bits: `expr` once per lane, with u and v standing
+    for lane i of sources 0 and 1, the locals u<i> and v<i>, or for the
+    source itself when it has no lanes (a shared shift count, a broadcast
+    scalar).  All lane sources convert at once, in one `to_bytes` of
+    their joined int and one struct `unpack`; the result lanes are
+    packed."""
+    lane_srcs = [(k, shape) for k, shape in enumerate(src_lanes) if shape]
+
     def lane(i):
         def operand(mo):
             k = "uv".index(mo[0])
-            return f"a{k}[{i}]" if src_lanes[k] else f"a{k}"
+            return f"{mo[0]}{i}" if src_lanes[k] else f"a{k}"
 
         return re.sub(r"\b[uv]\b", operand, expr)
 
-    return "(" + ", ".join(lane(i) for i in range(n)) + ",)"
-
-
-def _ops_form(src_lanes, dst_lanes, body: str, ns: dict) -> Callable:
-    """A positional Ops form f(a0, a1, ...) -> int, compiled: each lane
-    operand split in place by `_lane_code`, `body` (an expression over
-    a0, a1, ...) evaluated to the result lanes, and those joined."""
-    lines = "".join(f"    a{i} = {_lane_code(*shape)[0].replace('@', f'a{i}')}\n"
-                    for i, shape in enumerate(src_lanes) if shape)
-    join = _lane_code(*dst_lanes)[1] if dst_lanes else "@"
-    if join.count("@") > 1:
-        lines += f"    o = {body}\n"
-        body = "o"
-    env = dict(_CODEC_NS, **ns)
-    exec(f"def f({_params(len(src_lanes))}):\n{lines}    return {join.replace('@', body)}\n", env)
-    return env["f"]
+    env = {"from_bytes": int.from_bytes, "pack": Struct(f"<{n}{_LANE_CODES[m]}").pack}
+    unpack = ""
+    if lane_srcs:
+        names = ", ".join(f"{'uv'[k]}{i}" for k, (c, _) in lane_srcs for i in range(c))
+        fmt = "".join(f"{c}{_LANE_CODES[w]}" for _, (c, w) in lane_srcs)
+        env["unpack"] = Struct(f"<{fmt}").unpack
+        joined = _joined((k, c * w) for k, (c, w) in lane_srcs)
+        nbytes = sum(c * w for _, (c, w) in lane_srcs) // 8
+        unpack = f"    {names}, = unpack(({joined}).to_bytes({nbytes}, 'little'))\n"
+    result = ", ".join(lane(i) for i in range(n))
+    exec(f"def ops({_params(len(src_lanes))}):\n{unpack}"
+         f"    return from_bytes(pack({result}), 'little')\n", env)
+    return env["ops"]
 
 
 # ------------------------------------------------- scalar definitions
@@ -550,42 +524,80 @@ def _plan_code(plan: tuple) -> str:
                       for k, d, mask in plan) or "0"
 
 
-@lru_cache(maxsize=PLAN_CACHE)
-def _lane_table(kind: str, n: int, sel) -> Callable:
-    """The Ops lane-index table of a selector- or immediate-driven data
-    movement with n destination lanes: for each destination lane, the
-    position of its source lane in the concatenated source lane arrays,
-    followed by one zero lane for the lanes the instruction zeroes.
-    It is returned as the function that applies it to that sequence.
+def _lane_positions(kind: str, n: int, sel: int) -> list:
+    """The lane table of a selector- or immediate-driven data movement
+    with n destination lanes, from the Intel definition: for each
+    destination lane, the position of its source lane in the
+    concatenated source lanes (the selector or imm8 excluded), or None
+    for a lane the instruction zeroes.
 
-    Kind "b" is VPSHUFB, `sel` the selector's bytes: destination byte i
-    takes byte `s & 15` of the 16-byte half holding byte i, or zero when
-    bit 7 of its selector byte s is set.  Its table is a bytes object
-    applied with `bytes.translate`, which needs the source bytes padded
-    to 256 (the first pad byte is the zero lane); that is about three
-    times as fast as an itemgetter and a `bytes` of its tuple.
-
-    Kind "d" is VPSHUFD and VPERMQ: field i % 4 of the imm8's four 2-bit
-    fields picks an element of element i's group of four.  Kind "2" is
-    VPERM2I128 over the halves x0, x1, y0, y1: each nibble of the imm8
-    picks a half by its low two bits, or zero when its bit 3 is set.
-    Kind "e" is VEXTRACTI128, which takes half `imm & 1` of x0, x1, and
-    kind "i" VINSERTI128, which puts y in place of that half of x0, x1, y.
-    These are applied with an itemgetter.
-    """
+    Kind "b" is VPSHUFB: destination byte i takes byte `s & 15` of the
+    16-byte half holding byte i, or zero when bit 7 of its selector byte
+    s is set.  Kind "d" is VPSHUFD and VPERMQ: field i % 4 of the imm8's
+    four 2-bit fields picks an element of element i's group of four.
+    Kind "2" is VPERM2I128 over the halves x0, x1, y0, y1: each nibble
+    of the imm8 picks a half by its low two bits, or zero when its bit 3
+    is set.  Kind "e" is VEXTRACTI128, which takes half `imm & 1` of x0,
+    x1, and kind "i" VINSERTI128, which puts y in place of that half of
+    x0, x1, y."""
     if kind == "b":
-        return bytes(n if s & 0x80 else i // 16 * 16 + (s & 15)
-                     for i, s in enumerate(sel)).translate
+        return [None if s & 0x80 else i // 16 * 16 + (s & 15)
+                for i, s in enumerate(sel.to_bytes(n, "little"))]
     if kind == "d":
-        return itemgetter(*[i // 4 * 4 + (sel >> 2 * (i % 4) & 3) for i in range(n)])
+        return [i // 4 * 4 + (sel >> 2 * (i % 4) & 3) for i in range(n)]
     if kind == "e":
-        return itemgetter(sel & 1)
+        return [sel & 1]
     if kind == "i":
-        return itemgetter(*((0, 2) if sel & 1 else (2, 1)))
-    return itemgetter(*[4 if f & 8 else f & 3 for f in (sel & 15, sel >> 4 & 15)])
+        return [0, 2] if sel & 1 else [2, 1]
+    return [None if f & 8 else f & 3 for f in (sel & 15, sel >> 4 & 15)]
 
 
-_MOVES: dict[str, tuple] = {}  # data movement -> (OpsV plan, Ops table kind, lanes, concat, names)
+def _interleave(n: int, high: int) -> list:
+    """The lane table of VPUNPCKL (high 0) or VPUNPCKH (high 1) over n
+    lanes, in `_lane_positions`' form: each 128-bit half of k elements
+    interleaves the low (or high) k/2 elements of that half of x (lanes
+    0..n-1) and y (lanes n..2n-1)."""
+    k = n // 2
+    return [src + h + high * k // 2 + j
+            for h in (0, k) for j in range(k // 2) for src in (0, n)]
+
+
+_ZERO = 255  # the gather source byte past every operand's: always zero
+
+
+def _gather(positions, m: int) -> Callable:
+    """The lane table `positions` of m-bit lanes expanded to a byte table,
+    returned as its `bytes.translate`: applied to the 256 bytes of the
+    joined operands (`_joined`), which puts their bytes first and zeros
+    after them, it returns the destination's bytes.  A zeroed lane takes
+    the zero byte `_ZERO`."""
+    k = m // 8
+    return bytes(_ZERO if p is None else p * k + j for p in positions for j in range(k)).translate
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _lane_table(kind: str, n: int, m: int, sel: int) -> Callable:
+    """The Ops gather (`_gather`) of `_lane_positions(kind, n, sel)` over
+    m-bit lanes, built once per selector or imm8."""
+    return _gather(_lane_positions(kind, n, sel), m)
+
+
+def _gather_code(widths, table: str) -> str:
+    """The Ops form of a data movement as one expression over operands
+    a0, a1, ... of `widths` bits: their bytes joined, gathered by
+    `table`, an expression for a `_gather`, and read back as an int."""
+    joined = _joined(enumerate(widths))
+    return f"from_bytes({table}(({joined}).to_bytes(256, 'little')), 'little')"
+
+
+def _gather_form(widths, table: Callable) -> Callable:
+    """The positional Ops form of a data movement of fixed lane table
+    (a bound selector or imm8, an interleave): `_gather_code` compiled."""
+    return eval(f"lambda {_params(len(widths))}: {_gather_code(widths, 't')}",
+                {"from_bytes": int.from_bytes, "t": table})
+
+
+_MOVES: dict[str, tuple] = {}  # data movement -> (OpsV plan, Ops table kind, lanes, lane bits)
 
 
 def bind(d: Descriptor, consts: tuple):
@@ -594,8 +606,8 @@ def bind(d: Descriptor, consts: tuple):
     a registered data movement (VPSHUFB, VPSHUFD, VPERMQ, VPERM2I128,
     VEXTRACTI128, VINSERTI128); None for any other instruction.  The
     OpsV function is the selector's plan compiled into one shift-and-mask
-    expression, the Ops one its lane table applied between the split and
-    the join.  Cached per (instruction, constant)."""
+    expression, the Ops one the gather of its lane table.  Cached per
+    (instruction, constant)."""
     if len(consts) != 1 or d.name not in _MOVES or _REGISTRY.get(d.name) is not d:
         return None
     return _bound(d.name, consts[0] & (1 << d.src_widths[-1]) - 1)
@@ -604,23 +616,19 @@ def bind(d: Descriptor, consts: tuple):
 @lru_cache(maxsize=PLAN_CACHE)
 def _bound(name: str, sel: int) -> tuple:
     d = _REGISTRY[name]
-    vplan, kind, n, concat, ns = _MOVES[name]
-    k = len(d.sources) - 1
-    shape = d.src_lanes[-1]
-    table = _lane_table(kind, n, _lane_codec(*shape)[0](sel) if shape else sel)
-    return (eval(f"lambda {_params(k)}: {_plan_code(vplan(sel))}"),
-            _ops_form(d.src_lanes[:k], d.dst_lanes[0], f"t({concat})", dict(ns, t=table)))
+    vplan, kind, n, m = _MOVES[name]
+    widths = d.src_widths[:-1]
+    return (eval(f"lambda {_params(len(widths))}: {_plan_code(vplan(sel))}"),
+            _gather_form(widths, _lane_table(kind, n, m, sel)))
 
 
-def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None, mnemonic=None):
-    """Register a vector instruction over n lanes of m bits.  `lsem` is
-    its Ops function, or the lane expression of an element-wise one;
-    `dst` is (destination, its lane shape) when that is not n lanes of
-    m bits."""
-    expr = lsem if isinstance(lsem, str) else None
-    if expr is not None:
-        lsem = eval(f"lambda {_params(len(sources))}: {_lanewise(expr, src_lanes, n)}")
+def _vector(name, n, m, sources, src_lanes, vsem, how, dst=None, mnemonic=None):
+    """Register a vector instruction over n lanes of m bits.  `how` is
+    the lane expression of an element-wise instruction, or the
+    positional Ops form of a data movement; `dst` is (destination, its
+    lane shape) when that is not n lanes of m bits."""
     loc, shape = dst or (E(n * m, 0), (n, m))
+    expr = how if isinstance(how, str) else None
     register(
         Descriptor(
             name=name,
@@ -630,25 +638,27 @@ def _vector(name, n, m, sources, src_lanes, vsem, lsem, dst=None, mnemonic=None)
             sem=lambda a: [vsem(*a)],
             lanes=(n, m),
             vsem=vsem,
-            lsem=lsem,
             lane_expr=expr,
             src_lanes=tuple(src_lanes),
             dst_lanes=(shape,),
+            ops=None if expr else how,
         )
     )
 
 
-def _movement(name, n, m, sources, src_lanes, vplan, kind, concat, ns=None, **kw):
+def _movement(name, n, m, sources, src_lanes, vplan, kind, **kw):
     """Register a data movement driven by its last source, a selector or
-    imm8: OpsV applies the shift-and-mask plan `vplan(sel)`, Ops the lane
-    table `_lane_table(kind, n, sel)` to `concat`, an expression joining
-    the lane operands a0, a1, ... (`ns` holds the other names it uses)."""
-    ps = _params(len(sources) - 1)
-    env = dict(ns or {}, _permute=_permute, vplan=vplan, _lane_table=_lane_table)
+    imm8: OpsV applies the shift-and-mask plan `vplan(sel)`, Ops the
+    gather `_lane_table(kind, n, m, sel)` to the other operands."""
+    widths = [s.width for s in sources[:-1]]
+    ps = _params(len(widths))
+    env = {"_permute": _permute, "vplan": vplan, "_lane_table": _lane_table,
+           "from_bytes": int.from_bytes}
     exec(f"def vsem({ps}, s):\n    return _permute(vplan(s), {ps})\n"
-         f"def lsem({ps}, s):\n    return _lane_table({kind!r}, {n}, s)({concat})\n", env)
-    _MOVES[name] = (vplan, kind, n, concat, ns or {})
-    _vector(name, n, m, sources, src_lanes, env["vsem"], env["lsem"], **kw)
+         f"def ops({ps}, s):\n"
+         f"    return {_gather_code(widths, f'_lane_table({kind!r}, {n}, {m}, s)')}\n", env)
+    _MOVES[name] = (vplan, kind, n, m)
+    _vector(name, n, m, sources, src_lanes, env["vsem"], env["ops"], **kw)
 
 
 def _build_vectors():
@@ -702,7 +712,7 @@ def _build_vectors():
     # source positions, applied per group of four elements
     def shuffle(name, n, m):
         _movement(name, n, m, [E(n * m, 0), E(8, 1)], [(n, m), None],
-                  partial(_permute_plan, m, n), "d", "a0")
+                  partial(_permute_plan, m, n), "d")
 
     shuffle("x86_VPSHUFD_128", 4, 32)
     shuffle("x86_VPSHUFD_256", 8, 32)
@@ -711,22 +721,12 @@ def _build_vectors():
     # a set high bit in the selector byte yields zero
     for n in (16, 32):
         _movement(f"x86_VPSHUFB_{8 * n}", n, 8, [E(8 * n, 0), E(8 * n, 1)], [(n, 8), (n, 8)],
-                  partial(_permute_plan, 8, n), "b", "a0 + pad",
-                  {"pad": bytes(256 - n)})  # the zero lane, then zeros up to 256 entries
+                  partial(_permute_plan, 8, n), "b")
 
     # interleaves (per 128-bit half, AVX2 style); OpsV moves the chosen
     # elements of both halves at once, with one mask per element position
     def half_elements(m):
         return [lanes(((1 << m) - 1) << (m * k), 2, 128) for k in range(128 // m)]
-
-    def unpck_l(n, high):
-        """Ops: each 128-bit half of k elements interleaves the low (or
-        high) k/2 elements of that half of x (lanes 0..n-1) and y (lanes
-        n..2n-1)."""
-        k = n // 2
-        pick = itemgetter(*[src + h + high * k // 2 + j
-                            for h in (0, k) for j in range(k // 2) for src in (0, n)])
-        return lambda x, y: pick(x + y)
 
     d0, d1, d2, d3 = half_elements(32)
     q0, q1 = half_elements(64)
@@ -738,16 +738,17 @@ def _build_vectors():
         ("x86_VPUNPCKL_4u64", 4, 64, 0, lambda x, y: (x & q0) | (y & q0) << 64),
         ("x86_VPUNPCKH_4u64", 4, 64, 1, lambda x, y: (x & q1) >> 64 | (y & q1)),
     ):
-        _vector(name, n, m, [E(256, 0), E(256, 1)], [(n, m), (n, m)], v, unpck_l(n, high))
+        _vector(name, n, m, [E(256, 0), E(256, 1)], [(n, m), (n, m)], v,
+                _gather_form((256, 256), _gather(_interleave(n, high), m)))
 
     # 128-bit-half permutes, extract and insert
     _movement("x86_VPERM2I128", 2, 128, [E(256, 0), E(256, 1), E(8, 2)],
-              [(2, 128), (2, 128), None], partial(_half_plan, "2"), "2", "(*a0, *a1, 0)")
+              [(2, 128), (2, 128), None], partial(_half_plan, "2"), "2")
     shuffle("x86_VPERMQ_4u64", 4, 64)
     _movement("x86_VEXTRACTI128", 2, 128, [E(256, 0), E(8, 1)], [(2, 128), None],
-              partial(_half_plan, "e"), "e", "a0", dst=(E(128, 0), None))
+              partial(_half_plan, "e"), "e", dst=(E(128, 0), None))
     _movement("x86_VINSERTI128", 2, 128, [E(256, 0), E(128, 1), E(8, 2)],
-              [(2, 128), None, None], partial(_half_plan, "i"), "i", "(*a0, a1)")
+              [(2, 128), None, None], partial(_half_plan, "i"), "i")
 
 
 def _variable_shift(op: str, n: int, m: int) -> Callable:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .. import interp, memory
 from ..isa import OPSV
@@ -211,6 +212,27 @@ def _execute(entry, shape: Shape, case):
     return shape.read_output(case, final), memory.dump(final)
 
 
+def _counterexample(index, seed, case, left, right, crashed) -> dict:
+    """The report of a pair's first mismatch, `left` and `right` the two
+    entries' (output, final-memory dump) and `crashed` the name of the
+    pair's entry that raised, the left one first, or None.  When both
+    ran and their memories differ, it holds the first line at which the
+    two dumps differ, of each side (None past the end of its dump)."""
+    cex = {
+        "run": index,
+        "seed": seed,
+        "case": _describe_case(case),
+        "left_output": left[0].hex() if isinstance(left[0], bytes) else left[0],
+        "right_output": right[0].hex() if isinstance(right[0], bytes) else right[0],
+        "crashed": crashed,
+    }
+    if crashed is None and left[1] != right[1]:
+        cex["first_memory_difference"] = next(
+            [a, b] for a, b in zip_longest(left[1].splitlines(), right[1].splitlines())
+            if a != b)
+    return cex
+
+
 def _describe_case(case) -> dict:
     out = {}
     for k, v in case.items():
@@ -235,13 +257,13 @@ def hop_difftest(
     for index in range(runs):
         case = shape.sample(rng, index)
         results = []
-        failed_entry = None
-        for e in chain:
+        raised = set()  # the indices of the entries that raised
+        for k, e in enumerate(chain):
             try:
                 results.append(_execute(e, shape, case))
             except Exception as exc:  # a crash counts as a mismatch
                 results.append(("<error>", f"{type(exc).__name__}: {exc}"))
-                failed_entry = e.name
+                raised.add(k)
         executed += 1
         mismatch = False
         for i, pr in enumerate(pairs):
@@ -250,18 +272,9 @@ def hop_difftest(
                 mismatch = True
                 pr.failures += 1
                 if pr.first_counterexample is None:
-                    left = results[i][0]
-                    right = results[i + 1][0]
-                    pr.first_counterexample = {
-                        "run": index,
-                        "seed": seed,
-                        "case": _describe_case(case),
-                        "left_output": left.hex() if isinstance(left, bytes) else left,
-                        "right_output": right.hex()
-                        if isinstance(right, bytes)
-                        else right,
-                        "crashed": failed_entry,
-                    }
+                    pr.first_counterexample = _counterexample(
+                        index, seed, case, results[i], results[i + 1],
+                        next((chain[k].name for k in (i, i + 1) if k in raised), None))
         if mismatch and stop_on_failure:
             break
     return DiffReport(shape.name, executed, seed, pairs)

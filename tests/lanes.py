@@ -1,10 +1,9 @@
 """List interfaces of the vector instructions, and a descriptor check.
 
 The system runs each vector descriptor through its positional forms,
-`vsem` (OpsV) and `ops` (Ops).  The tests compare those with the list
-views built here from the lane semantics `lsem`, the packed semantics
-`sem` and the lane conversions of `isa._lane_codec`: `exec_ops` returns
-the result lanes, `exec_vector` the result Words of either mode, and
+`vsem` (OpsV) and `ops` (Ops).  The list views built here derive from
+them, and from the packed semantics `sem`: `exec_ops` returns the Ops
+result lanes, `exec_vector` the result Words of either mode, and
 `validate_descriptor` checks a descriptor's shape by computation.
 """
 
@@ -19,26 +18,28 @@ from jamin.isa import (
     IsaError,
     IsaFault,
     _coerce_sources,
-    _lane_codec,
     _wrap_outputs,
     exec_intrinsic,
 )
 
 
+def split_int(v: int, n: int, m: int) -> list:
+    """The n lanes of m bits of int `v`, lowest first."""
+    return [v >> m * i & (1 << m) - 1 for i in range(n)]
+
+
 def join_int(vals, m: int) -> int:
     """The int whose m-bit lanes, lowest first, are `vals`."""
-    return _lane_codec(len(vals), m)[1](vals)
+    return sum(x << m * i for i, x in enumerate(vals))
 
 
 def exec_ops(d: Descriptor, args) -> list:
-    """Ops-mode execution: vector operands as sequences of sub-word ints,
-    each lane result returned as a list."""
+    """Ops-mode execution: the Ops form `ops` on the coerced operands,
+    each result with lanes returned as the list of its lanes."""
     if not d.is_vector:
         raise IsaError(f"{d.name} is not a vector instruction")
-    split = [_lane_codec(*shape)[0](a) if shape else a
-             for a, shape in zip(_coerce_sources(d, args), d.src_lanes)]
-    outs = [d.lsem(*split)]
-    return [list(o) if shape else o for o, shape in zip(outs, d.dst_lanes)]
+    outs = [d.ops(*_coerce_sources(d, args))]
+    return [split_int(o, *shape) if shape else o for o, shape in zip(outs, d.dst_lanes)]
 
 
 def exec_vector(d: Descriptor, mode: str, args) -> list:
@@ -73,8 +74,8 @@ def validate_descriptor(d: Descriptor) -> list[str]:
     for w in d.src_widths + d.dst_widths:
         if w != "flag" and w not in (8, 16, 32, 64, 128, 256):
             problems.append(f"illegal operand width {w}")
-    if d.is_vector and (d.vsem is None or d.lsem is None):
-        problems.append("vector descriptor without lane semantics")
+    if d.is_vector and (d.vsem is None or d.ops is None):
+        problems.append("vector descriptor without both positional forms")
     # probe the semantics with benign inputs
     probe = [False if w == "flag" else 1 for w in d.src_widths]
     try:

@@ -5,13 +5,17 @@ constant, off-by-one in the reduction, swapped shuffle immediate, ...);
 each mutant must be caught by the differential harness quickly.
 """
 
+from collections import Counter
+
 import pytest
 
 from harness import corpus_chain
+from jamin import interp, memory
 from jamin.expand import expand
+from jamin.isa import OPS
 from jamin.parser import parse
 from jamin.typecheck import typecheck
-from jamin.primitives.corpus import PROGRAMS, load_source
+from jamin.primitives.corpus import PROGRAMS, load_program, load_source
 from jamin.primitives.difftest import (
     DslEntry,
     SHAPES,
@@ -131,3 +135,73 @@ def test_report_counterexample_reproduction_data():
     assert cex["seed"] == 4
     assert "state" in cex["case"]
     assert cex["left_output"] != cex["right_output"]
+
+
+def test_crashed_names_an_entry_of_the_pair_only():
+    """`crashed` names the entry of the reported pair that raised, the
+    left one first, never an entry of another pair."""
+    gimli = load_program("gimli_ref")
+    chain = [
+        SpecEntry("wrong_spec", lambda case: bytes(48)),
+        DslEntry("gimli_ref", gimli, "gimli"),
+        DslEntry("gimli_missing", gimli, "nope"),
+    ]
+    rep = hop_difftest(chain, runs=2, seed=1, input_shape="gimli")
+    wrong, missing = (p.first_counterexample for p in rep.pairs)
+    assert [p.failures for p in rep.pairs] == [2, 2]
+    assert wrong["crashed"] is None
+    assert missing["crashed"] == "gimli_missing"
+    assert missing["right_output"] == "<error>" and "first_memory_difference" not in missing
+    assert wrong["first_memory_difference"][0] == "00001000: " + " ".join(["00"] * 16)
+
+
+def test_a_memory_only_mismatch_shows_the_first_differing_dump_lines():
+    """A program that also clears the first key byte writes the same
+    output: the counterexample shows where the final memories differ."""
+    src = load_source("chacha20_scalar").rstrip()
+    assert src.endswith("}")
+    clobber = expand(typecheck(parse(src[:-1] + "  (u8)[key + 0] = 0;\n}\n")))
+    chain = [DslEntry("chacha20_scalar", load_program("chacha20_scalar"), "chacha20"),
+             DslEntry("chacha20_clobber", clobber, "chacha20")]
+    rep = hop_difftest(chain, runs=3, seed=1, input_shape="chacha20")
+    pair = rep.pairs[0]
+    cex = pair.first_counterexample
+    assert pair.failures == 3
+    assert cex["left_output"] == cex["right_output"]
+    left, right = cex["first_memory_difference"]
+    key = bytes.fromhex(cex["case"]["key"])[:16]
+    assert left == "00001000: " + key.hex(" ")
+    assert right == "00001000: " + (bytes(1) + key[1:]).hex(" ")
+
+
+def test_difftest_call_structure(monkeypatch):
+    """The calls perfbench's span check counts: memory.dump once per chain
+    entry per case, spec_output and expected_memory once per case, and
+    interp.run once per DSL entry per case, reaching each through the
+    attribute its span wraps; a counterexample's dump lines come from the
+    dumps already made."""
+    calls = Counter()
+
+    def count(owner, name):
+        f = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    shape = SHAPES["gimli"]
+    for owner, name in ((memory, "dump"), (interp, "run"), (type(shape), "spec_output"),
+                        (type(shape), "expected_memory")):
+        count(owner, name)
+    broken = _mutant_program("gimli_ref", "x = s[col] <<r 24;", "x = s[col] <<r 25;")
+    chain = [SpecEntry("gimli_spec", shape.spec_output),
+             DslEntry("gimli_ref", load_program("gimli_ref"), "gimli"),
+             DslEntry("gimli_sse", load_program("gimli_sse"), "gimli", OPS),
+             DslEntry("gimli_broken", broken, "gimli")]
+    runs = 5
+    rep = hop_difftest(chain, runs=runs, seed=2, input_shape="gimli")
+    assert "first_memory_difference" in rep.pairs[2].first_counterexample
+    assert calls == {"dump": len(chain) * runs, "spec_output": runs,
+                     "expected_memory": runs, "run": (len(chain) - 1) * runs}
