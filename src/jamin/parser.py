@@ -148,9 +148,16 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+LOOKAHEAD = 2  # the farthest token past the current one that peek reads
+
+
 class Parser:
     def __init__(self, text: str):
+        # EOF repeated, so that peek needs no bound check: a token is
+        # consumed only once peek has shown it is not EOF, so pos never
+        # passes the first EOF
         self.toks = tokenize(text)
+        self.toks += self.toks[-1:] * LOOKAHEAD
         self.pos = 0
         self.level = 0  # the depth of the expression being parsed
         self.blocks = -1  # the blocks open inside a function body
@@ -159,7 +166,7 @@ class Parser:
     # ------------------------------------------------- token plumbing
 
     def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

@@ -42,19 +42,27 @@ Joins look for affine relations between variables that changed on the
 two sides (a lightweight affine-hull step): when variables move in
 lockstep through a loop, relations such as pointer offset =
 inlen0 - inlen survive the fixpoint and produce the paper-style
-[0; inlen) ranges.  Loop bounds still unstable at pass WIDEN_FROM of a
-loop's fixpoint are widened (upper bounds drop away, lower bounds fall
-back to 0).  The pass count is that of one fixpoint: flow resumes a
-loop from its kept head on each pass over the loops around it, which
-then mostly stabilises at once, so no count is kept across them.
+[0; inlen) ranges.  A loop bound is widened on every pass whose join
+changes it, from the first: a bound of the join that is not at least
+as tight as one of the head's drops away (upper bounds to none, lower
+bounds to 0), and thresholds take its place (Blanchet et al., PLDI
+2003).  They are the affine operands a of the comparisons in the
+loop's test and in the tests and assignment guards of its body, each
+as a and a + 1, kept on either side where the scalar provably keeps to
+them at loop entry and after the body.  So a counter capped by a test
+in the body, `if (j < 20) { j = j + 1; }`, keeps its cap at once, and
+a loop of the corpus reaches its fixpoint in three passes.  flow
+resumes a loop from its kept head on each pass over the loops around
+it, so no pass count is kept across fixpoints.
 
 This range domain runs on the forward driver of jamin.flow: a loop is
 iterated to its fixpoint recording nothing, then walked once more to
-record accesses and findings.  The test of an `if` or `while` records once, when it is
-evaluated; refining a branch by it records nothing.  The maybe-uninit
-findings come from the must-be-assigned facts of codegen
-(codegen.Assigned) on the same driver, so they name exactly the reads
-that a run checks for an unassigned value.
+record accesses and findings.  The test of an `if` or `while` records
+once, when it is evaluated; refining a branch by it records nothing.
+The guard of an assignment refines the assignment's two sides in the
+same way.  The maybe-uninit findings come from the must-be-assigned
+facts of codegen (codegen.Assigned) on the same driver, so they name
+exactly the reads that a run checks for an unassigned value.
 
 The analyses take only programs from expand, which has replaced `for`
 loops by repeat nodes and unrolled statements and removed inline calls
@@ -104,7 +112,6 @@ from .ir import (
     WordTy,
 )
 
-WIDEN_FROM = 7  # the first pass over a loop body whose result is widened
 MAX_ITERATIONS = 64
 MAX_BOUNDS = 3
 
@@ -322,12 +329,18 @@ class Interval:
             return Interval(self.los, _add(self.his, bound, True))
         return Interval(_add(self.los, bound, False), self.his)
 
-    def widen_from(self, old: "Interval", thresholds: tuple = ()) -> "Interval":
-        los = tuple(a for a in self.los if any(_le(o, a) for o in old.los))
-        his = tuple(a for a in self.his if any(_le(a, o) for o in old.his))
-        for t in thresholds:
+    def widen_from(self, old: "Interval", lower: tuple = (), upper: tuple = ()) -> "Interval":
+        """This interval widened from `old`: a bound is kept where it is at
+        least as tight as one of old's, and the thresholds `lower` and
+        `upper`, which the caller has proved to hold, are added; an empty
+        lower set falls back to 0."""
+        los = tuple(a for a in self.los if any(_tighter(a, o, False) for o in old.los))
+        his = tuple(a for a in self.his if any(_tighter(a, o, True) for o in old.his))
+        for t in lower:
+            los = _add(los, t, False)
+        for t in upper:
             his = _add(his, t, True)
-        return Interval(los if los else (ZERO,), his)
+        return Interval(los or (ZERO,), his)
 
     def negated(self) -> "Interval":
         return Interval(tuple(b.scale(-1) for b in self.his), tuple(b.scale(-1) for b in self.los))
@@ -504,6 +517,7 @@ class _Analyzer:
         self.at = None
         self.loop_syms: dict[tuple[int, str], object] = {}
         self.heads: dict = {}
+        self.guard_operands: dict[int, list] = {}  # id of a loop -> _comparison_operands
         self.minted = 0  # fresh symbols made
         # id of a straight-line statement -> the scalars it rebinds if it
         # is inert, else None: _scan notes the candidates, those that
@@ -825,9 +839,9 @@ class _Analyzer:
         a, iv = self.eval(st, s.rhs)
         if s.cond is not None:  # on a scalar register (typecheck)
             self.eval(st, s.cond)
-            taken = st.copy()
+            taken = self.refine(st.copy(), s.cond, True)
             self.assign_var(taken, lv.name, a, iv)
-            return self.join(flow.key(s, self), st, taken)
+            return self.join(flow.key(s, self), self.refine(st, s.cond, False), taken)
         if type(lv) is EVar:
             if isinstance(lv.ty, WordTy):
                 self.assign_var(st, lv.name, a, iv)
@@ -841,62 +855,65 @@ class _Analyzer:
 
     def widen(self, s: SWhile, key, n: int, old: AbsState, new: AbsState, entry: AbsState,
               body_out: AbsState) -> AbsState:
-        """The flow widening (see jamin.flow): from the WIDEN_FROM-th pass
-        over the body of loop s in one fixpoint; the loop fails after
+        """The flow widening (see jamin.flow), on every pass over the body
+        of loop s whose join `new` differs from the head `old`: the
+        interval of each symbol that changed keeps the bounds of the join
+        that did not loosen (Interval.widen_from), and gains, on either
+        side, the guard thresholds of the loop that the symbol's scalar
+        keeps to at loop entry and after the body.  A threshold that
+        mentions a loop symbol of s is never one: that symbol stands for
+        another value on the next pass.  The loop fails after
         MAX_ITERATIONS passes."""
         if n >= MAX_ITERATIONS:
             raise AnalysisFailure(f"{_site(s)}: loop analysis did not stabilize")
-        if n < WIDEN_FROM:
-            return new
-        out = new.copy()
-        rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
-        candidates = self._guard_thresholds(new, s.cond)
+        out = None
         for sym, iv in new.intervals.items():
             o = old.intervals.get(sym)
             if o is None or o == iv:
                 continue
-            ths: tuple = ()
+            if out is None:
+                out = new.copy()
+                rev = {sym: var for (k, var), sym in self.loop_syms.items() if k == key}
+                candidates = [t for t in self._guard_thresholds(new, s)
+                              if rev.keys().isdisjoint(t.syms())]
+            lower = upper = ()
             var = rev.get(sym)
             if var is not None:
-                for t in candidates:
-                    if sym in t.syms():
-                        continue
-                    if self._inductive_hi(t, var, entry, body_out):
-                        ths = ths + (t,)
-            out.intervals[sym] = iv.widen_from(o, ths)
-        return out
+                lower, upper = (
+                    tuple(t for t in candidates if self._inductive(t, var, entry, body_out, side))
+                    for side in (False, True))
+            out.intervals[sym] = iv.widen_from(o, lower, upper)
+        return new if out is None else out
 
-    def _inductive_hi(self, t: Aff, var: str, entry: AbsState,
-                      body_out: AbsState) -> bool:
-        """Does `var <= t` hold at loop entry and after the body?  Both
-        hold a value of `var`: a join makes a loop symbol only for a
-        scalar both its sides hold, and a relevant scalar loses its value
-        only at its declaration, in the same place on every pass."""
+    def _inductive(self, t: Aff, var: str, entry: AbsState, body_out: AbsState,
+                   upper: bool) -> bool:
+        """Does `var <= t` (`upper`), or `var >= t`, hold at loop entry and
+        after the body?  Both hold a value of `var`: a join makes a loop
+        symbol only for a scalar both its sides hold, and a relevant
+        scalar loses its value only at its declaration, in the same place
+        on every pass."""
         for st in (entry, body_out):
             a = st.vals[var]
-            iv = _raw_interval(st, a, None)
-            if not any(_le(h, t) for h in iv.his + st.interval_of(a).his):
+            raw, full = _raw_interval(st, a, None), st.interval_of(a)
+            bounds = raw.his + full.his if upper else raw.los + full.los
+            if not any(_tighter(b, t, upper) for b in bounds):
                 return False
         return True
 
-    def _guard_thresholds(self, st: AbsState, cond) -> tuple:
-        """Affine guard bounds used as widening thresholds."""
-        out: list = []
-
-        def visit(c):
-            if isinstance(c, EUn) and c.op == "!":
-                visit(c.arg)
-            elif isinstance(c, EBin) and c.op in ("&&", "||"):
-                visit(c.left)
-                visit(c.right)
-            elif isinstance(c, EBin) and c.op in ("<", "<=", ">", ">=", "=="):
-                for side in (c.left, c.right):
-                    a, _ = self.eval(st, side)
-                    if a is not None:
-                        out.append(a)
-                        out.append(a + 1)
-
-        visit(cond)
+    def _guard_thresholds(self, st: AbsState, s: SWhile) -> tuple:
+        """The widening thresholds of loop s in state st: each affine
+        operand a of a comparison in the loop's test, or in a test of an
+        `if` or `while` or the guard of an assignment in its body, as a
+        and a + 1 (the bound of a strict test), without repeats.  The
+        operands are collected once per loop."""
+        operands = self.guard_operands.get(id(s))
+        if operands is None:
+            operands = self.guard_operands[id(s)] = _comparison_operands(s)
+        out: dict = {}
+        for e in operands:
+            a, _ = self.eval(st, e)
+            if a is not None:
+                out[a] = out[a + 1] = None
         return tuple(out)
 
     # --------------------------------------------------------- joins
@@ -1103,7 +1120,7 @@ def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
     (resolution would erase relations needed for join stability).  The
     bounds that mention `target_sym` are dropped, and no lower bound may
     remain: every caller joins the result (Interval.join floors it at 0)
-    or reads its upper bounds only."""
+    or only looks among its bounds for one that proves a threshold."""
     frees = [s for s in a.syms() if s[0] == "s"]
     if len(frees) == 1 and a.coeff(frees[0]) == 1:
         sym = frees[0]
@@ -1114,6 +1131,41 @@ def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
             his = tuple(b + rest for b in iv.his if target_sym not in b.syms())
             return Interval(los, his)
     return st.interval_of(a)
+
+
+def _comparison_operands(s: SWhile) -> list:
+    """The operands of the comparisons in the test of while loop s and in
+    every test of an `if` or `while` and guard of an assignment in its
+    body, nested blocks and repeat nodes included."""
+    out: list = []
+
+    def visit(c):
+        if type(c) is EUn and c.op == "!":
+            visit(c.arg)
+        elif type(c) is EBin and c.op in ("&&", "||"):
+            visit(c.left)
+            visit(c.right)
+        elif type(c) is EBin and c.op in ("<", "<=", ">", ">=", "=="):
+            out.extend((c.left, c.right))
+
+    def walk(stmts):
+        for x in stmts:
+            k = type(x)
+            if k is SIf:
+                visit(x.cond)
+                walk(x.then)
+                walk(x.els)
+            elif k is SWhile:
+                visit(x.cond)
+                walk(x.body)
+            elif k is SRepeat:
+                walk(x.body)
+            elif k is SAssign and x.cond is not None:
+                visit(x.cond)
+
+    visit(s.cond)
+    walk(s.body)
+    return out
 
 
 def _ival(st: AbsState, a: Aff | None, iv: Interval | None) -> Interval:

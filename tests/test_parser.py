@@ -398,3 +398,27 @@ def test_nesting_limits(form):
     with pytest.raises(ParseError, match=f"{what} nested more than {limit(form)} deep") as info:
         parse(text)
     assert f"{info.value.line}:{info.value.col}:" == located
+
+
+@pytest.mark.parametrize("name", ["gimli_ref", "chacha20_scalar"])
+def test_every_token_prefix_parses_or_fails_located(name):
+    """A program cut before any token parses when the cut falls between
+    top-level declarations, and otherwise ends in a ParseError located in
+    the cut text, never in an IndexError: however the input ends, the
+    parser looks past its last token only at EOF."""
+    from jamin.primitives.corpus import load_source
+
+    text = load_source(name)
+    full = parse(text)
+    decl_starts = {d.loc for d in full.params + full.globals + full.funcs}
+    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    toks = tokenize(text)
+    for tok in toks[:-1]:
+        prefix = text[:line_starts[tok.line - 1] + tok.col - 1]
+        if (tok.line, tok.col) in decl_starts:
+            parse(prefix)
+            continue
+        end = tokenize(prefix)[-1]
+        with pytest.raises(ParseError) as err:
+            parse(prefix)
+        assert (1, 1) <= (err.value.line, err.value.col) <= (end.line, end.col), str(err.value)

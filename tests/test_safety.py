@@ -342,6 +342,39 @@ def test_corpus_analyzes_clean():
         assert finds == [], (name, [str(f) for f in finds])
 
 
+def test_corpus_loops_converge_within_three_passes(monkeypatch):
+    """Every while loop of the corpus reaches its fixpoint within three
+    passes over its body, in every fixpoint the analysis computes: the
+    first pass joins the entry with one run of the body, the second
+    widens what changed to the guard thresholds that hold, and the third
+    finds nothing more to change."""
+    from jamin.ir import SIf, SRepeat, SWhile
+    from jamin.primitives.corpus import PROGRAMS, load_program
+
+    def whiles(stmts):
+        for s in stmts:
+            if type(s) is SWhile:
+                yield s
+            for block in ((s.then, s.els) if type(s) is SIf else
+                          (s.body,) if type(s) in (SWhile, SRepeat) else ()):
+                yield from whiles(block)
+
+    passes: dict = {}
+    widen = safety._Analyzer.widen
+
+    def counted(self, s, key, n, *rest):
+        passes[s.loc] = max(passes.get(s.loc, 0), n + 1)
+        return widen(self, s, key, n, *rest)
+
+    monkeypatch.setattr(safety._Analyzer, "widen", counted)
+    for name, info in PROGRAMS.items():
+        p = load_program(name)
+        passes.clear()
+        safety.analyze(p, info.entry, info.pointers, info.tracked)
+        assert set(passes) == {s.loc for s in whiles(p.func(info.entry).body)}, name
+        assert all(n <= 3 for n in passes.values()), (name, passes)
+
+
 # ------------------------------------------- Aff against a Fraction model
 
 SYMS = [("p", "a"), ("p", "b"), ("s", 1), ("s", 2), ("s", 10)]
@@ -555,6 +588,57 @@ fn f(reg u64 p) -> reg u64 {
   while (j == k) { s = s + (u64)(u8)[p + k]; j = k + 3; k = j + k; }
   return s;
 }""", [], "p + [-inf; inf)", [([], 0)]),
+    # counters capped by a test in the loop body: widening keeps the cap,
+    # a threshold taken from that test, at the first pass that widens
+    "capped-counter": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, j, s;
+  i = 0;
+  j = 0;
+  s = 0;
+  while (i < n) { if (j < 5) { j = j + 1; } s = s + (u64)(u8)[p + j]; i = i + 1; }
+  return s;
+}""", [], "p + [1; 6)", [([n], 0) for n in range(8)]),
+    "capped-counter-wide": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, j, s;
+  i = 0;
+  j = 0;
+  s = 0;
+  while (i < n) { if (j < 20) { j = j + 1; } s = s + (u64)(u8)[p + j]; i = i + 1; }
+  return s;
+}""", [], "p + [1; 21)", [([n], 0) for n in (0, 1, 2, 19, 20, 21, 25)]),
+    # a lower threshold: a counter counted down to a floor
+    "floored-counter": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, j, s;
+  i = 0;
+  j = 10;
+  s = 0;
+  while (i < n) { if (j > 3) { j = j - 1; } s = s + (u64)(u8)[p + j]; i = i + 1; }
+  return s;
+}""", [], "p + [3; 10)", [([n], 0) for n in range(10)]),
+    # a counter reset by a test in the body
+    "reset-counter": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, j, s;
+  i = 0;
+  j = 0;
+  s = 0;
+  while (i < n) { j = j + 2; if (j >= 10) { j = 0; } s = s + (u64)(u8)[p + j]; i = i + 1; }
+  return s;
+}""", [], "p + [0; 10)", [([n], 0) for n in range(8)]),
+    # a counter capped by its own assignment's guard, which refines both
+    # of its sides as the test of an `if` does
+    "guarded-counter": ("""
+fn f(reg u64 p, reg u64 n) -> reg u64 {
+  reg u64 i, j, s;
+  i = 0;
+  j = 0;
+  s = 0;
+  while (i < n) { j = j + 1 if j < 7; s = s + (u64)(u8)[p + j]; i = i + 1; }
+  return s;
+}""", [], "p + [1; 8)", [([n], 0) for n in range(10)]),
     # a return value, a bool destination and a bool literal that the
     # analysis evaluates, and a global array's element
     "return": ("""
