@@ -171,8 +171,10 @@ def _build_shape(fn, args, public, public_regions) -> dict:
     """The input shape of entry fn from --ptr and --len, after checking
     that every name these and the public sets give is a parameter, that
     no parameter is given two different shapes (a --ptr LEN is compared
-    as a byte count or a --len name, a --len MAX as a count), and that
-    the regions fit in memory.MAX_BYTES at their largest."""
+    as a byte count or a --len name, a --len MAX as a count), that every
+    parameter is a word wide enough for its shape (a --len MAX, a --ptr
+    every region address), that every --public-region has a --ptr, and
+    that the regions fit in memory.MAX_BYTES at their largest."""
     def ptr(spec):
         name, _, size = spec.partition(":")
         return name, int(size) if size.isdecimal() else size
@@ -187,27 +189,38 @@ def _build_shape(fn, args, public, public_regions) -> dict:
                 raise CliError(f"conflicting shapes for parameter {name!r}: "
                                f"{given[name]} and {text}")
             into[name] = value
-    params = {q.name for q in fn.params}
+    types = {q.name: q.ty for q in fn.params}
     for name in [*ptrs, *lens, *sorted(public), *sorted(public_regions)]:
-        if name not in params:
+        if name not in types:
             raise CliError(f"{name!r} is not a parameter of {fn.name}")
-    for q in fn.params:
-        if q.name in ptrs:
-            size = ptrs[q.name]
+    if stray := sorted(public_regions - ptrs.keys()):
+        raise CliError(f"--public-region {stray[0]}: parameter {stray[0]!r} has no --ptr region")
+    for name, ty in types.items():
+        at = f"{given[name]}: " if name in given else ""
+        if type(ty) is not WordTy:
+            raise CliError(f"{at}parameter {name!r} is {ty}; ct samples word parameters only")
+        if name in ptrs:
+            size = ptrs[name]
             if type(size) is str and size not in lens:
-                raise CliError(f"--ptr {q.name}:{size}: LEN must be a byte count "
+                raise CliError(f"--ptr {name}:{size}: LEN must be a byte count "
                                "or a --len name")
-            shape[q.name] = leakage.Ptr(size)
-        elif q.name in lens:
-            shape[q.name] = leakage.Len(max=lens[q.name])
-        elif isinstance(q.ty, WordTy):
-            shape[q.name] = leakage.Val(q.ty.bits)
+            shape[name] = leakage.Ptr(size)
+        elif name in lens:
+            if lens[name] >> ty.bits:
+                raise CliError(f"{at}parameter {name!r} is {ty}, which holds at most "
+                               f"{(1 << ty.bits) - 1}")
+            shape[name] = leakage.Len(max=lens[name])
         else:
-            raise CliError(f"parameter {q.name!r} needs a --ptr or --len shape")
+            shape[name] = leakage.Val(ty.bits)
     total = sum(lens[size] if type(size) is str else size for size in ptrs.values())
     if total > memory.MAX_BYTES:
         raise CliError(f"--ptr regions of up to {total} bytes exceed "
                        f"{memory.MAX_BYTES >> 20} MiB together")
+    top = leakage.address_bound(total, len(ptrs))
+    for name in ptrs:
+        if top >> types[name].bits:
+            raise CliError(f"{given[name]}: parameter {name!r} is {types[name]}, too narrow "
+                           f"for region addresses up to {top:#x}")
     return shape
 
 

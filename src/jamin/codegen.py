@@ -101,7 +101,8 @@ one expression that charges the arm's step, evaluates the test and
 records its branch event with interp._br, in the order the statements
 of an `if` in the else block would.
 
-Large functions are compiled in pieces of at most PIECE statements, one
+Large functions are compiled in pieces of at most PIECE statements, a
+statement counting with those in its blocks (ir.blocks), one
 compile() call each; a piece is a Python function of its own that takes
 exactly the locals it mentions that are live into it, and returns
 exactly the ones it rebinds that are live after it, a register array
@@ -145,7 +146,9 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    blocks,
     int_value,
+    walk,
 )
 from . import flow, words
 from .isa import bind, lookup
@@ -261,7 +264,7 @@ class _FnGen(Assigned):
         super().__init__(p, fn)
         self.p, self.ns = p, ns
         self.locals = {q.name for q in fn.params} | set(self.types)
-        self.sizes: dict = {}  # id of an if, while or repeat node -> its size
+        self.sizes: dict = {}  # id of a statement holding blocks -> its size
         self.labels: dict = {}  # in a repeat body: private local -> its name per iteration
         self.facts = self.entry()
         self.out: list = []
@@ -272,7 +275,7 @@ class _FnGen(Assigned):
         self.in_piece = False  # whether a piece is being emitted
         self.pieces = 0
         self.after = None  # id of a statement -> the locals live after it (liveness)
-        self.entry = None  # the locals live at the function's entry (liveness)
+        self.live_at_entry = None  # the locals live at the function's entry (liveness)
         self.root: dict = {}  # register-array local -> the root of its class (coalesce)
         self.forms: dict = {}  # (definition, bits, lanes, count) -> its parts (instantiate)
 
@@ -741,8 +744,8 @@ class _FnGen(Assigned):
         first need."""
         if self.after is None:
             self.after = {}
-            self.entry = flow.backward(self.fn.body, set(), self.live, self.after)
-        return self.entry, self.after
+            self.live_at_entry = flow.backward(self.fn.body, set(), self.live, self.after)
+        return self.live_at_entry, self.after
 
     def is_move(self, s) -> bool:
         """Whether the stack-array copy s may hand its source over: a local
@@ -765,7 +768,7 @@ class _FnGen(Assigned):
             if q.name in regs and q.name in entry:
                 edges[q.name] |= regs.intersection(entry)
         copies = []
-        for s in _walk(self.fn.body):
+        for s in walk(self.fn.body):
             k = type(s)
             if k is SDecl:
                 live = self.live_after(s)
@@ -791,13 +794,12 @@ class _FnGen(Assigned):
     # -- statements
 
     def size(self, s) -> int:
-        k = type(s)
-        if k not in flow.BLOCKS:
+        bs = blocks(s)
+        if not bs:
             return 1
         n = self.sizes.get(id(s))
         if n is None:
-            blocks = (s.then, s.els) if k is SIf else (s.body,)
-            n = self.sizes[id(s)] = 1 + sum(self.size(c) for b in blocks for c in b)
+            n = self.sizes[id(s)] = 1 + sum(self.size(c) for b in bs for c in b)
         return n
 
     def block(self, stmts, loop_loc=False):
@@ -842,7 +844,7 @@ class _FnGen(Assigned):
             r, w = flow.summary(s)
             mentioned.update(r, w)
             rebinds.update(w)
-            rebinds.update(lv.name for c in _walk([s]) if type(c) is SAssign
+            rebinds.update(lv.name for c in walk([s]) if type(c) is SAssign
                            for lv in c.dests if type(lv) is EArr and lv.name in self.root)
         after = self.live_after(run[-1])
         live_in = flow.backward(run, after, self.live)
@@ -1038,20 +1040,11 @@ class _FnGen(Assigned):
         if not fn.body or type(fn.body[-1]) is not SReturn:
             self.line("return (B,)")
         self.out[:0] = [f"    {_targets(self.elements(q.name))} = {self.v(q.name)}"
-                        for q in fn.params if q.name in self.root and q.name in self.entry]
+                        for q in fn.params if q.name in self.root and q.name in self.live_at_entry]
         params = ", ".join([self.v(q.name) for q in fn.params] + ["B, T, M, O"])
         name = "F_" + fn.name
         self.define(name, [f"def {name}({params}):"] + self.out)
         return self.ns[name]
-
-
-def _walk(stmts):
-    """Every statement of `stmts`, those in blocks included, in order."""
-    for s in stmts:
-        yield s
-        k = type(s)
-        if k in flow.BLOCKS:
-            yield from _walk(s.then + s.els if k is SIf else s.body)
 
 
 def _targets(names: list) -> str:

@@ -95,6 +95,7 @@ from .ir import (
     SWhile,
     WordTy,
     int_value,
+    walk,
 )
 from .typecheck import NotConst, const_eval, index_error
 
@@ -386,7 +387,7 @@ class _Expander:
                 out.append(SDecl(p.storage, p.ty, (nm,), None))
                 out.append(SAssign((dest,), a))
         # every declared local gets a call-site-unique name
-        for nm in _decl_names(callee.body):
+        for nm in (nm for d in _decls(callee.body) for nm in d.names):
             env2[nm] = f"{nm}__{tag}"
             self.made.append((nm, self.fresh))
         body = self.expand_block(callee.body, env2)
@@ -428,14 +429,7 @@ class _Expander:
 
 def _decls(stmts):
     """The declarations in `stmts`, nested blocks included, in order."""
-    for s in stmts:
-        if isinstance(s, SDecl):
-            yield s
-        elif isinstance(s, SIf):
-            yield from _decls(s.then)
-            yield from _decls(s.els)
-        elif isinstance(s, (SWhile, SFor, SRepeat)):
-            yield from _decls(s.body)
+    return (s for s in walk(stmts) if type(s) is SDecl)
 
 
 def _mentions(node, name: str) -> bool:
@@ -454,10 +448,6 @@ def _mentions(node, name: str) -> bool:
         elif x == name:
             return True
     return False
-
-
-def _decl_names(stmts) -> list[str]:
-    return [nm for d in _decls(stmts) for nm in d.names]
 
 
 def _resized(v, ty):

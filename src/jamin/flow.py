@@ -3,7 +3,8 @@ Kildall (POPL 1973) over structured code.
 
 An expanded function has straight-line statements (declarations,
 assignments, calls, and a `return` as its last statement, if any),
-`if`, `while` and repeat nodes (ir.SRepeat).  Codegen's
+and `if`, `while` and repeat nodes (ir.SRepeat), whose blocks ir.blocks
+gives.  Codegen's
 must-be-assigned facts (which also give safety's maybe-uninit findings)
 and liveness, safety's ranges and leakage's taint all walk them here,
 each with a lattice of its own.  A forward domain d provides:
@@ -72,7 +73,7 @@ compared with ==.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, count
 
 from .ir import (
     EArr,
@@ -89,10 +90,8 @@ from .ir import (
     SRepeat,
     SReturn,
     SWhile,
+    blocks,
 )
-
-
-BLOCKS = (SIf, SWhile, SRepeat)  # the statements that hold blocks
 
 
 def forward(stmts, state, d):
@@ -222,9 +221,10 @@ def summary(s) -> tuple:
     """(the names statement s may read before it rebinds them, the names
     it may rebind as a whole), each once per mention.  A name that s
     rebinds on some paths only is among the reads too: the destination
-    of a guarded assignment, and every name in an `if`, `while` or
-    repeat node, whose reads are its test's and, for each statement in
-    it, a straight-line one's reads and rebinds or a nested one's reads.
+    of a guarded assignment, and every name in a statement that holds
+    blocks (ir.blocks), whose reads are its test's and, for each
+    statement in its blocks, a straight-line one's reads and rebinds or
+    a block-holding one's reads.
     An element store reads its array."""
     k = type(s)
     if k is SDecl:
@@ -243,8 +243,8 @@ def summary(s) -> tuple:
     if k is SReturn:
         return [n for v in s.values for n in reads(v)], []
     r, w = ([] if k is SRepeat else reads(s.cond)), []
-    for c in (s.then + s.els if k is SIf else s.body):
+    for c in chain(*blocks(s)):
         cr, cw = summary(c)
-        r += cr if type(c) in BLOCKS else cr + cw
+        r += cr if blocks(c) else cr + cw
         w += cw
     return r, w

@@ -274,6 +274,26 @@ class SReturn(_Node):
 
 Stmt = Union[SDecl, SAssign, SIf, SWhile, SFor, SRepeat, SReturn]
 
+
+def blocks(s) -> tuple:
+    """The blocks statement s holds: (then, els) of an `if`, (body,) of a
+    `while`, `for` or repeat node, () of any other statement."""
+    k = type(s)
+    if k is SIf:
+        return s.then, s.els
+    if k is SWhile or k is SFor or k is SRepeat:
+        return (s.body,)
+    return ()
+
+
+def walk(stmts):
+    """Every statement of `stmts`, those in blocks included, in pre-order:
+    a statement before the ones it holds, a then arm before its else arm."""
+    for s in stmts:
+        yield s
+        for b in blocks(s):
+            yield from walk(b)
+
 # ------------------------------------------------------------- toplevel
 
 
@@ -387,10 +407,6 @@ def fmt_expr(e: Expr, prec: int = 0) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _fmt_ty(ty: Ty) -> str:
-    return str(ty)
-
-
 def _fmt_block(stmts, indent: int) -> list[str]:
     out = []
     pad = "  " * indent
@@ -402,7 +418,7 @@ def _fmt_block(stmts, indent: int) -> list[str]:
 def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
     if isinstance(s, SDecl):
         init = f" = {fmt_expr(s.init)}" if s.init is not None else ""
-        return [f"{pad}{s.storage} {_fmt_ty(s.ty)} {', '.join(s.names)}{init};"]
+        return [f"{pad}{s.storage} {s.ty} {', '.join(s.names)}{init};"]
     if isinstance(s, SAssign):
         rhs = fmt_expr(s.rhs)
         guard = f" if {fmt_expr(s.cond)}" if s.cond is not None else ""
@@ -421,21 +437,14 @@ def _fmt_stmt(s: Stmt, indent: int, pad: str) -> list[str]:
             out += _fmt_block(s.els, indent + 1)
         out.append(f"{pad}}}")
         return out
-    if isinstance(s, SWhile):
-        out = [f"{pad}while ({fmt_expr(s.cond)}) {{"]
-        out += _fmt_block(s.body, indent + 1)
-        out.append(f"{pad}}}")
-        return out
-    if isinstance(s, SFor):
-        out = [f"{pad}for {s.var} = {fmt_expr(s.lo)} to {fmt_expr(s.hi)} {{"]
-        out += _fmt_block(s.body, indent + 1)
-        out.append(f"{pad}}}")
-        return out
-    if isinstance(s, SRepeat):
-        out = [f"{pad}repeat {s.count} {{"]
-        out += _fmt_block(s.body, indent + 1)
-        out.append(f"{pad}}}")
-        return out
+    if isinstance(s, (SWhile, SFor, SRepeat)):
+        if isinstance(s, SWhile):
+            head = f"while ({fmt_expr(s.cond)})"
+        elif isinstance(s, SFor):
+            head = f"for {s.var} = {fmt_expr(s.lo)} to {fmt_expr(s.hi)}"
+        else:
+            head = f"repeat {s.count}"
+        return [f"{pad}{head} {{", *_fmt_block(s.body, indent + 1), f"{pad}}}"]
     if isinstance(s, SReturn):
         vals = ", ".join(fmt_expr(v) for v in s.values)
         return [f"{pad}return{' ' + vals if vals else ''};"]
@@ -451,15 +460,15 @@ def print_program(p: Program) -> str:
             init = "{" + ", ".join(fmt_expr(v) for v in g.init) + "}"
         else:
             init = fmt_expr(g.init)
-        lines.append(f"global {_fmt_ty(g.ty)} {g.name} = {init};")
+        lines.append(f"global {g.ty} {g.name} = {init};")
     for f in p.funcs:
         if lines:
             lines.append("")
         kw = "inline fn" if f.inline else "fn"
-        args = ", ".join(f"{a.storage} {_fmt_ty(a.ty)} {a.name}" for a in f.params)
+        args = ", ".join(f"{a.storage} {a.ty} {a.name}" for a in f.params)
         rets = ""
         if f.rets:
-            rets = " -> " + ", ".join(f"{st} {_fmt_ty(t)}" for st, t in f.rets)
+            rets = " -> " + ", ".join(f"{st} {t}" for st, t in f.rets)
         lines.append(f"{kw} {f.name}({args}){rets} {{")
         lines += _fmt_block(f.body, 1)
         lines.append("}")

@@ -206,6 +206,15 @@ def _plan(p: Program, entry: str, shape: dict, spec: PublicSpec) -> _Plan:
     return plan
 
 
+FIRST_BASE, BASE_SPREAD, GAPS = 0x10000, 1 << 20, (16, 256)  # build_inputs' region layout
+
+
+def address_bound(total: int, count: int) -> int:
+    """An address above every byte of `count` regions of `total` bytes
+    together, as build_inputs lays them out."""
+    return FIRST_BASE + BASE_SPREAD + total + GAPS[1] * count
+
+
 def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
                  rng: random.Random):
     """Sample one trial: shared public part plus two secret parts.
@@ -219,7 +228,7 @@ def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
     plan = _plan(p, entry, shape, spec)
     public: dict = {}
     lens: dict = {}
-    base = 0x10000 + rng.randrange(0, 1 << 20)
+    base = FIRST_BASE + rng.randrange(0, BASE_SPREAD)
     for name, corners, n, shown in plan.drawn:
         if corners is None:  # a public Val of n bits
             public[name] = rng.getrandbits(n)
@@ -234,7 +243,7 @@ def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
             size = lens[size]
         regions[name] = (base, size)
         public[name] = base
-        base += size + rng.randrange(16, 256)
+        base += size + rng.randrange(*GAPS)
     pub_contents = {name: rng.randbytes(regions[name][1]) for name in plan.shown}
 
     def secrets():

@@ -287,23 +287,12 @@ class Parser:
         seen = {p.name for p in f.params}
         if len(seen) != len(f.params):
             raise ParseError(f"duplicate parameter name in {f.name!r}", *f.loc)
-
-        def walk(stmts):
-            for s in stmts:
-                if isinstance(s, SDecl):
-                    for nm in s.names:
-                        if nm in seen:
-                            raise ParseError(
-                                f"duplicate name {nm!r} in {f.name!r}", *s.loc
-                            )
-                        seen.add(nm)
-                elif isinstance(s, SIf):
-                    walk(s.then)
-                    walk(s.els)
-                elif isinstance(s, (SWhile, SFor)):
-                    walk(s.body)
-
-        walk(f.body)
+        for s in ir.walk(f.body):
+            if type(s) is SDecl:
+                for nm in s.names:
+                    if nm in seen:
+                        raise ParseError(f"duplicate name {nm!r} in {f.name!r}", *s.loc)
+                    seen.add(nm)
 
     def parse_storage(self) -> str:
         t = self.peek()

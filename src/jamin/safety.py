@@ -110,6 +110,7 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    walk,
 )
 
 MAX_ITERATIONS = 64
@@ -1148,23 +1149,11 @@ def _comparison_operands(s: SWhile) -> list:
         elif type(c) is EBin and c.op in ("<", "<=", ">", ">=", "=="):
             out.extend((c.left, c.right))
 
-    def walk(stmts):
-        for x in stmts:
-            k = type(x)
-            if k is SIf:
-                visit(x.cond)
-                walk(x.then)
-                walk(x.els)
-            elif k is SWhile:
-                visit(x.cond)
-                walk(x.body)
-            elif k is SRepeat:
-                walk(x.body)
-            elif k is SAssign and x.cond is not None:
-                visit(x.cond)
-
     visit(s.cond)
-    walk(s.body)
+    for x in walk(s.body):
+        k = type(x)
+        if k is SIf or k is SWhile or k is SAssign and x.cond is not None:
+            visit(x.cond)
     return out
 
 
@@ -1316,28 +1305,18 @@ def _definitions(stmts, seeds_of) -> tuple[set, dict]:
     private locals renamed."""
     seeds: set = set()
     defs: dict[str, list] = {}
-
-    def walk(stmts):
-        for s in stmts:
-            k = type(s)
-            if k is SRepeat:
-                walk(s.body)
-                continue
-            seeds.update(seeds_of(s))
-            if k is SIf:
-                walk(s.then)
-                walk(s.els)
-            elif k is SWhile:
-                walk(s.body)
-            elif k is SDecl:
-                for nm in s.names:
-                    defs.setdefault(nm, []).append(s)
-            elif k is SAssign:
-                for lv in s.dests:
-                    if type(lv) is EVar:
-                        defs.setdefault(lv.name, []).append(s)
-
-    walk(stmts)
+    for s in walk(stmts):
+        k = type(s)
+        if k is SRepeat:
+            continue
+        seeds.update(seeds_of(s))
+        if k is SDecl:
+            for nm in s.names:
+                defs.setdefault(nm, []).append(s)
+        elif k is SAssign:
+            for lv in s.dests:
+                if type(lv) is EVar:
+                    defs.setdefault(lv.name, []).append(s)
     return seeds, defs
 
 

@@ -60,8 +60,10 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    blocks,
     fmt_expr,
     op_text,
+    walk,
     word_ty,
 )
 
@@ -521,12 +523,12 @@ class _FnChecker:
             self.ended[nm] = decl
         del self.scoped[mark:]
 
-    def check_arms(self, *blocks, at_run_time: bool):
+    def check_arms(self, *arms, at_run_time: bool):
         """Check the blocks of an `if` or `while`, which run under
         run-time control flow if `at_run_time` or already under it."""
         outer = self.at_run_time
         self.at_run_time = outer or at_run_time
-        for b in blocks:
+        for b in arms:
             self.check_block(b)
         self.at_run_time = outer
 
@@ -564,17 +566,12 @@ class _FnChecker:
         if isinstance(s, SAssign):
             self.check_assign(s)
             return
-        if isinstance(s, SIf):
+        if isinstance(s, (SIf, SWhile)):
             self.infer(s.cond)
+            loop = isinstance(s, SWhile)
             if not isinstance(s.cond.ty, BoolTy):
-                self.err(s, "if condition must be a bool")
-            self.check_arms(s.then, s.els, at_run_time=not self.is_compile_time(s.cond))
-            return
-        if isinstance(s, SWhile):
-            self.infer(s.cond)
-            if not isinstance(s.cond.ty, BoolTy):
-                self.err(s, "while condition must be a bool")
-            self.check_arms(s.body, at_run_time=True)
+                self.err(s, f"{'while' if loop else 'if'} condition must be a bool")
+            self.check_arms(*blocks(s), at_run_time=loop or not self.is_compile_time(s.cond))
             return
         if isinstance(s, SRepeat):  # expand's output typed again
             self.check_block(s.body)
@@ -794,19 +791,10 @@ class _Checker:
         """Report each call that closes a cycle of the call graph, at
         the call."""
         calls: dict[str, dict] = {f.name: {} for f in self.p.funcs}  # callee -> first call
-
-        def scan(stmts, into):
-            for s in stmts:
-                if isinstance(s, SAssign) and isinstance(s.rhs, ECall):
-                    into.setdefault(s.rhs.name, s.rhs)
-                elif isinstance(s, SIf):
-                    scan(s.then, into)
-                    scan(s.els, into)
-                elif isinstance(s, (SWhile, SFor, SRepeat)):
-                    scan(s.body, into)
-
         for f in self.p.funcs:
-            scan(f.body, calls[f.name])
+            for s in walk(f.body):
+                if type(s) is SAssign and type(s.rhs) is ECall:
+                    calls[f.name].setdefault(s.rhs.name, s.rhs)
         done: set = set()
 
         def visit(name, trail):

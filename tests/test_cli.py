@@ -659,7 +659,39 @@ def test_ct_entry_with_an_array_parameter_exit_2(tmp_path, capsys):
     prog = tmp_path / "a.jz"
     prog.write_text("fn f(reg u64[2] x) {\n}\n")
     code, out, err = run_cli(capsys, "ct", str(prog), "--entry", "f")
-    assert (code, out, err) == (2, "", "error: parameter 'x' needs a --ptr or --len shape\n")
+    assert (code, out, err) == (2, "", "error: parameter 'x' is u64[2]; ct samples word "
+                                       "parameters only\n")
+
+
+@pytest.mark.parametrize("params, shape, message", [
+    ("reg bool b", ("--len", "b:1"),
+     "--len b:1: parameter 'b' is bool; ct samples word parameters only"),
+    ("reg u64 s, reg bool b", ("--ptr", "s:8"),
+     "parameter 'b' is bool; ct samples word parameters only"),
+    ("reg u16 p, reg u64 n", ("--ptr", "p:n", "--len", "n:8"),
+     "--ptr p:n: parameter 'p' is u16, too narrow for region addresses up to 0x110108"),
+    ("reg u64 p, reg u8 n", ("--ptr", "p:n", "--len", "n:300"),
+     "--len n:300: parameter 'n' is u8, which holds at most 255"),
+    ("reg u64 s, reg u64 p", ("--ptr", "p:8", "--public-region", "s"),
+     "--public-region s: parameter 's' has no --ptr region"),
+], ids=["len-on-bool", "bool", "ptr-u16", "len-past-u8", "public-region-without-ptr"])
+def test_ct_shape_a_parameter_cannot_hold_exit_2(tmp_path, capsys, params, shape, message):
+    """A shape the parameter's type cannot hold, a bool parameter, or a
+    public region without a --ptr, exits 2 before any trial runs."""
+    prog = tmp_path / "shaped.jz"
+    prog.write_text(f"fn f({params}) -> reg u64 {{\n  reg u64 t;\n  t = 0;\n  return t;\n}}\n")
+    code, out, err = run_cli(capsys, "ct", str(prog), "--entry", "f", *shape)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_ct_pointer_of_32_or_more_bits_is_accepted(tmp_path, capsys, bits):
+    prog = tmp_path / "ptr.jz"
+    prog.write_text(f"fn f(reg u{bits} p) -> reg u8 {{\n  reg u8 t;\n  t = (u8)[p];\n"
+                    "  return t;\n}\n")
+    code, out, _ = run_cli(capsys, "ct", str(prog), "--entry", "f", "--public", "p",
+                           "--ptr", "p:1", "--public-region", "p", "--trials", "5")
+    assert code == 0 and "secure" in out
 
 
 def test_ct_run_that_faults_is_an_error_verdict(capsys):

@@ -13,7 +13,7 @@ from harness import tagged
 from lanes import exec_vector
 from test_isa_scalar_golden import _op_width
 from test_rolled import observe
-from jamin import codegen, flow, interp, isa, memory
+from jamin import codegen, flow, interp, ir, isa, memory
 from jamin.codegen import PIECE
 from jamin.expand import expand
 from jamin.ir import ArrayTy, EArr, EVar, SAssign, SIf, SRepeat, SReturn, SWhile
@@ -513,7 +513,7 @@ def _coalesced(p) -> dict:
         codegen._FnGen.coalesce = coalesce
     [root] = roots
     return {s.dests[0].name: root[s.dests[0].name] == root[s.rhs.name]
-            for s in codegen._walk(p.func("f").body) if type(s) is SAssign and type(s.rhs) is EVar
+            for s in ir.walk(p.func("f").body) if type(s) is SAssign and type(s.rhs) is EVar
             and isinstance(s.rhs.ty, ArrayTy) and s.rhs.name in root}
 
 
