@@ -167,80 +167,36 @@ def cmd_run(args) -> int:
 # ------------------------------------------------------------------ ct
 
 
-def _build_shape(fn, args, public, public_regions) -> dict:
-    """The input shape of entry fn from --ptr and --len, after checking
-    that every name these and the public sets give is a parameter, that
-    no parameter is given two different shapes (a --ptr LEN is compared
-    as a byte count or a --len name, a --len MAX as a count), that every
-    parameter is a word wide enough for its shape (a --len MAX, a --ptr
-    every region address), that every --public-region has a --ptr, and
-    that the regions fit in memory.MAX_BYTES at their largest."""
-    def ptr(spec):
-        name, _, size = spec.partition(":")
-        return name, int(size) if size.isdecimal() else size
-
-    shape: dict = {}
-    ptrs, lens, given = {}, {}, {}  # given: parameter -> the first option naming it
-    for opt, into, specs in (("--ptr", ptrs, [ptr(s) for s in args.ptr or ()]),
-                             ("--len", lens, args.len or ())):
+def _build_shape(args, public_regions) -> tuple:
+    """The shape --ptr and --len give and the first option naming each
+    parameter, once no parameter has two different shapes (a --ptr LEN
+    compared as a byte count or a --len name); ct_check checks the rest."""
+    ptrs = [(name, int(size) if size.isdecimal() else size)
+            for name, _, size in (spec.partition(":") for spec in args.ptr or ())]
+    shape, given = {}, {}
+    for opt, kind, specs in (("--ptr", leakage.Ptr, ptrs), ("--len", leakage.Len, args.len or ())):
         for name, value in specs:
             text = f"{opt} {name}:{value}"
             if given.setdefault(name, text) != text:
                 raise CliError(f"conflicting shapes for parameter {name!r}: "
                                f"{given[name]} and {text}")
-            into[name] = value
-    types = {q.name: q.ty for q in fn.params}
-    for name in [*ptrs, *lens, *sorted(public), *sorted(public_regions)]:
-        if name not in types:
-            raise CliError(f"{name!r} is not a parameter of {fn.name}")
-    if stray := sorted(public_regions - ptrs.keys()):
-        raise CliError(f"--public-region {stray[0]}: parameter {stray[0]!r} has no --ptr region")
-    for name, ty in types.items():
-        at = f"{given[name]}: " if name in given else ""
-        if type(ty) is not WordTy:
-            raise CliError(f"{at}parameter {name!r} is {ty}; ct samples word parameters only")
-        if name in ptrs:
-            size = ptrs[name]
-            if type(size) is str and size not in lens:
-                raise CliError(f"--ptr {name}:{size}: LEN must be a byte count "
-                               "or a --len name")
-            shape[name] = leakage.Ptr(size)
-        elif name in lens:
-            if lens[name] >> ty.bits:
-                raise CliError(f"{at}parameter {name!r} is {ty}, which holds at most "
-                               f"{(1 << ty.bits) - 1}")
-            shape[name] = leakage.Len(max=lens[name])
-        else:
-            shape[name] = leakage.Val(ty.bits)
-    total = sum(lens[size] if type(size) is str else size for size in ptrs.values())
-    if total > memory.MAX_BYTES:
-        raise CliError(f"--ptr regions of up to {total} bytes exceed "
-                       f"{memory.MAX_BYTES >> 20} MiB together")
-    top = leakage.address_bound(total, len(ptrs))
-    for name in ptrs:
-        if top >> types[name].bits:
-            raise CliError(f"{given[name]}: parameter {name!r} is {types[name]}, too narrow "
-                           f"for region addresses up to {top:#x}")
-    return shape
-
-
-def _event_kind(e) -> str:
-    """The kind of leakage event e: a branch outcome is a bool, an address
-    or an index an int (see leakage)."""
-    return "branch" if type(e) is bool else "addr"
+            shape[name] = kind(value)
+    given.update((n, f"--public-region {n}") for n in public_regions if n not in given)
+    return shape, given
 
 
 def cmd_ct(args) -> int:
     p = _load_program(args.file)
     fn = _entry(p, args.entry, args.file)
-    public = frozenset(args.public.split(",")) - {""}
-    public_regions = frozenset((args.public_region or "").split(",")) - {""}
-    spec = leakage.PublicSpec(public, public_regions)
-    shape = _build_shape(fn, args, public, public_regions)
+    spec = leakage.PublicSpec(*(frozenset(names.split(",")) - {""}
+                                for names in (args.public, args.public_region)))
+    shape, given = _build_shape(args, spec.public_regions)
+    try:
+        verdict = leakage.ct_check(p, args.entry, spec, args.trials, args.seed, shape)
+    except leakage.ShapeError as exc:  # prefixed by the option naming the parameter, if any
+        at = any(q.name == exc.name for q in fn.params) and given.get(exc.name)
+        raise CliError(f"{at}: {exc}" if at else str(exc)) from exc
     inferred = sorted(leakage.infer_public(p, args.entry))
-    verdict = leakage.ct_check(
-        p, args.entry, spec, trials=args.trials, seed=args.seed, shape=shape
-    )
     report = {
         "verdict": verdict.kind,
         "trials": verdict.trials,
@@ -256,7 +212,7 @@ def cmd_ct(args) -> int:
         report["witness"] = {
             "trial": w.trial,
             "position": w.position,
-            "kind": _event_kind(w.events[0]),
+            "kind": w.kind,
             "events": [str(e) for e in w.events],
             "public_inputs": {k: str(v) for k, v in w.public_inputs.items()},
             "secret_inputs": [
@@ -266,7 +222,7 @@ def cmd_ct(args) -> int:
         }
         lines.append(
             f"witness: trial {w.trial}, first divergence at event {w.position} "
-            f"({_event_kind(w.events[0])}): {w.events[0]} vs {w.events[1]}"
+            f"({w.kind}): {w.events[0]} vs {w.events[1]}"
         )
     if verdict.error:
         report["error"] = verdict.error

@@ -22,6 +22,14 @@ inputs (and public memory) are drawn once and shared, the secret inputs
 are drawn independently for the two runs with adversarial corners
 (zero, all-ones, random), and the traces are compared event by event.
 
+A shape maps an entry parameter to a `Ptr` (to a region of a byte
+count or of a `Len` parameter's length), a `Len` or a `Val`; a word
+parameter it leaves out is a `Val` of its width.  `ct_check` and
+`build_inputs` raise ShapeError, before any draw, on a shape or
+PublicSpec naming no parameter, a parameter not a word, a `Len` maximum
+or a region address its parameter cannot hold, a `Ptr` sized by no
+`Len`, a public region with no `Ptr`, or regions past memory.MAX_BYTES.
+
 `infer_public` computes a sound over-approximation of the inputs that
 can influence the trace, by a taint analysis of the expanded program on
 the forward driver of jamin.flow, flow-sensitive for locals with a
@@ -50,8 +58,9 @@ from .ir import (
     SIf,
     SReturn,
     SWhile,
+    WordTy,
 )
-from .memory import Memory
+from .memory import MAX_BYTES, Memory
 
 
 @dataclass
@@ -121,6 +130,7 @@ class PublicSpec:
 class Witness:
     trial: int
     position: int
+    kind: str  # "branch" for a bool event, "addr" for an int (an address or an index)
     events: tuple
     public_inputs: dict
     secret_inputs: tuple  # (run 1 dict, run 2 dict)
@@ -157,6 +167,14 @@ def _sample_secret_bytes(rng: random.Random, n: int) -> bytes:
     return rng.randbytes(n)
 
 
+class ShapeError(ValueError):
+    """A shape or spec the entry cannot take; `name` is the parameter concerned."""
+
+    def __init__(self, message: str, name: str):
+        super().__init__(message)
+        self.name = name
+
+
 class _Plan:
     """What build_inputs and _materialize derive from an entry's
     parameters, their shape and the public spec, in parameter order:
@@ -171,14 +189,32 @@ class _Plan:
     - `names`: every parameter's name, and `keys` the mem[<name>] key of
       each.
     A plan holds the program it was made for, not its id, and copies of
-    the shape and spec, so no later program or changed shape matches it."""
+    the shape and spec, so no later program or changed shape matches it.
+    Making one checks the shape and spec (ShapeError, see the module)."""
 
     __slots__ = ("program", "entry", "shape", "spec", "drawn", "ptrs", "shown", "hidden",
                  "mem", "names", "keys")
 
     def __init__(self, p: Program, entry: str, shape: dict, spec: PublicSpec):
         self.program, self.entry, self.shape, self.spec = p, entry, dict(shape), spec
-        params = [(q.name, shape[q.name]) for q in p.func(entry).params]
+        ty = {q.name: q.ty for q in p.func(entry).params}
+        for n in [*shape, *sorted(spec.public), *sorted(spec.public_regions)]:
+            if n not in ty:
+                raise ShapeError(f"{n!r} is not a parameter of {entry}", n)
+        if stray := sorted(n for n in spec.public_regions if type(shape.get(n)) is not Ptr):
+            raise ShapeError(f"parameter {stray[0]!r} has no Ptr region", stray[0])
+        params = []
+        for n, t in ty.items():
+            if type(t) is not WordTy:
+                raise ShapeError(f"parameter {n!r} is {t}; ct samples word parameters only", n)
+            s = shape.get(n, Val(t.bits))
+            if type(s) is Ptr and type(s.size) is not int and type(shape.get(s.size)) is not Len:
+                raise ShapeError(f"parameter {n!r} is sized by {s.size!r}, "
+                                 "which is not a Len parameter", n)
+            if type(s) is Len and s.max >> t.bits:
+                raise ShapeError(f"parameter {n!r} is {t}, which holds at most "
+                                 f"{(1 << t.bits) - 1}", n)
+            params.append((n, s))
         self.names = [name for name, _ in params]
         self.drawn = [(n, tuple(c for c in BOUNDARY_LENGTHS if c <= s.max), s.max + 1,
                        n in spec.public) if isinstance(s, Len) else (n, None, s.width, True)
@@ -190,6 +226,17 @@ class _Plan:
         self.hidden = [(n, kind, getattr(s, "width", None)) for n, s in params
                        if n not in spec.public for kind in (Len, Val, Ptr) if isinstance(s, kind)]
         self.mem = [(n, self.keys[n]) for n, _ in self.ptrs if n not in spec.public_regions]
+        total = 0
+        for n, size in self.ptrs:  # the regions at their largest
+            total += size if type(size) is int else shape[size].max
+            if total > MAX_BYTES:
+                raise ShapeError(f"regions of up to {total} bytes exceed "
+                                 f"{MAX_BYTES >> 20} MiB together", n)
+        top = FIRST_BASE + BASE_SPREAD + total + GAPS[1] * len(self.ptrs)  # past every region
+        for n, _ in self.ptrs:
+            if top >> ty[n].bits:
+                raise ShapeError(f"parameter {n!r} is {ty[n]}, too narrow for region "
+                                 f"addresses up to {top:#x}", n)
 
 
 _last_plan: _Plan | None = None  # build_inputs' latest, which _materialize then reads
@@ -207,12 +254,6 @@ def _plan(p: Program, entry: str, shape: dict, spec: PublicSpec) -> _Plan:
 
 
 FIRST_BASE, BASE_SPREAD, GAPS = 0x10000, 1 << 20, (16, 256)  # build_inputs' region layout
-
-
-def address_bound(total: int, count: int) -> int:
-    """An address above every byte of `count` regions of `total` bytes
-    together, as build_inputs lays them out."""
-    return FIRST_BASE + BASE_SPREAD + total + GAPS[1] * count
 
 
 def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
@@ -286,9 +327,10 @@ def ct_check(
     seed: int,
     shape: dict,
 ) -> Verdict:
-    """Two-run differential constant-time check."""
+    """Two-run differential constant-time check; ShapeError before any trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _plan(p, entry, shape, spec)
     rng = random.Random(seed)
     for t in range(trials):
         public, regions, pub_contents, sec1, sec2 = build_inputs(
@@ -317,6 +359,7 @@ def ct_check(
                 witness=Witness(
                     trial=t,
                     position=pos,
+                    kind="branch" if type(ev[0]) is bool else "addr",
                     events=ev,
                     public_inputs=dict(public),
                     secret_inputs=(sec1, sec2),

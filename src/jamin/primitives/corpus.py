@@ -1,9 +1,9 @@
 """Corpus of DSL implementations and their declared contracts.
 
 Each program carries the metadata the tools need: entry point, the
-constant-time public specification, sampling shapes for the checker,
-and the pointer/tracked sets for the range analysis.  The programs
-are the `.jz` files of the package's `corpus` directory.
+constant-time public specification, and the checker's sampling shape,
+whose Ptr and Len parameters the range analysis takes as pointers and
+tracked lengths.  The programs are the package's `corpus/*.jz` files.
 """
 
 from __future__ import annotations
@@ -26,8 +26,14 @@ class ProgramInfo:
     kind: str  # poly1305 | chacha20 | gimli
     public: PublicSpec
     shape: dict
-    pointers: tuple
-    tracked: tuple
+
+    @property
+    def pointers(self) -> tuple:  # the range analysis' pointers: the shape's Ptr parameters
+        return tuple(n for n, s in self.shape.items() if type(s) is Ptr)
+
+    @property
+    def tracked(self) -> tuple:  # its tracked lengths: the shape's Len parameters
+        return tuple(n for n, s in self.shape.items() if type(s) is Len)
 
 
 def _poly_info(name, in_name, len_name, max_len):
@@ -42,8 +48,6 @@ def _poly_info(name, in_name, len_name, max_len):
             len_name: Len(max=max_len),
             "k": Ptr(32),
         },
-        pointers=("out", in_name, "k"),
-        tracked=(len_name,),
     )
 
 
@@ -61,8 +65,6 @@ def _chacha_info(name, max_len):
             "nonce": Ptr(12),
             "counter": Val(32),
         },
-        pointers=("output", "plain", "key", "nonce"),
-        tracked=("len",),
     )
 
 
@@ -73,8 +75,6 @@ def _gimli_info(name):
         kind="gimli",
         public=PublicSpec.of(["state"]),
         shape={"state": Ptr(48)},
-        pointers=("state",),
-        tracked=(),
     )
 
 

@@ -420,23 +420,25 @@ def test_compound_store_to_memory_exit_2(tmp_path, capsys, argv):
                    "array element as destination\n")
 
 
-@pytest.mark.parametrize("shape", [("--ptr", "p:67108865", "--len", "n:4"),
-                                   ("--ptr", "p:n", "--len", "n:67108865"),
-                                   ("--ptr", "p:n", "--len", "n:99999999999"),
-                                   ("--ptr", "p:99999999999", "--len", "n:4"),
-                                   ("--ptr", "p:n", "--ptr", "q:n", "--len", "n:33554433")],
-                         ids=["ptr", "len", "len-past-int64", "ptr-past-int64", "two-ptrs"])
-def test_ct_oversized_regions_exit_2(tmp_path, capsys, shape):
+@pytest.mark.parametrize("shape, message", [
+    (("--ptr", "p:67108865", "--len", "n:4"), "--ptr p:67108865: regions of up to 67108865"),
+    (("--ptr", "p:n", "--len", "n:67108865"), "--ptr p:n: regions of up to 67108865"),
+    (("--ptr", "p:n", "--len", "n:99999999999"), "--ptr p:n: regions of up to 99999999999"),
+    (("--ptr", "p:99999999999", "--len", "n:4"),
+     "--ptr p:99999999999: regions of up to 99999999999"),
+    (("--ptr", "p:n", "--ptr", "q:n", "--len", "n:33554433"),
+     "--ptr q:n: regions of up to 67108866"),
+], ids=["ptr", "len", "len-past-int64", "ptr-past-int64", "two-ptrs"])
+def test_ct_oversized_regions_exit_2(tmp_path, capsys, shape, message):
     """--ptr regions that may hold more than memory.MAX_BYTES together
     (a --len maximum counted once per --ptr it sizes) exit 2 before any
-    trial runs."""
+    trial runs, naming the --ptr whose region first passes the limit."""
     prog = tmp_path / "big.jz"
     prog.write_text("fn f(reg u64 p, reg u64 q, reg u64 n) {\n  reg u64 t;\n  t = [p];\n}\n")
     if "q:n" not in shape:
         shape += ("--ptr", "q:0")
     code, out, err = run_cli(capsys, "ct", str(prog), "--entry", "f", *shape)
-    assert (code, out) == (2, "")
-    assert re.fullmatch(r"error: --ptr regions of up to \d+ bytes exceed 64 MiB together\n", err)
+    assert (code, out, err) == (2, "", f"error: {message} bytes exceed 64 MiB together\n")
 
 
 # `bench` step counts at sizes 0, 64 and 1024 (repetitions 1, seed 1),
@@ -673,7 +675,7 @@ def test_ct_entry_with_an_array_parameter_exit_2(tmp_path, capsys):
     ("reg u64 p, reg u8 n", ("--ptr", "p:n", "--len", "n:300"),
      "--len n:300: parameter 'n' is u8, which holds at most 255"),
     ("reg u64 s, reg u64 p", ("--ptr", "p:8", "--public-region", "s"),
-     "--public-region s: parameter 's' has no --ptr region"),
+     "--public-region s: parameter 's' has no Ptr region"),
 ], ids=["len-on-bool", "bool", "ptr-u16", "len-past-u8", "public-region-without-ptr"])
 def test_ct_shape_a_parameter_cannot_hold_exit_2(tmp_path, capsys, params, shape, message):
     """A shape the parameter's type cannot hold, a bool parameter, or a

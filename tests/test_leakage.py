@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -116,6 +117,7 @@ def test_ct_check_catches_secret_branch():
     assert v.kind == "insecure"
     assert v.witness is not None
     assert v.witness.events[0] != v.witness.events[1]
+    assert v.witness.kind == "branch"
     assert "s" in infer_public(SECRET_BRANCH, "f")
 
 
@@ -204,6 +206,7 @@ fn f(reg u64 base, reg u64 s) -> reg u64 {
     shape = {"base": Ptr(16), "s": Val(64)}
     v = ct_check(p, "f", spec, trials=1000, seed=3, shape=shape)
     assert v.kind == "insecure"
+    assert v.witness.kind == "addr" and all(type(e) is int for e in v.witness.events)
     assert "s" in infer_public(p, "f")
 
 
@@ -422,6 +425,64 @@ def test_ct_check_calls_per_trial(monkeypatch, secure):
     assert n == (50 if secure else 4)  # seed 11 finds the witness at trial 3
     assert calls == Counter({"build_inputs": n, "run_instrumented": 2 * n, "run": 2 * n,
                              ("run_instrumented", "run"): 2 * n, "first_divergence": n})
+
+
+@pytest.mark.parametrize("params, shape, spec, name, message", [
+    ("reg u16 p, reg u64 n", {"p": Ptr("n"), "n": Len(max=8)}, PublicSpec.of([]), "p",
+     "parameter 'p' is u16, too narrow for region addresses up to 0x110108"),
+    ("reg u64 p, reg u8 n", {"p": Ptr("n"), "n": Len(max=300)}, PublicSpec.of([], ["zz"]), "zz",
+     "'zz' is not a parameter of f"),
+    ("reg u64 p, reg u8 n", {"p": Ptr("n"), "n": Len(max=300)}, PublicSpec.of(["p"]), "n",
+     "parameter 'n' is u8, which holds at most 255"),
+    ("reg u64 p, reg u64 m", {"p": Ptr("m")}, PublicSpec.of(["p", "m"]), "p",
+     "parameter 'p' is sized by 'm', which is not a Len parameter"),
+    ("reg u64 s", {"s": Val(64), "zz": Val(64)}, PublicSpec.of([]), "zz",
+     "'zz' is not a parameter of f"),
+    ("reg u64 s", {"s": Val(64)}, PublicSpec.of(["s", "zz"]), "zz",
+     "'zz' is not a parameter of f"),
+    ("reg u64 s, reg bool b", {"s": Val(64)}, PublicSpec.of([]), "b",
+     "parameter 'b' is bool; ct samples word parameters only"),
+    ("reg u64[2] x", {}, PublicSpec.of([]), "x",
+     "parameter 'x' is u64[2]; ct samples word parameters only"),
+    ("reg u64 s, reg u64 p", {"p": Ptr(8)}, PublicSpec.of(["p"], ["s"]), "s",
+     "parameter 's' has no Ptr region"),
+    ("reg u64 p, reg u64 q", {"p": Ptr(1 << 25), "q": Ptr((1 << 25) + 1)}, PublicSpec.of([]),
+     "q", "regions of up to 67108865 bytes exceed 64 MiB together"),
+], ids=["ptr-u16", "len-past-u8-and-unknown-region", "len-past-u8", "ptr-sized-by-no-len",
+        "unknown-shape-key", "unknown-public", "bool", "array", "public-region-without-ptr",
+        "regions-past-max-bytes"])
+def test_ct_check_refuses_a_shape_the_entry_cannot_take(monkeypatch, params, shape, spec, name,
+                                                        message):
+    """ct_check and build_inputs check the shape and spec against the
+    entry's parameters, whoever calls them: a bad one raises ShapeError,
+    naming the parameter, before any trial runs and before any draw."""
+    p = prep(f"fn f({params}) -> reg u64 {{\n  reg u64 t;\n  t = 0;\n  return t;\n}}\n")
+    calls = Counter()
+    for fname in ("build_inputs", "run_instrumented"):
+        monkeypatch.setattr(leakage, fname, lambda *a, _n=fname, **kw: calls.update([_n]))
+    with pytest.raises(leakage.ShapeError) as exc:
+        ct_check(p, "f", spec, trials=3, seed=1, shape=shape)
+    assert (str(exc.value), exc.value.name) == (message, name)
+    assert not calls
+    monkeypatch.undo()
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(leakage.ShapeError, match=f"^{re.escape(message)}$"):
+        leakage.build_inputs(p, "f", shape, spec, rng)
+    assert rng.getstate() == state
+
+
+def test_an_unshaped_word_parameter_is_a_val_of_its_width():
+    """A word parameter the shape leaves out is drawn as a Val of its
+    width, with the draws of that shape written out."""
+    p = prep("fn f(reg u32 x, reg u64 y) -> reg u64 {\n  reg u64 t;\n  t = y;\n  return t;\n}\n")
+    spec = PublicSpec.of(["x"])
+    for seed in range(20):
+        got = leakage.build_inputs(p, "f", {}, spec, random.Random(seed))
+        assert got == leakage.build_inputs(p, "f", {"x": Val(32), "y": Val(64)}, spec,
+                                           random.Random(seed))
+        assert got[0]["x"] < 1 << 32
+    assert ct_check(p, "f", spec, trials=20, seed=1, shape={}).secure
 
 
 def test_build_inputs_follows_a_changed_shape():
