@@ -98,7 +98,7 @@ An else-if chain is one Python `if` with an `elif` per arm, so it nests
 no deeper than its first `if` (Python allows 20 nested loop blocks, and
 the parser's nesting limit does not count the arms): an arm's test is
 one expression that charges the arm's step, evaluates the test and
-records its branch event with interp._br, in the order the statements
+records its branch event with interp._ev, in the order the statements
 of an `if` in the else block would.
 
 Large functions are compiled in pieces of at most PIECE statements, a
@@ -430,7 +430,8 @@ class _FnGen(Assigned):
         if op in ("/", "%") and not e.lanes and type(e.ty) is WordTy:
             r = self.expr(e.right)  # the divisor is evaluated, and checked, first
             f = self.const("W", words.evaluator(op, e.ty.bits))
-            return f"_wbin({f}, b=_nz({r}, {loc!r}), a={self.expr(e.left)}, loc={loc!r})"
+            a = self.expr(e.left)
+            return f"_dv(T, {self.batch()}, {f}, b=_nz({r}, {loc!r}), a={a})"
         left = self.expr(e.left)
         if e.lanes or type(e.ty) is WordTy:
             return self.word_op(e, left)
@@ -502,15 +503,15 @@ class _FnGen(Assigned):
         """A call returning the list of all of scalar `e`'s outputs.
         DIV, the one instruction without a table, goes through _intr,
         which reports its IsaFault as DivByZero at the intrinsic's
-        location; no other intrinsic can fault, and those are called
-        directly."""
+        location and records its division event; no other intrinsic can
+        fault or leak, and those are called directly."""
         d = lookup(e.name)
         sem = "S_" + d.name
         if sem not in self.ns:
             self.ns[sem] = d.sem
         args = ", ".join(self.expr(a) for a in e.args)
         if d.table is None:
-            return f"_intr({sem}, [{args}], {e.loc!r})"
+            return f"_intr(T, {self.batch()}, {sem}, [{args}], {e.loc!r})"
         return f"{sem}([{args}])"
 
     def vector(self, e: EIntr, d) -> str:
@@ -932,7 +933,7 @@ class _FnGen(Assigned):
             self.tmp = 0
             step = f"(B := B - 1) < 0 and _bx(B + 1, {self.const('L', (arm.loc,))})"
             test = self.expr(arm.cond)
-            self.arms(arm, f"elif {step} or _br(T, {self.batch()}, {test}):")
+            self.arms(arm, f"elif {step} or _ev(T, {self.batch()}, {test}):")
         elif s.els:
             self.line("else:")
             self.nested(s.els)

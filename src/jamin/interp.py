@@ -23,18 +23,18 @@ Stack arrays live in the activation, never in the global memory; they
 have value semantics (copied on function call, return and whole-array
 assignment) and are disjoint from each other by construction.
 
-When a trace list is supplied, execution appends leakage events in
-order, each the value observed: the address of a memory access and the
-index of an array access, as an int, and the outcome of an if, while or
-else-if test, as a bool (see leakage for why they need no tag).
+When a trace list is supplied, execution appends the event of each row
+of the leakage table (ir.leaks) it runs, in order (see leakage for why
+events need no tag).
 
 Each function is translated to Python source by codegen and compiled
 the first time it runs.  The module below holds the run-time helpers
-that generated code calls: memory accesses (_ld, _st), stack-array
-accesses (_sld, _sst), the fault of a read that finds a value
-unassigned (_uu), budget exhaustion (_bx), an else-if arm's branch
-event (_br), the word operators it does not inline (_wbin for a
-computed shift count, / and %; _nz for a divisor) and DIV (_intr).
+that generated code calls, each recording its row's event if it has one:
+memory accesses (_ld, _st), stack-array accesses (_sld, _sst), a word
+/ or % whose divisor _nz has checked (_dv), DIV (_intr) and an else-if
+arm's test (_ev, which the two before call); and the fault of a read that
+finds a value unassigned (_uu), budget exhaustion (_bx) and a computed
+shift (_wbin).
 Register arrays need none: expand makes every index of one a literal
 in bounds, and codegen makes each element a Python local.  Generated
 code makes the hit of each memory or stack-array access of 1, 2, 4 or
@@ -153,12 +153,13 @@ def _bx(i, locs):
     raise BudgetExhausted("step budget exhausted", locs[i])
 
 
-def _br(T, K, c):
-    """Test value c of an else-if arm, its branch event recorded."""
+def _ev(T, K, v):
+    """v, recorded as an event after the batch K: the test value of an
+    else-if arm or the operands of a division."""
     if T is not None:
         T += K
-        T.append(c)
-    return c
+        T.append(v)
+    return v
 
 
 def _nz(b, loc):
@@ -168,13 +169,17 @@ def _nz(b, loc):
 
 
 def _wbin(f, a, b, loc):
-    """f(a, b), a word operator from words.evaluator that codegen does
-    not inline (a shift by a computed count, / and %), with its faults
-    located; a divisor has passed _nz."""
+    """f(a, b), a shift by a computed count from words.evaluator, with
+    its fault located."""
     try:
         return f(a, b)
     except WordError as exc:
         raise ContractViolation(str(exc), loc) from None
+
+
+def _dv(T, K, f, b, a):
+    """f(a, b), a word / or % whose divisor b passed _nz, its event recorded."""
+    return f(*_ev(T, K, (a, b)))
 
 
 def _ld(M, T, K, a, nbytes, loc):
@@ -228,14 +233,16 @@ def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
     arr.init[off:end] = _ONES[nbytes]
 
 
-def _intr(sem, args, loc):
+def _intr(T, K, sem, args, loc):
     try:
-        return sem(args)
+        out = sem(args)
     except IsaFault as exc:
         raise DivByZero(str(exc), loc) from None
+    _ev(T, K, tuple(args))
+    return out
 
 
-_HELPERS = (_uu, _bx, _br, _nz, _wbin, _ld, _st, _sld, _sst, _intr)
+_HELPERS = (_uu, _bx, _ev, _nz, _wbin, _dv, _ld, _st, _sld, _sst, _intr)
 _RUNTIME = {f.__name__: f for f in _HELPERS}
 _RUNTIME.update(U=UNDEF, SA=StackArray)
 _RUNTIME.update({f"LD{n}": c.unpack_from for n, c in _CODECS.items()})

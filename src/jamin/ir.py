@@ -27,6 +27,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .isa import lookup
+
 # ---------------------------------------------------------------- types
 
 
@@ -293,6 +295,54 @@ def walk(stmts):
         yield s
         for b in blocks(s):
             yield from walk(b)
+
+# ---------------------------------------------------------- leakage
+
+# The leakage table: the event a run records for each construct an
+# observer sees, as its kind and the operands whose values it holds.
+#   memory access [a]                        "addr", a: an int
+#   array access x[i], constant i included   "addr", i: an int
+#   test c of an if, while or else-if arm    "branch", c: a bool
+#   word / or %, #x86_DIV                    "division", every operand: a tuple
+# Both operands of a division leak: a variable-time divider's time
+# depends on its dividend too (KyberSlash, Bernstein et al. 2024).
+EVENT_KINDS = {int: "addr", bool: "branch", tuple: "division"}  # an event's type -> its kind
+
+
+def leaks(x, out=None) -> list:
+    """The rows of the leakage table in x, an expression, destination or
+    statement (not the blocks it holds), as (construct, kind, operands)."""
+    if out is None:
+        out = []
+    k = type(x)
+    if k is EVar or k is EInt or x is None:
+        return out
+    if k is SAssign:
+        for e in (x.rhs, x.cond, *x.dests):
+            leaks(e, out)
+    elif k is EBin:
+        if x.op == "/" or x.op == "%":
+            out.append((x, "division", (x.left, x.right)))
+        leaks(x.left, out)
+        leaks(x.right, out)
+    elif k is EMem or k is EArr:
+        at = x.addr if k is EMem else x.index
+        out.append((x, "addr", (at,)))
+        leaks(at, out)
+    elif k is EIntr or k is ECall:
+        if k is EIntr and lookup(x.name).mnemonic == "DIV":
+            out.append((x, "division", x.args))
+        for a in x.args:
+            leaks(a, out)
+    elif k is EUn or k is ECast:
+        leaks(x.arg, out)
+    elif k is SIf or k is SWhile:
+        out.append((x, "branch", (x.cond,)))
+        leaks(x.cond, out)
+    elif k is SDecl or k is SReturn:
+        for e in (x.init,) if k is SDecl else x.values:
+            leaks(e, out)
+    return out
 
 # ------------------------------------------------------------- toplevel
 

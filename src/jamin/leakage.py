@@ -1,21 +1,14 @@
 """Leakage-instrumented execution and constant-time checking.
 
 A leakage trace is the ordered list of events an attacker observing
-addresses and control flow would see: every accessed memory address,
-every array index (constant indices included, so traces align with the
-instrumented-semantics reading), and every branch outcome.  A program
-is constant-time for a given split of its inputs into public and secret
-when any two runs that agree on the public part produce equal traces.
-
-Each event is the value observed and nothing else: an address or an
-index is an int, a branch outcome a bool.  That is exact, as a tag of
-the event's kind would add nothing to a comparison of two runs of one
-program.  A run changes path only at an if, while or else-if test, and
-each such test records its bool; a guarded assignment, `&&`, `||` and
-CMOV evaluate every operand and record no branch.  So two runs whose
-traces agree before event p have run the same statements, and their
-p-th events are of one kind: a bool is only ever compared with a bool,
-and an int with an int (Python holds True == 1).
+addresses, control flow and divisions would see: one per run of a row
+of the leakage table (ir.leaks), the value observed with no tag, its
+kind told by its type (ir.EVENT_KINDS).  A program is constant-time for
+a given split of its inputs into public and secret when any two runs
+that agree on the public part produce equal traces.  Only the table's
+tests change a run's path, so two runs whose traces agree before event
+p have run the same statements, and their p-th events are of one kind:
+an int is never compared with a bool (Python holds True == 1).
 
 `ct_check` tests that property by paired sampling: per trial the public
 inputs (and public memory) are drawn once and shared, the secret inputs
@@ -26,9 +19,10 @@ A shape maps an entry parameter to a `Ptr` (to a region of a byte
 count or of a `Len` parameter's length), a `Len` or a `Val`; a word
 parameter it leaves out is a `Val` of its width.  `ct_check` and
 `build_inputs` raise ShapeError, before any draw, on a shape or
-PublicSpec naming no parameter, a parameter not a word, a `Len` maximum
-or a region address its parameter cannot hold, a `Ptr` sized by no
-`Len`, a public region with no `Ptr`, or regions past memory.MAX_BYTES.
+PublicSpec naming no parameter, a parameter not a word, a negative
+byte count, a `Len` maximum or a region address its parameter cannot
+hold, a `Ptr` sized by no `Len`, a public region with no `Ptr`, or
+regions past memory.MAX_BYTES.
 
 `infer_public` computes a sound over-approximation of the inputs that
 can influence the trace, by a taint analysis of the expanded program on
@@ -44,6 +38,7 @@ from dataclasses import dataclass
 
 from . import flow, interp
 from .ir import (
+    EVENT_KINDS,
     EArr,
     EBin,
     ECall,
@@ -55,10 +50,9 @@ from .ir import (
     Program,
     SAssign,
     SDecl,
-    SIf,
     SReturn,
-    SWhile,
     WordTy,
+    leaks,
 )
 from .memory import MAX_BYTES, Memory
 
@@ -130,7 +124,7 @@ class PublicSpec:
 class Witness:
     trial: int
     position: int
-    kind: str  # "branch" for a bool event, "addr" for an int (an address or an index)
+    kind: str  # "addr", "branch" or "division": its events' kind (ir.EVENT_KINDS)
     events: tuple
     public_inputs: dict
     secret_inputs: tuple  # (run 1 dict, run 2 dict)
@@ -208,6 +202,9 @@ class _Plan:
             if type(t) is not WordTy:
                 raise ShapeError(f"parameter {n!r} is {t}; ct samples word parameters only", n)
             s = shape.get(n, Val(t.bits))
+            count = s.size if type(s) is Ptr else getattr(s, "max", 0)
+            if type(count) is int and count < 0:
+                raise ShapeError(f"parameter {n!r} has a negative byte count: {s}", n)
             if type(s) is Ptr and type(s.size) is not int and type(shape.get(s.size)) is not Len:
                 raise ShapeError(f"parameter {n!r} is sized by {s.size!r}, "
                                  "which is not a Len parameter", n)
@@ -359,7 +356,7 @@ def ct_check(
                 witness=Witness(
                     trial=t,
                     position=pos,
-                    kind="branch" if type(ev[0]) is bool else "addr",
+                    kind=EVENT_KINDS[type(ev[0])],
                     events=ev,
                     public_inputs=dict(public),
                     secret_inputs=(sec1, sec2),
@@ -457,6 +454,14 @@ class _FnTaint:
             a[name] = max(a[name], t) if name is None else a.get(name, _EMPTY) | t
         return a
 
+    def leak(self, env: dict, *nodes):
+        """The one sink: the taint of each operand of the rows of the
+        leakage table (ir.leaks) in `nodes` leaks."""
+        for x in nodes:
+            for _, _, operands in leaks(x):
+                for o in operands:
+                    self.g.leaked.update(self.taint(env, o))
+
     def taint(self, env: dict, e) -> frozenset:
         kind = type(e)
         if kind is EVar:
@@ -466,13 +471,9 @@ class _FnTaint:
         if kind is ECast or kind is EUn:
             return self.taint(env, e.arg)
         if kind is EArr:
-            idx_t = self.taint(env, e.index)
-            self.g.leaked.update(idx_t)
-            return env.get(e.name, _EMPTY) | idx_t
+            return env.get(e.name, _EMPTY) | self.taint(env, e.index)
         if kind is EMem:
-            at = self.taint(env, e.addr)
-            self.g.leaked.update(at)
-            return self.g.region_tokens(self.expr_bases(e.addr)) | at
+            return self.g.region_tokens(self.expr_bases(e.addr)) | self.taint(env, e.addr)
         if kind is EIntr:
             return _EMPTY.union(*(self.taint(env, a) for a in e.args))
         return _EMPTY
@@ -495,6 +496,7 @@ class _FnTaint:
         """The flow transfer (see jamin.flow)."""
         kind = type(s)
         if kind is SAssign:
+            self.leak(env, s.rhs, s.cond)
             if type(s.rhs) is ECall:
                 callee = self.g.p.func(s.rhs.name)
                 args = s.rhs.args
@@ -507,17 +509,19 @@ class _FnTaint:
                     t |= self.taint(env, s.cond)  # selection is data flow, not a branch
                 results = [(t, self.expr_bases(s.rhs))] * len(s.dests)
             for lv, (t, b) in zip(s.dests, results):
+                self.leak(env, lv)  # read after the destinations before it are written
                 self.assign(env, lv, t, b)
         elif kind is SDecl:
             for nm in s.names:
                 env.pop(nm, None)
+            self.leak(env, s)
             if s.init is not None:
                 self.assign(env, EVar(s.names[0]), self.taint(env, s.init),
                             self.expr_bases(s.init))
-        elif kind is SIf or kind is SWhile:
-            self.g.leaked.update(self.taint(env, s.cond))
-        elif kind is SReturn:
-            self.results = [(self.taint(env, v), self.expr_bases(v)) for v in s.values]
+        else:  # the test of an `if` or `while`, or a return
+            self.leak(env, s)
+            if kind is SReturn:
+                self.results = [(self.taint(env, v), self.expr_bases(v)) for v in s.values]
         env[None] = self.g.version
         return env
 
@@ -529,11 +533,9 @@ class _FnTaint:
             if not bases <= old:
                 self.bases[lv.name] = old | bases
                 self.g.version += 1
-        elif kind is EArr:  # as its read: the index leaks, the other elements keep their taint
+        elif kind is EArr:  # as its read: the other elements keep their taint
             env[lv.name] = self.taint(env, lv) | taint
         elif kind is EMem:
-            at = self.taint(env, lv.addr)
-            self.g.leaked.update(at)
             self.g.store_region(self.expr_bases(lv.addr), taint)
 
 

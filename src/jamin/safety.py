@@ -8,15 +8,13 @@ expressions over symbols: the initial values of the entry parameters
 plus fresh symbols introduced at join points.  Every symbol denotes an
 unsigned quantity.
 
-A scalar is relevant when its value can reach a memory address, an
-array index, the test of an `if` or `while`, or a divisor (of `/`, `%`
-or the divisor operand of DIV), through the assignments and
-declarations that define it (a guarded assignment also reads its
-destination).  The counters and pointers stepped by constants are
-relevant too: a loop's join may relate the others through one of
-them.  A statement that writes only irrelevant scalars, `_` or array
-elements at constant indices, and holds no memory access, no computed
-index and no division, is inert: it is not evaluated, and only forgets
+A scalar is relevant when its value can reach an operand of a row of
+the leakage table (ir.leaks), through the assignments and declarations
+that define it (a guarded assignment also reads its destination).  The
+counters and pointers stepped by constants are relevant too: a loop's
+join may relate the others through one of them.  A statement that
+makes no call, has no row but a constant index in bounds and rebinds
+no relevant scalar is inert: it is not evaluated, and only forgets
 the scalars it writes, which then read as opaque values of their type.
 This is a sparse analysis in the sense of Oh et al. (PLDI 2012): its
 ranges and findings are those of tracking every scalar, and unrolled
@@ -110,6 +108,7 @@ from .ir import (
     SReturn,
     SWhile,
     WordTy,
+    leaks,
     walk,
 )
 
@@ -530,59 +529,19 @@ class _Analyzer:
                       for k, v in self.inert.items()}
 
     def _scan(self, s) -> list:
-        """The names whose values the analysis uses at s: those read by
-        the test of an `if` or `while`, or by a memory address, an array
-        index or a divisor (of `/`, `%` or DIV) in a straight-line s.
-        Notes in self.inert whether a straight-line s holds no memory
-        access, no index that is computed or out of bounds, no `/`, `%`
-        or DIV, and writes no array element at such an index."""
+        """The names that the operands of s's rows in the leakage table
+        (ir.leaks) read.  Notes in self.inert whether a straight-line s
+        makes no call and has no row but a constant index in bounds, with
+        the scalars it rebinds."""
+        rows = leaks(s)
         k = type(s)
-        if k is SIf or k is SWhile:
-            return flow.reads(s.cond)
-        out: list = []
-        if k is SDecl:
-            ok, rebinds = self._scan_expr(s.init, out), s.names
-        elif k is SAssign:
-            ok = True
-            for e in (s.rhs, s.cond, *s.dests):
-                ok = self._scan_expr(e, out) and ok
-            rebinds = tuple(lv.name for lv in s.dests if type(lv) is EVar)
-        else:
-            ok, rebinds = True, ()
-            for e in s.values:
-                ok = self._scan_expr(e, out) and ok
-        self.inert[id(s)] = rebinds if ok else None
-        return out
-
-    def _scan_expr(self, e, out: list) -> bool:
-        """Append to `out` the names that expression or destination e
-        reads in an address, an index or a divisor; whether e has none of
-        them and no index out of bounds or call."""
-        k = type(e)
-        if k is EMem:
-            flow.reads(e.addr, out)
-            return False
-        if k is EArr:
-            if type(e.index) is EInt:
-                return self._in_bounds(e)
-            flow.reads(e.index, out)
-            return False
-        if k is EBin:
-            if e.op == "/" or e.op == "%":
-                flow.reads(e.right, out)
-                self._scan_expr(e.left, out)
-                return False
-            return self._scan_expr(e.left, out) & self._scan_expr(e.right, out)
-        if k is EUn or k is ECast:
-            return self._scan_expr(e.arg, out)
-        if k is EIntr:
-            ok = isa.lookup(e.name).mnemonic != "DIV"
-            if not ok:
-                flow.reads(e.args[2], out)
-            for a in e.args:
-                ok = self._scan_expr(a, out) and ok
-            return ok
-        return k is not ECall  # a name, a constant, `_` or no expression
+        if k is not SIf and k is not SWhile:
+            ok = not (k is SAssign and type(s.rhs) is ECall) and all(
+                type(n) is EArr and type(n.index) is EInt and self._in_bounds(n) for n, _, _ in rows)
+            rebinds = (s.names if k is SDecl else () if k is SReturn
+                       else tuple(lv.name for lv in s.dests if type(lv) is EVar))
+            self.inert[id(s)] = rebinds if ok else None
+        return [n for _, _, operands in rows for o in operands for n in flow.reads(o)]
 
     def fresh_sym(self):
         self.minted += 1

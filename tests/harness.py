@@ -10,6 +10,7 @@ in which the recorded trace digests were taken.
 
 from __future__ import annotations
 
+from jamin.ir import EVENT_KINDS
 from jamin.isa import OPSV
 from jamin.primitives.corpus import PROGRAMS, load_program
 from jamin.primitives.difftest import SHAPES, DslEntry, SpecEntry
@@ -40,9 +41,10 @@ def bound_range(report, base: str, params: dict):
 
 
 def tagged(trace: list) -> list:
-    """Trace with each event as ("branch", b) for a branch outcome b (a
-    bool) and ("addr", (a,)) for an address or index a (an int)."""
-    return [("branch", e) if type(e) is bool else ("addr", (e,)) for e in trace]
+    """Trace with each event as (its kind, its value), its kind from its
+    type (ir.EVENT_KINDS): ("branch", b) for a branch outcome b,
+    ("addr", (a,)) for an address or index a and ("division", operands)."""
+    return [(EVENT_KINDS[type(e)], (e,) if type(e) is int else e) for e in trace]
 
 
 def corpus_chain(kind: str, vector_mode: str = OPSV) -> list:

@@ -220,6 +220,41 @@ fn f(reg u64 p, reg u64 s) -> reg u64 {
     assert f"first divergence at event 0 (addr): {a} vs {b}" in out
 
 
+@pytest.mark.parametrize("stmt", [
+    "r = a / (s | 1);",
+    "r = a % (s | 1);",
+    "_, _, _, _, _, r, q = #x86_DIV_64(0, a, s | 1);",
+], ids=["div", "mod", "x86-div"])
+def test_ct_secret_divisor_is_a_division_witness(tmp_path, capsys, stmt):
+    """A division records its operands as one event, of kind "division":
+    a secret divisor leaks, and `s` is inferred public."""
+    prog = tmp_path / "divide.jz"
+    prog.write_text(f"""
+fn f(reg u64 a, reg u64 s) -> reg u64 {{
+  reg u64 r, q;
+  q = 0;
+  {stmt}
+  r = r + q;
+  return r;
+}}
+""")
+    argv = ("ct", str(prog), "--entry", "f", "--public", "a", "--trials", "200", "--seed", "1")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    rep = json.loads(out)
+    w = rep["witness"]
+    assert rep["verdict"] == "insecure" and w["kind"] == "division"
+    assert "s" in rep["inferred_public"]
+    runs = [tuple(int(v) for v in e.strip("()").split(", ")) for e in w["events"]]
+    assert len({len(r) for r in runs}) == 1 and len(runs[0]) == (3 if "DIV" in stmt else 2)
+    assert runs[0] != runs[1]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert (f"first divergence at event {w['position']} (division): "
+            f"{w['events'][0]} vs {w['events'][1]}") in out
+    assert re.search(r"^inferred public inputs: .*\bs\b", out, re.M)
+
+
 def test_difftest_cli(capsys):
     code, out, _ = run_cli(
         capsys, "difftest", str(CORPUS / "gimli_ref.jz"), str(CORPUS / "gimli_sse.jz"),

@@ -689,7 +689,7 @@ def else_if_runs() -> list:
     return seen
 
 
-ELSE_IF_RUNS = "65d63126637554fa"
+ELSE_IF_RUNS = "c98d246eeab20fb4"
 
 
 def test_else_if_chains_run_as_nested_ifs():

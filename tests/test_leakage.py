@@ -448,9 +448,13 @@ def test_ct_check_calls_per_trial(monkeypatch, secure):
      "parameter 's' has no Ptr region"),
     ("reg u64 p, reg u64 q", {"p": Ptr(1 << 25), "q": Ptr((1 << 25) + 1)}, PublicSpec.of([]),
      "q", "regions of up to 67108865 bytes exceed 64 MiB together"),
+    ("reg u64 p, reg u64 s", {"p": Ptr(-5)}, PublicSpec.of(["p"]), "p",
+     "parameter 'p' has a negative byte count: Ptr(size=-5)"),
+    ("reg u64 p, reg u64 n", {"p": Ptr("n"), "n": Len(max=-1)}, PublicSpec.of(["p"]), "n",
+     "parameter 'n' has a negative byte count: Len(max=-1)"),
 ], ids=["ptr-u16", "len-past-u8-and-unknown-region", "len-past-u8", "ptr-sized-by-no-len",
         "unknown-shape-key", "unknown-public", "bool", "array", "public-region-without-ptr",
-        "regions-past-max-bytes"])
+        "regions-past-max-bytes", "negative-ptr", "negative-len"])
 def test_ct_check_refuses_a_shape_the_entry_cannot_take(monkeypatch, params, shape, spec, name,
                                                         message):
     """ct_check and build_inputs check the shape and spec against the
@@ -533,3 +537,41 @@ def test_run_refuses_an_unknown_entry_with_its_message():
     with pytest.raises(interp.ContractViolation) as exc:
         interp.run(p, "g", [1], memory.Memory())
     assert str(exc.value) == "no entry function 'g' (inline functions are expanded away)"
+
+
+# One probe per row of the leakage table (ir.leaks): the secret s reaches
+# that construct and no other, so only that row can make the program leak.
+ROW_PROBES = {
+    "load-address": ("addr", "r = (u64)(u8)[p + (s & 7)];"),
+    "store-address": ("addr", "(u8)[p + (s & 7)] = 1;"),
+    "computed-index": ("addr", "t[s & 7] = 1;"),
+    "if-test": ("branch", "if (s == 0) { r = 1; }"),
+    "while-test": ("branch", "while (r < (s & 3)) { r = r + 1; }"),
+    "else-if-test": ("branch", "if (a == 0) { r = 1; } else if (s == 0) { r = 2; }"),
+    "division": ("division", "r = a / (s | 1);"),
+    "remainder": ("division", "r = a % (s | 1);"),
+    "x86-div": ("division", "_, _, _, _, _, r, q = #x86_DIV_64(0, a, s | 1);"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(ROW_PROBES))
+def test_each_row_of_the_leakage_table_leaks(probe):
+    """For each row, ct_check finds a witness of the row's kind and
+    infer_public names the secret: the runtime emitters and the taint
+    analysis each hold every row of the one table."""
+    kind, stmt = ROW_PROBES[probe]
+    p = prep(f"""
+fn f(reg u64 p, reg u64 a, reg u64 s) -> reg u64 {{
+  reg u64 r, q;
+  stack u64[8] t;
+  r = 0;
+  q = 0;
+  {stmt}
+  r = r + q;
+  return r;
+}}
+""")
+    spec = PublicSpec.of(["p", "a"], ["p"])
+    v = ct_check(p, "f", spec, trials=200, seed=1, shape={"p": Ptr(8)})
+    assert v.kind == "insecure" and v.witness.kind == kind, (v.kind, v.witness)
+    assert "s" in infer_public(p, "f")
