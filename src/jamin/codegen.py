@@ -29,11 +29,11 @@ observes:
   event (a memory address, a computed index, a branch outcome) or at
   the segment's end;
 - a check is left out only where it cannot fire: the unassigned-value
-  check of a register or constant-index element that a must-be-assigned
-  pass over the function proves written on every path (if branches
-  joined, while loops to their fixpoint, repeat nodes walked as flow
-  walks them, re-declaration resetting), and the bounds check of every
-  constant index, which expand keeps in bounds;
+  check of a read of a register or constant-index element that the
+  function's one must-be-assigned pass (Assigned), whose notes safety's
+  maybe-uninit findings read too, does not note as maybe unassigned,
+  and the bounds check of every constant index, which expand keeps in
+  bounds;
 - a multi-destination statement over an instruction with a per-output
   table (isa.Table) evaluates its operands once, in order, and then
   computes inline only the destinations that are not `_`;
@@ -61,11 +61,11 @@ observes:
   pass over the function, which the view, moves, pieces and
   declarations all read;
 - a repeat node (ir.SRepeat, see expand) is emitted once, in
-  `for _k in range(count):`.  Its body is translated as a loop: from
-  the must-be-assigned facts at the start of every iteration that
-  flow.repeat walks, joined, with liveness across its back edge,
-  pieced when it is longer than PIECE, charging its statements' steps
-  and adding its constant events in every iteration.  A check that
+  `for _k in range(count):`.  Its body is translated as a loop: a read
+  is checked when the must-be-assigned pass notes it in any iteration
+  it walks, with liveness across its back edge, pieced when it is
+  longer than PIECE, charging its statements' steps and adding its
+  constant events in every iteration.  A check that
   names one of the node's private locals names the running iteration's
   (the node's `names`), from a prebuilt tuple indexed by _k.  No repeat
   node holds another.  An iteration is a block: its segments and event
@@ -170,20 +170,22 @@ class Assigned:
     every path to a program point: register names and (array, index)
     pairs.  If branches are joined, while loops taken to their fixpoint,
     repeat nodes walked by flow's rule, and a re-declaration resets its
-    names.  Codegen leaves out the check of a read that the facts prove
-    defined, and safety reports maybe-uninit where they do not."""
+    names.  Its walk notes each read of a scalar local or of a
+    register-array element at a literal index that the facts a run reads
+    it with do not prove assigned, in any pass over a loop or iteration
+    of a repeat node, as facts only shrink to a loop's fixpoint.
+    Codegen checks exactly the noted reads, and safety reports the first
+    of each scalar local as maybe-uninit (unassigned_reads)."""
 
     recording = False
     at = None
 
     def __init__(self, p, fn):
-        self.fn = fn
         self.types = fn.envtypes
+        self.scalars = {n for n, (_, ty) in self.types.items() if not isinstance(ty, ArrayTy)}
         self.heads: dict = {}
         self.globals = {g.name for g in p.globals}
-
-    def entry(self) -> set:
-        return {q.name for q in self.fn.params if not isinstance(q.ty, ArrayTy)}
+        self.notes: dict = {}  # id of a read -> the read, in the order met
 
     def copy(self, f):
         return set(f)
@@ -199,32 +201,66 @@ class Assigned:
         locals in `private`, an array's by element."""
         return {x for x in f if (x if type(x) is str else x[0]) not in private}
 
-    observable = forget  # the facts are all the domain has
+    def observable(self, f, private) -> tuple:
+        """The flow hook (see jamin.flow): the facts of the locals not in
+        `private` and the number of reads noted."""
+        return self.forget(f, private), len(self.notes)
 
-    def transfer(self, f, s, done=None):
-        """The facts after s, updated in f.  With `done`, only a
-        declaration's reset and the first `done` destinations of s are
-        applied: the facts at a read that s makes after writing those.
-        Applying all of s afterwards gives the same facts as applying it
-        at once."""
+    def note(self, f, e):
+        """Note the reads of expression e that the facts f do not prove
+        assigned, in the order of flow.reads."""
+        k = type(e)
+        if k is EVar:
+            if e.name in self.scalars and e.name not in f:
+                self.notes[id(e)] = e
+        elif k is EArr:
+            if e.arr_storage != "reg":
+                self.note(f, e.index)
+            elif (e.name, e.index.value) not in f:  # a literal index (expand)
+                self.notes[id(e)] = e
+        elif k is EBin:
+            self.note(f, e.left)
+            self.note(f, e.right)
+        elif k is EUn or k is ECast:
+            self.note(f, e.arg)
+        elif k is EMem:
+            self.note(f, e.addr)
+        elif k is EIntr or k is ECall:
+            for a in e.args:
+                self.note(f, a)
+
+    def transfer(self, f, s):
+        """The facts after s, updated in f, with the reads of s noted
+        where a run makes them: its right-hand side, guard, test or
+        returned values before s, a destination's index or address after
+        the destinations before it are written, and an initializer after
+        its declaration resets its names."""
         k = type(s)
         if k is SDecl:
             for nm in s.names:  # reset, to UNDEF
                 self.dest(f, typed_var(nm, s.ty), True)
-            if s.init is not None and done is None:
+            if s.init is not None:
+                self.note(f, s.init)
                 self.dest(f, typed_var(s.names[0], s.ty))
             return f
+        if k is SReturn:
+            for v in s.values:
+                self.note(f, v)
+            return f
         if k is not SAssign:
+            self.note(f, s.cond)
             return f
         rhs, dests = s.rhs, s.dests
+        self.note(f, rhs)
+        if s.cond is not None:  # a guarded scalar: maybe not written
+            self.note(f, s.cond)
+            return f
         if type(rhs) is ECall:
             undef = [False] * len(dests)
         elif type(rhs) is EIntr and len(dests) != 1:
             d = lookup(rhs.name)
             undef = [_maybe_undef(d, i) for i in range(len(dests))]
-        elif s.cond is not None:
-            return f
-        elif self.is_copy(s):
+        elif _is_copy(s):
             dst = dests[0].name
             kept = [(dst, i) for i in range(self.types[dst][1].length)
                     if rhs.name in self.globals or (rhs.name, i) in f]
@@ -233,7 +269,11 @@ class Assigned:
             return f
         else:
             undef = [False]  # no expression's one value is UNDEF
-        for lv, u in zip(dests[:done], undef):
+        for lv, u in zip(dests, undef):
+            if type(lv) is EArr:
+                self.note(f, lv.index)
+            elif type(lv) is EMem:
+                self.note(f, lv.addr)
             self.dest(f, lv, u)
         return f
 
@@ -251,22 +291,33 @@ class Assigned:
         elif k is EArr and type(lv.index) is EInt and lv.arr_storage != "stack":
             f.add((lv.name, lv.index.value))
 
-    def is_copy(self, s) -> bool:
-        lv = s.dests[0]
-        return type(lv) is EVar and type(lv.ty) is ArrayTy
+
+def unassigned_reads(p, fn) -> dict:
+    """{id of a read: the read}: each read of function fn (an EVar or an
+    EArr) that the must-be-assigned pass notes (Assigned), in the order
+    its walk first meets them."""
+    d = Assigned(p, fn)
+    flow.forward(fn.body, {q.name for q in fn.params if not isinstance(q.ty, ArrayTy)}, d)
+    return d.notes
+
+
+def _is_copy(s) -> bool:
+    """Whether assignment s copies a whole array."""
+    lv = s.dests[0]
+    return type(lv) is EVar and type(lv.ty) is ArrayTy
 
 
 # ------------------------------------------------------------ generator
 
 
-class _FnGen(Assigned):
+class _FnGen:
     def __init__(self, p, fn, ns):
-        super().__init__(p, fn)
-        self.p, self.ns = p, ns
+        self.p, self.fn, self.ns = p, fn, ns
+        self.types = fn.envtypes
+        self.unassigned = unassigned_reads(p, fn)  # the reads to check (Assigned)
         self.locals = {q.name for q in fn.params} | set(self.types)
         self.sizes: dict = {}  # id of a statement holding blocks -> its size
         self.labels: dict = {}  # in a repeat body: private local -> its name per iteration
-        self.facts = self.entry()
         self.out: list = []
         self.indent = "    "
         self.seg = None  # (placeholder index, indentation, locs)
@@ -365,13 +416,13 @@ class _FnGen(Assigned):
 
     # -- reads
 
-    def read_var(self, name: str, loc) -> str:
-        if name not in self.locals or isinstance(self.types[name][1], ArrayTy):
-            return self.whole(name)  # a whole array (a global is one)
-        v = self.v(name)
-        if name in self.facts:
+    def read_var(self, e: EVar) -> str:
+        if e.name not in self.locals or isinstance(self.types[e.name][1], ArrayTy):
+            return self.whole(e.name)  # a whole array (a global is one)
+        v = self.v(e.name)
+        if id(e) not in self.unassigned:
             return v
-        return f"({v} if {v} is not U else _uu({self.label(name)}, {loc!r}))"
+        return f"({v} if {v} is not U else _uu({self.label(e.name)}, {e.loc!r}))"
 
     def elements(self, name: str) -> list:
         """The Python locals of register array `name`'s elements: those of
@@ -397,7 +448,7 @@ class _FnGen(Assigned):
     def expr(self, e) -> str:
         k = type(e)
         if k is EVar:
-            return self.read_var(e.name, e.loc)
+            return self.read_var(e)
         if k is EInt:
             return self.lit(int_value(e))
         if k is EBin:
@@ -495,7 +546,7 @@ class _FnGen(Assigned):
         if storage == "global":
             return f"G_{name}[{i}]"
         x = self.elements(name)[i]
-        if (name, i) in self.facts:
+        if id(e) not in self.unassigned:
             return x
         return f"({x} if {x} is not U else _uu({self.label(name, f'[{i}]')}, {loc!r}))"
 
@@ -553,16 +604,9 @@ class _FnGen(Assigned):
                 self.line(f"{t} = {code}")
         for i in keep:
             w = d.dst_widths[i]
-            self.write_dest(s, i, values[i], None if w == "flag" else w)
+            self.write(s.dests[i], values[i], None if w == "flag" else w)
 
     # -- writes
-
-    def write_dest(self, s, i: int, value: str, bits):
-        """Write destination i of s, whose index or address is read
-        after the destinations before it are written."""
-        if i:
-            self.transfer(self.facts, s, i)
-        self.write(s.dests[i], value, bits)
 
     def write(self, lv, value: str, bits):
         """Store `value` (an int of at most `bits` bits when `bits` is
@@ -779,7 +823,7 @@ class _FnGen(Assigned):
                 for lv in s.dests:
                     if type(lv) in (EVar, EArr) and lv.name in regs:
                         edges[lv.name] |= regs.intersection(self.live_after(s))
-                if self.is_copy(s) and s.rhs.name in regs:
+                if _is_copy(s) and s.rhs.name in regs:
                     copies.append((s.dests[0].name, s.rhs.name))
         root = {x: x for x in regs}
         members = {x: {x} for x in regs}
@@ -876,11 +920,9 @@ class _FnGen(Assigned):
             else:
                 self.tick(loc)
                 self.assign(s)
-            self.facts = self.transfer(self.facts, s)
         elif k is SDecl:
             self.tick(loc)
             self.decl(s)
-            self.facts = self.transfer(self.facts, s)
         elif k is SIf:
             self.tick(loc)
             self.end_segment()
@@ -892,8 +934,6 @@ class _FnGen(Assigned):
         elif k is SWhile:
             self.tick(loc)
             self.close()
-            head = flow.loop(s, self.facts, self)
-            self.facts = self.copy(head)
             self.line("while True:")
             self.indent += "    "
             self.line(f"_c = {self.expr(s.cond)}")
@@ -901,7 +941,6 @@ class _FnGen(Assigned):
             self.line("if not _c: break")
             self.block(s.body, loop_loc=loc)
             self.indent = self.indent[:-4]
-            self.facts = head
         elif k is SReturn:
             self.tick(loc)
             vals = [self.expr(v) for v in s.values]
@@ -923,11 +962,7 @@ class _FnGen(Assigned):
         step, evaluates the test and records its branch event, in the
         order the statements of a nested if do."""
         self.line(head)
-        before = self.facts
-        self.facts = self.copy(before)
         self.nested(s.then)
-        then = self.facts
-        self.facts = before
         if len(s.els) == 1 and type(s.els[0]) is SIf:
             arm = s.els[0]
             self.tmp = 0
@@ -937,27 +972,19 @@ class _FnGen(Assigned):
         elif s.els:
             self.line("else:")
             self.nested(s.els)
-        self.facts = self.join(id(s), then, self.facts)
 
     def emit_roll(self, s):
         """Repeat node s: its body once, run s.count times by a Python loop
-        over _k, from the facts at the start of each iteration that
-        flow.repeat walks, joined; the facts after it are flow.repeat's.
-        It costs no step of its own; a check naming one of s.names, the
-        iteration-private locals, names the running iteration's (label)."""
+        over _k.  It costs no step of its own; a check naming one of
+        s.names, the iteration-private locals, names the running
+        iteration's (label)."""
         self.close()
-        starts: list = []
-        after = flow.repeat(s, self.facts, self, starts)
-        self.facts = starts[0]
-        for f in starts[1:]:
-            self.facts = self.join(None, self.facts, f)
         self.line(f"for _k in range({s.count}):")
         self.indent += "    "
         self.labels = s.names
         self.block(s.body)
         self.labels = {}
         self.indent = self.indent[:-4]
-        self.facts = after
 
     def nested(self, stmts):
         self.indent += "    "
@@ -979,8 +1006,7 @@ class _FnGen(Assigned):
         for i, nm in enumerate(s.names):
             if nm in (live if i or s.init is None else flow.reads(s.init)):
                 self.line(" = ".join(self.py(nm) + [new]))
-        if s.init is not None:  # read after the declaration resets its names
-            self.transfer(self.facts, s, 0)
+        if s.init is not None:
             self.write(typed_var(s.names[0], ty), self.expr(s.init), _bits(s.init))
 
     def assign(self, s: SAssign):
@@ -995,7 +1021,7 @@ class _FnGen(Assigned):
             self.line(f"if {cond}: {self.v(lv.name)} = {value}")
             return
         lv = s.dests[0]
-        if self.is_copy(s):
+        if _is_copy(s):
             if lv.name not in self.root:  # a stack array, from a stack array
                 src = self.v(rhs.name)
                 self.line(f"{self.v(lv.name)} = {src if self.is_move(s) else src + '.copy()'}")
@@ -1024,7 +1050,7 @@ class _FnGen(Assigned):
         self.line(f"_r = F_{callee.name}({''.join(a + ', ' for a in args)}B, T, M, O)")
         self.line("B = _r[0]")
         for i in range(len(s.dests)):
-            self.write_dest(s, i, f"_r[{i + 1}]", None)
+            self.write(s.dests[i], f"_r[{i + 1}]", None)
 
     # -- the function
 

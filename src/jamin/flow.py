@@ -4,10 +4,11 @@ Kildall (POPL 1973) over structured code.
 An expanded function has straight-line statements (declarations,
 assignments, calls, and a `return` as its last statement, if any),
 and `if`, `while` and repeat nodes (ir.SRepeat), whose blocks ir.blocks
-gives.  Codegen's
-must-be-assigned facts (which also give safety's maybe-uninit findings)
-and liveness, safety's ranges and leakage's taint all walk them here,
-each with a lattice of its own.  A forward domain d provides:
+gives.  The
+must-be-assigned pass (codegen.Assigned, whose noted reads codegen
+checks and safety reports as maybe-uninit), codegen's liveness,
+safety's ranges and leakage's taint all walk them here, each with a
+lattice of its own.  A forward domain d provides:
 
 - d.copy(state): a state the driver may update in place;
 - d.transfer(state, s): the state after straight-line statement s, or
@@ -120,18 +121,16 @@ def key(s, d):
     return id(s) if d.at is None else (id(s), d.at)
 
 
-def repeat(s, state, d, starts=None):
+def repeat(s, state, d):
     """The state after repeat node s run from `state`: its iterations
     walked until one leaves d.observable as it found it (see the module
-    docstring).  The state at the start of each iteration walked is
-    appended to `starts` when given."""
+    docstring), which record all that any iteration would: the
+    must-be-assigned pass notes there each read a run may find unassigned."""
     private = frozenset(s.names)
     seen = d.observable(state, private)
     try:
         for j in range(s.count):
             state = d.forget(state, private)
-            if starts is not None:
-                starts.append(d.copy(state))
             d.at = j
             state = forward(s.body, state, d)
             now = d.observable(state, private)

@@ -20,9 +20,10 @@ count or of a `Len` parameter's length), a `Len` or a `Val`; a word
 parameter it leaves out is a `Val` of its width.  `ct_check` and
 `build_inputs` raise ShapeError, before any draw, on a shape or
 PublicSpec naming no parameter, a parameter not a word, a negative
-byte count, a `Len` maximum or a region address its parameter cannot
-hold, a `Ptr` sized by no `Len`, a public region with no `Ptr`, or
-regions past memory.MAX_BYTES.
+byte count, a `Val` width that is negative or wider than its parameter
+(`Val(0)` is allowed: its parameter is always 0), a `Len` maximum or a
+region address its parameter cannot hold, a `Ptr` sized by no `Len`, a
+public region with no `Ptr`, or regions past memory.MAX_BYTES.
 
 `infer_public` computes a sound over-approximation of the inputs that
 can influence the trace, by a taint analysis of the expanded program on
@@ -205,6 +206,8 @@ class _Plan:
             count = s.size if type(s) is Ptr else getattr(s, "max", 0)
             if type(count) is int and count < 0:
                 raise ShapeError(f"parameter {n!r} has a negative byte count: {s}", n)
+            if type(s) is Val and not 0 <= s.width <= t.bits:
+                raise ShapeError(f"parameter {n!r} is {t}, which cannot take {s}", n)
             if type(s) is Ptr and type(s.size) is not int and type(shape.get(s.size)) is not Len:
                 raise ShapeError(f"parameter {n!r} is sized by {s.size!r}, "
                                  "which is not a Len parameter", n)

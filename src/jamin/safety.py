@@ -21,7 +21,7 @@ ranges and findings are those of tracking every scalar, and unrolled
 cipher rounds, whose values reach none of these uses, cost next to
 nothing.  The relevance pass visits the body of a repeat node (a `for`
 loop expand kept whole) once, and its iterations share their private
-locals' relevance; the range and maybe-uninit passes walk its
+locals' relevance; the range and must-be-assigned passes walk its
 iterations until one changes nothing they observe (jamin.flow).  A
 failure or finding identical to one already recorded (same kind, site
 and message), as every iteration of a loop records it, is recorded
@@ -58,9 +58,11 @@ iterated to its fixpoint recording nothing, then walked once more to
 record accesses and findings.  The test of an `if` or `while` records
 once, when it is evaluated; refining a branch by it records nothing.
 The guard of an assignment refines the assignment's two sides in the
-same way.  The maybe-uninit findings come from the must-be-assigned
-facts of codegen (codegen.Assigned) on the same driver, so they name
-exactly the reads that a run checks for an unassigned value.
+same way.  The maybe-uninit findings are the first read of each scalar
+local that codegen's must-be-assigned pass (codegen.Assigned) notes on
+the same driver: codegen checks a run's value for UNDEF at exactly the
+noted reads, so a finding names a local that a run checks, at the
+first read checked.
 
 The analyses take only programs from expand, which has replaced `for`
 loops by repeat nodes and unrolled statements and removed inline calls
@@ -81,11 +83,11 @@ each value has one representation; no float ever enters.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import flow, isa
-from .codegen import Assigned
+from .codegen import unassigned_reads
 from .interp import require_expanded
 from .ir import (
     ArrayTy,
@@ -511,7 +513,7 @@ class _Analyzer:
         self.param_names = param_names
         self.psym = {n: ("p", n) for n in param_names}
         self.accesses: dict[str, tuple[tuple, tuple]] = {}  # base -> (los, his)
-        self.failures: list[str] = []
+        self.failures: list[Finding] = []  # of kind `analysis`, one per access not analysed
         self.findings: list[Finding] = []
         self.recording = False
         self.at = None
@@ -654,13 +656,13 @@ class _Analyzer:
         if not self.recording:
             return
         if addr is None:
-            self.note(self.failures,
-                      f"{_site(node)}: unresolvable address (not affine in tracked inputs)")
+            self.note(self.failures, Finding("analysis", _site(node),
+                                             "unresolvable address (not affine in tracked inputs)"))
             return
         bases = [s for s in addr.syms() if s[0] == "p" and s[1] in self.pointers]
         if len(bases) != 1 or addr.coeff(bases[0]) != 1:
-            self.note(self.failures, f"{_site(node)}: address mixes bases or has no pointer "
-                                     f"base ({addr.render()})")
+            self.note(self.failures, Finding("analysis", _site(node), "address mixes bases or has "
+                                             f"no pointer base ({addr.render()})"))
             return
         base = bases[0][1]
         off = addr - Aff.of_sym(bases[0])
@@ -1052,15 +1054,16 @@ class _Analyzer:
                 st.vals[q.name] = Aff.of_sym(self.psym[q.name])
         return st
 
-    def run(self) -> RangeReport:
-        """The one recording pass: ranges, failures and findings.
-
-        An AnalysisFailure propagates; the findings recorded before it
-        stay in self.findings.
-        """
+    def walk(self):
+        """The one recording pass: accesses, failures and findings.  An
+        AnalysisFailure propagates; what was recorded before it stays."""
         self.recording = True
         flow.forward(self.fn.body, self.initial_state(), self)
-        self.findings.extend(_uninit_findings(self.p, self.fn))
+
+    def run(self) -> RangeReport:
+        """The report of the recording pass, the maybe-uninit findings
+        after the range analysis's."""
+        self.walk()
         order = [n for n in self.param_names if n in self.pointers or n in self.tracked]
         ranges = {}
         for n in order:
@@ -1070,7 +1073,8 @@ class _Analyzer:
             else:
                 ranges[n] = None
         return RangeReport(
-            order=order, ranges=ranges, failures=self.failures, findings=self.findings
+            order=order, ranges=ranges, failures=[f"{f.where}: {f.detail}" for f in self.failures],
+            findings=self.findings + _uninit_findings(self.p, self.fn),
         )
 
 
@@ -1171,86 +1175,30 @@ def analyze(p: Program, entry: str, pointers, tracked) -> RangeReport:
 
 
 def check_safety(p: Program, entry: str, pointers=(), tracked=()) -> list[Finding]:
-    """Static findings: possible division by zero, array indices out of
-    bounds, and scalar variables possibly read before assignment.  An
-    AnalysisFailure becomes an `analysis` finding."""
+    """Static findings, in this order: possible division by zero and
+    array indices out of bounds; an `analysis` finding at the site of
+    each access the range analysis could not analyse (analyze's
+    `failures`), then one for the AnalysisFailure that ended it, if any;
+    and scalar variables possibly read before assignment."""
     an = _Analyzer(p, entry, pointers, tracked)
     try:
-        return an.run().findings
+        an.walk()
+        ended = []
     except AnalysisFailure as exc:
-        return [
-            *an.findings,
-            Finding("analysis", "?", str(exc)),
-            *_uninit_findings(an.p, an.fn),
-        ]
-
-
-class _Uninit(Assigned):
-    """The maybe-uninit findings of a function: a read of each scalar
-    local that codegen checks at run time, its must-be-assigned facts not
-    proving the local defined there.  The facts only shrink while a loop
-    is iterated to its fixpoint, so every pass may record."""
-
-    def __init__(self, p, fn):
-        super().__init__(p, fn)
-        self.findings: list[Finding] = []
-        # the scalar locals not reported yet (arrays are checked per element)
-        self.unreported = {n for n, (_, ty) in self.types.items() if not isinstance(ty, ArrayTy)}
-
-    def observable(self, f, private) -> tuple:
-        """The flow hook (see jamin.flow): the facts of the locals not in
-        `private` and the findings."""
-        return super().observable(f, private), len(self.findings)
-
-    def check(self, f, e):
-        """Report the reads of e that the facts f do not prove defined,
-        each at the site a run reports: its own."""
-        if e is None:
-            return
-        for v in flow.reads(e):
-            if v not in self.unreported or v in f:
-                continue
-            self.unreported.discard(v)
-            self.findings.append(Finding("maybe-uninit", _site(_read_of(e, v)),
-                                         f"{v} may be read before assignment"))
-
-    def transfer(self, f, s):
-        """The reads of s, in the order and with the facts codegen emits
-        them, checked; then Assigned's transfer."""
-        k = type(s)
-        if k is SDecl:
-            self.check(super().transfer(f, s, 0), s.init)
-        elif k is SAssign:
-            self.check(f, s.rhs)
-            self.check(f, s.cond)
-            for i, lv in enumerate(s.dests):
-                if type(lv) is EArr or type(lv) is EMem:
-                    self.check(super().transfer(f, s, i), lv)
-        elif k is SReturn:
-            for v in s.values:
-                self.check(f, v)
-        else:
-            self.check(f, s.cond)
-        return super().transfer(f, s)
-
-
-def _read_of(e, name: str):
-    """The first EVar of expression e that reads `name`, in the order of
-    flow.reads."""
-    if type(e) is EVar:
-        return e if e.name == name else None
-    for f in fields(e):
-        v = getattr(e, f.name)
-        for x in v if type(v) is tuple else (v,):
-            if is_dataclass(x) and (r := _read_of(x, name)) is not None:
-                return r
-    return None
+        ended = [Finding("analysis", "?", str(exc))]
+    return [*an.findings, *an.failures, *ended, *_uninit_findings(an.p, an.fn)]
 
 
 def _uninit_findings(p, fn) -> list[Finding]:
-    d = _Uninit(p, fn)
-    flow.forward(fn.body, d.entry(), d)
-    return d.findings
+    """The maybe-uninit findings of function fn: the first read of each
+    scalar local that the must-be-assigned pass notes, whose value a run
+    checks there (codegen.unassigned_reads)."""
+    first = {}
+    for e in unassigned_reads(p, fn).values():
+        if type(e) is EVar:
+            first.setdefault(e.name, e)
+    return [Finding("maybe-uninit", _site(e), f"{n} may be read before assignment")
+            for n, e in first.items()]
 
 
 # ------------------------------------------------------------ relevance

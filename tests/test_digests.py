@@ -14,7 +14,7 @@ from reports import reports
 
 DIGESTS = {
     "gensrc": (corpus_sources, "54434c862ed2cd91c08b232b2cddd0bd6b02b4181db5b1dda439974532bba50b"),
-    "reports": (reports, "707c06b172d4a9464bf0d4f92a5cbfbf4910b063a480f359feefd59d1dde7734"),
+    "reports": (reports, "61430d57ae227cd7777cf4fae6523a123498f1fef4fa1787f1ffd14ff5404c44"),
 }
 
 

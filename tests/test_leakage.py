@@ -452,9 +452,18 @@ def test_ct_check_calls_per_trial(monkeypatch, secure):
      "parameter 'p' has a negative byte count: Ptr(size=-5)"),
     ("reg u64 p, reg u64 n", {"p": Ptr("n"), "n": Len(max=-1)}, PublicSpec.of(["p"]), "n",
      "parameter 'n' has a negative byte count: Len(max=-1)"),
+    ("reg u64 s", {"s": Val(-5)}, PublicSpec.of([]), "s",
+     "parameter 's' is u64, which cannot take Val(width=-5)"),
+    ("reg u64 p, reg u64 s", {"s": Val(-1)}, PublicSpec.of(["s"]), "s",
+     "parameter 's' is u64, which cannot take Val(width=-1)"),
+    ("reg u64 s", {"s": Val(128)}, PublicSpec.of([]), "s",
+     "parameter 's' is u64, which cannot take Val(width=128)"),
+    ("reg u64 p, reg u8 s", {"s": Val(9)}, PublicSpec.of(["s"]), "s",
+     "parameter 's' is u8, which cannot take Val(width=9)"),
 ], ids=["ptr-u16", "len-past-u8-and-unknown-region", "len-past-u8", "ptr-sized-by-no-len",
         "unknown-shape-key", "unknown-public", "bool", "array", "public-region-without-ptr",
-        "regions-past-max-bytes", "negative-ptr", "negative-len"])
+        "regions-past-max-bytes", "negative-ptr", "negative-len", "negative-val",
+        "negative-public-val", "val-past-u64", "public-val-past-u8"])
 def test_ct_check_refuses_a_shape_the_entry_cannot_take(monkeypatch, params, shape, spec, name,
                                                         message):
     """ct_check and build_inputs check the shape and spec against the

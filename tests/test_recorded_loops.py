@@ -1,7 +1,8 @@
-"""The analyses on repeat nodes (see jamin.flow): safety's ranges and
-maybe-uninit findings and leakage's taint walk a repeat node one
-iteration at a time and skip the rest once an iteration changes nothing
-they observe, and so do codegen's must-be-assigned facts.  Each test
+"""The analyses on repeat nodes (see jamin.flow): safety's ranges,
+leakage's taint and the must-be-assigned pass, whose noted reads give
+safety's maybe-uninit findings and codegen's checks, walk a repeat node
+one iteration at a time and skip the rest once an iteration changes
+nothing they observe.  Each test
 analyzes a program as built and unrolled (unroll.unroll), whose every
 copy is walked, and requires the same reports, once each private local
 of the unrolled form is named as in iteration 0 and the findings and
@@ -30,7 +31,7 @@ def walks(monkeypatch):
     out = []
     real = flow.repeat
 
-    def repeat(s, state, d, starts=None):
+    def repeat(s, state, d):
         observable, calls = d.observable, []
 
         def counted(*args):
@@ -39,7 +40,7 @@ def walks(monkeypatch):
 
         d.observable = counted
         try:
-            return real(s, state, d, starts)
+            return real(s, state, d)
         finally:
             del d.observable
             out.append((type(d).__name__, len(calls) - 1, s.count))
@@ -111,13 +112,14 @@ def test_rolled_programs_report_as_unrolled(name):
 def test_chacha20_rounds_walk_at_most_two_iterations(name, walks):
     """Each round loop is a repeat node of ten iterations; from the
     second iteration on, an iteration changes nothing that the analyses
-    or codegen's facts observe."""
+    observe, the must-be-assigned pass of codegen and of safety
+    included."""
     info = PROGRAMS[name]
     p = load_program(name)
     leakage.infer_public(p, info.entry)
     safety.check_safety(p, info.entry, info.pointers, info.tracked)
     function_sources(p)
-    assert {d for d, _, _ in walks} == {"_Analyzer", "_Uninit", "_FnTaint", "_FnGen"}
+    assert {d for d, _, _ in walks} == {"_Analyzer", "Assigned", "_FnTaint"}
     assert all(k == 10 and 1 <= w <= 2 for _, w, k in walks), walks
 
 
@@ -178,7 +180,7 @@ def test_maybe_uninit_private_local_is_reported_once(walks):
     p = prep(UNSET)
     found = [str(f) for f in safety.check_safety(p, "f")]
     assert found == ["maybe-uninit at 5:10: t__i1 may be read before assignment"]
-    assert walked(walks, "_Uninit") == [(2, 4)]
+    assert walked(walks, "Assigned") == [(2, 4)]
     unrolled = [str(f) for f in safety.check_safety(unroll(p), "f")]
     assert len(set(unrolled)) == 4 and all(f.startswith("maybe-uninit at 5:10: t__i")
                                            for f in unrolled)

@@ -166,7 +166,43 @@ def test_test_of_if_and_while_records_once(test, col):
         f"array-bounds at 7:{col}: index into a may leave its bounds"]
     assert rep.failures == [
         f"7:{col + 12}: unresolvable address (not affine in tracked inputs)"]
-    assert safety.check_safety(p, "f", ["p"], ["i"]) == rep.findings
+    assert [str(f) for f in safety.check_safety(p, "f", ["p"], ["i"])] == [
+        f"array-bounds at 7:{col}: index into a may leave its bounds",
+        f"analysis at 7:{col + 12}: unresolvable address (not affine in tracked inputs)"]
+
+
+# Accesses the range analysis records as failures: check_safety reports
+# each once, as an `analysis` finding at its site, after the range
+# findings and before the maybe-uninit ones, so it does not call the
+# program clean.
+UNANALYSED = {
+    "not-affine": ("""fn f(reg u64 p, reg u64 q) {
+  reg u64 x;
+  x = (u8)[p + q * q];
+}
+""", ["p"], ["q"], [
+        "analysis at 3:7: unresolvable address (not affine in tracked inputs)"]),
+    "two-bases": ("""fn f(reg u64 p, reg u64 r, reg u64 d) -> reg u64 {
+  reg u64 x, y;
+  while (x < 2) { (u8)[p + r] = 0; x = 1; }
+  y = 7 / d;
+  return y;
+}
+""", ["p", "r"], [], [
+        "div-by-zero at 4:9: divisor may be zero",
+        "analysis at 3:19: address mixes bases or has no pointer base (p + r)",
+        "maybe-uninit at 3:10: x may be read before assignment"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNANALYSED))
+def test_check_safety_reports_each_unanalysed_access(name):
+    src, pointers, tracked, expected = UNANALYSED[name]
+    p = prep(src)
+    rep = safety.analyze(p, "f", pointers, tracked)
+    assert [f"analysis at {f}" for f in rep.failures] == [
+        f for f in expected if f.startswith("analysis")]
+    assert [str(f) for f in safety.check_safety(p, "f", pointers, tracked)] == expected
 
 
 def test_relevant_scalars_of_chacha20_scalar():
@@ -250,9 +286,41 @@ def test_findings_clean_when_both_branches_assign():
         assert not any(f.kind == "maybe-uninit" for f in finds), src
 
 
+# A destination's index or address is read after the destinations before
+# it are written, and before its own and those after it: the address of
+# [p + hi] reads hi, which the destination before it writes; that of
+# [p + t] reads t, which nothing writes; and that of [p + lo] reads lo,
+# which only the destination after it writes.
+PARTIAL = {
+    name: """
+fn f(reg u64 p, reg u64 a, reg u64 b) {
+  reg u64 hi, lo, t;
+  _, _, _, _, _, %s = #x86_MUL_64(a, b);
+}
+""" % dests
+    for name, dests in (("hi", "hi, [p + hi]"), ("t", "hi, [p + t]"), ("lo", "[p + lo], lo"))
+}
+
+
+@pytest.mark.parametrize("read, col", [("hi", None), ("t", 27), ("lo", 23)], ids=["hi", "t", "lo"])
+def test_destination_address_reads_the_destinations_before_it(read, col):
+    """hi is written when [p + hi]'s address reads it, so neither the
+    generated code checks it nor safety reports it; t and lo may be
+    unassigned there, and both do."""
+    p = prep(PARTIAL[read])
+    found = [str(f) for f in safety.check_safety(p, "f", ["p"]) if f.kind == "maybe-uninit"]
+    checked = re.findall(r"_uu\('(\w+)', ", function_sources(p)["f"])
+    if col is None:
+        assert (found, checked) == ([], [])
+    else:
+        assert (found, checked) == ([f"maybe-uninit at 4:{col}: {read} may be read before "
+                                     "assignment"], [read])
+
+
 def _agreement_cases():
     """(name, program, entry): the corpus, the safety_golden probes, the
-    maybe-uninit inputs above and the programs of test_codegen."""
+    maybe-uninit and partial-destination inputs above and the programs of
+    test_codegen."""
     import test_codegen as tc
     from test_safety_golden import PROBES
 
@@ -264,6 +332,8 @@ def _agreement_cases():
         yield name, prep(src), entry
     for i, src in enumerate(UNINIT + CLEAN):
         yield f"input {i}", prep(src), "f"
+    for name, src in PARTIAL.items():
+        yield f"partial {name}", prep(src), "f"
     for name in tc.TABLE_BUILT:
         d = isa.lookup(name)
         yield name, tc._program(d, list(range(len(d.destinations)))), "f"
