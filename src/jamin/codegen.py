@@ -79,11 +79,13 @@ observes:
   the batch already): a memory access tests that its bytes lie in the
   region the line index names (memory._lines) and, for a load, that
   they are written (a region without an init map is all written); a
-  stack-array access that its index is in bounds (a literal one is)
-  and, for a load, that its bytes are written.  A hit reads or writes
-  through a struct codec (LD<n>, ST<n>), or a byte subscript at 1 byte,
-  and marks its bytes written; a store's value is cut to the access's
-  width unless its type already fits.  Its event goes to the trace
+  stack-array access that its index is at most the last in bounds
+  (ir.span, which gives the access's bytes and index step too; a
+  literal index is in bounds) and, for a load, that its bytes are
+  written.  A hit reads or writes through a struct codec (LD<n>,
+  ST<n>), or a byte subscript at 1 byte, and marks its bytes written; a
+  store's value is cut to the access's width unless its type already
+  fits.  Its event goes to the trace
   after these tests, which neither fault nor change anything, so that
   it is added once, by the hit or by the helper, where the helper adds
   it: after the bounds check of a stack-array access, before the region
@@ -148,6 +150,7 @@ from .ir import (
     WordTy,
     blocks,
     int_value,
+    span,
     walk,
 )
 from . import flow, words
@@ -676,7 +679,7 @@ class _FnGen:
                          f" and ({o} := {a} - ({x} := M._regions[{x}])[0]) >= 0 and {end}")
 
     def mem_load(self, e) -> str:
-        nb, loc = (e.width or 64) // 8, e.loc
+        nb, loc = span(e)[0], e.loc
         code = self.expr(e.addr)
         k = self.batch()
         if nb > 8:
@@ -687,7 +690,7 @@ class _FnGen:
                 f" else _ld(M, T, {k}, {a}, {nb}, {loc!r}))")
 
     def mem_store(self, lv, value: str, bits):
-        nb, loc = (lv.width or 64) // 8, lv.loc
+        nb, loc = span(lv)[0], lv.loc
         if nb <= 8:
             value = self.masked(value, bits, nb)
         value = self.keep(value)  # the value is evaluated before the address
@@ -706,9 +709,8 @@ class _FnGen:
     def stack_load(self, e, s: str, loc) -> str:
         """Element e of stack array s (its name); the helper alone reads
         a 16- or 32-byte span."""
-        ty, label = e.arr_ty, self.label(e.name)
-        nb = (e.width or ty.bits) // 8
-        scale = 1 if e.byte_mode else nb
+        label = self.label(e.name)
+        nb, scale, last = span(e)
         inline = nb <= 8
         if type(e.index) is EInt:
             i = e.index.value
@@ -726,16 +728,15 @@ class _FnGen:
         off = i if scale == 1 else self.fresh()  # bound at its first use, `at`
         at = None if scale == 1 else f"({off} := {i} * {scale})"
         get, written = _span_access(f"{s}.buf", f"{s}.init", off, nb, at)
-        return (f"({get} if {first} <= {_last(ty, nb, scale)} and {written}"
+        return (f"({get} if {first} <= {last} and {written}"
                 f" and {self.traced(i, k)}"
                 f" else _sld(T, {k}, {s}, {i}, {nb}, {scale}, {label}, {loc!r}))")
 
     def stack_store(self, lv, s: str, value: str, bits):
         """Store `value` to element lv of stack array s, as stack_load
         reads one."""
-        ty, loc, label = lv.arr_ty, lv.loc, self.label(lv.name)
-        nb = (lv.width or ty.bits) // 8
-        scale = 1 if lv.byte_mode else nb
+        loc, label = lv.loc, self.label(lv.name)
+        nb, scale, last = span(lv)
         inline = nb <= 8
         if inline:
             value = self.masked(value, bits, nb)
@@ -757,7 +758,7 @@ class _FnGen:
         off = i if scale == 1 else self.fresh()  # bound at its first use, `at`
         at = None if scale == 1 else f"({off} := {i} * {scale})"
         put = "; ".join(_span_put(f"{s}.buf", f"{s}.init", off, nb, value, at))
-        self.line(f"if {first} <= {_last(ty, nb, scale)} and {self.traced(i, k)}:")
+        self.line(f"if {first} <= {last} and {self.traced(i, k)}:")
         self.line(f"    {put}")
         self.line(f"else: _sst(T, {k}, {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
 
@@ -1083,12 +1084,6 @@ def _ones(nb: int) -> str:
     """The word an nb-byte span of an init map holds when every byte of
     it is written."""
     return hex(int.from_bytes(b"\x01" * nb, "little"))
-
-
-def _last(ty, nb: int, scale: int) -> int:
-    """The last index at which an nb-byte access, scaled by `scale`,
-    lies inside an array of type ty (negative when none does)."""
-    return (ty.length * ty.bits // 8 - nb) // scale
 
 
 def _span_access(buf: str, init: str, off: str, nb: int, first=None) -> tuple:

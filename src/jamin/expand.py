@@ -97,7 +97,7 @@ from .ir import (
     int_value,
     walk,
 )
-from .typecheck import NotConst, const_eval, index_error
+from .typecheck import NotConst, _loc, const_eval, index_error
 
 MAX_UNROLL = 1 << 16
 
@@ -186,7 +186,7 @@ class _Expander:
             try:
                 return _lit(const_eval(copy(e, values=values), {}), e)
             except NotConst as exc:
-                raise ExpandError(f"{_at(e)}{exc}") from exc
+                raise ExpandError(f"{_loc(e)}{exc}") from exc
         raise TypeError(f"not an expression: {e!r}")
 
     def rename(self, node, env: dict) -> str:
@@ -218,7 +218,7 @@ class _Expander:
               and type(e.right) is EInt and e.right.value == 0 and e.left.ty == ty):
             return e.left  # x + 0, x - 0
         if isinstance(ty, IntTy):
-            raise ExpandError(f"{_at(e)}compile-time expression cannot be evaluated ({reason})")
+            raise ExpandError(f"{_loc(e)}compile-time expression cannot be evaluated ({reason})")
         return e
 
     def const(self, e, env, what: str):
@@ -226,7 +226,7 @@ class _Expander:
         their width."""
         v = self.subst(e, env)
         if not isinstance(v, (EInt, EBool)):
-            raise ExpandError(f"{_at(e)}{what} cannot be evaluated at compile time")
+            raise ExpandError(f"{_loc(e)}{what} cannot be evaluated at compile time")
         return v.value
 
     # --------------------------------------------------- statements
@@ -287,7 +287,7 @@ class _Expander:
             hi = self.const(s.hi, env, "for upper bound")
             count = hi - lo + 1
             if count > MAX_UNROLL:
-                raise ExpandError(f"{_at(s)}unrolling {count} iterations exceeds {MAX_UNROLL}")
+                raise ExpandError(f"{_loc(s)}unrolling {count} iterations exceeds {MAX_UNROLL}")
             out = []
             if count > 0:
                 env[s.var] = lo
@@ -465,11 +465,11 @@ def _checked(access, name: str):
     array is not a literal."""
     if type(access.index) is not EInt:
         if access.arr_storage != "stack":
-            raise ExpandError(f"{_at(access)}index of {name} cannot be evaluated at compile time")
+            raise ExpandError(f"{_loc(access)}index of {name} cannot be evaluated at compile time")
         return access
-    msg = index_error(name, access.arr_ty, access.index.value, access.width, access.byte_mode)
+    msg = index_error(access, name, access.index.value)
     if msg:
-        raise ExpandError(f"{_at(access)}{msg}")
+        raise ExpandError(f"{_loc(access)}{msg}")
     return access
 
 
@@ -480,7 +480,7 @@ def _count(count, bits: int, node):
     if type(count) is EInt:
         msg = words.count_error(bits, int_value(count))
         if msg:
-            raise ExpandError(f"{_at(node)}{msg}")
+            raise ExpandError(f"{_loc(node)}{msg}")
     return _int_literal(count)
 
 
@@ -488,11 +488,6 @@ def _int_literal(e):
     """`e`, an array index or a shift count that is not lane-wise, typed
     int if it is a literal, as typecheck types a literal there."""
     return _copy(e, ty=INT) if type(e) is EInt and e.ty is not INT else e
-
-
-def _at(s) -> str:
-    loc = s.loc
-    return f"{loc[0]}:{loc[1]}: " if loc else ""
 
 
 def expand(p: Program) -> Program:

@@ -200,6 +200,20 @@ def int_value(e) -> int:
     ty = e.ty
     return e.value & ((1 << ty.bits) - 1) if type(ty) is WordTy else e.value
 
+
+def span(access) -> tuple:
+    """(bytes, scale, last) of a typed memory or array access: the bytes
+    it covers, those between its consecutive indices (an element view
+    steps by its width, a byte view and memory by 1), and the last index
+    at which it lies inside its array (None in memory; negative when no
+    index does).  An index i is in bounds exactly when 0 <= i <= last."""
+    nb = access.ty.bits // 8
+    if type(access) is EMem:
+        return nb, 1, None
+    ty = access.arr_ty
+    scale = 1 if access.byte_mode else nb
+    return nb, scale, (ty.length * ty.bits // 8 - nb) // scale
+
 # ---------------------------------------------------------- destinations
 
 

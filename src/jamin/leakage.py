@@ -239,7 +239,7 @@ class _Plan:
                                  f"addresses up to {top:#x}", n)
 
 
-_last_plan: _Plan | None = None  # build_inputs' latest, which _materialize then reads
+_last_plan: _Plan | None = None  # the plan _plan made last, reused while it matches
 
 
 def _plan(p: Program, entry: str, shape: dict, spec: PublicSpec) -> _Plan:
@@ -303,19 +303,13 @@ def build_inputs(p: Program, entry: str, shape: dict, spec: PublicSpec,
     return public, regions, pub_contents, secrets(), secrets()
 
 
-def _materialize(p: Program, entry: str, public, regions, pub_contents, secret):
-    """One run's arguments and memory from build_inputs' output: each
-    region holds its public or secret bytes, so the memory is built whole
-    (Memory.from_spans)."""
-    plan = _last_plan
-    if plan is None or plan.program is not p or plan.entry != entry:
-        names = [q.name for q in p.func(entry).params]
-        keys = {name: f"mem[{name}]" for name in regions}
-    else:
-        names, keys = plan.names, plan.keys
-    spans = [(addr, pub_contents[name] if name in pub_contents else secret[keys[name]])
+def _materialize(plan: _Plan, public, regions, pub_contents, secret):
+    """One run's arguments and memory from build_inputs' output on the
+    same plan: each region holds its public or secret bytes, so the
+    memory is built whole (Memory.from_spans)."""
+    spans = [(addr, pub_contents[name] if name in pub_contents else secret[plan.keys[name]])
              for name, (addr, _) in regions.items()]
-    args = [public[name] if name in public else secret[name] for name in names]
+    args = [public[name] if name in public else secret[name] for name in plan.names]
     return args, Memory.from_spans(spans)
 
 
@@ -330,7 +324,7 @@ def ct_check(
     """Two-run differential constant-time check; ShapeError before any trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _plan(p, entry, shape, spec)
+    plan = _plan(p, entry, shape, spec)
     rng = random.Random(seed)
     for t in range(trials):
         public, regions, pub_contents, sec1, sec2 = build_inputs(
@@ -338,7 +332,7 @@ def ct_check(
         )
         traces = []
         for sec in (sec1, sec2):
-            args, m = _materialize(p, entry, public, regions, pub_contents, sec)
+            args, m = _materialize(plan, public, regions, pub_contents, sec)
             try:
                 _, _, tr = run_instrumented(p, entry, args, m)
             except interp.SafetyError as exc:

@@ -248,11 +248,7 @@ class Parser:
         name = self.expect("IDENT").text
         self.expect("EQUALS")
         if self.accept("PUNCT", "{"):
-            vals = [self.parse_expr()]
-            while self.accept("PUNCT", ","):
-                vals.append(self.parse_expr())
-            self.expect("PUNCT", "}")
-            init: object = tuple(vals)
+            init: object = self.parse_list(self.parse_expr, "}")
         else:
             init = self.parse_expr()
         self.expect("PUNCT", ";")
@@ -264,22 +260,12 @@ class Parser:
         self.expect("IDENT", "fn")
         name = self.expect("IDENT").text
         self.expect("PUNCT", "(")
-        params = []
-        if not self.accept("PUNCT", ")"):
-            while True:
-                params.append(self.parse_vardecl())
-                if not self.accept("PUNCT", ","):
-                    break
-            self.expect("PUNCT", ")")
-        rets = []
+        params = self.parse_list(self.parse_vardecl, ")", empty=True)
+        rets = ()
         if self.accept("ARROW"):
-            while True:
-                storage = self.parse_storage()
-                rets.append((storage, self.parse_type()))
-                if not self.accept("PUNCT", ","):
-                    break
+            rets = self.parse_list(lambda: (self.parse_storage(), self.parse_type()))
         body = self.parse_block()
-        f = self._loc(FuncDecl(name, inline, tuple(params), tuple(rets), body), tok)
+        f = self._loc(FuncDecl(name, inline, params, rets, body), tok)
         self._check_local_dups(f)
         return f
 
@@ -353,29 +339,21 @@ class Parser:
             return self._loc(SFor(var, lo, hi, self.parse_block()), t)
         if self.at_ident("return"):
             self.next()
-            values = []
-            if not (self.peek().kind == "PUNCT" and self.peek().text == ";"):
-                values.append(self.parse_expr())
-                while self.accept("PUNCT", ","):
-                    values.append(self.parse_expr())
-            self.expect("PUNCT", ";")
-            return self._loc(SReturn(tuple(values)), t)
+            return self._loc(SReturn(self.parse_list(self.parse_expr, ";", empty=True)), t)
         return self.parse_assign_or_call()
 
     def parse_decl_stmt(self):
         tok = self.peek()
         storage = self.parse_storage()
         ty = self.parse_type()
-        names = [self.expect("IDENT").text]
-        while self.accept("PUNCT", ","):
-            names.append(self.expect("IDENT").text)
+        names = self.parse_list(lambda: self.expect("IDENT").text)
         init = None
         if self.accept("EQUALS"):
             if len(names) != 1:
                 self.error("an initializer requires a single declared name", tok)
             init = self.parse_expr()
         self.expect("PUNCT", ";")
-        return self._loc(SDecl(storage, ty, tuple(names), init), tok)
+        return self._loc(SDecl(storage, ty, names, init), tok)
 
     def parse_if(self):
         tok = self.expect("IDENT", "if")
@@ -410,9 +388,7 @@ class Parser:
             return self._loc(SAssign((), ECall(name, args)), tok)
 
         start = self.pos
-        dests = [self.parse_dest()]
-        while self.accept("PUNCT", ","):
-            dests.append(self.parse_dest())
+        dests = self.parse_list(self.parse_dest)
         op = self.peek()
         if op.kind == "OP" and op.assign:
             self.next()
@@ -437,7 +413,7 @@ class Parser:
             read = self.parse_dest()  # a fresh node for d, at d's location
             self.pos = end
             rhs = self._loc(EBin(op.op, read, rhs, op.lanes), tok)
-        return self._loc(SAssign(tuple(dests), rhs, cond), tok)
+        return self._loc(SAssign(dests, rhs, cond), tok)
 
     def parse_dest(self):
         """`_`, or the variable, element or memory access a destination
@@ -455,14 +431,19 @@ class Parser:
 
     def parse_call_args(self) -> tuple:
         self.expect("PUNCT", "(")
-        args = []
-        if not self.accept("PUNCT", ")"):
-            while True:
-                args.append(self.parse_expr())
-                if not self.accept("PUNCT", ","):
-                    break
-            self.expect("PUNCT", ")")
-        return tuple(args)
+        return self.parse_list(self.parse_expr, ")", empty=True)
+
+    def parse_list(self, item, close=None, empty=False) -> tuple:
+        """`item (, item)*`, each parsed by `item`, then the punctuation
+        `close` when given; an `empty` list may be `close` alone."""
+        if empty and self.accept("PUNCT", close):
+            return ()
+        items = [item()]
+        while self.accept("PUNCT", ","):
+            items.append(item())
+        if close:
+            self.expect("PUNCT", close)
+        return tuple(items)
 
     # --------------------------------------------------- expressions
 
@@ -519,22 +500,13 @@ class Parser:
                 self.error(f"unknown intrinsic #{name}", t)
             args = self.parse_call_args()
             return self._loc(EIntr(name, args), t)
-        if t.kind == "PUNCT" and t.text == "[":
-            self.next()
-            addr = self.parse_expr()
-            self.expect("PUNCT", "]")
-            return self._loc(EMem(addr, None), t)
         if t.kind == "PUNCT" and t.text == "(":
             nxt = self.peek(1)
             if nxt.kind == "LANES" and self.peek(2).text == ")":
                 self.next(), self.next(), self.next()
                 n, m = _parse_lanes(nxt.text)
                 self.expect("PUNCT", "[")
-                vals = [self.parse_expr()]
-                while self.accept("PUNCT", ","):
-                    vals.append(self.parse_expr())
-                self.expect("PUNCT", "]")
-                return self._loc(EVecImm(n, m, tuple(vals)), t)
+                return self._loc(EVecImm(n, m, self.parse_list(self.parse_expr, "]")), t)
             if (
                 nxt.kind == "IDENT"
                 and nxt.text in WIDTH_NAMES
@@ -542,45 +514,37 @@ class Parser:
             ):
                 self.next(), self.next(), self.next()
                 width = WIDTH_NAMES[nxt.text]
-                u = self.peek()
-                if u.kind == "PUNCT" and u.text == "[":
-                    self.next()
-                    addr = self.parse_expr()
-                    self.expect("PUNCT", "]")
-                    return self._loc(EMem(addr, width), t)
-                if u.kind == "IDENT" and u.text not in KEYWORDS:
-                    if self.peek(1).kind == "DOTLBRACK":
-                        name = self.next().text
-                        self.next()
-                        idx = self.parse_expr()
-                        self.expect("PUNCT", "]")
-                        return self._loc(EArr(name, idx, width, True), t)
-                    if self.peek(1).kind == "PUNCT" and self.peek(1).text == "[":
-                        name = self.next().text
-                        self.next()
-                        idx = self.parse_expr()
-                        self.expect("PUNCT", "]")
-                        return self._loc(EArr(name, idx, width, False), t)
-                return self._loc(ECast(width, self.parse_unary()), t)
+                return self.parse_access(t, width) or self._loc(ECast(width, self.parse_unary()), t)
             self.next()
             e = self.parse_expr()
             self.expect("PUNCT", ")")
             return e
+        access = self.parse_access(t)
+        if access:
+            return access
         if t.kind == "IDENT" and t.text not in KEYWORDS:
             self.next()
             if self.peek().kind == "PUNCT" and self.peek().text == "(":
                 return self._loc(ECall(t.text, self.parse_call_args()), t)
-            if self.accept("DOTLBRACK"):
-                idx = self.parse_expr()
-                self.expect("PUNCT", "]")
-                return self._loc(EArr(t.text, idx, None, True), t)
-            if self.peek().kind == "PUNCT" and self.peek().text == "[":
-                self.next()
-                idx = self.parse_expr()
-                self.expect("PUNCT", "]")
-                return self._loc(EArr(t.text, idx, None, False), t)
             return self._loc(EVar(t.text), t)
         self.error(f"expected expression, found {t.text!r}")
+
+    def parse_access(self, t, width=None):
+        """The access that starts at the current token, `[a]`, `x[i]` or
+        `x.[i]`, as a `width`-bit view when given (after `(uW)`), located
+        at token t; None, consuming nothing, when no access starts there."""
+        u = self.peek()
+        if u.kind == "PUNCT" and u.text == "[":
+            self.next()
+            node = EMem(self.parse_expr(), width)
+        elif u.kind == "IDENT" and u.text not in KEYWORDS and self.peek(1).text in ("[", ".["):
+            self.next()
+            byte_mode = self.next().kind == "DOTLBRACK"
+            node = EArr(u.text, self.parse_expr(), width, byte_mode)
+        else:
+            return None
+        self.expect("PUNCT", "]")
+        return self._loc(node, t)
 
 
 def parse(text: str) -> Program:

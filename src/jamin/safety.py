@@ -13,9 +13,10 @@ the leakage table (ir.leaks), through the assignments and declarations
 that define it (a guarded assignment also reads its destination).  The
 counters and pointers stepped by constants are relevant too: a loop's
 join may relate the others through one of them.  A statement that
-makes no call, has no row but a constant index in bounds and rebinds
-no relevant scalar is inert: it is not evaluated, and only forgets
-the scalars it writes, which then read as opaque values of their type.
+makes no call, has no row but a constant index, which expand keeps in
+bounds, and rebinds no relevant scalar is inert: it is not evaluated,
+and only forgets the scalars it writes, which then read as opaque
+values of their type.
 This is a sparse analysis in the sense of Oh et al. (PLDI 2012): its
 ranges and findings are those of tracking every scalar, and unrolled
 cipher rounds, whose values reach none of these uses, cost next to
@@ -90,7 +91,6 @@ from . import flow, isa
 from .codegen import unassigned_reads
 from .interp import require_expanded
 from .ir import (
-    ArrayTy,
     EArr,
     EBin,
     EBool,
@@ -111,6 +111,7 @@ from .ir import (
     SWhile,
     WordTy,
     leaks,
+    span,
     walk,
 )
 
@@ -119,7 +120,13 @@ MAX_BOUNDS = 3
 
 
 class AnalysisFailure(Exception):
-    """The program is outside the analyzable fragment at some site."""
+    """The program is outside the analyzable fragment at `site`, the
+    line:col of a node, for the reason `detail`; a failure with no site
+    is about the analysis's arguments (a name that is no parameter)."""
+
+    def __init__(self, detail: str, site: str | None = None):
+        super().__init__(f"{site}: {detail}" if site else detail)
+        self.site, self.detail = site, detail
 
 
 # ----------------------------------------------------------------- Aff
@@ -533,13 +540,13 @@ class _Analyzer:
     def _scan(self, s) -> list:
         """The names that the operands of s's rows in the leakage table
         (ir.leaks) read.  Notes in self.inert whether a straight-line s
-        makes no call and has no row but a constant index in bounds, with
-        the scalars it rebinds."""
+        makes no call and has no row but a constant index, with the
+        scalars it rebinds."""
         rows = leaks(s)
         k = type(s)
         if k is not SIf and k is not SWhile:
             ok = not (k is SAssign and type(s.rhs) is ECall) and all(
-                type(n) is EArr and type(n.index) is EInt and self._in_bounds(n) for n, _, _ in rows)
+                type(n) is EArr and type(n.index) is EInt for n, _, _ in rows)
             rebinds = (s.names if k is SDecl else () if k is SReturn
                        else tuple(lv.name for lv in s.dests if type(lv) is EVar))
             self.inert[id(s)] = rebinds if ok else None
@@ -583,8 +590,8 @@ class _Analyzer:
             return None, _opaque_interval(e)
         if kind is EMem:
             a, _ = self.eval(st, e.addr)
-            self.record_access(st, e, a, (e.width or 64) // 8)
-            return None, _width_interval(e.width or 64)
+            self.record_access(st, e, a)
+            return None, _opaque_interval(e)
         if kind is EArr:
             self.check_index(st, e)
             return None, _opaque_interval(e)
@@ -652,7 +659,9 @@ class _Analyzer:
 
     # ------------------------------------------------- access recording
 
-    def record_access(self, st: AbsState, node, addr: Aff | None, nbytes: int):
+    def record_access(self, st: AbsState, node, addr: Aff | None):
+        """Add the bytes of memory access `node` (ir.span) at address
+        `addr` to the range of its pointer, or note why they cannot be."""
         if not self.recording:
             return
         if addr is None:
@@ -669,6 +678,7 @@ class _Analyzer:
         iv = st.interval_of(off)
         old = self.accesses.get(base)
         sides = []
+        nbytes = span(node)[0]
         for upper, bounds in ((False, iv.los), (True, tuple(b + nbytes for b in iv.his))):
             out: tuple = ()
             for b in bounds:
@@ -694,29 +704,18 @@ class _Analyzer:
 
     # ------------------------------------------------- index findings
 
-    def _in_bounds(self, node, iv: Interval | None = None) -> bool:
-        """Whether the index of array access `node` stays in the array's
-        bounds: decided for a constant index, else from the index's
-        interval `iv`."""
-        ty = self.fn.envtypes.get(node.name, (None, None))[1]
-        if not isinstance(ty, ArrayTy):
-            return True
-        elem_bytes = (node.width or ty.bits) // 8
-        step = 1 if node.byte_mode else elem_bytes
-        limit = (ty.length * ty.bits // 8 - elem_bytes) // step if step else 0
-        if type(node.index) is EInt:
-            return 0 <= node.index.value <= limit
-        return any(b.nonneg() for b in iv.los) and any(_le(b, Aff(limit)) for b in iv.his)
-
     def check_index(self, st: AbsState, node):
-        iv = None
-        if type(node.index) is not EInt:
-            a, iv = self.eval(st, node.index)
-            if self.recording:
-                iv = _ival(st, a, iv)
-        if self.recording and not self._in_bounds(node, iv):
-            self.note(self.findings, Finding("array-bounds", _site(node),
-                                             f"index into {node.name} may leave its bounds"))
+        """Evaluate the index of array access `node`, and record an
+        array-bounds finding when its interval may leave [0, last]
+        (ir.span); a constant index is one expand keeps in bounds."""
+        if type(node.index) is EInt:
+            return
+        a, iv = self.eval(st, node.index)
+        if self.recording:
+            iv, last = _ival(st, a, iv), Aff(span(node)[2])
+            if not (any(b.nonneg() for b in iv.los) and any(_le(b, last) for b in iv.his)):
+                self.note(self.findings, Finding("array-bounds", _site(node),
+                                                 f"index into {node.name} may leave its bounds"))
 
     @staticmethod
     def note(into: list, item):
@@ -784,9 +783,8 @@ class _Analyzer:
 
     def t_assign(self, st: AbsState, s: SAssign) -> AbsState:
         if isinstance(s.rhs, ECall):
-            raise AnalysisFailure(
-                f"{_site(s)}: call to non-inline function {s.rhs.name!r} is not analyzable"
-            )
+            raise AnalysisFailure(f"call to non-inline function {s.rhs.name!r} is not analyzable",
+                                  _site(s))
         if isinstance(s.rhs, EIntr) and len(s.dests) != 1:
             self.eval_intr(st, s.rhs)
             d = isa.lookup(s.rhs.name)
@@ -827,7 +825,7 @@ class _Analyzer:
         another value on the next pass.  The loop fails after
         MAX_ITERATIONS passes."""
         if n >= MAX_ITERATIONS:
-            raise AnalysisFailure(f"{_site(s)}: loop analysis did not stabilize")
+            raise AnalysisFailure("loop analysis did not stabilize", _site(s))
         out = None
         for sym, iv in new.intervals.items():
             o = old.intervals.get(sym)
@@ -1178,14 +1176,15 @@ def check_safety(p: Program, entry: str, pointers=(), tracked=()) -> list[Findin
     """Static findings, in this order: possible division by zero and
     array indices out of bounds; an `analysis` finding at the site of
     each access the range analysis could not analyse (analyze's
-    `failures`), then one for the AnalysisFailure that ended it, if any;
+    `failures`), then one at the site of the AnalysisFailure that ended
+    it, if any;
     and scalar variables possibly read before assignment."""
     an = _Analyzer(p, entry, pointers, tracked)
     try:
         an.walk()
         ended = []
     except AnalysisFailure as exc:
-        ended = [Finding("analysis", "?", str(exc))]
+        ended = [Finding("analysis", exc.site, exc.detail)]
     return [*an.findings, *an.failures, *ended, *_uninit_findings(an.p, an.fn)]
 
 

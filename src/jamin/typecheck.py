@@ -63,6 +63,7 @@ from .ir import (
     blocks,
     fmt_expr,
     op_text,
+    span,
     walk,
     word_ty,
 )
@@ -151,14 +152,13 @@ def const_eval(e, env: dict) -> int:
     raise NotConst(fmt_expr(e))
 
 
-def index_error(name: str, ty: ArrayTy, i: int, width, byte_mode: bool) -> str | None:
-    """Why constant index `i` of an access to array `name` of type `ty`
-    (a `width`-bit view, a byte view) is out of bounds, or None."""
-    w = width or ty.bits
-    off = i if byte_mode else i * (w // 8)
-    if off < 0 or off + w // 8 > ty.length * (ty.bits // 8):
-        return f"index {i} outside {name}: u{ty.bits}[{ty.length}]"
-    return None
+def index_error(access, name: str, i: int) -> str | None:
+    """Why constant index `i` of `access`, a typed access to array `name`,
+    is out of bounds (ir.span), or None."""
+    if 0 <= i <= span(access)[2]:
+        return None
+    ty = access.arr_ty
+    return f"index {i} outside {name}: u{ty.bits}[{ty.length}]"
 
 
 def _vecimm_width(n: int, m: int) -> int:
@@ -337,7 +337,7 @@ class _FnChecker:
             e.ty = word_ty(e.width)
             return
         if isinstance(e, EArr):
-            self.check_array_access(e, e.name, e.index, e.width, e.byte_mode)
+            self.check_array_access(e)
             return
         if isinstance(e, EMem):
             w = e.width or 64
@@ -472,9 +472,10 @@ class _FnChecker:
             e.ty = BOOL if w == "flag" else word_ty(w)
         return d
 
-    def check_array_access(self, node, name, index, width, byte_mode):
-        """Type the access `node`; an error about its array name is
+    def check_array_access(self, node):
+        """Type the array access `node`; an error about its array name is
         reported once."""
+        name, index, width = node.name, node.index, node.width
         node.ty = word_ty(64)  # unless name is an array
         found = self.lookup(name)
         if found is None:
@@ -488,25 +489,26 @@ class _FnChecker:
         node.arr_ty = ty
         node.ty = word_ty(width or ty.bits)
         if st == "reg" or st == "global":
-            if width is not None or byte_mode:
+            if width is not None or node.byte_mode:
                 self.err(node, "sub-word views exist only on stack arrays")
             if not self.is_compile_time(index):
                 self.err(
                     node,
                     f"register array {name!r} requires a compile-time index",
                 )
-        if width is not None and width not in LEGAL_WIDTHS:
+        legal = width is None or width in LEGAL_WIDTHS
+        if not legal:
             self.err(node, f"illegal view width u{width}")
         self.infer(index)
         if not isinstance(index.ty, (IntTy, WordTy)):
             self.err(node, "array index must be an integer")
         # static bounds check when everything is constant
-        if isinstance(ty.length, int) and self.is_compile_time(index):
+        if legal and isinstance(ty.length, int) and self.is_compile_time(index):
             try:
                 i = const_eval(index, self.tc.param_values)
             except NotConst:
                 return
-            msg = index_error(name, ty, i, width, byte_mode)
+            msg = index_error(node, name, i)
             if msg:
                 self.err(node, msg)
 

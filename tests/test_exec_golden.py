@@ -58,12 +58,13 @@ def _inputs(name):
         m, args = shape.build_memory(shape.sample(rng, i))
         yield f"case{i}", m, args
     rng = random.Random(TRIAL_SEED)
+    plan = leakage._plan(p, info.entry, info.shape, info.public)
     for t in range(TRIALS):
         public, regions, pub, sec1, sec2 = leakage.build_inputs(
             p, info.entry, info.shape, info.public, rng
         )
         for k, sec in enumerate((sec1, sec2)):
-            args, m = leakage._materialize(p, info.entry, public, regions, pub, sec)
+            args, m = leakage._materialize(plan, public, regions, pub, sec)
             yield f"trial{t}.{k}", m, args
 
 

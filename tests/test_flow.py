@@ -196,6 +196,16 @@ def test_unstable_loop_fails_the_analysis(monkeypatch, tmp_path, capsys):
     assert "did not stabilize" in capsys.readouterr().err
 
 
+def test_check_safety_reports_an_unstable_loop_at_the_loop(monkeypatch):
+    """check_safety reports the failure of a loop that does not stabilize
+    at the loop, not at `?`."""
+    p = expand(typecheck(parse(COPY_SRC)))
+    monkeypatch.setattr(safety, "MAX_ITERATIONS", 1)
+    ended = [str(f) for f in safety.check_safety(p, "copy", ["src", "dst"], ["len"])
+             if f.kind == "analysis"]
+    assert ended == ["analysis at 5:3: loop analysis did not stabilize"]
+
+
 def nested_whiles(k: int) -> str:
     return ("fn f(reg u64 x) {\n" + "while (x < 1) {\n" * k + "x = x + 1;\n" + "}\n" * k
             + "}\n")

@@ -530,11 +530,6 @@ fn f(reg u64 p, reg u64 n, reg u64 w) -> reg u64 {
     assert "w" in got[0] and "w" not in got[3]
     leakage.build_inputs(SECRET_BRANCH, "f", {"s": Val(64), "p": Val(64)}, PublicSpec.of(["p"]),
                          random.Random(1))
-    # _materialize on an entry other than the latest plan's looks its parameters up itself
-    public, regions, pub, sec1, _ = got
-    args, m = leakage._materialize(p, "f", public, regions, pub, sec1)
-    assert args == [public["p"], public["n"], public["w"]]
-    assert m.regions() == ([(public["p"], public["p"] + public["n"])] if public["n"] else [])
 
 
 def test_run_refuses_an_unknown_entry_with_its_message():

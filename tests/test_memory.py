@@ -722,11 +722,12 @@ def test_ct_trials_build_memories_without_the_merge(monkeypatch):
     monkeypatch.setattr(Memory, "_merged", classmethod(lambda cls, spans: merged.append(spans)))
     for name, info in PROGRAMS.items():
         rng = random.Random(3)
+        plan = leakage._plan(load_program(name), info.entry, info.shape, info.public)
         for _ in range(50):
             public, regions, pub, sec, _ = leakage.build_inputs(
                 load_program(name), info.entry, info.shape, info.public, rng)
             empty += not all(size for _, size in regions.values())
-            leakage._materialize(load_program(name), info.entry, public, regions, pub, sec)
+            leakage._materialize(plan, public, regions, pub, sec)
     assert merged == [] and empty  # empty regions included
 
 

@@ -166,6 +166,16 @@ PARSE_ERRORS = {
     "compound-intrinsic": (body("r += #x86_MOV_64(a);"),
                            "3:3: compound assignment cannot receive an intrinsic"),
     "compound-call": (body("r += g(a);"), "3:3: calls cannot use compound assignment"),
+    # the edges of the comma lists: only parameters, call arguments and
+    # return values may be empty, and no list ends in a comma
+    "vector-empty": (body("r = (4u2)[];"), "3:13: expected expression, found ']'"),
+    "global-empty": ("global u64[1] G = {};\n", "1:20: expected expression, found '}'"),
+    "argument-comma": (body("r = g(1,);"), "3:11: expected expression, found ')'"),
+    "parameter-comma": ("fn f(reg u64 a,) {\n}\n", "1:16: expected storage class, found ')'"),
+    "result-comma": ("fn f(reg u64 a) -> reg u64, {\n  return a;\n}\n",
+                     "1:29: expected storage class, found '{'"),
+    "return-comma": (body("return a,;"), "3:12: expected expression, found ';'"),
+    "name-comma": (body("reg u64 a,;"), "3:13: expected 'IDENT', found ';'"),
 }
 
 

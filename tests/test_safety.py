@@ -371,6 +371,20 @@ def test_unknown_parameter_rejected():
         safety.analyze(COPY, "copy", ["nope"], [])
 
 
+def test_check_safety_reports_an_ended_analysis_at_its_site():
+    """The failure that ends the range analysis is an `analysis` finding
+    at its own site, as an unanalysed access's is; the exception's text,
+    which `jamin safety` prints, keeps the site in front."""
+    p = prep("fn g(reg u64 x) {\n}\nfn f(reg u64 a) {\n  g(a);\n}\n")
+    with pytest.raises(safety.AnalysisFailure) as exc:
+        safety.analyze(p, "f", [], ["a"])
+    assert str(exc.value) == "4:3: call to non-inline function 'g' is not analyzable"
+    assert (exc.value.site, exc.value.detail) == ("4:3", "call to non-inline function 'g' "
+                                                  "is not analyzable")
+    assert [str(f) for f in safety.check_safety(p, "f", [], ["a"])] == [
+        "analysis at 4:3: call to non-inline function 'g' is not analyzable"]
+
+
 def test_tracked_monotonicity():
     # dropping the tracked scalar keeps the report sound (looser, not wrong)
     rep = safety.analyze(COPY, "copy", ["src", "dst"], [])
