@@ -22,7 +22,7 @@ from .parser import ParseError, parse
 from .typecheck import TypecheckError, typecheck
 from .words import Word
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -245,19 +245,10 @@ def cmd_safety(args) -> int:
         rep = safety.analyze(p, args.entry, pointers, tracked)
     except safety.AnalysisFailure as exc:
         raise CliError(str(exc)) from exc
-    lines = rep.text_lines() + [""] + rep.machine_lines()
-    for f in rep.failures:
-        lines.append(f"analysis failure: {f}")
-    for f in rep.findings:
-        lines.append(str(f))
-    report = {
-        "ranges": rep.machine_lines(),
-        "failures": list(rep.failures),
-        "findings": [str(f) for f in rep.findings],
-        "tracked": tracked,
-    }
-    _emit(report, args.json, lines)
-    return EXIT_OK if not rep.failures and not rep.findings else EXIT_VERDICT
+    findings = [str(f) for f in rep.findings]
+    report = {"ranges": rep.machine_lines(), "findings": findings, "tracked": tracked}
+    _emit(report, args.json, rep.text_lines() + [""] + rep.machine_lines() + findings)
+    return EXIT_VERDICT if findings else EXIT_OK
 
 
 # ------------------------------------------------------------ difftest

@@ -74,8 +74,8 @@ observes:
   unrolled code;
 - the hit path of a memory or stack-array access of 1, 2, 4 or 8 bytes
   is emitted inline, and the helper of interp (_ld, _st, _sld, _sst) is
-  called, with the arguments it always took, only when a test of the
-  hit fails (a constant-index miss passes no trace, its event being in
+  called, a stack-array one with the access's ir.span, only when a test
+  of the hit fails (a constant-index miss passes no trace, its event being in
   the batch already): a memory access tests that its bytes lie in the
   region the line index names (memory._lines) and, for a load, that
   they are written (a region without an init map is all written); a
@@ -715,7 +715,7 @@ class _FnGen:
         if type(e.index) is EInt:
             i = e.index.value
             self.pending.append(i)
-            miss = f"_sld(None, (), {s}, {i}, {nb}, {scale}, {label}, {loc!r})"
+            miss = f"_sld(None, (), {s}, {i}, {nb}, {scale}, {last}, {label}, {loc!r})"
             if not inline:
                 return miss
             get, written = _span_access(f"{s}.buf", f"{s}.init", str(i * scale), nb)
@@ -723,14 +723,14 @@ class _FnGen:
         code = self.expr(e.index)
         k = self.batch()
         if not inline:
-            return f"_sld(T, {k}, {s}, {code}, {nb}, {scale}, {label}, {loc!r})"
+            return f"_sld(T, {k}, {s}, {code}, {nb}, {scale}, {last}, {label}, {loc!r})"
         i, first = self.bound(code)
         off = i if scale == 1 else self.fresh()  # bound at its first use, `at`
         at = None if scale == 1 else f"({off} := {i} * {scale})"
         get, written = _span_access(f"{s}.buf", f"{s}.init", off, nb, at)
         return (f"({get} if {first} <= {last} and {written}"
                 f" and {self.traced(i, k)}"
-                f" else _sld(T, {k}, {s}, {i}, {nb}, {scale}, {label}, {loc!r}))")
+                f" else _sld(T, {k}, {s}, {i}, {nb}, {scale}, {last}, {label}, {loc!r}))")
 
     def stack_store(self, lv, s: str, value: str, bits):
         """Store `value` to element lv of stack array s, as stack_load
@@ -746,13 +746,13 @@ class _FnGen:
             if inline:
                 self.line("; ".join(_span_put(f"{s}.buf", f"{s}.init", str(i * scale), nb, value)))
             else:
-                self.line(f"_sst(None, (), {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
+                self.line(f"_sst(None, (), {s}, {value}, {i}, {nb}, {scale}, {last}, {label}, {loc!r})")
             return
         value = self.keep(value)  # the value is evaluated before the index
         code = self.expr(lv.index)
         k = self.batch()
         if not inline:
-            self.line(f"_sst(T, {k}, {s}, {value}, {code}, {nb}, {scale}, {label}, {loc!r})")
+            self.line(f"_sst(T, {k}, {s}, {value}, {code}, {nb}, {scale}, {last}, {label}, {loc!r})")
             return
         i, first = self.bound(code)
         off = i if scale == 1 else self.fresh()  # bound at its first use, `at`
@@ -760,7 +760,7 @@ class _FnGen:
         put = "; ".join(_span_put(f"{s}.buf", f"{s}.init", off, nb, value, at))
         self.line(f"if {first} <= {last} and {self.traced(i, k)}:")
         self.line(f"    {put}")
-        self.line(f"else: _sst(T, {k}, {s}, {value}, {i}, {nb}, {scale}, {label}, {loc!r})")
+        self.line(f"else: _sst(T, {k}, {s}, {value}, {i}, {nb}, {scale}, {last}, {label}, {loc!r})")
 
     # -- liveness (backwards), for the element view, moves, pieces and
     #    declarations

@@ -42,7 +42,8 @@ code makes the hit of each memory or stack-array access of 1, 2, 4 or
 named LD<n> and ST<n> in its namespace, or a byte subscript; the
 access helpers are its miss path and the whole of every 16- or 32-byte
 access, and each is a complete access.
-The stack-array helpers check the index, slice the bytes and search
+The stack-array helpers check the index against the last one in bounds,
+which codegen passes them from ir.span, slice the bytes and search
 the init map for a 0; a constant-index miss calls them with no trace,
 its event being in the batch already.  The memory helpers record the
 event and access through Memory's load_span and store_bytes_inplace,
@@ -206,11 +207,11 @@ def _st(M, T, K, v, a, nbytes, loc):
         raise OutOfRegion(exc.address, loc) from None
 
 
-def _sld(T, K, arr, i, nbytes, scale, name, loc):
+def _sld(T, K, arr, i, nbytes, scale, last, name, loc):
+    if not 0 <= i <= last:
+        raise OutOfBoundsArray(name, i, loc)
     off = i * scale
     end = off + nbytes
-    if off < 0 or end > len(arr.buf):
-        raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K
@@ -220,11 +221,11 @@ def _sld(T, K, arr, i, nbytes, scale, name, loc):
     raise UninitializedUse(f"{name} bytes [{off}, {end})", loc)
 
 
-def _sst(T, K, arr, v, i, nbytes, scale, name, loc):
+def _sst(T, K, arr, v, i, nbytes, scale, last, name, loc):
+    if not 0 <= i <= last:
+        raise OutOfBoundsArray(name, i, loc)
     off = i * scale
     end = off + nbytes
-    if off < 0 or end > len(arr.buf):
-        raise OutOfBoundsArray(name, i, loc)
     if T is not None:
         if K:
             T += K

@@ -2,7 +2,13 @@
 
 For each pointer-typed input the analyzer infers a symbolic range of
 byte offsets the program may access relative to that input, producing
-the memory calling contract (`range(in) = in + [0; inlen)` style).
+the memory calling contract (`range(in) = in + [0; inlen)` style), and
+one list of located findings, which analyze's RangeReport holds and
+check_safety returns: a divisor that may be zero, an index that may
+leave its array, an access it cannot analyse (`analysis`), and a scalar
+that may be read before assignment.  The `tracked` parameters only pick
+those that a reported bound may name and those with a range line.
+
 The relevant scalars of the entry function are tracked as affine
 expressions over symbols: the initial values of the entry parameters
 plus fresh symbols introduced at join points.  Every symbol denotes an
@@ -24,9 +30,8 @@ nothing.  The relevance pass visits the body of a repeat node (a `for`
 loop expand kept whole) once, and its iterations share their private
 locals' relevance; the range and must-be-assigned passes walk its
 iterations until one changes nothing they observe (jamin.flow).  A
-failure or finding identical to one already recorded (same kind, site
-and message), as every iteration of a loop records it, is recorded
-once.
+finding identical to one already recorded (same kind, site and
+message), as every iteration of a loop records it, is recorded once.
 
 A symbol's interval keeps small *sets* of lower and upper bounds, each
 affine in the parameters: a loop guard often supplies a symbolic bound
@@ -476,13 +481,16 @@ def _site(node) -> str:
 
 @dataclass
 class RangeReport:
-    """Per-input access ranges; a None entry means the input is never
-    used as a base (printed "empty")."""
+    """Per-input access ranges, a None entry when the input is never
+    used as a base (printed "empty"), and the findings (_Analyzer.findings)."""
 
     order: list
     ranges: dict  # name -> (lo Aff|None, hi Aff|None) or None
-    failures: list = field(default_factory=list)
-    findings: list = field(default_factory=list)  # Finding, as check_safety
+    findings: list = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[Finding]:  # the `analysis` findings, a view for perfbench
+        return [f for f in self.findings if f.kind == "analysis"]
 
     def machine_lines(self) -> list[str]:
         return self._lines("=", "empty", ")")
@@ -520,8 +528,7 @@ class _Analyzer:
         self.param_names = param_names
         self.psym = {n: ("p", n) for n in param_names}
         self.accesses: dict[str, tuple[tuple, tuple]] = {}  # base -> (los, his)
-        self.failures: list[Finding] = []  # of kind `analysis`, one per access not analysed
-        self.findings: list[Finding] = []
+        self.noted: list[Finding] = []  # the walk's findings, in the order found
         self.recording = False
         self.at = None
         self.loop_syms: dict[tuple[int, str], object] = {}
@@ -620,7 +627,7 @@ class _Analyzer:
         riv = _ival(st, ra, riv)
         if op == "/" or op == "%":
             if self.recording and not _excludes_zero(riv):
-                self.note(self.findings, Finding("div-by-zero", _site(e), "divisor may be zero"))
+                self.note("div-by-zero", _site(e), "divisor may be zero")
             if op == "%" and ra is not None and ra.is_const() and ra.const > 0:
                 return None, Interval((ZERO,), (Aff(ra.const - 1),))
             if op == "/" and ra is not None and ra.is_const() and ra.const > 0:
@@ -654,7 +661,7 @@ class _Analyzer:
             self.eval(st, a)
         if d.mnemonic == "DIV" and self.recording:
             if not _excludes_zero(_ival(st, *self.eval(st, e.args[2]))):
-                self.note(self.findings, Finding("div-by-zero", _site(e), "divisor may be zero"))
+                self.note("div-by-zero", _site(e), "divisor may be zero")
         return None, _opaque_interval(e)
 
     # ------------------------------------------------- access recording
@@ -664,14 +671,11 @@ class _Analyzer:
         `addr` to the range of its pointer, or note why they cannot be."""
         if not self.recording:
             return
-        if addr is None:
-            self.note(self.failures, Finding("analysis", _site(node),
-                                             "unresolvable address (not affine in tracked inputs)"))
-            return
-        bases = [s for s in addr.syms() if s[0] == "p" and s[1] in self.pointers]
+        bases = [] if addr is None else [
+            s for s in addr.syms() if s[0] == "p" and s[1] in self.pointers]
         if len(bases) != 1 or addr.coeff(bases[0]) != 1:
-            self.note(self.failures, Finding("analysis", _site(node), "address mixes bases or has "
-                                             f"no pointer base ({addr.render()})"))
+            self.note("analysis", _site(node), "unresolvable address (not affine)" if addr is None
+                      else f"address mixes bases or has no pointer base ({addr.render()})")
             return
         base = bases[0][1]
         off = addr - Aff.of_sym(bases[0])
@@ -714,15 +718,14 @@ class _Analyzer:
         if self.recording:
             iv, last = _ival(st, a, iv), Aff(span(node)[2])
             if not (any(b.nonneg() for b in iv.los) and any(_le(b, last) for b in iv.his)):
-                self.note(self.findings, Finding("array-bounds", _site(node),
-                                                 f"index into {node.name} may leave its bounds"))
+                self.note("array-bounds", _site(node), f"index into {node.name} may leave its bounds")
 
-    @staticmethod
-    def note(into: list, item):
-        """Record failure or finding `item` in `into`, unless an identical
-        one (same kind, site and message) is recorded already."""
-        if item not in into:
-            into.append(item)
+    def note(self, kind: str, where: str, detail: str):
+        """Record a finding, unless an identical one (same kind, site and
+        message) is recorded already."""
+        item = Finding(kind, where, detail)
+        if item not in self.noted:
+            self.noted.append(item)
 
     # ------------------------------------------------------ statements
 
@@ -738,10 +741,10 @@ class _Analyzer:
     def observable(self, st: AbsState, private) -> tuple:
         """The flow hook (see jamin.flow): the values of the scalars not
         in `private`, the symbols' intervals, and what the analysis has
-        recorded: accesses, failures, findings and the symbols made (a
-        loop symbol among them)."""
+        recorded: accesses, findings and the symbols made (a loop symbol
+        among them)."""
         return ({n: a for n, a in st.vals.items() if n not in private}, dict(st.intervals),
-                dict(self.accesses), len(self.failures), len(self.findings), self.minted)
+                dict(self.accesses), len(self.noted), self.minted)
 
     def assign_var(self, st: AbsState, name, aff: Aff | None, iv: Interval):
         if name not in self.relevant:
@@ -1053,14 +1056,28 @@ class _Analyzer:
         return st
 
     def walk(self):
-        """The one recording pass: accesses, failures and findings.  An
+        """The one recording pass: accesses and findings.  An
         AnalysisFailure propagates; what was recorded before it stays."""
         self.recording = True
         flow.forward(self.fn.body, self.initial_state(), self)
 
+    def findings(self) -> list[Finding]:
+        """The one list of findings: the walk's div-by-zero and
+        array-bounds ones; its `analysis` ones, one per access it could
+        not analyse and one for the failure that ended it; then a
+        maybe-uninit one at the first read of each scalar local that the
+        must-be-assigned pass notes, whose value a run checks there
+        (codegen.unassigned_reads)."""
+        first = {}
+        for e in unassigned_reads(self.p, self.fn).values():
+            if type(e) is EVar:
+                first.setdefault(e.name, e)
+        return sorted(self.noted, key=lambda f: f.kind == "analysis") + [
+            Finding("maybe-uninit", _site(e), f"{n} may be read before assignment")
+            for n, e in first.items()]
+
     def run(self) -> RangeReport:
-        """The report of the recording pass, the maybe-uninit findings
-        after the range analysis's."""
+        """The ranges and findings of the recording pass."""
         self.walk()
         order = [n for n in self.param_names if n in self.pointers or n in self.tracked]
         ranges = {}
@@ -1070,10 +1087,7 @@ class _Analyzer:
                 ranges[n] = (_best(los, False), _best(his, True))
             else:
                 ranges[n] = None
-        return RangeReport(
-            order=order, ranges=ranges, failures=[f"{f.where}: {f.detail}" for f in self.failures],
-            findings=self.findings + _uninit_findings(self.p, self.fn),
-        )
+        return RangeReport(order, ranges, self.findings())
 
 
 def _raw_interval(st: AbsState, a: Aff, target_sym) -> Interval:
@@ -1166,38 +1180,24 @@ def _ratio(dv: Aff, du: Aff):
 
 def analyze(p: Program, entry: str, pointers, tracked) -> RangeReport:
     """Infer per-pointer symbolic access ranges (the calling contract),
-    with the static findings of check_safety in the report's `findings`.
-    Raises AnalysisFailure where the program leaves the analyzable
-    fragment."""
+    with the located findings in the report's `findings`, the list that
+    check_safety returns.  Raises AnalysisFailure where the program
+    leaves the analyzable fragment."""
     return _Analyzer(p, entry, pointers, tracked).run()
 
 
 def check_safety(p: Program, entry: str, pointers=(), tracked=()) -> list[Finding]:
-    """Static findings, in this order: possible division by zero and
-    array indices out of bounds; an `analysis` finding at the site of
-    each access the range analysis could not analyse (analyze's
-    `failures`), then one at the site of the AnalysisFailure that ended
-    it, if any;
-    and scalar variables possibly read before assignment."""
+    """The located findings (_Analyzer.findings): analyze's, or those
+    found before the AnalysisFailure that analyze raises and an
+    `analysis` one at its site.  They do not depend on `tracked`, which
+    only picks the parameters a reported bound may name and those with
+    a range line."""
     an = _Analyzer(p, entry, pointers, tracked)
     try:
         an.walk()
-        ended = []
     except AnalysisFailure as exc:
-        ended = [Finding("analysis", exc.site, exc.detail)]
-    return [*an.findings, *an.failures, *ended, *_uninit_findings(an.p, an.fn)]
-
-
-def _uninit_findings(p, fn) -> list[Finding]:
-    """The maybe-uninit findings of function fn: the first read of each
-    scalar local that the must-be-assigned pass notes, whose value a run
-    checks there (codegen.unassigned_reads)."""
-    first = {}
-    for e in unassigned_reads(p, fn).values():
-        if type(e) is EVar:
-            first.setdefault(e.name, e)
-    return [Finding("maybe-uninit", _site(e), f"{n} may be read before assignment")
-            for n, e in first.items()]
+        an.note("analysis", exc.site, exc.detail)
+    return an.findings()
 
 
 # ------------------------------------------------------------ relevance

@@ -3,10 +3,10 @@
 `report(p, entry, pointers, tracked)` is what safety.analyze,
 safety.check_safety, safety.preanalyze and leakage.infer_public report
 on expanded program p: for the tracked parameters given, those that
-preanalyze suggests and none, the range lines (text and machine), the
-failures and the findings of analyze (or the AnalysisFailure that ended
-it) and the findings of check_safety; then the preanalyze and
-infer_public sets.  Tests use it to compare two ways of analyzing one
+preanalyze suggests and none, the range lines (text and machine) and the
+findings of analyze (or the AnalysisFailure that ended it) and the
+findings of check_safety, the same list when analyze returns; then the
+preanalyze and infer_public sets.  Tests use it to compare two ways of analyzing one
 program, and `reports()`, the report of every case, to pin the sha256
 of all of them (test_digests); run as a script, it writes the report of every corpus program,
 every planted program of test_acceptance and every probe of
@@ -36,7 +36,6 @@ def report(p, entry: str, pointers, tracked) -> str:
             lines.append(f"analysis failure: {exc}")
         else:
             lines += rep.text_lines() + rep.machine_lines()
-            lines += [f"failure: {f}" for f in rep.failures]
             lines += [f"finding: {f!r}" for f in rep.findings]
         lines += [f"check_safety: {f!r}" for f in safety.check_safety(p, entry, pointers, tr)]
     lines.append(f"preanalyze: {suggested}")

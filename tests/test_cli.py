@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from test_parser import DEEP, deep, limit, past_limit, roundtrip
+from test_safety_golden import PROBES
 from jamin.cli import main
 from jamin.primitives.corpus import CORPUS_DIR as CORPUS
 
@@ -151,7 +152,32 @@ def test_safety_suggest_tracked(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["tracked"] == ["inlen"]
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
+
+
+@pytest.mark.parametrize("src, pointers, tracked, found", [
+    (PROBES["probe_store_bases"][0], "a,b", "x", [
+        "analysis at 4:3: address mixes bases or has no pointer base (a + b)",
+        "analysis at 5:3: unresolvable address (not affine)"]),
+    ("fn f(reg u64 p, reg u64 q) {\n  reg u64 x;\n  x = (u8)[p + q * q];\n}\n", "p", "q",
+     ["analysis at 3:7: unresolvable address (not affine)"]),
+], ids=["store-bases", "not-affine"])
+def test_safety_prints_one_list_of_findings(tmp_path, capsys, src, pointers, tracked, found):
+    """An access the ranges cannot cover is a finding like any other:
+    printed once after the range lines, listed under `findings` in the
+    JSON report, and exit 1."""
+    prog = tmp_path / "probe.jz"
+    prog.write_text(src)
+    args = ("safety", str(prog), "--entry", "f", "--pointer", pointers, "--track", tracked)
+    names = pointers.split(",") + [tracked]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1
+    assert out.splitlines() == ([f"range({n}) : ∅" for n in names] + [""]
+                                + [f"range({n}) = empty" for n in names] + found)
+    code, out, _ = run_cli(capsys, *args, "--json")
+    assert code == 1
+    assert json.loads(out) == {"findings": found, "ranges": [f"range({n}) = empty" for n in names],
+                               "schema_version": 2, "tracked": [tracked]}
 
 
 def test_ct_secure_and_json(capsys):

@@ -13,8 +13,8 @@ from gensrc import corpus_sources
 from reports import reports
 
 DIGESTS = {
-    "gensrc": (corpus_sources, "54434c862ed2cd91c08b232b2cddd0bd6b02b4181db5b1dda439974532bba50b"),
-    "reports": (reports, "61430d57ae227cd7777cf4fae6523a123498f1fef4fa1787f1ffd14ff5404c44"),
+    "gensrc": (corpus_sources, "e230a19b568ee44dbcd74b0201ea80a93583d8c456ffc20f2ea38c32b5da702e"),
+    "reports": (reports, "f0def5e16dd3df74145085d4c3cc908fe594405b4d09b201e8717a69c409fe0d"),
 }
 
 

@@ -557,6 +557,7 @@ def test_stack_array_helpers_match_a_byte_reference(width, length, fill, accesse
         ref = list(fill[:size])
     for load, computed, nbytes, byte_view, i, v in accesses:
         scale = 1 if byte_view else nbytes
+        last = (size - nbytes) // scale  # as ir.span gives it, which test_span checks
         off = i * scale
         inside = 0 <= off and off + nbytes <= size
         if not computed and not inside:
@@ -567,11 +568,11 @@ def test_stack_array_helpers_match_a_byte_reference(width, length, fill, accesse
             if isinstance(want, str):
                 want = (want, LOC)
             t = trace if computed else None  # a constant index's event is batched
-            got = _helper(interp._sld, t, PENDING, arr, i, nbytes, scale, "a", LOC)
+            got = _helper(interp._sld, t, PENDING, arr, i, nbytes, scale, last, "a", LOC)
         else:
             want = None
             t = trace if computed else None
-            got = _helper(interp._sst, t, PENDING, arr, v, i, nbytes, scale, "a", LOC)
+            got = _helper(interp._sst, t, PENDING, arr, v, i, nbytes, scale, last, "a", LOC)
             if inside:
                 ref[off:off + nbytes] = (v & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
         if not inside:

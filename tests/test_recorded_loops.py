@@ -5,8 +5,8 @@ one iteration at a time and skip the rest once an iteration changes
 nothing they observe.  Each test
 analyzes a program as built and unrolled (unroll.unroll), whose every
 copy is walked, and requires the same reports, once each private local
-of the unrolled form is named as in iteration 0 and the findings and
-failures that this makes identical are dropped; the programs here pin
+of the unrolled form is named as in iteration 0 and the findings that
+this makes identical are dropped; the programs here pin
 how many iterations of each loop are walked."""
 
 import re
@@ -63,15 +63,15 @@ def analyzer_after(p, entry, pointers, tracked, first=None) -> tuple:
 
 def as_repeated(p, text: str) -> str:
     """The report `text` of unroll(p) with each private local named as
-    in iteration 0, and a failure or finding line so made identical to
-    an earlier one of its section dropped."""
+    in iteration 0, and a finding line so made identical to an earlier
+    one of its section dropped."""
     first = private_names(p)
     out, seen = [], set()
     for line in text.splitlines(keepends=True):
         line = re.sub(r"\w+", lambda m: first.get(m[0], m[0]), line)
         if line.startswith("["):
             seen = set()
-        elif line.startswith(("failure:", "finding:", "check_safety:")):
+        elif line.startswith(("finding:", "check_safety:")):
             if line in seen:
                 continue
             seen.add(line)
@@ -226,7 +226,7 @@ def test_unresolvable_address_is_reported_once(walks):
     p = prep(UNRESOLVED)
     for q in (p, unroll(p)):
         rep = safety.analyze(q, "f", ["p"], ["v"])
-        assert rep.failures == ["3:20: unresolvable address (not affine in tracked inputs)"]
+        assert rep.failures == [safety.Finding("analysis", "3:20", "unresolvable address (not affine)")]
     assert walked(walks, "_Analyzer") == [(2, 4)]
     same_reports(p, "f", ("p",), ("v",))
 
@@ -295,7 +295,7 @@ def test_symbol_made_and_dropped_walks_every_iteration(walks):
 @pytest.mark.parametrize("src, label", [
     (UNSET, "maybe-uninit at 5:10: t__i1 may be read before assignment"),
     (DIVIDE, "div-by-zero at 4:9: divisor may be zero"),
-    (UNRESOLVED, "failure: 3:20: unresolvable address (not affine in tracked inputs)")],
+    (UNRESOLVED, "analysis at 3:20: unresolvable address (not affine)")],
     ids=["uninit", "divide", "unresolved"])
 def test_safety_prints_a_repeated_line_once(src, label, tmp_path, capsys):
     path = tmp_path / "loop.jz"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gensrc import function_sources
 from harness import bound_range
+from reports import cases
 from jamin import interp, isa, memory, safety
 from jamin.expand import expand
 from jamin.parser import parse
@@ -74,7 +75,8 @@ fn f(reg u64 a, reg u64 b) -> reg u64 {
 """
     )
     rep = safety.analyze(p, "f", ["a", "b"], [])
-    assert rep.failures and "mixes bases" in rep.failures[0]
+    assert rep.failures == [safety.Finding("analysis", "4:7", "address mixes bases or has no "
+                                           "pointer base (a + b)")]
 
 
 @pytest.mark.parametrize("loads", [1, 2])
@@ -158,30 +160,28 @@ fn f(reg u64 p, reg u64 i) -> reg u64 {
     ("while (a[i] < (u64)(u8)[p + (i ^ 1)]) { t = t + 1; }", 10),
 ], ids=["if", "while"])
 def test_test_of_if_and_while_records_once(test, col):
-    """The test's own evaluation records its finding and failure; the
+    """The test's own evaluation records its two findings; the
     refinement of each branch records nothing again."""
     p = prep(TESTED % test)
     rep = safety.analyze(p, "f", ["p"], ["i"])
-    assert [str(f) for f in rep.findings] == [
-        f"array-bounds at 7:{col}: index into a may leave its bounds"]
-    assert rep.failures == [
-        f"7:{col + 12}: unresolvable address (not affine in tracked inputs)"]
-    assert [str(f) for f in safety.check_safety(p, "f", ["p"], ["i"])] == [
-        f"array-bounds at 7:{col}: index into a may leave its bounds",
-        f"analysis at 7:{col + 12}: unresolvable address (not affine in tracked inputs)"]
+    assert rep.findings == [
+        safety.Finding("array-bounds", f"7:{col}", "index into a may leave its bounds"),
+        safety.Finding("analysis", f"7:{col + 12}", "unresolvable address (not affine)")]
+    assert safety.check_safety(p, "f", ["p"], ["i"]) == rep.findings
 
 
-# Accesses the range analysis records as failures: check_safety reports
-# each once, as an `analysis` finding at its site, after the range
-# findings and before the maybe-uninit ones, so it does not call the
-# program clean.
+# Accesses the range analysis cannot analyse: analyze and check_safety
+# report each once, as an `analysis` finding at its site, after the range
+# findings and before the maybe-uninit ones, so they do not call the
+# program clean.  Whether an address is affine does not depend on which
+# parameters are tracked: `q` is tracked and `p + q * q` is not affine.
 UNANALYSED = {
     "not-affine": ("""fn f(reg u64 p, reg u64 q) {
   reg u64 x;
   x = (u8)[p + q * q];
 }
 """, ["p"], ["q"], [
-        "analysis at 3:7: unresolvable address (not affine in tracked inputs)"]),
+        "analysis at 3:7: unresolvable address (not affine)"]),
     "two-bases": ("""fn f(reg u64 p, reg u64 r, reg u64 d) -> reg u64 {
   reg u64 x, y;
   while (x < 2) { (u8)[p + r] = 0; x = 1; }
@@ -199,9 +199,7 @@ UNANALYSED = {
 def test_check_safety_reports_each_unanalysed_access(name):
     src, pointers, tracked, expected = UNANALYSED[name]
     p = prep(src)
-    rep = safety.analyze(p, "f", pointers, tracked)
-    assert [f"analysis at {f}" for f in rep.failures] == [
-        f for f in expected if f.startswith("analysis")]
+    assert [str(f) for f in safety.analyze(p, "f", pointers, tracked).findings] == expected
     assert [str(f) for f in safety.check_safety(p, "f", pointers, tracked)] == expected
 
 
@@ -383,6 +381,39 @@ def test_check_safety_reports_an_ended_analysis_at_its_site():
                                                   "is not analyzable")
     assert [str(f) for f in safety.check_safety(p, "f", [], ["a"])] == [
         "analysis at 4:3: call to non-inline function 'g' is not analyzable"]
+
+
+CASES = cases()  # the corpus, the planted programs and the golden probes
+
+
+def _tracked_choices(p, entry, declared) -> list:
+    """The declared tracked set, preanalyze's, none and every parameter."""
+    return [list(declared), sorted(safety.preanalyze(p, entry)), [],
+            [q.name for q in p.func(entry).params]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_analyze_findings_are_check_safety(name):
+    """Where the range analysis ends, analyze's findings are the list
+    check_safety returns."""
+    p, entry, pointers, declared = CASES[name]()
+    for tracked in _tracked_choices(p, entry, declared):
+        try:
+            rep = safety.analyze(p, entry, pointers, tracked)
+        except safety.AnalysisFailure:
+            continue
+        assert rep.findings == safety.check_safety(p, entry, pointers, tracked), tracked
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_check_safety_does_not_depend_on_tracked(name):
+    """Tracking picks which parameters a reported bound may name, and
+    which get a range line; the findings are the same under every
+    choice."""
+    p, entry, pointers, declared = CASES[name]()
+    found = [safety.check_safety(p, entry, pointers, tracked)
+             for tracked in _tracked_choices(p, entry, declared)]
+    assert all(f == found[0] for f in found), name
 
 
 def test_tracked_monotonicity():
@@ -763,7 +794,7 @@ def test_reported_ranges_contain_every_run(name):
     p = prep(text)
     pointers = ["p", "q"] if "reg u64 q" in text else ["p"]
     rep = safety.analyze(p, "f", pointers, tracked)
-    assert (rep.failures, rep.findings) == ([], [])
+    assert rep.findings == []
     assert rep.machine_lines()[0] == f"range(p) = {want}"
     params = [q.name for q in p.func("f").params]
     data = bytes(range(1, 65))

@@ -2,21 +2,29 @@
 
 tests/data/safety_golden.json holds what safety.analyze and
 safety.check_safety report on every corpus program, and on a few small
-probe programs that reach failures, findings on stores and rational
-bounds, which the corpus does not, and scalars that matter to the
-analysis through one kind of use only (an address, an index, a test, a
-divisor, a guarded or compound assignment) beside data-only ones.  Each program is analyzed under
-three choices of tracked parameters: the declared set, preanalyze's
-suggestion and none at all.  An entry records the machine and text
-range lines, the analysis failures and the findings (or the
-AnalysisFailure that ended the analysis), so any change to a verdict
-or a printed range shows up here.
+probe programs that reach `analysis` findings, findings on stores and
+rational bounds, which the corpus does not, and scalars that matter to
+the analysis through one kind of use only (an address, an index, a
+test, a divisor, a guarded or compound assignment) beside data-only
+ones.  Each program is analyzed under three choices of tracked
+parameters: the declared set, preanalyze's suggestion and none at all.
+An entry records the machine and text range lines (or the
+AnalysisFailure that ended the analysis) and the one list of findings
+that check_safety returns and analyze's report holds (test_safety
+checks that they are equal), so any change to a verdict or a printed
+range shows up here.
 
-Regenerate (only when a change of the analysis's output is intended) with
+List every (program, tracked choice, key) whose report differs from the
+golden, with both values, writing nothing:
+    PYTHONPATH=src python tests/test_safety_golden.py --diff
+Explain each entry that moves, and edit the golden by hand where a
+change of the analysis's output is intended; regenerate it whole only
+when every listed difference is intended:
     PYTHONPATH=src python tests/test_safety_golden.py
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,17 +280,9 @@ def _record(p, entry, pointers, tracked) -> dict:
     except safety.AnalysisFailure as exc:
         out = {"error": str(exc)}
     else:
-        out = {
-            "machine_lines": rep.machine_lines(),
-            "text_lines": rep.text_lines(),
-            "failures": list(rep.failures),
-        }
+        out = {"machine_lines": rep.machine_lines(), "text_lines": rep.text_lines()}
     out["tracked"] = tracked
     out["findings"] = [str(f) for f in safety.check_safety(p, entry, pointers, tracked)]
-    if "error" not in out:  # analyze's findings, with an `analysis` one per failure
-        found = [str(f) for f in rep.findings]  # before the maybe-uninit ones
-        k = sum(not f.startswith("maybe-uninit") for f in found)
-        assert out["findings"] == found[:k] + [f"analysis at {f}" for f in rep.failures] + found[k:]
     return out
 
 
@@ -305,7 +305,40 @@ def test_analysis_matches_golden_report(name):
     assert capture(name) == golden[name]
 
 
+def differences(golden: dict) -> list[str]:
+    """Three lines for each (program, tracked choice, key) whose captured
+    value differs from the golden one: its name, then both values (null
+    where one side has none)."""
+    out = []
+    for name in sorted(golden.keys() | set(NAMES)):
+        want, got = golden.get(name, {}), capture(name) if name in NAMES else {}
+        for label in sorted(want.keys() | got.keys()):
+            w, g = want.get(label, {}), got.get(label, {})
+            for key in sorted(w.keys() | g.keys()):
+                if w.get(key) != g.get(key):
+                    out += [f"{name} [{label}] {key}", f"  golden:   {json.dumps(w.get(key))}",
+                            f"  captured: {json.dumps(g.get(key))}"]
+    return out
+
+
+def test_diff_lists_each_moved_entry_alone():
+    golden = json.loads(GOLDEN.read_text())
+    assert differences(golden) == []
+    found = golden["probe_uninit"]["untracked"]["findings"]
+    golden["probe_uninit"]["untracked"]["findings"] = []
+    lines = golden["probe_shifts"]["declared"].pop("text_lines")
+    assert differences(golden) == [
+        "probe_shifts [declared] text_lines", "  golden:   null",
+        f"  captured: {json.dumps(lines)}",
+        "probe_uninit [untracked] findings", "  golden:   []",
+        f"  captured: {json.dumps(found)}"]
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    data = {name: capture(name) for name in NAMES}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--diff"]:
+        for line in differences(json.loads(GOLDEN.read_text())):
+            print(line)
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        data = {name: capture(name) for name in NAMES}
+        GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
