@@ -1,9 +1,16 @@
 """Multi-precision limb arithmetic with per-limb bit-bound certificates.
 
 A LimbNum holds 64-bit limbs at a chosen radix (bit weight step between
-positions) together with a certified maximum bit-length per limb.  The
-bounds are data: every operation derives output bounds from input
-bounds alone, then verifies the produced limbs actually satisfy them.
+positions) together with a certified maximum bit-length per limb, which
+the constructor verifies the limbs satisfy.  Bounds are data, set in one
+of three ways:
+- derived from the input bounds alone: `add_generic`, `mul_schoolbook`
+  and `add_Rep5_Pack`;
+- fixed by the shape, `radix` bits per limb: `from_int`, `propagate` and
+  `convert`;
+- read off the values, as `make` does by default: `_split_at_130` and
+  `reduce_p1305`.  Such a bound holds for the limbs it was read from, and
+  certifies nothing about another input.
 Keeping limbs below the certified widths is what makes delayed-carry
 algorithms sound, so bound violations raise instead of wrapping.
 
@@ -11,7 +18,9 @@ Addition and schoolbook multiplication are generic in the limb count;
 only the modular reduction is specific to 2^130 - 5.  Two
 representations get dedicated support: the packed radix-64 form (three
 limbs for a residue, top limb a couple of bits) and the radix-26
-five-limb form whose canonical relaxation allows 27-bit limbs.
+five-limb form whose canonical relaxation allows 27-bit limbs.  Every
+change of shape goes through the represented integer: `_digits` is the
+inverse of `repres`.
 """
 
 from __future__ import annotations
@@ -59,14 +68,10 @@ def make(limbs, radix: int, bounds=None) -> LimbNum:
 def from_int(x: int, radix: int, count: int) -> LimbNum:
     if x < 0:
         raise ValueError("negative values are not representable")
-    mask = (1 << radix) - 1
-    limbs = []
-    for _ in range(count):
-        limbs.append(x & mask)
-        x >>= radix
-    if x:
+    limbs = _digits(x, radix, count)
+    if x >> (radix * len(limbs)):
         raise BoundError(f"value needs more than {count} radix-{radix} limbs")
-    return LimbNum(tuple(limbs), radix, tuple(radix for _ in limbs))
+    return LimbNum(tuple(limbs), radix, (radix,) * len(limbs))
 
 
 def repres(x: LimbNum) -> int:
@@ -75,6 +80,24 @@ def repres(x: LimbNum) -> int:
     for limb in reversed(x.limbs):
         v = (v << x.radix) + limb
     return v
+
+
+def _digits(x: int, radix: int, count=None) -> list:
+    """The radix-bit digits of x >= 0, least significant first: the
+    inverse of repres.  `count` of them, any bits above dropped; as many
+    as x needs when count is None."""
+    mask = (1 << radix) - 1
+    if count is None:
+        count = -(-x.bit_length() // radix)
+    return [(x >> (radix * i)) & mask for i in range(count)]
+
+
+def _carried(x: int, radix: int, count: int = 0) -> LimbNum:
+    """The carry chain: x in canonical limbs (< 2^radix, certified at radix
+    bits), at least `count` of them, more if the top carries out."""
+    limbs = _digits(x, radix)
+    limbs += [0] * (count - len(limbs))
+    return LimbNum(tuple(limbs), radix, (radix,) * len(limbs))
 
 
 def bRep(x: LimbNum, k: int) -> bool:
@@ -133,8 +156,6 @@ def mul_schoolbook(a: LimbNum, b: LimbNum) -> LimbNum:
         for k in range(n):
             tot = conv[k] + carry
             tot_bound = max(conv_bounds[k], carry_bound) + 1
-            if tot_bound > 129:
-                raise BoundError("carry chain could overflow")
             limbs.append(tot & _M64)
             bounds.append(min(LIMB_BITS, tot_bound))
             carry = tot >> LIMB_BITS
@@ -154,46 +175,15 @@ def mul_schoolbook(a: LimbNum, b: LimbNum) -> LimbNum:
 def propagate(x: LimbNum) -> LimbNum:
     """Carry-propagate to canonical limbs (< 2^radix), extending the
     limb count if the top carries out."""
-    mask = (1 << x.radix) - 1
-    limbs = []
-    carry = 0
-    for v in x.limbs:
-        t = v + carry
-        limbs.append(t & mask)
-        carry = t >> x.radix
-    while carry:
-        limbs.append(carry & mask)
-        carry >>= x.radix
-    return LimbNum(tuple(limbs), x.radix, tuple(x.radix for _ in limbs))
+    return _carried(repres(x), x.radix, len(x))
 
 
 def _split_at_130(x: LimbNum) -> tuple[LimbNum, LimbNum]:
-    """(low 130 bits, value >> 130) of a canonical-limbed number."""
-    r = x.radix
-    if any(b > r for b in x.bounds):
-        raise BoundError("split requires propagated (canonical) limbs")
-    cut_limb, cut_bit = divmod(130, r)
-    lows = list(x.limbs[:cut_limb])
-    while len(lows) < cut_limb:
-        lows.append(0)
-    if cut_bit:
-        top = x.limbs[cut_limb] if cut_limb < len(x.limbs) else 0
-        lows.append(top & ((1 << cut_bit) - 1))
-    lo = lows
-    his = []
-    carry_bits = 0
-    # shift the limbs above the cut right by cut_bit, borrowing across
-    prev = x.limbs[cut_limb] >> cut_bit if cut_limb < len(x.limbs) else 0
-    for i in range(cut_limb + 1, len(x.limbs)):
-        v = x.limbs[i]
-        his.append((prev | (v << (r - cut_bit))) & ((1 << r) - 1))
-        prev = v >> cut_bit
-    his.append(prev)
-    while len(his) > 1 and his[-1] == 0:
-        his.pop()
-    lo_num = make(lo, r)
-    hi_num = make(his, r)
-    return lo_num, hi_num
+    """(low 130 bits in ceil(130 / radix) limbs, value >> 130 in as many
+    limbs as it needs, at least one), each bound read off its limb."""
+    v = repres(x)
+    lo = _digits(v & ((1 << 130) - 1), x.radix, -(-130 // x.radix))
+    return make(lo, x.radix), make(_digits(v >> 130, x.radix) or [0], x.radix)
 
 
 def reduce_p1305(x: LimbNum) -> LimbNum:
@@ -207,75 +197,28 @@ def reduce_p1305(x: LimbNum) -> LimbNum:
         raise BoundError("reduction is defined for the radix-26 and radix-64 forms")
     if x.radix * len(x.limbs) < 130:
         raise BoundError("representation narrower than 130 bits")
-    target = 5 if x.radix == 26 else 3
     five = make([5], x.radix, (3,))
-    y = propagate(x)
+    y = x
     for _ in range(8):
         lo, hi = _split_at_130(y)
-        if len(hi) == 1 and hi.limbs[0] == 0 and len(lo) <= target:
+        if not repres(hi):
             break
-        folded = propagate(mul_schoolbook(hi, five))
-        y = _add_carrying(lo, folded)
+        y = _carried(repres(lo) + repres(mul_schoolbook(hi, five)), x.radix)
     else:
         raise BoundError("reduction did not converge")
-    limbs = list(y.limbs) + [0] * (target - len(y.limbs))
-    out = make(limbs[:target], x.radix)
-    assert repres(out) % P1305 == repres(x) % P1305
-    return out
-
-
-def _pad(x: LimbNum, n: int) -> LimbNum:
-    if len(x) >= n:
-        return x
-    pad = n - len(x)
-    return LimbNum(
-        x.limbs + (0,) * pad, x.radix, x.bounds + (0,) * pad
-    )
-
-
-def _add_carrying(a: LimbNum, b: LimbNum) -> LimbNum:
-    """Canonical-limbed addition with an explicit carry chain (used by
-    the reduction, where limbs are already at the full radix width)."""
-    if a.radix != b.radix:
-        raise BoundError("operands must share a radix")
-    mask = (1 << a.radix) - 1
-    n = max(len(a), len(b))
-    limbs = []
-    carry = 0
-    for i in range(n):
-        t = (a.limbs[i] if i < len(a) else 0) + (b.limbs[i] if i < len(b) else 0) + carry
-        limbs.append(t & mask)
-        carry = t >> a.radix
-    while carry:
-        limbs.append(carry & mask)
-        carry >>= a.radix
-    return LimbNum(tuple(limbs), a.radix, tuple(a.radix for _ in limbs))
+    # y < 2^130, so its low part is y itself
+    assert repres(lo) % P1305 == repres(x) % P1305
+    return lo
 
 
 def convert(a: LimbNum, to_radix: int, to_count: int) -> LimbNum:
     """Repack the represented value bit-exactly into another shape."""
-    c = propagate(a)
-    if c.radix * len(c) > to_radix * to_count:
-        # ensure no high bits are dropped
-        for i in range(len(c)):
-            pos = c.radix * i
-            if pos + c.bounds[i] > to_radix * to_count and c.limbs[i] >> max(
-                0, to_radix * to_count - pos
-            ):
-                raise BoundError("value does not fit the target shape")
-    out = [0] * to_count
-    for i, v in enumerate(c.limbs):
-        pos = c.radix * i
-        while v:
-            j, bit = divmod(pos, to_radix)
-            if j >= to_count:
-                raise BoundError("value does not fit the target shape")
-            room = to_radix - bit
-            out[j] |= (v & ((1 << room) - 1)) << bit
-            v >>= room
-            pos += room
-    res = make(out, to_radix, tuple(to_radix for _ in out))
-    assert repres(res) == repres(a)
+    v = repres(a)
+    out = _digits(v, to_radix, to_count)
+    if v >> (to_radix * len(out)):
+        raise BoundError("value does not fit the target shape")
+    res = LimbNum(tuple(out), to_radix, (to_radix,) * len(out))
+    assert repres(res) == v
     return res
 
 

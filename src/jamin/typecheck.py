@@ -299,6 +299,18 @@ class _FnChecker:
         self.infer(e, width)
         return self.coerce(e, width)
 
+    def passed(self, e, storage: str, ty, noun: str):
+        """`e` typed as the `noun` (an argument, a return value) passed
+        where a `storage` value of type `ty` is expected."""
+        if isinstance(ty, WordTy):
+            return self.infer_word(e, ty.bits)
+        self.infer(e)
+        if not _agree(e.ty, ty):
+            self.err(e, f"{noun} has type {e.ty}, expected {ty}")
+        elif isinstance(ty, ArrayTy) and not _copies(storage, self.storage(e)):
+            self.err(e, f"{noun} is a {self.storage(e)} array, expected {storage}")
+        return e
+
     def natural_width(self, e) -> int | None:
         if isinstance(e.ty, WordTy):
             return e.ty.bits
@@ -596,18 +608,8 @@ class _FnChecker:
             if len(s.values) != len(rets):
                 self.err(s, f"return arity {len(s.values)} != {len(rets)}")
                 return
-            vals = []
-            for v, (st, ty) in zip(s.values, rets):
-                if isinstance(ty, WordTy):
-                    vals.append(self.infer_word(v, ty.bits))
-                else:
-                    self.infer(v)
-                    if not _agree(v.ty, ty):
-                        self.err(v, f"return value has type {v.ty}, expected {ty}")
-                    elif isinstance(ty, ArrayTy) and not _copies(st, self.storage(v)):
-                        self.err(v, f"return value is a {self.storage(v)} array, expected {st}")
-                    vals.append(v)
-            s.values = tuple(vals)
+            s.values = tuple(self.passed(v, st, ty, "return value")
+                             for v, (st, ty) in zip(s.values, rets))
             return
         raise TypeError(f"not a statement: {s!r}")
 
@@ -694,18 +696,8 @@ class _FnChecker:
         if len(call.args) != len(callee.params):
             self.err(s, f"{call.name} takes {len(callee.params)} arguments")
             return
-        args = []
-        for a, p in zip(call.args, callee.params):
-            if isinstance(p.ty, WordTy):
-                args.append(self.infer_word(a, p.ty.bits))
-            else:
-                self.infer(a)
-                if not _agree(a.ty, p.ty):
-                    self.err(a, f"argument has type {a.ty}, expected {p.ty}")
-                elif isinstance(p.ty, ArrayTy) and not _copies(p.storage, self.storage(a)):
-                    self.err(a, f"argument is a {self.storage(a)} array, expected {p.storage}")
-                args.append(a)
-        call.args = tuple(args)
+        call.args = tuple(self.passed(a, p.storage, p.ty, "argument")
+                          for a, p in zip(call.args, callee.params))
         call.ty = None
         if len(s.dests) != len(callee.rets):
             self.err(s, f"{call.name} returns {len(callee.rets)} values")

@@ -6,6 +6,14 @@ from hypothesis import given, settings, strategies as st
 from jamin import mplimb as mp
 
 
+def _pad(x, n):
+    """x with zero limbs, certified at 0 bits, added up to n limbs."""
+    if len(x) >= n:
+        return x
+    pad = n - len(x)
+    return mp.LimbNum(x.limbs + (0,) * pad, x.radix, x.bounds + (0,) * pad)
+
+
 def rand_limbnum(rng, radix, count, bits=None):
     bits = bits if bits is not None else (radix if radix < 64 else 62)
     return mp.make([rng.getrandbits(bits) for _ in range(count)], radix)
@@ -86,7 +94,7 @@ def test_reduce_idempotent_mod_p():
     for _ in range(200):
         v = rng.getrandbits(260)
         once = mp.reduce_p1305(mp.from_int(v, 26, 10))
-        twice = mp.reduce_p1305(mp._pad(once, 5))
+        twice = mp.reduce_p1305(_pad(once, 5))
         assert mp.repres(twice) == mp.repres(once)
 
 
@@ -141,3 +149,58 @@ def test_add_rep5_pack_rejects_oversized_limbs():
     ok = mp.make([1, 0, 0, 0, 0], 26)
     with pytest.raises(mp.BoundError):
         mp.add_Rep5_Pack(bad, ok, ok, ok)
+
+
+R26 = mp.make([1, 0, 0, 0, 0], 26)
+W64 = mp.make([2**64 - 1, 2**64 - 1], 64)
+
+# Every refusal of mplimb: the call, the exception and its whole text.
+REFUSALS = {
+    "radix-low": (lambda: mp.LimbNum((), 0, ()), "radix 0 out of range"),
+    "radix-high": (lambda: mp.make([], 65), "radix 65 out of range"),
+    "arity": (lambda: mp.LimbNum((1,), 26, ()), "limb/bound arity mismatch"),
+    "bound-negative": (lambda: mp.LimbNum((0,), 26, (-1,)), "bound -1 out of range"),
+    "bound-high": (lambda: mp.LimbNum((1,), 26, (65,)), "bound 65 out of range"),
+    "limb-over-bound": (lambda: mp.LimbNum((8,), 26, (3,)), "limb 0x8 exceeds its 3-bit certificate"),
+    "from-int-negative": (lambda: mp.from_int(-1, 26, 5), "negative values are not representable"),
+    "from-int-too-many-limbs": (lambda: mp.from_int(2**130, 26, 5), "value needs more than 5 radix-26 limbs"),
+    "add-shape": (lambda: mp.add_generic(R26, mp.make([1, 0, 0], 26)),
+                  "operands must share radix and limb count"),
+    "add-overflow": (lambda: mp.add_generic(W64, W64), "limb-wise addition could overflow 64 bits"),
+    "mul-radix": (lambda: mp.mul_schoolbook(R26, mp.make([1], 64)), "operands must share a radix"),
+    "mul-128-bit-partial": (lambda: mp.mul_schoolbook(W64, W64), "convolution term could overflow 128 bits"),
+    "mul-partial-past-limb": (lambda: mp.mul_schoolbook(mp.make([2**40], 26), mp.make([2**30], 26)),
+                              "partial product does not fit one limb; propagate first"),
+    "reduce-radix": (lambda: mp.reduce_p1305(mp.from_int(1, 32, 5)),
+                     "reduction is defined for the radix-26 and radix-64 forms"),
+    "reduce-width": (lambda: mp.reduce_p1305(mp.from_int(1, 26, 4)), "representation narrower than 130 bits"),
+    "reduce-no-convergence": (lambda: mp.reduce_p1305(mp.from_int(2**2000, 64, 32)),
+                              "reduction did not converge"),
+    "convert-capacity": (lambda: mp.convert(mp.from_int(2**130, 26, 6), 64, 2),
+                         "value does not fit the target shape"),
+    "pack-shape": (lambda: mp.add_Rep5_Pack(R26, R26, R26, mp.make([1, 0, 0, 0], 26)),
+                   "inputs must be 5-limb radix-26 numbers"),
+    "pack-certificate": (lambda: mp.add_Rep5_Pack(R26, mp.make([2**27, 0, 0, 0, 0], 26), R26, R26),
+                         "inputs must satisfy the 27-bit limb certificate"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_every_refusal(name):
+    call, text = REFUSALS[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    # a negative value is the one refusal that is no BoundError
+    kind = ValueError if name == "from-int-negative" else mp.BoundError
+    assert (type(exc.value), str(exc.value)) == (kind, text)
+
+
+def test_propagate_carries_out_of_the_top_limb():
+    c = mp.propagate(mp.make([2**26 - 1, 2**26 + 1], 26))
+    assert (c.limbs, c.bounds) == ((2**26 - 1, 1, 1), (26, 26, 26))
+
+
+def test_split_of_fewer_limbs_than_130_bits():
+    lo, hi = mp._split_at_130(mp.make([3, 4], 26))
+    assert (lo.limbs, lo.bounds) == ((3, 4, 0, 0, 0), (2, 3, 0, 0, 0))
+    assert (hi.limbs, hi.bounds) == ((0,), (0,))
